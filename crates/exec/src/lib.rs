@@ -8,7 +8,8 @@
 //! OS threads and mpsc channels against the wall clock:
 //!
 //! - one producer thread per source scan, routing tuples through the
-//!   shared exchange [`Router`] and sending buffers over channels;
+//!   shared exchange [`gridq_engine::distributed::Router`] and sending
+//!   blocks over bounded rings;
 //! - one consumer thread per stage partition, evaluating the same
 //!   [`gridq_engine::evaluator::PartitionEvaluator`] clones and *actually spending CPU/sleep time*
 //!   proportional to the cost model (scaled down by `cost_scale` to keep
@@ -19,8 +20,9 @@
 //!
 //! Prospective (R2) adaptations swap the routing table in place and only
 //! affect future tuples, so they are restricted to stateless stages.
-//! Retrospective (R1) adaptations run the full recall protocol (see
-//! the `recall` module docs): producers log outgoing tuples into
+//! Retrospective (R1) adaptations run the full recall protocol (the
+//! private `protocol` module, shared with the socket substrate — this
+//! file only drives it): producers log outgoing tuples into
 //! checkpointed recovery logs, consumers acknowledge checkpoint markers,
 //! and on deploy the adaptivity thread pauses the producers behind a
 //! drain barrier, migrates the surrendered hash-bucket state between
@@ -28,13 +30,13 @@
 //! distribution — so stateful hash-partitioned stages repartition
 //! mid-flight without losing or duplicating a tuple.
 
-mod dedup;
 mod failover;
+mod protocol;
 mod recall;
 pub mod service;
 pub mod socket;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -47,29 +49,28 @@ use gridq_adapt::{
 };
 use gridq_common::cast;
 use gridq_common::sync::ring::{ring, RingReceiver, RingSender, Waker};
-use gridq_common::sync::Mutex;
 use gridq_common::{
-    ChaosHook, DistributionVector, GridError, NetAction, NodeId, NotifyKind, PartitionId,
-    RecallPhase, Result, SimTime, StallSite, SubplanId, Tuple,
+    ChaosHook, DistributionVector, GridError, NodeId, NotifyKind, PartitionId, QueryId,
+    RecallPhase, Result, SimTime, SubplanId, Tuple,
 };
-use gridq_engine::distributed::{DistributedPlan, Router};
-use gridq_engine::evaluator::{PartitionEvaluator, StreamTag};
+use gridq_engine::distributed::DistributedPlan;
+use gridq_engine::evaluator::StreamTag;
 use gridq_engine::physical::Catalog;
 use gridq_grid::Perturbation;
 use gridq_obs::{Obs, ObsConfig, ObsReport, TimelineKind};
 use gridq_recovery::{AckOutcome, Checkpoint, LogAudit, SharedRecoveryLog};
 
-use dedup::DedupFilter;
+use failover::HeartbeatMonitor;
 pub use failover::{DeliveryGap, FailoverConfig, RetryPolicy};
-use failover::{HeartbeatMonitor, RetryBackoff};
-use recall::{Ctrl, ProducerGuard, RecallGate};
+use protocol::consumer::{Consumer, ConsumerOut, M1Sample};
+use protocol::coordinator::{Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget};
+use protocol::producer::{BlockSink, Producer, ProducerSpec, RetryStep};
+use protocol::{collapse_duplicate_results, validate_knobs, Block, Exchange, Routed};
+use recall::{GateTransport, ProducerGuard, RecallGate, WorkerCommands};
 pub use service::{
     ContentionLedger, QueryOutcome, QueryRun, QueryService, QuerySubmission, ServiceConfig,
     ServiceReport, TenancyHandle,
 };
-
-type LogItem = (StreamTag, Tuple);
-type SharedLogs = Arc<Vec<SharedRecoveryLog<LogItem>>>;
 
 /// Configuration of a threaded execution.
 #[derive(Debug, Clone)]
@@ -146,28 +147,12 @@ impl ThreadedConfig {
     /// (no window could ever close), plus anything
     /// [`AdaptivityConfig::validate`] rejects.
     pub fn validate(&self) -> Result<()> {
-        if !self.cost_scale.is_finite() || self.cost_scale <= 0.0 {
-            return Err(GridError::Config(format!(
-                "cost_scale must be finite and positive, got {}",
-                self.cost_scale
-            )));
-        }
-        if !self.receive_cost_ms.is_finite() || self.receive_cost_ms < 0.0 {
-            return Err(GridError::Config(format!(
-                "receive_cost_ms must be finite and non-negative, got {}",
-                self.receive_cost_ms
-            )));
-        }
-        if self.checkpoint_interval == 0 {
-            return Err(GridError::Config(
-                "checkpoint_interval must be positive".into(),
-            ));
-        }
-        if self.recall_timeout_ms == 0 {
-            return Err(GridError::Config(
-                "recall_timeout_ms must be positive".into(),
-            ));
-        }
+        validate_knobs(
+            self.cost_scale,
+            self.receive_cost_ms,
+            self.checkpoint_interval,
+            self.recall_timeout_ms,
+        )?;
         self.delivery_retry.validate()?;
         self.failover.validate()?;
         if self.failover.enabled
@@ -257,78 +242,18 @@ enum Msg {
     /// push precedes the Eos send, but the ring and the control channel
     /// carry no cross-plane ordering of their own).
     Eos { stream: StreamTag, source: usize },
-    /// Recall barrier marker: the consumer replies `Ctrl::Drained` once
-    /// it sees this, proving the channel holds no pre-pause tuples.
+    /// Recall barrier marker: the consumer replies `Drained` once it
+    /// sees this, proving the channel holds no pre-pause tuples.
     Drain { token: u64 },
-    /// Recall migration command: hand over the state of `outgoing`
+    /// Recall migration command: hand over the state of the outgoing
     /// buckets and re-route held tuples under the (already swapped)
-    /// router, then reply `Ctrl::MigrateDone`.
-    Migrate {
-        token: u64,
-        bucket_count: Option<u32>,
-        outgoing: Vec<u32>,
-    },
+    /// router, then reply `MigrateDone`.
+    Migrate(MigrateCmd),
     /// A tuple re-delivered by the recall protocol (migrated operator
-    /// state or a recalled held tuple). Not logged again: the barrier
-    /// plus direct channel carry the exactly-once guarantee.
-    Migrated {
-        stream: StreamTag,
-        source: usize,
-        tuple: Tuple,
-    },
-}
-
-/// A producer's per-destination staging buffer entry: either a routed
-/// tuple or a checkpoint marker riding in sequence behind the tuple that
-/// closed its window.
-#[derive(Clone)]
-enum Staged {
-    Tuple(StreamTag, Tuple),
-    Marker(Checkpoint, u64),
-}
-
-/// The data-plane unit: one producer's staged batch for one destination,
-/// shipped over a bounded SPSC ring in a single push. Routing was paid
-/// once per item when the block was staged; checkpoint markers ride
-/// in-order behind the tuples that closed their windows, so delivering a
-/// block delivers whole windows atomically.
-struct Block {
-    /// Index into `DistributedPlan::sources`, so consumers can attribute
-    /// tuples and markers to the right recovery log.
-    source: usize,
-    items: Vec<Staged>,
-    /// Set on retry-epilogue retransmissions. A retransmitted window
-    /// targets its *original* destination, and a recall may have moved a
-    /// tuple's bucket elsewhere in the meantime — the consumer re-checks
-    /// ownership of fresh tuples from such blocks and forwards strays to
-    /// the current owner. Ordinary blocks skip the check: their routing
-    /// was computed against the live distribution when they were staged.
-    retransmit: bool,
-}
-
-impl Block {
-    /// The resilient-mode dedup key: `(first_seq, last_seq, count)` over
-    /// the block's tuples (markers excluded), or `None` for marker-only
-    /// blocks. Within one source a window's identity is pinned by its
-    /// extremes plus cardinality: windows only ever *shrink* after
-    /// closing (entries migrate out to other destinations' open windows,
-    /// never in), so two same-key deliveries of a source's window at the
-    /// same consumer carry the same tuple set and the second can be
-    /// skipped wholesale.
-    fn range_key(&self) -> Option<(u64, u64, usize)> {
-        let mut first = None;
-        let mut last = 0;
-        let mut count = 0usize;
-        for item in &self.items {
-            if let Staged::Tuple(_, t) = item {
-                let seq = t.seq();
-                first.get_or_insert(seq);
-                last = seq;
-                count += 1;
-            }
-        }
-        first.map(|f| (f, last, count))
-    }
+    /// state, a recalled held tuple, a forwarded stray, a failover
+    /// replay). Not logged again: the barrier plus direct channel carry
+    /// the exactly-once guarantee.
+    Migrated(Routed),
 }
 
 /// A consumer's control-plane address: the mpsc sender plus the waker
@@ -383,66 +308,449 @@ struct AdaptStats {
     failovers_completed: u64,
 }
 
-fn spin_for(model_ms: f64, scale: f64) {
+pub(crate) fn spin_for(model_ms: f64, scale: f64) {
     let dur = Duration::from_secs_f64((model_ms * scale / 1000.0).max(0.0));
     if !dur.is_zero() {
         thread::sleep(dur);
     }
 }
 
-fn perturbed(base_ms: f64, perturbation: Option<&Perturbation>) -> f64 {
-    let out = match perturbation {
-        None | Some(Perturbation::None) => base_ms,
-        Some(Perturbation::CostFactor(k)) => base_ms * k,
-        Some(Perturbation::SleepMs(extra)) => base_ms + extra,
-        Some(Perturbation::NormalFactor { mean, .. }) => base_ms * mean,
-    };
-    // A non-finite delay/factor is a rejected sample (see
-    // Perturbation::apply): fall back to the unperturbed cost instead of
-    // poisoning downstream wall-clock arithmetic.
-    if out.is_finite() {
-        out
-    } else {
-        base_ms
+/// Wall-clock elapsed since `started`, in model milliseconds — so the
+/// Responder's cooldown compares like units.
+fn model_now(started: Instant, scale: f64) -> SimTime {
+    SimTime::from_millis(started.elapsed().as_secs_f64() * 1000.0 / scale.max(1e-9))
+}
+
+/// Drives one producer to completion on the calling thread: the scan
+/// with a pause point before each row, the end-of-scan flush, and the
+/// retry epilogue's sliced sleeps. Shared by both executors — they
+/// differ only in the sink.
+pub(crate) fn run_producer<S: BlockSink>(
+    mut producer: Producer,
+    rows: &[Tuple],
+    gate: Option<Arc<RecallGate>>,
+    sink: &mut S,
+) {
+    // Counts this producer as done even if it panics, so the recall
+    // barrier can never wait on a dead thread.
+    let _guard = gate.as_ref().map(|g| ProducerGuard::new(Arc::clone(g)));
+    for row in rows {
+        if let Some(g) = &gate {
+            producer.observe_epoch(g.pause_point());
+        }
+        producer.stage(row, sink);
+    }
+    // A recall in flight must complete (and the buffers restage) before
+    // the final flush: finishing mid-pause would send tuples routed
+    // under the old distribution after the consumers already drained.
+    if let Some(g) = &gate {
+        producer.observe_epoch(g.pause_point());
+    }
+    producer.finish_scan(sink);
+    while let RetryStep::Wait(ms) = producer.retry_step(sink) {
+        let mut remaining = ms;
+        while remaining > 0.0 {
+            if let Some(g) = &gate {
+                if producer.observe_epoch(g.pause_point()) {
+                    producer.flush_all(sink);
+                }
+            }
+            let slice = remaining.min(5.0);
+            thread::sleep(Duration::from_secs_f64(slice / 1000.0));
+            remaining -= slice;
+        }
     }
 }
 
-/// Collects one reply per consumer for recall attempt `token`, dropping
-/// stale replies from aborted attempts. Returns the summed
-/// `(state_moved, recalled)` counts (zero for `Drained` replies), or
-/// `None` on timeout.
-fn collect_replies(
-    rx: &Receiver<Ctrl>,
-    token: u64,
-    expected: usize,
-    want_migrate: bool,
-    timeout: Duration,
-) -> Option<(u64, u64)> {
-    let deadline = Instant::now() + timeout;
-    let mut got = 0usize;
-    let mut moved = 0u64;
-    let mut recalled_total = 0u64;
-    while got < expected {
-        let now = Instant::now();
-        if now >= deadline {
-            return None;
+/// What a threaded producer needs to emit M2 notifications.
+struct M2Probe {
+    raw: Sender<Raw>,
+    query: QueryId,
+    stage_id: SubplanId,
+    started: Instant,
+}
+
+/// The threaded producer's sink: one bounded SPSC ring of blocks per
+/// consumer (the ring *is* the backpressure), end-of-stream on the
+/// consumer's control channel.
+struct ThreadedSink {
+    source: usize,
+    rings: Vec<RingSender<Block>>,
+    ctrl: Vec<CtrlTx>,
+    scale: f64,
+    chaos: Option<Arc<dyn ChaosHook>>,
+    /// `None` with monitoring off.
+    m2: Option<M2Probe>,
+}
+
+impl BlockSink for ThreadedSink {
+    fn pay(&mut self, model_ms: f64) {
+        spin_for(model_ms, self.scale);
+    }
+
+    fn ship(&mut self, dest: usize, block: Block, duplicate: bool) -> usize {
+        let send_started = Instant::now();
+        let copies = 1 + usize::from(duplicate);
+        let count = self.m2.as_ref().map_or(0, |_| block.tuples() * copies);
+        let mut failed = 0;
+        if duplicate {
+            failed += usize::from(self.rings[dest].push(block.clone()).is_err());
         }
-        match rx.recv_timeout(deadline - now) {
-            Ok(Ctrl::Drained { token: t }) if !want_migrate && t == token => got += 1,
-            Ok(Ctrl::MigrateDone {
-                token: t,
-                state_moved,
-                recalled,
-            }) if want_migrate && t == token => {
-                got += 1;
-                moved += state_moved;
-                recalled_total += recalled;
-            }
-            Ok(_) => {} // stale reply from an aborted attempt
-            Err(_) => return None,
+        failed += usize::from(self.rings[dest].push(block).is_err());
+        self.ctrl[dest].wake();
+        let m2_kept = self
+            .chaos
+            .as_ref()
+            .is_none_or(|c| c.on_notification(NotifyKind::M2, self.source));
+        if let (Some(m2), true) = (&self.m2, count > 0 && m2_kept) {
+            let send_cost = send_started.elapsed().as_secs_f64() * 1000.0 / self.scale.max(1e-9);
+            let _ = m2.raw.send(Raw::M2(M2 {
+                query: m2.query,
+                producer: ProducerId::Source(self.source as u32),
+                recipient: PartitionId::new(m2.stage_id, dest as u32),
+                send_cost_ms: send_cost,
+                tuples_in_buffer: count,
+                at: model_now(m2.started, self.scale),
+            }));
+        }
+        failed
+    }
+
+    fn eos(&mut self, dest: usize, stream: StreamTag, source: usize) {
+        self.ctrl[dest].send(Msg::Eos { stream, source });
+    }
+}
+
+/// The threaded consumer's outputs. Threaded consumers share the router
+/// and the recovery logs with the producers, so acks land in the log
+/// directly (and the log's verdict drives dedup eviction) and strays are
+/// re-routed on the spot.
+struct ThreadedOut {
+    index: usize,
+    node: NodeId,
+    x: Exchange,
+    peers: Vec<CtrlTx>,
+    results: Sender<Vec<Tuple>>,
+    raw: Sender<Raw>,
+    scale: f64,
+    failover_on: bool,
+    query: QueryId,
+    stage_id: SubplanId,
+    started: Instant,
+}
+
+impl ConsumerOut for ThreadedOut {
+    fn pay(&mut self, model_ms: f64) {
+        spin_for(model_ms, self.scale);
+    }
+
+    fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
+        let scale = self.scale;
+        let pay = |ms| spin_for(ms, scale);
+        // Once the log accepts the ack the window can never be
+        // retransmitted again, so its dedup entries are dead weight.
+        // (`Duplicate` means somebody already acked it, same conclusion.)
+        matches!(
+            self.x.acknowledge(source, self.index, cp, epoch, pay),
+            Some(AckOutcome::Accepted(_) | AckOutcome::Duplicate)
+        )
+    }
+
+    fn results(&mut self, batch: Vec<Tuple>) {
+        let _ = self.results.send(batch);
+    }
+
+    fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple> {
+        let owner = self.x.reroute_stray(self.index, stream, source, &tuple);
+        if owner == self.index {
+            return Some(tuple);
+        }
+        self.peers[owner].send(Msg::Migrated((stream, source, tuple)));
+        None
+    }
+
+    fn m1(&mut self, sample: M1Sample) {
+        // A notification lost in flight: the consumer's batch counters
+        // have reset all the same, exactly as if it had been sent and
+        // dropped by the network.
+        if self
+            .x
+            .chaos
+            .as_ref()
+            .is_some_and(|c| !c.on_notification(NotifyKind::M1, self.index))
+        {
+            return;
+        }
+        let _ = self.raw.send(Raw::M1(M1 {
+            query: self.query,
+            partition: PartitionId::new(self.stage_id, self.index as u32),
+            node: self.node,
+            cost_per_tuple_ms: sample.cost_per_tuple_ms,
+            leaf_wait_ms: sample.wait_ms_per_tuple / self.scale,
+            selectivity: sample.selectivity,
+            tuples_produced: sample.tuples_produced,
+            at: model_now(self.started, self.scale),
+        }));
+    }
+
+    fn beat(&mut self) {
+        if self.failover_on {
+            let _ = self.raw.send(Raw::Beat(self.index));
         }
     }
-    Some((moved, recalled_total))
+}
+
+/// What one control message means for the consumer thread's loop.
+enum Step {
+    Continue,
+    /// The last stream ended: exit cleanly.
+    Finished,
+    /// The crash seam fired: die without flush, acks or replies.
+    Crashed,
+}
+
+/// One consumer thread: the driver around a protocol [`Consumer`].
+///
+/// The hot data plane is a bounded SPSC ring per (producer, consumer)
+/// edge; the control plane (Eos, recall commands, migrated
+/// re-deliveries, backstops) is one mpsc channel paired with the waker
+/// that interrupts the idle park. The two planes carry no ordering
+/// between them, so the loop re-establishes the single-FIFO guarantees
+/// by construction. Control drains first and completely: a recall
+/// re-delivery (`Migrated`) is enqueued before the coordinator resumes
+/// the producers, hence before any post-recall block is pushed —
+/// handling all visible control before any data keeps migrated state
+/// ahead of the tuples that probe it. The data drain re-checks the
+/// control channel before every block for the same reason. The inverse
+/// direction (a block pushed before Eos/Drain was sent) is handled
+/// inside those arms, which drain the rings the guarantee covers before
+/// acting.
+struct ConsumerThread {
+    rx: Receiver<Msg>,
+    rings: Vec<RingReceiver<Block>>,
+    waker: Arc<Waker>,
+    consumer: Consumer,
+    out: ThreadedOut,
+    replies: Sender<RecallReply>,
+    recv_slice_ms: u64,
+}
+
+impl ConsumerThread {
+    /// The crash seam: consulted once per control message and once per
+    /// block. Dying here means no flush, no acks, no control replies —
+    /// exactly a vanished node.
+    fn crashed(&self) -> bool {
+        let i = self.out.index;
+        self.out.x.chaos.as_ref().is_some_and(|c| c.crash_worker(i))
+    }
+
+    /// Consumes everything ring `source` holds. Returns `false` when the
+    /// crash seam fired.
+    fn drain_ring(&mut self, source: usize) -> bool {
+        while let Some(block) = self.rings[source].pop() {
+            if self.crashed() {
+                return false;
+            }
+            self.consumer.on_block(block, &mut self.out);
+        }
+        true
+    }
+
+    /// Sends a recall reply unless the chaos seam swallows it.
+    fn reply(&self, phase: RecallPhase, reply: RecallReply) {
+        if self.out.x.reply_survives(phase, self.out.index) {
+            let _ = self.replies.send(reply);
+        }
+    }
+
+    fn on_ctrl(&mut self, msg: Msg) -> Step {
+        match msg {
+            Msg::Eos { stream, source } => {
+                // Every push from this producer precedes its Eos: consume
+                // its ring before acting, so the held-probe replay and
+                // the final exit observe all of its blocks.
+                if !self.drain_ring(source) {
+                    return Step::Crashed;
+                }
+                if self.consumer.on_eos(stream, &mut self.out) {
+                    return Step::Finished;
+                }
+            }
+            Msg::Drain { token } => {
+                // The producers are parked behind the recall gate, so the
+                // rings hold everything sent before the pause: consume it
+                // all before replying, which is exactly what `Drained`
+                // promises the coordinator.
+                for source in 0..self.rings.len() {
+                    if !self.drain_ring(source) {
+                        return Step::Crashed;
+                    }
+                }
+                self.reply(RecallPhase::Drain, RecallReply::Drained { token });
+            }
+            Msg::Migrate(cmd) => {
+                // This consumer shares the router, so it re-routes what
+                // it surrenders itself.
+                let entries = self.consumer.surrender(cmd.bucket_count, &cmd.outgoing);
+                let (consumer, out) = (&mut self.consumer, &self.out);
+                let (state_moved, recalled) = out.x.reroute(out.index, entries, |owner, entry| {
+                    if owner == out.index {
+                        consumer.take_back(entry);
+                    } else {
+                        out.peers[owner].send(Msg::Migrated(entry));
+                    }
+                });
+                self.reply(
+                    RecallPhase::Migrate,
+                    RecallReply::MigrateDone {
+                        token: cmd.token,
+                        state_moved,
+                        recalled,
+                    },
+                );
+            }
+            Msg::Migrated(entry) => self.consumer.on_migrated(entry, &mut self.out),
+        }
+        Step::Continue
+    }
+
+    /// Runs to end of stream (or crash). Returns the processed count and
+    /// the dedup filter's peak.
+    fn run(mut self) -> (u64, u64) {
+        if self.serve() {
+            if self.out.failover_on {
+                // A clean exit is not a death: retire the lease.
+                let _ = self.out.raw.send(Raw::Done(self.out.index));
+            }
+            let _ = self.out.results.send(self.consumer.take_results());
+        }
+        (self.consumer.processed(), self.consumer.dedup_peak())
+    }
+
+    /// The receive loop. Returns `false` when the crash seam fired.
+    fn serve(&mut self) -> bool {
+        // Set once the control channel disconnects (every producer and
+        // the coordinator are gone); the loop makes one final pass over
+        // the rings before exiting.
+        let mut ctrl_gone = false;
+        // A control message pulled out of order by the data plane's
+        // preemption check, handled first next cycle.
+        let mut stashed: Option<Msg> = None;
+        loop {
+            // Beat per cycle: an idle consumer renews its lease once per
+            // park slice, a busy one once per pass.
+            self.out.beat();
+            let mut progressed = false;
+            // Control plane, exhaustively and in FIFO order.
+            loop {
+                let msg = match stashed.take() {
+                    Some(m) => m,
+                    None => match self.rx.try_recv() {
+                        Ok(m) => m,
+                        Err(TryRecvError::Disconnected) => {
+                            ctrl_gone = true;
+                            break;
+                        }
+                        Err(TryRecvError::Empty) => break,
+                    },
+                };
+                progressed = true;
+                if self.crashed() {
+                    return false;
+                }
+                match self.on_ctrl(msg) {
+                    Step::Continue => {}
+                    Step::Finished => return true,
+                    Step::Crashed => return false,
+                }
+            }
+            // Data plane: drain every ring, re-checking the control
+            // channel before each block — a `Migrated` that arrives
+            // mid-drain precedes any block pushed after it, so control
+            // preempts.
+            'drain: for source in 0..self.rings.len() {
+                loop {
+                    if !ctrl_gone {
+                        match self.rx.try_recv() {
+                            Ok(m) => {
+                                stashed = Some(m);
+                                break 'drain;
+                            }
+                            Err(TryRecvError::Disconnected) => ctrl_gone = true,
+                            Err(TryRecvError::Empty) => {}
+                        }
+                    }
+                    let Some(block) = self.rings[source].pop() else {
+                        break;
+                    };
+                    progressed = true;
+                    if self.crashed() {
+                        return false;
+                    }
+                    self.consumer.on_block(block, &mut self.out);
+                }
+            }
+            if stashed.is_some() {
+                continue;
+            }
+            if ctrl_gone {
+                // Every sender is gone and the rings were just drained
+                // dry: nothing more can arrive.
+                return true;
+            }
+            if progressed {
+                continue;
+            }
+            // Idle. Register on the waker, then re-poll both planes: a
+            // push or send that landed between the polls above and the
+            // registration would wake nobody, and the park would eat a
+            // full slice against input already waiting.
+            self.waker.register();
+            if self.rings.iter().any(|r| !r.is_empty()) {
+                self.waker.clear();
+                continue;
+            }
+            match self.rx.try_recv() {
+                Ok(m) => {
+                    self.waker.clear();
+                    stashed = Some(m);
+                }
+                Err(TryRecvError::Disconnected) => {
+                    self.waker.clear();
+                    ctrl_gone = true;
+                }
+                Err(TryRecvError::Empty) => {
+                    // The partition spends this slice waiting for input.
+                    // Dropping the wait (as this arm once did)
+                    // understated the leaf-wait signal the A2 diagnoser
+                    // keys on.
+                    let wait_started = Instant::now();
+                    thread::park_timeout(Duration::from_millis(self.recv_slice_ms));
+                    self.waker.clear();
+                    self.consumer
+                        .add_wait(wait_started.elapsed().as_secs_f64() * 1000.0);
+                }
+            }
+        }
+    }
+}
+
+/// How the threaded coordinator commands consumers: control-channel
+/// sends (the consumer drains its rings before answering a `Drain`).
+struct CtrlCommands<'a>(&'a [CtrlTx]);
+
+impl WorkerCommands for CtrlCommands<'_> {
+    fn drain(&mut self, worker: usize, token: u64) -> bool {
+        self.0[worker].send(Msg::Drain { token })
+    }
+
+    fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
+        self.0[worker].send(Msg::Migrate(cmd));
+    }
+
+    fn redeliver(&mut self, dest: usize, entry: Routed, _reinsert: bool) {
+        self.0[dest].send(Msg::Migrated(entry));
+    }
 }
 
 /// How many times a failover recall is retried after an aborted attempt
@@ -450,198 +758,576 @@ fn collect_replies(
 /// to the producers' delivery-gap path.
 const FAILOVER_ATTEMPTS: u32 = 3;
 
-/// Everything one failover recall attempt borrows from the adaptivity
-/// thread's state.
-struct FailoverRun<'a, R, N>
-where
-    R: Fn(SimTime, TimelineKind) -> u64,
-    N: Fn() -> SimTime,
-{
-    dead: usize,
-    down_seq: u64,
-    gate: Option<&'a RecallGate>,
-    monitor: Option<&'a HeartbeatMonitor>,
-    logs: Option<&'a Vec<SharedRecoveryLog<LogItem>>>,
-    adapt_senders: &'a [CtrlTx],
-    ctrl_rx: &'a Receiver<Ctrl>,
-    router: &'a Mutex<Router>,
-    diagnoser: &'a mut Diagnoser,
-    responder: &'a mut Responder,
-    obs: Option<&'a Obs>,
-    record: &'a R,
-    now_model: &'a N,
-    stage_id: SubplanId,
-    build_source: Option<usize>,
-    recall_timeout: Duration,
-    recall_token: &'a mut u64,
-    stats: &'a mut AdaptStats,
+/// Timeline recording with both clocks: `at` is the model time stamped
+/// on the raw event by its producer thread, `wall_ms` is the real
+/// elapsed time at recording.
+struct Recorder {
+    obs: Option<Obs>,
+    started: Instant,
+    scale: f64,
 }
 
-/// Runs one failover recall attempt for a dead consumer: drain barrier
-/// over the survivors, redistribution away from the dead partition,
-/// replay of that partition's surviving recovery-log entries to their
-/// new owners, epoch-bumped resume. Returns `false` when the attempt had
-/// to abort; the caller retries up to [`FAILOVER_ATTEMPTS`] times.
-///
-/// Deliberately records no `Deploy`/`RecallStart`/`RecallFinish`
-/// timeline events — those carry diagnosis back-references and a
-/// failover has no diagnosis. `NodeDown -> Failover` is this path's
-/// causal pair.
-fn run_failover<R, N>(run: FailoverRun<'_, R, N>) -> bool
-where
-    R: Fn(SimTime, TimelineKind) -> u64,
-    N: Fn() -> SimTime,
-{
-    let FailoverRun {
-        dead,
-        down_seq,
-        gate,
-        monitor,
-        logs,
-        adapt_senders,
-        ctrl_rx,
-        router,
-        diagnoser,
-        responder,
-        obs,
-        record,
-        now_model,
-        stage_id,
-        build_source,
-        recall_timeout,
-        recall_token,
-        stats,
-    } = run;
-    // Config validation ties failover to R1 adaptivity, so the gate and
-    // logs always exist here; degrade to "handled" rather than spin if
-    // that invariant ever breaks.
-    let (Some(gate), Some(m), Some(logs)) = (gate, monitor, logs) else {
-        return true;
-    };
-    *recall_token += 1;
-    let token = *recall_token;
-    match gate.begin_pause(recall_timeout) {
-        None => return false,
-        Some(0) => {
-            // No producer is parked, so none can be trusted to hold its
-            // buffers still across the barrier; retry on a later
-            // iteration once the retry epilogues reach a pause point.
-            gate.abort_pause();
-            return false;
-        }
-        Some(_) => {}
-    }
-    let targets: Vec<usize> = (0..adapt_senders.len())
-        .filter(|&p| !m.is_dead(p) && !m.is_done(p))
-        .collect();
-    let drained = !targets.is_empty()
-        && targets
-            .iter()
-            .all(|&p| adapt_senders[p].send(Msg::Drain { token }))
-        && collect_replies(ctrl_rx, token, targets.len(), false, recall_timeout).is_some();
-    if !drained {
-        gate.abort_pause();
-        return false;
-    }
-    // Route nothing more at the dead partition: zero its weight (and any
-    // previously declared dead peer's) and renormalize over survivors.
-    let target = {
-        let current = router.lock().current_distribution();
-        let w: Vec<f64> = current
-            .weights()
-            .iter()
-            .enumerate()
-            .map(|(p, &w)| if p == dead || m.is_dead(p) { 0.0 } else { w })
-            .collect();
-        DistributionVector::new(&w)
-    };
-    let Ok(target) = target else {
-        // Every partition is dead or weightless; nothing to deploy.
-        gate.abort_pause();
-        return false;
-    };
-    let moves = {
-        let mut r = router.lock();
-        r.apply_retrospective(&target)
-    };
-    let Ok(moves) = moves else {
-        gate.abort_pause();
-        return false;
-    };
-    diagnoser.set_distribution(target);
-    let bucket_count = router.lock().bucket_count();
-    for &p in &targets {
-        let outgoing = moves.outgoing.get(p).cloned().unwrap_or_default();
-        adapt_senders[p].send(Msg::Migrate {
-            token,
-            bucket_count,
-            outgoing,
-        });
-    }
-    let Some((moved, recalled)) =
-        collect_replies(ctrl_rx, token, targets.len(), true, recall_timeout)
-    else {
-        gate.abort_pause();
-        return false;
-    };
-    stats.state_tuples_migrated += moved;
-    stats.tuples_recalled += recalled;
-    // Replay the dead partition's surviving log entries, build stream
-    // first so reconstructed operator state is in place before any
-    // replayed probe tuple can reach it.
-    let mut order: Vec<usize> = (0..logs.len()).collect();
-    order.sort_by_key(|&s| usize::from(Some(s) != build_source));
-    let fallback = targets.first().copied().unwrap_or(0);
-    let mut replayed = 0u64;
-    for s in order {
-        let entries = logs[s].drain_dest(dead as u32).unwrap_or_default();
-        for (stream, tuple) in entries {
-            let routed = {
-                let mut r = router.lock();
-                r.route(stream, &tuple)
-            };
-            let dest = match routed {
-                Ok(d) if targets.contains(&(d as usize)) => d as usize,
-                _ => fallback,
-            };
-            replayed += 1;
-            adapt_senders[dest].send(Msg::Migrated {
-                stream,
-                source: s,
-                tuple: tuple.clone(),
-            });
-            // Re-record under the new owner, but send no checkpoint
-            // markers from here: a coordinator-sent marker could close a
-            // window whose tail is still staged unsent at the producer,
-            // acknowledging tuples that were never delivered. The
-            // producers' per-attempt forced checkpoints close these
-            // windows instead, and retransmissions of already-replayed
-            // tuples collapse in the consumers' dedup filter.
-            let _ = logs[s].record_replayed(dest as u32, (stream, tuple));
+impl Recorder {
+    fn new(obs: &Option<Obs>, started: Instant, cfg: &ThreadedConfig) -> Self {
+        Recorder {
+            obs: obs.clone(),
+            started,
+            scale: cfg.cost_scale,
         }
     }
-    stats.failovers_completed += 1;
-    if let Some(o) = obs {
-        o.metrics().counter("exec.failovers").add(1);
-        o.metrics().counter("exec.tuples_replayed").add(replayed);
+
+    fn record(&self, at: SimTime, kind: TimelineKind) -> u64 {
+        match &self.obs {
+            Some(o) => o.record(
+                at.as_millis(),
+                Some(self.started.elapsed().as_secs_f64() * 1000.0),
+                kind,
+            ),
+            None => 0,
+        }
     }
-    record(
-        now_model(),
-        TimelineKind::Failover {
-            partition: PartitionId::new(stage_id, dead as u32).to_string(),
+
+    fn now_model(&self) -> SimTime {
+        model_now(self.started, self.scale)
+    }
+}
+
+/// The adaptivity thread: detector → diagnoser → responder → shared
+/// router. For retrospective commands and node failures it hands the
+/// protocol core's recall coordinator a target and a transport.
+struct Adaptivity {
+    adapt: AdaptivityConfig,
+    x: Exchange,
+    coordinator: Coordinator,
+    gate: Option<Arc<RecallGate>>,
+    senders: Vec<CtrlTx>,
+    replies: Receiver<RecallReply>,
+    raw_rx: Receiver<Raw>,
+    recall_timeout: Duration,
+    detector: MonitoringEventDetector,
+    diagnoser: Diagnoser,
+    responder: Responder,
+    rec: Recorder,
+    stage_id: SubplanId,
+    query: QueryId,
+    tenancy: Option<TenancyHandle>,
+    total_rows: u64,
+    processed_total: Arc<AtomicU64>,
+    monitor: Option<HeartbeatMonitor>,
+    heartbeat_ms: u64,
+    /// Dead workers awaiting a failover recall, as `(worker, NodeDown
+    /// seq, attempts)`: an aborted attempt is retried a few times before
+    /// the worker is left to the producers' delivery-gap path.
+    failover_queue: Vec<(usize, u64, u32)>,
+    stats: AdaptStats,
+}
+
+/// The channels and counters `run` wires into the adaptivity thread.
+struct AdaptWiring {
+    gate: Option<Arc<RecallGate>>,
+    senders: Vec<CtrlTx>,
+    replies: Receiver<RecallReply>,
+    raw_rx: Receiver<Raw>,
+    total_rows: u64,
+    processed_total: Arc<AtomicU64>,
+}
+
+impl Adaptivity {
+    fn new(
+        cfg: &ThreadedConfig,
+        plan: &DistributedPlan,
+        x: &Exchange,
+        wiring: AdaptWiring,
+        rec: Recorder,
+    ) -> Result<Adaptivity> {
+        let stage = &plan.stages[0];
+        let partitions = stage.nodes.len();
+        let initial = x.router.lock().current_distribution();
+        let mut detector = MonitoringEventDetector::new(&cfg.adaptivity);
+        let mut diagnoser = Diagnoser::new(
+            stage.id,
+            cast::index_to_u32(partitions)?,
+            initial,
+            &cfg.adaptivity,
+        );
+        let mut responder = Responder::new(&cfg.adaptivity);
+        if let Some(o) = &rec.obs {
+            detector.set_metric_sink(o.sink());
+            diagnoser.set_metric_sink(o.sink());
+            responder.set_metric_sink(o.sink());
+        }
+        let monitor = cfg
+            .failover
+            .enabled
+            .then(|| HeartbeatMonitor::new(partitions, cfg.failover.lease_ms));
+        Ok(Adaptivity {
+            adapt: cfg.adaptivity.clone(),
+            x: x.clone(),
+            coordinator: Coordinator::new(x.clone()),
+            gate: wiring.gate,
+            senders: wiring.senders,
+            replies: wiring.replies,
+            raw_rx: wiring.raw_rx,
+            recall_timeout: Duration::from_millis(cfg.recall_timeout_ms),
+            detector,
+            diagnoser,
+            responder,
+            rec,
+            stage_id: stage.id,
+            query: plan.query,
+            tenancy: cfg.tenancy.clone(),
+            total_rows: wiring.total_rows,
+            processed_total: wiring.processed_total,
+            monitor,
+            heartbeat_ms: cfg.failover.heartbeat_ms,
+            failover_queue: Vec::new(),
+            stats: AdaptStats::default(),
+        })
+    }
+
+    fn run(mut self) -> AdaptStats {
+        loop {
+            // With a monitor installed the loop must keep checking leases
+            // even when no monitoring events arrive, so the blocking
+            // receive becomes a heartbeat-paced timeout.
+            let received = if self.monitor.is_some() {
+                match self
+                    .raw_rx
+                    .recv_timeout(Duration::from_millis(self.heartbeat_ms.max(1)))
+                {
+                    Ok(r) => Some(r),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            } else {
+                match self.raw_rx.recv() {
+                    Ok(r) => Some(r),
+                    Err(_) => break,
+                }
+            };
+            self.watch_leases(received.as_ref());
+            self.step_failover();
+            let (output, at, raw_seq) = match received {
+                None => continue,
+                Some(Raw::M1(event)) => {
+                    self.stats.m1 += 1;
+                    let output = self.detector.on_m1(&event);
+                    let raw_seq = self.rec.record(
+                        event.at,
+                        TimelineKind::RawM1 {
+                            partition: event.partition.to_string(),
+                            node: event.node.to_string(),
+                            cost_per_tuple_ms: event.cost_per_tuple_ms,
+                            leaf_wait_ms: event.leaf_wait_ms,
+                            gate_fired: !matches!(output, DetectorOutput::Quiet),
+                        },
+                    );
+                    (output, event.at, raw_seq)
+                }
+                Some(Raw::M2(event)) => {
+                    self.stats.m2 += 1;
+                    let output = self.detector.on_m2(&event);
+                    let raw_seq = self.rec.record(
+                        event.at,
+                        TimelineKind::RawM2 {
+                            producer: event.producer.to_string(),
+                            recipient: event.recipient.to_string(),
+                            cost_per_tuple_ms: event.cost_per_tuple_ms(),
+                            gate_fired: !matches!(output, DetectorOutput::Quiet),
+                        },
+                    );
+                    (output, event.at, raw_seq)
+                }
+                // Liveness traffic was consumed by the monitor above; it
+                // never feeds the detector.
+                Some(Raw::Beat(_) | Raw::Done(_)) => continue,
+                Some(Raw::ProducersDone) => break,
+            };
+            for (cmd, diagnosis_seq, tenant) in self.diagnose(output, at, raw_seq) {
+                self.deploy(cmd, diagnosis_seq, tenant);
+            }
+        }
+        self.teardown();
+        self.stats
+    }
+
+    /// Renews leases from liveness traffic and declares expired workers
+    /// dead, queueing each for a failover recall.
+    fn watch_leases(&mut self, received: Option<&Raw>) {
+        let Some(m) = &mut self.monitor else { return };
+        match received {
+            Some(Raw::Beat(w)) => m.beat(*w),
+            Some(Raw::Done(w)) => m.mark_done(*w),
+            _ => {}
+        }
+        while let Some(dead) = m.expired() {
+            self.stats.nodes_failed += 1;
+            let at = self.rec.now_model();
+            let down_seq = self.rec.record(
+                at,
+                TimelineKind::NodeDown {
+                    partition: PartitionId::new(self.stage_id, dead as u32).to_string(),
+                },
+            );
+            self.responder.on_node_failure(at);
+            self.failover_queue.push((dead, down_seq, 0));
+        }
+    }
+
+    /// The workers a recall can address: dead ones can never answer the
+    /// barrier, finished ones have nothing left to drain.
+    fn live_workers(&self) -> Vec<usize> {
+        (0..self.senders.len())
+            .filter(|&p| {
+                self.monitor
+                    .as_ref()
+                    .is_none_or(|m| !m.is_dead(p) && !m.is_done(p))
+            })
+            .collect()
+    }
+
+    /// Runs one failover recall attempt for the head of the queue: drain
+    /// barrier over the survivors, redistribution away from the dead
+    /// partition, replay of its surviving recovery-log entries, resume
+    /// under a bumped epoch.
+    ///
+    /// Deliberately records no `Deploy`/`RecallStart`/`RecallFinish`
+    /// timeline events — those carry diagnosis back-references and a
+    /// failover has no diagnosis. `NodeDown -> Failover` is this path's
+    /// causal pair.
+    fn step_failover(&mut self) {
+        let Some(&(dead, down_seq, attempts)) = self.failover_queue.first() else {
+            return;
+        };
+        // Config validation ties failover to R1 adaptivity, so the gate
+        // and monitor always exist here; drop the entry rather than spin
+        // if that invariant ever breaks.
+        let (Some(gate), Some(m)) = (self.gate.as_deref(), self.monitor.as_ref()) else {
+            self.failover_queue.remove(0);
+            return;
+        };
+        let target = RecallTarget::Failover {
+            replay: dead,
+            dead: (0..self.senders.len())
+                .filter(|&p| p == dead || m.is_dead(p))
+                .collect(),
+        };
+        let live = self.live_workers();
+        let mut transport = GateTransport::new(
+            gate,
+            self.recall_timeout,
+            &self.replies,
+            CtrlCommands(&self.senders),
+        );
+        let outcome = self
+            .coordinator
+            .recall(target, &live, &mut transport, |_| {});
+        let RecallOutcome::FailedOver {
+            deployed,
+            state_moved,
+            recalled,
             replayed,
-            down_seq,
-        },
-    );
-    responder.on_deploy_acknowledged(now_model());
-    gate.resume(gate.epoch() + 1);
-    true
+        } = outcome
+        else {
+            if attempts + 1 >= FAILOVER_ATTEMPTS {
+                // Give up: the producers' retry budget will exhaust
+                // against the dead partition and record an explicit
+                // delivery gap instead of hanging.
+                self.failover_queue.remove(0);
+            } else {
+                self.failover_queue[0].2 = attempts + 1;
+            }
+            return;
+        };
+        self.failover_queue.remove(0);
+        self.diagnoser.set_distribution(deployed);
+        self.stats.state_tuples_migrated += state_moved;
+        self.stats.tuples_recalled += recalled;
+        self.stats.failovers_completed += 1;
+        if let Some(o) = &self.rec.obs {
+            o.metrics().counter("exec.failovers").add(1);
+            o.metrics().counter("exec.tuples_replayed").add(replayed);
+        }
+        let now = self.rec.now_model();
+        self.rec.record(
+            now,
+            TimelineKind::Failover {
+                partition: PartitionId::new(self.stage_id, dead as u32).to_string(),
+                replayed,
+                down_seq,
+            },
+        );
+        self.responder.on_deploy_acknowledged(now);
+    }
+
+    /// Detector output → diagnosis → responder decision. Returns the
+    /// commands to deploy this round, each with the seq of its
+    /// diagnosis-level timeline event and whether it came from the
+    /// cross-query (tenant) diagnoser.
+    fn diagnose(
+        &mut self,
+        output: DetectorOutput,
+        at: SimTime,
+        raw_seq: u64,
+    ) -> Vec<(AdaptationCommand, u64, bool)> {
+        let mut pending = Vec::new();
+        let imbalance = match output {
+            DetectorOutput::Quiet => None,
+            DetectorOutput::Cost(update) => {
+                let notify_seq = self.rec.record(
+                    at,
+                    TimelineKind::DetectorNotify {
+                        scope: update.partition.to_string(),
+                        avg_cost_ms: update.avg_cost_ms,
+                        window_len: update.window_len,
+                        raw_seq,
+                    },
+                );
+                // Service plane: the same smoothed cost feeds the shared
+                // cross-query diagnoser, which sees *all* tenants'
+                // placements and may attribute the shift to a
+                // co-resident query.
+                let rebalance = self.tenancy.as_ref().and_then(|t| {
+                    t.observe_cost(self.query, update.partition, update.avg_cost_ms, update.at)
+                        .map(|r| (t, r))
+                });
+                if let Some((t, r)) = rebalance {
+                    let tenant_seq = self.rec.record(
+                        update.at,
+                        TimelineKind::TenantRebalance {
+                            query: r.query.to_string(),
+                            induced_by: r.induced_by.to_string(),
+                            node: r.node.to_string(),
+                            proposed: r.proposed.weights().to_vec(),
+                            notify_seq,
+                        },
+                    );
+                    t.deployed(self.query, r.proposed.clone());
+                    pending.push((
+                        AdaptationCommand {
+                            stage: self.stage_id,
+                            new_distribution: r.proposed,
+                            retrospective: self.adapt.response == ResponsePolicy::R1,
+                            at: r.at,
+                        },
+                        tenant_seq,
+                        true,
+                    ));
+                }
+                self.diagnoser
+                    .on_cost_update(&update)
+                    .map(|imb| (imb, notify_seq))
+            }
+            DetectorOutput::Comm(update) => {
+                let notify_seq = self.rec.record(
+                    at,
+                    TimelineKind::DetectorNotify {
+                        scope: format!("{}->{}", update.producer, update.recipient),
+                        avg_cost_ms: update.avg_cost_per_tuple_ms,
+                        window_len: update.window_len,
+                        raw_seq,
+                    },
+                );
+                self.diagnoser
+                    .on_comm_update(&update)
+                    .map(|imb| (imb, notify_seq))
+            }
+        };
+        if let Some((imbalance, notify_seq)) = imbalance {
+            let diagnosis_seq = self.rec.record(
+                imbalance.at,
+                TimelineKind::Diagnosis {
+                    stage: imbalance.stage.to_string(),
+                    proposed: imbalance.proposed.weights().to_vec(),
+                    costs: imbalance.costs.clone(),
+                    notify_seq,
+                },
+            );
+            // R1 estimates progress from tuples *processed* (what a
+            // recall would have to preserve), R2 from tuples routed —
+            // mirroring the simulator.
+            let done = if self.adapt.response == ResponsePolicy::R1 {
+                self.processed_total.load(Ordering::Relaxed)
+            } else {
+                self.x.tallies.routed.load(Ordering::Relaxed)
+            };
+            let progress = cast::ratio(done, self.total_rows.max(1));
+            let (decision, cmd) = self.responder.on_imbalance(&imbalance, progress);
+            self.rec.record(
+                imbalance.at,
+                TimelineKind::ResponderDecision {
+                    decision: decision.as_str().to_string(),
+                    diagnosis_seq,
+                },
+            );
+            if let Some(cmd) = cmd {
+                pending.push((cmd, diagnosis_seq, false));
+            }
+        }
+        pending
+    }
+
+    /// Deploys one adaptation command: prospectively by swapping the
+    /// routing table in place, retrospectively through the recall
+    /// coordinator.
+    fn deploy(&mut self, mut cmd: AdaptationCommand, diagnosis_seq: u64, tenant: bool) {
+        // A diagnosis computed from pre-failure observations may still
+        // weight a dead partition; zero it so no adaptation resurrects
+        // routing to a lost worker.
+        if let Some(m) = &self.monitor {
+            let weights = cmd.new_distribution.weights();
+            if weights
+                .iter()
+                .enumerate()
+                .any(|(p, &w)| m.is_dead(p) && w > 0.0)
+            {
+                let w: Vec<f64> = weights
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &w)| if m.is_dead(p) { 0.0 } else { w })
+                    .collect();
+                match DistributionVector::new(&w) {
+                    Ok(d) => cmd.new_distribution = d,
+                    // All surviving weight vanished: nothing sane to
+                    // deploy.
+                    Err(_) => return,
+                }
+            }
+        }
+        self.diagnoser
+            .set_distribution(cmd.new_distribution.clone());
+        let deploy_event = |retrospective: bool| TimelineKind::Deploy {
+            stage: cmd.stage.to_string(),
+            weights: cmd.new_distribution.weights().to_vec(),
+            retrospective,
+            diagnosis_seq,
+        };
+        if !cmd.retrospective {
+            // Prospective: swap the routing table; only future tuples
+            // are affected.
+            let swapped = self
+                .x
+                .router
+                .lock()
+                .apply_distribution(&cmd.new_distribution);
+            if swapped.is_ok() {
+                self.stats.deployed += 1;
+                self.stats.tenant_rebalances += u64::from(tenant);
+                self.rec.record(cmd.at, deploy_event(false));
+                self.responder.on_deploy_acknowledged(self.rec.now_model());
+            }
+            return;
+        }
+        let Some(gate) = self.gate.as_deref() else {
+            return;
+        };
+        let live = self.live_workers();
+        let mut transport = GateTransport::new(
+            gate,
+            self.recall_timeout,
+            &self.replies,
+            CtrlCommands(&self.senders),
+        );
+        let rec = &self.rec;
+        let mut start_seq = 0;
+        let outcome = self.coordinator.recall(
+            RecallTarget::Deploy(cmd.new_distribution.clone()),
+            &live,
+            &mut transport,
+            |epoch| {
+                let deploy_seq = rec.record(cmd.at, deploy_event(true));
+                start_seq = rec.record(
+                    cmd.at,
+                    TimelineKind::RecallStart {
+                        stage: cmd.stage.to_string(),
+                        epoch,
+                        deploy_seq,
+                    },
+                );
+            },
+        );
+        let RecallOutcome::Deployed {
+            epoch,
+            state_moved,
+            recalled,
+            completed,
+        } = outcome
+        else {
+            // Abandoned before the swap: the remaining work drains under
+            // the old distribution.
+            self.stats.recalls_aborted += 1;
+            return;
+        };
+        self.stats.deployed += 1;
+        self.stats.tenant_rebalances += u64::from(tenant);
+        self.stats.state_tuples_migrated += state_moved;
+        self.stats.tuples_recalled += recalled;
+        let now = self.rec.now_model();
+        self.rec.record(
+            now,
+            TimelineKind::RecallFinish {
+                epoch,
+                state_tuples_migrated: state_moved,
+                tuples_recalled: recalled,
+                start_seq,
+            },
+        );
+        self.responder.on_deploy_acknowledged(now);
+        if completed {
+            self.stats.recalls_completed += 1;
+        } else {
+            self.stats.recalls_aborted += 1;
+        }
+    }
+
+    /// Surfaces how much per-stream state the loop accumulated, then
+    /// evicts it so detector/diagnoser maps never outlive the query they
+    /// monitored.
+    fn teardown(&mut self) {
+        let tracked = self.detector.tracked_streams() + self.diagnoser.tracked_cost_entries();
+        self.detector.reset_for_query(self.query);
+        self.diagnoser.reset_for_query();
+        let after = self.detector.tracked_streams() + self.diagnoser.tracked_cost_entries();
+        debug_assert_eq!(after, 0);
+        // Surfaced separately from the pre-eviction gauge so the chaos
+        // oracles can assert a chaos-killed worker's streams were
+        // actually retired, not merely counted.
+        if let Some(o) = &self.rec.obs {
+            o.metrics()
+                .gauge("adapt.tracked_streams_at_teardown")
+                .set(cast::usize_to_f64(tracked));
+            o.metrics()
+                .gauge("adapt.tracked_streams_after_teardown")
+                .set(cast::usize_to_f64(after));
+        }
+    }
 }
 
 /// Executes a single-stage distributed plan over real threads.
 pub struct ThreadedExecutor {
     catalog: Catalog,
     config: ThreadedConfig,
+}
+
+/// Depth of each (producer, consumer) data ring, in blocks: a slow
+/// consumer parks its producers at this many staged blocks.
+const RING_BLOCKS: usize = 8;
+
+/// `rows[producer][consumer]` sender halves and `cols[consumer][producer]`
+/// receiver halves of one bounded SPSC ring per edge.
+pub(crate) type RingMesh<T> = (Vec<Vec<RingSender<T>>>, Vec<Vec<RingReceiver<T>>>);
+
+pub(crate) fn ring_mesh<T: Send>(producers: usize, consumers: usize) -> RingMesh<T> {
+    let mut txs: Vec<Vec<RingSender<T>>> = (0..producers).map(|_| Vec::new()).collect();
+    let mut rxs: Vec<Vec<RingReceiver<T>>> = (0..consumers).map(|_| Vec::new()).collect();
+    for tx_row in txs.iter_mut() {
+        for rx_row in rxs.iter_mut() {
+            let (tx, rx) = ring::<T>(RING_BLOCKS);
+            tx_row.push(tx);
+            rx_row.push(rx);
+        }
+    }
+    (txs, rxs)
 }
 
 impl ThreadedExecutor {
@@ -652,18 +1338,22 @@ impl ThreadedExecutor {
 
     /// Runs the plan to completion.
     pub fn run(&self, plan: &DistributedPlan) -> Result<ThreadedReport> {
-        self.config.validate()?;
-        plan.validate()?;
-        if plan.stages.len() != 1 {
-            return Err(GridError::Execution(
-                "the threaded executor runs single-stage plans".into(),
-            ));
-        }
+        let cfg = &self.config;
+        cfg.validate()?;
+        let recall_on = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R1;
+        let resilient = cfg.chaos.is_some() || cfg.failover.enabled;
+        let x = Exchange::new(
+            plan,
+            "threaded",
+            recall_on,
+            cfg.chaos.clone(),
+            resilient,
+            cfg.checkpoint_interval,
+        )?;
         let stage = &plan.stages[0];
-        let response = self.config.adaptivity.response;
-        if self.config.adaptivity.enabled
+        if cfg.adaptivity.enabled
             && stage.factory.stateful()
-            && response == ResponsePolicy::R2
+            && cfg.adaptivity.response == ResponsePolicy::R2
         {
             return Err(GridError::Config(
                 "stateful stages require the retrospective (R1) response policy; \
@@ -672,38 +1362,15 @@ impl ThreadedExecutor {
                     .into(),
             ));
         }
-        let recall_on = self.config.adaptivity.enabled && response == ResponsePolicy::R1;
-        if recall_on
-            && plan
-                .sources
-                .iter()
-                .filter(|s| s.stream == StreamTag::Build)
-                .count()
-                > 1
-        {
-            return Err(GridError::Config(
-                "the recall protocol supports at most one build source per stage".into(),
-            ));
-        }
-        let monitoring = self.config.adaptivity.monitoring_active();
+        let monitoring = cfg.adaptivity.monitoring_active();
         let partitions = stage.nodes.len();
-        let router = Arc::new(Mutex::new(Router::from_policy(
-            &stage.exchange.routing,
-            cast::index_to_u32(partitions)?,
-        )?));
+        let sources = plan.sources.len();
+        let gate = recall_on.then(|| Arc::new(RecallGate::new(sources)));
 
-        // Channels. The hot data plane is a bounded SPSC ring per
-        // (producer, consumer) edge carrying whole tuple blocks; the ring
-        // is the backpressure (a slow consumer parks its producers at
-        // `RING_BLOCKS` staged blocks). The control plane (Eos, recall
-        // commands, migrated re-deliveries, backstops) stays on one mpsc
-        // channel per consumer, paired with the waker that interrupts the
-        // consumer's idle park.
-        const RING_BLOCKS: usize = 8;
-        let producers_n = plan.sources.len();
+        // Channels: the ring mesh for data, one control channel (with its
+        // waker) per consumer.
         let mut to_consumer: Vec<CtrlTx> = Vec::new();
-        let mut consumer_rx: Vec<Receiver<Msg>> = Vec::new();
-        let mut consumer_wakers: Vec<Arc<Waker>> = Vec::new();
+        let mut consumer_rx: Vec<(Receiver<Msg>, Arc<Waker>)> = Vec::new();
         for _ in 0..partitions {
             let (tx, rx) = channel();
             let waker = Arc::new(Waker::new());
@@ -711,1786 +1378,123 @@ impl ThreadedExecutor {
                 tx,
                 waker: Arc::clone(&waker),
             });
-            consumer_rx.push(rx);
-            consumer_wakers.push(waker);
+            consumer_rx.push((rx, waker));
         }
-        // ring_txs[producer][consumer] / ring_rxs[consumer][producer].
-        let mut ring_txs: Vec<Vec<RingSender<Block>>> =
-            (0..producers_n).map(|_| Vec::new()).collect();
-        let mut ring_rxs: Vec<Vec<RingReceiver<Block>>> =
-            (0..partitions).map(|_| Vec::new()).collect();
-        for ring_tx_row in ring_txs.iter_mut() {
-            for ring_rx_row in ring_rxs.iter_mut() {
-                let (tx, rx) = ring::<Block>(RING_BLOCKS);
-                ring_tx_row.push(tx);
-                ring_rx_row.push(rx);
-            }
-        }
+        let (mut ring_txs, mut ring_rxs) = ring_mesh::<Block>(sources, partitions);
         let (result_tx, result_rx) = channel::<Vec<Tuple>>();
         let (raw_tx, raw_rx) = channel::<Raw>();
-        let (ctrl_tx, ctrl_rx) = channel::<Ctrl>();
+        let (reply_tx, reply_rx) = channel::<RecallReply>();
 
         let started = Instant::now();
-        let obs = if self.config.obs.enabled {
-            Some(Obs::new(self.config.obs.timeline_capacity))
-        } else {
-            None
-        };
-        let (routed_ctr, processed_ctr) = match &obs {
-            Some(o) => (
-                Some(o.metrics().counter("exec.tuples_routed")),
-                Some(o.metrics().counter("exec.tuples_processed")),
-            ),
-            None => (None, None),
-        };
-        let routed_total = Arc::new(AtomicU64::new(0));
+        let obs = cfg.obs.enabled.then(|| Obs::new(cfg.obs.timeline_capacity));
         let processed_total = Arc::new(AtomicU64::new(0));
-        let restaged_total = Arc::new(AtomicU64::new(0));
-        let total_rows: u64 = {
-            let mut sum = 0;
-            for s in &plan.sources {
-                sum += self.catalog.get(&s.table)?.len() as u64;
-            }
-            sum
-        };
+        let mut total_rows = 0u64;
+        for s in &plan.sources {
+            total_rows += self.catalog.get(&s.table)?.len() as u64;
+        }
 
-        // Resilient mode hardens the data plane: recovery logs always on,
-        // whole windows flushed atomically, producers retransmitting
-        // unacknowledged windows, consumers deduplicating. It is what
-        // makes injected drops/duplicates and node crashes survivable.
-        let resilient = self.config.chaos.is_some() || self.config.failover.enabled;
-        let logging_on = recall_on || resilient;
-
-        // Recall-protocol state: one recovery log per source and the
-        // gate producers park behind during a recall.
-        let logs: Option<SharedLogs> = if logging_on {
-            let mut v = Vec::with_capacity(plan.sources.len());
-            // In resilient mode a whole window must fit one exchange
-            // buffer, so a dropped or duplicated batch hits tuples and
-            // marker atomically: marker delivery implies content delivery.
-            let effective = self
-                .config
-                .checkpoint_interval
-                .min(stage.exchange.buffer_tuples.max(1));
-            for s in &plan.sources {
-                let log = if s.stream == StreamTag::Build {
-                    if resilient {
-                        // Build tuples are downstream operator state: keep
-                        // the entries replayable after delivery so node
-                        // failure can reconstruct a dead partition, while
-                        // markers still flow as delivery receipts.
-                        SharedRecoveryLog::retained(partitions, effective)?
-                    } else {
-                        // Effectively no checkpointing (mirrors the
-                        // simulator): entries stay recallable all run.
-                        SharedRecoveryLog::new(partitions, usize::MAX / 2)?
-                    }
-                } else if resilient {
-                    SharedRecoveryLog::new(partitions, effective)?
-                } else {
-                    SharedRecoveryLog::new(partitions, self.config.checkpoint_interval)?
-                };
-                v.push(log);
-            }
-            Some(Arc::new(v))
-        } else {
-            None
-        };
-        let delivery_gaps: Arc<Mutex<Vec<DeliveryGap>>> = Arc::new(Mutex::new(Vec::new()));
-        let retransmitted_total = Arc::new(AtomicU64::new(0));
-        let send_failures_total = Arc::new(AtomicU64::new(0));
-        let gate = recall_on.then(|| Arc::new(RecallGate::new(plan.sources.len())));
-        let build_source = plan
-            .sources
-            .iter()
-            .position(|s| s.stream == StreamTag::Build);
-
-        // Producer threads.
         let mut producer_handles = Vec::new();
         for (sidx, source) in plan.sources.iter().enumerate() {
             let table = self.catalog.get(&source.table)?;
-            let router = Arc::clone(&router);
-            let rings = std::mem::take(&mut ring_txs[sidx]);
-            let ctrl = to_consumer.clone();
-            let raw = raw_tx.clone();
-            let routed_total = Arc::clone(&routed_total);
-            let restaged_total = Arc::clone(&restaged_total);
-            let logs = logs.clone();
+            let mut producer = Producer::new(
+                ProducerSpec {
+                    source: sidx,
+                    stream: source.stream,
+                    scan_cost_ms: source.scan_cost_ms,
+                    buffer_tuples: stage.exchange.buffer_tuples,
+                    dests: partitions,
+                    fast_gap: !cfg.failover.enabled,
+                    retry: cfg.delivery_retry.clone(),
+                },
+                x.clone(),
+                gate.as_ref().map_or(0, |g| g.epoch()),
+            );
+            producer.routed_ctr = obs
+                .as_ref()
+                .map(|o| o.metrics().counter("exec.tuples_routed"));
+            let mut sink = ThreadedSink {
+                source: sidx,
+                rings: std::mem::take(&mut ring_txs[sidx]),
+                ctrl: to_consumer.clone(),
+                scale: cfg.cost_scale,
+                chaos: cfg.chaos.clone(),
+                m2: monitoring.then(|| M2Probe {
+                    raw: raw_tx.clone(),
+                    query: plan.query,
+                    stage_id: stage.id,
+                    started: Instant::now(),
+                }),
+            };
             let gate = gate.clone();
-            let scan_cost = source.scan_cost_ms;
-            let stream = source.stream;
-            let scale = self.config.cost_scale;
-            let buffer_tuples = stage.exchange.buffer_tuples;
-            let stage_id = stage.id;
-            let query = plan.query;
-            let routed_ctr = routed_ctr.clone();
-            let chaos = self.config.chaos.clone();
-            let retry_policy = self.config.delivery_retry.clone();
-            let gaps = Arc::clone(&delivery_gaps);
-            let retransmitted = Arc::clone(&retransmitted_total);
-            let send_failures = Arc::clone(&send_failures_total);
-            let failover_on = self.config.failover.enabled;
             producer_handles.push(thread::spawn(move || {
-                // Counts this producer as done even if it panics, so the
-                // recall barrier can never wait on a dead thread.
-                let _guard = gate.as_ref().map(|g| ProducerGuard::new(Arc::clone(g)));
-                let mut buffers: Vec<Vec<Staged>> = (0..rings.len()).map(|_| Vec::new()).collect();
-                // Ships one staged block to `dest`. Pays the modelled scan
-                // time accumulated in `due` first, in a single sleep:
-                // batching the per-row sleeps at block boundaries is what
-                // lifts the data plane above the OS timer granularity.
-                let flush = |dest: usize,
-                             buffers: &mut Vec<Vec<Staged>>,
-                             disconnected: &mut Vec<bool>,
-                             due: &mut f64,
-                             started: &Instant,
-                             retransmit: bool| {
-                    if *due > 0.0 {
-                        spin_for(*due, scale);
-                        *due = 0.0;
-                    }
-                    let items = std::mem::take(&mut buffers[dest]);
-                    if items.is_empty() {
-                        return;
-                    }
-                    let tuples = items
-                        .iter()
-                        .filter(|s| matches!(s, Staged::Tuple(..)))
-                        .count();
-                    let fate = chaos
-                        .as_ref()
-                        .map_or(NetAction::Deliver, |c| c.on_data(sidx, dest));
-                    if fate == NetAction::Drop {
-                        // The whole block vanishes — tuples and the
-                        // markers that would acknowledge them, together.
-                        // In resilient mode the windows' acks never
-                        // arrive, so the retry epilogue retransmits them
-                        // from the recovery log.
-                        return;
-                    }
-                    if let NetAction::DelayMs(extra) = fate {
-                        if extra.is_finite() && extra > 0.0 {
-                            spin_for(extra, scale);
-                        }
-                    }
-                    let send_started = Instant::now();
-                    let mut count = 0usize;
-                    let mut failed = 0usize;
-                    if fate == NetAction::Duplicate {
-                        // At-least-once transport: the cloned block is
-                        // absorbed by the consumer's block-range dedup.
-                        count += tuples;
-                        if rings[dest]
-                            .push(Block {
-                                source: sidx,
-                                items: items.clone(),
-                                retransmit,
-                            })
-                            .is_err()
-                        {
-                            failed += tuples;
-                        }
-                    }
-                    count += tuples;
-                    if rings[dest]
-                        .push(Block {
-                            source: sidx,
-                            items,
-                            retransmit,
-                        })
-                        .is_err()
-                    {
-                        failed += tuples;
-                    }
-                    ctrl[dest].wake();
-                    if failed > 0 {
-                        // The consumer is gone: its ring rejected the
-                        // block. Count the loss *now* instead of
-                        // discarding the error — the report surfaces it
-                        // even before any heartbeat lease expires.
-                        disconnected[dest] = true;
-                        send_failures.fetch_add(failed as u64, Ordering::Relaxed);
-                    }
-                    let m2_kept = chaos
-                        .as_ref()
-                        .is_none_or(|c| c.on_notification(NotifyKind::M2, sidx));
-                    if monitoring && count > 0 && m2_kept {
-                        let send_cost =
-                            send_started.elapsed().as_secs_f64() * 1000.0 / scale.max(1e-9);
-                        let _ = raw.send(Raw::M2(M2 {
-                            query,
-                            producer: ProducerId::Source(sidx as u32),
-                            recipient: PartitionId::new(stage_id, dest as u32),
-                            send_cost_ms: send_cost,
-                            tuples_in_buffer: count,
-                            // Wall-clock -> model milliseconds, so the
-                            // Responder's cooldown compares like units.
-                            at: SimTime::from_millis(
-                                started.elapsed().as_secs_f64() * 1000.0 / scale.max(1e-9),
-                            ),
-                        }));
-                    }
-                };
-                // After a recall, unsent staged tuples are re-routed
-                // under the new distribution (their log entries follow);
-                // markers stay with their original destination so the
-                // windows they close remain intact.
-                let restage = |buffers: &mut Vec<Vec<Staged>>| -> u64 {
-                    let mut moved = 0u64;
-                    let taken: Vec<Vec<Staged>> = buffers.iter_mut().map(std::mem::take).collect();
-                    for (old_dest, items) in taken.into_iter().enumerate() {
-                        for item in items {
-                            match item {
-                                Staged::Tuple(tag, tuple) => {
-                                    let dest = {
-                                        let mut r = router.lock();
-                                        r.route(tag, &tuple).unwrap_or(old_dest as u32)
-                                    } as usize;
-                                    if dest != old_dest {
-                                        moved += 1;
-                                        if let Some(logs) = &logs {
-                                            let seq = tuple.seq();
-                                            let _ = logs[sidx].migrate_matching(
-                                                old_dest as u32,
-                                                dest as u32,
-                                                |(s, t)| *s == tag && t.seq() == seq,
-                                            );
-                                        }
-                                    }
-                                    buffers[dest].push(Staged::Tuple(tag, tuple));
-                                }
-                                marker => buffers[old_dest].push(marker),
-                            }
-                        }
-                    }
-                    moved
-                };
-                let started_local = Instant::now();
-                let mut epoch = gate.as_ref().map(|g| g.epoch()).unwrap_or(0);
-                // Modelled scan milliseconds owed but not yet slept; paid
-                // in one batch at the next flush.
-                let mut due = 0.0f64;
-                let mut disconnected = vec![false; rings.len()];
-                for row in table.rows() {
-                    if let Some(g) = &gate {
-                        let now_epoch = g.pause_point();
-                        if now_epoch != epoch {
-                            epoch = now_epoch;
-                            restaged_total.fetch_add(restage(&mut buffers), Ordering::Relaxed);
-                        }
-                    }
-                    let stall = chaos
-                        .as_ref()
-                        .map_or(0.0, |c| c.stall_ms(StallSite::Producer, sidx));
-                    due += scan_cost
-                        + if stall.is_finite() {
-                            stall.max(0.0)
-                        } else {
-                            0.0
-                        };
-                    let dest = {
-                        let mut r = router.lock();
-                        r.route(stream, row).unwrap_or(0)
-                    } as usize;
-                    buffers[dest].push(Staged::Tuple(stream, row.clone()));
-                    let mut window_closed = false;
-                    if let Some(logs) = &logs {
-                        if let Ok(Some(cp)) = logs[sidx].record(dest as u32, (stream, row.clone()))
-                        {
-                            buffers[dest].push(Staged::Marker(cp, logs[sidx].epoch()));
-                            window_closed = true;
-                        }
-                    }
-                    routed_total.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = &routed_ctr {
-                        c.add(1);
-                    }
-                    if resilient {
-                        // Flush at window boundaries only: the interval is
-                        // clamped to the buffer size, so a whole window
-                        // (tuples plus marker) always travels in one
-                        // block and a chaos drop or duplicate hits it
-                        // atomically.
-                        if window_closed {
-                            flush(
-                                dest,
-                                &mut buffers,
-                                &mut disconnected,
-                                &mut due,
-                                &started_local,
-                                false,
-                            );
-                        }
-                    } else if buffers[dest].len() >= buffer_tuples {
-                        flush(
-                            dest,
-                            &mut buffers,
-                            &mut disconnected,
-                            &mut due,
-                            &started_local,
-                            false,
-                        );
-                    }
-                }
-                // A recall in flight must complete (and the buffers
-                // restage) before the final flush: finishing mid-pause
-                // would send tuples routed under the old distribution
-                // after the consumers already drained.
-                if let Some(g) = &gate {
-                    let now_epoch = g.pause_point();
-                    if now_epoch != epoch {
-                        restaged_total.fetch_add(restage(&mut buffers), Ordering::Relaxed);
-                    }
-                }
-                for dest in 0..rings.len() {
-                    // Resilient runs checkpoint build streams too: the
-                    // markers are delivery receipts, and retained build
-                    // logs keep the entries replayable regardless.
-                    if stream != StreamTag::Build || resilient {
-                        if let Some(logs) = &logs {
-                            if let Ok(Some(cp)) = logs[sidx].force_checkpoint(dest as u32) {
-                                buffers[dest].push(Staged::Marker(cp, logs[sidx].epoch()));
-                            }
-                        }
-                    }
-                    flush(
-                        dest,
-                        &mut buffers,
-                        &mut disconnected,
-                        &mut due,
-                        &started_local,
-                        false,
-                    );
-                    if !resilient {
-                        ctrl[dest].send(Msg::Eos {
-                            stream,
-                            source: sidx,
-                        });
-                    }
-                }
-                if resilient {
-                    // Delivery-retry epilogue: wait out a deterministic
-                    // jittered backoff for in-flight acks, retransmit any
-                    // window still unacknowledged, and repeat within the
-                    // retry budget. A destination that never acks becomes
-                    // an explicit DeliveryGap — the query completes with
-                    // a loud record of what is missing instead of
-                    // hanging. Only then does Eos go out, so consumers
-                    // cannot exit while redelivery is still possible.
-                    if let Some(log_vec) = &logs {
-                        let mut backoff = RetryBackoff::new(&retry_policy, sidx as u64);
-                        let mut gapped = vec![false; rings.len()];
-                        'retry: for attempt in 0..=retry_policy.max_retries {
-                            // A destination whose ring closed can never
-                            // ack again, and with failover disabled
-                            // nothing can revive delivery there: record
-                            // its gap immediately instead of sleeping out
-                            // the whole backoff budget against a dead
-                            // consumer. With failover enabled the budget
-                            // is exactly what keeps this producer alive
-                            // until the lease expires and the coordinator
-                            // replays the dead partition's log onto the
-                            // survivors, so the fast path stays off.
-                            if !failover_on {
-                                for dest in 0..rings.len() {
-                                    if !disconnected[dest] || gapped[dest] {
-                                        continue;
-                                    }
-                                    gapped[dest] = true;
-                                    buffers[dest].clear();
-                                    let _ = log_vec[sidx].force_checkpoint(dest as u32);
-                                    let windows = log_vec[sidx].undelivered_windows(dest as u32);
-                                    if !windows.is_empty() {
-                                        let tuples: u64 =
-                                            windows.iter().map(|(_, w)| w.len() as u64).sum();
-                                        gaps.lock().push(DeliveryGap {
-                                            source: sidx,
-                                            dest,
-                                            windows: windows.len() as u64,
-                                            tuples,
-                                        });
-                                    }
-                                }
-                                // Nothing pending at any live destination:
-                                // skip the remaining backoff outright.
-                                if (0..rings.len()).all(|d| {
-                                    gapped[d]
-                                        || log_vec[sidx].undelivered_windows(d as u32).is_empty()
-                                }) {
-                                    break 'retry;
-                                }
-                            }
-                            // Sleep in short slices with a pause-point in
-                            // each, so a concurrent (failover) recall can
-                            // still park this producer.
-                            let mut remaining = backoff.delay_ms(attempt);
-                            while remaining > 0.0 {
-                                if let Some(g) = &gate {
-                                    let now_epoch = g.pause_point();
-                                    if now_epoch != epoch {
-                                        epoch = now_epoch;
-                                        restaged_total
-                                            .fetch_add(restage(&mut buffers), Ordering::Relaxed);
-                                        for dest in 0..rings.len() {
-                                            flush(
-                                                dest,
-                                                &mut buffers,
-                                                &mut disconnected,
-                                                &mut due,
-                                                &started_local,
-                                                false,
-                                            );
-                                        }
-                                    }
-                                }
-                                let slice = remaining.min(5.0);
-                                thread::sleep(Duration::from_secs_f64(slice / 1000.0));
-                                remaining -= slice;
-                            }
-                            // Close any window the run left open since the
-                            // final scan flush (recalls and failover
-                            // replay append to open windows) and push its
-                            // marker out with whatever the buffer holds —
-                            // one block, so marker delivery still implies
-                            // content delivery.
-                            for dest in 0..rings.len() {
-                                if gapped[dest] {
-                                    continue;
-                                }
-                                if let Ok(Some(cp)) = log_vec[sidx].force_checkpoint(dest as u32) {
-                                    buffers[dest].push(Staged::Marker(cp, log_vec[sidx].epoch()));
-                                    flush(
-                                        dest,
-                                        &mut buffers,
-                                        &mut disconnected,
-                                        &mut due,
-                                        &started_local,
-                                        false,
-                                    );
-                                }
-                            }
-                            let mut undelivered_any = false;
-                            for dest in 0..rings.len() {
-                                if gapped[dest] {
-                                    continue;
-                                }
-                                let windows = log_vec[sidx].undelivered_windows(dest as u32);
-                                if windows.is_empty() {
-                                    continue;
-                                }
-                                undelivered_any = true;
-                                if attempt == retry_policy.max_retries {
-                                    let tuples: u64 =
-                                        windows.iter().map(|(_, w)| w.len() as u64).sum();
-                                    gaps.lock().push(DeliveryGap {
-                                        source: sidx,
-                                        dest,
-                                        windows: windows.len() as u64,
-                                        tuples,
-                                    });
-                                } else {
-                                    let epoch_now = log_vec[sidx].epoch();
-                                    for (cp, items) in windows {
-                                        retransmitted
-                                            .fetch_add(items.len() as u64, Ordering::Relaxed);
-                                        for (tag, t) in items {
-                                            buffers[dest].push(Staged::Tuple(tag, t));
-                                        }
-                                        buffers[dest].push(Staged::Marker(cp, epoch_now));
-                                        flush(
-                                            dest,
-                                            &mut buffers,
-                                            &mut disconnected,
-                                            &mut due,
-                                            &started_local,
-                                            true,
-                                        );
-                                    }
-                                }
-                            }
-                            if !undelivered_any {
-                                break 'retry;
-                            }
-                        }
-                    }
-                    for c in &ctrl {
-                        c.send(Msg::Eos {
-                            stream,
-                            source: sidx,
-                        });
-                    }
-                }
+                run_producer(producer, table.rows(), gate, &mut sink);
             }));
         }
-        let peers = to_consumer.clone();
-        let adapt_senders = to_consumer.clone();
-        let backstop = to_consumer.clone();
-        drop(to_consumer);
 
-        // Consumer threads.
-        let eos_needed = plan.sources.len();
-        let build_eos_needed = plan
-            .sources
-            .iter()
-            .filter(|s| s.stream == StreamTag::Build)
-            .count();
         let mut consumer_handles = Vec::new();
-        for (i, rx) in consumer_rx.into_iter().enumerate() {
-            let rings = std::mem::take(&mut ring_rxs[i]);
-            let waker = Arc::clone(&consumer_wakers[i]);
-            let mut evaluator = stage.factory.create(i as u32);
+        for (i, (rx, waker)) in consumer_rx.into_iter().enumerate() {
             let node = stage.nodes[i];
-            let perturbation = self.config.perturbations.get(&node).cloned();
-            let results = result_tx.clone();
-            let raw = raw_tx.clone();
-            let ctrl = ctrl_tx.clone();
-            let peers = peers.clone();
-            let router = Arc::clone(&router);
-            let logs = logs.clone();
-            let processed_total = Arc::clone(&processed_total);
-            let scale = self.config.cost_scale;
-            let receive_cost = self.config.receive_cost_ms;
-            let interval = self.config.adaptivity.monitoring_interval_tuples.max(1);
-            let stage_id = stage.id;
-            let query = plan.query;
-            let processed_ctr = processed_ctr.clone();
-            let chaos = self.config.chaos.clone();
-            // Service-plane contention: co-resident queries on this node
-            // inflate the modelled per-tuple cost. The counter is read
-            // lock-free per tuple; the slope is fixed for the run.
-            let contention = self
-                .config
+            let mut consumer = Consumer::new(
+                x.consumer_spec(
+                    i,
+                    sources,
+                    cfg.receive_cost_ms,
+                    cfg.perturbations.get(&node),
+                ),
+                stage.factory.create(i as u32),
+            );
+            consumer.m1_stride =
+                monitoring.then(|| cfg.adaptivity.monitoring_interval_tuples.max(1));
+            consumer.chaos = cfg.chaos.clone();
+            consumer.contention = cfg
                 .tenancy
                 .as_ref()
                 .map(|t| (t.ledger().counter(node), t.ledger().alpha()));
-            let failover_on = self.config.failover.enabled;
-            let recv_slice_ms = if failover_on {
-                self.config.failover.heartbeat_ms.min(50)
-            } else {
-                50
+            consumer.progress = Some((
+                Arc::clone(&processed_total),
+                obs.as_ref()
+                    .map(|o| o.metrics().counter("exec.tuples_processed")),
+            ));
+            let worker = ConsumerThread {
+                rx,
+                rings: std::mem::take(&mut ring_rxs[i]),
+                waker,
+                consumer,
+                out: ThreadedOut {
+                    index: i,
+                    node,
+                    x: x.clone(),
+                    peers: to_consumer.clone(),
+                    results: result_tx.clone(),
+                    raw: raw_tx.clone(),
+                    scale: cfg.cost_scale,
+                    failover_on: cfg.failover.enabled,
+                    query: plan.query,
+                    stage_id: stage.id,
+                    started: Instant::now(),
+                },
+                replies: reply_tx.clone(),
+                recv_slice_ms: if cfg.failover.enabled {
+                    cfg.failover.heartbeat_ms.min(50)
+                } else {
+                    50
+                },
             };
-            consumer_handles.push(thread::spawn(move || -> (u64, u64) {
-                let started = Instant::now();
-                let mut processed = 0u64;
-                let mut outputs_total = 0u64;
-                let mut batch = 0u32;
-                let mut batch_cost = 0.0;
-                let mut batch_wait = 0.0;
-                let mut out: Vec<Tuple> = Vec::new();
-                let mut eos_seen = 0usize;
-                let mut build_eos_seen = 0usize;
-                // Probe tuples that arrived before the build phase
-                // completed, with the source that logged them; replayed
-                // once every build source is done (the iterator model
-                // consumes the build input first), or recalled to their
-                // new owner by a retrospective redistribution.
-                let mut held_probes: Vec<(usize, Tuple)> = Vec::new();
-                // Resilient-mode dedup: the transport is at-least-once
-                // (retransmission, chaos duplication), processing must be
-                // effectively-once. The filter works at two granularities
-                // — whole-block range keys and `(source, seq)` tuple keys
-                // — and evicts both when the covering recovery-log window
-                // is acknowledged, keeping it O(unacked windows) instead
-                // of O(tuples ever delivered).
-                let mut dedup = DedupFilter::new();
-                // Modelled processing cost accrued but not yet spent in
-                // real time; paid once per block (or control message)
-                // instead of once per tuple, which is where batching wins
-                // its throughput back from the sleep granularity floor.
-                let mut due = 0.0f64;
-                // Probe-window acks deferred while the build phase is
-                // incomplete: an ack is a *processing* receipt here, and
-                // held probes are unprocessed — a crash before the build
-                // completes must find their windows still replayable.
-                let mut pending_acks: Vec<(usize, Checkpoint, u64)> = Vec::new();
-                // Applies one checkpoint ack through the chaos seam. In
-                // resilient mode the pending outputs are handed to the
-                // collector *first*: once a window is acknowledged its
-                // outputs are owned downstream, so a later crash of this
-                // consumer can never lose them (replay covers exactly the
-                // unacknowledged windows).
-                let apply_ack = |source: usize,
-                                 cp: Checkpoint,
-                                 epoch: u64,
-                                 out: &mut Vec<Tuple>,
-                                 dedup: &mut DedupFilter| {
-                    let Some(logs) = &logs else { return };
-                    if resilient && !out.is_empty() {
-                        let _ = results.send(std::mem::take(out));
-                    }
-                    let outcome = match chaos
-                        .as_ref()
-                        .map_or(NetAction::Deliver, |c| c.on_ack(source, i))
-                    {
-                        NetAction::Drop => None,
-                        NetAction::Duplicate => {
-                            let first = logs[source].acknowledge(cp.dest, cp.id, epoch);
-                            let _ = logs[source].acknowledge(cp.dest, cp.id, epoch);
-                            Some(first)
-                        }
-                        NetAction::DelayMs(extra) => {
-                            if extra.is_finite() && extra > 0.0 {
-                                spin_for(extra, scale);
-                            }
-                            Some(logs[source].acknowledge(cp.dest, cp.id, epoch))
-                        }
-                        NetAction::Deliver => Some(logs[source].acknowledge(cp.dest, cp.id, epoch)),
-                    };
-                    // Once the log accepts the ack the window can never be
-                    // retransmitted again, so its dedup entries are dead
-                    // weight — evict them. (`Duplicate` means somebody
-                    // already acked it, same conclusion.)
-                    if matches!(
-                        outcome,
-                        Some(AckOutcome::Accepted(_)) | Some(AckOutcome::Duplicate)
-                    ) {
-                        dedup.window_acked(source, cp.id);
-                    }
-                };
-                // Evaluates one tuple, accruing the modelled (and
-                // perturbed) cost into `due` for the caller to pay as one
-                // sleep. Shared by the streaming path, the held-probe
-                // replay, and migrated re-delivery, so every processed
-                // tuple feeds the same M1 batch. The M1 cost estimate
-                // stays per-tuple exact because it reads the model, not
-                // the wall clock.
-                let process_one = |evaluator: &mut Box<dyn PartitionEvaluator>,
-                                   stream: StreamTag,
-                                   tuple: &Tuple,
-                                   out: &mut Vec<Tuple>,
-                                   processed: &mut u64,
-                                   outputs_total: &mut u64,
-                                   batch: &mut u32,
-                                   batch_cost: &mut f64,
-                                   due: &mut f64| {
-                    let Ok(outcome) = evaluator.process(stream, tuple) else {
-                        return;
-                    };
-                    let stall = chaos
-                        .as_ref()
-                        .map_or(0.0, |c| c.stall_ms(StallSite::Consumer, i));
-                    let tenants_factor = contention.as_ref().map_or(1.0, |(ctr, alpha)| {
-                        let extra = ctr.load(Ordering::Relaxed).saturating_sub(1);
-                        1.0 + alpha * cast::count_to_f64(u64::from(extra))
-                    });
-                    let model_cost = (perturbed(outcome.base_cost_ms, perturbation.as_ref())
-                        + receive_cost
-                        + if stall.is_finite() {
-                            stall.max(0.0)
-                        } else {
-                            0.0
-                        })
-                        * tenants_factor;
-                    *due += model_cost;
-                    *processed += 1;
-                    processed_total.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = &processed_ctr {
-                        c.add(1);
-                    }
-                    *batch += 1;
-                    *batch_cost += model_cost;
-                    *outputs_total += outcome.outputs.len() as u64;
-                    out.extend(outcome.outputs);
-                };
-                // Emits the M1 for the current batch. `force` flushes a
-                // partial tail batch (end of stream); without it the
-                // last `processed % interval` tuples would vanish from
-                // the monitoring record.
-                let emit_m1 = |batch: &mut u32,
-                               batch_cost: &mut f64,
-                               batch_wait: &mut f64,
-                               processed: u64,
-                               outputs_total: u64,
-                               force: bool| {
-                    if !monitoring || *batch == 0 || (!force && *batch < interval) {
-                        return;
-                    }
-                    if chaos
-                        .as_ref()
-                        .is_some_and(|c| !c.on_notification(NotifyKind::M1, i))
-                    {
-                        // The notification is lost in flight: the batch
-                        // counters still reset, exactly as if it had been
-                        // sent and dropped by the network.
-                        *batch = 0;
-                        *batch_cost = 0.0;
-                        *batch_wait = 0.0;
-                        return;
-                    }
-                    let _ = raw.send(Raw::M1(M1 {
-                        query,
-                        partition: PartitionId::new(stage_id, i as u32),
-                        node,
-                        cost_per_tuple_ms: *batch_cost / f64::from(*batch),
-                        leaf_wait_ms: *batch_wait / f64::from(*batch) / scale,
-                        selectivity: if processed == 0 {
-                            1.0
-                        } else {
-                            cast::ratio(outputs_total, processed)
-                        },
-                        tuples_produced: outputs_total,
-                        at: SimTime::from_millis(
-                            started.elapsed().as_secs_f64() * 1000.0 / scale.max(1e-9),
-                        ),
-                    }));
-                    *batch = 0;
-                    *batch_cost = 0.0;
-                    *batch_wait = 0.0;
-                };
-                // Consumes one tuple block off a ring. Resilient-mode
-                // dedup runs at two granularities: a whole-block range
-                // hit skips every tuple in one set probe (markers still
-                // apply — acks are idempotent, and the duplicate may be
-                // the only copy whose ack survives the chaos plan), and
-                // the per-tuple `seen` filter catches redelivery that is
-                // not block-identical (a window retransmitted into a
-                // differently-packed block).
-                let handle_block = |block: Block,
-                                    evaluator: &mut Box<dyn PartitionEvaluator>,
-                                    out: &mut Vec<Tuple>,
-                                    processed: &mut u64,
-                                    outputs_total: &mut u64,
-                                    batch: &mut u32,
-                                    batch_cost: &mut f64,
-                                    batch_wait: &mut f64,
-                                    due: &mut f64,
-                                    held_probes: &mut Vec<(usize, Tuple)>,
-                                    pending_acks: &mut Vec<(usize, Checkpoint, u64)>,
-                                    dedup: &mut DedupFilter,
-                                    build_eos_seen: usize| {
-                    let source = block.source;
-                    let retransmit = block.retransmit;
-                    let dup = resilient
-                        && block.range_key().is_some_and(|(first, last, count)| {
-                            dedup.block_is_dup(source, (first, last, count as u64))
-                        });
-                    let building = build_eos_needed > 0 && build_eos_seen < build_eos_needed;
-                    // The covering marker for each tuple is the next one
-                    // at a higher index in the block: retransmissions
-                    // always repack a window's tuples with its marker, so
-                    // an already-acked marker id shadows every tuple ahead
-                    // of it even after their per-tuple keys were evicted.
-                    let marker_ids: Vec<(usize, u64)> = block
-                        .items
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(idx, item)| match item {
-                            Staged::Marker(cp, _) => Some((idx, cp.id)),
-                            Staged::Tuple(..) => None,
-                        })
-                        .collect();
-                    let mut next_marker = 0usize;
-                    for (idx, staged) in block.items.into_iter().enumerate() {
-                        while next_marker < marker_ids.len() && marker_ids[next_marker].0 < idx {
-                            next_marker += 1;
-                        }
-                        match staged {
-                            Staged::Tuple(stream, tuple) => {
-                                if dup {
-                                    continue;
-                                }
-                                if resilient {
-                                    if marker_ids
-                                        .get(next_marker)
-                                        .is_some_and(|&(_, id)| dedup.is_acked(source, id))
-                                    {
-                                        continue;
-                                    }
-                                    if dedup.tuple_is_dup(source, tuple.seq()) {
-                                        continue;
-                                    }
-                                }
-                                if retransmit {
-                                    // A retransmitted window was addressed
-                                    // before any bucket moves since it
-                                    // closed: under hash routing a fresh
-                                    // tuple whose bucket migrated away must
-                                    // be processed by the current owner.
-                                    // Forwarding here — behind the dedup
-                                    // filter, log entry riding along — is
-                                    // the sound direction: re-routing at
-                                    // the producer would let an ack-loss
-                                    // redelivery reach a partition that
-                                    // never saw the original and duplicate
-                                    // its output.
-                                    let owner = {
-                                        let mut r = router.lock();
-                                        r.bucket_count()
-                                            .map(|_| r.route(stream, &tuple).unwrap_or(i as u32))
-                                    };
-                                    if let Some(owner) = owner {
-                                        if owner as usize != i {
-                                            if let Some(logs) = &logs {
-                                                let seq = tuple.seq();
-                                                let _ = logs[source].migrate_matching(
-                                                    i as u32,
-                                                    owner,
-                                                    |(s, t)| *s == stream && t.seq() == seq,
-                                                );
-                                            }
-                                            peers[owner as usize].send(Msg::Migrated {
-                                                stream,
-                                                source,
-                                                tuple,
-                                            });
-                                            continue;
-                                        }
-                                    }
-                                }
-                                if stream == StreamTag::Probe && building {
-                                    held_probes.push((source, tuple));
-                                } else {
-                                    process_one(
-                                        evaluator,
-                                        stream,
-                                        &tuple,
-                                        out,
-                                        processed,
-                                        outputs_total,
-                                        batch,
-                                        batch_cost,
-                                        due,
-                                    );
-                                    emit_m1(
-                                        batch,
-                                        batch_cost,
-                                        batch_wait,
-                                        *processed,
-                                        *outputs_total,
-                                        false,
-                                    );
-                                }
-                            }
-                            Staged::Marker(cp, epoch) => {
-                                debug_assert_eq!(cp.dest as usize, i);
-                                // Acks are best-effort control traffic: a
-                                // lost one keeps the window in the log
-                                // until a retransmission's ack supersedes
-                                // it, a duplicate is absorbed by the log
-                                // itself. Probe-window acks are deferred
-                                // while the build phase is incomplete. The
-                                // window closes at the *marker*, not the
-                                // ack: entries delivered since the last
-                                // marker are now covered by this id and
-                                // will be evicted when its ack lands.
-                                if resilient {
-                                    dedup.close_window(source, cp.id);
-                                }
-                                if resilient && building && Some(source) != build_source {
-                                    pending_acks.push((source, cp, epoch));
-                                } else {
-                                    apply_ack(source, cp, epoch, out, dedup);
-                                }
-                            }
-                        }
-                    }
-                    // Pay the block's accumulated modelled cost as one
-                    // sleep instead of one per tuple.
-                    if *due > 0.0 {
-                        spin_for(*due, scale);
-                        *due = 0.0;
-                    }
-                };
-                // Drains one ring, consulting the crash seam once per
-                // block. A macro rather than a closure: it needs the
-                // enclosing `return` (a crash is the whole thread dying).
-                macro_rules! drain_ring {
-                    ($r:expr) => {
-                        while let Some(block) = $r.pop() {
-                            if chaos.as_ref().is_some_and(|c| c.crash_worker(i)) {
-                                return (processed, dedup.peak());
-                            }
-                            handle_block(
-                                block,
-                                &mut evaluator,
-                                &mut out,
-                                &mut processed,
-                                &mut outputs_total,
-                                &mut batch,
-                                &mut batch_cost,
-                                &mut batch_wait,
-                                &mut due,
-                                &mut held_probes,
-                                &mut pending_acks,
-                                &mut dedup,
-                                build_eos_seen,
-                            );
-                        }
-                    };
-                }
-                // Set once the control channel disconnects (every
-                // producer and the coordinator are gone); the loop makes
-                // one final pass over the rings before exiting.
-                let mut ctrl_gone = false;
-                // A control message pulled out of order by the data
-                // plane's preemption check, handled first next cycle.
-                let mut stashed: Option<Msg> = None;
-                // Set by the final Eos: exit once the cycle unwinds.
-                let mut done = false;
-                // The two planes carry no ordering between them, so the
-                // loop re-establishes the old single-FIFO guarantees by
-                // construction. Control drains first and completely: a
-                // recall re-delivery (`Migrated`) is enqueued before the
-                // coordinator resumes the producers, hence before any
-                // post-recall block is pushed — handling all visible
-                // control before any data keeps migrated state ahead of
-                // the tuples that probe it. The data drain re-checks the
-                // control channel before every block for the same reason.
-                // The inverse direction (a block pushed before Eos/Drain
-                // was sent) is handled inside those arms, which drain the
-                // rings the guarantee covers before acting.
-                loop {
-                    // Beat per cycle: an idle consumer renews its lease
-                    // once per park slice, a busy one once per pass.
-                    if failover_on {
-                        let _ = raw.send(Raw::Beat(i));
-                    }
-                    let mut progressed = false;
-                    // Control plane, exhaustively and in FIFO order.
-                    loop {
-                        let msg = match stashed.take() {
-                            Some(m) => m,
-                            None => match rx.try_recv() {
-                                Ok(m) => m,
-                                Err(TryRecvError::Disconnected) => {
-                                    ctrl_gone = true;
-                                    break;
-                                }
-                                Err(TryRecvError::Empty) => break,
-                            },
-                        };
-                        progressed = true;
-                        // The crash seam: consulted once per control
-                        // message (and once per block in the drains).
-                        // Dying here means no flush, no acks, no control
-                        // replies — exactly a vanished node.
-                        if chaos.as_ref().is_some_and(|c| c.crash_worker(i)) {
-                            return (processed, dedup.peak());
-                        }
-                        match msg {
-                            Msg::Eos {
-                                stream: tag,
-                                source,
-                            } => {
-                                // Every push from this producer precedes
-                                // its Eos: consume its ring before acting,
-                                // so the held-probe replay and the final
-                                // exit observe all of its blocks.
-                                drain_ring!(rings[source]);
-                                eos_seen += 1;
-                                if tag == StreamTag::Build {
-                                    build_eos_seen += 1;
-                                }
-                                if build_eos_needed > 0 && build_eos_seen == build_eos_needed {
-                                    for (n, (_, tuple)) in
-                                        std::mem::take(&mut held_probes).into_iter().enumerate()
-                                    {
-                                        // Replaying a large backlog takes real
-                                        // time; pay the accrued cost in
-                                        // slices and keep the lease renewed.
-                                        if n % 16 == 0 {
-                                            if failover_on {
-                                                let _ = raw.send(Raw::Beat(i));
-                                            }
-                                            if due > 0.0 {
-                                                spin_for(due, scale);
-                                                due = 0.0;
-                                            }
-                                        }
-                                        process_one(
-                                            &mut evaluator,
-                                            StreamTag::Probe,
-                                            &tuple,
-                                            &mut out,
-                                            &mut processed,
-                                            &mut outputs_total,
-                                            &mut batch,
-                                            &mut batch_cost,
-                                            &mut due,
-                                        );
-                                        emit_m1(
-                                            &mut batch,
-                                            &mut batch_cost,
-                                            &mut batch_wait,
-                                            processed,
-                                            outputs_total,
-                                            false,
-                                        );
-                                    }
-                                    if due > 0.0 {
-                                        spin_for(due, scale);
-                                        due = 0.0;
-                                    }
-                                    // The held probes are processed: their
-                                    // deferred window acks are now true
-                                    // processing receipts, so release them.
-                                    for (source, cp, epoch) in std::mem::take(&mut pending_acks) {
-                                        apply_ack(source, cp, epoch, &mut out, &mut dedup);
-                                    }
-                                }
-                                if eos_seen == eos_needed {
-                                    // Flush the partial tail batch before the
-                                    // monitoring record goes quiet.
-                                    emit_m1(
-                                        &mut batch,
-                                        &mut batch_cost,
-                                        &mut batch_wait,
-                                        processed,
-                                        outputs_total,
-                                        true,
-                                    );
-                                    done = true;
-                                }
-                            }
-                            Msg::Drain { token } => {
-                                // The producers are parked behind the recall
-                                // gate, so the rings hold everything sent
-                                // before the pause: consume it all before
-                                // replying, which is exactly what `Drained`
-                                // promises the coordinator.
-                                for r in &rings {
-                                    drain_ring!(r);
-                                }
-                                if chaos
-                                    .as_ref()
-                                    .is_none_or(|c| c.on_recall_ctrl(RecallPhase::Drain, i))
-                                {
-                                    let _ = ctrl.send(Ctrl::Drained { token });
-                                }
-                                // A swallowed reply models a crashed worker
-                                // mid-recall: the coordinator's barrier times
-                                // out and the recall aborts pre-swap, leaving
-                                // router and state untouched.
-                            }
-                            Msg::Migrate {
-                                token,
-                                bucket_count,
-                                outgoing,
-                            } => {
-                                let mut state_moved = 0u64;
-                                let mut recalled = 0u64;
-                                // Hand the surrendered buckets' operator
-                                // state to the new owners. The entries leave
-                                // this consumer's slice of the build log: the
-                                // migration traffic now carries them.
-                                if let Some(bc) = bucket_count {
-                                    if !outgoing.is_empty() {
-                                        let extracted = evaluator.extract_state(bc, &outgoing);
-                                        if !resilient {
-                                            if let (Some(logs), Some(b)) = (&logs, build_source) {
-                                                let moved: HashSet<u64> = extracted
-                                                    .iter()
-                                                    .map(|(_, t)| t.seq())
-                                                    .collect();
-                                                let _ =
-                                                    logs[b].retire_matching(i as u32, |(s, t)| {
-                                                        *s == StreamTag::Build
-                                                            && moved.contains(&t.seq())
-                                                    });
-                                            }
-                                        }
-                                        for (stream, tuple) in extracted {
-                                            let dest = {
-                                                let mut r = router.lock();
-                                                r.route(stream, &tuple).unwrap_or(i as u32)
-                                            }
-                                                as usize;
-                                            state_moved += 1;
-                                            if dest == i {
-                                                // Outgoing buckets route away
-                                                // by construction; re-insert
-                                                // defensively if not.
-                                                let _ = evaluator.process(stream, &tuple);
-                                            } else {
-                                                if resilient {
-                                                    // The log entry follows its
-                                                    // tuple to the new owner's
-                                                    // open window instead of
-                                                    // retiring: a later crash
-                                                    // there must still find it
-                                                    // replayable.
-                                                    if let (Some(logs), Some(b)) =
-                                                        (&logs, build_source)
-                                                    {
-                                                        let seq = tuple.seq();
-                                                        let _ = logs[b].migrate_matching(
-                                                            i as u32,
-                                                            dest as u32,
-                                                            |(s, t)| {
-                                                                *s == StreamTag::Build
-                                                                    && t.seq() == seq
-                                                            },
-                                                        );
-                                                    }
-                                                }
-                                                peers[dest].send(Msg::Migrated {
-                                                    stream,
-                                                    source: build_source.unwrap_or(0),
-                                                    tuple,
-                                                });
-                                            }
-                                        }
-                                    }
-                                }
-                                // Recall held probe tuples whose bucket moved.
-                                if !held_probes.is_empty() {
-                                    let mut retire: HashMap<usize, HashSet<u64>> = HashMap::new();
-                                    for (source, tuple) in std::mem::take(&mut held_probes) {
-                                        let dest = {
-                                            let mut r = router.lock();
-                                            r.route(StreamTag::Probe, &tuple).unwrap_or(i as u32)
-                                        }
-                                            as usize;
-                                        if dest == i {
-                                            held_probes.push((source, tuple));
-                                        } else {
-                                            if resilient {
-                                                // As with build state: the
-                                                // entry rides along, staying
-                                                // replayable at the new owner.
-                                                if let Some(logs) = &logs {
-                                                    let seq = tuple.seq();
-                                                    let _ = logs[source].migrate_matching(
-                                                        i as u32,
-                                                        dest as u32,
-                                                        |(s, t)| {
-                                                            *s == StreamTag::Probe && t.seq() == seq
-                                                        },
-                                                    );
-                                                }
-                                            } else {
-                                                retire
-                                                    .entry(source)
-                                                    .or_default()
-                                                    .insert(tuple.seq());
-                                            }
-                                            recalled += 1;
-                                            peers[dest].send(Msg::Migrated {
-                                                stream: StreamTag::Probe,
-                                                source,
-                                                tuple,
-                                            });
-                                        }
-                                    }
-                                    if let Some(logs) = &logs {
-                                        for (source, seqs) in retire {
-                                            let _ =
-                                                logs[source].retire_matching(i as u32, |(s, t)| {
-                                                    *s == StreamTag::Probe
-                                                        && seqs.contains(&t.seq())
-                                                });
-                                        }
-                                    }
-                                }
-                                if chaos
-                                    .as_ref()
-                                    .is_none_or(|c| c.on_recall_ctrl(RecallPhase::Migrate, i))
-                                {
-                                    let _ = ctrl.send(Ctrl::MigrateDone {
-                                        token,
-                                        state_moved,
-                                        recalled,
-                                    });
-                                }
-                            }
-                            Msg::Migrated {
-                                stream,
-                                source,
-                                tuple,
-                            } => {
-                                // Recorded but always processed: bucket
-                                // ping-pong legitimately re-delivers a seq,
-                                // and the recall barrier already guarantees
-                                // exactly-once for this path.
-                                if resilient {
-                                    dedup.note_delivered(source, tuple.seq());
-                                }
-                                if stream == StreamTag::Probe
-                                    && build_eos_needed > 0
-                                    && build_eos_seen < build_eos_needed
-                                {
-                                    held_probes.push((source, tuple));
-                                } else {
-                                    process_one(
-                                        &mut evaluator,
-                                        stream,
-                                        &tuple,
-                                        &mut out,
-                                        &mut processed,
-                                        &mut outputs_total,
-                                        &mut batch,
-                                        &mut batch_cost,
-                                        &mut due,
-                                    );
-                                    emit_m1(
-                                        &mut batch,
-                                        &mut batch_cost,
-                                        &mut batch_wait,
-                                        processed,
-                                        outputs_total,
-                                        false,
-                                    );
-                                    if due > 0.0 {
-                                        spin_for(due, scale);
-                                        due = 0.0;
-                                    }
-                                }
-                            }
-                        }
-                        if done {
-                            break;
-                        }
-                    }
-                    if done {
-                        break;
-                    }
-                    // Data plane: drain every ring, re-checking the
-                    // control channel before each block — a `Migrated`
-                    // that arrives mid-drain precedes any block pushed
-                    // after it, so control preempts.
-                    'drain: for r in &rings {
-                        loop {
-                            if !ctrl_gone {
-                                match rx.try_recv() {
-                                    Ok(m) => {
-                                        stashed = Some(m);
-                                        break 'drain;
-                                    }
-                                    Err(TryRecvError::Disconnected) => ctrl_gone = true,
-                                    Err(TryRecvError::Empty) => {}
-                                }
-                            }
-                            let Some(block) = r.pop() else { break };
-                            progressed = true;
-                            if chaos.as_ref().is_some_and(|c| c.crash_worker(i)) {
-                                return (processed, dedup.peak());
-                            }
-                            handle_block(
-                                block,
-                                &mut evaluator,
-                                &mut out,
-                                &mut processed,
-                                &mut outputs_total,
-                                &mut batch,
-                                &mut batch_cost,
-                                &mut batch_wait,
-                                &mut due,
-                                &mut held_probes,
-                                &mut pending_acks,
-                                &mut dedup,
-                                build_eos_seen,
-                            );
-                        }
-                    }
-                    if stashed.is_some() {
-                        continue;
-                    }
-                    if ctrl_gone {
-                        // Every sender is gone and the rings were just
-                        // drained dry: nothing more can arrive.
-                        break;
-                    }
-                    if progressed {
-                        continue;
-                    }
-                    // Idle. Register on the waker, then re-poll both
-                    // planes: a push or send that landed between the
-                    // polls above and the registration would wake nobody,
-                    // and the park would eat a full slice against input
-                    // already waiting.
-                    waker.register();
-                    if rings.iter().any(|r| !r.is_empty()) {
-                        waker.clear();
-                        continue;
-                    }
-                    match rx.try_recv() {
-                        Ok(m) => {
-                            waker.clear();
-                            stashed = Some(m);
-                        }
-                        Err(TryRecvError::Disconnected) => {
-                            waker.clear();
-                            ctrl_gone = true;
-                        }
-                        Err(TryRecvError::Empty) => {
-                            // The partition spends this slice waiting for
-                            // input. Dropping the wait (as this arm once
-                            // did) understated the leaf-wait signal the
-                            // A2 diagnoser keys on.
-                            let wait_started = Instant::now();
-                            thread::park_timeout(Duration::from_millis(recv_slice_ms));
-                            waker.clear();
-                            batch_wait += wait_started.elapsed().as_secs_f64() * 1000.0;
-                        }
-                    }
-                }
-                if failover_on {
-                    // A clean exit is not a death: retire the lease.
-                    let _ = raw.send(Raw::Done(i));
-                }
-                let _ = results.send(std::mem::take(&mut out));
-                (processed, dedup.peak())
-            }));
+            consumer_handles.push(thread::spawn(move || worker.run()));
         }
         drop(result_tx);
-        drop(ctrl_tx);
-        drop(peers);
+        drop(reply_tx);
 
-        // Adaptivity thread: detector -> diagnoser -> responder ->
-        // shared router; for retrospective commands it additionally acts
-        // as the recall coordinator.
-        let adapt_handle = {
-            let adapt = self.config.adaptivity.clone();
-            let router = Arc::clone(&router);
-            let routed_total = Arc::clone(&routed_total);
-            let processed_total = Arc::clone(&processed_total);
-            let gate = gate.clone();
-            let initial = router.lock().current_distribution();
-            let stage_id = stage.id;
-            let partitions_u32 = cast::index_to_u32(partitions)?;
-            let scale = self.config.cost_scale;
-            let recall_timeout = Duration::from_millis(self.config.recall_timeout_ms);
-            let obs = obs.clone();
-            let failover_cfg = self.config.failover.clone();
-            let flogs = logs.clone();
-            let query = plan.query;
-            let tenancy = self.config.tenancy.clone();
-            thread::spawn(move || -> AdaptStats {
-                let mut detector = MonitoringEventDetector::new(&adapt);
-                let mut diagnoser = Diagnoser::new(stage_id, partitions_u32, initial, &adapt);
-                let mut responder = Responder::new(&adapt);
-                if let Some(o) = &obs {
-                    detector.set_metric_sink(o.sink());
-                    diagnoser.set_metric_sink(o.sink());
-                    responder.set_metric_sink(o.sink());
-                }
-                // Timeline events carry both clocks: `at` is the model
-                // time stamped on the raw event by its producer thread,
-                // `wall_ms` is the real elapsed time at recording.
-                let record = |at: SimTime, kind: TimelineKind| -> u64 {
-                    match &obs {
-                        Some(o) => o.record(
-                            at.as_millis(),
-                            Some(started.elapsed().as_secs_f64() * 1000.0),
-                            kind,
-                        ),
-                        None => 0,
-                    }
-                };
-                let now_model = || {
-                    SimTime::from_millis(started.elapsed().as_secs_f64() * 1000.0 / scale.max(1e-9))
-                };
-                let mut stats = AdaptStats::default();
-                let mut recall_token = 0u64;
-                let mut monitor = failover_cfg
-                    .enabled
-                    .then(|| HeartbeatMonitor::new(partitions, failover_cfg.lease_ms));
-                // Dead workers awaiting a failover recall, with per-worker
-                // attempt counts: an aborted attempt (lost control reply,
-                // barrier timeout) is retried a few times before the worker
-                // is left to the producers' delivery-gap path.
-                let mut failover_queue: Vec<(usize, u64, u32)> = Vec::new();
-                loop {
-                    // With a monitor installed the loop must keep checking
-                    // leases even when no monitoring events arrive, so the
-                    // blocking receive becomes a heartbeat-paced timeout.
-                    let received = if monitor.is_some() {
-                        match raw_rx
-                            .recv_timeout(Duration::from_millis(failover_cfg.heartbeat_ms.max(1)))
-                        {
-                            Ok(r) => Some(r),
-                            Err(RecvTimeoutError::Timeout) => None,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    } else {
-                        match raw_rx.recv() {
-                            Ok(r) => Some(r),
-                            Err(_) => break,
-                        }
-                    };
-                    if let Some(m) = &mut monitor {
-                        match received {
-                            Some(Raw::Beat(w)) => m.beat(w),
-                            Some(Raw::Done(w)) => m.mark_done(w),
-                            _ => {}
-                        }
-                        while let Some(dead) = m.expired() {
-                            stats.nodes_failed += 1;
-                            let at = now_model();
-                            let down_seq = record(
-                                at,
-                                TimelineKind::NodeDown {
-                                    partition: PartitionId::new(stage_id, dead as u32).to_string(),
-                                },
-                            );
-                            responder.on_node_failure(at);
-                            failover_queue.push((dead, down_seq, 0));
-                        }
-                    }
-                    if !failover_queue.is_empty() {
-                        let (dead, down_seq, attempts) = failover_queue[0];
-                        let completed = run_failover(FailoverRun {
-                            dead,
-                            down_seq,
-                            gate: gate.as_deref(),
-                            monitor: monitor.as_ref(),
-                            logs: flogs.as_deref(),
-                            adapt_senders: &adapt_senders,
-                            ctrl_rx: &ctrl_rx,
-                            router: &router,
-                            diagnoser: &mut diagnoser,
-                            responder: &mut responder,
-                            obs: obs.as_ref(),
-                            record: &record,
-                            now_model: &now_model,
-                            stage_id,
-                            build_source,
-                            recall_timeout,
-                            recall_token: &mut recall_token,
-                            stats: &mut stats,
-                        });
-                        if completed {
-                            failover_queue.remove(0);
-                        } else if attempts + 1 >= FAILOVER_ATTEMPTS {
-                            // Give up: the producers' retry budget will
-                            // exhaust against the dead partition and record
-                            // an explicit delivery gap instead of hanging.
-                            failover_queue.remove(0);
-                        } else {
-                            failover_queue[0].2 = attempts + 1;
-                        }
-                    }
-                    let Some(raw) = received else { continue };
-                    let (output, at, raw_seq) = match raw {
-                        Raw::M1(event) => {
-                            stats.m1 += 1;
-                            let output = detector.on_m1(&event);
-                            let raw_seq = record(
-                                event.at,
-                                TimelineKind::RawM1 {
-                                    partition: event.partition.to_string(),
-                                    node: event.node.to_string(),
-                                    cost_per_tuple_ms: event.cost_per_tuple_ms,
-                                    leaf_wait_ms: event.leaf_wait_ms,
-                                    gate_fired: !matches!(output, DetectorOutput::Quiet),
-                                },
-                            );
-                            (output, event.at, raw_seq)
-                        }
-                        Raw::M2(event) => {
-                            stats.m2 += 1;
-                            let output = detector.on_m2(&event);
-                            let raw_seq = record(
-                                event.at,
-                                TimelineKind::RawM2 {
-                                    producer: event.producer.to_string(),
-                                    recipient: event.recipient.to_string(),
-                                    cost_per_tuple_ms: event.cost_per_tuple_ms(),
-                                    gate_fired: !matches!(output, DetectorOutput::Quiet),
-                                },
-                            );
-                            (output, event.at, raw_seq)
-                        }
-                        // Liveness traffic was consumed by the monitor
-                        // above; it never feeds the detector.
-                        Raw::Beat(_) | Raw::Done(_) => continue,
-                        Raw::ProducersDone => break,
-                    };
-                    // Commands to deploy this round, each with the seq of
-                    // its diagnosis-level timeline event and whether it
-                    // came from the cross-query (tenant) diagnoser.
-                    let mut pending: Vec<(AdaptationCommand, u64, bool)> = Vec::new();
-                    let imbalance = match output {
-                        DetectorOutput::Quiet => None,
-                        DetectorOutput::Cost(update) => {
-                            let notify_seq = record(
-                                at,
-                                TimelineKind::DetectorNotify {
-                                    scope: update.partition.to_string(),
-                                    avg_cost_ms: update.avg_cost_ms,
-                                    window_len: update.window_len,
-                                    raw_seq,
-                                },
-                            );
-                            // Service plane: the same smoothed cost feeds
-                            // the shared cross-query diagnoser, which sees
-                            // *all* tenants' placements and may attribute
-                            // the shift to a co-resident query.
-                            if let Some(t) = &tenancy {
-                                if let Some(r) = t.observe_cost(
-                                    query,
-                                    update.partition,
-                                    update.avg_cost_ms,
-                                    update.at,
-                                ) {
-                                    let tenant_seq = record(
-                                        update.at,
-                                        TimelineKind::TenantRebalance {
-                                            query: r.query.to_string(),
-                                            induced_by: r.induced_by.to_string(),
-                                            node: r.node.to_string(),
-                                            proposed: r.proposed.weights().to_vec(),
-                                            notify_seq,
-                                        },
-                                    );
-                                    t.deployed(query, r.proposed.clone());
-                                    pending.push((
-                                        AdaptationCommand {
-                                            stage: stage_id,
-                                            new_distribution: r.proposed,
-                                            retrospective: adapt.response == ResponsePolicy::R1,
-                                            at: r.at,
-                                        },
-                                        tenant_seq,
-                                        true,
-                                    ));
-                                }
-                            }
-                            diagnoser
-                                .on_cost_update(&update)
-                                .map(|imb| (imb, notify_seq))
-                        }
-                        DetectorOutput::Comm(update) => {
-                            let notify_seq = record(
-                                at,
-                                TimelineKind::DetectorNotify {
-                                    scope: format!("{}->{}", update.producer, update.recipient),
-                                    avg_cost_ms: update.avg_cost_per_tuple_ms,
-                                    window_len: update.window_len,
-                                    raw_seq,
-                                },
-                            );
-                            diagnoser
-                                .on_comm_update(&update)
-                                .map(|imb| (imb, notify_seq))
-                        }
-                    };
-                    if let Some((imbalance, notify_seq)) = imbalance {
-                        let diagnosis_seq = record(
-                            imbalance.at,
-                            TimelineKind::Diagnosis {
-                                stage: imbalance.stage.to_string(),
-                                proposed: imbalance.proposed.weights().to_vec(),
-                                costs: imbalance.costs.clone(),
-                                notify_seq,
-                            },
-                        );
-                        // R1 estimates progress from tuples *processed*
-                        // (what a recall would have to preserve), R2 from
-                        // tuples routed — mirroring the simulator.
-                        let done = if adapt.response == ResponsePolicy::R1 {
-                            processed_total.load(Ordering::Relaxed)
-                        } else {
-                            routed_total.load(Ordering::Relaxed)
-                        };
-                        let progress = cast::ratio(done, total_rows.max(1));
-                        let (decision, cmd) = responder.on_imbalance(&imbalance, progress);
-                        record(
-                            imbalance.at,
-                            TimelineKind::ResponderDecision {
-                                decision: decision.as_str().to_string(),
-                                diagnosis_seq,
-                            },
-                        );
-                        if let Some(cmd) = cmd {
-                            pending.push((cmd, diagnosis_seq, false));
-                        }
-                    }
-                    for (mut cmd, diagnosis_seq, tenant) in pending {
-                        // A diagnosis computed from pre-failure observations
-                        // may still weight a dead partition; zero it so no
-                        // adaptation resurrects routing to a lost worker.
-                        if let Some(m) = &monitor {
-                            let weights = cmd.new_distribution.weights();
-                            let stale = weights
-                                .iter()
-                                .enumerate()
-                                .any(|(p, &w)| m.is_dead(p) && w > 0.0);
-                            if stale {
-                                let w: Vec<f64> = weights
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(p, &w)| if m.is_dead(p) { 0.0 } else { w })
-                                    .collect();
-                                match DistributionVector::new(&w) {
-                                    Ok(d) => cmd.new_distribution = d,
-                                    // All surviving weight vanished: nothing
-                                    // sane to deploy.
-                                    Err(_) => continue,
-                                }
-                            }
-                        }
-                        diagnoser.set_distribution(cmd.new_distribution.clone());
-                        if !cmd.retrospective {
-                            // Prospective: swap the routing table; only
-                            // future tuples are affected.
-                            if router
-                                .lock()
-                                .apply_distribution(&cmd.new_distribution)
-                                .is_ok()
-                            {
-                                stats.deployed += 1;
-                                if tenant {
-                                    stats.tenant_rebalances += 1;
-                                }
-                                record(
-                                    cmd.at,
-                                    TimelineKind::Deploy {
-                                        stage: cmd.stage.to_string(),
-                                        weights: cmd.new_distribution.weights().to_vec(),
-                                        retrospective: false,
-                                        diagnosis_seq,
-                                    },
-                                );
-                                responder.on_deploy_acknowledged(now_model());
-                            }
-                            continue;
-                        }
-                        let Some(gate) = gate.as_ref() else { continue };
-                        // Retrospective: run the drain-barrier recall.
-                        recall_token += 1;
-                        let token = recall_token;
-                        match gate.begin_pause(recall_timeout) {
-                            None => {
-                                stats.recalls_aborted += 1;
-                            }
-                            Some(0) => {
-                                // Every producer already finished; the
-                                // consumers may exit at any moment, so
-                                // the barrier cannot be trusted. The
-                                // remaining work drains under the old
-                                // distribution.
-                                gate.abort_pause();
-                                stats.recalls_aborted += 1;
-                            }
-                            Some(_) => {
-                                // Dead workers can never answer the barrier;
-                                // address the recall to the survivors only.
-                                let targets: Vec<usize> = (0..adapt_senders.len())
-                                    .filter(|&p| {
-                                        monitor
-                                            .as_ref()
-                                            .is_none_or(|m| !m.is_dead(p) && !m.is_done(p))
-                                    })
-                                    .collect();
-                                let drained = !targets.is_empty()
-                                    && targets
-                                        .iter()
-                                        .all(|&p| adapt_senders[p].send(Msg::Drain { token }))
-                                    && collect_replies(
-                                        &ctrl_rx,
-                                        token,
-                                        targets.len(),
-                                        false,
-                                        recall_timeout,
-                                    )
-                                    .is_some();
-                                if !drained {
-                                    gate.abort_pause();
-                                    stats.recalls_aborted += 1;
-                                    continue;
-                                }
-                                let moves = {
-                                    let mut r = router.lock();
-                                    r.apply_retrospective(&cmd.new_distribution)
-                                };
-                                let Ok(moves) = moves else {
-                                    gate.abort_pause();
-                                    stats.recalls_aborted += 1;
-                                    continue;
-                                };
-                                stats.deployed += 1;
-                                if tenant {
-                                    stats.tenant_rebalances += 1;
-                                }
-                                let deploy_seq = record(
-                                    cmd.at,
-                                    TimelineKind::Deploy {
-                                        stage: cmd.stage.to_string(),
-                                        weights: cmd.new_distribution.weights().to_vec(),
-                                        retrospective: true,
-                                        diagnosis_seq,
-                                    },
-                                );
-                                let epoch = gate.epoch() + 1;
-                                let start_seq = record(
-                                    cmd.at,
-                                    TimelineKind::RecallStart {
-                                        stage: cmd.stage.to_string(),
-                                        epoch,
-                                        deploy_seq,
-                                    },
-                                );
-                                let bucket_count = router.lock().bucket_count();
-                                for &p in &targets {
-                                    let outgoing =
-                                        moves.outgoing.get(p).cloned().unwrap_or_default();
-                                    adapt_senders[p].send(Msg::Migrate {
-                                        token,
-                                        bucket_count,
-                                        outgoing,
-                                    });
-                                }
-                                let replies = collect_replies(
-                                    &ctrl_rx,
-                                    token,
-                                    targets.len(),
-                                    true,
-                                    recall_timeout,
-                                );
-                                let (moved, recalled) = replies.unwrap_or((0, 0));
-                                stats.state_tuples_migrated += moved;
-                                stats.tuples_recalled += recalled;
-                                let now = now_model();
-                                record(
-                                    now,
-                                    TimelineKind::RecallFinish {
-                                        epoch,
-                                        state_tuples_migrated: moved,
-                                        tuples_recalled: recalled,
-                                        start_seq,
-                                    },
-                                );
-                                responder.on_deploy_acknowledged(now);
-                                if replies.is_some() {
-                                    stats.recalls_completed += 1;
-                                } else {
-                                    stats.recalls_aborted += 1;
-                                }
-                                // Resume the producers even if a reply
-                                // timed out: leaving them parked would
-                                // deadlock the run instead of surfacing
-                                // the failure at join time.
-                                gate.resume(epoch);
-                            }
-                        }
-                    }
-                }
-                // Teardown: surface how much per-stream state the loop
-                // accumulated, then evict it so detector/diagnoser maps
-                // never outlive the query they monitored.
-                if let Some(o) = &obs {
-                    o.metrics()
-                        .gauge("adapt.tracked_streams_at_teardown")
-                        .set(cast::usize_to_f64(
-                            detector.tracked_streams() + diagnoser.tracked_cost_entries(),
-                        ));
-                }
-                detector.reset_for_query(query);
-                diagnoser.reset_for_query();
-                let after = detector.tracked_streams() + diagnoser.tracked_cost_entries();
-                debug_assert_eq!(after, 0);
-                // Surfaced separately from the pre-eviction gauge so the
-                // chaos oracles can assert a chaos-killed worker's streams
-                // were actually retired, not merely counted.
-                if let Some(o) = &obs {
-                    o.metrics()
-                        .gauge("adapt.tracked_streams_after_teardown")
-                        .set(cast::usize_to_f64(after));
-                }
-                stats
-            })
+        let wiring = AdaptWiring {
+            gate,
+            senders: to_consumer.clone(),
+            replies: reply_rx,
+            raw_rx,
+            total_rows,
+            processed_total,
         };
+        let adaptivity = Adaptivity::new(cfg, plan, &x, wiring, Recorder::new(&obs, started, cfg))?;
+        let adapt_handle = thread::spawn(move || adaptivity.run());
 
         // Wait for producers, then consumers, then the adaptivity thread.
         // Every handle is joined even when an earlier one panicked, so a
@@ -2504,7 +1508,7 @@ impl ThreadedExecutor {
                 // A dead producer never sent its end-of-stream markers;
                 // without them the consumers would wait forever, because
                 // the recall coordinator keeps the channels open.
-                for tx in &backstop {
+                for tx in &to_consumer {
                     tx.send(Msg::Eos {
                         stream: plan.sources[i].stream,
                         source: i,
@@ -2512,7 +1516,7 @@ impl ThreadedExecutor {
                 }
             }
         }
-        drop(backstop);
+        drop(to_consumer);
         let mut per_partition = Vec::with_capacity(partitions);
         let mut dedup_peak_entries = 0u64;
         for (i, h) in consumer_handles.into_iter().enumerate() {
@@ -2526,13 +1530,10 @@ impl ThreadedExecutor {
         }
         let _ = raw_tx.send(Raw::ProducersDone);
         drop(raw_tx);
-        let stats = match adapt_handle.join() {
-            Ok(stats) => stats,
-            Err(_) => {
-                panicked.push("adaptivity thread".into());
-                AdaptStats::default()
-            }
-        };
+        let stats = adapt_handle.join().unwrap_or_else(|_| {
+            panicked.push("adaptivity thread".into());
+            AdaptStats::default()
+        });
         if !panicked.is_empty() {
             return Err(GridError::Execution(format!(
                 "worker thread(s) panicked: {}",
@@ -2545,15 +1546,11 @@ impl ThreadedExecutor {
             results.extend(batch);
         }
         if resilient {
-            // At-least-once transport can double-deliver across a crash
-            // seam (a worker flushed results, died before acking, and the
-            // retransmission was processed by its successor). Collapse
-            // exact duplicates here so the report is effectively-once.
-            let mut seen = HashSet::new();
-            results.retain(|t: &Tuple| seen.insert((t.seq(), format!("{:?}", t.values()))));
+            collapse_duplicate_results(&mut results);
         }
-        let final_distribution = router.lock().current_distribution().weights().to_vec();
-        let delivery_gaps = std::mem::take(&mut *delivery_gaps.lock());
+        let tallies = &x.tallies;
+        let delivery_gaps = std::mem::take(&mut *tallies.gaps.lock());
+        let final_distribution = x.router.lock().current_distribution().weights().to_vec();
         Ok(ThreadedReport {
             wall_ms: started.elapsed().as_secs_f64() * 1000.0,
             results,
@@ -2565,15 +1562,17 @@ impl ThreadedExecutor {
             recalls_completed: stats.recalls_completed,
             recalls_aborted: stats.recalls_aborted,
             state_tuples_migrated: stats.state_tuples_migrated,
-            tuples_recalled: stats.tuples_recalled + restaged_total.load(Ordering::Relaxed),
+            tuples_recalled: stats.tuples_recalled + tallies.restaged.load(Ordering::Relaxed),
             nodes_failed: stats.nodes_failed,
             failovers_completed: stats.failovers_completed,
-            tuples_retransmitted: retransmitted_total.load(Ordering::Relaxed),
-            send_failures: send_failures_total.load(Ordering::Relaxed),
+            tuples_retransmitted: tallies.retransmitted.load(Ordering::Relaxed),
+            send_failures: tallies.send_failures.load(Ordering::Relaxed),
             delivery_gaps,
-            log_audits: logs
-                .map(|logs| logs.iter().map(SharedRecoveryLog::audit).collect())
-                .unwrap_or_default(),
+            log_audits: x
+                .logs
+                .iter()
+                .flat_map(|logs| logs.iter().map(SharedRecoveryLog::audit))
+                .collect(),
             dedup_peak_entries,
             final_distribution,
             obs: obs.as_ref().map(Obs::report),
@@ -2584,7 +1583,9 @@ impl ThreadedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridq_common::{DataType, DistributionVector, Field, QueryId, Schema, SubplanId, Value};
+    use gridq_common::{
+        DataType, DistributionVector, Field, NetAction, QueryId, Schema, SubplanId, Value,
+    };
     use gridq_engine::distributed::{
         ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
     };

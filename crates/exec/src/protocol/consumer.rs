@@ -1,0 +1,451 @@
+//! The consumer half of the protocol: two-level dedup, acked-marker
+//! shadowing, held probes and deferred probe acks, end-of-build replay,
+//! `Migrate` surrender, `Migrated` re-delivery, M1 stride batching and
+//! per-source end-of-stream accounting.
+//!
+//! The driver owns the transport (rings and a control channel, or one
+//! FIFO link), the crash seam and the idle wait; it feeds the consumer
+//! messages and implements [`ConsumerOut`] for what comes back out.
+
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use gridq_common::{cast, ChaosHook, StallSite, Tuple};
+use gridq_engine::evaluator::{PartitionEvaluator, StreamTag};
+use gridq_obs::Counter;
+use gridq_recovery::Checkpoint;
+
+use super::dedup::DedupFilter;
+use super::{sane_ms, Block, Routed, Staged};
+
+/// What a consumer emits. Implemented by the threaded executor (log
+/// acknowledged in place, peers a channel send away), the socket worker
+/// (everything is a frame to the coordinator) and the protocol tests'
+/// recording fake.
+pub(crate) trait ConsumerOut {
+    /// Spends accrued modelled cost (model milliseconds).
+    fn pay(&mut self, model_ms: f64);
+    /// Emits a checkpoint acknowledgement. Returns whether the window's
+    /// dedup entries may be evicted now: the threaded consumer sees the
+    /// log's verdict (accepted or already acked — the window can never
+    /// be retransmitted again), the socket worker cannot and evicts
+    /// optimistically (if the ack is lost the window retransmits and the
+    /// already-acked marker id shadows its tuples; the filter converges
+    /// either way).
+    fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool;
+    /// Hands a batch of result tuples downstream.
+    fn results(&mut self, batch: Vec<Tuple>);
+    /// A fresh tuple from a retransmitted block under hash routing: its
+    /// bucket may have moved since the window closed. Returns the tuple
+    /// back when this consumer still owns it; `None` once it has been
+    /// forwarded toward the current owner (directly, or via the
+    /// coordinator when this consumer has no router).
+    fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple>;
+    /// One M1 monitoring sample (never called with monitoring off).
+    fn m1(&mut self, sample: M1Sample);
+    /// Liveness beat during a long held-probe replay.
+    fn beat(&mut self) {}
+}
+
+/// One stride batch's worth of M1 measurements; the driver stamps it
+/// with identity and time.
+pub(crate) struct M1Sample {
+    /// Mean modelled cost per tuple over the batch. Per-tuple exact
+    /// because it reads the model, not the wall clock.
+    pub(crate) cost_per_tuple_ms: f64,
+    /// Mean *real* milliseconds per tuple spent waiting for input.
+    pub(crate) wait_ms_per_tuple: f64,
+    pub(crate) selectivity: f64,
+    pub(crate) tuples_produced: u64,
+}
+
+/// The static description of one consumer — exactly what a socket worker
+/// receives in its `CONFIG` frame.
+#[derive(Debug, Clone)]
+pub(crate) struct ConsumerSpec {
+    pub(crate) index: usize,
+    pub(crate) resilient: bool,
+    pub(crate) logging: bool,
+    pub(crate) hash_routing: bool,
+    pub(crate) receive_cost_ms: f64,
+    /// The node's perturbation in linear form (`base * factor + extra`).
+    pub(crate) cost_factor: f64,
+    pub(crate) cost_extra_ms: f64,
+    pub(crate) eos_needed: usize,
+    pub(crate) build_eos_needed: usize,
+    pub(crate) build_source: Option<usize>,
+}
+
+pub(crate) struct Consumer {
+    spec: ConsumerSpec,
+    evaluator: Box<dyn PartitionEvaluator>,
+    /// Emit an M1 every this many processed tuples; `None` with
+    /// monitoring off. The phase carries across blocks.
+    pub(crate) m1_stride: Option<u32>,
+    /// Consumer-side stall seam (threaded only).
+    pub(crate) chaos: Option<Arc<dyn ChaosHook>>,
+    /// Service-plane contention: co-resident queries on this node
+    /// inflate the modelled per-tuple cost by `alpha` per extra tenant.
+    /// The counter is read lock-free per tuple.
+    pub(crate) contention: Option<(Arc<AtomicU32>, f64)>,
+    /// Run-wide processed-tuple count and its metric (threaded only).
+    pub(crate) progress: Option<(Arc<AtomicU64>, Option<Arc<Counter>>)>,
+    out: Vec<Tuple>,
+    processed: u64,
+    outputs_total: u64,
+    batch: u32,
+    batch_cost: f64,
+    batch_wait_ms: f64,
+    /// Modelled processing cost accrued but not yet spent in real time;
+    /// paid once per block (or control message) instead of once per
+    /// tuple, which is where batching wins its throughput back from the
+    /// sleep granularity floor.
+    due: f64,
+    eos_seen: usize,
+    build_eos_seen: usize,
+    /// Probe tuples that arrived before the build phase completed, with
+    /// the source that logged them; replayed once every build source is
+    /// done (the iterator model consumes the build input first), or
+    /// recalled to their new owner by a retrospective redistribution.
+    held_probes: Vec<(usize, Tuple)>,
+    /// Probe-window acks deferred while the build phase is incomplete:
+    /// an ack is a *processing* receipt here, and held probes are
+    /// unprocessed — a crash before the build completes must find their
+    /// windows still replayable.
+    pending_acks: Vec<(usize, Checkpoint, u64)>,
+    /// Resilient-mode dedup: the transport is at-least-once, processing
+    /// must be effectively-once.
+    dedup: DedupFilter,
+    finished: bool,
+}
+
+impl Consumer {
+    pub(crate) fn new(spec: ConsumerSpec, evaluator: Box<dyn PartitionEvaluator>) -> Self {
+        Consumer {
+            spec,
+            evaluator,
+            m1_stride: None,
+            chaos: None,
+            contention: None,
+            progress: None,
+            out: Vec::new(),
+            processed: 0,
+            outputs_total: 0,
+            batch: 0,
+            batch_cost: 0.0,
+            batch_wait_ms: 0.0,
+            due: 0.0,
+            eos_seen: 0,
+            build_eos_seen: 0,
+            held_probes: Vec::new(),
+            pending_acks: Vec::new(),
+            dedup: DedupFilter::new(),
+            finished: false,
+        }
+    }
+
+    pub(crate) fn processed(&self) -> u64 {
+        self.processed
+    }
+
+    pub(crate) fn dedup_peak(&self) -> u64 {
+        self.dedup.peak()
+    }
+
+    /// The results not yet handed downstream.
+    pub(crate) fn take_results(&mut self) -> Vec<Tuple> {
+        std::mem::take(&mut self.out)
+    }
+
+    /// The driver spent `ms` real milliseconds waiting for input; feeds
+    /// the leaf-wait signal of the next M1.
+    pub(crate) fn add_wait(&mut self, ms: f64) {
+        self.batch_wait_ms += ms;
+    }
+
+    fn building(&self) -> bool {
+        self.spec.build_eos_needed > 0 && self.build_eos_seen < self.spec.build_eos_needed
+    }
+
+    fn pay_due<O: ConsumerOut>(&mut self, out: &mut O) {
+        if self.due > 0.0 {
+            out.pay(self.due);
+            self.due = 0.0;
+        }
+    }
+
+    /// Evaluates one tuple, accruing the modelled (and perturbed) cost
+    /// into `due`. Shared by the streaming path, the held-probe replay
+    /// and migrated re-delivery, so every processed tuple feeds the same
+    /// M1 batch.
+    fn process_one<O: ConsumerOut>(&mut self, stream: StreamTag, tuple: &Tuple, out: &mut O) {
+        let Ok(outcome) = self.evaluator.process(stream, tuple) else {
+            return;
+        };
+        let stall = self
+            .chaos
+            .as_ref()
+            .map_or(0.0, |c| c.stall_ms(StallSite::Consumer, self.spec.index));
+        let tenants_factor = self.contention.as_ref().map_or(1.0, |(ctr, alpha)| {
+            let extra = ctr.load(Ordering::Relaxed).saturating_sub(1);
+            1.0 + alpha * cast::count_to_f64(u64::from(extra))
+        });
+        let model_cost = (outcome.base_cost_ms * self.spec.cost_factor
+            + self.spec.cost_extra_ms
+            + self.spec.receive_cost_ms
+            + sane_ms(stall))
+            * tenants_factor;
+        self.due += model_cost;
+        self.processed += 1;
+        if let Some((total, ctr)) = &self.progress {
+            total.fetch_add(1, Ordering::Relaxed);
+            if let Some(c) = ctr {
+                c.add(1);
+            }
+        }
+        self.outputs_total += outcome.outputs.len() as u64;
+        self.out.extend(outcome.outputs);
+        if self.m1_stride.is_some() {
+            self.batch += 1;
+            self.batch_cost += model_cost;
+            self.emit_m1(false, out);
+        }
+    }
+
+    /// Emits the M1 for the current batch. `force` flushes a partial
+    /// tail batch (end of stream); without it the last
+    /// `processed % stride` tuples would vanish from the monitoring
+    /// record.
+    fn emit_m1<O: ConsumerOut>(&mut self, force: bool, out: &mut O) {
+        let Some(stride) = self.m1_stride else { return };
+        if self.batch == 0 || (!force && self.batch < stride) {
+            return;
+        }
+        let n = f64::from(self.batch);
+        out.m1(M1Sample {
+            cost_per_tuple_ms: self.batch_cost / n,
+            wait_ms_per_tuple: self.batch_wait_ms / n,
+            selectivity: if self.processed == 0 {
+                1.0
+            } else {
+                cast::ratio(self.outputs_total, self.processed)
+            },
+            tuples_produced: self.outputs_total,
+        });
+        self.batch = 0;
+        self.batch_cost = 0.0;
+        self.batch_wait_ms = 0.0;
+    }
+
+    /// Emits one checkpoint ack. In resilient mode the pending outputs
+    /// are handed downstream *first*: once a window is acknowledged its
+    /// outputs are owned downstream, so a later crash of this consumer
+    /// can never lose them (replay covers exactly the unacknowledged
+    /// windows).
+    fn ack_window<O: ConsumerOut>(
+        &mut self,
+        source: usize,
+        cp: Checkpoint,
+        epoch: u64,
+        out: &mut O,
+    ) {
+        if !self.spec.logging {
+            return;
+        }
+        if self.spec.resilient && !self.out.is_empty() {
+            out.results(std::mem::take(&mut self.out));
+        }
+        if out.ack(source, cp, epoch) && self.spec.resilient {
+            self.dedup.window_acked(source, cp.id);
+        }
+    }
+
+    /// Holds a probe that arrived during the build phase, or processes
+    /// the tuple.
+    fn hold_or_process<O: ConsumerOut>(
+        &mut self,
+        stream: StreamTag,
+        source: usize,
+        tuple: Tuple,
+        out: &mut O,
+    ) {
+        if stream == StreamTag::Probe && self.building() {
+            self.held_probes.push((source, tuple));
+        } else {
+            self.process_one(stream, &tuple, out);
+        }
+    }
+
+    /// Consumes one tuple block. Resilient-mode dedup runs at two
+    /// granularities: a whole-block range hit skips every tuple in one
+    /// set probe (markers still apply — acks are idempotent, and the
+    /// duplicate may be the only copy whose ack survives the chaos
+    /// plan), and the per-tuple `seen` filter catches redelivery that is
+    /// not block-identical (a window retransmitted into a
+    /// differently-packed block).
+    pub(crate) fn on_block<O: ConsumerOut>(&mut self, block: Block, out: &mut O) {
+        let source = block.source;
+        let resilient = self.spec.resilient;
+        let dup = resilient
+            && block
+                .range_key()
+                .is_some_and(|key| self.dedup.block_is_dup(source, key));
+        let check_owner = block.retransmit && self.spec.hash_routing;
+        let building = self.building();
+        // The covering marker for each tuple is the next one at a higher
+        // index in the block: retransmissions always repack a window's
+        // tuples with its marker, so an already-acked marker id shadows
+        // every tuple ahead of it even after their per-tuple keys were
+        // evicted.
+        let marker_ids: Vec<(usize, u64)> = block
+            .items
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, item)| match item {
+                Staged::Marker(cp, _) => Some((idx, cp.id)),
+                Staged::Tuple(..) => None,
+            })
+            .collect();
+        let mut next_marker = 0usize;
+        for (idx, staged) in block.items.into_iter().enumerate() {
+            while next_marker < marker_ids.len() && marker_ids[next_marker].0 < idx {
+                next_marker += 1;
+            }
+            match staged {
+                Staged::Tuple(stream, tuple) => {
+                    if dup {
+                        continue;
+                    }
+                    if resilient
+                        && (marker_ids
+                            .get(next_marker)
+                            .is_some_and(|&(_, id)| self.dedup.is_acked(source, id))
+                            || self.dedup.tuple_is_dup(source, tuple.seq()))
+                    {
+                        continue;
+                    }
+                    let tuple = if check_owner {
+                        match out.stray(stream, source, tuple) {
+                            Some(t) => t,
+                            None => continue,
+                        }
+                    } else {
+                        tuple
+                    };
+                    self.hold_or_process(stream, source, tuple, out);
+                }
+                Staged::Marker(cp, epoch) => {
+                    debug_assert_eq!(cp.dest as usize, self.spec.index);
+                    // The window closes at the *marker*, not the ack:
+                    // entries delivered since the last marker are now
+                    // covered by this id and will be evicted when its
+                    // ack lands.
+                    if resilient {
+                        self.dedup.close_window(source, cp.id);
+                    }
+                    if resilient && building && Some(source) != self.spec.build_source {
+                        self.pending_acks.push((source, cp, epoch));
+                    } else {
+                        self.ack_window(source, cp, epoch, out);
+                    }
+                }
+            }
+        }
+        // Pay the block's accumulated modelled cost as one sleep instead
+        // of one per tuple.
+        self.pay_due(out);
+    }
+
+    /// One source's stream has ended (the driver has already fed every
+    /// block that source shipped). Completing the build phase replays
+    /// the held probes and releases their deferred acks. Returns `true`
+    /// exactly once, when the last stream ends: the tail M1 is out, the
+    /// debt is paid, and the driver should collect
+    /// [`Consumer::take_results`] and report completion.
+    pub(crate) fn on_eos<O: ConsumerOut>(&mut self, stream: StreamTag, out: &mut O) -> bool {
+        self.eos_seen += 1;
+        if stream == StreamTag::Build {
+            self.build_eos_seen += 1;
+        }
+        let build_needed = self.spec.build_eos_needed;
+        if build_needed > 0 && self.build_eos_seen == build_needed {
+            for (n, (_, tuple)) in std::mem::take(&mut self.held_probes)
+                .into_iter()
+                .enumerate()
+            {
+                // Replaying a large backlog takes real time; pay the
+                // accrued cost in slices and keep the lease renewed.
+                if n % 16 == 0 {
+                    out.beat();
+                    self.pay_due(out);
+                }
+                self.process_one(StreamTag::Probe, &tuple, out);
+            }
+            self.pay_due(out);
+            // The held probes are processed: their deferred window acks
+            // are now true processing receipts, so release them.
+            for (source, cp, epoch) in std::mem::take(&mut self.pending_acks) {
+                self.ack_window(source, cp, epoch, out);
+            }
+        }
+        if self.eos_seen != self.spec.eos_needed || self.finished {
+            return false;
+        }
+        self.finished = true;
+        // Flush the partial tail batch before the monitoring record goes
+        // quiet.
+        self.emit_m1(true, out);
+        self.pay_due(out);
+        true
+    }
+
+    /// Answers a recall's `Migrate`: gives up the operator state of the
+    /// `outgoing` buckets and *every* held probe, for the re-route
+    /// routine to place under the swapped router. What still belongs
+    /// here comes back through [`Consumer::take_back`] (or as `Migrated`
+    /// re-delivery).
+    pub(crate) fn surrender(&mut self, bucket_count: Option<u32>, outgoing: &[u32]) -> Vec<Routed> {
+        let mut entries: Vec<Routed> = Vec::new();
+        if let Some(bc) = bucket_count {
+            if !outgoing.is_empty() {
+                let b = self.spec.build_source.unwrap_or(0);
+                for (stream, tuple) in self.evaluator.extract_state(bc, outgoing) {
+                    entries.push((stream, b, tuple));
+                }
+            }
+        }
+        for (source, tuple) in std::mem::take(&mut self.held_probes) {
+            entries.push((StreamTag::Probe, source, tuple));
+        }
+        entries
+    }
+
+    /// A surrendered entry the re-route routine assigned straight back:
+    /// a held probe is held again; state is re-inserted raw, uncounted
+    /// (outgoing buckets route away by construction — this is the
+    /// defensive path).
+    pub(crate) fn take_back(&mut self, (stream, source, tuple): Routed) {
+        if stream == StreamTag::Probe {
+            self.held_probes.push((source, tuple));
+        } else {
+            let _ = self.evaluator.process(stream, &tuple);
+        }
+    }
+
+    /// A tuple re-delivered by the recall protocol (migrated operator
+    /// state, a recalled held probe, a forwarded stray, a failover
+    /// replay). Recorded but always processed: bucket ping-pong
+    /// legitimately re-delivers a seq, and the recall barrier already
+    /// guarantees exactly-once for this path.
+    pub(crate) fn on_migrated<O: ConsumerOut>(
+        &mut self,
+        (stream, source, tuple): Routed,
+        out: &mut O,
+    ) {
+        if self.spec.resilient {
+            self.dedup.note_delivered(source, tuple.seq());
+        }
+        self.hold_or_process(stream, source, tuple, out);
+        self.pay_due(out);
+    }
+}

@@ -1,0 +1,327 @@
+//! The recall coordinator, written once: the live adaptivity thread, the
+//! failover path and the scripted socket driver all call
+//! [`Coordinator::recall`] and differ only in the [`RecallTarget`] they
+//! pass and the [`RecallTransport`] they bring.
+//!
+//! 1. **Pause.** Every active producer parks at its next pause point;
+//!    no new tuples can enter the exchange.
+//! 2. **Drain.** A `Drain` marker, ordered behind every block sent before
+//!    the pause, goes to every live consumer; `Drained` means everything
+//!    addressed to it under the old distribution is processed or shelved.
+//! 3. **Swap.** The routing table is swapped under quiescence and the
+//!    buckets each old owner must surrender are computed.
+//! 4. **Migrate.** Each consumer surrenders that state (and its held
+//!    probes) to the re-route routine and replies `MigrateDone`.
+//! 5. **Resume.** The gate epoch is bumped; the released producers notice
+//!    and restage their unsent buffers.
+//!
+//! A failure before the swap aborts with router, buffers and logs
+//! untouched and the gate reopened.
+
+use gridq_common::{DistributionVector, RecallPhase};
+
+use super::{Exchange, Routed};
+
+/// A worker's answer to a recall command. `token` identifies the recall
+/// attempt, so replies from an aborted attempt cannot satisfy a later
+/// barrier.
+#[derive(Debug, Clone)]
+pub(crate) enum RecallReply {
+    /// The worker has observed the `Drain` marker.
+    Drained { token: u64 },
+    /// The worker finished surrendering. A worker that re-routes locally
+    /// reports what it moved; one that ships its state to the
+    /// coordinator reports zeros (the coordinator counts).
+    MigrateDone {
+        token: u64,
+        state_moved: u64,
+        recalled: u64,
+    },
+    /// State and held probes surrendered by a worker that has no router;
+    /// sent ahead of its `MigrateDone` on the same FIFO channel, so
+    /// barrier completion implies all of it was re-routed.
+    Surrendered { worker: usize, entries: Vec<Routed> },
+}
+
+/// The `Migrate` command: surrender the operator state of the `outgoing`
+/// buckets (of `bucket_count`; `None` under weighted routing) and every
+/// held probe, then answer `MigrateDone { token }`.
+pub(crate) struct MigrateCmd {
+    pub(crate) token: u64,
+    pub(crate) bucket_count: Option<u32>,
+    pub(crate) outgoing: Vec<u32>,
+}
+
+/// What the coordinator needs from its driver: the recall gate, a way to
+/// command workers, and replies until a deadline only the driver can
+/// read.
+pub(crate) trait RecallTransport {
+    /// Requests the pause and waits for every active producer to park.
+    /// Returns how many parked, or `None` on time-out (the request is
+    /// withdrawn, the gate left open).
+    fn pause(&mut self) -> Option<usize>;
+    /// Abandons the pause without changing the epoch.
+    fn abort_pause(&mut self);
+    /// The gate's current epoch.
+    fn epoch(&self) -> u64;
+    /// Installs `epoch` and releases the parked producers.
+    fn resume(&mut self, epoch: u64);
+    /// Sends the drain barrier to `worker`, ordered behind every block
+    /// staged for it. Returns whether the worker is still reachable.
+    fn drain(&mut self, worker: usize, token: u64) -> bool;
+    /// Sends `worker` its `Migrate` command.
+    fn migrate(&mut self, worker: usize, cmd: MigrateCmd);
+    /// Re-delivers a tuple to `dest` outside the data plane. `reinsert`
+    /// marks state going straight back to the worker that surrendered
+    /// it: inserted raw, uncounted.
+    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool);
+    /// Starts the time-out for one round of replies.
+    fn arm_deadline(&mut self);
+    /// The next reply, or `None` once the deadline armed last has passed
+    /// (or no worker can reply any more).
+    fn next_reply(&mut self) -> Option<RecallReply>;
+}
+
+/// What a recall should establish.
+pub(crate) enum RecallTarget {
+    /// Deploy a diagnosed (or scripted) distribution `W′`.
+    Deploy(DistributionVector),
+    /// Partition `replay` died: zero the weight of every partition in
+    /// `dead` (it, and any previously declared dead peer), renormalize
+    /// over the survivors, and replay its surviving log entries to their
+    /// new owners.
+    Failover { replay: usize, dead: Vec<usize> },
+}
+
+/// How a recall ended.
+#[derive(Debug, PartialEq)]
+pub(crate) enum RecallOutcome {
+    /// Abandoned before the swap (no producer could park, a barrier
+    /// timed out, the target was undeployable) or — failover only —
+    /// before the replay. The gate is open again at the old epoch.
+    Aborted,
+    /// The distribution is deployed and the producers resumed under
+    /// `epoch`. `completed` is false when a `MigrateDone` never arrived:
+    /// the producers are resumed regardless, because leaving them parked
+    /// would deadlock the run instead of surfacing the failure.
+    Deployed {
+        epoch: u64,
+        state_moved: u64,
+        recalled: u64,
+        completed: bool,
+    },
+    /// The dead partition's weight is zeroed, its log replayed and the
+    /// producers resumed.
+    FailedOver {
+        deployed: DistributionVector,
+        state_moved: u64,
+        recalled: u64,
+        replayed: u64,
+    },
+}
+
+pub(crate) struct Coordinator {
+    x: Exchange,
+    token: u64,
+}
+
+impl Coordinator {
+    pub(crate) fn new(exchange: Exchange) -> Self {
+        Coordinator {
+            x: exchange,
+            token: 0,
+        }
+    }
+
+    /// Runs one recall over the `live` workers (dead ones can never
+    /// answer a barrier). `on_swap(epoch)` fires between the swap and
+    /// the first `Migrate`, for the driver's timeline.
+    pub(crate) fn recall<T: RecallTransport>(
+        &mut self,
+        target: RecallTarget,
+        live: &[usize],
+        t: &mut T,
+        on_swap: impl FnOnce(u64),
+    ) -> RecallOutcome {
+        self.token += 1;
+        let token = self.token;
+        match t.pause() {
+            None => return RecallOutcome::Aborted,
+            Some(0) => {
+                // No producer is parked — every one already finished (the
+                // consumers may exit at any moment) or, during a failover,
+                // none has reached a pause point yet — so the barrier
+                // cannot be trusted.
+                t.abort_pause();
+                return RecallOutcome::Aborted;
+            }
+            Some(_) => {}
+        }
+        let drained = !live.is_empty()
+            && live.iter().all(|&p| t.drain(p, token))
+            && self
+                .collect(t, token, live.len(), RecallPhase::Drain)
+                .is_some();
+        let moves = if drained {
+            self.swap(&target)
+        } else {
+            // A swallowed reply models a crashed worker mid-recall: the
+            // barrier times out and the recall aborts pre-swap, leaving
+            // router and state untouched.
+            None
+        };
+        let Some((deployed, moves)) = moves else {
+            t.abort_pause();
+            return RecallOutcome::Aborted;
+        };
+        let epoch = t.epoch() + 1;
+        on_swap(epoch);
+        let bucket_count = self.x.router.lock().bucket_count();
+        for &p in live {
+            let cmd = MigrateCmd {
+                token,
+                bucket_count,
+                outgoing: moves.get(p).cloned().unwrap_or_default(),
+            };
+            t.migrate(p, cmd);
+        }
+        let replies = self.collect(t, token, live.len(), RecallPhase::Migrate);
+        match target {
+            RecallTarget::Deploy(_) => {
+                t.resume(epoch);
+                let (state_moved, recalled) = replies.unwrap_or((0, 0));
+                RecallOutcome::Deployed {
+                    epoch,
+                    state_moved,
+                    recalled,
+                    completed: replies.is_some(),
+                }
+            }
+            RecallTarget::Failover { replay, .. } => {
+                let Some((state_moved, recalled)) = replies else {
+                    // Retried by the caller; the swap already happened,
+                    // so the retry's own swap moves nothing.
+                    t.abort_pause();
+                    return RecallOutcome::Aborted;
+                };
+                let replayed = self.replay(replay, live, t);
+                t.resume(epoch);
+                RecallOutcome::FailedOver {
+                    deployed,
+                    state_moved,
+                    recalled,
+                    replayed,
+                }
+            }
+        }
+    }
+
+    /// Step 3: swaps the routing table. Returns the deployed
+    /// distribution and, per partition, the buckets it must surrender —
+    /// or `None` when the target is undeployable (every partition dead
+    /// or weightless, arity mismatch).
+    fn swap(&self, target: &RecallTarget) -> Option<(DistributionVector, Vec<Vec<u32>>)> {
+        let mut router = self.x.router.lock();
+        let dist = match target {
+            RecallTarget::Deploy(d) => d.clone(),
+            RecallTarget::Failover { dead, .. } => {
+                let current = router.current_distribution();
+                let w: Vec<f64> = current
+                    .weights()
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &w)| if dead.contains(&p) { 0.0 } else { w })
+                    .collect();
+                DistributionVector::new(&w).ok()?
+            }
+        };
+        let moves = router.apply_retrospective(&dist).ok()?;
+        Some((dist, moves.outgoing))
+    }
+
+    /// Collects one matching reply per worker for attempt `token`,
+    /// dropping stale replies from aborted attempts and re-routing any
+    /// surrendered state on the way. Returns the summed
+    /// `(state_moved, recalled)`, or `None` on time-out.
+    fn collect<T: RecallTransport>(
+        &mut self,
+        t: &mut T,
+        token: u64,
+        need: usize,
+        phase: RecallPhase,
+    ) -> Option<(u64, u64)> {
+        t.arm_deadline();
+        let (mut got, mut moved_total, mut recalled_total) = (0usize, 0u64, 0u64);
+        while got < need {
+            match t.next_reply()? {
+                RecallReply::Drained { token: tk } => {
+                    got += usize::from(phase == RecallPhase::Drain && tk == token);
+                }
+                RecallReply::MigrateDone {
+                    token: tk,
+                    state_moved,
+                    recalled,
+                } => {
+                    if phase == RecallPhase::Migrate && tk == token {
+                        got += 1;
+                        moved_total += state_moved;
+                        recalled_total += recalled;
+                    }
+                }
+                RecallReply::Surrendered { worker, entries } => {
+                    let (m, r) = self.surrendered(worker, entries, t);
+                    moved_total += m;
+                    recalled_total += r;
+                }
+            }
+        }
+        Some((moved_total, recalled_total))
+    }
+
+    /// Re-routes a batch a router-less worker surrendered. Also called
+    /// by the driver outside any recall: a barrier that timed out may
+    /// still deliver its state, and dropping it would lose real tuples.
+    pub(crate) fn surrendered<T: RecallTransport>(
+        &self,
+        worker: usize,
+        entries: Vec<Routed>,
+        t: &mut T,
+    ) -> (u64, u64) {
+        self.x.reroute(worker, entries, |owner, entry| {
+            let reinsert = owner == worker && entry.0 != gridq_engine::evaluator::StreamTag::Probe;
+            t.redeliver(owner, entry, reinsert);
+        })
+    }
+
+    /// Replays the dead partition's surviving log entries to their new
+    /// owners, build stream first so reconstructed operator state is in
+    /// place before any replayed probe tuple can reach it.
+    fn replay<T: RecallTransport>(&self, dead: usize, live: &[usize], t: &mut T) -> u64 {
+        let Some(logs) = &self.x.logs else { return 0 };
+        let mut order: Vec<usize> = (0..logs.len()).collect();
+        order.sort_by_key(|&s| usize::from(Some(s) != self.x.build_source));
+        let fallback = live.first().copied().unwrap_or(0);
+        let mut replayed = 0u64;
+        for s in order {
+            for (stream, tuple) in logs[s].drain_dest(dead as u32).unwrap_or_default() {
+                let routed = self.x.router.lock().route(stream, &tuple);
+                let dest = match routed {
+                    Ok(d) if live.contains(&(d as usize)) => d as usize,
+                    _ => fallback,
+                };
+                replayed += 1;
+                // Re-record under the new owner, but send no checkpoint
+                // markers from here: a coordinator-sent marker could
+                // close a window whose tail is still staged unsent at
+                // the producer, acknowledging tuples that were never
+                // delivered. The producers' per-attempt forced
+                // checkpoints close these windows instead, and
+                // retransmissions of already-replayed tuples collapse in
+                // the consumers' dedup filter.
+                let _ = logs[s].record_replayed(dest as u32, (stream, tuple.clone()));
+                t.redeliver(dest, (stream, s, tuple), false);
+            }
+        }
+        replayed
+    }
+}

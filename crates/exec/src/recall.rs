@@ -1,58 +1,26 @@
-//! The drain-barrier recall protocol for retrospective (R1) responses
-//! on the threaded substrate.
+//! The real-thread half of the recall protocol: the gate producers park
+//! behind, and the wall-clock transport both executors hand to the
+//! protocol core's coordinator (`protocol/coordinator.rs`, which owns
+//! the pause → drain → swap → migrate → resume sequence itself).
 //!
 //! The simulator realises R1 by editing its virtual-time event queue; on
-//! real threads the same effect needs a coordination protocol. The
-//! adaptivity thread acts as the recall coordinator:
-//!
-//! 1. **Pause.** It raises [`RecallGate::begin_pause`]; every producer
-//!    parks at its next [`RecallGate::pause_point`] (between tuples, or
-//!    just before its final flush). Once all *active* producers are
-//!    parked no new tuples can enter the exchange channels.
-//! 2. **Drain.** It broadcasts a `Drain` marker to every consumer. The
-//!    channels are FIFO, so the marker arrives after every tuple sent
-//!    before the pause; a consumer replying `Drained` has processed (or
-//!    shelved) everything addressed to it under the old distribution.
-//! 3. **Swap.** With the exchange quiescent it swaps the routing table
-//!    under the router lock and computes which hash buckets each old
-//!    owner must surrender.
-//! 4. **Migrate.** It sends each consumer a `Migrate` command; consumers
-//!    extract the surrendered bucket state, re-route it (and any held
-//!    probe tuples) directly to the new owners, retire the corresponding
-//!    recovery-log entries, and reply `MigrateDone`.
-//! 5. **Resume.** It bumps the gate epoch and releases the producers,
-//!    which notice the epoch change and restage their unsent buffers
-//!    under the new distribution before continuing.
+//! real threads the pause is [`RecallGate::begin_pause`] — every
+//! producer parks at its next [`RecallGate::pause_point`] (between
+//! tuples, in each retry-backoff slice, or just before its final flush)
+//! — and the resume bumps the gate epoch, which the producers notice and
+//! answer by restaging their unsent buffers.
 //!
 //! The gate uses a plain `std` mutex/condvar pair (not the workspace's
 //! poison-recovering wrapper) because the coordinator must keep working
 //! even if a producer panics while parked; every acquisition recovers
 //! from poisoning explicitly.
 
+use std::sync::mpsc::Receiver;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Control-plane replies from consumers to the recall coordinator.
-/// `token` identifies the recall attempt, so replies from an aborted
-/// attempt cannot satisfy a later barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Ctrl {
-    /// The consumer has observed the `Drain` marker: every tuple sent to
-    /// it before the pause has been processed or shelved.
-    Drained {
-        /// Recall attempt the reply belongs to.
-        token: u64,
-    },
-    /// The consumer finished migrating its surrendered state.
-    MigrateDone {
-        /// Recall attempt the reply belongs to.
-        token: u64,
-        /// Operator-state tuples shipped to new owners.
-        state_moved: u64,
-        /// Held (not yet processed) tuples re-routed to new owners.
-        recalled: u64,
-    },
-}
+use crate::protocol::coordinator::{MigrateCmd, RecallReply, RecallTransport};
+use crate::protocol::Routed;
 
 #[derive(Debug)]
 struct GateState {
@@ -180,6 +148,90 @@ impl ProducerGuard {
 impl Drop for ProducerGuard {
     fn drop(&mut self) {
         self.gate.producer_done();
+    }
+}
+
+/// How a driver reaches its workers during a recall: the part of
+/// [`RecallTransport`] the two executors do differently.
+pub(crate) trait WorkerCommands {
+    /// Sends the drain barrier, ordered behind every block staged for
+    /// `worker`. Returns whether the worker is still reachable.
+    fn drain(&mut self, worker: usize, token: u64) -> bool;
+    /// Sends `worker` its `Migrate` command.
+    fn migrate(&mut self, worker: usize, cmd: MigrateCmd);
+    /// Re-delivers a tuple to `dest` outside the data plane.
+    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool);
+}
+
+/// The coordinator's transport on real threads: the gate, a reply
+/// channel read against a wall-clock deadline, and the executor's way of
+/// commanding workers.
+pub(crate) struct GateTransport<'a, W> {
+    gate: &'a RecallGate,
+    /// How long to wait for the producers to park and for each round of
+    /// replies.
+    timeout: Duration,
+    replies: &'a Receiver<RecallReply>,
+    deadline: Instant,
+    workers: W,
+}
+
+impl<'a, W> GateTransport<'a, W> {
+    pub(crate) fn new(
+        gate: &'a RecallGate,
+        timeout: Duration,
+        replies: &'a Receiver<RecallReply>,
+        workers: W,
+    ) -> Self {
+        GateTransport {
+            gate,
+            timeout,
+            replies,
+            deadline: Instant::now(),
+            workers,
+        }
+    }
+}
+
+impl<W: WorkerCommands> RecallTransport for GateTransport<'_, W> {
+    fn pause(&mut self) -> Option<usize> {
+        self.gate.begin_pause(self.timeout)
+    }
+
+    fn abort_pause(&mut self) {
+        self.gate.abort_pause();
+    }
+
+    fn epoch(&self) -> u64 {
+        self.gate.epoch()
+    }
+
+    fn resume(&mut self, epoch: u64) {
+        self.gate.resume(epoch);
+    }
+
+    fn drain(&mut self, worker: usize, token: u64) -> bool {
+        self.workers.drain(worker, token)
+    }
+
+    fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
+        self.workers.migrate(worker, cmd);
+    }
+
+    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool) {
+        self.workers.redeliver(dest, entry, reinsert);
+    }
+
+    fn arm_deadline(&mut self) {
+        self.deadline = Instant::now() + self.timeout;
+    }
+
+    fn next_reply(&mut self) -> Option<RecallReply> {
+        let now = Instant::now();
+        if now >= self.deadline {
+            return None;
+        }
+        self.replies.recv_timeout(self.deadline - now).ok()
     }
 }
 

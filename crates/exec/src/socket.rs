@@ -5,14 +5,16 @@
 //! the threaded executor proves it against the wall clock inside one
 //! address space; this module proves it across an actual network edge.
 //! One coordinator process hosts the producers, the shared exchange
-//! [`Router`], the recovery logs, and the scripted adaptation driver;
-//! `N` evaluator workers — in-process threads or spawned `gridq-node`
+//! router, the recovery logs, and the scripted adaptation driver; `N`
+//! evaluator workers — in-process threads or spawned `gridq-node`
 //! processes — connect back over loopback TCP or Unix domain sockets
-//! and speak the `gridq-net` frame protocol. Everything the threaded
-//! executor guarantees (at-least-once delivery with consumer dedup,
-//! checkpointed recovery logs, retry/backoff retransmission, the
-//! drain–migrate–resume recall) holds here with the mpsc channels
-//! replaced by length-prefixed frames on a byte stream.
+//! and speak the `gridq-net` frame protocol. This file is a *driver* of
+//! the crate's private `protocol` module, exactly as the threaded
+//! executor is: at-least-once delivery with consumer dedup, checkpointed
+//! recovery logs, retry/backoff retransmission and the
+//! drain–migrate–resume recall are that module's, shared, not ported.
+//! What lives here is what sockets need: payload codecs, links, writer
+//! and reader threads, worker launch and teardown.
 //!
 //! Topology is a star: workers connect to the coordinator's listener
 //! and identify themselves with a `Hello` carrying their index and the
@@ -28,12 +30,12 @@
 //! never reorder delivery.
 //!
 //! The worker side is deliberately single-threaded: read frames, apply
-//! link dedup, evaluate tuples, stamp replies into the link outbox, and
-//! write them best-effort — a failed write never aborts frame
-//! processing, because the outbox retransmits everything the
-//! coordinator has not acknowledged once the worker reconnects.
+//! link dedup, feed the protocol consumer, stamp its outputs into the
+//! link outbox, and write them best-effort — a failed write never
+//! aborts frame processing, because the outbox retransmits everything
+//! the coordinator has not acknowledged once the worker reconnects.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -43,14 +45,14 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use gridq_common::sync::ring::{ring, RingReceiver, RingSender};
+use gridq_common::sync::ring::{RingReceiver, RingSender};
 use gridq_common::sync::Mutex;
 use gridq_common::wire::{self, put_varint, Reader};
 use gridq_common::{
-    ChaosHook, DataType, DistributionVector, Field, GridError, NetAction, NodeId, RecallPhase,
-    Result, Schema, StallSite, Tuple, Value,
+    ChaosHook, DataType, DistributionVector, Field, GridError, NodeId, RecallPhase, Result, Schema,
+    Tuple, Value,
 };
-use gridq_engine::distributed::{DistributedPlan, Router};
+use gridq_engine::distributed::DistributedPlan;
 use gridq_engine::evaluator::{
     EvaluatorFactory, HashJoinFactory, PartitionEvaluator, ServiceCallFactory, StreamTag,
 };
@@ -63,10 +65,16 @@ use gridq_net::link::{self, LinkState, Receive};
 use gridq_net::{Addr, Decoder, Frame, Listener, Stream};
 use gridq_recovery::{Checkpoint, LogAudit, SharedRecoveryLog};
 
-use crate::dedup::DedupFilter;
-use crate::failover::RetryBackoff;
-use crate::recall::{ProducerGuard, RecallGate};
-use crate::{perturbed, spin_for, DeliveryGap, RetryPolicy, SharedLogs, Staged};
+use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
+use crate::protocol::coordinator::{
+    Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget,
+};
+use crate::protocol::producer::{BlockSink, Producer, ProducerSpec};
+use crate::protocol::{
+    collapse_duplicate_results, sane_ms, validate_knobs, Block, Exchange, Routed, Staged,
+};
+use crate::recall::{GateTransport, RecallGate, WorkerCommands};
+use crate::{run_producer, spin_for, DeliveryGap, RetryPolicy};
 
 /// Application-level message tags, the first payload byte of every
 /// sequenced (`kind::MSG`) frame.
@@ -108,6 +116,10 @@ mod tag {
     /// routed it back to the worker that extracted it).
     pub const REINSERT: u8 = 14;
 }
+
+// ---------------------------------------------------------------------------
+// Payload codecs. Each message's encoder and decoder sit side by side.
+// ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
 // Payload codecs.
@@ -171,7 +183,7 @@ fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
 
 fn get_schema(r: &mut Reader<'_>) -> Result<Schema> {
     let n = r.varint()? as usize;
-    let mut fields = Vec::with_capacity(n);
+    let mut fields = Vec::with_capacity(n.min(PREALLOC_CAP));
     for _ in 0..n {
         let name = get_str(r)?;
         let dt = match r.u8()? {
@@ -190,34 +202,243 @@ fn get_schema(r: &mut Reader<'_>) -> Result<Schema> {
     Ok(Schema::new(fields))
 }
 
-fn enc_data(source: usize, retransmit: bool, items: &[Staged]) -> Vec<u8> {
-    let mut out = vec![tag::DATA];
-    put_varint(&mut out, source as u64);
-    out.push(u8::from(retransmit));
-    put_varint(&mut out, items.len() as u64);
-    for item in items {
-        match item {
-            Staged::Tuple(stream, tuple) => {
-                out.push(0);
-                put_stream(&mut out, *stream);
-                wire::put_tuple(&mut out, tuple);
+/// Largest element count a decoder pre-allocates for: a flipped length
+/// byte must not be able to demand gigabytes.
+const PREALLOC_CAP: usize = 1 << 16;
+
+fn get_u32(r: &mut Reader<'_>, what: &str) -> Result<u32> {
+    u32::try_from(r.varint()?).map_err(|_| GridError::Execution(format!("socket: {what} overflow")))
+}
+
+fn put_routed(out: &mut Vec<u8>, (stream, source, tuple): &Routed) {
+    put_stream(out, *stream);
+    put_varint(out, *source as u64);
+    wire::put_tuple(out, tuple);
+}
+
+fn get_routed(r: &mut Reader<'_>) -> Result<Routed> {
+    let stream = get_stream(r)?;
+    let source = r.varint()? as usize;
+    Ok((stream, source, wire::get_tuple(r)?))
+}
+
+/// Every application-level message, one variant per [`tag`]. The first
+/// payload byte is the tag; `encode` and `decode` are each other's
+/// inverse, arm for arm.
+enum WireMsg {
+    Config(Box<WireConfig>),
+    Data(Block),
+    Eos {
+        stream: StreamTag,
+        source: usize,
+    },
+    Drain {
+        token: u64,
+    },
+    Migrate(MigrateCmd),
+    Migrated(Routed),
+    Results(Vec<Tuple>),
+    Ack {
+        source: usize,
+        cp: Checkpoint,
+        epoch: u64,
+    },
+    Drained {
+        token: u64,
+    },
+    StateOut(Vec<Routed>),
+    MigrateDone {
+        token: u64,
+    },
+    Done {
+        processed: u64,
+        dedup_peak: u64,
+    },
+    Stray(Routed),
+    Shutdown,
+    Reinsert(Routed),
+}
+
+impl WireMsg {
+    fn encode(&self) -> Vec<u8> {
+        let tagged = |t: u8| vec![t];
+        match self {
+            WireMsg::Config(cfg) => cfg.encode(),
+            WireMsg::Data(block) => {
+                let mut out = tagged(tag::DATA);
+                put_varint(&mut out, block.source as u64);
+                out.push(u8::from(block.retransmit));
+                put_varint(&mut out, block.items.len() as u64);
+                for item in &block.items {
+                    match item {
+                        Staged::Tuple(stream, tuple) => {
+                            out.push(0);
+                            put_stream(&mut out, *stream);
+                            wire::put_tuple(&mut out, tuple);
+                        }
+                        Staged::Marker(cp, epoch) => {
+                            out.push(1);
+                            put_varint(&mut out, u64::from(cp.dest));
+                            put_varint(&mut out, cp.id);
+                            put_varint(&mut out, *epoch);
+                        }
+                    }
+                }
+                out
             }
-            Staged::Marker(cp, epoch) => {
-                out.push(1);
+            WireMsg::Eos { stream, source } => {
+                let mut out = tagged(tag::EOS);
+                put_stream(&mut out, *stream);
+                put_varint(&mut out, *source as u64);
+                out
+            }
+            WireMsg::Drain { token } => enc_token(tag::DRAIN, *token),
+            WireMsg::Drained { token } => enc_token(tag::DRAINED, *token),
+            WireMsg::MigrateDone { token } => enc_token(tag::MIGRATE_DONE, *token),
+            WireMsg::Migrate(cmd) => {
+                let mut out = tagged(tag::MIGRATE);
+                put_varint(&mut out, cmd.token);
+                put_varint(&mut out, cmd.bucket_count.map_or(0, |b| u64::from(b) + 1));
+                put_varint(&mut out, cmd.outgoing.len() as u64);
+                for b in &cmd.outgoing {
+                    put_varint(&mut out, u64::from(*b));
+                }
+                out
+            }
+            WireMsg::Migrated(e) => enc_routed(tag::MIGRATED, e),
+            WireMsg::Stray(e) => enc_routed(tag::STRAY, e),
+            WireMsg::Reinsert(e) => enc_routed(tag::REINSERT, e),
+            WireMsg::Results(tuples) => {
+                let mut out = tagged(tag::RESULTS);
+                wire::put_tuples(&mut out, tuples);
+                out
+            }
+            WireMsg::Ack { source, cp, epoch } => {
+                let mut out = tagged(tag::ACK);
+                put_varint(&mut out, *source as u64);
                 put_varint(&mut out, u64::from(cp.dest));
                 put_varint(&mut out, cp.id);
                 put_varint(&mut out, *epoch);
+                out
             }
+            WireMsg::StateOut(entries) => {
+                let mut out = tagged(tag::STATE_OUT);
+                put_varint(&mut out, entries.len() as u64);
+                for e in entries {
+                    put_routed(&mut out, e);
+                }
+                out
+            }
+            WireMsg::Done {
+                processed,
+                dedup_peak,
+            } => {
+                let mut out = tagged(tag::DONE);
+                put_varint(&mut out, *processed);
+                put_varint(&mut out, *dedup_peak);
+                out
+            }
+            WireMsg::Shutdown => tagged(tag::SHUTDOWN),
         }
     }
-    out
-}
 
-fn enc_eos(stream: StreamTag, source: usize) -> Vec<u8> {
-    let mut out = vec![tag::EOS];
-    put_stream(&mut out, stream);
-    put_varint(&mut out, source as u64);
-    out
+    /// Decodes one payload. Bytes come from another process: anything
+    /// malformed is an `Err`, never a panic, and no length field is
+    /// trusted for more than [`PREALLOC_CAP`] elements up front.
+    fn decode(payload: &[u8]) -> Result<WireMsg> {
+        let mut r = Reader::new(payload);
+        let r = &mut r;
+        Ok(match r.u8()? {
+            tag::CONFIG => WireMsg::Config(Box::new(WireConfig::decode(r)?)),
+            tag::DATA => {
+                let source = r.varint()? as usize;
+                let retransmit = r.u8()? != 0;
+                let count = r.varint()? as usize;
+                let mut items: Vec<Staged> = Vec::with_capacity(count.min(PREALLOC_CAP));
+                for _ in 0..count {
+                    items.push(match r.u8()? {
+                        0 => {
+                            let stream = get_stream(r)?;
+                            Staged::Tuple(stream, wire::get_tuple(r)?)
+                        }
+                        1 => {
+                            let dest = get_u32(r, "marker dest")?;
+                            let id = r.varint()?;
+                            Staged::Marker(Checkpoint { dest, id }, r.varint()?)
+                        }
+                        other => {
+                            return Err(GridError::Execution(format!(
+                                "socket: unknown staged item kind {other}"
+                            )))
+                        }
+                    });
+                }
+                WireMsg::Data(Block {
+                    source,
+                    items,
+                    retransmit,
+                })
+            }
+            tag::EOS => WireMsg::Eos {
+                stream: get_stream(r)?,
+                source: r.varint()? as usize,
+            },
+            tag::DRAIN => WireMsg::Drain { token: r.varint()? },
+            tag::DRAINED => WireMsg::Drained { token: r.varint()? },
+            tag::MIGRATE_DONE => WireMsg::MigrateDone { token: r.varint()? },
+            tag::MIGRATE => {
+                let token = r.varint()?;
+                let bucket_count = match r.varint()? {
+                    0 => None,
+                    b => Some(u32::try_from(b - 1).map_err(|_| {
+                        GridError::Execution("socket: bucket count overflow".into())
+                    })?),
+                };
+                let n = r.varint()? as usize;
+                let mut outgoing = Vec::with_capacity(n.min(PREALLOC_CAP));
+                for _ in 0..n {
+                    outgoing.push(get_u32(r, "bucket index")?);
+                }
+                WireMsg::Migrate(MigrateCmd {
+                    token,
+                    bucket_count,
+                    outgoing,
+                })
+            }
+            tag::MIGRATED => WireMsg::Migrated(get_routed(r)?),
+            tag::STRAY => WireMsg::Stray(get_routed(r)?),
+            tag::REINSERT => WireMsg::Reinsert(get_routed(r)?),
+            tag::RESULTS => WireMsg::Results(wire::get_tuples(r)?),
+            tag::ACK => {
+                let source = r.varint()? as usize;
+                let dest = get_u32(r, "ack dest")?;
+                let id = r.varint()?;
+                WireMsg::Ack {
+                    source,
+                    cp: Checkpoint { dest, id },
+                    epoch: r.varint()?,
+                }
+            }
+            tag::STATE_OUT => {
+                let n = r.varint()? as usize;
+                let mut entries = Vec::with_capacity(n.min(PREALLOC_CAP));
+                for _ in 0..n {
+                    entries.push(get_routed(r)?);
+                }
+                WireMsg::StateOut(entries)
+            }
+            tag::DONE => WireMsg::Done {
+                processed: r.varint()?,
+                dedup_peak: r.varint()?,
+            },
+            tag::SHUTDOWN => WireMsg::Shutdown,
+            other => {
+                return Err(GridError::Execution(format!(
+                    "socket: unknown frame tag {other}"
+                )))
+            }
+        })
+    }
 }
 
 fn enc_token(t: u8, token: u64) -> Vec<u8> {
@@ -226,65 +447,85 @@ fn enc_token(t: u8, token: u64) -> Vec<u8> {
     out
 }
 
-fn enc_migrate(token: u64, bucket_count: Option<u32>, outgoing: &[u32]) -> Vec<u8> {
-    let mut out = vec![tag::MIGRATE];
-    put_varint(&mut out, token);
-    put_varint(&mut out, bucket_count.map_or(0, |b| u64::from(b) + 1));
-    put_varint(&mut out, outgoing.len() as u64);
-    for b in outgoing {
-        put_varint(&mut out, u64::from(*b));
-    }
-    out
-}
-
-/// Encodes `MIGRATED`, `STRAY`, and `REINSERT` payloads: one routed
-/// tuple with its stream and originating source.
-fn enc_forward(t: u8, stream: StreamTag, source: usize, tuple: &Tuple) -> Vec<u8> {
+fn enc_routed(t: u8, entry: &Routed) -> Vec<u8> {
     let mut out = vec![t];
-    put_stream(&mut out, stream);
-    put_varint(&mut out, source as u64);
-    wire::put_tuple(&mut out, tuple);
+    put_routed(&mut out, entry);
     out
 }
 
-fn dec_forward(r: &mut Reader<'_>) -> Result<(StreamTag, usize, Tuple)> {
-    let stream = get_stream(r)?;
-    let source = r.varint()? as usize;
-    let tuple = wire::get_tuple(r)?;
-    Ok((stream, source, tuple))
+// ---------------------------------------------------------------------------
+// The CONFIG payload: everything a worker needs before the first block.
+// ---------------------------------------------------------------------------
+
+/// The static per-worker configuration, sent as the first sequenced
+/// frame on every worker's link (command FIFO guarantees it precedes all
+/// data). Carried by value across the process boundary so a spawned
+/// `gridq-node` needs nothing but its command line and this frame.
+struct WireConfig {
+    /// The protocol consumer's description; its perturbation travels in
+    /// linear form so the worker needs no `Perturbation` enum.
+    spec: ConsumerSpec,
+    cost_scale: f64,
+    /// Pre-read stall injected by `slow_peer` chaos, resolved on the
+    /// coordinator so spawned processes need no chaos hook of their own.
+    read_stall_ms: f64,
+    stage: WireStageSpec,
 }
 
-fn enc_results(tuples: &[Tuple]) -> Vec<u8> {
-    let mut out = vec![tag::RESULTS];
-    wire::put_tuples(&mut out, tuples);
-    out
-}
-
-fn enc_ack(source: usize, cp: Checkpoint, epoch: u64) -> Vec<u8> {
-    let mut out = vec![tag::ACK];
-    put_varint(&mut out, source as u64);
-    put_varint(&mut out, u64::from(cp.dest));
-    put_varint(&mut out, cp.id);
-    put_varint(&mut out, epoch);
-    out
-}
-
-fn enc_state_out(entries: &[(StreamTag, usize, Tuple)]) -> Vec<u8> {
-    let mut out = vec![tag::STATE_OUT];
-    put_varint(&mut out, entries.len() as u64);
-    for (stream, source, tuple) in entries {
-        put_stream(&mut out, *stream);
-        put_varint(&mut out, *source as u64);
-        wire::put_tuple(&mut out, tuple);
+impl WireConfig {
+    fn encode(&self) -> Vec<u8> {
+        let s = &self.spec;
+        let mut out = vec![tag::CONFIG];
+        put_varint(&mut out, s.index as u64);
+        out.push(u8::from(s.resilient));
+        out.push(u8::from(s.logging));
+        out.push(u8::from(s.hash_routing));
+        put_f64(&mut out, self.cost_scale);
+        put_f64(&mut out, s.receive_cost_ms);
+        put_f64(&mut out, self.read_stall_ms);
+        put_f64(&mut out, s.cost_factor);
+        put_f64(&mut out, s.cost_extra_ms);
+        put_varint(&mut out, s.eos_needed as u64);
+        put_varint(&mut out, s.build_eos_needed as u64);
+        put_varint(&mut out, s.build_source.map_or(0, |b| b as u64 + 1));
+        self.stage.encode(&mut out);
+        out
     }
-    out
-}
 
-fn enc_done(processed: u64, dedup_peak: u64) -> Vec<u8> {
-    let mut out = vec![tag::DONE];
-    put_varint(&mut out, processed);
-    put_varint(&mut out, dedup_peak);
-    out
+    fn decode(r: &mut Reader<'_>) -> Result<WireConfig> {
+        let index = r.varint()? as usize;
+        let resilient = r.u8()? != 0;
+        let logging = r.u8()? != 0;
+        let hash_routing = r.u8()? != 0;
+        let cost_scale = get_f64(r)?;
+        let receive_cost_ms = get_f64(r)?;
+        let read_stall_ms = get_f64(r)?;
+        let cost_factor = get_f64(r)?;
+        let cost_extra_ms = get_f64(r)?;
+        let eos_needed = r.varint()? as usize;
+        let build_eos_needed = r.varint()? as usize;
+        let build_source = match r.varint()? {
+            0 => None,
+            b => Some((b - 1) as usize),
+        };
+        Ok(WireConfig {
+            spec: ConsumerSpec {
+                index,
+                resilient,
+                logging,
+                hash_routing,
+                receive_cost_ms,
+                cost_factor,
+                cost_extra_ms,
+                eos_needed,
+                build_eos_needed,
+                build_source,
+            },
+            cost_scale,
+            read_stall_ms,
+            stage: WireStageSpec::decode(r)?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -417,7 +658,7 @@ impl WireStageSpec {
                 let service = get_str(r)?;
                 let service_cost_ms = get_f64(r)?;
                 let n = r.varint()? as usize;
-                let mut arg_cols = Vec::with_capacity(n);
+                let mut arg_cols = Vec::with_capacity(n.min(PREALLOC_CAP));
                 for _ in 0..n {
                     arg_cols.push(r.varint()? as usize);
                 }
@@ -598,45 +839,16 @@ impl SocketConfig {
 
     /// Rejects configurations that would hang or corrupt a run.
     pub fn validate(&self) -> Result<()> {
-        if !self.cost_scale.is_finite() || self.cost_scale <= 0.0 {
-            return Err(GridError::Config(format!(
-                "cost_scale must be finite and positive, got {}",
-                self.cost_scale
-            )));
-        }
-        if !self.receive_cost_ms.is_finite() || self.receive_cost_ms < 0.0 {
-            return Err(GridError::Config(format!(
-                "receive_cost_ms must be finite and non-negative, got {}",
-                self.receive_cost_ms
-            )));
-        }
-        if self.checkpoint_interval == 0 {
-            return Err(GridError::Config(
-                "checkpoint_interval must be positive".into(),
-            ));
-        }
-        if self.recall_timeout_ms == 0 {
-            return Err(GridError::Config(
-                "recall_timeout_ms must be positive".into(),
-            ));
-        }
+        validate_knobs(
+            self.cost_scale,
+            self.receive_cost_ms,
+            self.checkpoint_interval,
+            self.recall_timeout_ms,
+        )?;
         self.delivery_retry.validate()?;
         for a in &self.adaptations {
-            if a.weights.is_empty() {
-                return Err(GridError::Config(
-                    "scripted adaptation has no weights".into(),
-                ));
-            }
-            if a.weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-                return Err(GridError::Config(
-                    "scripted adaptation weights must be finite and non-negative".into(),
-                ));
-            }
-            if a.weights.iter().sum::<f64>() <= 0.0 {
-                return Err(GridError::Config(
-                    "scripted adaptation weights must have positive sum".into(),
-                ));
-            }
+            DistributionVector::new(&a.weights)
+                .map_err(|e| GridError::Config(format!("scripted adaptation: {e}")))?;
         }
         Ok(())
     }
@@ -885,157 +1097,77 @@ enum Event {
     },
 }
 
-/// Recall-protocol replies routed to the scripted-adaptation driver.
-enum Reply {
-    Drained {
-        token: u64,
-    },
-    MigrateDone {
-        token: u64,
-    },
-    StateOut {
-        worker: usize,
-        entries: Vec<(StreamTag, usize, Tuple)>,
-    },
-}
-
 /// Everything a reader thread needs to dispatch worker frames. Cloned
-/// per connection life; the `link` is shared with the worker's writer
-/// and with successor readers, so frame processing under its lock is
-/// totally ordered across reconnections.
+/// per connection life; each worker's link is shared with its writer and
+/// with successor readers, so frame processing under its lock is totally
+/// ordered across reconnections.
 #[derive(Clone)]
 struct ReaderCtx {
-    worker: usize,
-    link: Arc<Mutex<LinkState>>,
-    logs: Option<SharedLogs>,
-    router: Arc<Mutex<Router>>,
-    chaos: Option<Arc<dyn ChaosHook>>,
+    links: Vec<Arc<Mutex<LinkState>>>,
+    x: Exchange,
     writers: Vec<Sender<WCtl>>,
     events: Sender<Event>,
-    replies: Sender<Reply>,
+    replies: Sender<RecallReply>,
     shutdown: Arc<AtomicBool>,
     scale: f64,
 }
 
-/// Dispatches one fresh application payload from worker `ctx.worker`.
+/// Dispatches one fresh application payload from `worker`.
 /// Called with the link lock held, which orders dispatch across
 /// reconnections; the lock order is strictly link -> router/logs, and
 /// no thread takes them in the other order.
-fn dispatch(ctx: &ReaderCtx, payload: &[u8]) -> Result<()> {
-    let mut r = Reader::new(payload);
-    match r.u8()? {
-        tag::RESULTS => {
-            let tuples = wire::get_tuples(&mut r)?;
+fn dispatch(ctx: &ReaderCtx, worker: usize, payload: &[u8]) -> Result<()> {
+    match WireMsg::decode(payload)? {
+        WireMsg::Results(tuples) => {
             let _ = ctx.events.send(Event::Results(tuples));
         }
-        tag::ACK => {
-            let source = r.varint()? as usize;
-            let dest = u32::try_from(r.varint()?)
-                .map_err(|_| GridError::Execution("socket: ack dest overflow".into()))?;
-            let id = r.varint()?;
-            let epoch = r.varint()?;
-            if let Some(logs) = &ctx.logs {
-                if source < logs.len() {
-                    match ctx
-                        .chaos
-                        .as_ref()
-                        .map_or(NetAction::Deliver, |c| c.on_ack(source, ctx.worker))
-                    {
-                        NetAction::Drop => {}
-                        NetAction::Duplicate => {
-                            let _ = logs[source].acknowledge(dest, id, epoch);
-                            let _ = logs[source].acknowledge(dest, id, epoch);
-                        }
-                        NetAction::DelayMs(extra) => {
-                            if extra.is_finite() && extra > 0.0 {
-                                spin_for(extra, ctx.scale);
-                            }
-                            let _ = logs[source].acknowledge(dest, id, epoch);
-                        }
-                        NetAction::Deliver => {
-                            let _ = logs[source].acknowledge(dest, id, epoch);
-                        }
-                    }
-                }
+        WireMsg::Ack { source, cp, epoch } => {
+            let pay = |ms| spin_for(ms, ctx.scale);
+            let _ = ctx.x.acknowledge(source, worker, cp, epoch, pay);
+        }
+        // A swallowed reply models a worker crashed mid-recall: the
+        // driver's barrier times out and the recall aborts pre-swap.
+        WireMsg::Drained { token } => {
+            if ctx.x.reply_survives(RecallPhase::Drain, worker) {
+                let _ = ctx.replies.send(RecallReply::Drained { token });
             }
         }
-        tag::DRAINED => {
-            let token = r.varint()?;
-            // A swallowed reply models a worker crashed mid-recall: the
-            // driver's barrier times out and the recall aborts pre-swap.
-            if ctx
-                .chaos
-                .as_ref()
-                .is_none_or(|c| c.on_recall_ctrl(RecallPhase::Drain, ctx.worker))
-            {
-                let _ = ctx.replies.send(Reply::Drained { token });
+        WireMsg::MigrateDone { token } => {
+            if ctx.x.reply_survives(RecallPhase::Migrate, worker) {
+                let _ = ctx.replies.send(RecallReply::MigrateDone {
+                    token,
+                    state_moved: 0,
+                    recalled: 0,
+                });
             }
         }
-        tag::MIGRATE_DONE => {
-            let token = r.varint()?;
-            if ctx
-                .chaos
-                .as_ref()
-                .is_none_or(|c| c.on_recall_ctrl(RecallPhase::Migrate, ctx.worker))
-            {
-                let _ = ctx.replies.send(Reply::MigrateDone { token });
-            }
+        WireMsg::StateOut(entries) => {
+            let _ = ctx
+                .replies
+                .send(RecallReply::Surrendered { worker, entries });
         }
-        tag::STATE_OUT => {
-            let n = r.varint()? as usize;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let stream = get_stream(&mut r)?;
-                let source = r.varint()? as usize;
-                let tuple = wire::get_tuple(&mut r)?;
-                entries.push((stream, source, tuple));
-            }
-            let _ = ctx.replies.send(Reply::StateOut {
-                worker: ctx.worker,
-                entries,
-            });
-        }
-        tag::STRAY => {
+        WireMsg::Stray((stream, source, tuple)) => {
             // A retransmitted tuple the worker cannot verify ownership
-            // of. Route it under the live distribution; the log entry
-            // follows its tuple so a later crash still finds it
-            // replayable at the owner.
-            let (stream, source, tuple) = dec_forward(&mut r)?;
-            let owner = {
-                let mut router = ctx.router.lock();
-                router.route(stream, &tuple).unwrap_or(ctx.worker as u32)
-            } as usize;
-            if owner != ctx.worker {
-                if let Some(logs) = &ctx.logs {
-                    if source < logs.len() {
-                        let seq = tuple.seq();
-                        let _ = logs[source].migrate_matching(
-                            ctx.worker as u32,
-                            owner as u32,
-                            |(s, t)| *s == stream && t.seq() == seq,
-                        );
-                    }
-                }
-            }
-            let _ = ctx.writers[owner].send(WCtl::Msg(enc_forward(
-                tag::MIGRATED,
-                stream,
-                source,
-                &tuple,
-            )));
+            // of (it has no router): the shared re-route routine finds
+            // the current owner, the log entry following the tuple.
+            let owner = ctx.x.reroute_stray(worker, stream, source, &tuple);
+            let msg = WireMsg::Migrated((stream, source, tuple));
+            let _ = ctx.writers[owner].send(WCtl::Msg(msg.encode()));
         }
-        tag::DONE => {
-            let processed = r.varint()?;
-            let dedup_peak = r.varint()?;
+        WireMsg::Done {
+            processed,
+            dedup_peak,
+        } => {
             let _ = ctx.events.send(Event::Done {
-                worker: ctx.worker,
+                worker,
                 processed,
                 dedup_peak,
             });
         }
-        other => {
+        _ => {
             return Err(GridError::Execution(format!(
-                "socket: unknown worker frame tag {other}"
+                "socket: unexpected worker frame tag {:?}",
+                payload.first()
             )))
         }
     }
@@ -1046,23 +1178,29 @@ fn dispatch(ctx: &ReaderCtx, payload: &[u8]) -> Result<()> {
 /// dispatch fresh frames under the link lock. Exits on EOF, a socket
 /// error, a framing error, or the shutdown flag; the worker reconnects
 /// and a successor reader takes over with the same link state.
-fn reader_loop(ctx: ReaderCtx, mut conn: Stream, mut dec: Decoder, leftovers: Vec<Frame>) {
-    let process = |ctx: &ReaderCtx, frames: &[Frame]| -> bool {
+fn reader_loop(
+    ctx: ReaderCtx,
+    worker: usize,
+    mut conn: Stream,
+    mut dec: Decoder,
+    leftovers: Vec<Frame>,
+) {
+    let process = |frames: &[Frame]| -> bool {
         if frames.is_empty() {
             return true;
         }
-        let mut link = ctx.link.lock();
+        let mut link = ctx.links[worker].lock();
         for f in frames {
-            if link.on_receive(f) == Receive::Fresh && dispatch(ctx, &f.payload).is_err() {
+            if link.on_receive(f) == Receive::Fresh && dispatch(&ctx, worker, &f.payload).is_err() {
                 return false;
             }
         }
         if link.owes_ack() {
-            let _ = ctx.writers[ctx.worker].send(WCtl::AckNow);
+            let _ = ctx.writers[worker].send(WCtl::AckNow);
         }
         true
     };
-    if !process(&ctx, &leftovers) {
+    if !process(&leftovers) {
         return;
     }
     let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
@@ -1086,92 +1224,92 @@ fn reader_loop(ctx: ReaderCtx, mut conn: Stream, mut dec: Decoder, leftovers: Ve
             Ok(f) => f,
             Err(_) => return,
         };
-        if !process(&ctx, &frames) {
+        if !process(&frames) {
             return;
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// The CONFIG payload: everything a worker needs before the first block.
-// ---------------------------------------------------------------------------
-
-/// The static per-worker configuration, sent as the first sequenced
-/// frame on every worker's link (command FIFO guarantees it precedes all
-/// data). Carried by value across the process boundary so a spawned
-/// `gridq-node` needs nothing but its command line and this frame.
-struct WireConfig {
-    worker: usize,
-    resilient: bool,
-    logging: bool,
-    hash_routing: bool,
-    cost_scale: f64,
-    receive_cost_ms: f64,
-    /// Pre-read stall injected by `slow_peer` chaos, resolved on the
-    /// coordinator so spawned processes need no chaos hook of their own.
-    read_stall_ms: f64,
-    /// Perturbation resolved to a linear form (`base * factor + extra`):
-    /// every [`Perturbation`] variant is linear in the base cost, so the
-    /// worker reproduces `perturbed()` exactly without carrying the enum.
-    cost_factor: f64,
-    cost_extra_ms: f64,
-    eos_needed: usize,
-    build_eos_needed: usize,
-    build_source: Option<usize>,
-    stage: WireStageSpec,
-}
-
-impl WireConfig {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = vec![tag::CONFIG];
-        put_varint(&mut out, self.worker as u64);
-        out.push(u8::from(self.resilient));
-        out.push(u8::from(self.logging));
-        out.push(u8::from(self.hash_routing));
-        put_f64(&mut out, self.cost_scale);
-        put_f64(&mut out, self.receive_cost_ms);
-        put_f64(&mut out, self.read_stall_ms);
-        put_f64(&mut out, self.cost_factor);
-        put_f64(&mut out, self.cost_extra_ms);
-        put_varint(&mut out, self.eos_needed as u64);
-        put_varint(&mut out, self.build_eos_needed as u64);
-        put_varint(&mut out, self.build_source.map_or(0, |b| b as u64 + 1));
-        self.stage.encode(&mut out);
-        out
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<WireConfig> {
-        let worker = r.varint()? as usize;
-        let resilient = r.u8()? != 0;
-        let logging = r.u8()? != 0;
-        let hash_routing = r.u8()? != 0;
-        let cost_scale = get_f64(r)?;
-        let receive_cost_ms = get_f64(r)?;
-        let read_stall_ms = get_f64(r)?;
-        let cost_factor = get_f64(r)?;
-        let cost_extra_ms = get_f64(r)?;
-        let eos_needed = r.varint()? as usize;
-        let build_eos_needed = r.varint()? as usize;
-        let build_source = match r.varint()? {
-            0 => None,
-            b => Some(b as usize - 1),
+/// The accept loop: handshake each connection, hand the stream's read
+/// half to a fresh reader thread and its write half to the worker's
+/// writer, which first retransmits whatever the worker missed.
+fn accept_loop(
+    listener: Listener,
+    ctx: ReaderCtx,
+    reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    reconnects: Arc<AtomicU64>,
+    handshakes: Sender<usize>,
+) {
+    let links = &ctx.links;
+    let mut lives = vec![0u64; links.len()];
+    loop {
+        let conn = match listener.accept() {
+            Ok(c) => c,
+            Err(_) => {
+                if ctx.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                continue;
+            }
         };
-        let stage = WireStageSpec::decode(r)?;
-        Ok(WireConfig {
-            worker,
-            resilient,
-            logging,
-            hash_routing,
-            cost_scale,
-            receive_cost_ms,
-            read_stall_ms,
-            cost_factor,
-            cost_extra_ms,
-            eos_needed,
-            build_eos_needed,
-            build_source,
-            stage,
-        })
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        // Handshake: the first frame must be a Hello naming the worker
+        // and its link high-water mark.
+        let _ = conn.set_read_timeout(Some(Duration::from_millis(250)));
+        let mut dec = Decoder::new();
+        let mut frames: Vec<Frame> = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut conn = conn;
+        while frames.is_empty() && Instant::now() < deadline {
+            let n = match conn.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    continue
+                }
+                Err(_) => break,
+            };
+            match dec.feed(&buf[..n]) {
+                Ok(f) => frames.extend(f),
+                Err(_) => break,
+            }
+        }
+        let Some((index, peer_last)) = frames.first().and_then(link::parse_hello) else {
+            continue;
+        };
+        let index = index as usize;
+        if index >= links.len() {
+            continue;
+        }
+        let leftovers: Vec<Frame> = frames.split_off(1);
+        lives[index] += 1;
+        if lives[index] > 1 {
+            reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        // Tell the worker what we already received so it can retransmit
+        // just the missing suffix.
+        let ack = link::hello_ack(links[index].lock().last_received());
+        if write_frame(&mut conn, &ack).is_err() {
+            continue;
+        }
+        let Ok(read_half) = conn.try_clone() else {
+            continue;
+        };
+        let reader = ctx.clone();
+        reader_handles.lock().push(thread::spawn(move || {
+            reader_loop(reader, index, read_half, dec, leftovers)
+        }));
+        let _ = ctx.writers[index].send(WCtl::Conn {
+            stream: conn,
+            peer_last,
+        });
+        let _ = handshakes.send(index);
     }
 }
 
@@ -1188,269 +1326,132 @@ struct DriverStats {
     recalled: u64,
 }
 
-/// Coordinator-side recall state: routes surrendered worker state under
-/// the post-recall distribution and keeps the recovery-log accounting
-/// the threaded consumer does locally. Workers have no router, so the
-/// routing decisions all happen here.
+/// How the socket coordinator commands workers: frames on each worker's
+/// writer. The drain barrier rides a ring barrier (`WCtl::Barrier`): the
+/// producers are parked, so the writer's ring drain puts the `DRAIN`
+/// frame after everything staged before the pause.
+struct WriterCommands<'a>(&'a [Sender<WCtl>]);
+
+impl WorkerCommands for WriterCommands<'_> {
+    fn drain(&mut self, worker: usize, token: u64) -> bool {
+        let _ = self.0[worker].send(WCtl::Barrier(WireMsg::Drain { token }.encode()));
+        true
+    }
+
+    fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
+        let _ = self.0[worker].send(WCtl::Msg(WireMsg::Migrate(cmd).encode()));
+    }
+
+    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool) {
+        let msg = if reinsert {
+            WireMsg::Reinsert(entry)
+        } else {
+            WireMsg::Migrated(entry)
+        };
+        let _ = self.0[dest].send(WCtl::Msg(msg.encode()));
+    }
+}
+
+/// Everything the scripted-adaptation driver thread owns.
 struct Driver {
-    router: Arc<Mutex<Router>>,
-    logs: Option<SharedLogs>,
+    x: Exchange,
+    /// Sorted by `after_routed`.
+    adaptations: Vec<ScriptedAdaptation>,
+    gate: Option<Arc<RecallGate>>,
     writers: Vec<Sender<WCtl>>,
-    resilient: bool,
-    build_source: Option<usize>,
-    stats: DriverStats,
+    replies: Receiver<RecallReply>,
+    recall_timeout: Duration,
+    producers_live: Arc<AtomicU64>,
+    stop: Arc<AtomicBool>,
 }
 
 impl Driver {
-    /// Routes one worker's `STATE_OUT` batch — migrated operator state
-    /// and recalled held probes — to the new owners, mirroring the
-    /// threaded consumer's `Migrate` handling (upfront retire of moved
-    /// build entries without resilience; entries follow their tuples
-    /// with it).
-    fn route_state_out(&mut self, worker: usize, entries: Vec<(StreamTag, usize, Tuple)>) {
-        if !self.resilient {
-            if let (Some(logs), Some(b)) = (&self.logs, self.build_source) {
-                let moved: HashSet<u64> = entries
-                    .iter()
-                    .filter(|(s, _, _)| *s == StreamTag::Build)
-                    .map(|(_, _, t)| t.seq())
-                    .collect();
-                if !moved.is_empty() {
-                    let _ = logs[b].retire_matching(worker as u32, |(s, t)| {
-                        *s == StreamTag::Build && moved.contains(&t.seq())
-                    });
+    /// Runs the scripted adaptations in `after_routed` order, then keeps
+    /// re-routing late surrendered state until teardown. The
+    /// monitoring/diagnosis loop of the threaded adaptivity thread is
+    /// replaced by the script; the recall itself is the same coordinator.
+    fn run(self) -> DriverStats {
+        let mut stats = DriverStats::default();
+        let live: Vec<usize> = (0..self.writers.len()).collect();
+        // The gate exists exactly when some adaptation is retrospective.
+        let mut recall = self.gate.as_deref().map(|gate| {
+            let transport = GateTransport::new(
+                gate,
+                self.recall_timeout,
+                &self.replies,
+                WriterCommands(&self.writers),
+            );
+            (Coordinator::new(self.x.clone()), transport)
+        });
+        'script: for a in &self.adaptations {
+            // Wait for the routed-tuple threshold; a finished scan
+            // releases the wait too (R2 still applies; R1 aborts at the
+            // gate because no producer can park).
+            loop {
+                if self.stop.load(Ordering::SeqCst) {
+                    break 'script;
                 }
+                if self.x.tallies.routed.load(Ordering::Relaxed) >= a.after_routed
+                    || self.producers_live.load(Ordering::SeqCst) == 0
+                {
+                    break;
+                }
+                thread::sleep(Duration::from_micros(500));
             }
-        }
-        let mut retire: HashMap<usize, HashSet<u64>> = HashMap::new();
-        for (stream, source, tuple) in entries {
-            let dest = {
-                let mut r = self.router.lock();
-                r.route(stream, &tuple).unwrap_or(worker as u32)
-            } as usize;
-            if stream == StreamTag::Probe {
-                // A held probe whose bucket stayed goes straight back
-                // (the worker re-holds it); one that moved is recalled
-                // to its new owner.
-                if dest == worker {
-                    let _ = self.writers[worker].send(WCtl::Msg(enc_forward(
-                        tag::MIGRATED,
-                        stream,
-                        source,
-                        &tuple,
-                    )));
-                    continue;
+            let Ok(dist) = DistributionVector::new(&a.weights) else {
+                continue;
+            };
+            if !a.retrospective {
+                // Prospective (R2): swap the routing table; only future
+                // tuples are affected.
+                if self.x.router.lock().apply_distribution(&dist).is_ok() {
+                    stats.deployed += 1;
                 }
-                if self.resilient {
-                    if let Some(logs) = &self.logs {
-                        if source < logs.len() {
-                            let seq = tuple.seq();
-                            let _ = logs[source].migrate_matching(
-                                worker as u32,
-                                dest as u32,
-                                |(s, t)| *s == StreamTag::Probe && t.seq() == seq,
-                            );
-                        }
-                    }
-                } else {
-                    retire.entry(source).or_default().insert(tuple.seq());
-                }
-                self.stats.recalled += 1;
-                let _ = self.writers[dest].send(WCtl::Msg(enc_forward(
-                    tag::MIGRATED,
-                    stream,
-                    source,
-                    &tuple,
-                )));
-            } else {
-                // Operator state. Outgoing buckets route away by
-                // construction; re-insert defensively (raw, uncounted)
-                // if one does not.
-                self.stats.state_moved += 1;
-                if dest == worker {
-                    let _ = self.writers[worker].send(WCtl::Msg(enc_forward(
-                        tag::REINSERT,
-                        stream,
-                        source,
-                        &tuple,
-                    )));
-                } else {
-                    if self.resilient {
-                        if let (Some(logs), Some(b)) = (&self.logs, self.build_source) {
-                            let seq = tuple.seq();
-                            let _ =
-                                logs[b].migrate_matching(worker as u32, dest as u32, |(s, t)| {
-                                    *s == StreamTag::Build && t.seq() == seq
-                                });
-                        }
-                    }
-                    let _ = self.writers[dest].send(WCtl::Msg(enc_forward(
-                        tag::MIGRATED,
-                        stream,
-                        source,
-                        &tuple,
-                    )));
-                }
+                continue;
             }
-        }
-        if let Some(logs) = &self.logs {
-            for (source, seqs) in retire {
-                if source < logs.len() {
-                    let _ = logs[source].retire_matching(worker as u32, |(s, t)| {
-                        *s == StreamTag::Probe && seqs.contains(&t.seq())
-                    });
-                }
-            }
-        }
-    }
-
-    /// Collects `need` matching barrier replies within `timeout`,
-    /// routing any `STATE_OUT` batches inline (each worker sends its
-    /// state before its `MIGRATE_DONE` on the same FIFO reply channel,
-    /// so barrier completion implies all state was routed).
-    fn collect(
-        &mut self,
-        replies: &Receiver<Reply>,
-        token: u64,
-        need: usize,
-        migrate: bool,
-        timeout: Duration,
-    ) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut got = 0usize;
-        while got < need {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            match replies.recv_timeout(deadline - now) {
-                Ok(Reply::Drained { token: t }) => {
-                    if !migrate && t == token {
-                        got += 1;
+            let Some((coordinator, transport)) = recall.as_mut() else {
+                continue;
+            };
+            match coordinator.recall(RecallTarget::Deploy(dist), &live, transport, |_| {}) {
+                RecallOutcome::Deployed {
+                    state_moved,
+                    recalled,
+                    completed,
+                    ..
+                } => {
+                    stats.deployed += 1;
+                    stats.state_moved += state_moved;
+                    stats.recalled += recalled;
+                    if completed {
+                        stats.recalls_completed += 1;
+                    } else {
+                        stats.recalls_aborted += 1;
                     }
                 }
-                Ok(Reply::MigrateDone { token: t }) => {
-                    if migrate && t == token {
-                        got += 1;
-                    }
-                }
-                Ok(Reply::StateOut { worker, entries }) => {
-                    self.route_state_out(worker, entries);
-                }
-                Err(_) => return false,
+                _ => stats.recalls_aborted += 1,
             }
         }
-        true
-    }
-}
-
-/// Runs the scripted adaptations in `after_routed` order, then drains
-/// stray replies until teardown. Mirrors the threaded adaptivity
-/// thread's recall coordination with the monitoring/diagnosis loop
-/// replaced by the script.
-#[allow(clippy::too_many_arguments)]
-fn run_driver(
-    mut driver: Driver,
-    adaptations: Vec<ScriptedAdaptation>,
-    gate: Option<Arc<RecallGate>>,
-    routed_total: Arc<AtomicU64>,
-    producers_live: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    replies: Receiver<Reply>,
-    recall_timeout: Duration,
-) -> DriverStats {
-    let mut token = 0u64;
-    'script: for a in adaptations {
-        // Wait for the routed-tuple threshold; a finished scan releases
-        // the wait too (R2 still applies; R1 aborts at the gate because
-        // no producer can park).
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                break 'script;
-            }
-            if routed_total.load(Ordering::Relaxed) >= a.after_routed
-                || producers_live.load(Ordering::SeqCst) == 0
-            {
-                break;
-            }
-            thread::sleep(Duration::from_micros(500));
-        }
-        let Ok(dist) = DistributionVector::new(&a.weights) else {
-            continue;
+        // Keep routing stray state until teardown: a barrier that timed
+        // out may still deliver its STATE_OUT batches, and dropping them
+        // here would lose real tuples.
+        let Some((coordinator, mut transport)) = recall else {
+            return stats;
         };
-        if !a.retrospective {
-            // Prospective (R2): swap the routing table; only future
-            // tuples are affected.
-            if driver.router.lock().apply_distribution(&dist).is_ok() {
-                driver.stats.deployed += 1;
-            }
-            continue;
-        }
-        let Some(gate) = gate.as_ref() else { continue };
-        token += 1;
-        match gate.begin_pause(recall_timeout) {
-            None => {
-                driver.stats.recalls_aborted += 1;
-            }
-            Some(0) => {
-                // Every producer already finished; the workers may send
-                // DONE at any moment, so the barrier cannot be trusted.
-                gate.abort_pause();
-                driver.stats.recalls_aborted += 1;
-            }
-            Some(_) => {
-                // Drain barrier: the producers are parked, so each
-                // writer's ring drain (WCtl::Barrier) puts the DRAIN
-                // frame after everything staged before the pause.
-                for w in &driver.writers {
-                    let _ = w.send(WCtl::Barrier(enc_token(tag::DRAIN, token)));
+        while !self.stop.load(Ordering::SeqCst) {
+            match self.replies.recv_timeout(Duration::from_millis(25)) {
+                Ok(RecallReply::Surrendered { worker, entries }) => {
+                    let (moved, recalled) =
+                        coordinator.surrendered(worker, entries, &mut transport);
+                    stats.state_moved += moved;
+                    stats.recalled += recalled;
                 }
-                let need = driver.writers.len();
-                if !driver.collect(&replies, token, need, false, recall_timeout) {
-                    gate.abort_pause();
-                    driver.stats.recalls_aborted += 1;
-                    continue;
-                }
-                let moves = {
-                    let mut r = driver.router.lock();
-                    r.apply_retrospective(&dist)
-                };
-                let Ok(moves) = moves else {
-                    gate.abort_pause();
-                    driver.stats.recalls_aborted += 1;
-                    continue;
-                };
-                driver.stats.deployed += 1;
-                let epoch = gate.epoch() + 1;
-                let bucket_count = driver.router.lock().bucket_count();
-                for (p, w) in driver.writers.iter().enumerate() {
-                    let outgoing = moves.outgoing.get(p).cloned().unwrap_or_default();
-                    let _ = w.send(WCtl::Msg(enc_migrate(token, bucket_count, &outgoing)));
-                }
-                if driver.collect(&replies, token, need, true, recall_timeout) {
-                    driver.stats.recalls_completed += 1;
-                } else {
-                    driver.stats.recalls_aborted += 1;
-                }
-                // Resume the producers even if a reply timed out:
-                // leaving them parked would deadlock the run instead of
-                // surfacing the failure at join time.
-                gate.resume(epoch);
+                Ok(_) => {}
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
+        stats
     }
-    // Keep routing stray state until teardown: a barrier that timed out
-    // may still deliver its STATE_OUT batches, and dropping them here
-    // would lose real tuples.
-    while !stop.load(Ordering::SeqCst) {
-        match replies.recv_timeout(Duration::from_millis(25)) {
-            Ok(Reply::StateOut { worker, entries }) => driver.route_state_out(worker, entries),
-            Ok(_) => {}
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    driver.stats
 }
 
 // ---------------------------------------------------------------------------
@@ -1475,43 +1476,241 @@ impl Drop for Decrement {
     }
 }
 
-/// Forced teardown for error paths: close everything down without
-/// waiting on worker cooperation. Spawned children are killed;
-/// in-process worker threads exit on their own once the listener dies
-/// (their reconnect attempts fail fast).
-fn force_teardown(
-    shutdown: &AtomicBool,
-    addr: &Addr,
+/// The socket producer's sink: blocks are encoded once and pushed onto
+/// the destination worker's ring of `DATA` payloads, which that worker's
+/// writer thread drains onto the socket. End-of-stream rides the same
+/// ring so it trails every block in FIFO order.
+struct FrameSink {
+    rings: Vec<RingSender<Vec<u8>>>,
+    scale: f64,
+}
+
+impl BlockSink for FrameSink {
+    fn pay(&mut self, model_ms: f64) {
+        spin_for(model_ms, self.scale);
+    }
+
+    fn ship(&mut self, dest: usize, block: Block, duplicate: bool) -> usize {
+        let payload = WireMsg::Data(block).encode();
+        let mut failed = 0;
+        if duplicate {
+            failed += usize::from(self.rings[dest].push(payload.clone()).is_err());
+        }
+        failed + usize::from(self.rings[dest].push(payload).is_err())
+    }
+
+    fn eos(&mut self, dest: usize, stream: StreamTag, source: usize) {
+        let _ = self.rings[dest].push(WireMsg::Eos { stream, source }.encode());
+    }
+}
+
+/// The coordinator's network side: listener, per-worker links and
+/// writer threads, reader threads, and the launched workers.
+struct Net {
+    addr: Addr,
+    shutdown: Arc<AtomicBool>,
     wctls: Vec<Sender<WCtl>>,
     writer_handles: Vec<thread::JoinHandle<()>>,
-    accept_handle: thread::JoinHandle<()>,
-    reader_handles: &Mutex<Vec<thread::JoinHandle<()>>>,
+    accept_handle: Option<thread::JoinHandle<()>>,
+    reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
     workers: Vec<WorkerJoin>,
-) {
-    for w in &wctls {
-        let _ = w.send(WCtl::Shutdown);
+    reconnects: Arc<AtomicU64>,
+}
+
+/// The channels the coordinator's main thread and driver read from.
+struct NetRx {
+    events: Receiver<Event>,
+    replies: Receiver<RecallReply>,
+}
+
+impl Net {
+    /// Binds the listener, starts one writer per worker and the accept
+    /// loop, launches the workers and waits for every first handshake.
+    fn start(
+        config: &SocketConfig,
+        x: &Exchange,
+        ring_rxs: Vec<Vec<RingReceiver<Vec<u8>>>>,
+    ) -> Result<(Net, NetRx)> {
+        let partitions = ring_rxs.len();
+        let addr_hint = match config.transport {
+            SocketTransport::Unix => Addr::scratch_unix(),
+            SocketTransport::Tcp => Addr::loopback_tcp(),
+        };
+        let listener = Listener::bind(&addr_hint)?;
+        let addr = listener.local_addr()?;
+        let links: Vec<Arc<Mutex<LinkState>>> = (0..partitions)
+            .map(|_| Arc::new(Mutex::new(LinkState::new())))
+            .collect();
+        let mut wctls: Vec<Sender<WCtl>> = Vec::with_capacity(partitions);
+        let mut writer_handles = Vec::with_capacity(partitions);
+        for (w, rings) in ring_rxs.into_iter().enumerate() {
+            let (tx, rx) = channel::<WCtl>();
+            wctls.push(tx);
+            let st = WriterState {
+                worker: w,
+                link: Arc::clone(&links[w]),
+                chaos: config.chaos.clone(),
+                rings,
+                conn: None,
+            };
+            writer_handles.push(thread::spawn(move || writer_loop(st, rx)));
+        }
+        let (event_tx, events) = channel::<Event>();
+        let (reply_tx, replies) = channel::<RecallReply>();
+        let (handshake_tx, handshake_rx) = channel::<usize>();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let reconnects = Arc::new(AtomicU64::new(0));
+        let reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
+            Arc::new(Mutex::new(Vec::new()));
+        let accept_handle = {
+            let ctx = ReaderCtx {
+                links: links.clone(),
+                x: x.clone(),
+                writers: wctls.clone(),
+                events: event_tx,
+                replies: reply_tx,
+                shutdown: Arc::clone(&shutdown),
+                scale: config.cost_scale,
+            };
+            let (readers, reconnects) = (Arc::clone(&reader_handles), Arc::clone(&reconnects));
+            thread::spawn(move || accept_loop(listener, ctx, readers, reconnects, handshake_tx))
+        };
+        let mut net = Net {
+            addr,
+            shutdown,
+            wctls,
+            writer_handles,
+            accept_handle: Some(accept_handle),
+            reader_handles,
+            workers: Vec::with_capacity(partitions),
+            reconnects,
+        };
+        for i in 0..partitions {
+            match net.launch(i, config) {
+                Ok(w) => net.workers.push(w),
+                Err(e) => {
+                    net.force_teardown();
+                    return Err(e);
+                }
+            }
+        }
+        // Wait until every worker has completed its first handshake.
+        let mut connected = vec![false; partitions];
+        let mut seen = 0usize;
+        let deadline = Instant::now() + Duration::from_secs(15);
+        while seen < partitions {
+            let now = Instant::now();
+            if now >= deadline {
+                net.force_teardown();
+                return Err(GridError::Execution(
+                    "socket: timed out waiting for workers to connect".into(),
+                ));
+            }
+            if let Ok(i) = handshake_rx.recv_timeout(deadline - now) {
+                if i < partitions && !connected[i] {
+                    connected[i] = true;
+                    seen += 1;
+                }
+            }
+        }
+        Ok((net, NetRx { events, replies }))
     }
-    drop(wctls);
-    for h in writer_handles {
-        let _ = h.join();
+
+    fn launch(&self, i: usize, config: &SocketConfig) -> Result<WorkerJoin> {
+        match &config.launch {
+            WorkerLaunch::InProcess => {
+                let addr = self.addr.clone();
+                let services = Arc::clone(&config.services);
+                Ok(WorkerJoin::Thread(thread::spawn(move || {
+                    worker_main(&addr, i, &services)
+                })))
+            }
+            WorkerLaunch::Spawn { program } => Command::new(program)
+                .arg("--addr")
+                .arg(self.addr.to_string())
+                .arg("--index")
+                .arg(i.to_string())
+                .stdin(Stdio::null())
+                .spawn()
+                .map(WorkerJoin::Process)
+                .map_err(|e| {
+                    GridError::Execution(format!(
+                        "socket: spawning worker {i} ({}): {e}",
+                        program.display()
+                    ))
+                }),
+        }
     }
-    shutdown.store(true, Ordering::SeqCst);
-    let _ = Stream::connect(addr);
-    let _ = accept_handle.join();
-    for h in std::mem::take(&mut *reader_handles.lock()) {
-        let _ = h.join();
+
+    /// Stops the writers, the accept loop and the readers, in that
+    /// order, and removes a Unix socket file. Returns which of them
+    /// panicked.
+    fn stop_threads(&mut self) -> Vec<String> {
+        let mut panicked = Vec::new();
+        for w in &self.wctls {
+            let _ = w.send(WCtl::Shutdown);
+        }
+        self.wctls.clear();
+        for h in std::mem::take(&mut self.writer_handles) {
+            if h.join().is_err() {
+                panicked.push("writer".into());
+            }
+        }
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = Stream::connect(&self.addr);
+        if self.accept_handle.take().is_some_and(|h| h.join().is_err()) {
+            panicked.push("accept loop".into());
+        }
+        for h in std::mem::take(&mut *self.reader_handles.lock()) {
+            if h.join().is_err() {
+                panicked.push("reader".into());
+            }
+        }
+        if let Addr::Unix(p) = &self.addr {
+            let _ = std::fs::remove_file(p);
+        }
+        panicked
     }
-    for w in workers {
-        match w {
-            WorkerJoin::Thread(_) => {}
-            WorkerJoin::Process(mut c) => {
+
+    /// Forced teardown for error paths: close everything down without
+    /// waiting on worker cooperation. Spawned children are killed;
+    /// in-process worker threads exit on their own once the listener
+    /// dies (their reconnect attempts fail fast).
+    fn force_teardown(mut self) {
+        let _ = self.stop_threads();
+        for w in self.workers {
+            if let WorkerJoin::Process(mut c) = w {
                 let _ = c.kill();
                 let _ = c.wait();
             }
         }
     }
-    if let Addr::Unix(p) = addr {
-        let _ = std::fs::remove_file(p);
+
+    /// Graceful teardown. SHUTDOWN rides a ring barrier so it trails any
+    /// residual data; writers and the accept loop stay alive while
+    /// workers exit, so a worker whose connection died at the wrong
+    /// moment can still reconnect and receive it. Returns what failed.
+    fn shutdown(mut self) -> Vec<String> {
+        let mut panicked: Vec<String> = Vec::new();
+        for w in &self.wctls {
+            let _ = w.send(WCtl::Barrier(WireMsg::Shutdown.encode()));
+        }
+        for (i, w) in std::mem::take(&mut self.workers).into_iter().enumerate() {
+            match w {
+                WorkerJoin::Thread(h) => match h.join() {
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => panicked.push(format!("worker {i}: {e}")),
+                    Err(_) => panicked.push(format!("worker {i}")),
+                },
+                WorkerJoin::Process(mut c) => match c.wait() {
+                    Ok(status) if status.success() => {}
+                    Ok(status) => panicked.push(format!("worker process {i}: {status}")),
+                    Err(e) => panicked.push(format!("worker process {i}: {e}")),
+                },
+            }
+        }
+        panicked.extend(self.stop_threads());
+        panicked
     }
 }
 
@@ -1529,44 +1728,34 @@ impl SocketExecutor {
     }
 
     /// Runs the plan to completion.
-    #[allow(clippy::too_many_lines)]
     pub fn run(&self, plan: &DistributedPlan) -> Result<SocketReport> {
-        self.config.validate()?;
-        plan.validate()?;
-        if plan.stages.len() != 1 {
-            return Err(GridError::Execution(
-                "the socket executor runs single-stage plans".into(),
-            ));
-        }
+        let cfg = &self.config;
+        cfg.validate()?;
+        let recall_on = cfg.adaptations.iter().any(|a| a.retrospective);
+        let resilient = cfg.chaos.is_some();
+        let x = Exchange::new(
+            plan,
+            "socket",
+            recall_on,
+            cfg.chaos.clone(),
+            resilient,
+            cfg.checkpoint_interval,
+        )?;
         let stage = &plan.stages[0];
-        if stage.factory.stateful() != self.config.stage.stateful() {
+        if stage.factory.stateful() != cfg.stage.stateful() {
             return Err(GridError::Config(
                 "the wire stage spec's statefulness must match the plan's stage factory".into(),
             ));
         }
-        if self.config.stage.stateful() && self.config.adaptations.iter().any(|a| !a.retrospective)
-        {
+        if cfg.stage.stateful() && cfg.adaptations.iter().any(|a| !a.retrospective) {
             return Err(GridError::Config(
                 "stateful stages require retrospective adaptations; a prospective \
                  routing change would strand operator state on the old owners"
                     .into(),
             ));
         }
-        let recall_on = self.config.adaptations.iter().any(|a| a.retrospective);
-        if recall_on
-            && plan
-                .sources
-                .iter()
-                .filter(|s| s.stream == StreamTag::Build)
-                .count()
-                > 1
-        {
-            return Err(GridError::Config(
-                "the recall protocol supports at most one build source per stage".into(),
-            ));
-        }
         let partitions = stage.nodes.len();
-        for a in &self.config.adaptations {
+        for a in &cfg.adaptations {
             if a.weights.len() != partitions {
                 return Err(GridError::Config(format!(
                     "scripted adaptation has {} weights for {partitions} partitions",
@@ -1574,662 +1763,81 @@ impl SocketExecutor {
                 )));
             }
         }
-        let partitions_u32 = u32::try_from(partitions)
-            .map_err(|_| GridError::Config("too many partitions".into()))?;
-        let router = Arc::new(Mutex::new(Router::from_policy(
-            &stage.exchange.routing,
-            partitions_u32,
-        )?));
-        let hash_routing = router.lock().bucket_count().is_some();
-        let resilient = self.config.chaos.is_some();
-        let logging_on = recall_on || resilient;
-        let logs: Option<SharedLogs> = if logging_on {
-            let mut v = Vec::with_capacity(plan.sources.len());
-            // In resilient mode a whole window must fit one data block,
-            // so a chaos drop or duplicate hits tuples and marker
-            // atomically: marker delivery implies content delivery.
-            let effective = self
-                .config
-                .checkpoint_interval
-                .min(stage.exchange.buffer_tuples.max(1));
-            for s in &plan.sources {
-                let log = if s.stream == StreamTag::Build {
-                    if resilient {
-                        SharedRecoveryLog::retained(partitions, effective)?
-                    } else {
-                        SharedRecoveryLog::new(partitions, usize::MAX / 2)?
-                    }
-                } else if resilient {
-                    SharedRecoveryLog::new(partitions, effective)?
-                } else {
-                    SharedRecoveryLog::new(partitions, self.config.checkpoint_interval)?
-                };
-                v.push(log);
-            }
-            Some(Arc::new(v))
-        } else {
-            None
-        };
-        let gate = recall_on.then(|| Arc::new(RecallGate::new(plan.sources.len())));
-        let build_source = plan
+        let sources = plan.sources.len();
+        let tables = plan
             .sources
             .iter()
-            .position(|s| s.stream == StreamTag::Build);
-        let build_eos_needed = plan
-            .sources
-            .iter()
-            .filter(|s| s.stream == StreamTag::Build)
-            .count();
-        let eos_needed = plan.sources.len();
+            .map(|s| self.catalog.get(&s.table))
+            .collect::<Result<Vec<_>>>()?;
+        let gate = recall_on.then(|| Arc::new(RecallGate::new(sources)));
 
         let started = Instant::now();
-        let addr_hint = match self.config.transport {
-            SocketTransport::Unix => Addr::scratch_unix(),
-            SocketTransport::Tcp => Addr::loopback_tcp(),
-        };
-        let listener = Listener::bind(&addr_hint)?;
-        let addr = listener.local_addr()?;
-
-        // Per-worker link state, writer threads, and data rings.
-        const RING_BLOCKS: usize = 8;
-        let producers_n = plan.sources.len();
-        let links: Vec<Arc<Mutex<LinkState>>> = (0..partitions)
-            .map(|_| Arc::new(Mutex::new(LinkState::new())))
-            .collect();
-        let mut ring_txs: Vec<Vec<RingSender<Vec<u8>>>> =
-            (0..producers_n).map(|_| Vec::new()).collect();
-        let mut ring_rxs: Vec<Vec<RingReceiver<Vec<u8>>>> =
-            (0..partitions).map(|_| Vec::new()).collect();
-        for ring_tx_row in ring_txs.iter_mut() {
-            for ring_rx_row in ring_rxs.iter_mut() {
-                let (tx, rx) = ring::<Vec<u8>>(RING_BLOCKS);
-                ring_tx_row.push(tx);
-                ring_rx_row.push(rx);
-            }
-        }
-        let mut wctls: Vec<Sender<WCtl>> = Vec::with_capacity(partitions);
-        let mut writer_handles = Vec::with_capacity(partitions);
-        for (w, rings) in ring_rxs.into_iter().enumerate() {
-            let (tx, rx) = channel::<WCtl>();
-            wctls.push(tx);
-            let st = WriterState {
-                worker: w,
-                link: Arc::clone(&links[w]),
-                chaos: self.config.chaos.clone(),
-                rings,
-                conn: None,
-            };
-            writer_handles.push(thread::spawn(move || writer_loop(st, rx)));
-        }
-
-        let (event_tx, event_rx) = channel::<Event>();
-        let (reply_tx, reply_rx) = channel::<Reply>();
-        let (handshake_tx, handshake_rx) = channel::<usize>();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let reconnects = Arc::new(AtomicU64::new(0));
-        let reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-
-        // The accept loop: handshake each connection, hand the stream's
-        // read half to a fresh reader thread and its write half to the
-        // worker's writer, which first retransmits whatever the worker
-        // missed.
-        let accept_handle = {
-            let links = links.clone();
-            let wctls = wctls.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let reconnects = Arc::clone(&reconnects);
-            let reader_handles = Arc::clone(&reader_handles);
-            let chaos = self.config.chaos.clone();
-            let logs = logs.clone();
-            let router = Arc::clone(&router);
-            let event_tx = event_tx.clone();
-            let reply_tx = reply_tx.clone();
-            let scale = self.config.cost_scale;
-            thread::spawn(move || {
-                let mut lives = vec![0u64; links.len()];
-                loop {
-                    let conn = match listener.accept() {
-                        Ok(c) => c,
-                        Err(_) => {
-                            if shutdown.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            continue;
-                        }
-                    };
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // Handshake: the first frame must be a Hello naming
-                    // the worker and its link high-water mark.
-                    let _ = conn.set_read_timeout(Some(Duration::from_millis(250)));
-                    let mut dec = Decoder::new();
-                    let mut frames: Vec<Frame> = Vec::new();
-                    let deadline = Instant::now() + Duration::from_secs(5);
-                    let mut buf = vec![0u8; 64 * 1024];
-                    let mut conn = conn;
-                    while frames.is_empty() && Instant::now() < deadline {
-                        let n = match conn.read(&mut buf) {
-                            Ok(0) => break,
-                            Ok(n) => n,
-                            Err(e)
-                                if e.kind() == std::io::ErrorKind::WouldBlock
-                                    || e.kind() == std::io::ErrorKind::TimedOut =>
-                            {
-                                continue
-                            }
-                            Err(_) => break,
-                        };
-                        match dec.feed(&buf[..n]) {
-                            Ok(f) => frames.extend(f),
-                            Err(_) => break,
-                        }
-                    }
-                    let Some((index, peer_last)) = frames.first().and_then(link::parse_hello)
-                    else {
-                        continue;
-                    };
-                    let index = index as usize;
-                    if index >= links.len() {
-                        continue;
-                    }
-                    let leftovers: Vec<Frame> = frames.split_off(1);
-                    lives[index] += 1;
-                    if lives[index] > 1 {
-                        reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Tell the worker what we already received so it can
-                    // retransmit just the missing suffix.
-                    let ack = link::hello_ack(links[index].lock().last_received());
-                    if write_frame(&mut conn, &ack).is_err() {
-                        continue;
-                    }
-                    let Ok(read_half) = conn.try_clone() else {
-                        continue;
-                    };
-                    let ctx = ReaderCtx {
-                        worker: index,
-                        link: Arc::clone(&links[index]),
-                        logs: logs.clone(),
-                        router: Arc::clone(&router),
-                        chaos: chaos.clone(),
-                        writers: wctls.clone(),
-                        events: event_tx.clone(),
-                        replies: reply_tx.clone(),
-                        shutdown: Arc::clone(&shutdown),
-                        scale,
-                    };
-                    reader_handles.lock().push(thread::spawn(move || {
-                        reader_loop(ctx, read_half, dec, leftovers)
-                    }));
-                    let _ = wctls[index].send(WCtl::Conn {
-                        stream: conn,
-                        peer_last,
-                    });
-                    let _ = handshake_tx.send(index);
-                }
-            })
-        };
-
-        // Launch the workers.
-        let mut workers: Vec<WorkerJoin> = Vec::with_capacity(partitions);
-        for i in 0..partitions {
-            match &self.config.launch {
-                WorkerLaunch::InProcess => {
-                    let addr = addr.clone();
-                    let services = Arc::clone(&self.config.services);
-                    workers.push(WorkerJoin::Thread(thread::spawn(move || {
-                        worker_main(&addr, i, &services)
-                    })));
-                }
-                WorkerLaunch::Spawn { program } => {
-                    let child = Command::new(program)
-                        .arg("--addr")
-                        .arg(addr.to_string())
-                        .arg("--index")
-                        .arg(i.to_string())
-                        .stdin(Stdio::null())
-                        .spawn()
-                        .map_err(|e| {
-                            GridError::Execution(format!(
-                                "socket: spawning worker {i} ({}): {e}",
-                                program.display()
-                            ))
-                        });
-                    match child {
-                        Ok(c) => workers.push(WorkerJoin::Process(c)),
-                        Err(e) => {
-                            force_teardown(
-                                &shutdown,
-                                &addr,
-                                wctls,
-                                writer_handles,
-                                accept_handle,
-                                &reader_handles,
-                                workers,
-                            );
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Wait until every worker has completed its first handshake.
-        {
-            let mut connected = vec![false; partitions];
-            let mut seen = 0usize;
-            let deadline = Instant::now() + Duration::from_secs(15);
-            while seen < partitions {
-                let now = Instant::now();
-                if now >= deadline {
-                    force_teardown(
-                        &shutdown,
-                        &addr,
-                        wctls,
-                        writer_handles,
-                        accept_handle,
-                        &reader_handles,
-                        workers,
-                    );
-                    return Err(GridError::Execution(
-                        "socket: timed out waiting for workers to connect".into(),
-                    ));
-                }
-                match handshake_rx.recv_timeout(deadline - now) {
-                    Ok(i) => {
-                        if i < partitions && !connected[i] {
-                            connected[i] = true;
-                            seen += 1;
-                        }
-                    }
-                    Err(_) => continue,
-                }
-            }
-        }
+        let (mut ring_txs, ring_rxs) = crate::ring_mesh::<Vec<u8>>(sources, partitions);
+        let (net, rx) = Net::start(cfg, &x, ring_rxs)?;
 
         // Ship each worker its configuration: the first sequenced frame
         // on the link, so it precedes every data block.
-        for (w, wctl) in wctls.iter().enumerate().take(partitions) {
-            let pert = self.config.perturbations.get(&stage.nodes[w]);
-            let raw_stall = self
-                .config
-                .chaos
-                .as_ref()
-                .map_or(0.0, |c| c.slow_peer_stall_ms(w));
-            let cfg = WireConfig {
-                worker: w,
-                resilient,
-                logging: logging_on,
-                hash_routing,
-                cost_scale: self.config.cost_scale,
-                receive_cost_ms: self.config.receive_cost_ms,
-                read_stall_ms: if raw_stall.is_finite() {
-                    raw_stall.max(0.0)
-                } else {
-                    0.0
-                },
-                cost_factor: perturbed(1.0, pert) - perturbed(0.0, pert),
-                cost_extra_ms: perturbed(0.0, pert),
-                eos_needed,
-                build_eos_needed,
-                build_source,
-                stage: self.config.stage.clone(),
+        for (w, wctl) in net.wctls.iter().enumerate() {
+            let perturbation = cfg.perturbations.get(&stage.nodes[w]);
+            let config = WireConfig {
+                spec: x.consumer_spec(w, sources, cfg.receive_cost_ms, perturbation),
+                cost_scale: cfg.cost_scale,
+                read_stall_ms: sane_ms(cfg.chaos.as_ref().map_or(0.0, |c| c.slow_peer_stall_ms(w))),
+                stage: cfg.stage.clone(),
             };
-            let _ = wctl.send(WCtl::Msg(cfg.encode()));
+            let _ = wctl.send(WCtl::Msg(config.encode()));
         }
 
-        // Shared run counters.
-        let routed_total = Arc::new(AtomicU64::new(0));
-        let restaged_total = Arc::new(AtomicU64::new(0));
-        let retransmitted_total = Arc::new(AtomicU64::new(0));
-        let send_failures_total = Arc::new(AtomicU64::new(0));
-        let delivery_gaps: Arc<Mutex<Vec<DeliveryGap>>> = Arc::new(Mutex::new(Vec::new()));
-        let producers_live = Arc::new(AtomicU64::new(producers_n as u64));
-
-        // Producer threads: scan, route, stage, and flush encoded
-        // blocks into the per-worker rings. A direct port of the
-        // threaded producers with ring payloads pre-encoded.
+        // Producer threads: the shared protocol producer over a sink of
+        // pre-encoded ring payloads.
+        let producers_live = Arc::new(AtomicU64::new(sources as u64));
         let mut producer_handles = Vec::new();
-        for (sidx, source) in plan.sources.iter().enumerate() {
-            let table = self.catalog.get(&source.table)?;
-            let router = Arc::clone(&router);
-            let rings = std::mem::take(&mut ring_txs[sidx]);
-            let logs = logs.clone();
+        for (sidx, (source, table)) in plan.sources.iter().zip(tables).enumerate() {
+            let producer = Producer::new(
+                ProducerSpec {
+                    source: sidx,
+                    stream: source.stream,
+                    scan_cost_ms: source.scan_cost_ms,
+                    buffer_tuples: stage.exchange.buffer_tuples,
+                    dests: partitions,
+                    // There is no failover on this substrate, so a closed
+                    // ring can never ack again.
+                    fast_gap: true,
+                    retry: cfg.delivery_retry.clone(),
+                },
+                x.clone(),
+                gate.as_ref().map_or(0, |g| g.epoch()),
+            );
+            let mut sink = FrameSink {
+                rings: std::mem::take(&mut ring_txs[sidx]),
+                scale: cfg.cost_scale,
+            };
             let gate = gate.clone();
-            let scan_cost = source.scan_cost_ms;
-            let stream = source.stream;
-            let scale = self.config.cost_scale;
-            let buffer_tuples = stage.exchange.buffer_tuples;
-            let chaos = self.config.chaos.clone();
-            let retry_policy = self.config.delivery_retry.clone();
-            let gaps = Arc::clone(&delivery_gaps);
-            let retransmitted = Arc::clone(&retransmitted_total);
-            let send_failures = Arc::clone(&send_failures_total);
-            let routed_total = Arc::clone(&routed_total);
-            let restaged_total = Arc::clone(&restaged_total);
-            let live = Arc::clone(&producers_live);
+            let live = Decrement(Arc::clone(&producers_live));
             producer_handles.push(thread::spawn(move || {
-                let _live = Decrement(live);
-                // Counts this producer as done even if it panics, so the
-                // recall barrier can never wait on a dead thread.
-                let _guard = gate.as_ref().map(|g| ProducerGuard::new(Arc::clone(g)));
-                let mut buffers: Vec<Vec<Staged>> = (0..rings.len()).map(|_| Vec::new()).collect();
-                // Ships one staged block to `dest`, paying the modelled
-                // scan time accumulated in `due` first.
-                let flush = |dest: usize,
-                             buffers: &mut Vec<Vec<Staged>>,
-                             disconnected: &mut Vec<bool>,
-                             due: &mut f64,
-                             retransmit: bool| {
-                    if *due > 0.0 {
-                        spin_for(*due, scale);
-                        *due = 0.0;
-                    }
-                    let items = std::mem::take(&mut buffers[dest]);
-                    if items.is_empty() {
-                        return;
-                    }
-                    let tuples = items
-                        .iter()
-                        .filter(|s| matches!(s, Staged::Tuple(..)))
-                        .count();
-                    let fate = chaos
-                        .as_ref()
-                        .map_or(NetAction::Deliver, |c| c.on_data(sidx, dest));
-                    if matches!(fate, NetAction::Drop) {
-                        // The whole block vanishes — tuples and markers
-                        // together; the retry epilogue retransmits the
-                        // unacknowledged windows.
-                        return;
-                    }
-                    if let NetAction::DelayMs(extra) = fate {
-                        if extra.is_finite() && extra > 0.0 {
-                            spin_for(extra, scale);
-                        }
-                    }
-                    let payload = enc_data(sidx, retransmit, &items);
-                    let mut failed = 0usize;
-                    if matches!(fate, NetAction::Duplicate) {
-                        // At-least-once transport: the cloned block is
-                        // absorbed by the worker's block-range dedup.
-                        if rings[dest].push(payload.clone()).is_err() {
-                            failed += tuples;
-                        }
-                    }
-                    if rings[dest].push(payload).is_err() {
-                        failed += tuples;
-                    }
-                    if failed > 0 {
-                        disconnected[dest] = true;
-                        send_failures.fetch_add(failed as u64, Ordering::Relaxed);
-                    }
-                };
-                // After a recall, unsent staged tuples are re-routed
-                // under the new distribution (their log entries follow);
-                // markers stay with their original destination so the
-                // windows they close remain intact.
-                let restage = |buffers: &mut Vec<Vec<Staged>>| -> u64 {
-                    let mut moved = 0u64;
-                    let taken: Vec<Vec<Staged>> = buffers.iter_mut().map(std::mem::take).collect();
-                    for (old_dest, items) in taken.into_iter().enumerate() {
-                        for item in items {
-                            match item {
-                                Staged::Tuple(tag, tuple) => {
-                                    let dest = {
-                                        let mut r = router.lock();
-                                        r.route(tag, &tuple).unwrap_or(old_dest as u32)
-                                    } as usize;
-                                    if dest != old_dest {
-                                        moved += 1;
-                                        if let Some(logs) = &logs {
-                                            let seq = tuple.seq();
-                                            let _ = logs[sidx].migrate_matching(
-                                                old_dest as u32,
-                                                dest as u32,
-                                                |(s, t)| *s == tag && t.seq() == seq,
-                                            );
-                                        }
-                                    }
-                                    buffers[dest].push(Staged::Tuple(tag, tuple));
-                                }
-                                marker => buffers[old_dest].push(marker),
-                            }
-                        }
-                    }
-                    moved
-                };
-                let mut epoch = gate.as_ref().map(|g| g.epoch()).unwrap_or(0);
-                let mut due = 0.0f64;
-                let mut disconnected = vec![false; rings.len()];
-                for row in table.rows() {
-                    if let Some(g) = &gate {
-                        let now_epoch = g.pause_point();
-                        if now_epoch != epoch {
-                            epoch = now_epoch;
-                            restaged_total.fetch_add(restage(&mut buffers), Ordering::Relaxed);
-                        }
-                    }
-                    let stall = chaos
-                        .as_ref()
-                        .map_or(0.0, |c| c.stall_ms(StallSite::Producer, sidx));
-                    due += scan_cost
-                        + if stall.is_finite() {
-                            stall.max(0.0)
-                        } else {
-                            0.0
-                        };
-                    let dest = {
-                        let mut r = router.lock();
-                        r.route(stream, row).unwrap_or(0)
-                    } as usize;
-                    buffers[dest].push(Staged::Tuple(stream, row.clone()));
-                    let mut window_closed = false;
-                    if let Some(logs) = &logs {
-                        if let Ok(Some(cp)) = logs[sidx].record(dest as u32, (stream, row.clone()))
-                        {
-                            buffers[dest].push(Staged::Marker(cp, logs[sidx].epoch()));
-                            window_closed = true;
-                        }
-                    }
-                    routed_total.fetch_add(1, Ordering::Relaxed);
-                    if resilient {
-                        // Flush at window boundaries only, so a whole
-                        // window (tuples plus marker) always travels in
-                        // one block.
-                        if window_closed {
-                            flush(dest, &mut buffers, &mut disconnected, &mut due, false);
-                        }
-                    } else if buffers[dest].len() >= buffer_tuples {
-                        flush(dest, &mut buffers, &mut disconnected, &mut due, false);
-                    }
-                }
-                // A recall in flight must complete (and the buffers
-                // restage) before the final flush.
-                if let Some(g) = &gate {
-                    let now_epoch = g.pause_point();
-                    if now_epoch != epoch {
-                        epoch = now_epoch;
-                        restaged_total.fetch_add(restage(&mut buffers), Ordering::Relaxed);
-                    }
-                }
-                for dest in 0..rings.len() {
-                    if stream != StreamTag::Build || resilient {
-                        if let Some(logs) = &logs {
-                            if let Ok(Some(cp)) = logs[sidx].force_checkpoint(dest as u32) {
-                                buffers[dest].push(Staged::Marker(cp, logs[sidx].epoch()));
-                            }
-                        }
-                    }
-                    flush(dest, &mut buffers, &mut disconnected, &mut due, false);
-                    if !resilient {
-                        // Eos rides the data ring so it trails every
-                        // block in FIFO order.
-                        let _ = rings[dest].push(enc_eos(stream, sidx));
-                    }
-                }
-                if resilient {
-                    // Delivery-retry epilogue: wait out a deterministic
-                    // jittered backoff for in-flight acks, retransmit
-                    // any window still unacknowledged, and repeat within
-                    // the retry budget; a destination that never acks
-                    // becomes an explicit DeliveryGap. Only then does
-                    // Eos go out.
-                    if let Some(log_vec) = &logs {
-                        let mut backoff = RetryBackoff::new(&retry_policy, sidx as u64);
-                        let mut gapped = vec![false; rings.len()];
-                        'retry: for attempt in 0..=retry_policy.max_retries {
-                            // A destination whose ring closed can never
-                            // ack again (there is no failover on this
-                            // substrate): record its gap immediately
-                            // instead of sleeping out the budget.
-                            for dest in 0..rings.len() {
-                                if !disconnected[dest] || gapped[dest] {
-                                    continue;
-                                }
-                                gapped[dest] = true;
-                                buffers[dest].clear();
-                                let _ = log_vec[sidx].force_checkpoint(dest as u32);
-                                let windows = log_vec[sidx].undelivered_windows(dest as u32);
-                                if !windows.is_empty() {
-                                    let tuples: u64 =
-                                        windows.iter().map(|(_, w)| w.len() as u64).sum();
-                                    gaps.lock().push(DeliveryGap {
-                                        source: sidx,
-                                        dest,
-                                        windows: windows.len() as u64,
-                                        tuples,
-                                    });
-                                }
-                            }
-                            if (0..rings.len()).all(|d| {
-                                gapped[d] || log_vec[sidx].undelivered_windows(d as u32).is_empty()
-                            }) {
-                                break 'retry;
-                            }
-                            // Sleep in short slices with a pause-point
-                            // in each, so a concurrent recall can still
-                            // park this producer.
-                            let mut remaining = backoff.delay_ms(attempt);
-                            while remaining > 0.0 {
-                                if let Some(g) = &gate {
-                                    let now_epoch = g.pause_point();
-                                    if now_epoch != epoch {
-                                        epoch = now_epoch;
-                                        restaged_total
-                                            .fetch_add(restage(&mut buffers), Ordering::Relaxed);
-                                        for dest in 0..rings.len() {
-                                            flush(
-                                                dest,
-                                                &mut buffers,
-                                                &mut disconnected,
-                                                &mut due,
-                                                false,
-                                            );
-                                        }
-                                    }
-                                }
-                                let slice = remaining.min(5.0);
-                                thread::sleep(Duration::from_secs_f64(slice / 1000.0));
-                                remaining -= slice;
-                            }
-                            // Close any window left open since the final
-                            // scan flush and push its marker out with
-                            // whatever the buffer holds.
-                            for dest in 0..rings.len() {
-                                if gapped[dest] {
-                                    continue;
-                                }
-                                if let Ok(Some(cp)) = log_vec[sidx].force_checkpoint(dest as u32) {
-                                    buffers[dest].push(Staged::Marker(cp, log_vec[sidx].epoch()));
-                                    flush(dest, &mut buffers, &mut disconnected, &mut due, false);
-                                }
-                            }
-                            let mut undelivered_any = false;
-                            for dest in 0..rings.len() {
-                                if gapped[dest] {
-                                    continue;
-                                }
-                                let windows = log_vec[sidx].undelivered_windows(dest as u32);
-                                if windows.is_empty() {
-                                    continue;
-                                }
-                                undelivered_any = true;
-                                if attempt == retry_policy.max_retries {
-                                    let tuples: u64 =
-                                        windows.iter().map(|(_, w)| w.len() as u64).sum();
-                                    gaps.lock().push(DeliveryGap {
-                                        source: sidx,
-                                        dest,
-                                        windows: windows.len() as u64,
-                                        tuples,
-                                    });
-                                } else {
-                                    let epoch_now = log_vec[sidx].epoch();
-                                    for (cp, items) in windows {
-                                        retransmitted
-                                            .fetch_add(items.len() as u64, Ordering::Relaxed);
-                                        for (tag, t) in items {
-                                            buffers[dest].push(Staged::Tuple(tag, t));
-                                        }
-                                        buffers[dest].push(Staged::Marker(cp, epoch_now));
-                                        flush(
-                                            dest,
-                                            &mut buffers,
-                                            &mut disconnected,
-                                            &mut due,
-                                            true,
-                                        );
-                                    }
-                                }
-                            }
-                            if !undelivered_any {
-                                break 'retry;
-                            }
-                        }
-                    }
-                    for ring_tx in &rings {
-                        let _ = ring_tx.push(enc_eos(stream, sidx));
-                    }
-                }
+                let _live = live;
+                run_producer(producer, table.rows(), gate, &mut sink);
             }));
         }
 
         // The scripted-adaptation driver.
         let driver_stop = Arc::new(AtomicBool::new(false));
-        let driver_handle = if self.config.adaptations.is_empty() {
-            drop(reply_rx);
-            None
-        } else {
-            let mut adaptations = self.config.adaptations.clone();
+        let NetRx { events, replies } = rx;
+        let driver_handle = (!cfg.adaptations.is_empty()).then(|| {
+            let mut adaptations = cfg.adaptations.clone();
             adaptations.sort_by_key(|a| a.after_routed);
             let driver = Driver {
-                router: Arc::clone(&router),
-                logs: logs.clone(),
-                writers: wctls.clone(),
-                resilient,
-                build_source,
-                stats: DriverStats::default(),
+                x: x.clone(),
+                adaptations,
+                gate: gate.clone(),
+                writers: net.wctls.clone(),
+                replies,
+                recall_timeout: Duration::from_millis(cfg.recall_timeout_ms),
+                producers_live: Arc::clone(&producers_live),
+                stop: Arc::clone(&driver_stop),
             };
-            let gate = gate.clone();
-            let routed_total = Arc::clone(&routed_total);
-            let producers_live = Arc::clone(&producers_live);
-            let stop = Arc::clone(&driver_stop);
-            let recall_timeout = Duration::from_millis(self.config.recall_timeout_ms);
-            Some(thread::spawn(move || {
-                run_driver(
-                    driver,
-                    adaptations,
-                    gate,
-                    routed_total,
-                    producers_live,
-                    stop,
-                    reply_rx,
-                    recall_timeout,
-                )
-            }))
-        };
+            thread::spawn(move || driver.run())
+        });
 
         // Join producers first; a panicked producer never pushed its
         // end-of-stream frames, and without them the workers wait
@@ -2238,8 +1846,12 @@ impl SocketExecutor {
         for (i, h) in producer_handles.into_iter().enumerate() {
             if h.join().is_err() {
                 panicked.push(format!("producer {i}"));
-                for w in &wctls {
-                    let _ = w.send(WCtl::Barrier(enc_eos(plan.sources[i].stream, i)));
+                let eos = WireMsg::Eos {
+                    stream: plan.sources[i].stream,
+                    source: i,
+                };
+                for w in &net.wctls {
+                    let _ = w.send(WCtl::Barrier(eos.encode()));
                 }
             }
         }
@@ -2260,7 +1872,7 @@ impl SocketExecutor {
                 ));
                 break;
             }
-            match event_rx.recv_timeout(deadline - now) {
+            match events.recv_timeout(deadline - now) {
                 Ok(Event::Results(batch)) => results.extend(batch),
                 Ok(Event::Done {
                     worker,
@@ -2287,73 +1899,18 @@ impl SocketExecutor {
         // Stop the driver (it also exits promptly on the stop flag when
         // an adaptation threshold was never reached).
         driver_stop.store(true, Ordering::SeqCst);
-        let stats = match driver_handle {
-            Some(h) => match h.join() {
-                Ok(s) => s,
-                Err(_) => {
-                    panicked.push("adaptation driver".into());
-                    DriverStats::default()
-                }
-            },
-            None => DriverStats::default(),
-        };
-
+        let stats = driver_handle.map_or_else(DriverStats::default, |h| {
+            h.join().unwrap_or_else(|_| {
+                panicked.push("adaptation driver".into());
+                DriverStats::default()
+            })
+        });
         if let Some(err) = run_error {
-            force_teardown(
-                &shutdown,
-                &addr,
-                wctls,
-                writer_handles,
-                accept_handle,
-                &reader_handles,
-                workers,
-            );
+            net.force_teardown();
             return Err(err);
         }
-
-        // Graceful teardown. SHUTDOWN rides a ring barrier so it trails
-        // any residual data; writers and the accept loop stay alive
-        // while workers exit, so a worker whose connection died at the
-        // wrong moment can still reconnect and receive it.
-        for w in &wctls {
-            let _ = w.send(WCtl::Barrier(vec![tag::SHUTDOWN]));
-        }
-        for (i, w) in workers.into_iter().enumerate() {
-            match w {
-                WorkerJoin::Thread(h) => match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => panicked.push(format!("worker {i}: {e}")),
-                    Err(_) => panicked.push(format!("worker {i}")),
-                },
-                WorkerJoin::Process(mut c) => match c.wait() {
-                    Ok(status) if status.success() => {}
-                    Ok(status) => panicked.push(format!("worker process {i}: {status}")),
-                    Err(e) => panicked.push(format!("worker process {i}: {e}")),
-                },
-            }
-        }
-        for w in &wctls {
-            let _ = w.send(WCtl::Shutdown);
-        }
-        drop(wctls);
-        for h in writer_handles {
-            if h.join().is_err() {
-                panicked.push("writer".into());
-            }
-        }
-        shutdown.store(true, Ordering::SeqCst);
-        let _ = Stream::connect(&addr);
-        if accept_handle.join().is_err() {
-            panicked.push("accept loop".into());
-        }
-        for h in std::mem::take(&mut *reader_handles.lock()) {
-            if h.join().is_err() {
-                panicked.push("reader".into());
-            }
-        }
-        if let Addr::Unix(p) = &addr {
-            let _ = std::fs::remove_file(p);
-        }
+        let reconnects = Arc::clone(&net.reconnects);
+        panicked.extend(net.shutdown());
         if !panicked.is_empty() {
             return Err(GridError::Execution(format!(
                 "socket thread(s)/worker(s) failed: {}",
@@ -2362,14 +1919,11 @@ impl SocketExecutor {
         }
 
         if resilient {
-            // At-least-once transport can double-deliver results across
-            // a reconnect seam; collapse exact duplicates so the report
-            // is effectively-once.
-            let mut seen = HashSet::new();
-            results.retain(|t: &Tuple| seen.insert((t.seq(), format!("{:?}", t.values()))));
+            collapse_duplicate_results(&mut results);
         }
-        let final_distribution = router.lock().current_distribution().weights().to_vec();
-        let delivery_gaps = std::mem::take(&mut *delivery_gaps.lock());
+        let tallies = &x.tallies;
+        let delivery_gaps = std::mem::take(&mut *tallies.gaps.lock());
+        let final_distribution = x.router.lock().current_distribution().weights().to_vec();
         Ok(SocketReport {
             wall_ms: started.elapsed().as_secs_f64() * 1000.0,
             results,
@@ -2378,13 +1932,15 @@ impl SocketExecutor {
             recalls_completed: stats.recalls_completed,
             recalls_aborted: stats.recalls_aborted,
             state_tuples_migrated: stats.state_moved,
-            tuples_recalled: stats.recalled + restaged_total.load(Ordering::Relaxed),
-            tuples_retransmitted: retransmitted_total.load(Ordering::Relaxed),
+            tuples_recalled: stats.recalled + tallies.restaged.load(Ordering::Relaxed),
+            tuples_retransmitted: tallies.retransmitted.load(Ordering::Relaxed),
             delivery_gaps,
-            send_failures: send_failures_total.load(Ordering::Relaxed),
-            log_audits: logs
-                .map(|logs| logs.iter().map(SharedRecoveryLog::audit).collect())
-                .unwrap_or_default(),
+            send_failures: tallies.send_failures.load(Ordering::Relaxed),
+            log_audits: x
+                .logs
+                .iter()
+                .flat_map(|logs| logs.iter().map(SharedRecoveryLog::audit))
+                .collect(),
             dedup_peak_entries,
             final_distribution,
             reconnects: reconnects.load(Ordering::Relaxed),
@@ -2396,378 +1952,139 @@ impl SocketExecutor {
 // The worker side.
 // ---------------------------------------------------------------------------
 
-/// The worker's write half: every outgoing payload is stamped into the
-/// link outbox *unconditionally* and written best-effort. A failed
-/// write flips `io_ok`; the read loop then reconnects and the handshake
-/// retransmits everything the coordinator has not acknowledged.
+/// The worker's write half, and the protocol consumer's outputs: every
+/// outgoing payload is stamped into the link outbox *unconditionally*
+/// and written best-effort. A failed write flips `io_ok`; the read loop
+/// then reconnects and the handshake retransmits everything the
+/// coordinator has not acknowledged.
 struct WireOut<'a> {
     link: &'a mut LinkState,
     conn: &'a mut Stream,
     io_ok: &'a mut bool,
+    scale: f64,
 }
 
 impl WireOut<'_> {
-    fn send(&mut self, payload: Vec<u8>) {
-        let frame = self.link.stamp(kind::MSG, payload);
+    fn send(&mut self, msg: &WireMsg) {
+        let frame = self.link.stamp(kind::MSG, msg.encode());
         if *self.io_ok && write_frame(self.conn, &frame).is_err() {
             *self.io_ok = false;
         }
     }
 }
 
-/// What `handle_msg` tells the read loop to do next.
-enum Flow {
-    Continue,
-    Done,
+impl ConsumerOut for WireOut<'_> {
+    fn pay(&mut self, model_ms: f64) {
+        spin_for(model_ms, self.scale);
+    }
+
+    fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
+        self.send(&WireMsg::Ack { source, cp, epoch });
+        // The log lives on the coordinator: its verdict is invisible
+        // here, so the dedup eviction is optimistic.
+        true
+    }
+
+    fn results(&mut self, batch: Vec<Tuple>) {
+        self.send(&WireMsg::Results(batch));
+    }
+
+    fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple> {
+        // No router here: ship the tuple back and let the coordinator
+        // route it to the current owner (the dedup record already made
+        // makes the forward single-shot).
+        self.send(&WireMsg::Stray((stream, source, tuple)));
+        None
+    }
+
+    fn m1(&mut self, _sample: M1Sample) {}
 }
 
 /// Everything a worker accumulates over the run. Lives *outside* the
 /// per-connection loop so a reconnection resumes mid-query.
 struct WorkerState {
-    cfg: WireConfig,
-    evaluator: Box<dyn PartitionEvaluator>,
-    out: Vec<Tuple>,
-    processed: u64,
-    due: f64,
-    eos_seen: usize,
-    build_eos_seen: usize,
-    /// Probe tuples that arrived before the build phase completed, with
-    /// the source that logged them.
-    held_probes: Vec<(usize, Tuple)>,
-    /// Probe-window acks deferred while the build phase is incomplete:
-    /// an ack is a processing receipt, and held probes are unprocessed.
-    pending_acks: Vec<(usize, Checkpoint, u64)>,
-    dedup: DedupFilter,
-    done_sent: bool,
+    consumer: Consumer,
+    cost_scale: f64,
+    read_stall_ms: f64,
 }
 
-impl WorkerState {
-    fn new(cfg: WireConfig, evaluator: Box<dyn PartitionEvaluator>) -> Self {
-        WorkerState {
-            cfg,
-            evaluator,
-            out: Vec::new(),
-            processed: 0,
-            due: 0.0,
-            eos_seen: 0,
-            build_eos_seen: 0,
-            held_probes: Vec::new(),
-            pending_acks: Vec::new(),
-            dedup: DedupFilter::new(),
-            done_sent: false,
-        }
-    }
-
-    fn building(&self) -> bool {
-        self.cfg.build_eos_needed > 0 && self.build_eos_seen < self.cfg.build_eos_needed
-    }
-
-    /// Pays the accrued modelled cost as one sleep.
-    fn pay_due(&mut self) {
-        if self.due > 0.0 {
-            spin_for(self.due, self.cfg.cost_scale);
-            self.due = 0.0;
-        }
-    }
-
-    /// Evaluates one tuple, accruing its (perturbed, linearized) cost.
-    fn process_tuple(&mut self, stream: StreamTag, tuple: &Tuple) {
-        let Ok(outcome) = self.evaluator.process(stream, tuple) else {
-            return;
-        };
-        self.due += outcome.base_cost_ms * self.cfg.cost_factor
-            + self.cfg.cost_extra_ms
-            + self.cfg.receive_cost_ms;
-        self.processed += 1;
-        self.out.extend(outcome.outputs);
-    }
-
-    /// Ships a checkpoint ack. In resilient mode the pending outputs go
-    /// first: once the coordinator applies the ack the window can never
-    /// replay, so its outputs must already be owned downstream. The
-    /// dedup eviction is optimistic (the worker cannot see the log's
-    /// verdict); if the ack is dropped at the coordinator's chaos seam
-    /// the window retransmits, and the already-acked marker id shadows
-    /// its tuples via `is_acked` — the filter converges either way.
-    fn ack_out(&mut self, wire: &mut WireOut<'_>, source: usize, cp: Checkpoint, epoch: u64) {
-        if !self.cfg.logging {
-            return;
-        }
-        if self.cfg.resilient && !self.out.is_empty() {
-            let batch = std::mem::take(&mut self.out);
-            wire.send(enc_results(&batch));
-        }
-        wire.send(enc_ack(source, cp, epoch));
-        if self.cfg.resilient {
-            self.dedup.window_acked(source, cp.id);
-        }
-    }
-
-    /// Consumes one DATA block: the socket-side port of the threaded
-    /// consumer's `handle_block`, with the ownership check for
-    /// retransmitted tuples replaced by a `STRAY` forward (the worker
-    /// has no router).
-    fn handle_data(&mut self, r: &mut Reader<'_>, wire: &mut WireOut<'_>) -> Result<()> {
-        let source = r.varint()? as usize;
-        let retransmit = r.u8()? != 0;
-        let count = r.varint()? as usize;
-        let mut items: Vec<Staged> = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            match r.u8()? {
-                0 => {
-                    let stream = get_stream(r)?;
-                    let tuple = wire::get_tuple(r)?;
-                    items.push(Staged::Tuple(stream, tuple));
-                }
-                1 => {
-                    let dest = u32::try_from(r.varint()?)
-                        .map_err(|_| GridError::Execution("socket: marker dest overflow".into()))?;
-                    let id = r.varint()?;
-                    let epoch = r.varint()?;
-                    items.push(Staged::Marker(Checkpoint { dest, id }, epoch));
-                }
-                other => {
-                    return Err(GridError::Execution(format!(
-                        "socket: unknown staged item kind {other}"
-                    )))
-                }
-            }
-        }
-        // Whole-block range key over the tuples, mirroring
-        // `Block::range_key`: one set probe skips an identically packed
-        // duplicate block.
-        let mut first = None;
-        let mut last = 0u64;
-        let mut tuples = 0u64;
-        for it in &items {
-            if let Staged::Tuple(_, t) = it {
-                let s = t.seq();
-                if first.is_none() {
-                    first = Some(s);
-                }
-                last = s;
-                tuples += 1;
-            }
-        }
-        let dup = self.cfg.resilient
-            && first.is_some_and(|f| self.dedup.block_is_dup(source, (f, last, tuples)));
-        let building = self.building();
-        // The covering marker for each tuple is the next one at a
-        // higher index: an already-acked marker id shadows every tuple
-        // ahead of it even after their per-tuple keys were evicted.
-        let marker_ids: Vec<(usize, u64)> = items
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, item)| match item {
-                Staged::Marker(cp, _) => Some((idx, cp.id)),
-                Staged::Tuple(..) => None,
-            })
-            .collect();
-        let mut next_marker = 0usize;
-        for (idx, staged) in items.into_iter().enumerate() {
-            while next_marker < marker_ids.len() && marker_ids[next_marker].0 < idx {
-                next_marker += 1;
-            }
-            match staged {
-                Staged::Tuple(stream, tuple) => {
-                    if dup {
-                        continue;
-                    }
-                    if self.cfg.resilient {
-                        if marker_ids
-                            .get(next_marker)
-                            .is_some_and(|&(_, id)| self.dedup.is_acked(source, id))
-                        {
-                            continue;
-                        }
-                        if self.dedup.tuple_is_dup(source, tuple.seq()) {
-                            continue;
-                        }
-                    }
-                    if retransmit && self.cfg.hash_routing {
-                        // A retransmitted window was addressed before any
-                        // bucket moves since it closed. The worker cannot
-                        // verify ownership, so it ships the tuple back and
-                        // the coordinator routes it to the current owner
-                        // (the dedup record above makes the forward
-                        // single-shot).
-                        wire.send(enc_forward(tag::STRAY, stream, source, &tuple));
-                        continue;
-                    }
-                    if stream == StreamTag::Probe && building {
-                        self.held_probes.push((source, tuple));
-                    } else {
-                        self.process_tuple(stream, &tuple);
-                    }
-                }
-                Staged::Marker(cp, epoch) => {
-                    if self.cfg.resilient {
-                        self.dedup.close_window(source, cp.id);
-                    }
-                    if self.cfg.resilient && building && Some(source) != self.cfg.build_source {
-                        self.pending_acks.push((source, cp, epoch));
-                    } else {
-                        self.ack_out(wire, source, cp, epoch);
-                    }
-                }
-            }
-        }
-        self.pay_due();
-        Ok(())
-    }
-
-    fn handle_eos(&mut self, r: &mut Reader<'_>, wire: &mut WireOut<'_>) -> Result<()> {
-        let stream = get_stream(r)?;
-        let _source = r.varint()? as usize;
-        self.eos_seen += 1;
-        if stream == StreamTag::Build {
-            self.build_eos_seen += 1;
-        }
-        if self.cfg.build_eos_needed > 0 && self.build_eos_seen == self.cfg.build_eos_needed {
-            // The build phase is complete: replay the held probes,
-            // paying the accrued cost in slices.
-            for (n, (_source, tuple)) in std::mem::take(&mut self.held_probes)
-                .into_iter()
-                .enumerate()
-            {
-                if n % 16 == 0 {
-                    self.pay_due();
-                }
-                self.process_tuple(StreamTag::Probe, &tuple);
-            }
-            self.pay_due();
-            // The held probes are processed: their deferred window acks
-            // are now true processing receipts.
-            for (source, cp, epoch) in std::mem::take(&mut self.pending_acks) {
-                self.ack_out(wire, source, cp, epoch);
-            }
-        }
-        if self.eos_seen == self.cfg.eos_needed && !self.done_sent {
-            self.done_sent = true;
-            self.pay_due();
-            if !self.out.is_empty() {
-                let batch = std::mem::take(&mut self.out);
-                wire.send(enc_results(&batch));
-            }
-            wire.send(enc_done(self.processed, self.dedup.peak()));
-            // Keep reading: late recalls and the SHUTDOWN frame still
-            // arrive after DONE.
-        }
-        Ok(())
-    }
-
-    fn handle_migrate(&mut self, r: &mut Reader<'_>, wire: &mut WireOut<'_>) -> Result<()> {
-        let token = r.varint()?;
-        let bucket_count = match r.varint()? {
-            0 => None,
-            b => Some(
-                u32::try_from(b - 1)
-                    .map_err(|_| GridError::Execution("socket: bucket count overflow".into()))?,
-            ),
-        };
-        let n = r.varint()? as usize;
-        let mut outgoing = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            outgoing.push(
-                u32::try_from(r.varint()?)
-                    .map_err(|_| GridError::Execution("socket: bucket index overflow".into()))?,
-            );
-        }
-        // Surrender the outgoing buckets' operator state and every held
-        // probe; the coordinator routes them (keepers come straight
-        // back as MIGRATED and are re-held).
-        let mut entries: Vec<(StreamTag, usize, Tuple)> = Vec::new();
-        if let Some(bc) = bucket_count {
-            if !outgoing.is_empty() {
-                let b = self.cfg.build_source.unwrap_or(0);
-                for (stream, tuple) in self.evaluator.extract_state(bc, &outgoing) {
-                    entries.push((stream, b, tuple));
-                }
-            }
-        }
-        for (source, tuple) in std::mem::take(&mut self.held_probes) {
-            entries.push((StreamTag::Probe, source, tuple));
-        }
-        if !entries.is_empty() {
-            wire.send(enc_state_out(&entries));
-        }
-        wire.send(enc_token(tag::MIGRATE_DONE, token));
-        Ok(())
-    }
-}
-
-/// Dispatches one fresh application frame from the coordinator.
+/// Dispatches one fresh application frame from the coordinator. Returns
+/// `false` on `SHUTDOWN`.
 fn handle_msg(
     state: &mut Option<WorkerState>,
     wire: &mut WireOut<'_>,
     payload: &[u8],
     services: &ServiceResolver,
     index: usize,
-) -> Result<Flow> {
-    let mut r = Reader::new(payload);
-    let t = r.u8()?;
-    if t == tag::SHUTDOWN {
-        return Ok(Flow::Done);
-    }
-    if t == tag::CONFIG {
-        // A duplicate CONFIG after a mid-handshake reconnect is
-        // harmless; the first one wins.
-        if state.is_none() {
-            let cfg = WireConfig::decode(&mut r)?;
-            if cfg.worker != index {
-                return Err(GridError::Execution(format!(
-                    "socket: worker {index} received config addressed to worker {}",
-                    cfg.worker
-                )));
+) -> Result<bool> {
+    let msg = match WireMsg::decode(payload)? {
+        WireMsg::Shutdown => return Ok(false),
+        WireMsg::Config(cfg) => {
+            // A duplicate CONFIG after a mid-handshake reconnect is
+            // harmless; the first one wins.
+            if state.is_none() {
+                if cfg.spec.index != index {
+                    return Err(GridError::Execution(format!(
+                        "socket: worker {index} received config addressed to worker {}",
+                        cfg.spec.index
+                    )));
+                }
+                let evaluator = cfg.stage.build(index as u32, services)?;
+                *state = Some(WorkerState {
+                    consumer: Consumer::new(cfg.spec, evaluator),
+                    cost_scale: cfg.cost_scale,
+                    read_stall_ms: cfg.read_stall_ms,
+                });
             }
-            let evaluator = cfg.stage.build(index as u32, services)?;
-            *state = Some(WorkerState::new(cfg, evaluator));
+            return Ok(true);
         }
-        return Ok(Flow::Continue);
-    }
+        other => other,
+    };
     let Some(st) = state.as_mut() else {
         return Err(GridError::Execution(format!(
-            "socket: worker {index} received message tag {t} before CONFIG"
+            "socket: worker {index} received message tag {:?} before CONFIG",
+            payload.first()
         )));
     };
-    match t {
-        tag::DATA => st.handle_data(&mut r, wire)?,
-        tag::EOS => st.handle_eos(&mut r, wire)?,
-        tag::DRAIN => {
-            // Link FIFO means everything sent before the barrier is
-            // already processed, which is exactly what Drained promises.
-            let token = r.varint()?;
-            wire.send(enc_token(tag::DRAINED, token));
-        }
-        tag::MIGRATE => st.handle_migrate(&mut r, wire)?,
-        tag::MIGRATED => {
-            // Recorded but always processed: bucket ping-pong
-            // legitimately re-delivers a seq, and the recall barrier
-            // already guarantees exactly-once for this path.
-            let (stream, source, tuple) = dec_forward(&mut r)?;
-            if st.cfg.resilient {
-                st.dedup.note_delivered(source, tuple.seq());
-            }
-            if stream == StreamTag::Probe && st.building() {
-                st.held_probes.push((source, tuple));
-            } else {
-                st.process_tuple(stream, &tuple);
-                st.pay_due();
+    match msg {
+        WireMsg::Data(block) => st.consumer.on_block(block, wire),
+        WireMsg::Eos { stream, .. } => {
+            if st.consumer.on_eos(stream, wire) {
+                let batch = st.consumer.take_results();
+                if !batch.is_empty() {
+                    wire.send(&WireMsg::Results(batch));
+                }
+                wire.send(&WireMsg::Done {
+                    processed: st.consumer.processed(),
+                    dedup_peak: st.consumer.dedup_peak(),
+                });
+                // Keep reading: late recalls and the SHUTDOWN frame
+                // still arrive after DONE.
             }
         }
-        tag::REINSERT => {
-            // A recall routed state back to the worker that extracted
-            // it: re-insert raw, uncounted.
-            let (stream, _source, tuple) = dec_forward(&mut r)?;
-            let _ = st.evaluator.process(stream, &tuple);
+        // Link FIFO means everything sent before the barrier is already
+        // processed, which is exactly what Drained promises.
+        WireMsg::Drain { token } => wire.send(&WireMsg::Drained { token }),
+        WireMsg::Migrate(cmd) => {
+            // No router here: surrender the outgoing buckets' state and
+            // every held probe; the coordinator re-routes them (keepers
+            // come straight back as MIGRATED and are re-held).
+            let entries = st.consumer.surrender(cmd.bucket_count, &cmd.outgoing);
+            if !entries.is_empty() {
+                wire.send(&WireMsg::StateOut(entries));
+            }
+            wire.send(&WireMsg::MigrateDone { token: cmd.token });
         }
-        other => {
+        WireMsg::Migrated(entry) => st.consumer.on_migrated(entry, wire),
+        WireMsg::Reinsert(entry) => st.consumer.take_back(entry),
+        _ => {
             return Err(GridError::Execution(format!(
-                "socket: unknown coordinator frame tag {other}"
+                "socket: unexpected coordinator frame tag {:?}",
+                payload.first()
             )))
         }
     }
-    Ok(Flow::Continue)
+    Ok(true)
 }
 
 /// Runs one evaluator worker to completion: connect (and reconnect) to
@@ -2808,8 +2125,8 @@ pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Res
                 // The slow-peer seam: stall before draining the socket,
                 // so the kernel buffers fill and flow control pushes
                 // back on the coordinator's writer.
-                if st.cfg.read_stall_ms > 0.0 {
-                    spin_for(st.cfg.read_stall_ms, st.cfg.cost_scale);
+                if st.read_stall_ms > 0.0 {
+                    spin_for(st.read_stall_ms, st.cost_scale);
                 }
             }
             let n = match conn.read(&mut buf) {
@@ -2839,10 +2156,10 @@ pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Res
                             link: &mut link,
                             conn: &mut conn,
                             io_ok: &mut io_ok,
+                            scale: state.as_ref().map_or(0.0, |s| s.cost_scale),
                         };
-                        match handle_msg(&mut state, &mut wire, &f.payload, services, index)? {
-                            Flow::Done => return Ok(()),
-                            Flow::Continue => {}
+                        if !handle_msg(&mut state, &mut wire, &f.payload, services, index)? {
+                            return Ok(());
                         }
                     }
                 }
@@ -2863,7 +2180,8 @@ pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridq_common::{QueryId, SubplanId, Value};
+    use gridq_common::check::{Check, Gen};
+    use gridq_common::{DetRng, QueryId, SubplanId};
     use gridq_engine::distributed::{
         ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
     };
@@ -3181,6 +2499,149 @@ mod tests {
         join.encode(&mut buf);
         let back = WireStageSpec::decode(&mut Reader::new(&buf)).unwrap();
         assert!(back.stateful());
+    }
+
+    fn gen_tuple(rng: &mut DetRng) -> Tuple {
+        let values = rng.vec_of(0, 4, |r| match r.u32_in(0, 5) {
+            0 => Value::Null,
+            1 => Value::Int(r.i64_in(i64::MIN, i64::MAX)),
+            2 => Value::Float(r.f64_in(-1e9, 1e9)),
+            3 => Value::Str(Arc::from("é".repeat(r.usize_in(0, 5)))),
+            _ => Value::Bool(r.flip()),
+        });
+        // Sequence numbers of every varint width.
+        Tuple::with_seq(values, r_u64(rng))
+    }
+
+    fn r_u64(rng: &mut DetRng) -> u64 {
+        rng.next_u64() >> rng.u32_in(0, 64)
+    }
+
+    fn gen_routed(rng: &mut DetRng) -> Routed {
+        let stream = *rng.pick(&[StreamTag::Single, StreamTag::Build, StreamTag::Probe]);
+        (stream, rng.usize_in(0, 300), gen_tuple(rng))
+    }
+
+    /// One message of every tag, in tag order.
+    fn gen_every_message(rng: &mut DetRng) -> Vec<Vec<u8>> {
+        let table = int_table("t", 1);
+        let stage = if rng.flip() {
+            wire_call_spec(&table)
+        } else {
+            wire_join_spec(&table, &table)
+        };
+        let cp = Checkpoint {
+            dest: rng.u32_in(0, 70_000),
+            id: r_u64(rng),
+        };
+        let items = rng.vec_of(0, 6, |r| {
+            if r.flip() {
+                let (stream, _, tuple) = gen_routed(r);
+                Staged::Tuple(stream, tuple)
+            } else {
+                Staged::Marker(cp, r_u64(r))
+            }
+        });
+        let config = WireConfig {
+            spec: ConsumerSpec {
+                index: rng.usize_in(0, 300),
+                resilient: rng.flip(),
+                logging: rng.flip(),
+                hash_routing: rng.flip(),
+                receive_cost_ms: rng.f64_in(0.0, 5.0),
+                cost_factor: rng.f64_in(0.0, 20.0),
+                cost_extra_ms: rng.f64_in(0.0, 20.0),
+                eos_needed: rng.usize_in(0, 5),
+                build_eos_needed: rng.usize_in(0, 5),
+                build_source: rng.flip().then(|| rng.usize_in(0, 5)),
+            },
+            cost_scale: rng.f64_in(0.0, 1.0),
+            read_stall_ms: rng.f64_in(0.0, 5.0),
+            stage,
+        };
+        let messages = vec![
+            WireMsg::Config(Box::new(config)),
+            WireMsg::Data(Block {
+                source: rng.usize_in(0, 300),
+                items,
+                retransmit: rng.flip(),
+            }),
+            WireMsg::Eos {
+                stream: StreamTag::Probe,
+                source: rng.usize_in(0, 300),
+            },
+            WireMsg::Drain { token: r_u64(rng) },
+            WireMsg::Migrate(MigrateCmd {
+                token: r_u64(rng),
+                bucket_count: rng.flip().then(|| rng.u32_in(0, 70_000)),
+                outgoing: rng.vec_of(0, 8, |r| r.u32_in(0, 70_000)),
+            }),
+            WireMsg::Migrated(gen_routed(rng)),
+            WireMsg::Results(rng.vec_of(0, 4, gen_tuple)),
+            WireMsg::Ack {
+                source: rng.usize_in(0, 300),
+                cp,
+                epoch: r_u64(rng),
+            },
+            WireMsg::Drained { token: r_u64(rng) },
+            WireMsg::StateOut(rng.vec_of(0, 4, gen_routed)),
+            WireMsg::MigrateDone { token: r_u64(rng) },
+            WireMsg::Done {
+                processed: r_u64(rng),
+                dedup_peak: r_u64(rng),
+            },
+            WireMsg::Stray(gen_routed(rng)),
+            WireMsg::Shutdown,
+            WireMsg::Reinsert(gen_routed(rng)),
+        ];
+        messages.iter().map(WireMsg::encode).collect()
+    }
+
+    /// Bytes come from another process. For every tag: encode → decode →
+    /// encode is the identity, and every truncation and single-byte
+    /// mutation decodes to `Err` or to some valid message (one that
+    /// itself round-trips) — never a panic (which `Check` reports as a
+    /// failure), never an allocation sized by an unchecked length.
+    #[test]
+    fn every_tag_round_trips_and_survives_truncation_and_mutation() {
+        let survives = |bytes: &[u8]| -> std::result::Result<(), String> {
+            let Ok(msg) = WireMsg::decode(bytes) else {
+                return Ok(());
+            };
+            let again = msg.encode();
+            match WireMsg::decode(&again) {
+                Ok(m) if m.encode() == again => Ok(()),
+                _ => Err(format!(
+                    "{bytes:?} decoded to a message that does not round-trip"
+                )),
+            }
+        };
+        Check::new("socket wire messages")
+            .cases(64)
+            .run(gen_every_message, |payloads| {
+                for (t, payload) in payloads.iter().enumerate() {
+                    if payload[0] as usize != t {
+                        return Err(format!("tag {t} missing from the generator"));
+                    }
+                    let decoded = WireMsg::decode(payload).map_err(|e| format!("tag {t}: {e}"))?;
+                    if decoded.encode() != *payload {
+                        return Err(format!("tag {t} does not round-trip"));
+                    }
+                    for cut in 0..payload.len() {
+                        survives(&payload[..cut])?;
+                    }
+                    let mut mutated = payload.clone();
+                    for i in 0..payload.len() {
+                        for flip in [0x01, 0x80, 0xff] {
+                            mutated[i] = payload[i] ^ flip;
+                            survives(&mutated)?;
+                        }
+                        mutated[i] = payload[i];
+                    }
+                }
+                Ok(())
+            });
+        assert_eq!(gen_every_message(&mut DetRng::seeded(1)).len(), 15);
     }
 
     #[test]

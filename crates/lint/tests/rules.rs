@@ -88,6 +88,27 @@ fn wall_clock_is_silent_at_allowlisted_sites() {
     }
 }
 
+#[test]
+fn wall_clock_fires_inside_the_exec_protocol_core() {
+    // `crates/exec/src/lib.rs` and `socket.rs` — the drivers — are clock
+    // sites; the protocol core they drive is deliberately not, so a
+    // clock read there is a finding and the core stays time-free.
+    for path in [
+        "crates/exec/src/protocol/producer.rs",
+        "crates/exec/src/protocol/mod.rs",
+    ] {
+        let report = lint_at(path, WALL_CLOCK);
+        assert!(
+            count(&report, "wall-clock") >= 2,
+            "{path}: {:?}",
+            report.findings
+        );
+    }
+    assert!(!gridq_lint::rules::CLOCK_SITES
+        .iter()
+        .any(|site| site.starts_with("crates/exec/src/protocol/")));
+}
+
 // --- hot-unwrap -------------------------------------------------------
 
 #[test]

@@ -67,4 +67,22 @@ fn exec_lock_graph_has_no_cycles() {
         "expected the RecallGate wait edges, got {:?}",
         report.lock_graph.edges
     );
+    // The protocol core moved out of the executors' `run` functions: its
+    // router acquisitions must still be in the analyzer's scope, and it
+    // must never hold one lock while taking another (every router guard
+    // there is a statement-scoped temporary or the only lock held).
+    assert!(
+        report.lock_graph.nodes.iter().any(|n| n.contains("router")),
+        "analyzer lost the router acquisitions: {:?}",
+        report.lock_graph.nodes
+    );
+    assert!(
+        !report
+            .lock_graph
+            .edges
+            .iter()
+            .any(|e| e.file.starts_with("crates/exec/src/protocol/")),
+        "the protocol core must not nest locks: {:?}",
+        report.lock_graph.edges
+    );
 }

@@ -11,11 +11,11 @@
 //! these tests pin a block size (7) strictly smaller than the stride
 //! (10) and coprime to it.
 //!
-//! The second pair of tests pins the estimator itself: the mean M1 cost
-//! seen by the detector under stride sampling must match the mean under
+//! The second pair of tests pins the estimator itself: each partition's
+//! mean M1 cost under stride sampling must match its mean under
 //! exhaustive (stride-1) monitoring, on both substrates.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 use gridq::common::NodeId;
@@ -23,6 +23,7 @@ use gridq::exec::{ThreadedConfig, ThreadedExecutor, ThreadedReport};
 use gridq::grid::{
     GridEnvironment, NetworkModel, NodeSpec, Perturbation, PerturbationSchedule, ResourceRegistry,
 };
+use gridq::obs::TimelineKind;
 use gridq::sim::{ExecutionReport, Simulation, SimulationConfig};
 use gridq::workload::experiments::Q1Experiment;
 
@@ -96,15 +97,56 @@ fn run_sim(interval: u32, perturbed: bool) -> ExecutionReport {
     sim.run(&q1.plan()).unwrap()
 }
 
-/// Mean of the per-M1 detector cost observations (histogram sum/count).
-fn detector_m1_mean(obs: &gridq::obs::ObsReport) -> f64 {
-    let h = obs
-        .metrics
-        .histograms
-        .get("detector.m1_avg_cost_ms")
-        .expect("detector observed at least one M1 cost");
-    assert!(h.count > 0);
-    h.sum / h.count as f64
+/// Mean M1 cost per partition, from the `RawM1` timeline events.
+///
+/// Compared per partition, never pooled: live A1/R2 deploys land at
+/// wall-clock-dependent moments on the threaded substrate, so the
+/// partition split differs between two runs, and a pooled mean follows
+/// the split (node 2 costs 4x; a 30 % vs 40 % share there already moves
+/// the pooled mean by ~15 %). The modelled cost per tuple does not depend
+/// on how many tuples a partition got.
+fn m1_mean_by_partition(obs: &gridq::obs::ObsReport) -> BTreeMap<String, f64> {
+    assert_eq!(obs.dropped_events, 0, "the timeline kept every M1");
+    let mut sums: BTreeMap<String, (f64, u32)> = BTreeMap::new();
+    for event in &obs.events {
+        if let TimelineKind::RawM1 {
+            partition,
+            cost_per_tuple_ms,
+            ..
+        } = &event.kind
+        {
+            let slot = sums.entry(partition.clone()).or_default();
+            slot.0 += cost_per_tuple_ms;
+            slot.1 += 1;
+        }
+    }
+    sums.into_iter()
+        .map(|(p, (sum, n))| (p, sum / f64::from(n)))
+        .collect()
+}
+
+/// Every partition's sampled M1 mean must stay within 10 % of its
+/// exhaustive (stride-1) mean.
+fn assert_sampled_matches_exhaustive(
+    exhaustive: &gridq::obs::ObsReport,
+    sampled: &gridq::obs::ObsReport,
+) {
+    let e = m1_mean_by_partition(exhaustive);
+    let s = m1_mean_by_partition(sampled);
+    assert_eq!(e.len(), 2, "both partitions reported under stride 1: {e:?}");
+    assert_eq!(
+        e.keys().collect::<Vec<_>>(),
+        s.keys().collect::<Vec<_>>(),
+        "the same partitions reported under both strides"
+    );
+    for (partition, e_mean) in &e {
+        let s_mean = s[partition];
+        assert!(
+            (s_mean - e_mean).abs() / e_mean < 0.10,
+            "{partition}: sampled M1 mean {s_mean:.3} must stay within 10% of \
+             exhaustive {e_mean:.3}"
+        );
+    }
 }
 
 #[test]
@@ -162,11 +204,9 @@ fn threaded_sampled_m1_mean_matches_exhaustive() {
     // drift from the exhaustive mean.
     let exhaustive = run_threaded(1, true);
     let sampled = run_threaded(STRIDE, true);
-    let e = detector_m1_mean(exhaustive.obs.as_ref().expect("obs on by default"));
-    let s = detector_m1_mean(sampled.obs.as_ref().expect("obs on by default"));
-    assert!(
-        (s - e).abs() / e < 0.10,
-        "sampled M1 mean {s:.3} must stay within 10% of exhaustive {e:.3}"
+    assert_sampled_matches_exhaustive(
+        exhaustive.obs.as_ref().expect("obs on by default"),
+        sampled.obs.as_ref().expect("obs on by default"),
     );
 }
 
@@ -174,10 +214,8 @@ fn threaded_sampled_m1_mean_matches_exhaustive() {
 fn sim_sampled_m1_mean_matches_exhaustive() {
     let exhaustive = run_sim(1, true);
     let sampled = run_sim(STRIDE, true);
-    let e = detector_m1_mean(exhaustive.obs.as_ref().expect("obs on by default"));
-    let s = detector_m1_mean(sampled.obs.as_ref().expect("obs on by default"));
-    assert!(
-        (s - e).abs() / e < 0.10,
-        "sampled M1 mean {s:.3} must stay within 10% of exhaustive {e:.3}"
+    assert_sampled_matches_exhaustive(
+        exhaustive.obs.as_ref().expect("obs on by default"),
+        sampled.obs.as_ref().expect("obs on by default"),
     );
 }
