@@ -32,10 +32,10 @@
 //!
 //! All components are pure state machines driven by explicit timestamps,
 //! so the same code runs against the virtual-time simulator and the
-//! wall-clock threaded executor. The [`bus`] module provides the
-//! publish/subscribe fabric used when components live in one process.
+//! wall-clock threaded executor. The substrates carry the
+//! notifications between them: the simulator through its event queue,
+//! the threaded executor over an `mpsc` channel.
 
-pub mod bus;
 pub mod config;
 pub mod detector;
 pub mod diagnoser;
@@ -43,7 +43,6 @@ pub mod notifications;
 pub mod responder;
 pub mod tenancy;
 
-pub use bus::{Notification, PubSubBus, Topic};
 pub use config::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 pub use detector::{CommUpdate, CostUpdate, DetectorOutput, MonitoringEventDetector};
 pub use diagnoser::{Diagnoser, Imbalance};

@@ -1,19 +1,8 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [table1|fig2a|fig2b|fig3a|fig3b|fig4|fig5|overheads|monfreq|ablation|obsdemo|threaded|sockets|service|all]
-//!       [--small] [--obs-out PATH] [--json-out PATH]
-//! repro gate --baseline PATH --current PATH [--min-ratio 0.8]
-//! repro trajectory --bench PATH --label NAME --out PATH
+//! repro [table1|fig2a|fig2b|fig3a|fig3b|fig4|fig5|overheads|monfreq|ablation|obsdemo|all] [--small] [--obs-out PATH]
 //! ```
-//!
-//! `gate` judges a fresh threaded bench artifact against the committed
-//! baseline: per-scenario throughput below the minimum ratio fails with
-//! exit 1, and a baseline/current scenario-set mismatch (or a malformed
-//! artifact) is a loud exit-2 error rather than a silently vacuous pass.
-//!
-//! `trajectory` appends (or replaces, by label) one condensed entry to
-//! the committed `BENCH_trajectory.json` perf record.
 //!
 //! Values are response times normalised to the unperturbed static
 //! system, printed alongside the paper's reported value where the paper
@@ -25,46 +14,73 @@
 //! as JSON lines (one `"kind":"metrics"` line opens each run's
 //! document).
 //!
-//! `threaded` benchmarks the wall-clock executor (static, prospective
-//! R2, and retrospective R1 recall scenarios); with `--json-out PATH`
-//! it also writes the per-scenario wall-clock quantiles and adaptivity
-//! counters to PATH (the `BENCH_threaded.json` CI artifact).
-//!
-//! `sockets` benchmarks the socket substrate in the same three shapes
-//! (with the routing swap and recall scripted); `--json-out PATH`
-//! writes the `BENCH_sockets.json` CI artifact.
-//!
-//! `service` drives the query service plane with the closed-loop load
-//! driver (concurrent sessions over both substrates through one
-//! admission-bounded service, seeds 1/7/1303); `--json-out PATH` writes
-//! the `BENCH_service.json` CI artifact. `GRIDQ_SERVICE_SESSIONS`
-//! overrides the session count (default 64).
+//! Wall-clock measurement of the engine itself is not done here: see
+//! `benchmark/README.md`.
 
 use gridq_bench::runners::{self, ReproConfig, Series};
+use gridq_common::{GridError, Result};
+
+type Runner = fn(&ReproConfig) -> Result<Vec<Series>>;
+
+/// Every experiment `repro` can run, in usage order. The usage text,
+/// the dispatch and the "unknown experiment" message all read this.
+const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("table1", runners::table1),
+    ("fig2a", runners::fig2a),
+    ("fig2b", runners::fig2b),
+    ("fig3a", runners::fig3a),
+    ("fig3b", runners::fig3b),
+    ("fig4", runners::fig4),
+    ("fig5", runners::fig5),
+    ("overheads", runners::overheads),
+    ("monfreq", runners::monitor_freq),
+    ("ablation", runners::ablation),
+    ("obsdemo", |config| obsdemo(config, None)),
+    ("all", runners::all),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    format!("repro [{}] [--small] [--obs-out PATH]", names.join("|"))
+}
+
+fn run(which: &str, config: &ReproConfig) -> Result<Vec<Series>> {
+    match EXPERIMENTS.iter().find(|(name, _)| *name == which) {
+        Some((_, runner)) => runner(config),
+        None => Err(GridError::Config(format!(
+            "unknown experiment `{which}`\nusage: {}",
+            usage()
+        ))),
+    }
+}
+
+/// The observability demo; with a path, also writes both runs' JSON
+/// lines there.
+fn obsdemo(config: &ReproConfig, obs_out: Option<&str>) -> Result<Vec<Series>> {
+    let demo = runners::obsdemo(config)?;
+    if let Some(path) = obs_out {
+        let mut text = demo.sim.to_json_lines();
+        text.push_str(&demo.threaded.to_json_lines());
+        std::fs::write(path, text)
+            .map_err(|e| GridError::Execution(format!("cannot write {path}: {e}")))?;
+        eprintln!("observability export written to {path}");
+    }
+    Ok(demo.series)
+}
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("gate") => run_gate(&args[1..]),
-        Some("trajectory") => run_trajectory(&args[1..]),
-        _ => {}
-    }
+    std::process::exit(cli(std::env::args().skip(1).collect()));
+}
+
+/// Runs one invocation and returns its exit code.
+fn cli(mut args: Vec<String>) -> i32 {
     let mut obs_out: Option<String> = None;
     if let Some(i) = args.iter().position(|a| a == "--obs-out") {
         if i + 1 >= args.len() {
             eprintln!("error: --obs-out requires a path");
-            std::process::exit(2);
+            return 2;
         }
         obs_out = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    let mut json_out: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--json-out") {
-        if i + 1 >= args.len() {
-            eprintln!("error: --json-out requires a path");
-            std::process::exit(2);
-        }
-        json_out = Some(args.remove(i + 1));
         args.remove(i);
     }
     let small = args.iter().any(|a| a == "--small");
@@ -80,58 +96,11 @@ fn main() {
     };
     if obs_out.is_some() && which != "obsdemo" {
         eprintln!("error: --obs-out only applies to the obsdemo experiment");
-        std::process::exit(2);
+        return 2;
     }
-    if json_out.is_some() && which != "threaded" && which != "sockets" && which != "service" {
-        eprintln!(
-            "error: --json-out only applies to the threaded, sockets, and service benchmarks"
-        );
-        std::process::exit(2);
-    }
-    let result = if which == "threaded" {
-        runners::threaded_bench(&config).and_then(|bench| {
-            if let Some(path) = &json_out {
-                std::fs::write(path, &bench.json).map_err(|e| {
-                    gridq_common::GridError::Execution(format!("cannot write {path}: {e}"))
-                })?;
-                eprintln!("threaded benchmark artifact written to {path}");
-            }
-            Ok(bench.series)
-        })
-    } else if which == "sockets" {
-        runners::sockets_bench(&config).and_then(|bench| {
-            if let Some(path) = &json_out {
-                std::fs::write(path, &bench.json).map_err(|e| {
-                    gridq_common::GridError::Execution(format!("cannot write {path}: {e}"))
-                })?;
-                eprintln!("sockets benchmark artifact written to {path}");
-            }
-            Ok(bench.series)
-        })
-    } else if which == "service" {
-        runners::service_bench(&config).and_then(|bench| {
-            if let Some(path) = &json_out {
-                std::fs::write(path, &bench.json).map_err(|e| {
-                    gridq_common::GridError::Execution(format!("cannot write {path}: {e}"))
-                })?;
-                eprintln!("service benchmark artifact written to {path}");
-            }
-            Ok(bench.series)
-        })
-    } else if which == "obsdemo" {
-        runners::obsdemo(&config).and_then(|demo| {
-            if let Some(path) = &obs_out {
-                let mut text = demo.sim.to_json_lines();
-                text.push_str(&demo.threaded.to_json_lines());
-                std::fs::write(path, text).map_err(|e| {
-                    gridq_common::GridError::Execution(format!("cannot write {path}: {e}"))
-                })?;
-                eprintln!("observability export written to {path}");
-            }
-            Ok(demo.series)
-        })
-    } else {
-        run(which, &config)
+    let result = match &obs_out {
+        Some(path) => obsdemo(&config, Some(path)),
+        None => run(which, &config),
     };
     match result {
         Ok(series) => {
@@ -148,119 +117,42 @@ fn main() {
             for s in series {
                 println!("{}", s.render());
             }
+            0
         }
         Err(err) => {
             eprintln!("error: {err}");
-            std::process::exit(1);
+            1
         }
     }
 }
 
-/// Pulls `--flag value` out of an argument slice.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn run_gate(args: &[String]) -> ! {
-    let (Some(baseline), Some(current)) = (
-        flag_value(args, "--baseline"),
-        flag_value(args, "--current"),
-    ) else {
-        eprintln!("usage: repro gate --baseline PATH --current PATH [--min-ratio 0.8]");
-        std::process::exit(2);
-    };
-    let min_ratio: f64 = match flag_value(args, "--min-ratio") {
-        None => 0.8,
-        Some(v) => match v.parse() {
-            Ok(r) => r,
-            Err(_) => {
-                eprintln!("error: --min-ratio must be a number, got `{v}`");
-                std::process::exit(2);
-            }
-        },
-    };
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match gridq_bench::gate::evaluate(&read(&baseline), &read(&current), min_ratio) {
-        Ok(report) => {
-            println!("{}", report.render());
-            std::process::exit(if report.passed() { 0 } else { 1 });
-        }
-        Err(err) => {
-            // Incomparable artifacts (scenario-set mismatch, malformed
-            // JSON): a distinct exit code so CI cannot mistake it for
-            // either a pass or an ordinary perf regression.
-            eprintln!("error: {err}");
-            std::process::exit(2);
-        }
+    /// The module doc's usage line is the one copy the table cannot
+    /// generate; held equal to the generated one, every name it lists
+    /// dispatches.
+    #[test]
+    fn the_documented_usage_line_is_the_experiment_table() {
+        let documented = include_str!("repro.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! "))
+            .find(|line| line.starts_with("repro ["));
+        assert_eq!(documented, Some(usage().as_str()));
     }
-}
 
-fn run_trajectory(args: &[String]) -> ! {
-    let (Some(bench), Some(label), Some(out)) = (
-        flag_value(args, "--bench"),
-        flag_value(args, "--label"),
-        flag_value(args, "--out"),
-    ) else {
-        eprintln!("usage: repro trajectory --bench PATH --label NAME --out PATH");
-        std::process::exit(2);
-    };
-    let bench_json = match std::fs::read_to_string(&bench) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot read {bench}: {e}");
-            std::process::exit(2);
+    #[test]
+    fn removed_subcommands_are_rejected_with_the_usage_text() {
+        let config = ReproConfig::small();
+        for gone in ["threaded", "sockets", "service", "gate", "trajectory"] {
+            let err = run(gone, &config).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown experiment `{gone}`")),
+                "{err}"
+            );
+            assert!(err.contains(&usage()), "{err}");
+            assert_eq!(cli(vec![gone.to_string()]), 1);
         }
-    };
-    let existing = match std::fs::read_to_string(&out) {
-        Ok(text) => Some(text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => {
-            eprintln!("error: cannot read {out}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match gridq_bench::trajectory::append(existing.as_deref(), &label, &bench_json) {
-        Ok(doc) => {
-            if let Err(e) = std::fs::write(&out, doc) {
-                eprintln!("error: cannot write {out}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("trajectory entry `{label}` written to {out}");
-            std::process::exit(0);
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn run(which: &str, config: &ReproConfig) -> gridq_common::Result<Vec<Series>> {
-    match which {
-        "table1" => runners::table1(config),
-        "fig2a" => runners::fig2a(config),
-        "fig2b" => runners::fig2b(config),
-        "fig3a" => runners::fig3a(config),
-        "fig3b" => runners::fig3b(config),
-        "fig4" => runners::fig4(config),
-        "fig5" => runners::fig5(config),
-        "overheads" => runners::overheads(config),
-        "monfreq" => runners::monitor_freq(config),
-        "ablation" => runners::ablation(config),
-        "all" => runners::all(config),
-        other => Err(gridq_common::GridError::Config(format!(
-            "unknown experiment `{other}`; expected one of table1, fig2a, fig2b, \
-             fig3a, fig3b, fig4, fig5, overheads, monfreq, ablation, obsdemo, \
-             threaded, sockets, service, all"
-        ))),
     }
 }

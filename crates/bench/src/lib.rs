@@ -1,8 +1,7 @@
 #![warn(missing_docs)]
 
 //! The reproduction harness: one runner per table/figure of the paper's
-//! evaluation (§3.2), shared by the `repro` binary, the benches, and the
-//! integration tests.
+//! evaluation (§3.2), run by the `repro` binary.
 //!
 //! Each runner executes the relevant experiment configurations on the
 //! virtual-time simulator and reports response times *normalised to the
@@ -10,9 +9,6 @@
 //! are normalised, so that the response time corresponding to
 //! no ad / no imb is set to 1 unit for each query").
 
-pub mod gate;
-pub mod harness;
 pub mod runners;
-pub mod trajectory;
 
 pub use runners::{Cell, Series};

@@ -4,7 +4,6 @@ use gridq_adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 use gridq_common::{GridError, NodeId, Result};
 use gridq_exec::{ThreadedConfig, ThreadedExecutor};
 use gridq_grid::Perturbation;
-use gridq_obs::json::JsonObj;
 use gridq_obs::ObsReport;
 use gridq_sim::ExecutionReport;
 use gridq_workload::experiments::{EvaluatorPerturbation, Q1Experiment, Q2Experiment};
@@ -70,25 +69,8 @@ pub struct ReproConfig {
 }
 
 impl ReproConfig {
-    /// A minimal-scale configuration for Criterion benches: the same
-    /// cost model over ~15x smaller datasets, so measuring the harness
-    /// stays cheap on small machines.
-    pub fn tiny() -> Self {
-        ReproConfig {
-            q1: Q1Experiment {
-                tuples: 200,
-                ..Default::default()
-            },
-            q2: Q2Experiment {
-                sequences: 200,
-                interactions: 320,
-                ..Default::default()
-            },
-        }
-    }
-
-    /// A reduced-scale configuration for fast tests and Criterion
-    /// benches (same cost model, ~5x smaller datasets).
+    /// A reduced-scale configuration for fast tests and `repro --small`
+    /// (same cost model, ~5x smaller datasets).
     pub fn small() -> Self {
         ReproConfig {
             q1: Q1Experiment {
@@ -732,498 +714,6 @@ pub fn obsdemo(config: &ReproConfig) -> Result<ObsDemo> {
     })
 }
 
-/// The threaded-substrate benchmark artifact.
-pub struct ThreadedBench {
-    /// Summary series for the console.
-    pub series: Vec<Series>,
-    /// The JSON document for `BENCH_threaded.json`.
-    pub json: String,
-}
-
-/// Benchmarks the wall-clock executor in three configurations — Q1
-/// static, Q1 under a 10x perturbation with prospective (R2) adaptation,
-/// and the stateful Q2 hash join under the same perturbation with
-/// retrospective (R1) recall — and serializes per-scenario wall-clock
-/// quantiles plus the adaptivity counters as a JSON artifact, so the
-/// threaded substrate's performance trajectory can be tracked across
-/// commits. `GRIDQ_BENCH_SAMPLES` overrides the per-scenario run count
-/// (default 3; these are whole-query macro runs, not microbenchmarks).
-pub fn threaded_bench(config: &ReproConfig) -> Result<ThreadedBench> {
-    let samples: usize = std::env::var("GRIDQ_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-
-    let q1 = &config.q1;
-    // The R1 scenario mirrors the substrate-parity test: cheap join
-    // costs and a slow probe scan keep the producers streaming when the
-    // imbalance is diagnosed, so the recall protocol actually runs.
-    let q2 = Q2Experiment {
-        probe_cost_ms: 0.5,
-        build_cost_ms: 0.1,
-        receive_cost_ms: 1.0,
-        bucket_count: 16,
-        buffer_tuples: 10,
-        ..config.q2.clone()
-    };
-    let mut q2_plan = q2.plan();
-    q2_plan.sources[0].scan_cost_ms = 1.0;
-    q2_plan.sources[1].scan_cost_ms = 10.0;
-
-    let perturbed = || {
-        let mut p = std::collections::HashMap::new();
-        p.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
-        p
-    };
-    let mut cells = Vec::new();
-    let mut scenario_objs = Vec::new();
-    let mut bench_scenario =
-        |name: &str, run: &dyn Fn() -> Result<gridq_exec::ThreadedReport>| -> Result<()> {
-            let mut wall = Vec::with_capacity(samples);
-            let mut last = None;
-            for _ in 0..samples {
-                let report = run()?;
-                wall.push(report.wall_ms);
-                last = Some(report);
-            }
-            let report = last.expect("samples >= 1");
-            wall.sort_by(|a, b| a.total_cmp(b));
-            let median = wall[wall.len() / 2];
-            cells.push(Cell::new(format!("{name}: median wall ms"), None, median));
-            cells.push(Cell::new(
-                format!("{name}: adaptations deployed"),
-                None,
-                report.adaptations_deployed as f64,
-            ));
-            cells.push(Cell::new(
-                format!("{name}: recalls completed"),
-                None,
-                report.recalls_completed as f64,
-            ));
-            let mut obj = JsonObj::new();
-            obj.str("name", name)
-                .int("samples", samples as u64)
-                .num("wall_ms_min", wall[0])
-                .num("wall_ms_median", median)
-                .num("wall_ms_max", wall[wall.len() - 1])
-                .int("results", report.results.len() as u64)
-                .int("raw_m1_events", report.raw_m1_events)
-                .int("adaptations_deployed", report.adaptations_deployed)
-                .int("recalls_completed", report.recalls_completed)
-                .int("recalls_aborted", report.recalls_aborted)
-                .int("state_tuples_migrated", report.state_tuples_migrated)
-                .int("tuples_recalled", report.tuples_recalled);
-            scenario_objs.push(obj.finish());
-            Ok(())
-        };
-
-    bench_scenario("q1_static", &|| {
-        ThreadedExecutor::new(
-            q1.catalog(),
-            ThreadedConfig {
-                adaptivity: off(),
-                cost_scale: 0.002,
-                ..Default::default()
-            },
-        )
-        .run(&q1.plan())
-    })?;
-    bench_scenario("q1_r2_perturbed", &|| {
-        ThreadedExecutor::new(
-            q1.catalog(),
-            ThreadedConfig {
-                adaptivity: a1r2(),
-                cost_scale: 0.01,
-                perturbations: perturbed(),
-                receive_cost_ms: 1.0,
-                ..Default::default()
-            },
-        )
-        .run(&q1.plan())
-    })?;
-    bench_scenario("q2_r1_recall", &|| {
-        ThreadedExecutor::new(
-            q2.catalog(),
-            ThreadedConfig {
-                adaptivity: a1r1(),
-                cost_scale: 0.01,
-                perturbations: perturbed(),
-                checkpoint_interval: 8,
-                ..Default::default()
-            },
-        )
-        .run(&q2_plan)
-    })?;
-
-    let mut doc = JsonObj::new();
-    doc.str("bench", "threaded")
-        .int("q1_tuples", q1.tuples as u64)
-        .int("q2_sequences", q2.sequences as u64)
-        .int("q2_interactions", q2.interactions as u64)
-        .int("samples", samples as u64)
-        .raw("scenarios", &format!("[{}]", scenario_objs.join(",")));
-    Ok(ThreadedBench {
-        series: vec![Series {
-            id: "threaded",
-            title: "threaded executor — wall-clock smoke (static / R2 / R1 recall)".into(),
-            cells,
-        }],
-        json: doc.finish(),
-    })
-}
-
-/// The socket-substrate benchmark artifact.
-pub struct SocketsBench {
-    /// Summary series for the console.
-    pub series: Vec<Series>,
-    /// The JSON document for `BENCH_sockets.json`.
-    pub json: String,
-}
-
-/// Benchmarks the socket substrate in the same three shapes as
-/// [`threaded_bench`] — Q1 static, Q1 with a prospective routing swap
-/// under the 10x perturbation, and the stateful Q2 join with a
-/// retrospective recall — but over real socket connections, with the
-/// swap/recall scripted (the decision stack is benchmarked on the other
-/// substrates; what this artifact tracks is the wire data plane's
-/// cost). `GRIDQ_BENCH_SAMPLES` overrides the per-scenario run count.
-pub fn sockets_bench(config: &ReproConfig) -> Result<SocketsBench> {
-    use gridq_exec::socket::{
-        ScriptedAdaptation, ServiceResolver, SocketConfig, SocketExecutor, WireStageSpec,
-    };
-    use gridq_workload::{protein_interactions, protein_sequences, EntropyAnalyser};
-    use std::sync::Arc;
-
-    let samples: usize = std::env::var("GRIDQ_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-
-    let q1 = &config.q1;
-    let q2 = Q2Experiment {
-        probe_cost_ms: 0.5,
-        build_cost_ms: 0.1,
-        receive_cost_ms: 1.0,
-        bucket_count: 16,
-        buffer_tuples: 10,
-        ..config.q2.clone()
-    };
-    let mut q2_plan = q2.plan();
-    q2_plan.sources[0].scan_cost_ms = 1.0;
-    q2_plan.sources[1].scan_cost_ms = 10.0;
-
-    let resolver: ServiceResolver = Arc::new(|name: &str, cost_ms: f64| {
-        (name == "EntropyAnalyser").then(|| {
-            Arc::new(EntropyAnalyser::new(cost_ms)) as Arc<dyn gridq_engine::service::Service>
-        })
-    });
-    let q1_spec = || WireStageSpec::ServiceCall {
-        input_schema: protein_sequences(1, q1.seq_len, q1.seed).schema().clone(),
-        service: "EntropyAnalyser".into(),
-        service_cost_ms: q1.ws_cost_ms,
-        arg_cols: vec![1],
-        output_name: "entropy".into(),
-        keep_input: false,
-    };
-    let q2_spec = || WireStageSpec::HashJoin {
-        build_schema: protein_sequences(1, q2.seq_len, q2.seed).schema().clone(),
-        probe_schema: protein_interactions(1, 1, q2.seed).schema().clone(),
-        build_key: 0,
-        probe_key: 0,
-        build_cost_ms: q2.build_cost_ms,
-        probe_cost_ms: q2.probe_cost_ms,
-    };
-    let perturbed = || {
-        let mut p = std::collections::HashMap::new();
-        p.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
-        p
-    };
-
-    let mut cells = Vec::new();
-    let mut scenario_objs = Vec::new();
-    let mut bench_scenario =
-        |name: &str, run: &dyn Fn() -> Result<gridq_exec::socket::SocketReport>| -> Result<()> {
-            let mut wall = Vec::with_capacity(samples);
-            let mut last = None;
-            for _ in 0..samples {
-                let report = run()?;
-                wall.push(report.wall_ms);
-                last = Some(report);
-            }
-            let report = last.expect("samples >= 1");
-            wall.sort_by(|a, b| a.total_cmp(b));
-            let median = wall[wall.len() / 2];
-            cells.push(Cell::new(format!("{name}: median wall ms"), None, median));
-            cells.push(Cell::new(
-                format!("{name}: adaptations deployed"),
-                None,
-                report.adaptations_deployed as f64,
-            ));
-            cells.push(Cell::new(
-                format!("{name}: recalls completed"),
-                None,
-                report.recalls_completed as f64,
-            ));
-            let mut obj = JsonObj::new();
-            obj.str("name", name)
-                .int("samples", samples as u64)
-                .num("wall_ms_min", wall[0])
-                .num("wall_ms_median", median)
-                .num("wall_ms_max", wall[wall.len() - 1])
-                .int("results", report.results.len() as u64)
-                .int("adaptations_deployed", report.adaptations_deployed)
-                .int("recalls_completed", report.recalls_completed)
-                .int("recalls_aborted", report.recalls_aborted)
-                .int("state_tuples_migrated", report.state_tuples_migrated)
-                .int("tuples_recalled", report.tuples_recalled)
-                .int("tuples_retransmitted", report.tuples_retransmitted)
-                .int("dedup_peak_entries", report.dedup_peak_entries)
-                .int("reconnects", report.reconnects);
-            scenario_objs.push(obj.finish());
-            Ok(())
-        };
-
-    bench_scenario("q1_static", &|| {
-        let mut sc = SocketConfig::new(q1_spec(), Arc::clone(&resolver));
-        sc.cost_scale = 0.002;
-        SocketExecutor::new(q1.catalog(), sc).run(&q1.plan())
-    })?;
-    bench_scenario("q1_r2_scripted", &|| {
-        let mut sc = SocketConfig::new(q1_spec(), Arc::clone(&resolver));
-        sc.cost_scale = 0.01;
-        sc.perturbations = perturbed();
-        sc.adaptations = vec![ScriptedAdaptation {
-            after_routed: q1.tuples as u64 / 4,
-            weights: vec![0.9, 0.1],
-            retrospective: false,
-        }];
-        SocketExecutor::new(q1.catalog(), sc).run(&q1.plan())
-    })?;
-    bench_scenario("q2_r1_recall", &|| {
-        let mut sc = SocketConfig::new(q2_spec(), Arc::clone(&resolver));
-        sc.cost_scale = 0.05;
-        sc.checkpoint_interval = 8;
-        sc.perturbations = perturbed();
-        sc.adaptations = vec![ScriptedAdaptation {
-            after_routed: (q2.sequences + q2.interactions / 4) as u64,
-            weights: vec![0.25, 0.75],
-            retrospective: true,
-        }];
-        SocketExecutor::new(q2.catalog(), sc).run(&q2_plan)
-    })?;
-
-    let mut doc = JsonObj::new();
-    doc.str("bench", "sockets")
-        .int("q1_tuples", q1.tuples as u64)
-        .int("q2_sequences", q2.sequences as u64)
-        .int("q2_interactions", q2.interactions as u64)
-        .int("samples", samples as u64)
-        .raw("scenarios", &format!("[{}]", scenario_objs.join(",")));
-    Ok(SocketsBench {
-        series: vec![Series {
-            id: "sockets",
-            title: "socket substrate — wall-clock smoke (static / scripted R2 / R1 recall)".into(),
-            cells,
-        }],
-        json: doc.finish(),
-    })
-}
-
-/// The service-plane benchmark artifact.
-pub struct ServiceBench {
-    /// Summary series for the console.
-    pub series: Vec<Series>,
-    /// The JSON document for `BENCH_service.json`.
-    pub json: String,
-}
-
-/// Drives the query service plane with the closed-loop load driver: for
-/// each schedule seed (1, 7, 1303), a population of concurrent sessions
-/// submits small Q1 queries — even sessions on the threaded substrate,
-/// odd sessions over sockets — through one [`QueryService`] with a
-/// 4-slot admission bound. What this artifact tracks is the *service
-/// plane's* cost (admission, queueing, multiplexing over shared nodes),
-/// not raw substrate throughput (`BENCH_threaded.json` does that), so
-/// each query is deliberately tiny. The run is loud about correctness:
-/// any incomplete or wrong-cardinality query fails the bench.
-/// `GRIDQ_SERVICE_SESSIONS` overrides the session count (default 64).
-///
-/// [`QueryService`]: gridq_exec::QueryService
-pub fn service_bench(config: &ReproConfig) -> Result<ServiceBench> {
-    use gridq_engine::AdmissionConfig;
-    use gridq_exec::socket::{ServiceResolver, SocketConfig, WireStageSpec};
-    use gridq_exec::{QueryOutcome, QueryRun, QueryService, QuerySubmission, ServiceConfig};
-    use gridq_workload::driver::{self, LoadConfig, QueryBackend, SessionOutcome};
-    use gridq_workload::{protein_sequences, EntropyAnalyser};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let sessions: usize = std::env::var("GRIDQ_SERVICE_SESSIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-        .max(1);
-
-    // Per-query shape: a Q1 an order of magnitude smaller than the
-    // paper's, so dozens of concurrent queries stay cheap.
-    let q1 = Q1Experiment {
-        tuples: (config.q1.tuples / 20).max(40),
-        ..config.q1.clone()
-    };
-
-    struct Backend<'a> {
-        service: &'a QueryService,
-        q1: Q1Experiment,
-        resolver: ServiceResolver,
-        expected: usize,
-        result_tuples: AtomicU64,
-    }
-
-    impl Backend<'_> {
-        fn q1_spec(&self) -> WireStageSpec {
-            WireStageSpec::ServiceCall {
-                input_schema: protein_sequences(1, self.q1.seq_len, self.q1.seed)
-                    .schema()
-                    .clone(),
-                service: "EntropyAnalyser".into(),
-                service_cost_ms: self.q1.ws_cost_ms,
-                arg_cols: vec![1],
-                output_name: "entropy".into(),
-                keep_input: false,
-            }
-        }
-    }
-
-    impl QueryBackend for Backend<'_> {
-        fn run_query(&self, session: usize, _seq: usize) -> SessionOutcome {
-            let run = if session.is_multiple_of(2) {
-                QueryRun::threaded(ThreadedConfig {
-                    adaptivity: off(),
-                    cost_scale: 0.002,
-                    ..Default::default()
-                })
-            } else {
-                let mut sc = SocketConfig::new(self.q1_spec(), Arc::clone(&self.resolver));
-                sc.cost_scale = 0.002;
-                QueryRun::Socket(Box::new(sc))
-            };
-            let (_id, outcome) = self.service.submit_and_wait(QuerySubmission {
-                catalog: self.q1.catalog(),
-                plan: self.q1.plan(),
-                run,
-            });
-            match outcome {
-                QueryOutcome::Rejected { .. } => SessionOutcome::Rejected,
-                QueryOutcome::Failed { error } => SessionOutcome::Failed(error),
-                done => {
-                    let n = done.results().map_or(0, <[_]>::len);
-                    self.result_tuples.fetch_add(n as u64, Ordering::Relaxed);
-                    SessionOutcome::Completed {
-                        correct: n == self.expected,
-                    }
-                }
-            }
-        }
-    }
-
-    let resolver: ServiceResolver = Arc::new(|name: &str, cost_ms: f64| {
-        (name == "EntropyAnalyser").then(|| {
-            Arc::new(EntropyAnalyser::new(cost_ms)) as Arc<dyn gridq_engine::service::Service>
-        })
-    });
-
-    let mut cells = Vec::new();
-    let mut scenario_objs = Vec::new();
-    for seed in [1u64, 7, 1303] {
-        let service = QueryService::new(ServiceConfig {
-            admission: AdmissionConfig {
-                max_concurrent: 4,
-                // Deep enough that no session is rejected: the bench
-                // measures queueing, and a rejection is a correctness
-                // failure here.
-                queue_depth: sessions,
-            },
-            ..ServiceConfig::default()
-        })?;
-        let backend = Backend {
-            service: &service,
-            q1: q1.clone(),
-            resolver: Arc::clone(&resolver),
-            expected: q1.tuples,
-            result_tuples: AtomicU64::new(0),
-        };
-        let load = LoadConfig {
-            sessions,
-            queries_per_session: 1,
-            seed,
-            arrival_window_ms: 50.0,
-            mean_think_ms: 5.0,
-            time_scale: 1.0,
-        };
-        let report = driver::run(&load, &backend);
-        if !report.all_correct() {
-            return Err(GridError::Execution(format!(
-                "service bench seed {seed}: {} submitted, {} completed, {} correct, \
-                 {} rejected, {} failed — the service plane dropped or corrupted queries",
-                report.submitted, report.completed, report.correct, report.rejected, report.failed
-            )));
-        }
-        let stats = service.admission_stats();
-        let results = backend.result_tuples.load(Ordering::Relaxed);
-        let name = format!("service_seed{seed}");
-        cells.push(Cell::new(format!("{name}: wall ms"), None, report.wall_ms));
-        cells.push(Cell::new(
-            format!("{name}: latency p95 ms"),
-            None,
-            report.latency.p95_ms,
-        ));
-        cells.push(Cell::new(
-            format!("{name}: peak queued"),
-            None,
-            stats.peak_queued as f64,
-        ));
-        let mut obj = JsonObj::new();
-        obj.str("name", &name)
-            .int("samples", 1)
-            .int("sessions", sessions as u64)
-            .int("results", results)
-            .num("wall_ms_median", report.wall_ms)
-            .int("submitted", report.submitted)
-            .int("completed", report.completed)
-            .int("correct", report.correct)
-            .int("rejected", report.rejected)
-            .int("failed", report.failed)
-            .num("latency_mean_ms", report.latency.mean_ms)
-            .num("latency_p50_ms", report.latency.p50_ms)
-            .num("latency_p95_ms", report.latency.p95_ms)
-            .num("latency_max_ms", report.latency.max_ms)
-            .int("admitted", stats.admitted)
-            .int("enqueued", stats.enqueued)
-            .int("peak_running", stats.peak_running as u64)
-            .int("peak_queued", stats.peak_queued as u64);
-        scenario_objs.push(obj.finish());
-    }
-
-    let mut doc = JsonObj::new();
-    doc.str("bench", "service")
-        .int("sessions", sessions as u64)
-        .int("q1_tuples", q1.tuples as u64)
-        .raw("scenarios", &format!("[{}]", scenario_objs.join(",")));
-    Ok(ServiceBench {
-        series: vec![Series {
-            id: "service",
-            title: format!(
-                "query service plane — closed-loop driver ({sessions} sessions, \
-                 threaded + sockets, seeds 1/7/1303)"
-            ),
-            cells,
-        }],
-        json: doc.finish(),
-    })
-}
-
 /// Every artifact, in paper order.
 pub fn all(config: &ReproConfig) -> Result<Vec<Series>> {
     let mut out = Vec::new();
@@ -1243,63 +733,6 @@ pub fn all(config: &ReproConfig) -> Result<Vec<Series>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threaded_bench_emits_parseable_json() {
-        use gridq_obs::Json;
-        let bench = threaded_bench(&ReproConfig::tiny()).unwrap();
-        let doc = Json::parse(&bench.json).expect("artifact must be valid JSON");
-        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("threaded"));
-        let scenarios = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .expect("scenarios array");
-        assert_eq!(scenarios.len(), 3);
-        for s in scenarios {
-            assert!(s.get("name").and_then(Json::as_str).is_some());
-            assert!(s.get("wall_ms_median").and_then(Json::as_f64).unwrap() > 0.0);
-            assert!(s.get("results").and_then(Json::as_u64).unwrap() > 0);
-        }
-        // The recall scenario actually exercised the R1 protocol.
-        let r1 = &scenarios[2];
-        assert_eq!(r1.get("name").and_then(Json::as_str), Some("q2_r1_recall"));
-        assert!(r1.get("recalls_completed").and_then(Json::as_u64).unwrap() >= 1);
-        assert!(!bench.series.is_empty());
-    }
-
-    #[test]
-    fn service_bench_emits_parseable_json_the_gate_accepts() {
-        use gridq_obs::Json;
-        // Only this test reads the override, so the process-global env
-        // write cannot race another test.
-        std::env::set_var("GRIDQ_SERVICE_SESSIONS", "8");
-        let bench = service_bench(&ReproConfig::tiny()).unwrap();
-        std::env::remove_var("GRIDQ_SERVICE_SESSIONS");
-        let doc = Json::parse(&bench.json).expect("artifact must be valid JSON");
-        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("service"));
-        let scenarios = doc
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .expect("scenarios array");
-        assert_eq!(scenarios.len(), 3, "one scenario per schedule seed");
-        for s in scenarios {
-            assert_eq!(s.get("submitted").and_then(Json::as_u64), Some(8));
-            assert_eq!(
-                s.get("completed").and_then(Json::as_u64),
-                s.get("correct").and_then(Json::as_u64),
-                "every completed query must verify"
-            );
-            assert_eq!(s.get("rejected").and_then(Json::as_u64), Some(0));
-            assert!(s.get("wall_ms_median").and_then(Json::as_f64).unwrap() > 0.0);
-            assert!(s.get("results").and_then(Json::as_u64).unwrap() > 0);
-            assert!(s.get("peak_running").and_then(Json::as_u64).unwrap() <= 4);
-        }
-        // The regression gate and the trajectory record both accept the
-        // service artifact.
-        let gate = crate::gate::evaluate(&bench.json, &bench.json, 0.8).unwrap();
-        assert!(gate.passed());
-        assert!(crate::trajectory::append(None, "test", &bench.json).is_ok());
-    }
 
     #[test]
     // The baseline cell is normalised by itself, so it is exactly 1.0 by

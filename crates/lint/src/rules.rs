@@ -28,7 +28,6 @@ pub const CLOCK_SITES: &[&str] = &[
     "crates/exec/src/lib.rs",
     "crates/exec/src/recall.rs",
     "crates/engine/src/ops/monitor.rs",
-    "crates/bench/src/harness.rs",
     // The chaos runner stamps scenario outcomes with wall-clock duration
     // for its reports; fault injection itself is deterministic.
     "crates/chaos/src/runner.rs",

@@ -16,8 +16,7 @@
 //!   for retrospective repartitioning).
 //! - [`grid`] — Grid resource models: nodes, network, perturbations.
 //! - [`adapt`] — the paper's contribution: monitoring events (M1/M2),
-//!   `MonitoringEventDetector`, `Diagnoser` (A1/A2), `Responder` (R1/R2)
-//!   wired over a publish/subscribe bus.
+//!   `MonitoringEventDetector`, `Diagnoser` (A1/A2), `Responder` (R1/R2).
 //! - [`sim`] — a deterministic discrete-event simulator that executes
 //!   partitioned plans over the Grid models in virtual time.
 //! - [`exec`] — a real multi-threaded executor running the same plans and

@@ -32,6 +32,7 @@ use gridq::grid::{
 };
 use gridq::obs::{TimelineEvent, TimelineKind};
 use gridq::sim::{ExecutionReport, Simulation};
+use gridq::workload::driver::{self, LoadConfig, QueryBackend, SessionOutcome};
 use gridq::workload::experiments::{Q1Experiment, Q2Experiment};
 use gridq::workload::{protein_interactions, protein_sequences, EntropyAnalyser};
 
@@ -411,6 +412,102 @@ fn concurrent_socket_queries_match_their_serial_sim_references() {
 
     assert_eq!(report.admission.completed, 3);
     assert_eq!(report.admission.rejected, 0);
+}
+
+/// The closed-loop load driver against one service: 64 sessions, even
+/// ones on threads and odd ones over sockets, arrive on a seeded
+/// schedule and queue for 4 run slots. Every session's result must be
+/// the serial simulator multiset — the same cardinality with one value
+/// changed is a wrong answer — and nothing may be rejected or fail.
+#[test]
+fn sixty_four_mixed_sessions_through_four_slots_each_match_the_serial_sim_multiset() {
+    const SESSIONS: usize = 64;
+
+    struct Backend<'a> {
+        service: &'a QueryService,
+        q1: &'a Q1Experiment,
+        reference: &'a [String],
+    }
+
+    impl QueryBackend for Backend<'_> {
+        fn run_query(&self, session: usize, _seq: usize) -> SessionOutcome {
+            let run = if session.is_multiple_of(2) {
+                QueryRun::threaded(ThreadedConfig {
+                    adaptivity: AdaptivityConfig::disabled(),
+                    cost_scale: 0.002,
+                    ..Default::default()
+                })
+            } else {
+                let mut c = SocketConfig::new(q1_wire_spec(self.q1), entropy_resolver());
+                c.cost_scale = 0.002;
+                QueryRun::Socket(Box::new(c))
+            };
+            let (_id, outcome) = self.service.submit_and_wait(QuerySubmission {
+                catalog: self.q1.catalog(),
+                plan: self.q1.plan(),
+                run,
+            });
+            match outcome {
+                QueryOutcome::Rejected { .. } => SessionOutcome::Rejected,
+                QueryOutcome::Failed { error } => SessionOutcome::Failed(error),
+                done => SessionOutcome::Completed {
+                    correct: multiset(done.results().unwrap_or_default()) == self.reference,
+                },
+            }
+        }
+    }
+
+    // Small queries: the load is on admission and multiplexing.
+    let q1 = Q1Experiment {
+        tuples: 40,
+        ..Default::default()
+    };
+    let reference = multiset(
+        &run_sim(
+            q1.catalog(),
+            &q1.plan(),
+            q1.sim_config(AdaptivityConfig::disabled()),
+            2,
+            None,
+        )
+        .results,
+    );
+    assert_eq!(reference.len(), 40);
+
+    for seed in [1u64, 7, 1303] {
+        // A queue deep enough for every session: a rejection here is a
+        // failure, not back-pressure.
+        let service = service(4, SESSIONS);
+        let backend = Backend {
+            service: &service,
+            q1: &q1,
+            reference: &reference,
+        };
+        let load = LoadConfig {
+            sessions: SESSIONS,
+            queries_per_session: 1,
+            seed,
+            arrival_window_ms: 50.0,
+            mean_think_ms: 5.0,
+            time_scale: 1.0,
+        };
+        let report = driver::run(&load, &backend);
+        assert_eq!(report.submitted, SESSIONS as u64, "seed {seed}: {report:?}");
+        assert_eq!(
+            report.completed, report.submitted,
+            "seed {seed}: {report:?}"
+        );
+        assert_eq!(
+            report.correct, report.completed,
+            "seed {seed}: a session's multiset differs from the sim's: {report:?}"
+        );
+        assert_eq!(report.rejected, 0, "seed {seed}: {report:?}");
+        assert_eq!(report.failed, 0, "seed {seed}: {report:?}");
+
+        let stats = service.admission_stats();
+        assert!(stats.peak_running <= 4, "seed {seed}: {stats:?}");
+        assert!(stats.enqueued > 0, "seed {seed}: {stats:?}");
+    }
 }
 
 /// Zero cross-query state leakage: a stateful Q2's drain–migrate–resume
