@@ -31,6 +31,7 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
@@ -261,38 +262,205 @@ impl<T: Send> Drop for RingReceiver<T> {
     }
 }
 
-/// A one-thread wakeup slot for a consumer multiplexing several rings
-/// and a control channel: the consumer registers itself before
-/// parking, every data/control sender calls [`Waker::wake`] after
-/// publishing. The register → re-check → park protocol on the consumer
-/// side makes the data path lost-wakeup-free; `unpark`'s saved token
-/// covers the window between registration and the park itself.
+/// The wakeup slot of an [`Inbox`]'s control plane: the inbox thread
+/// registers itself before parking, every [`InboxSender::send`] calls
+/// [`Waker::wake`] after publishing. (The data plane needs no slot of
+/// its own — [`RingSender::push`] already unparks whoever is registered
+/// on its ring.) `unpark`'s saved token covers the window between
+/// registration and the park itself.
 #[derive(Default)]
-pub struct Waker {
+struct Waker {
     slot: Mutex<Option<Thread>>,
 }
 
 impl Waker {
-    /// Creates an empty waker.
-    pub fn new() -> Self {
-        Waker::default()
-    }
-
     /// Registers the calling thread as the one to wake.
-    pub fn register(&self) {
+    fn register(&self) {
         *self.slot.lock() = Some(thread::current());
     }
 
     /// Clears the registration (call after waking from the park).
-    pub fn clear(&self) {
+    fn clear(&self) {
         self.slot.lock().take();
     }
 
     /// Unparks the registered thread, if any.
-    pub fn wake(&self) {
-        if let Some(t) = self.slot.lock().take() {
-            t.unpark();
+    fn wake(&self) {
+        wake(&self.slot);
+    }
+}
+
+/// What [`Inbox::next`] found.
+#[derive(Debug, PartialEq)]
+pub enum Wake<C, D> {
+    /// The oldest pending control message.
+    Control(C),
+    /// The oldest item of one of the rings.
+    Data(D),
+    /// Nothing arrived; the thread was parked this long.
+    Idle(Duration),
+    /// Every control sender and every ring sender is gone and
+    /// everything they sent has been delivered. Terminal: every later
+    /// call returns it again.
+    Closed,
+}
+
+/// The sending half of an [`Inbox`]'s control plane. Cloneable; every
+/// send wakes the inbox thread out of its idle park, and so does every
+/// drop (the last one closes the plane, which a parked inbox must see).
+pub struct InboxSender<C> {
+    // Declared, hence dropped, before `waker`: the wake must follow the
+    // disconnect it announces.
+    tx: Sender<C>,
+    waker: WakeOnDrop,
+}
+
+struct WakeOnDrop(Arc<Waker>);
+
+impl Drop for WakeOnDrop {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
+impl<C> Clone for InboxSender<C> {
+    fn clone(&self) -> Self {
+        InboxSender {
+            tx: self.tx.clone(),
+            waker: WakeOnDrop(Arc::clone(&self.waker.0)),
         }
+    }
+}
+
+impl<C> InboxSender<C> {
+    /// Sends a control message and wakes the inbox thread. Returns
+    /// whether the inbox still exists.
+    pub fn send(&self, msg: C) -> bool {
+        let ok = self.tx.send(msg).is_ok();
+        self.waker.0.wake();
+        ok
+    }
+}
+
+/// One thread's multiplexed input: `S` SPSC data rings and one mpsc
+/// control channel, which carry no ordering between them. The inbox
+/// re-establishes the single-FIFO guarantees its users need:
+///
+/// - **Control first, and before every data item.** [`Inbox::next`]
+///   returns data only when no control message is pending, and it looks
+///   at the rings *before* it polls the control channel — so a control
+///   message sent before an item was pushed is always delivered before
+///   that item (a recall's `Migrated` re-delivery precedes the blocks
+///   the resumed producers push after it).
+/// - **Barriers drain.** The inverse direction — an item pushed before a
+///   control message was sent — is the receiver's to order: on a barrier
+///   message it calls [`Inbox::pop_data`] until the rings are dry, then
+///   acts.
+/// - **No lost wakeup.** Going idle is register → re-poll both planes →
+///   park: a push or send that lands after the re-poll finds the
+///   registration and unparks; one that landed before it is seen by it.
+pub struct Inbox<C, D: Send> {
+    ctrl: Receiver<C>,
+    rings: Vec<RingReceiver<D>>,
+    waker: Arc<Waker>,
+    /// The ring being served. The inbox stays on a ring until it is dry
+    /// and only then moves on, so streams are consumed in source order
+    /// as far as the producers allow — a join's build input ahead of the
+    /// probes that could only be held until it ends.
+    cursor: usize,
+    ctrl_gone: bool,
+    /// Runs between the idle re-poll and the park.
+    #[cfg(test)]
+    before_park: Option<Box<dyn FnMut()>>,
+}
+
+/// Creates an inbox over `rings` and the sender of its control plane.
+pub fn inbox<C, D: Send>(rings: Vec<RingReceiver<D>>) -> (InboxSender<C>, Inbox<C, D>) {
+    let (tx, ctrl) = channel();
+    let waker = Arc::new(Waker::default());
+    let sender = InboxSender {
+        tx,
+        waker: WakeOnDrop(Arc::clone(&waker)),
+    };
+    let inbox = Inbox {
+        ctrl,
+        rings,
+        waker,
+        cursor: 0,
+        ctrl_gone: false,
+        #[cfg(test)]
+        before_park: None,
+    };
+    (sender, inbox)
+}
+
+impl<C, D: Send> Inbox<C, D> {
+    /// The next control message or data item, parking up to `park` when
+    /// neither plane has anything.
+    pub fn next(&mut self, park: Duration) -> Wake<C, D> {
+        if let Some(found) = self.poll() {
+            return found;
+        }
+        self.waker.register();
+        for ring in &self.rings {
+            *ring.shared.consumer_parked.lock() = Some(thread::current());
+        }
+        let found = self.poll();
+        let parked = Instant::now();
+        if found.is_none() {
+            #[cfg(test)]
+            if let Some(hook) = &mut self.before_park {
+                hook();
+            }
+            thread::park_timeout(park);
+        }
+        self.waker.clear();
+        for ring in &self.rings {
+            ring.shared.consumer_parked.lock().take();
+        }
+        found.unwrap_or_else(|| Wake::Idle(parked.elapsed()))
+    }
+
+    /// Pops one queued data item without consulting the control plane:
+    /// the drain a barrier message performs before acting.
+    pub fn pop_data(&mut self) -> Option<D> {
+        let ring = self.first_ready()?;
+        self.pop_ring(ring)
+    }
+
+    /// The first non-empty ring at or after the cursor.
+    fn first_ready(&self) -> Option<usize> {
+        let n = self.rings.len();
+        (0..n)
+            .map(|k| (self.cursor + k) % n)
+            .find(|&i| !self.rings[i].is_empty())
+    }
+
+    fn pop_ring(&mut self, ring: usize) -> Option<D> {
+        let item = self.rings[ring].pop()?;
+        self.cursor = ring;
+        Some(item)
+    }
+
+    fn poll(&mut self) -> Option<Wake<C, D>> {
+        // Ring before control: the item seen at the front of `ready` now
+        // was pushed before any control message this poll does not see,
+        // and only that ring is popped afterwards.
+        let ready = self.first_ready();
+        if !self.ctrl_gone {
+            match self.ctrl.try_recv() {
+                Ok(msg) => return Some(Wake::Control(msg)),
+                Err(TryRecvError::Disconnected) => self.ctrl_gone = true,
+                Err(TryRecvError::Empty) => {}
+            }
+        }
+        if let Some(ring) = ready {
+            return self.pop_ring(ring).map(Wake::Data);
+        }
+        // `is_closed` before `is_empty`: a sender's last push precedes
+        // its drop.
+        let closed = self.ctrl_gone && self.rings.iter().all(|r| r.is_closed() && r.is_empty());
+        closed.then_some(Wake::Closed)
     }
 }
 
@@ -620,21 +788,213 @@ mod tests {
         }
     }
 
+    /// One step of a single-threaded inbox schedule: the test thread
+    /// plays every sender and the inbox's own thread, so the
+    /// interleaving is exact and nothing sleeps (an idle `next` parks
+    /// for zero time).
+    #[derive(Clone, Debug)]
+    enum Op {
+        Send,
+        Push(usize),
+        Next,
+        Drain,
+    }
+
+    /// Runs `ops` over `rings` rings of capacity `cap` against a queue
+    /// model. Every send and push carries the next value of one global
+    /// stamp, so FIFO order and cross-plane order are both visible.
+    fn run_inbox_schedule(rings: usize, cap: usize, ops: &[Op]) -> Result<(), String> {
+        use std::collections::VecDeque;
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..rings).map(|_| ring::<(usize, u64)>(cap)).unzip();
+        let (ctl, mut inbox) = inbox::<u64, (usize, u64)>(rxs);
+        let mut ctrl_q: VecDeque<u64> = VecDeque::new();
+        let mut ring_q: Vec<VecDeque<u64>> = vec![VecDeque::new(); rings];
+        let mut stamp = 0u64;
+        let deliver = |found: Wake<u64, (usize, u64)>,
+                       ctrl_q: &mut VecDeque<u64>,
+                       ring_q: &mut Vec<VecDeque<u64>>|
+         -> Result<bool, String> {
+            match found {
+                Wake::Control(c) if ctrl_q.pop_front() == Some(c) => Ok(false),
+                Wake::Control(c) => Err(format!("control {c} lost, duplicated or reordered")),
+                Wake::Data((_, v)) if !ctrl_q.is_empty() => {
+                    Err(format!("data {v} overtook control {:?}", ctrl_q.front()))
+                }
+                Wake::Data((i, v)) if ring_q[i].pop_front() == Some(v) => Ok(false),
+                Wake::Data((i, v)) => Err(format!("ring {i}: {v} lost, duplicated or reordered")),
+                Wake::Idle(_) if ctrl_q.is_empty() && ring_q.iter().all(VecDeque::is_empty) => {
+                    Ok(false)
+                }
+                Wake::Idle(_) => Err("idle with input queued".into()),
+                Wake::Closed => Ok(true),
+            }
+        };
+        for op in ops {
+            match op {
+                Op::Send => {
+                    stamp += 1;
+                    ctl.send(stamp);
+                    ctrl_q.push_back(stamp);
+                }
+                Op::Push(i) => {
+                    stamp += 1;
+                    if txs[*i].try_push((*i, stamp)).is_ok() {
+                        ring_q[*i].push_back(stamp);
+                    }
+                }
+                Op::Next => {
+                    if deliver(inbox.next(Duration::ZERO), &mut ctrl_q, &mut ring_q)? {
+                        return Err("closed with every sender alive".into());
+                    }
+                }
+                Op::Drain => {
+                    while let Some((i, v)) = inbox.pop_data() {
+                        if ring_q[i].pop_front() != Some(v) {
+                            return Err(format!("drain: ring {i} gave {v} out of order"));
+                        }
+                    }
+                    if !ring_q.iter().all(VecDeque::is_empty) {
+                        return Err("drain left data behind".into());
+                    }
+                }
+            }
+        }
+        drop(ctl);
+        drop(txs);
+        let queued = ctrl_q.len() + ring_q.iter().map(VecDeque::len).sum::<usize>();
+        for _ in 0..queued {
+            if deliver(inbox.next(Duration::ZERO), &mut ctrl_q, &mut ring_q)? {
+                return Err("closed before everything queued was delivered".into());
+            }
+        }
+        for _ in 0..2 {
+            match inbox.next(Duration::ZERO) {
+                Wake::Closed => {}
+                other => return Err(format!("expected Closed (terminal), got {other:?}")),
+            }
+        }
+        Ok(())
+    }
+
+    /// The inbox's contract, thread-free: control is delivered before
+    /// any data while it is pending (so a control message sent before a
+    /// push always precedes it), each plane is FIFO with nothing lost or
+    /// duplicated however often the rings wrap, a barrier drain empties
+    /// the rings, and `Closed` comes exactly when every sender is gone
+    /// and everything sent has been delivered.
     #[test]
-    fn waker_wakes_registered_thread() {
-        let waker = Arc::new(Waker::new());
-        let w = Arc::clone(&waker);
-        let h = thread::spawn(move || {
-            w.register();
-            thread::park_timeout(Duration::from_secs(5));
-            w.clear();
-        });
-        thread::sleep(Duration::from_millis(15));
+    fn property_inbox_schedules_keep_order_and_lose_nothing() {
+        Check::new("inbox_schedules").cases(96).run_shrink(
+            |g: &mut DetRng| {
+                let rings = g.usize_in(1, 4);
+                let cap = g.usize_in(1, 4);
+                let ops = g.vec_of(0, 160, |g| match g.u32_in(0, 10) {
+                    0 | 1 => Op::Send,
+                    2..=5 => Op::Push(g.usize_in(0, rings)),
+                    6..=8 => Op::Next,
+                    _ => Op::Drain,
+                });
+                (rings, cap, ops)
+            },
+            |(rings, cap, ops)| {
+                shrink_vec(ops)
+                    .into_iter()
+                    .map(|smaller| (*rings, *cap, smaller))
+                    .collect()
+            },
+            |(rings, cap, ops)| run_inbox_schedule(*rings, *cap, ops),
+        );
+    }
+
+    /// The lost-wakeup window, hit exactly: a push, a control send or
+    /// the last senders' drop lands after the idle re-poll and before
+    /// the park. It finds the registration, so the park returns at once
+    /// instead of sleeping out its slice against input already waiting.
+    #[test]
+    fn what_lands_between_the_repoll_and_the_park_wakes_the_inbox() {
+        let cases: [(&str, Wake<u32, u32>); 3] = [
+            ("push", Wake::Data(7)),
+            ("send", Wake::Control(7)),
+            ("close", Wake::Closed),
+        ];
+        for (case, want) in cases {
+            let (tx, rx) = ring::<u32>(2);
+            let (ctl, mut inbox) = inbox::<u32, u32>(vec![rx]);
+            let mut senders = Some((tx, ctl));
+            inbox.before_park = Some(Box::new(move || match (case, &senders) {
+                ("push", Some((tx, _))) => tx.push(7).expect("receiver alive"),
+                ("send", Some((_, ctl))) => assert!(ctl.send(7)),
+                _ => senders = None,
+            }));
+            let started = Instant::now();
+            let first = inbox.next(Duration::from_secs(60));
+            assert!(matches!(first, Wake::Idle(_)), "{case}: got {first:?}");
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "{case}: the park slept through a wakeup: {:?}",
+                started.elapsed()
+            );
+            assert_eq!(inbox.next(Duration::ZERO), want, "{case}");
+        }
+    }
+
+    #[test]
+    fn inbox_closes_only_when_both_planes_are_closed_and_dry() {
+        let (tx, rx) = ring::<u32>(2);
+        let (ctl, mut inbox) = inbox::<u32, u32>(vec![rx]);
+        tx.push(1).unwrap();
+        drop(tx);
+        assert_eq!(inbox.next(Duration::ZERO), Wake::Data(1));
+        // The ring is closed and dry, but a control sender lives on.
+        assert!(matches!(inbox.next(Duration::ZERO), Wake::Idle(_)));
+        assert!(ctl.send(2));
+        drop(ctl);
+        assert_eq!(inbox.next(Duration::ZERO), Wake::Control(2));
+        assert_eq!(inbox.next(Duration::ZERO), Wake::Closed);
+        assert_eq!(inbox.next(Duration::ZERO), Wake::Closed);
+    }
+
+    /// Real threads, real parks: two producers and a control sender
+    /// against an inbox that parks for a minute when idle. Per-plane
+    /// FIFO must hold, and a lost wakeup would cost a whole minute.
+    #[test]
+    fn inbox_multiplexes_concurrent_senders() {
+        const N: u64 = 300;
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| ring::<(usize, u64)>(2)).unzip();
+        let (ctl, mut inbox) = inbox::<u64, (usize, u64)>(rxs);
+        let mut senders = Vec::new();
+        for (i, tx) in txs.into_iter().enumerate() {
+            senders.push(thread::spawn(move || {
+                for v in 0..N {
+                    tx.push((i, v)).expect("receiver alive");
+                }
+            }));
+        }
+        senders.push(thread::spawn(move || {
+            for v in 0..N {
+                ctl.send(v);
+                thread::yield_now();
+            }
+        }));
         let started = Instant::now();
-        waker.wake();
-        h.join().unwrap();
-        assert!(started.elapsed() < Duration::from_secs(1));
-        // Waking with nothing registered is a no-op.
-        waker.wake();
+        let mut next = [0u64; 3];
+        loop {
+            let (plane, v) = match inbox.next(Duration::from_secs(60)) {
+                Wake::Control(v) => (2, v),
+                Wake::Data((i, v)) => (i, v),
+                Wake::Idle(_) => continue,
+                Wake::Closed => break,
+            };
+            assert_eq!(v, next[plane], "plane {plane} out of order");
+            next[plane] += 1;
+        }
+        assert_eq!(next, [N; 3], "every item delivered exactly once");
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "a wakeup was lost"
+        );
+        for s in senders {
+            s.join().unwrap();
+        }
     }
 }

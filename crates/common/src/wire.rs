@@ -115,6 +115,51 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Appends `v` as its IEEE-754 bits, little-endian.
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Reads a little-endian IEEE-754 float.
+pub fn get_f64(r: &mut Reader<'_>) -> Result<f64> {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(r.bytes(8)?);
+    Ok(f64::from_le_bytes(bytes))
+}
+
+/// Appends `s` as a length-prefixed UTF-8 string.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Reads a length-prefixed UTF-8 string, borrowed from the buffer.
+pub fn get_str<'a>(r: &mut Reader<'a>) -> Result<&'a str> {
+    let len = get_count(r, "string length")?;
+    std::str::from_utf8(r.bytes(len)?)
+        .map_err(|e| GridError::Execution(format!("wire: invalid UTF-8 string: {e}")))
+}
+
+/// Reads a varint that must fit a `u32` (`what` names it in the error).
+pub fn get_u32(r: &mut Reader<'_>, what: &str) -> Result<u32> {
+    u32::try_from(r.varint()?).map_err(|_| GridError::Execution(format!("wire: {what} overflow")))
+}
+
+/// Reads an element count (or byte length). Every element occupies at
+/// least one byte, so a count beyond the bytes that remain is corrupt:
+/// rejecting it here is the one rule that keeps a flipped length byte
+/// from demanding gigabytes of pre-allocation.
+pub fn get_count(r: &mut Reader<'_>, what: &str) -> Result<usize> {
+    let n = r.varint()?;
+    match usize::try_from(n) {
+        Ok(n) if n <= r.remaining() => Ok(n),
+        _ => Err(GridError::Execution(format!(
+            "wire: {what} {n} exceeds {} remaining bytes",
+            r.remaining()
+        ))),
+    }
+}
+
 // Value tags. Stable on the wire: new variants append, never renumber.
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -133,12 +178,11 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Float(f) => {
             out.push(TAG_FLOAT);
-            out.extend_from_slice(&f.to_le_bytes());
+            put_f64(out, *f);
         }
         Value::Str(s) => {
             out.push(TAG_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
+            put_str(out, s);
         }
         Value::Bool(false) => out.push(TAG_BOOL_FALSE),
         Value::Bool(true) => out.push(TAG_BOOL_TRUE),
@@ -150,17 +194,8 @@ pub fn get_value(r: &mut Reader<'_>) -> Result<Value> {
     match r.u8()? {
         TAG_NULL => Ok(Value::Null),
         TAG_INT => Ok(Value::Int(r.varint_signed()?)),
-        TAG_FLOAT => {
-            let bytes: [u8; 8] = r.bytes(8)?.try_into().expect("8 bytes");
-            Ok(Value::Float(f64::from_le_bytes(bytes)))
-        }
-        TAG_STR => {
-            let len = r.varint()? as usize;
-            let raw = r.bytes(len)?;
-            let s = std::str::from_utf8(raw)
-                .map_err(|e| GridError::Execution(format!("wire: invalid UTF-8 string: {e}")))?;
-            Ok(Value::Str(Arc::from(s)))
-        }
+        TAG_FLOAT => Ok(Value::Float(get_f64(r)?)),
+        TAG_STR => Ok(Value::Str(Arc::from(get_str(r)?))),
         TAG_BOOL_FALSE => Ok(Value::Bool(false)),
         TAG_BOOL_TRUE => Ok(Value::Bool(true)),
         tag => Err(GridError::Execution(format!(
@@ -181,15 +216,7 @@ pub fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
 /// Reads one tuple.
 pub fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
     let seq = r.varint()?;
-    let arity = r.varint()? as usize;
-    // An arity beyond the remaining byte count is corrupt; cap the
-    // pre-allocation so a flipped length byte cannot demand gigabytes.
-    if arity > r.remaining() {
-        return Err(GridError::Execution(format!(
-            "wire: tuple arity {arity} exceeds {} remaining bytes",
-            r.remaining()
-        )));
-    }
+    let arity = get_count(r, "tuple arity")?;
     let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
         values.push(get_value(r)?);
@@ -207,13 +234,7 @@ pub fn put_tuples(out: &mut Vec<u8>, tuples: &[Tuple]) {
 
 /// Reads a counted sequence of tuples.
 pub fn get_tuples(r: &mut Reader<'_>) -> Result<Vec<Tuple>> {
-    let n = r.varint()? as usize;
-    if n > r.remaining() {
-        return Err(GridError::Execution(format!(
-            "wire: tuple count {n} exceeds {} remaining bytes",
-            r.remaining()
-        )));
-    }
+    let n = get_count(r, "tuple count")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(get_tuple(r)?);

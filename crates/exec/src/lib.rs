@@ -1,34 +1,40 @@
 #![warn(missing_docs)]
 
-//! A real multi-threaded executor for partitioned plans.
+//! Real executors for partitioned plans, and the one coordinator they
+//! share.
 //!
 //! The simulator (`gridq-sim`) reproduces the paper's *measurements* in
 //! virtual time; this crate demonstrates that the adaptivity architecture
-//! is substrate-independent by running the same [`DistributedPlan`]s over
-//! OS threads and mpsc channels against the wall clock:
+//! is substrate-independent by running the same [`DistributedPlan`]s
+//! against the wall clock, over OS threads ([`ThreadedExecutor`]) and
+//! over socket-connected workers ([`socket::SocketExecutor`]). The
+//! coordinator side of a run exists once (`Run::execute`, in this file):
 //!
 //! - one producer thread per source scan, routing tuples through the
-//!   shared exchange [`gridq_engine::distributed::Router`] and sending
-//!   blocks over bounded rings;
-//! - one consumer thread per stage partition, evaluating the same
-//!   [`gridq_engine::evaluator::PartitionEvaluator`] clones and *actually spending CPU/sleep time*
-//!   proportional to the cost model (scaled down by `cost_scale` to keep
-//!   tests fast);
-//! - an adaptivity thread hosting the MonitoringEventDetector, Diagnoser,
-//!   and Responder, fed by real M1/M2 notifications and deploying new
-//!   distribution vectors into the shared router while the query runs.
+//!   shared exchange [`gridq_engine::distributed::Router`] and shipping
+//!   blocks over bounded SPSC rings (end-of-stream rides the same ring);
+//! - one *worker endpoint* per stage partition, multiplexing its rings
+//!   and its control messages through one `Inbox` — the substrates'
+//!   difference: here a consumer thread evaluating the same
+//!   [`gridq_engine::evaluator::PartitionEvaluator`] clones and *actually
+//!   spending CPU/sleep time* proportional to the cost model (scaled down
+//!   by `cost_scale` to keep tests fast), in `socket.rs` a link thread
+//!   relaying to a worker behind a socket;
+//! - one adaptation thread hosting the MonitoringEventDetector, Diagnoser
+//!   and Responder, fed by real M1/M2 notifications (or by scripted
+//!   adaptations) and deploying new distribution vectors into the shared
+//!   router while the query runs. A run nothing could adapt has none.
 //!
 //! Prospective (R2) adaptations swap the routing table in place and only
 //! affect future tuples, so they are restricted to stateless stages.
 //! Retrospective (R1) adaptations run the full recall protocol (the
-//! private `protocol` module, shared with the socket substrate — this
-//! file only drives it): producers log outgoing tuples into
-//! checkpointed recovery logs, consumers acknowledge checkpoint markers,
-//! and on deploy the adaptivity thread pauses the producers behind a
-//! drain barrier, migrates the surrendered hash-bucket state between
-//! consumers, and restages the producers' unsent buffers under the new
-//! distribution — so stateful hash-partitioned stages repartition
-//! mid-flight without losing or duplicating a tuple.
+//! private `protocol` module — this file only drives it): producers log
+//! outgoing tuples into checkpointed recovery logs, consumers acknowledge
+//! checkpoint markers, and on deploy the adaptation thread pauses the
+//! producers behind a drain barrier, migrates the surrendered hash-bucket
+//! state between consumers, and restages the producers' unsent buffers
+//! under the new distribution — so stateful hash-partitioned stages
+//! repartition mid-flight without losing or duplicating a tuple.
 
 mod failover;
 mod protocol;
@@ -36,9 +42,9 @@ mod recall;
 pub mod service;
 pub mod socket;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -48,7 +54,7 @@ use gridq_adapt::{
     ProducerId, Responder, ResponsePolicy, M1, M2,
 };
 use gridq_common::cast;
-use gridq_common::sync::ring::{ring, RingReceiver, RingSender, Waker};
+use gridq_common::sync::ring::{inbox, ring, Inbox, InboxSender, RingReceiver, RingSender, Wake};
 use gridq_common::{
     ChaosHook, DistributionVector, GridError, NodeId, NotifyKind, PartitionId, QueryId,
     RecallPhase, Result, SimTime, SubplanId, Tuple,
@@ -115,7 +121,7 @@ pub struct ThreadedConfig {
     /// Service-plane tenancy handle, injected by [`QueryService`] when
     /// this query shares evaluator nodes with co-resident queries: the
     /// contention ledger inflates consumers' modelled costs, and the
-    /// adaptivity thread feeds the shared cross-query diagnoser /
+    /// adaptation thread feeds the shared cross-query diagnoser /
     /// deploys its tenant rebalances. `None` (the default) runs the
     /// query exactly as before the service plane existed.
     pub tenancy: Option<TenancyHandle>,
@@ -235,54 +241,78 @@ pub struct ThreadedReport {
     pub obs: Option<ObsReport>,
 }
 
-enum Msg {
-    /// End of one source's stream; carries the stream tag so consumers
-    /// can tell when the build phase is complete, and the producer index
-    /// so the consumer can drain that producer's data ring first (every
-    /// push precedes the Eos send, but the ring and the control channel
-    /// carry no cross-plane ordering of their own).
-    Eos { stream: StreamTag, source: usize },
-    /// Recall barrier marker: the consumer replies `Drained` once it
-    /// sees this, proving the channel holds no pre-pause tuples.
+/// What travels in a threaded data ring: a block, or the end of one
+/// source's stream riding behind the blocks it trails.
+#[derive(Clone)]
+enum DataMsg {
+    Block(Block),
+    Eos(StreamTag),
+}
+
+/// How a block or an end-of-stream becomes a data ring's payload: itself
+/// on threads, its encoded frame on sockets — so the producer thread, not
+/// the link thread, pays for the encode.
+pub(crate) trait RingPayload: Clone + Send + 'static {
+    fn block(block: Block) -> Self;
+    fn eos(stream: StreamTag, source: usize) -> Self;
+}
+
+impl RingPayload for DataMsg {
+    fn block(block: Block) -> Self {
+        DataMsg::Block(block)
+    }
+
+    fn eos(stream: StreamTag, _source: usize) -> Self {
+        DataMsg::Eos(stream)
+    }
+}
+
+/// A coordinator's (or peer's) command to one worker endpoint: the
+/// control-plane vocabulary of both substrates.
+pub(crate) enum Msg {
+    /// Recall barrier marker: the worker replies `Drained` once it
+    /// sees this, proving it holds no pre-pause tuples. The endpoint
+    /// drains its rings first — the producers are parked behind the
+    /// recall gate, so the rings hold everything sent before the pause.
     Drain { token: u64 },
     /// Recall migration command: hand over the state of the outgoing
-    /// buckets and re-route held tuples under the (already swapped)
-    /// router, then reply `MigrateDone`.
+    /// buckets and every held tuple, then reply `MigrateDone`.
     Migrate(MigrateCmd),
     /// A tuple re-delivered by the recall protocol (migrated operator
     /// state, a recalled held tuple, a forwarded stray, a failover
     /// replay). Not logged again: the barrier plus direct channel carry
     /// the exactly-once guarantee.
     Migrated(Routed),
+    /// Surrendered state routed straight back to the worker that
+    /// extracted it: re-inserted raw, uncounted.
+    Reinsert(Routed),
 }
 
-/// A consumer's control-plane address: the mpsc sender plus the waker
-/// that pulls the consumer out of its idle park. Every control send
-/// wakes, so a consumer parked between ring polls reacts to `Eos`,
-/// `Drain`, `Migrate`, and replayed `Migrated` traffic immediately.
-#[derive(Clone)]
-struct CtrlTx {
-    tx: Sender<Msg>,
-    waker: Arc<Waker>,
-}
+/// How the coordinator commands workers on either substrate: a message
+/// on each endpoint's control plane.
+struct Commands<C>(Vec<InboxSender<C>>);
 
-impl CtrlTx {
-    /// Sends a control message and wakes the consumer. Returns whether
-    /// the consumer's receiver still exists.
-    fn send(&self, msg: Msg) -> bool {
-        let ok = self.tx.send(msg).is_ok();
-        self.waker.wake();
-        ok
+impl<C: From<Msg>> WorkerCommands for Commands<C> {
+    fn drain(&mut self, worker: usize, token: u64) -> bool {
+        self.0[worker].send(Msg::Drain { token }.into())
     }
 
-    /// Wakes the consumer without sending (used by producers after a
-    /// ring push).
-    fn wake(&self) {
-        self.waker.wake();
+    fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
+        self.0[worker].send(Msg::Migrate(cmd).into());
+    }
+
+    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool) {
+        let msg = if reinsert {
+            Msg::Reinsert(entry)
+        } else {
+            Msg::Migrated(entry)
+        };
+        self.0[dest].send(msg.into());
     }
 }
 
-enum Raw {
+/// What the adaptation thread consumes.
+pub(crate) enum Raw {
     M1(M1),
     M2(M2),
     /// A consumer liveness beat (failover runs only): sent once per
@@ -290,10 +320,30 @@ enum Raw {
     Beat(usize),
     /// A consumer finished cleanly; its lease no longer applies.
     Done(usize),
+    /// The run-wide routed count reached a scripted threshold.
+    Routed,
+    /// Every producer has finished: what is left of the script fires
+    /// now (no later tuple could reach its threshold).
     ProducersDone,
+    /// A worker surrendered state outside any recall's collection (its
+    /// barrier had timed out); the reply channel holds it.
+    LateState,
+    /// The run is over.
+    Stop,
 }
 
-/// What the adaptivity thread hands back at teardown.
+/// What a worker endpoint reports to the run.
+pub(crate) enum WorkerEvent {
+    Results(Vec<Tuple>),
+    /// All of the worker's streams are exhausted.
+    Done {
+        worker: usize,
+        processed: u64,
+        dedup_peak: u64,
+    },
+}
+
+/// What the adaptation thread hands back at teardown.
 #[derive(Default)]
 struct AdaptStats {
     m1: u64,
@@ -321,14 +371,22 @@ fn model_now(started: Instant, scale: f64) -> SimTime {
     SimTime::from_millis(started.elapsed().as_secs_f64() * 1000.0 / scale.max(1e-9))
 }
 
+/// Tells the adaptation thread when the run-wide routed count reaches a
+/// scripted adaptation's threshold. Exactly one producer sees each
+/// count, so each threshold is reported once.
+struct ScriptWatch {
+    marks: Vec<u64>,
+    raw: Sender<Raw>,
+}
+
 /// Drives one producer to completion on the calling thread: the scan
 /// with a pause point before each row, the end-of-scan flush, and the
-/// retry epilogue's sliced sleeps. Shared by both executors — they
-/// differ only in the sink.
-pub(crate) fn run_producer<S: BlockSink>(
+/// retry epilogue's sliced sleeps.
+fn run_producer<S: BlockSink>(
     mut producer: Producer,
     rows: &[Tuple],
     gate: Option<Arc<RecallGate>>,
+    watch: Option<ScriptWatch>,
     sink: &mut S,
 ) {
     // Counts this producer as done even if it panics, so the recall
@@ -338,7 +396,12 @@ pub(crate) fn run_producer<S: BlockSink>(
         if let Some(g) = &gate {
             producer.observe_epoch(g.pause_point());
         }
-        producer.stage(row, sink);
+        let routed = producer.stage(row, sink);
+        if let Some(w) = &watch {
+            if w.marks.contains(&routed) {
+                let _ = w.raw.send(Raw::Routed);
+            }
+        }
     }
     // A recall in flight must complete (and the buffers restage) before
     // the final flush: finishing mid-pause would send tuples routed
@@ -362,7 +425,7 @@ pub(crate) fn run_producer<S: BlockSink>(
     }
 }
 
-/// What a threaded producer needs to emit M2 notifications.
+/// What a producer needs to emit M2 notifications.
 struct M2Probe {
     raw: Sender<Raw>,
     query: QueryId,
@@ -370,20 +433,22 @@ struct M2Probe {
     started: Instant,
 }
 
-/// The threaded producer's sink: one bounded SPSC ring of blocks per
-/// consumer (the ring *is* the backpressure), end-of-stream on the
-/// consumer's control channel.
-struct ThreadedSink {
+/// The producer's sink on both substrates: one bounded SPSC ring per
+/// worker endpoint (the ring *is* the backpressure). End-of-stream rides
+/// the same ring, so it trails every block in FIFO order.
+struct ProducerSink<P: RingPayload> {
     source: usize,
-    rings: Vec<RingSender<Block>>,
-    ctrl: Vec<CtrlTx>,
+    stream: StreamTag,
+    rings: Vec<RingSender<P>>,
+    /// Destinations whose end-of-stream is out.
+    ended: Vec<bool>,
     scale: f64,
     chaos: Option<Arc<dyn ChaosHook>>,
     /// `None` with monitoring off.
     m2: Option<M2Probe>,
 }
 
-impl BlockSink for ThreadedSink {
+impl<P: RingPayload> BlockSink for ProducerSink<P> {
     fn pay(&mut self, model_ms: f64) {
         spin_for(model_ms, self.scale);
     }
@@ -392,12 +457,12 @@ impl BlockSink for ThreadedSink {
         let send_started = Instant::now();
         let copies = 1 + usize::from(duplicate);
         let count = self.m2.as_ref().map_or(0, |_| block.tuples() * copies);
+        let payload = P::block(block);
         let mut failed = 0;
         if duplicate {
-            failed += usize::from(self.rings[dest].push(block.clone()).is_err());
+            failed += usize::from(self.rings[dest].push(payload.clone()).is_err());
         }
-        failed += usize::from(self.rings[dest].push(block).is_err());
-        self.ctrl[dest].wake();
+        failed += usize::from(self.rings[dest].push(payload).is_err());
         let m2_kept = self
             .chaos
             .as_ref()
@@ -417,7 +482,21 @@ impl BlockSink for ThreadedSink {
     }
 
     fn eos(&mut self, dest: usize, stream: StreamTag, source: usize) {
-        self.ctrl[dest].send(Msg::Eos { stream, source });
+        self.ended[dest] = true;
+        let _ = self.rings[dest].push(P::eos(stream, source));
+    }
+}
+
+impl<P: RingPayload> Drop for ProducerSink<P> {
+    /// A producer that died mid-scan never ended its stream, and without
+    /// the markers its workers would wait forever: the unwinding sink
+    /// sends them, by the same route.
+    fn drop(&mut self) {
+        for dest in 0..self.rings.len() {
+            if !self.ended[dest] {
+                self.eos(dest, self.stream, self.source);
+            }
+        }
     }
 }
 
@@ -429,8 +508,8 @@ struct ThreadedOut {
     index: usize,
     node: NodeId,
     x: Exchange,
-    peers: Vec<CtrlTx>,
-    results: Sender<Vec<Tuple>>,
+    peers: Vec<InboxSender<Msg>>,
+    events: Sender<WorkerEvent>,
     raw: Sender<Raw>,
     scale: f64,
     failover_on: bool,
@@ -457,7 +536,7 @@ impl ConsumerOut for ThreadedOut {
     }
 
     fn results(&mut self, batch: Vec<Tuple>) {
-        let _ = self.results.send(batch);
+        let _ = self.events.send(WorkerEvent::Results(batch));
     }
 
     fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple> {
@@ -500,7 +579,7 @@ impl ConsumerOut for ThreadedOut {
     }
 }
 
-/// What one control message means for the consumer thread's loop.
+/// What one inbox event means for the consumer thread's loop.
 enum Step {
     Continue,
     /// The last stream ended: exit cleanly.
@@ -509,51 +588,25 @@ enum Step {
     Crashed,
 }
 
-/// One consumer thread: the driver around a protocol [`Consumer`].
-///
-/// The hot data plane is a bounded SPSC ring per (producer, consumer)
-/// edge; the control plane (Eos, recall commands, migrated
-/// re-deliveries, backstops) is one mpsc channel paired with the waker
-/// that interrupts the idle park. The two planes carry no ordering
-/// between them, so the loop re-establishes the single-FIFO guarantees
-/// by construction. Control drains first and completely: a recall
-/// re-delivery (`Migrated`) is enqueued before the coordinator resumes
-/// the producers, hence before any post-recall block is pushed —
-/// handling all visible control before any data keeps migrated state
-/// ahead of the tuples that probe it. The data drain re-checks the
-/// control channel before every block for the same reason. The inverse
-/// direction (a block pushed before Eos/Drain was sent) is handled
-/// inside those arms, which drain the rings the guarantee covers before
-/// acting.
+/// One consumer thread: the in-process worker endpoint, a protocol
+/// [`Consumer`] fed from an [`Inbox`] whose ordering guarantees (control
+/// first, control before every data item) keep migrated state ahead of
+/// the tuples that probe it.
 struct ConsumerThread {
-    rx: Receiver<Msg>,
-    rings: Vec<RingReceiver<Block>>,
-    waker: Arc<Waker>,
+    inbox: Inbox<Msg, DataMsg>,
     consumer: Consumer,
     out: ThreadedOut,
     replies: Sender<RecallReply>,
-    recv_slice_ms: u64,
+    recv_slice: Duration,
 }
 
 impl ConsumerThread {
     /// The crash seam: consulted once per control message and once per
-    /// block. Dying here means no flush, no acks, no control replies —
-    /// exactly a vanished node.
+    /// data item. Dying here means no flush, no acks, no control replies
+    /// — exactly a vanished node.
     fn crashed(&self) -> bool {
         let i = self.out.index;
         self.out.x.chaos.as_ref().is_some_and(|c| c.crash_worker(i))
-    }
-
-    /// Consumes everything ring `source` holds. Returns `false` when the
-    /// crash seam fired.
-    fn drain_ring(&mut self, source: usize) -> bool {
-        while let Some(block) = self.rings[source].pop() {
-            if self.crashed() {
-                return false;
-            }
-            self.consumer.on_block(block, &mut self.out);
-        }
-        true
     }
 
     /// Sends a recall reply unless the chaos seam swallows it.
@@ -563,27 +616,31 @@ impl ConsumerThread {
         }
     }
 
-    fn on_ctrl(&mut self, msg: Msg) -> Step {
-        match msg {
-            Msg::Eos { stream, source } => {
-                // Every push from this producer precedes its Eos: consume
-                // its ring before acting, so the held-probe replay and
-                // the final exit observe all of its blocks.
-                if !self.drain_ring(source) {
-                    return Step::Crashed;
-                }
+    fn on_data(&mut self, item: DataMsg) -> Step {
+        if self.crashed() {
+            return Step::Crashed;
+        }
+        match item {
+            DataMsg::Block(block) => self.consumer.on_block(block, &mut self.out),
+            DataMsg::Eos(stream) => {
                 if self.consumer.on_eos(stream, &mut self.out) {
                     return Step::Finished;
                 }
             }
+        }
+        Step::Continue
+    }
+
+    fn on_ctrl(&mut self, msg: Msg) -> Step {
+        if self.crashed() {
+            return Step::Crashed;
+        }
+        match msg {
             Msg::Drain { token } => {
-                // The producers are parked behind the recall gate, so the
-                // rings hold everything sent before the pause: consume it
-                // all before replying, which is exactly what `Drained`
-                // promises the coordinator.
-                for source in 0..self.rings.len() {
-                    if !self.drain_ring(source) {
-                        return Step::Crashed;
+                while let Some(item) = self.inbox.pop_data() {
+                    match self.on_data(item) {
+                        Step::Continue => {}
+                        other => return other,
                     }
                 }
                 self.reply(RecallPhase::Drain, RecallReply::Drained { token });
@@ -610,146 +667,147 @@ impl ConsumerThread {
                 );
             }
             Msg::Migrated(entry) => self.consumer.on_migrated(entry, &mut self.out),
+            Msg::Reinsert(entry) => self.consumer.take_back(entry),
         }
         Step::Continue
     }
 
-    /// Runs to end of stream (or crash). Returns the processed count and
-    /// the dedup filter's peak.
-    fn run(mut self) -> (u64, u64) {
+    /// Runs to end of stream (or crash), then reports completion.
+    fn run(mut self) {
         if self.serve() {
             if self.out.failover_on {
                 // A clean exit is not a death: retire the lease.
                 let _ = self.out.raw.send(Raw::Done(self.out.index));
             }
-            let _ = self.out.results.send(self.consumer.take_results());
+            let results = self.consumer.take_results();
+            self.out.results(results);
         }
-        (self.consumer.processed(), self.consumer.dedup_peak())
+        let _ = self.out.events.send(WorkerEvent::Done {
+            worker: self.out.index,
+            processed: self.consumer.processed(),
+            dedup_peak: self.consumer.dedup_peak(),
+        });
     }
 
     /// The receive loop. Returns `false` when the crash seam fired.
     fn serve(&mut self) -> bool {
-        // Set once the control channel disconnects (every producer and
-        // the coordinator are gone); the loop makes one final pass over
-        // the rings before exiting.
-        let mut ctrl_gone = false;
-        // A control message pulled out of order by the data plane's
-        // preemption check, handled first next cycle.
-        let mut stashed: Option<Msg> = None;
         loop {
-            // Beat per cycle: an idle consumer renews its lease once per
-            // park slice, a busy one once per pass.
+            // Beat per event: an idle consumer renews its lease once per
+            // park slice.
             self.out.beat();
-            let mut progressed = false;
-            // Control plane, exhaustively and in FIFO order.
-            loop {
-                let msg = match stashed.take() {
-                    Some(m) => m,
-                    None => match self.rx.try_recv() {
-                        Ok(m) => m,
-                        Err(TryRecvError::Disconnected) => {
-                            ctrl_gone = true;
-                            break;
-                        }
-                        Err(TryRecvError::Empty) => break,
-                    },
-                };
-                progressed = true;
-                if self.crashed() {
-                    return false;
+            let step = match self.inbox.next(self.recv_slice) {
+                Wake::Control(msg) => self.on_ctrl(msg),
+                Wake::Data(item) => self.on_data(item),
+                Wake::Idle(waited) => {
+                    // The partition spent this slice waiting for input:
+                    // the leaf-wait signal the A2 diagnoser keys on.
+                    self.consumer.add_wait(waited.as_secs_f64() * 1000.0);
+                    Step::Continue
                 }
-                match self.on_ctrl(msg) {
-                    Step::Continue => {}
-                    Step::Finished => return true,
-                    Step::Crashed => return false,
-                }
-            }
-            // Data plane: drain every ring, re-checking the control
-            // channel before each block — a `Migrated` that arrives
-            // mid-drain precedes any block pushed after it, so control
-            // preempts.
-            'drain: for source in 0..self.rings.len() {
-                loop {
-                    if !ctrl_gone {
-                        match self.rx.try_recv() {
-                            Ok(m) => {
-                                stashed = Some(m);
-                                break 'drain;
-                            }
-                            Err(TryRecvError::Disconnected) => ctrl_gone = true,
-                            Err(TryRecvError::Empty) => {}
-                        }
-                    }
-                    let Some(block) = self.rings[source].pop() else {
-                        break;
-                    };
-                    progressed = true;
-                    if self.crashed() {
-                        return false;
-                    }
-                    self.consumer.on_block(block, &mut self.out);
-                }
-            }
-            if stashed.is_some() {
-                continue;
-            }
-            if ctrl_gone {
-                // Every sender is gone and the rings were just drained
-                // dry: nothing more can arrive.
-                return true;
-            }
-            if progressed {
-                continue;
-            }
-            // Idle. Register on the waker, then re-poll both planes: a
-            // push or send that landed between the polls above and the
-            // registration would wake nobody, and the park would eat a
-            // full slice against input already waiting.
-            self.waker.register();
-            if self.rings.iter().any(|r| !r.is_empty()) {
-                self.waker.clear();
-                continue;
-            }
-            match self.rx.try_recv() {
-                Ok(m) => {
-                    self.waker.clear();
-                    stashed = Some(m);
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.waker.clear();
-                    ctrl_gone = true;
-                }
-                Err(TryRecvError::Empty) => {
-                    // The partition spends this slice waiting for input.
-                    // Dropping the wait (as this arm once did)
-                    // understated the leaf-wait signal the A2 diagnoser
-                    // keys on.
-                    let wait_started = Instant::now();
-                    thread::park_timeout(Duration::from_millis(self.recv_slice_ms));
-                    self.waker.clear();
-                    self.consumer
-                        .add_wait(wait_started.elapsed().as_secs_f64() * 1000.0);
-                }
+                // Every sender is gone and the rings are dry: nothing
+                // more can arrive.
+                Wake::Closed => Step::Finished,
+            };
+            match step {
+                Step::Continue => {}
+                Step::Finished => return true,
+                Step::Crashed => return false,
             }
         }
     }
 }
 
-/// How the threaded coordinator commands consumers: control-channel
-/// sends (the consumer drains its rings before answering a `Drain`).
-struct CtrlCommands<'a>(&'a [CtrlTx]);
+/// The in-process worker endpoints: one consumer thread per partition.
+struct ThreadedWorkers {
+    senders: Vec<InboxSender<Msg>>,
+    handles: Vec<Option<thread::JoinHandle<()>>>,
+}
 
-impl WorkerCommands for CtrlCommands<'_> {
-    fn drain(&mut self, worker: usize, token: u64) -> bool {
-        self.0[worker].send(Msg::Drain { token })
+impl ThreadedWorkers {
+    fn start(cfg: &ThreadedConfig, plan: &DistributedPlan, w: Wiring<DataMsg>) -> Self {
+        let stage = &plan.stages[0];
+        let monitoring = cfg.adaptivity.monitoring_active();
+        let (senders, inboxes): (Vec<_>, Vec<_>) = w.rings.into_iter().map(inbox).unzip();
+        let mut handles = Vec::with_capacity(inboxes.len());
+        for (i, inbox) in inboxes.into_iter().enumerate() {
+            let node = stage.nodes[i];
+            let mut consumer = Consumer::new(
+                w.x.consumer_spec(
+                    i,
+                    plan.sources.len(),
+                    cfg.receive_cost_ms,
+                    cfg.perturbations.get(&node),
+                ),
+                stage.factory.create(i as u32),
+            );
+            consumer.m1_stride =
+                monitoring.then(|| cfg.adaptivity.monitoring_interval_tuples.max(1));
+            consumer.chaos = cfg.chaos.clone();
+            consumer.contention = cfg
+                .tenancy
+                .as_ref()
+                .map(|t| (t.ledger().counter(node), t.ledger().alpha()));
+            consumer.progress = Some((
+                Arc::clone(&w.processed_total),
+                w.obs
+                    .as_ref()
+                    .map(|o| o.metrics().counter("exec.tuples_processed")),
+            ));
+            let worker = ConsumerThread {
+                inbox,
+                consumer,
+                out: ThreadedOut {
+                    index: i,
+                    node,
+                    x: w.x.clone(),
+                    peers: senders.clone(),
+                    events: w.events.clone(),
+                    raw: w.raw.clone(),
+                    scale: cfg.cost_scale,
+                    failover_on: cfg.failover.enabled,
+                    query: plan.query,
+                    stage_id: stage.id,
+                    started: w.started,
+                },
+                replies: w.replies.clone(),
+                recv_slice: Duration::from_millis(if cfg.failover.enabled {
+                    cfg.failover.heartbeat_ms.min(50)
+                } else {
+                    50
+                }),
+            };
+            handles.push(Some(thread::spawn(move || worker.run())));
+        }
+        ThreadedWorkers { senders, handles }
+    }
+}
+
+impl Endpoints for ThreadedWorkers {
+    type Ctl = Msg;
+
+    fn senders(&self) -> Vec<InboxSender<Msg>> {
+        self.senders.clone()
     }
 
-    fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
-        self.0[worker].send(Msg::Migrate(cmd));
+    fn exited(&mut self, worker: usize) -> Option<String> {
+        if !self.handles[worker].as_ref()?.is_finished() {
+            return None;
+        }
+        let joined = self.handles[worker].take()?.join();
+        Some(match joined {
+            Ok(()) => format!("consumer {worker} exited without reporting completion"),
+            Err(_) => format!("consumer {worker} panicked"),
+        })
     }
 
-    fn redeliver(&mut self, dest: usize, entry: Routed, _reinsert: bool) {
-        self.0[dest].send(Msg::Migrated(entry));
+    fn stop(self, _clean: bool) -> Vec<String> {
+        // Every handle is joined even when another one panicked, so a
+        // single failed worker cannot leave stray threads running behind
+        // an error return.
+        let joined = self.handles.into_iter().enumerate();
+        joined
+            .filter_map(|(i, h)| h?.join().is_err().then(|| format!("consumer {i} panicked")))
+            .collect()
     }
 }
 
@@ -768,14 +826,6 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn new(obs: &Option<Obs>, started: Instant, cfg: &ThreadedConfig) -> Self {
-        Recorder {
-            obs: obs.clone(),
-            started,
-            scale: cfg.cost_scale,
-        }
-    }
-
     fn record(&self, at: SimTime, kind: TimelineKind) -> u64 {
         match &self.obs {
             Some(o) => o.record(
@@ -792,15 +842,20 @@ impl Recorder {
     }
 }
 
-/// The adaptivity thread: detector → diagnoser → responder → shared
-/// router. For retrospective commands and node failures it hands the
-/// protocol core's recall coordinator a target and a transport.
-struct Adaptivity {
+/// The adaptation thread of a run, on either substrate: detector →
+/// diagnoser → responder → shared router, fed by M1/M2 notifications and
+/// by the scripted adaptations. Whatever the source of an
+/// [`AdaptationCommand`], [`Adaptivity::deploy`] is the only thing that
+/// ever deploys one; for retrospective commands and node failures it
+/// hands the protocol core's recall coordinator a target and a
+/// transport.
+struct Adaptivity<W> {
     adapt: AdaptivityConfig,
     x: Exchange,
     coordinator: Coordinator,
     gate: Option<Arc<RecallGate>>,
-    senders: Vec<CtrlTx>,
+    workers: W,
+    partitions: usize,
     replies: Receiver<RecallReply>,
     raw_rx: Receiver<Raw>,
     recall_timeout: Duration,
@@ -819,53 +874,55 @@ struct Adaptivity {
     /// seq, attempts)`: an aborted attempt is retried a few times before
     /// the worker is left to the producers' delivery-gap path.
     failover_queue: Vec<(usize, u64, u32)>,
+    /// Scripted adaptations not yet deployed, by ascending routed-tuple
+    /// threshold.
+    script: VecDeque<(u64, AdaptationCommand)>,
     stats: AdaptStats,
 }
 
-/// The channels and counters `run` wires into the adaptivity thread.
-struct AdaptWiring {
+/// The channels and counters `run_query` wires into the adaptation
+/// thread.
+struct AdaptWiring<W> {
     gate: Option<Arc<RecallGate>>,
-    senders: Vec<CtrlTx>,
+    workers: W,
+    partitions: u32,
     replies: Receiver<RecallReply>,
     raw_rx: Receiver<Raw>,
     total_rows: u64,
     processed_total: Arc<AtomicU64>,
+    script: Vec<(u64, AdaptationCommand)>,
 }
 
-impl Adaptivity {
+impl<W: WorkerCommands> Adaptivity<W> {
     fn new(
         cfg: &ThreadedConfig,
         plan: &DistributedPlan,
         x: &Exchange,
-        wiring: AdaptWiring,
+        wiring: AdaptWiring<W>,
         rec: Recorder,
-    ) -> Result<Adaptivity> {
+    ) -> Adaptivity<W> {
         let stage = &plan.stages[0];
-        let partitions = stage.nodes.len();
         let initial = x.router.lock().current_distribution();
         let mut detector = MonitoringEventDetector::new(&cfg.adaptivity);
-        let mut diagnoser = Diagnoser::new(
-            stage.id,
-            cast::index_to_u32(partitions)?,
-            initial,
-            &cfg.adaptivity,
-        );
+        let mut diagnoser = Diagnoser::new(stage.id, wiring.partitions, initial, &cfg.adaptivity);
         let mut responder = Responder::new(&cfg.adaptivity);
         if let Some(o) = &rec.obs {
             detector.set_metric_sink(o.sink());
             diagnoser.set_metric_sink(o.sink());
             responder.set_metric_sink(o.sink());
         }
+        let partitions = wiring.partitions as usize;
         let monitor = cfg
             .failover
             .enabled
             .then(|| HeartbeatMonitor::new(partitions, cfg.failover.lease_ms));
-        Ok(Adaptivity {
+        Adaptivity {
             adapt: cfg.adaptivity.clone(),
             x: x.clone(),
             coordinator: Coordinator::new(x.clone()),
             gate: wiring.gate,
-            senders: wiring.senders,
+            workers: wiring.workers,
+            partitions,
             replies: wiring.replies,
             raw_rx: wiring.raw_rx,
             recall_timeout: Duration::from_millis(cfg.recall_timeout_ms),
@@ -881,11 +938,21 @@ impl Adaptivity {
             monitor,
             heartbeat_ms: cfg.failover.heartbeat_ms,
             failover_queue: Vec::new(),
+            script: wiring.script.into(),
             stats: AdaptStats::default(),
-        })
+        }
+    }
+
+    /// Whether anything could ever hand this run a command to deploy
+    /// (failover requires live adaptivity). When nothing can, the run
+    /// needs no adaptation thread.
+    fn can_adapt(&self) -> bool {
+        self.adapt.enabled || !self.script.is_empty()
     }
 
     fn run(mut self) -> AdaptStats {
+        // Thresholds already met (a script entry at zero) fire at once.
+        self.fire_script(false);
         loop {
             // With a monitor installed the loop must keep checking leases
             // even when no monitoring events arrive, so the blocking
@@ -941,7 +1008,19 @@ impl Adaptivity {
                 // Liveness traffic was consumed by the monitor above; it
                 // never feeds the detector.
                 Some(Raw::Beat(_) | Raw::Done(_)) => continue,
-                Some(Raw::ProducersDone) => break,
+                Some(Raw::Routed) => {
+                    self.fire_script(false);
+                    continue;
+                }
+                Some(Raw::ProducersDone) => {
+                    self.fire_script(true);
+                    continue;
+                }
+                Some(Raw::LateState) => {
+                    self.reroute_late_state();
+                    continue;
+                }
+                Some(Raw::Stop) => break,
             };
             for (cmd, diagnosis_seq, tenant) in self.diagnose(output, at, raw_seq) {
                 self.deploy(cmd, diagnosis_seq, tenant);
@@ -949,6 +1028,41 @@ impl Adaptivity {
         }
         self.teardown();
         self.stats
+    }
+
+    /// Deploys, in order, every scripted adaptation whose routed-tuple
+    /// threshold has been reached — or, once the producers have finished,
+    /// `all` of them (a prospective swap still applies; a recall aborts
+    /// at the gate because no producer can park).
+    fn fire_script(&mut self, all: bool) {
+        while let Some((after, _)) = self.script.front() {
+            if !all && self.x.tallies.routed.load(Ordering::Relaxed) < *after {
+                return;
+            }
+            if let Some((_, cmd)) = self.script.pop_front() {
+                self.deploy(cmd, 0, false);
+            }
+        }
+    }
+
+    /// Re-routes state a router-less worker surrendered after its
+    /// recall's barrier had timed out: dropping it would lose real
+    /// tuples.
+    fn reroute_late_state(&mut self) {
+        let Some(gate) = self.gate.as_deref() else {
+            return;
+        };
+        let mut transport =
+            GateTransport::new(gate, self.recall_timeout, &self.replies, &mut self.workers);
+        while let Ok(reply) = self.replies.try_recv() {
+            if let RecallReply::Surrendered { worker, entries } = reply {
+                let (moved, recalled) =
+                    self.coordinator
+                        .surrendered(worker, entries, &mut transport);
+                self.stats.state_tuples_migrated += moved;
+                self.stats.tuples_recalled += recalled;
+            }
+        }
     }
 
     /// Renews leases from liveness traffic and declares expired workers
@@ -977,7 +1091,7 @@ impl Adaptivity {
     /// The workers a recall can address: dead ones can never answer the
     /// barrier, finished ones have nothing left to drain.
     fn live_workers(&self) -> Vec<usize> {
-        (0..self.senders.len())
+        (0..self.partitions)
             .filter(|&p| {
                 self.monitor
                     .as_ref()
@@ -1008,17 +1122,13 @@ impl Adaptivity {
         };
         let target = RecallTarget::Failover {
             replay: dead,
-            dead: (0..self.senders.len())
+            dead: (0..self.partitions)
                 .filter(|&p| p == dead || m.is_dead(p))
                 .collect(),
         };
         let live = self.live_workers();
-        let mut transport = GateTransport::new(
-            gate,
-            self.recall_timeout,
-            &self.replies,
-            CtrlCommands(&self.senders),
-        );
+        let mut transport =
+            GateTransport::new(gate, self.recall_timeout, &self.replies, &mut self.workers);
         let outcome = self
             .coordinator
             .recall(target, &live, &mut transport, |_| {});
@@ -1222,12 +1332,8 @@ impl Adaptivity {
             return;
         };
         let live = self.live_workers();
-        let mut transport = GateTransport::new(
-            gate,
-            self.recall_timeout,
-            &self.replies,
-            CtrlCommands(&self.senders),
-        );
+        let mut transport =
+            GateTransport::new(gate, self.recall_timeout, &self.replies, &mut self.workers);
         let rec = &self.rec;
         let mut start_seq = 0;
         let outcome = self.coordinator.recall(
@@ -1309,27 +1415,6 @@ pub struct ThreadedExecutor {
     config: ThreadedConfig,
 }
 
-/// Depth of each (producer, consumer) data ring, in blocks: a slow
-/// consumer parks its producers at this many staged blocks.
-const RING_BLOCKS: usize = 8;
-
-/// `rows[producer][consumer]` sender halves and `cols[consumer][producer]`
-/// receiver halves of one bounded SPSC ring per edge.
-pub(crate) type RingMesh<T> = (Vec<Vec<RingSender<T>>>, Vec<Vec<RingReceiver<T>>>);
-
-pub(crate) fn ring_mesh<T: Send>(producers: usize, consumers: usize) -> RingMesh<T> {
-    let mut txs: Vec<Vec<RingSender<T>>> = (0..producers).map(|_| Vec::new()).collect();
-    let mut rxs: Vec<Vec<RingReceiver<T>>> = (0..consumers).map(|_| Vec::new()).collect();
-    for tx_row in txs.iter_mut() {
-        for rx_row in rxs.iter_mut() {
-            let (tx, rx) = ring::<T>(RING_BLOCKS);
-            tx_row.push(tx);
-            rx_row.push(rx);
-        }
-    }
-    (txs, rxs)
-}
-
 impl ThreadedExecutor {
     /// Creates an executor over the catalog.
     pub fn new(catalog: Catalog, config: ThreadedConfig) -> Self {
@@ -1340,20 +1425,123 @@ impl ThreadedExecutor {
     pub fn run(&self, plan: &DistributedPlan) -> Result<ThreadedReport> {
         let cfg = &self.config;
         cfg.validate()?;
-        let recall_on = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R1;
+        let run = Run {
+            who: "threaded",
+            cfg,
+            script: Vec::new(),
+            finish_timeout: None,
+        };
+        run.execute(&self.catalog, plan, |w| {
+            Ok(ThreadedWorkers::start(cfg, plan, w))
+        })
+    }
+}
+
+/// Depth of each (producer, worker) data ring, in blocks: a slow worker
+/// parks its producers at this many staged blocks.
+const RING_BLOCKS: usize = 8;
+
+/// How often the run, while waiting for completions, checks that the
+/// workers it is waiting for still exist.
+const LIVENESS_SLICE: Duration = Duration::from_millis(50);
+
+/// What `Run::execute` hands a substrate to build its worker endpoints
+/// from.
+pub(crate) struct Wiring<P: RingPayload> {
+    pub(crate) x: Exchange,
+    /// `rings[worker][source]`: the receiving halves of the data mesh.
+    pub(crate) rings: Vec<Vec<RingReceiver<P>>>,
+    pub(crate) events: Sender<WorkerEvent>,
+    pub(crate) replies: Sender<RecallReply>,
+    pub(crate) raw: Sender<Raw>,
+    pub(crate) obs: Option<Obs>,
+    pub(crate) processed_total: Arc<AtomicU64>,
+    pub(crate) started: Instant,
+}
+
+/// The worker endpoints of one run — the one thing the two real
+/// substrates do differently: in-process consumer threads, or link
+/// threads relaying to socket-connected workers.
+pub(crate) trait Endpoints {
+    /// The endpoints' control vocabulary.
+    type Ctl: From<Msg> + Send + 'static;
+    /// Every worker's control-plane address.
+    fn senders(&self) -> Vec<InboxSender<Self::Ctl>>;
+    /// How `worker` ended, once it has: asked only while its completion
+    /// is outstanding, where an exit means it died.
+    fn exited(&mut self, worker: usize) -> Option<String>;
+    /// Stops and joins everything — gracefully when the run is `clean`,
+    /// without waiting on worker cooperation otherwise. Returns what
+    /// failed on the way.
+    fn stop(self, clean: bool) -> Vec<String>;
+}
+
+/// What the workers have reported so far.
+struct Collected {
+    results: Vec<Tuple>,
+    per_partition: Vec<u64>,
+    done: Vec<bool>,
+    dedup_peak: u64,
+}
+
+impl Collected {
+    fn absorb(&mut self, event: WorkerEvent) {
+        match event {
+            WorkerEvent::Results(batch) => self.results.extend(batch),
+            WorkerEvent::Done {
+                worker,
+                processed,
+                dedup_peak,
+            } => {
+                if self.done.get(worker) == Some(&false) {
+                    self.done[worker] = true;
+                    self.per_partition[worker] = processed;
+                    self.dedup_peak = self.dedup_peak.max(dedup_peak);
+                }
+            }
+        }
+    }
+}
+
+/// The coordinator side of one query, written once for both real
+/// substrates: set-up, producers over the ring sink, the adaptation
+/// thread, join and teardown order, report totals. `cfg` is the
+/// coordinator's knobs — the socket executor fills one in from its own
+/// configuration (live adaptivity, failover, obs and tenancy off).
+pub(crate) struct Run<'a> {
+    /// Names the executor in errors.
+    pub(crate) who: &'static str,
+    pub(crate) cfg: &'a ThreadedConfig,
+    /// Scripted adaptations as `(routed-tuple threshold, command)`.
+    pub(crate) script: Vec<(u64, AdaptationCommand)>,
+    /// How long the workers get to report completion once the producers
+    /// have finished; `None` waits as long as they live.
+    pub(crate) finish_timeout: Option<Duration>,
+}
+
+impl Run<'_> {
+    pub(crate) fn execute<P: RingPayload, E: Endpoints>(
+        mut self,
+        catalog: &Catalog,
+        plan: &DistributedPlan,
+        start: impl FnOnce(Wiring<P>) -> Result<E>,
+    ) -> Result<ThreadedReport> {
+        let (who, cfg) = (self.who, self.cfg);
+        let live_r1 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R1;
+        let live_r2 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R2;
+        let recall_on = live_r1 || self.script.iter().any(|(_, c)| c.retrospective);
         let resilient = cfg.chaos.is_some() || cfg.failover.enabled;
         let x = Exchange::new(
             plan,
-            "threaded",
+            who,
             recall_on,
             cfg.chaos.clone(),
             resilient,
             cfg.checkpoint_interval,
         )?;
         let stage = &plan.stages[0];
-        if cfg.adaptivity.enabled
-            && stage.factory.stateful()
-            && cfg.adaptivity.response == ResponsePolicy::R2
+        if stage.factory.stateful()
+            && (live_r2 || self.script.iter().any(|(_, c)| !c.retrospective))
         {
             return Err(GridError::Config(
                 "stateful stages require the retrospective (R1) response policy; \
@@ -1364,38 +1552,48 @@ impl ThreadedExecutor {
         }
         let monitoring = cfg.adaptivity.monitoring_active();
         let partitions = stage.nodes.len();
+        let partitions_u32 = cast::index_to_u32(partitions)?;
         let sources = plan.sources.len();
+        let tables = plan
+            .sources
+            .iter()
+            .map(|s| catalog.get(&s.table))
+            .collect::<Result<Vec<_>>>()?;
+        let total_rows = tables.iter().map(|t| t.len() as u64).sum();
         let gate = recall_on.then(|| Arc::new(RecallGate::new(sources)));
+        self.script.sort_by_key(|(after, _)| *after);
+        let marks: Vec<u64> = self.script.iter().map(|(after, _)| *after).collect();
 
-        // Channels: the ring mesh for data, one control channel (with its
-        // waker) per consumer.
-        let mut to_consumer: Vec<CtrlTx> = Vec::new();
-        let mut consumer_rx: Vec<(Receiver<Msg>, Arc<Waker>)> = Vec::new();
-        for _ in 0..partitions {
-            let (tx, rx) = channel();
-            let waker = Arc::new(Waker::new());
-            to_consumer.push(CtrlTx {
-                tx,
-                waker: Arc::clone(&waker),
-            });
-            consumer_rx.push((rx, waker));
+        // One bounded SPSC ring per (producer, worker) edge.
+        let mut ring_txs: Vec<Vec<RingSender<P>>> = (0..sources).map(|_| Vec::new()).collect();
+        let mut ring_rxs: Vec<Vec<RingReceiver<P>>> = (0..partitions).map(|_| Vec::new()).collect();
+        for tx_row in ring_txs.iter_mut() {
+            for rx_row in ring_rxs.iter_mut() {
+                let (tx, rx) = ring::<P>(RING_BLOCKS);
+                tx_row.push(tx);
+                rx_row.push(rx);
+            }
         }
-        let (mut ring_txs, mut ring_rxs) = ring_mesh::<Block>(sources, partitions);
-        let (result_tx, result_rx) = channel::<Vec<Tuple>>();
+        let (event_tx, events) = channel::<WorkerEvent>();
         let (raw_tx, raw_rx) = channel::<Raw>();
         let (reply_tx, reply_rx) = channel::<RecallReply>();
 
         let started = Instant::now();
         let obs = cfg.obs.enabled.then(|| Obs::new(cfg.obs.timeline_capacity));
         let processed_total = Arc::new(AtomicU64::new(0));
-        let mut total_rows = 0u64;
-        for s in &plan.sources {
-            total_rows += self.catalog.get(&s.table)?.len() as u64;
-        }
+        let mut endpoints = start(Wiring {
+            x: x.clone(),
+            rings: ring_rxs,
+            events: event_tx,
+            replies: reply_tx,
+            raw: raw_tx.clone(),
+            obs: obs.clone(),
+            processed_total: Arc::clone(&processed_total),
+            started,
+        })?;
 
-        let mut producer_handles = Vec::new();
-        for (sidx, source) in plan.sources.iter().enumerate() {
-            let table = self.catalog.get(&source.table)?;
+        let mut producer_handles = Vec::with_capacity(sources);
+        for (sidx, (source, table)) in plan.sources.iter().zip(tables).enumerate() {
             let mut producer = Producer::new(
                 ProducerSpec {
                     source: sidx,
@@ -1412,139 +1610,127 @@ impl ThreadedExecutor {
             producer.routed_ctr = obs
                 .as_ref()
                 .map(|o| o.metrics().counter("exec.tuples_routed"));
-            let mut sink = ThreadedSink {
+            let mut sink = ProducerSink {
                 source: sidx,
+                stream: source.stream,
                 rings: std::mem::take(&mut ring_txs[sidx]),
-                ctrl: to_consumer.clone(),
+                ended: vec![false; partitions],
                 scale: cfg.cost_scale,
                 chaos: cfg.chaos.clone(),
                 m2: monitoring.then(|| M2Probe {
                     raw: raw_tx.clone(),
                     query: plan.query,
                     stage_id: stage.id,
-                    started: Instant::now(),
+                    started,
                 }),
             };
             let gate = gate.clone();
+            let watch = (!marks.is_empty()).then(|| ScriptWatch {
+                marks: marks.clone(),
+                raw: raw_tx.clone(),
+            });
             producer_handles.push(thread::spawn(move || {
-                run_producer(producer, table.rows(), gate, &mut sink);
+                run_producer(producer, table.rows(), gate, watch, &mut sink);
             }));
         }
 
-        let mut consumer_handles = Vec::new();
-        for (i, (rx, waker)) in consumer_rx.into_iter().enumerate() {
-            let node = stage.nodes[i];
-            let mut consumer = Consumer::new(
-                x.consumer_spec(
-                    i,
-                    sources,
-                    cfg.receive_cost_ms,
-                    cfg.perturbations.get(&node),
-                ),
-                stage.factory.create(i as u32),
-            );
-            consumer.m1_stride =
-                monitoring.then(|| cfg.adaptivity.monitoring_interval_tuples.max(1));
-            consumer.chaos = cfg.chaos.clone();
-            consumer.contention = cfg
-                .tenancy
-                .as_ref()
-                .map(|t| (t.ledger().counter(node), t.ledger().alpha()));
-            consumer.progress = Some((
-                Arc::clone(&processed_total),
-                obs.as_ref()
-                    .map(|o| o.metrics().counter("exec.tuples_processed")),
-            ));
-            let worker = ConsumerThread {
-                rx,
-                rings: std::mem::take(&mut ring_rxs[i]),
-                waker,
-                consumer,
-                out: ThreadedOut {
-                    index: i,
-                    node,
-                    x: x.clone(),
-                    peers: to_consumer.clone(),
-                    results: result_tx.clone(),
-                    raw: raw_tx.clone(),
-                    scale: cfg.cost_scale,
-                    failover_on: cfg.failover.enabled,
-                    query: plan.query,
-                    stage_id: stage.id,
-                    started: Instant::now(),
-                },
-                replies: reply_tx.clone(),
-                recv_slice_ms: if cfg.failover.enabled {
-                    cfg.failover.heartbeat_ms.min(50)
-                } else {
-                    50
-                },
-            };
-            consumer_handles.push(thread::spawn(move || worker.run()));
+        let mut adaptivity = Adaptivity::new(
+            cfg,
+            plan,
+            &x,
+            AdaptWiring {
+                gate,
+                workers: Commands(endpoints.senders()),
+                partitions: partitions_u32,
+                replies: reply_rx,
+                raw_rx,
+                total_rows,
+                processed_total,
+                script: self.script,
+            },
+            Recorder {
+                obs: obs.clone(),
+                started,
+                scale: cfg.cost_scale,
+            },
+        );
+        // A run nothing could adapt needs no adaptation thread: its
+        // components are torn down here, unused.
+        let mut stats = AdaptStats::default();
+        let mut adapt_handle = None;
+        if adaptivity.can_adapt() {
+            adapt_handle = Some(thread::spawn(move || adaptivity.run()));
+        } else {
+            adaptivity.teardown();
         }
-        drop(result_tx);
-        drop(reply_tx);
 
-        let wiring = AdaptWiring {
-            gate,
-            senders: to_consumer.clone(),
-            replies: reply_rx,
-            raw_rx,
-            total_rows,
-            processed_total,
-        };
-        let adaptivity = Adaptivity::new(cfg, plan, &x, wiring, Recorder::new(&obs, started, cfg))?;
-        let adapt_handle = thread::spawn(move || adaptivity.run());
-
-        // Wait for producers, then consumers, then the adaptivity thread.
-        // Every handle is joined even when an earlier one panicked, so a
-        // single failed worker cannot leave stray threads running behind
-        // an early error return; the first failure is reported after all
-        // threads have stopped.
-        let mut panicked: Vec<String> = Vec::new();
+        // Producers, then workers, then the adaptation thread, then the
+        // endpoints: every thread is joined even after a failure, and
+        // the first failure is reported once all have stopped.
+        let mut failed: Vec<String> = Vec::new();
         for (i, h) in producer_handles.into_iter().enumerate() {
             if h.join().is_err() {
-                panicked.push(format!("producer {i}"));
-                // A dead producer never sent its end-of-stream markers;
-                // without them the consumers would wait forever, because
-                // the recall coordinator keeps the channels open.
-                for tx in &to_consumer {
-                    tx.send(Msg::Eos {
-                        stream: plan.sources[i].stream,
-                        source: i,
-                    });
-                }
-            }
-        }
-        drop(to_consumer);
-        let mut per_partition = Vec::with_capacity(partitions);
-        let mut dedup_peak_entries = 0u64;
-        for (i, h) in consumer_handles.into_iter().enumerate() {
-            match h.join() {
-                Ok((processed, peak)) => {
-                    per_partition.push(processed);
-                    dedup_peak_entries = dedup_peak_entries.max(peak);
-                }
-                Err(_) => panicked.push(format!("consumer {i}")),
+                failed.push(format!("producer {i} panicked"));
             }
         }
         let _ = raw_tx.send(Raw::ProducersDone);
+        let mut got = Collected {
+            results: Vec::new(),
+            per_partition: vec![0; partitions],
+            done: vec![false; partitions],
+            dedup_peak: 0,
+        };
+        let deadline = self.finish_timeout.map(|t| Instant::now() + t);
+        while failed.is_empty() && got.done.contains(&false) {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let wait = left.map_or(LIVENESS_SLICE, |l| l.min(LIVENESS_SLICE));
+            let closed = match events.recv_timeout(wait) {
+                Ok(event) => {
+                    got.absorb(event);
+                    continue;
+                }
+                Err(e) => e == RecvTimeoutError::Disconnected,
+            };
+            // A quiet slice: a worker that exited without reporting
+            // completion died — name it instead of waiting for it.
+            let dead: Vec<(usize, String)> = (0..partitions)
+                .filter(|&w| !got.done[w])
+                .filter_map(|w| endpoints.exited(w).map(|how| (w, how)))
+                .collect();
+            // A completion precedes its worker's exit.
+            while let Ok(event) = events.try_recv() {
+                got.absorb(event);
+            }
+            failed.extend(dead.into_iter().filter(|d| !got.done[d.0]).map(|d| d.1));
+            if failed.is_empty() && left.is_some_and(|l| l.is_zero()) {
+                failed.push("timed out waiting for workers to finish".into());
+            }
+            if closed {
+                // Every endpoint thread is gone; `stop` names the ones
+                // that panicked.
+                break;
+            }
+        }
+        let _ = raw_tx.send(Raw::Stop);
         drop(raw_tx);
-        let stats = adapt_handle.join().unwrap_or_else(|_| {
-            panicked.push("adaptivity thread".into());
-            AdaptStats::default()
-        });
-        if !panicked.is_empty() {
+        match adapt_handle.map(thread::JoinHandle::join) {
+            Some(Ok(counted)) => stats = counted,
+            Some(Err(_)) => failed.push("adaptation thread panicked".into()),
+            None => {}
+        }
+        let clean = failed.is_empty() && !got.done.contains(&false);
+        failed.extend(endpoints.stop(clean));
+        if failed.is_empty() && !clean {
+            failed.push("workers vanished before completing".into());
+        }
+        if !failed.is_empty() {
             return Err(GridError::Execution(format!(
-                "worker thread(s) panicked: {}",
-                panicked.join(", ")
+                "{who} run failed: {}",
+                failed.join(", ")
             )));
         }
 
-        let mut results = Vec::new();
-        while let Ok(batch) = result_rx.try_recv() {
-            results.extend(batch);
-        }
+        let mut results = got.results;
         if resilient {
             collapse_duplicate_results(&mut results);
         }
@@ -1554,7 +1740,7 @@ impl ThreadedExecutor {
         Ok(ThreadedReport {
             wall_ms: started.elapsed().as_secs_f64() * 1000.0,
             results,
-            per_partition_processed: per_partition,
+            per_partition_processed: got.per_partition,
             raw_m1_events: stats.m1,
             raw_m2_events: stats.m2,
             adaptations_deployed: stats.deployed,
@@ -1573,7 +1759,7 @@ impl ThreadedExecutor {
                 .iter()
                 .flat_map(|logs| logs.iter().map(SharedRecoveryLog::audit))
                 .collect(),
-            dedup_peak_entries,
+            dedup_peak_entries: got.dedup_peak,
             final_distribution,
             obs: obs.as_ref().map(Obs::report),
         })
@@ -1808,6 +1994,160 @@ mod tests {
             report.per_partition_processed
         );
         assert!(report.raw_m1_events > 0);
+    }
+
+    /// A recording [`WorkerCommands`] that answers every barrier at
+    /// once, as two obedient workers would.
+    struct FakeWorkers {
+        replies: Sender<RecallReply>,
+        log: Arc<gridq_common::sync::Mutex<Vec<String>>>,
+    }
+
+    impl WorkerCommands for FakeWorkers {
+        fn drain(&mut self, worker: usize, token: u64) -> bool {
+            self.log.lock().push(format!("drain {worker}"));
+            self.replies.send(RecallReply::Drained { token }).is_ok()
+        }
+
+        fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
+            self.log.lock().push(format!("migrate {worker}"));
+            let _ = self.replies.send(RecallReply::MigrateDone {
+                token: cmd.token,
+                state_moved: 0,
+                recalled: 0,
+            });
+        }
+
+        fn redeliver(&mut self, dest: usize, _entry: Routed, _reinsert: bool) {
+            self.log.lock().push(format!("redeliver {dest}"));
+        }
+    }
+
+    /// A scripted command and a diagnosed one are the same thing to the
+    /// adaptation thread: both go through `Adaptivity::deploy` — here
+    /// retrospectively, so through the one `Coordinator::recall` call
+    /// site — and land in the same counters and the same timeline.
+    #[test]
+    fn scripted_and_diagnosed_commands_share_one_deploy_path() {
+        let table = int_table("t", 100);
+        let plan = call_plan(&table, 2);
+        let cfg = ThreadedConfig {
+            adaptivity: AdaptivityConfig {
+                response: ResponsePolicy::R1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let x = Exchange::new(&plan, "test", true, None, false, 50).unwrap();
+        let (raw_tx, raw_rx) = channel();
+        let (reply_tx, replies) = channel();
+        let log = Arc::new(gridq_common::sync::Mutex::new(Vec::new()));
+        let obs = Obs::new(cfg.obs.timeline_capacity);
+        // One producer, forever between tuples: it parks whenever a
+        // recall asks, which is all the gate needs from it.
+        let gate = Arc::new(RecallGate::new(1));
+        let scanning = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let producer = {
+            let (gate, scanning) = (Arc::clone(&gate), Arc::clone(&scanning));
+            thread::spawn(move || {
+                let _guard = ProducerGuard::new(Arc::clone(&gate));
+                while scanning.load(Ordering::Acquire) {
+                    gate.pause_point();
+                    thread::yield_now();
+                }
+            })
+        };
+        let scripted = AdaptationCommand {
+            stage: plan.stages[0].id,
+            new_distribution: DistributionVector::new(&[0.25, 0.75]).unwrap(),
+            retrospective: true,
+            at: SimTime::ZERO,
+        };
+        let adaptivity = Adaptivity::new(
+            &cfg,
+            &plan,
+            &x,
+            AdaptWiring {
+                gate: Some(Arc::clone(&gate)),
+                workers: FakeWorkers {
+                    replies: reply_tx,
+                    log: Arc::clone(&log),
+                },
+                partitions: 2,
+                replies,
+                raw_rx,
+                total_rows: 100,
+                processed_total: Arc::new(AtomicU64::new(0)),
+                script: vec![(0, scripted)],
+            },
+            Recorder {
+                obs: Some(obs.clone()),
+                started: Instant::now(),
+                scale: cfg.cost_scale,
+            },
+        );
+        assert!(adaptivity.can_adapt());
+        // The script fires at once (threshold 0); then partition 1
+        // reports ten times partition 0's cost, which the detector,
+        // diagnoser and responder turn into a command of their own.
+        for (partition, cost) in [(0u32, 1.0), (1, 10.0)] {
+            raw_tx
+                .send(Raw::M1(M1 {
+                    query: plan.query,
+                    partition: PartitionId::new(plan.stages[0].id, partition),
+                    node: plan.stages[0].nodes[partition as usize],
+                    cost_per_tuple_ms: cost,
+                    leaf_wait_ms: 0.0,
+                    selectivity: 1.0,
+                    tuples_produced: 10,
+                    at: SimTime::from_millis(100.0 + f64::from(partition)),
+                }))
+                .unwrap();
+        }
+        raw_tx.send(Raw::Stop).unwrap();
+        let stats = adaptivity.run();
+        scanning.store(false, Ordering::Release);
+        producer.join().unwrap();
+
+        assert_eq!(stats.deployed, 2, "one scripted, one diagnosed");
+        assert_eq!((stats.recalls_completed, stats.recalls_aborted), (2, 0));
+        let one_recall = ["drain 0", "drain 1", "migrate 0", "migrate 1"];
+        assert_eq!(*log.lock(), [one_recall, one_recall].concat());
+        assert_eq!(gate.epoch(), 2, "each recall resumed under a new epoch");
+        let deployed = x.router.lock().current_distribution();
+        assert!(
+            deployed.weights()[0] > 0.75,
+            "the diagnosed W' (away from the slow partition) went last: {deployed:?}"
+        );
+        let report = obs.report();
+        let deploys: Vec<(bool, u64)> = report
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                TimelineKind::Deploy {
+                    retrospective,
+                    diagnosis_seq,
+                    ..
+                } => Some((*retrospective, *diagnosis_seq)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(deploys.len(), 2);
+        assert_eq!(deploys[0], (true, 0), "a scripted deploy has no diagnosis");
+        let diagnosis = report.events.iter().find(|e| e.seq == deploys[1].1);
+        assert!(
+            deploys[1].0
+                && matches!(
+                    diagnosis.map(|e| &e.kind),
+                    Some(TimelineKind::Diagnosis { .. })
+                ),
+            "the diagnosed deploy links its diagnosis: {deploys:?}"
+        );
+        let finishes = report
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TimelineKind::RecallFinish { .. }));
+        assert_eq!(finishes.count(), 2);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! `Migrate` surrender, `Migrated` re-delivery, M1 stride batching and
 //! per-source end-of-stream accounting.
 //!
-//! The driver owns the transport (rings and a control channel, or one
-//! FIFO link), the crash seam and the idle wait; it feeds the consumer
-//! messages and implements [`ConsumerOut`] for what comes back out.
+//! The driver owns the transport (an inbox over rings and a control
+//! channel, or one FIFO link), the crash seam and the idle wait; it feeds
+//! the consumer messages and implements [`ConsumerOut`] for what comes
+//! back out.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;

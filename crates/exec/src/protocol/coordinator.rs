@@ -1,7 +1,6 @@
-//! The recall coordinator, written once: the live adaptivity thread, the
-//! failover path and the scripted socket driver all call
-//! [`Coordinator::recall`] and differ only in the [`RecallTarget`] they
-//! pass and the [`RecallTransport`] they bring.
+//! The recall coordinator, written once: the adaptation thread calls
+//! [`Coordinator::recall`] for a diagnosed or scripted `W′` and for a
+//! failover, which differ only in the [`RecallTarget`] passed.
 //!
 //! 1. **Pause.** Every active producer parks at its next pause point;
 //!    no new tuples can enter the exchange.

@@ -3,9 +3,9 @@
 //! Plain structs with methods: no threads, sockets, clocks or sleeps.
 //! Modelled cost is *accrued* as model-ms debt and handed to the driver
 //! to pay, time-outs are decided by the driver, and bytes never appear.
-//! The threaded executor (`lib.rs`) and the socket executor
-//! (`socket.rs`) are drivers: they own threads, rings, wakers, frames,
-//! links, heartbeats and the wall clock, and implement the output
+//! The run skeleton and the threaded endpoints (`lib.rs`) and the socket
+//! endpoints (`socket.rs`) are drivers: they own threads, rings, inboxes,
+//! frames, links, heartbeats and the wall clock, and implement the output
 //! interfaces the core calls ([`producer::BlockSink`],
 //! [`consumer::ConsumerOut`], [`coordinator::RecallTransport`]). See
 //! DESIGN.md §15 for the module map. `gridq-lint`'s `wall-clock` rule

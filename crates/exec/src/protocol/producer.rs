@@ -19,10 +19,10 @@ use super::{sane_ms, Block, Exchange, Staged};
 use crate::failover::RetryBackoff;
 use crate::RetryPolicy;
 
-/// Where a producer's blocks go. Implemented by the threaded executor
-/// (SPSC ring of [`Block`]s plus the control channel), the socket
-/// executor (ring of encoded `DATA` payloads) and the protocol tests'
-/// recording fake.
+/// Where a producer's blocks go. Implemented by the run skeleton's
+/// `ProducerSink` (one SPSC ring per worker endpoint, holding [`Block`]s
+/// on threads and encoded `DATA` payloads on sockets) and by the protocol
+/// tests' recording fake.
 pub(crate) trait BlockSink {
     /// Spends accrued modelled cost (model milliseconds).
     fn pay(&mut self, model_ms: f64);
@@ -153,8 +153,9 @@ impl Producer {
 
     /// Routes, stages and logs one scanned row, flushing its
     /// destination's buffer when a window closes (resilient) or the
-    /// buffer fills.
-    pub(crate) fn stage<S: BlockSink>(&mut self, row: &Tuple, sink: &mut S) {
+    /// buffer fills. Returns the run-wide routed-tuple count this row
+    /// brought up (each count is returned to exactly one producer).
+    pub(crate) fn stage<S: BlockSink>(&mut self, row: &Tuple, sink: &mut S) -> u64 {
         let stall = self
             .x
             .chaos
@@ -171,7 +172,7 @@ impl Producer {
                 window_closed = true;
             }
         }
-        self.x.tallies.routed.fetch_add(1, Ordering::Relaxed);
+        let routed = self.x.tallies.routed.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(c) = &self.routed_ctr {
             c.add(1);
         }
@@ -187,6 +188,7 @@ impl Producer {
         if full {
             self.flush(dest, false, sink);
         }
+        routed
     }
 
     /// Ships `dest`'s staged block. Pays the modelled scan time

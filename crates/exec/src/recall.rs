@@ -1,5 +1,5 @@
 //! The real-thread half of the recall protocol: the gate producers park
-//! behind, and the wall-clock transport both executors hand to the
+//! behind, and the wall-clock transport the adaptation thread hands to the
 //! protocol core's coordinator (`protocol/coordinator.rs`, which owns
 //! the pause → drain → swap → migrate → resume sequence itself).
 //!
@@ -151,8 +151,8 @@ impl Drop for ProducerGuard {
     }
 }
 
-/// How a driver reaches its workers during a recall: the part of
-/// [`RecallTransport`] the two executors do differently.
+/// How the coordinator reaches its workers during a recall: a message on
+/// each endpoint's control plane, or a test's recording fake.
 pub(crate) trait WorkerCommands {
     /// Sends the drain barrier, ordered behind every block staged for
     /// `worker`. Returns whether the worker is still reachable.
@@ -164,8 +164,8 @@ pub(crate) trait WorkerCommands {
 }
 
 /// The coordinator's transport on real threads: the gate, a reply
-/// channel read against a wall-clock deadline, and the executor's way of
-/// commanding workers.
+/// channel read against a wall-clock deadline, and the way of commanding
+/// workers.
 pub(crate) struct GateTransport<'a, W> {
     gate: &'a RecallGate,
     /// How long to wait for the producers to park and for each round of
@@ -173,7 +173,7 @@ pub(crate) struct GateTransport<'a, W> {
     timeout: Duration,
     replies: &'a Receiver<RecallReply>,
     deadline: Instant,
-    workers: W,
+    workers: &'a mut W,
 }
 
 impl<'a, W> GateTransport<'a, W> {
@@ -181,7 +181,7 @@ impl<'a, W> GateTransport<'a, W> {
         gate: &'a RecallGate,
         timeout: Duration,
         replies: &'a Receiver<RecallReply>,
-        workers: W,
+        workers: &'a mut W,
     ) -> Self {
         GateTransport {
             gate,

@@ -5,16 +5,17 @@
 //! the threaded executor proves it against the wall clock inside one
 //! address space; this module proves it across an actual network edge.
 //! One coordinator process hosts the producers, the shared exchange
-//! router, the recovery logs, and the scripted adaptation driver; `N`
-//! evaluator workers — in-process threads or spawned `gridq-node`
-//! processes — connect back over loopback TCP or Unix domain sockets
-//! and speak the `gridq-net` frame protocol. This file is a *driver* of
-//! the crate's private `protocol` module, exactly as the threaded
-//! executor is: at-least-once delivery with consumer dedup, checkpointed
-//! recovery logs, retry/backoff retransmission and the
-//! drain–migrate–resume recall are that module's, shared, not ported.
-//! What lives here is what sockets need: payload codecs, links, writer
-//! and reader threads, worker launch and teardown.
+//! router, the recovery logs and the adaptation thread; `N` evaluator
+//! workers — in-process threads or spawned `gridq-node` processes —
+//! connect back over loopback TCP or Unix domain sockets and speak the
+//! `gridq-net` frame protocol. The coordinator side of a run is the
+//! crate's one run skeleton (`Run::execute`, shared with the threaded
+//! executor: set-up, producers over the ring sink, the adaptation
+//! thread that deploys this substrate's `ScriptedAdaptation`s, join
+//! order, report totals) and the protocol is the crate's private
+//! `protocol` module — shared, not ported. What lives here is what a
+//! *worker endpoint* is on sockets: payload codecs, links, link and
+//! reader threads, worker launch and teardown, and the worker itself.
 //!
 //! Topology is a star: workers connect to the coordinator's listener
 //! and identify themselves with a `Hello` carrying their index and the
@@ -22,12 +23,13 @@
 //! `conn_drop` chaos resumes exactly where the connection died — each
 //! side retransmits the outbox suffix the other missed, and the link
 //! layer's sequence dedup absorbs the overlap. Within the coordinator,
-//! one writer thread per worker drains that worker's per-producer SPSC
-//! rings onto the socket (the rings bound producer memory and park
-//! producers when a `slow_peer` stops reading), and one reader thread
-//! per connection dispatches worker frames (acks, results, recall
-//! replies, stray forwards) under the link lock so reconnections can
-//! never reorder delivery.
+//! one link thread per worker multiplexes that worker's per-producer
+//! SPSC rings and its control messages through the same `Inbox` a
+//! threaded consumer uses, and relays them onto the socket (the rings
+//! bound producer memory and park producers when a `slow_peer` stops
+//! reading), and one reader thread per connection dispatches worker
+//! frames (acks, results, recall replies, stray forwards) under the link
+//! lock so reconnections can never reorder delivery.
 //!
 //! The worker side is deliberately single-threaded: read frames, apply
 //! link dedup, feed the protocol consumer, stamp its outputs into the
@@ -40,17 +42,20 @@ use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use gridq_common::sync::ring::{RingReceiver, RingSender};
+use gridq_adapt::{AdaptationCommand, AdaptivityConfig};
+use gridq_common::sync::ring::{inbox, Inbox, InboxSender, Wake};
 use gridq_common::sync::Mutex;
-use gridq_common::wire::{self, put_varint, Reader};
+use gridq_common::wire::{
+    self, get_count, get_f64, get_str, get_u32, put_f64, put_str, put_varint, Reader,
+};
 use gridq_common::{
     ChaosHook, DataType, DistributionVector, Field, GridError, NodeId, RecallPhase, Result, Schema,
-    Tuple, Value,
+    SimTime, Tuple, Value,
 };
 use gridq_engine::distributed::DistributedPlan;
 use gridq_engine::evaluator::{
@@ -63,18 +68,16 @@ use gridq_grid::Perturbation;
 use gridq_net::frame::kind;
 use gridq_net::link::{self, LinkState, Receive};
 use gridq_net::{Addr, Decoder, Frame, Listener, Stream};
-use gridq_recovery::{Checkpoint, LogAudit, SharedRecoveryLog};
+use gridq_obs::ObsConfig;
+use gridq_recovery::{Checkpoint, LogAudit};
 
 use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
-use crate::protocol::coordinator::{
-    Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget,
+use crate::protocol::coordinator::{MigrateCmd, RecallReply};
+use crate::protocol::{sane_ms, validate_knobs, Block, Exchange, Routed, Staged};
+use crate::{
+    spin_for, DeliveryGap, Endpoints, Msg, Raw, RetryPolicy, RingPayload, Run, ThreadedConfig,
+    Wiring, WorkerEvent,
 };
-use crate::protocol::producer::{BlockSink, Producer, ProducerSpec};
-use crate::protocol::{
-    collapse_duplicate_results, sane_ms, validate_knobs, Block, Exchange, Routed, Staged,
-};
-use crate::recall::{GateTransport, RecallGate, WorkerCommands};
-use crate::{run_producer, spin_for, DeliveryGap, RetryPolicy};
 
 /// Application-level message tags, the first payload byte of every
 /// sequenced (`kind::MSG`) frame.
@@ -118,11 +121,8 @@ mod tag {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs. Each message's encoder and decoder sit side by side.
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Payload codecs.
+// Payload codecs. Each message's encoder and decoder sit side by side,
+// over the primitives of `gridq_common::wire`.
 // ---------------------------------------------------------------------------
 
 fn put_stream(out: &mut Vec<u8>, s: StreamTag) {
@@ -144,30 +144,6 @@ fn get_stream(r: &mut Reader<'_>) -> Result<StreamTag> {
     }
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn get_f64(r: &mut Reader<'_>) -> Result<f64> {
-    let b = r.bytes(8)?;
-    let arr: [u8; 8] = b
-        .try_into()
-        .map_err(|_| GridError::Execution("socket: truncated f64".into()))?;
-    Ok(f64::from_bits(u64::from_le_bytes(arr)))
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(r: &mut Reader<'_>) -> Result<String> {
-    let n = r.varint()? as usize;
-    let b = r.bytes(n)?;
-    String::from_utf8(b.to_vec())
-        .map_err(|_| GridError::Execution("socket: non-utf8 string".into()))
-}
-
 fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
     put_varint(out, schema.len() as u64);
     for f in schema.fields() {
@@ -182,8 +158,8 @@ fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
 }
 
 fn get_schema(r: &mut Reader<'_>) -> Result<Schema> {
-    let n = r.varint()? as usize;
-    let mut fields = Vec::with_capacity(n.min(PREALLOC_CAP));
+    let n = get_count(r, "schema arity")?;
+    let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let name = get_str(r)?;
         let dt = match r.u8()? {
@@ -200,14 +176,6 @@ fn get_schema(r: &mut Reader<'_>) -> Result<Schema> {
         fields.push(Field::new(name, dt));
     }
     Ok(Schema::new(fields))
-}
-
-/// Largest element count a decoder pre-allocates for: a flipped length
-/// byte must not be able to demand gigabytes.
-const PREALLOC_CAP: usize = 1 << 16;
-
-fn get_u32(r: &mut Reader<'_>, what: &str) -> Result<u32> {
-    u32::try_from(r.varint()?).map_err(|_| GridError::Execution(format!("socket: {what} overflow")))
 }
 
 fn put_routed(out: &mut Vec<u8>, (stream, source, tuple): &Routed) {
@@ -343,8 +311,9 @@ impl WireMsg {
     }
 
     /// Decodes one payload. Bytes come from another process: anything
-    /// malformed is an `Err`, never a panic, and no length field is
-    /// trusted for more than [`PREALLOC_CAP`] elements up front.
+    /// malformed is an `Err`, never a panic, and a length field larger
+    /// than the bytes that remain is rejected before anything is
+    /// allocated for it.
     fn decode(payload: &[u8]) -> Result<WireMsg> {
         let mut r = Reader::new(payload);
         let r = &mut r;
@@ -353,8 +322,8 @@ impl WireMsg {
             tag::DATA => {
                 let source = r.varint()? as usize;
                 let retransmit = r.u8()? != 0;
-                let count = r.varint()? as usize;
-                let mut items: Vec<Staged> = Vec::with_capacity(count.min(PREALLOC_CAP));
+                let count = get_count(r, "block item count")?;
+                let mut items: Vec<Staged> = Vec::with_capacity(count);
                 for _ in 0..count {
                     items.push(match r.u8()? {
                         0 => {
@@ -394,8 +363,8 @@ impl WireMsg {
                         GridError::Execution("socket: bucket count overflow".into())
                     })?),
                 };
-                let n = r.varint()? as usize;
-                let mut outgoing = Vec::with_capacity(n.min(PREALLOC_CAP));
+                let n = get_count(r, "bucket count")?;
+                let mut outgoing = Vec::with_capacity(n);
                 for _ in 0..n {
                     outgoing.push(get_u32(r, "bucket index")?);
                 }
@@ -420,8 +389,8 @@ impl WireMsg {
                 }
             }
             tag::STATE_OUT => {
-                let n = r.varint()? as usize;
-                let mut entries = Vec::with_capacity(n.min(PREALLOC_CAP));
+                let n = get_count(r, "state entry count")?;
+                let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     entries.push(get_routed(r)?);
                 }
@@ -655,14 +624,14 @@ impl WireStageSpec {
         match r.u8()? {
             0 => {
                 let input_schema = get_schema(r)?;
-                let service = get_str(r)?;
+                let service = get_str(r)?.to_string();
                 let service_cost_ms = get_f64(r)?;
-                let n = r.varint()? as usize;
-                let mut arg_cols = Vec::with_capacity(n.min(PREALLOC_CAP));
+                let n = get_count(r, "argument count")?;
+                let mut arg_cols = Vec::with_capacity(n);
                 for _ in 0..n {
                     arg_cols.push(r.varint()? as usize);
                 }
-                let output_name = get_str(r)?;
+                let output_name = get_str(r)?.to_string();
                 let keep_input = r.u8()? != 0;
                 Ok(WireStageSpec::ServiceCall {
                     input_schema,
@@ -916,37 +885,66 @@ fn write_frame(conn: &mut Stream, frame: &Frame) -> std::io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator: per-worker writer thread.
+// Coordinator: per-worker link thread.
 // ---------------------------------------------------------------------------
 
-/// Control commands for one worker's writer thread.
-enum WCtl {
+/// The control plane of one worker's link thread.
+enum LinkCtl {
     /// A (re)established connection, plus the worker's advertised
     /// `last_received` from its hello: retransmit past it and adopt the
     /// stream.
     Conn { stream: Stream, peer_last: u64 },
-    /// Send one control payload (sequenced, outbox-backed).
-    Msg(Vec<u8>),
-    /// Drain the data rings completely, then send the payload — used
-    /// for the recall barrier (and the final shutdown), which must
-    /// trail every data block staged before it.
-    Barrier(Vec<u8>),
+    /// Send one control message (sequenced, outbox-backed). The recall
+    /// barrier and the final shutdown must trail every data block staged
+    /// before them, so the link drains its rings first.
+    Send(WireMsg),
     /// The reader owes the worker a pure ack (outbox relief).
     AckNow,
-    /// Stop the writer.
-    Shutdown,
+    /// Stop the link thread.
+    Stop,
 }
 
-struct WriterState {
+impl From<Msg> for LinkCtl {
+    fn from(msg: Msg) -> Self {
+        LinkCtl::Send(match msg {
+            Msg::Drain { token } => WireMsg::Drain { token },
+            Msg::Migrate(cmd) => WireMsg::Migrate(cmd),
+            Msg::Migrated(entry) => WireMsg::Migrated(entry),
+            Msg::Reinsert(entry) => WireMsg::Reinsert(entry),
+        })
+    }
+}
+
+/// The socket producer's ring payload: blocks are encoded once, on the
+/// producer thread, as the `DATA` (or `EOS`) frame payload the link
+/// thread stamps and writes.
+impl RingPayload for Vec<u8> {
+    fn block(block: Block) -> Self {
+        WireMsg::Data(block).encode()
+    }
+
+    fn eos(stream: StreamTag, source: usize) -> Self {
+        WireMsg::Eos { stream, source }.encode()
+    }
+}
+
+/// How long an idle link thread parks; every push and every control
+/// send wakes it, so this only bounds a missed wakeup.
+const LINK_PARK: Duration = Duration::from_millis(50);
+
+/// One worker's link thread: the socket substrate's worker endpoint on
+/// the coordinator side. It pops the same rings and control messages a
+/// consumer thread would, and relays them as frames.
+struct Link {
     worker: usize,
     link: Arc<Mutex<LinkState>>,
     chaos: Option<Arc<dyn ChaosHook>>,
-    /// One data ring per producer, drained round-robin.
-    rings: Vec<RingReceiver<Vec<u8>>>,
+    /// One data ring per producer plus the control plane.
+    inbox: Inbox<LinkCtl, Vec<u8>>,
     conn: Option<Stream>,
 }
 
-impl WriterState {
+impl Link {
     /// Stamps `payload` into the link outbox and writes it if a
     /// connection is live. The stamp happens unconditionally: a failed
     /// or skipped write leaves the frame in the outbox, and the next
@@ -997,24 +995,10 @@ impl WriterState {
         }
     }
 
-    /// One round-robin sweep over the data rings; returns whether
-    /// anything was sent. A single sweep (not drain-to-empty) keeps the
-    /// writer responsive to control commands — reconnections especially.
-    fn sweep_rings(&mut self) -> bool {
-        let mut wrote = false;
-        for idx in 0..self.rings.len() {
-            if let Some(payload) = self.rings[idx].pop() {
-                self.send_seq(payload, true);
-                wrote = true;
-            }
-        }
-        wrote
-    }
-
     /// Handles one control command; returns `false` to stop.
-    fn handle(&mut self, ctl: WCtl) -> bool {
+    fn handle(&mut self, ctl: LinkCtl) -> bool {
         match ctl {
-            WCtl::Conn { stream, peer_last } => {
+            LinkCtl::Conn { stream, peer_last } => {
                 let frames = self.link.lock().retransmit_after(peer_last);
                 let mut stream = stream;
                 let mut ok = true;
@@ -1026,16 +1010,18 @@ impl WriterState {
                 }
                 self.conn = ok.then_some(stream);
             }
-            WCtl::Msg(payload) => self.send_seq(payload, false),
-            WCtl::Barrier(payload) => {
-                // The barrier must trail every staged block. Producers
-                // are parked (recall) or finished (shutdown) when a
-                // barrier is issued, so the rings are quiescent and this
-                // drain terminates.
-                while self.sweep_rings() {}
-                self.send_seq(payload, false);
+            LinkCtl::Send(msg) => {
+                if matches!(msg, WireMsg::Drain { .. } | WireMsg::Shutdown) {
+                    // Producers are parked (recall) or finished
+                    // (shutdown) when a barrier is issued, so the rings
+                    // are quiescent and this drain terminates.
+                    while let Some(payload) = self.inbox.pop_data() {
+                        self.send_seq(payload, true);
+                    }
+                }
+                self.send_seq(msg.encode(), false);
             }
-            WCtl::AckNow => {
+            LinkCtl::AckNow => {
                 // Only send when a connection is live: the ack frame is
                 // unsequenced and would otherwise silently reset the
                 // received-since-ack debt without relieving the peer.
@@ -1048,36 +1034,22 @@ impl WriterState {
                     }
                 }
             }
-            WCtl::Shutdown => return false,
+            LinkCtl::Stop => return false,
         }
         true
     }
-}
 
-fn writer_loop(mut st: WriterState, ctl: Receiver<WCtl>) {
-    loop {
-        // Control first, exhaustively: a reconnection or barrier must
-        // not wait behind a long data backlog.
+    fn run(mut self) {
         loop {
-            match ctl.try_recv() {
-                Ok(c) => {
-                    if !st.handle(c) {
+            match self.inbox.next(LINK_PARK) {
+                Wake::Control(ctl) => {
+                    if !self.handle(ctl) {
                         return;
                     }
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
-            }
-        }
-        if !st.sweep_rings() {
-            match ctl.recv_timeout(Duration::from_millis(2)) {
-                Ok(c) => {
-                    if !st.handle(c) {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+                Wake::Data(payload) => self.send_seq(payload, true),
+                Wake::Idle(_) => {}
+                Wake::Closed => return,
             }
         }
     }
@@ -1087,27 +1059,18 @@ fn writer_loop(mut st: WriterState, ctl: Receiver<WCtl>) {
 // Coordinator: per-connection reader thread.
 // ---------------------------------------------------------------------------
 
-/// What the coordinator's main loop consumes.
-enum Event {
-    Results(Vec<Tuple>),
-    Done {
-        worker: usize,
-        processed: u64,
-        dedup_peak: u64,
-    },
-}
-
 /// Everything a reader thread needs to dispatch worker frames. Cloned
-/// per connection life; each worker's link is shared with its writer and
-/// with successor readers, so frame processing under its lock is totally
-/// ordered across reconnections.
+/// per connection life; each worker's link is shared with its link
+/// thread and with successor readers, so frame processing under its lock
+/// is totally ordered across reconnections.
 #[derive(Clone)]
 struct ReaderCtx {
-    links: Vec<Arc<Mutex<LinkState>>>,
+    states: Vec<Arc<Mutex<LinkState>>>,
     x: Exchange,
-    writers: Vec<Sender<WCtl>>,
-    events: Sender<Event>,
+    links: Vec<InboxSender<LinkCtl>>,
+    events: Sender<WorkerEvent>,
     replies: Sender<RecallReply>,
+    raw: Sender<Raw>,
     shutdown: Arc<AtomicBool>,
     scale: f64,
 }
@@ -1119,14 +1082,14 @@ struct ReaderCtx {
 fn dispatch(ctx: &ReaderCtx, worker: usize, payload: &[u8]) -> Result<()> {
     match WireMsg::decode(payload)? {
         WireMsg::Results(tuples) => {
-            let _ = ctx.events.send(Event::Results(tuples));
+            let _ = ctx.events.send(WorkerEvent::Results(tuples));
         }
         WireMsg::Ack { source, cp, epoch } => {
             let pay = |ms| spin_for(ms, ctx.scale);
             let _ = ctx.x.acknowledge(source, worker, cp, epoch, pay);
         }
         // A swallowed reply models a worker crashed mid-recall: the
-        // driver's barrier times out and the recall aborts pre-swap.
+        // coordinator's barrier times out and the recall aborts pre-swap.
         WireMsg::Drained { token } => {
             if ctx.x.reply_survives(RecallPhase::Drain, worker) {
                 let _ = ctx.replies.send(RecallReply::Drained { token });
@@ -1145,20 +1108,22 @@ fn dispatch(ctx: &ReaderCtx, worker: usize, payload: &[u8]) -> Result<()> {
             let _ = ctx
                 .replies
                 .send(RecallReply::Surrendered { worker, entries });
+            // The recall this answers may have given up on its barrier
+            // already; the nudge gets the state re-routed all the same.
+            let _ = ctx.raw.send(Raw::LateState);
         }
         WireMsg::Stray((stream, source, tuple)) => {
             // A retransmitted tuple the worker cannot verify ownership
             // of (it has no router): the shared re-route routine finds
             // the current owner, the log entry following the tuple.
             let owner = ctx.x.reroute_stray(worker, stream, source, &tuple);
-            let msg = WireMsg::Migrated((stream, source, tuple));
-            let _ = ctx.writers[owner].send(WCtl::Msg(msg.encode()));
+            ctx.links[owner].send(Msg::Migrated((stream, source, tuple)).into());
         }
         WireMsg::Done {
             processed,
             dedup_peak,
         } => {
-            let _ = ctx.events.send(Event::Done {
+            let _ = ctx.events.send(WorkerEvent::Done {
                 worker,
                 processed,
                 dedup_peak,
@@ -1189,14 +1154,14 @@ fn reader_loop(
         if frames.is_empty() {
             return true;
         }
-        let mut link = ctx.links[worker].lock();
+        let mut link = ctx.states[worker].lock();
         for f in frames {
             if link.on_receive(f) == Receive::Fresh && dispatch(&ctx, worker, &f.payload).is_err() {
                 return false;
             }
         }
         if link.owes_ack() {
-            let _ = ctx.writers[worker].send(WCtl::AckNow);
+            ctx.links[worker].send(LinkCtl::AckNow);
         }
         true
     };
@@ -1232,7 +1197,7 @@ fn reader_loop(
 
 /// The accept loop: handshake each connection, hand the stream's read
 /// half to a fresh reader thread and its write half to the worker's
-/// writer, which first retransmits whatever the worker missed.
+/// link thread, which first retransmits whatever the worker missed.
 fn accept_loop(
     listener: Listener,
     ctx: ReaderCtx,
@@ -1240,8 +1205,8 @@ fn accept_loop(
     reconnects: Arc<AtomicU64>,
     handshakes: Sender<usize>,
 ) {
-    let links = &ctx.links;
-    let mut lives = vec![0u64; links.len()];
+    let states = &ctx.states;
+    let mut lives = vec![0u64; states.len()];
     loop {
         let conn = match listener.accept() {
             Ok(c) => c,
@@ -1284,7 +1249,7 @@ fn accept_loop(
             continue;
         };
         let index = index as usize;
-        if index >= links.len() {
+        if index >= states.len() {
             continue;
         }
         let leftovers: Vec<Frame> = frames.split_off(1);
@@ -1294,7 +1259,7 @@ fn accept_loop(
         }
         // Tell the worker what we already received so it can retransmit
         // just the missing suffix.
-        let ack = link::hello_ack(links[index].lock().last_received());
+        let ack = link::hello_ack(states[index].lock().last_received());
         if write_frame(&mut conn, &ack).is_err() {
             continue;
         }
@@ -1305,152 +1270,11 @@ fn accept_loop(
         reader_handles.lock().push(thread::spawn(move || {
             reader_loop(reader, index, read_half, dec, leftovers)
         }));
-        let _ = ctx.writers[index].send(WCtl::Conn {
+        ctx.links[index].send(LinkCtl::Conn {
             stream: conn,
             peer_last,
         });
         let _ = handshakes.send(index);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The scripted-adaptation driver.
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct DriverStats {
-    deployed: u64,
-    recalls_completed: u64,
-    recalls_aborted: u64,
-    state_moved: u64,
-    recalled: u64,
-}
-
-/// How the socket coordinator commands workers: frames on each worker's
-/// writer. The drain barrier rides a ring barrier (`WCtl::Barrier`): the
-/// producers are parked, so the writer's ring drain puts the `DRAIN`
-/// frame after everything staged before the pause.
-struct WriterCommands<'a>(&'a [Sender<WCtl>]);
-
-impl WorkerCommands for WriterCommands<'_> {
-    fn drain(&mut self, worker: usize, token: u64) -> bool {
-        let _ = self.0[worker].send(WCtl::Barrier(WireMsg::Drain { token }.encode()));
-        true
-    }
-
-    fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
-        let _ = self.0[worker].send(WCtl::Msg(WireMsg::Migrate(cmd).encode()));
-    }
-
-    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool) {
-        let msg = if reinsert {
-            WireMsg::Reinsert(entry)
-        } else {
-            WireMsg::Migrated(entry)
-        };
-        let _ = self.0[dest].send(WCtl::Msg(msg.encode()));
-    }
-}
-
-/// Everything the scripted-adaptation driver thread owns.
-struct Driver {
-    x: Exchange,
-    /// Sorted by `after_routed`.
-    adaptations: Vec<ScriptedAdaptation>,
-    gate: Option<Arc<RecallGate>>,
-    writers: Vec<Sender<WCtl>>,
-    replies: Receiver<RecallReply>,
-    recall_timeout: Duration,
-    producers_live: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-}
-
-impl Driver {
-    /// Runs the scripted adaptations in `after_routed` order, then keeps
-    /// re-routing late surrendered state until teardown. The
-    /// monitoring/diagnosis loop of the threaded adaptivity thread is
-    /// replaced by the script; the recall itself is the same coordinator.
-    fn run(self) -> DriverStats {
-        let mut stats = DriverStats::default();
-        let live: Vec<usize> = (0..self.writers.len()).collect();
-        // The gate exists exactly when some adaptation is retrospective.
-        let mut recall = self.gate.as_deref().map(|gate| {
-            let transport = GateTransport::new(
-                gate,
-                self.recall_timeout,
-                &self.replies,
-                WriterCommands(&self.writers),
-            );
-            (Coordinator::new(self.x.clone()), transport)
-        });
-        'script: for a in &self.adaptations {
-            // Wait for the routed-tuple threshold; a finished scan
-            // releases the wait too (R2 still applies; R1 aborts at the
-            // gate because no producer can park).
-            loop {
-                if self.stop.load(Ordering::SeqCst) {
-                    break 'script;
-                }
-                if self.x.tallies.routed.load(Ordering::Relaxed) >= a.after_routed
-                    || self.producers_live.load(Ordering::SeqCst) == 0
-                {
-                    break;
-                }
-                thread::sleep(Duration::from_micros(500));
-            }
-            let Ok(dist) = DistributionVector::new(&a.weights) else {
-                continue;
-            };
-            if !a.retrospective {
-                // Prospective (R2): swap the routing table; only future
-                // tuples are affected.
-                if self.x.router.lock().apply_distribution(&dist).is_ok() {
-                    stats.deployed += 1;
-                }
-                continue;
-            }
-            let Some((coordinator, transport)) = recall.as_mut() else {
-                continue;
-            };
-            match coordinator.recall(RecallTarget::Deploy(dist), &live, transport, |_| {}) {
-                RecallOutcome::Deployed {
-                    state_moved,
-                    recalled,
-                    completed,
-                    ..
-                } => {
-                    stats.deployed += 1;
-                    stats.state_moved += state_moved;
-                    stats.recalled += recalled;
-                    if completed {
-                        stats.recalls_completed += 1;
-                    } else {
-                        stats.recalls_aborted += 1;
-                    }
-                }
-                _ => stats.recalls_aborted += 1,
-            }
-        }
-        // Keep routing stray state until teardown: a barrier that timed
-        // out may still deliver its STATE_OUT batches, and dropping them
-        // here would lose real tuples.
-        let Some((coordinator, mut transport)) = recall else {
-            return stats;
-        };
-        while !self.stop.load(Ordering::SeqCst) {
-            match self.replies.recv_timeout(Duration::from_millis(25)) {
-                Ok(RecallReply::Surrendered { worker, entries }) => {
-                    let (moved, recalled) =
-                        coordinator.surrendered(worker, entries, &mut transport);
-                    stats.state_moved += moved;
-                    stats.recalled += recalled;
-                }
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        stats
     }
 }
 
@@ -1466,154 +1290,155 @@ enum WorkerJoin {
     Process(Child),
 }
 
-/// Decrements a shared counter on drop, so a panicking producer still
-/// counts as finished.
-struct Decrement(Arc<AtomicU64>);
-
-impl Drop for Decrement {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// The socket producer's sink: blocks are encoded once and pushed onto
-/// the destination worker's ring of `DATA` payloads, which that worker's
-/// writer thread drains onto the socket. End-of-stream rides the same
-/// ring so it trails every block in FIFO order.
-struct FrameSink {
-    rings: Vec<RingSender<Vec<u8>>>,
-    scale: f64,
-}
-
-impl BlockSink for FrameSink {
-    fn pay(&mut self, model_ms: f64) {
-        spin_for(model_ms, self.scale);
-    }
-
-    fn ship(&mut self, dest: usize, block: Block, duplicate: bool) -> usize {
-        let payload = WireMsg::Data(block).encode();
-        let mut failed = 0;
-        if duplicate {
-            failed += usize::from(self.rings[dest].push(payload.clone()).is_err());
+impl WorkerJoin {
+    /// Whether the worker has exited — reaped (or, for a thread,
+    /// finished and ready to join) without blocking.
+    fn exited(&mut self) -> bool {
+        match self {
+            WorkerJoin::Thread(h) => h.is_finished(),
+            WorkerJoin::Process(c) => !matches!(c.try_wait(), Ok(None)),
         }
-        failed + usize::from(self.rings[dest].push(payload).is_err())
     }
 
-    fn eos(&mut self, dest: usize, stream: StreamTag, source: usize) {
-        let _ = self.rings[dest].push(WireMsg::Eos { stream, source }.encode());
+    /// Waits for the worker and describes how it ended, if badly.
+    fn join(self, i: usize) -> Option<String> {
+        match self {
+            WorkerJoin::Thread(h) => match h.join() {
+                Ok(Ok(())) => None,
+                Ok(Err(e)) => Some(format!("worker {i}: {e}")),
+                Err(_) => Some(format!("worker {i} panicked")),
+            },
+            WorkerJoin::Process(mut c) => match c.wait() {
+                Ok(status) if status.success() => None,
+                Ok(status) => Some(format!("worker process {i}: {status}")),
+                Err(e) => Some(format!("worker process {i}: {e}")),
+            },
+        }
     }
 }
 
-/// The coordinator's network side: listener, per-worker links and
-/// writer threads, reader threads, and the launched workers.
+/// The socket substrate's worker endpoints, coordinator side: listener,
+/// per-worker links and link threads, reader threads, and the launched
+/// workers.
 struct Net {
     addr: Addr,
     shutdown: Arc<AtomicBool>,
-    wctls: Vec<Sender<WCtl>>,
-    writer_handles: Vec<thread::JoinHandle<()>>,
+    links: Vec<InboxSender<LinkCtl>>,
+    link_handles: Vec<thread::JoinHandle<()>>,
     accept_handle: Option<thread::JoinHandle<()>>,
     reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    workers: Vec<WorkerJoin>,
-    reconnects: Arc<AtomicU64>,
-}
-
-/// The channels the coordinator's main thread and driver read from.
-struct NetRx {
-    events: Receiver<Event>,
-    replies: Receiver<RecallReply>,
+    /// `None` once a worker has been joined.
+    workers: Vec<Option<WorkerJoin>>,
 }
 
 impl Net {
-    /// Binds the listener, starts one writer per worker and the accept
-    /// loop, launches the workers and waits for every first handshake.
+    /// Binds the listener, starts one link thread per worker and the
+    /// accept loop, launches the workers, waits for every first
+    /// handshake and ships each worker its configuration.
     fn start(
         config: &SocketConfig,
-        x: &Exchange,
-        ring_rxs: Vec<Vec<RingReceiver<Vec<u8>>>>,
-    ) -> Result<(Net, NetRx)> {
-        let partitions = ring_rxs.len();
+        plan: &DistributedPlan,
+        reconnects: Arc<AtomicU64>,
+        w: Wiring<Vec<u8>>,
+    ) -> Result<Net> {
+        let partitions = w.rings.len();
         let addr_hint = match config.transport {
             SocketTransport::Unix => Addr::scratch_unix(),
             SocketTransport::Tcp => Addr::loopback_tcp(),
         };
         let listener = Listener::bind(&addr_hint)?;
         let addr = listener.local_addr()?;
-        let links: Vec<Arc<Mutex<LinkState>>> = (0..partitions)
+        let link_states: Vec<Arc<Mutex<LinkState>>> = (0..partitions)
             .map(|_| Arc::new(Mutex::new(LinkState::new())))
             .collect();
-        let mut wctls: Vec<Sender<WCtl>> = Vec::with_capacity(partitions);
-        let mut writer_handles = Vec::with_capacity(partitions);
-        for (w, rings) in ring_rxs.into_iter().enumerate() {
-            let (tx, rx) = channel::<WCtl>();
-            wctls.push(tx);
-            let st = WriterState {
-                worker: w,
-                link: Arc::clone(&links[w]),
+        let mut links: Vec<InboxSender<LinkCtl>> = Vec::with_capacity(partitions);
+        let mut link_handles = Vec::with_capacity(partitions);
+        for (worker, rings) in w.rings.into_iter().enumerate() {
+            let (tx, inbox) = inbox(rings);
+            links.push(tx);
+            let link = Link {
+                worker,
+                link: Arc::clone(&link_states[worker]),
                 chaos: config.chaos.clone(),
-                rings,
+                inbox,
                 conn: None,
             };
-            writer_handles.push(thread::spawn(move || writer_loop(st, rx)));
+            link_handles.push(thread::spawn(move || link.run()));
         }
-        let (event_tx, events) = channel::<Event>();
-        let (reply_tx, replies) = channel::<RecallReply>();
         let (handshake_tx, handshake_rx) = channel::<usize>();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let reconnects = Arc::new(AtomicU64::new(0));
         let reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
         let accept_handle = {
             let ctx = ReaderCtx {
+                states: link_states,
+                x: w.x.clone(),
                 links: links.clone(),
-                x: x.clone(),
-                writers: wctls.clone(),
-                events: event_tx,
-                replies: reply_tx,
+                events: w.events,
+                replies: w.replies,
+                raw: w.raw,
                 shutdown: Arc::clone(&shutdown),
                 scale: config.cost_scale,
             };
-            let (readers, reconnects) = (Arc::clone(&reader_handles), Arc::clone(&reconnects));
+            let readers = Arc::clone(&reader_handles);
             thread::spawn(move || accept_loop(listener, ctx, readers, reconnects, handshake_tx))
         };
         let mut net = Net {
             addr,
             shutdown,
-            wctls,
-            writer_handles,
+            links,
+            link_handles,
             accept_handle: Some(accept_handle),
             reader_handles,
             workers: Vec::with_capacity(partitions),
-            reconnects,
         };
         for i in 0..partitions {
             match net.launch(i, config) {
-                Ok(w) => net.workers.push(w),
+                Ok(worker) => net.workers.push(Some(worker)),
                 Err(e) => {
-                    net.force_teardown();
+                    net.stop(false);
                     return Err(e);
                 }
             }
         }
         // Wait until every worker has completed its first handshake.
         let mut connected = vec![false; partitions];
-        let mut seen = 0usize;
         let deadline = Instant::now() + Duration::from_secs(15);
-        while seen < partitions {
+        while connected.contains(&false) {
             let now = Instant::now();
             if now >= deadline {
-                net.force_teardown();
+                net.stop(false);
                 return Err(GridError::Execution(
                     "socket: timed out waiting for workers to connect".into(),
                 ));
             }
             if let Ok(i) = handshake_rx.recv_timeout(deadline - now) {
-                if i < partitions && !connected[i] {
-                    connected[i] = true;
-                    seen += 1;
+                if let Some(seen) = connected.get_mut(i) {
+                    *seen = true;
                 }
             }
         }
-        Ok((net, NetRx { events, replies }))
+        // Each worker's configuration is the first sequenced frame on
+        // its link, so it precedes every data block.
+        let stage = &plan.stages[0];
+        let sources = plan.sources.len();
+        for (i, link) in net.links.iter().enumerate() {
+            let perturbation = config.perturbations.get(&stage.nodes[i]);
+            link.send(LinkCtl::Send(WireMsg::Config(Box::new(WireConfig {
+                spec: w
+                    .x
+                    .consumer_spec(i, sources, config.receive_cost_ms, perturbation),
+                cost_scale: config.cost_scale,
+                read_stall_ms: sane_ms(
+                    config
+                        .chaos
+                        .as_ref()
+                        .map_or(0.0, |c| c.slow_peer_stall_ms(i)),
+                ),
+                stage: config.stage.clone(),
+            }))));
+        }
+        Ok(net)
     }
 
     fn launch(&self, i: usize, config: &SocketConfig) -> Result<WorkerJoin> {
@@ -1641,76 +1466,75 @@ impl Net {
                 }),
         }
     }
+}
 
-    /// Stops the writers, the accept loop and the readers, in that
-    /// order, and removes a Unix socket file. Returns which of them
-    /// panicked.
-    fn stop_threads(&mut self) -> Vec<String> {
-        let mut panicked = Vec::new();
-        for w in &self.wctls {
-            let _ = w.send(WCtl::Shutdown);
+impl Endpoints for Net {
+    type Ctl = LinkCtl;
+
+    fn senders(&self) -> Vec<InboxSender<LinkCtl>> {
+        self.links.clone()
+    }
+
+    fn exited(&mut self, worker: usize) -> Option<String> {
+        if self.link_handles[worker].is_finished() {
+            return Some(format!("link thread {worker} exited"));
         }
-        self.wctls.clear();
-        for h in std::mem::take(&mut self.writer_handles) {
+        if !self.workers[worker].as_mut()?.exited() {
+            return None;
+        }
+        let how = self.workers[worker].take()?.join(worker);
+        Some(how.unwrap_or_else(|| format!("worker {worker} exited without DONE")))
+    }
+
+    /// Graceful (`clean`): SHUTDOWN rides a ring barrier so it trails
+    /// any residual data, and the link threads and the accept loop stay
+    /// alive while the workers exit, so a worker whose connection died
+    /// at the wrong moment can still reconnect and receive it. Forced:
+    /// everything is closed down without waiting on worker cooperation —
+    /// spawned children are killed; in-process worker threads exit on
+    /// their own once the listener dies (their reconnect attempts fail
+    /// fast).
+    fn stop(mut self, clean: bool) -> Vec<String> {
+        let mut failed = Vec::new();
+        let workers = std::mem::take(&mut self.workers);
+        if clean {
+            for link in &self.links {
+                link.send(LinkCtl::Send(WireMsg::Shutdown));
+            }
+            for (i, worker) in workers.into_iter().enumerate() {
+                failed.extend(worker.and_then(|w| w.join(i)));
+            }
+        } else {
+            for worker in workers {
+                if let Some(WorkerJoin::Process(mut c)) = worker {
+                    let _ = c.kill();
+                    let _ = c.wait();
+                }
+            }
+        }
+        // Link threads, then the accept loop, then the readers.
+        for link in self.links.drain(..) {
+            link.send(LinkCtl::Stop);
+        }
+        for h in self.link_handles.drain(..) {
             if h.join().is_err() {
-                panicked.push("writer".into());
+                failed.push("link thread panicked".into());
             }
         }
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = Stream::connect(&self.addr);
         if self.accept_handle.take().is_some_and(|h| h.join().is_err()) {
-            panicked.push("accept loop".into());
+            failed.push("accept loop panicked".into());
         }
         for h in std::mem::take(&mut *self.reader_handles.lock()) {
             if h.join().is_err() {
-                panicked.push("reader".into());
+                failed.push("reader panicked".into());
             }
         }
         if let Addr::Unix(p) = &self.addr {
             let _ = std::fs::remove_file(p);
         }
-        panicked
-    }
-
-    /// Forced teardown for error paths: close everything down without
-    /// waiting on worker cooperation. Spawned children are killed;
-    /// in-process worker threads exit on their own once the listener
-    /// dies (their reconnect attempts fail fast).
-    fn force_teardown(mut self) {
-        let _ = self.stop_threads();
-        for w in self.workers {
-            if let WorkerJoin::Process(mut c) = w {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-        }
-    }
-
-    /// Graceful teardown. SHUTDOWN rides a ring barrier so it trails any
-    /// residual data; writers and the accept loop stay alive while
-    /// workers exit, so a worker whose connection died at the wrong
-    /// moment can still reconnect and receive it. Returns what failed.
-    fn shutdown(mut self) -> Vec<String> {
-        let mut panicked: Vec<String> = Vec::new();
-        for w in &self.wctls {
-            let _ = w.send(WCtl::Barrier(WireMsg::Shutdown.encode()));
-        }
-        for (i, w) in std::mem::take(&mut self.workers).into_iter().enumerate() {
-            match w {
-                WorkerJoin::Thread(h) => match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => panicked.push(format!("worker {i}: {e}")),
-                    Err(_) => panicked.push(format!("worker {i}")),
-                },
-                WorkerJoin::Process(mut c) => match c.wait() {
-                    Ok(status) if status.success() => {}
-                    Ok(status) => panicked.push(format!("worker process {i}: {status}")),
-                    Err(e) => panicked.push(format!("worker process {i}: {e}")),
-                },
-            }
-        }
-        panicked.extend(self.stop_threads());
-        panicked
+        failed
     }
 }
 
@@ -1731,218 +1555,68 @@ impl SocketExecutor {
     pub fn run(&self, plan: &DistributedPlan) -> Result<SocketReport> {
         let cfg = &self.config;
         cfg.validate()?;
-        let recall_on = cfg.adaptations.iter().any(|a| a.retrospective);
-        let resilient = cfg.chaos.is_some();
-        let x = Exchange::new(
-            plan,
-            "socket",
-            recall_on,
-            cfg.chaos.clone(),
-            resilient,
-            cfg.checkpoint_interval,
-        )?;
-        let stage = &plan.stages[0];
+        let Some(stage) = plan.stages.first() else {
+            return Err(GridError::Execution("socket: the plan has no stage".into()));
+        };
         if stage.factory.stateful() != cfg.stage.stateful() {
             return Err(GridError::Config(
                 "the wire stage spec's statefulness must match the plan's stage factory".into(),
             ));
         }
-        if cfg.stage.stateful() && cfg.adaptations.iter().any(|a| !a.retrospective) {
-            return Err(GridError::Config(
-                "stateful stages require retrospective adaptations; a prospective \
-                 routing change would strand operator state on the old owners"
-                    .into(),
-            ));
-        }
-        let partitions = stage.nodes.len();
+        let mut script = Vec::with_capacity(cfg.adaptations.len());
         for a in &cfg.adaptations {
-            if a.weights.len() != partitions {
+            if a.weights.len() != stage.nodes.len() {
                 return Err(GridError::Config(format!(
-                    "scripted adaptation has {} weights for {partitions} partitions",
-                    a.weights.len()
+                    "scripted adaptation has {} weights for {} partitions",
+                    a.weights.len(),
+                    stage.nodes.len()
                 )));
             }
-        }
-        let sources = plan.sources.len();
-        let tables = plan
-            .sources
-            .iter()
-            .map(|s| self.catalog.get(&s.table))
-            .collect::<Result<Vec<_>>>()?;
-        let gate = recall_on.then(|| Arc::new(RecallGate::new(sources)));
-
-        let started = Instant::now();
-        let (mut ring_txs, ring_rxs) = crate::ring_mesh::<Vec<u8>>(sources, partitions);
-        let (net, rx) = Net::start(cfg, &x, ring_rxs)?;
-
-        // Ship each worker its configuration: the first sequenced frame
-        // on the link, so it precedes every data block.
-        for (w, wctl) in net.wctls.iter().enumerate() {
-            let perturbation = cfg.perturbations.get(&stage.nodes[w]);
-            let config = WireConfig {
-                spec: x.consumer_spec(w, sources, cfg.receive_cost_ms, perturbation),
-                cost_scale: cfg.cost_scale,
-                read_stall_ms: sane_ms(cfg.chaos.as_ref().map_or(0.0, |c| c.slow_peer_stall_ms(w))),
-                stage: cfg.stage.clone(),
+            let command = AdaptationCommand {
+                stage: stage.id,
+                new_distribution: DistributionVector::new(&a.weights)?,
+                retrospective: a.retrospective,
+                at: SimTime::ZERO,
             };
-            let _ = wctl.send(WCtl::Msg(config.encode()));
+            script.push((a.after_routed, command));
         }
-
-        // Producer threads: the shared protocol producer over a sink of
-        // pre-encoded ring payloads.
-        let producers_live = Arc::new(AtomicU64::new(sources as u64));
-        let mut producer_handles = Vec::new();
-        for (sidx, (source, table)) in plan.sources.iter().zip(tables).enumerate() {
-            let producer = Producer::new(
-                ProducerSpec {
-                    source: sidx,
-                    stream: source.stream,
-                    scan_cost_ms: source.scan_cost_ms,
-                    buffer_tuples: stage.exchange.buffer_tuples,
-                    dests: partitions,
-                    // There is no failover on this substrate, so a closed
-                    // ring can never ack again.
-                    fast_gap: true,
-                    retry: cfg.delivery_retry.clone(),
-                },
-                x.clone(),
-                gate.as_ref().map_or(0, |g| g.epoch()),
-            );
-            let mut sink = FrameSink {
-                rings: std::mem::take(&mut ring_txs[sidx]),
-                scale: cfg.cost_scale,
-            };
-            let gate = gate.clone();
-            let live = Decrement(Arc::clone(&producers_live));
-            producer_handles.push(thread::spawn(move || {
-                let _live = live;
-                run_producer(producer, table.rows(), gate, &mut sink);
-            }));
-        }
-
-        // The scripted-adaptation driver.
-        let driver_stop = Arc::new(AtomicBool::new(false));
-        let NetRx { events, replies } = rx;
-        let driver_handle = (!cfg.adaptations.is_empty()).then(|| {
-            let mut adaptations = cfg.adaptations.clone();
-            adaptations.sort_by_key(|a| a.after_routed);
-            let driver = Driver {
-                x: x.clone(),
-                adaptations,
-                gate: gate.clone(),
-                writers: net.wctls.clone(),
-                replies,
-                recall_timeout: Duration::from_millis(cfg.recall_timeout_ms),
-                producers_live: Arc::clone(&producers_live),
-                stop: Arc::clone(&driver_stop),
-            };
-            thread::spawn(move || driver.run())
-        });
-
-        // Join producers first; a panicked producer never pushed its
-        // end-of-stream frames, and without them the workers wait
-        // forever.
-        let mut panicked: Vec<String> = Vec::new();
-        for (i, h) in producer_handles.into_iter().enumerate() {
-            if h.join().is_err() {
-                panicked.push(format!("producer {i}"));
-                let eos = WireMsg::Eos {
-                    stream: plan.sources[i].stream,
-                    source: i,
-                };
-                for w in &net.wctls {
-                    let _ = w.send(WCtl::Barrier(eos.encode()));
-                }
-            }
-        }
-
-        // Collect results and per-worker completions.
-        let mut results: Vec<Tuple> = Vec::new();
-        let mut per_partition = vec![0u64; partitions];
-        let mut seen_done = vec![false; partitions];
-        let mut dedup_peak_entries = 0u64;
-        let mut done = 0usize;
-        let mut run_error: Option<GridError> = None;
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while done < partitions {
-            let now = Instant::now();
-            if now >= deadline {
-                run_error = Some(GridError::Execution(
-                    "socket: timed out waiting for workers to finish".into(),
-                ));
-                break;
-            }
-            match events.recv_timeout(deadline - now) {
-                Ok(Event::Results(batch)) => results.extend(batch),
-                Ok(Event::Done {
-                    worker,
-                    processed,
-                    dedup_peak,
-                }) => {
-                    if worker < partitions && !seen_done[worker] {
-                        seen_done[worker] = true;
-                        per_partition[worker] = processed;
-                        dedup_peak_entries = dedup_peak_entries.max(dedup_peak);
-                        done += 1;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    run_error = Some(GridError::Execution(
-                        "socket: event channel closed before completion".into(),
-                    ));
-                    break;
-                }
-            }
-        }
-
-        // Stop the driver (it also exits promptly on the stop flag when
-        // an adaptation threshold was never reached).
-        driver_stop.store(true, Ordering::SeqCst);
-        let stats = driver_handle.map_or_else(DriverStats::default, |h| {
-            h.join().unwrap_or_else(|_| {
-                panicked.push("adaptation driver".into());
-                DriverStats::default()
-            })
-        });
-        if let Some(err) = run_error {
-            net.force_teardown();
-            return Err(err);
-        }
-        let reconnects = Arc::clone(&net.reconnects);
-        panicked.extend(net.shutdown());
-        if !panicked.is_empty() {
-            return Err(GridError::Execution(format!(
-                "socket thread(s)/worker(s) failed: {}",
-                panicked.join(", ")
-            )));
-        }
-
-        if resilient {
-            collapse_duplicate_results(&mut results);
-        }
-        let tallies = &x.tallies;
-        let delivery_gaps = std::mem::take(&mut *tallies.gaps.lock());
-        let final_distribution = x.router.lock().current_distribution().weights().to_vec();
+        // This substrate scripts its adaptations and has no failover,
+        // obs or tenancy yet: the coordinator runs with them off.
+        let coordinator = ThreadedConfig {
+            adaptivity: AdaptivityConfig::disabled(),
+            cost_scale: cfg.cost_scale,
+            checkpoint_interval: cfg.checkpoint_interval,
+            obs: ObsConfig::disabled(),
+            recall_timeout_ms: cfg.recall_timeout_ms,
+            chaos: cfg.chaos.clone(),
+            delivery_retry: cfg.delivery_retry.clone(),
+            ..ThreadedConfig::default()
+        };
+        let run = Run {
+            who: "socket",
+            cfg: &coordinator,
+            script,
+            finish_timeout: Some(Duration::from_secs(120)),
+        };
+        let reconnects = Arc::new(AtomicU64::new(0));
+        let report = run.execute(&self.catalog, plan, |w| {
+            Net::start(cfg, plan, Arc::clone(&reconnects), w)
+        })?;
         Ok(SocketReport {
-            wall_ms: started.elapsed().as_secs_f64() * 1000.0,
-            results,
-            per_partition_processed: per_partition,
-            adaptations_deployed: stats.deployed,
-            recalls_completed: stats.recalls_completed,
-            recalls_aborted: stats.recalls_aborted,
-            state_tuples_migrated: stats.state_moved,
-            tuples_recalled: stats.recalled + tallies.restaged.load(Ordering::Relaxed),
-            tuples_retransmitted: tallies.retransmitted.load(Ordering::Relaxed),
-            delivery_gaps,
-            send_failures: tallies.send_failures.load(Ordering::Relaxed),
-            log_audits: x
-                .logs
-                .iter()
-                .flat_map(|logs| logs.iter().map(SharedRecoveryLog::audit))
-                .collect(),
-            dedup_peak_entries,
-            final_distribution,
+            wall_ms: report.wall_ms,
+            results: report.results,
+            per_partition_processed: report.per_partition_processed,
+            adaptations_deployed: report.adaptations_deployed,
+            recalls_completed: report.recalls_completed,
+            recalls_aborted: report.recalls_aborted,
+            state_tuples_migrated: report.state_tuples_migrated,
+            tuples_recalled: report.tuples_recalled,
+            tuples_retransmitted: report.tuples_retransmitted,
+            delivery_gaps: report.delivery_gaps,
+            send_failures: report.send_failures,
+            log_audits: report.log_audits,
+            dedup_peak_entries: report.dedup_peak_entries,
+            final_distribution: report.final_distribution,
             reconnects: reconnects.load(Ordering::Relaxed),
         })
     }
@@ -2124,7 +1798,7 @@ pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Res
             if let Some(st) = &state {
                 // The slow-peer seam: stall before draining the socket,
                 // so the kernel buffers fill and flow control pushes
-                // back on the coordinator's writer.
+                // back on the coordinator's link thread.
                 if st.read_stall_ms > 0.0 {
                     spin_for(st.read_stall_ms, st.cost_scale);
                 }
@@ -2396,6 +2070,33 @@ mod tests {
         for audit in &report.log_audits {
             assert!(audit.conserved(), "{audit:?}");
         }
+    }
+
+    /// The socket twin of the threaded executor's
+    /// `panicking_service_yields_error_not_deadlock`: a worker that dies
+    /// without `DONE` ends the run with an error that names it, instead
+    /// of waiting out the completion deadline and blaming nobody.
+    #[test]
+    fn panicking_service_names_the_dead_worker() {
+        let table = int_table("t", 50);
+        let boom: ServiceResolver = Arc::new(|name: &str, cost_ms: f64| {
+            let svc = FnService::new(name, vec![DataType::Int], DataType::Int, cost_ms, |_| {
+                panic!("service crashed")
+            });
+            Some(Arc::new(svc) as Arc<dyn Service>)
+        });
+        let mut config = SocketConfig::new(wire_call_spec(&table), boom);
+        config.cost_scale = 0.002;
+        let err = SocketExecutor::new(catalog(&[&table]), config)
+            .run(&call_plan(&table, 2))
+            .unwrap_err();
+        let GridError::Execution(msg) = &err else {
+            panic!("expected an execution error, got {err:?}");
+        };
+        assert!(
+            msg.contains("worker 0 panicked") && msg.contains("worker 1 panicked"),
+            "the error must name the dead workers: {msg}"
+        );
     }
 
     #[derive(Debug)]

@@ -1,0 +1,209 @@
+//! Tripwire for `benchmark/`: a compile-only test that names every
+//! `gridq_exec`, `gridq_common` and `gridq_net` item and field
+//! `benchmark/src` uses.
+//!
+//! `benchmark/` is a workspace of its own, so `cargo test` at the root
+//! never builds it, and a refactor that renames one of these items used
+//! to be found out by the benchmark job after the merge. Here the same
+//! surface is type-checked by tier-1: if this file stops compiling,
+//! `benchmark/` has stopped compiling too. Nothing in it runs.
+//!
+//! When the benchmark starts using a new item, add it here.
+
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::sync::Arc;
+use std::time::Duration;
+
+use gridq::adapt::AdaptivityConfig;
+use gridq::common::sync::ring::ring;
+use gridq::common::wire::{self, Reader};
+use gridq::common::{ChaosHook, NodeId, Result, Tuple};
+use gridq::engine::distributed::DistributedPlan;
+use gridq::engine::physical::Catalog;
+use gridq::engine::service::Service;
+use gridq::engine::AdmissionConfig;
+use gridq::exec::socket::{
+    ScriptedAdaptation, ServiceResolver, SocketConfig, SocketExecutor, SocketReport, WireStageSpec,
+};
+use gridq::exec::{
+    QueryOutcome, QueryRun, QueryService, QuerySubmission, ServiceConfig, ThreadedConfig,
+    ThreadedExecutor, ThreadedReport,
+};
+use gridq::grid::Perturbation;
+use gridq::obs::{ObsConfig, ObsReport};
+use gridq::recovery::LogAudit;
+use gridq_net::frame::kind;
+use gridq_net::{Addr, Decoder, Frame, LinkState, Listener, Stream};
+
+/// `workloads.rs`: how the benchmark configures and runs the threaded
+/// executor, and every report field its judge reads.
+#[allow(dead_code)]
+fn threaded_surface(catalog: Catalog, plan: &DistributedPlan) -> Result<()> {
+    let mut perturbations: HashMap<NodeId, Perturbation> = HashMap::new();
+    perturbations.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
+    let config = ThreadedConfig {
+        adaptivity: AdaptivityConfig::disabled(),
+        cost_scale: 1e-6,
+        receive_cost_ms: ThreadedConfig::default().receive_cost_ms,
+        perturbations,
+        obs: ObsConfig::default(),
+        ..Default::default()
+    };
+    let report: ThreadedReport = ThreadedExecutor::new(catalog, config).run(plan)?;
+    let _: (&[Tuple], &[LogAudit], usize, u64) = (
+        &report.results,
+        &report.log_audits,
+        report.delivery_gaps.len(),
+        report.send_failures,
+    );
+    let _: (f64, Vec<u64>, u64, u64) = (
+        report.wall_ms,
+        report.per_partition_processed,
+        report.adaptations_deployed,
+        report.raw_m1_events,
+    );
+    let _: [u64; 6] = [
+        report.recalls_completed,
+        report.recalls_aborted,
+        report.state_tuples_migrated,
+        report.tuples_recalled,
+        report.tuples_retransmitted,
+        report.dedup_peak_entries,
+    ];
+    let _: (Vec<f64>, Option<ObsReport>) = (report.final_distribution, report.obs);
+    Ok(())
+}
+
+/// `workloads.rs` and `inputs.rs`: the socket executor's configuration,
+/// its scripted recall, and every report field the judge reads.
+#[allow(dead_code)]
+fn socket_surface(
+    catalog: Catalog,
+    plan: &DistributedPlan,
+    service: Arc<dyn Service>,
+) -> Result<()> {
+    let resolver: ServiceResolver = Arc::new(move |name: &str, _cost_ms: f64| {
+        (name == "EntropyAnalyser").then(|| Arc::clone(&service))
+    });
+    let input_schema = gridq::common::Schema::new(Vec::new());
+    let call = WireStageSpec::ServiceCall {
+        input_schema: input_schema.clone(),
+        service: "EntropyAnalyser".into(),
+        service_cost_ms: 1.0,
+        arg_cols: vec![1],
+        output_name: "entropy".into(),
+        keep_input: false,
+    };
+    let join = WireStageSpec::HashJoin {
+        build_schema: input_schema.clone(),
+        probe_schema: input_schema,
+        build_key: 0,
+        probe_key: 0,
+        build_cost_ms: 1.0,
+        probe_cost_ms: 1.0,
+    };
+    let _: usize = SocketConfig::new(call.clone(), resolver.clone()).checkpoint_interval;
+    let mut config = SocketConfig::new(join, resolver);
+    config.cost_scale = 1e-6;
+    config.receive_cost_ms = 1.0;
+    config.adaptations = vec![ScriptedAdaptation {
+        after_routed: 100,
+        weights: vec![0.25, 0.75],
+        retrospective: true,
+    }];
+    let _: &Option<Arc<dyn ChaosHook>> = &config.chaos;
+    let report: SocketReport = SocketExecutor::new(catalog, config).run(plan)?;
+    let _: (&[Tuple], &[LogAudit], usize, u64) = (
+        &report.results,
+        &report.log_audits,
+        report.delivery_gaps.len(),
+        report.send_failures,
+    );
+    let _: (f64, Vec<u64>, u64, Vec<f64>) = (
+        report.wall_ms,
+        report.per_partition_processed,
+        report.adaptations_deployed,
+        report.final_distribution,
+    );
+    let _: [u64; 7] = [
+        report.recalls_completed,
+        report.recalls_aborted,
+        report.state_tuples_migrated,
+        report.tuples_recalled,
+        report.tuples_retransmitted,
+        report.dedup_peak_entries,
+        report.reconnects,
+    ];
+    Ok(())
+}
+
+/// `workloads.rs` and `trace.rs`: the service loop.
+#[allow(dead_code)]
+fn service_surface(catalog: Catalog, plan: DistributedPlan, run: QueryRun) -> Result<()> {
+    let service = QueryService::new(ServiceConfig {
+        admission: AdmissionConfig {
+            max_concurrent: 2,
+            queue_depth: 4,
+        },
+        ..ServiceConfig::default()
+    })?;
+    let _: [fn(ThreadedConfig) -> QueryRun; 1] = [QueryRun::threaded];
+    let _: [fn(Box<SocketConfig>) -> QueryRun; 1] = [QueryRun::Socket];
+    let submission = QuerySubmission { catalog, plan, run };
+    match service.submit_and_wait(submission).1 {
+        QueryOutcome::Threaded(report) => drop::<ThreadedReport>(report),
+        QueryOutcome::Socket(report) => drop::<SocketReport>(report),
+        QueryOutcome::Rejected { reason } => drop::<String>(reason),
+        QueryOutcome::Failed { error } => drop::<String>(error),
+    }
+    let stats = service.admission_stats();
+    let _ = (stats.peak_queued, stats.rejected);
+    Ok(())
+}
+
+/// `trace.rs`: the ring hand-off, the wire codec and the link, frame and
+/// endpoint micro-benchmarks.
+#[allow(dead_code)]
+fn layers_surface(tuples: &[Tuple]) -> std::result::Result<(), Box<dyn std::error::Error>> {
+    let (ring_tx, ring_rx) = ring::<Vec<Tuple>>(8);
+    if ring_tx.push(tuples.to_vec()).is_err() {
+        return Ok(());
+    }
+    let _: Option<Vec<Tuple>> = ring_rx.pop_wait(Duration::from_secs(5));
+
+    let mut payload = Vec::new();
+    wire::put_tuples(&mut payload, tuples);
+    let _: Vec<Tuple> = wire::get_tuples(&mut Reader::new(&payload))?;
+
+    let (mut tx, mut rx) = (LinkState::new(), LinkState::new());
+    let frame: Frame = tx.stamp(kind::MSG, payload);
+    let _ = rx.on_receive(&frame);
+    let ack: Frame = rx.ack_frame();
+    let _ = tx.on_receive(&ack);
+    let bytes: Vec<u8> = frame.encode();
+    let mut decoder = Decoder::new();
+    let frames: Vec<Frame> = decoder.feed(&bytes)?;
+    let _: Option<&Vec<u8>> = frames.first().map(|f| &f.payload);
+    let _ = tx.on_receive(&Frame {
+        kind: kind::ACK_ONLY,
+        seq: 0,
+        ack: frame.seq,
+        payload: Vec::new(),
+    });
+
+    let listener = Listener::bind(&Addr::scratch_unix())?;
+    let addr: Addr = listener.local_addr()?;
+    let mut client: Stream = Stream::connect(&addr)?;
+    let mut server: Stream = listener.accept()?;
+    client.write_all(&bytes)?;
+    let mut buf = [0u8; 64];
+    let _: usize = server.read(&mut buf)?;
+    client.shutdown_both()?;
+    Ok(())
+}
+
+#[test]
+fn the_benchmark_surface_type_checks() {
+    // Compiling this file is the test.
+}
