@@ -19,8 +19,12 @@
 //! - The [`oracle`] module judges every faulted run against an unfaulted
 //!   reference: tuple conservation, recovery-log conservation, recall
 //!   safety, timeline causality, and teardown hygiene.
+//! - [`harness`] describes a query once ([`Workload`]) and runs it on
+//!   any substrate ([`run_on`]): the one place plans meet their wire
+//!   specs, run knobs become substrate configs, and reports become a
+//!   [`RunSummary`].
 //! - [`Runner`] executes `(seed, family, substrate, policy)` matrix
-//!   cells; [`shrink_failure`] minimises a failing plan to a small
+//!   cells through it; [`shrink_failure`] minimises a failing plan to a small
 //!   reproducer, mirroring `gridq_common::check`'s shrinking.
 //! - [`socket_matrix`] covers the socket substrate's wire-level fault
 //!   families (connection drops, partial writes, slow peers), which
@@ -44,12 +48,14 @@
 //! the retry budget (every copy of a window dropped) or crashing a
 //! consumer with failover disabled.
 
+pub mod harness;
 pub mod hook;
 pub mod oracle;
 pub mod plan;
 pub mod runner;
 pub mod shrink;
 
+pub use harness::{run_on, Knobs, Workload};
 pub use hook::PlanHook;
 pub use oracle::{judge, RunSummary, Verdict};
 pub use plan::{FaultEvent, FaultFamily, FaultPlan, Topology};

@@ -27,7 +27,6 @@
 //!    never bleed into another tenant's state. Single-query cells pass
 //!    this oracle trivially.
 
-use gridq_common::Tuple;
 use gridq_obs::{ObsReport, TimelineKind};
 use gridq_recovery::LogAudit;
 
@@ -62,10 +61,10 @@ impl Verdict {
 }
 
 /// The substrate-neutral extract of one run that the oracles consume.
-/// Built from either substrate's report by the runner.
+/// Built from any substrate's report by [`run_on`](crate::run_on).
 #[derive(Debug, Clone, Default)]
 pub struct RunSummary {
-    /// Sorted multiset of result rows (`format!("{:?}", values)`).
+    /// Sorted multiset of result rows (`gridq_engine::fixtures::multiset`).
     pub results: Vec<String>,
     /// Per-source recovery-log conservation audits.
     pub log_audits: Vec<LogAudit>,
@@ -83,16 +82,6 @@ pub struct RunSummary {
     pub final_distribution: Vec<f64>,
     /// Observability snapshot, when the obs layer was enabled.
     pub obs: Option<ObsReport>,
-}
-
-impl RunSummary {
-    /// Normalizes result tuples into the sorted value-row multiset the
-    /// conservation oracle compares.
-    pub fn multiset(tuples: &[Tuple]) -> Vec<String> {
-        let mut rows: Vec<String> = tuples.iter().map(|t| format!("{:?}", t.values())).collect();
-        rows.sort_unstable();
-        rows
-    }
 }
 
 /// Oracle 1: the faulted run lost and duplicated nothing.
@@ -412,7 +401,8 @@ pub fn judge_tenant(reference: &RunSummary, co_resident: &RunSummary) -> Vec<Ver
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridq_common::Value;
+    use gridq_common::{Tuple, Value};
+    use gridq_engine::fixtures::multiset;
 
     fn summary(rows: &[&str]) -> RunSummary {
         RunSummary {
@@ -433,9 +423,9 @@ mod tests {
 
     #[test]
     fn multiset_ignores_sequence_numbers() {
-        let a = Tuple::new(vec![Value::Int(1)]);
-        let b = Tuple::new(vec![Value::Int(1)]);
-        assert_eq!(RunSummary::multiset(&[a]), RunSummary::multiset(&[b]));
+        let a = Tuple::with_seq(vec![Value::Int(1)], 1);
+        let b = Tuple::with_seq(vec![Value::Int(1)], 2);
+        assert_eq!(multiset(&[a]), multiset(&[b]));
     }
 
     #[test]

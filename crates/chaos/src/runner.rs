@@ -21,28 +21,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gridq_adapt::{AdaptivityConfig, ResponsePolicy};
-use gridq_common::{
-    ChaosHook, DataType, DistributionVector, Field, GridError, NodeId, QueryId, Result, Schema,
-    SimTime, SubplanId, Tuple, Value,
-};
-use gridq_engine::distributed::{
-    DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-};
-use gridq_engine::evaluator::{HashJoinFactory, ServiceCallFactory, StreamTag};
-use gridq_engine::physical::Catalog;
-use gridq_engine::service::{FnService, Service, ServiceRegistry};
-use gridq_engine::table::Table;
-use gridq_engine::Expr;
-use gridq_exec::socket::{
-    standard_resolver, ScriptedAdaptation, SocketConfig, SocketExecutor, SocketReport,
-    WireStageSpec,
-};
-use gridq_exec::{FailoverConfig, RetryPolicy, ThreadedConfig, ThreadedExecutor, ThreadedReport};
-use gridq_grid::{GridEnvironment, Perturbation, PerturbationSchedule};
+use gridq_common::{ChaosHook, GridError, NodeId, Result, SimTime};
+use gridq_engine::fixtures::{CallShape, JoinShape};
+use gridq_exec::socket::ScriptedAdaptation;
+use gridq_exec::{FailoverConfig, RetryPolicy};
+use gridq_grid::Perturbation;
 use gridq_obs::json::JsonObj;
 use gridq_obs::Json;
-use gridq_sim::{ExecutionReport, Simulation, SimulationConfig};
 
+use crate::harness::{run_on, Knobs, Workload};
 use crate::hook::PlanHook;
 use crate::oracle::{judge, judge_tenant, RunSummary, Verdict};
 use crate::plan::{FaultFamily, FaultPlan, Topology};
@@ -306,9 +293,6 @@ pub const ORACLES: [&str; 6] = [
 
 /// Stage partitions in every chaos workload.
 const WORKERS: usize = 2;
-/// Standing cost factor on node 2 that gives adaptive policies a real
-/// imbalance to correct (present in the reference run too).
-const IMBALANCE_FACTOR: f64 = 10.0;
 
 /// The shared-seam substrates the classic matrix runs on; socket-only
 /// fault families get their own matrix ([`socket_matrix`]) because
@@ -467,11 +451,12 @@ impl Runner {
 /// number of fault events that materialised.
 fn execute(substrate: Substrate, policy: Policy, plan: &FaultPlan) -> Result<(RunSummary, usize)> {
     let hook = Arc::new(PlanHook::new(plan));
-    let summary = match substrate {
-        Substrate::Sim => run_sim(policy, plan, Arc::clone(&hook))?,
-        Substrate::Threaded => run_threaded(policy, plan, Arc::clone(&hook))?,
-        Substrate::Socket => run_socket(policy, plan, Arc::clone(&hook))?,
-    };
+    let chaos = Some(Arc::clone(&hook) as Arc<dyn ChaosHook>);
+    let summary = run_on(
+        substrate,
+        &workload(policy),
+        &knobs(substrate, policy, plan, chaos)?,
+    )?;
     // Crash and burst events are realised by the runner, not the hook,
     // and always apply once the run starts.
     let realised = plan.events.iter().filter(|e| !e.hook_mediated()).count();
@@ -490,7 +475,7 @@ fn execute_tenant(
     plan: &FaultPlan,
 ) -> Result<(RunSummary, usize)> {
     use gridq_engine::AdmissionConfig;
-    use gridq_exec::{QueryOutcome, QueryRun, QueryService, QuerySubmission, ServiceConfig};
+    use gridq_exec::{QueryOutcome, QueryService, ServiceConfig};
 
     if substrate != Substrate::Threaded {
         return Err(GridError::Config(
@@ -507,35 +492,17 @@ fn execute_tenant(
         ));
     }
     let hook = Arc::new(PlanHook::new(plan));
-    // Two independent copies of the same fixed workload: identical
-    // tables, identical plans, so the co-resident query's reference is
-    // the same cached solo run the single-query cells use.
-    let faulted_w = workload(policy);
-    let clean_w = workload(policy);
-    let base = |chaos: Option<Arc<dyn ChaosHook>>| {
-        let mut perturbations = HashMap::new();
-        if let Some(node) = faulted_w.perturb_node {
-            perturbations.insert(node, Perturbation::CostFactor(IMBALANCE_FACTOR));
-        }
-        for (evaluator, _from_ms, factor) in plan.bursts() {
-            perturbations.insert(
-                NodeId::new((evaluator % WORKERS) as u32 + 1),
-                Perturbation::CostFactor(factor),
-            );
-        }
-        ThreadedConfig {
-            adaptivity: policy.adaptivity(),
-            cost_scale: match policy {
-                Policy::R1 => 0.01,
-                _ => 0.002,
-            },
-            perturbations,
-            checkpoint_interval: 8,
-            recall_timeout_ms: 500,
-            chaos,
-            ..Default::default()
-        }
-    };
+    // Two submissions of the same fixed workload: identical tables,
+    // identical plans, so the co-resident query's reference is the same
+    // cached solo run the single-query cells use.
+    let w = workload(policy);
+    let faulted = knobs(
+        substrate,
+        policy,
+        plan,
+        Some(Arc::clone(&hook) as Arc<dyn ChaosHook>),
+    )?;
+    let clean = knobs(substrate, policy, plan, None)?;
     let service = QueryService::new(ServiceConfig {
         admission: AdmissionConfig {
             max_concurrent: 2,
@@ -544,19 +511,11 @@ fn execute_tenant(
         ..ServiceConfig::default()
     })?;
     let report = service.run_batch(vec![
-        QuerySubmission {
-            catalog: faulted_w.catalog(),
-            plan: faulted_w.plan,
-            run: QueryRun::threaded(base(Some(Arc::clone(&hook) as Arc<dyn ChaosHook>))),
-        },
-        QuerySubmission {
-            catalog: clean_w.catalog(),
-            plan: clean_w.plan,
-            run: QueryRun::threaded(base(None)),
-        },
+        w.submission(substrate, &faulted)?,
+        w.submission(substrate, &clean)?,
     ]);
     let co_resident = match report.queries.into_iter().nth(1) {
-        Some((_, QueryOutcome::Threaded(r))) => summarize_threaded(r),
+        Some((_, QueryOutcome::Threaded(r))) => RunSummary::from(r),
         Some((id, other)) => {
             return Err(GridError::Execution(format!(
                 "co-resident query {id} did not complete on the threaded substrate: {other:?}"
@@ -571,400 +530,134 @@ fn execute_tenant(
     Ok((co_resident, hook.fired().len()))
 }
 
-fn run_sim(policy: Policy, plan: &FaultPlan, hook: Arc<PlanHook>) -> Result<RunSummary> {
-    let w = workload(policy);
-    let mut env = GridEnvironment::demo(WORKERS);
-    for (node, schedule) in perturbation_schedules(&w, plan) {
-        env.set_perturbation(node, schedule);
-    }
-    let config = SimulationConfig {
+/// How a cell runs its workload: the policy, the plan's crash and burst
+/// events, and the pacing each substrate needs for its recalls to have
+/// in-flight work to pause.
+fn knobs(
+    substrate: Substrate,
+    policy: Policy,
+    plan: &FaultPlan,
+    chaos: Option<Arc<dyn ChaosHook>>,
+) -> Result<Knobs> {
+    let evaluator_node = |evaluator: usize| NodeId::new((evaluator % WORKERS) as u32 + 1);
+    let mut knobs = Knobs {
         adaptivity: policy.adaptivity(),
         checkpoint_interval: 8,
-        receive_cost_ms: 0.5,
-        collect_results: true,
-        chaos: Some(hook as Arc<dyn ChaosHook>),
-        ..Default::default()
+        chaos,
+        bursts: plan
+            .bursts()
+            .into_iter()
+            .map(|(evaluator, from_ms, factor)| {
+                let burst = Perturbation::CostFactor(factor);
+                (evaluator_node(evaluator), from_ms, burst)
+            })
+            .collect(),
+        ..Knobs::default()
     };
-    let sim = Simulation::new(env, w.catalog(), config)?;
-    let failures: Vec<(NodeId, SimTime)> = plan
-        .crashes()
-        .into_iter()
-        .map(|(evaluator, at_ms)| {
-            (
-                NodeId::new((evaluator % WORKERS) as u32 + 1),
-                SimTime::from_millis(at_ms),
-            )
-        })
-        .collect();
-    let report = sim.run_with_failures(&w.plan, &failures)?;
-    Ok(summarize_sim(report))
-}
-
-fn run_threaded(policy: Policy, plan: &FaultPlan, hook: Arc<PlanHook>) -> Result<RunSummary> {
-    if !plan.crashes().is_empty() {
-        return Err(GridError::Config(
-            "crash_node faults require the simulator; the threaded analogues are \
-             crash_consumer and lose_recall_ctrl"
-                .into(),
-        ));
-    }
     let crashing = !plan.consumer_crashes().is_empty();
-    // A killed consumer is survivable only under R1 (failover rides the
-    // recall machinery). Any other policy leaves failover off, so the
-    // crash degrades into explicit delivery gaps that the conservation
-    // oracle flags — the deliberately unrecoverable cell; a short retry
-    // budget keeps that degradation quick.
-    let failover = if crashing && policy == Policy::R1 {
-        FailoverConfig {
-            enabled: true,
-            heartbeat_ms: 20,
-            lease_ms: 300,
-        }
-    } else {
-        FailoverConfig::default()
-    };
-    let delivery_retry = if crashing && !failover.enabled {
-        RetryPolicy {
-            base_ms: 5.0,
-            max_retries: 4,
-            ..Default::default()
-        }
-    } else if crashing {
-        RetryPolicy {
-            base_ms: 20.0,
-            max_retries: 8,
-            ..Default::default()
-        }
-    } else {
-        RetryPolicy::default()
-    };
-    let w = workload(policy);
-    let mut perturbations = HashMap::new();
-    if let Some(node) = w.perturb_node {
-        perturbations.insert(node, Perturbation::CostFactor(IMBALANCE_FACTOR));
-    }
-    // The threaded executor's perturbations are constant for the whole
-    // run, so a burst's start time is dropped and its factor applies
-    // from the beginning.
-    for (evaluator, _from_ms, factor) in plan.bursts() {
-        perturbations.insert(
-            NodeId::new((evaluator % WORKERS) as u32 + 1),
-            Perturbation::CostFactor(factor),
-        );
-    }
-    let config = ThreadedConfig {
-        adaptivity: policy.adaptivity(),
-        cost_scale: match policy {
-            Policy::R1 => 0.01,
-            _ => 0.002,
-        },
-        perturbations,
-        checkpoint_interval: 8,
-        recall_timeout_ms: 500,
-        chaos: Some(hook as Arc<dyn ChaosHook>),
-        delivery_retry,
-        failover,
-        ..Default::default()
-    };
-    let report = ThreadedExecutor::new(w.catalog(), config).run(&w.plan)?;
-    Ok(summarize_threaded(report))
-}
-
-fn run_socket(policy: Policy, plan: &FaultPlan, hook: Arc<PlanHook>) -> Result<RunSummary> {
-    if !plan.crashes().is_empty() || !plan.consumer_crashes().is_empty() {
-        return Err(GridError::Config(
-            "crash faults have no socket analogue; the socket families are \
-             conn_drop, partial_write, and slow_peer"
-                .into(),
-        ));
-    }
-    let w = workload(policy);
-    // The socket substrate scripts its adaptations (the decision stack
-    // is exercised by the other substrates); each policy gets the wire
-    // spec mirroring its workload plan plus the scripted move that
-    // policy would make against the standing node-2 imbalance.
-    let (stage, adaptations, cost_scale) = match policy {
-        Policy::R1 => (
-            WireStageSpec::HashJoin {
-                build_schema: w.tables[0].schema().clone(),
-                probe_schema: w.tables[1].schema().clone(),
-                build_key: 0,
-                probe_key: 0,
-                build_cost_ms: 0.1,
-                probe_cost_ms: 0.5,
-            },
-            vec![ScriptedAdaptation {
-                after_routed: 120,
-                weights: vec![0.75, 0.25],
-                retrospective: true,
-            }],
-            0.05,
-        ),
-        Policy::R2 => (
-            service_call_spec(&w),
-            vec![ScriptedAdaptation {
-                after_routed: 60,
-                weights: vec![0.8, 0.2],
-                retrospective: false,
-            }],
-            0.01,
-        ),
-        Policy::Static => (service_call_spec(&w), Vec::new(), 0.01),
-    };
-    let mut config = SocketConfig::new(stage, standard_resolver());
-    config.cost_scale = cost_scale;
-    config.receive_cost_ms = 0.5;
-    config.checkpoint_interval = 8;
-    config.recall_timeout_ms = 2_000;
-    config.chaos = Some(hook as Arc<dyn ChaosHook>);
-    config.adaptations = adaptations;
-    if let Some(node) = w.perturb_node {
-        config
-            .perturbations
-            .insert(node, Perturbation::CostFactor(IMBALANCE_FACTOR));
-    }
-    // Like the threaded executor, socket perturbations are constant for
-    // the whole run: a burst's start time is dropped.
-    for (evaluator, _from_ms, factor) in plan.bursts() {
-        config.perturbations.insert(
-            NodeId::new((evaluator % WORKERS) as u32 + 1),
-            Perturbation::CostFactor(factor),
-        );
-    }
-    let report = SocketExecutor::new(w.catalog(), config).run(&w.plan)?;
-    Ok(summarize_socket(report))
-}
-
-/// The wire spec mirroring [`call_plan`]'s `ServiceCallFactory`.
-fn service_call_spec(w: &Workload) -> WireStageSpec {
-    WireStageSpec::ServiceCall {
-        input_schema: w.tables[0].schema().clone(),
-        service: "Square".into(),
-        service_cost_ms: 1.0,
-        arg_cols: vec![0],
-        output_name: "sq".into(),
-        keep_input: false,
-    }
-}
-
-/// Folds the workload's standing imbalance and the plan's perturbation
-/// bursts into one schedule per node.
-fn perturbation_schedules(w: &Workload, plan: &FaultPlan) -> Vec<(NodeId, PerturbationSchedule)> {
-    let mut phases: HashMap<NodeId, Vec<(f64, Perturbation)>> = HashMap::new();
-    if let Some(node) = w.perturb_node {
-        phases
-            .entry(node)
-            .or_default()
-            .push((0.0, Perturbation::CostFactor(IMBALANCE_FACTOR)));
-    }
-    for (evaluator, from_ms, factor) in plan.bursts() {
-        phases
-            .entry(NodeId::new((evaluator % WORKERS) as u32 + 1))
-            .or_default()
-            .push((from_ms.max(0.0), Perturbation::CostFactor(factor)));
-    }
-    phases
-        .into_iter()
-        .map(|(node, mut list)| {
-            list.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let schedule = list
+    match substrate {
+        Substrate::Sim => {
+            knobs.node_failures = plan
+                .crashes()
                 .into_iter()
-                .fold(PerturbationSchedule::none(), |s, (from, p)| {
-                    s.then_at(SimTime::from_millis(from), p)
-                });
-            (node, schedule)
-        })
-        .collect()
-}
-
-fn summarize_sim(report: ExecutionReport) -> RunSummary {
-    RunSummary {
-        results: RunSummary::multiset(&report.results),
-        log_audits: report.log_audits,
-        adaptations_deployed: report.adaptations_deployed,
-        state_tuples_migrated: report.state_tuples_migrated,
-        tuples_recalled: report.tuples_redistributed,
-        nodes_failed: report.nodes_failed,
-        final_distribution: report.final_distribution,
-        obs: report.obs,
-    }
-}
-
-fn summarize_threaded(report: ThreadedReport) -> RunSummary {
-    RunSummary {
-        results: RunSummary::multiset(&report.results),
-        log_audits: report.log_audits,
-        adaptations_deployed: report.adaptations_deployed,
-        state_tuples_migrated: report.state_tuples_migrated,
-        tuples_recalled: report.tuples_recalled,
-        nodes_failed: report.nodes_failed,
-        final_distribution: report.final_distribution,
-        obs: report.obs,
-    }
-}
-
-/// The socket substrate has no node-failure machinery (a dead process
-/// is a dead connection, healed by reconnect + retransmission) and no
-/// observability timeline yet, so `nodes_failed` is always zero and
-/// `obs` is `None` — the timeline/teardown oracles pass trivially.
-fn summarize_socket(report: SocketReport) -> RunSummary {
-    RunSummary {
-        results: RunSummary::multiset(&report.results),
-        log_audits: report.log_audits,
-        adaptations_deployed: report.adaptations_deployed,
-        state_tuples_migrated: report.state_tuples_migrated,
-        tuples_recalled: report.tuples_recalled,
-        nodes_failed: 0,
-        final_distribution: report.final_distribution,
-        obs: None,
-    }
-}
-
-/// A chaos workload: its tables, plan, and standing imbalance.
-struct Workload {
-    tables: Vec<Arc<Table>>,
-    plan: DistributedPlan,
-    perturb_node: Option<NodeId>,
-}
-
-impl Workload {
-    fn catalog(&self) -> Catalog {
-        let mut c = Catalog::new();
-        for t in &self.tables {
-            c.register(Arc::clone(t));
+                .map(|(evaluator, at_ms)| (evaluator_node(evaluator), SimTime::from_millis(at_ms)))
+                .collect();
         }
-        c
+        Substrate::Threaded => {
+            if !plan.crashes().is_empty() {
+                return Err(GridError::Config(
+                    "crash_node faults require the simulator; the threaded analogues are \
+                     crash_consumer and lose_recall_ctrl"
+                        .into(),
+                ));
+            }
+            knobs.cost_scale = match policy {
+                Policy::R1 => 0.01,
+                _ => 0.002,
+            };
+            knobs.recall_timeout_ms = 500;
+            // A killed consumer is survivable only under R1 (failover
+            // rides the recall machinery). Any other policy leaves
+            // failover off, so the crash degrades into explicit delivery
+            // gaps that the conservation oracle flags — the deliberately
+            // unrecoverable cell; a short retry budget keeps that
+            // degradation quick.
+            if crashing && policy == Policy::R1 {
+                knobs.failover = FailoverConfig {
+                    enabled: true,
+                    heartbeat_ms: 20,
+                    lease_ms: 300,
+                };
+                knobs.delivery_retry = RetryPolicy {
+                    base_ms: 20.0,
+                    max_retries: 8,
+                    ..Default::default()
+                };
+            } else if crashing {
+                knobs.delivery_retry = RetryPolicy {
+                    base_ms: 5.0,
+                    max_retries: 4,
+                    ..Default::default()
+                };
+            }
+        }
+        Substrate::Socket => {
+            if crashing || !plan.crashes().is_empty() {
+                return Err(GridError::Config(
+                    "crash faults have no socket analogue; the socket families are \
+                     conn_drop, partial_write, and slow_peer"
+                        .into(),
+                ));
+            }
+            // The socket substrate scripts its adaptations (the decision
+            // stack is exercised by the other substrates): each policy
+            // gets the move it would make against the standing node-2
+            // imbalance.
+            (knobs.script, knobs.cost_scale) = match policy {
+                Policy::R1 => (
+                    vec![ScriptedAdaptation {
+                        after_routed: 120,
+                        weights: vec![0.75, 0.25],
+                        retrospective: true,
+                    }],
+                    0.05,
+                ),
+                Policy::R2 => (
+                    vec![ScriptedAdaptation {
+                        after_routed: 60,
+                        weights: vec![0.8, 0.2],
+                        retrospective: false,
+                    }],
+                    0.01,
+                ),
+                Policy::Static => (Vec::new(), 0.01),
+            };
+            knobs.receive_cost_ms = 0.5;
+            knobs.recall_timeout_ms = 2_000;
+        }
     }
+    Ok(knobs)
 }
 
 /// The fixed workload for a policy: R1 exercises the stateful hash-join
 /// recall path; R2 and static run the stateless service-call plan. The
 /// slow probe scan keeps producers alive while the imbalance is
-/// diagnosed, so R1 recalls reliably have something to pause.
+/// diagnosed, so R1 recalls reliably have something to pause. Adaptive
+/// policies run against a standing 10x cost factor on node 2 (present in
+/// the reference run too), so there is a real imbalance to correct.
 fn workload(policy: Policy) -> Workload {
+    let imbalanced = |w: Workload| w.perturbed(NodeId::new(2), Perturbation::CostFactor(10.0));
     match policy {
-        Policy::R1 => {
-            let build = int_table("chaos_build", 60);
-            let probe = int_table("chaos_probe", 300);
-            let plan = join_plan(&build, &probe, 1.0, 10.0);
-            Workload {
-                tables: vec![build, probe],
-                plan,
-                perturb_node: Some(NodeId::new(2)),
-            }
-        }
-        Policy::R2 => {
-            let table = int_table("chaos_t", 200);
-            let plan = call_plan(&table, WORKERS);
-            Workload {
-                tables: vec![table],
-                plan,
-                perturb_node: Some(NodeId::new(2)),
-            }
-        }
-        Policy::Static => {
-            let table = int_table("chaos_t", 200);
-            let plan = call_plan(&table, WORKERS);
-            Workload {
-                tables: vec![table],
-                plan,
-                perturb_node: None,
-            }
-        }
-    }
-}
-
-fn int_table(name: &str, n: usize) -> Arc<Table> {
-    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-    let rows = (0..n)
-        .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
-        .collect();
-    Arc::new(Table::new(name, schema, rows).expect("static chaos workload table"))
-}
-
-fn square() -> Arc<dyn Service> {
-    Arc::new(FnService::new(
-        "Square",
-        vec![DataType::Int],
-        DataType::Int,
-        1.0,
-        |args| Ok(Value::Int(args[0].as_int().unwrap().pow(2))),
-    ))
-}
-
-fn call_plan(table: &Arc<Table>, partitions: usize) -> DistributedPlan {
-    let factory = ServiceCallFactory::new(
-        table.schema(),
-        square(),
-        vec![Expr::col(0)],
-        "sq",
-        false,
-        ServiceRegistry::new(),
-    );
-    DistributedPlan {
-        query: QueryId::new(1),
-        sources: vec![SourceSpec {
-            table: table.name().to_string(),
-            node: NodeId::new(0),
-            stream: StreamTag::Single,
-            scan_cost_ms: 0.4,
-        }],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: (0..partitions).map(|i| NodeId::new(i as u32 + 1)).collect(),
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::Weighted {
-                    initial: DistributionVector::uniform(partitions),
-                },
-                buffer_tuples: 10,
+        Policy::R1 => imbalanced(Workload::join(
+            ("chaos_build", 60),
+            ("chaos_probe", 300),
+            &JoinShape {
+                scan_cost_ms: [1.0, 10.0],
+                ..JoinShape::default()
             },
-        }],
-        collect_node: NodeId::new(0),
-    }
-}
-
-fn join_plan(
-    build: &Arc<Table>,
-    probe: &Arc<Table>,
-    build_scan_cost_ms: f64,
-    probe_scan_cost_ms: f64,
-) -> DistributedPlan {
-    let factory = HashJoinFactory::new(build.schema(), probe.schema(), 0, 0, 0.1, 0.5);
-    DistributedPlan {
-        query: QueryId::new(2),
-        sources: vec![
-            SourceSpec {
-                table: build.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Build,
-                scan_cost_ms: build_scan_cost_ms,
-            },
-            SourceSpec {
-                table: probe.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Probe,
-                scan_cost_ms: probe_scan_cost_ms,
-            },
-        ],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: vec![NodeId::new(1), NodeId::new(2)],
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::HashBuckets {
-                    bucket_count: 16,
-                    initial: DistributionVector::uniform(WORKERS),
-                    keys: StreamKeys {
-                        build: Some(0),
-                        probe: Some(0),
-                        single: None,
-                    },
-                },
-                buffer_tuples: 10,
-            },
-        }],
-        collect_node: NodeId::new(0),
+        )),
+        Policy::R2 => imbalanced(Workload::call("chaos_t", 200, &CallShape::default())),
+        Policy::Static => Workload::call("chaos_t", 200, &CallShape::default()),
     }
 }
 

@@ -154,55 +154,6 @@ impl ChangeDetector {
     }
 }
 
-/// Simple running mean without a window, used for report aggregation.
-#[derive(Debug, Clone, Default)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-    rejected: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample. Non-finite samples are rejected (and counted via
-    /// [`RunningMean::rejected`]) rather than accumulated: a single NaN
-    /// in the sum would poison the mean for the rest of the run — the
-    /// same hazard the `TrimmedWindow` guards against. Returns whether
-    /// the sample was accepted.
-    pub fn push(&mut self, sample: f64) -> bool {
-        if !sample.is_finite() {
-            self.rejected = self.rejected.saturating_add(1);
-            return false;
-        }
-        self.sum += sample;
-        self.count += 1;
-        true
-    }
-
-    /// Number of non-finite samples rejected so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// The mean so far, or `None` before any sample.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,29 +229,6 @@ mod tests {
         assert!(d.observe(0.0));
         // Any nonzero move from zero is an infinite relative change.
         assert!(d.observe(0.001));
-    }
-
-    #[test]
-    fn running_mean() {
-        let mut m = RunningMean::new();
-        assert_eq!(m.mean(), None);
-        assert!(m.push(2.0));
-        assert!(m.push(4.0));
-        assert_eq!(m.mean(), Some(3.0));
-        assert_eq!(m.count(), 2);
-    }
-
-    #[test]
-    fn running_mean_rejects_non_finite() {
-        // Regression: `sum += NaN` used to poison the mean permanently.
-        let mut m = RunningMean::new();
-        assert!(m.push(2.0));
-        assert!(!m.push(f64::NAN));
-        assert!(!m.push(f64::INFINITY));
-        assert!(m.push(4.0));
-        assert_eq!(m.mean(), Some(3.0));
-        assert_eq!(m.count(), 2);
-        assert_eq!(m.rejected(), 2);
     }
 
     #[test]

@@ -207,9 +207,9 @@ mod tests {
     use super::*;
     use gridq_adapt::{AssessmentPolicy, ResponsePolicy};
     use gridq_common::NodeId;
+    use gridq_engine::fixtures::multiset;
     use gridq_grid::Perturbation;
     use gridq_workload::demo_catalog;
-    use std::collections::HashMap;
 
     fn processor(evaluators: usize, seqs: usize, inters: usize) -> GridQueryProcessor {
         let mut qp = GridQueryProcessor::with_demo_grid(evaluators);
@@ -220,14 +220,6 @@ mod tests {
     const Q1: &str = "select EntropyAnalyser(p.sequence) from protein_sequences p";
     const Q2: &str = "select i.ORF2 from protein_sequences p, protein_interactions i \
                       where i.ORF1 = p.ORF";
-
-    fn multiset(tuples: &[gridq_common::Tuple]) -> HashMap<String, usize> {
-        let mut m = HashMap::new();
-        for t in tuples {
-            *m.entry(t.to_string()).or_insert(0) += 1;
-        }
-        m
-    }
 
     #[test]
     fn q1_runs_and_matches_local_reference() {

@@ -89,6 +89,7 @@ pub struct SourceSpec {
 }
 
 /// A partitioned stage: `nodes.len()` clones of an evaluator.
+#[derive(Clone)]
 pub struct ParallelStageSpec {
     /// Stable identifier of the subplan this stage evaluates.
     pub id: SubplanId,
@@ -112,6 +113,7 @@ impl std::fmt::Debug for ParallelStageSpec {
 }
 
 /// A complete partitioned query plan.
+#[derive(Clone)]
 pub struct DistributedPlan {
     /// The query this plan evaluates.
     pub query: QueryId,

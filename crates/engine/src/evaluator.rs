@@ -512,21 +512,11 @@ impl EvaluatorFactory for FilterMapFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::FnService;
+    use crate::fixtures::square;
     use gridq_common::DataType;
 
     fn str_schema(name: &str) -> Schema {
         Schema::new(vec![Field::new(name, DataType::Str)])
-    }
-
-    fn square_service() -> Arc<dyn Service> {
-        Arc::new(FnService::new(
-            "Square",
-            vec![DataType::Int],
-            DataType::Int,
-            3.0,
-            |args| Ok(Value::Int(args[0].as_int().unwrap().pow(2))),
-        ))
     }
 
     #[test]
@@ -536,7 +526,7 @@ mod tests {
         let input = Schema::new(vec![Field::new("x", DataType::Int)]);
         let factory = ServiceCallFactory::new(
             &input,
-            square_service(),
+            square(3.0),
             vec![Expr::col(0)],
             "sq",
             false,
@@ -557,7 +547,7 @@ mod tests {
         let input = Schema::new(vec![Field::new("x", DataType::Int)]);
         let factory = ServiceCallFactory::new(
             &input,
-            square_service(),
+            square(3.0),
             vec![Expr::col(0)],
             "sq",
             false,

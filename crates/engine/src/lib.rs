@@ -8,13 +8,14 @@
 //! OGSA-DQP evaluation services: every operator exposes
 //! [`ops::Operator::next`], and data communication between plan fragments
 //! is encapsulated in *exchange* boundaries described by
-//! [`distributed::ExchangeSpec`]. Operators are *self-monitoring* — the
-//! [`ops::Monitored`] wrapper records per-tuple processing cost and idle
-//! time, which is the raw feed of the adaptivity architecture.
+//! [`distributed::ExchangeSpec`]. [`fixtures`] holds the small tables,
+//! the `Square` service and the two single-stage plan shapes that every
+//! substrate's tests and the chaos harness share.
 
 pub mod distributed;
 pub mod evaluator;
 pub mod expr;
+pub mod fixtures;
 pub mod logical;
 pub mod ops;
 pub mod physical;

@@ -89,29 +89,13 @@ impl Operator for OperationCall {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{int_table, square};
     use crate::ops::{collect, TableScan};
-    use crate::service::FnService;
     use crate::table::Table;
-    use gridq_common::{DataType, Value};
+    use gridq_common::Value;
 
     fn setup() -> (Arc<Table>, Arc<dyn Service>) {
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-        let rows = vec![
-            Tuple::new(vec![Value::Int(1)]),
-            Tuple::new(vec![Value::Int(2)]),
-        ];
-        let table = Arc::new(Table::new("t", schema, rows).unwrap());
-        let svc: Arc<dyn Service> = Arc::new(FnService::new(
-            "Square",
-            vec![DataType::Int],
-            DataType::Int,
-            2.0,
-            |args| {
-                let v = args[0].as_int().unwrap();
-                Ok(Value::Int(v * v))
-            },
-        ));
-        (table, svc)
+        (int_table("t", [1, 2]), square(2.0))
     }
 
     #[test]

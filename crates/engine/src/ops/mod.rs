@@ -1,21 +1,16 @@
 //! Iterator-model (Volcano) physical operators.
 //!
 //! Each operator pulls tuples from its children via [`Operator::next`].
-//! The [`Monitored`] wrapper makes any operator self-monitoring: it records
-//! per-tuple processing cost and cumulative output counts, which the
-//! adaptivity architecture consumes as raw monitoring events.
 
 mod call;
 mod filter;
 mod join;
-mod monitor;
 mod project;
 mod scan;
 
 pub use call::OperationCall;
 pub use filter::Filter;
 pub use join::HashJoin;
-pub use monitor::{Monitored, OperatorStats, SharedStats};
 pub use project::Project;
 pub use scan::TableScan;
 

@@ -176,7 +176,8 @@ impl ThreadedConfig {
     }
 }
 
-/// What a threaded execution measured.
+/// What an execution on either real substrate (threads or sockets)
+/// measured.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadedReport {
     /// Wall-clock duration of the run, milliseconds.
@@ -237,8 +238,13 @@ pub struct ThreadedReport {
     /// The final routing distribution.
     pub final_distribution: Vec<f64>,
     /// Observability snapshot (metrics registry and adaptivity timeline);
-    /// `None` when the obs layer is disabled.
+    /// `None` when the obs layer is disabled, and on sockets, which
+    /// export none yet.
     pub obs: Option<ObsReport>,
+    /// Worker connections re-established after a drop: always 0 on
+    /// threads, 0 on a healthy socket run (`conn_drop` chaos drives it
+    /// up).
+    pub reconnects: u64,
 }
 
 /// What travels in a threaded data ring: a block, or the end of one
@@ -1762,6 +1768,7 @@ impl Run<'_> {
             dedup_peak_entries: got.dedup_peak,
             final_distribution,
             obs: obs.as_ref().map(Obs::report),
+            reconnects: 0,
         })
     }
 }
@@ -1769,133 +1776,18 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridq_common::{
-        DataType, DistributionVector, Field, NetAction, QueryId, Schema, SubplanId, Value,
+    use gridq_common::{DataType, DistributionVector, NetAction};
+    use gridq_engine::evaluator::ServiceCallFactory;
+    use gridq_engine::fixtures::{
+        call_plan, catalog, int_table, join_plan, multiset, single_stage_plan, CallShape, JoinShape,
     };
-    use gridq_engine::distributed::{
-        ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-    };
-    use gridq_engine::evaluator::{HashJoinFactory, ServiceCallFactory};
-    use gridq_engine::service::{FnService, Service, ServiceRegistry};
-    use gridq_engine::table::Table;
+    use gridq_engine::service::{FnService, ServiceRegistry};
     use gridq_engine::Expr;
-
-    fn int_table(name: &str, n: usize) -> Arc<Table> {
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-        let rows = (0..n)
-            .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
-            .collect();
-        Arc::new(Table::new(name, schema, rows).unwrap())
-    }
-
-    fn square() -> Arc<dyn Service> {
-        Arc::new(FnService::new(
-            "Square",
-            vec![DataType::Int],
-            DataType::Int,
-            1.0,
-            |args| Ok(Value::Int(args[0].as_int().unwrap().pow(2))),
-        ))
-    }
-
-    fn call_plan(table: &Arc<Table>, partitions: usize) -> DistributedPlan {
-        let factory = ServiceCallFactory::new(
-            table.schema(),
-            square(),
-            vec![Expr::col(0)],
-            "sq",
-            false,
-            ServiceRegistry::new(),
-        );
-        DistributedPlan {
-            query: QueryId::new(1),
-            sources: vec![SourceSpec {
-                table: table.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Single,
-                scan_cost_ms: 0.4,
-            }],
-            stages: vec![ParallelStageSpec {
-                id: SubplanId::new(1),
-                factory: Arc::new(factory),
-                nodes: (0..partitions).map(|i| NodeId::new(i as u32 + 1)).collect(),
-                exchange: ExchangeSpec {
-                    routing: RoutingPolicy::Weighted {
-                        initial: DistributionVector::uniform(partitions),
-                    },
-                    buffer_tuples: 10,
-                },
-            }],
-            collect_node: NodeId::new(0),
-        }
-    }
-
-    /// A Q2-shaped stateful hash-join plan: build and probe streams hash
-    /// partitioned over `bucket_count` buckets on two nodes.
-    fn join_plan(
-        build: &Arc<Table>,
-        probe: &Arc<Table>,
-        build_scan_cost_ms: f64,
-        probe_scan_cost_ms: f64,
-    ) -> DistributedPlan {
-        let factory = HashJoinFactory::new(build.schema(), probe.schema(), 0, 0, 0.1, 0.5);
-        DistributedPlan {
-            query: QueryId::new(2),
-            sources: vec![
-                SourceSpec {
-                    table: build.name().to_string(),
-                    node: NodeId::new(0),
-                    stream: StreamTag::Build,
-                    scan_cost_ms: build_scan_cost_ms,
-                },
-                SourceSpec {
-                    table: probe.name().to_string(),
-                    node: NodeId::new(0),
-                    stream: StreamTag::Probe,
-                    scan_cost_ms: probe_scan_cost_ms,
-                },
-            ],
-            stages: vec![ParallelStageSpec {
-                id: SubplanId::new(1),
-                factory: Arc::new(factory),
-                nodes: vec![NodeId::new(1), NodeId::new(2)],
-                exchange: ExchangeSpec {
-                    routing: RoutingPolicy::HashBuckets {
-                        bucket_count: 16,
-                        initial: DistributionVector::uniform(2),
-                        keys: StreamKeys {
-                            build: Some(0),
-                            probe: Some(0),
-                            single: None,
-                        },
-                    },
-                    buffer_tuples: 10,
-                },
-            }],
-            collect_node: NodeId::new(0),
-        }
-    }
-
-    fn catalog(tables: &[&Arc<Table>]) -> Catalog {
-        let mut c = Catalog::new();
-        for t in tables {
-            c.register(Arc::clone(t));
-        }
-        c
-    }
-
-    /// Result tuples as a sorted multiset of value rows (sequence numbers
-    /// are renumbered by operators and not comparable across runs).
-    fn multiset(tuples: &[Tuple]) -> Vec<String> {
-        let mut rows: Vec<String> = tuples.iter().map(|t| format!("{:?}", t.values())).collect();
-        rows.sort_unstable();
-        rows
-    }
 
     #[test]
     fn static_run_produces_all_results() {
-        let table = int_table("t", 200);
-        let plan = call_plan(&table, 2);
+        let table = int_table("t", 0..200);
+        let plan = call_plan(&table, &CallShape::default());
         let exec = ThreadedExecutor::new(
             catalog(&[&table]),
             ThreadedConfig {
@@ -1923,8 +1815,8 @@ mod tests {
 
     #[test]
     fn adaptive_run_shifts_load_away_from_perturbed_node() {
-        let table = int_table("t", 400);
-        let plan = call_plan(&table, 2);
+        let table = int_table("t", 0..400);
+        let plan = call_plan(&table, &CallShape::default());
         let mut perturbations = HashMap::new();
         perturbations.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
         let exec = ThreadedExecutor::new(
@@ -2029,8 +1921,8 @@ mod tests {
     /// site — and land in the same counters and the same timeline.
     #[test]
     fn scripted_and_diagnosed_commands_share_one_deploy_path() {
-        let table = int_table("t", 100);
-        let plan = call_plan(&table, 2);
+        let table = int_table("t", 0..100);
+        let plan = call_plan(&table, &CallShape::default());
         let cfg = ThreadedConfig {
             adaptivity: AdaptivityConfig {
                 response: ResponsePolicy::R1,
@@ -2152,8 +2044,8 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected_before_spawning() {
-        let table = int_table("t", 10);
-        let plan = call_plan(&table, 2);
+        let table = int_table("t", 0..10);
+        let plan = call_plan(&table, &CallShape::default());
         let bad_configs = [
             ThreadedConfig {
                 cost_scale: 0.0,
@@ -2197,7 +2089,7 @@ mod tests {
 
     #[test]
     fn panicking_service_yields_error_not_deadlock() {
-        let table = int_table("t", 50);
+        let table = int_table("t", 0..50);
         let factory = ServiceCallFactory::new(
             table.schema(),
             Arc::new(FnService::new(
@@ -2212,27 +2104,8 @@ mod tests {
             false,
             ServiceRegistry::new(),
         );
-        let plan = DistributedPlan {
-            query: QueryId::new(3),
-            sources: vec![SourceSpec {
-                table: table.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Single,
-                scan_cost_ms: 0.1,
-            }],
-            stages: vec![ParallelStageSpec {
-                id: SubplanId::new(1),
-                factory: Arc::new(factory),
-                nodes: vec![NodeId::new(1), NodeId::new(2)],
-                exchange: ExchangeSpec {
-                    routing: RoutingPolicy::Weighted {
-                        initial: DistributionVector::uniform(2),
-                    },
-                    buffer_tuples: 10,
-                },
-            }],
-            collect_node: NodeId::new(0),
-        };
+        let scans = [(table.name(), StreamTag::Single, 0.1)];
+        let plan = single_stage_plan(3, &scans, factory, 2, None, 10);
         let exec = ThreadedExecutor::new(
             catalog(&[&table]),
             ThreadedConfig {
@@ -2254,9 +2127,9 @@ mod tests {
 
     #[test]
     fn stateful_plan_with_r2_is_rejected_but_runs_statically() {
-        let build = int_table("b", 20);
-        let probe = int_table("p", 20);
-        let plan = join_plan(&build, &probe, 0.1, 0.1);
+        let build = int_table("b", 0..20);
+        let probe = int_table("p", 0..20);
+        let plan = join_plan(&build, &probe, &JoinShape::default());
         // Prospective adaptivity on a stateful stage would strand the
         // hash table on the old owners: rejected, like the simulator.
         let exec = ThreadedExecutor::new(
@@ -2283,8 +2156,8 @@ mod tests {
 
     #[test]
     fn stateful_r1_run_recalls_and_matches_static() {
-        let build = int_table("b", 60);
-        let probe = int_table("p", 300);
+        let build = int_table("b", 0..60);
+        let probe = int_table("p", 0..300);
         // Static baseline for the result multiset.
         let static_report = ThreadedExecutor::new(
             catalog(&[&build, &probe]),
@@ -2294,14 +2167,21 @@ mod tests {
                 ..Default::default()
             },
         )
-        .run(&join_plan(&build, &probe, 0.1, 0.1))
+        .run(&join_plan(&build, &probe, &JoinShape::default()))
         .unwrap();
         assert_eq!(static_report.results.len(), 60);
 
         // Adaptive R1 run with one node perturbed. The probe scan is the
         // bottleneck so producers are still alive when the imbalance is
         // diagnosed, giving the recall something to pause.
-        let plan = join_plan(&build, &probe, 1.0, 10.0);
+        let plan = join_plan(
+            &build,
+            &probe,
+            &JoinShape {
+                scan_cost_ms: [1.0, 10.0],
+                ..Default::default()
+            },
+        );
         let mut perturbations = HashMap::new();
         perturbations.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
         let adapt = AdaptivityConfig {
@@ -2401,8 +2281,14 @@ mod tests {
         // Each wait spans a full Timeout slice, which the old code
         // silently discarded — reported leaf-wait was ~10 ms/tuple
         // instead of ~60.
-        let table = int_table("t", 8);
-        let mut plan = call_plan(&table, 1);
+        let table = int_table("t", 0..8);
+        let mut plan = call_plan(
+            &table,
+            &CallShape {
+                evaluators: 1,
+                ..Default::default()
+            },
+        );
         plan.sources[0].scan_cost_ms = 60.0;
         plan.stages[0].exchange.buffer_tuples = 1;
         let adapt = AdaptivityConfig {
@@ -2440,8 +2326,14 @@ mod tests {
         // 25 tuples on one partition with an interval of 10: two full
         // batches plus a 5-tuple tail. The old code dropped the tail on
         // the floor, leaving the last tuples unmonitored.
-        let table = int_table("t", 25);
-        let plan = call_plan(&table, 1);
+        let table = int_table("t", 0..25);
+        let plan = call_plan(
+            &table,
+            &CallShape {
+                evaluators: 1,
+                ..Default::default()
+            },
+        );
         let adapt = AdaptivityConfig {
             monitoring_interval_tuples: 10,
             ..Default::default()
@@ -2508,8 +2400,8 @@ mod tests {
 
     #[test]
     fn dropped_and_duplicated_batches_are_healed_by_retransmission() {
-        let table = int_table("t", 200);
-        let plan = call_plan(&table, 2);
+        let table = int_table("t", 0..200);
+        let plan = call_plan(&table, &CallShape::default());
         let clean = ThreadedExecutor::new(
             catalog(&[&table]),
             ThreadedConfig {
@@ -2570,8 +2462,8 @@ mod tests {
     #[test]
     fn consumer_dedup_memory_is_bounded_by_unacked_windows() {
         let total = 2000usize;
-        let table = int_table("t", total);
-        let plan = call_plan(&table, 2);
+        let table = int_table("t", 0..total as i64);
+        let plan = call_plan(&table, &CallShape::default());
         let clean = ThreadedExecutor::new(
             catalog(&[&table]),
             ThreadedConfig {
@@ -2636,8 +2528,8 @@ mod tests {
 
     #[test]
     fn exhausted_retries_record_delivery_gaps_instead_of_hanging() {
-        let table = int_table("t", 100);
-        let plan = call_plan(&table, 2);
+        let table = int_table("t", 0..100);
+        let plan = call_plan(&table, &CallShape::default());
         let report = ThreadedExecutor::new(
             catalog(&[&table]),
             ThreadedConfig {
@@ -2682,8 +2574,8 @@ mod tests {
         // the closed channel before any gap surfaced. Closed-ring pushes
         // are now counted into `send_failures` and the retry loop gaps
         // the destination out immediately.
-        let table = int_table("t", 200);
-        let plan = call_plan(&table, 2);
+        let table = int_table("t", 0..200);
+        let plan = call_plan(&table, &CallShape::default());
         let started = Instant::now();
         let report = ThreadedExecutor::new(
             catalog(&[&table]),
@@ -2745,9 +2637,9 @@ mod tests {
     // property under test.
     #[allow(clippy::float_cmp)]
     fn consumer_crash_fails_over_and_matches_static() {
-        let build = int_table("b", 60);
-        let probe = int_table("p", 300);
-        let plan = join_plan(&build, &probe, 0.1, 0.1);
+        let build = int_table("b", 0..60);
+        let probe = int_table("p", 0..300);
+        let plan = join_plan(&build, &probe, &JoinShape::default());
         let static_report = ThreadedExecutor::new(
             catalog(&[&build, &probe]),
             ThreadedConfig {

@@ -352,13 +352,9 @@ mod tests {
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
-    use gridq_common::{
-        DataType, DistributionVector, Field, NodeId, QueryId, Schema, SubplanId, Tuple, Value,
-    };
-    use gridq_engine::distributed::{
-        DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-    };
+    use gridq_common::{DataType, DistributionVector, Field, Schema, Tuple, Value};
     use gridq_engine::evaluator::{EvaluatorFactory, HashJoinFactory, StreamTag};
+    use gridq_engine::fixtures::single_stage_plan;
     use gridq_recovery::Checkpoint;
 
     use super::consumer::{Consumer, ConsumerOut, M1Sample};
@@ -383,39 +379,13 @@ mod tests {
     /// A two-partition hash join over 16 buckets: source 0 builds, source 1
     /// probes.
     fn join_exchange(resilient: bool) -> (Exchange, Arc<dyn EvaluatorFactory>) {
-        let factory: Arc<dyn EvaluatorFactory> =
-            Arc::new(HashJoinFactory::new(&schema(), &schema(), 0, 0, 0.1, 0.5));
-        let source = |table: &str, stream| SourceSpec {
-            table: table.into(),
-            node: NodeId::new(0),
-            stream,
-            scan_cost_ms: 0.0,
-        };
-        let plan = DistributedPlan {
-            query: QueryId::new(1),
-            sources: vec![
-                source("build", StreamTag::Build),
-                source("probe", StreamTag::Probe),
-            ],
-            stages: vec![ParallelStageSpec {
-                id: SubplanId::new(1),
-                factory: Arc::clone(&factory),
-                nodes: vec![NodeId::new(1), NodeId::new(2)],
-                exchange: ExchangeSpec {
-                    routing: RoutingPolicy::HashBuckets {
-                        bucket_count: 16,
-                        initial: DistributionVector::uniform(2),
-                        keys: StreamKeys {
-                            build: Some(0),
-                            probe: Some(0),
-                            single: None,
-                        },
-                    },
-                    buffer_tuples: 4,
-                },
-            }],
-            collect_node: NodeId::new(0),
-        };
+        let scans = [
+            ("build", StreamTag::Build, 0.0),
+            ("probe", StreamTag::Probe, 0.0),
+        ];
+        let factory = HashJoinFactory::new(&schema(), &schema(), 0, 0, 0.1, 0.5);
+        let plan = single_stage_plan(1, &scans, factory, 2, Some(16), 4);
+        let factory = Arc::clone(&plan.stages[0].factory);
         let x = Exchange::new(&plan, "test", true, None, resilient, 4).unwrap();
         (x, factory)
     }

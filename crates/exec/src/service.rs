@@ -290,8 +290,7 @@ impl QueryOutcome {
     /// Result tuples, when the query completed.
     pub fn results(&self) -> Option<&[Tuple]> {
         match self {
-            QueryOutcome::Threaded(r) => Some(&r.results),
-            QueryOutcome::Socket(r) => Some(&r.results),
+            QueryOutcome::Threaded(r) | QueryOutcome::Socket(r) => Some(&r.results),
             _ => None,
         }
     }

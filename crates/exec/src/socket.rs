@@ -55,27 +55,28 @@ use gridq_common::wire::{
 };
 use gridq_common::{
     ChaosHook, DataType, DistributionVector, Field, GridError, NodeId, RecallPhase, Result, Schema,
-    SimTime, Tuple, Value,
+    SimTime, Tuple,
 };
 use gridq_engine::distributed::DistributedPlan;
 use gridq_engine::evaluator::{
     EvaluatorFactory, HashJoinFactory, PartitionEvaluator, ServiceCallFactory, StreamTag,
 };
+use gridq_engine::fixtures::{self, CallShape, JoinShape};
 use gridq_engine::physical::Catalog;
-use gridq_engine::service::{FnService, Service, ServiceRegistry};
-use gridq_engine::Expr;
+use gridq_engine::service::{Service, ServiceRegistry};
+use gridq_engine::{Expr, Table};
 use gridq_grid::Perturbation;
 use gridq_net::frame::kind;
 use gridq_net::link::{self, LinkState, Receive};
 use gridq_net::{Addr, Decoder, Frame, Listener, Stream};
 use gridq_obs::ObsConfig;
-use gridq_recovery::{Checkpoint, LogAudit};
+use gridq_recovery::Checkpoint;
 
 use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
 use crate::protocol::coordinator::{MigrateCmd, RecallReply};
 use crate::protocol::{sane_ms, validate_knobs, Block, Exchange, Routed, Staged};
 use crate::{
-    spin_for, DeliveryGap, Endpoints, Msg, Raw, RetryPolicy, RingPayload, Run, ThreadedConfig,
+    spin_for, Endpoints, Msg, Raw, RetryPolicy, RingPayload, Run, ThreadedConfig, ThreadedReport,
     Wiring, WorkerEvent,
 };
 
@@ -514,23 +515,7 @@ pub type ServiceResolver = Arc<dyn Fn(&str, f64) -> Option<Arc<dyn Service>> + S
 /// resolve through this one function so a spawned process computes
 /// byte-identical results to an in-process thread.
 pub fn standard_resolver() -> ServiceResolver {
-    Arc::new(|name: &str, cost_ms: f64| -> Option<Arc<dyn Service>> {
-        if name != "Square" {
-            return None;
-        }
-        Some(Arc::new(FnService::new(
-            "Square",
-            vec![DataType::Int],
-            DataType::Int,
-            cost_ms,
-            |args| {
-                let v = args[0]
-                    .as_int()
-                    .ok_or_else(|| GridError::Execution("Square expects an Int".into()))?;
-                Ok(Value::Int(v.saturating_mul(v)))
-            },
-        )))
-    })
+    Arc::new(|name: &str, cost_ms: f64| (name == "Square").then(|| fixtures::square(cost_ms)))
 }
 
 /// A serializable description of the single parallel stage, shipped to
@@ -572,6 +557,31 @@ pub enum WireStageSpec {
 }
 
 impl WireStageSpec {
+    /// The wire form of the stage [`fixtures::call_plan`] builds over
+    /// `table`; [`standard_resolver`] resolves its service.
+    pub fn for_call_plan(table: &Table, shape: &CallShape) -> WireStageSpec {
+        WireStageSpec::ServiceCall {
+            input_schema: table.schema().clone(),
+            service: "Square".into(),
+            service_cost_ms: shape.service_cost_ms,
+            arg_cols: vec![0],
+            output_name: "sq".into(),
+            keep_input: false,
+        }
+    }
+
+    /// The wire form of the stage [`fixtures::join_plan`] builds.
+    pub fn for_join_plan(build: &Table, probe: &Table, shape: &JoinShape) -> WireStageSpec {
+        WireStageSpec::HashJoin {
+            build_schema: build.schema().clone(),
+            probe_schema: probe.schema().clone(),
+            build_key: 0,
+            probe_key: 0,
+            build_cost_ms: shape.build_cost_ms,
+            probe_cost_ms: shape.probe_cost_ms,
+        }
+    }
+
     /// Whether the stage accumulates operator state (mirrors
     /// [`EvaluatorFactory::stateful`]).
     pub fn stateful(&self) -> bool {
@@ -823,47 +833,11 @@ impl SocketConfig {
     }
 }
 
-/// What a socket-substrate execution measured. Field-for-field
-/// comparable with `ThreadedReport` where the substrates share
-/// semantics; socket-only telemetry (reconnects) is additive.
-#[derive(Debug, Clone, Default)]
-pub struct SocketReport {
-    /// Wall-clock duration of the run, milliseconds.
-    pub wall_ms: f64,
-    /// Result tuples collected.
-    pub results: Vec<Tuple>,
-    /// Input tuples processed per partition.
-    pub per_partition_processed: Vec<u64>,
-    /// Adaptations deployed into the router.
-    pub adaptations_deployed: u64,
-    /// Retrospective recalls that ran the full protocol.
-    pub recalls_completed: u64,
-    /// Retrospective recalls abandoned before deploying.
-    pub recalls_aborted: u64,
-    /// Operator-state tuples shipped between partitions by recalls.
-    pub state_tuples_migrated: u64,
-    /// In-flight tuples re-routed by recalls (held tuples recalled from
-    /// workers plus staged buffers re-routed by producers).
-    pub tuples_recalled: u64,
-    /// Tuples retransmitted from recovery logs by the retry epilogue.
-    pub tuples_retransmitted: u64,
-    /// Windows left undelivered after the retry budget ran out.
-    pub delivery_gaps: Vec<DeliveryGap>,
-    /// Data-plane pushes that failed because a worker's ring closed,
-    /// counted in tuples.
-    pub send_failures: u64,
-    /// Conservation audit of each source's recovery log (logging runs
-    /// only; indexed like `DistributedPlan::sources`).
-    pub log_audits: Vec<LogAudit>,
-    /// High-water mark of live worker dedup-filter entries, maximised
-    /// over workers — bounded by unacknowledged windows, not input size.
-    pub dedup_peak_entries: u64,
-    /// The final routing distribution.
-    pub final_distribution: Vec<f64>,
-    /// Worker connections re-established after a drop (0 on a healthy
-    /// run; `conn_drop` chaos drives it up).
-    pub reconnects: u64,
-}
+/// What a socket-substrate execution measured: the one report type of
+/// both real substrates, with [`ThreadedReport::reconnects`] filled in.
+/// The live-loop fields (M1/M2 counts, failover, tenancy, `obs`) stay at
+/// their defaults until this substrate runs that loop.
+pub type SocketReport = ThreadedReport;
 
 /// Parses an `Addr` from its `Display` form (`tcp:HOST:PORT` or
 /// `unix:PATH`), the format `gridq-node` receives on its command line.
@@ -1599,26 +1573,11 @@ impl SocketExecutor {
             finish_timeout: Some(Duration::from_secs(120)),
         };
         let reconnects = Arc::new(AtomicU64::new(0));
-        let report = run.execute(&self.catalog, plan, |w| {
+        let mut report = run.execute(&self.catalog, plan, |w| {
             Net::start(cfg, plan, Arc::clone(&reconnects), w)
         })?;
-        Ok(SocketReport {
-            wall_ms: report.wall_ms,
-            results: report.results,
-            per_partition_processed: report.per_partition_processed,
-            adaptations_deployed: report.adaptations_deployed,
-            recalls_completed: report.recalls_completed,
-            recalls_aborted: report.recalls_aborted,
-            state_tuples_migrated: report.state_tuples_migrated,
-            tuples_recalled: report.tuples_recalled,
-            tuples_retransmitted: report.tuples_retransmitted,
-            delivery_gaps: report.delivery_gaps,
-            send_failures: report.send_failures,
-            log_audits: report.log_audits,
-            dedup_peak_entries: report.dedup_peak_entries,
-            final_distribution: report.final_distribution,
-            reconnects: reconnects.load(Ordering::Relaxed),
-        })
+        report.reconnects = reconnects.load(Ordering::Relaxed);
+        Ok(report)
     }
 }
 
@@ -1855,131 +1814,9 @@ pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Res
 mod tests {
     use super::*;
     use gridq_common::check::{Check, Gen};
-    use gridq_common::{DetRng, QueryId, SubplanId};
-    use gridq_engine::distributed::{
-        ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-    };
-    use gridq_engine::table::Table;
-
-    fn int_table(name: &str, n: usize) -> Arc<Table> {
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-        let rows = (0..n)
-            .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
-            .collect();
-        Arc::new(Table::new(name, schema, rows).unwrap())
-    }
-
-    /// Resolves the test workload's only service; both the in-process
-    /// workers and the coordinator-side validation use it.
-    fn resolver() -> ServiceResolver {
-        standard_resolver()
-    }
-
-    fn wire_call_spec(table: &Arc<Table>) -> WireStageSpec {
-        WireStageSpec::ServiceCall {
-            input_schema: table.schema().clone(),
-            service: "Square".into(),
-            service_cost_ms: 1.0,
-            arg_cols: vec![0],
-            output_name: "sq".into(),
-            keep_input: false,
-        }
-    }
-
-    fn wire_join_spec(build: &Arc<Table>, probe: &Arc<Table>) -> WireStageSpec {
-        WireStageSpec::HashJoin {
-            build_schema: build.schema().clone(),
-            probe_schema: probe.schema().clone(),
-            build_key: 0,
-            probe_key: 0,
-            build_cost_ms: 0.1,
-            probe_cost_ms: 0.5,
-        }
-    }
-
-    fn call_plan(table: &Arc<Table>, partitions: usize) -> DistributedPlan {
-        let factory = ServiceCallFactory::new(
-            table.schema(),
-            resolver()("Square", 1.0).unwrap(),
-            vec![Expr::col(0)],
-            "sq",
-            false,
-            ServiceRegistry::new(),
-        );
-        DistributedPlan {
-            query: QueryId::new(1),
-            sources: vec![SourceSpec {
-                table: table.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Single,
-                scan_cost_ms: 0.4,
-            }],
-            stages: vec![ParallelStageSpec {
-                id: SubplanId::new(1),
-                factory: Arc::new(factory),
-                nodes: (0..partitions).map(|i| NodeId::new(i as u32 + 1)).collect(),
-                exchange: ExchangeSpec {
-                    routing: RoutingPolicy::Weighted {
-                        initial: DistributionVector::uniform(partitions),
-                    },
-                    buffer_tuples: 10,
-                },
-            }],
-            collect_node: NodeId::new(0),
-        }
-    }
-
-    fn join_plan(
-        build: &Arc<Table>,
-        probe: &Arc<Table>,
-        build_scan_cost_ms: f64,
-        probe_scan_cost_ms: f64,
-    ) -> DistributedPlan {
-        let factory = HashJoinFactory::new(build.schema(), probe.schema(), 0, 0, 0.1, 0.5);
-        DistributedPlan {
-            query: QueryId::new(2),
-            sources: vec![
-                SourceSpec {
-                    table: build.name().to_string(),
-                    node: NodeId::new(0),
-                    stream: StreamTag::Build,
-                    scan_cost_ms: build_scan_cost_ms,
-                },
-                SourceSpec {
-                    table: probe.name().to_string(),
-                    node: NodeId::new(0),
-                    stream: StreamTag::Probe,
-                    scan_cost_ms: probe_scan_cost_ms,
-                },
-            ],
-            stages: vec![ParallelStageSpec {
-                id: SubplanId::new(1),
-                factory: Arc::new(factory),
-                nodes: vec![NodeId::new(1), NodeId::new(2)],
-                exchange: ExchangeSpec {
-                    routing: RoutingPolicy::HashBuckets {
-                        bucket_count: 16,
-                        initial: DistributionVector::uniform(2),
-                        keys: StreamKeys {
-                            build: Some(0),
-                            probe: Some(0),
-                            single: None,
-                        },
-                    },
-                    buffer_tuples: 10,
-                },
-            }],
-            collect_node: NodeId::new(0),
-        }
-    }
-
-    fn catalog(tables: &[&Arc<Table>]) -> Catalog {
-        let mut c = Catalog::new();
-        for t in tables {
-            c.register(Arc::clone(t));
-        }
-        c
-    }
+    use gridq_common::{DetRng, Value};
+    use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan};
+    use gridq_engine::service::FnService;
 
     /// Asserts the results are exactly the squares of `0..n`, in any
     /// order (sequence numbers are renumbered by operators).
@@ -1993,13 +1830,17 @@ mod tests {
         assert_eq!(values, expected);
     }
 
-    fn run_call(
-        table: &Arc<Table>,
-        partitions: usize,
-        configure: impl FnOnce(&mut SocketConfig),
-    ) -> SocketReport {
-        let plan = call_plan(table, partitions);
-        let mut config = SocketConfig::new(wire_call_spec(table), resolver());
+    fn call_spec(table: &Table) -> WireStageSpec {
+        WireStageSpec::for_call_plan(table, &CallShape::default())
+    }
+
+    fn join_spec(build: &Table, probe: &Table) -> WireStageSpec {
+        WireStageSpec::for_join_plan(build, probe, &JoinShape::default())
+    }
+
+    fn run_call(table: &Arc<Table>, configure: impl FnOnce(&mut SocketConfig)) -> SocketReport {
+        let plan = call_plan(table, &CallShape::default());
+        let mut config = SocketConfig::new(call_spec(table), standard_resolver());
         config.cost_scale = 0.002;
         configure(&mut config);
         SocketExecutor::new(catalog(&[table]), config)
@@ -2009,8 +1850,8 @@ mod tests {
 
     #[test]
     fn static_run_squares_every_tuple_over_unix_sockets() {
-        let table = int_table("t", 200);
-        let report = run_call(&table, 2, |_| {});
+        let table = int_table("t", 0..200);
+        let report = run_call(&table, |_| {});
         assert_squares(&report.results, 200);
         assert_eq!(report.per_partition_processed.iter().sum::<u64>(), 200);
         assert_eq!(report.reconnects, 0);
@@ -2021,15 +1862,15 @@ mod tests {
 
     #[test]
     fn tcp_transport_smoke() {
-        let table = int_table("t", 60);
-        let report = run_call(&table, 2, |c| c.transport = SocketTransport::Tcp);
+        let table = int_table("t", 0..60);
+        let report = run_call(&table, |c| c.transport = SocketTransport::Tcp);
         assert_squares(&report.results, 60);
     }
 
     #[test]
     fn scripted_prospective_adaptation_deploys() {
-        let table = int_table("t", 400);
-        let report = run_call(&table, 2, |c| {
+        let table = int_table("t", 0..400);
+        let report = run_call(&table, |c| {
             c.adaptations = vec![ScriptedAdaptation {
                 after_routed: 50,
                 weights: vec![0.9, 0.1],
@@ -2048,10 +1889,17 @@ mod tests {
 
     #[test]
     fn retrospective_recall_migrates_join_state() {
-        let build = int_table("build", 100);
-        let probe = int_table("probe", 600);
-        let plan = join_plan(&build, &probe, 0.2, 1.0);
-        let mut config = SocketConfig::new(wire_join_spec(&build, &probe), resolver());
+        let build = int_table("build", 0..100);
+        let probe = int_table("probe", 0..600);
+        let plan = join_plan(
+            &build,
+            &probe,
+            &JoinShape {
+                scan_cost_ms: [0.2, 1.0],
+                ..Default::default()
+            },
+        );
+        let mut config = SocketConfig::new(join_spec(&build, &probe), standard_resolver());
         config.cost_scale = 0.05;
         config.adaptations = vec![ScriptedAdaptation {
             after_routed: 150,
@@ -2078,17 +1926,17 @@ mod tests {
     /// of waiting out the completion deadline and blaming nobody.
     #[test]
     fn panicking_service_names_the_dead_worker() {
-        let table = int_table("t", 50);
+        let table = int_table("t", 0..50);
         let boom: ServiceResolver = Arc::new(|name: &str, cost_ms: f64| {
             let svc = FnService::new(name, vec![DataType::Int], DataType::Int, cost_ms, |_| {
                 panic!("service crashed")
             });
             Some(Arc::new(svc) as Arc<dyn Service>)
         });
-        let mut config = SocketConfig::new(wire_call_spec(&table), boom);
+        let mut config = SocketConfig::new(call_spec(&table), boom);
         config.cost_scale = 0.002;
         let err = SocketExecutor::new(catalog(&[&table]), config)
-            .run(&call_plan(&table, 2))
+            .run(&call_plan(&table, &CallShape::default()))
             .unwrap_err();
         let GridError::Execution(msg) = &err else {
             panic!("expected an execution error, got {err:?}");
@@ -2116,8 +1964,8 @@ mod tests {
 
     #[test]
     fn conn_drop_reconnects_and_loses_nothing() {
-        let table = int_table("t", 200);
-        let report = run_call(&table, 2, |c| {
+        let table = int_table("t", 0..200);
+        let report = run_call(&table, |c| {
             c.chaos = Some(Arc::new(DropConn {
                 remaining: AtomicU64::new(3),
             }));
@@ -2141,8 +1989,8 @@ mod tests {
 
     #[test]
     fn partial_writes_are_reassembled_by_the_decoder() {
-        let table = int_table("t", 200);
-        let report = run_call(&table, 2, |c| c.chaos = Some(Arc::new(ChunkWrites)));
+        let table = int_table("t", 0..200);
+        let report = run_call(&table, |c| c.chaos = Some(Arc::new(ChunkWrites)));
         assert_squares(&report.results, 200);
         assert!(report.delivery_gaps.is_empty(), "{report:?}");
         for audit in &report.log_audits {
@@ -2165,8 +2013,8 @@ mod tests {
 
     #[test]
     fn slow_peer_backpressure_completes() {
-        let table = int_table("t", 200);
-        let report = run_call(&table, 2, |c| c.chaos = Some(Arc::new(SlowPeer)));
+        let table = int_table("t", 0..200);
+        let report = run_call(&table, |c| c.chaos = Some(Arc::new(SlowPeer)));
         assert_squares(&report.results, 200);
         assert!(report.delivery_gaps.is_empty(), "{report:?}");
         for audit in &report.log_audits {
@@ -2176,8 +2024,8 @@ mod tests {
 
     #[test]
     fn stage_specs_round_trip_over_the_wire() {
-        let table = int_table("t", 1);
-        let call = wire_call_spec(&table);
+        let table = int_table("t", 0..1);
+        let call = call_spec(&table);
         let mut buf = Vec::new();
         call.encode(&mut buf);
         let back = WireStageSpec::decode(&mut Reader::new(&buf)).unwrap();
@@ -2195,7 +2043,7 @@ mod tests {
         assert_eq!(arg_cols, vec![0]);
         assert!(!keep_input);
 
-        let join = wire_join_spec(&table, &table);
+        let join = join_spec(&table, &table);
         let mut buf = Vec::new();
         join.encode(&mut buf);
         let back = WireStageSpec::decode(&mut Reader::new(&buf)).unwrap();
@@ -2225,11 +2073,11 @@ mod tests {
 
     /// One message of every tag, in tag order.
     fn gen_every_message(rng: &mut DetRng) -> Vec<Vec<u8>> {
-        let table = int_table("t", 1);
+        let table = int_table("t", 0..1);
         let stage = if rng.flip() {
-            wire_call_spec(&table)
+            call_spec(&table)
         } else {
-            wire_join_spec(&table, &table)
+            join_spec(&table, &table)
         };
         let cp = Checkpoint {
             dest: rng.u32_in(0, 70_000),
@@ -2354,10 +2202,10 @@ mod tests {
 
     #[test]
     fn stateful_stages_reject_prospective_adaptations() {
-        let build = int_table("build", 10);
-        let probe = int_table("probe", 10);
-        let plan = join_plan(&build, &probe, 0.1, 0.1);
-        let mut config = SocketConfig::new(wire_join_spec(&build, &probe), resolver());
+        let build = int_table("build", 0..10);
+        let probe = int_table("probe", 0..10);
+        let plan = join_plan(&build, &probe, &JoinShape::default());
+        let mut config = SocketConfig::new(join_spec(&build, &probe), standard_resolver());
         config.adaptations = vec![ScriptedAdaptation {
             after_routed: 5,
             weights: vec![0.5, 0.5],
@@ -2371,9 +2219,9 @@ mod tests {
 
     #[test]
     fn adaptation_weight_arity_must_match_partitions() {
-        let table = int_table("t", 10);
-        let plan = call_plan(&table, 2);
-        let mut config = SocketConfig::new(wire_call_spec(&table), resolver());
+        let table = int_table("t", 0..10);
+        let plan = call_plan(&table, &CallShape::default());
+        let mut config = SocketConfig::new(call_spec(&table), standard_resolver());
         config.adaptations = vec![ScriptedAdaptation {
             after_routed: 5,
             weights: vec![1.0],

@@ -5,19 +5,8 @@
 //! `CARGO_BIN_EXE_gridq-node` at the freshly built worker binary.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use gridq_common::{
-    DataType, DistributionVector, Field, NodeId, QueryId, Schema, SubplanId, Tuple, Value,
-};
-use gridq_engine::distributed::{
-    DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-};
-use gridq_engine::evaluator::{HashJoinFactory, ServiceCallFactory, StreamTag};
-use gridq_engine::physical::Catalog;
-use gridq_engine::service::{FnService, ServiceRegistry};
-use gridq_engine::table::Table;
-use gridq_engine::Expr;
+use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan, CallShape, JoinShape};
 use gridq_exec::socket::{
     standard_resolver, ScriptedAdaptation, SocketConfig, SocketExecutor, WireStageSpec,
     WorkerLaunch,
@@ -27,126 +16,22 @@ fn node_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_gridq-node"))
 }
 
-fn int_table(name: &str, n: usize) -> Arc<Table> {
-    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-    let rows = (0..n)
-        .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
-        .collect();
-    Arc::new(Table::new(name, schema, rows).expect("static test table"))
-}
-
-fn catalog(tables: &[&Arc<Table>]) -> Catalog {
-    let mut c = Catalog::new();
-    for t in tables {
-        c.register(Arc::clone(t));
-    }
-    c
-}
-
-fn square_service() -> Arc<dyn gridq_engine::service::Service> {
-    Arc::new(FnService::new(
-        "Square",
-        vec![DataType::Int],
-        DataType::Int,
-        1.0,
-        |args| Ok(Value::Int(args[0].as_int().unwrap().pow(2))),
-    ))
-}
-
-fn call_plan(table: &Arc<Table>, partitions: usize) -> DistributedPlan {
-    let factory = ServiceCallFactory::new(
-        table.schema(),
-        square_service(),
-        vec![Expr::col(0)],
-        "sq",
-        false,
-        ServiceRegistry::new(),
-    );
-    DistributedPlan {
-        query: QueryId::new(1),
-        sources: vec![SourceSpec {
-            table: table.name().to_string(),
-            node: NodeId::new(0),
-            stream: StreamTag::Single,
-            scan_cost_ms: 0.4,
-        }],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: (0..partitions).map(|i| NodeId::new(i as u32 + 1)).collect(),
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::Weighted {
-                    initial: DistributionVector::uniform(partitions),
-                },
-                buffer_tuples: 10,
-            },
-        }],
-        collect_node: NodeId::new(0),
-    }
-}
-
-fn join_plan(build: &Arc<Table>, probe: &Arc<Table>) -> DistributedPlan {
-    let factory = HashJoinFactory::new(build.schema(), probe.schema(), 0, 0, 0.1, 0.5);
-    DistributedPlan {
-        query: QueryId::new(2),
-        sources: vec![
-            SourceSpec {
-                table: build.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Build,
-                scan_cost_ms: 0.2,
-            },
-            SourceSpec {
-                table: probe.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Probe,
-                scan_cost_ms: 1.0,
-            },
-        ],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: vec![NodeId::new(1), NodeId::new(2)],
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::HashBuckets {
-                    bucket_count: 16,
-                    initial: DistributionVector::uniform(2),
-                    keys: StreamKeys {
-                        build: Some(0),
-                        probe: Some(0),
-                        single: None,
-                    },
-                },
-                buffer_tuples: 10,
-            },
-        }],
-        collect_node: NodeId::new(0),
-    }
-}
-
-fn wire_call_spec(table: &Arc<Table>) -> WireStageSpec {
-    WireStageSpec::ServiceCall {
-        input_schema: table.schema().clone(),
-        service: "Square".into(),
-        service_cost_ms: 1.0,
-        arg_cols: vec![0],
-        output_name: "sq".into(),
-        keep_input: false,
-    }
-}
-
 /// A spawned worker process per partition computes the same squares an
 /// in-process run does, and every worker exits cleanly at teardown.
 #[test]
 fn spawned_worker_processes_compute_the_query() {
-    let table = int_table("spawn_t", 200);
-    let mut config = SocketConfig::new(wire_call_spec(&table), standard_resolver());
+    let table = int_table("spawn_t", 0..200);
+    let shape = CallShape::default();
+    let mut config = SocketConfig::new(
+        WireStageSpec::for_call_plan(&table, &shape),
+        standard_resolver(),
+    );
     config.launch = WorkerLaunch::Spawn {
         program: node_binary(),
     };
     config.cost_scale = 0.002;
     let report = SocketExecutor::new(catalog(&[&table]), config)
-        .run(&call_plan(&table, 2))
+        .run(&call_plan(&table, &shape))
         .unwrap();
     let mut got: Vec<i64> = report
         .results
@@ -165,17 +50,16 @@ fn spawned_worker_processes_compute_the_query() {
 /// another, and the join result is exactly the expected multiset.
 #[test]
 fn spawned_workers_survive_a_retrospective_recall() {
-    let build = int_table("spawn_build", 100);
-    let probe = int_table("spawn_probe", 600);
-    let stage = WireStageSpec::HashJoin {
-        build_schema: build.schema().clone(),
-        probe_schema: probe.schema().clone(),
-        build_key: 0,
-        probe_key: 0,
-        build_cost_ms: 0.1,
-        probe_cost_ms: 0.5,
+    let build = int_table("spawn_build", 0..100);
+    let probe = int_table("spawn_probe", 0..600);
+    let shape = JoinShape {
+        scan_cost_ms: [0.2, 1.0],
+        ..Default::default()
     };
-    let mut config = SocketConfig::new(stage, standard_resolver());
+    let mut config = SocketConfig::new(
+        WireStageSpec::for_join_plan(&build, &probe, &shape),
+        standard_resolver(),
+    );
     config.launch = WorkerLaunch::Spawn {
         program: node_binary(),
     };
@@ -187,7 +71,7 @@ fn spawned_workers_survive_a_retrospective_recall() {
         retrospective: true,
     }];
     let report = SocketExecutor::new(catalog(&[&build, &probe]), config)
-        .run(&join_plan(&build, &probe))
+        .run(&join_plan(&build, &probe, &shape))
         .unwrap();
     // Every probe row 0..100 matches its build row exactly once.
     assert_eq!(report.results.len(), 100, "{report:?}");

@@ -27,7 +27,6 @@ pub const RULE_IDS: &[&str] = &[
 pub const CLOCK_SITES: &[&str] = &[
     "crates/exec/src/lib.rs",
     "crates/exec/src/recall.rs",
-    "crates/engine/src/ops/monitor.rs",
     // The chaos runner stamps scenario outcomes with wall-clock duration
     // for its reports; fault injection itself is deterministic.
     "crates/chaos/src/runner.rs",
@@ -302,16 +301,15 @@ fn hot_unwrap(cx: &mut RuleCx<'_>) {
 }
 
 /// `float-finite`: in the monitoring paths (`crates/adapt`, the stats
-/// windows, the self-monitoring operator), a `f64` parameter may not
+/// windows), a `f64` parameter may not
 /// flow into an accumulator (`+=`, `push`, `push_back`, `insert`)
 /// unless the function visibly guards with `is_finite` / `is_nan`, and
 /// float literals may not be compared with `==` / `!=`. One NaN sample
 /// silenced the PR 2 detector for an entire window.
 fn float_finite(cx: &mut RuleCx<'_>) {
     let file = cx.file;
-    let scoped = file.path.starts_with("crates/adapt/src/")
-        || file.path == "crates/common/src/stats.rs"
-        || file.path == "crates/engine/src/ops/monitor.rs";
+    let scoped =
+        file.path.starts_with("crates/adapt/src/") || file.path == "crates/common/src/stats.rs";
     if !scoped || file.kind != FileKind::Lib {
         return;
     }

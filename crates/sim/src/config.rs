@@ -23,8 +23,6 @@ pub struct SimulationConfig {
     /// Per-tuple cost of receiving/deserializing at a consumer, in ms
     /// (the paper's "significant I/O and communication costs" per tuple).
     pub receive_cost_ms: f64,
-    /// Per raw monitoring notification cost (M1/M2 generation).
-    pub monitor_cost_ms: f64,
     /// Per-tuple consumer-side overhead when adaptivity is enabled
     /// (self-monitoring instrumentation and log bookkeeping).
     pub adapt_overhead_ms: f64,
@@ -32,14 +30,6 @@ pub struct SimulationConfig {
     /// policy is retrospective (tidy log management for discard and
     /// redistribution).
     pub r1_overhead_ms: f64,
-    /// Per-tuple cost charged when a retrospective response extracts and
-    /// re-sends a tuple (log drain, re-serialization).
-    pub redistribute_cost_ms: f64,
-    /// Per-tuple cost charged to a consumer for discarding a queued
-    /// tuple during retrospective redistribution.
-    pub discard_cost_ms: f64,
-    /// Processing delay added by each adaptivity component hop, in ms.
-    pub control_extra_ms: f64,
     /// Seed for the deterministic RNG driving noise and perturbation
     /// sampling.
     pub seed: u64,
@@ -54,16 +44,13 @@ pub struct SimulationConfig {
     /// work). `None` injects nothing and leaves behavior identical to
     /// an uninstrumented run. Installing a hook switches the run into
     /// resilient mode: producers retransmit unacknowledged checkpoint
-    /// windows (see `retry_base_ms`/`retry_max`) and consumers
-    /// deduplicate redelivered tuples, so data-plane loss and
-    /// duplication heal instead of corrupting the result.
+    /// windows (see `retry_max`) and consumers deduplicate redelivered
+    /// tuples, so data-plane loss and duplication heal instead of
+    /// corrupting the result.
     pub chaos: Option<Arc<dyn ChaosHook>>,
-    /// Base delivery-retry backoff in virtual milliseconds (resilient
-    /// runs only). Retry `k` waits `retry_base_ms * 2^k`, jittered
-    /// deterministically into `[0.5, 1.0)` of the nominal value.
-    pub retry_base_ms: f64,
     /// Retransmission rounds per source before undelivered windows are
-    /// abandoned and reported as explicit delivery gaps.
+    /// abandoned and reported as explicit delivery gaps (resilient runs
+    /// only).
     pub retry_max: u32,
 }
 
@@ -73,17 +60,12 @@ impl Default for SimulationConfig {
             adaptivity: AdaptivityConfig::default(),
             checkpoint_interval: 50,
             receive_cost_ms: 0.0,
-            monitor_cost_ms: 0.02,
             adapt_overhead_ms: 0.0,
             r1_overhead_ms: 0.0,
-            redistribute_cost_ms: 0.02,
-            discard_cost_ms: 0.01,
-            control_extra_ms: 1.0,
             seed: 0x5eed,
             collect_results: false,
             obs: ObsConfig::default(),
             chaos: None,
-            retry_base_ms: 25.0,
             retry_max: 6,
         }
     }
@@ -101,22 +83,12 @@ impl SimulationConfig {
         }
         for (name, v) in [
             ("receive_cost_ms", self.receive_cost_ms),
-            ("monitor_cost_ms", self.monitor_cost_ms),
             ("adapt_overhead_ms", self.adapt_overhead_ms),
             ("r1_overhead_ms", self.r1_overhead_ms),
-            ("redistribute_cost_ms", self.redistribute_cost_ms),
-            ("discard_cost_ms", self.discard_cost_ms),
-            ("control_extra_ms", self.control_extra_ms),
         ] {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(GridError::Config(format!("{name} must be non-negative")));
             }
-        }
-        if !self.retry_base_ms.is_finite() || self.retry_base_ms <= 0.0 {
-            return Err(GridError::Config(format!(
-                "retry_base_ms must be positive and finite, got {}",
-                self.retry_base_ms
-            )));
         }
         if self.retry_max == 0 {
             return Err(GridError::Config(
@@ -151,9 +123,6 @@ mod tests {
         c.receive_cost_ms = f64::NAN;
         assert!(c.validate().is_err());
         c.receive_cost_ms = 0.0;
-        c.retry_base_ms = 0.0;
-        assert!(c.validate().is_err());
-        c.retry_base_ms = 25.0;
         c.retry_max = 0;
         assert!(c.validate().is_err());
     }

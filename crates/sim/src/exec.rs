@@ -32,6 +32,21 @@ use crate::config::SimulationConfig;
 use crate::events::{Event, EventQueue};
 use crate::report::ExecutionReport;
 
+/// Per raw monitoring notification cost (M1/M2 generation), ms.
+const MONITOR_COST_MS: f64 = 0.02;
+/// Per-tuple cost charged when a retrospective response extracts and
+/// re-sends a tuple (log drain, re-serialization), ms.
+const REDISTRIBUTE_COST_MS: f64 = 0.02;
+/// Per-tuple cost charged to a consumer for discarding a queued tuple
+/// during retrospective redistribution, ms.
+const DISCARD_COST_MS: f64 = 0.01;
+/// Processing delay added by each adaptivity component hop, ms.
+const CONTROL_EXTRA_MS: f64 = 1.0;
+/// Base delivery-retry backoff in virtual milliseconds (resilient runs
+/// only). Retry `k` waits `RETRY_BASE_MS * 2^k`, jittered
+/// deterministically into `[0.5, 1.0)` of the nominal value.
+const RETRY_BASE_MS: f64 = 25.0;
+
 /// One destination's undelivered windows, as returned by
 /// [`RecoveryLog::undelivered_windows`]: each entry pairs the window's
 /// checkpoint marker with the logged tuples it covers.
@@ -692,7 +707,7 @@ impl<'a> Run<'a> {
             }
         }
         if self.monitoring_on && tuples > 0 {
-            done = done.offset(self.config.monitor_cost_ms);
+            done = done.offset(MONITOR_COST_MS);
             let event = M2 {
                 query: self.plan.query,
                 producer: ProducerId::Source(s as u32),
@@ -759,11 +774,11 @@ impl<'a> Run<'a> {
     }
 
     /// Jittered exponential backoff before retry round `attempt`:
-    /// `retry_base_ms * 2^min(attempt, 10)` scaled deterministically into
+    /// `RETRY_BASE_MS * 2^min(attempt, 10)` scaled deterministically into
     /// `[0.5, 1.0)` by the source's forked jitter stream (mirrors the
     /// threaded executor's `RetryBackoff`).
     fn retry_delay_ms(&mut self, s: usize, attempt: u32) -> f64 {
-        let nominal = self.config.retry_base_ms * f64::from(1u32 << attempt.min(10));
+        let nominal = RETRY_BASE_MS * f64::from(1u32 << attempt.min(10));
         nominal * (0.5 + 0.5 * self.sources[s].retry_rng.uniform())
     }
 
@@ -1077,7 +1092,7 @@ impl<'a> Run<'a> {
         if self.monitoring_on
             && self.consumers[i].batch_inputs >= self.adapt.monitoring_interval_tuples
         {
-            t = t.offset(self.config.monitor_cost_ms);
+            t = t.offset(MONITOR_COST_MS);
             self.emit_m1(ci, t);
         }
         self.reschedule_step(ci, t);
@@ -1205,7 +1220,7 @@ impl<'a> Run<'a> {
         at: SimTime,
         raw_seq: u64,
     ) {
-        let lat = self.env.control_cost_ms(node, self.diag_node) + self.config.control_extra_ms;
+        let lat = self.env.control_cost_ms(node, self.diag_node) + CONTROL_EXTRA_MS;
         match output {
             DetectorOutput::Quiet => {}
             DetectorOutput::Cost(update) => {
@@ -1286,7 +1301,7 @@ impl<'a> Run<'a> {
         );
         // The Responder polls the producing evaluators for progress: one
         // control round trip before the decision takes effect.
-        let poll = 2.0 * self.max_control_latency() + self.config.control_extra_ms;
+        let poll = 2.0 * self.max_control_latency() + CONTROL_EXTRA_MS;
         let progress = self.progress();
         let (decision, cmd) = self.responder.on_imbalance(&imbalance, progress);
         self.obs_record(
@@ -1439,7 +1454,7 @@ impl<'a> Run<'a> {
                     .extract_state(bucket_count, buckets);
                 self.report.state_tuples_migrated += extracted.len() as u64;
                 self.consumers[from as usize].penalty_ms +=
-                    self.config.discard_cost_ms * extracted.len() as f64;
+                    DISCARD_COST_MS * extracted.len() as f64;
                 // Extracted state loses its original attribution; the
                 // build source (there is one per stream in the supported
                 // plan shapes) adopts it for re-logging.
@@ -1512,7 +1527,7 @@ impl<'a> Run<'a> {
             }
             self.consumers[from].build_queue = keep_build;
             self.consumers[from].main_queue = keep_main;
-            self.consumers[from].penalty_ms += self.config.discard_cost_ms * removed as f64;
+            self.consumers[from].penalty_ms += DISCARD_COST_MS * removed as f64;
             self.report.tuples_redistributed += removed;
         }
 
@@ -1640,7 +1655,7 @@ impl<'a> Run<'a> {
             let tuples = items.len();
             let bytes: usize = items.iter().map(Item::payload_bytes).sum();
             let cost = self.env.buffer_cost_ms(from_node, to_node, tuples, bytes)
-                + self.config.redistribute_cost_ms * tuples as f64;
+                + REDISTRIBUTE_COST_MS * tuples as f64;
             let arrive = t.offset(cost);
             latest_arrival = latest_arrival.max(arrive);
             let id = self.alloc_buffer(to as u32, items);
@@ -1867,7 +1882,7 @@ impl<'a> Run<'a> {
                 let tuples = items.len();
                 let bytes: usize = items.iter().map(Item::payload_bytes).sum();
                 let cost = self.env.buffer_cost_ms(from_node, to_node, tuples, bytes)
-                    + self.config.redistribute_cost_ms * tuples as f64;
+                    + REDISTRIBUTE_COST_MS * tuples as f64;
                 source_busy[s] = source_busy[s].offset(cost);
                 wave_end = wave_end.max(source_busy[s]);
                 latest_arrival = latest_arrival.max(source_busy[s]);

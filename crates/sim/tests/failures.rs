@@ -2,114 +2,32 @@
 //! recovery logs (the same substrate that powers retrospective
 //! adaptation) restore the lost work on the survivors — exactly once.
 
-use std::sync::Arc;
-
 use gridq_adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
-use gridq_common::{
-    DataType, DistributionVector, Field, NodeId, QueryId, Schema, SimTime, SubplanId, Tuple, Value,
-};
-use gridq_engine::distributed::{
-    DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-};
-use gridq_engine::evaluator::{HashJoinFactory, ServiceCallFactory, StreamTag};
-use gridq_engine::physical::Catalog;
-use gridq_engine::service::{FnService, ServiceRegistry};
-use gridq_engine::table::Table;
-use gridq_engine::Expr;
+use gridq_common::{NodeId, SimTime, Tuple};
+use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan, CallShape, JoinShape};
 use gridq_grid::GridEnvironment;
 use gridq_sim::{Simulation, SimulationConfig};
 
-fn int_table(name: &str, n: usize) -> Arc<Table> {
-    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-    let rows = (0..n)
-        .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
-        .collect();
-    Arc::new(Table::new(name, schema, rows).unwrap())
-}
-
-fn call_plan(table: &Arc<Table>, partitions: usize) -> DistributedPlan {
-    let factory = ServiceCallFactory::new(
-        table.schema(),
-        Arc::new(FnService::new(
-            "Square",
-            vec![DataType::Int],
-            DataType::Int,
-            1.5,
-            |args| Ok(Value::Int(args[0].as_int().unwrap().pow(2))),
-        )),
-        vec![Expr::col(0)],
-        "sq",
-        false,
-        ServiceRegistry::new(),
-    );
-    DistributedPlan {
-        query: QueryId::new(1),
-        sources: vec![SourceSpec {
-            table: table.name().to_string(),
-            node: NodeId::new(0),
-            stream: StreamTag::Single,
-            scan_cost_ms: 0.5,
-        }],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: (0..partitions).map(|i| NodeId::new(i as u32 + 1)).collect(),
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::Weighted {
-                    initial: DistributionVector::uniform(partitions),
-                },
-                buffer_tuples: 20,
-            },
-        }],
-        collect_node: NodeId::new(0),
+/// The Q1 shape of these tests over `evaluators` partitions.
+fn call_shape(evaluators: usize) -> CallShape {
+    CallShape {
+        evaluators,
+        service_cost_ms: 1.5,
+        scan_cost_ms: 0.5,
+        buffer_tuples: 20,
     }
 }
 
-fn join_plan(build: &Arc<Table>, probe: &Arc<Table>, partitions: usize) -> DistributedPlan {
-    let factory = HashJoinFactory::new(build.schema(), probe.schema(), 0, 0, 0.2, 1.5);
-    DistributedPlan {
-        query: QueryId::new(2),
-        sources: vec![
-            SourceSpec {
-                table: build.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Build,
-                scan_cost_ms: 0.3,
-            },
-            SourceSpec {
-                table: probe.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Probe,
-                scan_cost_ms: 0.3,
-            },
-        ],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: (0..partitions).map(|i| NodeId::new(i as u32 + 1)).collect(),
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::HashBuckets {
-                    bucket_count: 32,
-                    initial: DistributionVector::uniform(partitions),
-                    keys: StreamKeys {
-                        build: Some(0),
-                        probe: Some(0),
-                        single: None,
-                    },
-                },
-                buffer_tuples: 20,
-            },
-        }],
-        collect_node: NodeId::new(0),
+/// The Q2 shape of these tests over two partitions.
+fn join_shape() -> JoinShape {
+    JoinShape {
+        build_cost_ms: 0.2,
+        probe_cost_ms: 1.5,
+        scan_cost_ms: [0.3, 0.3],
+        bucket_count: 32,
+        buffer_tuples: 20,
+        ..Default::default()
     }
-}
-
-fn catalog(tables: &[&Arc<Table>]) -> Catalog {
-    let mut c = Catalog::new();
-    for t in tables {
-        c.register(Arc::clone(t));
-    }
-    c
 }
 
 fn config(adaptivity: AdaptivityConfig) -> SimulationConfig {
@@ -135,8 +53,8 @@ fn sorted_ints(tuples: &[Tuple]) -> Vec<i64> {
 // bit-exact comparison is the correct assertion.
 #[allow(clippy::float_cmp)]
 fn stateless_query_survives_one_failure_exactly_once() {
-    let table = int_table("t", 400);
-    let plan = call_plan(&table, 2);
+    let table = int_table("t", 0..400);
+    let plan = call_plan(&table, &call_shape(2));
     let sim = Simulation::new(
         GridEnvironment::demo(2),
         catalog(&[&table]),
@@ -162,13 +80,9 @@ fn stateless_query_survives_one_failure_exactly_once() {
 
 #[test]
 fn join_survives_failure_with_state_rebuild() {
-    let build = int_table("build", 120);
-    let probe_schema = Schema::new(vec![Field::new("y", DataType::Int)]);
-    let probe_rows: Vec<Tuple> = (0..240)
-        .map(|i| Tuple::new(vec![Value::Int((i % 160) as i64)]))
-        .collect();
-    let probe = Arc::new(Table::new("probe", probe_schema, probe_rows).unwrap());
-    let plan = join_plan(&build, &probe, 2);
+    let build = int_table("build", 0..120);
+    let probe = int_table("probe", (0..240).map(|i| i % 160));
+    let plan = join_plan(&build, &probe, &join_shape());
     let sim = Simulation::new(
         GridEnvironment::demo(2),
         catalog(&[&build, &probe]),
@@ -203,8 +117,8 @@ fn join_survives_failure_with_state_rebuild() {
 // Same as above: the dead node's weight is set to exactly 0.0.
 #[allow(clippy::float_cmp)]
 fn failure_with_adaptivity_never_routes_back_to_dead_node() {
-    let table = int_table("t", 600);
-    let plan = call_plan(&table, 3);
+    let table = int_table("t", 0..600);
+    let plan = call_plan(&table, &call_shape(3));
     let sim = Simulation::new(
         GridEnvironment::demo(3),
         catalog(&[&table]),
@@ -231,8 +145,8 @@ fn failure_with_adaptivity_never_routes_back_to_dead_node() {
 
 #[test]
 fn two_failures_leave_one_survivor() {
-    let table = int_table("t", 300);
-    let plan = call_plan(&table, 3);
+    let table = int_table("t", 0..300);
+    let plan = call_plan(&table, &call_shape(3));
     let sim = Simulation::new(
         GridEnvironment::demo(3),
         catalog(&[&table]),
@@ -253,8 +167,8 @@ fn two_failures_leave_one_survivor() {
 
 #[test]
 fn all_nodes_failing_is_an_error() {
-    let table = int_table("t", 100);
-    let plan = call_plan(&table, 2);
+    let table = int_table("t", 0..100);
+    let plan = call_plan(&table, &call_shape(2));
     let sim = Simulation::new(
         GridEnvironment::demo(2),
         catalog(&[&table]),
@@ -270,8 +184,8 @@ fn all_nodes_failing_is_an_error() {
 
 #[test]
 fn failing_a_non_stage_node_is_rejected() {
-    let table = int_table("t", 10);
-    let plan = call_plan(&table, 2);
+    let table = int_table("t", 0..10);
+    let plan = call_plan(&table, &call_shape(2));
     let sim = Simulation::new(
         GridEnvironment::demo(2),
         catalog(&[&table]),
@@ -286,8 +200,8 @@ fn failing_a_non_stage_node_is_rejected() {
 
 #[test]
 fn failure_after_completion_is_harmless() {
-    let table = int_table("t", 50);
-    let plan = call_plan(&table, 2);
+    let table = int_table("t", 0..50);
+    let plan = call_plan(&table, &call_shape(2));
     let sim = Simulation::new(
         GridEnvironment::demo(2),
         catalog(&[&table]),

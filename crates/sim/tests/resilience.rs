@@ -8,113 +8,32 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gridq_adapt::AdaptivityConfig;
-use gridq_common::{
-    ChaosHook, DataType, DistributionVector, Field, NetAction, NodeId, QueryId, Schema, SimTime,
-    SubplanId, Tuple, Value,
+use gridq_common::{ChaosHook, NetAction, NodeId, SimTime};
+use gridq_engine::fixtures::{
+    call_plan, catalog, int_table, join_plan, multiset, CallShape, JoinShape,
 };
-use gridq_engine::distributed::{
-    DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-};
-use gridq_engine::evaluator::{HashJoinFactory, ServiceCallFactory, StreamTag};
-use gridq_engine::physical::Catalog;
-use gridq_engine::service::{FnService, ServiceRegistry};
-use gridq_engine::table::Table;
-use gridq_engine::Expr;
 use gridq_grid::GridEnvironment;
 use gridq_obs::TimelineKind;
 use gridq_sim::{Simulation, SimulationConfig};
 
-fn int_table(name: &str, n: usize) -> Arc<Table> {
-    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-    let rows = (0..n)
-        .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
-        .collect();
-    Arc::new(Table::new(name, schema, rows).unwrap())
-}
-
-fn call_plan(table: &Arc<Table>, partitions: usize) -> DistributedPlan {
-    let factory = ServiceCallFactory::new(
-        table.schema(),
-        Arc::new(FnService::new(
-            "Square",
-            vec![DataType::Int],
-            DataType::Int,
-            1.5,
-            |args| Ok(Value::Int(args[0].as_int().unwrap().pow(2))),
-        )),
-        vec![Expr::col(0)],
-        "sq",
-        false,
-        ServiceRegistry::new(),
-    );
-    DistributedPlan {
-        query: QueryId::new(1),
-        sources: vec![SourceSpec {
-            table: table.name().to_string(),
-            node: NodeId::new(0),
-            stream: StreamTag::Single,
-            scan_cost_ms: 0.5,
-        }],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: (0..partitions).map(|i| NodeId::new(i as u32 + 1)).collect(),
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::Weighted {
-                    initial: DistributionVector::uniform(partitions),
-                },
-                buffer_tuples: 10,
-            },
-        }],
-        collect_node: NodeId::new(0),
+/// The Q1 shape of these tests over two partitions.
+fn call_shape() -> CallShape {
+    CallShape {
+        service_cost_ms: 1.5,
+        scan_cost_ms: 0.5,
+        ..Default::default()
     }
 }
 
-fn join_plan(build: &Arc<Table>, probe: &Arc<Table>, partitions: usize) -> DistributedPlan {
-    let factory = HashJoinFactory::new(build.schema(), probe.schema(), 0, 0, 0.2, 1.5);
-    DistributedPlan {
-        query: QueryId::new(2),
-        sources: vec![
-            SourceSpec {
-                table: build.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Build,
-                scan_cost_ms: 0.3,
-            },
-            SourceSpec {
-                table: probe.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Probe,
-                scan_cost_ms: 0.3,
-            },
-        ],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: (0..partitions).map(|i| NodeId::new(i as u32 + 1)).collect(),
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::HashBuckets {
-                    bucket_count: 32,
-                    initial: DistributionVector::uniform(partitions),
-                    keys: StreamKeys {
-                        build: Some(0),
-                        probe: Some(0),
-                        single: None,
-                    },
-                },
-                buffer_tuples: 10,
-            },
-        }],
-        collect_node: NodeId::new(0),
+/// The Q2 shape of these tests over two partitions.
+fn join_shape() -> JoinShape {
+    JoinShape {
+        build_cost_ms: 0.2,
+        probe_cost_ms: 1.5,
+        scan_cost_ms: [0.3, 0.3],
+        bucket_count: 32,
+        ..Default::default()
     }
-}
-
-fn catalog(tables: &[&Arc<Table>]) -> Catalog {
-    let mut c = Catalog::new();
-    for t in tables {
-        c.register(Arc::clone(t));
-    }
-    c
 }
 
 fn config(chaos: Option<Arc<dyn ChaosHook>>) -> SimulationConfig {
@@ -126,12 +45,6 @@ fn config(chaos: Option<Arc<dyn ChaosHook>>) -> SimulationConfig {
         chaos,
         ..Default::default()
     }
-}
-
-fn sorted_strs(tuples: &[Tuple]) -> Vec<String> {
-    let mut v: Vec<String> = tuples.iter().map(ToString::to_string).collect();
-    v.sort();
-    v
 }
 
 /// Drops the first `budget` data-plane buffers on every edge.
@@ -189,8 +102,8 @@ impl ChaosHook for SeverDest {
 
 #[test]
 fn dropped_buffers_are_retransmitted_until_the_result_is_whole() {
-    let table = int_table("t", 300);
-    let plan = call_plan(&table, 2);
+    let table = int_table("t", 0..300);
+    let plan = call_plan(&table, &call_shape());
     let clean = Simulation::new(GridEnvironment::demo(2), catalog(&[&table]), config(None))
         .unwrap()
         .run(&plan)
@@ -220,8 +133,8 @@ fn dropped_buffers_are_retransmitted_until_the_result_is_whole() {
         report.delivery_gaps
     );
     assert_eq!(
-        sorted_strs(&report.results),
-        sorted_strs(&clean.results),
+        multiset(&report.results),
+        multiset(&clean.results),
         "retransmission must restore the exact result multiset"
     );
     for audit in &report.log_audits {
@@ -231,8 +144,8 @@ fn dropped_buffers_are_retransmitted_until_the_result_is_whole() {
 
 #[test]
 fn duplicated_buffers_are_absorbed_by_consumer_dedup() {
-    let table = int_table("t", 300);
-    let plan = call_plan(&table, 2);
+    let table = int_table("t", 0..300);
+    let plan = call_plan(&table, &call_shape());
     let clean = Simulation::new(GridEnvironment::demo(2), catalog(&[&table]), config(None))
         .unwrap()
         .run(&plan)
@@ -251,8 +164,8 @@ fn duplicated_buffers_are_absorbed_by_consumer_dedup() {
     .run(&plan)
     .unwrap();
     assert_eq!(
-        sorted_strs(&report.results),
-        sorted_strs(&clean.results),
+        multiset(&report.results),
+        multiset(&clean.results),
         "duplicated deliveries must not duplicate results: {:?}",
         report.timeline
     );
@@ -268,13 +181,9 @@ fn duplicated_buffers_are_absorbed_by_consumer_dedup() {
 
 #[test]
 fn join_heals_lost_build_and_probe_buffers() {
-    let build = int_table("build", 96);
-    let probe_schema = Schema::new(vec![Field::new("y", DataType::Int)]);
-    let probe_rows: Vec<Tuple> = (0..200)
-        .map(|i| Tuple::new(vec![Value::Int((i % 128) as i64)]))
-        .collect();
-    let probe = Arc::new(Table::new("probe", probe_schema, probe_rows).unwrap());
-    let plan = join_plan(&build, &probe, 2);
+    let build = int_table("build", 0..96);
+    let probe = int_table("probe", (0..200).map(|i| i % 128));
+    let plan = join_plan(&build, &probe, &join_shape());
     let clean = Simulation::new(
         GridEnvironment::demo(2),
         catalog(&[&build, &probe]),
@@ -303,8 +212,8 @@ fn join_heals_lost_build_and_probe_buffers() {
         report.delivery_gaps
     );
     assert_eq!(
-        sorted_strs(&report.results),
-        sorted_strs(&clean.results),
+        multiset(&report.results),
+        multiset(&clean.results),
         "join state rebuilt from retained build log must reproduce the \
          clean multiset: {:?}",
         report.timeline
@@ -313,8 +222,8 @@ fn join_heals_lost_build_and_probe_buffers() {
 
 #[test]
 fn exhausted_retries_degrade_into_explicit_gaps_not_a_hang() {
-    let table = int_table("t", 200);
-    let plan = call_plan(&table, 2);
+    let table = int_table("t", 0..200);
+    let plan = call_plan(&table, &call_shape());
     let hook = Arc::new(SeverDest(1));
     let mut cfg = config(Some(hook));
     cfg.retry_max = 2; // keep the doomed retry ladder short
@@ -346,8 +255,8 @@ fn exhausted_retries_degrade_into_explicit_gaps_not_a_hang() {
 
 #[test]
 fn node_failure_pairs_node_down_with_failover_in_the_timeline() {
-    let table = int_table("t", 300);
-    let plan = call_plan(&table, 2);
+    let table = int_table("t", 0..300);
+    let plan = call_plan(&table, &call_shape());
     let sim = Simulation::new(GridEnvironment::demo(2), catalog(&[&table]), config(None)).unwrap();
     let healthy = sim.run(&plan).unwrap();
     let fail_at = SimTime::from_millis(healthy.response_time_ms / 4.0);

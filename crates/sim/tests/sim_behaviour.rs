@@ -3,126 +3,34 @@
 //! homogeneous load, and the headline adaptive behaviours of the paper.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use gridq_adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
-use gridq_common::{
-    DataType, DistributionVector, Field, NodeId, QueryId, Schema, SubplanId, Tuple, Value,
-};
-use gridq_engine::distributed::{
-    DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-};
-use gridq_engine::evaluator::{HashJoinFactory, ServiceCallFactory, StreamTag};
-use gridq_engine::physical::Catalog;
-use gridq_engine::service::{FnService, Service, ServiceRegistry};
-use gridq_engine::table::Table;
-use gridq_engine::Expr;
+use gridq_common::{NodeId, Tuple};
+use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan, CallShape, JoinShape};
 use gridq_grid::{GridEnvironment, Perturbation};
 use gridq_sim::{Simulation, SimulationConfig};
 
-fn int_table(name: &str, n: usize) -> Arc<Table> {
-    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-    let rows = (0..n)
-        .map(|i| Tuple::new(vec![Value::Int(i as i64)]))
-        .collect();
-    Arc::new(Table::new(name, schema, rows).unwrap())
-}
-
-fn square_service(cost_ms: f64) -> Arc<dyn Service> {
-    Arc::new(FnService::new(
-        "Square",
-        vec![DataType::Int],
-        DataType::Int,
-        cost_ms,
-        |args| Ok(Value::Int(args[0].as_int().unwrap().pow(2))),
-    ))
-}
-
-/// Builds a Q1-shaped plan: scan -> exchange -> service call over
+/// The Q1 shape of these tests: scan -> exchange -> service call over
 /// `evaluators` partitions.
-fn call_plan(table: &Arc<Table>, evaluators: usize, cost_ms: f64) -> DistributedPlan {
-    let factory = ServiceCallFactory::new(
-        table.schema(),
-        square_service(cost_ms),
-        vec![Expr::col(0)],
-        "sq",
-        false,
-        ServiceRegistry::new(),
-    );
-    DistributedPlan {
-        query: QueryId::new(1),
-        sources: vec![SourceSpec {
-            table: table.name().to_string(),
-            node: NodeId::new(0),
-            stream: StreamTag::Single,
-            scan_cost_ms: 0.5,
-        }],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: (0..evaluators).map(|i| NodeId::new(i as u32 + 1)).collect(),
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::Weighted {
-                    initial: DistributionVector::uniform(evaluators),
-                },
-                buffer_tuples: 20,
-            },
-        }],
-        collect_node: NodeId::new(0),
+fn call_shape(evaluators: usize, service_cost_ms: f64) -> CallShape {
+    CallShape {
+        evaluators,
+        service_cost_ms,
+        scan_cost_ms: 0.5,
+        buffer_tuples: 20,
     }
 }
 
-/// Builds a Q2-shaped plan: two scans hash-partitioned into a join.
-fn join_plan(
-    build: &Arc<Table>,
-    probe: &Arc<Table>,
-    evaluators: usize,
-    probe_cost_ms: f64,
-) -> DistributedPlan {
-    let factory = HashJoinFactory::new(build.schema(), probe.schema(), 0, 0, 0.05, probe_cost_ms);
-    DistributedPlan {
-        query: QueryId::new(2),
-        sources: vec![
-            SourceSpec {
-                table: build.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Build,
-                scan_cost_ms: 0.1,
-            },
-            SourceSpec {
-                table: probe.name().to_string(),
-                node: NodeId::new(0),
-                stream: StreamTag::Probe,
-                scan_cost_ms: 0.1,
-            },
-        ],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: (0..evaluators).map(|i| NodeId::new(i as u32 + 1)).collect(),
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::HashBuckets {
-                    bucket_count: 32,
-                    initial: DistributionVector::uniform(evaluators),
-                    keys: StreamKeys {
-                        build: Some(0),
-                        probe: Some(0),
-                        single: None,
-                    },
-                },
-                buffer_tuples: 20,
-            },
-        }],
-        collect_node: NodeId::new(0),
+/// The Q2 shape of these tests: two scans hash-partitioned into a join.
+fn join_shape(evaluators: usize, probe_cost_ms: f64) -> JoinShape {
+    JoinShape {
+        evaluators,
+        build_cost_ms: 0.05,
+        probe_cost_ms,
+        scan_cost_ms: [0.1, 0.1],
+        bucket_count: 32,
+        buffer_tuples: 20,
     }
-}
-
-fn catalog_with(tables: &[&Arc<Table>]) -> Catalog {
-    let mut c = Catalog::new();
-    for t in tables {
-        c.register(Arc::clone(t));
-    }
-    c
 }
 
 fn config(adaptivity: AdaptivityConfig) -> SimulationConfig {
@@ -144,11 +52,11 @@ fn value_multiset(tuples: &[Tuple]) -> HashMap<String, usize> {
 
 #[test]
 fn q1_results_match_reference() {
-    let table = int_table("t", 200);
-    let plan = call_plan(&table, 2, 1.0);
+    let table = int_table("t", 0..200);
+    let plan = call_plan(&table, &call_shape(2, 1.0));
     let sim = Simulation::new(
         GridEnvironment::demo(2),
-        catalog_with(&[&table]),
+        catalog(&[&table]),
         config(AdaptivityConfig::disabled()),
     )
     .unwrap();
@@ -162,11 +70,11 @@ fn q1_results_match_reference() {
 
 #[test]
 fn q1_without_adaptivity_is_balanced_when_homogeneous() {
-    let table = int_table("t", 400);
-    let plan = call_plan(&table, 2, 1.0);
+    let table = int_table("t", 0..400);
+    let plan = call_plan(&table, &call_shape(2, 1.0));
     let sim = Simulation::new(
         GridEnvironment::demo(2),
-        catalog_with(&[&table]),
+        catalog(&[&table]),
         config(AdaptivityConfig::disabled()),
     )
     .unwrap();
@@ -180,21 +88,21 @@ fn q1_without_adaptivity_is_balanced_when_homogeneous() {
 
 #[test]
 fn q1_perturbed_without_adaptivity_degrades() {
-    let table = int_table("t", 300);
-    let plan = call_plan(&table, 2, 1.0);
+    let table = int_table("t", 0..300);
+    let plan = call_plan(&table, &call_shape(2, 1.0));
     let mut env = GridEnvironment::demo(2);
     env.perturb(NodeId::new(2), Perturbation::CostFactor(10.0));
     let baseline_env = GridEnvironment::demo(2);
     let sim_base = Simulation::new(
         baseline_env,
-        catalog_with(&[&table]),
+        catalog(&[&table]),
         config(AdaptivityConfig::disabled()),
     )
     .unwrap();
     let base = sim_base.run(&plan).unwrap();
     let sim_pert = Simulation::new(
         env,
-        catalog_with(&[&table]),
+        catalog(&[&table]),
         config(AdaptivityConfig::disabled()),
     )
     .unwrap();
@@ -209,9 +117,9 @@ fn q1_perturbed_without_adaptivity_degrades() {
 
 #[test]
 fn q1_adaptivity_recovers_much_of_the_loss() {
-    let table = int_table("t", 600);
-    let plan = call_plan(&table, 2, 1.0);
-    let catalog = catalog_with(&[&table]);
+    let table = int_table("t", 0..600);
+    let plan = call_plan(&table, &call_shape(2, 1.0));
+    let catalog = catalog(&[&table]);
     let mk_env = || {
         let mut env = GridEnvironment::demo(2);
         env.perturb(NodeId::new(2), Perturbation::CostFactor(10.0));
@@ -251,9 +159,9 @@ fn q1_adaptivity_recovers_much_of_the_loss() {
 
 #[test]
 fn q1_retrospective_recalls_tuples() {
-    let table = int_table("t", 600);
-    let plan = call_plan(&table, 2, 1.0);
-    let catalog = catalog_with(&[&table]);
+    let table = int_table("t", 0..600);
+    let plan = call_plan(&table, &call_shape(2, 1.0));
+    let catalog = catalog(&[&table]);
     let mut env = GridEnvironment::demo(2);
     env.perturb(NodeId::new(2), Perturbation::CostFactor(10.0));
     let report = Simulation::new(
@@ -282,18 +190,14 @@ fn q2_join_results_match_reference_with_r1_adaptation() {
     // Join x in 0..150 (build) with 2x keys 0..300 (probe): matches for
     // keys 0..150, two interactions each key in 0..75... construct probe
     // with duplicated keys to exercise multi-match.
-    let build = int_table("build", 150);
-    let probe_schema = Schema::new(vec![Field::new("y", DataType::Int)]);
-    let probe_rows: Vec<Tuple> = (0..300)
-        .map(|i| Tuple::new(vec![Value::Int((i % 200) as i64)]))
-        .collect();
-    let probe = Arc::new(Table::new("probe", probe_schema, probe_rows).unwrap());
-    let plan = join_plan(&build, &probe, 2, 2.0);
+    let build = int_table("build", 0..150);
+    let probe = int_table("probe", (0..300).map(|i| i % 200));
+    let plan = join_plan(&build, &probe, &join_shape(2, 2.0));
     let mut env = GridEnvironment::demo(2);
     env.perturb(NodeId::new(2), Perturbation::SleepMs(8.0));
     let report = Simulation::new(
         env,
-        catalog_with(&[&build, &probe]),
+        catalog(&[&build, &probe]),
         config(AdaptivityConfig::with_policies(
             AssessmentPolicy::A1,
             ResponsePolicy::R1,
@@ -321,12 +225,12 @@ fn q2_join_results_match_reference_with_r1_adaptation() {
 
 #[test]
 fn q2_stateful_with_prospective_response_is_rejected() {
-    let build = int_table("build", 10);
-    let probe = int_table("probe", 10);
-    let plan = join_plan(&build, &probe, 2, 1.0);
+    let build = int_table("build", 0..10);
+    let probe = int_table("probe", 0..10);
+    let plan = join_plan(&build, &probe, &join_shape(2, 1.0));
     let sim = Simulation::new(
         GridEnvironment::demo(2),
-        catalog_with(&[&build, &probe]),
+        catalog(&[&build, &probe]),
         config(AdaptivityConfig::with_policies(
             AssessmentPolicy::A1,
             ResponsePolicy::R2,
@@ -340,12 +244,12 @@ fn q2_stateful_with_prospective_response_is_rejected() {
 
 #[test]
 fn q2_static_join_matches_reference() {
-    let build = int_table("build", 80);
-    let probe = int_table("probe", 120);
-    let plan = join_plan(&build, &probe, 3, 0.5);
+    let build = int_table("build", 0..80);
+    let probe = int_table("probe", 0..120);
+    let plan = join_plan(&build, &probe, &join_shape(3, 0.5));
     let report = Simulation::new(
         GridEnvironment::demo(3),
-        catalog_with(&[&build, &probe]),
+        catalog(&[&build, &probe]),
         config(AdaptivityConfig::disabled()),
     )
     .unwrap()
@@ -356,18 +260,14 @@ fn q2_static_join_matches_reference() {
 
 #[test]
 fn monitoring_generates_notification_funnel() {
-    let table = int_table("t", 500);
-    let plan = call_plan(&table, 2, 1.0);
+    let table = int_table("t", 0..500);
+    let plan = call_plan(&table, &call_shape(2, 1.0));
     let mut env = GridEnvironment::demo(2);
     env.perturb(NodeId::new(2), Perturbation::CostFactor(10.0));
-    let report = Simulation::new(
-        env,
-        catalog_with(&[&table]),
-        config(AdaptivityConfig::default()),
-    )
-    .unwrap()
-    .run(&plan)
-    .unwrap();
+    let report = Simulation::new(env, catalog(&[&table]), config(AdaptivityConfig::default()))
+        .unwrap()
+        .run(&plan)
+        .unwrap();
     // The funnel narrows: raw events >> detector notifications >=
     // imbalances >= adaptations.
     assert!(report.raw_m1_events > 20);
@@ -382,19 +282,15 @@ fn monitoring_generates_notification_funnel() {
 // perfectly reproducible for a fixed seed.
 #[allow(clippy::float_cmp)]
 fn deterministic_given_seed() {
-    let table = int_table("t", 300);
-    let plan = call_plan(&table, 2, 1.0);
+    let table = int_table("t", 0..300);
+    let plan = call_plan(&table, &call_shape(2, 1.0));
     let run = || {
         let mut env = GridEnvironment::demo(2);
         env.perturb(NodeId::new(2), Perturbation::CostFactor(5.0));
-        Simulation::new(
-            env,
-            catalog_with(&[&table]),
-            config(AdaptivityConfig::default()),
-        )
-        .unwrap()
-        .run(&plan)
-        .unwrap()
+        Simulation::new(env, catalog(&[&table]), config(AdaptivityConfig::default()))
+            .unwrap()
+            .run(&plan)
+            .unwrap()
     };
     let a = run();
     let b = run();
@@ -405,11 +301,11 @@ fn deterministic_given_seed() {
 
 #[test]
 fn acks_prune_recovery_logs() {
-    let table = int_table("t", 300);
-    let plan = call_plan(&table, 2, 1.0);
+    let table = int_table("t", 0..300);
+    let plan = call_plan(&table, &call_shape(2, 1.0));
     let report = Simulation::new(
         GridEnvironment::demo(2),
-        catalog_with(&[&table]),
+        catalog(&[&table]),
         config(AdaptivityConfig::disabled()),
     )
     .unwrap()
@@ -423,9 +319,9 @@ fn acks_prune_recovery_logs() {
 
 #[test]
 fn three_evaluator_run_with_one_perturbed() {
-    let table = int_table("t", 600);
-    let plan = call_plan(&table, 3, 1.0);
-    let catalog = catalog_with(&[&table]);
+    let table = int_table("t", 0..600);
+    let plan = call_plan(&table, &call_shape(3, 1.0));
+    let catalog = catalog(&[&table]);
     let mk = |enabled: bool| {
         let mut env = GridEnvironment::demo(3);
         env.perturb(NodeId::new(3), Perturbation::CostFactor(10.0));

@@ -6,28 +6,13 @@ use std::sync::Arc;
 
 use gridq_adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 use gridq_common::check::{Check, Gen};
-use gridq_common::{
-    DataType, DetRng, DistributionVector, Field, NodeId, QueryId, Schema, SubplanId, Tuple, Value,
-};
-use gridq_engine::distributed::{
-    DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-};
+use gridq_common::{DataType, DetRng, NodeId, Value};
 use gridq_engine::evaluator::{HashJoinFactory, ServiceCallFactory, StreamTag};
-use gridq_engine::physical::Catalog;
+use gridq_engine::fixtures::{catalog, int_table, single_stage_plan};
 use gridq_engine::service::{FnService, ServiceRegistry};
-use gridq_engine::table::Table;
 use gridq_engine::Expr;
 use gridq_grid::{GridEnvironment, Perturbation};
 use gridq_sim::{Simulation, SimulationConfig};
-
-fn int_table(name: &str, values: &[i64]) -> Arc<Table> {
-    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-    let rows = values
-        .iter()
-        .map(|&v| Tuple::new(vec![Value::Int(v)]))
-        .collect();
-    Arc::new(Table::new(name, schema, rows).unwrap())
-}
 
 fn adaptivity(on: bool, retrospective: bool) -> AdaptivityConfig {
     if !on {
@@ -72,8 +57,7 @@ fn call_plan_conserves_tuples() {
         },
         |(n, parts, pert, retrospective, buffer)| {
             let (n, parts, buffer) = (*n, *parts, *buffer);
-            let values: Vec<i64> = (0..n as i64).collect();
-            let table = int_table("t", &values);
+            let table = int_table("t", 0..n as i64);
             let factory = ServiceCallFactory::new(
                 table.schema(),
                 Arc::new(FnService::new(
@@ -88,38 +72,17 @@ fn call_plan_conserves_tuples() {
                 false,
                 ServiceRegistry::new(),
             );
-            let plan = DistributedPlan {
-                query: QueryId::new(1),
-                sources: vec![SourceSpec {
-                    table: "t".into(),
-                    node: NodeId::new(0),
-                    stream: StreamTag::Single,
-                    scan_cost_ms: 0.3,
-                }],
-                stages: vec![ParallelStageSpec {
-                    id: SubplanId::new(1),
-                    factory: Arc::new(factory),
-                    nodes: (0..parts).map(|i| NodeId::new(i as u32 + 1)).collect(),
-                    exchange: ExchangeSpec {
-                        routing: RoutingPolicy::Weighted {
-                            initial: DistributionVector::uniform(parts),
-                        },
-                        buffer_tuples: buffer,
-                    },
-                }],
-                collect_node: NodeId::new(0),
-            };
+            let scans = [("t", StreamTag::Single, 0.3)];
+            let plan = single_stage_plan(1, &scans, factory, parts, None, buffer);
             let mut env = GridEnvironment::demo(parts);
             env.perturb(NodeId::new(parts as u32), pert.clone());
-            let mut catalog = Catalog::new();
-            catalog.register(Arc::clone(&table));
             let config = SimulationConfig {
                 adaptivity: adaptivity(true, *retrospective),
                 collect_results: true,
                 receive_cost_ms: 0.5,
                 ..Default::default()
             };
-            let report = Simulation::new(env, catalog, config)
+            let report = Simulation::new(env, catalog(&[&table]), config)
                 .map_err(|e| e.to_string())?
                 .run(&plan)
                 .map_err(|e| e.to_string())?;
@@ -161,56 +124,20 @@ fn join_plan_matches_reference() {
             )
         },
         |(build_keys, probe_keys, pert, adaptive, buckets)| {
-            let build = int_table("b", build_keys);
-            let probe = int_table("p", probe_keys);
+            let build = int_table("b", build_keys.iter().copied());
+            let probe = int_table("p", probe_keys.iter().copied());
             let factory = HashJoinFactory::new(build.schema(), probe.schema(), 0, 0, 0.2, 1.5);
-            let plan = DistributedPlan {
-                query: QueryId::new(2),
-                sources: vec![
-                    SourceSpec {
-                        table: "b".into(),
-                        node: NodeId::new(0),
-                        stream: StreamTag::Build,
-                        scan_cost_ms: 0.2,
-                    },
-                    SourceSpec {
-                        table: "p".into(),
-                        node: NodeId::new(0),
-                        stream: StreamTag::Probe,
-                        scan_cost_ms: 0.2,
-                    },
-                ],
-                stages: vec![ParallelStageSpec {
-                    id: SubplanId::new(1),
-                    factory: Arc::new(factory),
-                    nodes: vec![NodeId::new(1), NodeId::new(2)],
-                    exchange: ExchangeSpec {
-                        routing: RoutingPolicy::HashBuckets {
-                            bucket_count: *buckets,
-                            initial: DistributionVector::uniform(2),
-                            keys: StreamKeys {
-                                build: Some(0),
-                                probe: Some(0),
-                                single: None,
-                            },
-                        },
-                        buffer_tuples: 10,
-                    },
-                }],
-                collect_node: NodeId::new(0),
-            };
+            let scans = [("b", StreamTag::Build, 0.2), ("p", StreamTag::Probe, 0.2)];
+            let plan = single_stage_plan(2, &scans, factory, 2, Some(*buckets), 10);
             let mut env = GridEnvironment::demo(2);
             env.perturb(NodeId::new(2), pert.clone());
-            let mut catalog = Catalog::new();
-            catalog.register(Arc::clone(&build));
-            catalog.register(Arc::clone(&probe));
             let config = SimulationConfig {
                 adaptivity: adaptivity(*adaptive, true),
                 collect_results: true,
                 receive_cost_ms: 0.5,
                 ..Default::default()
             };
-            let report = Simulation::new(env, catalog, config)
+            let report = Simulation::new(env, catalog(&[&build, &probe]), config)
                 .map_err(|e| e.to_string())?
                 .run(&plan)
                 .map_err(|e| e.to_string())?;

@@ -14,11 +14,10 @@
 use std::sync::Arc;
 
 use gridq_adapt::AdaptivityConfig;
-use gridq_common::{DistributionVector, GridError, NodeId, QueryId, Result, SubplanId};
-use gridq_engine::distributed::{
-    DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec, StreamKeys,
-};
+use gridq_common::{GridError, NodeId, Result};
+use gridq_engine::distributed::DistributedPlan;
 use gridq_engine::evaluator::{HashJoinFactory, ServiceCallFactory, StreamTag};
+use gridq_engine::fixtures::single_stage_plan;
 use gridq_engine::physical::Catalog;
 use gridq_engine::service::ServiceRegistry;
 use gridq_engine::Expr;
@@ -132,29 +131,14 @@ impl Q1Experiment {
             false,
             ServiceRegistry::new(),
         );
-        DistributedPlan {
-            query: QueryId::new(1),
-            sources: vec![SourceSpec {
-                table: "protein_sequences".into(),
-                node: NodeId::new(0),
-                stream: StreamTag::Single,
-                scan_cost_ms: self.scan_cost_ms,
-            }],
-            stages: vec![ParallelStageSpec {
-                id: SubplanId::new(1),
-                factory: Arc::new(factory),
-                nodes: (0..self.evaluators)
-                    .map(|i| NodeId::new(i as u32 + 1))
-                    .collect(),
-                exchange: ExchangeSpec {
-                    routing: RoutingPolicy::Weighted {
-                        initial: DistributionVector::uniform(self.evaluators),
-                    },
-                    buffer_tuples: self.buffer_tuples,
-                },
-            }],
-            collect_node: NodeId::new(0),
-        }
+        single_stage_plan(
+            1,
+            &[("protein_sequences", StreamTag::Single, self.scan_cost_ms)],
+            factory,
+            self.evaluators,
+            None,
+            self.buffer_tuples,
+        )
     }
 
     /// The simulation configuration with overheads calibrated to the
@@ -290,43 +274,17 @@ impl Q2Experiment {
             self.build_cost_ms,
             self.probe_cost_ms,
         );
-        DistributedPlan {
-            query: QueryId::new(2),
-            sources: vec![
-                SourceSpec {
-                    table: "protein_sequences".into(),
-                    node: NodeId::new(0),
-                    stream: StreamTag::Build,
-                    scan_cost_ms: self.scan_cost_ms,
-                },
-                SourceSpec {
-                    table: "protein_interactions".into(),
-                    node: NodeId::new(0),
-                    stream: StreamTag::Probe,
-                    scan_cost_ms: self.scan_cost_ms,
-                },
+        single_stage_plan(
+            2,
+            &[
+                ("protein_sequences", StreamTag::Build, self.scan_cost_ms),
+                ("protein_interactions", StreamTag::Probe, self.scan_cost_ms),
             ],
-            stages: vec![ParallelStageSpec {
-                id: SubplanId::new(1),
-                factory: Arc::new(factory),
-                nodes: (0..self.evaluators)
-                    .map(|i| NodeId::new(i as u32 + 1))
-                    .collect(),
-                exchange: ExchangeSpec {
-                    routing: RoutingPolicy::HashBuckets {
-                        bucket_count: self.bucket_count,
-                        initial: DistributionVector::uniform(self.evaluators),
-                        keys: StreamKeys {
-                            build: Some(0),
-                            probe: Some(0),
-                            single: None,
-                        },
-                    },
-                    buffer_tuples: self.buffer_tuples,
-                },
-            }],
-            collect_node: NodeId::new(0),
-        }
+            factory,
+            self.evaluators,
+            Some(self.bucket_count),
+            self.buffer_tuples,
+        )
     }
 
     /// The simulation configuration with calibrated overheads.

@@ -17,21 +17,17 @@
 
 use std::sync::Arc;
 
-use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
+use gridq::adapt::AdaptivityConfig;
 use gridq::chaos::{
-    FaultEvent, FaultFamily, FaultPlan, PlanHook, Policy, Runner, Scenario, Substrate,
+    FaultEvent, FaultFamily, FaultPlan, Knobs, PlanHook, Policy, Runner, Scenario, Substrate,
+    Workload,
 };
-use gridq::common::{NodeId, SimTime, Tuple};
-use gridq::exec::{FailoverConfig, RetryPolicy, ThreadedConfig, ThreadedExecutor};
-use gridq::grid::{GridEnvironment, NetworkModel, NodeSpec, ResourceRegistry};
+use gridq::common::{NodeId, SimTime};
+use gridq::engine::fixtures::multiset;
+use gridq::exec::{FailoverConfig, RetryPolicy};
+use gridq::grid::GridEnvironment;
 use gridq::sim::{Simulation, SimulationConfig};
 use gridq::workload::experiments::Q2Experiment;
-
-fn multiset(tuples: &[Tuple]) -> Vec<String> {
-    let mut rows: Vec<String> = tuples.iter().map(|t| format!("{:?}", t.values())).collect();
-    rows.sort();
-    rows
-}
 
 fn main() {
     let q2 = Q2Experiment::default();
@@ -40,19 +36,7 @@ fn main() {
         q2.sequences, q2.interactions, q2.evaluators
     );
 
-    let mut registry = ResourceRegistry::new();
-    registry
-        .register(NodeSpec::data(NodeId::new(0), "datastore"))
-        .expect("fresh registry");
-    for i in 0..q2.evaluators {
-        registry
-            .register(NodeSpec::compute(
-                NodeId::new(i as u32 + 1),
-                format!("eval{i}"),
-            ))
-            .expect("fresh registry");
-    }
-    let env = GridEnvironment::new(registry, NetworkModel::lan_100mbps());
+    let env = GridEnvironment::demo(q2.evaluators);
     let config = SimulationConfig {
         collect_results: false,
         receive_cost_ms: q2.receive_cost_ms,
@@ -105,7 +89,7 @@ fn main() {
     // that zeroes the dead partition's weight and replays its
     // unacknowledged log entries onto the survivor.
     println!("\n=== threaded substrate: consumer thread killed mid-run ===");
-    let q2t = Q2Experiment {
+    let q2t = Workload::q2(&Q2Experiment {
         sequences: 60,
         interactions: 300,
         probe_cost_ms: 0.5,
@@ -114,17 +98,13 @@ fn main() {
         bucket_count: 16,
         buffer_tuples: 10,
         ..Default::default()
-    };
-    let baseline = ThreadedExecutor::new(
-        q2t.catalog(),
-        ThreadedConfig {
-            adaptivity: AdaptivityConfig::disabled(),
+    });
+    let baseline = q2t
+        .run_threaded(&Knobs {
             cost_scale: 0.002,
-            ..Default::default()
-        },
-    )
-    .run(&q2t.plan())
-    .expect("healthy threaded run");
+            ..Knobs::default()
+        })
+        .expect("healthy threaded run");
     println!(
         "healthy threaded run: {:.0} ms, {} join results",
         baseline.wall_ms,
@@ -135,10 +115,9 @@ fn main() {
         seed: 0,
         events: vec![FaultEvent::CrashConsumer { worker: 1, nth: 10 }],
     };
-    let faulted = ThreadedExecutor::new(
-        q2t.catalog(),
-        ThreadedConfig {
-            adaptivity: AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1),
+    let faulted = q2t
+        .run_threaded(&Knobs {
+            adaptivity: Policy::R1.adaptivity(),
             cost_scale: 0.002,
             checkpoint_interval: 8,
             chaos: Some(Arc::new(PlanHook::new(&crash_plan))),
@@ -152,11 +131,9 @@ fn main() {
                 heartbeat_ms: 20,
                 lease_ms: 300,
             },
-            ..Default::default()
-        },
-    )
-    .run(&q2t.plan())
-    .expect("faulted threaded run");
+            ..Knobs::default()
+        })
+        .expect("faulted threaded run");
     assert_eq!(
         multiset(&baseline.results),
         multiset(&faulted.results),

@@ -8,9 +8,8 @@
 //! ```
 
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
-use gridq::common::{NodeId, SimTime};
+use gridq::common::SimTime;
 use gridq::grid::{Perturbation, PerturbationSchedule};
-use gridq::sim::Simulation;
 use gridq::workload::experiments::{EvaluatorPerturbation, Q1Experiment};
 
 fn adaptive() -> AdaptivityConfig {
@@ -67,27 +66,19 @@ fn main() {
     // Part 2 — a perturbation that arrives mid-query and leaves again:
     // the system must rebalance twice.
     println!("\nLoad arriving at t=3s and leaving at t=12s on one evaluator:");
-    let mut env_static = gridq_env(&q1);
     let schedule = PerturbationSchedule::none()
         .then_at(
             SimTime::from_millis(3_000.0),
             Perturbation::CostFactor(20.0),
         )
         .then_at(SimTime::from_millis(12_000.0), Perturbation::None);
-    env_static.set_perturbation(NodeId::new(2), schedule.clone());
-    let mut env_adaptive = gridq_env(&q1);
-    env_adaptive.set_perturbation(NodeId::new(2), schedule);
-
-    let static_sim = Simulation::new(
-        env_static,
-        q1.catalog(),
-        q1.sim_config(AdaptivityConfig::disabled()),
-    )
-    .expect("simulation builds");
-    let static_report = static_sim.run(&q1.plan()).expect("static run");
-    let adaptive_sim = Simulation::new(env_adaptive, q1.catalog(), q1.sim_config(adaptive()))
-        .expect("simulation builds");
-    let adaptive_report = adaptive_sim.run(&q1.plan()).expect("adaptive run");
+    let on_evaluator_1 = [(1, schedule)];
+    let static_report = q1
+        .run_scheduled(AdaptivityConfig::disabled(), &on_evaluator_1)
+        .expect("static run");
+    let adaptive_report = q1
+        .run_scheduled(adaptive(), &on_evaluator_1)
+        .expect("adaptive run");
     println!(
         "  static   {:>5.2}x\n  adaptive {:>5.2}x",
         static_report.response_time_ms / base.response_time_ms,
@@ -96,32 +87,4 @@ fn main() {
     for entry in &adaptive_report.timeline {
         println!("    {} {}", entry.at, entry.what);
     }
-}
-
-/// The experiment environment for `q1` (data node + evaluators on the
-/// calibrated LAN), without perturbations.
-fn gridq_env(q1: &Q1Experiment) -> gridq::grid::GridEnvironment {
-    // Re-run the experiment builder's environment logic by running a
-    // no-op experiment; simplest is to rebuild demo-style.
-    use gridq::grid::{NetworkModel, NodeSpec, ResourceRegistry};
-    let mut registry = ResourceRegistry::new();
-    registry
-        .register(NodeSpec::data(NodeId::new(0), "datastore"))
-        .expect("fresh registry");
-    for i in 0..q1.evaluators {
-        registry
-            .register(NodeSpec::compute(
-                NodeId::new(i as u32 + 1),
-                format!("eval{i}"),
-            ))
-            .expect("fresh registry");
-    }
-    gridq::grid::GridEnvironment::new(
-        registry,
-        NetworkModel {
-            latency_ms: 0.5,
-            bandwidth_mbps: 100.0,
-            per_tuple_overhead_ms: 1.0,
-        },
-    )
 }

@@ -10,12 +10,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use gridq::adapt::AdaptivityConfig;
-use gridq::common::{DistributionVector, NodeId, QueryId, SubplanId};
-use gridq::engine::distributed::{
-    DistributedPlan, ExchangeSpec, ParallelStageSpec, RoutingPolicy, SourceSpec,
-};
+use gridq::common::NodeId;
 use gridq::engine::evaluator::{ServiceCallFactory, StreamTag};
-use gridq::engine::physical::Catalog;
+use gridq::engine::fixtures::{catalog, single_stage_plan};
 use gridq::engine::service::ServiceRegistry;
 use gridq::engine::Expr;
 use gridq::exec::{ThreadedConfig, ThreadedExecutor};
@@ -24,8 +21,7 @@ use gridq::workload::{protein_sequences, EntropyAnalyser};
 
 fn main() {
     let table = protein_sequences(800, 64, 7);
-    let mut catalog = Catalog::new();
-    catalog.register(Arc::clone(&table));
+    let catalog = catalog(&[&table]);
 
     let factory = ServiceCallFactory::new(
         table.schema(),
@@ -35,27 +31,8 @@ fn main() {
         false,
         ServiceRegistry::new(),
     );
-    let plan = DistributedPlan {
-        query: QueryId::new(1),
-        sources: vec![SourceSpec {
-            table: "protein_sequences".into(),
-            node: NodeId::new(0),
-            stream: StreamTag::Single,
-            scan_cost_ms: 0.5,
-        }],
-        stages: vec![ParallelStageSpec {
-            id: SubplanId::new(1),
-            factory: Arc::new(factory),
-            nodes: vec![NodeId::new(1), NodeId::new(2)],
-            exchange: ExchangeSpec {
-                routing: RoutingPolicy::Weighted {
-                    initial: DistributionVector::uniform(2),
-                },
-                buffer_tuples: 20,
-            },
-        }],
-        collect_node: NodeId::new(0),
-    };
+    let scans = [("protein_sequences", StreamTag::Single, 0.5)];
+    let plan = single_stage_plan(1, &scans, factory, 2, None, 20);
 
     // Thread 2 simulates a machine whose entropy service became 10x
     // slower; costs are scaled down so the run takes ~1-2 real seconds.

@@ -29,7 +29,9 @@
 //!   SQL → plan → schedule → adaptive execution.
 //! - [`chaos`] — a deterministic fault-injection harness with invariant
 //!   oracles (tuple/log conservation, recall safety, timeline causality,
-//!   teardown hygiene) over both substrates.
+//!   teardown hygiene), and the one harness (`Workload`, `Knobs`,
+//!   `run_on`) that runs a query described once on the simulator, on
+//!   threads and over sockets.
 //!
 //! ## Quickstart
 //!

@@ -4,30 +4,12 @@
 
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 use gridq::common::{NodeId, SimTime};
-use gridq::grid::{
-    GridEnvironment, NetworkModel, NodeSpec, Perturbation, PerturbationSchedule, ResourceRegistry,
-};
+use gridq::grid::{GridEnvironment, Perturbation, PerturbationSchedule};
 use gridq::sim::Simulation;
 use gridq::workload::experiments::{EvaluatorPerturbation, Q1Experiment};
 
 fn adaptive_r1() -> AdaptivityConfig {
     AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1)
-}
-
-fn env_for(q1: &Q1Experiment) -> GridEnvironment {
-    let mut registry = ResourceRegistry::new();
-    registry
-        .register(NodeSpec::data(NodeId::new(0), "datastore"))
-        .unwrap();
-    for i in 0..q1.evaluators {
-        registry
-            .register(NodeSpec::compute(
-                NodeId::new(i as u32 + 1),
-                format!("eval{i}"),
-            ))
-            .unwrap();
-    }
-    GridEnvironment::new(registry, NetworkModel::lan_100mbps())
 }
 
 #[test]
@@ -39,7 +21,7 @@ fn adapts_to_perturbation_arriving_mid_query() {
     let schedule = PerturbationSchedule::none().then_at(onset, Perturbation::CostFactor(15.0));
 
     let run = |adapt: AdaptivityConfig| {
-        let mut env = env_for(&q1);
+        let mut env = GridEnvironment::demo(q1.evaluators);
         env.set_perturbation(NodeId::new(2), schedule.clone());
         Simulation::new(env, q1.catalog(), q1.sim_config(adapt))
             .unwrap()
@@ -135,7 +117,7 @@ fn slowdown_of_the_data_node_does_not_break_execution() {
         tuples: 600,
         ..Default::default()
     };
-    let mut env = env_for(&q1);
+    let mut env = GridEnvironment::demo(q1.evaluators);
     env.perturb(NodeId::new(0), Perturbation::CostFactor(4.0));
     let report = Simulation::new(env, q1.catalog(), q1.sim_config(adaptive_r1()))
         .unwrap()
@@ -152,7 +134,7 @@ fn near_completion_gate_suppresses_late_adaptation() {
     let q1 = Q1Experiment::default();
     let baseline = q1.run(AdaptivityConfig::disabled(), &[]).unwrap();
     let onset = SimTime::from_millis(baseline.response_time_ms * 0.97);
-    let mut env = env_for(&q1);
+    let mut env = GridEnvironment::demo(q1.evaluators);
     env.set_perturbation(
         NodeId::new(2),
         PerturbationSchedule::none().then_at(onset, Perturbation::CostFactor(10.0)),

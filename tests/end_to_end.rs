@@ -2,11 +2,10 @@
 //! simulated Grid, the threaded executor, and the single-node reference
 //! engine — all three must agree on results.
 
-use std::collections::HashMap;
-
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
-use gridq::common::{NodeId, Tuple};
+use gridq::common::NodeId;
 use gridq::core::{ExecutionOptions, GridQueryProcessor, SchedulerConfig};
+use gridq::engine::fixtures::multiset;
 use gridq::engine::physical::Catalog;
 use gridq::exec::{ThreadedConfig, ThreadedExecutor};
 use gridq::grid::Perturbation;
@@ -16,14 +15,6 @@ use gridq::workload::demo_catalog;
 const Q1: &str = "select EntropyAnalyser(p.sequence) from protein_sequences p";
 const Q2: &str = "select i.ORF2 from protein_sequences p, protein_interactions i \
                   where i.ORF1 = p.ORF";
-
-fn multiset(tuples: &[Tuple]) -> HashMap<String, usize> {
-    let mut m = HashMap::new();
-    for t in tuples {
-        *m.entry(t.to_string()).or_insert(0) += 1;
-    }
-    m
-}
 
 fn processor() -> GridQueryProcessor {
     let mut qp = GridQueryProcessor::with_demo_grid(2);

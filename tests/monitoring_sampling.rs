@@ -15,86 +15,43 @@
 //! mean M1 cost under stride sampling must match its mean under
 //! exhaustive (stride-1) monitoring, on both substrates.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
+use gridq::chaos::{Knobs, Workload};
 use gridq::common::NodeId;
-use gridq::exec::{ThreadedConfig, ThreadedExecutor, ThreadedReport};
-use gridq::grid::{
-    GridEnvironment, NetworkModel, NodeSpec, Perturbation, PerturbationSchedule, ResourceRegistry,
-};
+use gridq::grid::Perturbation;
 use gridq::obs::TimelineKind;
-use gridq::sim::{ExecutionReport, Simulation, SimulationConfig};
 use gridq::workload::experiments::Q1Experiment;
 
 const STRIDE: u32 = 10;
 
 /// Q1 sized so every partition crosses several stride boundaries, with
-/// an exchange buffer (7) smaller than and coprime to the stride (10).
-fn q1() -> Q1Experiment {
-    Q1Experiment {
+/// an exchange buffer (7) smaller than and coprime to the stride (10);
+/// `perturbed` runs node 2 four times slower.
+fn q1(perturbed: bool) -> Workload {
+    let w = Workload::q1(&Q1Experiment {
         tuples: 250,
         buffer_tuples: 7,
         ..Default::default()
-    }
-}
-
-fn adapt(interval: u32) -> AdaptivityConfig {
-    AdaptivityConfig {
-        monitoring_interval_tuples: interval,
-        ..AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R2)
-    }
-}
-
-fn env(evaluators: u32, perturbed: Option<NodeId>) -> GridEnvironment {
-    let mut registry = ResourceRegistry::new();
-    registry
-        .register(NodeSpec::data(NodeId::new(0), "datastore"))
-        .unwrap();
-    for i in 0..evaluators {
-        registry
-            .register(NodeSpec::compute(NodeId::new(i + 1), format!("eval{i}")))
-            .unwrap();
-    }
-    let mut env = GridEnvironment::new(registry, NetworkModel::lan_100mbps());
-    if let Some(node) = perturbed {
-        env.set_perturbation(
-            node,
-            PerturbationSchedule::constant(Perturbation::CostFactor(4.0)),
-        );
-    }
-    env
-}
-
-fn run_threaded(interval: u32, perturbed: bool) -> ThreadedReport {
-    let q1 = q1();
-    let perturbations = if perturbed {
-        let mut m = HashMap::new();
-        m.insert(NodeId::new(2), Perturbation::CostFactor(4.0));
-        m
+    });
+    if perturbed {
+        w.perturbed(NodeId::new(2), Perturbation::CostFactor(4.0))
     } else {
-        HashMap::new()
-    };
-    ThreadedExecutor::new(
-        q1.catalog(),
-        ThreadedConfig {
-            adaptivity: adapt(interval),
-            cost_scale: 0.002,
-            perturbations,
-            ..Default::default()
-        },
-    )
-    .run(&q1.plan())
-    .unwrap()
+        w
+    }
 }
 
-fn run_sim(interval: u32, perturbed: bool) -> ExecutionReport {
-    let q1 = q1();
-    let mut config: SimulationConfig = q1.sim_config(adapt(interval));
-    config.collect_results = true;
-    let node = perturbed.then(|| NodeId::new(2));
-    let sim = Simulation::new(env(2, node), q1.catalog(), config).unwrap();
-    sim.run(&q1.plan()).unwrap()
+/// A1/R2 sampling M1 every `interval` tuples.
+fn knobs(interval: u32) -> Knobs {
+    Knobs {
+        adaptivity: AdaptivityConfig {
+            monitoring_interval_tuples: interval,
+            ..AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R2)
+        },
+        cost_scale: 0.002,
+        ..Knobs::default()
+    }
 }
 
 /// Mean M1 cost per partition, from the `RawM1` timeline events.
@@ -151,7 +108,7 @@ fn assert_sampled_matches_exhaustive(
 
 #[test]
 fn threaded_stride_phase_carries_across_blocks() {
-    let report = run_threaded(STRIDE, false);
+    let report = q1(false).run_threaded(&knobs(STRIDE)).unwrap();
     assert_eq!(report.results.len(), 250);
     let stride = u64::from(STRIDE);
     // floor(n/k) periodic events per partition plus one forced tail
@@ -177,7 +134,7 @@ fn threaded_stride_phase_carries_across_blocks() {
 
 #[test]
 fn sim_stride_phase_carries_across_buffers() {
-    let report = run_sim(STRIDE, false);
+    let report = q1(false).simulate(&knobs(STRIDE)).unwrap();
     assert_eq!(report.results.len(), 250);
     let stride = u64::from(STRIDE);
     // The simulator emits periodic M1s only (no forced tail).
@@ -202,8 +159,8 @@ fn threaded_sampled_m1_mean_matches_exhaustive() {
     // Node 2 runs 4x slower, so the two partitions' cost streams differ:
     // a biased sampler (one that over-weights short tail batches) would
     // drift from the exhaustive mean.
-    let exhaustive = run_threaded(1, true);
-    let sampled = run_threaded(STRIDE, true);
+    let exhaustive = q1(true).run_threaded(&knobs(1)).unwrap();
+    let sampled = q1(true).run_threaded(&knobs(STRIDE)).unwrap();
     assert_sampled_matches_exhaustive(
         exhaustive.obs.as_ref().expect("obs on by default"),
         sampled.obs.as_ref().expect("obs on by default"),
@@ -212,8 +169,8 @@ fn threaded_sampled_m1_mean_matches_exhaustive() {
 
 #[test]
 fn sim_sampled_m1_mean_matches_exhaustive() {
-    let exhaustive = run_sim(1, true);
-    let sampled = run_sim(STRIDE, true);
+    let exhaustive = q1(true).simulate(&knobs(1)).unwrap();
+    let sampled = q1(true).simulate(&knobs(STRIDE)).unwrap();
     assert_sampled_matches_exhaustive(
         exhaustive.obs.as_ref().expect("obs on by default"),
         sampled.obs.as_ref().expect("obs on by default"),

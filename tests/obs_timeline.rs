@@ -8,10 +8,10 @@
 use std::collections::HashMap;
 
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
+use gridq::chaos::{Knobs, Workload};
 use gridq::common::NodeId;
-use gridq::exec::{ThreadedConfig, ThreadedExecutor};
 use gridq::grid::Perturbation;
-use gridq::obs::{Json, ObsReport};
+use gridq::obs::{Json, ObsConfig, ObsReport};
 use gridq::workload::experiments::{EvaluatorPerturbation, Q1Experiment};
 
 fn q1() -> Q1Experiment {
@@ -112,20 +112,19 @@ fn simulated_timeline_traces_every_deploy() {
 
 #[test]
 fn threaded_timeline_traces_every_deploy() {
-    let q1 = q1();
-    let mut perturbations = HashMap::new();
-    perturbations.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
-    let exec = ThreadedExecutor::new(
-        q1.catalog(),
-        ThreadedConfig {
+    // The slow scan keeps the producer streaming for ~30 ms instead of
+    // ~6, so the loop decides well before the responder's 0.95 progress
+    // cut-off instead of racing it on each partition's first M1.
+    let w = Workload::q1(&q1())
+        .perturbed(NodeId::new(2), Perturbation::CostFactor(10.0))
+        .scan_cost_ms(&[5.0]);
+    let report = w
+        .run_threaded(&Knobs {
             adaptivity: a1r2(),
             cost_scale: 0.01,
-            perturbations,
-            receive_cost_ms: 1.0,
-            ..Default::default()
-        },
-    );
-    let report = exec.run(&q1.plan()).unwrap();
+            ..Knobs::default()
+        })
+        .unwrap();
     let obs = report.obs.expect("obs on by default");
     let (deploys, saw_wall) = assert_traceable(&obs);
     assert_eq!(deploys as u64, report.adaptations_deployed);
@@ -135,30 +134,13 @@ fn threaded_timeline_traces_every_deploy() {
 
 #[test]
 fn disabled_obs_leaves_reports_bare() {
-    use gridq::obs::ObsConfig;
-    use gridq::sim::{Simulation, SimulationConfig};
-
-    let q1 = q1();
-    let config = SimulationConfig {
-        adaptivity: a1r2(),
-        obs: ObsConfig::disabled(),
-        ..Default::default()
-    };
-    let env = {
-        use gridq::grid::{GridEnvironment, NetworkModel, NodeSpec, ResourceRegistry};
-        let mut registry = ResourceRegistry::new();
-        registry
-            .register(NodeSpec::data(NodeId::new(0), "datastore"))
-            .unwrap();
-        for i in 0..2 {
-            registry
-                .register(NodeSpec::compute(NodeId::new(i + 1), format!("eval{i}")))
-                .unwrap();
-        }
-        GridEnvironment::new(registry, NetworkModel::lan_100mbps())
-    };
-    let sim = Simulation::new(env, q1.catalog(), config).unwrap();
-    let report = sim.run(&q1.plan()).unwrap();
+    let report = Workload::q1(&q1())
+        .simulate(&Knobs {
+            adaptivity: a1r2(),
+            obs: ObsConfig::disabled(),
+            ..Knobs::default()
+        })
+        .unwrap();
     assert!(report.obs.is_none(), "disabled obs must not export");
     assert_eq!(report.tuples_output, 600);
 }

@@ -17,131 +17,26 @@
 //!    (`Deploy → TenantRebalance → DetectorNotify → RawM1`).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
-use gridq::common::{NodeId, QueryId, Tuple};
+use gridq::chaos::{run_on, Knobs, Substrate, Workload};
+use gridq::common::QueryId;
+use gridq::engine::fixtures::multiset;
 use gridq::engine::service::AdmissionConfig;
-use gridq::exec::socket::{ScriptedAdaptation, ServiceResolver, SocketConfig, WireStageSpec};
-use gridq::exec::{
-    QueryOutcome, QueryRun, QueryService, QuerySubmission, ServiceConfig, ThreadedConfig,
-    ThreadedReport,
-};
-use gridq::grid::{
-    GridEnvironment, NetworkModel, NodeSpec, Perturbation, PerturbationSchedule, ResourceRegistry,
-};
+use gridq::exec::{QueryOutcome, QueryService, QuerySubmission, ServiceConfig, ThreadedReport};
 use gridq::obs::{TimelineEvent, TimelineKind};
-use gridq::sim::{ExecutionReport, Simulation};
 use gridq::workload::driver::{self, LoadConfig, QueryBackend, SessionOutcome};
-use gridq::workload::experiments::{Q1Experiment, Q2Experiment};
-use gridq::workload::{protein_interactions, protein_sequences, EntropyAnalyser};
+use gridq::workload::experiments::Q1Experiment;
 
-fn multiset(tuples: &[Tuple]) -> Vec<String> {
-    let mut rows: Vec<String> = tuples.iter().map(|t| format!("{:?}", t.values())).collect();
-    rows.sort();
-    rows
+mod common;
+use common::{node_2_slow, q1, q2_r1, r1_knobs, r2_knobs, static_knobs};
+
+/// The serial reference: one workload, alone, on the simulator.
+fn sim_reference(w: &Workload, knobs: &Knobs) -> Vec<String> {
+    run_on(Substrate::Sim, w, knobs).unwrap().results
 }
 
-/// The experiments' grid (data node 0, evaluators 1..=n) with an
-/// optional 10x cost perturbation on one evaluator node.
-fn env(evaluators: u32, perturbed: Option<NodeId>) -> GridEnvironment {
-    let mut registry = ResourceRegistry::new();
-    registry
-        .register(NodeSpec::data(NodeId::new(0), "datastore"))
-        .unwrap();
-    for i in 0..evaluators {
-        registry
-            .register(NodeSpec::compute(NodeId::new(i + 1), format!("eval{i}")))
-            .unwrap();
-    }
-    let mut env = GridEnvironment::new(registry, NetworkModel::lan_100mbps());
-    if let Some(node) = perturbed {
-        env.set_perturbation(
-            node,
-            PerturbationSchedule::constant(Perturbation::CostFactor(10.0)),
-        );
-    }
-    env
-}
-
-/// The serial reference: one plan, alone, on the simulator.
-fn run_sim(
-    catalog: gridq::engine::physical::Catalog,
-    plan: &gridq::engine::distributed::DistributedPlan,
-    mut config: gridq::sim::SimulationConfig,
-    evaluators: u32,
-    perturbed: Option<NodeId>,
-) -> ExecutionReport {
-    config.collect_results = true;
-    let sim = Simulation::new(env(evaluators, perturbed), catalog, config).unwrap();
-    sim.run(plan).unwrap()
-}
-
-fn q1() -> Q1Experiment {
-    Q1Experiment {
-        tuples: 600,
-        ..Default::default()
-    }
-}
-
-fn q2() -> Q2Experiment {
-    Q2Experiment {
-        sequences: 60,
-        interactions: 300,
-        probe_cost_ms: 0.5,
-        build_cost_ms: 0.1,
-        receive_cost_ms: 1.0,
-        bucket_count: 16,
-        buffer_tuples: 10,
-        ..Default::default()
-    }
-}
-
-/// Q2's plan with the parity-suite scan costs: the slow probe scan
-/// keeps producers streaming while the imbalance is diagnosed, so the
-/// retrospective recall has in-flight work to pause. Scan costs never
-/// change result values.
-fn q2_plan(q2: &Q2Experiment) -> gridq::engine::distributed::DistributedPlan {
-    let mut plan = q2.plan();
-    plan.sources[0].scan_cost_ms = 1.0;
-    plan.sources[1].scan_cost_ms = 10.0;
-    plan
-}
-
-fn perturb_node_2() -> HashMap<NodeId, Perturbation> {
-    let mut perturbations = HashMap::new();
-    perturbations.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
-    perturbations
-}
-
-fn entropy_resolver() -> ServiceResolver {
-    Arc::new(|name: &str, cost_ms: f64| {
-        (name == "EntropyAnalyser").then(|| {
-            Arc::new(EntropyAnalyser::new(cost_ms)) as Arc<dyn gridq::engine::service::Service>
-        })
-    })
-}
-
-fn q1_wire_spec(q1: &Q1Experiment) -> WireStageSpec {
-    WireStageSpec::ServiceCall {
-        input_schema: protein_sequences(1, q1.seq_len, q1.seed).schema().clone(),
-        service: "EntropyAnalyser".into(),
-        service_cost_ms: q1.ws_cost_ms,
-        arg_cols: vec![1],
-        output_name: "entropy".into(),
-        keep_input: false,
-    }
-}
-
-fn q2_wire_spec(q2: &Q2Experiment) -> WireStageSpec {
-    WireStageSpec::HashJoin {
-        build_schema: protein_sequences(1, q2.seq_len, q2.seed).schema().clone(),
-        probe_schema: protein_interactions(1, 1, q2.seed).schema().clone(),
-        build_key: 0,
-        probe_key: 0,
-        build_cost_ms: q2.build_cost_ms,
-        probe_cost_ms: q2.probe_cost_ms,
-    }
+fn submit(w: &Workload, substrate: Substrate, knobs: &Knobs) -> QuerySubmission {
+    w.submission(substrate, knobs).unwrap()
 }
 
 fn service(max_concurrent: usize, queue_depth: usize) -> QueryService {
@@ -177,73 +72,20 @@ fn assert_distinct_epochs(ids: &[QueryId]) {
 /// recovery logs balance on their own.
 #[test]
 fn concurrent_threaded_queries_match_their_serial_sim_references() {
-    let q1 = q1();
-    let q2 = q2();
-    let plan2 = q2_plan(&q2);
-    let a1r2 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R2);
-    let a1r1 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1);
+    let (q1, q2) = (q1(600), q2_r1());
+    let r1 = r1_knobs(Substrate::Threaded);
 
-    let ref_q1 = multiset(
-        &run_sim(
-            q1.catalog(),
-            &q1.plan(),
-            q1.sim_config(AdaptivityConfig::disabled()),
-            2,
-            None,
-        )
-        .results,
-    );
+    let ref_q1 = sim_reference(&q1, &static_knobs());
     assert_eq!(ref_q1.len(), 600);
-    let ref_q2 = multiset(
-        &run_sim(
-            q2.catalog(),
-            &plan2,
-            q2.sim_config(a1r1.clone()),
-            2,
-            Some(NodeId::new(2)),
-        )
-        .results,
-    );
+    let ref_q2 = sim_reference(&q2, &r1);
     assert_eq!(ref_q2.len(), 300);
 
-    let q2_config = || ThreadedConfig {
-        adaptivity: a1r1.clone(),
-        cost_scale: 0.01,
-        perturbations: perturb_node_2(),
-        checkpoint_interval: 8,
-        ..Default::default()
-    };
     let service = service(2, 2);
     let report = service.run_batch(vec![
-        QuerySubmission {
-            catalog: q1.catalog(),
-            plan: q1.plan(),
-            run: QueryRun::threaded(ThreadedConfig {
-                adaptivity: AdaptivityConfig::disabled(),
-                cost_scale: 0.002,
-                ..Default::default()
-            }),
-        },
-        QuerySubmission {
-            catalog: q2.catalog(),
-            plan: q2_plan(&q2),
-            run: QueryRun::threaded(q2_config()),
-        },
-        QuerySubmission {
-            catalog: q1.catalog(),
-            plan: q1.plan(),
-            run: QueryRun::threaded(ThreadedConfig {
-                adaptivity: a1r2,
-                cost_scale: 0.01,
-                perturbations: perturb_node_2(),
-                ..Default::default()
-            }),
-        },
-        QuerySubmission {
-            catalog: q2.catalog(),
-            plan: q2_plan(&q2),
-            run: QueryRun::threaded(q2_config()),
-        },
+        submit(&q1, Substrate::Threaded, &static_knobs()),
+        submit(&q2, Substrate::Threaded, &r1),
+        submit(&node_2_slow(q1.clone()), Substrate::Threaded, &r2_knobs()),
+        submit(&q2, Substrate::Threaded, &r1),
     ]);
 
     assert_eq!(report.queries.len(), 4);
@@ -291,89 +133,18 @@ fn concurrent_threaded_queries_match_their_serial_sim_references() {
 /// processes, and each returns its serial simulator multiset.
 #[test]
 fn concurrent_socket_queries_match_their_serial_sim_references() {
-    let q1 = q1();
-    let q2 = q2();
-    let plan2 = q2_plan(&q2);
-    let a1r2 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R2);
-    let a1r1 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1);
+    let (q1, q1_slow, q2) = (q1(600), node_2_slow(q1(600)), q2_r1());
+    let r1 = r1_knobs(Substrate::Socket);
 
-    let ref_q1 = multiset(
-        &run_sim(
-            q1.catalog(),
-            &q1.plan(),
-            q1.sim_config(AdaptivityConfig::disabled()),
-            2,
-            None,
-        )
-        .results,
-    );
-    let ref_q1_r2 = multiset(
-        &run_sim(
-            q1.catalog(),
-            &q1.plan(),
-            q1.sim_config(a1r2),
-            2,
-            Some(NodeId::new(2)),
-        )
-        .results,
-    );
-    let ref_q2 = multiset(
-        &run_sim(
-            q2.catalog(),
-            &plan2,
-            q2.sim_config(a1r1),
-            2,
-            Some(NodeId::new(2)),
-        )
-        .results,
-    );
-
-    let static_config = {
-        let mut c = SocketConfig::new(q1_wire_spec(&q1), entropy_resolver());
-        c.cost_scale = 0.002;
-        c
-    };
-    let swap_config = {
-        let mut c = SocketConfig::new(q1_wire_spec(&q1), entropy_resolver());
-        c.cost_scale = 0.01;
-        c.perturbations = perturb_node_2();
-        c.adaptations = vec![ScriptedAdaptation {
-            after_routed: 150,
-            weights: vec![0.9, 0.1],
-            retrospective: false,
-        }];
-        c
-    };
-    let recall_config = {
-        let mut c = SocketConfig::new(q2_wire_spec(&q2), entropy_resolver());
-        c.cost_scale = 0.05;
-        c.checkpoint_interval = 8;
-        c.perturbations = perturb_node_2();
-        c.adaptations = vec![ScriptedAdaptation {
-            after_routed: 150,
-            weights: vec![0.25, 0.75],
-            retrospective: true,
-        }];
-        c
-    };
+    let ref_q1 = sim_reference(&q1, &static_knobs());
+    let ref_q1_r2 = sim_reference(&q1_slow, &r2_knobs());
+    let ref_q2 = sim_reference(&q2, &r1);
 
     let service = service(2, 2);
     let report = service.run_batch(vec![
-        QuerySubmission {
-            catalog: q1.catalog(),
-            plan: q1.plan(),
-            run: QueryRun::Socket(Box::new(static_config)),
-        },
-        QuerySubmission {
-            catalog: q1.catalog(),
-            plan: q1.plan(),
-            run: QueryRun::Socket(Box::new(swap_config)),
-        },
-        QuerySubmission {
-            catalog: q2.catalog(),
-            plan: q2_plan(&q2),
-            run: QueryRun::Socket(Box::new(recall_config)),
-        },
+        submit(&q1, Substrate::Socket, &static_knobs()),
+        submit(&q1_slow, Substrate::Socket, &r2_knobs()),
+        submit(&q2, Substrate::Socket, &r1),
     ]);
 
     assert_eq!(report.queries.len(), 3);
@@ -425,28 +196,20 @@ fn sixty_four_mixed_sessions_through_four_slots_each_match_the_serial_sim_multis
 
     struct Backend<'a> {
         service: &'a QueryService,
-        q1: &'a Q1Experiment,
+        q1: &'a Workload,
         reference: &'a [String],
     }
 
     impl QueryBackend for Backend<'_> {
         fn run_query(&self, session: usize, _seq: usize) -> SessionOutcome {
-            let run = if session.is_multiple_of(2) {
-                QueryRun::threaded(ThreadedConfig {
-                    adaptivity: AdaptivityConfig::disabled(),
-                    cost_scale: 0.002,
-                    ..Default::default()
-                })
+            let substrate = if session.is_multiple_of(2) {
+                Substrate::Threaded
             } else {
-                let mut c = SocketConfig::new(q1_wire_spec(self.q1), entropy_resolver());
-                c.cost_scale = 0.002;
-                QueryRun::Socket(Box::new(c))
+                Substrate::Socket
             };
-            let (_id, outcome) = self.service.submit_and_wait(QuerySubmission {
-                catalog: self.q1.catalog(),
-                plan: self.q1.plan(),
-                run,
-            });
+            let (_id, outcome) =
+                self.service
+                    .submit_and_wait(submit(self.q1, substrate, &static_knobs()));
             match outcome {
                 QueryOutcome::Rejected { .. } => SessionOutcome::Rejected,
                 QueryOutcome::Failed { error } => SessionOutcome::Failed(error),
@@ -458,20 +221,8 @@ fn sixty_four_mixed_sessions_through_four_slots_each_match_the_serial_sim_multis
     }
 
     // Small queries: the load is on admission and multiplexing.
-    let q1 = Q1Experiment {
-        tuples: 40,
-        ..Default::default()
-    };
-    let reference = multiset(
-        &run_sim(
-            q1.catalog(),
-            &q1.plan(),
-            q1.sim_config(AdaptivityConfig::disabled()),
-            2,
-            None,
-        )
-        .results,
-    );
+    let q1 = q1(40);
+    let reference = sim_reference(&q1, &static_knobs());
     assert_eq!(reference.len(), 40);
 
     for seed in [1u64, 7, 1303] {
@@ -518,57 +269,18 @@ fn sixty_four_mixed_sessions_through_four_slots_each_match_the_serial_sim_multis
 /// events in its timeline.
 #[test]
 fn stateful_recall_never_leaks_into_a_co_resident_stateless_query() {
-    let q1 = q1();
-    let q2 = q2();
-    let plan2 = q2_plan(&q2);
-    let a1r2 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R2);
-    let a1r1 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1);
+    let (q1, q2) = (q1(600), q2_r1());
+    let r1 = r1_knobs(Substrate::Threaded);
 
-    let ref_q1 = multiset(
-        &run_sim(
-            q1.catalog(),
-            &q1.plan(),
-            q1.sim_config(AdaptivityConfig::disabled()),
-            2,
-            None,
-        )
-        .results,
-    );
-    let ref_q2 = multiset(
-        &run_sim(
-            q2.catalog(),
-            &plan2,
-            q2.sim_config(a1r1.clone()),
-            2,
-            Some(NodeId::new(2)),
-        )
-        .results,
-    );
+    let ref_q1 = sim_reference(&q1, &static_knobs());
+    let ref_q2 = sim_reference(&q2, &r1);
 
     let service = service(2, 0);
     let report = service.run_batch(vec![
         // Stateless observer: monitoring on, no perturbation of its own.
-        QuerySubmission {
-            catalog: q1.catalog(),
-            plan: q1.plan(),
-            run: QueryRun::threaded(ThreadedConfig {
-                adaptivity: a1r2,
-                cost_scale: 0.01,
-                ..Default::default()
-            }),
-        },
+        submit(&q1, Substrate::Threaded, &r2_knobs()),
         // Stateful neighbour: 10x perturbation forces an R1 recall.
-        QuerySubmission {
-            catalog: q2.catalog(),
-            plan: q2_plan(&q2),
-            run: QueryRun::threaded(ThreadedConfig {
-                adaptivity: a1r1,
-                cost_scale: 0.01,
-                perturbations: perturb_node_2(),
-                checkpoint_interval: 8,
-                ..Default::default()
-            }),
-        },
+        submit(&q2, Substrate::Threaded, &r1),
     ]);
 
     let stateless = threaded(&report.queries[0].1);
@@ -625,70 +337,30 @@ fn stateful_recall_never_leaks_into_a_co_resident_stateless_query() {
 fn contention_diagnoses_a_tenant_rebalance_with_an_intact_causal_chain() {
     // The contention source: evaluators 1-2, monitoring off, scaled to
     // outlive the observer's warm-up by a wide margin.
-    let source = Q1Experiment {
-        tuples: 2000,
-        ..Default::default()
+    let source = q1(2000);
+    let source_knobs = Knobs {
+        cost_scale: 0.05,
+        ..Knobs::default()
     };
     // The observer: evaluators 1-3, so node 3 stays uncontended and the
     // modelled contention (alpha = 1.0 doubles shared-node costs) shows
-    // up as a *skew* its M1 stream can attribute.
-    let observer = Q1Experiment {
+    // up as a *skew* its M1 stream can attribute. A slow scan keeps its
+    // producer streaming (and its adaptivity loop live) well past the
+    // diagnosis.
+    let observer = Workload::q1(&Q1Experiment {
         tuples: 600,
         evaluators: 3,
         ..Default::default()
-    };
-    // A slow scan keeps the observer's producer streaming (and its
-    // adaptivity loop live) well past the diagnosis.
-    let observer_plan = || {
-        let mut plan = observer.plan();
-        plan.sources[0].scan_cost_ms = 5.0;
-        plan
-    };
+    })
+    .scan_cost_ms(&[5.0]);
 
-    let ref_source = multiset(
-        &run_sim(
-            source.catalog(),
-            &source.plan(),
-            source.sim_config(AdaptivityConfig::disabled()),
-            2,
-            None,
-        )
-        .results,
-    );
-    let ref_observer = multiset(
-        &run_sim(
-            observer.catalog(),
-            &observer_plan(),
-            observer.sim_config(AdaptivityConfig::disabled()),
-            3,
-            None,
-        )
-        .results,
-    );
+    let ref_source = sim_reference(&source, &static_knobs());
+    let ref_observer = sim_reference(&observer, &static_knobs());
 
     let service = service(2, 0);
     let report = service.run_batch(vec![
-        QuerySubmission {
-            catalog: source.catalog(),
-            plan: source.plan(),
-            run: QueryRun::threaded(ThreadedConfig {
-                adaptivity: AdaptivityConfig::disabled(),
-                cost_scale: 0.05,
-                ..Default::default()
-            }),
-        },
-        QuerySubmission {
-            catalog: observer.catalog(),
-            plan: observer_plan(),
-            run: QueryRun::threaded(ThreadedConfig {
-                adaptivity: AdaptivityConfig::with_policies(
-                    AssessmentPolicy::A1,
-                    ResponsePolicy::R2,
-                ),
-                cost_scale: 0.01,
-                ..Default::default()
-            }),
-        },
+        submit(&source, Substrate::Threaded, &source_knobs),
+        submit(&observer, Substrate::Threaded, &r2_knobs()),
     ]);
 
     let (source_id, source_outcome) = &report.queries[0];

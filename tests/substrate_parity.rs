@@ -4,242 +4,107 @@
 //! prospective (R2) adaptation, and under retrospective (R1) adaptation
 //! of a stateful hash join.
 //!
-//! Result values are compared as sorted multisets of rendered rows
-//! because the substrates assign sequence numbers independently. The
-//! socket substrate scripts its adaptation trigger (the decision stack
-//! is covered by the sim/threaded cells); what these cells pin is that
-//! the *wire* data plane — real frames over real connections — routes,
-//! recalls, and collects the same tuples as the in-process substrates.
+//! Every cell describes its query once, as a `Workload`, and runs it
+//! through the harness in `gridq::chaos`; a `RunSummary` holds the
+//! result as a sorted multiset of rendered rows because the substrates
+//! assign sequence numbers independently. The socket substrate scripts
+//! its adaptation trigger (the decision stack is covered by the
+//! sim/threaded cells); what its cells pin is that the *wire* data plane
+//! — real frames over real connections — routes, recalls, and collects
+//! the same tuples as the in-process substrates.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
-use gridq::chaos::{FaultEvent, FaultPlan, PlanHook};
-use gridq::common::{NodeId, SimTime, Tuple};
-use gridq::engine::service::Service;
-use gridq::exec::socket::{
-    ScriptedAdaptation, ServiceResolver, SocketConfig, SocketExecutor, WireStageSpec,
+use gridq::chaos::oracle::log_conservation;
+use gridq::chaos::{
+    run_on, FaultEvent, FaultPlan, Knobs, PlanHook, Policy, RunSummary, Substrate, Workload,
 };
-use gridq::exec::{FailoverConfig, RetryPolicy, ThreadedConfig, ThreadedExecutor};
-use gridq::grid::{
-    GridEnvironment, NetworkModel, NodeSpec, Perturbation, PerturbationSchedule, ResourceRegistry,
-};
-use gridq::sim::{ExecutionReport, Simulation, SimulationConfig};
-use gridq::workload::experiments::{Q1Experiment, Q2Experiment};
-use gridq::workload::{protein_interactions, protein_sequences, EntropyAnalyser};
+use gridq::common::{NodeId, SimTime};
+use gridq::exec::{FailoverConfig, RetryPolicy};
+use gridq::obs::TimelineKind;
 
-fn multiset(tuples: &[Tuple]) -> Vec<String> {
-    let mut rows: Vec<String> = tuples.iter().map(|t| format!("{:?}", t.values())).collect();
-    rows.sort();
-    rows
+mod common;
+use common::{node_2_slow, q2, q2_r1, r1_knobs, r2_knobs, static_knobs};
+
+fn q1() -> Workload {
+    common::q1(600)
 }
 
-/// Builds the experiments' grid (data node 0, evaluators 1..=n) with an
-/// optional 10x cost perturbation on one evaluator node.
-fn env(evaluators: u32, perturbed: Option<NodeId>) -> GridEnvironment {
-    let mut registry = ResourceRegistry::new();
-    registry
-        .register(NodeSpec::data(NodeId::new(0), "datastore"))
-        .unwrap();
-    for i in 0..evaluators {
-        registry
-            .register(NodeSpec::compute(NodeId::new(i + 1), format!("eval{i}")))
-            .unwrap();
-    }
-    let mut env = GridEnvironment::new(registry, NetworkModel::lan_100mbps());
-    if let Some(node) = perturbed {
-        env.set_perturbation(
-            node,
-            PerturbationSchedule::constant(Perturbation::CostFactor(10.0)),
+/// Cross-substrate agreement, stated once: the same workload on each
+/// substrate returns `rows` rows, the first substrate's multiset on
+/// every other, and recovery logs that all balance.
+fn agree(
+    substrates: &[Substrate],
+    w: &Workload,
+    knobs: impl Fn(Substrate) -> Knobs,
+    rows: usize,
+) -> Vec<RunSummary> {
+    let runs: Vec<RunSummary> = substrates
+        .iter()
+        .map(|&s| run_on(s, w, &knobs(s)).unwrap_or_else(|e| panic!("{}: {e}", s.name())))
+        .collect();
+    for (s, run) in substrates.iter().zip(&runs) {
+        assert_eq!(run.results.len(), rows, "{}", s.name());
+        assert_eq!(
+            run.results,
+            runs[0].results,
+            "{} and {} disagree",
+            s.name(),
+            substrates[0].name()
         );
+        let audit = log_conservation(run);
+        assert!(audit.passed, "{}: {}", s.name(), audit.detail);
     }
-    env
+    runs
 }
 
-/// Runs a plan on the simulator with result collection enabled.
-fn run_sim(
-    catalog: gridq::engine::physical::Catalog,
-    plan: &gridq::engine::distributed::DistributedPlan,
-    mut config: SimulationConfig,
-    perturbed: Option<NodeId>,
-) -> ExecutionReport {
-    config.collect_results = true;
-    let sim = Simulation::new(env(2, perturbed), catalog, config).unwrap();
-    sim.run(plan).unwrap()
+fn recalls_finished(run: &RunSummary) -> usize {
+    let obs = run.obs.as_ref().expect("obs on by default");
+    obs.events
+        .iter()
+        .filter(|e| matches!(e.kind, TimelineKind::RecallFinish { .. }))
+        .count()
 }
 
-fn q1() -> Q1Experiment {
-    Q1Experiment {
-        tuples: 600,
-        ..Default::default()
-    }
-}
-
-/// A Q2 instance small enough for a sub-second threaded run; the probe
-/// and build costs mirror the threaded executor's in-crate recall test
-/// so the producers (not the evaluators) are the bottleneck and the
-/// recall has in-flight work to pause.
-fn q2() -> Q2Experiment {
-    Q2Experiment {
-        sequences: 60,
-        interactions: 300,
-        probe_cost_ms: 0.5,
-        build_cost_ms: 0.1,
-        receive_cost_ms: 1.0,
-        bucket_count: 16,
-        buffer_tuples: 10,
-        ..Default::default()
-    }
-}
-
-fn perturb_node_2() -> HashMap<NodeId, Perturbation> {
-    let mut perturbations = HashMap::new();
-    perturbations.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
-    perturbations
-}
-
-/// Resolver for the Q1 experiment's analysis service: spec names cross
-/// the wire, implementations are reconstructed locally.
-fn entropy_resolver() -> ServiceResolver {
-    Arc::new(|name: &str, cost_ms: f64| {
-        (name == "EntropyAnalyser")
-            .then(|| Arc::new(EntropyAnalyser::new(cost_ms)) as Arc<dyn Service>)
-    })
-}
-
-/// The wire form of Q1's `ServiceCallFactory`.
-fn q1_wire_spec(q1: &Q1Experiment) -> WireStageSpec {
-    WireStageSpec::ServiceCall {
-        input_schema: protein_sequences(1, q1.seq_len, q1.seed).schema().clone(),
-        service: "EntropyAnalyser".into(),
-        service_cost_ms: q1.ws_cost_ms,
-        arg_cols: vec![1],
-        output_name: "entropy".into(),
-        keep_input: false,
-    }
-}
-
-/// The wire form of Q2's `HashJoinFactory`.
-fn q2_wire_spec(q2: &Q2Experiment) -> WireStageSpec {
-    WireStageSpec::HashJoin {
-        build_schema: protein_sequences(1, q2.seq_len, q2.seed).schema().clone(),
-        probe_schema: protein_interactions(1, 1, q2.seed).schema().clone(),
-        build_key: 0,
-        probe_key: 0,
-        build_cost_ms: q2.build_cost_ms,
-        probe_cost_ms: q2.probe_cost_ms,
-    }
-}
+const IN_PROCESS: [Substrate; 2] = [Substrate::Sim, Substrate::Threaded];
 
 #[test]
 fn static_runs_agree_across_substrates() {
-    let q1 = q1();
-    let sim = run_sim(
-        q1.catalog(),
-        &q1.plan(),
-        q1.sim_config(AdaptivityConfig::disabled()),
-        None,
-    );
-    let threaded = ThreadedExecutor::new(
-        q1.catalog(),
-        ThreadedConfig {
-            adaptivity: AdaptivityConfig::disabled(),
-            cost_scale: 0.002,
-            ..Default::default()
-        },
-    )
-    .run(&q1.plan())
-    .unwrap();
-    assert_eq!(sim.results.len(), 600);
-    assert_eq!(multiset(&sim.results), multiset(&threaded.results));
+    agree(&IN_PROCESS, &q1(), |_| static_knobs(), 600);
 }
 
 #[test]
 fn prospective_r2_runs_agree_across_substrates() {
-    let q1 = q1();
-    let a1r2 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R2);
-    // Evaluator 1 (node 2) is perturbed 10x on both substrates.
-    let sim = run_sim(
-        q1.catalog(),
-        &q1.plan(),
-        q1.sim_config(a1r2.clone()),
-        Some(NodeId::new(2)),
-    );
-    let threaded = ThreadedExecutor::new(
-        q1.catalog(),
-        ThreadedConfig {
-            adaptivity: a1r2,
-            cost_scale: 0.01,
-            perturbations: perturb_node_2(),
-            receive_cost_ms: 1.0,
-            ..Default::default()
-        },
-    )
-    .run(&q1.plan())
-    .unwrap();
+    // The slow scan keeps the producer streaming for ~30 ms instead of
+    // ~6: the loop must decide from each partition's first M1s before
+    // routed/total passes the responder's 0.95 cut-off, and at ~6 ms a
+    // loaded host lost that race a few times in a hundred.
+    let w = node_2_slow(q1()).scan_cost_ms(&[5.0]);
+    // Rerouting future tuples must not change what the query returns.
+    let runs = agree(&IN_PROCESS, &w, |_| r2_knobs(), 600);
     assert!(
-        sim.adaptations_deployed >= 1,
+        runs[0].adaptations_deployed >= 1,
         "sim must adapt under the 10x imbalance"
     );
     assert!(
-        threaded.adaptations_deployed >= 1,
+        runs[1].adaptations_deployed >= 1,
         "threaded executor must adapt under the 10x imbalance"
     );
-    // Rerouting future tuples must not change what the query returns.
-    assert_eq!(sim.results.len(), 600);
-    assert_eq!(multiset(&sim.results), multiset(&threaded.results));
 }
 
 #[test]
 fn retrospective_r1_stateful_runs_agree_across_substrates() {
-    let q2 = q2();
-    // Slow probe scan so the threaded producers are still streaming when
-    // the imbalance is diagnosed (same shape as the in-crate recall
-    // test); scan costs never change result values.
-    let mut plan = q2.plan();
-    plan.sources[0].scan_cost_ms = 1.0;
-    plan.sources[1].scan_cost_ms = 10.0;
-    let a1r1 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1);
-
-    let sim = run_sim(
-        q2.catalog(),
-        &plan,
-        q2.sim_config(a1r1.clone()),
-        Some(NodeId::new(2)),
-    );
-    let threaded = ThreadedExecutor::new(
-        q2.catalog(),
-        ThreadedConfig {
-            adaptivity: a1r1,
-            cost_scale: 0.01,
-            perturbations: perturb_node_2(),
-            checkpoint_interval: 8,
-            ..Default::default()
-        },
-    )
-    .run(&plan)
-    .unwrap();
-    // Unperturbed static reference for the expected join output.
-    let baseline = ThreadedExecutor::new(
-        q2.catalog(),
-        ThreadedConfig {
-            adaptivity: AdaptivityConfig::disabled(),
-            cost_scale: 0.002,
-            ..Default::default()
-        },
-    )
-    .run(&q2.plan())
-    .unwrap();
-
-    assert_eq!(baseline.results.len(), 300);
-    assert_eq!(multiset(&baseline.results), multiset(&sim.results));
-    assert_eq!(multiset(&baseline.results), multiset(&threaded.results));
+    let w = q2_r1();
+    let sim = run_on(Substrate::Sim, &w, &r1_knobs(Substrate::Sim)).unwrap();
+    let threaded = w.run_threaded(&r1_knobs(Substrate::Threaded)).unwrap();
+    // Unperturbed static reference for the expected join output; scan
+    // costs never change result values.
+    let baseline = run_on(Substrate::Threaded, &q2(), &static_knobs()).unwrap();
 
     // The threaded run actually exercised the recall protocol, and its
     // recovery logs account for every recorded tuple: nothing was lost
     // (the probe log drains to zero unacknowledged entries) and nothing
-    // was duplicated (the multisets above are exactly the baseline).
+    // was duplicated (the multisets below are exactly the baseline).
     assert!(
         threaded.adaptations_deployed >= 1 && threaded.recalls_completed >= 1,
         "expected a completed retrospective recall: {threaded:?}"
@@ -253,6 +118,10 @@ fn retrospective_r1_stateful_runs_agree_across_substrates() {
         "probe log must drain: {:?}",
         threaded.log_audits[1]
     );
+
+    assert_eq!(baseline.results.len(), 300);
+    assert_eq!(baseline.results, sim.results);
+    assert_eq!(baseline.results, RunSummary::from(threaded).results);
 }
 
 /// Node-failure parity: killing an evaluator mid-run — a simulated node
@@ -262,33 +131,26 @@ fn retrospective_r1_stateful_runs_agree_across_substrates() {
 /// failover rerouting is exactly-once end to end on both substrates.
 #[test]
 fn node_failure_runs_match_the_unfaulted_reference() {
-    let q2 = q2();
-    let plan = q2.plan();
+    let w = q2();
 
     // Unfaulted threaded reference: the expected join output.
-    let reference = ThreadedExecutor::new(
-        q2.catalog(),
-        ThreadedConfig {
-            adaptivity: AdaptivityConfig::disabled(),
-            cost_scale: 0.002,
-            ..Default::default()
-        },
-    )
-    .run(&plan)
-    .unwrap();
+    let reference = run_on(Substrate::Threaded, &w, &static_knobs()).unwrap();
     assert_eq!(reference.results.len(), 300);
 
     // Simulator: evaluator node 2 dies halfway through the healthy run;
     // producers replay its unacknowledged log entries onto node 1.
-    let mut sim_config = q2.sim_config(AdaptivityConfig::disabled());
-    sim_config.collect_results = true;
-    let sim = Simulation::new(env(2, None), q2.catalog(), sim_config).unwrap();
-    let healthy = sim.run(&plan).unwrap();
+    let healthy = w.simulate(&Knobs::default()).unwrap();
     let fail_at = SimTime::from_millis(healthy.response_time_ms * 0.5);
-    let sim_failed = sim
-        .run_with_failures(&plan, &[(NodeId::new(2), fail_at)])
-        .unwrap();
-    assert_eq!(multiset(&reference.results), multiset(&sim_failed.results));
+    let sim_failed = run_on(
+        Substrate::Sim,
+        &w,
+        &Knobs {
+            node_failures: vec![(NodeId::new(2), fail_at)],
+            ..Knobs::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(reference.results, sim_failed.results);
 
     // Threaded executor: consumer 1 is killed on its 10th received
     // message; the heartbeat/lease detector declares it dead and the
@@ -297,10 +159,9 @@ fn node_failure_runs_match_the_unfaulted_reference() {
         seed: 0,
         events: vec![FaultEvent::CrashConsumer { worker: 1, nth: 10 }],
     };
-    let threaded = ThreadedExecutor::new(
-        q2.catalog(),
-        ThreadedConfig {
-            adaptivity: AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1),
+    let threaded = w
+        .run_threaded(&Knobs {
+            adaptivity: Policy::R1.adaptivity(),
             cost_scale: 0.002,
             checkpoint_interval: 8,
             chaos: Some(Arc::new(PlanHook::new(&crash))),
@@ -314,11 +175,9 @@ fn node_failure_runs_match_the_unfaulted_reference() {
                 heartbeat_ms: 20,
                 lease_ms: 300,
             },
-            ..Default::default()
-        },
-    )
-    .run(&plan)
-    .unwrap();
+            ..Knobs::default()
+        })
+        .unwrap();
     assert_eq!(threaded.nodes_failed, 1, "one death detected: {threaded:?}");
     assert!(
         threaded.failovers_completed >= 1,
@@ -328,42 +187,24 @@ fn node_failure_runs_match_the_unfaulted_reference() {
         threaded.delivery_gaps.is_empty(),
         "replay + retransmission loses nothing: {threaded:?}"
     );
-    assert_eq!(multiset(&reference.results), multiset(&threaded.results));
     for audit in &threaded.log_audits {
         assert!(audit.conserved(), "log audit must balance: {audit:?}");
     }
+    assert_eq!(reference.results, RunSummary::from(threaded).results);
 }
 
 /// Static three-way parity: the same Q1 plan over the simulator, the
 /// threaded executor, and real socket connections returns one multiset.
 #[test]
 fn socket_static_run_agrees_with_both_in_process_substrates() {
-    let q1 = q1();
-    let sim = run_sim(
-        q1.catalog(),
-        &q1.plan(),
-        q1.sim_config(AdaptivityConfig::disabled()),
-        None,
-    );
-    let threaded = ThreadedExecutor::new(
-        q1.catalog(),
-        ThreadedConfig {
-            adaptivity: AdaptivityConfig::disabled(),
-            cost_scale: 0.002,
-            ..Default::default()
-        },
-    )
-    .run(&q1.plan())
-    .unwrap();
-    let mut config = SocketConfig::new(q1_wire_spec(&q1), entropy_resolver());
-    config.cost_scale = 0.002;
-    let socket = SocketExecutor::new(q1.catalog(), config)
-        .run(&q1.plan())
-        .unwrap();
+    let w = q1();
+    let runs = agree(&IN_PROCESS, &w, |_| static_knobs(), 600);
+    let socket = w.run_socket(&static_knobs()).unwrap();
     assert_eq!(socket.results.len(), 600);
     assert_eq!(socket.reconnects, 0, "healthy run: {socket:?}");
-    assert_eq!(multiset(&sim.results), multiset(&socket.results));
-    assert_eq!(multiset(&threaded.results), multiset(&socket.results));
+    let socket = RunSummary::from(socket);
+    assert_eq!(runs[0].results, socket.results);
+    assert_eq!(runs[1].results, socket.results);
 }
 
 /// Prospective parity: a mid-run routing swap over the wire must not
@@ -371,44 +212,12 @@ fn socket_static_run_agrees_with_both_in_process_substrates() {
 /// in-process substrates (whose swap the control loop triggers).
 #[test]
 fn socket_prospective_swap_agrees_with_r2_on_both_substrates() {
-    let q1 = q1();
-    let a1r2 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R2);
-    let sim = run_sim(
-        q1.catalog(),
-        &q1.plan(),
-        q1.sim_config(a1r2.clone()),
-        Some(NodeId::new(2)),
-    );
-    let threaded = ThreadedExecutor::new(
-        q1.catalog(),
-        ThreadedConfig {
-            adaptivity: a1r2,
-            cost_scale: 0.01,
-            perturbations: perturb_node_2(),
-            receive_cost_ms: 1.0,
-            ..Default::default()
-        },
-    )
-    .run(&q1.plan())
-    .unwrap();
-    let mut config = SocketConfig::new(q1_wire_spec(&q1), entropy_resolver());
-    config.cost_scale = 0.01;
-    config.perturbations = perturb_node_2();
-    config.adaptations = vec![ScriptedAdaptation {
-        after_routed: 150,
-        weights: vec![0.9, 0.1],
-        retrospective: false,
-    }];
-    let socket = SocketExecutor::new(q1.catalog(), config)
-        .run(&q1.plan())
-        .unwrap();
+    let runs = agree(&Substrate::ALL, &node_2_slow(q1()), |_| r2_knobs(), 600);
     assert_eq!(
-        socket.adaptations_deployed, 1,
-        "the scripted swap must deploy: {socket:?}"
+        runs[2].adaptations_deployed, 1,
+        "the scripted swap must deploy: {:?}",
+        runs[2]
     );
-    assert_eq!(socket.results.len(), 600);
-    assert_eq!(multiset(&sim.results), multiset(&socket.results));
-    assert_eq!(multiset(&threaded.results), multiset(&socket.results));
 }
 
 /// Retrospective stateful parity: a drain–migrate–resume recall over
@@ -417,44 +226,9 @@ fn socket_prospective_swap_agrees_with_r2_on_both_substrates() {
 /// exactly, matching the R1 runs on both in-process substrates.
 #[test]
 fn socket_retrospective_recall_agrees_with_r1_on_both_substrates() {
-    let q2 = q2();
-    let mut plan = q2.plan();
-    plan.sources[0].scan_cost_ms = 1.0;
-    plan.sources[1].scan_cost_ms = 10.0;
-    let a1r1 = AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1);
-    let sim = run_sim(
-        q2.catalog(),
-        &plan,
-        q2.sim_config(a1r1.clone()),
-        Some(NodeId::new(2)),
-    );
-    let threaded = ThreadedExecutor::new(
-        q2.catalog(),
-        ThreadedConfig {
-            adaptivity: a1r1,
-            cost_scale: 0.01,
-            perturbations: perturb_node_2(),
-            checkpoint_interval: 8,
-            ..Default::default()
-        },
-    )
-    .run(&plan)
-    .unwrap();
-    let mut config = SocketConfig::new(q2_wire_spec(&q2), entropy_resolver());
-    // The slow probe scan (10 ms model) at this scale keeps producers
-    // streaming for ~150 ms; the scripted recall triggers a third of
-    // the way in, so there is live state and in-flight work to migrate.
-    config.cost_scale = 0.05;
-    config.checkpoint_interval = 8;
-    config.perturbations = perturb_node_2();
-    config.adaptations = vec![ScriptedAdaptation {
-        after_routed: 150,
-        weights: vec![0.25, 0.75],
-        retrospective: true,
-    }];
-    let socket = SocketExecutor::new(q2.catalog(), config)
-        .run(&plan)
-        .unwrap();
+    let w = q2_r1();
+    let runs = agree(&IN_PROCESS, &w, r1_knobs, 300);
+    let socket = w.run_socket(&r1_knobs(Substrate::Socket)).unwrap();
     assert_eq!(
         socket.recalls_completed, 1,
         "the scripted recall must complete: {socket:?}"
@@ -464,9 +238,56 @@ fn socket_retrospective_recall_agrees_with_r1_on_both_substrates() {
         "a recall at these weights moves build state: {socket:?}"
     );
     assert_eq!(socket.results.len(), 300);
-    assert_eq!(multiset(&sim.results), multiset(&socket.results));
-    assert_eq!(multiset(&threaded.results), multiset(&socket.results));
     for audit in &socket.log_audits {
         assert!(audit.conserved(), "log audit must balance: {audit:?}");
     }
+    let socket = RunSummary::from(socket);
+    assert_eq!(runs[0].results, socket.results);
+    assert_eq!(runs[1].results, socket.results);
+}
+
+/// The three cells above as one statement each: a workload and its
+/// knobs, handed to all three substrates in a single call.
+#[test]
+fn every_substrate_agrees_on_the_static_r2_and_r1_workloads() {
+    let runs = agree(&Substrate::ALL, &q1(), |_| static_knobs(), 600);
+    assert!(
+        runs.iter().all(|r| r.adaptations_deployed == 0),
+        "static runs deploy nothing: {runs:?}"
+    );
+
+    let w = node_2_slow(q1()).scan_cost_ms(&[5.0]);
+    let runs = agree(&Substrate::ALL, &w, |_| r2_knobs(), 600);
+    for (s, run) in Substrate::ALL.iter().zip(&runs) {
+        assert!(
+            run.adaptations_deployed >= 1,
+            "{} must adapt under the 10x imbalance",
+            s.name()
+        );
+    }
+
+    let runs = agree(&Substrate::ALL, &q2_r1(), r1_knobs, 300);
+    let baseline = run_on(Substrate::Threaded, &q2(), &static_knobs()).unwrap();
+    assert_eq!(baseline.results, runs[0].results);
+    let [_, threaded, socket] = &runs[..] else {
+        unreachable!("three substrates ran")
+    };
+    assert!(
+        threaded.adaptations_deployed >= 1 && recalls_finished(threaded) >= 1,
+        "expected a completed retrospective recall: {threaded:?}"
+    );
+    assert_eq!(threaded.log_audits.len(), 2);
+    assert_eq!(
+        threaded.log_audits[1].unacked, 0,
+        "probe log must drain: {:?}",
+        threaded.log_audits[1]
+    );
+    assert_eq!(
+        socket.adaptations_deployed, 1,
+        "the scripted recall must complete: {socket:?}"
+    );
+    assert!(
+        socket.state_tuples_migrated >= 1,
+        "a recall at these weights moves build state: {socket:?}"
+    );
 }
