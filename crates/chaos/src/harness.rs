@@ -325,6 +325,7 @@ impl From<ExecutionReport> for RunSummary {
             nodes_failed: report.nodes_failed,
             final_distribution: report.final_distribution,
             obs: report.obs,
+            ..RunSummary::default()
         }
     }
 }
@@ -343,6 +344,8 @@ impl From<ThreadedReport> for RunSummary {
             nodes_failed: report.nodes_failed,
             final_distribution: report.final_distribution,
             obs: report.obs,
+            recall_blocks: report.recall_blocks,
+            largest_frame_bytes: report.largest_frame_bytes,
         }
     }
 }
@@ -458,6 +461,69 @@ mod tests {
             |r| &mut r.results,
             |r| &mut r.log_audits,
         );
+    }
+
+    /// The frame bound at its edge: a socket run whose per-worker
+    /// results and surrendered state are each many blocks. No sequenced
+    /// payload may outgrow one block of tuples (the parent shipped each
+    /// worker's results, and its surrendered state, as one frame that
+    /// grew with the query, towards `gridq_net::frame::MAX_PAYLOAD`), and
+    /// the recall moves its tuples in blocks, not one frame each.
+    #[test]
+    fn a_recall_moves_blocks_and_no_frame_outgrows_one() {
+        let shape = JoinShape {
+            scan_cost_ms: [0.2, 1.0],
+            ..JoinShape::default()
+        };
+        let (build, probe) = (4000, 400);
+        let w = Workload::join(("build", build), ("probe", probe), &shape);
+        let knobs = Knobs {
+            script: vec![ScriptedAdaptation {
+                after_routed: 2000,
+                weights: vec![0.25, 0.75],
+                retrospective: true,
+            }],
+            cost_scale: 0.002,
+            ..Knobs::default()
+        };
+        let run = run_on(Substrate::Socket, &w, &knobs).unwrap();
+        assert_eq!(run.results.len(), probe, "every probe joins one build row");
+        assert_eq!(run.adaptations_deployed, 1);
+        assert!(run.log_audits.iter().all(LogAudit::conserved));
+        let block = shape.buffer_tuples as u64;
+        let partitions = shape.evaluators as u64;
+        assert!(
+            run.state_tuples_migrated > 20 * block,
+            "the surrendered state must be many blocks: {}",
+            run.state_tuples_migrated
+        );
+        assert!(
+            probe as u64 / partitions > 10 * block,
+            "so must the results"
+        );
+        // One block of single-integer tuples: under 32 bytes an entry
+        // (stream, source, arity, tagged value, sequence number), plus
+        // tag, counts and a marker or two. CONFIG, the largest frame that
+        // carries no tuples, is smaller.
+        let frame_bound = 64 + 32 * block;
+        assert!(
+            (1..=frame_bound).contains(&run.largest_frame_bytes),
+            "largest frame {} bytes, bound {frame_bound}",
+            run.largest_frame_bytes
+        );
+        // What the workers surrendered is the migrated state plus at most
+        // every probe row (held probes, moved or kept); it crosses twice —
+        // STATE_OUT in, MIGRATED out — each way in whole blocks plus one
+        // partial block per partition.
+        let moved = run.state_tuples_migrated + probe as u64;
+        let blocks_bound = 2 * (moved.div_ceil(block) + partitions);
+        assert!(
+            (1..=blocks_bound).contains(&run.recall_blocks),
+            "{} recall blocks for {moved} tuples, bound {blocks_bound}",
+            run.recall_blocks
+        );
+        // One frame a tuple, as before, would have been at least this many.
+        assert!(blocks_bound < run.state_tuples_migrated);
     }
 
     #[test]

@@ -82,6 +82,11 @@ pub struct RunSummary {
     pub final_distribution: Vec<f64>,
     /// Observability snapshot, when the obs layer was enabled.
     pub obs: Option<ObsReport>,
+    /// Blocks of tuples recalls and failovers moved outside the data
+    /// plane (real substrates; see `ThreadedReport::recall_blocks`).
+    pub recall_blocks: u64,
+    /// Largest sequenced frame payload in bytes (sockets only).
+    pub largest_frame_bytes: u64,
 }
 
 /// Oracle 1: the faulted run lost and duplicated nothing.

@@ -71,6 +71,7 @@ pub use failover::{DeliveryGap, FailoverConfig, RetryPolicy};
 use protocol::consumer::{Consumer, ConsumerOut, M1Sample};
 use protocol::coordinator::{Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget};
 use protocol::producer::{BlockSink, Producer, ProducerSpec, RetryStep};
+use protocol::reroute::{LogMoves, Regroup};
 use protocol::{collapse_duplicate_results, validate_knobs, Block, Exchange, Routed};
 use recall::{GateTransport, ProducerGuard, RecallGate, WorkerCommands};
 pub use service::{
@@ -245,6 +246,17 @@ pub struct ThreadedReport {
     /// threads, 0 on a healthy socket run (`conn_drop` chaos drives it
     /// up).
     pub reconnects: u64,
+    /// Blocks of tuples that recalls and failovers moved outside the data
+    /// plane — re-delivered to their new owners and, on sockets,
+    /// surrendered to the coordinator first — each at most the
+    /// exchange's `buffer_tuples` long: a recall costs
+    /// ⌈moved / `buffer_tuples`⌉ of them plus at most one partial block
+    /// per partition, not one message per tuple.
+    pub recall_blocks: u64,
+    /// The largest sequenced frame payload any worker link carried, in
+    /// bytes; 0 on threads. Bounded by one block of tuples, never by the
+    /// size of the query.
+    pub largest_frame_bytes: u64,
 }
 
 /// What travels in a threaded data ring: a block, or the end of one
@@ -284,14 +296,15 @@ pub(crate) enum Msg {
     /// Recall migration command: hand over the state of the outgoing
     /// buckets and every held tuple, then reply `MigrateDone`.
     Migrate(MigrateCmd),
-    /// A tuple re-delivered by the recall protocol (migrated operator
-    /// state, a recalled held tuple, a forwarded stray, a failover
-    /// replay). Not logged again: the barrier plus direct channel carry
-    /// the exactly-once guarantee.
-    Migrated(Routed),
+    /// A block of tuples re-delivered by the recall protocol (migrated
+    /// operator state, recalled held tuples, a failover replay; a
+    /// forwarded stray is a block of one), at most the exchange's
+    /// `buffer_tuples` long. Not logged again: the barrier plus direct
+    /// channel carry the exactly-once guarantee.
+    Migrated(Vec<Routed>),
     /// Surrendered state routed straight back to the worker that
     /// extracted it: re-inserted raw, uncounted.
-    Reinsert(Routed),
+    Reinsert(Vec<Routed>),
 }
 
 /// How the coordinator commands workers on either substrate: a message
@@ -307,11 +320,11 @@ impl<C: From<Msg>> WorkerCommands for Commands<C> {
         self.0[worker].send(Msg::Migrate(cmd).into());
     }
 
-    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool) {
+    fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool) {
         let msg = if reinsert {
-            Msg::Reinsert(entry)
+            Msg::Reinsert(block)
         } else {
-            Msg::Migrated(entry)
+            Msg::Migrated(block)
         };
         self.0[dest].send(msg.into());
     }
@@ -550,7 +563,7 @@ impl ConsumerOut for ThreadedOut {
         if owner == self.index {
             return Some(tuple);
         }
-        self.peers[owner].send(Msg::Migrated((stream, source, tuple)));
+        self.peers[owner].send(Msg::Migrated(vec![(stream, source, tuple)]));
         None
     }
 
@@ -653,16 +666,27 @@ impl ConsumerThread {
             }
             Msg::Migrate(cmd) => {
                 // This consumer shares the router, so it re-routes what
-                // it surrenders itself.
+                // it surrenders itself: the log first, then one block at
+                // a time to each new owner.
                 let entries = self.consumer.surrender(cmd.bucket_count, &cmd.outgoing);
-                let (consumer, out) = (&mut self.consumer, &self.out);
-                let (state_moved, recalled) = out.x.reroute(out.index, entries, |owner, entry| {
-                    if owner == out.index {
-                        consumer.take_back(entry);
-                    } else {
-                        out.peers[owner].send(Msg::Migrated(entry));
-                    }
-                });
+                let x = &self.out.x;
+                let mut moves = LogMoves::default();
+                let mut blocks = Regroup::new(x, x.partitions);
+                let (mut kept, mut sends) = (Vec::new(), Vec::new());
+                let (state_moved, recalled) =
+                    x.reroute(self.out.index, entries, &mut moves, |owner, entry| {
+                        if owner == self.out.index {
+                            kept.push(entry);
+                        } else {
+                            sends.extend(blocks.push(owner, entry).map(|b| (owner, b)));
+                        }
+                    });
+                sends.extend(blocks.finish());
+                x.settle(moves);
+                self.consumer.take_back(kept);
+                for (owner, block) in sends {
+                    self.out.peers[owner].send(Msg::Migrated(block));
+                }
                 self.reply(
                     RecallPhase::Migrate,
                     RecallReply::MigrateDone {
@@ -672,8 +696,8 @@ impl ConsumerThread {
                     },
                 );
             }
-            Msg::Migrated(entry) => self.consumer.on_migrated(entry, &mut self.out),
-            Msg::Reinsert(entry) => self.consumer.take_back(entry),
+            Msg::Migrated(block) => self.consumer.on_migrated(block, &mut self.out),
+            Msg::Reinsert(block) => self.consumer.take_back(block),
         }
         Step::Continue
     }
@@ -685,8 +709,9 @@ impl ConsumerThread {
                 // A clean exit is not a death: retire the lease.
                 let _ = self.out.raw.send(Raw::Done(self.out.index));
             }
-            let results = self.consumer.take_results();
-            self.out.results(results);
+            // Whatever a run that ended without its last end-of-stream
+            // (every sender gone) still holds.
+            self.consumer.flush_results(true, &mut self.out);
         }
         let _ = self.out.events.send(WorkerEvent::Done {
             worker: self.out.index,
@@ -1769,6 +1794,8 @@ impl Run<'_> {
             final_distribution,
             obs: obs.as_ref().map(Obs::report),
             reconnects: 0,
+            recall_blocks: tallies.recall_blocks.load(Ordering::Relaxed),
+            largest_frame_bytes: 0,
         })
     }
 }
@@ -1910,7 +1937,7 @@ mod tests {
             });
         }
 
-        fn redeliver(&mut self, dest: usize, _entry: Routed, _reinsert: bool) {
+        fn redeliver(&mut self, dest: usize, _block: Vec<Routed>, _reinsert: bool) {
             self.log.lock().push(format!("redeliver {dest}"));
         }
     }

@@ -1,7 +1,9 @@
 //! The consumer half of the protocol: two-level dedup, acked-marker
 //! shadowing, held probes and deferred probe acks, end-of-build replay,
 //! `Migrate` surrender, `Migrated` re-delivery, M1 stride batching and
-//! per-source end-of-stream accounting.
+//! per-source end-of-stream accounting. Results leave in batches of at
+//! most the exchange's `buffer_tuples`, as soon as one is pending: a
+//! consumer never accumulates its whole output.
 //!
 //! The driver owns the transport (an inbox over rings and a control
 //! channel, or one FIFO link), the crash seam and the idle wait; it feeds
@@ -34,7 +36,8 @@ pub(crate) trait ConsumerOut {
     /// already-acked marker id shadows its tuples; the filter converges
     /// either way).
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool;
-    /// Hands a batch of result tuples downstream.
+    /// Hands a batch of result tuples downstream: never empty, at most
+    /// [`ConsumerSpec::block_tuples`] long.
     fn results(&mut self, batch: Vec<Tuple>);
     /// A fresh tuple from a retransmitted block under hash routing: its
     /// bucket may have moved since the window closed. Returns the tuple
@@ -75,6 +78,8 @@ pub(crate) struct ConsumerSpec {
     pub(crate) eos_needed: usize,
     pub(crate) build_eos_needed: usize,
     pub(crate) build_source: Option<usize>,
+    /// The exchange's `buffer_tuples`: the size of a result batch.
+    pub(crate) block_tuples: usize,
 }
 
 pub(crate) struct Consumer {
@@ -153,9 +158,21 @@ impl Consumer {
         self.dedup.peak()
     }
 
-    /// The results not yet handed downstream.
-    pub(crate) fn take_results(&mut self) -> Vec<Tuple> {
-        std::mem::take(&mut self.out)
+    /// The most tuples one block carries off the data plane (a result
+    /// batch, a surrendered `STATE_OUT` block): the exchange's
+    /// `buffer_tuples`, at least one.
+    pub(crate) fn block_tuples(&self) -> usize {
+        self.spec.block_tuples.max(1)
+    }
+
+    /// Hands the pending results downstream in batches of at most a
+    /// block: every whole block, and with `all` the partial tail too.
+    pub(crate) fn flush_results<O: ConsumerOut>(&mut self, all: bool, out: &mut O) {
+        let block = self.block_tuples();
+        while self.out.len() >= block || (all && !self.out.is_empty()) {
+            let n = block.min(self.out.len());
+            out.results(self.out.drain(..n).collect());
+        }
     }
 
     /// The driver spent `ms` real milliseconds waiting for input; feeds
@@ -206,6 +223,7 @@ impl Consumer {
         }
         self.outputs_total += outcome.outputs.len() as u64;
         self.out.extend(outcome.outputs);
+        self.flush_results(false, out);
         if self.m1_stride.is_some() {
             self.batch += 1;
             self.batch_cost += model_cost;
@@ -253,8 +271,8 @@ impl Consumer {
         if !self.spec.logging {
             return;
         }
-        if self.spec.resilient && !self.out.is_empty() {
-            out.results(std::mem::take(&mut self.out));
+        if self.spec.resilient {
+            self.flush_results(true, out);
         }
         if out.ack(source, cp, epoch) && self.spec.resilient {
             self.dedup.window_acked(source, cp.id);
@@ -361,8 +379,8 @@ impl Consumer {
     /// block that source shipped). Completing the build phase replays
     /// the held probes and releases their deferred acks. Returns `true`
     /// exactly once, when the last stream ends: the tail M1 is out, the
-    /// debt is paid, and the driver should collect
-    /// [`Consumer::take_results`] and report completion.
+    /// results are all handed downstream, the debt is paid, and the
+    /// driver should report completion.
     pub(crate) fn on_eos<O: ConsumerOut>(&mut self, stream: StreamTag, out: &mut O) -> bool {
         self.eos_seen += 1;
         if stream == StreamTag::Build {
@@ -396,6 +414,7 @@ impl Consumer {
         // Flush the partial tail batch before the monitoring record goes
         // quiet.
         self.emit_m1(true, out);
+        self.flush_results(true, out);
         self.pay_due(out);
         true
     }
@@ -421,32 +440,33 @@ impl Consumer {
         entries
     }
 
-    /// A surrendered entry the re-route routine assigned straight back:
+    /// Surrendered entries the re-route routine assigned straight back:
     /// a held probe is held again; state is re-inserted raw, uncounted
     /// (outgoing buckets route away by construction — this is the
     /// defensive path).
-    pub(crate) fn take_back(&mut self, (stream, source, tuple): Routed) {
-        if stream == StreamTag::Probe {
-            self.held_probes.push((source, tuple));
-        } else {
-            let _ = self.evaluator.process(stream, &tuple);
+    pub(crate) fn take_back(&mut self, block: Vec<Routed>) {
+        for (stream, source, tuple) in block {
+            if stream == StreamTag::Probe {
+                self.held_probes.push((source, tuple));
+            } else {
+                let _ = self.evaluator.process(stream, &tuple);
+            }
         }
     }
 
-    /// A tuple re-delivered by the recall protocol (migrated operator
-    /// state, a recalled held probe, a forwarded stray, a failover
-    /// replay). Recorded but always processed: bucket ping-pong
+    /// A block of tuples re-delivered by the recall protocol (migrated
+    /// operator state, recalled held probes, a forwarded stray, a
+    /// failover replay). Recorded but always processed: bucket ping-pong
     /// legitimately re-delivers a seq, and the recall barrier already
-    /// guarantees exactly-once for this path.
-    pub(crate) fn on_migrated<O: ConsumerOut>(
-        &mut self,
-        (stream, source, tuple): Routed,
-        out: &mut O,
-    ) {
-        if self.spec.resilient {
-            self.dedup.note_delivered(source, tuple.seq());
+    /// guarantees exactly-once for this path. The modelled cost is paid
+    /// once for the block, like a data block's.
+    pub(crate) fn on_migrated<O: ConsumerOut>(&mut self, block: Vec<Routed>, out: &mut O) {
+        for (stream, source, tuple) in block {
+            if self.spec.resilient {
+                self.dedup.note_delivered(source, tuple.seq());
+            }
+            self.hold_or_process(stream, source, tuple, out);
         }
-        self.hold_or_process(stream, source, tuple, out);
         self.pay_due(out);
     }
 }

@@ -10,7 +10,10 @@
 //! 3. **Swap.** The routing table is swapped under quiescence and the
 //!    buckets each old owner must surrender are computed.
 //! 4. **Migrate.** Each consumer surrenders that state (and its held
-//!    probes) to the re-route routine and replies `MigrateDone`.
+//!    probes) to the re-route routine and replies `MigrateDone`. What it
+//!    surrenders is re-delivered in blocks of the exchange's
+//!    `buffer_tuples` per new owner, and the log bookkeeping is settled
+//!    once per (source, old owner → new owner) before the resume.
 //! 5. **Resume.** The gate epoch is bumped; the released producers notice
 //!    and restage their unsent buffers.
 //!
@@ -19,6 +22,9 @@
 
 use gridq_common::{DistributionVector, RecallPhase};
 
+use gridq_engine::evaluator::StreamTag;
+
+use super::reroute::{LogMoves, Regroup};
 use super::{Exchange, Routed};
 
 /// A worker's answer to a recall command. `token` identifies the recall
@@ -36,9 +42,10 @@ pub(crate) enum RecallReply {
         state_moved: u64,
         recalled: u64,
     },
-    /// State and held probes surrendered by a worker that has no router;
-    /// sent ahead of its `MigrateDone` on the same FIFO channel, so
-    /// barrier completion implies all of it was re-routed.
+    /// One block of the state and held probes surrendered by a worker
+    /// that has no router; sent ahead of its `MigrateDone` on the same
+    /// FIFO channel, so barrier completion implies all of it was
+    /// re-routed.
     Surrendered { worker: usize, entries: Vec<Routed> },
 }
 
@@ -70,10 +77,11 @@ pub(crate) trait RecallTransport {
     fn drain(&mut self, worker: usize, token: u64) -> bool;
     /// Sends `worker` its `Migrate` command.
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd);
-    /// Re-delivers a tuple to `dest` outside the data plane. `reinsert`
+    /// Re-delivers a block of tuples (at most the exchange's
+    /// `buffer_tuples`) to `dest` outside the data plane. `reinsert`
     /// marks state going straight back to the worker that surrendered
     /// it: inserted raw, uncounted.
-    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool);
+    fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool);
     /// Starts the time-out for one round of replies.
     fn arm_deadline(&mut self);
     /// The next reply, or `None` once the deadline armed last has passed
@@ -122,6 +130,35 @@ pub(crate) enum RecallOutcome {
 pub(crate) struct Coordinator {
     x: Exchange,
     token: u64,
+}
+
+/// What a hand-over has routed but not yet sent or settled: partial
+/// re-delivery blocks per `(owner, reinsert)` and the log bookkeeping.
+struct Handover {
+    blocks: Regroup,
+    moves: LogMoves,
+}
+
+impl Handover {
+    fn new(x: &Exchange) -> Self {
+        Handover {
+            blocks: Regroup::new(x, 2 * x.partitions),
+            moves: LogMoves::default(),
+        }
+    }
+
+    /// The `Regroup` key of the re-delivery stream to `owner`.
+    fn key(owner: usize, reinsert: bool) -> usize {
+        2 * owner + usize::from(reinsert)
+    }
+
+    /// Settles the log, then sends the partial blocks.
+    fn finish<T: RecallTransport>(mut self, x: &Exchange, t: &mut T) {
+        x.settle(self.moves);
+        for (key, block) in self.blocks.finish() {
+            t.redeliver(key / 2, block, key % 2 == 1);
+        }
+    }
 }
 
 impl Coordinator {
@@ -240,8 +277,10 @@ impl Coordinator {
 
     /// Collects one matching reply per worker for attempt `token`,
     /// dropping stale replies from aborted attempts and re-routing any
-    /// surrendered state on the way. Returns the summed
-    /// `(state_moved, recalled)`, or `None` on time-out.
+    /// surrendered state on the way: whole blocks leave as they fill,
+    /// the rest (and the log bookkeeping) when the round ends, either
+    /// way. Returns the summed `(state_moved, recalled)`, or `None` on
+    /// time-out.
     fn collect<T: RecallTransport>(
         &mut self,
         t: &mut T,
@@ -250,9 +289,11 @@ impl Coordinator {
         phase: RecallPhase,
     ) -> Option<(u64, u64)> {
         t.arm_deadline();
+        let mut handover = Handover::new(&self.x);
         let (mut got, mut moved_total, mut recalled_total) = (0usize, 0u64, 0u64);
         while got < need {
-            match t.next_reply()? {
+            let Some(reply) = t.next_reply() else { break };
+            match reply {
                 RecallReply::Drained { token: tk } => {
                     got += usize::from(phase == RecallPhase::Drain && tk == token);
                 }
@@ -268,28 +309,45 @@ impl Coordinator {
                     }
                 }
                 RecallReply::Surrendered { worker, entries } => {
-                    let (m, r) = self.surrendered(worker, entries, t);
+                    let (m, r) = self.route_surrendered(worker, entries, &mut handover, t);
                     moved_total += m;
                     recalled_total += r;
                 }
             }
         }
-        Some((moved_total, recalled_total))
+        handover.finish(&self.x, t);
+        (got == need).then_some((moved_total, recalled_total))
     }
 
-    /// Re-routes a batch a router-less worker surrendered. Also called
-    /// by the driver outside any recall: a barrier that timed out may
-    /// still deliver its state, and dropping it would lose real tuples.
+    fn route_surrendered<T: RecallTransport>(
+        &self,
+        worker: usize,
+        entries: Vec<Routed>,
+        handover: &mut Handover,
+        t: &mut T,
+    ) -> (u64, u64) {
+        let Handover { blocks, moves } = handover;
+        self.x.reroute(worker, entries, moves, |owner, entry| {
+            let reinsert = owner == worker && entry.0 != StreamTag::Probe;
+            if let Some(block) = blocks.push(Handover::key(owner, reinsert), entry) {
+                t.redeliver(owner, block, reinsert);
+            }
+        })
+    }
+
+    /// Re-routes a block a router-less worker surrendered outside any
+    /// recall's collection: a barrier that timed out may still deliver
+    /// its state, and dropping it would lose real tuples.
     pub(crate) fn surrendered<T: RecallTransport>(
         &self,
         worker: usize,
         entries: Vec<Routed>,
         t: &mut T,
     ) -> (u64, u64) {
-        self.x.reroute(worker, entries, |owner, entry| {
-            let reinsert = owner == worker && entry.0 != gridq_engine::evaluator::StreamTag::Probe;
-            t.redeliver(owner, entry, reinsert);
-        })
+        let mut handover = Handover::new(&self.x);
+        let counts = self.route_surrendered(worker, entries, &mut handover, t);
+        handover.finish(&self.x, t);
+        counts
     }
 
     /// Replays the dead partition's surviving log entries to their new
@@ -301,6 +359,9 @@ impl Coordinator {
         order.sort_by_key(|&s| usize::from(Some(s) != self.x.build_source));
         let fallback = live.first().copied().unwrap_or(0);
         let mut replayed = 0u64;
+        // Grouped per new owner in replay order, so each owner's build
+        // entries still precede its probe entries.
+        let mut blocks = Regroup::new(&self.x, self.x.partitions);
         for s in order {
             for (stream, tuple) in logs[s].drain_dest(dead as u32).unwrap_or_default() {
                 let routed = self.x.router.lock().route(stream, &tuple);
@@ -318,8 +379,13 @@ impl Coordinator {
                 // retransmissions of already-replayed tuples collapse in
                 // the consumers' dedup filter.
                 let _ = logs[s].record_replayed(dest as u32, (stream, tuple.clone()));
-                t.redeliver(dest, (stream, s, tuple), false);
+                if let Some(block) = blocks.push(dest, (stream, s, tuple)) {
+                    t.redeliver(dest, block, false);
+                }
             }
+        }
+        for (dest, block) in blocks.finish() {
+            t.redeliver(dest, block, false);
         }
         replayed
     }

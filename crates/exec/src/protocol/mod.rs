@@ -16,7 +16,7 @@ pub(crate) mod consumer;
 pub(crate) mod coordinator;
 pub(crate) mod dedup;
 pub(crate) mod producer;
-mod reroute;
+pub(crate) mod reroute;
 
 use std::collections::HashSet;
 use std::sync::atomic::AtomicU64;
@@ -110,6 +110,10 @@ pub(crate) struct Tallies {
     /// Block pushes that failed because the destination was gone,
     /// counted in tuples.
     pub(crate) send_failures: AtomicU64,
+    /// Blocks of tuples recalls and failovers moved outside the data
+    /// plane: surrendered by router-less workers and re-delivered to
+    /// their owners.
+    pub(crate) recall_blocks: AtomicU64,
     pub(crate) gaps: Mutex<Vec<DeliveryGap>>,
 }
 
@@ -130,6 +134,12 @@ pub(crate) struct Exchange {
     pub(crate) build_source: Option<usize>,
     /// How many sources feed the build stream.
     pub(crate) build_sources: usize,
+    /// How many partitions the stage runs on.
+    pub(crate) partitions: usize,
+    /// The exchange's `buffer_tuples`: the most tuples any block carries,
+    /// on the data plane and off it (re-delivery, surrendered state,
+    /// results handed downstream).
+    pub(crate) block_tuples: usize,
     pub(crate) tallies: Arc<Tallies>,
 }
 
@@ -198,6 +208,8 @@ impl Exchange {
                 .iter()
                 .position(|s| s.stream == StreamTag::Build),
             build_sources,
+            partitions,
+            block_tuples: stage.exchange.buffer_tuples.max(1),
             tallies: Arc::new(Tallies::default()),
         })
     }
@@ -267,6 +279,7 @@ impl Exchange {
             eos_needed: sources,
             build_eos_needed: self.build_sources,
             build_source: self.build_source,
+            block_tuples: self.block_tuples,
         }
     }
 }
@@ -498,7 +511,8 @@ mod tests {
         replies: VecDeque<RecallReply>,
         drains: Vec<usize>,
         migrates: Vec<(usize, Vec<u32>)>,
-        redelivered: Vec<(usize, Routed)>,
+        /// Every re-delivered block: `(dest, block, reinsert)`.
+        redelivered: Vec<(usize, Vec<Routed>, bool)>,
         aborts: u32,
         pause_open: bool,
     }
@@ -532,8 +546,8 @@ mod tests {
             self.migrates.push((worker, cmd.outgoing));
         }
 
-        fn redeliver(&mut self, dest: usize, entry: Routed, _reinsert: bool) {
-            self.redelivered.push((dest, entry));
+        fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool) {
+            self.redelivered.push((dest, block, reinsert));
         }
 
         fn arm_deadline(&mut self) {}
@@ -659,7 +673,8 @@ mod tests {
         let mut new = consumer(&x, &factory, 1);
         let mut new_out = FakeOut::new(&x, 1);
         for (_, entry) in out.forwarded {
-            new.on_migrated(entry, &mut new_out);
+            // A forwarded stray is a block of one.
+            new.on_migrated(vec![entry], &mut new_out);
         }
         assert_eq!(new.processed(), stranded as u64);
         sink.blocks.clear();
@@ -804,6 +819,141 @@ mod tests {
         assert_eq!(x.tallies.restaged.load(Ordering::Relaxed), 0);
     }
 
+    /// What router-less workers surrender — in `STATE_OUT` blocks, state
+    /// ahead of held probes — goes back out as ⌈n / B⌉ blocks per new
+    /// owner in arrival order, counted exactly as when each tuple travelled
+    /// alone, and the log is settled in one pass however many blocks came.
+    #[test]
+    fn a_surrender_is_redelivered_in_blocks_per_owner_with_state_ahead_of_probes() {
+        const B: usize = 4; // the test exchange's `buffer_tuples`
+        let (x, _) = join_exchange(false);
+        let state = |k: u64| (StreamTag::Build, BUILD, tuple(k as i64, k));
+        let probe = |k: u64| (StreamTag::Probe, PROBE, tuple(k as i64, 100 + k));
+        let from_0: Vec<Routed> = (0..23).map(state).chain((0..9).map(probe)).collect();
+        let from_1: Vec<Routed> = (9..20).map(probe).collect();
+        for (_, _, t) in from_0.iter().take(23) {
+            let _ = x
+                .log(BUILD)
+                .unwrap()
+                .record(0, (StreamTag::Build, t.clone()));
+        }
+        let done = |token| RecallReply::MigrateDone {
+            token,
+            state_moved: 0,
+            recalled: 0,
+        };
+        let drained = RecallReply::Drained { token: 1 };
+        let mut replies = VecDeque::from([drained.clone(), drained]);
+        for (worker, entries) in [(0, &from_0), (1, &from_1)] {
+            for block in entries.chunks(B) {
+                replies.push_back(RecallReply::Surrendered {
+                    worker,
+                    entries: block.to_vec(),
+                });
+            }
+            replies.push_back(done(1));
+        }
+        let mut t = FakeTransport {
+            parked: Some(1),
+            replies,
+            ..FakeTransport::default()
+        };
+        let target = RecallTarget::Deploy(DistributionVector::new(&[0.25, 0.75]).unwrap());
+        let outcome = Coordinator::new(x.clone()).recall(target, &[0, 1], &mut t, |_| {});
+
+        // The per-tuple definition, under the deployed router.
+        let owner = |e: &Routed| x.router.lock().route(e.0, &e.2).unwrap() as usize;
+        let all = from_0
+            .iter()
+            .map(|e| (0, e))
+            .chain(from_1.iter().map(|e| (1, e)));
+        let all: Vec<(usize, &Routed)> = all.collect();
+        let moved_probes = all
+            .iter()
+            .filter(|(from, e)| e.0 == StreamTag::Probe && owner(e) != *from);
+        assert_eq!(
+            outcome,
+            RecallOutcome::Deployed {
+                epoch: 1,
+                state_moved: 23,
+                recalled: moved_probes.count() as u64,
+                completed: true,
+            }
+        );
+        let seqs = |entries: &mut dyn Iterator<Item = &Routed>| -> Vec<u64> {
+            entries.map(|e| e.2.seq()).collect()
+        };
+        let mut blocks = 0;
+        for dest in 0..2 {
+            for reinsert in [false, true] {
+                let sent = t
+                    .redelivered
+                    .iter()
+                    .filter(|(d, _, r)| (*d, *r) == (dest, reinsert));
+                let sent: Vec<&Vec<Routed>> = sent.map(|(_, b, _)| b).collect();
+                let want = all.iter().filter(|(from, e)| {
+                    owner(e) == dest && reinsert == (*from == dest && e.0 != StreamTag::Probe)
+                });
+                let want = seqs(&mut want.map(|(_, e)| *e));
+                assert_eq!(seqs(&mut sent.iter().flat_map(|b| b.iter())), want);
+                assert_eq!(sent.len(), want.len().div_ceil(B), "⌈n / B⌉ blocks");
+                let full = sent.iter().rev().skip(1).all(|b| b.len() == B);
+                assert!(full, "only an owner's last block may be partial");
+                blocks += sent.len() as u64;
+            }
+        }
+        assert_eq!(x.tallies.recall_blocks.load(Ordering::Relaxed), blocks);
+        let streams = |reinsert: bool| {
+            let dests = t.redelivered.iter().filter(|(_, _, r)| *r == reinsert);
+            dests
+                .map(|(d, _, _)| *d)
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        assert_eq!(streams(false).len(), 2, "both partitions are owners");
+        assert_eq!(streams(true).len(), 1, "state that stayed is re-inserted");
+        // 23 state entries left partition 0's slice of the build log in
+        // one pass over it, not one per `STATE_OUT` block.
+        let log = x.log(BUILD).unwrap();
+        assert_eq!((log.unacked_len(0), log.entries_visited()), (0, 23));
+        assert!(log.audit().conserved(), "{:?}", log.audit());
+    }
+
+    /// In a resilient run every moved entry's log record follows it to
+    /// the new owner: one pass over the old owner's slice per (source,
+    /// new owner), where there used to be one per moved tuple.
+    #[test]
+    fn a_resilient_reroute_visits_the_log_once_per_group_not_once_per_tuple() {
+        const LOGGED: u64 = 400;
+        let (x, _) = join_exchange(true);
+        let log = x.log(PROBE).unwrap();
+        let held: Vec<Routed> = (0..LOGGED)
+            .map(|k| (StreamTag::Probe, PROBE, tuple(k as i64, k)))
+            .collect();
+        for (stream, _, t) in &held {
+            let _ = log.record(0, (*stream, t.clone()));
+        }
+        recall_everything_to_partition_1(&x);
+        let before = log.entries_visited();
+        let mut moves = super::reroute::LogMoves::default();
+        let mut delivered = 0;
+        let counts = x.reroute(0, held, &mut moves, |owner, _| {
+            assert_eq!(owner, 1);
+            delivered += 1;
+        });
+        x.settle(moves);
+        assert_eq!((counts, delivered), ((0, LOGGED), LOGGED));
+        assert_eq!(
+            (log.unacked_len(0), log.unacked_len(1)),
+            (0, LOGGED as usize)
+        );
+        assert_eq!(
+            log.entries_visited() - before,
+            LOGGED,
+            "one pass over the {LOGGED} entries, not one for each of them"
+        );
+        assert!(log.audit().conserved(), "{:?}", log.audit());
+    }
+
     /// A failover zeroes the dead partition's weight and replays its log to
     /// the survivors, build entries before probe entries, re-recording each
     /// under its new owner.
@@ -850,11 +1000,16 @@ mod tests {
             (&[0][..], 1),
             "survivors only; resumed"
         );
-        let streams: Vec<StreamTag> = t.redelivered.iter().map(|(_, e)| e.0).collect();
+        // Six entries for one survivor at four tuples a block: two blocks,
+        // build entries ahead of probe entries across them.
+        let sizes: Vec<usize> = t.redelivered.iter().map(|(_, b, _)| b.len()).collect();
+        assert_eq!(sizes, vec![4, 2]);
+        let blocks = t.redelivered.iter().flat_map(|(_, b, _)| b);
+        let streams: Vec<StreamTag> = blocks.map(|e| e.0).collect();
         let mut expected = vec![StreamTag::Build; 3];
         expected.extend([StreamTag::Probe; 3]);
         assert_eq!(streams, expected);
-        assert!(t.redelivered.iter().all(|(dest, _)| *dest == 0));
+        assert!(t.redelivered.iter().all(|(dest, _, _)| *dest == 0));
         for source in [BUILD, PROBE] {
             let log = x.log(source).unwrap();
             assert_eq!((log.unacked_len(1), log.unacked_len(0)), (0, 3));

@@ -15,6 +15,7 @@ use gridq_engine::evaluator::StreamTag;
 use gridq_obs::Counter;
 use gridq_recovery::DeliveryGap;
 
+use super::reroute::LogMoves;
 use super::{sane_ms, Block, Exchange, Staged};
 use crate::failover::RetryBackoff;
 use crate::RetryPolicy;
@@ -121,6 +122,7 @@ impl Producer {
     /// original destination so the windows they close remain intact.
     fn restage(&mut self) -> u64 {
         let mut moved = 0u64;
+        let mut log_moves = LogMoves::default();
         let taken: Vec<Vec<Staged>> = self.buffers.iter_mut().map(std::mem::take).collect();
         for (old_dest, items) in taken.into_iter().enumerate() {
             for item in items {
@@ -134,13 +136,7 @@ impl Producer {
                             .unwrap_or(old_dest as u32) as usize;
                         if dest != old_dest {
                             moved += 1;
-                            self.x.move_log_entry(
-                                self.spec.source,
-                                old_dest,
-                                dest,
-                                tag,
-                                tuple.seq(),
-                            );
+                            log_moves.note(self.spec.source, old_dest, Some(dest), tuple.seq());
                         }
                         self.buffers[dest].push(Staged::Tuple(tag, tuple));
                     }
@@ -148,6 +144,7 @@ impl Producer {
                 }
             }
         }
+        self.x.settle(log_moves);
         moved
     }
 

@@ -8,33 +8,83 @@
 //! Who calls it is the substrates' real difference: threaded consumers
 //! share the router and re-route locally; socket workers have no router,
 //! ship `STATE_OUT` / `STRAY` and the coordinator calls the same code.
+//!
+//! A hand-over costs what it moves: re-delivery leaves in blocks of the
+//! exchange's `buffer_tuples` ([`Regroup`]), and the log bookkeeping of a
+//! whole hand-over is settled in one pass per (source, old owner → new
+//! owner) group ([`LogMoves`]), never one pass per tuple.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use gridq_common::Tuple;
 use gridq_engine::evaluator::StreamTag;
 
-use super::{Exchange, Routed};
+use super::{Exchange, Routed, Tallies};
 
-impl Exchange {
-    /// Moves the log entry of tuple `(stream, seq)` from `from`'s slice
-    /// of `source`'s log to `to`'s open window, so a later crash at the
-    /// new owner still finds it replayable and the audit stays conserved.
-    pub(super) fn move_log_entry(
-        &self,
-        source: usize,
-        from: usize,
-        to: usize,
-        stream: StreamTag,
-        seq: u64,
-    ) {
-        if let Some(log) = self.log(source) {
-            let _ = log.migrate_matching(from as u32, to as u32, |(s, t)| {
-                *s == stream && t.seq() == seq
-            });
+/// The recovery-log bookkeeping a hand-over owes, grouped so that
+/// [`Exchange::settle`] visits each source's log once per group however
+/// many tuples moved. A source logs exactly one stream, so a sequence
+/// number identifies its entry.
+#[derive(Default)]
+pub(crate) struct LogMoves {
+    /// `(source, from, to)` → seqs; `to == None` retires the entries.
+    groups: BTreeMap<(usize, usize, Option<usize>), HashSet<u64>>,
+}
+
+impl LogMoves {
+    pub(crate) fn note(&mut self, source: usize, from: usize, to: Option<usize>, seq: u64) {
+        let group = self.groups.entry((source, from, to)).or_default();
+        // lint: bounded-by one hand-over's entries; `Exchange::settle` consumes it whole
+        group.insert(seq);
+    }
+}
+
+/// Packs re-delivered entries into blocks of at most `block` per key
+/// (the new owner), in arrival order — so surrendered state stays ahead
+/// of the probes that need it — and counts every block it hands out in
+/// the run's tallies.
+pub(crate) struct Regroup {
+    block: usize,
+    tallies: Arc<Tallies>,
+    pending: Vec<Vec<Routed>>,
+}
+
+impl Regroup {
+    pub(crate) fn new(x: &Exchange, keys: usize) -> Self {
+        Regroup {
+            block: x.block_tuples,
+            tallies: Arc::clone(&x.tallies),
+            pending: (0..keys).map(|_| Vec::new()).collect(),
         }
     }
 
+    /// Adds `entry` under `key`; returns the block it filled, if any.
+    pub(crate) fn push(&mut self, key: usize, entry: Routed) -> Option<Vec<Routed>> {
+        let pending = &mut self.pending[key];
+        pending.push(entry);
+        if pending.len() < self.block {
+            return None;
+        }
+        self.tallies.recall_blocks.fetch_add(1, Ordering::Relaxed);
+        Some(std::mem::replace(pending, Vec::with_capacity(self.block)))
+    }
+
+    /// The partial blocks left over, in key order.
+    pub(crate) fn finish(&mut self) -> Vec<(usize, Vec<Routed>)> {
+        let mut rest = Vec::new();
+        for (key, pending) in self.pending.iter_mut().enumerate() {
+            if !pending.is_empty() {
+                self.tallies.recall_blocks.fetch_add(1, Ordering::Relaxed);
+                rest.push((key, std::mem::take(pending)));
+            }
+        }
+        rest
+    }
+}
+
+impl Exchange {
     /// The current owner of a tuple delivered to `at`; `at` itself when
     /// the router cannot place it.
     fn owner(&self, at: usize, stream: StreamTag, tuple: &Tuple) -> usize {
@@ -43,11 +93,12 @@ impl Exchange {
 
     /// Re-routes a fresh tuple from a retransmitted block delivered to
     /// `at`, under hash routing. Returns its current owner; when that is
-    /// another partition the log entry has followed the tuple there.
-    /// Forwarding consumer-side — behind the dedup filter, log entry
-    /// riding along — is the sound direction: re-routing at the producer
-    /// would let an ack-loss redelivery reach a partition that never saw
-    /// the original and duplicate its output.
+    /// another partition the log entry has followed the tuple there, so a
+    /// later crash at the new owner still finds it replayable and the
+    /// audit stays conserved. Forwarding consumer-side — behind the dedup
+    /// filter, log entry riding along — is the sound direction:
+    /// re-routing at the producer would let an ack-loss redelivery reach
+    /// a partition that never saw the original and duplicate its output.
     pub(crate) fn reroute_stray(
         &self,
         at: usize,
@@ -57,7 +108,9 @@ impl Exchange {
     ) -> usize {
         let owner = self.owner(at, stream, tuple);
         if owner != at {
-            self.move_log_entry(source, at, owner, stream, tuple.seq());
+            let mut moves = LogMoves::default();
+            moves.note(source, at, Some(owner), tuple.seq());
+            self.settle(moves);
         }
         owner
     }
@@ -69,58 +122,50 @@ impl Exchange {
     /// stayed, or defensively a state tuple). Returns
     /// `(state_moved, recalled)`.
     ///
-    /// Log bookkeeping: in resilient runs an entry follows its tuple to
-    /// the new owner's open window; otherwise moved entries leave the log
-    /// for good (the migration traffic now carries them and the barrier
-    /// guarantees exactly-once) — build entries up front, probes once
-    /// the batch is routed.
+    /// The log bookkeeping is noted in `moves` for [`Exchange::settle`]:
+    /// in resilient runs an entry follows its tuple to the new owner's
+    /// open window; otherwise surrendered build entries and moved probes
+    /// leave the log for good (the migration traffic now carries them and
+    /// the barrier guarantees exactly-once).
     pub(crate) fn reroute(
         &self,
         from: usize,
         entries: Vec<Routed>,
+        moves: &mut LogMoves,
         mut deliver: impl FnMut(usize, Routed),
     ) -> (u64, u64) {
-        if !self.resilient {
-            if let Some(log) = self.build_source.and_then(|b| self.log(b)) {
-                let moved: HashSet<u64> = entries
-                    .iter()
-                    .filter(|(s, _, _)| *s == StreamTag::Build)
-                    .map(|(_, _, t)| t.seq())
-                    .collect();
-                if !moved.is_empty() {
-                    let _ = log.retire_matching(from as u32, |(s, t)| {
-                        *s == StreamTag::Build && moved.contains(&t.seq())
-                    });
-                }
-            }
-        }
-        let mut retire: HashMap<usize, HashSet<u64>> = HashMap::new();
         let (mut state_moved, mut recalled) = (0u64, 0u64);
         for (stream, source, tuple) in entries {
             let owner = self.owner(from, stream, &tuple);
             let probe = stream == StreamTag::Probe;
-            if !probe {
-                state_moved += 1;
-            }
-            if owner != from {
-                if probe {
-                    recalled += 1;
+            state_moved += u64::from(!probe);
+            recalled += u64::from(probe && owner != from);
+            if self.resilient {
+                if owner != from {
+                    moves.note(source, from, Some(owner), tuple.seq());
                 }
-                if self.resilient {
-                    self.move_log_entry(source, from, owner, stream, tuple.seq());
-                } else if probe {
-                    retire.entry(source).or_default().insert(tuple.seq());
-                }
+            } else if stream == StreamTag::Build || (probe && owner != from) {
+                moves.note(source, from, None, tuple.seq());
             }
             deliver(owner, (stream, source, tuple));
         }
-        for (source, seqs) in retire {
-            if let Some(log) = self.log(source) {
-                let _ = log.retire_matching(from as u32, |(s, t)| {
-                    *s == StreamTag::Probe && seqs.contains(&t.seq())
-                });
-            }
-        }
         (state_moved, recalled)
+    }
+
+    /// Applies the noted log bookkeeping: one pass over a source's slice
+    /// per (source, from → to) group. Must run before the recall resumes
+    /// the producers, so a migrated entry joins the window their next
+    /// marker closes.
+    pub(crate) fn settle(&self, moves: LogMoves) {
+        for ((source, from, to), seqs) in moves.groups {
+            let Some(log) = self.log(source) else {
+                continue;
+            };
+            let hit = |(_, t): &(StreamTag, Tuple)| seqs.contains(&t.seq());
+            let _ = match to {
+                Some(to) => log.migrate_matching(from as u32, to as u32, hit),
+                None => log.retire_matching(from as u32, hit),
+            };
+        }
     }
 }

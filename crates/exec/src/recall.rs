@@ -159,8 +159,8 @@ pub(crate) trait WorkerCommands {
     fn drain(&mut self, worker: usize, token: u64) -> bool;
     /// Sends `worker` its `Migrate` command.
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd);
-    /// Re-delivers a tuple to `dest` outside the data plane.
-    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool);
+    /// Re-delivers a block of tuples to `dest` outside the data plane.
+    fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool);
 }
 
 /// The coordinator's transport on real threads: the gate, a reply
@@ -218,8 +218,8 @@ impl<W: WorkerCommands> RecallTransport for GateTransport<'_, W> {
         self.workers.migrate(worker, cmd);
     }
 
-    fn redeliver(&mut self, dest: usize, entry: Routed, reinsert: bool) {
-        self.workers.redeliver(dest, entry, reinsert);
+    fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool) {
+        self.workers.redeliver(dest, block, reinsert);
     }
 
     fn arm_deadline(&mut self) {

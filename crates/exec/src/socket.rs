@@ -81,7 +81,9 @@ use crate::{
 };
 
 /// Application-level message tags, the first payload byte of every
-/// sequenced (`kind::MSG`) frame.
+/// sequenced (`kind::MSG`) frame. Every frame that carries tuples carries
+/// at most one block of them — the exchange's `buffer_tuples` — so no
+/// payload grows with the size of the query.
 mod tag {
     /// Coordinator -> worker: the worker's whole static configuration.
     pub const CONFIG: u8 = 0;
@@ -93,17 +95,18 @@ mod tag {
     pub const DRAIN: u8 = 3;
     /// Coordinator -> worker: recall migration command.
     pub const MIGRATE: u8 = 4;
-    /// Coordinator -> worker: a tuple re-delivered by the recall
-    /// protocol (migrated state or a recalled held probe).
+    /// Coordinator -> worker: a block of tuples re-delivered by the
+    /// recall protocol (migrated state, recalled held probes; a forwarded
+    /// stray is a block of one).
     pub const MIGRATED: u8 = 5;
-    /// Worker -> coordinator: a batch of result tuples.
+    /// Worker -> coordinator: a block of result tuples.
     pub const RESULTS: u8 = 6;
     /// Worker -> coordinator: a checkpoint acknowledgement.
     pub const ACK: u8 = 7;
     /// Worker -> coordinator: drain barrier reached.
     pub const DRAINED: u8 = 8;
-    /// Worker -> coordinator: surrendered operator state and held
-    /// probes, for the coordinator to re-route.
+    /// Worker -> coordinator: one block of surrendered operator state
+    /// and held probes, for the coordinator to re-route.
     pub const STATE_OUT: u8 = 9;
     /// Worker -> coordinator: migration handled.
     pub const MIGRATE_DONE: u8 = 10;
@@ -116,8 +119,8 @@ mod tag {
     pub const STRAY: u8 = 12;
     /// Coordinator -> worker: the run is over, exit cleanly.
     pub const SHUTDOWN: u8 = 13;
-    /// Coordinator -> worker: re-insert a state tuple raw (a recall
-    /// routed it back to the worker that extracted it).
+    /// Coordinator -> worker: re-insert a block of state tuples raw (a
+    /// recall routed them back to the worker that extracted them).
     pub const REINSERT: u8 = 14;
 }
 
@@ -191,6 +194,17 @@ fn get_routed(r: &mut Reader<'_>) -> Result<Routed> {
     Ok((stream, source, wire::get_tuple(r)?))
 }
 
+/// A count-prefixed block of routed entries. The count is checked
+/// against the bytes that remain before anything is allocated for it.
+fn get_routed_block(r: &mut Reader<'_>) -> Result<Vec<Routed>> {
+    let n = get_count(r, "routed entry count")?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(get_routed(r)?);
+    }
+    Ok(entries)
+}
+
 /// Every application-level message, one variant per [`tag`]. The first
 /// payload byte is the tag; `encode` and `decode` are each other's
 /// inverse, arm for arm.
@@ -205,7 +219,7 @@ enum WireMsg {
         token: u64,
     },
     Migrate(MigrateCmd),
-    Migrated(Routed),
+    Migrated(Vec<Routed>),
     Results(Vec<Tuple>),
     Ack {
         source: usize,
@@ -225,7 +239,7 @@ enum WireMsg {
     },
     Stray(Routed),
     Shutdown,
-    Reinsert(Routed),
+    Reinsert(Vec<Routed>),
 }
 
 impl WireMsg {
@@ -274,9 +288,14 @@ impl WireMsg {
                 }
                 out
             }
-            WireMsg::Migrated(e) => enc_routed(tag::MIGRATED, e),
-            WireMsg::Stray(e) => enc_routed(tag::STRAY, e),
-            WireMsg::Reinsert(e) => enc_routed(tag::REINSERT, e),
+            WireMsg::Migrated(block) => enc_routed_block(tag::MIGRATED, block),
+            WireMsg::StateOut(block) => enc_routed_block(tag::STATE_OUT, block),
+            WireMsg::Reinsert(block) => enc_routed_block(tag::REINSERT, block),
+            WireMsg::Stray(entry) => {
+                let mut out = tagged(tag::STRAY);
+                put_routed(&mut out, entry);
+                out
+            }
             WireMsg::Results(tuples) => {
                 let mut out = tagged(tag::RESULTS);
                 wire::put_tuples(&mut out, tuples);
@@ -288,14 +307,6 @@ impl WireMsg {
                 put_varint(&mut out, u64::from(cp.dest));
                 put_varint(&mut out, cp.id);
                 put_varint(&mut out, *epoch);
-                out
-            }
-            WireMsg::StateOut(entries) => {
-                let mut out = tagged(tag::STATE_OUT);
-                put_varint(&mut out, entries.len() as u64);
-                for e in entries {
-                    put_routed(&mut out, e);
-                }
                 out
             }
             WireMsg::Done {
@@ -375,9 +386,10 @@ impl WireMsg {
                     outgoing,
                 })
             }
-            tag::MIGRATED => WireMsg::Migrated(get_routed(r)?),
+            tag::MIGRATED => WireMsg::Migrated(get_routed_block(r)?),
+            tag::STATE_OUT => WireMsg::StateOut(get_routed_block(r)?),
+            tag::REINSERT => WireMsg::Reinsert(get_routed_block(r)?),
             tag::STRAY => WireMsg::Stray(get_routed(r)?),
-            tag::REINSERT => WireMsg::Reinsert(get_routed(r)?),
             tag::RESULTS => WireMsg::Results(wire::get_tuples(r)?),
             tag::ACK => {
                 let source = r.varint()? as usize;
@@ -388,14 +400,6 @@ impl WireMsg {
                     cp: Checkpoint { dest, id },
                     epoch: r.varint()?,
                 }
-            }
-            tag::STATE_OUT => {
-                let n = get_count(r, "state entry count")?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(get_routed(r)?);
-                }
-                WireMsg::StateOut(entries)
             }
             tag::DONE => WireMsg::Done {
                 processed: r.varint()?,
@@ -417,9 +421,12 @@ fn enc_token(t: u8, token: u64) -> Vec<u8> {
     out
 }
 
-fn enc_routed(t: u8, entry: &Routed) -> Vec<u8> {
+fn enc_routed_block(t: u8, block: &[Routed]) -> Vec<u8> {
     let mut out = vec![t];
-    put_routed(&mut out, entry);
+    put_varint(&mut out, block.len() as u64);
+    for entry in block {
+        put_routed(&mut out, entry);
+    }
     out
 }
 
@@ -458,6 +465,7 @@ impl WireConfig {
         put_varint(&mut out, s.eos_needed as u64);
         put_varint(&mut out, s.build_eos_needed as u64);
         put_varint(&mut out, s.build_source.map_or(0, |b| b as u64 + 1));
+        put_varint(&mut out, s.block_tuples as u64);
         self.stage.encode(&mut out);
         out
     }
@@ -478,6 +486,7 @@ impl WireConfig {
             0 => None,
             b => Some((b - 1) as usize),
         };
+        let block_tuples = r.varint()? as usize;
         Ok(WireConfig {
             spec: ConsumerSpec {
                 index,
@@ -490,6 +499,7 @@ impl WireConfig {
                 eos_needed,
                 build_eos_needed,
                 build_source,
+                block_tuples,
             },
             cost_scale,
             read_stall_ms,
@@ -883,8 +893,8 @@ impl From<Msg> for LinkCtl {
         LinkCtl::Send(match msg {
             Msg::Drain { token } => WireMsg::Drain { token },
             Msg::Migrate(cmd) => WireMsg::Migrate(cmd),
-            Msg::Migrated(entry) => WireMsg::Migrated(entry),
-            Msg::Reinsert(entry) => WireMsg::Reinsert(entry),
+            Msg::Migrated(block) => WireMsg::Migrated(block),
+            Msg::Reinsert(block) => WireMsg::Reinsert(block),
         })
     }
 }
@@ -1079,6 +1089,8 @@ fn dispatch(ctx: &ReaderCtx, worker: usize, payload: &[u8]) -> Result<()> {
             }
         }
         WireMsg::StateOut(entries) => {
+            let tallies = &ctx.x.tallies;
+            tallies.recall_blocks.fetch_add(1, Ordering::Relaxed);
             let _ = ctx
                 .replies
                 .send(RecallReply::Surrendered { worker, entries });
@@ -1091,7 +1103,7 @@ fn dispatch(ctx: &ReaderCtx, worker: usize, payload: &[u8]) -> Result<()> {
             // of (it has no router): the shared re-route routine finds
             // the current owner, the log entry following the tuple.
             let owner = ctx.x.reroute_stray(worker, stream, source, &tuple);
-            ctx.links[owner].send(Msg::Migrated((stream, source, tuple)).into());
+            ctx.links[owner].send(Msg::Migrated(vec![(stream, source, tuple)]).into());
         }
         WireMsg::Done {
             processed,
@@ -1297,6 +1309,9 @@ impl WorkerJoin {
 struct Net {
     addr: Addr,
     shutdown: Arc<AtomicBool>,
+    states: Vec<Arc<Mutex<LinkState>>>,
+    /// Where `stop` leaves the largest sequenced payload any link saw.
+    largest_frame: Arc<AtomicU64>,
     links: Vec<InboxSender<LinkCtl>>,
     link_handles: Vec<thread::JoinHandle<()>>,
     accept_handle: Option<thread::JoinHandle<()>>,
@@ -1313,6 +1328,7 @@ impl Net {
         config: &SocketConfig,
         plan: &DistributedPlan,
         reconnects: Arc<AtomicU64>,
+        largest_frame: Arc<AtomicU64>,
         w: Wiring<Vec<u8>>,
     ) -> Result<Net> {
         let partitions = w.rings.len();
@@ -1345,7 +1361,7 @@ impl Net {
             Arc::new(Mutex::new(Vec::new()));
         let accept_handle = {
             let ctx = ReaderCtx {
-                states: link_states,
+                states: link_states.clone(),
                 x: w.x.clone(),
                 links: links.clone(),
                 events: w.events,
@@ -1360,6 +1376,8 @@ impl Net {
         let mut net = Net {
             addr,
             shutdown,
+            states: link_states,
+            largest_frame,
             links,
             link_handles,
             accept_handle: Some(accept_handle),
@@ -1508,6 +1526,9 @@ impl Endpoints for Net {
         if let Addr::Unix(p) = &self.addr {
             let _ = std::fs::remove_file(p);
         }
+        let peak = self.states.iter().map(|l| l.lock().peak_payload()).max();
+        self.largest_frame
+            .store(peak.unwrap_or(0) as u64, Ordering::Relaxed);
         failed
     }
 }
@@ -1573,10 +1594,13 @@ impl SocketExecutor {
             finish_timeout: Some(Duration::from_secs(120)),
         };
         let reconnects = Arc::new(AtomicU64::new(0));
+        let largest_frame = Arc::new(AtomicU64::new(0));
         let mut report = run.execute(&self.catalog, plan, |w| {
-            Net::start(cfg, plan, Arc::clone(&reconnects), w)
+            let (reconnects, largest) = (Arc::clone(&reconnects), Arc::clone(&largest_frame));
+            Net::start(cfg, plan, reconnects, largest, w)
         })?;
         report.reconnects = reconnects.load(Ordering::Relaxed);
+        report.largest_frame_bytes = largest_frame.load(Ordering::Relaxed);
         Ok(report)
     }
 }
@@ -1683,10 +1707,6 @@ fn handle_msg(
         WireMsg::Data(block) => st.consumer.on_block(block, wire),
         WireMsg::Eos { stream, .. } => {
             if st.consumer.on_eos(stream, wire) {
-                let batch = st.consumer.take_results();
-                if !batch.is_empty() {
-                    wire.send(&WireMsg::Results(batch));
-                }
                 wire.send(&WireMsg::Done {
                     processed: st.consumer.processed(),
                     dedup_peak: st.consumer.dedup_peak(),
@@ -1700,16 +1720,23 @@ fn handle_msg(
         WireMsg::Drain { token } => wire.send(&WireMsg::Drained { token }),
         WireMsg::Migrate(cmd) => {
             // No router here: surrender the outgoing buckets' state and
-            // every held probe; the coordinator re-routes them (keepers
+            // every held probe, a block per frame, ahead of MigrateDone
+            // on the same FIFO; the coordinator re-routes them (keepers
             // come straight back as MIGRATED and are re-held).
-            let entries = st.consumer.surrender(cmd.bucket_count, &cmd.outgoing);
-            if !entries.is_empty() {
-                wire.send(&WireMsg::StateOut(entries));
+            let block_tuples = st.consumer.block_tuples();
+            let surrendered = st.consumer.surrender(cmd.bucket_count, &cmd.outgoing);
+            let mut entries = surrendered.into_iter();
+            loop {
+                let block: Vec<Routed> = entries.by_ref().take(block_tuples).collect();
+                if block.is_empty() {
+                    break;
+                }
+                wire.send(&WireMsg::StateOut(block));
             }
             wire.send(&WireMsg::MigrateDone { token: cmd.token });
         }
-        WireMsg::Migrated(entry) => st.consumer.on_migrated(entry, wire),
-        WireMsg::Reinsert(entry) => st.consumer.take_back(entry),
+        WireMsg::Migrated(block) => st.consumer.on_migrated(block, wire),
+        WireMsg::Reinsert(block) => st.consumer.take_back(block),
         _ => {
             return Err(GridError::Execution(format!(
                 "socket: unexpected coordinator frame tag {:?}",
@@ -2103,6 +2130,7 @@ mod tests {
                 eos_needed: rng.usize_in(0, 5),
                 build_eos_needed: rng.usize_in(0, 5),
                 build_source: rng.flip().then(|| rng.usize_in(0, 5)),
+                block_tuples: rng.usize_in(0, 300),
             },
             cost_scale: rng.f64_in(0.0, 1.0),
             read_stall_ms: rng.f64_in(0.0, 5.0),
@@ -2125,7 +2153,7 @@ mod tests {
                 bucket_count: rng.flip().then(|| rng.u32_in(0, 70_000)),
                 outgoing: rng.vec_of(0, 8, |r| r.u32_in(0, 70_000)),
             }),
-            WireMsg::Migrated(gen_routed(rng)),
+            WireMsg::Migrated(rng.vec_of(0, 4, gen_routed)),
             WireMsg::Results(rng.vec_of(0, 4, gen_tuple)),
             WireMsg::Ack {
                 source: rng.usize_in(0, 300),
@@ -2141,13 +2169,14 @@ mod tests {
             },
             WireMsg::Stray(gen_routed(rng)),
             WireMsg::Shutdown,
-            WireMsg::Reinsert(gen_routed(rng)),
+            WireMsg::Reinsert(rng.vec_of(0, 4, gen_routed)),
         ];
         messages.iter().map(WireMsg::encode).collect()
     }
 
-    /// Bytes come from another process. For every tag: encode → decode →
-    /// encode is the identity, and every truncation and single-byte
+    /// Bytes come from another process. For every tag — the block
+    /// payloads of `MIGRATED`, `RESULTS`, `STATE_OUT` and `REINSERT`
+    /// included — encode → decode → encode is the identity, and every truncation and single-byte
     /// mutation decodes to `Err` or to some valid message (one that
     /// itself round-trips) — never a panic (which `Check` reports as a
     /// failure), never an allocation sized by an unchecked length.
@@ -2191,6 +2220,14 @@ mod tests {
                 Ok(())
             });
         assert_eq!(gen_every_message(&mut DetRng::seeded(1)).len(), 15);
+        // The block payloads: a count beyond the bytes that remain is
+        // rejected before anything is allocated for it.
+        for t in [tag::MIGRATED, tag::RESULTS, tag::STATE_OUT, tag::REINSERT] {
+            let mut payload = vec![t];
+            put_varint(&mut payload, u64::from(u32::MAX));
+            payload.extend([0u8; 16]);
+            assert!(WireMsg::decode(&payload).is_err(), "tag {t}");
+        }
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub struct LinkState {
     outbox: VecDeque<Frame>,
     received_since_ack: u64,
     peak_outbox: usize,
+    peak_payload: usize,
 }
 
 impl LinkState {
@@ -65,6 +66,7 @@ impl LinkState {
         );
         self.next_seq += 1;
         self.received_since_ack = 0;
+        self.peak_payload = self.peak_payload.max(payload.len());
         let frame = Frame {
             kind,
             seq: self.next_seq,
@@ -107,6 +109,7 @@ impl LinkState {
         }
         self.last_received = frame.seq;
         self.received_since_ack += 1;
+        self.peak_payload = self.peak_payload.max(frame.payload.len());
         Receive::Fresh
     }
 
@@ -138,6 +141,13 @@ impl LinkState {
     /// High-water mark of the outbox, for transport telemetry.
     pub fn peak_outbox(&self) -> usize {
         self.peak_outbox
+    }
+
+    /// The largest sequenced payload this side stamped or freshly
+    /// received, in bytes: what a test holds against the application's
+    /// own frame bound, far below [`crate::frame::MAX_PAYLOAD`].
+    pub fn peak_payload(&self) -> usize {
+        self.peak_payload
     }
 }
 

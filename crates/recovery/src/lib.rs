@@ -26,6 +26,18 @@
 //! (R1) repartitioning** possible — the Responder can extract the
 //! unacknowledged tuples and re-send them under a new distribution policy.
 //!
+//! **Ordering invariant.** A destination's entries are held in
+//! non-decreasing order of the checkpoint id that closes their window:
+//! every append ([`RecoveryLog::record`], [`RecoveryLog::record_migrated`],
+//! a replay) stamps the id the *next* checkpoint will take, which never
+//! decreases, and every removal ([`RecoveryLog::drain_matching`], an
+//! acknowledgement) preserves the order of what it leaves behind. A
+//! window is therefore one contiguous run, and acknowledging it costs
+//! two binary searches plus the entries it removes — not a pass over
+//! everything still in flight. [`RecoveryLog::entries_visited`] counts
+//! that work, so tests assert the proportionality on a count, never on a
+//! timer.
+//!
 //! Logs come in two modes. The default **prune** mode pops a window's
 //! entries when it is acknowledged. **Retained** mode
 //! ([`RecoveryLog::retained`]) marks the window delivered but keeps the
@@ -86,6 +98,7 @@ struct Entry<T> {
 
 #[derive(Debug, Clone)]
 struct DestLog<T> {
+    /// In non-decreasing `cp` order (the crate's ordering invariant).
     entries: VecDeque<Entry<T>>,
     /// Id the next checkpoint will take; all ids below it are emitted.
     next_cp: u64,
@@ -120,6 +133,32 @@ impl<T> DestLog<T> {
             self.acked_floor += 1;
         }
     }
+
+    /// The ordering invariant, for `debug_assert!`.
+    fn cp_ordered(&self) -> bool {
+        let cps = self.entries.iter().map(|e| e.cp);
+        cps.clone().zip(cps.skip(1)).all(|(a, b)| a <= b)
+            && self.entries.back().is_none_or(|e| e.cp <= self.next_cp)
+    }
+
+    /// Removes window `id` as the contiguous run it is: two binary
+    /// searches and one `drain` (a front pop for the oldest window; an
+    /// out-of-order ack shifts the shorter side, contiguous memory and no
+    /// per-entry work). Returns `(removed, entries examined)`.
+    fn prune_window(&mut self, id: u64) -> (usize, u64) {
+        debug_assert!(self.cp_ordered(), "log entries out of checkpoint order");
+        let mut probes = 0u64;
+        let lo = self.entries.partition_point(|e| {
+            probes += 1;
+            e.cp < id
+        });
+        let hi = self.entries.partition_point(|e| {
+            probes += 1;
+            e.cp <= id
+        });
+        self.entries.drain(lo..hi);
+        (hi - lo, probes + (hi - lo) as u64)
+    }
 }
 
 /// Per-destination recovery logs for one exchange producer.
@@ -140,6 +179,8 @@ pub struct RecoveryLog<T> {
     acks_accepted: u64,
     acks_duplicate: u64,
     acks_dropped: u64,
+    /// Entries examined by acknowledgements and matching drains.
+    visited: u64,
 }
 
 impl<T> RecoveryLog<T> {
@@ -176,6 +217,7 @@ impl<T> RecoveryLog<T> {
             acks_accepted: 0,
             acks_duplicate: 0,
             acks_dropped: 0,
+            visited: 0,
         })
     }
 
@@ -272,6 +314,7 @@ impl<T> RecoveryLog<T> {
     /// that was never emitted is an error (a protocol bug, not a race).
     pub fn acknowledge(&mut self, dest: u32, id: u64) -> Result<Ack> {
         let mode = self.mode;
+        let mut visited = 0;
         let result = {
             let log = self.dest_mut(dest)?;
             if id >= log.next_cp {
@@ -285,22 +328,15 @@ impl<T> RecoveryLog<T> {
                 let pruned = match mode {
                     LogMode::Retain => 0,
                     LogMode::Prune => {
-                        let mut kept = VecDeque::with_capacity(log.entries.len());
-                        let mut pruned = 0usize;
-                        for entry in log.entries.drain(..) {
-                            if entry.cp == id {
-                                pruned += 1;
-                            } else {
-                                kept.push_back(entry);
-                            }
-                        }
-                        log.entries = kept;
+                        let (pruned, examined) = log.prune_window(id);
+                        visited = examined;
                         pruned
                     }
                 };
                 Ok(Ack::Applied { pruned })
             }
         };
+        self.visited += visited;
         match &result {
             Ok(Ack::Applied { pruned }) => {
                 self.pruned += *pruned as u64;
@@ -392,8 +428,9 @@ impl<T> RecoveryLog<T> {
         dest: u32,
         mut pred: impl FnMut(&T) -> bool,
     ) -> Result<Vec<T>> {
-        let drained = {
+        let (drained, examined) = {
             let log = self.dest_mut(dest)?;
+            let examined = log.entries.len() as u64;
             let mut drained = Vec::new();
             let mut kept = VecDeque::with_capacity(log.entries.len());
             for entry in log.entries.drain(..) {
@@ -404,10 +441,20 @@ impl<T> RecoveryLog<T> {
                 }
             }
             log.entries = kept;
-            drained
+            (drained, examined)
         };
+        self.visited += examined;
         self.retired += drained.len() as u64;
         Ok(drained)
+    }
+
+    /// How many logged entries acknowledgements and matching drains have
+    /// examined so far: a work counter (comparisons plus removals for an
+    /// acknowledgement, one per logged entry for a matching drain), so a
+    /// test can show a step costs what it touches without reading a
+    /// clock.
+    pub fn entries_visited(&self) -> u64 {
+        self.visited
     }
 
     /// Snapshot of this log's conservation counters. Drained entries
@@ -709,6 +756,11 @@ impl<T> SharedRecoveryLog<T> {
     /// The checkpoint interval.
     pub fn interval(&self) -> usize {
         self.inner.lock().log.interval()
+    }
+
+    /// See [`RecoveryLog::entries_visited`].
+    pub fn entries_visited(&self) -> u64 {
+        self.inner.lock().log.entries_visited()
     }
 
     /// Snapshot of the conservation counters.
@@ -1288,5 +1340,296 @@ mod proptests {
                 Ok(())
             },
         );
+    }
+}
+
+/// The shared log against a model whose `acknowledge` is the old
+/// definition — filter the destination's entries by checkpoint id — kept
+/// here as the oracle for the contiguous-run implementation.
+#[cfg(test)]
+mod model_tests {
+    use super::*;
+    use gridq_common::check::{shrink_vec, Check, Gen};
+    use gridq_common::DetRng;
+
+    const DESTS: u32 = 3;
+    const INTERVAL: usize = 3;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Record(u32),
+        Force(u32),
+        /// The oldest emitted, unacknowledged checkpoint: the in-order case.
+        AckOldest(u32),
+        /// Any emitted checkpoint: out of order, or a duplicate.
+        AckAny(u32, u64),
+        /// A checkpoint acknowledged before: always a duplicate.
+        AckAgain(u32, u64),
+        AckUnemitted(u32, u64),
+        /// An ack stamped before the last window-voiding drain.
+        AckStale(u32),
+        /// Entries on `from` divisible by `m` move to `to`'s open window
+        /// (`drain_matching` + `record_migrated`).
+        Migrate(u32, u32, u64),
+        /// Entries divisible by `m` leave for good (`drain_matching`).
+        Retire(u32, u64),
+        DrainDest(u32),
+    }
+
+    fn gen_op(r: &mut DetRng) -> Op {
+        let d = r.u32_in(0, DESTS);
+        let pick = r.next_u64() >> 40;
+        match r.u32_in(0, 16) {
+            0..=5 => Op::Record(d),
+            6 => Op::Force(d),
+            7..=8 => Op::AckOldest(d),
+            9 => Op::AckAny(d, pick),
+            10 => Op::AckAgain(d, pick),
+            11 => Op::AckUnemitted(d, pick % 3),
+            12 => Op::AckStale(d),
+            13 => Op::Migrate(d, r.u32_in(0, DESTS), 2 + pick % 3),
+            14 => Op::Retire(d, 2 + pick % 3),
+            _ => Op::DrainDest(d),
+        }
+    }
+
+    #[derive(Default)]
+    struct ModelDest {
+        /// `(cp, item)`, oldest first.
+        entries: Vec<(u64, u64)>,
+        next_cp: u64,
+        since_last: usize,
+        acked: BTreeSet<u64>,
+    }
+
+    impl ModelDest {
+        fn append(&mut self, item: u64) {
+            self.entries.push((self.next_cp, item));
+            self.since_last += 1;
+        }
+
+        fn close(&mut self) {
+            self.next_cp += 1;
+            self.since_last = 0;
+        }
+
+        fn take_matching(&mut self, m: u64) -> Vec<u64> {
+            let (gone, kept) = self.entries.iter().partition(|(_, item)| item % m == 0);
+            self.entries = kept;
+            let gone: Vec<(u64, u64)> = gone;
+            gone.into_iter().map(|(_, item)| item).collect()
+        }
+    }
+
+    #[derive(Default)]
+    struct Model {
+        dests: Vec<ModelDest>,
+        epoch: u64,
+        next_item: u64,
+        audit: LogAudit,
+    }
+
+    impl Model {
+        /// The old `acknowledge`: a filter over everything logged.
+        fn acknowledge(&mut self, dest: u32, id: u64, epoch: u64) -> AckOutcome {
+            let d = &mut self.dests[dest as usize];
+            if epoch != self.epoch {
+                self.audit.acks_dropped += 1;
+                AckOutcome::Stale
+            } else if id >= d.next_cp {
+                self.audit.acks_dropped += 1;
+                AckOutcome::Ignored
+            } else if !d.acked.insert(id) {
+                self.audit.acks_duplicate += 1;
+                AckOutcome::Duplicate
+            } else {
+                let before = d.entries.len();
+                d.entries.retain(|(cp, _)| *cp != id);
+                let pruned = before - d.entries.len();
+                self.audit.pruned += pruned as u64;
+                self.audit.acks_accepted += 1;
+                AckOutcome::Accepted(pruned)
+            }
+        }
+    }
+
+    fn run(ops: &[Op]) -> std::result::Result<(), String> {
+        let log = SharedRecoveryLog::<u64>::new(DESTS as usize, INTERVAL).unwrap();
+        let mut model = Model::default();
+        model.dests.resize_with(DESTS as usize, ModelDest::default);
+        for (step, &op) in ops.iter().enumerate() {
+            let at = |what: String| format!("step {step} {op:?}: {what}");
+            let check_ack = |real: AckOutcome, want: AckOutcome| {
+                (real == want)
+                    .then_some(())
+                    .ok_or_else(|| at(format!("acknowledged {real:?}, the filter says {want:?}")))
+            };
+            match op {
+                Op::Record(d) => {
+                    let item = model.next_item;
+                    model.next_item += 1;
+                    model.audit.recorded += 1;
+                    let m = &mut model.dests[d as usize];
+                    m.append(item);
+                    let want = (m.since_last >= INTERVAL).then(|| {
+                        let id = m.next_cp;
+                        m.close();
+                        Checkpoint { dest: d, id }
+                    });
+                    let real = log.record(d, item).unwrap();
+                    if real != want {
+                        return Err(at(format!("record emitted {real:?}, expected {want:?}")));
+                    }
+                }
+                Op::Force(d) => {
+                    let m = &mut model.dests[d as usize];
+                    let want = (m.since_last > 0).then(|| {
+                        let id = m.next_cp;
+                        m.close();
+                        Checkpoint { dest: d, id }
+                    });
+                    let real = log.force_checkpoint(d).unwrap();
+                    if real != want {
+                        return Err(at(format!("force emitted {real:?}, expected {want:?}")));
+                    }
+                }
+                Op::AckOldest(d) => {
+                    let m = &model.dests[d as usize];
+                    let Some(id) = (0..m.next_cp).find(|id| !m.acked.contains(id)) else {
+                        continue;
+                    };
+                    let want = model.acknowledge(d, id, model.epoch);
+                    check_ack(log.acknowledge(d, id, model.epoch), want)?;
+                }
+                Op::AckAny(d, pick) => {
+                    let emitted = model.dests[d as usize].next_cp;
+                    if emitted == 0 {
+                        continue;
+                    }
+                    let want = model.acknowledge(d, pick % emitted, model.epoch);
+                    check_ack(log.acknowledge(d, pick % emitted, model.epoch), want)?;
+                }
+                Op::AckAgain(d, pick) => {
+                    let acked = &model.dests[d as usize].acked;
+                    let Some(&id) = acked.iter().nth(pick as usize % acked.len().max(1)) else {
+                        continue;
+                    };
+                    let want = model.acknowledge(d, id, model.epoch);
+                    check_ack(log.acknowledge(d, id, model.epoch), want)?;
+                }
+                Op::AckUnemitted(d, beyond) => {
+                    let id = model.dests[d as usize].next_cp + beyond;
+                    let want = model.acknowledge(d, id, model.epoch);
+                    check_ack(log.acknowledge(d, id, model.epoch), want)?;
+                }
+                Op::AckStale(d) => {
+                    let want = model.acknowledge(d, 0, model.epoch + 1);
+                    check_ack(log.acknowledge(d, 0, model.epoch + 1), want)?;
+                }
+                Op::Migrate(from, to, m) => {
+                    let moved = model.dests[from as usize].take_matching(m);
+                    for &item in &moved {
+                        model.dests[to as usize].append(item);
+                    }
+                    let real = log.migrate_matching(from, to, |x| x % m == 0).unwrap();
+                    if real != moved.len() {
+                        return Err(at(format!("migrated {real}, expected {}", moved.len())));
+                    }
+                }
+                Op::Retire(d, m) => {
+                    let gone = model.dests[d as usize].take_matching(m).len();
+                    model.audit.retired += gone as u64;
+                    let real = log.retire_matching(d, |x| x % m == 0).unwrap();
+                    if real != gone {
+                        return Err(at(format!("retired {real}, expected {gone}")));
+                    }
+                }
+                Op::DrainDest(d) => {
+                    let m = &mut model.dests[d as usize];
+                    let want: Vec<u64> = m.entries.drain(..).map(|(_, item)| item).collect();
+                    m.since_last = 0;
+                    if !want.is_empty() {
+                        model.audit.retired += want.len() as u64;
+                        model.epoch += 1;
+                    }
+                    let real = log.drain_dest(d).unwrap();
+                    if real != want {
+                        return Err(at(format!("drained {real:?}, expected {want:?}")));
+                    }
+                }
+            }
+            // After every step: same survivors in the same order, the
+            // ordering invariant, the same audit, nothing lost.
+            let inner = log.inner.lock();
+            for (d, m) in model.dests.iter().enumerate() {
+                let real: Vec<u64> = inner.log.iter_unacked(d as u32).copied().collect();
+                let want: Vec<u64> = m.entries.iter().map(|(_, item)| *item).collect();
+                if real != want {
+                    return Err(at(format!("dest {d} holds {real:?}, expected {want:?}")));
+                }
+                if !inner.log.dests[d].cp_ordered() {
+                    return Err(at(format!("dest {d} is out of checkpoint order")));
+                }
+            }
+            let plain = inner.log.audit();
+            drop(inner);
+            model.audit.unacked = model.dests.iter().map(|m| m.entries.len() as u64).sum();
+            let audit = log.audit();
+            if audit != model.audit || log.epoch() != model.epoch {
+                return Err(at(format!("audit {audit:?}, expected {:?}", model.audit)));
+            }
+            if !audit.conserved() || !plain.conserved() {
+                return Err(at(format!("not conserved: {audit:?} / inner {plain:?}")));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_schedule_matches_the_filter_definition_step_by_step() {
+        Check::new("recovery log vs the filter model")
+            .cases(300)
+            .run_shrink(
+                |rng| rng.vec_of(1, 120, gen_op),
+                |ops: &Vec<Op>| shrink_vec(ops),
+                |ops| run(ops),
+            );
+    }
+
+    /// Acknowledging a window costs the window plus two binary searches,
+    /// whatever is still in flight behind it — counted, not timed.
+    #[test]
+    fn an_acknowledgement_visits_its_window_not_the_backlog() {
+        const WINDOW: usize = 50;
+        const WINDOWS: u64 = 1_000;
+        let mut log = RecoveryLog::<u64>::new(1, WINDOW).unwrap();
+        for i in 0..WINDOWS * WINDOW as u64 {
+            log.record(0, i).unwrap();
+        }
+        let backlog = log.unacked_len(0) as u64;
+        // Two searches of at most ⌈log2(backlog)⌉ + 1 probes each.
+        let per_ack = WINDOW as u64 + 2 * (u64::from(backlog.ilog2()) + 2);
+        // Out of order first: a window in the middle of the backlog.
+        assert_eq!(
+            log.acknowledge(0, WINDOWS / 2).unwrap(),
+            Ack::Applied { pruned: WINDOW }
+        );
+        assert!(
+            log.entries_visited() <= per_ack,
+            "{}",
+            log.entries_visited()
+        );
+        for id in (0..WINDOWS).filter(|id| *id != WINDOWS / 2) {
+            assert_eq!(
+                log.acknowledge(0, id).unwrap(),
+                Ack::Applied { pruned: WINDOW }
+            );
+        }
+        assert_eq!(log.unacked_len(0), 0);
+        let visited = log.entries_visited();
+        assert!(visited <= WINDOWS * per_ack, "visited {visited}");
+        // The filter this replaces visited the whole backlog per ack.
+        assert!(visited * 100 < WINDOWS * backlog / 2, "visited {visited}");
+        assert!(log.audit().conserved());
     }
 }
