@@ -63,7 +63,7 @@ use gridq_engine::distributed::DistributedPlan;
 use gridq_engine::evaluator::StreamTag;
 use gridq_engine::physical::Catalog;
 use gridq_grid::Perturbation;
-use gridq_obs::{Obs, ObsConfig, ObsReport, TimelineKind};
+use gridq_obs::{Counter, Obs, ObsConfig, ObsReport, TimelineKind};
 use gridq_recovery::{AckOutcome, Checkpoint, LogAudit, SharedRecoveryLog};
 
 use failover::HeartbeatMonitor;
@@ -332,7 +332,9 @@ impl<C: From<Msg>> WorkerCommands for Commands<C> {
 
 /// What the adaptation thread consumes.
 pub(crate) enum Raw {
-    M1(M1),
+    /// One consumer's hand-over: the M1 samples of one block, in the
+    /// order they were taken.
+    M1(Vec<M1>),
     M2(M2),
     /// A consumer liveness beat (failover runs only): sent once per
     /// receive-loop iteration, renews the worker's lease.
@@ -384,10 +386,20 @@ pub(crate) fn spin_for(model_ms: f64, scale: f64) {
     }
 }
 
+/// Real milliseconds in model milliseconds. The floor keeps a null-cost
+/// run's (`cost_scale` far below any real clock's resolution) model times
+/// finite and every site in the same unit.
+fn real_to_model_ms(real_ms: f64, scale: f64) -> f64 {
+    real_ms / scale.max(1e-9)
+}
+
 /// Wall-clock elapsed since `started`, in model milliseconds — so the
 /// Responder's cooldown compares like units.
 fn model_now(started: Instant, scale: f64) -> SimTime {
-    SimTime::from_millis(started.elapsed().as_secs_f64() * 1000.0 / scale.max(1e-9))
+    SimTime::from_millis(real_to_model_ms(
+        started.elapsed().as_secs_f64() * 1000.0,
+        scale,
+    ))
 }
 
 /// Tells the adaptation thread when the run-wide routed count reaches a
@@ -487,7 +499,8 @@ impl<P: RingPayload> BlockSink for ProducerSink<P> {
             .as_ref()
             .is_none_or(|c| c.on_notification(NotifyKind::M2, self.source));
         if let (Some(m2), true) = (&self.m2, count > 0 && m2_kept) {
-            let send_cost = send_started.elapsed().as_secs_f64() * 1000.0 / self.scale.max(1e-9);
+            let send_cost =
+                real_to_model_ms(send_started.elapsed().as_secs_f64() * 1000.0, self.scale);
             let _ = m2.raw.send(Raw::M2(M2 {
                 query: m2.query,
                 producer: ProducerId::Source(self.source as u32),
@@ -567,28 +580,32 @@ impl ConsumerOut for ThreadedOut {
         None
     }
 
-    fn m1(&mut self, sample: M1Sample) {
-        // A notification lost in flight: the consumer's batch counters
-        // have reset all the same, exactly as if it had been sent and
-        // dropped by the network.
-        if self
-            .x
-            .chaos
-            .as_ref()
-            .is_some_and(|c| !c.on_notification(NotifyKind::M1, self.index))
-        {
-            return;
+    fn m1(&mut self, samples: Vec<M1Sample>) {
+        let at = model_now(self.started, self.scale);
+        let mut batch = Vec::with_capacity(samples.len());
+        for sample in samples {
+            // A notification lost in flight: the consumer's batch
+            // counters have reset all the same, exactly as if it had
+            // been sent and dropped by the network. The hook counts
+            // samples, not hand-overs.
+            let chaos = self.x.chaos.as_ref();
+            if chaos.is_some_and(|c| !c.on_notification(NotifyKind::M1, self.index)) {
+                continue;
+            }
+            batch.push(M1 {
+                query: self.query,
+                partition: PartitionId::new(self.stage_id, self.index as u32),
+                node: self.node,
+                cost_per_tuple_ms: sample.cost_per_tuple_ms,
+                leaf_wait_ms: real_to_model_ms(sample.wait_ms_per_tuple, self.scale),
+                selectivity: sample.selectivity,
+                tuples_produced: sample.tuples_produced,
+                at,
+            });
         }
-        let _ = self.raw.send(Raw::M1(M1 {
-            query: self.query,
-            partition: PartitionId::new(self.stage_id, self.index as u32),
-            node: self.node,
-            cost_per_tuple_ms: sample.cost_per_tuple_ms,
-            leaf_wait_ms: sample.wait_ms_per_tuple / self.scale,
-            selectivity: sample.selectivity,
-            tuples_produced: sample.tuples_produced,
-            at: model_now(self.started, self.scale),
-        }));
+        if !batch.is_empty() {
+            let _ = self.raw.send(Raw::M1(batch));
+        }
     }
 
     fn beat(&mut self) {
@@ -712,6 +729,7 @@ impl ConsumerThread {
             // Whatever a run that ended without its last end-of-stream
             // (every sender gone) still holds.
             self.consumer.flush_results(true, &mut self.out);
+            self.consumer.hand_over(&mut self.out);
         }
         let _ = self.out.events.send(WorkerEvent::Done {
             worker: self.out.index,
@@ -908,6 +926,9 @@ struct Adaptivity<W> {
     /// Scripted adaptations not yet deployed, by ascending routed-tuple
     /// threshold.
     script: VecDeque<(u64, AdaptationCommand)>,
+    /// `exec.m1_handovers`: how many `Raw::M1` arrived, against the
+    /// `raw_m1_events` samples they carried. `None` with obs off.
+    m1_handovers: Option<Arc<Counter>>,
     stats: AdaptStats,
 }
 
@@ -942,6 +963,10 @@ impl<W: WorkerCommands> Adaptivity<W> {
             diagnoser.set_metric_sink(o.sink());
             responder.set_metric_sink(o.sink());
         }
+        let m1_handovers = rec
+            .obs
+            .as_ref()
+            .map(|o| o.metrics().counter("exec.m1_handovers"));
         let partitions = wiring.partitions as usize;
         let monitor = cfg
             .failover
@@ -970,6 +995,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
             heartbeat_ms: cfg.failover.heartbeat_ms,
             failover_queue: Vec::new(),
             script: wiring.script.into(),
+            m1_handovers,
             stats: AdaptStats::default(),
         }
     }
@@ -1005,22 +1031,27 @@ impl<W: WorkerCommands> Adaptivity<W> {
             };
             self.watch_leases(received.as_ref());
             self.step_failover();
-            let (output, at, raw_seq) = match received {
-                None => continue,
-                Some(Raw::M1(event)) => {
-                    self.stats.m1 += 1;
-                    let output = self.detector.on_m1(&event);
-                    let raw_seq = self.rec.record(
-                        event.at,
-                        TimelineKind::RawM1 {
-                            partition: event.partition.to_string(),
-                            node: event.node.to_string(),
-                            cost_per_tuple_ms: event.cost_per_tuple_ms,
-                            leaf_wait_ms: event.leaf_wait_ms,
-                            gate_fired: !matches!(output, DetectorOutput::Quiet),
-                        },
-                    );
-                    (output, event.at, raw_seq)
+            match received {
+                None => {}
+                Some(Raw::M1(batch)) => {
+                    if let Some(handovers) = &self.m1_handovers {
+                        handovers.add(1);
+                    }
+                    for event in batch {
+                        self.stats.m1 += 1;
+                        let output = self.detector.on_m1(&event);
+                        let raw_seq = self.rec.record(
+                            event.at,
+                            TimelineKind::RawM1 {
+                                partition: event.partition.to_string(),
+                                node: event.node.to_string(),
+                                cost_per_tuple_ms: event.cost_per_tuple_ms,
+                                leaf_wait_ms: event.leaf_wait_ms,
+                                gate_fired: !matches!(output, DetectorOutput::Quiet),
+                            },
+                        );
+                        self.react(output, event.at, raw_seq);
+                    }
                 }
                 Some(Raw::M2(event)) => {
                     self.stats.m2 += 1;
@@ -1034,31 +1065,27 @@ impl<W: WorkerCommands> Adaptivity<W> {
                             gate_fired: !matches!(output, DetectorOutput::Quiet),
                         },
                     );
-                    (output, event.at, raw_seq)
+                    self.react(output, event.at, raw_seq);
                 }
                 // Liveness traffic was consumed by the monitor above; it
                 // never feeds the detector.
-                Some(Raw::Beat(_) | Raw::Done(_)) => continue,
-                Some(Raw::Routed) => {
-                    self.fire_script(false);
-                    continue;
-                }
-                Some(Raw::ProducersDone) => {
-                    self.fire_script(true);
-                    continue;
-                }
-                Some(Raw::LateState) => {
-                    self.reroute_late_state();
-                    continue;
-                }
+                Some(Raw::Beat(_) | Raw::Done(_)) => {}
+                Some(Raw::Routed) => self.fire_script(false),
+                Some(Raw::ProducersDone) => self.fire_script(true),
+                Some(Raw::LateState) => self.reroute_late_state(),
                 Some(Raw::Stop) => break,
-            };
-            for (cmd, diagnosis_seq, tenant) in self.diagnose(output, at, raw_seq) {
-                self.deploy(cmd, diagnosis_seq, tenant);
             }
         }
         self.teardown();
         self.stats
+    }
+
+    /// One raw event's way through the rest of the loop: diagnosis,
+    /// decision, deployment.
+    fn react(&mut self, output: DetectorOutput, at: SimTime, raw_seq: u64) {
+        for (cmd, diagnosis_seq, tenant) in self.diagnose(output, at, raw_seq) {
+            self.deploy(cmd, diagnosis_seq, tenant);
+        }
     }
 
     /// Deploys, in order, every scripted adaptation whose routed-tuple
@@ -2011,7 +2038,7 @@ mod tests {
         // diagnoser and responder turn into a command of their own.
         for (partition, cost) in [(0u32, 1.0), (1, 10.0)] {
             raw_tx
-                .send(Raw::M1(M1 {
+                .send(Raw::M1(vec![M1 {
                     query: plan.query,
                     partition: PartitionId::new(plan.stages[0].id, partition),
                     node: plan.stages[0].nodes[partition as usize],
@@ -2020,7 +2047,7 @@ mod tests {
                     selectivity: 1.0,
                     tuples_produced: 10,
                     at: SimTime::from_millis(100.0 + f64::from(partition)),
-                }))
+                }]))
                 .unwrap();
         }
         raw_tx.send(Raw::Stop).unwrap();
@@ -2641,6 +2668,101 @@ mod tests {
         assert!(
             wall < Duration::from_secs(10),
             "the gap fast path must not sleep out the backoff budget: {wall:?}"
+        );
+    }
+
+    /// One conversion for every real-to-model site (`model_now`, M1's
+    /// `leaf_wait_ms`, M2's `send_cost_ms`): below the `1e-9` floor the
+    /// scale no longer matters, above it the conversion is the plain
+    /// quotient.
+    #[test]
+    fn real_time_converts_to_model_time_the_same_way_everywhere() {
+        let within = |got: f64, want: f64| (got - want).abs() <= want * 1e-12;
+        // The benchmark's null-cost scale sits below the floor: one real
+        // millisecond reads as at `1e-9`, not a thousand times more.
+        assert!(within(real_to_model_ms(1.0, 1e-12), 1e9));
+        assert!(within(real_to_model_ms(1.0, 1e-9), 1e9));
+        assert!(within(real_to_model_ms(2.5, 0.01), 250.0));
+        // An M1's wait and its own stamp are in the same unit at every
+        // scale (they were a factor 1000 apart at `1e-12`): a wait as
+        // long as the run so far reads as `at` does.
+        for scale in [1e-12, 1e-9, 0.01] {
+            let started = Instant::now() - Duration::from_millis(40);
+            let at = model_now(started, scale).as_millis();
+            let wait = real_to_model_ms(40.0, scale);
+            assert!(at >= wait && at < wait * 100.0, "{scale:e}: {at} vs {wait}");
+        }
+    }
+
+    /// Loses partition `index`'s `nth` M1 notification.
+    #[derive(Debug)]
+    struct DropNthM1 {
+        index: usize,
+        nth: u64,
+        seen: AtomicU64,
+    }
+
+    impl ChaosHook for DropNthM1 {
+        fn on_notification(&self, kind: NotifyKind, index: usize) -> bool {
+            (kind, index) != (NotifyKind::M1, self.index)
+                || self.seen.fetch_add(1, Ordering::Relaxed) + 1 != self.nth
+        }
+    }
+
+    /// The chaos seam counts samples, not hand-overs: the seventh M1 is
+    /// the one lost whichever hand-over carries it, the rest arrive in
+    /// the order they were taken, each stamped, and a hand-over whose
+    /// every sample was lost is not sent at all.
+    #[test]
+    fn a_dropped_m1_is_the_nth_sample_not_the_nth_hand_over() {
+        let table = int_table("t", 0..1);
+        let plan = call_plan(&table, &CallShape::default());
+        let hook = Arc::new(DropNthM1 {
+            index: 1,
+            nth: 7,
+            seen: AtomicU64::new(0),
+        });
+        let x = Exchange::new(&plan, "test", false, Some(hook), true, 50).unwrap();
+        let (raw, raw_rx) = channel();
+        let mut out = ThreadedOut {
+            index: 1,
+            node: plan.stages[0].nodes[1],
+            x,
+            peers: Vec::new(),
+            events: channel().0,
+            raw,
+            scale: 0.01,
+            failover_on: false,
+            query: plan.query,
+            stage_id: plan.stages[0].id,
+            started: Instant::now(),
+        };
+        // Samples 1..=12 over hand-overs of 4, 2, 1 and 5; the third
+        // carries only the seventh.
+        let mut next = 0u64;
+        for len in [4, 2, 1, 5] {
+            let samples = (0..len).map(|_| {
+                next += 1;
+                M1Sample {
+                    cost_per_tuple_ms: 1.0,
+                    wait_ms_per_tuple: 0.0,
+                    selectivity: 1.0,
+                    tuples_produced: next,
+                }
+            });
+            out.m1(samples.collect());
+        }
+        drop(out);
+        let batches: Vec<Vec<u64>> = raw_rx
+            .iter()
+            .map(|raw| match raw {
+                Raw::M1(batch) => batch.iter().map(|m| m.tuples_produced).collect(),
+                _ => panic!("only M1 hand-overs were sent"),
+            })
+            .collect();
+        assert_eq!(
+            batches,
+            vec![vec![1, 2, 3, 4], vec![5, 6], vec![8, 9, 10, 11, 12]]
         );
     }
 

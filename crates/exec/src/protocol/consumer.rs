@@ -3,7 +3,10 @@
 //! `Migrate` surrender, `Migrated` re-delivery, M1 stride batching and
 //! per-source end-of-stream accounting. Results leave in batches of at
 //! most the exchange's `buffer_tuples`, as soon as one is pending: a
-//! consumer never accumulates its whole output.
+//! consumer never accumulates its whole output. The block is also the
+//! unit of what a consumer tells the monitoring side: the M1 samples and
+//! the progress count of one block leave as one hand-over, before the
+//! block's modelled cost is paid.
 //!
 //! The driver owns the transport (an inbox over rings and a control
 //! channel, or one FIFO link), the crash seam and the idle wait; it feeds
@@ -45,8 +48,10 @@ pub(crate) trait ConsumerOut {
     /// forwarded toward the current owner (directly, or via the
     /// coordinator when this consumer has no router).
     fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple>;
-    /// One M1 monitoring sample (never called with monitoring off).
-    fn m1(&mut self, sample: M1Sample);
+    /// One hand-over of M1 monitoring samples, in emission order: never
+    /// empty, never called with monitoring off. Sampling is per
+    /// [`Consumer::m1_stride`] tuples; only the transport is per block.
+    fn m1(&mut self, samples: Vec<M1Sample>);
     /// Liveness beat during a long held-probe replay.
     fn beat(&mut self) {}
 }
@@ -94,10 +99,15 @@ pub(crate) struct Consumer {
     /// inflate the modelled per-tuple cost by `alpha` per extra tenant.
     /// The counter is read lock-free per tuple.
     pub(crate) contention: Option<(Arc<AtomicU32>, f64)>,
-    /// Run-wide processed-tuple count and its metric (threaded only).
+    /// Run-wide processed-tuple count and its metric (threaded only),
+    /// advanced once per hand-over.
     pub(crate) progress: Option<(Arc<AtomicU64>, Option<Arc<Counter>>)>,
     out: Vec<Tuple>,
     processed: u64,
+    /// How much of `processed` the run-wide count has been told.
+    reported: u64,
+    /// M1 samples taken since the last hand-over.
+    m1_pending: Vec<M1Sample>,
     outputs_total: u64,
     batch: u32,
     batch_cost: f64,
@@ -136,6 +146,8 @@ impl Consumer {
             progress: None,
             out: Vec::new(),
             processed: 0,
+            reported: 0,
+            m1_pending: Vec::new(),
             outputs_total: 0,
             batch: 0,
             batch_cost: 0.0,
@@ -185,7 +197,29 @@ impl Consumer {
         self.spec.build_eos_needed > 0 && self.build_eos_seen < self.spec.build_eos_needed
     }
 
+    /// Everything this consumer has to tell another thread about the
+    /// tuples processed since the last call, at once: their M1 samples
+    /// as one batch, and their count onto the run-wide progress. Runs
+    /// before every pay, so neither ever waits behind a sleep, and when
+    /// the consumer ends.
+    pub(crate) fn hand_over<O: ConsumerOut>(&mut self, out: &mut O) {
+        if !self.m1_pending.is_empty() {
+            out.m1(std::mem::take(&mut self.m1_pending));
+        }
+        let fresh = self.processed - self.reported;
+        if fresh > 0 {
+            if let Some((total, ctr)) = &self.progress {
+                total.fetch_add(fresh, Ordering::Relaxed);
+                if let Some(c) = ctr {
+                    c.add(fresh);
+                }
+            }
+            self.reported = self.processed;
+        }
+    }
+
     fn pay_due<O: ConsumerOut>(&mut self, out: &mut O) {
+        self.hand_over(out);
         if self.due > 0.0 {
             out.pay(self.due);
             self.due = 0.0;
@@ -215,33 +249,27 @@ impl Consumer {
             * tenants_factor;
         self.due += model_cost;
         self.processed += 1;
-        if let Some((total, ctr)) = &self.progress {
-            total.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = ctr {
-                c.add(1);
-            }
-        }
         self.outputs_total += outcome.outputs.len() as u64;
         self.out.extend(outcome.outputs);
         self.flush_results(false, out);
         if self.m1_stride.is_some() {
             self.batch += 1;
             self.batch_cost += model_cost;
-            self.emit_m1(false, out);
+            self.emit_m1(false);
         }
     }
 
-    /// Emits the M1 for the current batch. `force` flushes a partial
-    /// tail batch (end of stream); without it the last
-    /// `processed % stride` tuples would vanish from the monitoring
-    /// record.
-    fn emit_m1<O: ConsumerOut>(&mut self, force: bool, out: &mut O) {
+    /// Takes the M1 sample of the current batch, for the next hand-over.
+    /// `force` closes a partial tail batch (end of stream); without it
+    /// the last `processed % stride` tuples would vanish from the
+    /// monitoring record.
+    fn emit_m1(&mut self, force: bool) {
         let Some(stride) = self.m1_stride else { return };
         if self.batch == 0 || (!force && self.batch < stride) {
             return;
         }
         let n = f64::from(self.batch);
-        out.m1(M1Sample {
+        self.m1_pending.push(M1Sample {
             cost_per_tuple_ms: self.batch_cost / n,
             wait_ms_per_tuple: self.batch_wait_ms / n,
             selectivity: if self.processed == 0 {
@@ -378,9 +406,10 @@ impl Consumer {
     /// One source's stream has ended (the driver has already fed every
     /// block that source shipped). Completing the build phase replays
     /// the held probes and releases their deferred acks. Returns `true`
-    /// exactly once, when the last stream ends: the tail M1 is out, the
-    /// results are all handed downstream, the debt is paid, and the
-    /// driver should report completion.
+    /// exactly once, when the last stream ends: the tail M1 and the last
+    /// of the progress count are handed over, the results are all
+    /// downstream, the debt is paid, and the driver should report
+    /// completion.
     pub(crate) fn on_eos<O: ConsumerOut>(&mut self, stream: StreamTag, out: &mut O) -> bool {
         self.eos_seen += 1;
         if stream == StreamTag::Build {
@@ -411,9 +440,9 @@ impl Consumer {
             return false;
         }
         self.finished = true;
-        // Flush the partial tail batch before the monitoring record goes
-        // quiet.
-        self.emit_m1(true, out);
+        // Close the partial tail batch before the monitoring record goes
+        // quiet; the last pay hands it over.
+        self.emit_m1(true);
         self.flush_results(true, out);
         self.pay_due(out);
         true

@@ -362,12 +362,12 @@ pub(crate) fn collapse_duplicate_results(results: &mut Vec<Tuple>) {
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     use gridq_common::{DataType, DistributionVector, Field, Schema, Tuple, Value};
     use gridq_engine::evaluator::{EvaluatorFactory, HashJoinFactory, StreamTag};
-    use gridq_engine::fixtures::single_stage_plan;
+    use gridq_engine::fixtures::{call_plan, int_table, single_stage_plan, CallShape};
     use gridq_recovery::Checkpoint;
 
     use super::consumer::{Consumer, ConsumerOut, M1Sample};
@@ -462,6 +462,12 @@ mod tests {
         acks: Vec<(usize, u64)>,
         results: Vec<Tuple>,
         forwarded: Vec<(usize, Routed)>,
+        /// Every M1 hand-over, each sample as its `tuples_produced`.
+        handovers: Vec<Vec<u64>>,
+        /// The run-wide count a test may wire in as `Consumer::progress`.
+        progress: Arc<AtomicU64>,
+        /// At each `pay`: the samples handed over so far, and `progress`.
+        pays: Vec<(usize, u64)>,
     }
 
     impl FakeOut {
@@ -473,12 +479,22 @@ mod tests {
                 acks: Vec::new(),
                 results: Vec::new(),
                 forwarded: Vec::new(),
+                handovers: Vec::new(),
+                progress: Arc::new(AtomicU64::new(0)),
+                pays: Vec::new(),
             }
+        }
+
+        fn samples(&self) -> Vec<u64> {
+            self.handovers.concat()
         }
     }
 
     impl ConsumerOut for FakeOut {
-        fn pay(&mut self, _model_ms: f64) {}
+        fn pay(&mut self, _model_ms: f64) {
+            let progress = self.progress.load(Ordering::Relaxed);
+            self.pays.push((self.samples().len(), progress));
+        }
 
         fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
             self.acks.push((source, cp.id));
@@ -499,7 +515,11 @@ mod tests {
             None
         }
 
-        fn m1(&mut self, _sample: M1Sample) {}
+        fn m1(&mut self, samples: Vec<M1Sample>) {
+            assert!(!samples.is_empty(), "a hand-over is never empty");
+            let produced = samples.iter().map(|s| s.tuples_produced);
+            self.handovers.push(produced.collect());
+        }
     }
 
     /// A scripted recall transport: `parked` producers, a queue of replies
@@ -1015,5 +1035,134 @@ mod tests {
             assert_eq!((log.unacked_len(1), log.unacked_len(0)), (0, 3));
             assert!(log.audit().conserved(), "{:?}", log.audit());
         }
+    }
+
+    const STRIDE: u64 = 10;
+
+    /// Monitoring on at one M1 per [`STRIDE`] tuples, the progress count
+    /// wired to the fake's.
+    fn monitored(mut c: Consumer, out: &FakeOut) -> Consumer {
+        c.m1_stride = Some(STRIDE as u32);
+        c.progress = Some((Arc::clone(&out.progress), None));
+        c
+    }
+
+    /// What must hold whenever the consumer is about to sleep or has
+    /// returned to its driver: every sample its tuples called for has
+    /// been handed over, and the run-wide count has seen every tuple.
+    fn nothing_pending(c: &Consumer, out: &FakeOut) {
+        let progress = out.progress.load(Ordering::Relaxed);
+        assert_eq!(progress, c.processed(), "the count is handed over too");
+        assert_eq!(out.samples().len() as u64, progress / STRIDE);
+        for &(samples, progress) in &out.pays {
+            let due = progress / STRIDE;
+            assert_eq!(samples as u64, due, "a sample waited behind a pay");
+        }
+    }
+
+    /// The block is the unit of transport, not of sampling: blocks
+    /// smaller than the stride and coprime to it (the
+    /// `monitoring_sampling` shape) and blocks of ten strides both yield
+    /// `floor(n / stride)` samples plus the forced tail, in the order
+    /// they were taken, at most one hand-over per block, none of them
+    /// ever behind a pay.
+    #[test]
+    fn m1_samples_leave_once_per_block_ahead_of_its_pay() {
+        for (block, n) in [(7usize, 253u64), (100, 1000)] {
+            let table = int_table("t", 0..1);
+            let shape = CallShape {
+                buffer_tuples: block,
+                ..CallShape::default()
+            };
+            let plan = call_plan(&table, &shape);
+            let x = Exchange::new(&plan, "test", false, None, false, 50).unwrap();
+            let mut out = FakeOut::new(&x, 0);
+            let evaluator = plan.stages[0].factory.create(0);
+            let c = Consumer::new(x.consumer_spec(0, 1, 0.0, None), evaluator);
+            let mut c = monitored(c, &out);
+            let seqs: Vec<u64> = (0..n).collect();
+            for chunk in seqs.chunks(block) {
+                let before = out.handovers.len();
+                let staged = |&s| Staged::Tuple(StreamTag::Single, tuple(s as i64, s));
+                let block = Block {
+                    source: 0,
+                    items: chunk.iter().map(staged).collect(),
+                    retransmit: false,
+                };
+                c.on_block(block, &mut out);
+                assert!(out.handovers.len() <= before + 1, "one hand-over a block");
+                nothing_pending(&c, &out);
+            }
+            assert!(
+                c.on_eos(StreamTag::Single, &mut out),
+                "the only stream ended"
+            );
+            // One output per tuple, so a sample's `tuples_produced` is
+            // the count at which it was taken.
+            let mut expected: Vec<u64> = (1..=n / STRIDE).map(|k| k * STRIDE).collect();
+            if n % STRIDE != 0 {
+                expected.push(n); // the forced tail
+            }
+            assert_eq!(out.samples(), expected, "blocks of {block}");
+            assert!(out.handovers.len() as u64 <= n.div_ceil(block as u64) + 1);
+            assert_eq!(out.progress.load(Ordering::Relaxed), n);
+        }
+    }
+
+    /// The other ways tuples get processed — the held-probe replay in
+    /// its 16-tuple slices, a `Migrated` re-delivery — hand over at the
+    /// same point, and a consumer whose streams close without their last
+    /// end-of-stream has nothing left to hand over.
+    #[test]
+    fn replay_slices_and_redelivery_hand_over_before_each_pay() {
+        let (x, factory) = join_exchange(false);
+        let mut out = FakeOut::new(&x, 0);
+        let mut c = monitored(consumer(&x, &factory, 0), &out);
+        let probes = |range: std::ops::Range<u64>| -> Vec<Routed> {
+            range
+                .map(|s| (StreamTag::Probe, PROBE, tuple(s as i64, 100 + s)))
+                .collect()
+        };
+        let held = probes(0..50).into_iter();
+        c.on_block(
+            Block {
+                source: PROBE,
+                items: held.map(|(s, _, t)| Staged::Tuple(s, t)).collect(),
+                retransmit: false,
+            },
+            &mut out,
+        );
+        assert_eq!((c.processed(), out.pays.len()), (0, 0), "held: no work yet");
+        let built = (0..8u64).map(|s| Staged::Tuple(StreamTag::Build, tuple(s as i64, s)));
+        c.on_block(
+            Block {
+                source: BUILD,
+                items: built.collect(),
+                retransmit: false,
+            },
+            &mut out,
+        );
+        nothing_pending(&c, &out);
+        let (handovers, pays) = (out.handovers.len(), out.pays.len());
+        assert!(!c.on_eos(StreamTag::Build, &mut out), "the probes go on");
+        assert_eq!(c.processed(), 58, "the held probes replayed");
+        let slices = 50usize.div_ceil(16);
+        assert_eq!(out.pays.len() - pays, slices, "a pay per slice of 16");
+        assert!(out.handovers.len() - handovers <= slices);
+        nothing_pending(&c, &out);
+
+        let handovers = out.handovers.len();
+        c.on_migrated(probes(50..75), &mut out);
+        assert_eq!(out.handovers.len(), handovers + 1, "one for the block");
+        nothing_pending(&c, &out);
+
+        // Every sender gone: the driver's closing hand-over finds nothing,
+        // and (as before) no tail sample is forced without an
+        // end-of-stream.
+        let handovers = out.handovers.len();
+        c.hand_over(&mut out);
+        assert_eq!(out.handovers.len(), handovers);
+        nothing_pending(&c, &out);
+        assert_eq!(c.processed(), 83);
     }
 }

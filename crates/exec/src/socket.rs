@@ -1654,7 +1654,7 @@ impl ConsumerOut for WireOut<'_> {
         None
     }
 
-    fn m1(&mut self, _sample: M1Sample) {}
+    fn m1(&mut self, _samples: Vec<M1Sample>) {}
 }
 
 /// Everything a worker accumulates over the run. Lives *outside* the

@@ -14,11 +14,18 @@
 //! The second pair of tests pins the estimator itself: each partition's
 //! mean M1 cost under stride sampling must match its mean under
 //! exhaustive (stride-1) monitoring, on both substrates.
+//!
+//! The last pair pins the threaded *transport*: samples reach the
+//! adaptation thread a block at a time while their number stays the
+//! stride's, and the run-wide processed count, advanced at the same
+//! hand-over, is whole at every teardown.
+
+mod common;
 
 use std::collections::BTreeMap;
 
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
-use gridq::chaos::{Knobs, Workload};
+use gridq::chaos::{Knobs, Substrate, Workload};
 use gridq::common::NodeId;
 use gridq::grid::Perturbation;
 use gridq::obs::TimelineKind;
@@ -175,4 +182,69 @@ fn sim_sampled_m1_mean_matches_exhaustive() {
         exhaustive.obs.as_ref().expect("obs on by default"),
         sampled.obs.as_ref().expect("obs on by default"),
     );
+}
+
+#[test]
+fn threaded_m1_hand_overs_are_per_block_and_samples_are_not() {
+    const BLOCK: u64 = 100;
+    let w = Workload::q1(&Q1Experiment {
+        tuples: 3000,
+        buffer_tuples: BLOCK as usize,
+        ..Default::default()
+    });
+    let report = w.run_threaded(&knobs(STRIDE)).unwrap();
+    let per_partition = &report.per_partition_processed;
+    assert_eq!(per_partition.iter().sum::<u64>(), 3000);
+    // Sampling is untouched by the transport: floor(n/k) periodic
+    // samples and the forced tail, per partition.
+    let samples: u64 = per_partition
+        .iter()
+        .map(|n| n.div_ceil(u64::from(STRIDE)))
+        .sum();
+    assert_eq!(report.raw_m1_events, samples, "{per_partition:?}");
+    // A count, not a speed: a consumer hands over at most once per data
+    // block and once at its (single) end-of-stream, ten samples a block
+    // here. A transport back to one send per sample would read `samples`.
+    let counters = &report
+        .obs
+        .as_ref()
+        .expect("obs on by default")
+        .metrics
+        .counters;
+    let handovers = counters["exec.m1_handovers"];
+    let bound: u64 = per_partition.iter().map(|n| n.div_ceil(BLOCK) + 1).sum();
+    assert!(
+        (1..=bound).contains(&handovers),
+        "{handovers} hand-overs for {samples} samples, bound {bound}: {per_partition:?}"
+    );
+    assert!(
+        bound * 5 < samples,
+        "the bound tells the two transports apart"
+    );
+}
+
+/// `exec.tuples_processed` is advanced together with the run-wide count
+/// the responder reads as progress, once per hand-over; whatever way the
+/// consumers end, it has seen every tuple they processed.
+#[test]
+fn threaded_processed_count_is_whole_at_teardown() {
+    let whole = |report: &gridq::exec::ThreadedReport| {
+        let obs = report.obs.as_ref().expect("obs on by default");
+        assert_eq!(
+            obs.metrics.counters["exec.tuples_processed"],
+            report.per_partition_processed.iter().sum::<u64>(),
+            "{:?}",
+            report.per_partition_processed
+        );
+    };
+    // Monitoring off: no M1 to hand over, the count alone.
+    let static_run = q1(false).run_threaded(&common::static_knobs()).unwrap();
+    assert_eq!(static_run.per_partition_processed.iter().sum::<u64>(), 250);
+    whole(&static_run);
+    // A recall: state and held probes are processed again where they
+    // land (`on_migrated`, the held-probe replay), in blocks of their own.
+    let knobs = common::r1_knobs(Substrate::Threaded);
+    let recalled = common::q2_r1().run_threaded(&knobs).unwrap();
+    assert!(recalled.recalls_completed >= 1, "{recalled:?}");
+    whole(&recalled);
 }

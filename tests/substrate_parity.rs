@@ -190,6 +190,16 @@ fn node_failure_runs_match_the_unfaulted_reference() {
     for audit in &threaded.log_audits {
         assert!(audit.conserved(), "log audit must balance: {audit:?}");
     }
+    // The killed consumer never reached an end-of-stream, yet the
+    // run-wide processed count (advanced once per block) missed nothing
+    // it had processed.
+    let obs = threaded.obs.as_ref().expect("obs on by default");
+    assert_eq!(
+        obs.metrics.counters["exec.tuples_processed"],
+        threaded.per_partition_processed.iter().sum::<u64>(),
+        "{:?}",
+        threaded.per_partition_processed
+    );
     assert_eq!(reference.results, RunSummary::from(threaded).results);
 }
 
