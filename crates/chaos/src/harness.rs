@@ -463,12 +463,14 @@ mod tests {
         );
     }
 
-    /// The frame bound at its edge: a socket run whose per-worker
-    /// results and surrendered state are each many blocks. No sequenced
-    /// payload may outgrow one block of tuples (the parent shipped each
-    /// worker's results, and its surrendered state, as one frame that
-    /// grew with the query, towards `gridq_net::frame::MAX_PAYLOAD`), and
-    /// the recall moves its tuples in blocks, not one frame each.
+    /// A recall costs what it moves, on both real substrates: the build
+    /// is still streaming and hundreds of probes are held when `W′`
+    /// lands, and only the state and the held probes of the buckets it
+    /// moves leave their worker (the parent's socket workers gave up
+    /// every held probe and took most of them back). On sockets that is
+    /// also the frame bound at its edge: per-worker results and
+    /// surrendered state are each many blocks, and no sequenced payload
+    /// may outgrow one block of tuples.
     #[test]
     fn a_recall_moves_blocks_and_no_frame_outgrows_one() {
         let shape = JoinShape {
@@ -476,8 +478,11 @@ mod tests {
             ..JoinShape::default()
         };
         let (build, probe) = (4000, 400);
-        let w = Workload::join(("build", build), ("probe", probe), &shape);
+        let w = Workload::join(("build", build), ("probe", probe), &shape)
+            .perturbed(NodeId::new(2), Perturbation::CostFactor(10.0));
+        // Live A1/R1 on sim and threads; over sockets, its recall scripted.
         let knobs = Knobs {
+            adaptivity: Policy::R1.adaptivity(),
             script: vec![ScriptedAdaptation {
                 after_routed: 2000,
                 weights: vec![0.25, 0.75],
@@ -486,44 +491,53 @@ mod tests {
             cost_scale: 0.002,
             ..Knobs::default()
         };
-        let run = run_on(Substrate::Socket, &w, &knobs).unwrap();
-        assert_eq!(run.results.len(), probe, "every probe joins one build row");
-        assert_eq!(run.adaptations_deployed, 1);
-        assert!(run.log_audits.iter().all(LogAudit::conserved));
+        let reference = run_on(Substrate::Sim, &w, &knobs).unwrap();
+        assert_eq!(reference.results.len(), probe, "every probe joins one row");
         let block = shape.buffer_tuples as u64;
         let partitions = shape.evaluators as u64;
-        assert!(
-            run.state_tuples_migrated > 20 * block,
-            "the surrendered state must be many blocks: {}",
-            run.state_tuples_migrated
-        );
-        assert!(
-            probe as u64 / partitions > 10 * block,
-            "so must the results"
-        );
-        // One block of single-integer tuples: under 32 bytes an entry
-        // (stream, source, arity, tagged value, sequence number), plus
-        // tag, counts and a marker or two. CONFIG, the largest frame that
-        // carries no tuples, is smaller.
-        let frame_bound = 64 + 32 * block;
-        assert!(
-            (1..=frame_bound).contains(&run.largest_frame_bytes),
-            "largest frame {} bytes, bound {frame_bound}",
-            run.largest_frame_bytes
-        );
-        // What the workers surrendered is the migrated state plus at most
-        // every probe row (held probes, moved or kept); it crosses twice —
-        // STATE_OUT in, MIGRATED out — each way in whole blocks plus one
-        // partial block per partition.
-        let moved = run.state_tuples_migrated + probe as u64;
-        let blocks_bound = 2 * (moved.div_ceil(block) + partitions);
-        assert!(
-            (1..=blocks_bound).contains(&run.recall_blocks),
-            "{} recall blocks for {moved} tuples, bound {blocks_bound}",
-            run.recall_blocks
-        );
-        // One frame a tuple, as before, would have been at least this many.
-        assert!(blocks_bound < run.state_tuples_migrated);
+        for substrate in [Substrate::Threaded, Substrate::Socket] {
+            let run = run_on(substrate, &w, &knobs).unwrap();
+            let name = substrate.name();
+            assert!(conservation(&reference, &run).passed, "{name}");
+            assert!(log_conservation(&run).passed, "{name}");
+            // What left a worker is what moved: it crosses twice —
+            // surrendered, re-delivered — each way in whole blocks plus
+            // one partial block per partition and recall.
+            let moved = run.state_tuples_migrated + run.tuples_recalled;
+            let partials = partitions * run.adaptations_deployed;
+            let blocks_bound = 2 * (moved.div_ceil(block) + partials);
+            assert!(
+                run.recall_blocks <= blocks_bound,
+                "{name}: {} recall blocks for {moved} tuples, bound {blocks_bound}",
+                run.recall_blocks
+            );
+            if substrate != Substrate::Socket {
+                continue;
+            }
+            assert_eq!(run.adaptations_deployed, 1);
+            assert!(
+                run.state_tuples_migrated > 20 * block,
+                "the surrendered state must be many blocks: {}",
+                run.state_tuples_migrated
+            );
+            assert!(
+                probe as u64 / partitions > 10 * block,
+                "so must the results"
+            );
+            // One block of single-integer tuples: under 32 bytes an
+            // entry (stream, source, arity, tagged value, sequence
+            // number), plus tag, counts and a marker or two. CONFIG, the
+            // largest frame that carries no tuples, is smaller.
+            let frame_bound = 64 + 32 * block;
+            assert!(
+                (1..=frame_bound).contains(&run.largest_frame_bytes),
+                "largest frame {} bytes, bound {frame_bound}",
+                run.largest_frame_bytes
+            );
+            // One frame a tuple, as before, would have been at least this
+            // many.
+            assert!((1..run.state_tuples_migrated).contains(&run.recall_blocks));
+        }
     }
 
     #[test]

@@ -154,6 +154,13 @@ impl DistributionVector {
     }
 }
 
+/// The hash bucket of a key hash among `bucket_count` buckets: the one
+/// place the `hash → bucket` rule is spelled, for the router's map and
+/// for an evaluator sorting its own state and held tuples by bucket.
+pub fn bucket_for_hash(hash: u64, bucket_count: u32) -> u32 {
+    (hash % u64::from(bucket_count)) as u32
+}
+
 /// A bucket moved between partitions by a rebalance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketMove {
@@ -215,7 +222,7 @@ impl BucketMap {
 
     /// The bucket for a key hash.
     pub fn bucket_for_hash(&self, hash: u64) -> u32 {
-        (hash % u64::from(self.bucket_count())) as u32
+        bucket_for_hash(hash, self.bucket_count())
     }
 
     /// The partition for a key hash.

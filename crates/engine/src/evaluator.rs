@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use gridq_common::dist::bucket_for_hash;
 use gridq_common::{Field, GridError, Result, Schema, Tuple, Value};
 
 use crate::expr::Expr;
@@ -64,11 +65,20 @@ pub trait PartitionEvaluator: Send {
         false
     }
 
+    /// The hash of the key `tuple` routes on as part of `stream` — the
+    /// hash the exchange's bucket map sees, so
+    /// [`gridq_common::dist::bucket_for_hash`] of it is the tuple's
+    /// bucket. `None` when the evaluator keys nothing on that stream.
+    fn key_hash(&self, _stream: StreamTag, _tuple: &Tuple) -> Option<u64> {
+        None
+    }
+
     /// Removes and returns the state tuples belonging to the given hash
-    /// buckets (bucket = `stable_hash(key) % bucket_count`). The returned
-    /// tuples are re-routed to the buckets' new owners and replayed there
-    /// through [`PartitionEvaluator::process`]. Stateless evaluators
-    /// return nothing.
+    /// buckets ([`gridq_common::dist::bucket_for_hash`] of the key's
+    /// `stable_hash`). The returned tuples are re-routed to the buckets'
+    /// new owners and replayed there through
+    /// [`PartitionEvaluator::process`]. Stateless evaluators return
+    /// nothing.
     fn extract_state(&mut self, _bucket_count: u32, _buckets: &[u32]) -> Vec<(StreamTag, Tuple)> {
         Vec::new()
     }
@@ -303,12 +313,20 @@ impl PartitionEvaluator for HashJoinEvaluator {
         true
     }
 
+    fn key_hash(&self, stream: StreamTag, tuple: &Tuple) -> Option<u64> {
+        let col = match stream {
+            StreamTag::Build => self.build_key,
+            StreamTag::Probe => self.probe_key,
+            StreamTag::Single => return None,
+        };
+        Some(tuple.value(col).stable_hash())
+    }
+
     fn extract_state(&mut self, bucket_count: u32, buckets: &[u32]) -> Vec<(StreamTag, Tuple)> {
         let wanted: std::collections::HashSet<u32> = buckets.iter().copied().collect();
         let mut extracted = Vec::new();
         self.table.retain(|&hash, tuples| {
-            let bucket = (hash % u64::from(bucket_count)) as u32;
-            if wanted.contains(&bucket) {
+            if wanted.contains(&bucket_for_hash(hash, bucket_count)) {
                 extracted.extend(tuples.drain(..).map(|t| (StreamTag::Build, t)));
                 false
             } else {

@@ -3,9 +3,11 @@
 //! carry the correctness of every adaptation.
 
 use gridq_common::check::{Check, Gen};
+use gridq_common::dist::bucket_for_hash;
 use gridq_common::{DetRng, DistributionVector, Tuple, Value};
 use gridq_engine::distributed::{Router, RoutingPolicy, StreamKeys};
 use gridq_engine::evaluator::StreamTag;
+use gridq_engine::fixtures::{int_table, join_plan, JoinShape};
 
 fn weights(rng: &mut DetRng) -> Vec<f64> {
     rng.vec_of(2, 6, |r| r.f64_in(0.05, 10.0))
@@ -168,6 +170,50 @@ fn hash_routing_is_key_consistent() {
                     }
                 } else if before[i] != after[i] {
                     return Err(format!("unmoved key {k} rerouted"));
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The router and the evaluator agree on every tuple's bucket: what a
+/// consumer surrenders for a bucket `W′` moves (its own state and held
+/// probes, sorted by `key_hash` through the shared `dist` function) is
+/// exactly what the router will send to the new owner.
+#[test]
+fn the_evaluator_and_the_router_place_every_key_in_the_same_bucket() {
+    Check::new("evaluator and router agree on buckets").run(
+        |rng| {
+            let key = |r: &mut DetRng| match r.below(4) {
+                0 => Value::Null,
+                1 => Value::Str(format!("orf{}", r.below(50)).into()),
+                _ => Value::Int(r.i64_in(-1000, 1000)),
+            };
+            (rng.vec_of(1, 100, key), rng.u32_in(2, 300))
+        },
+        |(keys, buckets)| {
+            let table = int_table("t", 0..1);
+            let shape = JoinShape {
+                bucket_count: *buckets,
+                ..JoinShape::default()
+            };
+            let plan = join_plan(&table, &table, &shape);
+            let stage = &plan.stages[0];
+            let router = Router::from_policy(&stage.exchange.routing, shape.evaluators as u32)
+                .map_err(|e| e.to_string())?;
+            let evaluator = stage.factory.create(0);
+            for key in keys {
+                let tuple = Tuple::new(vec![key.clone()]);
+                for stream in [StreamTag::Build, StreamTag::Probe] {
+                    let by_router = router.bucket_of(stream, &tuple);
+                    let hash = evaluator.key_hash(stream, &tuple);
+                    let by_evaluator = hash.map(|h| bucket_for_hash(h, *buckets));
+                    if by_router.is_none() || by_router != by_evaluator {
+                        return Err(format!(
+                            "{key:?} on {stream:?}: router {by_router:?}, evaluator {by_evaluator:?}"
+                        ));
+                    }
                 }
             }
             Ok(())

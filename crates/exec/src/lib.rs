@@ -71,7 +71,6 @@ pub use failover::{DeliveryGap, FailoverConfig, RetryPolicy};
 use protocol::consumer::{Consumer, ConsumerOut, M1Sample};
 use protocol::coordinator::{Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget};
 use protocol::producer::{BlockSink, Producer, ProducerSpec, RetryStep};
-use protocol::reroute::{LogMoves, Regroup};
 use protocol::{collapse_duplicate_results, validate_knobs, Block, Exchange, Routed};
 use recall::{GateTransport, ProducerGuard, RecallGate, WorkerCommands};
 pub use service::{
@@ -247,11 +246,12 @@ pub struct ThreadedReport {
     /// up).
     pub reconnects: u64,
     /// Blocks of tuples that recalls and failovers moved outside the data
-    /// plane — re-delivered to their new owners and, on sockets,
-    /// surrendered to the coordinator first — each at most the
-    /// exchange's `buffer_tuples` long: a recall costs
-    /// ⌈moved / `buffer_tuples`⌉ of them plus at most one partial block
-    /// per partition, not one message per tuple.
+    /// plane — surrendered to the coordinator first (on both real
+    /// substrates), then re-delivered to their new owners — each at most
+    /// the exchange's `buffer_tuples` long: a recall costs at most
+    /// 2·(⌈moved / `buffer_tuples`⌉ + partitions) of them (one partial
+    /// block per old owner, one per new owner), not one message per
+    /// tuple.
     pub recall_blocks: u64,
     /// The largest sequenced frame payload any worker link carried, in
     /// bytes; 0 on threads. Bounded by one block of tuples, never by the
@@ -293,8 +293,8 @@ pub(crate) enum Msg {
     /// drains its rings first — the producers are parked behind the
     /// recall gate, so the rings hold everything sent before the pause.
     Drain { token: u64 },
-    /// Recall migration command: hand over the state of the outgoing
-    /// buckets and every held tuple, then reply `MigrateDone`.
+    /// Recall migration command: surrender the state and the held
+    /// tuples of the outgoing buckets, then reply `MigrateDone`.
     Migrate(MigrateCmd),
     /// A block of tuples re-delivered by the recall protocol (migrated
     /// operator state, recalled held tuples, a failover replay; a
@@ -302,9 +302,6 @@ pub(crate) enum Msg {
     /// `buffer_tuples` long. Not logged again: the barrier plus direct
     /// channel carry the exactly-once guarantee.
     Migrated(Vec<Routed>),
-    /// Surrendered state routed straight back to the worker that
-    /// extracted it: re-inserted raw, uncounted.
-    Reinsert(Vec<Routed>),
 }
 
 /// How the coordinator commands workers on either substrate: a message
@@ -320,13 +317,8 @@ impl<C: From<Msg>> WorkerCommands for Commands<C> {
         self.0[worker].send(Msg::Migrate(cmd).into());
     }
 
-    fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool) {
-        let msg = if reinsert {
-            Msg::Reinsert(block)
-        } else {
-            Msg::Migrated(block)
-        };
-        self.0[dest].send(msg.into());
+    fn redeliver(&mut self, dest: usize, block: Vec<Routed>) {
+        self.0[dest].send(Msg::Migrated(block).into());
     }
 }
 
@@ -377,6 +369,22 @@ struct AdaptStats {
     tuples_recalled: u64,
     nodes_failed: u64,
     failovers_completed: u64,
+}
+
+/// A worker's surrendered block is on the reply channel, ahead of that
+/// worker's `MigrateDone` on the same FIFO. The recall it answers may
+/// have given up on its barrier already, so the adaptation thread is
+/// nudged as well: it re-routes the state all the same.
+pub(crate) fn surrendered(
+    x: &Exchange,
+    replies: &Sender<RecallReply>,
+    raw: &Sender<Raw>,
+    worker: usize,
+    entries: Vec<Routed>,
+) {
+    x.tallies.recall_blocks.fetch_add(1, Ordering::Relaxed);
+    let _ = replies.send(RecallReply::Surrendered { worker, entries });
+    let _ = raw.send(Raw::LateState);
 }
 
 pub(crate) fn spin_for(model_ms: f64, scale: f64) {
@@ -682,39 +690,14 @@ impl ConsumerThread {
                 self.reply(RecallPhase::Drain, RecallReply::Drained { token });
             }
             Msg::Migrate(cmd) => {
-                // This consumer shares the router, so it re-routes what
-                // it surrenders itself: the log first, then one block at
-                // a time to each new owner.
-                let entries = self.consumer.surrender(cmd.bucket_count, &cmd.outgoing);
-                let x = &self.out.x;
-                let mut moves = LogMoves::default();
-                let mut blocks = Regroup::new(x, x.partitions);
-                let (mut kept, mut sends) = (Vec::new(), Vec::new());
-                let (state_moved, recalled) =
-                    x.reroute(self.out.index, entries, &mut moves, |owner, entry| {
-                        if owner == self.out.index {
-                            kept.push(entry);
-                        } else {
-                            sends.extend(blocks.push(owner, entry).map(|b| (owner, b)));
-                        }
-                    });
-                sends.extend(blocks.finish());
-                x.settle(moves);
-                self.consumer.take_back(kept);
-                for (owner, block) in sends {
-                    self.out.peers[owner].send(Msg::Migrated(block));
+                let (worker, out) = (self.out.index, &self.out);
+                for block in self.consumer.surrender(cmd.bucket_count, &cmd.outgoing) {
+                    surrendered(&out.x, &self.replies, &out.raw, worker, block);
                 }
-                self.reply(
-                    RecallPhase::Migrate,
-                    RecallReply::MigrateDone {
-                        token: cmd.token,
-                        state_moved,
-                        recalled,
-                    },
-                );
+                let done = RecallReply::MigrateDone { token: cmd.token };
+                self.reply(RecallPhase::Migrate, done);
             }
             Msg::Migrated(block) => self.consumer.on_migrated(block, &mut self.out),
-            Msg::Reinsert(block) => self.consumer.take_back(block),
         }
         Step::Continue
     }
@@ -1103,9 +1086,8 @@ impl<W: WorkerCommands> Adaptivity<W> {
         }
     }
 
-    /// Re-routes state a router-less worker surrendered after its
-    /// recall's barrier had timed out: dropping it would lose real
-    /// tuples.
+    /// Re-routes state a worker surrendered after its recall's barrier
+    /// had timed out: dropping it would lose real tuples.
     fn reroute_late_state(&mut self) {
         let Some(gate) = self.gate.as_deref() else {
             return;
@@ -1957,14 +1939,11 @@ mod tests {
 
         fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
             self.log.lock().push(format!("migrate {worker}"));
-            let _ = self.replies.send(RecallReply::MigrateDone {
-                token: cmd.token,
-                state_moved: 0,
-                recalled: 0,
-            });
+            let done = RecallReply::MigrateDone { token: cmd.token };
+            let _ = self.replies.send(done);
         }
 
-        fn redeliver(&mut self, dest: usize, _block: Vec<Routed>, _reinsert: bool) {
+        fn redeliver(&mut self, dest: usize, _block: Vec<Routed>) {
             self.log.lock().push(format!("redeliver {dest}"));
         }
     }

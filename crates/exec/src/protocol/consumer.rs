@@ -1,12 +1,13 @@
 //! The consumer half of the protocol: two-level dedup, acked-marker
 //! shadowing, held probes and deferred probe acks, end-of-build replay,
-//! `Migrate` surrender, `Migrated` re-delivery, M1 stride batching and
-//! per-source end-of-stream accounting. Results leave in batches of at
-//! most the exchange's `buffer_tuples`, as soon as one is pending: a
-//! consumer never accumulates its whole output. The block is also the
-//! unit of what a consumer tells the monitoring side: the M1 samples and
-//! the progress count of one block leave as one hand-over, before the
-//! block's modelled cost is paid.
+//! `Migrate` surrender (exactly the buckets `W′` moves), `Migrated`
+//! re-delivery, M1 stride batching and per-source end-of-stream
+//! accounting. Results leave in batches of at most the exchange's
+//! `buffer_tuples`, as soon as one is pending: a consumer never
+//! accumulates its whole output. The block is also the unit of what a
+//! consumer tells the monitoring side: the M1 samples and the progress
+//! count of one block leave as one hand-over, before the block's
+//! modelled cost is paid.
 //!
 //! The driver owns the transport (an inbox over rings and a control
 //! channel, or one FIFO link), the crash seam and the idle wait; it feeds
@@ -16,6 +17,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use gridq_common::dist::bucket_for_hash;
 use gridq_common::{cast, ChaosHook, StallSite, Tuple};
 use gridq_engine::evaluator::{PartitionEvaluator, StreamTag};
 use gridq_obs::Counter;
@@ -171,9 +173,9 @@ impl Consumer {
     }
 
     /// The most tuples one block carries off the data plane (a result
-    /// batch, a surrendered `STATE_OUT` block): the exchange's
-    /// `buffer_tuples`, at least one.
-    pub(crate) fn block_tuples(&self) -> usize {
+    /// batch, a surrendered block): the exchange's `buffer_tuples`, at
+    /// least one.
+    fn block_tuples(&self) -> usize {
         self.spec.block_tuples.max(1)
     }
 
@@ -448,39 +450,40 @@ impl Consumer {
         true
     }
 
-    /// Answers a recall's `Migrate`: gives up the operator state of the
-    /// `outgoing` buckets and *every* held probe, for the re-route
-    /// routine to place under the swapped router. What still belongs
-    /// here comes back through [`Consumer::take_back`] (or as `Migrated`
-    /// re-delivery).
-    pub(crate) fn surrender(&mut self, bucket_count: Option<u32>, outgoing: &[u32]) -> Vec<Routed> {
-        let mut entries: Vec<Routed> = Vec::new();
-        if let Some(bc) = bucket_count {
-            if !outgoing.is_empty() {
-                let b = self.spec.build_source.unwrap_or(0);
-                for (stream, tuple) in self.evaluator.extract_state(bc, outgoing) {
-                    entries.push((stream, b, tuple));
-                }
+    /// Answers a recall's `Migrate`: gives up exactly what `W′` moves —
+    /// the operator state of the `outgoing` buckets and the held probes
+    /// whose bucket is one of them — in blocks of at most
+    /// [`ConsumerSpec::block_tuples`], state ahead of probes. The other
+    /// held probes stay held, in order. A probe nothing can place (no
+    /// bucket map under weighted routing) is surrendered too, and comes
+    /// back as `Migrated` re-delivery if it still belongs here.
+    pub(crate) fn surrender(
+        &mut self,
+        bucket_count: Option<u32>,
+        outgoing: &[u32],
+    ) -> Vec<Vec<Routed>> {
+        let block_tuples = self.block_tuples();
+        let mut blocks: Vec<Vec<Routed>> = Vec::new();
+        let mut give = |entry: Routed| match blocks.last_mut() {
+            Some(block) if block.len() < block_tuples => block.push(entry),
+            _ => blocks.push(vec![entry]),
+        };
+        if let (Some(bc), false) = (bucket_count, outgoing.is_empty()) {
+            let b = self.spec.build_source.unwrap_or(0);
+            for (stream, tuple) in self.evaluator.extract_state(bc, outgoing) {
+                give((stream, b, tuple));
             }
         }
         for (source, tuple) in std::mem::take(&mut self.held_probes) {
-            entries.push((StreamTag::Probe, source, tuple));
-        }
-        entries
-    }
-
-    /// Surrendered entries the re-route routine assigned straight back:
-    /// a held probe is held again; state is re-inserted raw, uncounted
-    /// (outgoing buckets route away by construction — this is the
-    /// defensive path).
-    pub(crate) fn take_back(&mut self, block: Vec<Routed>) {
-        for (stream, source, tuple) in block {
-            if stream == StreamTag::Probe {
+            let hash = self.evaluator.key_hash(StreamTag::Probe, &tuple);
+            let bucket = bucket_count.zip(hash).map(|(bc, h)| bucket_for_hash(h, bc));
+            if bucket.is_some_and(|b| !outgoing.contains(&b)) {
                 self.held_probes.push((source, tuple));
             } else {
-                let _ = self.evaluator.process(stream, &tuple);
+                give((StreamTag::Probe, source, tuple));
             }
         }
+        blocks
     }
 
     /// A block of tuples re-delivered by the recall protocol (migrated

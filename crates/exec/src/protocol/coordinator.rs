@@ -9,9 +9,9 @@
 //!    addressed to it under the old distribution is processed or shelved.
 //! 3. **Swap.** The routing table is swapped under quiescence and the
 //!    buckets each old owner must surrender are computed.
-//! 4. **Migrate.** Each consumer surrenders that state (and its held
-//!    probes) to the re-route routine and replies `MigrateDone`. What it
-//!    surrenders is re-delivered in blocks of the exchange's
+//! 4. **Migrate.** Each consumer surrenders that state, and the held
+//!    probes of the same buckets, in blocks ahead of its `MigrateDone`.
+//!    They are re-routed here and nowhere else, re-delivered in blocks of
 //!    `buffer_tuples` per new owner, and the log bookkeeping is settled
 //!    once per (source, old owner → new owner) before the resume.
 //! 5. **Resume.** The gate epoch is bumped; the released producers notice
@@ -21,8 +21,6 @@
 //! untouched and the gate reopened.
 
 use gridq_common::{DistributionVector, RecallPhase};
-
-use gridq_engine::evaluator::StreamTag;
 
 use super::reroute::{LogMoves, Regroup};
 use super::{Exchange, Routed};
@@ -34,24 +32,17 @@ use super::{Exchange, Routed};
 pub(crate) enum RecallReply {
     /// The worker has observed the `Drain` marker.
     Drained { token: u64 },
-    /// The worker finished surrendering. A worker that re-routes locally
-    /// reports what it moved; one that ships its state to the
-    /// coordinator reports zeros (the coordinator counts).
-    MigrateDone {
-        token: u64,
-        state_moved: u64,
-        recalled: u64,
-    },
-    /// One block of the state and held probes surrendered by a worker
-    /// that has no router; sent ahead of its `MigrateDone` on the same
-    /// FIFO channel, so barrier completion implies all of it was
-    /// re-routed.
+    /// The worker finished surrendering.
+    MigrateDone { token: u64 },
+    /// One block of the state and held probes a worker surrendered; sent
+    /// ahead of its `MigrateDone` on the same FIFO channel, so barrier
+    /// completion implies all of it was re-routed.
     Surrendered { worker: usize, entries: Vec<Routed> },
 }
 
 /// The `Migrate` command: surrender the operator state of the `outgoing`
-/// buckets (of `bucket_count`; `None` under weighted routing) and every
-/// held probe, then answer `MigrateDone { token }`.
+/// buckets (of `bucket_count`; `None` under weighted routing) and the
+/// held probes of those buckets, then answer `MigrateDone { token }`.
 pub(crate) struct MigrateCmd {
     pub(crate) token: u64,
     pub(crate) bucket_count: Option<u32>,
@@ -78,10 +69,8 @@ pub(crate) trait RecallTransport {
     /// Sends `worker` its `Migrate` command.
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd);
     /// Re-delivers a block of tuples (at most the exchange's
-    /// `buffer_tuples`) to `dest` outside the data plane. `reinsert`
-    /// marks state going straight back to the worker that surrendered
-    /// it: inserted raw, uncounted.
-    fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool);
+    /// `buffer_tuples`) to `dest` outside the data plane.
+    fn redeliver(&mut self, dest: usize, block: Vec<Routed>);
     /// Starts the time-out for one round of replies.
     fn arm_deadline(&mut self);
     /// The next reply, or `None` once the deadline armed last has passed
@@ -133,7 +122,7 @@ pub(crate) struct Coordinator {
 }
 
 /// What a hand-over has routed but not yet sent or settled: partial
-/// re-delivery blocks per `(owner, reinsert)` and the log bookkeeping.
+/// re-delivery blocks per owner and the log bookkeeping.
 struct Handover {
     blocks: Regroup,
     moves: LogMoves,
@@ -142,21 +131,16 @@ struct Handover {
 impl Handover {
     fn new(x: &Exchange) -> Self {
         Handover {
-            blocks: Regroup::new(x, 2 * x.partitions),
+            blocks: Regroup::new(x, x.partitions),
             moves: LogMoves::default(),
         }
-    }
-
-    /// The `Regroup` key of the re-delivery stream to `owner`.
-    fn key(owner: usize, reinsert: bool) -> usize {
-        2 * owner + usize::from(reinsert)
     }
 
     /// Settles the log, then sends the partial blocks.
     fn finish<T: RecallTransport>(mut self, x: &Exchange, t: &mut T) {
         x.settle(self.moves);
-        for (key, block) in self.blocks.finish() {
-            t.redeliver(key / 2, block, key % 2 == 1);
+        for (owner, block) in self.blocks.finish() {
+            t.redeliver(owner, block);
         }
     }
 }
@@ -297,16 +281,8 @@ impl Coordinator {
                 RecallReply::Drained { token: tk } => {
                     got += usize::from(phase == RecallPhase::Drain && tk == token);
                 }
-                RecallReply::MigrateDone {
-                    token: tk,
-                    state_moved,
-                    recalled,
-                } => {
-                    if phase == RecallPhase::Migrate && tk == token {
-                        got += 1;
-                        moved_total += state_moved;
-                        recalled_total += recalled;
-                    }
+                RecallReply::MigrateDone { token: tk } => {
+                    got += usize::from(phase == RecallPhase::Migrate && tk == token);
                 }
                 RecallReply::Surrendered { worker, entries } => {
                     let (m, r) = self.route_surrendered(worker, entries, &mut handover, t);
@@ -328,16 +304,15 @@ impl Coordinator {
     ) -> (u64, u64) {
         let Handover { blocks, moves } = handover;
         self.x.reroute(worker, entries, moves, |owner, entry| {
-            let reinsert = owner == worker && entry.0 != StreamTag::Probe;
-            if let Some(block) = blocks.push(Handover::key(owner, reinsert), entry) {
-                t.redeliver(owner, block, reinsert);
+            if let Some(block) = blocks.push(owner, entry) {
+                t.redeliver(owner, block);
             }
         })
     }
 
-    /// Re-routes a block a router-less worker surrendered outside any
-    /// recall's collection: a barrier that timed out may still deliver
-    /// its state, and dropping it would lose real tuples.
+    /// Re-routes a block a worker surrendered outside any recall's
+    /// collection: a barrier that timed out may still deliver its state,
+    /// and dropping it would lose real tuples.
     pub(crate) fn surrendered<T: RecallTransport>(
         &self,
         worker: usize,
@@ -380,12 +355,12 @@ impl Coordinator {
                 // the consumers' dedup filter.
                 let _ = logs[s].record_replayed(dest as u32, (stream, tuple.clone()));
                 if let Some(block) = blocks.push(dest, (stream, s, tuple)) {
-                    t.redeliver(dest, block, false);
+                    t.redeliver(dest, block);
                 }
             }
         }
         for (dest, block) in blocks.finish() {
-            t.redeliver(dest, block, false);
+            t.redeliver(dest, block);
         }
         replayed
     }

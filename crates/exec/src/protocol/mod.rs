@@ -531,10 +531,13 @@ mod tests {
         replies: VecDeque<RecallReply>,
         drains: Vec<usize>,
         migrates: Vec<(usize, Vec<u32>)>,
-        /// Every re-delivered block: `(dest, block, reinsert)`.
-        redelivered: Vec<(usize, Vec<Routed>, bool)>,
+        /// Every re-delivered block, with its destination.
+        redelivered: Vec<(usize, Vec<Routed>)>,
         aborts: u32,
         pause_open: bool,
+        /// Workers that answer `Migrate` themselves, by index: what they
+        /// surrender is queued ahead of their `MigrateDone`.
+        consumers: Vec<Consumer>,
     }
 
     impl RecallTransport for FakeTransport {
@@ -563,11 +566,19 @@ mod tests {
         }
 
         fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
+            if let Some(c) = self.consumers.get_mut(worker) {
+                for entries in c.surrender(cmd.bucket_count, &cmd.outgoing) {
+                    let block = RecallReply::Surrendered { worker, entries };
+                    self.replies.push_back(block);
+                }
+                let done = RecallReply::MigrateDone { token: cmd.token };
+                self.replies.push_back(done);
+            }
             self.migrates.push((worker, cmd.outgoing));
         }
 
-        fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool) {
-            self.redelivered.push((dest, block, reinsert));
+        fn redeliver(&mut self, dest: usize, block: Vec<Routed>) {
+            self.redelivered.push((dest, block));
         }
 
         fn arm_deadline(&mut self) {}
@@ -580,15 +591,11 @@ mod tests {
     /// A completed recall that moves every bucket to partition 1 (the
     /// workers' side of it is the individual test's business).
     fn recall_everything_to_partition_1(x: &Exchange) {
-        let done = |token| RecallReply::MigrateDone {
-            token,
-            state_moved: 0,
-            recalled: 0,
-        };
+        let done = RecallReply::MigrateDone { token: 1 };
         let drained = RecallReply::Drained { token: 1 };
         let mut t = FakeTransport {
             parked: Some(1),
-            replies: VecDeque::from([drained.clone(), drained, done(1), done(1)]),
+            replies: VecDeque::from([drained.clone(), drained, done.clone(), done]),
             ..FakeTransport::default()
         };
         let target = RecallTarget::Deploy(DistributionVector::new(&[0.0, 1.0]).unwrap());
@@ -839,103 +846,154 @@ mod tests {
         assert_eq!(x.tallies.restaged.load(Ordering::Relaxed), 0);
     }
 
-    /// What router-less workers surrender — in `STATE_OUT` blocks, state
-    /// ahead of held probes — goes back out as ⌈n / B⌉ blocks per new
-    /// owner in arrival order, counted exactly as when each tuple travelled
+    /// A consumer mid-build surrenders exactly what `W′` moves — the
+    /// state and the held probes of its outgoing buckets, state first —
+    /// and keeps the rest held, in order. What it surrenders goes back out
+    /// as ⌈n / B⌉ blocks per new owner in arrival order, none of it to the
+    /// worker it came from, counted exactly as when each tuple travelled
     /// alone, and the log is settled in one pass however many blocks came.
     #[test]
     fn a_surrender_is_redelivered_in_blocks_per_owner_with_state_ahead_of_probes() {
         const B: usize = 4; // the test exchange's `buffer_tuples`
-        let (x, _) = join_exchange(false);
+        let (x, factory) = join_exchange(false);
+        let owner = |e: &Routed| x.router.lock().route(e.0, &e.2).unwrap() as usize;
+        // Keys 0..46 build and probe; each consumer gets what the initial
+        // router sends it, probes ahead of build so they are held.
         let state = |k: u64| (StreamTag::Build, BUILD, tuple(k as i64, k));
         let probe = |k: u64| (StreamTag::Probe, PROBE, tuple(k as i64, 100 + k));
-        let from_0: Vec<Routed> = (0..23).map(state).chain((0..9).map(probe)).collect();
-        let from_1: Vec<Routed> = (9..20).map(probe).collect();
-        for (_, _, t) in from_0.iter().take(23) {
-            let _ = x
-                .log(BUILD)
-                .unwrap()
-                .record(0, (StreamTag::Build, t.clone()));
-        }
-        let done = |token| RecallReply::MigrateDone {
-            token,
-            state_moved: 0,
-            recalled: 0,
-        };
-        let drained = RecallReply::Drained { token: 1 };
-        let mut replies = VecDeque::from([drained.clone(), drained]);
-        for (worker, entries) in [(0, &from_0), (1, &from_1)] {
-            for block in entries.chunks(B) {
-                replies.push_back(RecallReply::Surrendered {
-                    worker,
-                    entries: block.to_vec(),
-                });
+        let all: Vec<Routed> = (0..46).map(probe).chain((0..46).map(state)).collect();
+        let at: Vec<usize> = all.iter().map(&owner).collect();
+        let mut consumers = Vec::new();
+        for p in 0..2 {
+            let mut c = consumer(&x, &factory, p);
+            let mut out = FakeOut::new(&x, p);
+            for (source, stream) in [(PROBE, StreamTag::Probe), (BUILD, StreamTag::Build)] {
+                let mine = all
+                    .iter()
+                    .zip(&at)
+                    .filter(|(e, a)| **a == p && e.0 == stream);
+                let items = mine.map(|(e, _)| Staged::Tuple(e.0, e.2.clone()));
+                let block = Block {
+                    source,
+                    items: items.collect(),
+                    retransmit: false,
+                };
+                if stream == StreamTag::Build {
+                    for item in &block.items {
+                        let Staged::Tuple(_, t) = item else { continue };
+                        let _ = x.log(BUILD).unwrap().record(p as u32, (stream, t.clone()));
+                    }
+                }
+                c.on_block(block, &mut out);
             }
-            replies.push_back(done(1));
+            assert!(out.results.is_empty(), "every probe is held");
+            consumers.push(c);
         }
+        let logged_at_0 = x.log(BUILD).unwrap().unacked_len(0);
+        let drained = RecallReply::Drained { token: 1 };
         let mut t = FakeTransport {
             parked: Some(1),
-            replies,
+            replies: VecDeque::from([drained.clone(), drained]),
+            consumers,
             ..FakeTransport::default()
         };
         let target = RecallTarget::Deploy(DistributionVector::new(&[0.25, 0.75]).unwrap());
         let outcome = Coordinator::new(x.clone()).recall(target, &[0, 1], &mut t, |_| {});
 
-        // The per-tuple definition, under the deployed router.
-        let owner = |e: &Routed| x.router.lock().route(e.0, &e.2).unwrap() as usize;
-        let all = from_0
-            .iter()
-            .map(|e| (0, e))
-            .chain(from_1.iter().map(|e| (1, e)));
-        let all: Vec<(usize, &Routed)> = all.collect();
-        let moved_probes = all
-            .iter()
-            .filter(|(from, e)| e.0 == StreamTag::Probe && owner(e) != *from);
+        // The per-tuple definition, under the deployed router: an entry
+        // moves when its owner is no longer where it was.
+        let moved = |stream: StreamTag| -> Vec<u64> {
+            let entries = all
+                .iter()
+                .zip(&at)
+                .filter(|(e, a)| e.0 == stream && owner(e) != **a);
+            entries.map(|(e, _)| e.2.seq()).collect()
+        };
+        let (moved_state, moved_probes) = (moved(StreamTag::Build), moved(StreamTag::Probe));
+        assert!(
+            !moved_state.is_empty() && moved_probes.len() < 23,
+            "some go, some stay"
+        );
         assert_eq!(
             outcome,
             RecallOutcome::Deployed {
                 epoch: 1,
-                state_moved: 23,
-                recalled: moved_probes.count() as u64,
+                state_moved: moved_state.len() as u64,
+                recalled: moved_probes.len() as u64,
                 completed: true,
             }
         );
-        let seqs = |entries: &mut dyn Iterator<Item = &Routed>| -> Vec<u64> {
-            entries.map(|e| e.2.seq()).collect()
-        };
-        let mut blocks = 0;
-        for dest in 0..2 {
-            for reinsert in [false, true] {
-                let sent = t
-                    .redelivered
-                    .iter()
-                    .filter(|(d, _, r)| (*d, *r) == (dest, reinsert));
-                let sent: Vec<&Vec<Routed>> = sent.map(|(_, b, _)| b).collect();
-                let want = all.iter().filter(|(from, e)| {
-                    owner(e) == dest && reinsert == (*from == dest && e.0 != StreamTag::Probe)
-                });
-                let want = seqs(&mut want.map(|(_, e)| *e));
-                assert_eq!(seqs(&mut sent.iter().flat_map(|b| b.iter())), want);
-                assert_eq!(sent.len(), want.len().div_ceil(B), "⌈n / B⌉ blocks");
-                let full = sent.iter().rev().skip(1).all(|b| b.len() == B);
-                assert!(full, "only an owner's last block may be partial");
-                blocks += sent.len() as u64;
-            }
-        }
+        // Only partition 0 gave anything up, all of it to partition 1:
+        // its state (hash-table order) in whole blocks ahead of its
+        // probes (arrival order), one partial block at the end.
+        assert!(t.redelivered.iter().all(|(dest, _)| *dest == 1));
+        let sent: Vec<&Routed> = t.redelivered.iter().flat_map(|(_, b)| b).collect();
+        let n = moved_state.len() + moved_probes.len();
+        assert_eq!(sent.len(), n);
+        let mut sent_state: Vec<u64> = sent[..moved_state.len()]
+            .iter()
+            .map(|e| e.2.seq())
+            .collect();
+        sent_state.sort_unstable();
+        assert_eq!(sent_state, moved_state, "state first");
+        let sent_probes: Vec<u64> = sent[moved_state.len()..]
+            .iter()
+            .map(|e| e.2.seq())
+            .collect();
+        assert_eq!(sent_probes, moved_probes, "then the probes, in order");
+        assert_eq!(t.redelivered.len(), n.div_ceil(B), "⌈n / B⌉ blocks");
+        let full = t
+            .redelivered
+            .iter()
+            .rev()
+            .skip(1)
+            .all(|(_, b)| b.len() == B);
+        assert!(full, "only an owner's last block may be partial");
+        let blocks = t.redelivered.len() as u64;
         assert_eq!(x.tallies.recall_blocks.load(Ordering::Relaxed), blocks);
-        let streams = |reinsert: bool| {
-            let dests = t.redelivered.iter().filter(|(_, _, r)| *r == reinsert);
-            dests
-                .map(|(d, _, _)| *d)
-                .collect::<std::collections::BTreeSet<_>>()
-        };
-        assert_eq!(streams(false).len(), 2, "both partitions are owners");
-        assert_eq!(streams(true).len(), 1, "state that stayed is re-inserted");
-        // 23 state entries left partition 0's slice of the build log in
-        // one pass over it, not one per `STATE_OUT` block.
+        // The moved state left partition 0's slice of the build log in
+        // one pass over it, not one per surrendered block.
         let log = x.log(BUILD).unwrap();
-        assert_eq!((log.unacked_len(0), log.entries_visited()), (0, 23));
+        assert_eq!(
+            (log.unacked_len(0), log.entries_visited()),
+            (logged_at_0 - moved_state.len(), logged_at_0 as u64)
+        );
         assert!(log.audit().conserved(), "{:?}", log.audit());
+
+        // The probes that stayed never left: when the build ends each
+        // consumer replays its own — partition 1's after the re-delivery —
+        // and every probe finds its build tuple exactly once.
+        let mut joined = Vec::new();
+        for (p, mut c) in t.consumers.drain(..).enumerate() {
+            let mut out = FakeOut::new(&x, p);
+            for (_, block) in t.redelivered.iter().filter(|(dest, _)| *dest == p) {
+                c.on_migrated(block.clone(), &mut out);
+            }
+            assert!(!c.on_eos(StreamTag::Build, &mut out));
+            assert!(c.on_eos(StreamTag::Probe, &mut out), "flushes the tail");
+            let seqs: Vec<u64> = out.results.iter().map(Tuple::seq).collect();
+            if p == 0 {
+                let stayed = all
+                    .iter()
+                    .zip(&at)
+                    .filter(|(e, a)| e.0 == StreamTag::Probe && **a == 0 && owner(e) == 0);
+                let stayed: Vec<u64> = stayed.map(|(e, _)| e.2.seq()).collect();
+                assert_eq!(seqs, stayed, "held throughout, in arrival order");
+            }
+            joined.extend(seqs);
+        }
+        joined.sort_unstable();
+        assert_eq!(joined, (100..146).collect::<Vec<u64>>());
+
+        // A hand-over that arrives after its barrier gave up may find a
+        // later recall has routed a bucket back: the entry returns to the
+        // worker it came from as an ordinary re-delivered block.
+        let mut late = FakeTransport::default();
+        let back = state(moved_state[0]);
+        let counts = Coordinator::new(x.clone()).surrendered(1, vec![back], &mut late);
+        assert_eq!(counts, (1, 0));
+        assert_eq!(late.redelivered.len(), 1);
+        assert_eq!(late.redelivered[0].0, 1, "partition 1 owns that bucket now");
     }
 
     /// In a resilient run every moved entry's log record follows it to
@@ -994,11 +1052,7 @@ mod tests {
             parked: Some(2),
             replies: VecDeque::from([
                 RecallReply::Drained { token: 1 },
-                RecallReply::MigrateDone {
-                    token: 1,
-                    state_moved: 0,
-                    recalled: 0,
-                },
+                RecallReply::MigrateDone { token: 1 },
             ]),
             ..FakeTransport::default()
         };
@@ -1022,14 +1076,14 @@ mod tests {
         );
         // Six entries for one survivor at four tuples a block: two blocks,
         // build entries ahead of probe entries across them.
-        let sizes: Vec<usize> = t.redelivered.iter().map(|(_, b, _)| b.len()).collect();
+        let sizes: Vec<usize> = t.redelivered.iter().map(|(_, b)| b.len()).collect();
         assert_eq!(sizes, vec![4, 2]);
-        let blocks = t.redelivered.iter().flat_map(|(_, b, _)| b);
+        let blocks = t.redelivered.iter().flat_map(|(_, b)| b);
         let streams: Vec<StreamTag> = blocks.map(|e| e.0).collect();
         let mut expected = vec![StreamTag::Build; 3];
         expected.extend([StreamTag::Probe; 3]);
         assert_eq!(streams, expected);
-        assert!(t.redelivered.iter().all(|(dest, _, _)| *dest == 0));
+        assert!(t.redelivered.iter().all(|(dest, _)| *dest == 0));
         for source in [BUILD, PROBE] {
             let log = x.log(source).unwrap();
             assert_eq!((log.unacked_len(1), log.unacked_len(0)), (0, 3));

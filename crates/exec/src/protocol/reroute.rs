@@ -5,9 +5,11 @@
 //! retransmitted window whose bucket moved since it closed) and the
 //! producers' post-recall restage.
 //!
-//! Who calls it is the substrates' real difference: threaded consumers
-//! share the router and re-route locally; socket workers have no router,
-//! ship `STATE_OUT` / `STRAY` and the coordinator calls the same code.
+//! A hand-over is re-routed in one place on both substrates — every
+//! worker surrenders to the coordinator, the only caller of
+//! [`Exchange::reroute`]. A stray is placed where a router is in reach:
+//! by the threaded consumer itself, by the reader thread for a socket
+//! worker's `STRAY`.
 //!
 //! A hand-over costs what it moves: re-delivery leaves in blocks of the
 //! exchange's `buffer_tuples` ([`Regroup`]), and the log bookkeeping of a
@@ -116,11 +118,11 @@ impl Exchange {
     }
 
     /// Re-routes what partition `from` surrendered to a recall — the
-    /// operator state of its outgoing buckets and its held probes —
+    /// operator state and the held probes of its outgoing buckets —
     /// under the already swapped router, calling `deliver(owner, entry)`
-    /// for each (the owner may be `from` itself: a probe whose bucket
-    /// stayed, or defensively a state tuple). Returns
-    /// `(state_moved, recalled)`.
+    /// for each. The owner may be `from` itself: a probe surrendered
+    /// under weighted routing, or state a later recall routed back
+    /// before this hand-over arrived. Returns `(state_moved, recalled)`.
     ///
     /// The log bookkeeping is noted in `moves` for [`Exchange::settle`]:
     /// in resilient runs an entry follows its tuple to the new owner's

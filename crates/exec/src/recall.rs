@@ -160,7 +160,7 @@ pub(crate) trait WorkerCommands {
     /// Sends `worker` its `Migrate` command.
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd);
     /// Re-delivers a block of tuples to `dest` outside the data plane.
-    fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool);
+    fn redeliver(&mut self, dest: usize, block: Vec<Routed>);
 }
 
 /// The coordinator's transport on real threads: the gate, a reply
@@ -218,8 +218,8 @@ impl<W: WorkerCommands> RecallTransport for GateTransport<'_, W> {
         self.workers.migrate(worker, cmd);
     }
 
-    fn redeliver(&mut self, dest: usize, block: Vec<Routed>, reinsert: bool) {
-        self.workers.redeliver(dest, block, reinsert);
+    fn redeliver(&mut self, dest: usize, block: Vec<Routed>) {
+        self.workers.redeliver(dest, block);
     }
 
     fn arm_deadline(&mut self) {

@@ -355,7 +355,7 @@ impl QueryService {
     }
 
     /// Submits one query and blocks until it completes (or is rejected).
-    /// The closed-loop load driver calls this from each session thread.
+    /// Each concurrent session calls this from its own thread.
     pub fn submit_and_wait(&self, submission: QuerySubmission) -> (QueryId, QueryOutcome) {
         let (id, ticket) = {
             let mut st = self.state.lock();

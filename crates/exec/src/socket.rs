@@ -76,8 +76,8 @@ use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
 use crate::protocol::coordinator::{MigrateCmd, RecallReply};
 use crate::protocol::{sane_ms, validate_knobs, Block, Exchange, Routed, Staged};
 use crate::{
-    spin_for, Endpoints, Msg, Raw, RetryPolicy, RingPayload, Run, ThreadedConfig, ThreadedReport,
-    Wiring, WorkerEvent,
+    spin_for, surrendered, Endpoints, Msg, Raw, RetryPolicy, RingPayload, Run, ThreadedConfig,
+    ThreadedReport, Wiring, WorkerEvent,
 };
 
 /// Application-level message tags, the first payload byte of every
@@ -105,8 +105,8 @@ mod tag {
     pub const ACK: u8 = 7;
     /// Worker -> coordinator: drain barrier reached.
     pub const DRAINED: u8 = 8;
-    /// Worker -> coordinator: one block of surrendered operator state
-    /// and held probes, for the coordinator to re-route.
+    /// Worker -> coordinator: one block of the state and held probes of
+    /// the buckets a recall moves, for the coordinator to re-route.
     pub const STATE_OUT: u8 = 9;
     /// Worker -> coordinator: migration handled.
     pub const MIGRATE_DONE: u8 = 10;
@@ -119,9 +119,8 @@ mod tag {
     pub const STRAY: u8 = 12;
     /// Coordinator -> worker: the run is over, exit cleanly.
     pub const SHUTDOWN: u8 = 13;
-    /// Coordinator -> worker: re-insert a block of state tuples raw (a
-    /// recall routed them back to the worker that extracted them).
-    pub const REINSERT: u8 = 14;
+    // 14 is retired (it re-inserted state raw at the worker that had
+    // surrendered it) and must not be reused.
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +238,6 @@ enum WireMsg {
     },
     Stray(Routed),
     Shutdown,
-    Reinsert(Vec<Routed>),
 }
 
 impl WireMsg {
@@ -290,7 +288,6 @@ impl WireMsg {
             }
             WireMsg::Migrated(block) => enc_routed_block(tag::MIGRATED, block),
             WireMsg::StateOut(block) => enc_routed_block(tag::STATE_OUT, block),
-            WireMsg::Reinsert(block) => enc_routed_block(tag::REINSERT, block),
             WireMsg::Stray(entry) => {
                 let mut out = tagged(tag::STRAY);
                 put_routed(&mut out, entry);
@@ -388,7 +385,6 @@ impl WireMsg {
             }
             tag::MIGRATED => WireMsg::Migrated(get_routed_block(r)?),
             tag::STATE_OUT => WireMsg::StateOut(get_routed_block(r)?),
-            tag::REINSERT => WireMsg::Reinsert(get_routed_block(r)?),
             tag::STRAY => WireMsg::Stray(get_routed(r)?),
             tag::RESULTS => WireMsg::Results(wire::get_tuples(r)?),
             tag::ACK => {
@@ -894,7 +890,6 @@ impl From<Msg> for LinkCtl {
             Msg::Drain { token } => WireMsg::Drain { token },
             Msg::Migrate(cmd) => WireMsg::Migrate(cmd),
             Msg::Migrated(block) => WireMsg::Migrated(block),
-            Msg::Reinsert(block) => WireMsg::Reinsert(block),
         })
     }
 }
@@ -1081,23 +1076,10 @@ fn dispatch(ctx: &ReaderCtx, worker: usize, payload: &[u8]) -> Result<()> {
         }
         WireMsg::MigrateDone { token } => {
             if ctx.x.reply_survives(RecallPhase::Migrate, worker) {
-                let _ = ctx.replies.send(RecallReply::MigrateDone {
-                    token,
-                    state_moved: 0,
-                    recalled: 0,
-                });
+                let _ = ctx.replies.send(RecallReply::MigrateDone { token });
             }
         }
-        WireMsg::StateOut(entries) => {
-            let tallies = &ctx.x.tallies;
-            tallies.recall_blocks.fetch_add(1, Ordering::Relaxed);
-            let _ = ctx
-                .replies
-                .send(RecallReply::Surrendered { worker, entries });
-            // The recall this answers may have given up on its barrier
-            // already; the nudge gets the state re-routed all the same.
-            let _ = ctx.raw.send(Raw::LateState);
-        }
+        WireMsg::StateOut(entries) => surrendered(&ctx.x, &ctx.replies, &ctx.raw, worker, entries),
         WireMsg::Stray((stream, source, tuple)) => {
             // A retransmitted tuple the worker cannot verify ownership
             // of (it has no router): the shared re-route routine finds
@@ -1719,24 +1701,13 @@ fn handle_msg(
         // processed, which is exactly what Drained promises.
         WireMsg::Drain { token } => wire.send(&WireMsg::Drained { token }),
         WireMsg::Migrate(cmd) => {
-            // No router here: surrender the outgoing buckets' state and
-            // every held probe, a block per frame, ahead of MigrateDone
-            // on the same FIFO; the coordinator re-routes them (keepers
-            // come straight back as MIGRATED and are re-held).
-            let block_tuples = st.consumer.block_tuples();
-            let surrendered = st.consumer.surrender(cmd.bucket_count, &cmd.outgoing);
-            let mut entries = surrendered.into_iter();
-            loop {
-                let block: Vec<Routed> = entries.by_ref().take(block_tuples).collect();
-                if block.is_empty() {
-                    break;
-                }
+            // A block per frame, ahead of MigrateDone on the same FIFO.
+            for block in st.consumer.surrender(cmd.bucket_count, &cmd.outgoing) {
                 wire.send(&WireMsg::StateOut(block));
             }
             wire.send(&WireMsg::MigrateDone { token: cmd.token });
         }
         WireMsg::Migrated(block) => st.consumer.on_migrated(block, wire),
-        WireMsg::Reinsert(block) => st.consumer.take_back(block),
         _ => {
             return Err(GridError::Execution(format!(
                 "socket: unexpected coordinator frame tag {:?}",
@@ -2169,17 +2140,17 @@ mod tests {
             },
             WireMsg::Stray(gen_routed(rng)),
             WireMsg::Shutdown,
-            WireMsg::Reinsert(rng.vec_of(0, 4, gen_routed)),
         ];
         messages.iter().map(WireMsg::encode).collect()
     }
 
     /// Bytes come from another process. For every tag — the block
-    /// payloads of `MIGRATED`, `RESULTS`, `STATE_OUT` and `REINSERT`
-    /// included — encode → decode → encode is the identity, and every truncation and single-byte
-    /// mutation decodes to `Err` or to some valid message (one that
-    /// itself round-trips) — never a panic (which `Check` reports as a
-    /// failure), never an allocation sized by an unchecked length.
+    /// payloads of `MIGRATED`, `RESULTS` and `STATE_OUT` included —
+    /// encode → decode → encode is the identity, and every truncation
+    /// and single-byte mutation decodes to `Err` or to some valid
+    /// message (one that itself round-trips) — never a panic (which
+    /// `Check` reports as a failure), never an allocation sized by an
+    /// unchecked length. The retired tag 14 is as unknown as any other.
     #[test]
     fn every_tag_round_trips_and_survives_truncation_and_mutation() {
         let survives = |bytes: &[u8]| -> std::result::Result<(), String> {
@@ -2219,10 +2190,15 @@ mod tests {
                 }
                 Ok(())
             });
-        assert_eq!(gen_every_message(&mut DetRng::seeded(1)).len(), 15);
+        assert_eq!(gen_every_message(&mut DetRng::seeded(1)).len(), 14);
+        let retired = WireMsg::decode(&[14, 0]).err().map(|e| e.to_string());
+        assert!(
+            retired.is_some_and(|e| e.contains("unknown frame tag 14")),
+            "tag 14 is retired, not reused"
+        );
         // The block payloads: a count beyond the bytes that remain is
         // rejected before anything is allocated for it.
-        for t in [tag::MIGRATED, tag::RESULTS, tag::STATE_OUT, tag::REINSERT] {
+        for t in [tag::MIGRATED, tag::RESULTS, tag::STATE_OUT] {
             let mut payload = vec![t];
             put_varint(&mut payload, u64::from(u32::MAX));
             payload.extend([0u8; 16]);

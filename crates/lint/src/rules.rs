@@ -44,10 +44,6 @@ pub const CLOCK_SITES: &[&str] = &[
     // budgets, recall barriers, and handshake deadlines are wall-clock
     // timeouts by nature, like the failover detector above.
     "crates/exec/src/socket.rs",
-    // The closed-loop load driver times whole queries against real
-    // substrates and paces sessions with real think-time sleeps; its
-    // *schedule* stays deterministic (DetRng), only latencies are wall.
-    "crates/workload/src/driver.rs",
 ];
 
 /// The one file allowed to name `std::sync::{Mutex, RwLock, Condvar}`:

@@ -15,11 +15,9 @@
 //!   i where i.ORF1 = p.ORF` — a partitioned hash join.
 
 pub mod data;
-pub mod driver;
 pub mod entropy;
 pub mod experiments;
 
 pub use data::{demo_catalog, protein_interactions, protein_sequences};
-pub use driver::{LoadConfig, LoadReport, QueryBackend, SessionOutcome};
 pub use entropy::{shannon_entropy, EntropyAnalyser};
 pub use experiments::{Q1Experiment, Q2Experiment};

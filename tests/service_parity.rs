@@ -24,7 +24,6 @@ use gridq::engine::fixtures::multiset;
 use gridq::engine::service::AdmissionConfig;
 use gridq::exec::{QueryOutcome, QueryService, QuerySubmission, ServiceConfig, ThreadedReport};
 use gridq::obs::{TimelineEvent, TimelineKind};
-use gridq::workload::driver::{self, LoadConfig, QueryBackend, SessionOutcome};
 use gridq::workload::experiments::Q1Experiment;
 
 mod common;
@@ -185,80 +184,45 @@ fn concurrent_socket_queries_match_their_serial_sim_references() {
     assert_eq!(report.admission.rejected, 0);
 }
 
-/// The closed-loop load driver against one service: 64 sessions, even
-/// ones on threads and odd ones over sockets, arrive on a seeded
-/// schedule and queue for 4 run slots. Every session's result must be
-/// the serial simulator multiset — the same cardinality with one value
-/// changed is a wrong answer — and nothing may be rejected or fail.
+/// 64 concurrent sessions against one service, even ones on threads and
+/// odd ones over sockets, queue for 4 run slots. Every session's result
+/// must be the serial simulator multiset — the same cardinality with one
+/// value changed is a wrong answer — and nothing may be rejected or fail.
 #[test]
 fn sixty_four_mixed_sessions_through_four_slots_each_match_the_serial_sim_multiset() {
     const SESSIONS: usize = 64;
-
-    struct Backend<'a> {
-        service: &'a QueryService,
-        q1: &'a Workload,
-        reference: &'a [String],
-    }
-
-    impl QueryBackend for Backend<'_> {
-        fn run_query(&self, session: usize, _seq: usize) -> SessionOutcome {
-            let substrate = if session.is_multiple_of(2) {
-                Substrate::Threaded
-            } else {
-                Substrate::Socket
-            };
-            let (_id, outcome) =
-                self.service
-                    .submit_and_wait(submit(self.q1, substrate, &static_knobs()));
-            match outcome {
-                QueryOutcome::Rejected { .. } => SessionOutcome::Rejected,
-                QueryOutcome::Failed { error } => SessionOutcome::Failed(error),
-                done => SessionOutcome::Completed {
-                    correct: multiset(done.results().unwrap_or_default()) == self.reference,
-                },
-            }
-        }
-    }
 
     // Small queries: the load is on admission and multiplexing.
     let q1 = q1(40);
     let reference = sim_reference(&q1, &static_knobs());
     assert_eq!(reference.len(), 40);
 
-    for seed in [1u64, 7, 1303] {
-        // A queue deep enough for every session: a rejection here is a
-        // failure, not back-pressure.
-        let service = service(4, SESSIONS);
-        let backend = Backend {
-            service: &service,
-            q1: &q1,
-            reference: &reference,
-        };
-        let load = LoadConfig {
-            sessions: SESSIONS,
-            queries_per_session: 1,
-            seed,
-            arrival_window_ms: 50.0,
-            mean_think_ms: 5.0,
-            time_scale: 1.0,
-        };
-        let report = driver::run(&load, &backend);
-        assert_eq!(report.submitted, SESSIONS as u64, "seed {seed}: {report:?}");
-        assert_eq!(
-            report.completed, report.submitted,
-            "seed {seed}: {report:?}"
-        );
-        assert_eq!(
-            report.correct, report.completed,
-            "seed {seed}: a session's multiset differs from the sim's: {report:?}"
-        );
-        assert_eq!(report.rejected, 0, "seed {seed}: {report:?}");
-        assert_eq!(report.failed, 0, "seed {seed}: {report:?}");
+    // A queue deep enough for every session: a rejection here is a
+    // failure, not back-pressure. `run_batch` is one scoped thread per
+    // submission, each blocked in `submit_and_wait`.
+    let service = service(4, SESSIONS);
+    let substrate = |session: usize| match session % 2 {
+        0 => Substrate::Threaded,
+        _ => Substrate::Socket,
+    };
+    let sessions = (0..SESSIONS).map(|s| submit(&q1, substrate(s), &static_knobs()));
+    let report = service.run_batch(sessions.collect());
 
-        let stats = service.admission_stats();
-        assert!(stats.peak_running <= 4, "seed {seed}: {stats:?}");
-        assert!(stats.enqueued > 0, "seed {seed}: {stats:?}");
-    }
+    let outcomes = || report.queries.iter().map(|(_, outcome)| outcome);
+    let rejected = outcomes().filter(|o| matches!(o, QueryOutcome::Rejected { .. }));
+    assert_eq!(rejected.count(), 0, "{:?}", report.admission);
+    let failed = outcomes().filter(|o| matches!(o, QueryOutcome::Failed { .. }));
+    assert_eq!(failed.count(), 0, "{:?}", report.admission);
+    let correct = outcomes().filter(|o| o.results().is_some_and(|r| multiset(r) == reference));
+    assert_eq!(
+        correct.count(),
+        SESSIONS,
+        "a session's multiset differs from the sim's"
+    );
+
+    let stats = report.admission;
+    assert!(stats.peak_running <= 4, "{stats:?}");
+    assert!(stats.enqueued > 0, "{stats:?}");
 }
 
 /// Zero cross-query state leakage: a stateful Q2's drain–migrate–resume
