@@ -32,9 +32,25 @@ pub enum ResponsePolicy {
     R1,
 }
 
-/// Tunable parameters of the adaptivity pipeline. The defaults are the
-/// paper's: monitoring every 10 tuples, detector window of 25 events,
-/// `thres_m` and `thres_a` of 20 %.
+/// The paper's `thresM`: relative change of a stream's windowed average
+/// needed before the [`MonitoringEventDetector`] notifies the Diagnoser
+/// (20 %). Fixed in the paper, and no experiment here varies it.
+///
+/// [`MonitoringEventDetector`]: crate::MonitoringEventDetector
+pub const THRES_M: f64 = 0.2;
+
+/// Minimum model-time between two adaptations of one query, in
+/// milliseconds: the [`Responder`](crate::Responder) declines a proposal
+/// arriving sooner after the last deploy, and the
+/// [`CrossQueryDiagnoser`](crate::CrossQueryDiagnoser) proposes no tenant
+/// rebalance for a query sooner after its last one. Both are the same
+/// rule — at most one redistribution per query per 50 model-ms.
+pub const COOLDOWN_MS: f64 = 50.0;
+
+/// The settings of the adaptivity pipeline an experiment varies. The
+/// defaults are the paper's: monitoring every 10 tuples, detector window
+/// of 25 events, `thres_a` of 20 % (`thresM` and the cooldown are the
+/// fixed [`THRES_M`] and [`COOLDOWN_MS`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptivityConfig {
     /// Master switch; when false no monitoring events are produced at all.
@@ -45,9 +61,6 @@ pub struct AdaptivityConfig {
     pub monitoring_interval_tuples: u32,
     /// Detector window length (events).
     pub detector_window: usize,
-    /// Relative change of the windowed average needed before the detector
-    /// notifies the Diagnoser.
-    pub thres_m: f64,
     /// Relative change of a distribution component needed before the
     /// Diagnoser notifies the Responder.
     pub thres_a: f64,
@@ -59,8 +72,6 @@ pub struct AdaptivityConfig {
     /// this fraction (it "contacts all the evaluators that produce data
     /// to estimate the progress of execution").
     pub progress_cutoff: f64,
-    /// Minimum time between deployed adaptations, in milliseconds.
-    pub cooldown_ms: f64,
 }
 
 impl Default for AdaptivityConfig {
@@ -69,12 +80,10 @@ impl Default for AdaptivityConfig {
             enabled: true,
             monitoring_interval_tuples: 10,
             detector_window: 25,
-            thres_m: 0.2,
             thres_a: 0.2,
             assessment: AssessmentPolicy::A1,
             response: ResponsePolicy::R2,
             progress_cutoff: 0.95,
-            cooldown_ms: 50.0,
         }
     }
 }
@@ -107,19 +116,14 @@ impl AdaptivityConfig {
         if self.detector_window == 0 {
             return Err(GridError::Config("detector window must be positive".into()));
         }
-        if !(0.0..=10.0).contains(&self.thres_m) || !(0.0..=10.0).contains(&self.thres_a) {
+        if !(0.0..=10.0).contains(&self.thres_a) {
             return Err(GridError::Config(
-                "thresholds must be non-negative and sane".into(),
+                "thres_a must be non-negative and sane".into(),
             ));
         }
         if !(0.0..=1.0).contains(&self.progress_cutoff) {
             return Err(GridError::Config(
                 "progress cutoff must lie in [0, 1]".into(),
-            ));
-        }
-        if !self.cooldown_ms.is_finite() || self.cooldown_ms < 0.0 {
-            return Err(GridError::Config(
-                "cooldown must be finite and non-negative".into(),
             ));
         }
         Ok(())
@@ -137,8 +141,9 @@ mod tests {
         let c = AdaptivityConfig::default();
         assert_eq!(c.monitoring_interval_tuples, 10);
         assert_eq!(c.detector_window, 25);
-        assert_eq!(c.thres_m, 0.2);
+        assert_eq!(THRES_M, 0.2);
         assert_eq!(c.thres_a, 0.2);
+        assert_eq!(COOLDOWN_MS, 50.0);
         assert_eq!(c.assessment, AssessmentPolicy::A1);
         assert_eq!(c.response, ResponsePolicy::R2);
         assert!(c.validate().is_ok());
@@ -172,7 +177,7 @@ mod tests {
         c.progress_cutoff = 1.5;
         assert!(c.validate().is_err());
         c.progress_cutoff = 0.9;
-        c.cooldown_ms = -1.0;
+        c.thres_a = -0.1;
         assert!(c.validate().is_err());
     }
 }

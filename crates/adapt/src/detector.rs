@@ -7,7 +7,7 @@
 //! pair, computes a running average over a window of fixed length
 //! discarding the minimum and maximum values, and emits a notification to
 //! subscribed Diagnosers only when that average changes by more than
-//! `thres_m`.
+//! [`THRES_M`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use gridq_common::obs::{MetricSink, NullSink};
 use gridq_common::stats::ChangeDetector;
 use gridq_common::{PartitionId, QueryId, SimTime, TrimmedWindow};
 
-use crate::config::AdaptivityConfig;
+use crate::config::{AdaptivityConfig, THRES_M};
 use crate::notifications::{ProducerId, M1, M2};
 
 /// A filtered cost notification sent to the Diagnoser: the windowed
@@ -80,7 +80,6 @@ struct Tracked {
 #[derive(Debug)]
 pub struct MonitoringEventDetector {
     window_len: usize,
-    thres_m: f64,
     m1: HashMap<(QueryId, PartitionId), Tracked>,
     m2: HashMap<(QueryId, ProducerId, PartitionId), Tracked>,
     sink: Arc<dyn MetricSink>,
@@ -93,11 +92,10 @@ pub struct MonitoringEventDetector {
 }
 
 impl MonitoringEventDetector {
-    /// Creates a detector with the configured window and threshold.
+    /// Creates a detector with the configured window.
     pub fn new(config: &AdaptivityConfig) -> Self {
         MonitoringEventDetector {
             window_len: config.detector_window,
-            thres_m: config.thres_m,
             m1: HashMap::new(),
             m2: HashMap::new(),
             sink: Arc::new(NullSink),
@@ -116,11 +114,10 @@ impl MonitoringEventDetector {
         map: &mut HashMap<K, Tracked>,
         key: K,
         window_len: usize,
-        thres_m: f64,
     ) -> &mut Tracked {
         map.entry(key).or_insert_with(|| Tracked {
             window: TrimmedWindow::new(window_len),
-            gate: ChangeDetector::new(thres_m),
+            gate: ChangeDetector::new(THRES_M),
             wait_window: TrimmedWindow::new(window_len),
         })
     }
@@ -135,7 +132,7 @@ impl MonitoringEventDetector {
         self.raw_events_seen += 1;
         self.sink.incr("detector.raw_events", 1);
         let key = (event.query, event.partition);
-        let tracked = Self::tracked(&mut self.m1, key, self.window_len, self.thres_m);
+        let tracked = Self::tracked(&mut self.m1, key, self.window_len);
         let cost_ok = tracked.window.push(event.cost_per_tuple_ms);
         let wait_ok = tracked.wait_window.push(event.leaf_wait_ms);
         if !cost_ok {
@@ -178,7 +175,7 @@ impl MonitoringEventDetector {
         self.raw_events_seen += 1;
         self.sink.incr("detector.raw_events", 1);
         let key = (event.query, event.producer, event.recipient);
-        let tracked = Self::tracked(&mut self.m2, key, self.window_len, self.thres_m);
+        let tracked = Self::tracked(&mut self.m2, key, self.window_len);
         if !tracked.window.push(event.cost_per_tuple_ms()) {
             self.reject();
         }
@@ -287,20 +284,33 @@ mod tests {
 
     #[test]
     fn sustained_change_notifies() {
-        let mut d = MonitoringEventDetector::new(&config());
-        let _ = d.on_m1(&m1(0, 2.0, 0.0));
-        // Cost jumps 10x; the windowed average needs a few samples to
-        // cross the 20% gate, then fires.
-        let mut fired_at = None;
-        for i in 1..30 {
-            if let DetectorOutput::Cost(u) = d.on_m1(&m1(0, 20.0, i as f64)) {
-                fired_at = Some((i, u.avg_cost_ms));
-                break;
+        // The cost steps from 2.0 to `2.0 * factor` and stays there; the
+        // windowed average needs a few samples to follow, and the gate
+        // fires once it has moved by more than THRES_M — a 10x jump and a
+        // 21 % shift do, a 19 % shift never does.
+        for (factor, fires) in [
+            (10.0, true),
+            (1.0 + THRES_M + 0.01, true),
+            (1.0 + THRES_M - 0.01, false),
+        ] {
+            let mut d = MonitoringEventDetector::new(&config());
+            let _ = d.on_m1(&m1(0, 2.0, 0.0));
+            let fired_at = (1..60).find_map(|i| match d.on_m1(&m1(0, 2.0 * factor, i as f64)) {
+                DetectorOutput::Cost(u) => Some((i, u.avg_cost_ms)),
+                _ => None,
+            });
+            if !fires {
+                assert_eq!(fired_at, None, "a {factor}x shift is under the gate");
+                continue;
             }
+            let (i, avg) =
+                fired_at.unwrap_or_else(|| panic!("detector must notice a {factor}x change"));
+            assert!(i <= 3, "should fire within a few samples, fired at {i}");
+            assert!(
+                avg > 2.0 * (1.0 + THRES_M),
+                "reported average {avg} must reflect the jump"
+            );
         }
-        let (i, avg) = fired_at.expect("detector must notice a 10x change");
-        assert!(i <= 3, "should fire within a few samples, fired at {i}");
-        assert!(avg > 2.4, "reported average {avg} must reflect the jump");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    (M1) and by producer/recipient pair (M2), maintains a running
 //!    average over a bounded window *discarding the minimum and maximum*,
 //!    and notifies subscribed Diagnosers only when the average moves by
-//!    more than `thres_m`.
+//!    more than [`THRES_M`].
 //! 3. The [`Diagnoser`] knows the current distribution vector `W` and the
 //!    smoothed per-partition costs `c(p_i)`; under assessment policy
 //!    [`AssessmentPolicy::A1`] it uses processing costs alone, under
@@ -23,9 +23,10 @@
 //!    vector `W'` with `w'_i ∝ 1/c(p_i)` and notifies the Responder when
 //!    some component of `W'` differs from `W` by more than `thres_a`.
 //! 4. The [`Responder`] gates proposals on query progress (adapting a
-//!    nearly-finished query cannot pay for itself) and on a cooldown, and
-//!    issues an [`AdaptationCommand`] that either only redirects future
-//!    tuples ([`ResponsePolicy::R2`], *prospective*) or additionally
+//!    nearly-finished query cannot pay for itself) and on a cooldown
+//!    ([`COOLDOWN_MS`]), and issues an [`AdaptationCommand`] that either
+//!    only redirects future tuples ([`ResponsePolicy::R2`],
+//!    *prospective*) or additionally
 //!    recalls and redistributes the unacknowledged tuples in the
 //!    producers' recovery logs ([`ResponsePolicy::R1`], *retrospective* —
 //!    mandatory for stateful operators).
@@ -43,9 +44,9 @@ pub mod notifications;
 pub mod responder;
 pub mod tenancy;
 
-pub use config::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
+pub use config::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy, COOLDOWN_MS, THRES_M};
 pub use detector::{CommUpdate, CostUpdate, DetectorOutput, MonitoringEventDetector};
 pub use diagnoser::{Diagnoser, Imbalance};
 pub use notifications::{ProducerId, M1, M2};
 pub use responder::{AdaptationCommand, Responder, ResponderDecision};
-pub use tenancy::{CrossQueryDiagnoser, TenancyConfig, TenantCostUpdate, TenantRebalance};
+pub use tenancy::{CrossQueryDiagnoser, TenantCostUpdate, TenantRebalance};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use gridq_common::obs::{MetricSink, NullSink};
 use gridq_common::{DistributionVector, SimTime, SubplanId};
 
-use crate::config::{AdaptivityConfig, ResponsePolicy};
+use crate::config::{AdaptivityConfig, ResponsePolicy, COOLDOWN_MS};
 use crate::diagnoser::Imbalance;
 
 /// The command issued to the execution substrate when a proposal is
@@ -62,7 +62,6 @@ impl ResponderDecision {
 pub struct Responder {
     response: ResponsePolicy,
     progress_cutoff: f64,
-    cooldown_ms: f64,
     last_adaptation: Option<SimTime>,
     sink: Arc<dyn MetricSink>,
     /// Proposals received.
@@ -85,7 +84,6 @@ impl Responder {
         Responder {
             response: config.response,
             progress_cutoff: config.progress_cutoff,
-            cooldown_ms: config.cooldown_ms,
             last_adaptation: None,
             sink: Arc::new(NullSink),
             proposals_received: 0,
@@ -123,7 +121,7 @@ impl Responder {
             return (ResponderDecision::NearCompletion, None);
         }
         if let Some(last) = self.last_adaptation {
-            if imbalance.at.since(last) < self.cooldown_ms {
+            if imbalance.at.since(last) < COOLDOWN_MS {
                 self.declined_cooldown += 1;
                 self.sink.incr("responder.declined_cooldown", 1);
                 return (ResponderDecision::CoolingDown, None);
@@ -218,16 +216,12 @@ mod tests {
 
     #[test]
     fn cooldown_gates_back_to_back_adaptations() {
-        let config = AdaptivityConfig {
-            cooldown_ms: 100.0,
-            ..Default::default()
-        };
-        let mut r = Responder::new(&config);
+        let mut r = Responder::new(&AdaptivityConfig::default());
         let (d1, _) = r.on_imbalance(&imbalance(10.0), 0.1);
         assert_eq!(d1, ResponderDecision::Accepted);
-        let (d2, _) = r.on_imbalance(&imbalance(50.0), 0.1);
+        let (d2, _) = r.on_imbalance(&imbalance(10.0 + COOLDOWN_MS / 2.0), 0.1);
         assert_eq!(d2, ResponderDecision::CoolingDown);
-        let (d3, _) = r.on_imbalance(&imbalance(150.0), 0.1);
+        let (d3, _) = r.on_imbalance(&imbalance(10.0 + 2.0 * COOLDOWN_MS), 0.1);
         assert_eq!(d3, ResponderDecision::Accepted);
         assert_eq!(r.proposals_received, 3);
         assert_eq!(r.adaptations_deployed, 2);
@@ -237,97 +231,68 @@ mod tests {
     #[test]
     fn proposal_exactly_at_cooldown_boundary_is_accepted() {
         // Pins the boundary semantics: the gate is `since(last) <
-        // cooldown_ms`, so a proposal arriving *exactly* cooldown_ms
-        // after the last deploy is accepted, not declined.
-        let config = AdaptivityConfig {
-            cooldown_ms: 100.0,
-            ..Default::default()
-        };
-        let mut r = Responder::new(&config);
+        // COOLDOWN_MS`, so a proposal arriving just before the cooldown
+        // ends is declined and one arriving *exactly* COOLDOWN_MS after
+        // the last deploy is accepted.
+        let mut r = Responder::new(&AdaptivityConfig::default());
         let (d1, _) = r.on_imbalance(&imbalance(10.0), 0.1);
         assert_eq!(d1, ResponderDecision::Accepted);
-        let (d2, _) = r.on_imbalance(&imbalance(110.0), 0.1);
-        assert_eq!(d2, ResponderDecision::Accepted);
-        assert_eq!(r.declined_cooldown, 0);
-    }
-
-    #[test]
-    fn zero_cooldown_never_declines_for_cooling() {
-        let config = AdaptivityConfig {
-            cooldown_ms: 0.0,
-            ..Default::default()
-        };
-        let mut r = Responder::new(&config);
-        // Back-to-back proposals at the same instant: with a zero
-        // cooldown every one is accepted.
-        for _ in 0..3 {
-            let (d, cmd) = r.on_imbalance(&imbalance(10.0), 0.1);
-            assert_eq!(d, ResponderDecision::Accepted);
-            assert!(cmd.is_some());
-        }
-        assert_eq!(r.adaptations_deployed, 3);
-        assert_eq!(r.declined_cooldown, 0);
+        let (d2, _) = r.on_imbalance(&imbalance(10.0 + COOLDOWN_MS - 0.001), 0.1);
+        assert_eq!(d2, ResponderDecision::CoolingDown);
+        let (d3, _) = r.on_imbalance(&imbalance(10.0 + COOLDOWN_MS), 0.1);
+        assert_eq!(d3, ResponderDecision::Accepted);
+        assert_eq!(r.declined_cooldown, 1);
     }
 
     #[test]
     fn deploy_ack_restarts_cooldown_from_completion() {
-        let config = AdaptivityConfig {
-            cooldown_ms: 100.0,
-            ..Default::default()
-        };
-        let mut r = Responder::new(&config);
+        let mut r = Responder::new(&AdaptivityConfig::default());
         let (d1, _) = r.on_imbalance(&imbalance(10.0), 0.1);
         assert_eq!(d1, ResponderDecision::Accepted);
-        // The recall realising the deploy finishes 80 ms later.
-        r.on_deploy_acknowledged(SimTime::from_millis(90.0));
+        // The recall realising the deploy finishes 0.8 cooldowns later.
+        let done = 10.0 + 0.8 * COOLDOWN_MS;
+        r.on_deploy_acknowledged(SimTime::from_millis(done));
         assert_eq!(r.deploys_acknowledged, 1);
-        // 120 ms after the decision but only 40 ms after completion:
+        // A whole cooldown after the decision but not after completion:
         // still cooling down.
-        let (d2, _) = r.on_imbalance(&imbalance(130.0), 0.1);
+        let (d2, _) = r.on_imbalance(&imbalance(10.0 + 1.2 * COOLDOWN_MS), 0.1);
         assert_eq!(d2, ResponderDecision::CoolingDown);
-        let (d3, _) = r.on_imbalance(&imbalance(195.0), 0.1);
+        let (d3, _) = r.on_imbalance(&imbalance(done + COOLDOWN_MS), 0.1);
         assert_eq!(d3, ResponderDecision::Accepted);
     }
 
     #[test]
     fn stale_deploy_ack_never_rewinds_cooldown() {
-        let config = AdaptivityConfig {
-            cooldown_ms: 100.0,
-            ..Default::default()
-        };
-        let mut r = Responder::new(&config);
+        let mut r = Responder::new(&AdaptivityConfig::default());
         let (d1, _) = r.on_imbalance(&imbalance(200.0), 0.1);
         assert_eq!(d1, ResponderDecision::Accepted);
         // An acknowledgement carrying an older timestamp (clock skew,
         // late delivery) must not shorten the cooldown window.
-        r.on_deploy_acknowledged(SimTime::from_millis(50.0));
-        let (d2, _) = r.on_imbalance(&imbalance(250.0), 0.1);
+        r.on_deploy_acknowledged(SimTime::from_millis(200.0 - 3.0 * COOLDOWN_MS));
+        let (d2, _) = r.on_imbalance(&imbalance(200.0 + COOLDOWN_MS / 2.0), 0.1);
         assert_eq!(d2, ResponderDecision::CoolingDown);
     }
 
     #[test]
     fn node_failure_bypasses_gates_but_restarts_cooldown() {
-        let config = AdaptivityConfig {
-            cooldown_ms: 100.0,
-            ..Default::default()
-        };
-        let mut r = Responder::new(&config);
+        let mut r = Responder::new(&AdaptivityConfig::default());
         let (d1, _) = r.on_imbalance(&imbalance(10.0), 0.1);
         assert_eq!(d1, ResponderDecision::Accepted);
-        // 20 ms later — deep inside the cooldown — a node dies. The
-        // failover is accepted unconditionally...
-        r.on_node_failure(SimTime::from_millis(30.0));
+        // Deep inside the cooldown a node dies. The failover is accepted
+        // unconditionally...
+        let failed = 10.0 + 0.4 * COOLDOWN_MS;
+        r.on_node_failure(SimTime::from_millis(failed));
         assert_eq!(r.node_failovers, 1);
-        // ...and restarts the cooldown: a performance proposal 80 ms
-        // after the original deploy (but only 60 ms after the failover)
-        // is still declined.
-        let (d2, _) = r.on_imbalance(&imbalance(90.0), 0.1);
+        // ...and restarts the cooldown: a performance proposal more than
+        // a cooldown after the original deploy (but not after the
+        // failover) is still declined.
+        let (d2, _) = r.on_imbalance(&imbalance(10.0 + 1.2 * COOLDOWN_MS), 0.1);
         assert_eq!(d2, ResponderDecision::CoolingDown);
-        let (d3, _) = r.on_imbalance(&imbalance(140.0), 0.1);
+        let (d3, _) = r.on_imbalance(&imbalance(failed + COOLDOWN_MS), 0.1);
         assert_eq!(d3, ResponderDecision::Accepted);
         // A failover stamped in the past never rewinds the cooldown.
-        r.on_node_failure(SimTime::from_millis(50.0));
-        let (d4, _) = r.on_imbalance(&imbalance(180.0), 0.1);
+        r.on_node_failure(SimTime::from_millis(failed));
+        let (d4, _) = r.on_imbalance(&imbalance(failed + 1.4 * COOLDOWN_MS), 0.1);
         assert_eq!(d4, ResponderDecision::CoolingDown);
     }
 

@@ -19,30 +19,17 @@ use std::collections::HashMap;
 
 use gridq_common::{DistributionVector, NodeId, PartitionId, QueryId, SimTime};
 
-/// Tuning knobs for cross-query diagnosis.
-#[derive(Debug, Clone)]
-pub struct TenancyConfig {
-    /// Minimum relative change between the current and the proposed
-    /// distribution before a rebalance is worth deploying (the tenant
-    /// analogue of the paper's `thres_a`).
-    pub thres_t: f64,
-    /// Minimum model-time between rebalance proposals for one query,
-    /// milliseconds.
-    pub cooldown_ms: f64,
-    /// How many cost updates a query must deliver before it is eligible
-    /// for diagnosis (avoids reacting to cold windows).
-    pub min_updates: u64,
-}
+use crate::config::COOLDOWN_MS;
 
-impl Default for TenancyConfig {
-    fn default() -> Self {
-        TenancyConfig {
-            thres_t: 0.2,
-            cooldown_ms: 50.0,
-            min_updates: 2,
-        }
-    }
-}
+/// Minimum relative change between a query's current and proposed
+/// distribution before a tenant rebalance is worth deploying — the tenant
+/// analogue of `thres_a`, but fixed: `repro ablation` sweeps `thres_a`,
+/// and nothing sweeps this one.
+pub const THRES_T: f64 = 0.2;
+
+/// Cost updates a query must deliver before it is eligible for
+/// cross-query diagnosis (avoids reacting to cold windows).
+pub const MIN_UPDATES: u64 = 2;
 
 /// A smoothed cost observation forwarded from one query's detector to
 /// the shared cross-query diagnoser.
@@ -93,9 +80,8 @@ struct TenantState {
 /// Tenant-level diagnoser shared by every query admitted to a service
 /// plane. Registration and eviction are scoped per query: one query's
 /// teardown never disturbs another's state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CrossQueryDiagnoser {
-    config: TenancyConfig,
     queries: HashMap<QueryId, TenantState>,
     /// Cost updates received across all tenants.
     pub updates_received: u64,
@@ -105,13 +91,8 @@ pub struct CrossQueryDiagnoser {
 
 impl CrossQueryDiagnoser {
     /// Creates an empty diagnoser.
-    pub fn new(config: TenancyConfig) -> Self {
-        CrossQueryDiagnoser {
-            config,
-            queries: HashMap::new(),
-            updates_received: 0,
-            proposals_issued: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Registers an admitted query: its partition→node placement and the
@@ -174,23 +155,21 @@ impl CrossQueryDiagnoser {
     /// Feeds one smoothed cost observation. Returns a rebalance proposal
     /// for the reporting query when (a) every partition has reported,
     /// (b) the balanced vector differs from the current one by more than
-    /// `thres_t`, (c) the costliest partition sits on a node shared with
-    /// another registered tenant, and (d) the per-query cooldown allows.
+    /// [`THRES_T`], (c) the costliest partition sits on a node shared
+    /// with another registered tenant, and (d) [`COOLDOWN_MS`] has passed
+    /// since the query's last proposal.
     pub fn on_cost_update(&mut self, update: &TenantCostUpdate) -> Option<TenantRebalance> {
         self.updates_received += 1;
-        let min_updates = self.config.min_updates;
-        let thres_t = self.config.thres_t;
-        let cooldown_ms = self.config.cooldown_ms;
         let state = self.queries.get_mut(&update.query)?;
         state.updates += 1;
         state
             .costs
             .insert(update.partition.index, update.avg_cost_ms);
-        if state.updates < min_updates || state.costs.len() < state.nodes.len() {
+        if state.updates < MIN_UPDATES || state.costs.len() < state.nodes.len() {
             return None;
         }
         if let Some(last) = state.last_proposal_at {
-            if update.at.as_millis() - last.as_millis() < cooldown_ms {
+            if update.at.as_millis() - last.as_millis() < COOLDOWN_MS {
                 return None;
             }
         }
@@ -199,7 +178,7 @@ impl CrossQueryDiagnoser {
             costs.push(*state.costs.get(&(i as u32))?);
         }
         let proposed = DistributionVector::balanced_for_costs(&costs).ok()?;
-        if state.current.max_rel_diff(&proposed) <= thres_t {
+        if state.current.max_rel_diff(&proposed) <= THRES_T {
             return None;
         }
         // The contended partition is the costliest one; contention is
@@ -236,7 +215,7 @@ mod tests {
     }
 
     fn diagnoser() -> CrossQueryDiagnoser {
-        let mut d = CrossQueryDiagnoser::new(TenancyConfig::default());
+        let mut d = CrossQueryDiagnoser::new();
         // Two queries share node 2; node 1 and node 3 are private.
         d.register_query(
             QueryId::new(1),

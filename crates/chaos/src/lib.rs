@@ -30,10 +30,12 @@
 //!   families (connection drops, partial writes, slow peers), which
 //!   have no seam on the in-process substrates.
 //!
-//! Replaying: every JSON report embeds the scenario's seed and exact
-//! plan. `GRIDQ_CHAOS_SEED=<n>` makes the `chaos` binary run just that
-//! seed's matrix, reproducing the failure bit-for-bit — both substrates
-//! derive all randomness from seeded [`gridq_common::DetRng`] streams.
+//! Replaying is by seed: `GRIDQ_CHAOS_SEED=<n>` makes the `chaos` binary
+//! run just that seed's matrix, regenerating the same plans and
+//! reproducing the failure bit-for-bit — both substrates derive all
+//! randomness from seeded [`gridq_common::DetRng`] streams. Every JSON
+//! report records the scenario's seed and exact plan; it is written for
+//! CI and for people, never read back.
 //!
 //! The fault model is honest about what the system can survive (see
 //! [`gridq_common::chaos`]): control-plane traffic (monitoring

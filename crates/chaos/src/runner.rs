@@ -27,7 +27,6 @@ use gridq_exec::socket::ScriptedAdaptation;
 use gridq_exec::{FailoverConfig, RetryPolicy};
 use gridq_grid::Perturbation;
 use gridq_obs::json::JsonObj;
-use gridq_obs::Json;
 
 use crate::harness::{run_on, Knobs, Workload};
 use crate::hook::PlanHook;
@@ -58,14 +57,6 @@ impl Substrate {
             Substrate::Socket => "socket",
         }
     }
-
-    /// Parses a substrate from its [`Substrate::name`].
-    pub fn parse(s: &str) -> Result<Substrate> {
-        Substrate::ALL
-            .into_iter()
-            .find(|x| x.name() == s)
-            .ok_or_else(|| GridError::Config(format!("unknown substrate `{s}`")))
-    }
 }
 
 /// The adaptivity policy a scenario runs under.
@@ -90,14 +81,6 @@ impl Policy {
             Policy::R1 => "r1",
             Policy::R2 => "r2",
         }
-    }
-
-    /// Parses a policy from its [`Policy::name`].
-    pub fn parse(s: &str) -> Result<Policy> {
-        Policy::ALL
-            .into_iter()
-            .find(|x| x.name() == s)
-            .ok_or_else(|| GridError::Config(format!("unknown policy `{s}`")))
     }
 
     /// The adaptivity configuration the policy stands for.
@@ -158,7 +141,8 @@ impl Scenario {
 pub struct ScenarioOutcome {
     /// The cell that ran.
     pub scenario: Scenario,
-    /// The exact plan injected (rides along so a failure replays).
+    /// The exact plan injected (recorded in the report; a failure replays
+    /// from the seed).
     pub plan: FaultPlan,
     /// Every oracle's judgment (empty when the run itself errored).
     pub verdicts: Vec<Verdict>,
@@ -205,79 +189,6 @@ impl ScenarioOutcome {
         };
         o.raw("verdicts", &format!("[{}]", verdicts.join(",")));
         o.finish()
-    }
-
-    /// Parses an outcome from its JSON form.
-    pub fn from_json(input: &str) -> Result<ScenarioOutcome> {
-        let j = Json::parse(input).map_err(GridError::Config)?;
-        Self::from_parsed(&j)
-    }
-
-    /// Parses an outcome from an already parsed JSON value.
-    pub fn from_parsed(j: &Json) -> Result<ScenarioOutcome> {
-        let field_str = |key: &str| -> Result<&str> {
-            j.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| GridError::Config(format!("outcome missing string `{key}`")))
-        };
-        let scenario = Scenario {
-            seed: j
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| GridError::Config("outcome missing `seed`".into()))?,
-            family: FaultFamily::parse(field_str("family")?)?,
-            substrate: Substrate::parse(field_str("substrate")?)?,
-            policy: Policy::parse(field_str("policy")?)?,
-        };
-        let plan = FaultPlan::from_parsed(
-            j.get("plan")
-                .ok_or_else(|| GridError::Config("outcome missing `plan`".into()))?,
-        )?;
-        let verdicts = j
-            .get("verdicts")
-            .and_then(Json::as_array)
-            .ok_or_else(|| GridError::Config("outcome missing `verdicts`".into()))?
-            .iter()
-            .map(|v| {
-                let name = v
-                    .get("oracle")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| GridError::Config("verdict missing `oracle`".into()))?;
-                let oracle = ORACLES
-                    .iter()
-                    .copied()
-                    .find(|o| *o == name)
-                    .ok_or_else(|| GridError::Config(format!("unknown oracle `{name}`")))?;
-                Ok(Verdict {
-                    oracle,
-                    passed: v
-                        .get("passed")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| GridError::Config("verdict missing `passed`".into()))?,
-                    detail: v
-                        .get("detail")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let error = match j.get("error") {
-            Some(e) if !e.is_null() => Some(
-                e.as_str()
-                    .ok_or_else(|| GridError::Config("outcome `error` must be a string".into()))?
-                    .to_string(),
-            ),
-            _ => None,
-        };
-        Ok(ScenarioOutcome {
-            scenario,
-            plan,
-            verdicts,
-            fired_events: j.get("fired_events").and_then(Json::as_u64).unwrap_or(0) as usize,
-            wall_ms: j.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
-            error,
-        })
     }
 }
 
@@ -508,7 +419,6 @@ fn execute_tenant(
             max_concurrent: 2,
             queue_depth: 2,
         },
-        ..ServiceConfig::default()
     })?;
     let report = service.run_batch(vec![
         w.submission(substrate, &faulted)?,
@@ -591,13 +501,11 @@ fn knobs(
                 knobs.delivery_retry = RetryPolicy {
                     base_ms: 20.0,
                     max_retries: 8,
-                    ..Default::default()
                 };
             } else if crashing {
                 knobs.delivery_retry = RetryPolicy {
                     base_ms: 5.0,
                     max_retries: 4,
-                    ..Default::default()
                 };
             }
         }
@@ -665,6 +573,7 @@ fn workload(policy: Policy) -> Workload {
 mod tests {
     use super::*;
     use crate::plan::FaultEvent;
+    use gridq_obs::Json;
 
     #[test]
     fn matrix_covers_every_shared_family_on_sim_and_threads() {
@@ -802,15 +711,14 @@ mod tests {
     }
 
     #[test]
-    fn names_parse_back() {
-        for s in Substrate::ALL {
-            assert_eq!(Substrate::parse(s.name()).unwrap(), s);
+    fn names_are_distinct() {
+        let subs = Substrate::ALL.map(|s| s.name());
+        let pols = Policy::ALL.map(|p| p.name());
+        for names in [&subs[..], &pols[..]] {
+            for (i, a) in names.iter().enumerate() {
+                assert!(!names[i + 1..].contains(a), "{a} named twice");
+            }
         }
-        for p in Policy::ALL {
-            assert_eq!(Policy::parse(p.name()).unwrap(), p);
-        }
-        assert!(Substrate::parse("quantum").is_err());
-        assert!(Policy::parse("r3").is_err());
     }
 
     #[test]
@@ -837,8 +745,47 @@ mod tests {
         );
     }
 
+    /// A report line is a record for CI and people, not an input: it
+    /// must parse as JSON and name its cell, plan size, verdict and
+    /// oracles (in `ORACLES` order).
+    fn assert_report_line(line: &str, outcome: &ScenarioOutcome) {
+        let j = Json::parse(line).expect("report line parses");
+        let s = outcome.scenario;
+        assert_eq!(j.get("seed").and_then(Json::as_u64), Some(s.seed));
+        assert_eq!(
+            j.get("family").and_then(Json::as_str),
+            Some(s.family.name())
+        );
+        assert_eq!(
+            j.get("substrate").and_then(Json::as_str),
+            Some(s.substrate.name())
+        );
+        assert_eq!(
+            j.get("policy").and_then(Json::as_str),
+            Some(s.policy.name())
+        );
+        let events = j
+            .get("plan")
+            .and_then(|p| p.get("events"))
+            .and_then(Json::as_array);
+        assert_eq!(events.map(|e| e.len()), Some(outcome.plan.events.len()));
+        assert_eq!(
+            j.get("passed").and_then(Json::as_bool),
+            Some(outcome.passed())
+        );
+        let oracles: Vec<&str> = j
+            .get("verdicts")
+            .and_then(Json::as_array)
+            .expect("verdicts array")
+            .iter()
+            .filter_map(|v| v.get("oracle").and_then(Json::as_str))
+            .collect();
+        let expected: Vec<&str> = outcome.verdicts.iter().map(|v| v.oracle).collect();
+        assert_eq!(oracles, expected);
+    }
+
     #[test]
-    fn sim_static_cell_passes_and_round_trips() {
+    fn sim_static_cell_passes_and_reports() {
         let mut runner = Runner::new();
         let outcome = runner.run_scenario(Scenario {
             seed: 1,
@@ -848,11 +795,8 @@ mod tests {
         });
         assert!(outcome.passed(), "{outcome:?}");
         assert_eq!(outcome.verdicts.len(), ORACLES.len());
-        let parsed = ScenarioOutcome::from_json(&outcome.to_json()).expect("round trip");
-        assert_eq!(parsed.scenario, outcome.scenario);
-        assert_eq!(parsed.plan, outcome.plan);
-        assert_eq!(parsed.verdicts, outcome.verdicts);
-        assert_eq!(parsed.passed(), outcome.passed());
+        assert!(outcome.verdicts.iter().map(|v| v.oracle).eq(ORACLES));
+        assert_report_line(&outcome.to_json(), &outcome);
     }
 
     #[test]
@@ -871,8 +815,12 @@ mod tests {
             error: Some("worker thread(s) panicked: consumer 1".into()),
         };
         assert!(!outcome.passed());
-        let parsed = ScenarioOutcome::from_json(&outcome.to_json()).unwrap();
-        assert_eq!(parsed.error, outcome.error);
-        assert!(!parsed.passed());
+        let line = outcome.to_json();
+        assert_report_line(&line, &outcome);
+        let j = Json::parse(&line).expect("report line parses");
+        assert_eq!(
+            j.get("error").and_then(Json::as_str),
+            outcome.error.as_deref()
+        );
     }
 }

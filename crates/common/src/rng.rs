@@ -114,23 +114,6 @@ impl DetRng {
         let sigma = spread / 3.0;
         self.normal(mean, sigma).clamp(lo, hi)
     }
-
-    /// Weighted index selection: returns `i` with probability
-    /// `weights[i] / sum(weights)`. Requires a non-empty slice with a
-    /// positive sum.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        debug_assert!(!weights.is_empty());
-        let total: f64 = weights.iter().sum();
-        debug_assert!(total > 0.0);
-        let mut x = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            x -= w;
-            if x < 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -201,16 +184,6 @@ mod tests {
             }
         }
         assert!(saw_spread, "clamped normal should actually vary");
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = DetRng::seeded(13);
-        let weights = [1.0, 3.0];
-        let n = 50_000;
-        let ones = (0..n).filter(|_| rng.weighted_index(&weights) == 1).count();
-        let frac = ones as f64 / n as f64;
-        assert!((frac - 0.75).abs() < 0.02, "frac {frac}");
     }
 
     #[test]

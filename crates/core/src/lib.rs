@@ -28,4 +28,4 @@ pub mod processor;
 pub mod scheduler;
 
 pub use processor::{ExecutionOptions, GridQueryProcessor};
-pub use scheduler::{schedule, SchedulerConfig};
+pub use scheduler::schedule;

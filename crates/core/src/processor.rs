@@ -12,34 +12,21 @@ use gridq_sim::{ExecutionReport, Simulation, SimulationConfig};
 use gridq_sql::plan_sql;
 use gridq_workload::EntropyAnalyser;
 
-use crate::scheduler::{schedule, SchedulerConfig};
+use crate::scheduler::schedule;
+
+/// Per-tuple receive cost at evaluators (simulation cost model), ms.
+const RECEIVE_COST_MS: f64 = 4.5;
+/// Simulation seed.
+const SEED: u64 = 0x6009;
 
 /// Per-query execution options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutionOptions {
     /// Adaptivity configuration (defaults to the paper's defaults with
     /// adaptivity enabled).
     pub adaptivity: AdaptivityConfig,
-    /// Scheduler cost model and shape parameters.
-    pub scheduler: SchedulerConfig,
-    /// Per-tuple receive cost at evaluators (simulation cost model), ms.
-    pub receive_cost_ms: f64,
     /// Whether to keep the full result set in the report.
     pub collect_results: bool,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for ExecutionOptions {
-    fn default() -> Self {
-        ExecutionOptions {
-            adaptivity: AdaptivityConfig::default(),
-            scheduler: SchedulerConfig::default(),
-            receive_cost_ms: 4.5,
-            collect_results: false,
-            seed: 0x6009,
-        }
-    }
 }
 
 impl ExecutionOptions {
@@ -54,12 +41,6 @@ impl ExecutionOptions {
     /// Builder: sets the adaptivity configuration.
     pub fn with_adaptivity(mut self, adaptivity: AdaptivityConfig) -> Self {
         self.adaptivity = adaptivity;
-        self
-    }
-
-    /// Builder: limits stage parallelism.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.scheduler.parallelism = Some(parallelism);
         self
     }
 
@@ -104,11 +85,6 @@ impl GridQueryProcessor {
         self.catalog = catalog;
     }
 
-    /// Registers a table.
-    pub fn register_table(&mut self, table: Arc<gridq_engine::Table>) {
-        self.catalog.register(table);
-    }
-
     /// Registers a callable service.
     pub fn register_service(&mut self, service: Arc<dyn Service>) {
         self.services.register(service);
@@ -140,16 +116,10 @@ impl GridQueryProcessor {
     }
 
     /// Explains a query: the bound logical plan and the schedule.
-    pub fn explain(&mut self, sql: &str, options: &ExecutionOptions) -> Result<String> {
+    pub fn explain(&self, sql: &str) -> Result<String> {
         let logical = self.plan(sql)?;
         let query = QueryId::new(self.next_query);
-        let distributed = schedule(
-            query,
-            &logical,
-            self.env.registry(),
-            &self.services,
-            &options.scheduler,
-        )?;
+        let distributed = schedule(query, &logical, self.env.registry(), &self.services)?;
         let stage = &distributed.stages[0];
         let nodes: Vec<String> = stage.nodes.iter().map(ToString::to_string).collect();
         let sources: Vec<String> = distributed
@@ -175,18 +145,12 @@ impl GridQueryProcessor {
         let logical = self.plan(sql)?;
         let query = QueryId::new(self.next_query);
         self.next_query += 1;
-        let distributed = schedule(
-            query,
-            &logical,
-            self.env.registry(),
-            &self.services,
-            &options.scheduler,
-        )?;
+        let distributed = schedule(query, &logical, self.env.registry(), &self.services)?;
         let sim_config = SimulationConfig {
             adaptivity: options.adaptivity,
-            receive_cost_ms: options.receive_cost_ms,
+            receive_cost_ms: RECEIVE_COST_MS,
             collect_results: options.collect_results,
-            seed: options.seed,
+            seed: SEED,
             ..Default::default()
         };
         let sim = Simulation::new(self.env.clone(), self.catalog.clone(), sim_config)?;
@@ -270,20 +234,11 @@ mod tests {
 
     #[test]
     fn explain_mentions_stage_and_nodes() {
-        let mut qp = processor(3, 10, 10);
-        let text = qp.explain(Q1, &ExecutionOptions::default()).unwrap();
+        let qp = processor(3, 10, 10);
+        let text = qp.explain(Q1).unwrap();
         assert!(text.contains("op_call"));
         assert!(text.contains("3 partitions"));
         assert!(text.contains("protein_sequences"));
-    }
-
-    #[test]
-    fn parallelism_option_respected() {
-        let mut qp = processor(3, 40, 10);
-        let report = qp
-            .run_sql(Q1, ExecutionOptions::static_system().with_parallelism(2))
-            .unwrap();
-        assert_eq!(report.per_partition_processed.len(), 2);
     }
 
     #[test]

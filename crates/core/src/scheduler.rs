@@ -17,45 +17,22 @@ use gridq_engine::service::ServiceRegistry;
 use gridq_engine::LogicalPlan;
 use gridq_grid::ResourceRegistry;
 
-/// Cost and shape parameters the scheduler bakes into the distributed
-/// plan.
-#[derive(Debug, Clone)]
-pub struct SchedulerConfig {
-    /// Evaluation nodes to partition the expensive operator across
-    /// (`None` = all available compute nodes).
-    pub parallelism: Option<usize>,
-    /// Per-tuple scan cost at data nodes, ms.
-    pub scan_cost_ms: f64,
-    /// Base per-tuple hash-join build cost, ms.
-    pub join_build_cost_ms: f64,
-    /// Base per-tuple hash-join probe cost, ms.
-    pub join_probe_cost_ms: f64,
-    /// Base per-tuple cost of filter/project stages, ms.
-    pub map_cost_ms: f64,
-    /// Tuples per exchange buffer.
-    pub buffer_tuples: usize,
-    /// Hash buckets for stateful exchanges.
-    pub bucket_count: u32,
-}
+/// Per-tuple scan cost at data nodes, ms.
+const SCAN_COST_MS: f64 = 1.0;
+/// Base per-tuple hash-join build cost, ms.
+const JOIN_BUILD_COST_MS: f64 = 2.0;
+/// Base per-tuple hash-join probe cost, ms.
+const JOIN_PROBE_COST_MS: f64 = 4.0;
+/// Base per-tuple cost of filter/project stages, ms.
+const MAP_COST_MS: f64 = 0.5;
+/// Tuples per exchange buffer.
+const BUFFER_TUPLES: usize = 100;
+/// Hash buckets for stateful exchanges (at least one per partition).
+const BUCKET_COUNT: u32 = 64;
 
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            parallelism: None,
-            scan_cost_ms: 1.0,
-            join_build_cost_ms: 2.0,
-            join_probe_cost_ms: 4.0,
-            map_cost_ms: 0.5,
-            buffer_tuples: 100,
-            bucket_count: 64,
-        }
-    }
-}
-
-fn pick_nodes(
-    registry: &ResourceRegistry,
-    config: &SchedulerConfig,
-) -> Result<(NodeId, Vec<NodeId>)> {
+/// The data node holding the base tables, and every registered compute
+/// node to partition the expensive operator across.
+fn pick_nodes(registry: &ResourceRegistry) -> Result<(NodeId, Vec<NodeId>)> {
     let data_node = registry
         .data_nodes()
         .first()
@@ -65,13 +42,12 @@ fn pick_nodes(
     if available == 0 {
         return Err(GridError::Schedule("no compute nodes registered".into()));
     }
-    let want = config.parallelism.unwrap_or(available);
-    let picked = registry.select_compute_nodes(want)?;
+    let picked = registry.select_compute_nodes(available)?;
     Ok((data_node, picked.iter().map(|n| n.id).collect()))
 }
 
 /// Schedules a logical plan onto the Grid, producing a partitioned
-/// distributed plan.
+/// distributed plan over every compute node.
 ///
 /// Supported shapes (the paper's query class):
 /// - `Call(Scan)` — Q1: the operation call is partitioned (weighted
@@ -89,9 +65,8 @@ pub fn schedule(
     plan: &LogicalPlan,
     registry: &ResourceRegistry,
     services: &ServiceRegistry,
-    config: &SchedulerConfig,
 ) -> Result<DistributedPlan> {
-    let (data_node, eval_nodes) = pick_nodes(registry, config)?;
+    let (data_node, eval_nodes) = pick_nodes(registry)?;
     let parallelism = eval_nodes.len();
     let stage_id = SubplanId::new(1);
 
@@ -124,7 +99,7 @@ pub fn schedule(
                     table: table.clone(),
                     node: data_node,
                     stream: StreamTag::Single,
-                    scan_cost_ms: config.scan_cost_ms,
+                    scan_cost_ms: SCAN_COST_MS,
                 }],
                 stages: vec![ParallelStageSpec {
                     id: stage_id,
@@ -134,14 +109,14 @@ pub fn schedule(
                         routing: RoutingPolicy::Weighted {
                             initial: DistributionVector::uniform(parallelism),
                         },
-                        buffer_tuples: config.buffer_tuples,
+                        buffer_tuples: BUFFER_TUPLES,
                     },
                 }],
                 collect_node: data_node,
             })
         }
         LogicalPlan::Join { .. } => {
-            schedule_join(query, plan, None, data_node, eval_nodes, services, config)
+            schedule_join(query, plan, None, data_node, eval_nodes, services)
         }
         LogicalPlan::Project {
             input,
@@ -154,10 +129,9 @@ pub fn schedule(
             data_node,
             eval_nodes,
             services,
-            config,
         ),
         LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
-            schedule_map(query, plan, data_node, eval_nodes, services, config)
+            schedule_map(query, plan, data_node, eval_nodes, services)
         }
         LogicalPlan::Scan { .. } => Err(GridError::Schedule(
             "bare scans have no partitionable operator; run locally".into(),
@@ -165,7 +139,6 @@ pub fn schedule(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn schedule_join(
     query: QueryId,
     join: &LogicalPlan,
@@ -173,7 +146,6 @@ fn schedule_join(
     data_node: NodeId,
     eval_nodes: Vec<NodeId>,
     services: &ServiceRegistry,
-    config: &SchedulerConfig,
 ) -> Result<DistributedPlan> {
     let LogicalPlan::Join {
         left,
@@ -207,13 +179,13 @@ fn schedule_join(
         right_schema,
         *left_key,
         *right_key,
-        config.join_build_cost_ms,
-        config.join_probe_cost_ms,
+        JOIN_BUILD_COST_MS,
+        JOIN_PROBE_COST_MS,
     );
     if let Some((exprs, fields)) = projection {
         factory = factory.with_projection(exprs, fields, services.clone());
     }
-    let bucket_count = config.bucket_count.max(parallelism as u32);
+    let bucket_count = BUCKET_COUNT.max(parallelism as u32);
     Ok(DistributedPlan {
         query,
         sources: vec![
@@ -221,13 +193,13 @@ fn schedule_join(
                 table: left_table.clone(),
                 node: data_node,
                 stream: StreamTag::Build,
-                scan_cost_ms: config.scan_cost_ms,
+                scan_cost_ms: SCAN_COST_MS,
             },
             SourceSpec {
                 table: right_table.clone(),
                 node: data_node,
                 stream: StreamTag::Probe,
-                scan_cost_ms: config.scan_cost_ms,
+                scan_cost_ms: SCAN_COST_MS,
             },
         ],
         stages: vec![ParallelStageSpec {
@@ -244,7 +216,7 @@ fn schedule_join(
                         single: None,
                     },
                 },
-                buffer_tuples: config.buffer_tuples,
+                buffer_tuples: BUFFER_TUPLES,
             },
         }],
         collect_node: data_node,
@@ -257,7 +229,6 @@ fn schedule_map(
     data_node: NodeId,
     eval_nodes: Vec<NodeId>,
     services: &ServiceRegistry,
-    config: &SchedulerConfig,
 ) -> Result<DistributedPlan> {
     // Accepted pipelines over one scan: Filter(Scan), Project(Scan),
     // Project(Filter(Scan)).
@@ -279,20 +250,15 @@ fn schedule_map(
         ));
     };
     let parallelism = eval_nodes.len();
-    let factory = FilterMapFactory::new(
-        schema,
-        predicate,
-        projection,
-        config.map_cost_ms,
-        services.clone(),
-    );
+    let factory =
+        FilterMapFactory::new(schema, predicate, projection, MAP_COST_MS, services.clone());
     Ok(DistributedPlan {
         query,
         sources: vec![SourceSpec {
             table: table.clone(),
             node: data_node,
             stream: StreamTag::Single,
-            scan_cost_ms: config.scan_cost_ms,
+            scan_cost_ms: SCAN_COST_MS,
         }],
         stages: vec![ParallelStageSpec {
             id: SubplanId::new(1),
@@ -302,7 +268,7 @@ fn schedule_map(
                 routing: RoutingPolicy::Weighted {
                     initial: DistributionVector::uniform(parallelism),
                 },
-                buffer_tuples: config.buffer_tuples,
+                buffer_tuples: BUFFER_TUPLES,
             },
         }],
         collect_node: data_node,
@@ -364,14 +330,7 @@ mod tests {
             keep_input: false,
             schema: Schema::new(vec![Field::new("f", DataType::Float)]),
         };
-        let dp = schedule(
-            QueryId::new(1),
-            &plan,
-            &registry(3),
-            &services(),
-            &SchedulerConfig::default(),
-        )
-        .unwrap();
+        let dp = schedule(QueryId::new(1), &plan, &registry(3), &services()).unwrap();
         assert_eq!(dp.sources.len(), 1);
         assert_eq!(dp.stages[0].nodes.len(), 3);
         assert!(matches!(
@@ -379,24 +338,6 @@ mod tests {
             RoutingPolicy::Weighted { .. }
         ));
         dp.validate().unwrap();
-    }
-
-    #[test]
-    fn parallelism_limits_nodes() {
-        let plan = LogicalPlan::Call {
-            input: Box::new(scan("t", &[("s", DataType::Str)])),
-            service: "F".into(),
-            args: vec![Expr::col(0)],
-            output_name: "f".into(),
-            keep_input: false,
-            schema: Schema::new(vec![Field::new("f", DataType::Float)]),
-        };
-        let config = SchedulerConfig {
-            parallelism: Some(2),
-            ..Default::default()
-        };
-        let dp = schedule(QueryId::new(1), &plan, &registry(3), &services(), &config).unwrap();
-        assert_eq!(dp.stages[0].nodes.len(), 2);
     }
 
     #[test]
@@ -415,14 +356,7 @@ mod tests {
             exprs: vec![Expr::col(2)],
             fields: vec![Field::new("orf2", DataType::Str)],
         };
-        let dp = schedule(
-            QueryId::new(2),
-            &plan,
-            &registry(2),
-            &services(),
-            &SchedulerConfig::default(),
-        )
-        .unwrap();
+        let dp = schedule(QueryId::new(2), &plan, &registry(2), &services()).unwrap();
         assert_eq!(dp.sources.len(), 2);
         assert!(dp.stages[0].factory.stateful());
         assert_eq!(dp.stages[0].factory.schema().len(), 1);
@@ -439,28 +373,14 @@ mod tests {
             input: Box::new(scan("t", &[("x", DataType::Int)])),
             predicate: Expr::col(0).eq(Expr::lit(1i64)),
         };
-        let dp = schedule(
-            QueryId::new(3),
-            &plan,
-            &registry(2),
-            &services(),
-            &SchedulerConfig::default(),
-        )
-        .unwrap();
+        let dp = schedule(QueryId::new(3), &plan, &registry(2), &services()).unwrap();
         assert!(!dp.stages[0].factory.stateful());
     }
 
     #[test]
     fn unsupported_shapes_rejected() {
         let bare = scan("t", &[("x", DataType::Int)]);
-        assert!(schedule(
-            QueryId::new(4),
-            &bare,
-            &registry(2),
-            &services(),
-            &SchedulerConfig::default()
-        )
-        .is_err());
+        assert!(schedule(QueryId::new(4), &bare, &registry(2), &services()).is_err());
     }
 
     #[test]
@@ -474,26 +394,12 @@ mod tests {
         only_data
             .register(NodeSpec::data(NodeId::new(0), "store"))
             .unwrap();
-        assert!(schedule(
-            QueryId::new(5),
-            &plan,
-            &only_data,
-            &services(),
-            &SchedulerConfig::default()
-        )
-        .is_err());
+        assert!(schedule(QueryId::new(5), &plan, &only_data, &services()).is_err());
         // No data node.
         let mut only_compute = ResourceRegistry::new();
         only_compute
             .register(NodeSpec::compute(NodeId::new(1), "c"))
             .unwrap();
-        assert!(schedule(
-            QueryId::new(6),
-            &plan,
-            &only_compute,
-            &services(),
-            &SchedulerConfig::default()
-        )
-        .is_err());
+        assert!(schedule(QueryId::new(6), &plan, &only_compute, &services()).is_err());
     }
 }

@@ -11,8 +11,7 @@
 use std::sync::Arc;
 
 use gridq_common::{
-    BucketMap, BucketMove, DistributionVector, GridError, NodeId, QueryId, Result, Schema,
-    SubplanId, Tuple,
+    BucketMap, BucketMove, DistributionVector, GridError, NodeId, QueryId, Result, SubplanId, Tuple,
 };
 
 use crate::evaluator::{EvaluatorFactory, StreamTag};
@@ -127,14 +126,6 @@ pub struct DistributedPlan {
 }
 
 impl DistributedPlan {
-    /// The schema of the final result.
-    pub fn result_schema(&self) -> Result<Schema> {
-        self.stages
-            .last()
-            .map(|s| s.factory.schema().clone())
-            .ok_or_else(|| GridError::Plan("plan has no stages".into()))
-    }
-
     /// Validates structural invariants: at least one source and stage,
     /// partition counts matching routing dimensions, sensible buffer
     /// sizes.

@@ -92,22 +92,6 @@ impl LogicalPlan {
         }
     }
 
-    /// All base tables scanned by the plan, in plan order.
-    pub fn scanned_tables(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out
-    }
-
-    fn collect_tables<'a>(&'a self, out: &mut Vec<&'a str>) {
-        if let LogicalPlan::Scan { table, .. } = self {
-            out.push(table);
-        }
-        for child in self.children() {
-            child.collect_tables(out);
-        }
-    }
-
     /// Pretty-prints the plan as an indented tree.
     pub fn display_tree(&self) -> String {
         let mut out = String::new();
@@ -200,17 +184,6 @@ mod tests {
         let schema = plan.schema().unwrap();
         assert_eq!(schema.len(), 3);
         assert_eq!(schema.field(2).name, "i.orf2");
-    }
-
-    #[test]
-    fn scanned_tables_in_order() {
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan("p", &["orf"])),
-            right: Box::new(scan("i", &["orf1"])),
-            left_key: 0,
-            right_key: 0,
-        };
-        assert_eq!(plan.scanned_tables(), vec!["p", "i"]);
     }
 
     #[test]

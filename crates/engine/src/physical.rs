@@ -41,13 +41,6 @@ impl Catalog {
             .ok_or_else(|| GridError::UnknownTable(name.to_string()))
     }
 
-    /// Registered table names, sorted.
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
-
     /// True when no tables are registered.
     pub fn is_empty(&self) -> bool {
         self.tables.is_empty()
@@ -176,10 +169,7 @@ mod tests {
         let c = catalog();
         assert!(c.get("protein_sequences").is_ok());
         assert!(matches!(c.get("nope"), Err(GridError::UnknownTable(_))));
-        assert_eq!(
-            c.table_names(),
-            vec!["protein_interactions", "protein_sequences"]
-        );
+        assert!(c.get("protein_interactions").is_ok());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! [`RetryBackoff`] is the delivery-retry schedule used by producers
 //! waiting on window acknowledgements: seeded, jittered exponential
-//! backoff. The jitter comes from [`DetRng`], so a given
-//! `(policy seed, source index)` pair always yields the same schedule —
-//! chaos runs stay reproducible down to retransmission timing.
+//! backoff. The jitter comes from [`DetRng`] seeded with [`JITTER_SEED`],
+//! so a given source index always yields the same schedule — chaos runs
+//! stay reproducible down to retransmission timing.
 //!
 //! Wall-clock use is confined to this module's [`HeartbeatMonitor`]
 //! (leases are real-time by nature); the simulator keeps its failure
@@ -23,6 +23,10 @@
 use std::time::{Duration, Instant};
 
 use gridq_common::{DetRng, GridError, Result};
+
+/// Seed of the delivery-retry jitter stream; each producer forks its own
+/// stream from it by source index.
+const JITTER_SEED: u64 = 0x6661_696c_6f76_6572; // "failover"
 
 /// Delivery-retry policy for unacknowledged recovery-log windows.
 ///
@@ -40,8 +44,6 @@ pub struct RetryPolicy {
     /// Retransmission rounds per destination before giving up and
     /// recording a [`DeliveryGap`](crate::DeliveryGap).
     pub max_retries: u32,
-    /// Seed for the deterministic jitter stream.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -49,7 +51,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             base_ms: 25.0,
             max_retries: 6,
-            seed: 0x6661_696c_6f76_6572, // "failover"
         }
     }
 }
@@ -129,7 +130,7 @@ pub use gridq_recovery::DeliveryGap;
 ///
 /// Attempt `k` (0-based) waits `base_ms * 2^min(k, 10)`, jittered
 /// uniformly into `[0.5, 1.0)` of that nominal value. The jitter stream
-/// is forked from the policy seed by stream index, so concurrent
+/// is forked from [`JITTER_SEED`] by stream index, so concurrent
 /// producers decorrelate without sharing state.
 #[derive(Debug)]
 pub(crate) struct RetryBackoff {
@@ -139,7 +140,7 @@ pub(crate) struct RetryBackoff {
 
 impl RetryBackoff {
     pub(crate) fn new(policy: &RetryPolicy, stream: u64) -> Self {
-        let mut root = DetRng::seeded(policy.seed);
+        let mut root = DetRng::seeded(JITTER_SEED);
         RetryBackoff {
             rng: root.fork(stream),
             base_ms: policy.base_ms,
@@ -221,28 +222,27 @@ mod tests {
     use gridq_common::check::Check;
 
     #[test]
-    fn backoff_schedule_is_deterministic_per_seed_and_stream() {
-        // Property: for any (base, seed), rebuilding the backoff from the
-        // same policy and stream reproduces the schedule bit-for-bit, and
+    fn backoff_schedule_is_deterministic_per_stream() {
+        // Property: for any base, rebuilding the backoff from the same
+        // policy and stream reproduces the schedule bit-for-bit, and
         // every delay stays inside the jittered exponential envelope.
         // Under a fixed GRIDQ_CHECK_SEED the generated policies — and
         // therefore the asserted schedules — are identical across runs.
         Check::new("backoff_schedule_is_deterministic")
             .cases(32)
             .run(
-                |rng| (1.0 + rng.uniform() * 50.0, rng.next_u64()),
-                |&(base_ms, seed)| {
+                |rng| 1.0 + rng.uniform() * 50.0,
+                |&base_ms| {
                     let policy = RetryPolicy {
                         base_ms,
                         max_retries: 6,
-                        seed,
                     };
                     let schedule = |stream: u64| -> Vec<f64> {
                         let mut b = RetryBackoff::new(&policy, stream);
                         (0..6).map(|k| b.delay_ms(k)).collect()
                     };
                     if schedule(0) != schedule(0) || schedule(3) != schedule(3) {
-                        return Err("same (seed, stream) diverged".into());
+                        return Err("same stream diverged".into());
                     }
                     if schedule(0) == schedule(1) {
                         return Err("distinct streams share a jitter fork".into());
@@ -263,7 +263,6 @@ mod tests {
         let policy = RetryPolicy {
             base_ms: 10.0,
             max_retries: 20,
-            seed: 7,
         };
         let mut b = RetryBackoff::new(&policy, 0);
         let d0 = b.delay_ms(0);

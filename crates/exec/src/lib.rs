@@ -775,10 +775,7 @@ impl ThreadedWorkers {
             consumer.m1_stride =
                 monitoring.then(|| cfg.adaptivity.monitoring_interval_tuples.max(1));
             consumer.chaos = cfg.chaos.clone();
-            consumer.contention = cfg
-                .tenancy
-                .as_ref()
-                .map(|t| (t.ledger().counter(node), t.ledger().alpha()));
+            consumer.contention = cfg.tenancy.as_ref().map(|t| t.ledger().counter(node));
             consumer.progress = Some((
                 Arc::clone(&w.processed_total),
                 w.obs
@@ -2572,7 +2569,6 @@ mod tests {
                 delivery_retry: RetryPolicy {
                     base_ms: 2.0,
                     max_retries: 3,
-                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -2623,7 +2619,6 @@ mod tests {
                 delivery_retry: RetryPolicy {
                     base_ms: 500.0,
                     max_retries: 6,
-                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -2800,7 +2795,6 @@ mod tests {
                 delivery_retry: RetryPolicy {
                     base_ms: 20.0,
                     max_retries: 8,
-                    ..Default::default()
                 },
                 failover: FailoverConfig {
                     enabled: true,

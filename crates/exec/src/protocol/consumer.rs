@@ -25,6 +25,7 @@ use gridq_recovery::Checkpoint;
 
 use super::dedup::DedupFilter;
 use super::{sane_ms, Block, Routed, Staged};
+use crate::service::contention_factor;
 
 /// What a consumer emits. Implemented by the threaded executor (log
 /// acknowledged in place, peers a channel send away), the socket worker
@@ -97,10 +98,10 @@ pub(crate) struct Consumer {
     pub(crate) m1_stride: Option<u32>,
     /// Consumer-side stall seam (threaded only).
     pub(crate) chaos: Option<Arc<dyn ChaosHook>>,
-    /// Service-plane contention: co-resident queries on this node
-    /// inflate the modelled per-tuple cost by `alpha` per extra tenant.
-    /// The counter is read lock-free per tuple.
-    pub(crate) contention: Option<(Arc<AtomicU32>, f64)>,
+    /// Service-plane contention: the number of queries sharing this
+    /// node, read lock-free per tuple; co-residents inflate the modelled
+    /// per-tuple cost by `contention_factor`.
+    pub(crate) contention: Option<Arc<AtomicU32>>,
     /// Run-wide processed-tuple count and its metric (threaded only),
     /// advanced once per hand-over.
     pub(crate) progress: Option<(Arc<AtomicU64>, Option<Arc<Counter>>)>,
@@ -240,9 +241,8 @@ impl Consumer {
             .chaos
             .as_ref()
             .map_or(0.0, |c| c.stall_ms(StallSite::Consumer, self.spec.index));
-        let tenants_factor = self.contention.as_ref().map_or(1.0, |(ctr, alpha)| {
-            let extra = ctr.load(Ordering::Relaxed).saturating_sub(1);
-            1.0 + alpha * cast::count_to_f64(u64::from(extra))
+        let tenants_factor = self.contention.as_ref().map_or(1.0, |tenants| {
+            contention_factor(tenants.load(Ordering::Relaxed))
         });
         let model_cost = (outcome.base_cost_ms * self.spec.cost_factor
             + self.spec.cost_extra_ms

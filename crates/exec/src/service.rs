@@ -33,7 +33,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 
-use gridq_adapt::tenancy::{CrossQueryDiagnoser, TenancyConfig, TenantCostUpdate, TenantRebalance};
+use gridq_adapt::tenancy::{CrossQueryDiagnoser, TenantCostUpdate, TenantRebalance};
 use gridq_common::sync::Mutex;
 use gridq_common::{cast, DistributionVector, NodeId, QueryId, Result, SimTime, Tuple};
 use gridq_engine::distributed::{DistributedPlan, RoutingPolicy};
@@ -45,36 +45,30 @@ use gridq_engine::service::{
 use crate::socket::{SocketConfig, SocketExecutor, SocketReport};
 use crate::{ThreadedConfig, ThreadedExecutor, ThreadedReport};
 
+/// Modelled per-tuple cost inflation per extra co-resident tenant on a
+/// shared node (threaded substrate only). `1.0` means a second tenant
+/// doubles the modelled cost — strong enough that the detector's
+/// [`THRES_M`](gridq_adapt::THRES_M) gate sees it within one window.
+pub const CONTENTION_ALPHA: f64 = 1.0;
+
+/// The modelled cost factor on a node `tenants` queries share:
+/// `1 + CONTENTION_ALPHA * (tenants - 1)`, and 1 for a node nobody else
+/// is on.
+pub(crate) fn contention_factor(tenants: u32) -> f64 {
+    1.0 + CONTENTION_ALPHA * cast::count_to_f64(u64::from(tenants.saturating_sub(1)))
+}
+
 /// Shared per-node tenant counts. The threaded substrate multiplies
-/// every consumer's modelled per-tuple cost by
-/// `1 + alpha * (tenants_on_node - 1)`, so co-residency *shows up in the
-/// M1 stream* exactly like a slow Grid node would — which is what lets
-/// the unchanged detector/diagnoser machinery observe it.
-#[derive(Debug)]
+/// every consumer's modelled per-tuple cost by `contention_factor` of
+/// its node's count, so co-residency *shows up in the M1 stream* exactly
+/// like a slow Grid node would — which is what lets the unchanged
+/// detector/diagnoser machinery observe it.
+#[derive(Debug, Default)]
 pub struct ContentionLedger {
-    alpha: f64,
     nodes: Mutex<HashMap<NodeId, Arc<AtomicU32>>>,
 }
 
 impl ContentionLedger {
-    /// Creates a ledger with the given cost-inflation slope per extra
-    /// co-resident tenant.
-    pub fn new(alpha: f64) -> Self {
-        ContentionLedger {
-            alpha: if alpha.is_finite() {
-                alpha.max(0.0)
-            } else {
-                0.0
-            },
-            nodes: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The configured inflation slope.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Registers one query's arrival on `nodes` (each distinct node is
     /// counted once regardless of how many partitions it hosts).
     pub fn enter(&self, nodes: &[NodeId]) {
@@ -134,12 +128,6 @@ impl ContentionLedger {
                 .entry(node)
                 .or_insert_with(|| Arc::new(AtomicU32::new(0))),
         )
-    }
-
-    /// The modelled cost factor currently in force on a node.
-    pub fn factor(&self, node: NodeId) -> f64 {
-        let tenants = self.tenants(node);
-        1.0 + self.alpha * cast::count_to_f64(u64::from(tenants.saturating_sub(1)))
     }
 }
 
@@ -213,28 +201,12 @@ impl TenancyHandle {
     }
 }
 
-/// Service-plane configuration.
-#[derive(Debug, Clone)]
+/// Service-plane configuration. The tenancy model's parameters are
+/// constants: [`CONTENTION_ALPHA`] and those of [`CrossQueryDiagnoser`].
+#[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
     /// Admission bounds (run slots and queue depth).
     pub admission: AdmissionConfig,
-    /// Cross-query diagnosis thresholds.
-    pub tenancy: TenancyConfig,
-    /// Modelled per-tuple cost inflation per extra co-resident tenant on
-    /// a shared node (threaded substrate only). `1.0` means a second
-    /// tenant doubles the modelled cost — strong enough that the
-    /// detector's `thres_m` gate sees it within one window.
-    pub contention_alpha: f64,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            admission: AdmissionConfig::default(),
-            tenancy: TenancyConfig::default(),
-            contention_alpha: 1.0,
-        }
-    }
 }
 
 /// Which substrate runs a submitted query, with its full configuration.
@@ -339,8 +311,8 @@ impl QueryService {
                 controller: AdmissionController::new(config.admission)?,
                 tickets: HashMap::new(),
             }),
-            ledger: Arc::new(ContentionLedger::new(config.contention_alpha)),
-            diagnoser: Arc::new(Mutex::new(CrossQueryDiagnoser::new(config.tenancy))),
+            ledger: Arc::new(ContentionLedger::default()),
+            diagnoser: Arc::new(Mutex::new(CrossQueryDiagnoser::new())),
         })
     }
 
@@ -502,17 +474,21 @@ mod tests {
 
     #[test]
     fn ledger_counts_tenants_and_inflates_cost() {
-        let ledger = ContentionLedger::new(1.0);
+        let ledger = ContentionLedger::default();
         let shared = [NodeId::new(1), NodeId::new(2)];
-        assert!((ledger.factor(NodeId::new(1)) - 1.0).abs() < 1e-12);
+        let factor = |node: u32| contention_factor(ledger.tenants(NodeId::new(node)));
+        assert!((factor(1) - 1.0).abs() < 1e-12);
         ledger.enter(&shared);
         assert_eq!(ledger.tenants(NodeId::new(1)), 1);
         // One tenant: no inflation.
-        assert!((ledger.factor(NodeId::new(1)) - 1.0).abs() < 1e-12);
+        assert!((factor(1) - 1.0).abs() < 1e-12);
         ledger.enter(&[NodeId::new(1)]);
         assert_eq!(ledger.tenants(NodeId::new(1)), 2);
-        // Two tenants, alpha 1.0: doubled.
-        assert!((ledger.factor(NodeId::new(1)) - 2.0).abs() < 1e-12);
+        // Two tenants: one alpha more.
+        assert!((factor(1) - (1.0 + CONTENTION_ALPHA)).abs() < 1e-12);
+        ledger.enter(&[NodeId::new(1)]);
+        assert!((factor(1) - (1.0 + 2.0 * CONTENTION_ALPHA)).abs() < 1e-12);
+        ledger.exit(&[NodeId::new(1)]);
         ledger.exit(&[NodeId::new(1)]);
         ledger.exit(&shared);
         assert_eq!(ledger.tenants(NodeId::new(1)), 0);
@@ -521,7 +497,7 @@ mod tests {
 
     #[test]
     fn ledger_counts_a_query_once_per_node() {
-        let ledger = ContentionLedger::new(0.5);
+        let ledger = ContentionLedger::default();
         // Two partitions co-hosted on one node still count as one tenant.
         ledger.enter(&[NodeId::new(3), NodeId::new(3)]);
         assert_eq!(ledger.tenants(NodeId::new(3)), 1);
@@ -531,7 +507,7 @@ mod tests {
 
     #[test]
     fn counter_is_shared_with_live_entries() {
-        let ledger = ContentionLedger::new(1.0);
+        let ledger = ContentionLedger::default();
         let ctr = ledger.counter(NodeId::new(7));
         ledger.enter(&[NodeId::new(7)]);
         assert_eq!(ctr.load(Ordering::Relaxed), 1);

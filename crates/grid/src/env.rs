@@ -66,18 +66,6 @@ impl GridEnvironment {
         self.perturbations.insert(node, schedule);
     }
 
-    /// Drops non-finite perturbation phases from every installed
-    /// schedule, returning the number rejected. Run entry points call
-    /// this before the first event so a NaN delay is counted and
-    /// discarded (like `detector.rejected_samples`) instead of reaching
-    /// the event queue.
-    pub fn sanitize_perturbations(&mut self) -> u64 {
-        self.perturbations
-            .values_mut()
-            .map(PerturbationSchedule::sanitize)
-            .sum()
-    }
-
     /// Counts installed perturbation phases whose delays/factors are
     /// non-finite. Those phases never perturb (the sample is rejected at
     /// apply time); runs surface this count as the

@@ -178,21 +178,6 @@ impl PerturbationSchedule {
             .filter(|(_, p)| p.validate().is_err())
             .count() as u64
     }
-
-    /// Drops phases holding non-finite delays/factors (replacing each
-    /// with an unperturbed phase so interval boundaries are preserved)
-    /// and returns how many were rejected — the count-and-continue path
-    /// run entry points use, mirroring `detector.rejected_samples`.
-    pub fn sanitize(&mut self) -> u64 {
-        let mut rejected = 0;
-        for (_, p) in &mut self.phases {
-            if p.validate().is_err() {
-                *p = Perturbation::None;
-                rejected += 1;
-            }
-        }
-        rejected
-    }
 }
 
 #[cfg(test)]

@@ -163,14 +163,6 @@ impl ObsReport {
         }
         out
     }
-
-    /// Number of deployed-adaptation events in the timeline.
-    pub fn deploy_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, TimelineKind::Deploy { .. }))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +242,6 @@ mod tests {
             },
         );
         let report = obs.report();
-        assert_eq!(report.deploy_count(), 1);
         let text = report.to_json_lines();
         let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
         assert_eq!(lines.len(), 6);

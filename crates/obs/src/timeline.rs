@@ -31,7 +31,7 @@ pub enum TimelineKind {
         /// of the batch, in model milliseconds (the A2 diagnoser's leaf
         /// signal).
         leaf_wait_ms: f64,
-        /// Whether the detector's `thres_m` gate fired on this event.
+        /// Whether the detector's `THRES_M` gate fired on this event.
         gate_fired: bool,
     },
     /// An M2 monitoring event (communication cost of a producer→recipient
@@ -43,7 +43,7 @@ pub enum TimelineKind {
         recipient: String,
         /// Reported cost per tuple in model milliseconds.
         cost_per_tuple_ms: f64,
-        /// Whether the detector's `thres_m` gate fired on this event.
+        /// Whether the detector's `THRES_M` gate fired on this event.
         gate_fired: bool,
     },
     /// The detector notified the diagnoser (the gate fired).

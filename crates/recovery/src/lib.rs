@@ -231,11 +231,6 @@ impl<T> RecoveryLog<T> {
         self.interval
     }
 
-    /// True for a retained (never-pruning) log.
-    pub fn is_retained(&self) -> bool {
-        self.mode == LogMode::Retain
-    }
-
     fn dest(&self, dest: u32) -> Result<&DestLog<T>> {
         self.dests
             .get(dest as usize)
@@ -608,21 +603,6 @@ impl<T> SharedRecoveryLog<T> {
     /// The current epoch; checkpoints emitted now should carry it.
     pub fn epoch(&self) -> u64 {
         self.inner.lock().epoch
-    }
-
-    /// Bumps the epoch, invalidating in-flight acknowledgements. Call
-    /// only when checkpoint windows are voided (a drain that re-records
-    /// entries under fresh windows), never for a window-preserving
-    /// migration.
-    pub fn bump_epoch(&self) -> u64 {
-        let mut inner = self.inner.lock();
-        inner.epoch += 1;
-        inner.epoch
-    }
-
-    /// True for a retained (never-pruning) log.
-    pub fn is_retained(&self) -> bool {
-        self.inner.lock().log.is_retained()
     }
 
     /// Records an outgoing item for `dest`; returns the checkpoint marker
@@ -1153,10 +1133,14 @@ mod shared_tests {
 
     #[test]
     fn stale_epoch_ack_is_dropped() {
-        let log = SharedRecoveryLog::<u64>::new(1, 2).unwrap();
+        let log = SharedRecoveryLog::<u64>::new(2, 2).unwrap();
         log.record(0, 1).unwrap();
         let cp = log.record(0, 2).unwrap().unwrap();
-        assert_eq!(log.bump_epoch(), 1);
+        // Destination 1's node fails: draining it voids its windows and
+        // bumps the epoch for the whole log.
+        log.record(1, 3).unwrap();
+        assert_eq!(log.drain_dest(1).unwrap(), vec![3]);
+        assert_eq!(log.epoch(), 1);
         // The ack was issued under epoch 0; after the bump it must not
         // prune anything.
         assert_eq!(log.acknowledge(cp.dest, cp.id, 0), AckOutcome::Stale);

@@ -44,14 +44,10 @@ pub struct SimulationConfig {
     /// work). `None` injects nothing and leaves behavior identical to
     /// an uninstrumented run. Installing a hook switches the run into
     /// resilient mode: producers retransmit unacknowledged checkpoint
-    /// windows (see `retry_max`) and consumers deduplicate redelivered
-    /// tuples, so data-plane loss and duplication heal instead of
-    /// corrupting the result.
+    /// windows (six rounds at most) and consumers deduplicate
+    /// redelivered tuples, so data-plane loss and duplication heal instead
+    /// of corrupting the result.
     pub chaos: Option<Arc<dyn ChaosHook>>,
-    /// Retransmission rounds per source before undelivered windows are
-    /// abandoned and reported as explicit delivery gaps (resilient runs
-    /// only).
-    pub retry_max: u32,
 }
 
 impl Default for SimulationConfig {
@@ -66,7 +62,6 @@ impl Default for SimulationConfig {
             collect_results: false,
             obs: ObsConfig::default(),
             chaos: None,
-            retry_max: 6,
         }
     }
 }
@@ -89,13 +84,6 @@ impl SimulationConfig {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(GridError::Config(format!("{name} must be non-negative")));
             }
-        }
-        if self.retry_max == 0 {
-            return Err(GridError::Config(
-                "retry_max must be at least 1; model a dead link with an \
-                 all-drop chaos plan, not a zero retry budget"
-                    .into(),
-            ));
         }
         Ok(())
     }
@@ -121,9 +109,6 @@ mod tests {
         c.receive_cost_ms = -1.0;
         assert!(c.validate().is_err());
         c.receive_cost_ms = f64::NAN;
-        assert!(c.validate().is_err());
-        c.receive_cost_ms = 0.0;
-        c.retry_max = 0;
         assert!(c.validate().is_err());
     }
 }

@@ -46,6 +46,10 @@ const CONTROL_EXTRA_MS: f64 = 1.0;
 /// only). Retry `k` waits `RETRY_BASE_MS * 2^k`, jittered
 /// deterministically into `[0.5, 1.0)` of the nominal value.
 const RETRY_BASE_MS: f64 = 25.0;
+/// Retransmission rounds per source before undelivered windows are
+/// abandoned and reported as explicit delivery gaps (resilient runs
+/// only).
+const RETRY_MAX: u32 = 6;
 
 /// One destination's undelivered windows, as returned by
 /// [`RecoveryLog::undelivered_windows`]: each entry pairs the window's
@@ -809,7 +813,7 @@ impl<'a> Run<'a> {
             self.release_eos(s);
             return Ok(());
         }
-        if attempt >= self.config.retry_max {
+        if attempt >= RETRY_MAX {
             for (dest, windows) in pending {
                 let tuples: u64 = windows.iter().map(|(_, w)| w.len() as u64).sum();
                 let gap = DeliveryGap {

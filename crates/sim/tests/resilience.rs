@@ -225,12 +225,14 @@ fn exhausted_retries_degrade_into_explicit_gaps_not_a_hang() {
     let table = int_table("t", 0..200);
     let plan = call_plan(&table, &call_shape());
     let hook = Arc::new(SeverDest(1));
-    let mut cfg = config(Some(hook));
-    cfg.retry_max = 2; // keep the doomed retry ladder short
-    let report = Simulation::new(GridEnvironment::demo(2), catalog(&[&table]), cfg)
-        .unwrap()
-        .run(&plan)
-        .unwrap();
+    let report = Simulation::new(
+        GridEnvironment::demo(2),
+        catalog(&[&table]),
+        config(Some(hook)),
+    )
+    .unwrap()
+    .run(&plan)
+    .unwrap();
     assert!(
         !report.delivery_gaps.is_empty(),
         "a severed destination must surface as gaps: {:?}",

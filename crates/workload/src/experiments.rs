@@ -162,21 +162,7 @@ impl Q1Experiment {
         adaptivity: AdaptivityConfig,
         perturbations: &[EvaluatorPerturbation],
     ) -> Result<ExecutionReport> {
-        let mut env = experiment_env(self.evaluators);
-        for p in perturbations {
-            if p.evaluator >= self.evaluators {
-                return Err(GridError::Config(format!(
-                    "perturbation targets evaluator {} of {}",
-                    p.evaluator, self.evaluators
-                )));
-            }
-            env.set_perturbation(
-                NodeId::new(p.evaluator as u32 + 1),
-                PerturbationSchedule::constant(p.perturbation.clone()),
-            );
-        }
-        let sim = Simulation::new(env, self.catalog(), self.sim_config(adaptivity))?;
-        sim.run(&self.plan())
+        self.run_scheduled(adaptivity, &constant(perturbations))
     }
 
     /// Runs the experiment with full perturbation *schedules* (load that
@@ -186,18 +172,12 @@ impl Q1Experiment {
         adaptivity: AdaptivityConfig,
         schedules: &[(usize, PerturbationSchedule)],
     ) -> Result<ExecutionReport> {
-        let mut env = experiment_env(self.evaluators);
-        for (evaluator, schedule) in schedules {
-            if *evaluator >= self.evaluators {
-                return Err(GridError::Config(format!(
-                    "schedule targets evaluator {evaluator} of {}",
-                    self.evaluators
-                )));
-            }
-            env.set_perturbation(NodeId::new(*evaluator as u32 + 1), schedule.clone());
-        }
-        let sim = Simulation::new(env, self.catalog(), self.sim_config(adaptivity))?;
-        sim.run(&self.plan())
+        simulate(
+            schedules,
+            self.catalog(),
+            self.sim_config(adaptivity),
+            &self.plan(),
+        )
     }
 }
 
@@ -306,22 +286,48 @@ impl Q2Experiment {
         adaptivity: AdaptivityConfig,
         perturbations: &[EvaluatorPerturbation],
     ) -> Result<ExecutionReport> {
-        let mut env = experiment_env(self.evaluators);
-        for p in perturbations {
-            if p.evaluator >= self.evaluators {
-                return Err(GridError::Config(format!(
-                    "perturbation targets evaluator {} of {}",
-                    p.evaluator, self.evaluators
-                )));
-            }
-            env.set_perturbation(
-                NodeId::new(p.evaluator as u32 + 1),
-                PerturbationSchedule::constant(p.perturbation.clone()),
-            );
-        }
-        let sim = Simulation::new(env, self.catalog(), self.sim_config(adaptivity))?;
-        sim.run(&self.plan())
+        let schedules = constant(perturbations);
+        simulate(
+            &schedules,
+            self.catalog(),
+            self.sim_config(adaptivity),
+            &self.plan(),
+        )
     }
+}
+
+/// Whole-run perturbations as schedules keyed by evaluator index.
+fn constant(perturbations: &[EvaluatorPerturbation]) -> Vec<(usize, PerturbationSchedule)> {
+    perturbations
+        .iter()
+        .map(|p| {
+            (
+                p.evaluator,
+                PerturbationSchedule::constant(p.perturbation.clone()),
+            )
+        })
+        .collect()
+}
+
+/// Simulates `plan` on the experiment grid of one node per evaluator of
+/// its stage, with evaluator `i`'s schedule installed on node `i + 1`.
+fn simulate(
+    schedules: &[(usize, PerturbationSchedule)],
+    catalog: Catalog,
+    config: SimulationConfig,
+    plan: &DistributedPlan,
+) -> Result<ExecutionReport> {
+    let evaluators = plan.stages[0].nodes.len();
+    let mut env = experiment_env(evaluators);
+    for (evaluator, schedule) in schedules {
+        if *evaluator >= evaluators {
+            return Err(GridError::Config(format!(
+                "perturbation targets evaluator {evaluator} of {evaluators}"
+            )));
+        }
+        env.set_perturbation(NodeId::new(*evaluator as u32 + 1), schedule.clone());
+    }
+    Simulation::new(env, catalog, config)?.run(plan)
 }
 
 #[cfg(test)]

@@ -124,7 +124,6 @@ fn main() {
             delivery_retry: RetryPolicy {
                 base_ms: 20.0,
                 max_retries: 8,
-                ..Default::default()
             },
             failover: FailoverConfig {
                 enabled: true,

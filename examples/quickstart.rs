@@ -19,11 +19,7 @@ fn main() {
     let q1 = "select EntropyAnalyser(p.sequence) from protein_sequences p";
 
     // Show how the query is planned and scheduled.
-    println!(
-        "{}",
-        qp.explain(q1, &ExecutionOptions::default())
-            .expect("query plans")
-    );
+    println!("{}", qp.explain(q1).expect("query plans"));
 
     // Run on healthy resources.
     let healthy = qp

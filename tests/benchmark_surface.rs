@@ -1,6 +1,7 @@
 //! Tripwire for `benchmark/`: a compile-only test that names every
-//! `gridq_exec`, `gridq_common` and `gridq_net` item and field
-//! `benchmark/src` uses.
+//! `gridq_exec`, `gridq_common`, `gridq_net`, `gridq_adapt`,
+//! `gridq_workload` and `gridq_engine` item and field `benchmark/src`
+//! uses.
 //!
 //! `benchmark/` is a workspace of its own, so `cargo test` at the root
 //! never builds it, and a refactor that renames one of these items used
@@ -15,14 +16,22 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-use gridq::adapt::AdaptivityConfig;
+use gridq::adapt::detector::CostUpdate;
+use gridq::adapt::{
+    AdaptivityConfig, AssessmentPolicy, Diagnoser, Imbalance, MonitoringEventDetector, Responder,
+    ResponsePolicy, M1,
+};
 use gridq::common::sync::ring::ring;
 use gridq::common::wire::{self, Reader};
-use gridq::common::{ChaosHook, NodeId, Result, Tuple};
-use gridq::engine::distributed::DistributedPlan;
+use gridq::common::{
+    ChaosHook, DistributionVector, NodeId, PartitionId, QueryId, Result, SimTime, SubplanId, Tuple,
+};
+use gridq::engine::distributed::{DistributedPlan, Router};
 use gridq::engine::physical::Catalog;
 use gridq::engine::service::Service;
-use gridq::engine::AdmissionConfig;
+use gridq::engine::{
+    AdmissionConfig, AdmissionController, AdmissionDecision, PartitionEvaluator, StreamTag,
+};
 use gridq::exec::socket::{
     ScriptedAdaptation, ServiceResolver, SocketConfig, SocketExecutor, SocketReport, WireStageSpec,
 };
@@ -33,6 +42,9 @@ use gridq::exec::{
 use gridq::grid::Perturbation;
 use gridq::obs::{ObsConfig, ObsReport};
 use gridq::recovery::LogAudit;
+use gridq::workload::{
+    protein_interactions, protein_sequences, EntropyAnalyser, Q1Experiment, Q2Experiment,
+};
 use gridq_net::frame::kind;
 use gridq_net::{Addr, Decoder, Frame, LinkState, Listener, Stream};
 
@@ -138,8 +150,10 @@ fn socket_surface(
     Ok(())
 }
 
-/// `workloads.rs` and `trace.rs`: the service loop.
-#[allow(dead_code)]
+/// `workloads.rs` and `trace.rs`: the service loop. `ServiceConfig` has
+/// no field besides `admission` any more, but the benchmark still spells
+/// `..ServiceConfig::default()`, so this does too.
+#[allow(dead_code, clippy::needless_update)]
 fn service_surface(catalog: Catalog, plan: DistributedPlan, run: QueryRun) -> Result<()> {
     let service = QueryService::new(ServiceConfig {
         admission: AdmissionConfig {
@@ -159,6 +173,108 @@ fn service_surface(catalog: Catalog, plan: DistributedPlan, run: QueryRun) -> Re
     }
     let stats = service.admission_stats();
     let _ = (stats.peak_queued, stats.rejected);
+    Ok(())
+}
+
+/// `inputs.rs` and `workloads.rs`: the experiments every input is built
+/// from, and every field read back.
+#[allow(dead_code)]
+fn workload_surface(tuples: usize, seed: u64) -> (Catalog, DistributedPlan) {
+    let q1 = Q1Experiment {
+        tuples,
+        seed,
+        ..Default::default()
+    };
+    let q2 = Q2Experiment {
+        sequences: tuples,
+        interactions: tuples,
+        seed,
+        ..Default::default()
+    };
+    let _: (usize, f64, usize, usize) =
+        (q1.seq_len, q1.ws_cost_ms, q1.evaluators, q1.buffer_tuples);
+    let _: (usize, f64, f64, f64, u32) = (
+        q2.seq_len,
+        q2.build_cost_ms,
+        q2.probe_cost_ms,
+        q2.receive_cost_ms,
+        q2.bucket_count,
+    );
+    let _ = (
+        protein_sequences(1, q2.seq_len, q2.seed).schema().clone(),
+        protein_interactions(1, 1, q2.seed).schema().clone(),
+        EntropyAnalyser::new(q1.ws_cost_ms),
+    );
+    let _: [fn(&Q2Experiment) -> Catalog; 1] = [Q2Experiment::catalog];
+    let _: [fn(&Q2Experiment) -> DistributedPlan; 1] = [Q2Experiment::plan];
+    (q1.catalog(), q1.plan())
+}
+
+/// `trace.rs`: the adaptivity components the outside-in replay times on
+/// their own.
+#[allow(dead_code)]
+fn adapt_surface(query: QueryId, stage: SubplanId, node: NodeId) {
+    let config = AdaptivityConfig::default();
+    let _: [AdaptivityConfig; 2] = [
+        AdaptivityConfig::disabled(),
+        AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1),
+    ];
+    let _: u32 = config.monitoring_interval_tuples;
+    let partition = PartitionId::new(stage, 0);
+    let mut detector = MonitoringEventDetector::new(&config);
+    let _ = detector.on_m1(&M1 {
+        query,
+        partition,
+        node,
+        cost_per_tuple_ms: 1.0,
+        leaf_wait_ms: 0.0,
+        selectivity: 1.0,
+        tuples_produced: 10,
+        at: SimTime::ZERO,
+    });
+    let mut diagnoser = Diagnoser::new(stage, 2, DistributionVector::uniform(2), &config);
+    let _ = diagnoser.on_cost_update(&CostUpdate {
+        partition,
+        avg_cost_ms: 1.0,
+        avg_wait_ms: 0.0,
+        selectivity: 1.0,
+        window_len: 25,
+        at: SimTime::ZERO,
+    });
+    let mut responder = Responder::new(&config);
+    let imbalance = Imbalance {
+        stage,
+        proposed: DistributionVector::uniform(2),
+        costs: vec![1.0, 1.0],
+        at: SimTime::ZERO,
+    };
+    let _ = responder.on_imbalance(&imbalance, 0.5);
+}
+
+/// `trace.rs`: the router, the evaluators' state extraction and the
+/// admission controller the replay calls directly.
+#[allow(dead_code)]
+fn engine_surface(
+    plan: &DistributedPlan,
+    tuple: &Tuple,
+    target: &DistributionVector,
+) -> Result<()> {
+    let stage = &plan.stages[0];
+    let mut router = Router::from_policy(&stage.exchange.routing, stage.nodes.len() as u32)?;
+    let _: u32 = router.route(StreamTag::Single, tuple)?;
+    let moves = router.apply_retrospective(target)?;
+    let buckets: Option<u32> = router.bucket_count();
+    let mut evaluator: Box<dyn PartitionEvaluator> = stage.factory.create(0);
+    let _: Vec<Tuple> = evaluator.process(StreamTag::Build, tuple)?.outputs;
+    let _: Vec<(StreamTag, Tuple)> =
+        evaluator.extract_state(buckets.unwrap_or(1), &moves.outgoing[0]);
+    let mut controller = AdmissionController::new(AdmissionConfig {
+        max_concurrent: 1,
+        queue_depth: 1,
+    })?;
+    if let AdmissionDecision::Admitted(id) = controller.submit() {
+        let _ = controller.complete(id)?;
+    }
     Ok(())
 }
 

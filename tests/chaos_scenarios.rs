@@ -6,7 +6,7 @@
 //! the sim and threaded substrates, plus the three socket-only families
 //! (conn_drop, partial_write, slow_peer — their seams do not exist
 //! in-process) on the socket substrate; every oracle green, and every
-//! report round-tripping through the JSON parser. The data-plane
+//! report line what CI uploads: JSON naming its cell, plan and oracles. The data-plane
 //! families are live here — dropped blocks heal through whole-block
 //! recovery-log retransmission, duplicated blocks are absorbed by
 //! consumer range dedup, a killed threaded consumer fails over through
@@ -50,6 +50,7 @@ fn pinned_cells() -> Vec<(FaultFamily, Substrate)> {
 fn pinned_cells_pass_every_oracle_and_round_trip() {
     let mut runner = Runner::new();
     let mut lines = Vec::new();
+    let mut outcomes = Vec::new();
     for seed in SEEDS {
         for (family, substrate) in pinned_cells() {
             {
@@ -79,27 +80,50 @@ fn pinned_cells_pass_every_oracle_and_round_trip() {
                         verdict.detail
                     );
                 }
-                let parsed = ScenarioOutcome::from_json(&outcome.to_json())
-                    .expect("report line must parse back");
-                assert_eq!(parsed.scenario, outcome.scenario);
-                assert_eq!(parsed.plan, outcome.plan);
-                assert_eq!(parsed.verdicts, outcome.verdicts);
-                assert!(parsed.passed());
                 lines.push(outcome.to_json());
+                outcomes.push(outcome);
             }
         }
     }
-    // The aggregate report (what the `chaos` binary writes and CI
-    // uploads) parses as one JSON document too.
+    // Every report line, and the aggregate report (what the `chaos`
+    // binary writes and CI uploads), parses as JSON and names its cell,
+    // plan and oracles. Nothing reads a report back: it is a record,
+    // replay is by seed.
+    for (line, outcome) in lines.iter().zip(&outcomes) {
+        assert_report_cell(&Json::parse(line).expect("report line parses"), outcome);
+    }
     let report = format!("[{}]", lines.join(","));
     let doc = Json::parse(&report).expect("aggregate report parses");
     let cells = doc.as_array().expect("report is an array");
     assert_eq!(cells.len(), SEEDS.len() * pinned_cells().len());
-    for cell in cells {
-        assert!(ScenarioOutcome::from_parsed(cell)
-            .expect("cell parses")
-            .passed());
+    for (cell, outcome) in cells.iter().zip(&outcomes) {
+        assert_report_cell(cell, outcome);
     }
+}
+
+/// One cell of a chaos report: its seed, family, substrate, policy, the
+/// number of plan events, a pass, and every oracle in `ORACLES` order.
+fn assert_report_cell(cell: &Json, outcome: &ScenarioOutcome) {
+    let s = outcome.scenario;
+    let str_field = |key: &str| cell.get(key).and_then(Json::as_str);
+    assert_eq!(cell.get("seed").and_then(Json::as_u64), Some(s.seed));
+    assert_eq!(str_field("family"), Some(s.family.name()));
+    assert_eq!(str_field("substrate"), Some(s.substrate.name()));
+    assert_eq!(str_field("policy"), Some(s.policy.name()));
+    let events = cell.get("plan").and_then(|p| p.get("events"));
+    assert_eq!(
+        events.and_then(Json::as_array).map(|e| e.len()),
+        Some(outcome.plan.events.len())
+    );
+    assert_eq!(cell.get("passed").and_then(Json::as_bool), Some(true));
+    let oracles: Vec<&str> = cell
+        .get("verdicts")
+        .and_then(Json::as_array)
+        .expect("verdicts array")
+        .iter()
+        .filter_map(|v| v.get("oracle").and_then(Json::as_str))
+        .collect();
+    assert_eq!(oracles, ORACLES);
 }
 
 /// A node killed by a chaos fault must not leak detector/diagnoser

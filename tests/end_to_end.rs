@@ -4,7 +4,7 @@
 
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 use gridq::common::NodeId;
-use gridq::core::{ExecutionOptions, GridQueryProcessor, SchedulerConfig};
+use gridq::core::{ExecutionOptions, GridQueryProcessor};
 use gridq::engine::fixtures::multiset;
 use gridq::engine::physical::Catalog;
 use gridq::exec::{ThreadedConfig, ThreadedExecutor};
@@ -71,10 +71,6 @@ fn threaded_executor_matches_local_for_q1() {
         &logical,
         qp.env().registry(),
         qp.services(),
-        &SchedulerConfig {
-            buffer_tuples: 20,
-            ..Default::default()
-        },
     )
     .unwrap();
     let catalog: Catalog = qp.catalog().clone();

@@ -44,7 +44,6 @@ fn service(max_concurrent: usize, queue_depth: usize) -> QueryService {
             max_concurrent,
             queue_depth,
         },
-        ..Default::default()
     })
     .unwrap()
 }

@@ -168,7 +168,6 @@ fn node_failure_runs_match_the_unfaulted_reference() {
             delivery_retry: RetryPolicy {
                 base_ms: 20.0,
                 max_retries: 8,
-                ..Default::default()
             },
             failover: FailoverConfig {
                 enabled: true,
