@@ -64,14 +64,14 @@ use gridq_engine::evaluator::StreamTag;
 use gridq_engine::physical::Catalog;
 use gridq_grid::Perturbation;
 use gridq_obs::{Counter, Obs, ObsConfig, ObsReport, TimelineKind};
-use gridq_recovery::{AckOutcome, Checkpoint, LogAudit, SharedRecoveryLog};
+use gridq_recovery::{AckOutcome, Checkpoint, LogAudit, ResultDedup, SharedRecoveryLog};
 
 use failover::HeartbeatMonitor;
 pub use failover::{DeliveryGap, FailoverConfig, RetryPolicy};
 use protocol::consumer::{Consumer, ConsumerOut, M1Sample};
 use protocol::coordinator::{Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget};
 use protocol::producer::{BlockSink, Producer, ProducerSpec, RetryStep};
-use protocol::{collapse_duplicate_results, validate_knobs, Block, Exchange, Routed};
+use protocol::{validate_knobs, Block, Exchange, Routed};
 use recall::{GateTransport, ProducerGuard, RecallGate, WorkerCommands};
 pub use service::{
     ContentionLedger, QueryOutcome, QueryRun, QueryService, QuerySubmission, ServiceConfig,
@@ -92,9 +92,13 @@ pub struct ThreadedConfig {
     /// Per-tuple receive cost in model milliseconds.
     pub receive_cost_ms: f64,
     /// Producers emit a recovery-log checkpoint marker after this many
-    /// tuples per destination (R1 runs only). Build streams are never
-    /// checkpointed: their tuples *are* the downstream operator state
-    /// and must stay recallable for the whole run.
+    /// tuples per destination, in every run that logs (R1 recall, a
+    /// chaos hook, or failover). Resilient runs clamp it to the
+    /// exchange's `buffer_tuples` and checkpoint build streams too, into
+    /// retained logs: the markers are delivery receipts and the entries
+    /// stay replayable. Otherwise build streams are never checkpointed:
+    /// their tuples *are* the downstream operator state and must stay
+    /// recallable for the whole run.
     pub checkpoint_interval: usize,
     /// Observability layer configuration (metrics registry and
     /// adaptivity timeline).
@@ -1769,7 +1773,8 @@ impl Run<'_> {
 
         let mut results = got.results;
         if resilient {
-            collapse_duplicate_results(&mut results);
+            let mut dedup = ResultDedup::default();
+            results.retain(|t| dedup.first(t));
         }
         let tallies = &x.tallies;
         let delivery_gaps = std::mem::take(&mut *tallies.gaps.lock());

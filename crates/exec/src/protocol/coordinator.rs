@@ -21,8 +21,9 @@
 //! untouched and the gate reopened.
 
 use gridq_common::{DistributionVector, RecallPhase};
+use gridq_recovery::LogMoves;
 
-use super::reroute::{LogMoves, Regroup};
+use super::reroute::Regroup;
 use super::{Exchange, Routed};
 
 /// A worker's answer to a recall command. `token` identifies the recall
@@ -345,15 +346,14 @@ impl Coordinator {
                     _ => fallback,
                 };
                 replayed += 1;
-                // Re-record under the new owner, but send no checkpoint
-                // markers from here: a coordinator-sent marker could
-                // close a window whose tail is still staged unsent at
-                // the producer, acknowledging tuples that were never
-                // delivered. The producers' per-attempt forced
-                // checkpoints close these windows instead, and
-                // retransmissions of already-replayed tuples collapse in
-                // the consumers' dedup filter.
-                let _ = logs[s].record_replayed(dest as u32, (stream, tuple.clone()));
+                // Re-record into the new owner's open window, which the
+                // producer's next forced checkpoint closes; a marker sent
+                // from here could close a window whose tail is still
+                // staged unsent at the producer, acknowledging tuples
+                // that were never delivered. Retransmissions of
+                // already-replayed tuples collapse in the consumers'
+                // dedup filter.
+                let _ = logs[s].record_migrated(dest as u32, (stream, tuple.clone()));
                 if let Some(block) = blocks.push(dest, (stream, s, tuple)) {
                     t.redeliver(dest, block);
                 }

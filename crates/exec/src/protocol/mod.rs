@@ -18,7 +18,6 @@ pub(crate) mod dedup;
 pub(crate) mod producer;
 pub(crate) mod reroute;
 
-use std::collections::HashSet;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -175,26 +174,12 @@ impl Exchange {
         let partitions = stage.nodes.len();
         let router = Router::from_policy(&stage.exchange.routing, cast::index_to_u32(partitions)?)?;
         let logs = if recall_on || resilient {
-            // In resilient mode a whole window must fit one exchange
-            // buffer, so a dropped or duplicated block hits tuples and
-            // marker atomically: marker delivery implies content delivery.
-            let effective = checkpoint_interval.min(stage.exchange.buffer_tuples.max(1));
-            let mut v = Vec::with_capacity(plan.sources.len());
-            for s in &plan.sources {
-                v.push(match (s.stream == StreamTag::Build, resilient) {
-                    // Build tuples are downstream operator state: keep
-                    // the entries replayable after delivery so node
-                    // failure can reconstruct a dead partition, while
-                    // markers still flow as delivery receipts.
-                    (true, true) => SharedRecoveryLog::retained(partitions, effective)?,
-                    // Effectively no checkpointing (mirrors the
-                    // simulator): entries stay recallable all run.
-                    (true, false) => SharedRecoveryLog::new(partitions, usize::MAX / 2)?,
-                    (false, true) => SharedRecoveryLog::new(partitions, effective)?,
-                    (false, false) => SharedRecoveryLog::new(partitions, checkpoint_interval)?,
-                });
-            }
-            Some(Arc::new(v))
+            let (interval, buffer) = (checkpoint_interval, stage.exchange.buffer_tuples);
+            let logs = plan.sources.iter().map(|s| {
+                let build = s.stream == StreamTag::Build;
+                SharedRecoveryLog::for_stream(partitions, build, resilient, interval, buffer)
+            });
+            Some(Arc::new(logs.collect::<Result<Vec<_>>>()?))
         } else {
             None
         };
@@ -346,15 +331,6 @@ pub(crate) fn sane_ms(ms: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// At-least-once transport can double-deliver results across a crash or
-/// reconnect seam (a worker flushed results, died before acking, and the
-/// retransmission was processed by its successor). Collapses exact
-/// duplicates so a resilient run's report is effectively-once.
-pub(crate) fn collapse_duplicate_results(results: &mut Vec<Tuple>) {
-    let mut seen = HashSet::new();
-    results.retain(|t: &Tuple| seen.insert((t.seq(), format!("{:?}", t.values()))));
 }
 
 /// Protocol unit tests: the core driven by hand-written message
@@ -1012,7 +988,7 @@ mod tests {
         }
         recall_everything_to_partition_1(&x);
         let before = log.entries_visited();
-        let mut moves = super::reroute::LogMoves::default();
+        let mut moves = gridq_recovery::LogMoves::default();
         let mut delivered = 0;
         let counts = x.reroute(0, held, &mut moves, |owner, _| {
             assert_eq!(owner, 1);
@@ -1089,6 +1065,52 @@ mod tests {
             assert_eq!((log.unacked_len(1), log.unacked_len(0)), (0, 3));
             assert!(log.audit().conserved(), "{:?}", log.audit());
         }
+    }
+
+    /// A failover replay of more than one checkpoint interval joins the
+    /// survivor's open window: no window closes behind the producer's
+    /// back (the coordinator sends no markers, so one closed there could
+    /// never be acknowledged), and the producer's next forced checkpoint
+    /// covers every replayed entry with a marker it actually sends.
+    #[test]
+    fn a_failover_replay_longer_than_an_interval_closes_no_window() {
+        const REPLAYED: u64 = 10; // two and a half windows of four
+        let (x, _) = join_exchange(true);
+        let log = x.log(PROBE).unwrap();
+        for seq in 0..REPLAYED {
+            let _ = log.record(1, (StreamTag::Probe, tuple(seq as i64, seq)));
+        }
+        let mut t = FakeTransport {
+            parked: Some(2),
+            replies: VecDeque::from([
+                RecallReply::Drained { token: 1 },
+                RecallReply::MigrateDone { token: 1 },
+            ]),
+            ..FakeTransport::default()
+        };
+        let target = RecallTarget::Failover {
+            replay: 1,
+            dead: vec![1],
+        };
+        let outcome = Coordinator::new(x.clone()).recall(target, &[0], &mut t, |_| {});
+        assert!(
+            matches!(outcome, RecallOutcome::FailedOver { replayed, .. } if replayed == REPLAYED)
+        );
+        assert_eq!(log.unacked_len(0), REPLAYED as usize);
+        assert!(
+            log.undelivered_windows(0).is_empty(),
+            "the replay closed a window whose marker is never sent"
+        );
+        let cp = log.force_checkpoint(0).unwrap().expect("the open window");
+        let windows = log.undelivered_windows(0);
+        assert_eq!(windows.len(), 1);
+        assert_eq!((windows[0].0, windows[0].1.len()), (cp, REPLAYED as usize));
+        let acked = log.acknowledge(0, cp.id, log.epoch());
+        assert_eq!(
+            acked,
+            gridq_recovery::AckOutcome::Accepted(REPLAYED as usize)
+        );
+        assert!(log.audit().conserved(), "{:?}", log.audit());
     }
 
     const STRIDE: u64 = 10;

@@ -13,12 +13,9 @@ use std::sync::Arc;
 use gridq_common::{NetAction, StallSite, Tuple};
 use gridq_engine::evaluator::StreamTag;
 use gridq_obs::Counter;
-use gridq_recovery::DeliveryGap;
+use gridq_recovery::{DeliveryGap, LogMoves, RetryBackoff, RetryPolicy};
 
-use super::reroute::LogMoves;
 use super::{sane_ms, Block, Exchange, Staged};
-use crate::failover::RetryBackoff;
-use crate::RetryPolicy;
 
 /// Where a producer's blocks go. Implemented by the run skeleton's
 /// `ProducerSink` (one SPSC ring per worker endpoint, holding [`Block`]s

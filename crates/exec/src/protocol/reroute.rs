@@ -16,32 +16,14 @@
 //! whole hand-over is settled in one pass per (source, old owner → new
 //! owner) group ([`LogMoves`]), never one pass per tuple.
 
-use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gridq_common::Tuple;
 use gridq_engine::evaluator::StreamTag;
+use gridq_recovery::LogMoves;
 
 use super::{Exchange, Routed, Tallies};
-
-/// The recovery-log bookkeeping a hand-over owes, grouped so that
-/// [`Exchange::settle`] visits each source's log once per group however
-/// many tuples moved. A source logs exactly one stream, so a sequence
-/// number identifies its entry.
-#[derive(Default)]
-pub(crate) struct LogMoves {
-    /// `(source, from, to)` → seqs; `to == None` retires the entries.
-    groups: BTreeMap<(usize, usize, Option<usize>), HashSet<u64>>,
-}
-
-impl LogMoves {
-    pub(crate) fn note(&mut self, source: usize, from: usize, to: Option<usize>, seq: u64) {
-        let group = self.groups.entry((source, from, to)).or_default();
-        // lint: bounded-by one hand-over's entries; `Exchange::settle` consumes it whole
-        group.insert(seq);
-    }
-}
 
 /// Packs re-delivered entries into blocks of at most `block` per key
 /// (the new owner), in arrival order — so surrendered state stays ahead
@@ -154,20 +136,11 @@ impl Exchange {
         (state_moved, recalled)
     }
 
-    /// Applies the noted log bookkeeping: one pass over a source's slice
-    /// per (source, from → to) group. Must run before the recall resumes
-    /// the producers, so a migrated entry joins the window their next
-    /// marker closes.
+    /// Applies the noted log bookkeeping ([`LogMoves::settle`]). Must run
+    /// before the recall resumes the producers.
     pub(crate) fn settle(&self, moves: LogMoves) {
-        for ((source, from, to), seqs) in moves.groups {
-            let Some(log) = self.log(source) else {
-                continue;
-            };
-            let hit = |(_, t): &(StreamTag, Tuple)| seqs.contains(&t.seq());
-            let _ = match to {
-                Some(to) => log.migrate_matching(from as u32, to as u32, hit),
-                None => log.retire_matching(from as u32, hit),
-            };
+        if let Some(logs) = &self.logs {
+            moves.settle(logs);
         }
     }
 }

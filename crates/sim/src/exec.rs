@@ -26,7 +26,10 @@ use gridq_engine::table::Table;
 use gridq_engine::DistributedPlan;
 use gridq_grid::GridEnvironment;
 use gridq_obs::{Counter, Obs, TimelineKind};
-use gridq_recovery::{DeliveryGap, RecoveryLog};
+use gridq_recovery::{
+    AckOutcome, Checkpoint, DeliveryGap, LogMoves, ResultDedup, RetryBackoff, RetryPolicy,
+    SharedRecoveryLog,
+};
 
 use crate::config::SimulationConfig;
 use crate::events::{Event, EventQueue};
@@ -42,19 +45,14 @@ const REDISTRIBUTE_COST_MS: f64 = 0.02;
 const DISCARD_COST_MS: f64 = 0.01;
 /// Processing delay added by each adaptivity component hop, ms.
 const CONTROL_EXTRA_MS: f64 = 1.0;
-/// Base delivery-retry backoff in virtual milliseconds (resilient runs
-/// only). Retry `k` waits `RETRY_BASE_MS * 2^k`, jittered
-/// deterministically into `[0.5, 1.0)` of the nominal value.
-const RETRY_BASE_MS: f64 = 25.0;
-/// Retransmission rounds per source before undelivered windows are
-/// abandoned and reported as explicit delivery gaps (resilient runs
-/// only).
-const RETRY_MAX: u32 = 6;
+
+/// What a source's recovery log holds.
+type LogItem = (StreamTag, Tuple);
 
 /// One destination's undelivered windows, as returned by
-/// [`RecoveryLog::undelivered_windows`]: each entry pairs the window's
-/// checkpoint marker with the logged tuples it covers.
-type UndeliveredWindows = Vec<(gridq_recovery::Checkpoint, Vec<(StreamTag, Tuple)>)>;
+/// [`SharedRecoveryLog::undelivered_windows`]: each entry pairs the
+/// window's checkpoint marker with the logged tuples it covers.
+type UndeliveredWindows = Vec<(Checkpoint, Vec<LogItem>)>;
 
 /// An item travelling through an exchange into a consumer queue.
 #[derive(Debug, Clone)]
@@ -98,14 +96,11 @@ struct SourceRun {
     table: std::sync::Arc<Table>,
     pos: usize,
     staged: Vec<Vec<Item>>,
-    log: RecoveryLog<(StreamTag, Tuple)>,
-    epoch: u64,
     resume_at: SimTime,
     routed: u64,
     done: bool,
-    /// Jitter stream for the delivery-retry backoff, forked per source
-    /// so concurrent retry schedules decorrelate deterministically.
-    retry_rng: DetRng,
+    /// The delivery-retry schedule (resilient runs only).
+    backoff: RetryBackoff,
 }
 
 struct ConsumerRun {
@@ -298,6 +293,9 @@ struct Run<'a> {
     buffer_tuples: usize,
     router: Router,
     sources: Vec<SourceRun>,
+    /// One recovery log per source, indexed like `sources`.
+    logs: Vec<SharedRecoveryLog<LogItem>>,
+    retry: RetryPolicy,
     build_sources: HashSet<usize>,
     consumers: Vec<ConsumerRun>,
     buffers: HashMap<u64, (u32, Vec<Item>)>,
@@ -314,11 +312,10 @@ struct Run<'a> {
     /// end-of-stream is withheld until each source's retry loop
     /// resolves.
     resilient: bool,
-    /// Deduplicate collected results by (sequence number, value hash);
-    /// enabled for failure-injection and resilient runs, where
-    /// at-least-once redelivery is expected.
+    /// Deduplicate collected results; enabled for failure-injection and
+    /// resilient runs, where at-least-once redelivery is expected.
     dedup_results: bool,
-    seen_results: HashSet<(u64, u64)>,
+    results_seen: ResultDedup,
     last_result_at: SimTime,
     last_finish_at: SimTime,
     report: ExecutionReport,
@@ -362,8 +359,9 @@ impl<'a> Run<'a> {
             ));
         }
         let resilient = sim.config.chaos.is_some();
-        let mut retry_root = DetRng::seeded(sim.config.seed ^ 0x0072_6574_7279); // "retry"
+        let retry = RetryPolicy::default();
         let mut sources = Vec::with_capacity(plan.sources.len());
+        let mut logs = Vec::with_capacity(plan.sources.len());
         let mut build_sources = HashSet::new();
         for (idx, spec) in plan.sources.iter().enumerate() {
             sim.env.registry().get(spec.node).map_err(|_| {
@@ -373,21 +371,13 @@ impl<'a> Run<'a> {
             if spec.stream == StreamTag::Build {
                 build_sources.insert(idx);
             }
-            // Build tuples form downstream operator state and must stay
-            // replayable for the whole run. Without a chaos hook their
-            // windows simply never close (an unreachable interval); a
-            // resilient run instead checkpoints them into a *retained*
-            // log, so delivery is tracked for the retry loop while every
-            // entry stays available to failure recovery.
-            let log = if spec.stream == StreamTag::Build {
-                if resilient {
-                    RecoveryLog::retained(partitions as usize, sim.config.checkpoint_interval)?
-                } else {
-                    RecoveryLog::new(partitions as usize, usize::MAX / 2)?
-                }
-            } else {
-                RecoveryLog::new(partitions as usize, sim.config.checkpoint_interval)?
-            };
+            logs.push(SharedRecoveryLog::for_stream(
+                partitions as usize,
+                spec.stream == StreamTag::Build,
+                resilient,
+                sim.config.checkpoint_interval,
+                stage.exchange.buffer_tuples,
+            )?);
             sources.push(SourceRun {
                 node: spec.node,
                 stream: spec.stream,
@@ -395,12 +385,10 @@ impl<'a> Run<'a> {
                 table,
                 pos: 0,
                 staged: (0..partitions).map(|_| Vec::new()).collect(),
-                log,
-                epoch: 0,
                 resume_at: SimTime::ZERO,
                 routed: 0,
                 done: false,
-                retry_rng: retry_root.fork(idx as u64),
+                backoff: RetryBackoff::new(&retry, idx as u64),
             });
         }
         let all_sources: HashSet<usize> = (0..sources.len()).collect();
@@ -480,6 +468,8 @@ impl<'a> Run<'a> {
             buffer_tuples: stage.exchange.buffer_tuples,
             router,
             sources,
+            logs,
+            retry,
             build_sources,
             consumers,
             buffers: HashMap::new(),
@@ -493,7 +483,7 @@ impl<'a> Run<'a> {
             collected: 0,
             resilient,
             dedup_results: resilient,
-            seen_results: HashSet::new(),
+            results_seen: ResultDedup::default(),
             last_result_at: SimTime::ZERO,
             last_finish_at: SimTime::ZERO,
             report,
@@ -622,7 +612,7 @@ impl<'a> Run<'a> {
         )? + self.chaos_stall(StallSite::Producer, s);
         let mut t = self.now.offset(scan);
         let dest = self.router.route(stream, &row)?;
-        let marker = self.sources[s].log.record(dest, (stream, row.clone()))?;
+        let marker = self.logs[s].record(dest, (stream, row.clone()))?;
         self.sources[s].routed += 1;
         if let Some(ctr) = &self.routed_ctr {
             ctr.add(1);
@@ -634,7 +624,7 @@ impl<'a> Run<'a> {
             migrated: false,
         });
         if let Some(cp) = marker {
-            let epoch = self.sources[s].epoch;
+            let epoch = self.logs[s].epoch();
             self.sources[s].staged[dest as usize].push(Item::Checkpoint {
                 source: s,
                 cp: cp.id,
@@ -746,8 +736,8 @@ impl<'a> Run<'a> {
         let mut t = self.now;
         for dest in 0..self.consumers.len() as u32 {
             if checkpointed {
-                if let Some(cp) = self.sources[s].log.force_checkpoint(dest)? {
-                    let epoch = self.sources[s].epoch;
+                if let Some(cp) = self.logs[s].force_checkpoint(dest)? {
+                    let epoch = self.logs[s].epoch();
                     self.sources[s].staged[dest as usize].push(Item::Checkpoint {
                         source: s,
                         cp: cp.id,
@@ -765,7 +755,7 @@ impl<'a> Run<'a> {
             t = self.send_staged(s, dest, t)?;
         }
         if self.resilient {
-            let delay = self.retry_delay_ms(s, 0);
+            let delay = self.sources[s].backoff.delay_ms(0);
             self.queue.schedule(
                 t.offset(delay),
                 Event::RetryCheck {
@@ -775,15 +765,6 @@ impl<'a> Run<'a> {
             );
         }
         Ok(())
-    }
-
-    /// Jittered exponential backoff before retry round `attempt`:
-    /// `RETRY_BASE_MS * 2^min(attempt, 10)` scaled deterministically into
-    /// `[0.5, 1.0)` by the source's forked jitter stream (mirrors the
-    /// threaded executor's `RetryBackoff`).
-    fn retry_delay_ms(&mut self, s: usize, attempt: u32) -> f64 {
-        let nominal = RETRY_BASE_MS * f64::from(1u32 << attempt.min(10));
-        nominal * (0.5 + 0.5 * self.sources[s].retry_rng.uniform())
     }
 
     /// Resilient-mode delivery retry: retransmits any checkpoint window
@@ -804,7 +785,7 @@ impl<'a> Run<'a> {
             if self.consumers[dest as usize].dead {
                 continue; // node-failure recovery owns those windows
             }
-            let windows = self.sources[s].log.undelivered_windows(dest);
+            let windows = self.logs[s].undelivered_windows(dest);
             if !windows.is_empty() {
                 pending.push((dest, windows));
             }
@@ -813,7 +794,7 @@ impl<'a> Run<'a> {
             self.release_eos(s);
             return Ok(());
         }
-        if attempt >= RETRY_MAX {
+        if attempt >= self.retry.max_retries {
             for (dest, windows) in pending {
                 let tuples: u64 = windows.iter().map(|(_, w)| w.len() as u64).sum();
                 let gap = DeliveryGap {
@@ -835,7 +816,7 @@ impl<'a> Run<'a> {
             self.release_eos(s);
             return Ok(());
         }
-        let epoch = self.sources[s].epoch;
+        let epoch = self.logs[s].epoch();
         let mut t = self.now;
         for (dest, windows) in pending {
             for (cp, tuples) in windows {
@@ -861,7 +842,7 @@ impl<'a> Run<'a> {
             // again, which is what the escalating backoff is for.
             t = self.send_staged(s, dest, t)?;
         }
-        let delay = self.retry_delay_ms(s, attempt + 1);
+        let delay = self.sources[s].backoff.delay_ms(attempt + 1);
         self.queue.schedule(
             t.offset(delay),
             Event::RetryCheck {
@@ -957,35 +938,34 @@ impl<'a> Run<'a> {
                 // those tuples' results must be at (or on the way to)
                 // the collector.
                 let t = self.flush_results(ci, self.now);
-                if epoch == self.sources[source].epoch {
-                    let lat = self
-                        .env
-                        .control_cost_ms(self.consumers[i].node, self.sources[source].node);
-                    let ack = Event::AckArrive {
-                        source,
-                        dest: ci,
-                        cp,
-                        epoch,
-                    };
-                    // Acks are best-effort control traffic: the log keeps
-                    // the covered entries until a later ack supersedes a
-                    // lost one, so losing/duplicating them must be safe.
-                    match self.chaos_ack(source, i) {
-                        NetAction::Deliver => self.queue.schedule(t.offset(lat), ack),
-                        NetAction::DelayMs(extra) => {
-                            let extra = if extra.is_finite() {
-                                extra.max(0.0)
-                            } else {
-                                0.0
-                            };
-                            self.queue.schedule(t.offset(lat + extra), ack);
-                        }
-                        NetAction::Duplicate => {
-                            self.queue.schedule(t.offset(lat), ack.clone());
-                            self.queue.schedule(t.offset(lat), ack);
-                        }
-                        NetAction::Drop => {}
+                let lat = self
+                    .env
+                    .control_cost_ms(self.consumers[i].node, self.sources[source].node);
+                let ack = Event::AckArrive {
+                    source,
+                    dest: ci,
+                    cp,
+                    epoch,
+                };
+                // Acks are best-effort control traffic: the log keeps
+                // the covered entries until a later ack supersedes a
+                // lost one, so losing/duplicating them must be safe, and
+                // the log itself drops one stamped before a failover.
+                match self.chaos_ack(source, i) {
+                    NetAction::Deliver => self.queue.schedule(t.offset(lat), ack),
+                    NetAction::DelayMs(extra) => {
+                        let extra = if extra.is_finite() {
+                            extra.max(0.0)
+                        } else {
+                            0.0
+                        };
+                        self.queue.schedule(t.offset(lat + extra), ack);
                     }
+                    NetAction::Duplicate => {
+                        self.queue.schedule(t.offset(lat), ack.clone());
+                        self.queue.schedule(t.offset(lat), ack);
+                    }
+                    NetAction::Drop => {}
                 }
                 self.reschedule_step(ci, t);
                 Ok(())
@@ -1027,12 +1007,8 @@ impl<'a> Run<'a> {
                         let owner = self.router.route(stream, &tuple)?;
                         if owner != ci {
                             let seq = tuple.seq();
-                            let drained = self.sources[source]
-                                .log
-                                .drain_matching(ci, |(s, t)| *s == stream && t.seq() == seq)?;
-                            for entry in drained {
-                                let _ = self.sources[source].log.record(owner, entry)?;
-                            }
+                            self.logs[source]
+                                .migrate_matching(ci, owner, |(_, t)| t.seq() == seq)?;
                             self.report.tuples_redistributed += 1;
                             let from_node = self.consumers[i].node;
                             let to_node = self.consumers[owner as usize].node;
@@ -1337,14 +1313,9 @@ impl<'a> Run<'a> {
     }
 
     fn ack_arrive(&mut self, source: usize, dest: u32, cp: u64, epoch: u64) {
-        let s = &mut self.sources[source];
-        if epoch != s.epoch {
-            return; // stale ack from before a retrospective redistribution
-        }
-        // Retrospective drains can empty windows; tolerate benign
-        // acknowledgement races.
-        if s.log.acknowledge(dest, cp).is_ok() {
-            self.report.acks_received += 1;
+        match self.logs[source].acknowledge(dest, cp, epoch) {
+            AckOutcome::Accepted(_) | AckOutcome::Duplicate => self.report.acks_received += 1,
+            AckOutcome::Stale | AckOutcome::Ignored => {}
         }
     }
 
@@ -1433,14 +1404,13 @@ impl<'a> Run<'a> {
         // producer's node instead).
         let mut transfers: HashMap<(usize, usize), Vec<Item>> = HashMap::new();
 
-        // Moved tuples must migrate inside the recovery logs as well:
-        // `(source, old_dest) -> seqs` collects what to drain, and the
-        // transfer destinations say where to re-record. Checkpoint
-        // windows on the old destinations stay valid — `drain_matching`
-        // preserves acknowledgement semantics for the entries left
-        // behind — so the log invariant holds at all times: every
-        // unacknowledged tuple is logged under its current owner.
-        let mut moved_log: HashMap<(usize, u32), Vec<(u64, u32)>> = HashMap::new();
+        // Moved tuples move inside the recovery logs as well, to the
+        // destination the transfer actually used (re-routing again would
+        // advance the weighted router's credits a second time). Windows
+        // on the old destinations stay valid for the entries left
+        // behind, so every unacknowledged tuple stays logged under its
+        // current owner.
+        let mut log_moves = LogMoves::default();
 
         // 1. Migrate operator state of moved buckets.
         if !moves.is_empty() {
@@ -1465,10 +1435,7 @@ impl<'a> Run<'a> {
                 let build_source = self.build_sources.iter().min().copied().unwrap_or(0);
                 for (stream, tuple) in extracted {
                     let dest = self.router.route(stream, &tuple)? as usize;
-                    moved_log
-                        .entry((build_source, from))
-                        .or_default()
-                        .push((tuple.seq(), dest as u32));
+                    log_moves.note(build_source, from as usize, Some(dest), tuple.seq());
                     transfers
                         .entry((from as usize, dest))
                         .or_default()
@@ -1511,10 +1478,7 @@ impl<'a> Run<'a> {
                             }
                         } else {
                             removed += 1;
-                            moved_log
-                                .entry((source, from as u32))
-                                .or_default()
-                                .push((tuple.seq(), dest as u32));
+                            log_moves.note(source, from, Some(dest), tuple.seq());
                             transfers
                                 .entry((from, dest))
                                 .or_default()
@@ -1558,10 +1522,7 @@ impl<'a> Run<'a> {
                             });
                         } else {
                             self.report.tuples_redistributed += 1;
-                            moved_log
-                                .entry((source, dest))
-                                .or_default()
-                                .push((tuple.seq(), new_dest as u32));
+                            log_moves.note(source, dest as usize, Some(new_dest), tuple.seq());
                             transfers
                                 .entry((dest as usize, new_dest))
                                 .or_default()
@@ -1595,12 +1556,7 @@ impl<'a> Run<'a> {
                         Item::Tuple { stream, tuple, .. } => {
                             let dest = self.router.route(stream, &tuple)?;
                             if dest as usize != old_dest {
-                                moved_log
-                                    .entry((s, old_dest as u32))
-                                    .or_default()
-                                    .push((tuple.seq(), dest));
-                                // Re-recorded below via moved_log drain;
-                                // the staging buffer moves immediately.
+                                log_moves.note(s, old_dest, Some(dest as usize), tuple.seq());
                             }
                             self.sources[s].staged[dest as usize].push(Item::Tuple {
                                 stream,
@@ -1620,26 +1576,9 @@ impl<'a> Run<'a> {
             }
         }
 
-        // Migrate the recovery-log entries of everything that moved.
-        // The re-recorded entries carry no checkpoint markers of their
-        // own; later markers on the same destination prune them.
-        type MovedEntry = ((usize, u32), Vec<(u64, u32)>);
-        let mut moved_pairs: Vec<MovedEntry> = moved_log.into_iter().collect();
-        moved_pairs.sort_by_key(|(k, _)| *k);
-        for ((source, old_dest), seq_dests) in moved_pairs {
-            // Re-record each entry under the destination the transfer
-            // actually used — re-routing here would advance the weighted
-            // router's credits a second time and could disagree with
-            // where the tuple physically went.
-            let dest_of: HashMap<u64, u32> = seq_dests.iter().copied().collect();
-            let drained = self.sources[source]
-                .log
-                .drain_matching(old_dest, |(_, tuple)| dest_of.contains_key(&tuple.seq()))?;
-            for (stream, tuple) in drained {
-                let dest = dest_of[&tuple.seq()];
-                let _ = self.sources[source].log.record(dest, (stream, tuple))?;
-            }
-        }
+        // The moved entries join their new owners' open windows; the
+        // sources' next markers there cover them.
+        log_moves.settle(&self.logs);
 
         // 5. Ship transfers: build items first so join state is
         // re-established before any probe of the same bucket.
@@ -1706,19 +1645,9 @@ impl<'a> Run<'a> {
         };
         self.last_result_at = self.last_result_at.max(self.now);
         for tuple in tuples {
-            if self.dedup_results {
-                // At-least-once redelivery after a failure: a result is
-                // identified by the driving tuple's sequence number plus
-                // its value content (joins emit several results per
-                // probe sequence number).
-                let mut value_hash = 0u64;
-                for v in tuple.values() {
-                    value_hash = value_hash.rotate_left(7).wrapping_add(v.stable_hash());
-                }
-                if !self.seen_results.insert((tuple.seq(), value_hash)) {
-                    self.report.duplicates_dropped += 1;
-                    continue;
-                }
+            if self.dedup_results && !self.results_seen.first(&tuple) {
+                self.report.duplicates_dropped += 1;
+                continue;
             }
             self.collected += 1;
             if self.config.collect_results {
@@ -1834,7 +1763,7 @@ impl<'a> Run<'a> {
         for s in 0..self.sources.len() {
             let mut resend: Vec<(StreamTag, Tuple)> = Vec::new();
             for &dead in &dead_set {
-                let drained = self.sources[s].log.drain_all(dead as u32)?;
+                let drained = self.logs[s].drain_dest(dead as u32)?;
                 *replayed.entry(dead).or_default() += drained.len() as u64;
                 resend.extend(drained);
             }
@@ -1845,7 +1774,7 @@ impl<'a> Run<'a> {
             let mut per_dest: [HashMap<u32, Vec<Item>>; 2] = [HashMap::new(), HashMap::new()];
             for (stream, tuple) in resend {
                 let dest = self.router.route(stream, &tuple)?;
-                let _ = self.sources[s].log.record(dest, (stream, tuple.clone()))?;
+                self.logs[s].record_migrated(dest, (stream, tuple.clone()))?;
                 self.report.failure_resent_tuples += 1;
                 let wave = usize::from(stream != StreamTag::Build);
                 per_dest[wave].entry(dest).or_default().push(Item::Tuple {
@@ -1966,7 +1895,7 @@ impl<'a> Run<'a> {
                 .gauge("adapt.tracked_streams_after_teardown")
                 .set(after as f64);
         }
-        self.report.log_audits = self.sources.iter().map(|s| s.log.audit()).collect();
+        self.report.log_audits = self.logs.iter().map(SharedRecoveryLog::audit).collect();
         self.report.obs = self.obs.as_ref().map(Obs::report);
         self.report
     }

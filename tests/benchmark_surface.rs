@@ -1,7 +1,7 @@
 //! Tripwire for `benchmark/`: a compile-only test that names every
 //! `gridq_exec`, `gridq_common`, `gridq_net`, `gridq_adapt`,
-//! `gridq_workload` and `gridq_engine` item and field `benchmark/src`
-//! uses.
+//! `gridq_workload`, `gridq_engine` and `gridq_recovery` item and field
+//! `benchmark/src` uses.
 //!
 //! `benchmark/` is a workspace of its own, so `cargo test` at the root
 //! never builds it, and a refactor that renames one of these items used
@@ -41,7 +41,7 @@ use gridq::exec::{
 };
 use gridq::grid::Perturbation;
 use gridq::obs::{ObsConfig, ObsReport};
-use gridq::recovery::LogAudit;
+use gridq::recovery::{Checkpoint, LogAudit, SharedRecoveryLog};
 use gridq::workload::{
     protein_interactions, protein_sequences, EntropyAnalyser, Q1Experiment, Q2Experiment,
 };
@@ -275,6 +275,20 @@ fn engine_surface(
     if let AdmissionDecision::Admitted(id) = controller.submit() {
         let _ = controller.complete(id)?;
     }
+    Ok(())
+}
+
+/// `trace.rs`: the recovery log the outside-in replay records into,
+/// acknowledges and retires from on its own.
+#[allow(dead_code)]
+fn recovery_surface(row: Tuple) -> Result<()> {
+    let log = SharedRecoveryLog::<(StreamTag, Tuple)>::new(2, 8)?;
+    if let Some(Checkpoint { dest, id }) = log.record(0, (StreamTag::Build, row))? {
+        let epoch: u64 = log.epoch();
+        let _ = log.acknowledge(dest, id, epoch);
+    }
+    let _: usize = log.retire_matching(0, |(s, t)| *s == StreamTag::Build && t.seq() == 0)?;
+    let _: usize = log.total_unacked();
     Ok(())
 }
 

@@ -118,6 +118,18 @@ fn retrospective_r1_stateful_runs_agree_across_substrates() {
         "probe log must drain: {:?}",
         threaded.log_audits[1]
     );
+    // The simulator's logs obey the same rules: a recall moves entries
+    // into open windows without using up marker ids, so every marker the
+    // probe log closes is sent and its window drains.
+    assert_eq!(sim.log_audits.len(), 2);
+    for audit in &sim.log_audits {
+        assert!(audit.conserved(), "sim log audit must balance: {audit:?}");
+    }
+    assert_eq!(
+        sim.log_audits[1].unacked, 0,
+        "sim probe log must drain: {:?}",
+        sim.log_audits[1]
+    );
 
     assert_eq!(baseline.results.len(), 300);
     assert_eq!(baseline.results, sim.results);
