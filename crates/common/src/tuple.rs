@@ -71,11 +71,20 @@ impl Tuple {
     /// Concatenates two tuples (the output of a join); keeps the left
     /// tuple's sequence number.
     pub fn concat(&self, right: &Tuple) -> Tuple {
-        let mut values = self.values.to_vec();
-        values.extend(right.values.iter().cloned());
+        self.concat_with_seq(right, self.seq)
+    }
+
+    /// Concatenates two tuples under sequence number `seq`, collecting
+    /// both value slices straight into one allocation.
+    pub fn concat_with_seq(&self, right: &Tuple, seq: u64) -> Tuple {
         Tuple {
-            values: values.into(),
-            seq: self.seq,
+            values: self
+                .values
+                .iter()
+                .chain(right.values.iter())
+                .cloned()
+                .collect(),
+            seq,
         }
     }
 
@@ -142,6 +151,15 @@ mod tests {
         assert_eq!(j.arity(), 2);
         assert_eq!(j.seq(), 5);
         assert_eq!(j.value(1), &Value::Int(2));
+    }
+
+    #[test]
+    fn concat_with_seq_takes_the_given_seq() {
+        let l = t(vec![Value::Int(1), Value::str("x")], 5);
+        let r = t(vec![Value::Int(2)], 8);
+        let j = l.concat_with_seq(&r, 8);
+        assert_eq!(j.seq(), 8);
+        assert_eq!(j.values(), &[Value::Int(1), Value::str("x"), Value::Int(2)]);
     }
 
     #[test]

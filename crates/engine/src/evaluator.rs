@@ -12,9 +12,10 @@
 //! state belonging to a set of hash buckets, which is how retrospective
 //! (R1) adaptations migrate operator state between nodes.
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap, HashSet};
 use std::sync::Arc;
 
+use gridq_common::cast::index_to_u32;
 use gridq_common::dist::bucket_for_hash;
 use gridq_common::{Field, GridError, Result, Schema, Tuple, Value};
 
@@ -225,8 +226,95 @@ impl EvaluatorFactory for ServiceCallFactory {
 // Hash-join evaluator (Q2's partitioned join).
 // ---------------------------------------------------------------------------
 
+/// One build tuple in a [`BuildArena`].
+struct ArenaEntry {
+    tuple: Tuple,
+    /// `stable_hash` of the tuple's join key.
+    hash: u64,
+    /// The next entry with the same key hash, if any.
+    next: Option<u32>,
+}
+
+/// The first and last entry of one key hash's chain.
+struct Chain {
+    first: u32,
+    last: u32,
+}
+
+/// The build side of one join partition: every build tuple in one `Vec`,
+/// in arrival order, each entry linked to the next entry with the same
+/// key hash, and one map from key hash to its chain's ends. A key costs
+/// no allocation of its own, and the table is freed front to back in the
+/// order it was allocated.
+#[derive(Default)]
+struct BuildArena {
+    entries: Vec<ArenaEntry>,
+    chains: HashMap<u64, Chain>,
+}
+
+impl BuildArena {
+    /// Appends `tuple` to the arena and to the end of `hash`'s chain.
+    fn push(&mut self, hash: u64, tuple: Tuple) -> Result<()> {
+        let at = index_to_u32(self.entries.len())?;
+        self.entries.push(ArenaEntry {
+            tuple,
+            hash,
+            next: None,
+        });
+        self.link(at);
+        Ok(())
+    }
+
+    /// Appends entry `at`, the last entry linked so far, to the end of its
+    /// key hash's chain.
+    fn link(&mut self, at: u32) {
+        let entry = &mut self.entries[at as usize];
+        entry.next = None;
+        match self.chains.entry(entry.hash) {
+            hash_map::Entry::Occupied(mut chain) => {
+                let chain = chain.get_mut();
+                self.entries[chain.last as usize].next = Some(at);
+                chain.last = at;
+            }
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(Chain {
+                    first: at,
+                    last: at,
+                });
+            }
+        }
+    }
+
+    /// The tuples whose key hashes to `hash`, in arrival order.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = &Tuple> {
+        let mut at = self.chains.get(&hash).map(|chain| chain.first);
+        std::iter::from_fn(move || {
+            let entry = &self.entries[at? as usize];
+            at = entry.next;
+            Some(&entry.tuple)
+        })
+    }
+
+    /// Removes the tuples whose key hash `leaves` selects and returns them
+    /// in arrival order. The tuples that stay keep their order and are
+    /// compacted in place, then re-linked.
+    fn split_off(&mut self, leaves: impl Fn(u64) -> bool) -> Vec<Tuple> {
+        let leaving = self
+            .entries
+            .extract_if(.., |entry| leaves(entry.hash))
+            .map(|entry| entry.tuple)
+            .collect();
+        self.chains.clear();
+        // Every index below the arena's old length fitted a `u32`.
+        for at in (0..).take(self.entries.len()) {
+            self.link(at);
+        }
+        leaving
+    }
+}
+
 /// Evaluates one partition of a distributed hash join. Build tuples are
-/// inserted into the local hash table; probe tuples are matched against
+/// appended to the local build arena; probe tuples are matched against
 /// it. Both streams are hash-partitioned on the join key, so each clone
 /// sees a disjoint key range. An optional projection over the joined
 /// schema is applied to every output (pushing `SELECT` columns into the
@@ -234,8 +322,7 @@ impl EvaluatorFactory for ServiceCallFactory {
 pub struct HashJoinEvaluator {
     build_key: usize,
     probe_key: usize,
-    /// Build tuples grouped by key hash.
-    table: HashMap<u64, Vec<Tuple>>,
+    build: BuildArena,
     build_cost_ms: f64,
     probe_cost_ms: f64,
     projection: Option<Vec<Expr>>,
@@ -268,10 +355,7 @@ impl PartitionEvaluator for HashJoinEvaluator {
             StreamTag::Build => {
                 let key = tuple.value(self.build_key);
                 if !key.is_null() {
-                    self.table
-                        .entry(key.stable_hash())
-                        .or_default()
-                        .push(tuple.clone());
+                    self.build.push(key.stable_hash(), tuple.clone())?;
                 }
                 Ok(ProcessOutcome {
                     outputs: Vec::new(),
@@ -282,19 +366,12 @@ impl PartitionEvaluator for HashJoinEvaluator {
                 let key: &Value = tuple.value(self.probe_key);
                 let mut outputs = Vec::new();
                 if !key.is_null() {
-                    if let Some(matches) = self.table.get(&key.stable_hash()) {
-                        let mut joined = Vec::new();
-                        for b in matches {
-                            if b.value(self.build_key).sql_eq(key) {
-                                // The probe tuple drives the output: its
-                                // sequence number identifies the result
-                                // for acknowledgement and failure
-                                // deduplication.
-                                joined.push(b.concat(tuple).renumbered(tuple.seq()));
-                            }
-                        }
-                        for j in joined {
-                            outputs.push(self.project_out(j)?);
+                    for b in self.build.chain(key.stable_hash()) {
+                        if b.value(self.build_key).sql_eq(key) {
+                            // The probe tuple drives the output: its
+                            // sequence number identifies the result for
+                            // acknowledgement and failure deduplication.
+                            outputs.push(self.project_out(b.concat_with_seq(tuple, tuple.seq()))?);
                         }
                     }
                 }
@@ -323,21 +400,16 @@ impl PartitionEvaluator for HashJoinEvaluator {
     }
 
     fn extract_state(&mut self, bucket_count: u32, buckets: &[u32]) -> Vec<(StreamTag, Tuple)> {
-        let wanted: std::collections::HashSet<u32> = buckets.iter().copied().collect();
-        let mut extracted = Vec::new();
-        self.table.retain(|&hash, tuples| {
-            if wanted.contains(&bucket_for_hash(hash, bucket_count)) {
-                extracted.extend(tuples.drain(..).map(|t| (StreamTag::Build, t)));
-                false
-            } else {
-                true
-            }
-        });
-        extracted
+        let wanted: HashSet<u32> = buckets.iter().copied().collect();
+        self.build
+            .split_off(|hash| wanted.contains(&bucket_for_hash(hash, bucket_count)))
+            .into_iter()
+            .map(|t| (StreamTag::Build, t))
+            .collect()
     }
 
     fn state_size(&self) -> usize {
-        self.table.values().map(Vec::len).sum()
+        self.build.entries.len()
     }
 }
 
@@ -401,7 +473,7 @@ impl EvaluatorFactory for HashJoinFactory {
         Box::new(HashJoinEvaluator {
             build_key: self.build_key,
             probe_key: self.probe_key,
-            table: HashMap::new(),
+            build: BuildArena::default(),
             build_cost_ms: self.build_cost_ms,
             probe_cost_ms: self.probe_cost_ms,
             projection: self.projection.clone(),
@@ -633,6 +705,51 @@ mod tests {
                 .outputs
                 .is_empty());
         }
+    }
+
+    #[test]
+    fn extracted_state_comes_back_in_arrival_order() {
+        let build_schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("arrival", DataType::Int),
+        ]);
+        let probe_schema = Schema::new(vec![Field::new("k2", DataType::Int)]);
+        let factory = HashJoinFactory::new(&build_schema, &probe_schema, 0, 0, 0.1, 1.0);
+        let mut eval = factory.create(0);
+        let build: Vec<Tuple> = (0..60)
+            .map(|i| Tuple::with_seq(vec![Value::Int(i % 9), Value::Int(i)], i as u64))
+            .collect();
+        for t in &build {
+            eval.process(StreamTag::Build, t).unwrap();
+        }
+        let (bucket_count, leaving) = (4, [1, 3]);
+        let bucket = |t: &Tuple| bucket_for_hash(t.value(0).stable_hash(), bucket_count);
+        let moved: Vec<Tuple> = eval
+            .extract_state(bucket_count, &leaving)
+            .into_iter()
+            .map(|(tag, t)| {
+                assert_eq!(tag, StreamTag::Build);
+                t
+            })
+            .collect();
+        let (expected, stayed): (Vec<Tuple>, Vec<Tuple>) = build
+            .iter()
+            .cloned()
+            .partition(|t| leaving.contains(&bucket(t)));
+        assert!(!expected.is_empty() && !stayed.is_empty());
+        assert_eq!(moved, expected);
+        assert_eq!(eval.state_size(), stayed.len());
+        // The tuples that stay still match in arrival order.
+        let key = stayed[0].value(0).clone();
+        let probe = Tuple::with_seq(vec![key.clone()], 99);
+        let arrivals: Vec<&Value> = stayed
+            .iter()
+            .filter(|t| t.value(0) == &key)
+            .map(|t| t.value(1))
+            .collect();
+        let out = eval.process(StreamTag::Probe, &probe).unwrap().outputs;
+        assert_eq!(out.iter().map(|t| t.value(1)).collect::<Vec<_>>(), arrivals);
+        assert!(out.iter().all(|t| t.seq() == 99));
     }
 
     #[test]
