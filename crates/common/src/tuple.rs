@@ -27,8 +27,9 @@ impl Tuple {
         }
     }
 
-    /// Creates a tuple with an explicit sequence number.
-    pub fn with_seq(values: Vec<Value>, seq: u64) -> Self {
+    /// Creates a tuple with an explicit sequence number. `values` may be
+    /// a `Vec` or values already collected into their final `Arc<[Value]>`.
+    pub fn with_seq(values: impl Into<Arc<[Value]>>, seq: u64) -> Self {
         Tuple {
             values: values.into(),
             seq,

@@ -195,7 +195,7 @@ pub fn get_value(r: &mut Reader<'_>) -> Result<Value> {
         TAG_NULL => Ok(Value::Null),
         TAG_INT => Ok(Value::Int(r.varint_signed()?)),
         TAG_FLOAT => Ok(Value::Float(get_f64(r)?)),
-        TAG_STR => Ok(Value::Str(Arc::from(get_str(r)?))),
+        TAG_STR => Ok(Value::str(get_str(r)?)),
         TAG_BOOL_FALSE => Ok(Value::Bool(false)),
         TAG_BOOL_TRUE => Ok(Value::Bool(true)),
         tag => Err(GridError::Execution(format!(
@@ -213,15 +213,30 @@ pub fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
     }
 }
 
-/// Reads one tuple.
+/// Reads one tuple, collecting its values straight into the tuple's one
+/// allocation.
 pub fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
     let seq = r.varint()?;
     let arity = get_count(r, "tuple arity")?;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(get_value(r)?);
+    // A `map` over a range has an exact length, so `collect` allocates the
+    // `Arc<[Value]>` once; collecting `Result`s would fill a `Vec` first.
+    // So the first error is set aside, and it stops further reads.
+    let mut failed = None;
+    let values: Arc<[Value]> = (0..arity)
+        .map(|_| {
+            if failed.is_none() {
+                match get_value(r) {
+                    Ok(v) => return v,
+                    Err(e) => failed = Some(e),
+                }
+            }
+            Value::Null
+        })
+        .collect();
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(Tuple::with_seq(values, seq)),
     }
-    Ok(Tuple::with_seq(values, seq))
 }
 
 /// Appends a slice of tuples: a count then each tuple.
@@ -314,6 +329,8 @@ mod tests {
         assert!(get_value(&mut Reader::new(&[TAG_STR, 200])).is_err());
         // Invalid UTF-8 payload.
         assert!(get_value(&mut Reader::new(&[TAG_STR, 2, 0xff, 0xfe])).is_err());
+        // A tuple whose second value is bad fails as a whole.
+        assert!(get_tuple(&mut Reader::new(&[0, 3, TAG_NULL, 99, TAG_NULL])).is_err());
         // Absurd counts bail before allocating.
         let mut buf = Vec::new();
         put_varint(&mut buf, u64::MAX);

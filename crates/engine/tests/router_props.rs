@@ -187,7 +187,7 @@ fn the_evaluator_and_the_router_place_every_key_in_the_same_bucket() {
         |rng| {
             let key = |r: &mut DetRng| match r.below(4) {
                 0 => Value::Null,
-                1 => Value::Str(format!("orf{}", r.below(50)).into()),
+                1 => Value::str(format!("orf{}", r.below(50))),
                 _ => Value::Int(r.i64_in(-1000, 1000)),
             };
             (rng.vec_of(1, 100, key), rng.u32_in(2, 300))

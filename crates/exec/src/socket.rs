@@ -2053,7 +2053,7 @@ mod tests {
             0 => Value::Null,
             1 => Value::Int(r.i64_in(i64::MIN, i64::MAX)),
             2 => Value::Float(r.f64_in(-1e9, 1e9)),
-            3 => Value::Str(Arc::from("é".repeat(r.usize_in(0, 5)))),
+            3 => Value::str("é".repeat(r.usize_in(0, 5))),
             _ => Value::Bool(r.flip()),
         });
         // Sequence numbers of every varint width.

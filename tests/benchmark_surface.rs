@@ -1,7 +1,8 @@
 //! Tripwire for `benchmark/`: a compile-only test that names every
 //! `gridq_exec`, `gridq_common`, `gridq_net`, `gridq_adapt`,
 //! `gridq_workload`, `gridq_engine` and `gridq_recovery` item and field
-//! `benchmark/src` uses.
+//! `benchmark/src` uses, and the `Value` and `Tuple` items its
+//! `tests/arithmetic.rs` uses.
 //!
 //! `benchmark/` is a workspace of its own, so `cargo test` at the root
 //! never builds it, and a refactor that renames one of these items used
@@ -25,6 +26,7 @@ use gridq::common::sync::ring::ring;
 use gridq::common::wire::{self, Reader};
 use gridq::common::{
     ChaosHook, DistributionVector, NodeId, PartitionId, QueryId, Result, SimTime, SubplanId, Tuple,
+    Value,
 };
 use gridq::engine::distributed::{DistributedPlan, Router};
 use gridq::engine::physical::Catalog;
@@ -290,6 +292,24 @@ fn recovery_surface(row: Tuple) -> Result<()> {
     let _: usize = log.retire_matching(0, |(s, t)| *s == StreamTag::Build && t.seq() == 0)?;
     let _: usize = log.total_unacked();
     Ok(())
+}
+
+/// `digest.rs` and `tests/arithmetic.rs`: the values a result digest
+/// hashes and the tuples its tests build.
+#[allow(dead_code)]
+fn value_surface(tuple: &Tuple) -> u64 {
+    let values: &[Value] = tuple.values();
+    let hash: fn(&Value) -> u64 = Value::stable_hash;
+    let row = Tuple::with_seq(
+        vec![Value::str(format!("ORF{:06}", 1)), Value::Float(0.5)],
+        1,
+    );
+    let _ = Tuple::new(vec![Value::str("ORF000041"), Value::Int(1)]);
+    values
+        .iter()
+        .chain(row.values())
+        .map(hash)
+        .fold(0, u64::wrapping_add)
 }
 
 /// `trace.rs`: the ring hand-off, the wire codec and the link, frame and
