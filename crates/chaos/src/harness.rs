@@ -27,8 +27,7 @@ use gridq_exec::socket::{
     SocketReport, WireStageSpec,
 };
 use gridq_exec::{
-    FailoverConfig, QueryRun, QuerySubmission, RetryPolicy, ThreadedConfig, ThreadedExecutor,
-    ThreadedReport,
+    QueryRun, QuerySubmission, RetryPolicy, ThreadedConfig, ThreadedExecutor, ThreadedReport,
 };
 use gridq_grid::{GridEnvironment, Perturbation, PerturbationSchedule};
 use gridq_obs::ObsConfig;
@@ -214,7 +213,7 @@ impl Workload {
             recall_timeout_ms: knobs.recall_timeout_ms,
             chaos: knobs.chaos.clone(),
             delivery_retry: knobs.delivery_retry.clone(),
-            failover: knobs.failover.clone(),
+            failover: knobs.failover,
             tenancy: None,
         })
     }
@@ -258,8 +257,9 @@ pub struct Knobs {
     pub chaos: Option<Arc<dyn ChaosHook>>,
     /// Delivery retry/backoff on the real substrates.
     pub delivery_retry: RetryPolicy,
-    /// Heartbeat/lease failover (threads only).
-    pub failover: FailoverConfig,
+    /// Failover of a crashed consumer (threads only): its exit notice
+    /// starts a recall that replays its recovery-log entries.
+    pub failover: bool,
     /// Observability layer.
     pub obs: ObsConfig,
     /// Perturbation bursts on top of the workload's standing one:

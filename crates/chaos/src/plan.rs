@@ -156,10 +156,10 @@ pub enum FaultEvent {
     /// Kill consumer `worker` at its `nth` received message. Threaded
     /// substrate only — realised through the `crash_worker` hook seam:
     /// the consumer thread returns without flushing, acknowledging, or
-    /// replying, exactly as if its node died. With failover enabled the
-    /// heartbeat detector declares it dead and drives the failover
-    /// recall; without failover the run degrades into explicit delivery
-    /// gaps that the conservation oracle flags.
+    /// replying, exactly as if its node died. With failover enabled its
+    /// exit notice reports the crash and drives the failover recall;
+    /// without failover the run degrades into explicit delivery gaps that
+    /// the conservation oracle flags.
     CrashConsumer {
         /// Worker index.
         worker: usize,
@@ -381,7 +381,7 @@ pub enum FaultFamily {
     CrashMidRecall,
     /// Kill a worker outright on either substrate: a simulator node
     /// failure, or a consumer thread killed through the `crash_worker`
-    /// seam with heartbeat/lease failover recovering it (R1 only).
+    /// seam with failover recovering it from its exit notice (R1 only).
     NodeCrash,
     /// Perturbation bursts arriving mid-query.
     PerturbBurst,

@@ -10,11 +10,11 @@
 //! plan with the same standing perturbation; static cells run the
 //! service-call plan unperturbed. `CrashNode` events become simulator
 //! node failures and `CrashConsumer` events kill a threaded worker
-//! through the `crash_worker` seam (with heartbeat/lease failover
-//! enabled under R1 so the death is survivable); perturbation bursts are
-//! installed through each substrate's perturbation mechanism (the
-//! threaded executor applies them for the whole run, since its
-//! perturbations are constant by design).
+//! through the `crash_worker` seam (with failover enabled under R1, so
+//! the dying worker's exit notice makes the death survivable);
+//! perturbation bursts are installed through each substrate's
+//! perturbation mechanism (the threaded executor applies them for the
+//! whole run, since its perturbations are constant by design).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use gridq_adapt::{AdaptivityConfig, ResponsePolicy};
 use gridq_common::{ChaosHook, GridError, NodeId, Result, SimTime};
 use gridq_engine::fixtures::{CallShape, JoinShape};
 use gridq_exec::socket::ScriptedAdaptation;
-use gridq_exec::{FailoverConfig, RetryPolicy};
+use gridq_exec::RetryPolicy;
 use gridq_grid::Perturbation;
 use gridq_obs::json::JsonObj;
 
@@ -493,11 +493,7 @@ fn knobs(
             // unrecoverable cell; a short retry budget keeps that
             // degradation quick.
             if crashing && policy == Policy::R1 {
-                knobs.failover = FailoverConfig {
-                    enabled: true,
-                    heartbeat_ms: 20,
-                    lease_ms: 300,
-                };
+                knobs.failover = true;
                 knobs.delivery_retry = RetryPolicy {
                     base_ms: 20.0,
                     max_retries: 8,

@@ -16,7 +16,7 @@
 //! are recovered by the at-least-once transport and absorbed by
 //! consumer-side deduplication. Crashing a worker outright
 //! ([`ChaosHook::crash_worker`]) is survivable too when failover is
-//! enabled: the heartbeat detector declares the worker dead and its
+//! enabled: the dying worker reports its crash on the way out and its
 //! recovery-log entries replay to the survivors. The one deliberately
 //! unrecoverable combination — a crash with no failover (static policy)
 //! — exists so the oracle layer can prove data loss fails loudly.
@@ -114,9 +114,9 @@ pub trait ChaosHook: fmt::Debug + Send + Sync {
     /// executor consults this once per received message; on `true` the
     /// consumer returns immediately — no flush, no acknowledgements, no
     /// control replies — exactly as if its node died. With failover
-    /// enabled the heartbeat detector then drives recovery; without it
-    /// the run degrades gracefully and the conservation oracle reports
-    /// the loss.
+    /// enabled its one exit notice (a crash, not a clean finish) then
+    /// drives recovery; without it the run degrades gracefully and the
+    /// conservation oracle reports the loss.
     fn crash_worker(&self, worker: usize) -> bool {
         let _ = worker;
         false

@@ -36,7 +36,6 @@
 //! under the new distribution — so stateful hash-partitioned stages
 //! repartition mid-flight without losing or duplicating a tuple.
 
-mod failover;
 mod protocol;
 mod recall;
 pub mod service;
@@ -66,8 +65,9 @@ use gridq_grid::Perturbation;
 use gridq_obs::{Counter, Obs, ObsConfig, ObsReport, TimelineKind};
 use gridq_recovery::{AckOutcome, Checkpoint, LogAudit, ResultDedup, SharedRecoveryLog};
 
-use failover::HeartbeatMonitor;
-pub use failover::{DeliveryGap, FailoverConfig, RetryPolicy};
+// The retry policy and the gap record live in `gridq-recovery`, so every
+// substrate backs off and reports the same way.
+pub use gridq_recovery::{DeliveryGap, RetryPolicy};
 use protocol::consumer::{Consumer, ConsumerOut, M1Sample};
 use protocol::coordinator::{Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget};
 use protocol::producer::{BlockSink, Producer, ProducerSpec, RetryStep};
@@ -119,9 +119,11 @@ pub struct ThreadedConfig {
     /// unacknowledged recovery-log windows. Consulted only in resilient
     /// mode (a chaos hook installed, or failover enabled).
     pub delivery_retry: RetryPolicy,
-    /// Heartbeat/lease failure detection and the failover recall.
-    /// Requires R1 adaptivity: failover rides the recall machinery.
-    pub failover: FailoverConfig,
+    /// Failover: a consumer that dies reports its death on the way out,
+    /// and the adaptation thread replays its recovery-log entries onto
+    /// the survivors. Requires R1 adaptivity: failover rides the recall
+    /// machinery.
+    pub failover: bool,
     /// Service-plane tenancy handle, injected by [`QueryService`] when
     /// this query shares evaluator nodes with co-resident queries: the
     /// contention ledger inflates consumers' modelled costs, and the
@@ -143,7 +145,7 @@ impl Default for ThreadedConfig {
             recall_timeout_ms: 30_000,
             chaos: None,
             delivery_retry: RetryPolicy::default(),
-            failover: FailoverConfig::default(),
+            failover: false,
             tenancy: None,
         }
     }
@@ -164,8 +166,7 @@ impl ThreadedConfig {
             self.recall_timeout_ms,
         )?;
         self.delivery_retry.validate()?;
-        self.failover.validate()?;
-        if self.failover.enabled
+        if self.failover
             && !(self.adaptivity.enabled && self.adaptivity.response == ResponsePolicy::R1)
         {
             return Err(GridError::Config(
@@ -213,7 +214,7 @@ pub struct ThreadedReport {
     /// In-flight tuples re-routed by recalls: held tuples recalled from
     /// consumers plus staged buffers re-routed by producers.
     pub tuples_recalled: u64,
-    /// Consumers declared dead by the heartbeat detector.
+    /// Consumers that reported their own crash (failover runs only).
     pub nodes_failed: u64,
     /// Failover recalls that drained, redistributed, and replayed a dead
     /// partition's log entries to the survivors.
@@ -227,8 +228,7 @@ pub struct ThreadedReport {
     pub delivery_gaps: Vec<DeliveryGap>,
     /// Data-plane block pushes that failed because the destination
     /// consumer was already gone (its ring closed), counted in tuples.
-    /// Surfaced immediately at send time — not discarded, and not
-    /// deferred until a heartbeat lease expires.
+    /// Surfaced immediately at send time, not discarded.
     pub send_failures: u64,
     /// Conservation audit of each source's recovery log (logging runs
     /// only: R1 adaptivity, chaos, or failover; indexed like
@@ -332,11 +332,12 @@ pub(crate) enum Raw {
     /// order they were taken.
     M1(Vec<M1>),
     M2(M2),
-    /// A consumer liveness beat (failover runs only): sent once per
-    /// receive-loop iteration, renews the worker's lease.
-    Beat(usize),
-    /// A consumer finished cleanly; its lease no longer applies.
+    /// A consumer finished cleanly (failover runs only): a recall no
+    /// longer addresses it.
     Done(usize),
+    /// A consumer died through the crash seam (failover runs only): its
+    /// exit notice, which starts the failover.
+    Down(usize),
     /// The run-wide routed count reached a scripted threshold.
     Routed,
     /// Every producer has finished: what is left of the script fires
@@ -619,12 +620,6 @@ impl ConsumerOut for ThreadedOut {
             let _ = self.raw.send(Raw::M1(batch));
         }
     }
-
-    fn beat(&mut self) {
-        if self.failover_on {
-            let _ = self.raw.send(Raw::Beat(self.index));
-        }
-    }
 }
 
 /// What one inbox event means for the consumer thread's loop.
@@ -645,8 +640,11 @@ struct ConsumerThread {
     consumer: Consumer,
     out: ThreadedOut,
     replies: Sender<RecallReply>,
-    recv_slice: Duration,
 }
+
+/// How long an idle consumer parks before it counts the wait as leaf
+/// wait and looks again.
+const RECV_SLICE: Duration = Duration::from_millis(50);
 
 impl ConsumerThread {
     /// The crash seam: consulted once per control message and once per
@@ -706,13 +704,16 @@ impl ConsumerThread {
         Step::Continue
     }
 
-    /// Runs to end of stream (or crash), then reports completion.
+    /// Runs to end of stream (or crash), then reports completion. With
+    /// failover on, the adaptation thread first gets exactly one exit
+    /// notice: a crash is reported, not inferred from silence.
     fn run(mut self) {
-        if self.serve() {
-            if self.out.failover_on {
-                // A clean exit is not a death: retire the lease.
-                let _ = self.out.raw.send(Raw::Done(self.out.index));
-            }
+        let finished = self.serve();
+        if self.out.failover_on {
+            let notice = if finished { Raw::Done } else { Raw::Down };
+            let _ = self.out.raw.send(notice(self.out.index));
+        }
+        if finished {
             // Whatever a run that ended without its last end-of-stream
             // (every sender gone) still holds.
             self.consumer.flush_results(true, &mut self.out);
@@ -728,10 +729,7 @@ impl ConsumerThread {
     /// The receive loop. Returns `false` when the crash seam fired.
     fn serve(&mut self) -> bool {
         loop {
-            // Beat per event: an idle consumer renews its lease once per
-            // park slice.
-            self.out.beat();
-            let step = match self.inbox.next(self.recv_slice) {
+            let step = match self.inbox.next(RECV_SLICE) {
                 Wake::Control(msg) => self.on_ctrl(msg),
                 Wake::Data(item) => self.on_data(item),
                 Wake::Idle(waited) => {
@@ -797,17 +795,12 @@ impl ThreadedWorkers {
                     events: w.events.clone(),
                     raw: w.raw.clone(),
                     scale: cfg.cost_scale,
-                    failover_on: cfg.failover.enabled,
+                    failover_on: cfg.failover,
                     query: plan.query,
                     stage_id: stage.id,
                     started: w.started,
                 },
                 replies: w.replies.clone(),
-                recv_slice: Duration::from_millis(if cfg.failover.enabled {
-                    cfg.failover.heartbeat_ms.min(50)
-                } else {
-                    50
-                }),
             };
             handles.push(Some(thread::spawn(move || worker.run())));
         }
@@ -844,9 +837,9 @@ impl Endpoints for ThreadedWorkers {
     }
 }
 
-/// How many times a failover recall is retried after an aborted attempt
-/// (lost control reply, barrier timeout) before the dead worker is left
-/// to the producers' delivery-gap path.
+/// How many failover recalls a death gets, back to back, before the dead
+/// worker is left to the producers' delivery-gap path. An attempt aborts
+/// on a lost control reply or a barrier timeout.
 const FAILOVER_ATTEMPTS: u32 = 3;
 
 /// Timeline recording with both clocks: `at` is the model time stamped
@@ -901,12 +894,10 @@ struct Adaptivity<W> {
     tenancy: Option<TenancyHandle>,
     total_rows: u64,
     processed_total: Arc<AtomicU64>,
-    monitor: Option<HeartbeatMonitor>,
-    heartbeat_ms: u64,
-    /// Dead workers awaiting a failover recall, as `(worker, NodeDown
-    /// seq, attempts)`: an aborted attempt is retried a few times before
-    /// the worker is left to the producers' delivery-gap path.
-    failover_queue: Vec<(usize, u64, u32)>,
+    /// Workers whose exit notice said they crashed, and workers that
+    /// finished cleanly (failover runs only; all `false` otherwise).
+    dead: Vec<bool>,
+    done: Vec<bool>,
     /// Scripted adaptations not yet deployed, by ascending routed-tuple
     /// threshold.
     script: VecDeque<(u64, AdaptationCommand)>,
@@ -952,10 +943,6 @@ impl<W: WorkerCommands> Adaptivity<W> {
             .as_ref()
             .map(|o| o.metrics().counter("exec.m1_handovers"));
         let partitions = wiring.partitions as usize;
-        let monitor = cfg
-            .failover
-            .enabled
-            .then(|| HeartbeatMonitor::new(partitions, cfg.failover.lease_ms));
         Adaptivity {
             adapt: cfg.adaptivity.clone(),
             x: x.clone(),
@@ -975,9 +962,8 @@ impl<W: WorkerCommands> Adaptivity<W> {
             tenancy: cfg.tenancy.clone(),
             total_rows: wiring.total_rows,
             processed_total: wiring.processed_total,
-            monitor,
-            heartbeat_ms: cfg.failover.heartbeat_ms,
-            failover_queue: Vec::new(),
+            dead: vec![false; partitions],
+            done: vec![false; partitions],
             script: wiring.script.into(),
             m1_handovers,
             stats: AdaptStats::default(),
@@ -994,30 +980,9 @@ impl<W: WorkerCommands> Adaptivity<W> {
     fn run(mut self) -> AdaptStats {
         // Thresholds already met (a script entry at zero) fire at once.
         self.fire_script(false);
-        loop {
-            // With a monitor installed the loop must keep checking leases
-            // even when no monitoring events arrive, so the blocking
-            // receive becomes a heartbeat-paced timeout.
-            let received = if self.monitor.is_some() {
-                match self
-                    .raw_rx
-                    .recv_timeout(Duration::from_millis(self.heartbeat_ms.max(1)))
-                {
-                    Ok(r) => Some(r),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            } else {
-                match self.raw_rx.recv() {
-                    Ok(r) => Some(r),
-                    Err(_) => break,
-                }
-            };
-            self.watch_leases(received.as_ref());
-            self.step_failover();
+        while let Ok(received) = self.raw_rx.recv() {
             match received {
-                None => {}
-                Some(Raw::M1(batch)) => {
+                Raw::M1(batch) => {
                     if let Some(handovers) = &self.m1_handovers {
                         handovers.add(1);
                     }
@@ -1037,7 +1002,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
                         self.react(output, event.at, raw_seq);
                     }
                 }
-                Some(Raw::M2(event)) => {
+                Raw::M2(event) => {
                     self.stats.m2 += 1;
                     let output = self.detector.on_m2(&event);
                     let raw_seq = self.rec.record(
@@ -1051,13 +1016,12 @@ impl<W: WorkerCommands> Adaptivity<W> {
                     );
                     self.react(output, event.at, raw_seq);
                 }
-                // Liveness traffic was consumed by the monitor above; it
-                // never feeds the detector.
-                Some(Raw::Beat(_) | Raw::Done(_)) => {}
-                Some(Raw::Routed) => self.fire_script(false),
-                Some(Raw::ProducersDone) => self.fire_script(true),
-                Some(Raw::LateState) => self.reroute_late_state(),
-                Some(Raw::Stop) => break,
+                Raw::Done(worker) => self.done[worker] = true,
+                Raw::Down(worker) => self.fail_over(worker),
+                Raw::Routed => self.fire_script(false),
+                Raw::ProducersDone => self.fire_script(true),
+                Raw::LateState => self.reroute_late_state(),
+                Raw::Stop => break,
             }
         }
         self.teardown();
@@ -1106,109 +1070,84 @@ impl<W: WorkerCommands> Adaptivity<W> {
         }
     }
 
-    /// Renews leases from liveness traffic and declares expired workers
-    /// dead, queueing each for a failover recall.
-    fn watch_leases(&mut self, received: Option<&Raw>) {
-        let Some(m) = &mut self.monitor else { return };
-        match received {
-            Some(Raw::Beat(w)) => m.beat(*w),
-            Some(Raw::Done(w)) => m.mark_done(*w),
-            _ => {}
-        }
-        while let Some(dead) = m.expired() {
-            self.stats.nodes_failed += 1;
-            let at = self.rec.now_model();
-            let down_seq = self.rec.record(
-                at,
-                TimelineKind::NodeDown {
-                    partition: PartitionId::new(self.stage_id, dead as u32).to_string(),
-                },
-            );
-            self.responder.on_node_failure(at);
-            self.failover_queue.push((dead, down_seq, 0));
-        }
-    }
-
     /// The workers a recall can address: dead ones can never answer the
     /// barrier, finished ones have nothing left to drain.
     fn live_workers(&self) -> Vec<usize> {
         (0..self.partitions)
-            .filter(|&p| {
-                self.monitor
-                    .as_ref()
-                    .is_none_or(|m| !m.is_dead(p) && !m.is_done(p))
-            })
+            .filter(|&p| !self.dead[p] && !self.done[p])
             .collect()
     }
 
-    /// Runs one failover recall attempt for the head of the queue: drain
+    /// A worker's exit notice said it crashed: record the death, restart
+    /// the responder's cooldown, and run the failover recall — drain
     /// barrier over the survivors, redistribution away from the dead
-    /// partition, replay of its surviving recovery-log entries, resume
-    /// under a bumped epoch.
+    /// partitions, replay of this one's surviving recovery-log entries,
+    /// resume under a bumped epoch. An aborted attempt is retried at once,
+    /// up to [`FAILOVER_ATTEMPTS`] in all; after that the producers' retry
+    /// budget exhausts against the dead partition and records an explicit
+    /// delivery gap instead of hanging.
     ///
     /// Deliberately records no `Deploy`/`RecallStart`/`RecallFinish`
     /// timeline events — those carry diagnosis back-references and a
     /// failover has no diagnosis. `NodeDown -> Failover` is this path's
     /// causal pair.
-    fn step_failover(&mut self) {
-        let Some(&(dead, down_seq, attempts)) = self.failover_queue.first() else {
-            return;
-        };
+    fn fail_over(&mut self, worker: usize) {
+        self.dead[worker] = true;
+        self.stats.nodes_failed += 1;
+        let partition = PartitionId::new(self.stage_id, worker as u32).to_string();
+        let at = self.rec.now_model();
+        let down_seq = self.rec.record(
+            at,
+            TimelineKind::NodeDown {
+                partition: partition.clone(),
+            },
+        );
+        self.responder.on_node_failure(at);
         // Config validation ties failover to R1 adaptivity, so the gate
-        // and monitor always exist here; drop the entry rather than spin
-        // if that invariant ever breaks.
-        let (Some(gate), Some(m)) = (self.gate.as_deref(), self.monitor.as_ref()) else {
-            self.failover_queue.remove(0);
+        // always exists here.
+        let Some(gate) = self.gate.as_deref() else {
             return;
         };
-        let target = RecallTarget::Failover {
-            replay: dead,
-            dead: (0..self.partitions)
-                .filter(|&p| p == dead || m.is_dead(p))
-                .collect(),
-        };
+        let dead: Vec<usize> = (0..self.partitions).filter(|&p| self.dead[p]).collect();
         let live = self.live_workers();
         let mut transport =
             GateTransport::new(gate, self.recall_timeout, &self.replies, &mut self.workers);
-        let outcome = self
-            .coordinator
-            .recall(target, &live, &mut transport, |_| {});
-        let RecallOutcome::FailedOver {
-            deployed,
-            state_moved,
-            recalled,
-            replayed,
-        } = outcome
-        else {
-            if attempts + 1 >= FAILOVER_ATTEMPTS {
-                // Give up: the producers' retry budget will exhaust
-                // against the dead partition and record an explicit
-                // delivery gap instead of hanging.
-                self.failover_queue.remove(0);
-            } else {
-                self.failover_queue[0].2 = attempts + 1;
-            }
-            return;
-        };
-        self.failover_queue.remove(0);
-        self.diagnoser.set_distribution(deployed);
-        self.stats.state_tuples_migrated += state_moved;
-        self.stats.tuples_recalled += recalled;
-        self.stats.failovers_completed += 1;
-        if let Some(o) = &self.rec.obs {
-            o.metrics().counter("exec.failovers").add(1);
-            o.metrics().counter("exec.tuples_replayed").add(replayed);
-        }
-        let now = self.rec.now_model();
-        self.rec.record(
-            now,
-            TimelineKind::Failover {
-                partition: PartitionId::new(self.stage_id, dead as u32).to_string(),
+        for _ in 0..FAILOVER_ATTEMPTS {
+            let target = RecallTarget::Failover {
+                replay: worker,
+                dead: dead.clone(),
+            };
+            let RecallOutcome::FailedOver {
+                deployed,
+                state_moved,
+                recalled,
                 replayed,
-                down_seq,
-            },
-        );
-        self.responder.on_deploy_acknowledged(now);
+            } = self
+                .coordinator
+                .recall(target, &live, &mut transport, |_| {})
+            else {
+                continue;
+            };
+            self.diagnoser.set_distribution(deployed);
+            self.stats.state_tuples_migrated += state_moved;
+            self.stats.tuples_recalled += recalled;
+            self.stats.failovers_completed += 1;
+            if let Some(o) = &self.rec.obs {
+                o.metrics().counter("exec.failovers").add(1);
+                o.metrics().counter("exec.tuples_replayed").add(replayed);
+            }
+            let now = self.rec.now_model();
+            self.rec.record(
+                now,
+                TimelineKind::Failover {
+                    partition,
+                    replayed,
+                    down_seq,
+                },
+            );
+            self.responder.on_deploy_acknowledged(now);
+            return;
+        }
     }
 
     /// Detector output → diagnosis → responder decision. Returns the
@@ -1325,24 +1264,21 @@ impl<W: WorkerCommands> Adaptivity<W> {
         // A diagnosis computed from pre-failure observations may still
         // weight a dead partition; zero it so no adaptation resurrects
         // routing to a lost worker.
-        if let Some(m) = &self.monitor {
-            let weights = cmd.new_distribution.weights();
-            if weights
+        let weights = cmd.new_distribution.weights();
+        if weights
+            .iter()
+            .zip(&self.dead)
+            .any(|(&w, &dead)| dead && w > 0.0)
+        {
+            let w: Vec<f64> = weights
                 .iter()
-                .enumerate()
-                .any(|(p, &w)| m.is_dead(p) && w > 0.0)
-            {
-                let w: Vec<f64> = weights
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &w)| if m.is_dead(p) { 0.0 } else { w })
-                    .collect();
-                match DistributionVector::new(&w) {
-                    Ok(d) => cmd.new_distribution = d,
-                    // All surviving weight vanished: nothing sane to
-                    // deploy.
-                    Err(_) => return,
-                }
+                .zip(&self.dead)
+                .map(|(&w, &dead)| if dead { 0.0 } else { w })
+                .collect();
+            match DistributionVector::new(&w) {
+                Ok(d) => cmd.new_distribution = d,
+                // All surviving weight vanished: nothing sane to deploy.
+                Err(_) => return,
             }
         }
         self.diagnoser
@@ -1571,7 +1507,7 @@ impl Run<'_> {
         let live_r1 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R1;
         let live_r2 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R2;
         let recall_on = live_r1 || self.script.iter().any(|(_, c)| c.retrospective);
-        let resilient = cfg.chaos.is_some() || cfg.failover.enabled;
+        let resilient = cfg.chaos.is_some() || cfg.failover;
         let x = Exchange::new(
             plan,
             who,
@@ -1642,7 +1578,7 @@ impl Run<'_> {
                     scan_cost_ms: source.scan_cost_ms,
                     buffer_tuples: stage.exchange.buffer_tuples,
                     dests: partitions,
-                    fast_gap: !cfg.failover.enabled,
+                    fast_gap: !cfg.failover,
                     retry: cfg.delivery_retry.clone(),
                 },
                 x.clone(),
@@ -2110,6 +2046,11 @@ mod tests {
                     enabled: true,
                     timeline_capacity: 0,
                 },
+                ..Default::default()
+            },
+            // Failover rides the recall machinery, which R2 lacks.
+            ThreadedConfig {
+                failover: true,
                 ..Default::default()
             },
         ];
@@ -2801,18 +2742,14 @@ mod tests {
                     base_ms: 20.0,
                     max_retries: 8,
                 },
-                failover: FailoverConfig {
-                    enabled: true,
-                    heartbeat_ms: 20,
-                    lease_ms: 300,
-                },
+                failover: true,
                 ..Default::default()
             },
         )
         .run(&plan)
         .unwrap();
 
-        assert_eq!(report.nodes_failed, 1, "one death detected: {report:?}");
+        assert_eq!(report.nodes_failed, 1, "one death reported: {report:?}");
         assert!(
             report.failovers_completed >= 1,
             "the failover recall must complete: {report:?}"

@@ -55,8 +55,6 @@ pub(crate) trait ConsumerOut {
     /// empty, never called with monitoring off. Sampling is per
     /// [`Consumer::m1_stride`] tuples; only the transport is per block.
     fn m1(&mut self, samples: Vec<M1Sample>);
-    /// Liveness beat during a long held-probe replay.
-    fn beat(&mut self) {}
 }
 
 /// One stride batch's worth of M1 measurements; the driver stamps it
@@ -423,10 +421,10 @@ impl Consumer {
                 .into_iter()
                 .enumerate()
             {
-                // Replaying a large backlog takes real time; pay the
-                // accrued cost in slices and keep the lease renewed.
+                // Replaying a large backlog takes real time: pay the
+                // accrued cost, and hand over its M1 samples, in slices
+                // of 16 tuples rather than once at the end.
                 if n % 16 == 0 {
-                    out.beat();
                     self.pay_due(out);
                 }
                 self.process_one(StreamTag::Probe, &tuple, out);

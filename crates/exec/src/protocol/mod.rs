@@ -5,7 +5,7 @@
 //! to pay, time-outs are decided by the driver, and bytes never appear.
 //! The run skeleton and the threaded endpoints (`lib.rs`) and the socket
 //! endpoints (`socket.rs`) are drivers: they own threads, rings, inboxes,
-//! frames, links, heartbeats and the wall clock, and implement the output
+//! frames, links, exit notices and the wall clock, and implement the output
 //! interfaces the core calls ([`producer::BlockSink`],
 //! [`consumer::ConsumerOut`], [`coordinator::RecallTransport`]). See
 //! DESIGN.md §15 for the module map. `gridq-lint`'s `wall-clock` rule

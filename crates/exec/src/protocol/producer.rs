@@ -43,9 +43,9 @@ pub(crate) struct ProducerSpec {
     pub(crate) dests: usize,
     /// Record a gap for a destination whose ring closed straight away
     /// instead of sleeping out the backoff budget against it. Off when
-    /// failover is enabled: there the budget is exactly what keeps the
-    /// producer alive until the lease expires and the coordinator
-    /// replays the dead partition's log onto the survivors.
+    /// failover is enabled: there the budget is what keeps the producer
+    /// alive until the dead worker's exit notice reaches the coordinator
+    /// and it replays the dead partition's log onto the survivors.
     pub(crate) fast_gap: bool,
     pub(crate) retry: RetryPolicy,
 }
@@ -222,8 +222,8 @@ impl Producer {
         // consumer's block-range dedup.
         let failed = sink.ship(dest, block, fate == NetAction::Duplicate);
         if failed > 0 {
-            // The consumer is gone. Count the loss *now* — the report
-            // surfaces it even before any heartbeat lease expires.
+            // The consumer is gone. Count the loss *now*, whether or not
+            // a failover follows.
             self.disconnected[dest] = true;
             self.x
                 .tallies

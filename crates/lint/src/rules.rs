@@ -30,11 +30,6 @@ pub const CLOCK_SITES: &[&str] = &[
     // The chaos runner stamps scenario outcomes with wall-clock duration
     // for its reports; fault injection itself is deterministic.
     "crates/chaos/src/runner.rs",
-    // The heartbeat/lease failure detector must read real time: a dead
-    // consumer thread sends nothing, so only wall-clock lease expiry can
-    // distinguish "dead" from "slow". The simulator's failover path uses
-    // virtual time; this module serves the threaded substrate only.
-    "crates/exec/src/failover.rs",
     // The SPSC ring's `pop_wait` park deadline is a real-thread timeout:
     // a parked consumer can only be freed by wall-clock expiry, and the
     // ring serves the threaded substrate exclusively (the simulator has
@@ -42,7 +37,7 @@ pub const CLOCK_SITES: &[&str] = &[
     "crates/common/src/sync/ring.rs",
     // The socket substrate runs over real kernel sockets: reconnect
     // budgets, recall barriers, and handshake deadlines are wall-clock
-    // timeouts by nature, like the failover detector above.
+    // timeouts by nature.
     "crates/exec/src/socket.rs",
 ];
 

@@ -127,9 +127,8 @@ pub enum TimelineKind {
         /// Sequence number of the detector notification behind this.
         notify_seq: u64,
     },
-    /// The failure detector declared a node dead: its heartbeat lease
-    /// expired (threaded substrate) or a `NodeFail` event fired
-    /// (simulator).
+    /// A node died: its consumer thread reported its own crash on the way
+    /// out (threaded substrate), or a `NodeFail` event fired (simulator).
     NodeDown {
         /// Partition label of the dead node, e.g. `"sp1.1"`.
         partition: String,

@@ -1673,6 +1673,10 @@ impl<'a> Run<'a> {
             return Ok(());
         }
         self.report.nodes_failed += 1;
+        // As on threads: a failover is never declined, and it restarts
+        // the cooldown so no rebalance fires while the replay is in
+        // flight.
+        self.responder.on_node_failure(t);
         self.report.note(
             t,
             format!("node {node} failed ({} partitions lost)", dead_now.len()),

@@ -7,12 +7,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gridq_adapt::AdaptivityConfig;
+use gridq_adapt::{AdaptivityConfig, COOLDOWN_MS};
 use gridq_common::{ChaosHook, NetAction, NodeId, SimTime};
 use gridq_engine::fixtures::{
     call_plan, catalog, int_table, join_plan, multiset, CallShape, JoinShape,
 };
-use gridq_grid::GridEnvironment;
+use gridq_grid::{GridEnvironment, Perturbation, PerturbationSchedule};
 use gridq_obs::TimelineKind;
 use gridq_sim::{Simulation, SimulationConfig};
 
@@ -299,5 +299,63 @@ fn node_failure_pairs_node_down_with_failover_in_the_timeline() {
     assert_eq!(
         *replayed, report.failure_resent_tuples,
         "single-source plan: everything replayed belongs to this partition"
+    );
+}
+
+/// A simulated node failure goes through the Responder, as a threaded
+/// one does: the failover is counted, and it restarts the cooldown, so
+/// no rebalance deploys while the replay is still in flight.
+#[test]
+fn node_failure_goes_through_the_responder() {
+    let table = int_table("t", 0..600);
+    let shape = CallShape {
+        evaluators: 3,
+        ..call_shape()
+    };
+    let plan = call_plan(&table, &shape);
+    let config = SimulationConfig {
+        adaptivity: AdaptivityConfig::default(),
+        ..config(None)
+    };
+    let healthy = Simulation::new(GridEnvironment::demo(3), catalog(&[&table]), config.clone())
+        .unwrap()
+        .run(&plan)
+        .unwrap();
+    // Node 3 dies a fifth of the way in. Node 2 turns 10x slower 40 ms
+    // earlier, so the loop's first diagnosis lands just after the death:
+    // without the cooldown restart it deploys 27 ms in.
+    let fail_at = SimTime::from_millis(healthy.response_time_ms / 5.0);
+    let mut env = GridEnvironment::demo(3);
+    env.set_perturbation(
+        NodeId::new(2),
+        PerturbationSchedule::none().then_at(
+            SimTime::from_millis(fail_at.as_millis() - 40.0),
+            Perturbation::CostFactor(10.0),
+        ),
+    );
+    let report = Simulation::new(env, catalog(&[&table]), config)
+        .unwrap()
+        .run_with_failures(&plan, &[(NodeId::new(3), fail_at)])
+        .unwrap();
+    assert_eq!(report.tuples_output, 600, "{:?}", report.timeline);
+    assert_eq!(report.nodes_failed, 1);
+    let obs = report.obs.expect("obs enabled by default");
+    assert_eq!(
+        obs.metrics.counters.get("responder.node_failovers"),
+        Some(&report.nodes_failed),
+        "every node failure is a responder failover"
+    );
+    let down_at = fail_at.as_millis();
+    let deploys: Vec<f64> = obs
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, TimelineKind::Deploy { .. }))
+        .map(|e| e.at_ms - down_at)
+        .collect();
+    assert!(
+        deploys
+            .iter()
+            .all(|&after| !(0.0..COOLDOWN_MS).contains(&after)),
+        "no rebalance within the cooldown after the failure: {deploys:?} ms after it"
     );
 }

@@ -6,10 +6,9 @@
 //! build log — and the collector deduplicates redelivered results.
 //!
 //! The same failure class is then replayed on the threaded substrate:
-//! a consumer *thread* is killed mid-run, the heartbeat/lease detector
-//! declares it dead, and a failover recall replays its recovery-log
-//! entries onto the survivor — the join result is byte-identical to an
-//! unfaulted run.
+//! a consumer *thread* is killed mid-run, its exit notice reports the
+//! crash, and a failover recall replays its recovery-log entries onto
+//! the survivor — the join result is byte-identical to an unfaulted run.
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerance
@@ -24,7 +23,7 @@ use gridq::chaos::{
 };
 use gridq::common::{NodeId, SimTime};
 use gridq::engine::fixtures::multiset;
-use gridq::exec::{FailoverConfig, RetryPolicy};
+use gridq::exec::RetryPolicy;
 use gridq::grid::GridEnvironment;
 use gridq::sim::{Simulation, SimulationConfig};
 use gridq::workload::experiments::Q2Experiment;
@@ -83,9 +82,9 @@ fn main() {
     );
 
     // The same failure on real threads: a smaller Q2 instance, with one
-    // consumer thread killed on its 10th received message. The
-    // heartbeat/lease detector (only a wall clock can tell "dead" from
-    // "slow") declares the death; the responder drives a failover recall
+    // consumer thread killed on its 10th received message. The dying
+    // thread reports its crash on the way out (a slow one reports
+    // nothing and is waited for); the responder drives a failover recall
     // that zeroes the dead partition's weight and replays its
     // unacknowledged log entries onto the survivor.
     println!("\n=== threaded substrate: consumer thread killed mid-run ===");
@@ -125,11 +124,7 @@ fn main() {
                 base_ms: 20.0,
                 max_retries: 8,
             },
-            failover: FailoverConfig {
-                enabled: true,
-                heartbeat_ms: 20,
-                lease_ms: 300,
-            },
+            failover: true,
             ..Knobs::default()
         })
         .expect("faulted threaded run");
@@ -141,7 +136,7 @@ fn main() {
     println!(
         "consumer 1 killed on its 10th message:\n\
          \x20  {:.0} ms ({:.2}x), {} results (identical multiset to healthy run)\n\
-         \x20  {} death(s) detected, {} failover recall(s) completed\n\
+         \x20  {} death(s) reported, {} failover recall(s) completed\n\
          \x20  {} tuples retransmitted from recovery logs, {} delivery gaps\n\
          \x20  final routing weights {:?} (dead partition pinned to zero)",
         faulted.wall_ms,

@@ -9,9 +9,9 @@
 //! report line what CI uploads: JSON naming its cell, plan and oracles. The data-plane
 //! families are live here — dropped blocks heal through whole-block
 //! recovery-log retransmission, duplicated blocks are absorbed by
-//! consumer range dedup, a killed threaded consumer fails over through
-//! the heartbeat/lease detector, and a severed socket heals through the
-//! reconnect handshake plus link-level retransmission.
+//! consumer range dedup, a killed threaded consumer fails over from its
+//! own exit notice, and a severed socket heals through the reconnect
+//! handshake plus link-level retransmission.
 
 use gridq::chaos::{
     FaultEvent, FaultFamily, FaultPlan, Policy, Runner, Scenario, ScenarioOutcome, Substrate,

@@ -19,8 +19,8 @@ use gridq::chaos::oracle::log_conservation;
 use gridq::chaos::{
     run_on, FaultEvent, FaultPlan, Knobs, PlanHook, Policy, RunSummary, Substrate, Workload,
 };
-use gridq::common::{NodeId, SimTime};
-use gridq::exec::{FailoverConfig, RetryPolicy};
+use gridq::common::{NodeId, RecallPhase, SimTime};
+use gridq::exec::RetryPolicy;
 use gridq::obs::TimelineKind;
 
 mod common;
@@ -165,31 +165,11 @@ fn node_failure_runs_match_the_unfaulted_reference() {
     assert_eq!(reference.results, sim_failed.results);
 
     // Threaded executor: consumer 1 is killed on its 10th received
-    // message; the heartbeat/lease detector declares it dead and the
-    // failover recall replays its log entries to the survivor.
-    let crash = FaultPlan {
-        seed: 0,
-        events: vec![FaultEvent::CrashConsumer { worker: 1, nth: 10 }],
-    };
-    let threaded = w
-        .run_threaded(&Knobs {
-            adaptivity: Policy::R1.adaptivity(),
-            cost_scale: 0.002,
-            checkpoint_interval: 8,
-            chaos: Some(Arc::new(PlanHook::new(&crash))),
-            delivery_retry: RetryPolicy {
-                base_ms: 20.0,
-                max_retries: 8,
-            },
-            failover: FailoverConfig {
-                enabled: true,
-                heartbeat_ms: 20,
-                lease_ms: 300,
-            },
-            ..Knobs::default()
-        })
-        .unwrap();
-    assert_eq!(threaded.nodes_failed, 1, "one death detected: {threaded:?}");
+    // message; its exit notice reports the crash and the failover recall
+    // replays its log entries to the survivor.
+    let crash = plan_hook(vec![FaultEvent::CrashConsumer { worker: 1, nth: 10 }]);
+    let threaded = w.run_threaded(&failover_knobs(&crash)).unwrap();
+    assert_eq!(threaded.nodes_failed, 1, "one death reported: {threaded:?}");
     assert!(
         threaded.failovers_completed >= 1,
         "the failover recall must complete: {threaded:?}"
@@ -212,6 +192,83 @@ fn node_failure_runs_match_the_unfaulted_reference() {
         threaded.per_partition_processed
     );
     assert_eq!(reference.results, RunSummary::from(threaded).results);
+}
+
+/// Real milliseconds per model millisecond in the failover cells.
+const FAILOVER_COST_SCALE: f64 = 0.002;
+
+fn plan_hook(events: Vec<FaultEvent>) -> Arc<PlanHook> {
+    Arc::new(PlanHook::new(&FaultPlan { seed: 0, events }))
+}
+
+/// A threaded failover cell: live R1 on short checkpoint windows, a
+/// retry budget that outlasts the failover recall, and `hook`'s faults
+/// injected through the chaos seams.
+fn failover_knobs(hook: &Arc<PlanHook>) -> Knobs {
+    Knobs {
+        adaptivity: Policy::R1.adaptivity(),
+        cost_scale: FAILOVER_COST_SCALE,
+        checkpoint_interval: 8,
+        chaos: Some(Arc::clone(hook) as _),
+        delivery_retry: RetryPolicy {
+            base_ms: 20.0,
+            max_retries: 8,
+        },
+        failover: true,
+        ..Knobs::default()
+    }
+}
+
+/// A slow consumer is not a dead one: worker 1 stalls once for a full
+/// second of real time, far longer than any plausible time-out, and
+/// the run neither declares it dead nor fails it over. Only a crash is
+/// reported as a death.
+#[test]
+fn a_slow_consumer_is_not_a_dead_one() {
+    let w = q2();
+    let reference = run_on(Substrate::Threaded, &w, &static_knobs()).unwrap();
+    // One real second, in model milliseconds.
+    let second = 1000.0 / FAILOVER_COST_SCALE;
+    let stall = plan_hook(vec![FaultEvent::StallConsumer {
+        worker: 1,
+        nth: 1,
+        ms: second,
+    }]);
+    let slow = w.run_threaded(&failover_knobs(&stall)).unwrap();
+    assert_eq!(stall.fired(), [0], "the stall was injected");
+    assert_eq!(slow.nodes_failed, 0, "a stall is not a death: {slow:?}");
+    assert_eq!(slow.failovers_completed, 0, "{slow:?}");
+    assert!(slow.delivery_gaps.is_empty(), "{slow:?}");
+    assert_eq!(reference.results, RunSummary::from(slow).results);
+}
+
+/// A failover whose first attempt loses worker 0's drain reply times out
+/// and is retried at once, and the retry completes. The join is
+/// unperturbed, so the failover is the run's first recall and the lost
+/// reply is its.
+#[test]
+fn a_failover_that_loses_a_drain_reply_is_retried_and_completes() {
+    let w = q2();
+    let reference = run_on(Substrate::Threaded, &w, &static_knobs()).unwrap();
+    let faults = plan_hook(vec![
+        FaultEvent::CrashConsumer { worker: 1, nth: 10 },
+        FaultEvent::LoseRecallCtrl {
+            phase: RecallPhase::Drain,
+            worker: 0,
+            nth: 1,
+        },
+    ]);
+    let run = w
+        .run_threaded(&Knobs {
+            recall_timeout_ms: 200,
+            ..failover_knobs(&faults)
+        })
+        .unwrap();
+    assert_eq!(faults.fired(), [0, 1], "the crash, then the lost reply");
+    assert_eq!(run.nodes_failed, 1, "{run:?}");
+    assert_eq!(run.failovers_completed, 1, "{run:?}");
+    assert!(run.delivery_gaps.is_empty(), "{run:?}");
+    assert_eq!(reference.results, RunSummary::from(run).results);
 }
 
 /// Static three-way parity: the same Q1 plan over the simulator, the
