@@ -41,10 +41,8 @@ pub const THRES_M: f64 = 0.2;
 
 /// Minimum model-time between two adaptations of one query, in
 /// milliseconds: the [`Responder`](crate::Responder) declines a proposal
-/// arriving sooner after the last deploy, and the
-/// [`CrossQueryDiagnoser`](crate::CrossQueryDiagnoser) proposes no tenant
-/// rebalance for a query sooner after its last one. Both are the same
-/// rule — at most one redistribution per query per 50 model-ms.
+/// arriving sooner after the last deploy — at most one redistribution
+/// per query per 50 model-ms, tenant rebalances included.
 pub const COOLDOWN_MS: f64 = 50.0;
 
 /// The settings of the adaptivity pipeline an experiment varies. The

@@ -42,11 +42,9 @@ pub mod detector;
 pub mod diagnoser;
 pub mod notifications;
 pub mod responder;
-pub mod tenancy;
 
 pub use config::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy, COOLDOWN_MS, THRES_M};
 pub use detector::{CommUpdate, CostUpdate, DetectorOutput, MonitoringEventDetector};
 pub use diagnoser::{Diagnoser, Imbalance};
 pub use notifications::{ProducerId, M1, M2};
 pub use responder::{AdaptationCommand, Responder, ResponderDecision};
-pub use tenancy::{CrossQueryDiagnoser, TenantCostUpdate, TenantRebalance};

@@ -216,18 +216,11 @@ pub fn timeline_causality(run: &RunSummary) -> Verdict {
                         format!("deploy seq {} links missing diagnosis", event.seq),
                     );
                 };
-                // A deploy's diagnosis-level parent is either the
-                // per-query diagnoser's proposal or a cross-query tenant
-                // rebalance; both link back to a detector notification.
-                let notify_seq = match &diagnosis.kind {
-                    TimelineKind::Diagnosis { notify_seq, .. } => notify_seq,
-                    TimelineKind::TenantRebalance { notify_seq, .. } => notify_seq,
-                    _ => {
-                        return Verdict::fail(
-                            "timeline_causality",
-                            format!("deploy seq {} links a non-diagnosis event", event.seq),
-                        )
-                    }
+                let TimelineKind::Diagnosis { notify_seq, .. } = &diagnosis.kind else {
+                    return Verdict::fail(
+                        "timeline_causality",
+                        format!("deploy seq {} links a non-diagnosis event", event.seq),
+                    );
                 };
                 let Some(notify) = find(*notify_seq) else {
                     if evicted_ok {

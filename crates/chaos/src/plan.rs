@@ -684,7 +684,7 @@ impl FaultPlan {
             FaultFamily::TenantInterference => {
                 // Interference-shaped pressure on the faulted query only:
                 // consumer stalls and data delays slow it down (raising
-                // the co-tenant contention the cross-query diagnoser
+                // the co-tenant contention its neighbour's own diagnoser
                 // sees), and an occasional dropped notification exercises
                 // the best-effort monitoring contract under co-residency.
                 // No drops or crashes — the cell studies isolation, not

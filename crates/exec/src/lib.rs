@@ -75,7 +75,7 @@ use protocol::{validate_knobs, Block, Exchange, Routed};
 use recall::{GateTransport, ProducerGuard, RecallGate, WorkerCommands};
 pub use service::{
     ContentionLedger, QueryOutcome, QueryRun, QueryService, QuerySubmission, ServiceConfig,
-    ServiceReport, TenancyHandle,
+    ServiceReport,
 };
 
 /// Configuration of a threaded execution.
@@ -124,13 +124,14 @@ pub struct ThreadedConfig {
     /// the survivors. Requires R1 adaptivity: failover rides the recall
     /// machinery.
     pub failover: bool,
-    /// Service-plane tenancy handle, injected by [`QueryService`] when
-    /// this query shares evaluator nodes with co-resident queries: the
-    /// contention ledger inflates consumers' modelled costs, and the
-    /// adaptation thread feeds the shared cross-query diagnoser /
-    /// deploys its tenant rebalances. `None` (the default) runs the
-    /// query exactly as before the service plane existed.
-    pub tenancy: Option<TenancyHandle>,
+    /// The service plane's contention ledger, injected by
+    /// [`QueryService`] when this query shares evaluator nodes with
+    /// co-resident queries: it inflates consumers' modelled costs, and
+    /// the adaptation thread asks it which co-tenant an accepted
+    /// rebalance away from a shared node is attributed to (the node
+    /// placement is the plan's). `None` (the default) runs the query
+    /// exactly as before the service plane existed.
+    pub tenancy: Option<Arc<ContentionLedger>>,
 }
 
 impl Default for ThreadedConfig {
@@ -198,9 +199,9 @@ pub struct ThreadedReport {
     pub raw_m2_events: u64,
     /// Adaptations deployed into the router.
     pub adaptations_deployed: u64,
-    /// Of those, deploys proposed by the *cross-query* diagnoser: weight
-    /// shifts away from a node contended by a co-resident query
-    /// (service-plane runs only; always 0 without a tenancy handle).
+    /// Of those, tenant rebalances: deploys of an accepted diagnosis whose
+    /// costliest partition sits on a node shared with another query
+    /// (service-plane runs only; always 0 without a contention ledger).
     pub tenant_rebalances: u64,
     /// Retrospective recalls that ran the full drain-migrate-resume
     /// protocol.
@@ -777,7 +778,7 @@ impl ThreadedWorkers {
             consumer.m1_stride =
                 monitoring.then(|| cfg.adaptivity.monitoring_interval_tuples.max(1));
             consumer.chaos = cfg.chaos.clone();
-            consumer.contention = cfg.tenancy.as_ref().map(|t| t.ledger().counter(node));
+            consumer.contention = cfg.tenancy.as_ref().map(|ledger| ledger.counter(node));
             consumer.progress = Some((
                 Arc::clone(&w.processed_total),
                 w.obs
@@ -891,7 +892,11 @@ struct Adaptivity<W> {
     rec: Recorder,
     stage_id: SubplanId,
     query: QueryId,
-    tenancy: Option<TenancyHandle>,
+    /// The stage's partition→node placement and (service-plane runs
+    /// only) the ledger that names a node's co-tenants: together they
+    /// attribute a tenant rebalance.
+    nodes: Vec<NodeId>,
+    tenancy: Option<Arc<ContentionLedger>>,
     total_rows: u64,
     processed_total: Arc<AtomicU64>,
     /// Workers whose exit notice said they crashed, and workers that
@@ -959,6 +964,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
             rec,
             stage_id: stage.id,
             query: plan.query,
+            nodes: stage.nodes.clone(),
             tenancy: cfg.tenancy.clone(),
             total_rows: wiring.total_rows,
             processed_total: wiring.processed_total,
@@ -1031,7 +1037,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
     /// One raw event's way through the rest of the loop: diagnosis,
     /// decision, deployment.
     fn react(&mut self, output: DetectorOutput, at: SimTime, raw_seq: u64) {
-        for (cmd, diagnosis_seq, tenant) in self.diagnose(output, at, raw_seq) {
+        if let Some((cmd, diagnosis_seq, tenant)) = self.diagnose(output, at, raw_seq) {
             self.deploy(cmd, diagnosis_seq, tenant);
         }
     }
@@ -1151,18 +1157,16 @@ impl<W: WorkerCommands> Adaptivity<W> {
     }
 
     /// Detector output → diagnosis → responder decision. Returns the
-    /// commands to deploy this round, each with the seq of its
-    /// diagnosis-level timeline event and whether it came from the
-    /// cross-query (tenant) diagnoser.
+    /// command to deploy, if the responder accepted one, with the seq of
+    /// its diagnosis and whether it is a tenant rebalance.
     fn diagnose(
         &mut self,
         output: DetectorOutput,
         at: SimTime,
         raw_seq: u64,
-    ) -> Vec<(AdaptationCommand, u64, bool)> {
-        let mut pending = Vec::new();
-        let imbalance = match output {
-            DetectorOutput::Quiet => None,
+    ) -> Option<(AdaptationCommand, u64, bool)> {
+        let (imbalance, notify_seq) = match output {
+            DetectorOutput::Quiet => return None,
             DetectorOutput::Cost(update) => {
                 let notify_seq = self.rec.record(
                     at,
@@ -1173,40 +1177,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
                         raw_seq,
                     },
                 );
-                // Service plane: the same smoothed cost feeds the shared
-                // cross-query diagnoser, which sees *all* tenants'
-                // placements and may attribute the shift to a
-                // co-resident query.
-                let rebalance = self.tenancy.as_ref().and_then(|t| {
-                    t.observe_cost(self.query, update.partition, update.avg_cost_ms, update.at)
-                        .map(|r| (t, r))
-                });
-                if let Some((t, r)) = rebalance {
-                    let tenant_seq = self.rec.record(
-                        update.at,
-                        TimelineKind::TenantRebalance {
-                            query: r.query.to_string(),
-                            induced_by: r.induced_by.to_string(),
-                            node: r.node.to_string(),
-                            proposed: r.proposed.weights().to_vec(),
-                            notify_seq,
-                        },
-                    );
-                    t.deployed(self.query, r.proposed.clone());
-                    pending.push((
-                        AdaptationCommand {
-                            stage: self.stage_id,
-                            new_distribution: r.proposed,
-                            retrospective: self.adapt.response == ResponsePolicy::R1,
-                            at: r.at,
-                        },
-                        tenant_seq,
-                        true,
-                    ));
-                }
-                self.diagnoser
-                    .on_cost_update(&update)
-                    .map(|imb| (imb, notify_seq))
+                (self.diagnoser.on_cost_update(&update)?, notify_seq)
             }
             DetectorOutput::Comm(update) => {
                 let notify_seq = self.rec.record(
@@ -1218,43 +1189,65 @@ impl<W: WorkerCommands> Adaptivity<W> {
                         raw_seq,
                     },
                 );
-                self.diagnoser
-                    .on_comm_update(&update)
-                    .map(|imb| (imb, notify_seq))
+                (self.diagnoser.on_comm_update(&update)?, notify_seq)
             }
         };
-        if let Some((imbalance, notify_seq)) = imbalance {
-            let diagnosis_seq = self.rec.record(
-                imbalance.at,
-                TimelineKind::Diagnosis {
-                    stage: imbalance.stage.to_string(),
-                    proposed: imbalance.proposed.weights().to_vec(),
-                    costs: imbalance.costs.clone(),
-                    notify_seq,
-                },
-            );
-            // R1 estimates progress from tuples *processed* (what a
-            // recall would have to preserve), R2 from tuples routed —
-            // mirroring the simulator.
-            let done = if self.adapt.response == ResponsePolicy::R1 {
-                self.processed_total.load(Ordering::Relaxed)
-            } else {
-                self.x.tallies.routed.load(Ordering::Relaxed)
-            };
-            let progress = cast::ratio(done, self.total_rows.max(1));
-            let (decision, cmd) = self.responder.on_imbalance(&imbalance, progress);
-            self.rec.record(
-                imbalance.at,
-                TimelineKind::ResponderDecision {
-                    decision: decision.as_str().to_string(),
-                    diagnosis_seq,
-                },
-            );
-            if let Some(cmd) = cmd {
-                pending.push((cmd, diagnosis_seq, false));
-            }
-        }
-        pending
+        let diagnosis_seq = self.rec.record(
+            imbalance.at,
+            TimelineKind::Diagnosis {
+                stage: imbalance.stage.to_string(),
+                proposed: imbalance.proposed.weights().to_vec(),
+                costs: imbalance.costs.clone(),
+                notify_seq,
+            },
+        );
+        // R1 estimates progress from tuples *processed* (what a
+        // recall would have to preserve), R2 from tuples routed —
+        // mirroring the simulator.
+        let done = if self.adapt.response == ResponsePolicy::R1 {
+            self.processed_total.load(Ordering::Relaxed)
+        } else {
+            self.x.tallies.routed.load(Ordering::Relaxed)
+        };
+        let progress = cast::ratio(done, self.total_rows.max(1));
+        let (decision, cmd) = self.responder.on_imbalance(&imbalance, progress);
+        self.rec.record(
+            imbalance.at,
+            TimelineKind::ResponderDecision {
+                decision: decision.as_str().to_string(),
+                diagnosis_seq,
+            },
+        );
+        let cmd = cmd?;
+        let tenant = self.attribute(&imbalance.costs, imbalance.at, diagnosis_seq);
+        Some((cmd, diagnosis_seq, tenant))
+    }
+
+    /// Service plane: an accepted diagnosis whose costliest partition
+    /// sits on a node shared with another query is a tenant rebalance,
+    /// attributed to the lowest-id co-tenant there. Records it and
+    /// returns whether it was one.
+    fn attribute(&self, costs: &[f64], at: SimTime, diagnosis_seq: u64) -> bool {
+        let Some(ledger) = &self.tenancy else {
+            return false;
+        };
+        let hottest = costs.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+        let Some(&node) = hottest.and_then(|(i, _)| self.nodes.get(i)) else {
+            return false;
+        };
+        let Some(induced_by) = ledger.co_tenant(self.query, node) else {
+            return false;
+        };
+        self.rec.record(
+            at,
+            TimelineKind::TenantRebalance {
+                query: self.query.to_string(),
+                induced_by: induced_by.to_string(),
+                node: node.to_string(),
+                diagnosis_seq,
+            },
+        );
+        true
     }
 
     /// Deploys one adaptation command: prospectively by swapping the

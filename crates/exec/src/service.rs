@@ -4,13 +4,12 @@
 //! outlive any single query. This module turns the one-shot executors
 //! into such a service. A [`QueryService`] admits N concurrent queries
 //! through the engine's [`AdmissionController`] (bounded run queue, loud
-//! rejection), multiplexes them over shared evaluator nodes on either
-//! the threaded or the socket substrate, and hosts the *cross-query*
-//! adaptivity loop: a shared [`ContentionLedger`] models the cost
-//! inflation co-resident tenants induce on a node, and a shared
-//! [`CrossQueryDiagnoser`] turns one query's M1 cost shifts on shared
-//! nodes into tenant rebalances deployed through that query's existing
-//! adaptation path.
+//! rejection), and multiplexes them over shared evaluator nodes on either
+//! the threaded or the socket substrate. Its one piece of tenancy state
+//! is the shared [`ContentionLedger`]: which admitted query sits on which
+//! node. It models the cost inflation co-resident tenants induce on a
+//! node, and it names the co-tenant when a query's own diagnosis
+//! rebalances away from a shared node — there is no second diagnoser.
 //!
 //! Every admitted query gets a fresh [`QueryId`] epoch from the
 //! controller; the plan shipped to the substrate is re-tagged with it,
@@ -20,7 +19,9 @@
 //! Isolation model per substrate:
 //! - **threaded**: queries share the process; the ledger injects the
 //!   modelled contention factor into co-resident consumers' cost model,
-//!   and tenant rebalances are diagnosed live.
+//!   each query's own detector → diagnoser → responder chain reacts to
+//!   it, and an accepted rebalance away from a shared node is recorded
+//!   as a tenant rebalance.
 //! - **socket**: each query spawns its own worker processes; contention
 //!   between them is real OS scheduling, not modelled, and adaptations
 //!   remain scripted (the decision stack is exercised on the other
@@ -33,10 +34,9 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 
-use gridq_adapt::tenancy::{CrossQueryDiagnoser, TenantCostUpdate, TenantRebalance};
 use gridq_common::sync::Mutex;
-use gridq_common::{cast, DistributionVector, NodeId, QueryId, Result, SimTime, Tuple};
-use gridq_engine::distributed::{DistributedPlan, RoutingPolicy};
+use gridq_common::{cast, NodeId, QueryId, Result, Tuple};
+use gridq_engine::distributed::DistributedPlan;
 use gridq_engine::physical::Catalog;
 use gridq_engine::service::{
     AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats,
@@ -58,57 +58,51 @@ pub(crate) fn contention_factor(tenants: u32) -> f64 {
     1.0 + CONTENTION_ALPHA * cast::count_to_f64(u64::from(tenants.saturating_sub(1)))
 }
 
-/// Shared per-node tenant counts. The threaded substrate multiplies
-/// every consumer's modelled per-tuple cost by `contention_factor` of
-/// its node's count, so co-residency *shows up in the M1 stream* exactly
-/// like a slow Grid node would — which is what lets the unchanged
-/// detector/diagnoser machinery observe it.
+/// The service plane's tenancy registry: which admitted queries sit on
+/// which node. The threaded substrate multiplies every consumer's
+/// modelled per-tuple cost by `contention_factor` of its node's tenant
+/// count, so co-residency *shows up in the M1 stream* exactly like a
+/// slow Grid node would — which is what lets the unchanged
+/// detector/diagnoser machinery observe it. When that machinery deploys
+/// a rebalance away from a shared node, the ledger names the co-tenant.
 #[derive(Debug, Default)]
 pub struct ContentionLedger {
-    nodes: Mutex<HashMap<NodeId, Arc<AtomicU32>>>,
+    nodes: Mutex<HashMap<NodeId, Tenants>>,
+}
+
+/// One node's tenants, their count mirrored into the counter consumers
+/// read lock-free per tuple.
+#[derive(Debug, Default)]
+struct Tenants {
+    queries: Vec<QueryId>,
+    count: Arc<AtomicU32>,
 }
 
 impl ContentionLedger {
-    /// Registers one query's arrival on `nodes` (each distinct node is
+    /// Registers `query`'s arrival on `nodes` (each distinct node is
     /// counted once regardless of how many partitions it hosts).
-    pub fn enter(&self, nodes: &[NodeId]) {
+    pub fn enter(&self, query: QueryId, nodes: &[NodeId]) {
         let mut map = self.nodes.lock();
-        let mut seen: Vec<NodeId> = Vec::new();
         for &node in nodes {
-            if seen.contains(&node) {
-                continue;
+            let tenants = map.entry(node).or_default();
+            if !tenants.queries.contains(&query) {
+                tenants.queries.push(query);
+                tenants.count.fetch_add(1, Ordering::Relaxed);
             }
-            seen.push(node);
-            map.entry(node)
-                .or_insert_with(|| Arc::new(AtomicU32::new(0)))
-                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Registers one query's departure from `nodes`. Entries that drop
-    /// to zero tenants are evicted so the map stays bounded by the set
-    /// of currently occupied nodes.
-    pub fn exit(&self, nodes: &[NodeId]) {
-        let mut map = self.nodes.lock();
-        let mut seen: Vec<NodeId> = Vec::new();
-        for &node in nodes {
-            if seen.contains(&node) {
-                continue;
+    /// Registers `query`'s departure from every node it entered. Nodes
+    /// left without tenants are evicted, so the map stays bounded by the
+    /// occupied-node set; late readers holding a counter see 0.
+    pub fn exit(&self, query: QueryId) {
+        self.nodes.lock().retain(|_, tenants| {
+            if let Some(i) = tenants.queries.iter().position(|&q| q == query) {
+                tenants.queries.swap_remove(i);
+                tenants.count.fetch_sub(1, Ordering::Relaxed);
             }
-            seen.push(node);
-            if let Some(ctr) = map.get(&node) {
-                let prev = ctr.load(Ordering::Relaxed);
-                if prev > 0 {
-                    ctr.store(prev - 1, Ordering::Relaxed);
-                }
-                if prev <= 1 {
-                    // Late readers holding the Arc see 0; the map entry
-                    // itself is evicted so the ledger stays bounded by
-                    // the occupied-node set.
-                    map.remove(&node);
-                }
-            }
-        }
+            !tenants.queries.is_empty()
+        });
     }
 
     /// Live tenant count on a node.
@@ -116,93 +110,27 @@ impl ContentionLedger {
         self.nodes
             .lock()
             .get(&node)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+            .map_or(0, |t| t.count.load(Ordering::Relaxed))
+    }
+
+    /// The query other than `query` that a rebalance away from `node` is
+    /// attributed to: the lowest-id co-tenant, or `None` on a node
+    /// `query` has to itself.
+    pub fn co_tenant(&self, query: QueryId, node: NodeId) -> Option<QueryId> {
+        let map = self.nodes.lock();
+        let others = map.get(&node)?.queries.iter().filter(|&&q| q != query);
+        others.min().copied()
     }
 
     /// The shared counter for a node; consumer threads clone this once
     /// and read it lock-free per tuple.
     pub fn counter(&self, node: NodeId) -> Arc<AtomicU32> {
-        Arc::clone(
-            self.nodes
-                .lock()
-                .entry(node)
-                .or_insert_with(|| Arc::new(AtomicU32::new(0))),
-        )
+        Arc::clone(&self.nodes.lock().entry(node).or_default().count)
     }
 }
 
-/// The per-query handle the service injects into [`ThreadedConfig`]:
-/// the shared ledger plus the shared cross-query diagnoser, and this
-/// query's partition→node placement so the adaptivity thread can
-/// attribute cost updates to nodes.
-#[derive(Clone)]
-pub struct TenancyHandle {
-    nodes: Vec<NodeId>,
-    ledger: Arc<ContentionLedger>,
-    diagnoser: Arc<Mutex<CrossQueryDiagnoser>>,
-}
-
-impl std::fmt::Debug for TenancyHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenancyHandle")
-            .field("nodes", &self.nodes)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TenancyHandle {
-    /// Builds a handle for a query whose stage partitions live on
-    /// `nodes` (index = partition index).
-    pub fn new(
-        nodes: Vec<NodeId>,
-        ledger: Arc<ContentionLedger>,
-        diagnoser: Arc<Mutex<CrossQueryDiagnoser>>,
-    ) -> Self {
-        TenancyHandle {
-            nodes,
-            ledger,
-            diagnoser,
-        }
-    }
-
-    /// The shared ledger.
-    pub fn ledger(&self) -> &Arc<ContentionLedger> {
-        &self.ledger
-    }
-
-    /// The node hosting partition `index`, if known.
-    pub fn node_for(&self, index: u32) -> Option<NodeId> {
-        self.nodes.get(index as usize).copied()
-    }
-
-    /// Forwards one smoothed M1 cost to the shared cross-query
-    /// diagnoser; returns a tenant rebalance when contention induced by
-    /// a co-resident query is diagnosed.
-    pub fn observe_cost(
-        &self,
-        query: QueryId,
-        partition: gridq_common::PartitionId,
-        avg_cost_ms: f64,
-        at: SimTime,
-    ) -> Option<TenantRebalance> {
-        let node = self.node_for(partition.index)?;
-        self.diagnoser.lock().on_cost_update(&TenantCostUpdate {
-            query,
-            partition,
-            node,
-            avg_cost_ms,
-            at,
-        })
-    }
-
-    /// Records that a tenant rebalance was deployed for `query`.
-    pub fn deployed(&self, query: QueryId, dist: DistributionVector) {
-        self.diagnoser.lock().set_distribution(query, dist);
-    }
-}
-
-/// Service-plane configuration. The tenancy model's parameters are
-/// constants: [`CONTENTION_ALPHA`] and those of [`CrossQueryDiagnoser`].
+/// Service-plane configuration. The tenancy model's one parameter is a
+/// constant, [`CONTENTION_ALPHA`].
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
     /// Admission bounds (run slots and queue depth).
@@ -280,8 +208,8 @@ pub struct ServiceReport {
     pub queries: Vec<(QueryId, QueryOutcome)>,
     /// Admission statistics over the batch.
     pub admission: AdmissionStats,
-    /// Cross-query tenant rebalances deployed (summed over threaded
-    /// reports).
+    /// Tenant rebalances deployed: accepted rebalances away from a node
+    /// shared with another query (summed over threaded reports).
     pub tenant_rebalances: u64,
 }
 
@@ -300,11 +228,10 @@ struct ServiceState {
 pub struct QueryService {
     state: Mutex<ServiceState>,
     ledger: Arc<ContentionLedger>,
-    diagnoser: Arc<Mutex<CrossQueryDiagnoser>>,
 }
 
 impl QueryService {
-    /// Creates a service with the given bounds and tenancy model.
+    /// Creates a service with the given admission bounds.
     pub fn new(config: ServiceConfig) -> Result<Self> {
         Ok(QueryService {
             state: Mutex::new(ServiceState {
@@ -312,13 +239,7 @@ impl QueryService {
                 tickets: HashMap::new(),
             }),
             ledger: Arc::new(ContentionLedger::default()),
-            diagnoser: Arc::new(Mutex::new(CrossQueryDiagnoser::new())),
         })
-    }
-
-    /// The shared contention ledger (for inspection in tests/benches).
-    pub fn ledger(&self) -> &Arc<ContentionLedger> {
-        &self.ledger
     }
 
     /// Admission statistics so far.
@@ -420,23 +341,12 @@ impl QueryService {
         match submission.run {
             QueryRun::Threaded(config) => {
                 let mut config = *config;
-                let placement = stage_placement(&plan);
-                if let Some((nodes, initial)) = &placement {
-                    self.diagnoser
-                        .lock()
-                        .register_query(id, nodes.clone(), initial.clone());
-                    self.ledger.enter(nodes);
-                    config.tenancy = Some(TenancyHandle::new(
-                        nodes.clone(),
-                        Arc::clone(&self.ledger),
-                        Arc::clone(&self.diagnoser),
-                    ));
+                if let Some(stage) = plan.stages.first() {
+                    self.ledger.enter(id, &stage.nodes);
+                    config.tenancy = Some(Arc::clone(&self.ledger));
                 }
                 let out = ThreadedExecutor::new(submission.catalog, config).run(&plan);
-                if let Some((nodes, _)) = &placement {
-                    self.ledger.exit(nodes);
-                    self.diagnoser.lock().deregister_query(id);
-                }
+                self.ledger.exit(id);
                 match out {
                     Ok(report) => QueryOutcome::Threaded(report),
                     Err(e) => QueryOutcome::Failed {
@@ -456,62 +366,88 @@ impl QueryService {
     }
 }
 
-/// The first stage's partition→node placement and initially deployed
-/// distribution — what the cross-query diagnoser needs to know about a
-/// tenant.
-fn stage_placement(plan: &DistributedPlan) -> Option<(Vec<NodeId>, DistributionVector)> {
-    let stage = plan.stages.first()?;
-    let initial = match &stage.exchange.routing {
-        RoutingPolicy::Weighted { initial } => initial.clone(),
-        RoutingPolicy::HashBuckets { initial, .. } => initial.clone(),
-    };
-    Some((stage.nodes.clone(), initial))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn q(id: u32) -> QueryId {
+        QueryId::new(id)
+    }
+
+    fn n(id: u32) -> NodeId {
+        NodeId::new(id)
+    }
+
     #[test]
     fn ledger_counts_tenants_and_inflates_cost() {
         let ledger = ContentionLedger::default();
-        let shared = [NodeId::new(1), NodeId::new(2)];
-        let factor = |node: u32| contention_factor(ledger.tenants(NodeId::new(node)));
+        let factor = |node: u32| contention_factor(ledger.tenants(n(node)));
         assert!((factor(1) - 1.0).abs() < 1e-12);
-        ledger.enter(&shared);
-        assert_eq!(ledger.tenants(NodeId::new(1)), 1);
+        ledger.enter(q(1), &[n(1), n(2)]);
+        assert_eq!(ledger.tenants(n(1)), 1);
         // One tenant: no inflation.
         assert!((factor(1) - 1.0).abs() < 1e-12);
-        ledger.enter(&[NodeId::new(1)]);
-        assert_eq!(ledger.tenants(NodeId::new(1)), 2);
+        ledger.enter(q(2), &[n(1)]);
+        assert_eq!(ledger.tenants(n(1)), 2);
         // Two tenants: one alpha more.
         assert!((factor(1) - (1.0 + CONTENTION_ALPHA)).abs() < 1e-12);
-        ledger.enter(&[NodeId::new(1)]);
+        ledger.enter(q(3), &[n(1)]);
         assert!((factor(1) - (1.0 + 2.0 * CONTENTION_ALPHA)).abs() < 1e-12);
-        ledger.exit(&[NodeId::new(1)]);
-        ledger.exit(&[NodeId::new(1)]);
-        ledger.exit(&shared);
-        assert_eq!(ledger.tenants(NodeId::new(1)), 0);
-        assert_eq!(ledger.tenants(NodeId::new(2)), 0);
+        ledger.exit(q(2));
+        ledger.exit(q(3));
+        ledger.exit(q(1));
+        assert_eq!(ledger.tenants(n(1)), 0);
+        assert_eq!(ledger.tenants(n(2)), 0);
     }
 
     #[test]
     fn ledger_counts_a_query_once_per_node() {
         let ledger = ContentionLedger::default();
-        // Two partitions co-hosted on one node still count as one tenant.
-        ledger.enter(&[NodeId::new(3), NodeId::new(3)]);
-        assert_eq!(ledger.tenants(NodeId::new(3)), 1);
-        ledger.exit(&[NodeId::new(3), NodeId::new(3)]);
-        assert_eq!(ledger.tenants(NodeId::new(3)), 0);
+        // Two partitions co-hosted on one node still count as one tenant,
+        // and so does entering twice.
+        ledger.enter(q(1), &[n(3), n(3)]);
+        ledger.enter(q(1), &[n(3)]);
+        assert_eq!(ledger.tenants(n(3)), 1);
+        ledger.exit(q(1));
+        assert_eq!(ledger.tenants(n(3)), 0);
     }
 
     #[test]
     fn counter_is_shared_with_live_entries() {
         let ledger = ContentionLedger::default();
-        let ctr = ledger.counter(NodeId::new(7));
-        ledger.enter(&[NodeId::new(7)]);
+        let ctr = ledger.counter(n(7));
+        ledger.enter(q(1), &[n(7)]);
         assert_eq!(ctr.load(Ordering::Relaxed), 1);
-        ledger.enter(&[NodeId::new(7)]);
+        ledger.enter(q(2), &[n(7)]);
         assert_eq!(ctr.load(Ordering::Relaxed), 2);
+        ledger.exit(q(1));
+        assert_eq!(ctr.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn ledger_names_the_co_tenant_a_rebalance_is_attributed_to() {
+        let ledger = ContentionLedger::default();
+        // Node 2 is shared by queries 1, 3 and 4; nodes 1 and 3 are
+        // private to queries 1 and 4.
+        ledger.enter(q(4), &[n(3), n(2)]);
+        ledger.enter(q(1), &[n(1), n(2)]);
+        ledger.enter(q(3), &[n(2)]);
+        // A shared node names the lowest-id other query.
+        assert_eq!(ledger.co_tenant(q(1), n(2)), Some(q(3)));
+        assert_eq!(ledger.co_tenant(q(4), n(2)), Some(q(1)));
+        // A private node, or one the ledger never saw, names none.
+        assert_eq!(ledger.co_tenant(q(1), n(1)), None);
+        assert_eq!(ledger.co_tenant(q(4), n(3)), None);
+        assert_eq!(ledger.co_tenant(q(1), n(9)), None);
+        // After `exit` the query is no longer named, and a co-resident's
+        // entry survives.
+        ledger.exit(q(1));
+        assert_eq!(ledger.co_tenant(q(4), n(2)), Some(q(3)));
+        assert_eq!(ledger.co_tenant(q(3), n(2)), Some(q(4)));
+        assert_eq!(ledger.tenants(n(1)), 0);
+        assert_eq!(ledger.tenants(n(3)), 1);
+        ledger.exit(q(3));
+        assert_eq!(ledger.co_tenant(q(4), n(2)), None);
+        assert_eq!(ledger.tenants(n(2)), 1);
     }
 }

@@ -110,22 +110,20 @@ pub enum TimelineKind {
         /// Sequence number of the matching [`TimelineKind::RecallStart`].
         start_seq: u64,
     },
-    /// The cross-query diagnoser proposed a tenant rebalance: one
-    /// query's weights shift away from a node whose cost is inflated by
-    /// a co-resident query. Plays the diagnosis role in the causal
-    /// chain — a [`TimelineKind::Deploy`] may link here through its
-    /// `diagnosis_seq`.
+    /// The responder accepted a diagnosis whose costliest partition sits
+    /// on a node shared with another query (service plane only): the
+    /// deploy that follows is a tenant rebalance, attributed to that
+    /// co-tenant. An annotation on the query's own chain, not a link in
+    /// it — the [`TimelineKind::Deploy`] still links the diagnosis.
     TenantRebalance {
         /// The query whose distribution shifts.
         query: String,
-        /// The co-resident tenant diagnosed as the contention source.
+        /// The co-resident tenant the contention is attributed to.
         induced_by: String,
         /// The contended node.
         node: String,
-        /// Proposed per-partition weights for `query`.
-        proposed: Vec<f64>,
-        /// Sequence number of the detector notification behind this.
-        notify_seq: u64,
+        /// Sequence number of the accepted [`TimelineKind::Diagnosis`].
+        diagnosis_seq: u64,
     },
     /// A node died: its consumer thread reported its own crash on the way
     /// out (threaded substrate), or a `NodeFail` event fired (simulator).
@@ -279,14 +277,12 @@ impl TimelineEvent {
                 query,
                 induced_by,
                 node,
-                proposed,
-                notify_seq,
+                diagnosis_seq,
             } => {
                 obj.str("query", query)
                     .str("induced_by", induced_by)
                     .str("node", node)
-                    .raw("proposed", &num_array(proposed))
-                    .int("notify_seq", *notify_seq);
+                    .int("diagnosis_seq", *diagnosis_seq);
             }
             TimelineKind::NodeDown { partition } => {
                 obj.str("partition", partition);
@@ -477,6 +473,12 @@ mod tests {
                 replayed: 42,
                 down_seq: 8,
             },
+            TimelineKind::TenantRebalance {
+                query: "q2".into(),
+                induced_by: "q1".into(),
+                node: "n2".into(),
+                diagnosis_seq: 3,
+            },
         ];
         let t = Timeline::new(16);
         for (i, kind) in kinds.into_iter().enumerate() {
@@ -496,7 +498,8 @@ mod tests {
                 "recall_start",
                 "recall_finish",
                 "node_down",
-                "failover"
+                "failover",
+                "tenant_rebalance"
             ]
         );
         for event in &events {
@@ -541,5 +544,9 @@ mod tests {
             failover.get("partition").and_then(Json::as_str),
             Some("sp1.1")
         );
+        // A tenant rebalance annotates the accepted diagnosis.
+        let tenant = Json::parse(&events[10].to_json_line()).unwrap();
+        assert_eq!(tenant.get("diagnosis_seq").and_then(Json::as_u64), Some(3));
+        assert_eq!(tenant.get("induced_by").and_then(Json::as_str), Some("q1"));
     }
 }

@@ -11,13 +11,15 @@
 //! 2. **State**: a stateful query's retrospective recall migrates its
 //!    own operator state only; a co-resident stateless query records
 //!    zero recalled or migrated tuples and no recall events.
-//! 3. **Diagnosis**: cross-query contention is attributed to the
-//!    *correct* co-resident tenant, and the resulting tenant rebalance
-//!    carries an intact causal chain in the obs timeline
-//!    (`Deploy → TenantRebalance → DetectorNotify → RawM1`).
+//! 3. **Diagnosis**: a contended query adapts through its own detector →
+//!    diagnoser → responder chain, once per notification, and the
+//!    accepted rebalance is attributed to the *correct* co-resident
+//!    tenant (`TenantRebalance → Diagnosis ← Deploy`, then
+//!    `Diagnosis → DetectorNotify → RawM1`).
 
 use std::collections::HashMap;
 
+use gridq::adapt::COOLDOWN_MS;
 use gridq::chaos::{run_on, Knobs, Substrate, Workload};
 use gridq::common::QueryId;
 use gridq::engine::fixtures::multiset;
@@ -290,26 +292,23 @@ fn stateful_recall_never_leaks_into_a_co_resident_stateless_query() {
     );
 }
 
-/// Cross-query diagnosis end to end: a long-running query contends two
-/// of a three-node query's evaluators, the shared diagnoser attributes
-/// the cost skew to the co-resident tenant, and the deployed tenant
-/// rebalance leaves an intact causal chain in the obs timeline —
-/// `Deploy.diagnosis_seq → TenantRebalance.notify_seq →
-/// DetectorNotify.raw_seq → RawM1` — naming both queries correctly.
-#[test]
-fn contention_diagnoses_a_tenant_rebalance_with_an_intact_causal_chain() {
-    // The contention source: evaluators 1-2, monitoring off, scaled to
-    // outlive the observer's warm-up by a wide margin.
+/// Runs the contended pair through one two-slot service: a long-running
+/// static Q1 on evaluators 1-2 (the contention source) beside an
+/// adapting Q1 on evaluators 1-3 (the observer). Node 3 stays
+/// uncontended, so the modelled contention (alpha = 1.0 doubles
+/// shared-node costs) shows up as a *skew* in the observer's M1 stream.
+/// A slow scan keeps the observer's producer streaming, and its
+/// adaptivity loop live, well past the diagnosis. Both multisets must
+/// equal their serial references: contention-induced rerouting never
+/// changes a result. Returns (source, observer) with their epochs.
+fn run_contended_pair(
+    observer_knobs: &Knobs,
+) -> ((QueryId, ThreadedReport), (QueryId, ThreadedReport)) {
     let source = q1(2000);
     let source_knobs = Knobs {
         cost_scale: 0.05,
         ..Knobs::default()
     };
-    // The observer: evaluators 1-3, so node 3 stays uncontended and the
-    // modelled contention (alpha = 1.0 doubles shared-node costs) shows
-    // up as a *skew* its M1 stream can attribute. A slow scan keeps its
-    // producer streaming (and its adaptivity loop live) well past the
-    // diagnosis.
     let observer = Workload::q1(&Q1Experiment {
         tuples: 600,
         evaluators: 3,
@@ -317,54 +316,104 @@ fn contention_diagnoses_a_tenant_rebalance_with_an_intact_causal_chain() {
     })
     .scan_cost_ms(&[5.0]);
 
-    let ref_source = sim_reference(&source, &static_knobs());
-    let ref_observer = sim_reference(&observer, &static_knobs());
-
-    let service = service(2, 0);
-    let report = service.run_batch(vec![
+    let report = service(2, 0).run_batch(vec![
         submit(&source, Substrate::Threaded, &source_knobs),
-        submit(&observer, Substrate::Threaded, &r2_knobs()),
+        submit(&observer, Substrate::Threaded, observer_knobs),
     ]);
+    let [(source_id, source_outcome), (observer_id, observer_outcome)] = &report.queries[..] else {
+        panic!("two submissions, two outcomes: {report:?}");
+    };
+    let (source_run, observer_run) = (threaded(source_outcome), threaded(observer_outcome));
+    assert_eq!(
+        multiset(&source_run.results),
+        sim_reference(&source, &static_knobs())
+    );
+    assert_eq!(
+        multiset(&observer_run.results),
+        sim_reference(&observer, &static_knobs())
+    );
+    assert_eq!(
+        report.tenant_rebalances,
+        source_run.tenant_rebalances + observer_run.tenant_rebalances
+    );
+    (
+        (*source_id, source_run.clone()),
+        (*observer_id, observer_run.clone()),
+    )
+}
 
-    let (source_id, source_outcome) = &report.queries[0];
-    let (observer_id, observer_outcome) = &report.queries[1];
-    let source_run = threaded(source_outcome);
-    let observer_run = threaded(observer_outcome);
+fn timeline(run: &ThreadedReport) -> &[TimelineEvent] {
+    &run.obs.as_ref().expect("obs enabled by default").events
+}
 
-    // Contention-induced rerouting never changes either multiset.
-    assert_eq!(multiset(&source_run.results), ref_source);
-    assert_eq!(multiset(&observer_run.results), ref_observer);
+/// Cross-query contention end to end, on the query's one diagnosis path.
+/// Under R1 the observer's own diagnoser proposes the balanced `W'`, its
+/// responder accepts it, and the deploy is recorded as a tenant
+/// rebalance attributed to the co-resident source:
+/// `TenantRebalance.diagnosis_seq → Diagnosis ← Deploy`, then
+/// `Diagnosis.notify_seq → DetectorNotify.raw_seq → RawM1`. One
+/// notification deploys at most once, and deploys keep the responder's
+/// cooldown apart. Under R2 the same pair deploys only what the
+/// responder accepted.
+#[test]
+fn contention_diagnoses_a_tenant_rebalance_with_an_intact_causal_chain() {
+    let ((source_id, source_run), (observer_id, observer_run)) =
+        run_contended_pair(&r1_knobs(Substrate::Threaded));
 
     // The rebalance happened, on the observer, and only there.
     assert!(
-        report.tenant_rebalances >= 1,
-        "the contended run must diagnose a cross-query rebalance: {report:?}"
+        observer_run.tenant_rebalances >= 1,
+        "the contended observer must rebalance away from a shared node: {observer_run:?}"
     );
-    assert!(observer_run.tenant_rebalances >= 1, "{observer_run:?}");
     assert_eq!(
         source_run.tenant_rebalances, 0,
-        "a query with monitoring off reports no tenant diagnoses: {source_run:?}"
+        "a query with monitoring off reports no tenant rebalances: {source_run:?}"
     );
 
-    // Walk the causal chain in the observer's timeline.
-    let events = &observer_run.obs.as_ref().expect("obs enabled").events;
+    let events = timeline(&observer_run);
     let by_seq: HashMap<u64, &TimelineEvent> = events.iter().map(|e| (e.seq, e)).collect();
+    let notify_of = |diagnosis_seq: u64| match by_seq.get(&diagnosis_seq).map(|e| &e.kind) {
+        Some(TimelineKind::Diagnosis { notify_seq, .. }) => *notify_seq,
+        other => panic!("seq {diagnosis_seq} must be a diagnosis, got {other:?}"),
+    };
+
+    // Every deploy links a diagnosis; no notification deploys twice, and
+    // consecutive deploys are a cooldown apart in model time.
+    let deploys: Vec<(&TimelineEvent, u64)> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TimelineKind::Deploy { diagnosis_seq, .. } => Some((e, diagnosis_seq)),
+            _ => None,
+        })
+        .collect();
+    let mut notifies: Vec<u64> = deploys.iter().map(|(_, d)| notify_of(*d)).collect();
+    notifies.sort_unstable();
+    notifies.dedup();
+    assert_eq!(
+        notifies.len(),
+        deploys.len(),
+        "two deploys chain back to one detector notification: {deploys:?}"
+    );
+    for pair in deploys.windows(2) {
+        let gap = pair[1].0.at_ms - pair[0].0.at_ms;
+        assert!(
+            gap >= COOLDOWN_MS,
+            "deploys {} and {} are {gap} model-ms apart",
+            pair[0].0.seq,
+            pair[1].0.seq
+        );
+    }
+
+    // Walk each tenant rebalance's chain.
     let mut chains = 0;
     for event in events {
-        let TimelineKind::Deploy { diagnosis_seq, .. } = &event.kind else {
-            continue;
-        };
-        let parent = by_seq
-            .get(diagnosis_seq)
-            .unwrap_or_else(|| panic!("dangling diagnosis_seq {diagnosis_seq}"));
         let TimelineKind::TenantRebalance {
             query,
             induced_by,
-            notify_seq,
+            diagnosis_seq,
             ..
-        } = &parent.kind
+        } = &event.kind
         else {
-            // A per-query diagnosis chain; not what this test pins.
             continue;
         };
         assert_eq!(query, &observer_id.to_string());
@@ -373,11 +422,17 @@ fn contention_diagnoses_a_tenant_rebalance_with_an_intact_causal_chain() {
             &source_id.to_string(),
             "contention must be attributed to the co-resident tenant"
         );
+        assert!(
+            deploys.iter().any(|(_, d)| d == diagnosis_seq),
+            "tenant rebalance {} annotates a diagnosis nothing deployed",
+            event.seq
+        );
+        let notify_seq = notify_of(*diagnosis_seq);
         let notify = by_seq
-            .get(notify_seq)
+            .get(&notify_seq)
             .unwrap_or_else(|| panic!("dangling notify_seq {notify_seq}"));
         let TimelineKind::DetectorNotify { raw_seq, .. } = &notify.kind else {
-            panic!("tenant rebalance must chain to a detector notification, got {notify:?}");
+            panic!("the diagnosis must chain to a detector notification, got {notify:?}");
         };
         let raw = by_seq
             .get(raw_seq)
@@ -390,6 +445,25 @@ fn contention_diagnoses_a_tenant_rebalance_with_an_intact_causal_chain() {
     }
     assert!(
         chains >= 1,
-        "at least one deploy must trace back to a tenant rebalance"
+        "at least one deploy must be attributed as a tenant rebalance"
     );
+
+    // Under R2 every deploy is a diagnosis the responder accepted —
+    // never one it declined near completion.
+    let (_, (_, r2_run)) = run_contended_pair(&r2_knobs());
+    let events = timeline(&r2_run);
+    for event in events {
+        let TimelineKind::Deploy { diagnosis_seq, .. } = event.kind else {
+            continue;
+        };
+        let accepted = events.iter().any(|e| {
+            matches!(&e.kind, TimelineKind::ResponderDecision { decision, diagnosis_seq: d }
+                if *d == diagnosis_seq && decision == "accepted")
+        });
+        assert!(
+            accepted,
+            "deploy {} links diagnosis {diagnosis_seq}, which the responder did not accept",
+            event.seq
+        );
+    }
 }
