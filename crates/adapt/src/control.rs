@@ -11,6 +11,10 @@
 //! modelled control latencies, the threaded adaptation thread hands both
 //! on at once.
 //!
+//! The loop also counts its own records ([`LoopCounts`]), whether or
+//! not a timeline keeps them: a driver's report copies these counts and
+//! never keeps its own.
+//!
 //! Because every input the loop consumes is recorded — the raw events
 //! with their values, the progress reading on each
 //! [`TimelineKind::ResponderDecision`], the instant of each
@@ -21,13 +25,13 @@ use std::sync::Arc;
 
 use gridq_common::cast;
 use gridq_common::obs::{Journal, MetricSink, TimelineKind};
-use gridq_common::{DistributionVector, PartitionId, QueryId, SimTime, SubplanId};
+use gridq_common::{DistributionVector, LoopCounts, PartitionId, QueryId, SimTime, SubplanId};
 
 use crate::config::{AdaptivityConfig, ResponsePolicy};
 use crate::detector::{DetectorOutput, MonitoringEventDetector};
 use crate::diagnoser::Diagnoser;
 use crate::notifications::{M1, M2};
-use crate::responder::{AdaptationCommand, Responder};
+use crate::responder::{AdaptationCommand, Responder, ResponderDecision};
 
 /// A detector notification on its way to the Diagnoser.
 #[derive(Debug, Clone)]
@@ -88,8 +92,7 @@ pub struct ControlLoop {
     detector: MonitoringEventDetector,
     diagnoser: Diagnoser,
     responder: Responder,
-    /// Partitions reported dead: no deploy gives them weight again.
-    dead: Vec<bool>,
+    counts: LoopCounts,
     journal: Arc<dyn Journal>,
     sink: Arc<dyn MetricSink>,
 }
@@ -121,11 +124,10 @@ impl ControlLoop {
                 },
             );
         }
-        let partitions = initial.len();
         let mut detector = MonitoringEventDetector::new(config);
         let mut diagnoser = Diagnoser::new(
             stage,
-            cast::index_to_u32(partitions).unwrap_or(u32::MAX),
+            cast::index_to_u32(initial.len()).unwrap_or(u32::MAX),
             initial,
             config,
         );
@@ -140,34 +142,25 @@ impl ControlLoop {
             detector,
             diagnoser,
             responder,
-            dead: vec![false; partitions],
+            counts: LoopCounts::default(),
             journal,
             sink,
         }
     }
 
-    /// The detector (for its counters).
-    pub fn detector(&self) -> &MonitoringEventDetector {
-        &self.detector
-    }
-
-    /// The Diagnoser (for its counters).
-    pub fn diagnoser(&self) -> &Diagnoser {
-        &self.diagnoser
-    }
-
-    /// The Responder (for its counters).
-    pub fn responder(&self) -> &Responder {
-        &self.responder
+    /// What the loop has counted so far.
+    pub fn counts(&self) -> LoopCounts {
+        self.counts
     }
 
     /// Which partitions have been reported dead, by index.
     pub fn dead(&self) -> &[bool] {
-        &self.dead
+        self.diagnoser.dead()
     }
 
     /// A raw M1 reaches the detector.
     pub fn on_m1(&mut self, event: &M1) -> Option<Notice> {
+        self.counts.raw_m1 += 1;
         let output = self.detector.on_m1(event);
         let raw_seq = self.journal.record(
             event.at,
@@ -184,6 +177,7 @@ impl ControlLoop {
 
     /// A raw M2 reaches the detector.
     pub fn on_m2(&mut self, event: &M2) -> Option<Notice> {
+        self.counts.raw_m2 += 1;
         let output = self.detector.on_m2(event);
         let raw_seq = self.journal.record(
             event.at,
@@ -229,6 +223,7 @@ impl ControlLoop {
         let (imbalance, notify_seq) = match &notice.output {
             DetectorOutput::Quiet => return None,
             DetectorOutput::Cost(update) => {
+                self.counts.notifications += 1;
                 let notify_seq = self.journal.record(
                     update.at,
                     TimelineKind::DetectorNotify {
@@ -241,6 +236,7 @@ impl ControlLoop {
                 (self.diagnoser.on_cost_update(update)?, notify_seq)
             }
             DetectorOutput::Comm(update) => {
+                self.counts.notifications += 1;
                 let notify_seq = self.journal.record(
                     update.at,
                     TimelineKind::DetectorNotify {
@@ -253,6 +249,7 @@ impl ControlLoop {
                 (self.diagnoser.on_comm_update(update)?, notify_seq)
             }
         };
+        self.counts.diagnoses += 1;
         let diagnosis_seq = self.journal.record(
             imbalance.at,
             TimelineKind::Diagnosis {
@@ -263,6 +260,11 @@ impl ControlLoop {
             },
         );
         let (decision, command) = self.responder.on_imbalance(&imbalance, progress);
+        match decision {
+            ResponderDecision::Accepted => {}
+            ResponderDecision::NearCompletion => self.counts.declined_near_completion += 1,
+            ResponderDecision::CoolingDown => self.counts.declined_cooldown += 1,
+        }
         self.journal.record(
             now,
             TimelineKind::ResponderDecision {
@@ -289,14 +291,11 @@ impl ControlLoop {
     pub fn target(&mut self, accepted: &Accepted) -> Option<DistributionVector> {
         let mut target = accepted.command.new_distribution.clone();
         let weights = target.weights();
-        if weights
-            .iter()
-            .zip(&self.dead)
-            .any(|(&w, &dead)| dead && w > 0.0)
-        {
+        let dead = self.diagnoser.dead();
+        if weights.iter().zip(dead).any(|(&w, &dead)| dead && w > 0.0) {
             let live: Vec<f64> = weights
                 .iter()
-                .zip(&self.dead)
+                .zip(dead)
                 .map(|(&w, &dead)| if dead { 0.0 } else { w })
                 .collect();
             target = DistributionVector::new(&live).ok()?;
@@ -307,7 +306,13 @@ impl ControlLoop {
 
     /// The driver swapped `target` into the router at `at`: records the
     /// [`TimelineKind::Deploy`] and returns its sequence number.
-    pub fn deployed(&self, accepted: &Accepted, target: &DistributionVector, at: SimTime) -> u64 {
+    pub fn deployed(
+        &mut self,
+        accepted: &Accepted,
+        target: &DistributionVector,
+        at: SimTime,
+    ) -> u64 {
+        self.counts.deploys += 1;
         self.journal.record(
             at,
             TimelineKind::Deploy {
@@ -330,19 +335,19 @@ impl ControlLoop {
     /// The partitions at `indices` (all on one node) died at `at`. The
     /// Responder accepts the failover unconditionally and restarts its
     /// cooldown; the detector forgets the dead partitions' streams, which
-    /// will never report again. The Diagnoser keeps their costs, since
-    /// its assessment needs a complete cost picture; [`Self::target`]
-    /// keeps them out of every deploy. Returns one
-    /// [`TimelineKind::NodeDown`] sequence number per partition.
+    /// will never report again; the Diagnoser drops their costs and
+    /// assesses the survivors alone, so a proposal never weights a dead
+    /// partition and the `thres_a` test compares the vector that would
+    /// be deployed. [`Self::target`] still clamps a proposal accepted
+    /// before the death. Returns one [`TimelineKind::NodeDown`] sequence
+    /// number per partition.
     pub fn node_down(&mut self, indices: &[u32], at: SimTime) -> Vec<u64> {
         self.responder.on_node_failure(at);
         let mut down = Vec::with_capacity(indices.len());
         for &index in indices {
             let partition = PartitionId::new(self.stage, index);
-            let slot = usize::try_from(index).ok();
-            if let Some(dead) = slot.and_then(|i| self.dead.get_mut(i)) {
-                *dead = true;
-            }
+            self.counts.node_downs += 1;
+            self.diagnoser.retire_partition(index);
             self.detector.retire_partition(self.query, partition);
             down.push(self.journal.record(
                 at,
@@ -365,6 +370,8 @@ impl ControlLoop {
         weights: DistributionVector,
         at: SimTime,
     ) {
+        self.counts.failovers += 1;
+        self.counts.replayed += replayed;
         self.journal.record(
             at,
             TimelineKind::Failover {
@@ -402,8 +409,73 @@ impl ControlLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AssessmentPolicy;
+    use crate::config::{AssessmentPolicy, COOLDOWN_MS};
+    use crate::notifications::ProducerId;
     use gridq_common::obs::NullSink;
+    use gridq_common::sync::Mutex;
+    use gridq_common::NodeId;
+
+    /// A journal that keeps every record, to count them.
+    #[derive(Debug, Default)]
+    struct Tape(Mutex<Vec<TimelineKind>>);
+
+    impl Journal for Tape {
+        fn record(&self, _at: SimTime, kind: TimelineKind) -> u64 {
+            let mut tape = self.0.lock();
+            tape.push(kind);
+            tape.len() as u64
+        }
+    }
+
+    impl Tape {
+        fn count(&self, of: fn(&TimelineKind) -> bool) -> u64 {
+            self.0.lock().iter().filter(|k| of(k)).count() as u64
+        }
+    }
+
+    /// A taped A1/R1 loop over `partitions` whose detector window is one
+    /// sample, so each M1 reports its cost as is.
+    fn taped(partitions: usize) -> (ControlLoop, Arc<Tape>) {
+        let tape = Arc::new(Tape::default());
+        let config = AdaptivityConfig {
+            detector_window: 1,
+            ..AdaptivityConfig::with_policies(AssessmentPolicy::A1, ResponsePolicy::R1)
+        };
+        let control = ControlLoop::new(
+            QueryId::new(0),
+            SubplanId::new(1),
+            DistributionVector::uniform(partitions),
+            &config,
+            Arc::clone(&tape) as Arc<dyn Journal>,
+            Arc::new(NullSink),
+        );
+        (control, tape)
+    }
+
+    /// Partition `index` reports `cost` at `at_ms`; a notice reaches the
+    /// Diagnoser at once, early in the query. Returns what was accepted.
+    fn report(c: &mut ControlLoop, index: u32, cost: f64, at_ms: f64) -> Option<Accepted> {
+        let at = SimTime::from_millis(at_ms);
+        let notice = c.on_m1(&M1 {
+            query: QueryId::new(0),
+            partition: PartitionId::new(SubplanId::new(1), index),
+            node: NodeId::new(index + 1),
+            cost_per_tuple_ms: cost,
+            leaf_wait_ms: 0.0,
+            selectivity: 1.0,
+            tuples_produced: 1,
+            at,
+        })?;
+        c.on_notice(notice, at, 0.1)
+    }
+
+    /// Deploys `accepted` the way a driver does, acknowledging at once.
+    fn deploy(c: &mut ControlLoop, accepted: &Accepted, at_ms: f64) {
+        let at = SimTime::from_millis(at_ms);
+        let target = c.target(accepted).unwrap();
+        let seq = c.deployed(accepted, &target, at);
+        c.acknowledged(seq, at);
+    }
 
     fn control(response: ResponsePolicy) -> ControlLoop {
         ControlLoop::new(
@@ -441,6 +513,111 @@ mod tests {
             c.target(&proposal(&[0.2, 0.3, 0.5])),
             None,
             "no live weight"
+        );
+    }
+
+    /// After a death the survivors' costs imply the W already in force:
+    /// no diagnosis, so no deploy (under R1 that deploy would be a full
+    /// recall that moves nothing).
+    #[test]
+    fn after_a_death_the_survivors_costs_deploy_nothing() {
+        let (mut c, tape) = taped(2);
+        assert!(report(&mut c, 0, 1.0, 1.0).is_none());
+        assert!(report(&mut c, 1, 1.0, 1.0).is_none(), "balanced");
+        let down = c.node_down(&[0], SimTime::from_millis(10.0));
+        let only_survivor = DistributionVector::new(&[0.0, 1.0]).unwrap();
+        c.failed_over(0, down[0], 0, only_survivor, SimTime::from_millis(10.0));
+        // Well past the cooldown, the survivor reports a new cost: the
+        // vector it implies is the one in force.
+        let later = 10.0 + 2.0 * COOLDOWN_MS;
+        assert_eq!(report(&mut c, 1, 2.0, later), None);
+        assert_eq!(report(&mut c, 1, 5.0, later + 1.0), None);
+        assert_eq!(c.counts().notifications, 4, "each report reached it");
+        assert_eq!(c.counts().diagnoses, 0);
+        assert_eq!(tape.count(|k| matches!(k, TimelineKind::Deploy { .. })), 0);
+    }
+
+    /// Every count the loop hands a report is the number of one kind of
+    /// record in its journal.
+    #[test]
+    fn each_count_is_the_number_of_its_records() {
+        let (mut c, tape) = taped(3);
+        for index in 0..3 {
+            assert!(report(&mut c, index, 1.0, 1.0).is_none());
+        }
+        let accepted = report(&mut c, 2, 4.0, 2.0).expect("p2 slowed: rebalance");
+        deploy(&mut c, &accepted, 2.0);
+        assert!(
+            report(&mut c, 2, 8.0, 10.0).is_none(),
+            "declined: cooling down"
+        );
+        // A raw M2 notifies too; A1 assesses no communication cost.
+        let notice = c.on_m2(&M2 {
+            query: QueryId::new(0),
+            producer: ProducerId::Source(0),
+            recipient: PartitionId::new(SubplanId::new(1), 0),
+            send_cost_ms: 3.0,
+            tuples_in_buffer: 3,
+            at: SimTime::from_millis(11.0),
+        });
+        assert!(c
+            .on_notice(notice.unwrap(), SimTime::from_millis(11.0), 0.1)
+            .is_none());
+        let down = c.node_down(&[2], SimTime::from_millis(20.0));
+        let survivors = DistributionVector::new(&[0.5, 0.5, 0.0]).unwrap();
+        c.failed_over(2, down[0], 7, survivors, SimTime::from_millis(20.0));
+
+        let counts = c.counts();
+        let records = |of: fn(&TimelineKind) -> bool| tape.count(of);
+        assert_eq!(
+            counts.raw_m1,
+            records(|k| matches!(k, TimelineKind::RawM1 { .. }))
+        );
+        assert_eq!(
+            counts.raw_m2,
+            records(|k| matches!(k, TimelineKind::RawM2 { .. }))
+        );
+        assert_eq!(
+            counts.notifications,
+            records(|k| matches!(k, TimelineKind::DetectorNotify { .. }))
+        );
+        assert_eq!(
+            counts.diagnoses,
+            records(|k| matches!(k, TimelineKind::Diagnosis { .. }))
+        );
+        assert_eq!(
+            counts.deploys,
+            records(|k| matches!(k, TimelineKind::Deploy { .. }))
+        );
+        assert_eq!(
+            counts.node_downs,
+            records(|k| matches!(k, TimelineKind::NodeDown { .. }))
+        );
+        assert_eq!(
+            counts.failovers,
+            records(|k| matches!(k, TimelineKind::Failover { .. }))
+        );
+        assert_eq!(
+            counts.declined_cooldown + counts.declined_near_completion,
+            records(|k| matches!(
+                k,
+                TimelineKind::ResponderDecision { decision, .. } if decision != "accepted"
+            ))
+        );
+        assert_eq!(
+            counts,
+            LoopCounts {
+                raw_m1: 5,
+                raw_m2: 1,
+                notifications: 6,
+                diagnoses: 2,
+                declined_near_completion: 0,
+                declined_cooldown: 1,
+                deploys: 1,
+                node_downs: 1,
+                failovers: 1,
+                replayed: 7,
+            }
         );
     }
 

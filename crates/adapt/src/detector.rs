@@ -83,10 +83,6 @@ pub struct MonitoringEventDetector {
     m1: HashMap<(QueryId, PartitionId), Tracked>,
     m2: HashMap<(QueryId, ProducerId, PartitionId), Tracked>,
     sink: Arc<dyn MetricSink>,
-    /// Raw events received.
-    pub raw_events_seen: u64,
-    /// Notifications emitted to Diagnosers.
-    pub notifications_sent: u64,
     /// Non-finite cost samples rejected instead of entering a window.
     pub rejected_samples: u64,
 }
@@ -99,8 +95,6 @@ impl MonitoringEventDetector {
             m1: HashMap::new(),
             m2: HashMap::new(),
             sink: Arc::new(NullSink),
-            raw_events_seen: 0,
-            notifications_sent: 0,
             rejected_samples: 0,
         }
     }
@@ -129,7 +123,6 @@ impl MonitoringEventDetector {
 
     /// Feeds an M1 event.
     pub fn on_m1(&mut self, event: &M1) -> DetectorOutput {
-        self.raw_events_seen += 1;
         self.sink.incr("detector.raw_events", 1);
         let key = (event.query, event.partition);
         let tracked = Self::tracked(&mut self.m1, key, self.window_len);
@@ -155,7 +148,6 @@ impl MonitoringEventDetector {
         if tracked.gate.observe(avg) {
             let window_len = tracked.window.len();
             let avg_wait_ms = tracked.wait_window.trimmed_mean().unwrap_or(0.0);
-            self.notifications_sent += 1;
             self.sink.incr("detector.notifications", 1);
             DetectorOutput::Cost(CostUpdate {
                 partition: event.partition,
@@ -172,7 +164,6 @@ impl MonitoringEventDetector {
 
     /// Feeds an M2 event.
     pub fn on_m2(&mut self, event: &M2) -> DetectorOutput {
-        self.raw_events_seen += 1;
         self.sink.incr("detector.raw_events", 1);
         let key = (event.query, event.producer, event.recipient);
         let tracked = Self::tracked(&mut self.m2, key, self.window_len);
@@ -188,7 +179,6 @@ impl MonitoringEventDetector {
         self.sink.observe("detector.m2_avg_cost_ms", avg);
         if tracked.gate.observe(avg) {
             let window_len = tracked.window.len();
-            self.notifications_sent += 1;
             self.sink.incr("detector.notifications", 1);
             DetectorOutput::Comm(CommUpdate {
                 producer: event.producer,
@@ -266,7 +256,6 @@ mod tests {
     fn first_event_always_notifies() {
         let mut d = MonitoringEventDetector::new(&config());
         assert!(matches!(d.on_m1(&m1(0, 2.0, 0.0)), DetectorOutput::Cost(_)));
-        assert_eq!(d.notifications_sent, 1);
     }
 
     #[test]
@@ -278,8 +267,6 @@ mod tests {
             let cost = 2.0 * (1.0 + if i % 2 == 0 { 0.05 } else { -0.05 });
             assert_eq!(d.on_m1(&m1(0, cost, i as f64)), DetectorOutput::Quiet);
         }
-        assert_eq!(d.notifications_sent, 1);
-        assert_eq!(d.raw_events_seen, 50);
     }
 
     #[test]
@@ -321,11 +308,9 @@ mod tests {
         for i in 1..20 {
             let _ = d.on_m1(&m1(0, 2.0, i as f64));
         }
-        let before = d.notifications_sent;
         // One enormous spike: the trimmed mean discards the max, so no
         // notification fires.
         assert_eq!(d.on_m1(&m1(0, 200.0, 20.0)), DetectorOutput::Quiet);
-        assert_eq!(d.notifications_sent, before);
     }
 
     #[test]
@@ -365,7 +350,6 @@ mod tests {
         let mut d = MonitoringEventDetector::new(&config());
         assert_eq!(d.on_m1(&m1(0, f64::NAN, 0.0)), DetectorOutput::Quiet);
         assert_eq!(d.rejected_samples, 1);
-        assert_eq!(d.notifications_sent, 0);
         // The first finite sample then notifies as usual.
         assert!(matches!(d.on_m1(&m1(0, 2.0, 1.0)), DetectorOutput::Cost(_)));
         // Same for M2.
@@ -414,8 +398,6 @@ mod tests {
         assert_eq!(d.tracked_streams(), 2);
         d.reset_for_query(QueryId::new(0));
         assert_eq!(d.tracked_streams(), 0);
-        // Counters survive for reporting.
-        assert_eq!(d.raw_events_seen, 4);
     }
 
     fn m1_for(query: u32, partition_index: u32, cost: f64, at_ms: f64) -> M1 {

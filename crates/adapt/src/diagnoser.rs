@@ -26,7 +26,8 @@ pub struct Imbalance {
     pub stage: SubplanId,
     /// The proposed balanced distribution `W'`.
     pub proposed: DistributionVector,
-    /// The per-partition costs `c(p_i)` that produced the proposal.
+    /// The per-partition costs `c(p_i)` that produced the proposal (0 for
+    /// a dead partition, which takes no weight).
     pub costs: Vec<f64>,
     /// Diagnosis time.
     pub at: SimTime,
@@ -47,11 +48,10 @@ pub struct Diagnoser {
     /// Latest smoothed per-tuple communication cost per
     /// (producer, recipient-partition).
     comm_cost: HashMap<(ProducerId, u32), f64>,
+    /// Partitions retired by a node death: they report no cost and are
+    /// proposed no weight.
+    dead: Vec<bool>,
     sink: Arc<dyn MetricSink>,
-    /// Diagnoses emitted.
-    pub imbalances_reported: u64,
-    /// Updates received.
-    pub updates_received: u64,
 }
 
 impl Diagnoser {
@@ -72,20 +72,14 @@ impl Diagnoser {
             current: initial,
             proc_cost: HashMap::new(),
             comm_cost: HashMap::new(),
+            dead: vec![false; partitions as usize],
             sink: Arc::new(NullSink),
-            imbalances_reported: 0,
-            updates_received: 0,
         }
     }
 
     /// Attaches a metrics sink; `NullSink` is used until one is set.
     pub fn set_metric_sink(&mut self, sink: Arc<dyn MetricSink>) {
         self.sink = sink;
-    }
-
-    /// The stage this diagnoser watches.
-    pub fn stage(&self) -> SubplanId {
-        self.stage
     }
 
     /// Records that the Responder deployed a new distribution
@@ -95,12 +89,31 @@ impl Diagnoser {
         self.current = dist;
     }
 
+    /// Which partitions have been retired, by index.
+    pub fn dead(&self) -> &[bool] {
+        &self.dead
+    }
+
+    /// Partition `index` died: its costs are forgotten, later updates
+    /// about it are ignored, and every proposal gives it weight 0.
+    pub fn retire_partition(&mut self, index: u32) {
+        if let Some(dead) = self.dead.get_mut(index as usize) {
+            *dead = true;
+        }
+        self.proc_cost.remove(&index);
+        self.comm_cost
+            .retain(|(_, recipient), _| *recipient != index);
+    }
+
+    fn is_dead(&self, index: u32) -> bool {
+        self.dead.get(index as usize) == Some(&true)
+    }
+
     /// Feeds a processing-cost update from a detector.
     pub fn on_cost_update(&mut self, update: &CostUpdate) -> Option<Imbalance> {
-        if update.partition.subplan != self.stage {
+        if update.partition.subplan != self.stage || self.is_dead(update.partition.index) {
             return None;
         }
-        self.updates_received += 1;
         self.sink.incr("diagnoser.updates_received", 1);
         self.proc_cost
             .insert(update.partition.index, update.avg_cost_ms);
@@ -110,10 +123,9 @@ impl Diagnoser {
     /// Feeds a communication-cost update from a detector. Only used under
     /// assessment policy A2.
     pub fn on_comm_update(&mut self, update: &CommUpdate) -> Option<Imbalance> {
-        if update.recipient.subplan != self.stage {
+        if update.recipient.subplan != self.stage || self.is_dead(update.recipient.index) {
             return None;
         }
-        self.updates_received += 1;
         self.sink.incr("diagnoser.updates_received", 1);
         self.comm_cost.insert(
             (update.producer, update.recipient.index),
@@ -148,16 +160,30 @@ impl Diagnoser {
     }
 
     fn assess(&mut self, at: SimTime) -> Option<Imbalance> {
-        // Need cost information for every partition before proposing a
-        // rebalance: a partition that has not reported yet would be
-        // assigned a default cost and could absorb the whole workload.
-        let mut costs = Vec::with_capacity(self.partitions as usize);
-        for i in 0..self.partitions {
-            costs.push(self.cost_of(i)?);
+        // Need cost information for every live partition before
+        // proposing a rebalance: a partition that has not reported yet
+        // would be assigned a default cost and could absorb the whole
+        // workload.
+        let mut costs = vec![0.0; self.partitions as usize];
+        let mut live = Vec::with_capacity(costs.len());
+        for i in (0..self.partitions).filter(|&i| !self.is_dead(i)) {
+            costs[i as usize] = self.cost_of(i)?;
+            live.push(costs[i as usize]);
         }
-        let proposed = DistributionVector::balanced_for_costs(&costs).ok()?;
+        // Dead partitions are proposed no weight; the survivors share it
+        // by cost.
+        let balanced = DistributionVector::balanced_for_costs(&live).ok()?;
+        let mut shares = balanced.weights().iter().copied();
+        let share = |&dead: &bool| {
+            if dead {
+                0.0
+            } else {
+                shares.next().unwrap_or(0.0)
+            }
+        };
+        let weights: Vec<f64> = self.dead.iter().map(share).collect();
+        let proposed = DistributionVector::from_normalized(&weights).ok()?;
         if self.current.max_rel_diff(&proposed) > self.thres_a {
-            self.imbalances_reported += 1;
             self.sink.incr("diagnoser.imbalances_reported", 1);
             Some(Imbalance {
                 stage: self.stage,
@@ -176,8 +202,7 @@ impl Diagnoser {
         self.proc_cost.len() + self.comm_cost.len()
     }
 
-    /// Drops all tracked cost state. Call at query teardown; counters are
-    /// preserved for reporting.
+    /// Drops all tracked cost state. Call at query teardown.
     pub fn reset_for_query(&mut self) {
         self.proc_cost.clear();
         self.comm_cost.clear();
@@ -239,7 +264,6 @@ mod tests {
         let mut d = diagnoser(AssessmentPolicy::A1);
         assert_eq!(d.on_cost_update(&cost_update(0, 2.0)), None);
         assert_eq!(d.on_cost_update(&cost_update(1, 2.1)), None); // ~5% off
-        assert_eq!(d.imbalances_reported, 0);
     }
 
     #[test]
@@ -260,7 +284,6 @@ mod tests {
         let _ = d.on_cost_update(&cost_update(1, 2.0));
         // Huge comm cost to partition 1 — ignored by A1.
         assert_eq!(d.on_comm_update(&comm_update(1, 50.0)), None);
-        assert_eq!(d.imbalances_reported, 0);
     }
 
     #[test]
@@ -287,7 +310,7 @@ mod tests {
             at: SimTime::ZERO,
         };
         assert_eq!(d.on_cost_update(&other), None);
-        assert_eq!(d.updates_received, 0);
+        assert_eq!(d.tracked_cost_entries(), 0);
     }
 
     #[test]
@@ -300,7 +323,32 @@ mod tests {
         assert_eq!(d.tracked_cost_entries(), 4);
         d.reset_for_query();
         assert_eq!(d.tracked_cost_entries(), 0);
-        assert!(d.updates_received > 0, "counters survive reset");
+    }
+
+    #[test]
+    fn a_dead_partition_is_proposed_no_weight() {
+        let config = AdaptivityConfig::default();
+        let mut d = Diagnoser::new(
+            SubplanId::new(1),
+            3,
+            DistributionVector::uniform(3),
+            &config,
+        );
+        let _ = d.on_cost_update(&cost_update(0, 1.0));
+        let _ = d.on_cost_update(&cost_update(1, 1.0));
+        let _ = d.on_cost_update(&cost_update(2, 1.0));
+        d.retire_partition(2);
+        assert_eq!(d.dead(), &[false, false, true]);
+        assert_eq!(d.tracked_cost_entries(), 2, "its cost is forgotten");
+        assert_eq!(d.on_cost_update(&cost_update(2, 1.0)), None, "and stays so");
+        assert_eq!(d.tracked_cost_entries(), 2);
+        let imb = d.on_cost_update(&cost_update(0, 3.0)).unwrap();
+        assert_eq!(imb.proposed.weights(), &[0.25, 0.75, 0.0]);
+        assert_eq!(imb.costs, vec![3.0, 1.0, 0.0]);
+        // Once the survivors' split is in force, their costs propose it
+        // again, which is no imbalance.
+        d.set_distribution(imb.proposed);
+        assert_eq!(d.on_cost_update(&cost_update(1, 1.0)), None);
     }
 
     #[test]

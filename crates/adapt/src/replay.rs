@@ -131,7 +131,7 @@ fn producer(label: &str) -> Option<ProducerId> {
 }
 
 /// The loop a [`TimelineKind::LoopStart`] describes.
-fn start(kind: &TimelineKind, journal: Arc<Playback>) -> Option<(QueryId, ControlLoop)> {
+fn start(kind: &TimelineKind, journal: Arc<Playback>) -> Option<(QueryId, SubplanId, ControlLoop)> {
     let TimelineKind::LoopStart {
         query,
         stage,
@@ -165,7 +165,7 @@ fn start(kind: &TimelineKind, journal: Arc<Playback>) -> Option<(QueryId, Contro
     let stage = SubplanId::new(number(stage, "sp")?);
     let initial = DistributionVector::from_normalized(initial).ok()?;
     let control = ControlLoop::new(query, stage, initial, &config, journal, Arc::new(NullSink));
-    Some((query, control))
+    Some((query, stage, control))
 }
 
 /// Feeds a recorded timeline — `(seq, at_ms, kind)` in sequence order,
@@ -214,7 +214,7 @@ pub fn replay<'a>(
         seq,
         detail: "a recorded label or setting does not parse".into(),
     };
-    let (query, mut control) =
+    let (query, stage, mut control) =
         start(&header, Arc::clone(&playback)).ok_or_else(|| unreadable(first))?;
     let mut notices: HashMap<u64, Notice> = HashMap::new();
     let mut pending: HashMap<u64, Accepted> = HashMap::new();
@@ -296,7 +296,7 @@ pub fn replay<'a>(
                 let accepted = match pending.remove(&diagnosis_seq) {
                     Some(accepted) => accepted,
                     None => Accepted::scripted(AdaptationCommand {
-                        stage: control.diagnoser().stage(),
+                        stage,
                         new_distribution: DistributionVector::from_normalized(&weights)
                             .map_err(|_| unreadable(seq))?,
                         retrospective,

@@ -64,18 +64,6 @@ pub struct Responder {
     progress_cutoff: f64,
     last_adaptation: Option<SimTime>,
     sink: Arc<dyn MetricSink>,
-    /// Proposals received.
-    pub proposals_received: u64,
-    /// Adaptations deployed.
-    pub adaptations_deployed: u64,
-    /// Proposals declined near completion.
-    pub declined_near_completion: u64,
-    /// Proposals declined during cooldown.
-    pub declined_cooldown: u64,
-    /// Deploy acknowledgements received from the execution substrate.
-    pub deploys_acknowledged: u64,
-    /// Node-failure failovers accepted (never declined).
-    pub node_failovers: u64,
 }
 
 impl Responder {
@@ -86,12 +74,6 @@ impl Responder {
             progress_cutoff: config.progress_cutoff,
             last_adaptation: None,
             sink: Arc::new(NullSink),
-            proposals_received: 0,
-            adaptations_deployed: 0,
-            declined_near_completion: 0,
-            declined_cooldown: 0,
-            deploys_acknowledged: 0,
-            node_failovers: 0,
         }
     }
 
@@ -108,22 +90,18 @@ impl Responder {
         imbalance: &Imbalance,
         progress: f64,
     ) -> (ResponderDecision, Option<AdaptationCommand>) {
-        self.proposals_received += 1;
         self.sink.incr("responder.proposals", 1);
         if progress >= self.progress_cutoff {
-            self.declined_near_completion += 1;
             self.sink.incr("responder.declined_near_completion", 1);
             return (ResponderDecision::NearCompletion, None);
         }
         if let Some(last) = self.last_adaptation {
             if imbalance.at.since(last) < COOLDOWN_MS {
-                self.declined_cooldown += 1;
                 self.sink.incr("responder.declined_cooldown", 1);
                 return (ResponderDecision::CoolingDown, None);
             }
         }
         self.last_adaptation = Some(imbalance.at);
-        self.adaptations_deployed += 1;
         self.sink.incr("responder.deployed", 1);
         let command = AdaptationCommand {
             stage: imbalance.stage,
@@ -140,7 +118,6 @@ impl Responder {
     /// otherwise a second adaptation could be accepted while the first
     /// recall is still migrating state.
     pub fn on_deploy_acknowledged(&mut self, at: SimTime) {
-        self.deploys_acknowledged += 1;
         self.sink.incr("responder.deploys_acknowledged", 1);
         match self.last_adaptation {
             Some(last) if at.since(last) <= 0.0 => {}
@@ -156,7 +133,6 @@ impl Responder {
     /// rebalance cannot fire while the failover recall is still
     /// migrating state.
     pub fn on_node_failure(&mut self, at: SimTime) {
-        self.node_failovers += 1;
         self.sink.incr("responder.node_failovers", 1);
         match self.last_adaptation {
             Some(last) if at.since(last) <= 0.0 => {}
@@ -188,7 +164,6 @@ mod tests {
         let cmd = cmd.unwrap();
         assert!(cmd.retrospective);
         assert_eq!(cmd.stage, SubplanId::new(1));
-        assert_eq!(r.adaptations_deployed, 1);
     }
 
     #[test]
@@ -205,8 +180,6 @@ mod tests {
         let (decision, cmd) = r.on_imbalance(&imbalance(100.0), 0.99);
         assert_eq!(decision, ResponderDecision::NearCompletion);
         assert!(cmd.is_none());
-        assert_eq!(r.declined_near_completion, 1);
-        assert_eq!(r.adaptations_deployed, 0);
     }
 
     #[test]
@@ -218,9 +191,6 @@ mod tests {
         assert_eq!(d2, ResponderDecision::CoolingDown);
         let (d3, _) = r.on_imbalance(&imbalance(10.0 + 2.0 * COOLDOWN_MS), 0.1);
         assert_eq!(d3, ResponderDecision::Accepted);
-        assert_eq!(r.proposals_received, 3);
-        assert_eq!(r.adaptations_deployed, 2);
-        assert_eq!(r.declined_cooldown, 1);
     }
 
     #[test]
@@ -236,7 +206,6 @@ mod tests {
         assert_eq!(d2, ResponderDecision::CoolingDown);
         let (d3, _) = r.on_imbalance(&imbalance(10.0 + COOLDOWN_MS), 0.1);
         assert_eq!(d3, ResponderDecision::Accepted);
-        assert_eq!(r.declined_cooldown, 1);
     }
 
     #[test]
@@ -247,7 +216,6 @@ mod tests {
         // The recall realising the deploy finishes 0.8 cooldowns later.
         let done = 10.0 + 0.8 * COOLDOWN_MS;
         r.on_deploy_acknowledged(SimTime::from_millis(done));
-        assert_eq!(r.deploys_acknowledged, 1);
         // A whole cooldown after the decision but not after completion:
         // still cooling down.
         let (d2, _) = r.on_imbalance(&imbalance(10.0 + 1.2 * COOLDOWN_MS), 0.1);
@@ -277,7 +245,6 @@ mod tests {
         // unconditionally...
         let failed = 10.0 + 0.4 * COOLDOWN_MS;
         r.on_node_failure(SimTime::from_millis(failed));
-        assert_eq!(r.node_failovers, 1);
         // ...and restarts the cooldown: a performance proposal more than
         // a cooldown after the original deploy (but not after the
         // failover) is still declined.

@@ -5,7 +5,7 @@ use gridq_common::{GridError, NodeId, Result};
 use gridq_exec::{ThreadedConfig, ThreadedExecutor};
 use gridq_grid::Perturbation;
 use gridq_obs::ObsReport;
-use gridq_sim::ExecutionReport;
+use gridq_sim::RunReport;
 use gridq_workload::experiments::{EvaluatorPerturbation, Q1Experiment, Q2Experiment};
 
 /// One measured point, with the paper's value where the paper prints one.
@@ -110,8 +110,8 @@ fn sleep_pert(ms: f64) -> Vec<EvaluatorPerturbation> {
     vec![EvaluatorPerturbation::new(1, Perturbation::SleepMs(ms))]
 }
 
-fn norm(report: &ExecutionReport, base: &ExecutionReport) -> f64 {
-    report.response_time_ms / base.response_time_ms
+fn norm(report: &RunReport, base: &RunReport) -> f64 {
+    report.wall_ms / base.wall_ms
 }
 
 /// Table 1: performance of queries in normalised units for
@@ -542,7 +542,7 @@ pub fn ablation(config: &ReproConfig) -> Result<Vec<Series>> {
                 Perturbation::CostFactor(20.0),
             )
     };
-    let schedule = churn(q1_base.response_time_ms);
+    let schedule = churn(q1_base.wall_ms);
     let mut out = Vec::new();
 
     let mut cells = Vec::new();

@@ -10,8 +10,9 @@
 //! private so the four cannot drift apart: a caller can slow a scan or
 //! perturb a node, but cannot pair a plan with another plan's wire spec.
 //! [`Knobs`] says how to run it, once, and is mapped here (and only
-//! here) onto `SimulationConfig`, `ThreadedConfig` and `SocketConfig`;
-//! the three report types become a [`RunSummary`] here and nowhere else.
+//! here) onto `SimulationConfig`, `ThreadedConfig` and `SocketConfig`.
+//! Every substrate returns the same [`RunReport`], which the oracles
+//! judge as it is.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,19 +25,16 @@ use gridq_engine::physical::Catalog;
 use gridq_engine::service::Service;
 use gridq_exec::socket::{
     standard_resolver, ScriptedAdaptation, ServiceResolver, SocketConfig, SocketExecutor,
-    SocketReport, WireStageSpec,
+    WireStageSpec,
 };
-use gridq_exec::{
-    QueryRun, QuerySubmission, RetryPolicy, ThreadedConfig, ThreadedExecutor, ThreadedReport,
-};
+use gridq_exec::{QueryRun, QuerySubmission, RetryPolicy, ThreadedConfig, ThreadedExecutor};
 use gridq_grid::{GridEnvironment, Perturbation, PerturbationSchedule};
-use gridq_obs::ObsConfig;
-use gridq_sim::{ExecutionReport, Simulation, SimulationConfig};
+use gridq_obs::{ObsConfig, RunReport};
+use gridq_sim::{Simulation, SimulationConfig};
 use gridq_workload::{
     protein_interactions, protein_sequences, EntropyAnalyser, Q1Experiment, Q2Experiment,
 };
 
-use crate::oracle::RunSummary;
 use crate::runner::Substrate;
 
 /// A query described once: what every substrate needs to run it.
@@ -125,7 +123,7 @@ impl Workload {
     }
 
     /// Runs the workload on the simulator (results collected).
-    pub fn simulate(&self, knobs: &Knobs) -> Result<ExecutionReport> {
+    pub fn simulate(&self, knobs: &Knobs) -> Result<RunReport> {
         let evaluators = self.plan.stages.first().map_or(0, |s| s.nodes.len());
         let mut env = GridEnvironment::demo(evaluators);
         // One schedule per node: the standing perturbation from time
@@ -160,14 +158,14 @@ impl Workload {
     }
 
     /// Runs the workload on the threaded executor.
-    pub fn run_threaded(&self, knobs: &Knobs) -> Result<ThreadedReport> {
+    pub fn run_threaded(&self, knobs: &Knobs) -> Result<RunReport> {
         ThreadedExecutor::new(self.catalog.clone(), self.threaded_config(knobs)?).run(&self.plan)
     }
 
     /// Runs the workload over sockets. This substrate runs no live
     /// control loop yet: it deploys [`Knobs::script`] and ignores
     /// `adaptivity`, `failover` and `obs`.
-    pub fn run_socket(&self, knobs: &Knobs) -> Result<SocketReport> {
+    pub fn run_socket(&self, knobs: &Knobs) -> Result<RunReport> {
         SocketExecutor::new(self.catalog.clone(), self.socket_config(knobs)?).run(&self.plan)
     }
 
@@ -304,49 +302,13 @@ impl Knobs {
     }
 }
 
-/// Runs `workload` on `substrate` and summarises the run for the
-/// oracles.
-pub fn run_on(substrate: Substrate, workload: &Workload, knobs: &Knobs) -> Result<RunSummary> {
+/// Runs `workload` on `substrate`. A socket run keeps no timeline yet
+/// (`obs` is `None`), so the timeline oracles pass it trivially.
+pub fn run_on(substrate: Substrate, workload: &Workload, knobs: &Knobs) -> Result<RunReport> {
     match substrate {
-        Substrate::Sim => workload.simulate(knobs).map(RunSummary::from),
-        Substrate::Threaded => workload.run_threaded(knobs).map(RunSummary::from),
-        Substrate::Socket => workload.run_socket(knobs).map(RunSummary::from),
-    }
-}
-
-impl From<ExecutionReport> for RunSummary {
-    fn from(report: ExecutionReport) -> RunSummary {
-        RunSummary {
-            results: fixtures::multiset(&report.results),
-            log_audits: report.log_audits,
-            adaptations_deployed: report.adaptations_deployed,
-            state_tuples_migrated: report.state_tuples_migrated,
-            tuples_recalled: report.tuples_redistributed,
-            nodes_failed: report.nodes_failed,
-            final_distribution: report.final_distribution,
-            obs: report.obs,
-            ..RunSummary::default()
-        }
-    }
-}
-
-/// Both real substrates. A socket run reports no node failures (a dead
-/// process is a dead connection, healed by reconnect + retransmission)
-/// and no `obs` yet, so the timeline and teardown oracles pass trivially.
-impl From<ThreadedReport> for RunSummary {
-    fn from(report: ThreadedReport) -> RunSummary {
-        RunSummary {
-            results: fixtures::multiset(&report.results),
-            log_audits: report.log_audits,
-            adaptations_deployed: report.adaptations_deployed,
-            state_tuples_migrated: report.state_tuples_migrated,
-            tuples_recalled: report.tuples_recalled,
-            nodes_failed: report.nodes_failed,
-            final_distribution: report.final_distribution,
-            obs: report.obs,
-            recall_blocks: report.recall_blocks,
-            largest_frame_bytes: report.largest_frame_bytes,
-        }
+        Substrate::Sim => workload.simulate(knobs),
+        Substrate::Threaded => workload.run_threaded(knobs),
+        Substrate::Socket => workload.run_socket(knobs),
     }
 }
 
@@ -397,26 +359,18 @@ mod tests {
     use crate::oracle::{conservation, log_conservation};
     use crate::runner::Policy;
     use gridq_common::{Tuple, Value};
-    use gridq_recovery::LogAudit;
 
     /// An honest report passes both oracles against `reference`; the
     /// same report from a backend that drops one result tuple, swaps one
-    /// value, or reports one unbalanced recovery log must fail them —
-    /// through nothing but the summary `run_on` builds.
-    fn wrong_backends_fail<R: Clone + Into<RunSummary>>(
-        reference: &RunSummary,
-        honest: R,
-        results: fn(&mut R) -> &mut Vec<Tuple>,
-        audits: fn(&mut R) -> &mut Vec<LogAudit>,
-    ) {
-        let summary: RunSummary = honest.clone().into();
-        assert!(conservation(reference, &summary).passed);
-        assert!(log_conservation(&summary).passed);
-        assert!(!summary.log_audits.is_empty(), "R1 runs keep recovery logs");
+    /// value, or reports one unbalanced recovery log must fail them.
+    fn wrong_backends_fail(reference: &RunReport, honest: RunReport) {
+        assert!(conservation(reference, &honest).passed);
+        assert!(log_conservation(&honest).passed);
+        assert!(!honest.log_audits.is_empty(), "R1 runs keep recovery logs");
 
         let mut dropped = honest.clone();
-        results(&mut dropped).pop();
-        let verdict = conservation(reference, &dropped.into());
+        dropped.results.pop();
+        let verdict = conservation(reference, &dropped);
         assert!(
             !verdict.passed,
             "a lost tuple must fail: {}",
@@ -424,8 +378,8 @@ mod tests {
         );
 
         let mut swapped = honest.clone();
-        results(&mut swapped)[0] = Tuple::new(vec![Value::Int(-1)]);
-        let verdict = conservation(reference, &swapped.into());
+        swapped.results[0] = Tuple::new(vec![Value::Int(-1)]);
+        let verdict = conservation(reference, &swapped);
         assert!(
             !verdict.passed,
             "a wrong value must fail: {}",
@@ -434,13 +388,13 @@ mod tests {
         assert!(verdict.detail.contains("1 missing, 1 unexpected"));
 
         let mut leaky = honest;
-        audits(&mut leaky)[0].unacked += 1;
-        let verdict = log_conservation(&leaky.into());
+        leaky.log_audits[0].unacked += 1;
+        let verdict = log_conservation(&leaky);
         assert!(!verdict.passed, "a leaky log must fail: {}", verdict.detail);
     }
 
     #[test]
-    fn a_wrong_backend_fails_the_oracles_through_its_summary() {
+    fn a_wrong_backend_fails_the_oracles_through_its_report() {
         let w = Workload::call("t", 60, &CallShape::default());
         let knobs = Knobs {
             adaptivity: Policy::R1.adaptivity(),
@@ -449,18 +403,8 @@ mod tests {
         };
         let reference = run_on(Substrate::Sim, &w, &knobs).unwrap();
         assert_eq!(reference.results.len(), 60);
-        wrong_backends_fail(
-            &reference,
-            w.simulate(&knobs).unwrap(),
-            |r| &mut r.results,
-            |r| &mut r.log_audits,
-        );
-        wrong_backends_fail(
-            &reference,
-            w.run_threaded(&knobs).unwrap(),
-            |r| &mut r.results,
-            |r| &mut r.log_audits,
-        );
+        wrong_backends_fail(&reference, w.simulate(&knobs).unwrap());
+        wrong_backends_fail(&reference, w.run_threaded(&knobs).unwrap());
     }
 
     /// A recall costs what it moves, on both real substrates: the build

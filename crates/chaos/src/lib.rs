@@ -18,11 +18,12 @@
 //!   [`gridq_common::ChaosHook`] seams both substrates expose.
 //! - The [`oracle`] module judges every faulted run against an unfaulted
 //!   reference: tuple conservation, recovery-log conservation, recall
-//!   safety, timeline causality, and teardown hygiene.
+//!   safety, timeline causality, teardown hygiene, tenant isolation, and
+//!   a replay of the control loop's decisions.
 //! - [`harness`] describes a query once ([`Workload`]) and runs it on
 //!   any substrate ([`run_on`]): the one place plans meet their wire
-//!   specs, run knobs become substrate configs, and reports become a
-//!   [`RunSummary`].
+//!   specs and run knobs become substrate configs. Every substrate
+//!   returns the same `gridq_obs::RunReport`.
 //! - [`Runner`] executes `(seed, family, substrate, policy)` matrix
 //!   cells through it; [`shrink_failure`] minimises a failing plan to a small
 //!   reproducer, mirroring `gridq_common::check`'s shrinking.
@@ -59,7 +60,7 @@ pub mod shrink;
 
 pub use harness::{run_on, Knobs, Workload};
 pub use hook::PlanHook;
-pub use oracle::{judge, RunSummary, Verdict};
+pub use oracle::{judge, Verdict};
 pub use plan::{FaultEvent, FaultFamily, FaultPlan, Topology};
 pub use runner::{
     matrix, socket_matrix, Policy, Runner, Scenario, ScenarioOutcome, Substrate, ORACLES,

@@ -8,7 +8,8 @@
 //!    the reference's (values only; sequence numbers are renumbered by
 //!    operators and not comparable across runs).
 //! 2. **Log conservation** — every recovery-log audit balances:
-//!    `recorded == pruned + retired + unacked` ([`LogAudit::conserved`]).
+//!    `recorded == pruned + retired + unacked`
+//!    ([`gridq_common::LogAudit::conserved`]).
 //! 3. **Recall safety** — a run that never deployed an adaptation has an
 //!    untouched router and zero migrated/recalled tuples; aborted
 //!    recalls must leave no partial state behind.
@@ -26,15 +27,20 @@
 //!    safety against its own solo reference: one tenant's faults must
 //!    never bleed into another tenant's state. Single-query cells pass
 //!    this oracle trivially.
+//! 7. **Replay** — the run's control decisions are its loop's own: a
+//!    fresh `ControlLoop` fed the recorded inputs
+//!    ([`gridq_adapt::replay()`]) writes every loop record again, and no
+//!    deploy re-deploys the distribution already in force.
+//!
+//! Every oracle reads the [`RunReport`] any substrate returns.
 
-use gridq_obs::{ObsReport, TimelineKind};
-use gridq_recovery::LogAudit;
+use gridq_engine::fixtures::multiset;
+use gridq_obs::{RunReport, TimelineKind};
 
 /// One oracle's judgment of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verdict {
-    /// Stable oracle name (`conservation`, `log_conservation`,
-    /// `recall_safety`, `timeline_causality`, `teardown`).
+    /// Stable oracle name (see `ORACLES`).
     pub oracle: &'static str,
     /// Whether the invariant held.
     pub passed: bool,
@@ -60,66 +66,30 @@ impl Verdict {
     }
 }
 
-/// The substrate-neutral extract of one run that the oracles consume.
-/// Built from any substrate's report by [`run_on`](crate::run_on).
-#[derive(Debug, Clone, Default)]
-pub struct RunSummary {
-    /// Sorted multiset of result rows (`gridq_engine::fixtures::multiset`).
-    pub results: Vec<String>,
-    /// Per-source recovery-log conservation audits.
-    pub log_audits: Vec<LogAudit>,
-    /// Adaptations actually deployed into the router.
-    pub adaptations_deployed: u64,
-    /// Operator-state tuples shipped between partitions.
-    pub state_tuples_migrated: u64,
-    /// In-flight tuples re-routed by recalls/redistributions.
-    pub tuples_recalled: u64,
-    /// Evaluator nodes that failed during the run (simulator crash
-    /// faults). Failure recovery re-routes work without a deploy, so the
-    /// recall-safety oracle must not read the rerouting as a leak.
-    pub nodes_failed: u64,
-    /// The final routing distribution weights.
-    pub final_distribution: Vec<f64>,
-    /// Observability snapshot, when the obs layer was enabled.
-    pub obs: Option<ObsReport>,
-    /// Blocks of tuples recalls and failovers moved outside the data
-    /// plane (real substrates; see `ThreadedReport::recall_blocks`).
-    pub recall_blocks: u64,
-    /// Largest sequenced frame payload in bytes (sockets only).
-    pub largest_frame_bytes: u64,
-}
-
 /// Oracle 1: the faulted run lost and duplicated nothing.
-pub fn conservation(reference: &RunSummary, run: &RunSummary) -> Verdict {
-    if reference.results == run.results {
+pub fn conservation(reference: &RunReport, run: &RunReport) -> Verdict {
+    let (expected, got) = (multiset(&reference.results), multiset(&run.results));
+    if expected == got {
         return Verdict::pass(
             "conservation",
-            format!("{} result rows match the reference", run.results.len()),
+            format!("{} result rows match the reference", got.len()),
         );
     }
-    let missing = reference
-        .results
-        .iter()
-        .filter(|r| !run.results.contains(r))
-        .count();
-    let surplus = run
-        .results
-        .iter()
-        .filter(|r| !reference.results.contains(r))
-        .count();
+    let missing = expected.iter().filter(|r| !got.contains(r)).count();
+    let surplus = got.iter().filter(|r| !expected.contains(r)).count();
     Verdict::fail(
         "conservation",
         format!(
             "result multiset diverged: reference {} rows, run {} rows \
              ({missing} missing, {surplus} unexpected)",
-            reference.results.len(),
-            run.results.len()
+            expected.len(),
+            got.len()
         ),
     )
 }
 
 /// Oracle 2: every recovery-log audit balances.
-pub fn log_conservation(run: &RunSummary) -> Verdict {
+pub fn log_conservation(run: &RunReport) -> Verdict {
     for (i, audit) in run.log_audits.iter().enumerate() {
         if !audit.conserved() {
             return Verdict::fail(
@@ -137,7 +107,7 @@ pub fn log_conservation(run: &RunSummary) -> Verdict {
 /// Oracle 3: a run without deployed adaptations left the routing and
 /// operator placement untouched — in particular, a recall aborted by an
 /// injected fault must not leave partially migrated state behind.
-pub fn recall_safety(run: &RunSummary) -> Verdict {
+pub fn recall_safety(run: &RunReport) -> Verdict {
     if run.adaptations_deployed > 0 {
         return Verdict::pass(
             "recall_safety",
@@ -195,7 +165,7 @@ pub fn recall_safety(run: &RunSummary) -> Verdict {
 /// chains back to a raw monitoring event, every recall finish to its
 /// start and deploy. A link pointing at an evicted sequence number is
 /// tolerated only when the report admits eviction (`dropped_events > 0`).
-pub fn timeline_causality(run: &RunSummary) -> Verdict {
+pub fn timeline_causality(run: &RunReport) -> Verdict {
     let Some(obs) = &run.obs else {
         return Verdict::pass("timeline_causality", "obs layer disabled; nothing to check");
     };
@@ -310,7 +280,7 @@ pub fn timeline_causality(run: &RunSummary) -> Verdict {
 /// Oracle 5: the adaptivity layer's per-stream tracking maps are empty
 /// after teardown, even when chaos killed a node mid-run. Reads the
 /// `adapt.tracked_streams_after_teardown` gauge both substrates surface.
-pub fn teardown(run: &RunSummary) -> Verdict {
+pub fn teardown(run: &RunReport) -> Verdict {
     let Some(obs) = &run.obs else {
         return Verdict::pass("teardown", "obs layer disabled; nothing to check");
     };
@@ -333,13 +303,70 @@ pub fn teardown(run: &RunSummary) -> Verdict {
     }
 }
 
+/// Oracle 7: the run's control decisions are its loop's own. A fresh
+/// loop fed the recorded inputs writes every loop record again
+/// ([`gridq_adapt::replay()`]), and no `Deploy` carries the weights
+/// already in force (those of the last `LoopStart`, `Deploy` or
+/// `Failover`): such a deploy moves nothing, yet under R1 it runs a full
+/// recall. A run without a timeline (obs off, or sockets) has nothing to
+/// replay; neither has one that evicted events, which the report
+/// declares.
+pub fn replay(run: &RunReport) -> Verdict {
+    let Some(obs) = &run.obs else {
+        return Verdict::pass("replay", "no timeline; nothing to replay");
+    };
+    if obs.dropped_events > 0 {
+        return Verdict::pass(
+            "replay",
+            format!(
+                "{} event(s) evicted; a replay needs the whole timeline",
+                obs.dropped_events
+            ),
+        );
+    }
+    let mut in_force: Option<&[f64]> = None;
+    for event in &obs.events {
+        match &event.kind {
+            TimelineKind::LoopStart { initial, .. } => in_force = Some(initial),
+            TimelineKind::Failover { weights, .. } => in_force = Some(weights),
+            TimelineKind::Deploy { weights, .. } => {
+                let same = |w: &[f64]| {
+                    w.len() == weights.len()
+                        && w.iter().zip(weights).all(|(a, b)| (a - b).abs() <= 1e-9)
+                };
+                if in_force.is_some_and(same) {
+                    return Verdict::fail(
+                        "replay",
+                        format!(
+                            "deploy seq {} re-deploys the W in force, {weights:?}",
+                            event.seq
+                        ),
+                    );
+                }
+                in_force = Some(weights);
+            }
+            _ => {}
+        }
+    }
+    match gridq_adapt::replay(obs.events.iter().map(|e| (e.seq, e.at_ms, &e.kind))) {
+        Ok(done) => Verdict::pass(
+            "replay",
+            format!(
+                "{} loop record(s), {} deploy(s) reproduced",
+                done.records, done.deploys
+            ),
+        ),
+        Err(divergence) => Verdict::fail("replay", divergence.to_string()),
+    }
+}
+
 /// Oracle 6: the co-resident *unfaulted* query is isolated from its
 /// faulted tenant — its results conserve and its recall safety holds
 /// against its own solo reference. The verdict condenses the isolation
 /// contract into one line so a co-residency cell fails with "tenant
 /// isolation broken", not with a generic conservation message that could
 /// be mistaken for the faulted query's own (tolerated) failure.
-pub fn tenant_isolation(reference: &RunSummary, co_resident: &RunSummary) -> Verdict {
+pub fn tenant_isolation(reference: &RunReport, co_resident: &RunReport) -> Verdict {
     let checks = [
         conservation(reference, co_resident),
         log_conservation(co_resident),
@@ -367,7 +394,7 @@ pub fn tenant_isolation(reference: &RunSummary, co_resident: &RunSummary) -> Ver
 /// documented above. For a single-query cell the tenant-isolation oracle
 /// has no co-resident query to judge and passes trivially, keeping the
 /// verdict list's length and order stable across every cell.
-pub fn judge(reference: &RunSummary, run: &RunSummary) -> Vec<Verdict> {
+pub fn judge(reference: &RunReport, run: &RunReport) -> Vec<Verdict> {
     vec![
         conservation(reference, run),
         log_conservation(run),
@@ -378,6 +405,7 @@ pub fn judge(reference: &RunSummary, run: &RunSummary) -> Vec<Verdict> {
             "tenant_isolation",
             "single-query cell; no co-resident query to isolate",
         ),
+        replay(run),
     ]
 }
 
@@ -385,7 +413,7 @@ pub fn judge(reference: &RunSummary, run: &RunSummary) -> Vec<Verdict> {
 /// *unfaulted* co-resident query (the faulted query may legitimately
 /// fail its own oracles — what the cell asserts is that its co-tenant
 /// does not), capped by the real tenant-isolation verdict.
-pub fn judge_tenant(reference: &RunSummary, co_resident: &RunSummary) -> Vec<Verdict> {
+pub fn judge_tenant(reference: &RunReport, co_resident: &RunReport) -> Vec<Verdict> {
     vec![
         conservation(reference, co_resident),
         log_conservation(co_resident),
@@ -393,30 +421,37 @@ pub fn judge_tenant(reference: &RunSummary, co_resident: &RunSummary) -> Vec<Ver
         timeline_causality(co_resident),
         teardown(co_resident),
         tenant_isolation(reference, co_resident),
+        replay(co_resident),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridq_common::{Tuple, Value};
-    use gridq_engine::fixtures::multiset;
+    use crate::harness::{Knobs, Workload};
+    use crate::runner::Policy;
+    use gridq_common::{LogAudit, NodeId, Tuple, Value};
+    use gridq_engine::fixtures::CallShape;
+    use gridq_grid::Perturbation;
 
-    fn summary(rows: &[&str]) -> RunSummary {
-        RunSummary {
-            results: rows.iter().map(|s| s.to_string()).collect(),
+    fn rows(values: &[i64]) -> RunReport {
+        RunReport {
+            results: values
+                .iter()
+                .map(|&v| Tuple::new(vec![Value::Int(v)]))
+                .collect(),
             ..Default::default()
         }
     }
 
     #[test]
     fn conservation_flags_loss_and_surplus() {
-        let reference = summary(&["a", "b", "b"]);
-        assert!(conservation(&reference, &summary(&["a", "b", "b"])).passed);
-        let lost = conservation(&reference, &summary(&["a", "b"]));
+        let reference = rows(&[1, 2, 2]);
+        assert!(conservation(&reference, &rows(&[2, 1, 2])).passed);
+        let lost = conservation(&reference, &rows(&[1, 2]));
         assert!(!lost.passed);
         assert!(lost.detail.contains("run 2 rows"), "{}", lost.detail);
-        assert!(!conservation(&reference, &summary(&["a", "b", "b", "x"])).passed);
+        assert!(!conservation(&reference, &rows(&[1, 2, 2, 9])).passed);
     }
 
     #[test]
@@ -428,22 +463,22 @@ mod tests {
 
     #[test]
     fn recall_safety_requires_untouched_state_without_deploys() {
-        let clean = RunSummary {
+        let clean = RunReport {
             final_distribution: vec![0.5, 0.5],
             ..Default::default()
         };
         assert!(recall_safety(&clean).passed);
-        let moved = RunSummary {
+        let moved = RunReport {
             state_tuples_migrated: 3,
             ..Default::default()
         };
         assert!(!recall_safety(&moved).passed);
-        let skewed = RunSummary {
+        let skewed = RunReport {
             final_distribution: vec![0.7, 0.3],
             ..Default::default()
         };
         assert!(!recall_safety(&skewed).passed);
-        let deployed = RunSummary {
+        let deployed = RunReport {
             adaptations_deployed: 1,
             state_tuples_migrated: 3,
             final_distribution: vec![0.7, 0.3],
@@ -452,7 +487,7 @@ mod tests {
         assert!(recall_safety(&deployed).passed);
         // A crashed node zeroes its weight without any deploy: failure
         // recovery is not a recall-safety violation.
-        let crashed = RunSummary {
+        let crashed = RunReport {
             nodes_failed: 1,
             final_distribution: vec![1.0, 0.0],
             ..Default::default()
@@ -471,21 +506,16 @@ mod tests {
             acks_duplicate: 1,
             acks_dropped: 0,
         };
-        let ok = RunSummary {
+        let ok = RunReport {
             log_audits: vec![balanced],
             ..Default::default()
         };
         assert!(log_conservation(&ok).passed);
         let broken = LogAudit {
-            recorded: 10,
-            pruned: 4,
-            retired: 3,
             unacked: 1,
-            acks_accepted: 2,
-            acks_duplicate: 0,
-            acks_dropped: 0,
+            ..balanced
         };
-        let bad = RunSummary {
+        let bad = RunReport {
             log_audits: vec![broken],
             ..Default::default()
         };
@@ -494,28 +524,74 @@ mod tests {
 
     #[test]
     fn oracles_pass_on_obs_free_runs() {
-        let run = RunSummary::default();
+        let run = RunReport::default();
         assert!(timeline_causality(&run).passed);
         assert!(teardown(&run).passed);
-        assert_eq!(judge(&run, &run).len(), 6);
-        assert_eq!(judge_tenant(&run, &run).len(), 6);
+        assert!(replay(&run).passed);
+        assert_eq!(judge(&run, &run).len(), 7);
+        assert_eq!(judge_tenant(&run, &run).len(), 7);
     }
 
     #[test]
     fn tenant_isolation_condenses_the_co_resident_checks() {
-        let reference = summary(&["a", "b"]);
-        assert!(tenant_isolation(&reference, &summary(&["a", "b"])).passed);
+        let reference = rows(&[1, 2]);
+        assert!(tenant_isolation(&reference, &rows(&[1, 2])).passed);
         // A leak into the co-resident query names the broken invariant.
-        let leaked = tenant_isolation(&reference, &summary(&["a"]));
+        let leaked = tenant_isolation(&reference, &rows(&[1]));
         assert!(!leaked.passed);
         assert!(leaked.detail.contains("conservation"), "{}", leaked.detail);
-        let moved = RunSummary {
-            results: vec!["a".into(), "b".into()],
+        let moved = RunReport {
             state_tuples_migrated: 3,
-            ..Default::default()
+            ..rows(&[1, 2])
         };
         let v = tenant_isolation(&reference, &moved);
         assert!(!v.passed);
         assert!(v.detail.contains("recall_safety"), "{}", v.detail);
+    }
+
+    /// A simulated R1 run whose slow node draws at least one deploy.
+    fn adapted() -> RunReport {
+        let w = Workload::call("t", 300, &CallShape::default())
+            .perturbed(NodeId::new(2), Perturbation::CostFactor(10.0));
+        let knobs = Knobs {
+            adaptivity: Policy::R1.adaptivity(),
+            ..Knobs::default()
+        };
+        let run = w.simulate(&knobs).unwrap();
+        assert!(run.adaptations_deployed >= 1, "{run:?}");
+        run
+    }
+
+    fn first_deploy(run: &RunReport) -> usize {
+        let events = &run.obs.as_ref().unwrap().events;
+        let deploy = |e: &TimelineKind| matches!(e, TimelineKind::Deploy { .. });
+        events.iter().position(|e| deploy(&e.kind)).unwrap()
+    }
+
+    #[test]
+    fn replay_fails_a_tampered_timeline() {
+        let mut run = adapted();
+        let verdict = replay(&run);
+        assert!(verdict.passed, "{}", verdict.detail);
+        let at = first_deploy(&run);
+        let obs = run.obs.as_mut().unwrap();
+        if let TimelineKind::Deploy { weights, .. } = &mut obs.events[at].kind {
+            weights.reverse();
+        }
+        let verdict = replay(&run);
+        assert!(!verdict.passed, "a deploy the loop never made must fail");
+        assert!(verdict.detail.contains("diverged"), "{}", verdict.detail);
+    }
+
+    #[test]
+    fn replay_fails_a_deploy_of_the_w_in_force() {
+        let mut run = adapted();
+        let at = first_deploy(&run);
+        let obs = run.obs.as_mut().unwrap();
+        let again = obs.events[at].clone();
+        obs.events.insert(at + 1, again);
+        let verdict = replay(&run);
+        assert!(!verdict.passed);
+        assert!(verdict.detail.contains("W in force"), "{}", verdict.detail);
     }
 }

@@ -27,10 +27,11 @@ use gridq_exec::socket::ScriptedAdaptation;
 use gridq_exec::RetryPolicy;
 use gridq_grid::Perturbation;
 use gridq_obs::json::JsonObj;
+use gridq_obs::RunReport;
 
 use crate::harness::{run_on, Knobs, Workload};
 use crate::hook::PlanHook;
-use crate::oracle::{judge, judge_tenant, RunSummary, Verdict};
+use crate::oracle::{judge, judge_tenant, Verdict};
 use crate::plan::{FaultFamily, FaultPlan, Topology};
 
 /// Which execution substrate a scenario runs on.
@@ -193,13 +194,14 @@ impl ScenarioOutcome {
 }
 
 /// The stable oracle names, in judging order.
-pub const ORACLES: [&str; 6] = [
+pub const ORACLES: [&str; 7] = [
     "conservation",
     "log_conservation",
     "recall_safety",
     "timeline_causality",
     "teardown",
     "tenant_isolation",
+    "replay",
 ];
 
 /// Stage partitions in every chaos workload.
@@ -286,7 +288,7 @@ pub fn socket_matrix(seed: u64) -> Vec<Scenario> {
 /// cell.
 #[derive(Debug, Default)]
 pub struct Runner {
-    references: HashMap<(Substrate, Policy), RunSummary>,
+    references: HashMap<(Substrate, Policy), RunReport>,
 }
 
 impl Runner {
@@ -328,10 +330,10 @@ impl Runner {
         // cell runs the single-query workload and judges it directly.
         let judged = if scenario.family == FaultFamily::TenantInterference {
             execute_tenant(scenario.substrate, scenario.policy, &outcome.plan)
-                .map(|(summary, fired)| (judge_tenant(&reference, &summary), fired))
+                .map(|(run, fired)| (judge_tenant(&reference, &run), fired))
         } else {
             execute(scenario.substrate, scenario.policy, &outcome.plan)
-                .map(|(summary, fired)| (judge(&reference, &summary), fired))
+                .map(|(run, fired)| (judge(&reference, &run), fired))
         };
         match judged {
             Ok((verdicts, fired)) => {
@@ -345,25 +347,24 @@ impl Runner {
     }
 
     /// The cached unfaulted reference for a substrate/policy pair.
-    pub fn reference(&mut self, substrate: Substrate, policy: Policy) -> Result<&RunSummary> {
+    pub fn reference(&mut self, substrate: Substrate, policy: Policy) -> Result<&RunReport> {
         use std::collections::hash_map::Entry;
         match self.references.entry((substrate, policy)) {
             Entry::Occupied(e) => Ok(e.into_mut()),
             Entry::Vacant(e) => {
-                let (summary, _) = execute(substrate, policy, &FaultPlan::empty())?;
-                Ok(e.insert(summary))
+                let (run, _) = execute(substrate, policy, &FaultPlan::empty())?;
+                Ok(e.insert(run))
             }
         }
     }
 }
 
-/// Executes the workload for `(substrate, policy)` under `plan` and
-/// summarizes the run for the oracles. Returns the summary and the
-/// number of fault events that materialised.
-fn execute(substrate: Substrate, policy: Policy, plan: &FaultPlan) -> Result<(RunSummary, usize)> {
+/// Executes the workload for `(substrate, policy)` under `plan`. Returns
+/// the run's report and the number of fault events that materialised.
+fn execute(substrate: Substrate, policy: Policy, plan: &FaultPlan) -> Result<(RunReport, usize)> {
     let hook = Arc::new(PlanHook::new(plan));
     let chaos = Some(Arc::clone(&hook) as Arc<dyn ChaosHook>);
-    let summary = run_on(
+    let run = run_on(
         substrate,
         &workload(policy),
         &knobs(substrate, policy, plan, chaos)?,
@@ -371,20 +372,20 @@ fn execute(substrate: Substrate, policy: Policy, plan: &FaultPlan) -> Result<(Ru
     // Crash and burst events are realised by the runner, not the hook,
     // and always apply once the run starts.
     let realised = plan.events.iter().filter(|e| !e.hook_mediated()).count();
-    Ok((summary, hook.fired().len() + realised))
+    Ok((run, hook.fired().len() + realised))
 }
 
 /// Executes a tenant-interference cell: two copies of the policy's
 /// workload run co-resident through one [`QueryService`] on the threaded
 /// substrate, with the fault plan's chaos hook attached to the *first*
-/// query only. Returns the **unfaulted second** query's summary — the
+/// query only. Returns the **unfaulted second** query's report — the
 /// tenant-isolation oracle judges that one against the cached solo
 /// reference — plus the number of fault events that fired in the first.
 fn execute_tenant(
     substrate: Substrate,
     policy: Policy,
     plan: &FaultPlan,
-) -> Result<(RunSummary, usize)> {
+) -> Result<(RunReport, usize)> {
     use gridq_engine::AdmissionConfig;
     use gridq_exec::{QueryOutcome, QueryService, ServiceConfig};
 
@@ -425,7 +426,7 @@ fn execute_tenant(
         w.submission(substrate, &clean)?,
     ]);
     let co_resident = match report.queries.into_iter().nth(1) {
-        Some((_, QueryOutcome::Threaded(r))) => RunSummary::from(r),
+        Some((_, QueryOutcome::Threaded(r))) => r,
         Some((id, other)) => {
             return Err(GridError::Execution(format!(
                 "co-resident query {id} did not complete on the threaded substrate: {other:?}"

@@ -15,6 +15,7 @@ pub mod dist;
 pub mod error;
 pub mod ids;
 pub mod obs;
+pub mod report;
 pub mod rng;
 pub mod schema;
 pub mod stats;
@@ -29,6 +30,7 @@ pub use dist::{BucketMap, BucketMove, DistributionVector};
 pub use error::{GridError, Result};
 pub use ids::{BucketId, NodeId, OperatorId, PartitionId, QueryId, SubplanId};
 pub use obs::{Journal, MetricSink, NullSink, TimelineKind};
+pub use report::{DeliveryGap, LogAudit, LoopCounts};
 pub use rng::DetRng;
 pub use schema::{DataType, Field, Schema};
 pub use stats::TrimmedWindow;

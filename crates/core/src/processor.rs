@@ -8,7 +8,7 @@ use gridq_engine::physical::{execute_local, Catalog};
 use gridq_engine::service::{Service, ServiceRegistry};
 use gridq_engine::LogicalPlan;
 use gridq_grid::GridEnvironment;
-use gridq_sim::{ExecutionReport, Simulation, SimulationConfig};
+use gridq_sim::{RunReport, Simulation, SimulationConfig};
 use gridq_sql::plan_sql;
 use gridq_workload::EntropyAnalyser;
 
@@ -141,7 +141,7 @@ impl GridQueryProcessor {
 
     /// Runs SQL on the distributed Grid with the configured adaptivity,
     /// returning the execution report.
-    pub fn run_sql(&mut self, sql: &str, options: ExecutionOptions) -> Result<ExecutionReport> {
+    pub fn run_sql(&mut self, sql: &str, options: ExecutionOptions) -> Result<RunReport> {
         let logical = self.plan(sql)?;
         let query = QueryId::new(self.next_query);
         self.next_query += 1;

@@ -62,8 +62,8 @@ use gridq_engine::distributed::DistributedPlan;
 use gridq_engine::evaluator::StreamTag;
 use gridq_engine::physical::Catalog;
 use gridq_grid::Perturbation;
-use gridq_obs::{Counter, Obs, ObsConfig, ObsReport, TimelineKind};
-use gridq_recovery::{AckOutcome, Checkpoint, LogAudit, ResultDedup, SharedRecoveryLog};
+use gridq_obs::{Counter, Obs, ObsConfig, RunReport, TimelineKind};
+use gridq_recovery::{AckOutcome, Checkpoint, ResultDedup, SharedRecoveryLog};
 
 // The retry policy and the gap record live in `gridq-recovery`, so every
 // substrate backs off and reports the same way.
@@ -182,87 +182,9 @@ impl ThreadedConfig {
     }
 }
 
-/// What an execution on either real substrate (threads or sockets)
-/// measured.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadedReport {
-    /// Wall-clock duration of the run, milliseconds.
-    pub wall_ms: f64,
-    /// Result tuples collected.
-    pub results: Vec<Tuple>,
-    /// Input tuples processed per partition (replayed/migrated tuples
-    /// count at every partition that processed them).
-    pub per_partition_processed: Vec<u64>,
-    /// Raw M1 events emitted.
-    pub raw_m1_events: u64,
-    /// Raw M2 events emitted.
-    pub raw_m2_events: u64,
-    /// Adaptations deployed into the router.
-    pub adaptations_deployed: u64,
-    /// Of those, tenant rebalances: deploys of an accepted diagnosis whose
-    /// costliest partition sits on a node shared with another query
-    /// (service-plane runs only; always 0 without a contention ledger).
-    pub tenant_rebalances: u64,
-    /// Retrospective recalls that ran the full drain-migrate-resume
-    /// protocol.
-    pub recalls_completed: u64,
-    /// Retrospective recalls abandoned before deploying (producers
-    /// already finished, or a barrier timed out). An aborted recall
-    /// leaves the routing untouched.
-    pub recalls_aborted: u64,
-    /// Operator-state tuples shipped between partitions by recalls.
-    pub state_tuples_migrated: u64,
-    /// In-flight tuples re-routed by recalls: held tuples recalled from
-    /// consumers plus staged buffers re-routed by producers.
-    pub tuples_recalled: u64,
-    /// Consumers that reported their own crash (failover runs only).
-    pub nodes_failed: u64,
-    /// Failover recalls that drained, redistributed, and replayed a dead
-    /// partition's log entries to the survivors.
-    pub failovers_completed: u64,
-    /// Tuples retransmitted from recovery logs by the delivery-retry
-    /// epilogue (resilient runs only).
-    pub tuples_retransmitted: u64,
-    /// Windows left undelivered after the retry budget ran out, one
-    /// entry per (source, dest) edge that gave up. Empty on a healthy
-    /// run; the query completes either way.
-    pub delivery_gaps: Vec<DeliveryGap>,
-    /// Data-plane block pushes that failed because the destination
-    /// consumer was already gone (its ring closed), counted in tuples.
-    /// Surfaced immediately at send time, not discarded.
-    pub send_failures: u64,
-    /// Conservation audit of each source's recovery log (logging runs
-    /// only: R1 adaptivity, chaos, or failover; indexed like
-    /// `DistributedPlan::sources`).
-    pub log_audits: Vec<LogAudit>,
-    /// High-water mark of live consumer dedup-filter entries (tuple keys
-    /// plus block keys), maximised over partitions. Bounded by the
-    /// unacknowledged recovery-log windows, not by the input size — the
-    /// regression oracle for the at-least-once filter's memory.
-    pub dedup_peak_entries: u64,
-    /// The final routing distribution.
-    pub final_distribution: Vec<f64>,
-    /// Observability snapshot (metrics registry and adaptivity timeline);
-    /// `None` when the obs layer is disabled, and on sockets, which
-    /// export none yet.
-    pub obs: Option<ObsReport>,
-    /// Worker connections re-established after a drop: always 0 on
-    /// threads, 0 on a healthy socket run (`conn_drop` chaos drives it
-    /// up).
-    pub reconnects: u64,
-    /// Blocks of tuples that recalls and failovers moved outside the data
-    /// plane — surrendered to the coordinator first (on both real
-    /// substrates), then re-delivered to their new owners — each at most
-    /// the exchange's `buffer_tuples` long: a recall costs at most
-    /// 2·(⌈moved / `buffer_tuples`⌉ + partitions) of them (one partial
-    /// block per old owner, one per new owner), not one message per
-    /// tuple.
-    pub recall_blocks: u64,
-    /// The largest sequenced frame payload any worker link carried, in
-    /// bytes; 0 on threads. Bounded by one block of tuples, never by the
-    /// size of the query.
-    pub largest_frame_bytes: u64,
-}
+/// What an execution on threads measured: the one [`RunReport`] every
+/// substrate returns, under the name this crate has always used for it.
+pub type ThreadedReport = RunReport;
 
 /// What travels in a threaded data ring: a block, or the end of one
 /// source's stream riding behind the blocks it trails.
@@ -360,21 +282,6 @@ pub(crate) enum WorkerEvent {
         processed: u64,
         dedup_peak: u64,
     },
-}
-
-/// What the adaptation thread hands back at teardown.
-#[derive(Default)]
-struct AdaptStats {
-    m1: u64,
-    m2: u64,
-    deployed: u64,
-    tenant_rebalances: u64,
-    recalls_completed: u64,
-    recalls_aborted: u64,
-    state_tuples_migrated: u64,
-    tuples_recalled: u64,
-    nodes_failed: u64,
-    failovers_completed: u64,
 }
 
 /// A worker's surrendered block is on the reply channel, ahead of that
@@ -908,7 +815,9 @@ struct Adaptivity<W> {
     /// `exec.m1_handovers`: how many `Raw::M1` arrived, against the
     /// `raw_m1_events` samples they carried. `None` with obs off.
     m1_handovers: Option<Arc<Counter>>,
-    stats: AdaptStats,
+    /// The report's recall and attribution counts, filled as they
+    /// happen; the loop's own counts join it at teardown.
+    report: RunReport,
 }
 
 /// The channels and counters `run_query` wires into the adaptation
@@ -970,7 +879,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
             done: vec![false; partitions],
             script: wiring.script.into(),
             m1_handovers,
-            stats: AdaptStats::default(),
+            report: RunReport::default(),
         }
     }
 
@@ -981,7 +890,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
         self.enabled || !self.script.is_empty()
     }
 
-    fn run(mut self) -> AdaptStats {
+    fn run(mut self) -> RunReport {
         // Thresholds already met (a script entry at zero) fire at once.
         self.fire_script(false);
         while let Ok(received) = self.raw_rx.recv() {
@@ -991,14 +900,12 @@ impl<W: WorkerCommands> Adaptivity<W> {
                         handovers.add(1);
                     }
                     for event in batch {
-                        self.stats.m1 += 1;
                         if let Some(notice) = self.control.on_m1(&event) {
                             self.react(notice);
                         }
                     }
                 }
                 Raw::M2(event) => {
-                    self.stats.m2 += 1;
                     if let Some(notice) = self.control.on_m2(&event) {
                         self.react(notice);
                     }
@@ -1012,7 +919,8 @@ impl<W: WorkerCommands> Adaptivity<W> {
             }
         }
         self.control.teardown();
-        self.stats
+        self.report.count_loop(self.control.counts());
+        self.report
     }
 
     /// A detector notice reaches the Diagnoser at once, with the progress
@@ -1057,8 +965,8 @@ impl<W: WorkerCommands> Adaptivity<W> {
                 let (moved, recalled) =
                     self.coordinator
                         .surrendered(worker, entries, &mut transport);
-                self.stats.state_tuples_migrated += moved;
-                self.stats.tuples_recalled += recalled;
+                self.report.state_tuples_migrated += moved;
+                self.report.tuples_recalled += recalled;
             }
         }
     }
@@ -1086,7 +994,6 @@ impl<W: WorkerCommands> Adaptivity<W> {
     /// failover has no diagnosis. `NodeDown -> Failover` is this path's
     /// causal pair.
     fn fail_over(&mut self, worker: usize) {
-        self.stats.nodes_failed += 1;
         let index = worker as u32;
         let down = self.control.node_down(&[index], self.rec.now_model());
         let down_seq = down.first().copied().unwrap_or(0);
@@ -1117,13 +1024,8 @@ impl<W: WorkerCommands> Adaptivity<W> {
             else {
                 continue;
             };
-            self.stats.state_tuples_migrated += state_moved;
-            self.stats.tuples_recalled += recalled;
-            self.stats.failovers_completed += 1;
-            if let Some(o) = &self.rec.obs {
-                o.metrics().counter("exec.failovers").add(1);
-                o.metrics().counter("exec.tuples_replayed").add(replayed);
-            }
+            self.report.state_tuples_migrated += state_moved;
+            self.report.tuples_recalled += recalled;
             let now = self.rec.now_model();
             self.control
                 .failed_over(index, down_seq, replayed, deployed, now);
@@ -1170,8 +1072,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
             // are affected.
             let swapped = self.x.router.lock().apply_distribution(&target);
             if swapped.is_ok() {
-                self.stats.deployed += 1;
-                self.stats.tenant_rebalances += u64::from(tenant);
+                self.report.tenant_rebalances += u64::from(tenant);
                 let deploy_seq = self.control.deployed(&accepted, &target, cmd.at);
                 self.control.acknowledged(deploy_seq, self.rec.now_model());
             }
@@ -1183,7 +1084,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
         let live = self.live_workers();
         let mut transport =
             GateTransport::new(gate, self.recall_timeout, &self.replies, &mut self.workers);
-        let (control, rec) = (&self.control, &self.rec);
+        let (control, rec) = (&mut self.control, &self.rec);
         let (mut deploy_seq, mut start_seq) = (0, 0);
         let outcome = self.coordinator.recall(
             RecallTarget::Deploy(target.clone()),
@@ -1210,13 +1111,12 @@ impl<W: WorkerCommands> Adaptivity<W> {
         else {
             // Abandoned before the swap: the remaining work drains under
             // the old distribution.
-            self.stats.recalls_aborted += 1;
+            self.report.recalls_aborted += 1;
             return;
         };
-        self.stats.deployed += 1;
-        self.stats.tenant_rebalances += u64::from(tenant);
-        self.stats.state_tuples_migrated += state_moved;
-        self.stats.tuples_recalled += recalled;
+        self.report.tenant_rebalances += u64::from(tenant);
+        self.report.state_tuples_migrated += state_moved;
+        self.report.tuples_recalled += recalled;
         let now = self.rec.now_model();
         self.rec.record(
             now,
@@ -1229,9 +1129,9 @@ impl<W: WorkerCommands> Adaptivity<W> {
         );
         self.control.acknowledged(deploy_seq, now);
         if completed {
-            self.stats.recalls_completed += 1;
+            self.report.recalls_completed += 1;
         } else {
-            self.stats.recalls_aborted += 1;
+            self.report.recalls_aborted += 1;
         }
     }
 }
@@ -1249,7 +1149,7 @@ impl ThreadedExecutor {
     }
 
     /// Runs the plan to completion.
-    pub fn run(&self, plan: &DistributedPlan) -> Result<ThreadedReport> {
+    pub fn run(&self, plan: &DistributedPlan) -> Result<RunReport> {
         let cfg = &self.config;
         cfg.validate()?;
         let run = Run {
@@ -1352,7 +1252,7 @@ impl Run<'_> {
         catalog: &Catalog,
         plan: &DistributedPlan,
         start: impl FnOnce(Wiring<P>) -> Result<E>,
-    ) -> Result<ThreadedReport> {
+    ) -> Result<RunReport> {
         let (who, cfg) = (self.who, self.cfg);
         let live_r1 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R1;
         let live_r2 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R2;
@@ -1481,7 +1381,7 @@ impl Run<'_> {
         );
         // A run nothing could adapt needs no adaptation thread: its
         // components are torn down here, unused.
-        let mut stats = AdaptStats::default();
+        let mut report = RunReport::default();
         let mut adapt_handle = None;
         if adaptivity.can_adapt() {
             adapt_handle = Some(thread::spawn(move || adaptivity.run()));
@@ -1539,7 +1439,7 @@ impl Run<'_> {
         let _ = raw_tx.send(Raw::Stop);
         drop(raw_tx);
         match adapt_handle.map(thread::JoinHandle::join) {
-            Some(Ok(counted)) => stats = counted,
+            Some(Ok(counted)) => report = counted,
             Some(Err(_)) => failed.push("adaptation thread panicked".into()),
             None => {}
         }
@@ -1561,37 +1461,24 @@ impl Run<'_> {
             results.retain(|t| dedup.first(t));
         }
         let tallies = &x.tallies;
-        let delivery_gaps = std::mem::take(&mut *tallies.gaps.lock());
-        let final_distribution = x.router.lock().current_distribution().weights().to_vec();
-        Ok(ThreadedReport {
-            wall_ms: started.elapsed().as_secs_f64() * 1000.0,
-            results,
-            per_partition_processed: got.per_partition,
-            raw_m1_events: stats.m1,
-            raw_m2_events: stats.m2,
-            adaptations_deployed: stats.deployed,
-            tenant_rebalances: stats.tenant_rebalances,
-            recalls_completed: stats.recalls_completed,
-            recalls_aborted: stats.recalls_aborted,
-            state_tuples_migrated: stats.state_tuples_migrated,
-            tuples_recalled: stats.tuples_recalled + tallies.restaged.load(Ordering::Relaxed),
-            nodes_failed: stats.nodes_failed,
-            failovers_completed: stats.failovers_completed,
-            tuples_retransmitted: tallies.retransmitted.load(Ordering::Relaxed),
-            send_failures: tallies.send_failures.load(Ordering::Relaxed),
-            delivery_gaps,
-            log_audits: x
-                .logs
-                .iter()
-                .flat_map(|logs| logs.iter().map(SharedRecoveryLog::audit))
-                .collect(),
-            dedup_peak_entries: got.dedup_peak,
-            final_distribution,
-            obs: obs.as_ref().map(Obs::report),
-            reconnects: 0,
-            recall_blocks: tallies.recall_blocks.load(Ordering::Relaxed),
-            largest_frame_bytes: 0,
-        })
+        report.wall_ms = started.elapsed().as_secs_f64() * 1000.0;
+        report.tuples_output = results.len() as u64;
+        report.results = results;
+        report.per_partition_processed = got.per_partition;
+        report.tuples_recalled += tallies.restaged.load(Ordering::Relaxed);
+        report.tuples_retransmitted = tallies.retransmitted.load(Ordering::Relaxed);
+        report.send_failures = tallies.send_failures.load(Ordering::Relaxed);
+        report.delivery_gaps = std::mem::take(&mut *tallies.gaps.lock());
+        report.log_audits = x
+            .logs
+            .iter()
+            .flat_map(|logs| logs.iter().map(SharedRecoveryLog::audit))
+            .collect();
+        report.dedup_peak_entries = got.dedup_peak;
+        report.final_distribution = x.router.lock().current_distribution().weights().to_vec();
+        report.obs = obs.as_ref().map(Obs::report);
+        report.recall_blocks = tallies.recall_blocks.load(Ordering::Relaxed);
+        Ok(report)
     }
 }
 
@@ -1815,12 +1702,15 @@ mod tests {
                 .unwrap();
         }
         raw_tx.send(Raw::Stop).unwrap();
-        let stats = adaptivity.run();
+        let counted = adaptivity.run();
         scanning.store(false, Ordering::Release);
         producer.join().unwrap();
 
-        assert_eq!(stats.deployed, 2, "one scripted, one diagnosed");
-        assert_eq!((stats.recalls_completed, stats.recalls_aborted), (2, 0));
+        assert_eq!(
+            counted.adaptations_deployed, 2,
+            "one scripted, one diagnosed"
+        );
+        assert_eq!((counted.recalls_completed, counted.recalls_aborted), (2, 0));
         let one_recall = ["drain 0", "drain 1", "migrate 0", "migrate 1"];
         assert_eq!(*log.lock(), [one_recall, one_recall].concat());
         assert_eq!(gate.epoch(), 2, "each recall resumed under a new epoch");

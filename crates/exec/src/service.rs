@@ -41,9 +41,10 @@ use gridq_engine::physical::Catalog;
 use gridq_engine::service::{
     AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats,
 };
+use gridq_obs::RunReport;
 
-use crate::socket::{SocketConfig, SocketExecutor, SocketReport};
-use crate::{ThreadedConfig, ThreadedExecutor, ThreadedReport};
+use crate::socket::{SocketConfig, SocketExecutor};
+use crate::{ThreadedConfig, ThreadedExecutor};
 
 /// Modelled per-tuple cost inflation per extra co-resident tenant on a
 /// shared node (threaded substrate only). `1.0` means a second tenant
@@ -169,9 +170,9 @@ pub struct QuerySubmission {
 #[derive(Debug, Clone)]
 pub enum QueryOutcome {
     /// Ran to completion on the threaded substrate.
-    Threaded(ThreadedReport),
+    Threaded(RunReport),
     /// Ran to completion on the socket substrate.
-    Socket(SocketReport),
+    Socket(RunReport),
     /// Refused at admission: run slots and queue were full. Loud by
     /// construction — the reason is returned to the submitter and
     /// counted in [`AdmissionStats::rejected`].

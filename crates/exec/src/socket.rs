@@ -69,7 +69,7 @@ use gridq_grid::Perturbation;
 use gridq_net::frame::kind;
 use gridq_net::link::{self, LinkState, Receive};
 use gridq_net::{Addr, Decoder, Frame, Listener, Stream};
-use gridq_obs::ObsConfig;
+use gridq_obs::{ObsConfig, RunReport};
 use gridq_recovery::Checkpoint;
 
 use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
@@ -77,7 +77,7 @@ use crate::protocol::coordinator::{MigrateCmd, RecallReply};
 use crate::protocol::{sane_ms, validate_knobs, Block, Exchange, Routed, Staged};
 use crate::{
     spin_for, surrendered, Endpoints, Msg, Raw, RetryPolicy, RingPayload, Run, ThreadedConfig,
-    ThreadedReport, Wiring, WorkerEvent,
+    Wiring, WorkerEvent,
 };
 
 /// Application-level message tags, the first payload byte of every
@@ -839,11 +839,11 @@ impl SocketConfig {
     }
 }
 
-/// What a socket-substrate execution measured: the one report type of
-/// both real substrates, with [`ThreadedReport::reconnects`] filled in.
-/// The live-loop fields (M1/M2 counts, failover, tenancy, `obs`) stay at
-/// their defaults until this substrate runs that loop.
-pub type SocketReport = ThreadedReport;
+/// What a socket-substrate execution measured: the one [`RunReport`]
+/// every substrate returns, with `reconnects` and `largest_frame_bytes`
+/// filled in. The live-loop fields (M1/M2 counts, failover, tenancy,
+/// `obs`) stay at their defaults until this substrate runs that loop.
+pub type SocketReport = RunReport;
 
 /// Parses an `Addr` from its `Display` form (`tcp:HOST:PORT` or
 /// `unix:PATH`), the format `gridq-node` receives on its command line.
@@ -1529,7 +1529,7 @@ impl SocketExecutor {
     }
 
     /// Runs the plan to completion.
-    pub fn run(&self, plan: &DistributedPlan) -> Result<SocketReport> {
+    pub fn run(&self, plan: &DistributedPlan) -> Result<RunReport> {
         let cfg = &self.config;
         cfg.validate()?;
         let Some(stage) = plan.stages.first() else {

@@ -28,6 +28,8 @@
 //!   metrics line followed by one line per timeline event). The
 //!   [`json`] module includes a minimal parser used by tests and CI to
 //!   keep the export format honest.
+//! - [`RunReport`] — what one run measured, in one shape on every
+//!   substrate; its `obs` field is the snapshot above.
 
 pub mod json;
 pub mod registry;
@@ -36,7 +38,7 @@ pub mod timeline;
 use std::sync::Arc;
 
 use gridq_common::obs::{Journal, MetricSink};
-use gridq_common::{GridError, Result, SimTime};
+use gridq_common::{DeliveryGap, GridError, LogAudit, LoopCounts, Result, SimTime, Tuple};
 
 pub use json::Json;
 pub use registry::{
@@ -144,8 +146,8 @@ impl Journal for Obs {
     }
 }
 
-/// An exportable snapshot of one execution's observability state, carried
-/// on `ExecutionReport`/`ThreadedReport`.
+/// An exportable snapshot of one execution's observability state: the
+/// [`RunReport::obs`] of every substrate that keeps a timeline.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsReport {
     /// Counter/gauge/histogram values at snapshot time.
@@ -172,9 +174,124 @@ impl ObsReport {
     }
 }
 
+/// What one run of a query measured, in the same shape on every
+/// substrate: the simulator, threads and sockets.
+#[derive(Debug, Clone, Default)]
+pub struct RunReport {
+    /// Response time, ms: wall-clock on threads and sockets, virtual on
+    /// the simulator.
+    pub wall_ms: f64,
+    /// Result tuples collected (on the simulator only when its
+    /// configuration asks for them).
+    pub results: Vec<Tuple>,
+    /// Result tuples delivered to the collector, collected or not.
+    pub tuples_output: u64,
+    /// Input tuples processed per partition (replayed or migrated tuples
+    /// count at every partition that processed them).
+    pub per_partition_processed: Vec<u64>,
+    /// Raw M1 events the control loop received.
+    pub raw_m1_events: u64,
+    /// Raw M2 events the control loop received.
+    pub raw_m2_events: u64,
+    /// Detector notifications that reached the Diagnoser.
+    pub detector_notifications: u64,
+    /// Imbalances the Diagnoser proposed.
+    pub imbalances_reported: u64,
+    /// Adaptations deployed into the router.
+    pub adaptations_deployed: u64,
+    /// Proposals declined because the query was near completion.
+    pub declined_near_completion: u64,
+    /// Proposals declined during the post-adaptation cooldown.
+    pub declined_cooldown: u64,
+    /// Evaluator partitions that died.
+    pub nodes_failed: u64,
+    /// Failovers that moved a dead partition's work to the survivors.
+    pub failovers_completed: u64,
+    /// Recovery-log entries those failovers replayed.
+    pub tuples_replayed: u64,
+    /// Deploys attributed to a co-tenant's load (service plane only).
+    pub tenant_rebalances: u64,
+    /// Recalls that ran the full drain-migrate-resume protocol.
+    pub recalls_completed: u64,
+    /// Recalls abandoned before or during deploying.
+    pub recalls_aborted: u64,
+    /// Operator-state tuples shipped between partitions by recalls.
+    pub state_tuples_migrated: u64,
+    /// In-flight tuples re-routed by recalls and redistributions.
+    pub tuples_recalled: u64,
+    /// Tuples the delivery-retry path retransmitted (resilient runs).
+    pub tuples_retransmitted: u64,
+    /// Windows left undelivered once the retry budget ran out, one per
+    /// (source, dest) edge that gave up; the query completes anyway.
+    pub delivery_gaps: Vec<DeliveryGap>,
+    /// Tuples whose block push failed because the consumer was gone.
+    pub send_failures: u64,
+    /// Conservation audit of each source's recovery log, indexed like
+    /// the plan's sources.
+    pub log_audits: Vec<LogAudit>,
+    /// High-water mark of live consumer dedup-filter entries, maximised
+    /// over partitions: bounded by the unacknowledged windows, not by
+    /// the input size.
+    pub dedup_peak_entries: u64,
+    /// The final routing distribution.
+    pub final_distribution: Vec<f64>,
+    /// Observability snapshot; `None` with obs off, and on sockets.
+    pub obs: Option<ObsReport>,
+    /// Worker connections re-established after a drop (sockets).
+    pub reconnects: u64,
+    /// Blocks recalls and failovers moved outside the data plane, each
+    /// at most `buffer_tuples` long: a recall costs at most
+    /// 2·(⌈moved / `buffer_tuples`⌉ + partitions) of them.
+    pub recall_blocks: u64,
+    /// The largest sequenced frame payload a worker link carried, bytes
+    /// (sockets): bounded by one block of tuples.
+    pub largest_frame_bytes: u64,
+}
+
+impl RunReport {
+    /// Copies the control loop's counts — the one place a report takes
+    /// them from.
+    pub fn count_loop(&mut self, counts: LoopCounts) {
+        self.raw_m1_events = counts.raw_m1;
+        self.raw_m2_events = counts.raw_m2;
+        self.detector_notifications = counts.notifications;
+        self.imbalances_reported = counts.diagnoses;
+        self.adaptations_deployed = counts.deploys;
+        self.declined_near_completion = counts.declined_near_completion;
+        self.declined_cooldown = counts.declined_cooldown;
+        self.nodes_failed = counts.node_downs;
+        self.failovers_completed = counts.failovers;
+        self.tuples_replayed = counts.replayed;
+    }
+
+    /// The ratio between the largest and smallest per-partition processed
+    /// counts (1.0 = perfectly balanced); `None` when a partition
+    /// processed nothing.
+    pub fn balance_ratio(&self) -> Option<f64> {
+        let max = *self.per_partition_processed.iter().max()?;
+        let min = *self.per_partition_processed.iter().min()?;
+        (min > 0).then(|| max as f64 / min as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn balance_ratio() {
+        let r = RunReport {
+            per_partition_processed: vec![100, 121],
+            ..Default::default()
+        };
+        assert!((r.balance_ratio().unwrap() - 1.21).abs() < 1e-12);
+        let zero = RunReport {
+            per_partition_processed: vec![10, 0],
+            ..Default::default()
+        };
+        assert_eq!(zero.balance_ratio(), None);
+        assert_eq!(RunReport::default().balance_ratio(), None);
+    }
 
     #[test]
     fn obs_config_validation() {

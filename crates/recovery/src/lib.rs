@@ -78,6 +78,8 @@ use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use gridq_common::sync::Mutex;
 use gridq_common::{DetRng, GridError, Result, Tuple};
 
+pub use gridq_common::{DeliveryGap, LogAudit};
+
 /// A checkpoint marker emitted into a destination's stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Checkpoint {
@@ -539,41 +541,6 @@ impl<T> SharedRecoveryLog<T> {
     }
 }
 
-/// A point-in-time conservation audit of a recovery log.
-///
-/// Every recorded entry must be accounted for exactly once: pruned by an
-/// acknowledgement, retired, or still in the log. A move neither records
-/// nor retires; a drain retires and the re-record after it records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LogAudit {
-    /// Entries recorded (including entries re-recorded after a drain).
-    pub recorded: u64,
-    /// Entries pruned by acknowledgements.
-    pub pruned: u64,
-    /// Entries retired by a recall or drained by failure recovery (the
-    /// migration or replay traffic itself carries the exactly-once
-    /// guarantee for them).
-    pub retired: u64,
-    /// Entries still held in the log (for a retained build log this
-    /// includes delivered entries, kept replayable by design).
-    pub unacked: u64,
-    /// Acknowledgements accepted.
-    pub acks_accepted: u64,
-    /// Duplicate acknowledgements absorbed (retransmitted markers; never
-    /// part of the conservation equation, but a retransmission-health
-    /// signal).
-    pub acks_duplicate: u64,
-    /// Acknowledgements dropped as stale or malformed.
-    pub acks_dropped: u64,
-}
-
-impl LogAudit {
-    /// True when every recorded entry is accounted for exactly once.
-    pub fn conserved(&self) -> bool {
-        self.recorded == self.pruned + self.retired + self.unacked
-    }
-}
-
 /// The recovery-log bookkeeping a hand-over owes — a recall's moved
 /// state and tuples, a forwarded stray, a producer's restage — grouped
 /// so that [`LogMoves::settle`] visits each source's log once per
@@ -611,22 +578,6 @@ impl LogMoves {
             };
         }
     }
-}
-
-/// A per-(source, destination) record of recovery-log windows a producer
-/// could not deliver within its retry budget. The query still completes;
-/// the gap is the explicit, queryable record of what is missing. Every
-/// substrate reports these from its retry loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeliveryGap {
-    /// Producer (source) index that gave up.
-    pub source: usize,
-    /// Consumer (partition) index that never acknowledged.
-    pub dest: usize,
-    /// Number of closed windows left undelivered.
-    pub windows: u64,
-    /// Total tuples in those windows.
-    pub tuples: u64,
 }
 
 /// The one result de-duplication rule. At-least-once transport can

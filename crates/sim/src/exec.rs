@@ -27,15 +27,13 @@ use gridq_engine::physical::Catalog;
 use gridq_engine::table::Table;
 use gridq_engine::DistributedPlan;
 use gridq_grid::GridEnvironment;
-use gridq_obs::{Counter, Obs, TimelineKind};
+use gridq_obs::{Counter, Obs, RunReport, TimelineKind};
 use gridq_recovery::{
-    AckOutcome, Checkpoint, DeliveryGap, LogMoves, ResultDedup, RetryBackoff, RetryPolicy,
-    SharedRecoveryLog,
+    Checkpoint, DeliveryGap, LogMoves, ResultDedup, RetryBackoff, RetryPolicy, SharedRecoveryLog,
 };
 
 use crate::config::SimulationConfig;
 use crate::events::{Event, EventQueue};
-use crate::report::ExecutionReport;
 
 /// Per raw monitoring notification cost (M1/M2 generation), ms.
 const MONITOR_COST_MS: f64 = 0.02;
@@ -233,8 +231,9 @@ impl Simulation {
         &self.env
     }
 
-    /// Runs a plan to completion, returning the execution report.
-    pub fn run(&self, plan: &DistributedPlan) -> Result<ExecutionReport> {
+    /// Runs a plan to completion, returning the run report (its
+    /// `wall_ms` is the response time in virtual milliseconds).
+    pub fn run(&self, plan: &DistributedPlan) -> Result<RunReport> {
         self.run_with_failures(plan, &[])
     }
 
@@ -249,7 +248,7 @@ impl Simulation {
         &self,
         plan: &DistributedPlan,
         failures: &[(NodeId, SimTime)],
-    ) -> Result<ExecutionReport> {
+    ) -> Result<RunReport> {
         plan.validate()?;
         if plan.stages.len() != 1 {
             return Err(GridError::Execution(
@@ -308,7 +307,6 @@ struct Run<'a> {
     control: ControlLoop,
     diag_node: NodeId,
     total_rows: u64,
-    collected: u64,
     /// A chaos hook is installed: producers retransmit unacknowledged
     /// windows, consumers deduplicate redelivered tuples, and
     /// end-of-stream is withheld until each source's retry loop
@@ -320,7 +318,7 @@ struct Run<'a> {
     results_seen: ResultDedup,
     last_result_at: SimTime,
     last_finish_at: SimTime,
-    report: ExecutionReport,
+    report: RunReport,
     /// Retrospective redistributions performed so far; each one is a
     /// redistribution epoch for the timeline.
     recalls: u64,
@@ -458,9 +456,8 @@ impl<'a> Run<'a> {
                 )
             })
             .unzip();
-        let report = ExecutionReport {
+        let report = RunReport {
             per_partition_processed: vec![0; partitions as usize],
-            results: Vec::new(),
             ..Default::default()
         };
         Ok(Run {
@@ -485,7 +482,6 @@ impl<'a> Run<'a> {
             control,
             diag_node: plan.collect_node,
             total_rows,
-            collected: 0,
             resilient,
             dedup_results: resilient,
             results_seen: ResultDedup::default(),
@@ -707,7 +703,6 @@ impl<'a> Run<'a> {
                 tuples_in_buffer: tuples,
                 at: done,
             };
-            self.report.raw_m2_events += 1;
             // A lost notification was still generated (and paid for);
             // the detector simply never sees it.
             if self.chaos_notify(NotifyKind::M2, s) {
@@ -802,14 +797,6 @@ impl<'a> Run<'a> {
                     windows: windows.len() as u64,
                     tuples,
                 };
-                self.report.note(
-                    self.now,
-                    format!(
-                        "delivery gap: source {s} -> partition {dest}, {} windows \
-                         ({tuples} tuples) unacknowledged after {attempt} retries",
-                        windows.len()
-                    ),
-                );
                 self.report.delivery_gaps.push(gap);
             }
             self.release_eos(s);
@@ -1008,7 +995,7 @@ impl<'a> Run<'a> {
                             let seq = tuple.seq();
                             self.logs[source]
                                 .migrate_matching(ci, owner, |(_, t)| t.seq() == seq)?;
-                            self.report.tuples_redistributed += 1;
+                            self.report.tuples_recalled += 1;
                             let from_node = self.consumers[i].node;
                             let to_node = self.consumers[owner as usize].node;
                             let bytes = tuple.byte_size();
@@ -1141,7 +1128,6 @@ impl<'a> Run<'a> {
         c.batch_cost_ms = 0.0;
         c.batch_wait_ms = 0.0;
         let node = c.node;
-        self.report.raw_m1_events += 1;
         if self.chaos_notify(NotifyKind::M1, i) {
             if let Some(notice) = self.control.on_m1(&event) {
                 self.notify(node, notice);
@@ -1183,10 +1169,8 @@ impl<'a> Run<'a> {
     }
 
     fn ack_arrive(&mut self, source: usize, dest: u32, cp: u64, epoch: u64) {
-        match self.logs[source].acknowledge(dest, cp, epoch) {
-            AckOutcome::Accepted(_) | AckOutcome::Duplicate => self.report.acks_received += 1,
-            AckOutcome::Stale | AckOutcome::Ignored => {}
-        }
+        // The log's audit counts the outcome.
+        let _ = self.logs[source].acknowledge(dest, cp, epoch);
     }
 
     // -- adaptation deployment ---------------------------------------------
@@ -1198,20 +1182,7 @@ impl<'a> Run<'a> {
             .ok_or_else(|| GridError::Execution("every evaluator node has failed".into()))?;
         let moves = self.router.apply_distribution(&target)?;
         let deploy_seq = self.control.deployed(&accepted, &target, self.now);
-        let cmd = &accepted.command;
-        self.report.note(
-            self.now,
-            format!(
-                "adaptation deployed ({}): W' = {:?}",
-                if cmd.retrospective { "R1" } else { "R2" },
-                cmd.new_distribution
-                    .weights()
-                    .iter()
-                    .map(|w| (w * 1000.0).round() / 1000.0)
-                    .collect::<Vec<_>>()
-            ),
-        );
-        if cmd.retrospective {
+        if accepted.command.retrospective {
             self.redistribute(&moves, Some(deploy_seq))?;
         }
         // The deployment is fully applied (including any recall) at this
@@ -1237,7 +1208,7 @@ impl<'a> Run<'a> {
         self.recalls += 1;
         let epoch = self.recalls;
         let state_before = self.report.state_tuples_migrated;
-        let redist_before = self.report.tuples_redistributed;
+        let recalled_before = self.report.tuples_recalled;
         let start_seq = deploy_seq.map(|deploy_seq| {
             self.obs_record(
                 t,
@@ -1345,7 +1316,7 @@ impl<'a> Run<'a> {
             self.consumers[from].build_queue = keep_build;
             self.consumers[from].main_queue = keep_main;
             self.consumers[from].penalty_ms += DISCARD_COST_MS * removed as f64;
-            self.report.tuples_redistributed += removed;
+            self.report.tuples_recalled += removed;
         }
 
         // 3. Reroute in-flight buffers.
@@ -1370,7 +1341,7 @@ impl<'a> Run<'a> {
                                 migrated,
                             });
                         } else {
-                            self.report.tuples_redistributed += 1;
+                            self.report.tuples_recalled += 1;
                             log_moves.note(source, dest as usize, Some(new_dest), tuple.seq());
                             transfers
                                 .entry((dest as usize, new_dest))
@@ -1478,7 +1449,7 @@ impl<'a> Run<'a> {
                 TimelineKind::RecallFinish {
                     epoch,
                     state_tuples_migrated: self.report.state_tuples_migrated - state_before,
-                    tuples_recalled: self.report.tuples_redistributed - redist_before,
+                    tuples_recalled: self.report.tuples_recalled - recalled_before,
                     start_seq,
                 },
             );
@@ -1495,10 +1466,9 @@ impl<'a> Run<'a> {
         self.last_result_at = self.last_result_at.max(self.now);
         for tuple in tuples {
             if self.dedup_results && !self.results_seen.first(&tuple) {
-                self.report.duplicates_dropped += 1;
                 continue;
             }
-            self.collected += 1;
+            self.report.tuples_output += 1;
             if self.config.collect_results {
                 self.report.results.push(tuple);
             }
@@ -1521,11 +1491,6 @@ impl<'a> Run<'a> {
         if dead_now.is_empty() {
             return Ok(());
         }
-        self.report.nodes_failed += 1;
-        self.report.note(
-            t,
-            format!("node {node} failed ({} partitions lost)", dead_now.len()),
-        );
         // One NodeDown per lost partition; the matching Failover record
         // below links back here so the timeline shows each death paired
         // with exactly one completed recovery.
@@ -1602,7 +1567,6 @@ impl<'a> Run<'a> {
             for (stream, tuple) in resend {
                 let dest = self.router.route(stream, &tuple)?;
                 self.logs[s].record_migrated(dest, (stream, tuple.clone()))?;
-                self.report.failure_resent_tuples += 1;
                 let wave = usize::from(stream != StreamTag::Build);
                 per_dest[wave].entry(dest).or_default().push(Item::Tuple {
                     stream,
@@ -1658,13 +1622,6 @@ impl<'a> Run<'a> {
         for src in &mut self.sources {
             src.resume_at = src.resume_at.max(latest_arrival);
         }
-        self.report.note(
-            t,
-            format!(
-                "recovery: {} tuples resent from recovery logs",
-                self.report.failure_resent_tuples
-            ),
-        );
         for (&ci, down_seq) in dead_now.iter().zip(down_seqs) {
             let replayed = replayed.get(&ci).copied().unwrap_or(0);
             self.control
@@ -1673,16 +1630,10 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    fn into_report(mut self) -> ExecutionReport {
+    fn into_report(mut self) -> RunReport {
         let response = self.last_result_at.max(self.last_finish_at);
-        self.report.response_time_ms = response.as_millis();
-        self.report.tuples_output = self.collected;
-        self.report.detector_notifications = self.control.detector().notifications_sent;
-        self.report.imbalances_reported = self.control.diagnoser().imbalances_reported;
-        let responder = self.control.responder();
-        self.report.adaptations_deployed = responder.adaptations_deployed;
-        self.report.declined_near_completion = responder.declined_near_completion;
-        self.report.declined_cooldown = responder.declined_cooldown;
+        self.report.wall_ms = response.as_millis();
+        self.report.count_loop(self.control.counts());
         self.report.final_distribution = self.router.current_distribution().weights().to_vec();
         self.control.teardown();
         self.report.log_audits = self.logs.iter().map(SharedRecoveryLog::audit).collect();

@@ -29,8 +29,7 @@
 pub mod config;
 pub mod events;
 pub mod exec;
-pub mod report;
 
 pub use config::SimulationConfig;
 pub use exec::Simulation;
-pub use report::ExecutionReport;
+pub use gridq_obs::RunReport;

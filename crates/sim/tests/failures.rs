@@ -63,19 +63,19 @@ fn stateless_query_survives_one_failure_exactly_once() {
     .unwrap();
     // Kill node2 a fifth of the way through the run.
     let healthy = sim.run(&plan).unwrap();
-    let fail_at = SimTime::from_millis(healthy.response_time_ms / 5.0);
+    let fail_at = SimTime::from_millis(healthy.wall_ms / 5.0);
     let report = sim
         .run_with_failures(&plan, &[(NodeId::new(2), fail_at)])
         .unwrap();
     assert_eq!(report.nodes_failed, 1);
-    assert!(report.failure_resent_tuples > 0, "{:?}", report.timeline);
-    assert_eq!(report.tuples_output, 400, "{:?}", report.timeline);
+    assert!(report.tuples_replayed > 0, "{:?}", report.obs);
+    assert_eq!(report.tuples_output, 400, "{:?}", report.obs);
     let expect: Vec<i64> = (0..400i64).map(|i| i * i).collect();
     assert_eq!(sorted_ints(&report.results), expect);
     // The survivor did all remaining work.
     assert_eq!(report.final_distribution[1], 0.0);
     // Losing a node costs time.
-    assert!(report.response_time_ms > healthy.response_time_ms);
+    assert!(report.wall_ms > healthy.wall_ms);
 }
 
 #[test]
@@ -93,18 +93,18 @@ fn join_survives_failure_with_state_rebuild() {
     let expected: u64 = (0..240).filter(|i| i % 160 < 120).count() as u64;
     assert_eq!(healthy.tuples_output, expected);
     // Fail node2 after the build phase is well under way.
-    let fail_at = SimTime::from_millis(healthy.response_time_ms / 3.0);
+    let fail_at = SimTime::from_millis(healthy.wall_ms / 3.0);
     let report = sim
         .run_with_failures(&plan, &[(NodeId::new(2), fail_at)])
         .unwrap();
     assert_eq!(
         report.tuples_output, expected,
         "join results after recovery: {:?}",
-        report.timeline
+        report.obs
     );
     // Build state for the dead partition's buckets was rebuilt from the
     // never-acknowledged build log.
-    assert!(report.failure_resent_tuples > 0);
+    assert!(report.tuples_replayed > 0);
     // Exactly-once delivery: the multisets match the healthy run.
     let mut healthy_strs: Vec<String> = healthy.results.iter().map(|t| t.to_string()).collect();
     let mut failed_strs: Vec<String> = report.results.iter().map(|t| t.to_string()).collect();
@@ -129,11 +129,11 @@ fn failure_with_adaptivity_never_routes_back_to_dead_node() {
     )
     .unwrap();
     let healthy = sim.run(&plan).unwrap();
-    let fail_at = SimTime::from_millis(healthy.response_time_ms / 4.0);
+    let fail_at = SimTime::from_millis(healthy.wall_ms / 4.0);
     let report = sim
         .run_with_failures(&plan, &[(NodeId::new(2), fail_at)])
         .unwrap();
-    assert_eq!(report.tuples_output, 600, "{:?}", report.timeline);
+    assert_eq!(report.tuples_output, 600, "{:?}", report.obs);
     assert_eq!(
         report.final_distribution[1], 0.0,
         "dead partition must keep zero weight: {:?}",
@@ -154,13 +154,13 @@ fn two_failures_leave_one_survivor() {
     )
     .unwrap();
     let healthy = sim.run(&plan).unwrap();
-    let t1 = SimTime::from_millis(healthy.response_time_ms / 6.0);
-    let t2 = SimTime::from_millis(healthy.response_time_ms / 3.0);
+    let t1 = SimTime::from_millis(healthy.wall_ms / 6.0);
+    let t2 = SimTime::from_millis(healthy.wall_ms / 3.0);
     let report = sim
         .run_with_failures(&plan, &[(NodeId::new(2), t1), (NodeId::new(3), t2)])
         .unwrap();
     assert_eq!(report.nodes_failed, 2);
-    assert_eq!(report.tuples_output, 300, "{:?}", report.timeline);
+    assert_eq!(report.tuples_output, 300, "{:?}", report.obs);
     let expect: Vec<i64> = (0..300i64).map(|i| i * i).collect();
     assert_eq!(sorted_ints(&report.results), expect);
 }
@@ -209,7 +209,7 @@ fn failure_after_completion_is_harmless() {
     )
     .unwrap();
     let healthy = sim.run(&plan).unwrap();
-    let late = SimTime::from_millis(healthy.response_time_ms * 10.0);
+    let late = SimTime::from_millis(healthy.wall_ms * 10.0);
     let report = sim
         .run_with_failures(&plan, &[(NodeId::new(2), late)])
         .unwrap();

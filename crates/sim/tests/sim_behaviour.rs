@@ -65,7 +65,7 @@ fn q1_results_match_reference() {
     // Reference: squares of 0..200.
     let expect: HashMap<String, usize> = (0..200i64).map(|i| (format!("[{}]", i * i), 1)).collect();
     assert_eq!(value_multiset(&report.results), expect);
-    assert!(report.response_time_ms > 0.0);
+    assert!(report.wall_ms > 0.0);
 }
 
 #[test]
@@ -108,10 +108,10 @@ fn q1_perturbed_without_adaptivity_degrades() {
     .unwrap();
     let pert = sim_pert.run(&plan).unwrap();
     assert!(
-        pert.response_time_ms > 2.0 * base.response_time_ms,
+        pert.wall_ms > 2.0 * base.wall_ms,
         "10x perturbation must hurt a static system: {} vs {}",
-        pert.response_time_ms,
-        base.response_time_ms
+        pert.wall_ms,
+        base.wall_ms
     );
 }
 
@@ -147,10 +147,10 @@ fn q1_adaptivity_recovers_much_of_the_loss() {
     assert_eq!(adaptive.tuples_output, 600);
     assert!(adaptive.adaptations_deployed >= 1);
     assert!(
-        adaptive.response_time_ms < 0.7 * static_run.response_time_ms,
+        adaptive.wall_ms < 0.7 * static_run.wall_ms,
         "adaptive {} should beat static {}",
-        adaptive.response_time_ms,
-        static_run.response_time_ms
+        adaptive.wall_ms,
+        static_run.wall_ms
     );
     // The fast partition must have absorbed most of the work.
     let w = &adaptive.final_distribution;
@@ -177,7 +177,7 @@ fn q1_retrospective_recalls_tuples() {
     .unwrap();
     assert_eq!(report.tuples_output, 600);
     assert!(
-        report.tuples_redistributed > 0,
+        report.tuples_recalled > 0,
         "retrospective response must recall queued tuples"
     );
     // Results stay exact under redistribution.
@@ -294,7 +294,7 @@ fn deterministic_given_seed() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a.response_time_ms, b.response_time_ms);
+    assert_eq!(a.wall_ms, b.wall_ms);
     assert_eq!(a.per_partition_processed, b.per_partition_processed);
     assert_eq!(a.adaptations_deployed, b.adaptations_deployed);
 }
@@ -311,10 +311,12 @@ fn acks_prune_recovery_logs() {
     .unwrap()
     .run(&plan)
     .unwrap();
-    assert!(
-        report.acks_received > 0,
-        "checkpoint acknowledgements must flow"
-    );
+    let acks: u64 = report
+        .log_audits
+        .iter()
+        .map(|a| a.acks_accepted + a.acks_duplicate)
+        .sum();
+    assert!(acks > 0, "checkpoint acknowledgements must flow");
 }
 
 #[test]
@@ -338,5 +340,5 @@ fn three_evaluator_run_with_one_perturbed() {
     let static_run = mk(false);
     let adaptive = mk(true);
     assert_eq!(adaptive.tuples_output, 600);
-    assert!(adaptive.response_time_ms < static_run.response_time_ms);
+    assert!(adaptive.wall_ms < static_run.wall_ms);
 }

@@ -24,7 +24,7 @@ use gridq_engine::Expr;
 use gridq_grid::{
     GridEnvironment, NetworkModel, NodeSpec, Perturbation, PerturbationSchedule, ResourceRegistry,
 };
-use gridq_sim::{ExecutionReport, Simulation, SimulationConfig};
+use gridq_sim::{RunReport, Simulation, SimulationConfig};
 
 use crate::data::{protein_interactions, protein_sequences};
 use crate::entropy::EntropyAnalyser;
@@ -161,7 +161,7 @@ impl Q1Experiment {
         &self,
         adaptivity: AdaptivityConfig,
         perturbations: &[EvaluatorPerturbation],
-    ) -> Result<ExecutionReport> {
+    ) -> Result<RunReport> {
         self.run_scheduled(adaptivity, &constant(perturbations))
     }
 
@@ -171,7 +171,7 @@ impl Q1Experiment {
         &self,
         adaptivity: AdaptivityConfig,
         schedules: &[(usize, PerturbationSchedule)],
-    ) -> Result<ExecutionReport> {
+    ) -> Result<RunReport> {
         simulate(
             schedules,
             self.catalog(),
@@ -285,7 +285,7 @@ impl Q2Experiment {
         &self,
         adaptivity: AdaptivityConfig,
         perturbations: &[EvaluatorPerturbation],
-    ) -> Result<ExecutionReport> {
+    ) -> Result<RunReport> {
         let schedules = constant(perturbations);
         simulate(
             &schedules,
@@ -316,7 +316,7 @@ fn simulate(
     catalog: Catalog,
     config: SimulationConfig,
     plan: &DistributedPlan,
-) -> Result<ExecutionReport> {
+) -> Result<RunReport> {
     let evaluators = plan.stages[0].nodes.len();
     let mut env = experiment_env(evaluators);
     for (evaluator, schedule) in schedules {
@@ -354,7 +354,7 @@ mod tests {
     fn q1_baseline_completes() {
         let report = small_q1().run(AdaptivityConfig::disabled(), &[]).unwrap();
         assert_eq!(report.tuples_output, 300);
-        assert!(report.response_time_ms > 0.0);
+        assert!(report.wall_ms > 0.0);
     }
 
     #[test]
@@ -375,10 +375,10 @@ mod tests {
             .unwrap();
         assert_eq!(adaptive.tuples_output, 3000);
         assert!(
-            adaptive.response_time_ms < 0.7 * static_run.response_time_ms,
+            adaptive.wall_ms < 0.7 * static_run.wall_ms,
             "adaptive {} vs static {}",
-            adaptive.response_time_ms,
-            static_run.response_time_ms
+            adaptive.wall_ms,
+            static_run.wall_ms
         );
     }
 
@@ -421,7 +421,7 @@ mod tests {
                 )],
             )
             .unwrap();
-        let ratio = pert.response_time_ms / base.response_time_ms;
+        let ratio = pert.wall_ms / base.wall_ms;
         assert!(
             (2.8..=4.4).contains(&ratio),
             "10x perturbation should degrade ~3.5x, got {ratio:.2}"

@@ -12,6 +12,7 @@
 
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 use gridq::grid::Perturbation;
+use gridq::obs::TimelineKind;
 use gridq::workload::experiments::{EvaluatorPerturbation, Q2Experiment};
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
         .expect("baseline runs");
     println!(
         "baseline: {:.0} ms, {} join results\n",
-        base.response_time_ms, base.tuples_output
+        base.wall_ms, base.tuples_output
     );
 
     for sleep_ms in [10.0, 50.0, 100.0] {
@@ -53,10 +54,10 @@ fn main() {
              \x20  static    {:>7.2}x\n\
              \x20  adaptive  {:>7.2}x  ({} adaptations, {} tuples recalled, \
              {} state tuples migrated, final split {:?})",
-            static_run.response_time_ms / base.response_time_ms,
-            adaptive.response_time_ms / base.response_time_ms,
+            static_run.wall_ms / base.wall_ms,
+            adaptive.wall_ms / base.wall_ms,
             adaptive.adaptations_deployed,
-            adaptive.tuples_redistributed,
+            adaptive.tuples_recalled,
             adaptive.state_tuples_migrated,
             adaptive
                 .final_distribution
@@ -64,8 +65,10 @@ fn main() {
                 .map(|w| (w * 100.0).round() / 100.0)
                 .collect::<Vec<_>>(),
         );
-        for entry in &adaptive.timeline {
-            println!("      {} {}", entry.at, entry.what);
+        for event in adaptive.obs.iter().flat_map(|o| &o.events) {
+            if matches!(event.kind, TimelineKind::Deploy { .. }) {
+                println!("      {}", event.to_json_line());
+            }
         }
     }
 }

@@ -25,6 +25,7 @@ use gridq::common::{NodeId, SimTime};
 use gridq::engine::fixtures::multiset;
 use gridq::exec::RetryPolicy;
 use gridq::grid::GridEnvironment;
+use gridq::obs::TimelineKind;
 use gridq::sim::{Simulation, SimulationConfig};
 use gridq::workload::experiments::Q2Experiment;
 
@@ -48,11 +49,11 @@ fn main() {
     let healthy = sim.run(&plan).expect("healthy run");
     println!(
         "healthy run: {:.0} ms, {} join results",
-        healthy.response_time_ms, healthy.tuples_output
+        healthy.wall_ms, healthy.tuples_output
     );
 
     for fraction in [0.2, 0.5, 0.8] {
-        let fail_at = SimTime::from_millis(healthy.response_time_ms * fraction);
+        let fail_at = SimTime::from_millis(healthy.wall_ms * fraction);
         let report = sim
             .run_with_failures(&plan, &[(NodeId::new(2), fail_at)])
             .expect("failure run");
@@ -63,16 +64,20 @@ fn main() {
         println!(
             "\nnode2 fails at {:.0}% of the run:\n\
              \x20  response {:.0} ms ({:.2}x), {} results (complete), \
-             {} tuples resent from logs, {} duplicate deliveries dropped",
+             {} tuples replayed from logs",
             fraction * 100.0,
-            report.response_time_ms,
-            report.response_time_ms / healthy.response_time_ms,
+            report.wall_ms,
+            report.wall_ms / healthy.wall_ms,
             report.tuples_output,
-            report.failure_resent_tuples,
-            report.duplicates_dropped,
+            report.tuples_replayed,
         );
-        for entry in &report.timeline {
-            println!("      {} {}", entry.at, entry.what);
+        for event in report.obs.iter().flat_map(|o| &o.events) {
+            if matches!(
+                event.kind,
+                TimelineKind::NodeDown { .. } | TimelineKind::Failover { .. }
+            ) {
+                println!("      {}", event.to_json_line());
+            }
         }
     }
     println!(

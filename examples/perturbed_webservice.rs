@@ -26,7 +26,7 @@ fn main() {
     );
     println!(
         "baseline (no perturbation, no adaptivity): {:.0} ms\n",
-        base.response_time_ms
+        base.wall_ms
     );
     println!(
         "{:<14} {:>12} {:>14} {:>15}",
@@ -52,10 +52,10 @@ fn main() {
         println!(
             "{:<14} {:>11.2}x {:>13.2}x {:>14.2}x   ({} tuples recalled by R1)",
             format!("{k:.0}x WS cost"),
-            static_run.response_time_ms / base.response_time_ms,
-            r2.response_time_ms / base.response_time_ms,
-            r1.response_time_ms / base.response_time_ms,
-            r1.tuples_redistributed,
+            static_run.wall_ms / base.wall_ms,
+            r2.wall_ms / base.wall_ms,
+            r1.wall_ms / base.wall_ms,
+            r1.tuples_recalled,
         );
     }
     println!(

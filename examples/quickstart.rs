@@ -8,6 +8,7 @@ use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 use gridq::common::NodeId;
 use gridq::core::{ExecutionOptions, GridQueryProcessor};
 use gridq::grid::Perturbation;
+use gridq::obs::TimelineKind;
 use gridq::workload::demo_catalog;
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
         .expect("query runs");
     println!(
         "healthy grid      : {:>8.0} ms, {} tuples, split {:?}",
-        healthy.response_time_ms, healthy.tuples_output, healthy.per_partition_processed
+        healthy.wall_ms, healthy.tuples_output, healthy.per_partition_processed
     );
 
     // Perturb the second evaluator: its CPU becomes 10x slower, as if
@@ -40,7 +41,7 @@ fn main() {
         .expect("query runs");
     println!(
         "perturbed, static : {:>8.0} ms, {} tuples, split {:?}",
-        static_run.response_time_ms, static_run.tuples_output, static_run.per_partition_processed
+        static_run.wall_ms, static_run.tuples_output, static_run.per_partition_processed
     );
 
     // The same query with the adaptivity components active: the
@@ -51,14 +52,15 @@ fn main() {
     let adaptive = qp.run_sql(q1, adaptive_options).expect("query runs");
     println!(
         "perturbed, adaptive: {:>7.0} ms, {} tuples, split {:?}",
-        adaptive.response_time_ms, adaptive.tuples_output, adaptive.per_partition_processed
+        adaptive.wall_ms, adaptive.tuples_output, adaptive.per_partition_processed
     );
-    for entry in &adaptive.timeline {
-        println!("    {} {}", entry.at, entry.what);
+    for event in adaptive.obs.iter().flat_map(|o| &o.events) {
+        if matches!(event.kind, TimelineKind::Deploy { .. }) {
+            println!("    {}", event.to_json_line());
+        }
     }
     println!(
         "adaptivity recovered {:.0}% of the perturbation-induced slowdown",
-        100.0 * (static_run.response_time_ms - adaptive.response_time_ms)
-            / (static_run.response_time_ms - healthy.response_time_ms)
+        100.0 * (static_run.wall_ms - adaptive.wall_ms) / (static_run.wall_ms - healthy.wall_ms)
     );
 }

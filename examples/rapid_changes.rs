@@ -10,6 +10,7 @@
 use gridq::adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
 use gridq::common::SimTime;
 use gridq::grid::{Perturbation, PerturbationSchedule};
+use gridq::obs::TimelineKind;
 use gridq::workload::experiments::{EvaluatorPerturbation, Q1Experiment};
 
 fn adaptive() -> AdaptivityConfig {
@@ -58,7 +59,7 @@ fn main() {
             .expect("adaptive run");
         println!(
             "  {label:<12} adaptive {:>5.2}x  ({} adaptations)",
-            report.response_time_ms / base.response_time_ms,
+            report.wall_ms / base.wall_ms,
             report.adaptations_deployed
         );
     }
@@ -81,10 +82,12 @@ fn main() {
         .expect("adaptive run");
     println!(
         "  static   {:>5.2}x\n  adaptive {:>5.2}x",
-        static_report.response_time_ms / base.response_time_ms,
-        adaptive_report.response_time_ms / base.response_time_ms
+        static_report.wall_ms / base.wall_ms,
+        adaptive_report.wall_ms / base.wall_ms
     );
-    for entry in &adaptive_report.timeline {
-        println!("    {} {}", entry.at, entry.what);
+    for event in adaptive_report.obs.iter().flat_map(|o| &o.events) {
+        if matches!(event.kind, TimelineKind::Deploy { .. }) {
+            println!("    {}", event.to_json_line());
+        }
     }
 }

@@ -228,7 +228,7 @@ fn threaded_m1_hand_overs_are_per_block_and_samples_are_not() {
 /// consumers end, it has seen every tuple they processed.
 #[test]
 fn threaded_processed_count_is_whole_at_teardown() {
-    let whole = |report: &gridq::exec::ThreadedReport| {
+    let whole = |report: &gridq::obs::RunReport| {
         let obs = report.obs.as_ref().expect("obs on by default");
         assert_eq!(
             obs.metrics.counters["exec.tuples_processed"],

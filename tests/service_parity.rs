@@ -24,8 +24,8 @@ use gridq::chaos::{run_on, Knobs, Substrate, Workload};
 use gridq::common::QueryId;
 use gridq::engine::fixtures::multiset;
 use gridq::engine::service::AdmissionConfig;
-use gridq::exec::{QueryOutcome, QueryService, QuerySubmission, ServiceConfig, ThreadedReport};
-use gridq::obs::{TimelineEvent, TimelineKind};
+use gridq::exec::{QueryOutcome, QueryService, QuerySubmission, ServiceConfig};
+use gridq::obs::{RunReport, TimelineEvent, TimelineKind};
 use gridq::workload::experiments::Q1Experiment;
 
 mod common;
@@ -33,7 +33,7 @@ use common::{node_2_slow, q1, q2_r1, r1_knobs, r2_knobs, static_knobs};
 
 /// The serial reference: one workload, alone, on the simulator.
 fn sim_reference(w: &Workload, knobs: &Knobs) -> Vec<String> {
-    run_on(Substrate::Sim, w, knobs).unwrap().results
+    multiset(&run_on(Substrate::Sim, w, knobs).unwrap().results)
 }
 
 fn submit(w: &Workload, substrate: Substrate, knobs: &Knobs) -> QuerySubmission {
@@ -50,7 +50,7 @@ fn service(max_concurrent: usize, queue_depth: usize) -> QueryService {
     .unwrap()
 }
 
-fn threaded(outcome: &QueryOutcome) -> &ThreadedReport {
+fn threaded(outcome: &QueryOutcome) -> &RunReport {
     match outcome {
         QueryOutcome::Threaded(r) => r,
         other => panic!("expected a completed threaded query, got {other:?}"),
@@ -301,9 +301,7 @@ fn stateful_recall_never_leaks_into_a_co_resident_stateless_query() {
 /// adaptivity loop live, well past the diagnosis. Both multisets must
 /// equal their serial references: contention-induced rerouting never
 /// changes a result. Returns (source, observer) with their epochs.
-fn run_contended_pair(
-    observer_knobs: &Knobs,
-) -> ((QueryId, ThreadedReport), (QueryId, ThreadedReport)) {
+fn run_contended_pair(observer_knobs: &Knobs) -> ((QueryId, RunReport), (QueryId, RunReport)) {
     let source = q1(2000);
     let source_knobs = Knobs {
         cost_scale: 0.05,
@@ -342,7 +340,7 @@ fn run_contended_pair(
     )
 }
 
-fn timeline(run: &ThreadedReport) -> &[TimelineEvent] {
+fn timeline(run: &RunReport) -> &[TimelineEvent] {
     &run.obs.as_ref().expect("obs enabled by default").events
 }
 

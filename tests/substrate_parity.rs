@@ -5,9 +5,10 @@
 //! of a stateful hash join.
 //!
 //! Every cell describes its query once, as a `Workload`, and runs it
-//! through the harness in `gridq::chaos`; a `RunSummary` holds the
-//! result as a sorted multiset of rendered rows because the substrates
-//! assign sequence numbers independently. The socket substrate scripts
+//! through the harness in `gridq::chaos`; every substrate returns the
+//! same `RunReport`, and cells compare those directly — results as a
+//! sorted multiset of rendered rows, because the substrates assign
+//! sequence numbers independently. The socket substrate scripts
 //! its adaptation trigger (the decision stack is covered by the
 //! sim/threaded cells); what its cells pin is that the *wire* data plane
 //! — real frames over real connections — routes, recalls, and collects
@@ -16,12 +17,11 @@
 use std::sync::Arc;
 
 use gridq::chaos::oracle::log_conservation;
-use gridq::chaos::{
-    run_on, FaultEvent, FaultPlan, Knobs, PlanHook, Policy, RunSummary, Substrate, Workload,
-};
+use gridq::chaos::{run_on, FaultEvent, FaultPlan, Knobs, PlanHook, Policy, Substrate, Workload};
 use gridq::common::{NodeId, RecallPhase, SimTime};
+use gridq::engine::fixtures::multiset;
 use gridq::exec::RetryPolicy;
-use gridq::obs::TimelineKind;
+use gridq::obs::{RunReport, TimelineKind};
 
 mod common;
 use common::{node_2_slow, q2, q2_r1, r1_knobs, r2_knobs, static_knobs};
@@ -30,24 +30,29 @@ fn q1() -> Workload {
     common::q1(600)
 }
 
+/// The run's results as a sorted multiset of rendered rows.
+fn rows(run: &RunReport) -> Vec<String> {
+    multiset(&run.results)
+}
+
 /// Cross-substrate agreement, stated once: the same workload on each
-/// substrate returns `rows` rows, the first substrate's multiset on
+/// substrate returns `count` rows, the first substrate's multiset on
 /// every other, and recovery logs that all balance.
 fn agree(
     substrates: &[Substrate],
     w: &Workload,
     knobs: impl Fn(Substrate) -> Knobs,
-    rows: usize,
-) -> Vec<RunSummary> {
-    let runs: Vec<RunSummary> = substrates
+    count: usize,
+) -> Vec<RunReport> {
+    let runs: Vec<RunReport> = substrates
         .iter()
         .map(|&s| run_on(s, w, &knobs(s)).unwrap_or_else(|e| panic!("{}: {e}", s.name())))
         .collect();
     for (s, run) in substrates.iter().zip(&runs) {
-        assert_eq!(run.results.len(), rows, "{}", s.name());
+        assert_eq!(run.results.len(), count, "{}", s.name());
         assert_eq!(
-            run.results,
-            runs[0].results,
+            rows(run),
+            rows(&runs[0]),
             "{} and {} disagree",
             s.name(),
             substrates[0].name()
@@ -58,7 +63,7 @@ fn agree(
     runs
 }
 
-fn recalls_finished(run: &RunSummary) -> usize {
+fn recalls_finished(run: &RunReport) -> usize {
     let obs = run.obs.as_ref().expect("obs on by default");
     obs.events
         .iter()
@@ -132,8 +137,8 @@ fn retrospective_r1_stateful_runs_agree_across_substrates() {
     );
 
     assert_eq!(baseline.results.len(), 300);
-    assert_eq!(baseline.results, sim.results);
-    assert_eq!(baseline.results, RunSummary::from(threaded).results);
+    assert_eq!(rows(&baseline), rows(&sim));
+    assert_eq!(rows(&baseline), rows(&threaded));
 }
 
 /// Node-failure parity: killing an evaluator mid-run — a simulated node
@@ -152,7 +157,7 @@ fn node_failure_runs_match_the_unfaulted_reference() {
     // Simulator: evaluator node 2 dies halfway through the healthy run;
     // producers replay its unacknowledged log entries onto node 1.
     let healthy = w.simulate(&Knobs::default()).unwrap();
-    let fail_at = SimTime::from_millis(healthy.response_time_ms * 0.5);
+    let fail_at = SimTime::from_millis(healthy.wall_ms * 0.5);
     let sim_failed = run_on(
         Substrate::Sim,
         &w,
@@ -162,7 +167,7 @@ fn node_failure_runs_match_the_unfaulted_reference() {
         },
     )
     .unwrap();
-    assert_eq!(reference.results, sim_failed.results);
+    assert_eq!(rows(&reference), rows(&sim_failed));
 
     // Threaded executor: consumer 1 is killed on its 10th received
     // message; its exit notice reports the crash and the failover recall
@@ -191,7 +196,17 @@ fn node_failure_runs_match_the_unfaulted_reference() {
         "{:?}",
         threaded.per_partition_processed
     );
-    assert_eq!(reference.results, RunSummary::from(threaded).results);
+    assert_eq!(rows(&reference), rows(&threaded));
+    // Both substrates count the death and its failover the same way:
+    // through the one control loop.
+    assert_eq!(
+        (sim_failed.nodes_failed, sim_failed.failovers_completed),
+        (threaded.nodes_failed, threaded.failovers_completed),
+        "sim {sim_failed:?}"
+    );
+    for audit in sim_failed.log_audits.iter().chain(&threaded.log_audits) {
+        assert!(audit.conserved(), "log audit must balance: {audit:?}");
+    }
 }
 
 /// Real milliseconds per model millisecond in the failover cells.
@@ -239,7 +254,7 @@ fn a_slow_consumer_is_not_a_dead_one() {
     assert_eq!(slow.nodes_failed, 0, "a stall is not a death: {slow:?}");
     assert_eq!(slow.failovers_completed, 0, "{slow:?}");
     assert!(slow.delivery_gaps.is_empty(), "{slow:?}");
-    assert_eq!(reference.results, RunSummary::from(slow).results);
+    assert_eq!(rows(&reference), rows(&slow));
 }
 
 /// A failover whose first attempt loses worker 0's drain reply times out
@@ -268,7 +283,7 @@ fn a_failover_that_loses_a_drain_reply_is_retried_and_completes() {
     assert_eq!(run.nodes_failed, 1, "{run:?}");
     assert_eq!(run.failovers_completed, 1, "{run:?}");
     assert!(run.delivery_gaps.is_empty(), "{run:?}");
-    assert_eq!(reference.results, RunSummary::from(run).results);
+    assert_eq!(rows(&reference), rows(&run));
 }
 
 /// Static three-way parity: the same Q1 plan over the simulator, the
@@ -280,9 +295,14 @@ fn socket_static_run_agrees_with_both_in_process_substrates() {
     let socket = w.run_socket(&static_knobs()).unwrap();
     assert_eq!(socket.results.len(), 600);
     assert_eq!(socket.reconnects, 0, "healthy run: {socket:?}");
-    let socket = RunSummary::from(socket);
-    assert_eq!(runs[0].results, socket.results);
-    assert_eq!(runs[1].results, socket.results);
+    assert_eq!(rows(&runs[0]), rows(&socket));
+    assert_eq!(rows(&runs[1]), rows(&socket));
+    assert!(
+        runs.iter()
+            .chain([&socket])
+            .all(|r| r.adaptations_deployed == 0),
+        "a static run deploys nothing"
+    );
 }
 
 /// Prospective parity: a mid-run routing swap over the wire must not
@@ -319,9 +339,8 @@ fn socket_retrospective_recall_agrees_with_r1_on_both_substrates() {
     for audit in &socket.log_audits {
         assert!(audit.conserved(), "log audit must balance: {audit:?}");
     }
-    let socket = RunSummary::from(socket);
-    assert_eq!(runs[0].results, socket.results);
-    assert_eq!(runs[1].results, socket.results);
+    assert_eq!(rows(&runs[0]), rows(&socket));
+    assert_eq!(rows(&runs[1]), rows(&socket));
 }
 
 /// The three cells above as one statement each: a workload and its
@@ -346,7 +365,7 @@ fn every_substrate_agrees_on_the_static_r2_and_r1_workloads() {
 
     let runs = agree(&Substrate::ALL, &q2_r1(), r1_knobs, 300);
     let baseline = run_on(Substrate::Threaded, &q2(), &static_knobs()).unwrap();
-    assert_eq!(baseline.results, runs[0].results);
+    assert_eq!(rows(&baseline), rows(&runs[0]));
     let [_, threaded, socket] = &runs[..] else {
         unreachable!("three substrates ran")
     };
