@@ -125,23 +125,20 @@ impl ControlLoop {
             );
         }
         let mut detector = MonitoringEventDetector::new(config);
-        let mut diagnoser = Diagnoser::new(
+        detector.set_metric_sink(Arc::clone(&sink));
+        let diagnoser = Diagnoser::new(
             stage,
             cast::index_to_u32(initial.len()).unwrap_or(u32::MAX),
             initial,
             config,
         );
-        let mut responder = Responder::new(config);
-        detector.set_metric_sink(Arc::clone(&sink));
-        diagnoser.set_metric_sink(Arc::clone(&sink));
-        responder.set_metric_sink(Arc::clone(&sink));
         ControlLoop {
             query,
             stage,
             response: config.response,
             detector,
             diagnoser,
-            responder,
+            responder: Responder::new(config),
             counts: LoopCounts::default(),
             journal,
             sink,

@@ -123,7 +123,6 @@ impl MonitoringEventDetector {
 
     /// Feeds an M1 event.
     pub fn on_m1(&mut self, event: &M1) -> DetectorOutput {
-        self.sink.incr("detector.raw_events", 1);
         let key = (event.query, event.partition);
         let tracked = Self::tracked(&mut self.m1, key, self.window_len);
         let cost_ok = tracked.window.push(event.cost_per_tuple_ms);
@@ -148,7 +147,6 @@ impl MonitoringEventDetector {
         if tracked.gate.observe(avg) {
             let window_len = tracked.window.len();
             let avg_wait_ms = tracked.wait_window.trimmed_mean().unwrap_or(0.0);
-            self.sink.incr("detector.notifications", 1);
             DetectorOutput::Cost(CostUpdate {
                 partition: event.partition,
                 avg_cost_ms: avg,
@@ -164,7 +162,6 @@ impl MonitoringEventDetector {
 
     /// Feeds an M2 event.
     pub fn on_m2(&mut self, event: &M2) -> DetectorOutput {
-        self.sink.incr("detector.raw_events", 1);
         let key = (event.query, event.producer, event.recipient);
         let tracked = Self::tracked(&mut self.m2, key, self.window_len);
         if !tracked.window.push(event.cost_per_tuple_ms()) {
@@ -179,7 +176,6 @@ impl MonitoringEventDetector {
         self.sink.observe("detector.m2_avg_cost_ms", avg);
         if tracked.gate.observe(avg) {
             let window_len = tracked.window.len();
-            self.sink.incr("detector.notifications", 1);
             DetectorOutput::Comm(CommUpdate {
                 producer: event.producer,
                 recipient: event.recipient,

@@ -10,9 +10,7 @@
 //! with low expected benefit."
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use gridq_common::obs::{MetricSink, NullSink};
 use gridq_common::{DistributionVector, SimTime, SubplanId};
 
 use crate::config::{AdaptivityConfig, AssessmentPolicy};
@@ -51,7 +49,6 @@ pub struct Diagnoser {
     /// Partitions retired by a node death: they report no cost and are
     /// proposed no weight.
     dead: Vec<bool>,
-    sink: Arc<dyn MetricSink>,
 }
 
 impl Diagnoser {
@@ -73,13 +70,7 @@ impl Diagnoser {
             proc_cost: HashMap::new(),
             comm_cost: HashMap::new(),
             dead: vec![false; partitions as usize],
-            sink: Arc::new(NullSink),
         }
-    }
-
-    /// Attaches a metrics sink; `NullSink` is used until one is set.
-    pub fn set_metric_sink(&mut self, sink: Arc<dyn MetricSink>) {
-        self.sink = sink;
     }
 
     /// Records that the Responder deployed a new distribution
@@ -114,7 +105,6 @@ impl Diagnoser {
         if update.partition.subplan != self.stage || self.is_dead(update.partition.index) {
             return None;
         }
-        self.sink.incr("diagnoser.updates_received", 1);
         self.proc_cost
             .insert(update.partition.index, update.avg_cost_ms);
         self.assess(update.at)
@@ -126,7 +116,6 @@ impl Diagnoser {
         if update.recipient.subplan != self.stage || self.is_dead(update.recipient.index) {
             return None;
         }
-        self.sink.incr("diagnoser.updates_received", 1);
         self.comm_cost.insert(
             (update.producer, update.recipient.index),
             update.avg_cost_per_tuple_ms,
@@ -184,7 +173,6 @@ impl Diagnoser {
         let weights: Vec<f64> = self.dead.iter().map(share).collect();
         let proposed = DistributionVector::from_normalized(&weights).ok()?;
         if self.current.max_rel_diff(&proposed) > self.thres_a {
-            self.sink.incr("diagnoser.imbalances_reported", 1);
             Some(Imbalance {
                 stage: self.stage,
                 proposed,

@@ -9,9 +9,6 @@
 //! Diagnosers that need to update the information about the current tuple
 //! distribution."
 
-use std::sync::Arc;
-
-use gridq_common::obs::{MetricSink, NullSink};
 use gridq_common::{DistributionVector, SimTime, SubplanId};
 
 use crate::config::{AdaptivityConfig, ResponsePolicy, COOLDOWN_MS};
@@ -63,7 +60,6 @@ pub struct Responder {
     response: ResponsePolicy,
     progress_cutoff: f64,
     last_adaptation: Option<SimTime>,
-    sink: Arc<dyn MetricSink>,
 }
 
 impl Responder {
@@ -73,13 +69,7 @@ impl Responder {
             response: config.response,
             progress_cutoff: config.progress_cutoff,
             last_adaptation: None,
-            sink: Arc::new(NullSink),
         }
-    }
-
-    /// Attaches a metrics sink; `NullSink` is used until one is set.
-    pub fn set_metric_sink(&mut self, sink: Arc<dyn MetricSink>) {
-        self.sink = sink;
     }
 
     /// Considers an imbalance proposal. `progress` is the estimated
@@ -90,19 +80,15 @@ impl Responder {
         imbalance: &Imbalance,
         progress: f64,
     ) -> (ResponderDecision, Option<AdaptationCommand>) {
-        self.sink.incr("responder.proposals", 1);
         if progress >= self.progress_cutoff {
-            self.sink.incr("responder.declined_near_completion", 1);
             return (ResponderDecision::NearCompletion, None);
         }
         if let Some(last) = self.last_adaptation {
             if imbalance.at.since(last) < COOLDOWN_MS {
-                self.sink.incr("responder.declined_cooldown", 1);
                 return (ResponderDecision::CoolingDown, None);
             }
         }
         self.last_adaptation = Some(imbalance.at);
-        self.sink.incr("responder.deployed", 1);
         let command = AdaptationCommand {
             stage: imbalance.stage,
             new_distribution: imbalance.proposed.clone(),
@@ -118,7 +104,6 @@ impl Responder {
     /// otherwise a second adaptation could be accepted while the first
     /// recall is still migrating state.
     pub fn on_deploy_acknowledged(&mut self, at: SimTime) {
-        self.sink.incr("responder.deploys_acknowledged", 1);
         match self.last_adaptation {
             Some(last) if at.since(last) <= 0.0 => {}
             _ => self.last_adaptation = Some(at),
@@ -133,7 +118,6 @@ impl Responder {
     /// rebalance cannot fire while the failover recall is still
     /// migrating state.
     pub fn on_node_failure(&mut self, at: SimTime) {
-        self.sink.incr("responder.node_failovers", 1);
         match self.last_adaptation {
             Some(last) if at.since(last) <= 0.0 => {}
             _ => self.last_adaptation = Some(at),

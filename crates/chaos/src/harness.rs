@@ -153,20 +153,19 @@ impl Workload {
             chaos: knobs.chaos.clone(),
             ..self.sim.clone()
         };
-        Simulation::new(env, self.catalog.clone(), config)?
-            .run_with_failures(&self.plan, &knobs.node_failures)
+        Simulation::new(env, self.catalog.clone(), config)?.run(&self.plan)
     }
 
     /// Runs the workload on the threaded executor.
     pub fn run_threaded(&self, knobs: &Knobs) -> Result<RunReport> {
-        ThreadedExecutor::new(self.catalog.clone(), self.threaded_config(knobs)?).run(&self.plan)
+        ThreadedExecutor::new(self.catalog.clone(), self.threaded_config(knobs)).run(&self.plan)
     }
 
     /// Runs the workload over sockets. This substrate runs no live
     /// control loop yet: it deploys [`Knobs::script`] and ignores
     /// `adaptivity`, `failover` and `obs`.
     pub fn run_socket(&self, knobs: &Knobs) -> Result<RunReport> {
-        SocketExecutor::new(self.catalog.clone(), self.socket_config(knobs)?).run(&self.plan)
+        SocketExecutor::new(self.catalog.clone(), self.socket_config(knobs)).run(&self.plan)
     }
 
     /// The same run as a service-plane submission (`QueryService` runs
@@ -178,8 +177,8 @@ impl Workload {
                     "the service plane multiplexes live queries; the simulator has none".into(),
                 ))
             }
-            Substrate::Threaded => QueryRun::threaded(self.threaded_config(knobs)?),
-            Substrate::Socket => QueryRun::Socket(Box::new(self.socket_config(knobs)?)),
+            Substrate::Threaded => QueryRun::threaded(self.threaded_config(knobs)),
+            Substrate::Socket => QueryRun::Socket(Box::new(self.socket_config(knobs))),
         };
         Ok(QuerySubmission {
             catalog: self.catalog.clone(),
@@ -199,9 +198,8 @@ impl Workload {
         perturbations
     }
 
-    fn threaded_config(&self, knobs: &Knobs) -> Result<ThreadedConfig> {
-        knobs.no_virtual_failures()?;
-        Ok(ThreadedConfig {
+    fn threaded_config(&self, knobs: &Knobs) -> ThreadedConfig {
+        ThreadedConfig {
             adaptivity: knobs.adaptivity.clone(),
             cost_scale: knobs.cost_scale,
             perturbations: self.constant_perturbations(knobs),
@@ -213,11 +211,10 @@ impl Workload {
             delivery_retry: knobs.delivery_retry.clone(),
             failover: knobs.failover,
             tenancy: None,
-        })
+        }
     }
 
-    fn socket_config(&self, knobs: &Knobs) -> Result<SocketConfig> {
-        knobs.no_virtual_failures()?;
+    fn socket_config(&self, knobs: &Knobs) -> SocketConfig {
         let mut config = SocketConfig::new(self.wire.clone(), Arc::clone(&self.resolver));
         config.cost_scale = knobs.cost_scale;
         config.receive_cost_ms = knobs.receive_cost_ms;
@@ -227,7 +224,7 @@ impl Workload {
         config.chaos = knobs.chaos.clone();
         config.adaptations = knobs.script.clone();
         config.perturbations = self.constant_perturbations(knobs);
-        Ok(config)
+        config
     }
 }
 
@@ -255,16 +252,15 @@ pub struct Knobs {
     pub chaos: Option<Arc<dyn ChaosHook>>,
     /// Delivery retry/backoff on the real substrates.
     pub delivery_retry: RetryPolicy,
-    /// Failover of a crashed consumer (threads only): its exit notice
-    /// starts a recall that replays its recovery-log entries.
+    /// Failover of a crashed consumer on threads: its exit notice starts
+    /// a recall that replays its recovery-log entries. The simulator
+    /// always fails over.
     pub failover: bool,
     /// Observability layer.
     pub obs: ObsConfig,
     /// Perturbation bursts on top of the workload's standing one:
     /// (node, start in virtual ms, perturbation).
     pub bursts: Vec<(NodeId, f64, Perturbation)>,
-    /// Evaluator nodes that die at a virtual time (simulator only).
-    pub node_failures: Vec<(NodeId, SimTime)>,
 }
 
 impl Default for Knobs {
@@ -283,22 +279,7 @@ impl Default for Knobs {
             failover: exec.failover,
             obs: exec.obs,
             bursts: Vec::new(),
-            node_failures: Vec::new(),
         }
-    }
-}
-
-impl Knobs {
-    /// The real substrates cannot kill a node at a virtual time.
-    fn no_virtual_failures(&self) -> Result<()> {
-        if self.node_failures.is_empty() {
-            return Ok(());
-        }
-        Err(GridError::Config(
-            "a node failure at a virtual time needs the simulator; the real \
-             substrates kill workers through the chaos hook"
-                .into(),
-        ))
     }
 }
 
@@ -485,17 +466,9 @@ mod tests {
     }
 
     #[test]
-    fn the_service_plane_and_virtual_time_failures_name_their_substrates() {
+    fn the_service_plane_names_its_substrates() {
         let w = Workload::call("t", 10, &CallShape::default());
         let err = w.submission(Substrate::Sim, &Knobs::default()).err();
         assert!(matches!(err, Some(GridError::Config(_))), "{err:?}");
-        let dying = Knobs {
-            node_failures: vec![(NodeId::new(2), SimTime::from_millis(1.0))],
-            ..Knobs::default()
-        };
-        for real in [Substrate::Threaded, Substrate::Socket] {
-            let err = run_on(real, &w, &dying).unwrap_err();
-            assert!(err.to_string().contains("simulator"), "{err}");
-        }
     }
 }

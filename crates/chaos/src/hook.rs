@@ -6,7 +6,8 @@
 //! fires an event exactly when its edge counter reaches the event's
 //! `nth`. Counters live behind the workspace's poison-recovering mutex:
 //! the threaded substrate calls the hook from producer, consumer, and
-//! adaptivity threads concurrently.
+//! adaptivity threads concurrently; the simulator calls it at the same
+//! seams in virtual-time order.
 
 use std::collections::HashMap;
 
@@ -70,8 +71,8 @@ pub struct PlanHook {
 }
 
 impl PlanHook {
-    /// A hook injecting the given plan's hook-mediated events (crash and
-    /// perturbation events are realised by the runner, not the hook, and
+    /// A hook injecting the given plan's hook-mediated events
+    /// (perturbation bursts are realised by the runner, not the hook, and
     /// are simply never matched here).
     pub fn new(plan: &FaultPlan) -> PlanHook {
         PlanHook {

@@ -13,9 +13,11 @@
 //! - [`FaultPlan`] is a seeded, replayable list of [`FaultEvent`]s, each
 //!   aimed at one occurrence of one seam (the `nth` buffer on one
 //!   exchange edge, the `nth` checkpoint ack, a recall control reply, a
-//!   node crash, a perturbation burst).
+//!   worker's `nth` received message to die on, a perturbation burst). A
+//!   cell's plan depends on its seed, family and topology only: the
+//!   simulator and the threads run the same plan.
 //! - [`PlanHook`] injects a plan through the narrow
-//!   [`gridq_common::ChaosHook`] seams both substrates expose.
+//!   [`gridq_common::ChaosHook`] seams every substrate exposes.
 //! - The [`oracle`] module judges every faulted run against an unfaulted
 //!   reference: tuple conservation, recovery-log conservation, recall
 //!   safety, timeline causality, teardown hygiene, tenant isolation, and
@@ -46,7 +48,8 @@
 //! and duplicated buffers are absorbed by consumer-side deduplication,
 //! so [`FaultEvent::DropData`] / [`FaultEvent::DuplicateData`] are live
 //! matrix families, and [`FaultFamily::NodeCrash`] kills a worker
-//! outright on either substrate. What remains deliberately
+//! outright through the same `crash_worker` seam on both in-process
+//! substrates. What remains deliberately
 //! unrecoverable — and proves the oracles fail loudly — is exhausting
 //! the retry budget (every copy of a window dropped) or crashing a
 //! consumer with failover disabled.

@@ -14,11 +14,12 @@
 //! [`FaultEvent::DropData`] and [`FaultEvent::DuplicateData`] are live
 //! matrix families ([`FaultFamily::DataLoss`], [`FaultFamily::DataDup`])
 //! rather than broken fixtures, and [`FaultFamily::NodeCrash`] kills a
-//! worker outright on either substrate (a simulator node failure, or a
-//! consumer thread killed through the `crash_worker` seam with failover
-//! recovering it). The one deliberately unrecoverable shape — enough
-//! drops on one edge to outlast the retry budget, or a crash with no
-//! failover — is what proves the oracle layer fails loudly.
+//! worker outright through the `crash_worker` seam, with failover
+//! recovering it. A cell's plan depends on its seed, family and
+//! topology only, so the simulator and the threads run the same faults.
+//! The one deliberately unrecoverable shape — enough drops on one edge
+//! to outlast the retry budget, or a crash with no failover — is what
+//! proves the oracle layer fails loudly.
 
 use gridq_common::check::Gen;
 use gridq_common::{DetRng, NotifyKind, RecallPhase};
@@ -134,8 +135,9 @@ pub enum FaultEvent {
         ms: f64,
     },
     /// Swallow worker `worker`'s `nth` recall control reply of `phase`.
-    /// Models a worker crashing mid-recall on the threaded substrate:
-    /// the coordinator's barrier times out and the recall aborts.
+    /// Models a worker crashing mid-recall: a lost Drain reply aborts the
+    /// recall before the swap, a lost Migrate reply leaves it deployed
+    /// but not completed.
     LoseRecallCtrl {
         /// Which protocol phase's reply to lose.
         phase: RecallPhase,
@@ -144,22 +146,13 @@ pub enum FaultEvent {
         /// Occurrence to lose (1-based).
         nth: u64,
     },
-    /// Permanently crash evaluator `evaluator` (0-based; evaluator `i`
-    /// runs on node `i + 1`) at virtual time `at_ms`. Simulator only —
-    /// realised through `Simulation::run_with_failures`, not the hook.
-    CrashNode {
-        /// Evaluator index.
-        evaluator: usize,
-        /// Virtual crash time in milliseconds.
-        at_ms: f64,
-    },
-    /// Kill consumer `worker` at its `nth` received message. Threaded
-    /// substrate only — realised through the `crash_worker` hook seam:
-    /// the consumer thread returns without flushing, acknowledging, or
-    /// replying, exactly as if its node died. With failover enabled its
-    /// exit notice reports the crash and drives the failover recall;
-    /// without failover the run degrades into explicit delivery gaps that
-    /// the conservation oracle flags.
+    /// Kill consumer `worker` at its `nth` received message (a thread's
+    /// inbox message, a buffer arriving in the simulator), through the
+    /// `crash_worker` seam: the worker stops without flushing,
+    /// acknowledging, or replying, exactly as if its node died. With
+    /// failover (always on in the simulator) the failover recall replays
+    /// its log; without it the run degrades into explicit delivery gaps
+    /// that the conservation oracle flags.
     CrashConsumer {
         /// Worker index.
         worker: usize,
@@ -215,17 +208,6 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
-    /// Whether the event is realised through the [`ChaosHook`] seams (as
-    /// opposed to node-failure or perturbation machinery).
-    ///
-    /// [`ChaosHook`]: gridq_common::ChaosHook
-    pub fn hook_mediated(&self) -> bool {
-        !matches!(
-            self,
-            FaultEvent::CrashNode { .. } | FaultEvent::PerturbBurst { .. }
-        )
-    }
-
     /// A short stable tag naming the variant (used in JSON and reports).
     pub fn tag(&self) -> &'static str {
         match self {
@@ -239,7 +221,6 @@ impl FaultEvent {
             FaultEvent::StallProducer { .. } => "stall_producer",
             FaultEvent::StallConsumer { .. } => "stall_consumer",
             FaultEvent::LoseRecallCtrl { .. } => "lose_recall_ctrl",
-            FaultEvent::CrashNode { .. } => "crash_node",
             FaultEvent::CrashConsumer { .. } => "crash_consumer",
             FaultEvent::PerturbBurst { .. } => "perturb_burst",
             FaultEvent::ConnDrop { .. } => "conn_drop",
@@ -327,10 +308,6 @@ impl FaultEvent {
                 o.int("worker", *worker as u64);
                 o.int("nth", *nth);
             }
-            FaultEvent::CrashNode { evaluator, at_ms } => {
-                o.int("evaluator", *evaluator as u64);
-                o.num("at_ms", *at_ms);
-            }
             FaultEvent::CrashConsumer { worker, nth } => {
                 o.int("worker", *worker as u64);
                 o.int("nth", *nth);
@@ -375,13 +352,11 @@ pub enum FaultFamily {
     DataDup,
     /// Stall producer and consumer threads mid-stream.
     Stall,
-    /// Crash a node mid-run: a permanent simulator node failure, or a
-    /// swallowed recall control reply (the threaded analogue of a worker
-    /// dying mid-recall).
+    /// A worker dies mid-recall: one of its recall control replies is
+    /// swallowed.
     CrashMidRecall,
-    /// Kill a worker outright on either substrate: a simulator node
-    /// failure, or a consumer thread killed through the `crash_worker`
-    /// seam with failover recovering it from its exit notice (R1 only).
+    /// Kill a worker outright through the `crash_worker` seam, with
+    /// failover recovering it (on threads from its exit notice, R1 only).
     NodeCrash,
     /// Perturbation bursts arriving mid-query.
     PerturbBurst,
@@ -482,10 +457,6 @@ pub struct Topology {
     pub sources: usize,
     /// Number of stage partitions (workers/consumers).
     pub workers: usize,
-    /// Whether the scenario runs on the simulator (crash faults become
-    /// node failures) or on real threads (crash faults become lost
-    /// recall control replies).
-    pub simulated: bool,
 }
 
 /// A seeded, replayable fault plan: the seed it was generated from plus
@@ -604,31 +575,17 @@ impl FaultPlan {
                 }
             }
             FaultFamily::CrashMidRecall => {
-                if topo.simulated {
-                    events.push(FaultEvent::CrashNode {
-                        evaluator: rng.usize_in(0, workers),
-                        at_ms: rng.f64_in(100.0, 1500.0),
-                    });
-                } else {
-                    events.push(FaultEvent::LoseRecallCtrl {
-                        phase: *rng.pick(&[RecallPhase::Drain, RecallPhase::Migrate]),
-                        worker: rng.usize_in(0, workers),
-                        nth: rng.i64_in(1, 3) as u64,
-                    });
-                }
+                events.push(FaultEvent::LoseRecallCtrl {
+                    phase: *rng.pick(&[RecallPhase::Drain, RecallPhase::Migrate]),
+                    worker: rng.usize_in(0, workers),
+                    nth: rng.i64_in(1, 3) as u64,
+                });
             }
             FaultFamily::NodeCrash => {
-                if topo.simulated {
-                    events.push(FaultEvent::CrashNode {
-                        evaluator: rng.usize_in(0, workers),
-                        at_ms: rng.f64_in(100.0, 1500.0),
-                    });
-                } else {
-                    events.push(FaultEvent::CrashConsumer {
-                        worker: rng.usize_in(0, workers),
-                        nth: rng.i64_in(5, 25) as u64,
-                    });
-                }
+                events.push(FaultEvent::CrashConsumer {
+                    worker: rng.usize_in(0, workers),
+                    nth: rng.i64_in(5, 25) as u64,
+                });
             }
             FaultFamily::PerturbBurst => {
                 for _ in 0..rng.usize_in(1, 3) {
@@ -716,18 +673,6 @@ impl FaultPlan {
         FaultPlan { seed, events }
     }
 
-    /// The simulator node failures the plan calls for, as
-    /// `(evaluator, at_ms)` pairs.
-    pub fn crashes(&self) -> Vec<(usize, f64)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::CrashNode { evaluator, at_ms } => Some((*evaluator, *at_ms)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The perturbation bursts the plan calls for, as
     /// `(evaluator, from_ms, factor)` triples.
     pub fn bursts(&self) -> Vec<(usize, f64, f64)> {
@@ -744,16 +689,10 @@ impl FaultPlan {
             .collect()
     }
 
-    /// The consumer-crash events the plan calls for, as
-    /// `(worker, nth)` pairs (threaded substrate only).
-    pub fn consumer_crashes(&self) -> Vec<(usize, u64)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::CrashConsumer { worker, nth } => Some((*worker, *nth)),
-                _ => None,
-            })
-            .collect()
+    /// Whether the plan kills a worker.
+    pub fn kills_a_worker(&self) -> bool {
+        let kill = |e: &FaultEvent| matches!(e, FaultEvent::CrashConsumer { .. });
+        self.events.iter().any(kill)
     }
 
     /// Serializes the plan as a one-line JSON object.
@@ -774,7 +713,6 @@ mod tests {
     const TOPO: Topology = Topology {
         sources: 2,
         workers: 2,
-        simulated: true,
     };
 
     #[test]
@@ -790,81 +728,40 @@ mod tests {
     #[test]
     fn data_families_generate_live_data_faults() {
         for seed in [1_u64, 7, 42, 1303, 99991] {
-            for simulated in [true, false] {
-                let topo = Topology { simulated, ..TOPO };
-                let loss = FaultPlan::generate(seed, FaultFamily::DataLoss, topo);
-                assert!(!loss.events.is_empty());
-                assert!(loss
-                    .events
-                    .iter()
-                    .all(|e| matches!(e, FaultEvent::DropData { .. })));
-                let dup = FaultPlan::generate(seed, FaultFamily::DataDup, topo);
-                assert!(!dup.events.is_empty());
-                assert!(dup
-                    .events
-                    .iter()
-                    .all(|e| matches!(e, FaultEvent::DuplicateData { .. })));
-            }
+            let loss = FaultPlan::generate(seed, FaultFamily::DataLoss, TOPO);
+            assert!(!loss.events.is_empty());
+            assert!(loss
+                .events
+                .iter()
+                .all(|e| matches!(e, FaultEvent::DropData { .. })));
+            let dup = FaultPlan::generate(seed, FaultFamily::DataDup, TOPO);
+            assert!(!dup.events.is_empty());
+            assert!(dup
+                .events
+                .iter()
+                .all(|e| matches!(e, FaultEvent::DuplicateData { .. })));
         }
-    }
-
-    #[test]
-    fn crash_families_respect_substrate() {
-        let sim = FaultPlan::generate(7, FaultFamily::CrashMidRecall, TOPO);
-        assert!(matches!(sim.events[0], FaultEvent::CrashNode { .. }));
-        let threaded = FaultPlan::generate(
-            7,
-            FaultFamily::CrashMidRecall,
-            Topology {
-                simulated: false,
-                ..TOPO
-            },
-        );
-        assert!(matches!(
-            threaded.events[0],
-            FaultEvent::LoseRecallCtrl { .. }
-        ));
-        let sim_crash = FaultPlan::generate(7, FaultFamily::NodeCrash, TOPO);
-        assert!(matches!(sim_crash.events[0], FaultEvent::CrashNode { .. }));
-        assert_eq!(sim_crash.crashes().len(), 1);
-        let threaded_crash = FaultPlan::generate(
-            7,
-            FaultFamily::NodeCrash,
-            Topology {
-                simulated: false,
-                ..TOPO
-            },
-        );
-        assert!(matches!(
-            threaded_crash.events[0],
-            FaultEvent::CrashConsumer { .. }
-        ));
-        assert_eq!(threaded_crash.consumer_crashes().len(), 1);
-        assert!(threaded_crash.events[0].hook_mediated());
     }
 
     #[test]
     fn block_boundary_pairs_drop_and_dup_on_one_edge() {
         for seed in [1_u64, 7, 42, 1303, 99991] {
-            for simulated in [true, false] {
-                let topo = Topology { simulated, ..TOPO };
-                let plan = FaultPlan::generate(seed, FaultFamily::BlockBoundary, topo);
-                assert!(!plan.events.is_empty());
-                assert_eq!(plan.events.len() % 2, 0, "events come in drop/dup pairs");
-                for pair in plan.events.chunks(2) {
-                    let FaultEvent::DropData { source, dest, nth } = pair[0] else {
-                        panic!("pair must lead with a drop: {pair:?}");
-                    };
-                    assert_eq!(
-                        pair[1],
-                        FaultEvent::DuplicateData {
-                            source,
-                            dest,
-                            nth: nth + 1
-                        },
-                        "the adjacent block on the same edge must duplicate"
-                    );
-                }
+            let plan = FaultPlan::generate(seed, FaultFamily::BlockBoundary, TOPO);
+            assert!(!plan.events.is_empty());
+            assert_eq!(plan.events.len() % 2, 0, "events come in drop/dup pairs");
+            for pair in plan.events.chunks(2) {
+                let FaultEvent::DropData { source, dest, nth } = pair[0] else {
+                    panic!("pair must lead with a drop: {pair:?}");
+                };
+                assert_eq!(
+                    pair[1],
+                    FaultEvent::DuplicateData {
+                        source,
+                        dest,
+                        nth: nth + 1
+                    },
+                    "the adjacent block on the same edge must duplicate"
+                );
             }
         }
     }
@@ -888,13 +785,7 @@ mod tests {
     #[test]
     fn plans_serialize_to_parseable_json() {
         for family in FaultFamily::ALL {
-            for simulated in [true, false] {
-                assert_plan_json(&FaultPlan::generate(
-                    1303,
-                    family,
-                    Topology { simulated, ..TOPO },
-                ));
-            }
+            assert_plan_json(&FaultPlan::generate(1303, family, TOPO));
         }
     }
 

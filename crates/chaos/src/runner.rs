@@ -8,10 +8,10 @@
 //! protocol's home turf) with one node perturbed so the control loop has
 //! a real imbalance to correct; R2 cells run a stateless service-call
 //! plan with the same standing perturbation; static cells run the
-//! service-call plan unperturbed. `CrashNode` events become simulator
-//! node failures and `CrashConsumer` events kill a threaded worker
-//! through the `crash_worker` seam (with failover enabled under R1, so
-//! the dying worker's exit notice makes the death survivable);
+//! service-call plan unperturbed. A cell's plan is the same on the
+//! simulator and the threads: `CrashConsumer` events kill a worker
+//! through the `crash_worker` seam on both (threads fail over under R1,
+//! from the dying worker's exit notice; the simulator always does), and
 //! perturbation bursts are installed through each substrate's
 //! perturbation mechanism (the threaded executor applies them for the
 //! whole run, since its perturbations are constant by design).
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gridq_adapt::{AdaptivityConfig, ResponsePolicy};
-use gridq_common::{ChaosHook, GridError, NodeId, Result, SimTime};
+use gridq_common::{ChaosHook, GridError, NodeId, Result};
 use gridq_engine::fixtures::{CallShape, JoinShape};
 use gridq_exec::socket::ScriptedAdaptation;
 use gridq_exec::RetryPolicy;
@@ -131,7 +131,6 @@ impl Scenario {
                 _ => 1,
             },
             workers: WORKERS,
-            simulated: self.substrate == Substrate::Sim,
         }
     }
 }
@@ -148,7 +147,7 @@ pub struct ScenarioOutcome {
     /// Every oracle's judgment (empty when the run itself errored).
     pub verdicts: Vec<Verdict>,
     /// Fault events that actually fired (hook events whose `nth`
-    /// occurrence happened, plus crash/burst events, which always apply).
+    /// occurrence happened, plus burst events, which always apply).
     pub fired_events: usize,
     /// Wall-clock duration of the faulted run + judging, milliseconds.
     pub wall_ms: f64,
@@ -369,10 +368,9 @@ fn execute(substrate: Substrate, policy: Policy, plan: &FaultPlan) -> Result<(Ru
         &workload(policy),
         &knobs(substrate, policy, plan, chaos)?,
     )?;
-    // Crash and burst events are realised by the runner, not the hook,
-    // and always apply once the run starts.
-    let realised = plan.events.iter().filter(|e| !e.hook_mediated()).count();
-    Ok((run, hook.fired().len() + realised))
+    // Burst events are realised by the runner, not the hook, and always
+    // apply once the run starts.
+    Ok((run, hook.fired().len() + plan.bursts().len()))
 }
 
 /// Executes a tenant-interference cell: two copies of the policy's
@@ -396,7 +394,7 @@ fn execute_tenant(
                 .into(),
         ));
     }
-    if !plan.crashes().is_empty() || !plan.consumer_crashes().is_empty() {
+    if plan.kills_a_worker() {
         return Err(GridError::Config(
             "tenant_interference studies isolation, not crash recovery; its plans \
              carry stalls, delays, and notify drops only"
@@ -441,9 +439,9 @@ fn execute_tenant(
     Ok((co_resident, hook.fired().len()))
 }
 
-/// How a cell runs its workload: the policy, the plan's crash and burst
-/// events, and the pacing each substrate needs for its recalls to have
-/// in-flight work to pause.
+/// How a cell runs its workload: the policy, the plan's burst events,
+/// failover for its crash events, and the pacing each substrate needs
+/// for its recalls to have in-flight work to pause.
 fn knobs(
     substrate: Substrate,
     policy: Policy,
@@ -465,23 +463,10 @@ fn knobs(
             .collect(),
         ..Knobs::default()
     };
-    let crashing = !plan.consumer_crashes().is_empty();
+    let crashing = plan.kills_a_worker();
     match substrate {
-        Substrate::Sim => {
-            knobs.node_failures = plan
-                .crashes()
-                .into_iter()
-                .map(|(evaluator, at_ms)| (evaluator_node(evaluator), SimTime::from_millis(at_ms)))
-                .collect();
-        }
+        Substrate::Sim => {}
         Substrate::Threaded => {
-            if !plan.crashes().is_empty() {
-                return Err(GridError::Config(
-                    "crash_node faults require the simulator; the threaded analogues are \
-                     crash_consumer and lose_recall_ctrl"
-                        .into(),
-                ));
-            }
             knobs.cost_scale = match policy {
                 Policy::R1 => 0.01,
                 _ => 0.002,
@@ -507,7 +492,7 @@ fn knobs(
             }
         }
         Substrate::Socket => {
-            if crashing || !plan.crashes().is_empty() {
+            if crashing {
                 return Err(GridError::Config(
                     "crash faults have no socket analogue; the socket families are \
                      conn_drop, partial_write, and slow_peer"
@@ -603,6 +588,34 @@ mod tests {
             assert!(cells
                 .iter()
                 .any(|c| c.family == FaultFamily::TenantInterference && c.policy == policy));
+        }
+    }
+
+    /// A cell's faults do not depend on the substrate it runs on: the
+    /// simulator and the threads run one plan, crashes included.
+    #[test]
+    fn sim_and_threaded_cells_generate_one_plan() {
+        for seed in [1, 7, 1303] {
+            for family in FaultFamily::ALL.into_iter().filter(|f| !f.socket_only()) {
+                for policy in Policy::ALL {
+                    let plan = |substrate| {
+                        let cell = Scenario {
+                            seed,
+                            family,
+                            substrate,
+                            policy,
+                        };
+                        FaultPlan::generate(seed, family, cell.topology())
+                    };
+                    assert_eq!(
+                        plan(Substrate::Sim),
+                        plan(Substrate::Threaded),
+                        "{}/{}/seed{seed}",
+                        family.name(),
+                        policy.name()
+                    );
+                }
+            }
         }
     }
 
@@ -716,30 +729,6 @@ mod tests {
                 assert!(!names[i + 1..].contains(a), "{a} named twice");
             }
         }
-    }
-
-    #[test]
-    fn crash_plans_are_rejected_on_threads() {
-        let mut runner = Runner::new();
-        let scenario = Scenario {
-            seed: 1,
-            family: FaultFamily::CrashMidRecall,
-            substrate: Substrate::Threaded,
-            policy: Policy::Static,
-        };
-        let plan = FaultPlan {
-            seed: 1,
-            events: vec![FaultEvent::CrashNode {
-                evaluator: 0,
-                at_ms: 100.0,
-            }],
-        };
-        let outcome = runner.run_with_plan(scenario, plan);
-        assert!(!outcome.passed());
-        assert!(
-            outcome.error.as_deref().unwrap_or("").contains("simulator"),
-            "{outcome:?}"
-        );
     }
 
     /// A report line is a record for CI and people, not an input: it

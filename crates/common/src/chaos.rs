@@ -2,9 +2,10 @@
 //!
 //! `gridq-common` sits below every other crate, so it cannot depend on
 //! the chaos harness in `gridq-chaos`. Instead it defines the narrow
-//! [`ChaosHook`] trait that the two execution substrates consult at
-//! their injection seams (exchange-buffer sends, checkpoint acks,
-//! monitoring notifications, recall control replies, per-tuple work);
+//! [`ChaosHook`] trait that every execution substrate consults at its
+//! injection seams (exchange-buffer sends, checkpoint acks, monitoring
+//! notifications, recall control replies, per-tuple work, a worker's
+//! received messages, and on sockets the connections themselves);
 //! `gridq-chaos` implements it for a seeded fault plan. With no hook
 //! installed every seam takes the `Deliver`/no-stall default, so the
 //! instrumented paths are behaviorally identical to the uninstrumented
@@ -69,7 +70,9 @@ pub enum RecallPhase {
 /// Every method has a pass-through default, so an installed hook only
 /// needs to override the seams its plan targets. Implementations must be
 /// cheap and thread-safe: the threaded executor calls them from producer,
-/// consumer, and adaptivity threads concurrently. `source`/`dest`/
+/// consumer, and adaptivity threads concurrently; the simulator calls
+/// the same seams in virtual-time order, so one fault plan means the
+/// same faults on either. `source`/`dest`/
 /// `index`/`worker` arguments are substrate-level partition indices
 /// (producer/source index, consumer/worker index), letting a plan target
 /// one edge of the exchange without knowing substrate internals.
@@ -96,8 +99,11 @@ pub trait ChaosHook: fmt::Debug + Send + Sync {
     }
 
     /// Returns `false` to lose worker `worker`'s control reply for the
-    /// given recall phase (the coordinator then times out and aborts the
-    /// recall; the gate reopens and the data plane continues).
+    /// given recall phase. A lost `Drain` reply abandons the recall
+    /// before the swap (router untouched, the data plane continues); a
+    /// lost `Migrate` reply leaves the recall deployed but not completed.
+    /// The threads ask once per reply a worker sends, the simulator once
+    /// per live partition and phase of each retrospective deploy.
     fn on_recall_ctrl(&self, phase: RecallPhase, worker: usize) -> bool {
         let _ = (phase, worker);
         true
@@ -116,7 +122,11 @@ pub trait ChaosHook: fmt::Debug + Send + Sync {
     /// control replies — exactly as if its node died. With failover
     /// enabled its one exit notice (a crash, not a clean finish) then
     /// drives recovery; without it the run degrades gracefully and the
-    /// conservation oracle reports the loss.
+    /// conservation oracle reports the loss. The simulator consults it
+    /// once per buffer arriving at live partition `worker` (a block, an
+    /// end-of-stream, a recall or failover transfer, a forwarded stray),
+    /// and on `true` fails that partition's node at that instant; it
+    /// always fails over.
     fn crash_worker(&self, worker: usize) -> bool {
         let _ = worker;
         false

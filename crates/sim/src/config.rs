@@ -41,12 +41,14 @@ pub struct SimulationConfig {
     pub obs: ObsConfig,
     /// Fault-injection hook consulted at the chaos seams (exchange
     /// sends, checkpoint acks, monitoring notifications, per-tuple
-    /// work). `None` injects nothing and leaves behavior identical to
-    /// an uninstrumented run. Installing a hook switches the run into
-    /// resilient mode: producers retransmit unacknowledged checkpoint
-    /// windows (six rounds at most) and consumers deduplicate
-    /// redelivered tuples, so data-plane loss and duplication heal instead
-    /// of corrupting the result.
+    /// work, recall replies, and each buffer a partition receives, on
+    /// which it may die). `None` injects nothing and leaves behavior
+    /// identical to an uninstrumented run. Installing a hook switches
+    /// the run into resilient mode: producers retransmit unacknowledged
+    /// checkpoint windows (six rounds at most), consumers deduplicate
+    /// redelivered tuples and the collector redelivered results, so
+    /// data-plane loss, duplication and node deaths heal instead of
+    /// corrupting the result.
     pub chaos: Option<Arc<dyn ChaosHook>>,
 }
 

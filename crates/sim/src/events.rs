@@ -52,12 +52,6 @@ pub enum Event {
         /// Result-buffer slab id.
         buffer: u64,
     },
-    /// A Grid node fails: every partition it hosts is lost, and the
-    /// producers recover the unacknowledged work from their logs.
-    NodeFail {
-        /// The failing node.
-        node: gridq_common::NodeId,
-    },
     /// A finished source checks for unacknowledged checkpoint windows
     /// (resilient runs only): undelivered windows are retransmitted with
     /// jittered exponential backoff until acknowledged or the retry

@@ -19,7 +19,7 @@ use gridq_adapt::{
 };
 use gridq_common::{
     DetRng, GridError, Journal, MetricSink, NetAction, NodeId, NotifyKind, NullSink, PartitionId,
-    Result, SimTime, StallSite, SubplanId, Tuple,
+    RecallPhase, Result, SimTime, StallSite, SubplanId, Tuple,
 };
 use gridq_engine::distributed::Router;
 use gridq_engine::evaluator::{PartitionEvaluator, StreamTag};
@@ -233,22 +233,16 @@ impl Simulation {
 
     /// Runs a plan to completion, returning the run report (its
     /// `wall_ms` is the response time in virtual milliseconds).
+    ///
+    /// A chaos hook that kills a worker ([`ChaosHook::crash_worker`])
+    /// kills its partition's node. Recovery uses the same
+    /// checkpoint/acknowledgement recovery logs that power retrospective
+    /// adaptation: producers re-send every unacknowledged tuple of a
+    /// failed partition to the survivors (rebuilding migrated operator
+    /// state), and the collector deduplicates re-delivered results.
+    ///
+    /// [`ChaosHook::crash_worker`]: gridq_common::ChaosHook::crash_worker
     pub fn run(&self, plan: &DistributedPlan) -> Result<RunReport> {
-        self.run_with_failures(plan, &[])
-    }
-
-    /// Runs a plan while injecting evaluator-node failures at the given
-    /// virtual times. Recovery uses the same checkpoint/acknowledgement
-    /// recovery logs that power retrospective adaptation: producers
-    /// re-send every unacknowledged tuple of a failed partition to the
-    /// surviving partitions (rebuilding migrated operator state), and
-    /// the collector deduplicates re-delivered results by sequence
-    /// number. Failing a source or collector node is not supported.
-    pub fn run_with_failures(
-        &self,
-        plan: &DistributedPlan,
-        failures: &[(NodeId, SimTime)],
-    ) -> Result<RunReport> {
         plan.validate()?;
         if plan.stages.len() != 1 {
             return Err(GridError::Execution(
@@ -257,25 +251,7 @@ impl Simulation {
                     .into(),
             ));
         }
-        for (node, _) in failures {
-            if !plan.stages[0].nodes.contains(node) {
-                return Err(GridError::Config(format!(
-                    "failure injection targets {node}, which hosts no stage partition \
-                     (source/collector failures are out of scope)"
-                )));
-            }
-            if plan.sources.iter().any(|s| s.node == *node) || plan.collect_node == *node {
-                return Err(GridError::Config(format!(
-                    "failure injection targets {node}, which also hosts a source or the \
-                     collector; only pure evaluator nodes may fail"
-                )));
-            }
-        }
         let mut run = Run::new(self, plan)?;
-        run.dedup_results = run.dedup_results || !failures.is_empty();
-        for (node, at) in failures {
-            run.queue.schedule(*at, Event::NodeFail { node: *node });
-        }
         run.bootstrap();
         run.drive()?;
         Ok(run.into_report())
@@ -308,13 +284,10 @@ struct Run<'a> {
     diag_node: NodeId,
     total_rows: u64,
     /// A chaos hook is installed: producers retransmit unacknowledged
-    /// windows, consumers deduplicate redelivered tuples, and
-    /// end-of-stream is withheld until each source's retry loop
-    /// resolves.
+    /// windows, consumers deduplicate redelivered tuples, the collector
+    /// deduplicates redelivered results, and end-of-stream is withheld
+    /// until each source's retry loop resolves.
     resilient: bool,
-    /// Deduplicate collected results; enabled for failure-injection and
-    /// resilient runs, where at-least-once redelivery is expected.
-    dedup_results: bool,
     results_seen: ResultDedup,
     last_result_at: SimTime,
     last_finish_at: SimTime,
@@ -483,7 +456,6 @@ impl<'a> Run<'a> {
             diag_node: plan.collect_node,
             total_rows,
             resilient,
-            dedup_results: resilient,
             results_seen: ResultDedup::default(),
             last_result_at: SimTime::ZERO,
             last_finish_at: SimTime::ZERO,
@@ -522,6 +494,24 @@ impl<'a> Run<'a> {
             Some(h) => h.on_notification(kind, index),
             None => true,
         }
+    }
+
+    fn chaos_crash(&self, worker: u32) -> bool {
+        self.config
+            .chaos
+            .as_ref()
+            .is_some_and(|h| h.crash_worker(worker as usize))
+    }
+
+    /// Whether every live partition's recall reply of `phase` arrives.
+    /// Each one is asked, lost or not, as each worker of a real
+    /// substrate sends its own.
+    fn chaos_replies(&self, phase: RecallPhase) -> bool {
+        let Some(h) = &self.config.chaos else {
+            return true;
+        };
+        let live = self.consumers.iter().enumerate().filter(|(_, c)| !c.dead);
+        live.fold(true, |all, (i, _)| h.on_recall_ctrl(phase, i) && all)
     }
 
     /// Extra virtual-time stall injected at `site`; guarded so a hook
@@ -573,7 +563,6 @@ impl<'a> Run<'a> {
                 Event::Notice { notice } => self.deliver(notice),
                 Event::ApplyAdaptation { accepted } => self.apply_adaptation(accepted)?,
                 Event::CollectArrive { buffer } => self.collect_arrive(buffer),
-                Event::NodeFail { node } => self.node_fail(node)?,
                 Event::RetryCheck { source, attempt } => self.retry_check(source, attempt)?,
             }
         }
@@ -870,10 +859,16 @@ impl<'a> Run<'a> {
         let Some((dest, items)) = self.buffers.remove(&id) else {
             return Ok(()); // rerouted away entirely
         };
-        let c = &mut self.consumers[dest as usize];
-        if c.dead {
+        if self.consumers[dest as usize].dead {
             return Ok(()); // the partition is gone; the logs recover it
         }
+        if self.chaos_crash(dest) {
+            // The node dies with the buffer in hand. Whatever the buffer
+            // carried is logged under this partition, so the failover
+            // replays it.
+            return self.node_fail(self.consumers[dest as usize].node);
+        }
+        let c = &mut self.consumers[dest as usize];
         for item in items {
             c.enqueue(item, &self.build_sources);
         }
@@ -1175,15 +1170,30 @@ impl<'a> Run<'a> {
 
     // -- adaptation deployment ---------------------------------------------
 
+    /// Deploys an accepted proposal. A retrospective one waits, as the
+    /// protocol core's recall does, on one Drain reply per live partition
+    /// before the swap and one Migrate reply after it: a lost Drain reply
+    /// abandons the recall with the router untouched, and a lost Migrate
+    /// reply leaves it deployed but not completed.
     fn apply_adaptation(&mut self, accepted: Accepted) -> Result<()> {
         let target = self
             .control
             .target(&accepted)
             .ok_or_else(|| GridError::Execution("every evaluator node has failed".into()))?;
+        let retrospective = accepted.command.retrospective;
+        if retrospective && !self.chaos_replies(RecallPhase::Drain) {
+            self.report.recalls_aborted += 1;
+            return Ok(());
+        }
         let moves = self.router.apply_distribution(&target)?;
         let deploy_seq = self.control.deployed(&accepted, &target, self.now);
-        if accepted.command.retrospective {
+        if retrospective {
             self.redistribute(&moves, Some(deploy_seq))?;
+            if self.chaos_replies(RecallPhase::Migrate) {
+                self.report.recalls_completed += 1;
+            } else {
+                self.report.recalls_aborted += 1;
+            }
         }
         // The deployment is fully applied (including any recall) at this
         // point of virtual time: the cooldown runs from here.
@@ -1465,7 +1475,7 @@ impl<'a> Run<'a> {
         };
         self.last_result_at = self.last_result_at.max(self.now);
         for tuple in tuples {
-            if self.dedup_results && !self.results_seen.first(&tuple) {
+            if self.resilient && !self.results_seen.first(&tuple) {
                 continue;
             }
             self.report.tuples_output += 1;

@@ -1,19 +1,17 @@
 //! Delivery-robustness tests: data-plane loss and duplication heal
 //! through recovery-log retransmission and consumer-side deduplication,
-//! exhausted retry budgets degrade into explicit delivery gaps instead
-//! of hangs, and node failures leave a paired NodeDown/Failover trace
-//! in the adaptivity timeline.
+//! and exhausted retry budgets degrade into explicit delivery gaps
+//! instead of hangs. Node deaths are `failures.rs`'s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gridq_adapt::{AdaptivityConfig, COOLDOWN_MS};
-use gridq_common::{ChaosHook, NetAction, NodeId, SimTime};
+use gridq_adapt::AdaptivityConfig;
+use gridq_common::{ChaosHook, NetAction};
 use gridq_engine::fixtures::{
     call_plan, catalog, int_table, join_plan, multiset, CallShape, JoinShape,
 };
-use gridq_grid::{GridEnvironment, Perturbation, PerturbationSchedule};
-use gridq_obs::TimelineKind;
+use gridq_grid::GridEnvironment;
 use gridq_sim::{Simulation, SimulationConfig};
 
 /// The Q1 shape of these tests over two partitions.
@@ -248,111 +246,5 @@ fn exhausted_retries_degrade_into_explicit_gaps_not_a_hang() {
         200,
         "every input is either delivered or accounted for in a gap: {:?}",
         report.delivery_gaps
-    );
-}
-
-#[test]
-fn node_failure_pairs_node_down_with_failover_in_the_timeline() {
-    let table = int_table("t", 0..300);
-    let plan = call_plan(&table, &call_shape());
-    let sim = Simulation::new(GridEnvironment::demo(2), catalog(&[&table]), config(None)).unwrap();
-    let healthy = sim.run(&plan).unwrap();
-    let fail_at = SimTime::from_millis(healthy.wall_ms / 4.0);
-    let report = sim
-        .run_with_failures(&plan, &[(NodeId::new(2), fail_at)])
-        .unwrap();
-    assert_eq!(report.tuples_output, 300, "{:?}", report.obs);
-    let obs = report.obs.expect("obs enabled by default");
-    let downs: Vec<_> = obs
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, TimelineKind::NodeDown { .. }))
-        .collect();
-    assert_eq!(downs.len(), 1, "one partition lost, one NodeDown");
-    let failovers: Vec<_> = obs
-        .events
-        .iter()
-        .filter_map(|e| match &e.kind {
-            TimelineKind::Failover {
-                partition,
-                replayed,
-                down_seq,
-                ..
-            } => Some((partition.clone(), *replayed, *down_seq)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        failovers.len(),
-        1,
-        "each death completes exactly one failover"
-    );
-    let (partition, replayed, down_seq) = &failovers[0];
-    assert_eq!(down_seq, &downs[0].seq, "failover links back to its death");
-    match &downs[0].kind {
-        TimelineKind::NodeDown { partition: p } => assert_eq!(p, partition),
-        _ => unreachable!(),
-    }
-    assert_eq!(
-        *replayed, report.tuples_replayed,
-        "single-source plan: everything replayed belongs to this partition"
-    );
-}
-
-/// A simulated node failure goes through the Responder, as a threaded
-/// one does: the failover is counted, and it restarts the cooldown, so
-/// no rebalance deploys while the replay is still in flight.
-#[test]
-fn node_failure_goes_through_the_responder() {
-    let table = int_table("t", 0..600);
-    let shape = CallShape {
-        evaluators: 3,
-        ..call_shape()
-    };
-    let plan = call_plan(&table, &shape);
-    let config = SimulationConfig {
-        adaptivity: AdaptivityConfig::default(),
-        ..config(None)
-    };
-    let healthy = Simulation::new(GridEnvironment::demo(3), catalog(&[&table]), config.clone())
-        .unwrap()
-        .run(&plan)
-        .unwrap();
-    // Node 3 dies a fifth of the way in. Node 2 turns 10x slower 40 ms
-    // earlier, so the loop's first diagnosis lands just after the death:
-    // without the cooldown restart it deploys 27 ms in.
-    let fail_at = SimTime::from_millis(healthy.wall_ms / 5.0);
-    let mut env = GridEnvironment::demo(3);
-    env.set_perturbation(
-        NodeId::new(2),
-        PerturbationSchedule::none().then_at(
-            SimTime::from_millis(fail_at.as_millis() - 40.0),
-            Perturbation::CostFactor(10.0),
-        ),
-    );
-    let report = Simulation::new(env, catalog(&[&table]), config)
-        .unwrap()
-        .run_with_failures(&plan, &[(NodeId::new(3), fail_at)])
-        .unwrap();
-    assert_eq!(report.tuples_output, 600, "{:?}", report.obs);
-    assert_eq!(report.nodes_failed, 1);
-    let obs = report.obs.expect("obs enabled by default");
-    assert_eq!(
-        obs.metrics.counters.get("responder.node_failovers"),
-        Some(&report.nodes_failed),
-        "every node failure is a responder failover"
-    );
-    let down_at = fail_at.as_millis();
-    let deploys: Vec<f64> = obs
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, TimelineKind::Deploy { .. }))
-        .map(|e| e.at_ms - down_at)
-        .collect();
-    assert!(
-        deploys
-            .iter()
-            .all(|&after| !(0.0..COOLDOWN_MS).contains(&after)),
-        "no rebalance within the cooldown after the failure: {deploys:?} ms after it"
     );
 }

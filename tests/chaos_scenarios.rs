@@ -9,8 +9,8 @@
 //! report line what CI uploads: JSON naming its cell, plan and oracles. The data-plane
 //! families are live here — dropped blocks heal through whole-block
 //! recovery-log retransmission, duplicated blocks are absorbed by
-//! consumer range dedup, a killed threaded consumer fails over from its
-//! own exit notice, and a severed socket heals through the reconnect
+//! consumer range dedup, a killed consumer fails over (on threads from
+//! its own exit notice), and a severed socket heals through the reconnect
 //! handshake plus link-level retransmission.
 
 use gridq::chaos::{
@@ -137,12 +137,13 @@ fn chaos_killed_node_retires_every_tracked_stream() {
     for seed in SEEDS {
         let scenario = Scenario {
             seed,
-            family: FaultFamily::CrashMidRecall,
+            family: FaultFamily::NodeCrash,
             substrate: Substrate::Sim,
             policy: Policy::R1,
         };
         let outcome = runner.run_scenario(scenario);
         assert!(outcome.passed(), "{outcome:?}");
+        assert_eq!(outcome.fired_events, 1, "the node died: {outcome:?}");
         let teardown = outcome
             .verdicts
             .iter()

@@ -5,8 +5,10 @@
 //! whichever substrate recorded it.
 
 use gridq::adapt::{replay, AdaptivityConfig, AssessmentPolicy, ResponsePolicy};
-use gridq::chaos::{Knobs, Workload};
-use gridq::common::{NodeId, SimTime};
+use std::sync::Arc;
+
+use gridq::chaos::{FaultEvent, FaultPlan, Knobs, PlanHook, Workload};
+use gridq::common::NodeId;
 use gridq::grid::Perturbation;
 use gridq::obs::{ObsConfig, ObsReport, TimelineEvent, TimelineKind};
 use gridq::workload::experiments::Q2Experiment;
@@ -87,12 +89,17 @@ fn a_threaded_run_replays_to_the_same_deploys() {
 }
 
 /// A node that dies mid-run adds a failover to the inputs, beside the
-/// M2 notices every monitored run carries.
+/// M2 notices every monitored run carries. Worker 2 (node 3) dies on the
+/// 20th buffer it receives, long after the first deploy.
 #[test]
 fn a_simulated_run_with_a_node_death_replays_exactly() {
+    let crash = FaultPlan {
+        seed: 0,
+        events: vec![FaultEvent::CrashConsumer { worker: 2, nth: 20 }],
+    };
     let report = q2_perturbed(3)
         .simulate(&Knobs {
-            node_failures: vec![(NodeId::new(3), SimTime::from_millis(3000.0))],
+            chaos: Some(Arc::new(PlanHook::new(&crash))),
             ..knobs()
         })
         .unwrap();

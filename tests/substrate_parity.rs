@@ -8,7 +8,9 @@
 //! through the harness in `gridq::chaos`; every substrate returns the
 //! same `RunReport`, and cells compare those directly — results as a
 //! sorted multiset of rendered rows, because the substrates assign
-//! sequence numbers independently. The socket substrate scripts
+//! sequence numbers independently. Fault plans are the chaos harness's
+//! too, and mean the same faults on both in-process substrates. The
+//! socket substrate scripts
 //! its adaptation trigger (the decision stack is covered by the
 //! sim/threaded cells); what its cells pin is that the *wire* data plane
 //! — real frames over real connections — routes, recalls, and collects
@@ -16,9 +18,9 @@
 
 use std::sync::Arc;
 
-use gridq::chaos::oracle::log_conservation;
+use gridq::chaos::oracle::{conservation, log_conservation, recall_safety, replay};
 use gridq::chaos::{run_on, FaultEvent, FaultPlan, Knobs, PlanHook, Policy, Substrate, Workload};
-use gridq::common::{NodeId, RecallPhase, SimTime};
+use gridq::common::RecallPhase;
 use gridq::engine::fixtures::multiset;
 use gridq::exec::RetryPolicy;
 use gridq::obs::{RunReport, TimelineKind};
@@ -141,71 +143,103 @@ fn retrospective_r1_stateful_runs_agree_across_substrates() {
     assert_eq!(rows(&baseline), rows(&threaded));
 }
 
-/// Node-failure parity: killing an evaluator mid-run — a simulated node
-/// death on the simulator, a consumer thread killed through the chaos
-/// seam on the threaded executor — must leave the result multiset
-/// identical to an unfaulted reference run. Recovery-log replay plus
-/// failover rerouting is exactly-once end to end on both substrates.
+/// Node-failure parity: one crash plan — consumer 1 killed on its 10th
+/// received message, through the `crash_worker` seam — on both
+/// in-process substrates. Each reports the death once and fails it over
+/// once; recovery-log replay plus failover rerouting is exactly-once end
+/// to end, and the loop's decisions replay from the timeline.
 #[test]
 fn node_failure_runs_match_the_unfaulted_reference() {
     let w = q2();
-
-    // Unfaulted threaded reference: the expected join output.
     let reference = run_on(Substrate::Threaded, &w, &static_knobs()).unwrap();
     assert_eq!(reference.results.len(), 300);
+    for substrate in IN_PROCESS {
+        let name = substrate.name();
+        let crash = plan_hook(vec![FaultEvent::CrashConsumer { worker: 1, nth: 10 }]);
+        let run = run_on(substrate, &w, &failover_knobs(&crash)).unwrap();
+        assert_eq!(crash.fired(), [0], "{name}: the crash fired");
+        assert_eq!(
+            (run.nodes_failed, run.failovers_completed),
+            (1, 1),
+            "{name}: one death, one failover: {run:?}"
+        );
+        assert!(
+            run.delivery_gaps.is_empty(),
+            "{name}: replay + retransmission loses nothing: {run:?}"
+        );
+        for audit in &run.log_audits {
+            assert!(
+                audit.conserved(),
+                "{name}: log audit must balance: {audit:?}"
+            );
+        }
+        // The killed consumer never finished, yet the run-wide
+        // processed count missed nothing it had processed.
+        let processed = match substrate {
+            Substrate::Sim => "sim.tuples_processed",
+            _ => "exec.tuples_processed",
+        };
+        let obs = run.obs.as_ref().expect("obs on by default");
+        assert_eq!(
+            obs.metrics.counters[processed],
+            run.per_partition_processed.iter().sum::<u64>(),
+            "{name}: {:?}",
+            run.per_partition_processed
+        );
+        assert_eq!(rows(&reference), rows(&run), "{name}");
+        let verdict = replay(&run);
+        assert!(verdict.passed, "{name}: {}", verdict.detail);
+    }
+}
 
-    // Simulator: evaluator node 2 dies halfway through the healthy run;
-    // producers replay its unacknowledged log entries onto node 1.
-    let healthy = w.simulate(&Knobs::default()).unwrap();
-    let fail_at = SimTime::from_millis(healthy.wall_ms * 0.5);
-    let sim_failed = run_on(
+/// A simulated recall that loses worker 0's Drain reply is abandoned
+/// before the swap, as on threads: no deploy for that decision, the
+/// router untouched, and the results whole.
+#[test]
+fn a_simulated_recall_that_loses_a_drain_reply_is_abandoned() {
+    let w = q2_r1();
+    let knobs = r1_knobs(Substrate::Sim);
+    let reference = run_on(Substrate::Sim, &w, &knobs).unwrap();
+    let lose = plan_hook(vec![FaultEvent::LoseRecallCtrl {
+        phase: RecallPhase::Drain,
+        worker: 0,
+        nth: 1,
+    }]);
+    let run = run_on(
         Substrate::Sim,
         &w,
         &Knobs {
-            node_failures: vec![(NodeId::new(2), fail_at)],
-            ..Knobs::default()
+            chaos: Some(Arc::clone(&lose) as _),
+            ..knobs
         },
     )
     .unwrap();
-    assert_eq!(rows(&reference), rows(&sim_failed));
-
-    // Threaded executor: consumer 1 is killed on its 10th received
-    // message; its exit notice reports the crash and the failover recall
-    // replays its log entries to the survivor.
-    let crash = plan_hook(vec![FaultEvent::CrashConsumer { worker: 1, nth: 10 }]);
-    let threaded = w.run_threaded(&failover_knobs(&crash)).unwrap();
-    assert_eq!(threaded.nodes_failed, 1, "one death reported: {threaded:?}");
+    assert!(run.recalls_aborted >= 1, "{run:?}");
+    assert_eq!(lose.fired(), [0], "the reply was lost");
+    let obs = run.obs.as_ref().expect("obs on by default");
+    let first_accepted = obs.events.iter().find_map(|e| match &e.kind {
+        TimelineKind::ResponderDecision {
+            decision,
+            diagnosis_seq,
+            ..
+        } if decision == "accepted" => Some(*diagnosis_seq),
+        _ => None,
+    });
+    let first_accepted = first_accepted.expect("the loop accepted a proposal");
     assert!(
-        threaded.failovers_completed >= 1,
-        "the failover recall must complete: {threaded:?}"
+        !obs.events.iter().any(|e| matches!(
+            e.kind,
+            TimelineKind::Deploy { diagnosis_seq, .. } if diagnosis_seq == first_accepted
+        )),
+        "the abandoned recall deployed nothing"
     );
-    assert!(
-        threaded.delivery_gaps.is_empty(),
-        "replay + retransmission loses nothing: {threaded:?}"
-    );
-    for audit in &threaded.log_audits {
-        assert!(audit.conserved(), "log audit must balance: {audit:?}");
-    }
-    // The killed consumer never reached an end-of-stream, yet the
-    // run-wide processed count (advanced once per block) missed nothing
-    // it had processed.
-    let obs = threaded.obs.as_ref().expect("obs on by default");
-    assert_eq!(
-        obs.metrics.counters["exec.tuples_processed"],
-        threaded.per_partition_processed.iter().sum::<u64>(),
-        "{:?}",
-        threaded.per_partition_processed
-    );
-    assert_eq!(rows(&reference), rows(&threaded));
-    // Both substrates count the death and its failover the same way:
-    // through the one control loop.
-    assert_eq!(
-        (sim_failed.nodes_failed, sim_failed.failovers_completed),
-        (threaded.nodes_failed, threaded.failovers_completed),
-        "sim {sim_failed:?}"
-    );
-    for audit in sim_failed.log_audits.iter().chain(&threaded.log_audits) {
-        assert!(audit.conserved(), "log audit must balance: {audit:?}");
+    for verdict in [
+        conservation(&reference, &run),
+        log_conservation(&run),
+        recall_safety(&run),
+        replay(&run),
+    ] {
+        assert!(verdict.passed, "{}: {}", verdict.oracle, verdict.detail);
     }
 }
 
