@@ -122,17 +122,42 @@ pub struct RingSender<T: Send> {
     shared: Arc<Shared<T>>,
 }
 
+/// Why [`RingSender::push_unless`] handed its value back.
+#[derive(Debug, PartialEq)]
+pub enum Refused<T> {
+    /// The receiver has been dropped.
+    Closed(T),
+    /// The ring was full and the caller's `give_way` test said to stop
+    /// waiting.
+    GaveWay(T),
+}
+
 impl<T: Send> RingSender<T> {
     /// Pushes `value`, parking while the ring is full. Returns
     /// `Err(value)` once the receiver has been dropped — the value
     /// comes back so the caller can count or log the failed delivery.
     pub fn push(&self, value: T) -> std::result::Result<(), T> {
+        self.push_unless(value, || false)
+            .map_err(|refused| match refused {
+                Refused::Closed(v) | Refused::GaveWay(v) => v,
+            })
+    }
+
+    /// [`RingSender::push`] that stops waiting on a full ring once
+    /// `give_way()` is true. The test runs before every park, so it is
+    /// seen within one park slice, and at once when the waiting thread
+    /// is unparked.
+    pub fn push_unless(
+        &self,
+        value: T,
+        give_way: impl Fn() -> bool,
+    ) -> std::result::Result<(), Refused<T>> {
         let shared = &*self.shared;
         let cap = shared.slots.len();
         let tail = shared.tail.0.load(Ordering::Relaxed);
         loop {
             if shared.consumer_closed.load(Ordering::Acquire) {
-                return Err(value);
+                return Err(Refused::Closed(value));
             }
             let head = shared.head.0.load(Ordering::Acquire);
             if tail.wrapping_sub(head) < cap {
@@ -151,6 +176,10 @@ impl<T: Send> RingSender<T> {
             if tail.wrapping_sub(head) < cap || shared.consumer_closed.load(Ordering::Acquire) {
                 shared.producer_parked.lock().take();
                 continue;
+            }
+            if give_way() {
+                shared.producer_parked.lock().take();
+                return Err(Refused::GaveWay(value));
             }
             thread::park_timeout(PARK_SLICE);
             shared.producer_parked.lock().take();
@@ -356,6 +385,9 @@ impl<C> InboxSender<C> {
 ///   control message was sent — is the receiver's to order: on a barrier
 ///   message it calls [`Inbox::pop_data`] until the rings are dry, then
 ///   acts.
+/// - **A wait a control message ends.** [`Inbox::wait_control`] parks
+///   until a deadline, returning early once a control message is
+///   pending; the message stays first in line for [`Inbox::next`].
 /// - **No lost wakeup.** Going idle is register → re-poll both planes →
 ///   park: a push or send that lands after the re-poll finds the
 ///   registration and unparks; one that landed before it is seen by it.
@@ -369,6 +401,9 @@ pub struct Inbox<C, D: Send> {
     /// probes that could only be held until it ends.
     cursor: usize,
     ctrl_gone: bool,
+    /// A control message [`Inbox::wait_control`] took off the plane; the
+    /// next poll returns it first.
+    held: Option<C>,
     /// Runs between the idle re-poll and the park.
     #[cfg(test)]
     before_park: Option<Box<dyn FnMut()>>,
@@ -388,6 +423,7 @@ pub fn inbox<C, D: Send>(rings: Vec<RingReceiver<D>>) -> (InboxSender<C>, Inbox<
         waker,
         cursor: 0,
         ctrl_gone: false,
+        held: None,
         #[cfg(test)]
         before_park: None,
     };
@@ -421,8 +457,43 @@ impl<C, D: Send> Inbox<C, D> {
         found.unwrap_or_else(|| Wake::Idle(parked.elapsed()))
     }
 
+    /// Parks until a control message is pending or `until` has passed,
+    /// leaving the rings alone. Returns whether a control message is
+    /// pending; [`Inbox::next`] returns it first.
+    pub fn wait_control(&mut self, until: Instant) -> bool {
+        loop {
+            if self.control_pending() {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= until {
+                return false;
+            }
+            // Register, re-check, park: a send after the re-check finds
+            // the registration.
+            self.waker.register();
+            if !self.control_pending() {
+                thread::park_timeout(until - now);
+            }
+            self.waker.clear();
+        }
+    }
+
+    /// Whether a control message is pending, taking it off the plane
+    /// into `held` if need be.
+    fn control_pending(&mut self) -> bool {
+        if self.held.is_none() && !self.ctrl_gone {
+            match self.ctrl.try_recv() {
+                Ok(msg) => self.held = Some(msg),
+                Err(TryRecvError::Disconnected) => self.ctrl_gone = true,
+                Err(TryRecvError::Empty) => {}
+            }
+        }
+        self.held.is_some()
+    }
+
     /// Pops one queued data item without consulting the control plane:
-    /// the drain a barrier message performs before acting.
+    /// how a barrier message takes the queue before it acts.
     pub fn pop_data(&mut self) -> Option<D> {
         let ring = self.first_ready()?;
         self.pop_ring(ring)
@@ -446,6 +517,9 @@ impl<C, D: Send> Inbox<C, D> {
         // Ring before control: the item seen at the front of `ready` now
         // was pushed before any control message this poll does not see,
         // and only that ring is popped afterwards.
+        if let Some(msg) = self.held.take() {
+            return Some(Wake::Control(msg));
+        }
         let ready = self.first_ready();
         if !self.ctrl_gone {
             match self.ctrl.try_recv() {
@@ -996,5 +1070,54 @@ mod tests {
         for s in senders {
             s.join().unwrap();
         }
+    }
+
+    /// A push that waits on a full ring stops waiting once its test says
+    /// so — at once when the test already holds, within a park slice when
+    /// it comes true later — and hands its value back; the ring keeps
+    /// what it held.
+    #[test]
+    fn a_push_on_a_full_ring_gives_way_and_hands_its_value_back() {
+        let (tx, rx) = ring::<u32>(1);
+        tx.push(1).unwrap();
+        assert_eq!(tx.push_unless(2, || true), Err(Refused::GaveWay(2)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let h = thread::spawn(move || {
+            let r = tx.push_unless(3, || stop2.load(Ordering::Acquire));
+            (r, tx)
+        });
+        thread::sleep(Duration::from_millis(20));
+        stop.store(true, Ordering::Release);
+        let (r, tx) = h.join().unwrap();
+        assert_eq!(r, Err(Refused::GaveWay(3)));
+        assert_eq!(rx.pop(), Some(1), "the ring kept what it held");
+        assert_eq!(tx.push_unless(4, || true), Ok(()), "room: no test needed");
+        drop(rx);
+        assert_eq!(tx.push_unless(5, || false), Err(Refused::Closed(5)));
+    }
+
+    /// `wait_control` sleeps to its deadline when nothing comes, returns
+    /// as soon as a control message is sent, and leaves that message
+    /// first in line ahead of data queued before it.
+    #[test]
+    fn wait_control_ends_at_a_control_message_which_stays_first() {
+        let (data_tx, data_rx) = ring::<u32>(4);
+        let (ctl, mut inbox) = inbox::<&str, u32>(vec![data_rx]);
+        data_tx.push(7).unwrap();
+        let started = Instant::now();
+        assert!(!inbox.wait_control(started + Duration::from_millis(15)));
+        assert!(started.elapsed() >= Duration::from_millis(15));
+        let h = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            ctl.send("migrate");
+            ctl
+        });
+        let started = Instant::now();
+        assert!(inbox.wait_control(started + Duration::from_secs(10)));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        let _ctl = h.join().unwrap();
+        assert_eq!(inbox.next(Duration::ZERO), Wake::Control("migrate"));
+        assert_eq!(inbox.next(Duration::ZERO), Wake::Data(7));
     }
 }

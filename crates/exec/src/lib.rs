@@ -53,7 +53,9 @@ use gridq_adapt::{
     Accepted, AdaptationCommand, AdaptivityConfig, ControlLoop, Notice, ProducerId, ResponsePolicy,
     M1, M2,
 };
-use gridq_common::sync::ring::{inbox, ring, Inbox, InboxSender, RingReceiver, RingSender, Wake};
+use gridq_common::sync::ring::{
+    inbox, ring, Inbox, InboxSender, Refused, RingReceiver, RingSender, Wake,
+};
 use gridq_common::{
     ChaosHook, GridError, Journal, MetricSink, NodeId, NotifyKind, NullSink, PartitionId, QueryId,
     RecallPhase, Result, SimTime, SubplanId, Tuple,
@@ -68,9 +70,9 @@ use gridq_recovery::{AckOutcome, Checkpoint, ResultDedup, SharedRecoveryLog};
 // The retry policy and the gap record live in `gridq-recovery`, so every
 // substrate backs off and reports the same way.
 pub use gridq_recovery::{DeliveryGap, RetryPolicy};
-use protocol::consumer::{Consumer, ConsumerOut, M1Sample};
+use protocol::consumer::{Consumer, ConsumerOut, M1Sample, Progress};
 use protocol::coordinator::{Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget};
-use protocol::producer::{BlockSink, Producer, ProducerSpec, RetryStep};
+use protocol::producer::{BlockSink, Producer, ProducerSpec, RetryStep, Shipped};
 use protocol::{validate_knobs, Block, Exchange, Routed};
 use recall::{GateTransport, ProducerGuard, RecallGate, WorkerCommands};
 pub use service::{
@@ -200,11 +202,21 @@ enum DataMsg {
 pub(crate) trait RingPayload: Clone + Send + 'static {
     fn block(block: Block) -> Self;
     fn eos(stream: StreamTag, source: usize) -> Self;
+    /// The block a payload made by [`RingPayload::block`] carries: what a
+    /// push that gave way hands back to the producer.
+    fn unblock(self) -> Option<Block>;
 }
 
 impl RingPayload for DataMsg {
     fn block(block: Block) -> Self {
         DataMsg::Block(block)
+    }
+
+    fn unblock(self) -> Option<Block> {
+        match self {
+            DataMsg::Block(block) => Some(block),
+            DataMsg::Eos(_) => None,
+        }
     }
 
     fn eos(stream: StreamTag, _source: usize) -> Self {
@@ -215,13 +227,15 @@ impl RingPayload for DataMsg {
 /// A coordinator's (or peer's) command to one worker endpoint: the
 /// control-plane vocabulary of both substrates.
 pub(crate) enum Msg {
-    /// Recall barrier marker: the worker replies `Drained` once it
-    /// sees this, proving it holds no pre-pause tuples. The endpoint
-    /// drains its rings first — the producers are parked behind the
-    /// recall gate, so the rings hold everything sent before the pause.
+    /// Recall barrier marker: the producers are parked behind the recall
+    /// gate, so the worker's rings now hold everything sent to it before
+    /// the pause. A consumer thread replies `Drained` at once and leaves
+    /// its queue to the `Migrate`; a socket link relays its rings first
+    /// and the worker replies in FIFO order, behind every block.
     Drain { token: u64 },
-    /// Recall migration command: surrender the state and the held
-    /// tuples of the outgoing buckets, then reply `MigrateDone`.
+    /// Recall migration command: surrender the state, the held tuples
+    /// and the queued tuples of the outgoing buckets, then reply
+    /// `MigrateDone`.
     Migrate(MigrateCmd),
     /// A block of tuples re-delivered by the recall protocol (migrated
     /// operator state, recalled held tuples, a failover replay; a
@@ -300,8 +314,14 @@ pub(crate) fn surrendered(
     let _ = raw.send(Raw::LateState);
 }
 
+/// Model milliseconds as real time; zero below a nanosecond, so a
+/// null-cost run never sleeps.
+fn real_time(model_ms: f64, scale: f64) -> Duration {
+    Duration::from_secs_f64((model_ms * scale / 1000.0).max(0.0))
+}
+
 pub(crate) fn spin_for(model_ms: f64, scale: f64) {
-    let dur = Duration::from_secs_f64((model_ms * scale / 1000.0).max(0.0));
+    let dur = real_time(model_ms, scale);
     if !dur.is_zero() {
         thread::sleep(dur);
     }
@@ -358,10 +378,15 @@ fn run_producer<S: BlockSink>(
     // A recall in flight must complete (and the buffers restage) before
     // the final flush: finishing mid-pause would send tuples routed
     // under the old distribution after the consumers already drained.
-    if let Some(g) = &gate {
-        producer.observe_epoch(g.pause_point());
+    // A flush that gave way to a later recall parks here again.
+    loop {
+        if let Some(g) = &gate {
+            producer.observe_epoch(g.pause_point());
+        }
+        if producer.finish_scan(sink) {
+            break;
+        }
     }
-    producer.finish_scan(sink);
     while let RetryStep::Wait(ms) = producer.retry_step(sink) {
         let mut remaining = ms;
         while remaining > 0.0 {
@@ -387,11 +412,13 @@ struct M2Probe {
 
 /// The producer's sink on both substrates: one bounded SPSC ring per
 /// worker endpoint (the ring *is* the backpressure). End-of-stream rides
-/// the same ring, so it trails every block in FIFO order.
+/// the same ring, so it trails every block in FIFO order. A push waiting
+/// on a full ring gives way to a recall's pause request.
 struct ProducerSink<P: RingPayload> {
     source: usize,
     stream: StreamTag,
     rings: Vec<RingSender<P>>,
+    gate: Option<Arc<RecallGate>>,
     /// Destinations whose end-of-stream is out.
     ended: Vec<bool>,
     scale: f64,
@@ -400,21 +427,42 @@ struct ProducerSink<P: RingPayload> {
     m2: Option<M2Probe>,
 }
 
+/// A payload a push handed back, as the block the producer re-stages.
+fn withheld<P: RingPayload>(payload: P) -> Shipped {
+    match payload.unblock() {
+        Some(block) => Shipped::Withheld(block),
+        None => Shipped::Sent(0),
+    }
+}
+
 impl<P: RingPayload> BlockSink for ProducerSink<P> {
     fn pay(&mut self, model_ms: f64) {
         spin_for(model_ms, self.scale);
     }
 
-    fn ship(&mut self, dest: usize, block: Block, duplicate: bool) -> usize {
+    fn ship(&mut self, dest: usize, block: Block, duplicate: bool) -> Shipped {
         let send_started = Instant::now();
         let copies = 1 + usize::from(duplicate);
         let count = self.m2.as_ref().map_or(0, |_| block.tuples() * copies);
+        let (ring, gate) = (&self.rings[dest], self.gate.as_deref());
+        let push =
+            |payload| ring.push_unless(payload, || gate.is_some_and(RecallGate::pause_requested));
         let payload = P::block(block);
         let mut failed = 0;
         if duplicate {
-            failed += usize::from(self.rings[dest].push(payload.clone()).is_err());
+            match push(payload.clone()) {
+                Ok(()) => {}
+                Err(Refused::Closed(_)) => failed += 1,
+                Err(Refused::GaveWay(copy)) => return withheld(copy),
+            }
         }
-        failed += usize::from(self.rings[dest].push(payload).is_err());
+        match push(payload) {
+            Ok(()) => {}
+            Err(Refused::Closed(_)) => failed += 1,
+            Err(Refused::GaveWay(payload)) if !duplicate => return withheld(payload),
+            // One copy is out: the duplicate that gave way never was.
+            Err(Refused::GaveWay(_)) => {}
+        }
         let m2_kept = self
             .chaos
             .as_ref()
@@ -431,7 +479,7 @@ impl<P: RingPayload> BlockSink for ProducerSink<P> {
                 at: model_now(m2.started, self.scale),
             }));
         }
-        failed
+        Shipped::Sent(failed)
     }
 
     fn eos(&mut self, dest: usize, stream: StreamTag, source: usize) {
@@ -453,11 +501,16 @@ impl<P: RingPayload> Drop for ProducerSink<P> {
     }
 }
 
-/// The threaded consumer's outputs. Threaded consumers share the router
-/// and the recovery logs with the producers, so acks land in the log
-/// directly (and the log's verdict drives dedup eviction) and strays are
-/// re-routed on the spot.
+/// The threaded consumer's inbox and outputs. Threaded consumers share
+/// the router and the recovery logs with the producers, so acks land in
+/// the log directly (and the log's verdict drives dedup eviction) and
+/// strays are re-routed on the spot. Modelled cost is paid parked on the
+/// inbox: a control message cuts the sleep short, and what is left of it
+/// stays `owed` until that message is handled.
 struct ThreadedOut {
+    inbox: Inbox<Msg, DataMsg>,
+    /// Real time still to be slept off for modelled cost already accrued.
+    owed: Duration,
     index: usize,
     node: NodeId,
     x: Exchange,
@@ -471,9 +524,25 @@ struct ThreadedOut {
     started: Instant,
 }
 
+impl ThreadedOut {
+    /// Sleeps off the owed time, parked on the inbox. Returns `false` when
+    /// a control message ended the sleep early: it is first in line, and
+    /// the rest stays owed.
+    fn pay_owed(&mut self) -> bool {
+        if self.owed.is_zero() {
+            return true;
+        }
+        let until = Instant::now() + self.owed;
+        let cut_short = self.inbox.wait_control(until);
+        self.owed = until.saturating_duration_since(Instant::now());
+        !cut_short
+    }
+}
+
 impl ConsumerOut for ThreadedOut {
     fn pay(&mut self, model_ms: f64) {
-        spin_for(model_ms, self.scale);
+        self.owed += real_time(model_ms, self.scale);
+        self.pay_owed();
     }
 
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
@@ -544,7 +613,6 @@ enum Step {
 /// first, control before every data item) keep migrated state ahead of
 /// the tuples that probe it.
 struct ConsumerThread {
-    inbox: Inbox<Msg, DataMsg>,
     consumer: Consumer,
     out: ThreadedOut,
     replies: Sender<RecallReply>,
@@ -576,11 +644,7 @@ impl ConsumerThread {
         }
         match item {
             DataMsg::Block(block) => self.consumer.on_block(block, &mut self.out),
-            DataMsg::Eos(stream) => {
-                if self.consumer.on_eos(stream, &mut self.out) {
-                    return Step::Finished;
-                }
-            }
+            DataMsg::Eos(stream) => self.consumer.end_stream(stream),
         }
         Step::Continue
     }
@@ -590,16 +654,19 @@ impl ConsumerThread {
             return Step::Crashed;
         }
         match msg {
-            Msg::Drain { token } => {
-                while let Some(item) = self.inbox.pop_data() {
-                    match self.on_data(item) {
-                        Step::Continue => {}
-                        other => return other,
+            // The producers are parked: nothing more can queue up until
+            // the `Migrate`, which takes the queue as it stands.
+            Msg::Drain { token } => self.reply(RecallPhase::Drain, RecallReply::Drained { token }),
+            Msg::Migrate(cmd) => {
+                while let Some(item) = self.out.inbox.pop_data() {
+                    if self.crashed() {
+                        return Step::Crashed;
+                    }
+                    match item {
+                        DataMsg::Block(block) => self.consumer.shelve_block(block, &mut self.out),
+                        DataMsg::Eos(stream) => self.consumer.shelve_eos(stream),
                     }
                 }
-                self.reply(RecallPhase::Drain, RecallReply::Drained { token });
-            }
-            Msg::Migrate(cmd) => {
                 let (worker, out) = (self.out.index, &self.out);
                 for block in self.consumer.surrender(cmd.bucket_count, &cmd.outgoing) {
                     surrendered(&out.x, &self.replies, &out.raw, worker, block);
@@ -617,6 +684,11 @@ impl ConsumerThread {
     /// notice: a crash is reported, not inferred from silence.
     fn run(mut self) {
         let finished = self.serve();
+        if finished {
+            // The last pay's remainder, should a message have cut it
+            // short: the run may not end before its modelled time.
+            thread::sleep(std::mem::take(&mut self.out.owed));
+        }
         if self.out.failover_on {
             let notice = if finished { Raw::Done } else { Raw::Down };
             let _ = self.out.raw.send(notice(self.out.index));
@@ -634,10 +706,20 @@ impl ConsumerThread {
         });
     }
 
-    /// The receive loop. Returns `false` when the crash seam fired.
+    /// The receive loop: the owed time, then the consumer's owed steps,
+    /// then the inbox — which hands over a control message that cut
+    /// either short before any data item. Returns `false` when the crash
+    /// seam fired.
     fn serve(&mut self) -> bool {
         loop {
-            let step = match self.inbox.next(RECV_SLICE) {
+            if self.out.pay_owed() {
+                match self.consumer.step(&mut self.out) {
+                    Progress::Busy => continue,
+                    Progress::Finished => return true,
+                    Progress::Idle => {}
+                }
+            }
+            let step = match self.out.inbox.next(RECV_SLICE) {
                 Wake::Control(msg) => self.on_ctrl(msg),
                 Wake::Data(item) => self.on_data(item),
                 Wake::Idle(waited) => {
@@ -693,9 +775,10 @@ impl ThreadedWorkers {
                     .map(|o| o.metrics().counter("exec.tuples_processed")),
             ));
             let worker = ConsumerThread {
-                inbox,
                 consumer,
                 out: ThreadedOut {
+                    inbox,
+                    owed: Duration::ZERO,
                     index: i,
                     node,
                     x: w.x.clone(),
@@ -1340,6 +1423,7 @@ impl Run<'_> {
                 source: sidx,
                 stream: source.stream,
                 rings: std::mem::take(&mut ring_txs[sidx]),
+                gate: gate.clone(),
                 ended: vec![false; partitions],
                 scale: cfg.cost_scale,
                 chaos: cfg.chaos.clone(),
@@ -2382,6 +2466,8 @@ mod tests {
         let x = Exchange::new(&plan, "test", false, Some(hook), true, 50).unwrap();
         let (raw, raw_rx) = channel();
         let mut out = ThreadedOut {
+            inbox: inbox(Vec::new()).1,
+            owed: Duration::ZERO,
             index: 1,
             node: plan.stages[0].nodes[1],
             x,

@@ -1,19 +1,23 @@
 //! The consumer half of the protocol: two-level dedup, acked-marker
 //! shadowing, held probes and deferred probe acks, end-of-build replay,
-//! `Migrate` surrender (exactly the buckets `W′` moves), `Migrated`
-//! re-delivery, M1 stride batching and per-source end-of-stream
-//! accounting. Results leave in batches of at most the exchange's
-//! `buffer_tuples`, as soon as one is pending: a consumer never
-//! accumulates its whole output. The block is also the unit of what a
-//! consumer tells the monitoring side: the M1 samples and the progress
-//! count of one block leave as one hand-over, before the block's
-//! modelled cost is paid.
+//! queued work shelved behind a recall, `Migrate` surrender (exactly the
+//! buckets `W′` moves), `Migrated` re-delivery, M1 stride batching and
+//! per-source end-of-stream accounting. Results leave in batches of at
+//! most the exchange's `buffer_tuples`, as soon as one is pending: a
+//! consumer never accumulates its whole output. The block is also the
+//! unit of what a consumer tells the monitoring side: the M1 samples and
+//! the progress count of one block leave as one hand-over, before the
+//! block's modelled cost is paid.
 //!
 //! The driver owns the transport (an inbox over rings and a control
 //! channel, or one FIFO link), the crash seam and the idle wait; it feeds
 //! the consumer messages and implements [`ConsumerOut`] for what comes
-//! back out.
+//! back out. Work the consumer owes before its next data item — the
+//! end-of-build replay in slices of [`REPLAY_SLICE`], then the shelf —
+//! runs one [`Consumer::step`] at a time, so a driver can take a control
+//! message between steps; [`Consumer::steps`] runs them all.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -55,6 +59,34 @@ pub(crate) trait ConsumerOut {
     /// empty, never called with monitoring off. Sampling is per
     /// [`Consumer::m1_stride`] tuples; only the transport is per block.
     fn m1(&mut self, samples: Vec<M1Sample>);
+}
+
+/// How many held probes one replay step processes before it pays.
+const REPLAY_SLICE: usize = 16;
+
+/// What one [`Consumer::step`] did.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Progress {
+    /// Nothing is owed: the driver may take its next data item.
+    Idle,
+    /// One unit of owed work is done; more may follow.
+    Busy,
+    /// The last stream has ended and everything is done: the tail M1 and
+    /// the last of the progress count are handed over, the results are
+    /// all downstream and the debt is paid. Returned exactly once.
+    Finished,
+}
+
+/// Queued data a recall's `Migrate` took off the transport, already past
+/// dedup: processed in order, one entry a step, before any later data
+/// item.
+enum Shelved {
+    /// The fresh tuples and every marker of one block, in block order.
+    Items {
+        source: usize,
+        items: Vec<Staged>,
+    },
+    Eos(StreamTag),
 }
 
 /// One stride batch's worth of M1 measurements; the driver stamps it
@@ -124,7 +156,11 @@ pub(crate) struct Consumer {
     /// the source that logged them; replayed once every build source is
     /// done (the iterator model consumes the build input first), or
     /// recalled to their new owner by a retrospective redistribution.
-    held_probes: Vec<(usize, Tuple)>,
+    held_probes: VecDeque<(usize, Tuple)>,
+    /// The build phase has ended and `held_probes` are being replayed.
+    replaying: bool,
+    /// Queued data a `Migrate` kept, awaiting processing.
+    shelf: VecDeque<Shelved>,
     /// Probe-window acks deferred while the build phase is incomplete:
     /// an ack is a *processing* receipt here, and held probes are
     /// unprocessed — a crash before the build completes must find their
@@ -156,7 +192,9 @@ impl Consumer {
             due: 0.0,
             eos_seen: 0,
             build_eos_seen: 0,
-            held_probes: Vec::new(),
+            held_probes: VecDeque::new(),
+            replaying: false,
+            shelf: VecDeque::new(),
             pending_acks: Vec::new(),
             dedup: DedupFilter::new(),
             finished: false,
@@ -317,20 +355,51 @@ impl Consumer {
         out: &mut O,
     ) {
         if stream == StreamTag::Probe && self.building() {
-            self.held_probes.push((source, tuple));
+            self.held_probes.push_back((source, tuple));
         } else {
             self.process_one(stream, &tuple, out);
         }
     }
 
-    /// Consumes one tuple block. Resilient-mode dedup runs at two
-    /// granularities: a whole-block range hit skips every tuple in one
-    /// set probe (markers still apply — acks are idempotent, and the
-    /// duplicate may be the only copy whose ack survives the chaos
-    /// plan), and the per-tuple `seen` filter catches redelivery that is
-    /// not block-identical (a window retransmitted into a
-    /// differently-packed block).
+    /// Consumes one tuple block: admits it past dedup, processes it and
+    /// pays its modelled cost as one sleep instead of one per tuple.
     pub(crate) fn on_block<O: ConsumerOut>(&mut self, block: Block, out: &mut O) {
+        let source = block.source;
+        let defer = self.defers_acks(source);
+        self.admit(block, out, |c, item, out| c.take(source, defer, item, out));
+        self.pay_due(out);
+    }
+
+    /// Admits one queued block to the shelf without processing it: the
+    /// same dedup as [`Consumer::on_block`], so a duplicate is dropped
+    /// here and not surrendered to another owner.
+    pub(crate) fn shelve_block<O: ConsumerOut>(&mut self, block: Block, out: &mut O) {
+        let source = block.source;
+        let mut items = Vec::with_capacity(block.items.len());
+        self.admit(block, out, |_, item, _| items.push(item));
+        self.shelf.push_back(Shelved::Items { source, items });
+    }
+
+    /// Shelves a queued end-of-stream behind the blocks it trails.
+    pub(crate) fn shelve_eos(&mut self, stream: StreamTag) {
+        self.shelf.push_back(Shelved::Eos(stream));
+    }
+
+    /// Resilient-mode dedup, at two granularities: a whole-block range
+    /// hit skips every tuple in one set probe (markers still apply —
+    /// acks are idempotent, and the duplicate may be the only copy whose
+    /// ack survives the chaos plan), and the per-tuple `seen` filter
+    /// catches redelivery that is not block-identical (a window
+    /// retransmitted into a differently-packed block). A retransmitted
+    /// tuple this consumer no longer owns is forwarded. Hands `keep` the
+    /// fresh tuples and every marker, in block order, each marker once
+    /// it has closed its dedup window.
+    fn admit<O: ConsumerOut>(
+        &mut self,
+        block: Block,
+        out: &mut O,
+        mut keep: impl FnMut(&mut Self, Staged, &mut O),
+    ) {
         let source = block.source;
         let resilient = self.spec.resilient;
         let dup = resilient
@@ -338,7 +407,6 @@ impl Consumer {
                 .range_key()
                 .is_some_and(|key| self.dedup.block_is_dup(source, key));
         let check_owner = block.retransmit && self.spec.hash_routing;
-        let building = self.building();
         // The covering marker for each tuple is the next one at a higher
         // index in the block: retransmissions always repack a window's
         // tuples with its marker, so an already-acked marker id shadows
@@ -379,7 +447,7 @@ impl Consumer {
                     } else {
                         tuple
                     };
-                    self.hold_or_process(stream, source, tuple, out);
+                    keep(self, Staged::Tuple(stream, tuple), out);
                 }
                 Staged::Marker(cp, epoch) => {
                     debug_assert_eq!(cp.dest as usize, self.spec.index);
@@ -390,54 +458,103 @@ impl Consumer {
                     if resilient {
                         self.dedup.close_window(source, cp.id);
                     }
-                    if resilient && building && Some(source) != self.spec.build_source {
-                        self.pending_acks.push((source, cp, epoch));
-                    } else {
-                        self.ack_window(source, cp, epoch, out);
-                    }
+                    keep(self, Staged::Marker(cp, epoch), out);
                 }
             }
         }
-        // Pay the block's accumulated modelled cost as one sleep instead
-        // of one per tuple.
-        self.pay_due(out);
     }
 
-    /// One source's stream has ended (the driver has already fed every
-    /// block that source shipped). Completing the build phase replays
-    /// the held probes and releases their deferred acks. Returns `true`
-    /// exactly once, when the last stream ends: the tail M1 and the last
-    /// of the progress count are handed over, the results are all
-    /// downstream, the debt is paid, and the driver should report
-    /// completion.
-    pub(crate) fn on_eos<O: ConsumerOut>(&mut self, stream: StreamTag, out: &mut O) -> bool {
+    /// Whether `source`'s window acks wait for the build to end: in
+    /// resilient mode an ack is a processing receipt, and a probe window's
+    /// tuples may be held.
+    fn defers_acks(&self, source: usize) -> bool {
+        self.spec.resilient && self.building() && Some(source) != self.spec.build_source
+    }
+
+    /// Processes one admitted item: a tuple is held or processed, a
+    /// marker acks its window — the tuples ahead of it are processed —
+    /// or, with `defer`, waits for the build to end.
+    fn take<O: ConsumerOut>(&mut self, source: usize, defer: bool, item: Staged, out: &mut O) {
+        match item {
+            Staged::Tuple(stream, tuple) => self.hold_or_process(stream, source, tuple, out),
+            Staged::Marker(cp, epoch) if defer => self.pending_acks.push((source, cp, epoch)),
+            Staged::Marker(cp, epoch) => self.ack_window(source, cp, epoch, out),
+        }
+    }
+
+    /// One source's stream has ended (every block that source shipped
+    /// is processed or shelved ahead of it). Completing the build phase
+    /// starts the replay of the held probes; the steps that follow run
+    /// it and, once the last stream has ended, finish.
+    pub(crate) fn end_stream(&mut self, stream: StreamTag) {
         self.eos_seen += 1;
         if stream == StreamTag::Build {
             self.build_eos_seen += 1;
+            let build_needed = self.spec.build_eos_needed;
+            self.replaying |= build_needed > 0 && self.build_eos_seen == build_needed;
         }
-        let build_needed = self.spec.build_eos_needed;
-        if build_needed > 0 && self.build_eos_seen == build_needed {
-            for (n, (_, tuple)) in std::mem::take(&mut self.held_probes)
-                .into_iter()
-                .enumerate()
-            {
-                // Replaying a large backlog takes real time: pay the
-                // accrued cost, and hand over its M1 samples, in slices
-                // of 16 tuples rather than once at the end.
-                if n % 16 == 0 {
-                    self.pay_due(out);
-                }
-                self.process_one(StreamTag::Probe, &tuple, out);
+    }
+
+    /// [`Consumer::end_stream`], then every step it makes owed. Returns
+    /// `true` exactly once, when the last stream has ended and the
+    /// driver should report completion.
+    pub(crate) fn on_eos<O: ConsumerOut>(&mut self, stream: StreamTag, out: &mut O) -> bool {
+        self.end_stream(stream);
+        self.steps(out)
+    }
+
+    /// Runs steps until none is owed. Returns whether the last one
+    /// finished the consumer.
+    pub(crate) fn steps<O: ConsumerOut>(&mut self, out: &mut O) -> bool {
+        loop {
+            match self.step(out) {
+                Progress::Busy => {}
+                Progress::Idle => return false,
+                Progress::Finished => return true,
             }
-            self.pay_due(out);
-            // The held probes are processed: their deferred window acks
-            // are now true processing receipts, so release them.
+        }
+    }
+
+    /// One unit of the work owed before the next data item, in order:
+    /// a replay slice of at most [`REPLAY_SLICE`] held probes (replaying
+    /// a large backlog takes real time, so its cost is paid, and its M1
+    /// samples handed over, a slice at a time), then one shelved entry,
+    /// then — the last stream ended — finishing.
+    pub(crate) fn step<O: ConsumerOut>(&mut self, out: &mut O) -> Progress {
+        if self.replaying {
+            if !self.held_probes.is_empty() {
+                for _ in 0..REPLAY_SLICE {
+                    let Some((_, tuple)) = self.held_probes.pop_front() else {
+                        break;
+                    };
+                    self.process_one(StreamTag::Probe, &tuple, out);
+                }
+                self.pay_due(out);
+                return Progress::Busy;
+            }
+            self.replaying = false;
+            // The held probes are processed (or were surrendered): their
+            // deferred window acks are now true processing receipts, so
+            // release them.
             for (source, cp, epoch) in std::mem::take(&mut self.pending_acks) {
                 self.ack_window(source, cp, epoch, out);
             }
         }
+        if let Some(entry) = self.shelf.pop_front() {
+            match entry {
+                Shelved::Items { source, items } => {
+                    let defer = self.defers_acks(source);
+                    for item in items {
+                        self.take(source, defer, item, out);
+                    }
+                    self.pay_due(out);
+                }
+                Shelved::Eos(stream) => self.end_stream(stream),
+            }
+            return Progress::Busy;
+        }
         if self.eos_seen != self.spec.eos_needed || self.finished {
-            return false;
+            return Progress::Idle;
         }
         self.finished = true;
         // Close the partial tail batch before the monitoring record goes
@@ -445,41 +562,79 @@ impl Consumer {
         self.emit_m1(true);
         self.flush_results(true, out);
         self.pay_due(out);
-        true
+        Progress::Finished
     }
 
     /// Answers a recall's `Migrate`: gives up exactly what `W′` moves —
-    /// the operator state of the `outgoing` buckets and the held probes
-    /// whose bucket is one of them — in blocks of at most
-    /// [`ConsumerSpec::block_tuples`], state ahead of probes. The other
-    /// held probes stay held, in order. A probe nothing can place (no
-    /// bucket map under weighted routing) is surrendered too, and comes
-    /// back as `Migrated` re-delivery if it still belongs here.
+    /// the operator state of the `outgoing` buckets, and the held probes
+    /// and shelved tuples whose bucket is one of them — in blocks of at
+    /// most [`ConsumerSpec::block_tuples`], state (extracted, then
+    /// shelved build tuples) ahead of probes. Everything else stays, in
+    /// order: the held probes held, and the shelf with every marker,
+    /// which acks its window once the kept tuples ahead of it are
+    /// processed. A tuple nothing can place (no bucket map under weighted
+    /// routing) is surrendered too, and comes back as `Migrated`
+    /// re-delivery if it still belongs here.
     pub(crate) fn surrender(
         &mut self,
         bucket_count: Option<u32>,
         outgoing: &[u32],
     ) -> Vec<Vec<Routed>> {
-        let block_tuples = self.block_tuples();
-        let mut blocks: Vec<Vec<Routed>> = Vec::new();
-        let mut give = |entry: Routed| match blocks.last_mut() {
-            Some(block) if block.len() < block_tuples => block.push(entry),
-            _ => blocks.push(vec![entry]),
-        };
+        let mut state: Vec<Routed> = Vec::new();
+        let mut probes: Vec<Routed> = Vec::new();
         if let (Some(bc), false) = (bucket_count, outgoing.is_empty()) {
             let b = self.spec.build_source.unwrap_or(0);
             for (stream, tuple) in self.evaluator.extract_state(bc, outgoing) {
-                give((stream, b, tuple));
+                state.push((stream, b, tuple));
             }
         }
-        for (source, tuple) in std::mem::take(&mut self.held_probes) {
-            let hash = self.evaluator.key_hash(StreamTag::Probe, &tuple);
+        let goes = |stream: StreamTag, tuple: &Tuple| {
+            let hash = self.evaluator.key_hash(stream, tuple);
             let bucket = bucket_count.zip(hash).map(|(bc, h)| bucket_for_hash(h, bc));
-            if bucket.is_some_and(|b| !outgoing.contains(&b)) {
-                self.held_probes.push((source, tuple));
+            bucket.is_none_or(|b| outgoing.contains(&b))
+        };
+        let mut held = VecDeque::new();
+        for (source, tuple) in std::mem::take(&mut self.held_probes) {
+            if goes(StreamTag::Probe, &tuple) {
+                probes.push((StreamTag::Probe, source, tuple));
             } else {
-                give((StreamTag::Probe, source, tuple));
+                held.push_back((source, tuple));
             }
+        }
+        let mut shelf = VecDeque::new();
+        for entry in std::mem::take(&mut self.shelf) {
+            let Shelved::Items { source, items } = entry else {
+                shelf.push_back(entry);
+                continue;
+            };
+            let mut kept = Vec::with_capacity(items.len());
+            for item in items {
+                match item {
+                    Staged::Tuple(stream, tuple) if goes(stream, &tuple) => {
+                        let to = if stream == StreamTag::Build {
+                            &mut state
+                        } else {
+                            &mut probes
+                        };
+                        to.push((stream, source, tuple));
+                    }
+                    other => kept.push(other),
+                }
+            }
+            if !kept.is_empty() {
+                shelf.push_back(Shelved::Items {
+                    source,
+                    items: kept,
+                });
+            }
+        }
+        self.held_probes = held;
+        self.shelf = shelf;
+        let block_tuples = self.block_tuples();
+        let mut entries = state.into_iter().chain(probes).peekable();
+        let mut blocks: Vec<Vec<Routed>> = Vec::new();
+        while entries.peek().is_some() {
+            blocks.push(entries.by_ref().take(block_tuples).collect());
         }
         blocks
     }

@@ -2,15 +2,20 @@
 //! [`Coordinator::recall`] for a diagnosed or scripted `W′` and for a
 //! failover, which differ only in the [`RecallTarget`] passed.
 //!
-//! 1. **Pause.** Every active producer parks at its next pause point;
-//!    no new tuples can enter the exchange.
-//! 2. **Drain.** A `Drain` marker, ordered behind every block sent before
-//!    the pause, goes to every live consumer; `Drained` means everything
-//!    addressed to it under the old distribution is processed or shelved.
+//! 1. **Pause.** Every active producer parks at its next pause point —
+//!    one waiting on a full ring gives its block back first — so no new
+//!    tuples can enter the exchange.
+//! 2. **Drain.** A `Drain` goes to every live consumer. `Drained` means
+//!    the consumer is reachable and everything addressed to it under the
+//!    old distribution is processed, held, or queued where its
+//!    `Migrate` will find it: a consumer thread answers at once, its
+//!    rings holding what was sent before the pause; a socket worker
+//!    answers behind every block on its FIFO link.
 //! 3. **Swap.** The routing table is swapped under quiescence and the
 //!    buckets each old owner must surrender are computed.
 //! 4. **Migrate.** Each consumer surrenders that state, and the held
-//!    probes of the same buckets, in blocks ahead of its `MigrateDone`.
+//!    probes and queued tuples of the same buckets, in blocks ahead of
+//!    its `MigrateDone`.
 //!    They are re-routed here and nowhere else, re-delivered in blocks of
 //!    `buffer_tuples` per new owner, and the log bookkeeping is settled
 //!    once per (source, old owner → new owner) before the resume.
@@ -43,7 +48,8 @@ pub(crate) enum RecallReply {
 
 /// The `Migrate` command: surrender the operator state of the `outgoing`
 /// buckets (of `bucket_count`; `None` under weighted routing) and the
-/// held probes of those buckets, then answer `MigrateDone { token }`.
+/// held probes and queued tuples of those buckets, then answer
+/// `MigrateDone { token }`.
 pub(crate) struct MigrateCmd {
     pub(crate) token: u64,
     pub(crate) bucket_count: Option<u32>,

@@ -346,11 +346,11 @@ mod tests {
     use gridq_engine::fixtures::{call_plan, int_table, single_stage_plan, CallShape};
     use gridq_recovery::Checkpoint;
 
-    use super::consumer::{Consumer, ConsumerOut, M1Sample};
+    use super::consumer::{Consumer, ConsumerOut, M1Sample, Progress};
     use super::coordinator::{
         Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget, RecallTransport,
     };
-    use super::producer::{BlockSink, Producer, ProducerSpec, RetryStep};
+    use super::producer::{BlockSink, Producer, ProducerSpec, RetryStep, Shipped};
     use super::{Block, Exchange, Routed, Staged};
     use crate::RetryPolicy;
 
@@ -415,13 +415,13 @@ mod tests {
     impl BlockSink for FakeSink {
         fn pay(&mut self, _model_ms: f64) {}
 
-        fn ship(&mut self, dest: usize, block: Block, _duplicate: bool) -> usize {
+        fn ship(&mut self, dest: usize, block: Block, _duplicate: bool) -> Shipped {
             if self.lose > 0 {
                 self.lose -= 1;
             } else {
                 self.blocks.push((dest, block));
             }
-            0
+            Shipped::Sent(0)
         }
 
         fn eos(&mut self, dest: usize, _stream: StreamTag, _source: usize) {
@@ -1240,5 +1240,304 @@ mod tests {
         assert_eq!(out.handovers.len(), handovers);
         nothing_pending(&c, &out);
         assert_eq!(c.processed(), 83);
+    }
+
+    /// The keys in `0..n` the initial router sends to partition 0 and,
+    /// under `[0.25, 0.75]`, away from it (the buckets it surrenders).
+    fn keys_leaving_partition_0(x: &Exchange, n: i64) -> (Vec<i64>, Vec<i64>) {
+        let route = |r: &mut gridq_engine::distributed::Router, k: i64| {
+            r.route(StreamTag::Probe, &tuple(k, 0)).unwrap()
+        };
+        let mine: Vec<i64> = (0..n)
+            .filter(|&k| route(&mut x.router.lock(), k) == 0)
+            .collect();
+        let mut after = x.router.lock().clone();
+        after
+            .apply_retrospective(&DistributionVector::new(&[0.25, 0.75]).unwrap())
+            .unwrap();
+        let leaving = mine.iter().copied().filter(|&k| route(&mut after, k) == 1);
+        (mine.clone(), leaving.collect())
+    }
+
+    /// `stream` tuples of `keys` (seq = `base + key`) from `source` to
+    /// partition 0, each recorded in the source's log, with the markers
+    /// the log closes behind them.
+    fn logged_block(x: &Exchange, source: usize, keys: &[i64], base: u64) -> Block {
+        let stream = if source == BUILD {
+            StreamTag::Build
+        } else {
+            StreamTag::Probe
+        };
+        let log = x.log(source).unwrap();
+        let mut items = Vec::new();
+        for &k in keys {
+            let t = tuple(k, base + k as u64);
+            items.push(Staged::Tuple(stream, t.clone()));
+            if let Some(cp) = log.record(0, (stream, t)).unwrap() {
+                items.push(Staged::Marker(cp, log.epoch()));
+            }
+        }
+        Block {
+            source,
+            items,
+            retransmit: false,
+        }
+    }
+
+    /// Runs the `[0.25, 0.75]` recall over the two consumers; returns them
+    /// and the transport that recorded the re-deliveries.
+    fn recall_quarter(x: &Exchange, consumers: Vec<Consumer>) -> (Vec<Consumer>, FakeTransport) {
+        let drained = RecallReply::Drained { token: 1 };
+        let mut t = FakeTransport {
+            parked: Some(1),
+            replies: VecDeque::from([drained.clone(), drained]),
+            consumers,
+            ..FakeTransport::default()
+        };
+        let target = RecallTarget::Deploy(DistributionVector::new(&[0.25, 0.75]).unwrap());
+        let outcome = Coordinator::new(x.clone()).recall(target, &[0, 1], &mut t, |_| {});
+        assert!(
+            matches!(
+                outcome,
+                RecallOutcome::Deployed {
+                    completed: true,
+                    ..
+                }
+            ),
+            "{outcome:?}"
+        );
+        (std::mem::take(&mut t.consumers), t)
+    }
+
+    /// The seqs re-delivered to partition 1, stream by stream, in order.
+    fn redelivered_seqs(t: &FakeTransport, stream: StreamTag) -> Vec<u64> {
+        let to_1 = t.redelivered.iter().filter(|(dest, _)| *dest == 1);
+        let entries = to_1.flat_map(|(_, b)| b).filter(|e| e.0 == stream);
+        entries.map(|e| e.2.seq()).collect()
+    }
+
+    /// A threaded `Drain` is answered at once; the `Migrate` then takes the
+    /// queue as it stands. The queued tuples of the outgoing buckets go
+    /// with the state (state first), and the rest stays shelved with every
+    /// marker: a window is acked only once the kept tuples ahead of its
+    /// marker are processed.
+    #[test]
+    fn a_migrate_surrenders_queued_tuples_of_outgoing_buckets_and_acks_kept_windows_later() {
+        let (x, factory) = join_exchange(false);
+        let (mine, leaving) = keys_leaving_partition_0(&x, 64);
+        assert!(!leaving.is_empty() && leaving.len() < mine.len());
+        let mut c = consumer(&x, &factory, 0);
+        let mut out = FakeOut::new(&x, 0);
+        c.on_block(logged_block(&x, BUILD, &mine, 0), &mut out);
+        assert!(!c.on_eos(StreamTag::Build, &mut out), "the probes go on");
+        let built = c.processed();
+        // Two probe windows of four queue up behind the slow operator.
+        let queued = &mine[..8];
+        c.shelve_block(logged_block(&x, PROBE, &queued[..4], 100), &mut out);
+        c.shelve_block(logged_block(&x, PROBE, &queued[4..], 100), &mut out);
+        assert_eq!(c.processed(), built, "shelved, not processed");
+
+        let (mut consumers, t) = recall_quarter(&x, vec![c, consumer(&x, &factory, 1)]);
+        let mut c = consumers.swap_remove(0);
+        let goes = |k: &&i64| leaving.contains(k);
+        let mut state = redelivered_seqs(&t, StreamTag::Build);
+        state.sort_unstable();
+        let moved_state: Vec<u64> = mine.iter().filter(goes).map(|&k| k as u64).collect();
+        assert_eq!(state, moved_state, "the state of the outgoing buckets");
+        let moved: Vec<u64> = queued
+            .iter()
+            .filter(goes)
+            .map(|&k| 100 + k as u64)
+            .collect();
+        assert!(
+            !moved.is_empty() && moved.len() < 8,
+            "some queued probes go, some stay"
+        );
+        assert_eq!(
+            redelivered_seqs(&t, StreamTag::Probe),
+            moved,
+            "in queue order"
+        );
+        let sent: Vec<StreamTag> = t
+            .redelivered
+            .iter()
+            .flat_map(|(_, b)| b)
+            .map(|e| e.0)
+            .collect();
+        assert!(
+            sent.windows(2)
+                .all(|w| !(w[0] == StreamTag::Probe && w[1] == StreamTag::Build)),
+            "state ahead of probes"
+        );
+
+        // Nothing kept is processed or acked until its steps run, and each
+        // window's ack follows its own kept tuples.
+        assert!(out.acks.is_empty());
+        let kept = |w: &[i64]| w.iter().filter(|k| !leaving.contains(k)).count() as u64;
+        assert_eq!(c.step(&mut out), Progress::Busy);
+        assert_eq!(c.processed(), built + kept(&queued[..4]));
+        assert_eq!(out.acks, vec![(PROBE, 0)]);
+        assert_eq!(c.step(&mut out), Progress::Busy);
+        assert_eq!(c.processed(), built + kept(queued));
+        assert_eq!(out.acks, vec![(PROBE, 0), (PROBE, 1)]);
+        assert_eq!(c.step(&mut out), Progress::Idle, "the probe stream is open");
+        let log = x.log(PROBE).unwrap();
+        assert_eq!(log.unacked_len(0), 0, "moved entries left, kept ones acked");
+        assert!(log.audit().conserved(), "{:?}", log.audit());
+    }
+
+    /// The end-of-build replay runs a slice a step, so a `Migrate` that
+    /// arrives between two slices surrenders the unreplayed held probes of
+    /// the outgoing buckets — and never one already replayed.
+    #[test]
+    fn a_migrate_mid_replay_surrenders_the_unreplayed_probes_of_outgoing_buckets() {
+        let (x, factory) = join_exchange(false);
+        let (mine, leaving) = keys_leaving_partition_0(&x, 128);
+        let probes: Vec<i64> = mine.iter().copied().cycle().take(48).collect();
+        let mut c = consumer(&x, &factory, 0);
+        let mut out = FakeOut::new(&x, 0);
+        c.on_block(logged_block(&x, PROBE, &probes, 1000), &mut out);
+        c.on_block(logged_block(&x, BUILD, &mine, 0), &mut out);
+        let built = c.processed();
+        c.end_stream(StreamTag::Build);
+        assert_eq!(c.step(&mut out), Progress::Busy);
+        assert_eq!(c.processed(), built + 16, "one slice replayed");
+
+        let (mut consumers, t) = recall_quarter(&x, vec![c, consumer(&x, &factory, 1)]);
+        let mut c = consumers.swap_remove(0);
+        let unreplayed = &probes[16..];
+        let moved: Vec<u64> = unreplayed
+            .iter()
+            .filter(|k| leaving.contains(k))
+            .map(|&k| 1000 + k as u64)
+            .collect();
+        assert!(!moved.is_empty());
+        assert_eq!(redelivered_seqs(&t, StreamTag::Probe), moved);
+        assert!(!c.steps(&mut out), "the probe stream is open");
+        let kept = unreplayed.iter().filter(|k| !leaving.contains(k)).count() as u64;
+        assert_eq!(c.processed(), built + 16 + kept);
+    }
+
+    /// A producer parked in a push to a full ring gives way to a pause:
+    /// the barrier fills while the ring stays full, the block goes back to
+    /// its buffer, and after the resume it is restaged under the new
+    /// epoch — its tuples to their new owner, its marker to the original
+    /// destination.
+    #[test]
+    fn a_producer_blocked_on_a_full_ring_gives_way_to_a_pause_and_restages_its_block() {
+        use std::time::{Duration, Instant};
+
+        use gridq_common::sync::ring::ring;
+
+        use crate::recall::RecallGate;
+        use crate::{run_producer, DataMsg, ProducerSink};
+
+        let (x, _) = join_exchange(false);
+        let (mine, _) = keys_leaving_partition_0(&x, 64);
+        let rows: Vec<Tuple> = mine[..8].iter().map(|&k| tuple(k, k as u64)).collect();
+        let (tx0, rx0) = ring::<DataMsg>(1);
+        let (tx1, rx1) = ring::<DataMsg>(8);
+        let gate = Arc::new(RecallGate::new(1));
+        let mut sink = ProducerSink {
+            source: PROBE,
+            stream: StreamTag::Probe,
+            rings: vec![tx0, tx1],
+            gate: Some(Arc::clone(&gate)),
+            ended: vec![false; 2],
+            scale: 1e-12,
+            chaos: None,
+            m2: None,
+        };
+        let p = producer(&x, PROBE, StreamTag::Probe);
+        let g = Arc::clone(&gate);
+        let scan = std::thread::spawn(move || run_producer(p, &rows, Some(g), None, &mut sink));
+        // The first block fills ring 0; the eighth row's flush waits on it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while x.tallies.routed.load(Ordering::Relaxed) < 8 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(gate.begin_pause(Duration::from_secs(10)), Some(1));
+        assert!(
+            !rx0.is_empty() && rx1.is_empty(),
+            "nothing popped, nothing else sent"
+        );
+        recall_everything_to_partition_1(&x);
+        gate.resume(1);
+
+        let collect = |rx: &gridq_common::sync::ring::RingReceiver<DataMsg>| {
+            let mut got = Vec::new();
+            while let Some(item) = rx.pop_wait(Duration::from_secs(10)) {
+                let DataMsg::Block(b) = item else { break };
+                let tuples = b.items.iter().filter_map(|i| match i {
+                    Staged::Tuple(_, t) => Some(t.seq()),
+                    Staged::Marker(..) => None,
+                });
+                let markers = b.items.iter().filter_map(|i| match i {
+                    Staged::Marker(cp, _) => Some((cp.dest, cp.id)),
+                    Staged::Tuple(..) => None,
+                });
+                got.push((tuples.collect::<Vec<_>>(), markers.collect::<Vec<_>>()));
+            }
+            got
+        };
+        let at_0 = collect(&rx0);
+        scan.join().unwrap();
+        let at_1 = collect(&rx1);
+        let seqs: Vec<u64> = mine[..8].iter().map(|&k| k as u64).collect();
+        assert_eq!(
+            at_0,
+            vec![(seqs[..4].to_vec(), vec![(0, 0)]), (vec![], vec![(0, 1)])],
+            "the first block, then the withheld block's marker alone"
+        );
+        assert_eq!(at_1, vec![(seqs[4..].to_vec(), vec![(1, 0)])], "restaged");
+        assert_eq!(x.tallies.restaged.load(Ordering::Relaxed), 4);
+        let log = x.log(PROBE).unwrap();
+        assert!(log.audit().conserved(), "{:?}", log.audit());
+    }
+
+    /// Resilient mode: a queued block that is partly surrendered is
+    /// deduplicated tuple by tuple. Its adjacent duplicate surrenders
+    /// nothing twice, and a later retransmission of its window, packed
+    /// differently and with the first ack lost, finds every tuple —
+    /// kept and surrendered alike — already seen.
+    #[test]
+    fn a_partly_surrendered_block_is_deduplicated_per_tuple() {
+        let (x, factory) = join_exchange(true);
+        let (mine, leaving) = keys_leaving_partition_0(&x, 64);
+        let window: Vec<i64> = {
+            let (go, stay): (Vec<i64>, Vec<i64>) = mine.iter().partition(|k| leaving.contains(k));
+            vec![go[0], stay[0], go[1], stay[1]]
+        };
+        let mut c = consumer(&x, &factory, 0);
+        let mut out = FakeOut::new(&x, 0);
+        out.lose_acks = true;
+        c.on_block(logged_block(&x, BUILD, &mine, 0), &mut out);
+        assert!(!c.on_eos(StreamTag::Build, &mut out));
+        let built = c.processed();
+        let block = logged_block(&x, PROBE, &window, 100);
+        c.shelve_block(block.clone(), &mut out);
+        c.shelve_block(block.clone(), &mut out);
+
+        let (mut consumers, t) = recall_quarter(&x, vec![c, consumer(&x, &factory, 1)]);
+        let mut c = consumers.swap_remove(0);
+        let moved = vec![100 + window[0] as u64, 100 + window[2] as u64];
+        assert_eq!(redelivered_seqs(&t, StreamTag::Probe), moved, "once each");
+        assert!(!c.steps(&mut out));
+        assert_eq!(c.processed(), built + 2, "the two kept, once");
+        let probe_acks: Vec<&(usize, u64)> = out.acks.iter().filter(|a| a.0 == PROBE).collect();
+        assert_eq!(
+            probe_acks,
+            [&(PROBE, 0); 2],
+            "each copy's marker acks; both acks lost"
+        );
+
+        let mut repacked = block;
+        repacked.items.remove(0);
+        c.on_block(repacked, &mut out);
+        assert_eq!(c.processed(), built + 2, "every tuple already seen");
+        assert!(
+            c.surrender(Some(16), &[]).is_empty(),
+            "nothing left to give"
+        );
     }
 }

@@ -5,7 +5,11 @@
 //! The driver owns the scan loop, the recall gate's `pause_point` and
 //! every sleep; it tells the producer what epoch it woke under
 //! ([`Producer::observe_epoch`]) and sleeps out what
-//! [`Producer::retry_step`] asks for.
+//! [`Producer::retry_step`] asks for. A block the sink withholds
+//! ([`Shipped::Withheld`]: a recall wants this producer parked while the
+//! destination's ring is full) goes back to the front of its buffer,
+//! where the restage after the recall re-routes it like any unsent
+//! tuple.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -24,9 +28,8 @@ use super::{sane_ms, Block, Exchange, Staged};
 pub(crate) trait BlockSink {
     /// Spends accrued modelled cost (model milliseconds).
     fn pay(&mut self, model_ms: f64);
-    /// Ships one block to `dest` — twice when `duplicate` (chaos). Returns
-    /// how many of the pushes failed because the destination is gone.
-    fn ship(&mut self, dest: usize, block: Block, duplicate: bool) -> usize;
+    /// Ships one block to `dest` — twice when `duplicate` (chaos).
+    fn ship(&mut self, dest: usize, block: Block, duplicate: bool) -> Shipped;
     /// This source's stream has ended for `dest`; ordered behind every
     /// block shipped to it.
     fn eos(&mut self, dest: usize, stream: StreamTag, source: usize);
@@ -50,6 +53,16 @@ pub(crate) struct ProducerSpec {
     pub(crate) retry: RetryPolicy,
 }
 
+/// What became of a block handed to [`BlockSink::ship`].
+pub(crate) enum Shipped {
+    /// Pushed; this many of the pushes failed because the destination is
+    /// gone.
+    Sent(usize),
+    /// Not pushed: the destination's ring was full and a recall asked
+    /// this producer to pause. The block comes back whole.
+    Withheld(Block),
+}
+
 /// What the driver does next in the delivery-retry epilogue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum RetryStep {
@@ -70,6 +83,9 @@ pub(crate) struct Producer {
     buffers: Vec<Vec<Staged>>,
     /// Destinations whose ring rejected a block.
     disconnected: Vec<bool>,
+    /// Destinations whose buffer holds a withheld retransmission: the
+    /// next block to them is flagged `retransmit` too.
+    withheld_retransmit: Vec<bool>,
     /// Modelled scan milliseconds owed but not yet spent; paid in one
     /// batch at the next flush.
     due: f64,
@@ -87,6 +103,7 @@ impl Producer {
         Producer {
             buffers: (0..spec.dests).map(|_| Vec::new()).collect(),
             disconnected: vec![false; spec.dests],
+            withheld_retransmit: vec![false; spec.dests],
             due: 0.0,
             epoch,
             backoff: RetryBackoff::new(&spec.retry, spec.source as u64),
@@ -188,20 +205,21 @@ impl Producer {
     /// Ships `dest`'s staged block. Pays the modelled scan time
     /// accumulated in `due` first, in a single sleep: batching the
     /// per-row sleeps at block boundaries is what lifts the data plane
-    /// above the OS timer granularity.
-    fn flush<S: BlockSink>(&mut self, dest: usize, retransmit: bool, sink: &mut S) {
+    /// above the OS timer granularity. Returns `false` when the sink
+    /// withheld the block, which is back in the buffer.
+    fn flush<S: BlockSink>(&mut self, dest: usize, retransmit: bool, sink: &mut S) -> bool {
         if self.due > 0.0 {
             sink.pay(self.due);
             self.due = 0.0;
         }
         let items = std::mem::take(&mut self.buffers[dest]);
         if items.is_empty() {
-            return;
+            return true;
         }
         let block = Block {
             source: self.spec.source,
             items,
-            retransmit,
+            retransmit: retransmit || std::mem::take(&mut self.withheld_retransmit[dest]),
         };
         let fate = self
             .x
@@ -213,14 +231,22 @@ impl Producer {
             // would acknowledge them, together. In resilient mode the
             // windows' acks never arrive, so the retry epilogue
             // retransmits them from the recovery log.
-            NetAction::Drop => return,
+            NetAction::Drop => return true,
             NetAction::DelayMs(extra) => sink.pay(sane_ms(extra)),
             NetAction::Deliver | NetAction::Duplicate => {}
         }
         let tuples = block.tuples();
         // At-least-once transport: a duplicated block is absorbed by the
         // consumer's block-range dedup.
-        let failed = sink.ship(dest, block, fate == NetAction::Duplicate);
+        let failed = match sink.ship(dest, block, fate == NetAction::Duplicate) {
+            Shipped::Sent(failed) => failed,
+            Shipped::Withheld(block) => {
+                self.withheld_retransmit[dest] |= block.retransmit;
+                let staged_since = std::mem::replace(&mut self.buffers[dest], block.items);
+                self.buffers[dest].extend(staged_since);
+                return false;
+            }
+        };
         if failed > 0 {
             // The consumer is gone. Count the loss *now*, whether or not
             // a failover follows.
@@ -230,6 +256,7 @@ impl Producer {
                 .send_failures
                 .fetch_add((failed * tuples) as u64, Ordering::Relaxed);
         }
+        true
     }
 
     /// Flushes every destination (after a restage during the retry
@@ -256,8 +283,11 @@ impl Producer {
     /// The scan is over (and any recall in flight has completed — the
     /// driver passed a pause point and reported the epoch): close the
     /// open windows, flush, and — unless the retry epilogue still has to
-    /// run — end the stream.
-    pub(crate) fn finish_scan<S: BlockSink>(&mut self, sink: &mut S) {
+    /// run — end the stream. Returns `false`, with no stream ended, when
+    /// a block was withheld: the driver parks, reports the epoch and
+    /// calls again (a restage may have moved tuples to any destination).
+    pub(crate) fn finish_scan<S: BlockSink>(&mut self, sink: &mut S) -> bool {
+        let mut shipped = true;
         for dest in 0..self.spec.dests {
             // Resilient runs checkpoint build streams too: the markers
             // are delivery receipts, and retained build logs keep the
@@ -265,11 +295,14 @@ impl Producer {
             if self.spec.stream != StreamTag::Build || self.x.resilient {
                 self.force_checkpoint(dest);
             }
-            self.flush(dest, false, sink);
-            if !self.x.resilient {
+            shipped &= self.flush(dest, false, sink);
+        }
+        if shipped && !self.x.resilient {
+            for dest in 0..self.spec.dests {
                 sink.eos(dest, self.spec.stream, self.spec.source);
             }
         }
+        shipped
     }
 
     /// Records `dest`'s closed-but-unacknowledged windows as an explicit
@@ -356,7 +389,9 @@ impl Producer {
     /// anything was still undelivered.
     fn retransmit_unacked<S: BlockSink>(&mut self, sink: &mut S) -> bool {
         for dest in 0..self.spec.dests {
-            if !self.gapped[dest] && self.force_checkpoint(dest) {
+            // What a withheld flush left in the buffer goes out here too.
+            if !self.gapped[dest] {
+                self.force_checkpoint(dest);
                 self.flush(dest, false, sink);
             }
         }

@@ -1,7 +1,7 @@
 //! The one re-route routine: where a tuple that left the data plane goes
 //! under the *current* distribution, and what happens to its
 //! recovery-log entry. Serves surrendered operator state and recalled
-//! held probes (a `Migrate` hand-over), retransmit strays (a
+//! held and queued tuples (a `Migrate` hand-over), retransmit strays (a
 //! retransmitted window whose bucket moved since it closed) and the
 //! producers' post-recall restage.
 //!
@@ -100,15 +100,17 @@ impl Exchange {
     }
 
     /// Re-routes what partition `from` surrendered to a recall — the
-    /// operator state and the held probes of its outgoing buckets —
-    /// under the already swapped router, calling `deliver(owner, entry)`
-    /// for each. The owner may be `from` itself: a probe surrendered
-    /// under weighted routing, or state a later recall routed back
-    /// before this hand-over arrived. Returns `(state_moved, recalled)`.
+    /// operator state and the held and queued tuples of its outgoing
+    /// buckets — under the already swapped router, calling
+    /// `deliver(owner, entry)` for each. The owner may be `from` itself:
+    /// a tuple surrendered under weighted routing, or state a later
+    /// recall routed back before this hand-over arrived. Returns
+    /// `(state_moved, recalled)`: build entries, and the other entries
+    /// that changed owner.
     ///
     /// The log bookkeeping is noted in `moves` for [`Exchange::settle`]:
     /// in resilient runs an entry follows its tuple to the new owner's
-    /// open window; otherwise surrendered build entries and moved probes
+    /// open window; otherwise surrendered build entries and moved tuples
     /// leave the log for good (the migration traffic now carries them and
     /// the barrier guarantees exactly-once).
     pub(crate) fn reroute(
@@ -121,14 +123,14 @@ impl Exchange {
         let (mut state_moved, mut recalled) = (0u64, 0u64);
         for (stream, source, tuple) in entries {
             let owner = self.owner(from, stream, &tuple);
-            let probe = stream == StreamTag::Probe;
-            state_moved += u64::from(!probe);
-            recalled += u64::from(probe && owner != from);
+            let build = stream == StreamTag::Build;
+            state_moved += u64::from(build);
+            recalled += u64::from(!build && owner != from);
             if self.resilient {
                 if owner != from {
                     moves.note(source, from, Some(owner), tuple.seq());
                 }
-            } else if stream == StreamTag::Build || (probe && owner != from) {
+            } else if build || owner != from {
                 moves.note(source, from, None, tuple.seq());
             }
             deliver(owner, (stream, source, tuple));

@@ -8,7 +8,11 @@
 //! producer parks at its next [`RecallGate::pause_point`] (between
 //! tuples, in each retry-backoff slice, or just before its final flush)
 //! — and the resume bumps the gate epoch, which the producers notice and
-//! answer by restaging their unsent buffers.
+//! answer by restaging their unsent buffers. A producer waiting on a
+//! full ring does not wait the slow consumer out: the pause request
+//! unparks it, the push gives way ([`RecallGate::pause_requested`]) and
+//! its block goes back to the producer's buffer, to be restaged with the
+//! rest.
 //!
 //! The gate uses a plain `std` mutex/condvar pair (not the workspace's
 //! poison-recovering wrapper) because the coordinator must keep working
@@ -17,6 +21,7 @@
 
 use std::sync::mpsc::Receiver;
 use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use crate::protocol::coordinator::{MigrateCmd, RecallReply, RecallTransport};
@@ -33,6 +38,10 @@ struct GateState {
     active: usize,
     /// Producers currently parked at a pause point.
     parked: usize,
+    /// Every producer thread that registered ([`ProducerGuard::new`]):
+    /// a pause request unparks them, so one waiting on a full ring gives
+    /// way at once.
+    threads: Vec<Thread>,
 }
 
 /// The barrier producers and the recall coordinator synchronise on.
@@ -50,6 +59,7 @@ impl RecallGate {
                 epoch: 0,
                 active: active_producers,
                 parked: 0,
+                threads: Vec::new(),
             }),
             cv: Condvar::new(),
         }
@@ -76,6 +86,12 @@ impl RecallGate {
         s.epoch
     }
 
+    /// Producer side: whether a pause is requested — the test a push
+    /// waiting on a full ring makes before it parks again.
+    pub(crate) fn pause_requested(&self) -> bool {
+        self.lock().pause_requested
+    }
+
     /// Producer side: the stream is finished (or the thread is
     /// unwinding). Idempotence is the caller's responsibility — use
     /// [`ProducerGuard`] so unwinds are counted too.
@@ -94,6 +110,9 @@ impl RecallGate {
         let mut s = self.lock();
         s.pause_requested = true;
         self.cv.notify_all();
+        for t in &s.threads {
+            t.unpark();
+        }
         while s.parked < s.active {
             let now = Instant::now();
             if now >= deadline {
@@ -132,15 +151,17 @@ impl RecallGate {
     }
 }
 
-/// Decrements the gate's active-producer count when dropped, so a
-/// producer that panics mid-stream cannot leave the coordinator waiting
-/// on a barrier that can never fill.
+/// Registers the calling producer thread with the gate, and decrements
+/// the gate's active-producer count when dropped, so a producer that
+/// panics mid-stream cannot leave the coordinator waiting on a barrier
+/// that can never fill.
 pub(crate) struct ProducerGuard {
     gate: std::sync::Arc<RecallGate>,
 }
 
 impl ProducerGuard {
     pub(crate) fn new(gate: std::sync::Arc<RecallGate>) -> Self {
+        gate.lock().threads.push(thread::current());
         ProducerGuard { gate }
     }
 }

@@ -905,6 +905,15 @@ impl RingPayload for Vec<u8> {
     fn eos(stream: StreamTag, source: usize) -> Self {
         WireMsg::Eos { stream, source }.encode()
     }
+
+    /// Decodes the frame again: only a push that gave way to a recall
+    /// pays for it.
+    fn unblock(self) -> Option<Block> {
+        match WireMsg::decode(&self) {
+            Ok(WireMsg::Data(block)) => Some(block),
+            _ => None,
+        }
+    }
 }
 
 /// How long an idle link thread parks; every push and every control
