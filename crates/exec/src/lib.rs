@@ -19,7 +19,7 @@
 //!   [`gridq_engine::evaluator::PartitionEvaluator`] clones and *actually
 //!   spending CPU/sleep time* proportional to the cost model (scaled down
 //!   by `cost_scale` to keep tests fast), in `socket.rs` a link thread
-//!   relaying to a worker behind a socket;
+//!   relaying to the same consumer thread behind a socket;
 //! - one adaptation thread driving the query's
 //!   [`gridq_adapt::ControlLoop`] (MonitoringEventDetector, Diagnoser and
 //!   Responder), fed by real M1/M2 notifications (or by scripted
@@ -188,10 +188,11 @@ impl ThreadedConfig {
 /// substrate returns, under the name this crate has always used for it.
 pub type ThreadedReport = RunReport;
 
-/// What travels in a threaded data ring: a block, or the end of one
-/// source's stream riding behind the blocks it trails.
+/// What travels in a consumer's data ring: a block, or the end of one
+/// source's stream riding behind the blocks it trails (on a socket
+/// worker, decoded from its `DATA` or `EOS` frame).
 #[derive(Clone)]
-enum DataMsg {
+pub(crate) enum DataMsg {
     Block(Block),
     Eos(StreamTag),
 }
@@ -228,10 +229,10 @@ impl RingPayload for DataMsg {
 /// control-plane vocabulary of both substrates.
 pub(crate) enum Msg {
     /// Recall barrier marker: the producers are parked behind the recall
-    /// gate, so the worker's rings now hold everything sent to it before
-    /// the pause. A consumer thread replies `Drained` at once and leaves
-    /// its queue to the `Migrate`; a socket link relays its rings first
-    /// and the worker replies in FIFO order, behind every block.
+    /// gate (or have all finished), so everything sent to the worker
+    /// before the pause is processed or on its data ring (a socket link
+    /// relays its rings first). The consumer replies `Drained` at once
+    /// and leaves its queue to the `Migrate`.
     Drain { token: u64 },
     /// Recall migration command: surrender the state, the held tuples
     /// and the queued tuples of the outgoing buckets, then reply
@@ -243,6 +244,10 @@ pub(crate) enum Msg {
     /// `buffer_tuples` long. Not logged again: the barrier plus direct
     /// channel carry the exactly-once guarantee.
     Migrated(Vec<Routed>),
+    /// The run is over: flush, report the final counts and exit. A
+    /// message, not the inbox closing: consumers hold each other's
+    /// senders.
+    Release,
 }
 
 /// How the coordinator commands workers on either substrate: a message
@@ -269,9 +274,6 @@ pub(crate) enum Raw {
     /// order they were taken.
     M1(Vec<M1>),
     M2(M2),
-    /// A consumer finished cleanly (failover runs only): a recall no
-    /// longer addresses it.
-    Done(usize),
     /// A consumer died through the crash seam (failover runs only): its
     /// exit notice, which starts the failover.
     Down(usize),
@@ -290,7 +292,8 @@ pub(crate) enum Raw {
 /// What a worker endpoint reports to the run.
 pub(crate) enum WorkerEvent {
     Results(Vec<Tuple>),
-    /// All of the worker's streams are exhausted.
+    /// The worker's counts: at its completion (all of its streams are
+    /// exhausted), and final ones when it exits.
     Done {
         worker: usize,
         processed: u64,
@@ -316,7 +319,7 @@ pub(crate) fn surrendered(
 
 /// Model milliseconds as real time; zero below a nanosecond, so a
 /// null-cost run never sleeps.
-fn real_time(model_ms: f64, scale: f64) -> Duration {
+pub(crate) fn real_time(model_ms: f64, scale: f64) -> Duration {
     Duration::from_secs_f64((model_ms * scale / 1000.0).max(0.0))
 }
 
@@ -501,30 +504,28 @@ impl<P: RingPayload> Drop for ProducerSink<P> {
     }
 }
 
-/// The threaded consumer's inbox and outputs. Threaded consumers share
-/// the router and the recovery logs with the producers, so acks land in
-/// the log directly (and the log's verdict drives dedup eviction) and
-/// strays are re-routed on the spot. Modelled cost is paid parked on the
-/// inbox: a control message cuts the sleep short, and what is left of it
-/// stays `owed` until that message is handled.
-struct ThreadedOut {
+/// Modelled cost, paid parked on the consumer's inbox: a control message
+/// cuts the sleep short, and what is left of it stays `owed` until that
+/// message is handled.
+pub(crate) struct Pacer {
     inbox: Inbox<Msg, DataMsg>,
     /// Real time still to be slept off for modelled cost already accrued.
     owed: Duration,
-    index: usize,
-    node: NodeId,
-    x: Exchange,
-    peers: Vec<InboxSender<Msg>>,
-    events: Sender<WorkerEvent>,
-    raw: Sender<Raw>,
     scale: f64,
-    failover_on: bool,
-    query: QueryId,
-    stage_id: SubplanId,
-    started: Instant,
 }
 
-impl ThreadedOut {
+impl Pacer {
+    pub(crate) fn new(inbox: Inbox<Msg, DataMsg>, scale: f64) -> Self {
+        let owed = Duration::ZERO;
+        Pacer { inbox, owed, scale }
+    }
+
+    /// [`ConsumerOut::pay`].
+    pub(crate) fn pay(&mut self, model_ms: f64) {
+        self.owed += real_time(model_ms, self.scale);
+        self.pay_owed();
+    }
+
     /// Sleeps off the owed time, parked on the inbox. Returns `false` when
     /// a control message ended the sleep early: it is first in line, and
     /// the rest stays owed.
@@ -539,14 +540,52 @@ impl ThreadedOut {
     }
 }
 
+/// A consumer thread's outputs, the one thing a threaded consumer and a
+/// socket worker do differently (DESIGN §15 has the table); `pay` is the
+/// [`Pacer`]'s on both.
+pub(crate) trait Outlet: ConsumerOut {
+    /// The inbox the consumer is fed from, and pays on.
+    fn pacer(&mut self) -> &mut Pacer;
+    /// Answers a recall's `Drain` (`Drained`) or `Migrate` (`MigrateDone`).
+    fn reply(&mut self, phase: RecallPhase, token: u64);
+    /// One block a `Migrate` surrendered, ahead of its `MigrateDone`.
+    fn surrendered(&mut self, entries: Vec<Routed>);
+    /// The consumer's counts: at its completion, and again at its exit.
+    fn done(&mut self, processed: u64, dedup_peak: u64);
+    /// The crash seam, consulted once per control message and once per
+    /// data item. Dying here means no flush, no acks, no control replies
+    /// — exactly a vanished node.
+    fn crashed(&mut self) -> bool {
+        false
+    }
+}
+
+/// The threaded consumer's outlet. Threaded consumers share the router
+/// and the recovery logs with the producers, so acks land in the log
+/// directly (and the log's verdict drives dedup eviction) and strays are
+/// re-routed on the spot.
+struct ThreadedOut {
+    pacer: Pacer,
+    index: usize,
+    node: NodeId,
+    x: Exchange,
+    peers: Vec<InboxSender<Msg>>,
+    events: Sender<WorkerEvent>,
+    raw: Sender<Raw>,
+    replies: Sender<RecallReply>,
+    failover_on: bool,
+    query: QueryId,
+    stage_id: SubplanId,
+    started: Instant,
+}
+
 impl ConsumerOut for ThreadedOut {
     fn pay(&mut self, model_ms: f64) {
-        self.owed += real_time(model_ms, self.scale);
-        self.pay_owed();
+        self.pacer.pay(model_ms);
     }
 
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
-        let scale = self.scale;
+        let scale = self.pacer.scale;
         let pay = |ms| spin_for(ms, scale);
         // Once the log accepts the ack the window can never be
         // retransmitted again, so its dedup entries are dead weight.
@@ -571,7 +610,8 @@ impl ConsumerOut for ThreadedOut {
     }
 
     fn m1(&mut self, samples: Vec<M1Sample>) {
-        let at = model_now(self.started, self.scale);
+        let scale = self.pacer.scale;
+        let at = model_now(self.started, scale);
         let mut batch = Vec::with_capacity(samples.len());
         for sample in samples {
             // A notification lost in flight: the consumer's batch
@@ -587,7 +627,7 @@ impl ConsumerOut for ThreadedOut {
                 partition: PartitionId::new(self.stage_id, self.index as u32),
                 node: self.node,
                 cost_per_tuple_ms: sample.cost_per_tuple_ms,
-                leaf_wait_ms: real_to_model_ms(sample.wait_ms_per_tuple, self.scale),
+                leaf_wait_ms: real_to_model_ms(sample.wait_ms_per_tuple, scale),
                 selectivity: sample.selectivity,
                 tuples_produced: sample.tuples_produced,
                 at,
@@ -599,47 +639,79 @@ impl ConsumerOut for ThreadedOut {
     }
 }
 
+impl Outlet for ThreadedOut {
+    fn pacer(&mut self) -> &mut Pacer {
+        &mut self.pacer
+    }
+
+    /// Sent unless the chaos seam swallows it.
+    fn reply(&mut self, phase: RecallPhase, token: u64) {
+        if self.x.reply_survives(phase, self.index) {
+            let _ = self.replies.send(match phase {
+                RecallPhase::Drain => RecallReply::Drained { token },
+                RecallPhase::Migrate => RecallReply::MigrateDone { token },
+            });
+        }
+    }
+
+    fn surrendered(&mut self, entries: Vec<Routed>) {
+        surrendered(&self.x, &self.replies, &self.raw, self.index, entries);
+    }
+
+    fn done(&mut self, processed: u64, dedup_peak: u64) {
+        let worker = self.index;
+        let done = WorkerEvent::Done {
+            worker,
+            processed,
+            dedup_peak,
+        };
+        let _ = self.events.send(done);
+    }
+
+    /// With failover on, a death is reported as the seam fires, not
+    /// inferred from silence.
+    fn crashed(&mut self) -> bool {
+        let i = self.index;
+        let crashed = self.x.chaos.as_ref().is_some_and(|c| c.crash_worker(i));
+        if crashed && self.failover_on {
+            let _ = self.raw.send(Raw::Down(i));
+        }
+        crashed
+    }
+}
+
 /// What one inbox event means for the consumer thread's loop.
 enum Step {
     Continue,
-    /// The last stream ended: exit cleanly.
-    Finished,
+    /// The run released the consumer: flush and exit.
+    Released,
     /// The crash seam fired: die without flush, acks or replies.
     Crashed,
 }
 
-/// One consumer thread: the in-process worker endpoint, a protocol
-/// [`Consumer`] fed from an [`Inbox`] whose ordering guarantees (control
-/// first, control before every data item) keep migrated state ahead of
-/// the tuples that probe it.
-struct ConsumerThread {
+/// One consumer thread, on threads and behind a socket worker's frame
+/// reader alike: a protocol [`Consumer`] fed from an [`Inbox`] whose
+/// ordering guarantees (control first, control before every data item)
+/// keep migrated state ahead of the tuples that probe it. It reports
+/// completion at its last end-of-stream, then serves control — a late
+/// recall too — until the run releases it.
+pub(crate) struct ConsumerThread<O> {
     consumer: Consumer,
-    out: ThreadedOut,
-    replies: Sender<RecallReply>,
+    out: O,
 }
 
 /// How long an idle consumer parks before it counts the wait as leaf
 /// wait and looks again.
 const RECV_SLICE: Duration = Duration::from_millis(50);
 
-impl ConsumerThread {
-    /// The crash seam: consulted once per control message and once per
-    /// data item. Dying here means no flush, no acks, no control replies
-    /// — exactly a vanished node.
-    fn crashed(&self) -> bool {
-        let i = self.out.index;
-        self.out.x.chaos.as_ref().is_some_and(|c| c.crash_worker(i))
-    }
-
-    /// Sends a recall reply unless the chaos seam swallows it.
-    fn reply(&self, phase: RecallPhase, reply: RecallReply) {
-        if self.out.x.reply_survives(phase, self.out.index) {
-            let _ = self.replies.send(reply);
-        }
+impl<O: Outlet + Send + 'static> ConsumerThread<O> {
+    pub(crate) fn spawn(consumer: Consumer, out: O) -> thread::JoinHandle<()> {
+        let worker = ConsumerThread { consumer, out };
+        thread::spawn(move || worker.run())
     }
 
     fn on_data(&mut self, item: DataMsg) -> Step {
-        if self.crashed() {
+        if self.out.crashed() {
             return Step::Crashed;
         }
         match item {
@@ -650,16 +722,15 @@ impl ConsumerThread {
     }
 
     fn on_ctrl(&mut self, msg: Msg) -> Step {
-        if self.crashed() {
-            return Step::Crashed;
-        }
         match msg {
+            Msg::Release => return Step::Released,
+            _ if self.out.crashed() => return Step::Crashed,
             // The producers are parked: nothing more can queue up until
             // the `Migrate`, which takes the queue as it stands.
-            Msg::Drain { token } => self.reply(RecallPhase::Drain, RecallReply::Drained { token }),
+            Msg::Drain { token } => self.out.reply(RecallPhase::Drain, token),
             Msg::Migrate(cmd) => {
-                while let Some(item) = self.out.inbox.pop_data() {
-                    if self.crashed() {
+                while let Some(item) = self.out.pacer().inbox.pop_data() {
+                    if self.out.crashed() {
                         return Step::Crashed;
                     }
                     match item {
@@ -667,43 +738,29 @@ impl ConsumerThread {
                         DataMsg::Eos(stream) => self.consumer.shelve_eos(stream),
                     }
                 }
-                let (worker, out) = (self.out.index, &self.out);
                 for block in self.consumer.surrender(cmd.bucket_count, &cmd.outgoing) {
-                    surrendered(&out.x, &self.replies, &out.raw, worker, block);
+                    self.out.surrendered(block);
                 }
-                let done = RecallReply::MigrateDone { token: cmd.token };
-                self.reply(RecallPhase::Migrate, done);
+                self.out.reply(RecallPhase::Migrate, cmd.token);
             }
             Msg::Migrated(block) => self.consumer.on_migrated(block, &mut self.out),
         }
         Step::Continue
     }
 
-    /// Runs to end of stream (or crash), then reports completion. With
-    /// failover on, the adaptation thread first gets exactly one exit
-    /// notice: a crash is reported, not inferred from silence.
+    /// Serves until released or crashed, then reports the final counts.
+    /// A released consumer first pays the rest of its modelled time and
+    /// hands over what a late recall re-delivered after its completion.
     fn run(mut self) {
-        let finished = self.serve();
-        if finished {
+        if self.serve() {
             // The last pay's remainder, should a message have cut it
             // short: the run may not end before its modelled time.
-            thread::sleep(std::mem::take(&mut self.out.owed));
-        }
-        if self.out.failover_on {
-            let notice = if finished { Raw::Done } else { Raw::Down };
-            let _ = self.out.raw.send(notice(self.out.index));
-        }
-        if finished {
-            // Whatever a run that ended without its last end-of-stream
-            // (every sender gone) still holds.
+            thread::sleep(std::mem::take(&mut self.out.pacer().owed));
             self.consumer.flush_results(true, &mut self.out);
             self.consumer.hand_over(&mut self.out);
         }
-        let _ = self.out.events.send(WorkerEvent::Done {
-            worker: self.out.index,
-            processed: self.consumer.processed(),
-            dedup_peak: self.consumer.dedup_peak(),
-        });
+        self.out
+            .done(self.consumer.processed(), self.consumer.dedup_peak());
     }
 
     /// The receive loop: the owed time, then the consumer's owed steps,
@@ -712,14 +769,17 @@ impl ConsumerThread {
     /// seam fired.
     fn serve(&mut self) -> bool {
         loop {
-            if self.out.pay_owed() {
+            if self.out.pacer().pay_owed() {
                 match self.consumer.step(&mut self.out) {
                     Progress::Busy => continue,
-                    Progress::Finished => return true,
+                    Progress::Finished => {
+                        self.out
+                            .done(self.consumer.processed(), self.consumer.dedup_peak());
+                    }
                     Progress::Idle => {}
                 }
             }
-            let step = match self.out.inbox.next(RECV_SLICE) {
+            let step = match self.out.pacer().inbox.next(RECV_SLICE) {
                 Wake::Control(msg) => self.on_ctrl(msg),
                 Wake::Data(item) => self.on_data(item),
                 Wake::Idle(waited) => {
@@ -728,13 +788,12 @@ impl ConsumerThread {
                     self.consumer.add_wait(waited.as_secs_f64() * 1000.0);
                     Step::Continue
                 }
-                // Every sender is gone and the rings are dry: nothing
-                // more can arrive.
-                Wake::Closed => Step::Finished,
+                // Every sender is gone and the rings are dry: a release.
+                Wake::Closed => Step::Released,
             };
             match step {
                 Step::Continue => {}
-                Step::Finished => return true,
+                Step::Released => return true,
                 Step::Crashed => return false,
             }
         }
@@ -774,26 +833,22 @@ impl ThreadedWorkers {
                     .as_ref()
                     .map(|o| o.metrics().counter("exec.tuples_processed")),
             ));
-            let worker = ConsumerThread {
-                consumer,
-                out: ThreadedOut {
-                    inbox,
-                    owed: Duration::ZERO,
-                    index: i,
-                    node,
-                    x: w.x.clone(),
-                    peers: senders.clone(),
-                    events: w.events.clone(),
-                    raw: w.raw.clone(),
-                    scale: cfg.cost_scale,
-                    failover_on: cfg.failover,
-                    query: plan.query,
-                    stage_id: stage.id,
-                    started: w.started,
-                },
+            let out = ThreadedOut {
+                pacer: Pacer::new(inbox, cfg.cost_scale),
+                index: i,
+                node,
+                x: w.x.clone(),
+                peers: senders.clone(),
+                events: w.events.clone(),
+                raw: w.raw.clone(),
                 replies: w.replies.clone(),
+                failover_on: cfg.failover,
+                query: plan.query,
+                stage_id: stage.id,
+                started: w.started,
             };
-            handles.push(Some(thread::spawn(move || worker.run())));
+            let handle = ConsumerThread::spawn(consumer, out);
+            handles.push(Some(handle));
         }
         ThreadedWorkers { senders, handles }
     }
@@ -818,6 +873,9 @@ impl Endpoints for ThreadedWorkers {
     }
 
     fn stop(self, _clean: bool) -> Vec<String> {
+        for sender in &self.senders {
+            sender.send(Msg::Release);
+        }
         // Every handle is joined even when another one panicked, so a
         // single failed worker cannot leave stray threads running behind
         // an error return.
@@ -889,9 +947,6 @@ struct Adaptivity<W> {
     tenancy: Option<Arc<ContentionLedger>>,
     total_rows: u64,
     processed_total: Arc<AtomicU64>,
-    /// Workers that finished cleanly (failover runs only; all `false`
-    /// otherwise). The dead ones are the control loop's.
-    done: Vec<bool>,
     /// Scripted adaptations not yet deployed, by ascending routed-tuple
     /// threshold.
     script: VecDeque<(u64, AdaptationCommand)>,
@@ -959,7 +1014,6 @@ impl<W: WorkerCommands> Adaptivity<W> {
             tenancy: cfg.tenancy.clone(),
             total_rows: wiring.total_rows,
             processed_total: wiring.processed_total,
-            done: vec![false; partitions],
             script: wiring.script.into(),
             m1_handovers,
             report: RunReport::default(),
@@ -993,7 +1047,6 @@ impl<W: WorkerCommands> Adaptivity<W> {
                         self.react(notice);
                     }
                 }
-                Raw::Done(worker) => self.done[worker] = true,
                 Raw::Down(worker) => self.fail_over(worker),
                 Raw::Routed => self.fire_script(false),
                 Raw::ProducersDone => self.fire_script(true),
@@ -1022,8 +1075,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
 
     /// Deploys, in order, every scripted adaptation whose routed-tuple
     /// threshold has been reached — or, once the producers have finished,
-    /// `all` of them (a prospective swap still applies; a recall aborts
-    /// at the gate because no producer can park).
+    /// `all` of them (a recall then takes what is still queued).
     fn fire_script(&mut self, all: bool) {
         while let Some((after, _)) = self.script.front() {
             if !all && self.x.tallies.routed.load(Ordering::Relaxed) < *after {
@@ -1054,12 +1106,12 @@ impl<W: WorkerCommands> Adaptivity<W> {
         }
     }
 
-    /// The workers a recall can address: dead ones can never answer the
-    /// barrier, finished ones have nothing left to drain.
+    /// The workers a recall can address: all but the dead, which can never
+    /// answer the barrier (a finished one serves control until released).
     fn live_workers(&self) -> Vec<usize> {
         let dead = self.control.dead();
         (0..self.partitions)
-            .filter(|&p| dead.get(p) != Some(&true) && !self.done[p])
+            .filter(|&p| dead.get(p) != Some(&true))
             .collect()
     }
 
@@ -1249,7 +1301,7 @@ impl ThreadedExecutor {
 
 /// Depth of each (producer, worker) data ring, in blocks: a slow worker
 /// parks its producers at this many staged blocks.
-const RING_BLOCKS: usize = 8;
+pub(crate) const RING_BLOCKS: usize = 8;
 
 /// How often the run, while waiting for completions, checks that the
 /// workers it is waiting for still exist.
@@ -1280,9 +1332,9 @@ pub(crate) trait Endpoints {
     /// How `worker` ended, once it has: asked only while its completion
     /// is outstanding, where an exit means it died.
     fn exited(&mut self, worker: usize) -> Option<String>;
-    /// Stops and joins everything — gracefully when the run is `clean`,
-    /// without waiting on worker cooperation otherwise. Returns what
-    /// failed on the way.
+    /// Releases the workers and joins everything — gracefully when the
+    /// run is `clean`, without waiting on worker cooperation otherwise —
+    /// so every worker event has been sent. Returns what failed.
     fn stop(self, clean: bool) -> Vec<String>;
 }
 
@@ -1303,8 +1355,8 @@ impl Collected {
                 processed,
                 dedup_peak,
             } => {
-                if self.done.get(worker) == Some(&false) {
-                    self.done[worker] = true;
+                if let Some(done) = self.done.get_mut(worker) {
+                    *done = true;
                     self.per_partition[worker] = processed;
                     self.dedup_peak = self.dedup_peak.max(dedup_peak);
                 }
@@ -1529,6 +1581,11 @@ impl Run<'_> {
         }
         let clean = failed.is_empty() && !got.done.contains(&false);
         failed.extend(endpoints.stop(clean));
+        // What the workers sent after their completion: the results of a
+        // late recall's re-delivery, and their final counts.
+        while let Ok(event) = events.try_recv() {
+            got.absorb(event);
+        }
         if failed.is_empty() && !clean {
             failed.push("workers vanished before completing".into());
         }
@@ -2466,15 +2523,14 @@ mod tests {
         let x = Exchange::new(&plan, "test", false, Some(hook), true, 50).unwrap();
         let (raw, raw_rx) = channel();
         let mut out = ThreadedOut {
-            inbox: inbox(Vec::new()).1,
-            owed: Duration::ZERO,
+            pacer: Pacer::new(inbox(Vec::new()).1, 0.01),
             index: 1,
             node: plan.stages[0].nodes[1],
             x,
             peers: Vec::new(),
             events: channel().0,
             raw,
-            scale: 0.01,
+            replies: channel().0,
             failover_on: false,
             query: plan.query,
             stage_id: plan.stages[0].id,

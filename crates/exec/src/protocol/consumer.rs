@@ -9,13 +9,13 @@
 //! the progress count of one block leave as one hand-over, before the
 //! block's modelled cost is paid.
 //!
-//! The driver owns the transport (an inbox over rings and a control
-//! channel, or one FIFO link), the crash seam and the idle wait; it feeds
+//! The consumer thread that steps it (the same one on both real
+//! substrates) owns the inbox, the crash seam and the idle wait; it feeds
 //! the consumer messages and implements [`ConsumerOut`] for what comes
 //! back out. Work the consumer owes before its next data item — the
 //! end-of-build replay in slices of [`REPLAY_SLICE`], then the shelf —
 //! runs one [`Consumer::step`] at a time, so a driver can take a control
-//! message between steps; [`Consumer::steps`] runs them all.
+//! message between steps.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -31,10 +31,10 @@ use super::dedup::DedupFilter;
 use super::{sane_ms, Block, Routed, Staged};
 use crate::service::contention_factor;
 
-/// What a consumer emits. Implemented by the threaded executor (log
-/// acknowledged in place, peers a channel send away), the socket worker
-/// (everything is a frame to the coordinator) and the protocol tests'
-/// recording fake.
+/// What a consumer emits. Implemented by the consumer thread's two
+/// outlets — threaded (log acknowledged in place, peers a channel send
+/// away) and socket (everything is a frame to the coordinator) — and the
+/// protocol tests' recording fake.
 pub(crate) trait ConsumerOut {
     /// Spends accrued modelled cost (model milliseconds).
     fn pay(&mut self, model_ms: f64);
@@ -492,26 +492,6 @@ impl Consumer {
             self.build_eos_seen += 1;
             let build_needed = self.spec.build_eos_needed;
             self.replaying |= build_needed > 0 && self.build_eos_seen == build_needed;
-        }
-    }
-
-    /// [`Consumer::end_stream`], then every step it makes owed. Returns
-    /// `true` exactly once, when the last stream has ended and the
-    /// driver should report completion.
-    pub(crate) fn on_eos<O: ConsumerOut>(&mut self, stream: StreamTag, out: &mut O) -> bool {
-        self.end_stream(stream);
-        self.steps(out)
-    }
-
-    /// Runs steps until none is owed. Returns whether the last one
-    /// finished the consumer.
-    pub(crate) fn steps<O: ConsumerOut>(&mut self, out: &mut O) -> bool {
-        loop {
-            match self.step(out) {
-                Progress::Busy => {}
-                Progress::Idle => return false,
-                Progress::Finished => return true,
-            }
         }
     }
 

@@ -4,13 +4,17 @@
 //!
 //! 1. **Pause.** Every active producer parks at its next pause point —
 //!    one waiting on a full ring gives its block back first — so no new
-//!    tuples can enter the exchange.
+//!    tuples can enter the exchange. When every producer has finished,
+//!    the barrier is complete with none parked: the consumers serve
+//!    control until the run releases them, so a late recall still takes
+//!    back what is queued at the slow one.
 //! 2. **Drain.** A `Drain` goes to every live consumer. `Drained` means
 //!    the consumer is reachable and everything addressed to it under the
 //!    old distribution is processed, held, or queued where its
-//!    `Migrate` will find it: a consumer thread answers at once, its
-//!    rings holding what was sent before the pause; a socket worker
-//!    answers behind every block on its FIFO link.
+//!    `Migrate` will find it. Every consumer answers at once: its data
+//!    ring holds what was sent before the pause (a socket link relays its
+//!    rings ahead of the `Drain`, and the worker's frame reader pushes
+//!    every block ahead of it).
 //! 3. **Swap.** The routing table is swapped under quiescence and the
 //!    buckets each old owner must surrender are computed.
 //! 4. **Migrate.** Each consumer surrenders that state, and the held
@@ -61,8 +65,9 @@ pub(crate) struct MigrateCmd {
 /// read.
 pub(crate) trait RecallTransport {
     /// Requests the pause and waits for every active producer to park.
-    /// Returns how many parked, or `None` on time-out (the request is
-    /// withdrawn, the gate left open).
+    /// Returns how many parked — zero once every producer has finished —
+    /// or `None` on time-out (the request is withdrawn, the gate left
+    /// open).
     fn pause(&mut self) -> Option<usize>;
     /// Abandons the pause without changing the epoch.
     fn abort_pause(&mut self);
@@ -99,8 +104,8 @@ pub(crate) enum RecallTarget {
 /// How a recall ended.
 #[derive(Debug, PartialEq)]
 pub(crate) enum RecallOutcome {
-    /// Abandoned before the swap (no producer could park, a barrier
-    /// timed out, the target was undeployable) or — failover only —
+    /// Abandoned before the swap (the producers did not park in time, a
+    /// barrier timed out, the target was undeployable) or — failover only —
     /// before the replay. The gate is open again at the old epoch.
     Aborted,
     /// The distribution is deployed and the producers resumed under
@@ -172,17 +177,8 @@ impl Coordinator {
     ) -> RecallOutcome {
         self.token += 1;
         let token = self.token;
-        match t.pause() {
-            None => return RecallOutcome::Aborted,
-            Some(0) => {
-                // No producer is parked — every one already finished (the
-                // consumers may exit at any moment) or, during a failover,
-                // none has reached a pause point yet — so the barrier
-                // cannot be trusted.
-                t.abort_pause();
-                return RecallOutcome::Aborted;
-            }
-            Some(_) => {}
+        if t.pause().is_none() {
+            return RecallOutcome::Aborted;
         }
         let drained = !live.is_empty()
             && live.iter().all(|&p| t.drain(p, token))

@@ -399,6 +399,25 @@ mod tests {
         )
     }
 
+    /// [`Consumer::end_stream`], then every step it makes owed. Returns
+    /// whether the last one finished the consumer.
+    fn on_eos(c: &mut Consumer, stream: StreamTag, out: &mut FakeOut) -> bool {
+        c.end_stream(stream);
+        steps(c, out)
+    }
+
+    /// Runs steps until none is owed. Returns whether the last one
+    /// finished the consumer.
+    fn steps(c: &mut Consumer, out: &mut FakeOut) -> bool {
+        loop {
+            match c.step(out) {
+                Progress::Busy => {}
+                Progress::Idle => return false,
+                Progress::Finished => return true,
+            }
+        }
+    }
+
     fn weights(x: &Exchange) -> Vec<f64> {
         x.router.lock().current_distribution().weights().to_vec()
     }
@@ -773,7 +792,7 @@ mod tests {
         assert_eq!(out.acks, vec![(BUILD, 0)], "build acks are never deferred");
         assert!(x.log(PROBE).unwrap().has_undelivered(0));
         assert!(
-            !c.on_eos(StreamTag::Build, &mut out),
+            !on_eos(&mut c, StreamTag::Build, &mut out),
             "the probe stream is open"
         );
         assert_eq!(c.processed(), 8, "the held probes replayed");
@@ -785,7 +804,7 @@ mod tests {
             "results precede the ack that covers them"
         );
         assert!(
-            c.on_eos(StreamTag::Probe, &mut out),
+            on_eos(&mut c, StreamTag::Probe, &mut out),
             "finished exactly once"
         );
     }
@@ -945,8 +964,11 @@ mod tests {
             for (_, block) in t.redelivered.iter().filter(|(dest, _)| *dest == p) {
                 c.on_migrated(block.clone(), &mut out);
             }
-            assert!(!c.on_eos(StreamTag::Build, &mut out));
-            assert!(c.on_eos(StreamTag::Probe, &mut out), "flushes the tail");
+            assert!(!on_eos(&mut c, StreamTag::Build, &mut out));
+            assert!(
+                on_eos(&mut c, StreamTag::Probe, &mut out),
+                "flushes the tail"
+            );
             let seqs: Vec<u64> = out.results.iter().map(Tuple::seq).collect();
             if p == 0 {
                 let stayed = all
@@ -1170,7 +1192,7 @@ mod tests {
                 nothing_pending(&c, &out);
             }
             assert!(
-                c.on_eos(StreamTag::Single, &mut out),
+                on_eos(&mut c, StreamTag::Single, &mut out),
                 "the only stream ended"
             );
             // One output per tuple, so a sample's `tuples_produced` is
@@ -1220,7 +1242,10 @@ mod tests {
         );
         nothing_pending(&c, &out);
         let (handovers, pays) = (out.handovers.len(), out.pays.len());
-        assert!(!c.on_eos(StreamTag::Build, &mut out), "the probes go on");
+        assert!(
+            !on_eos(&mut c, StreamTag::Build, &mut out),
+            "the probes go on"
+        );
         assert_eq!(c.processed(), 58, "the held probes replayed");
         let slices = 50usize.div_ceil(16);
         assert_eq!(out.pays.len() - pays, slices, "a pay per slice of 16");
@@ -1329,7 +1354,10 @@ mod tests {
         let mut c = consumer(&x, &factory, 0);
         let mut out = FakeOut::new(&x, 0);
         c.on_block(logged_block(&x, BUILD, &mine, 0), &mut out);
-        assert!(!c.on_eos(StreamTag::Build, &mut out), "the probes go on");
+        assert!(
+            !on_eos(&mut c, StreamTag::Build, &mut out),
+            "the probes go on"
+        );
         let built = c.processed();
         // Two probe windows of four queue up behind the slow operator.
         let queued = &mine[..8];
@@ -1386,6 +1414,82 @@ mod tests {
         assert!(log.audit().conserved(), "{:?}", log.audit());
     }
 
+    /// A decision that lands after the last scan still deploys, because
+    /// the consumers serve control until the run releases them: with every
+    /// producer finished the barrier is complete with none parked, and the
+    /// `Migrate` takes the slow partition's queue — its end-of-stream
+    /// included — as it stands. Every key still joins exactly once.
+    #[test]
+    fn a_deploy_after_every_producer_finished_drains_and_migrates_the_queue() {
+        let (x, factory) = join_exchange(false);
+        let (mine, leaving) = keys_leaving_partition_0(&x, 64);
+        let mut c = consumer(&x, &factory, 0);
+        let mut out = FakeOut::new(&x, 0);
+        c.on_block(logged_block(&x, BUILD, &mine, 0), &mut out);
+        assert!(!on_eos(&mut c, StreamTag::Build, &mut out));
+        let built = c.processed();
+        // The probe scan has ended: its windows and its end-of-stream are
+        // queued behind the slow operator.
+        c.shelve_block(logged_block(&x, PROBE, &mine, 100), &mut out);
+        c.shelve_eos(StreamTag::Probe);
+        // The fast partition has finished: it reported completion and
+        // serves control until the run releases it.
+        let mut c1 = consumer(&x, &factory, 1);
+        let mut out1 = FakeOut::new(&x, 1);
+        assert!(!on_eos(&mut c1, StreamTag::Build, &mut out1));
+        assert!(on_eos(&mut c1, StreamTag::Probe, &mut out1));
+
+        let drained = RecallReply::Drained { token: 1 };
+        let mut t = FakeTransport {
+            parked: Some(0),
+            replies: VecDeque::from([drained.clone(), drained]),
+            consumers: vec![c, c1],
+            ..FakeTransport::default()
+        };
+        let target = RecallTarget::Deploy(DistributionVector::new(&[0.25, 0.75]).unwrap());
+        let outcome = Coordinator::new(x.clone()).recall(target, &[0, 1], &mut t, |_| {});
+        assert!(
+            matches!(
+                outcome,
+                RecallOutcome::Deployed {
+                    completed: true,
+                    ..
+                }
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!((t.drains.clone(), t.aborts), (vec![0, 1], 0));
+        let moved: Vec<u64> = mine
+            .iter()
+            .filter(|k| leaving.contains(k))
+            .map(|&k| 100 + k as u64)
+            .collect();
+        assert!(!moved.is_empty() && moved.len() < mine.len());
+        assert_eq!(redelivered_seqs(&t, StreamTag::Probe), moved);
+
+        let mut c1 = t.consumers.pop().unwrap();
+        let mut c = t.consumers.pop().unwrap();
+        assert!(
+            steps(&mut c, &mut out),
+            "the kept queue finishes the partition"
+        );
+        let kept = (mine.len() - leaving.len()) as u64;
+        assert_eq!(c.processed(), built + kept);
+        for (dest, block) in std::mem::take(&mut t.redelivered) {
+            assert_eq!(dest, 1);
+            c1.on_migrated(block, &mut out1);
+        }
+        // The release's flush.
+        c1.flush_results(true, &mut out1);
+        let results = out.results.iter().chain(&out1.results);
+        let mut joined: Vec<i64> = results.map(|r| r.value(0).as_int().unwrap()).collect();
+        joined.sort_unstable();
+        assert_eq!(joined, mine, "every key joins once");
+        let log = x.log(PROBE).unwrap();
+        assert_eq!(log.unacked_len(0), 0, "moved entries left, kept ones acked");
+        assert!(log.audit().conserved(), "{:?}", log.audit());
+    }
+
     /// The end-of-build replay runs a slice a step, so a `Migrate` that
     /// arrives between two slices surrenders the unreplayed held probes of
     /// the outgoing buckets — and never one already replayed.
@@ -1413,7 +1517,7 @@ mod tests {
             .collect();
         assert!(!moved.is_empty());
         assert_eq!(redelivered_seqs(&t, StreamTag::Probe), moved);
-        assert!(!c.steps(&mut out), "the probe stream is open");
+        assert!(!steps(&mut c, &mut out), "the probe stream is open");
         let kept = unreplayed.iter().filter(|k| !leaving.contains(k)).count() as u64;
         assert_eq!(c.processed(), built + 16 + kept);
     }
@@ -1512,7 +1616,7 @@ mod tests {
         let mut out = FakeOut::new(&x, 0);
         out.lose_acks = true;
         c.on_block(logged_block(&x, BUILD, &mine, 0), &mut out);
-        assert!(!c.on_eos(StreamTag::Build, &mut out));
+        assert!(!on_eos(&mut c, StreamTag::Build, &mut out));
         let built = c.processed();
         let block = logged_block(&x, PROBE, &window, 100);
         c.shelve_block(block.clone(), &mut out);
@@ -1522,7 +1626,7 @@ mod tests {
         let mut c = consumers.swap_remove(0);
         let moved = vec![100 + window[0] as u64, 100 + window[2] as u64];
         assert_eq!(redelivered_seqs(&t, StreamTag::Probe), moved, "once each");
-        assert!(!c.steps(&mut out));
+        assert!(!steps(&mut c, &mut out));
         assert_eq!(c.processed(), built + 2, "the two kept, once");
         let probe_acks: Vec<&(usize, u64)> = out.acks.iter().filter(|a| a.0 == PROBE).collect();
         assert_eq!(

@@ -31,10 +31,10 @@
 //! frames (acks, results, recall replies, stray forwards) under the link
 //! lock so reconnections can never reorder delivery.
 //!
-//! The worker side is deliberately single-threaded: read frames, apply
-//! link dedup, feed the protocol consumer, stamp its outputs into the
-//! link outbox, and write them best-effort — a failed write never
-//! aborts frame processing, because the outbox retransmits everything
+//! The worker side is a frame reader in front of the threaded executor's
+//! own consumer thread: the reader keeps the connection and feeds the
+//! consumer's inbox, whose outlet stamps every output into the link
+//! outbox and writes it best-effort — the outbox retransmits everything
 //! the coordinator has not acknowledged once the worker reconnects.
 
 use std::collections::HashMap;
@@ -48,7 +48,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use gridq_adapt::{AdaptationCommand, AdaptivityConfig};
-use gridq_common::sync::ring::{inbox, Inbox, InboxSender, Wake};
+use gridq_common::sync::ring::{inbox, ring, Inbox, InboxSender, RingSender, Wake};
 use gridq_common::sync::Mutex;
 use gridq_common::wire::{
     self, get_count, get_f64, get_str, get_u32, put_f64, put_str, put_varint, Reader,
@@ -76,8 +76,8 @@ use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
 use crate::protocol::coordinator::{MigrateCmd, RecallReply};
 use crate::protocol::{sane_ms, validate_knobs, Block, Exchange, Routed, Staged};
 use crate::{
-    spin_for, surrendered, Endpoints, Msg, Raw, RetryPolicy, RingPayload, Run, ThreadedConfig,
-    Wiring, WorkerEvent,
+    real_time, spin_for, surrendered, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Raw,
+    RetryPolicy, RingPayload, Run, ThreadedConfig, Wiring, WorkerEvent, RING_BLOCKS,
 };
 
 /// Application-level message tags, the first payload byte of every
@@ -864,6 +864,18 @@ fn write_frame(conn: &mut Stream, frame: &Frame) -> std::io::Result<()> {
     conn.flush()
 }
 
+/// One read under a read time-out: `Some(n)` bytes, `None` when the
+/// time-out passed first, `Err` once the connection is over.
+fn read_some(conn: &mut Stream, buf: &mut [u8]) -> std::io::Result<Option<usize>> {
+    use std::io::ErrorKind::{TimedOut, UnexpectedEof, WouldBlock};
+    match conn.read(buf) {
+        Ok(0) => Err(UnexpectedEof.into()),
+        Ok(n) => Ok(Some(n)),
+        Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator: per-worker link thread.
 // ---------------------------------------------------------------------------
@@ -890,6 +902,7 @@ impl From<Msg> for LinkCtl {
             Msg::Drain { token } => WireMsg::Drain { token },
             Msg::Migrate(cmd) => WireMsg::Migrate(cmd),
             Msg::Migrated(block) => WireMsg::Migrated(block),
+            Msg::Release => WireMsg::Shutdown,
         })
     }
 }
@@ -1151,15 +1164,9 @@ fn reader_loop(
         if ctx.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let n = match conn.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
+        let n = match read_some(&mut conn, &mut buf) {
+            Ok(Some(n)) => n,
+            Ok(None) => continue,
             Err(_) => return,
         };
         let frames = match dec.feed(&buf[..n]) {
@@ -1206,15 +1213,9 @@ fn accept_loop(
         let mut buf = vec![0u8; 64 * 1024];
         let mut conn = conn;
         while frames.is_empty() && Instant::now() < deadline {
-            let n = match conn.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => n,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
+            let n = match read_some(&mut conn, &mut buf) {
+                Ok(Some(n)) => n,
+                Ok(None) => continue,
                 Err(_) => break,
             };
             match dec.feed(&buf[..n]) {
@@ -1469,10 +1470,11 @@ impl Endpoints for Net {
         Some(how.unwrap_or_else(|| format!("worker {worker} exited without DONE")))
     }
 
-    /// Graceful (`clean`): SHUTDOWN rides a ring barrier so it trails
-    /// any residual data, and the link threads and the accept loop stay
-    /// alive while the workers exit, so a worker whose connection died
-    /// at the wrong moment can still reconnect and receive it. Forced:
+    /// Graceful (`clean`): the release, relayed as SHUTDOWN, rides a ring
+    /// barrier so it trails any residual data, and the link threads, the
+    /// accept loop and the readers stay alive while the workers exit, so
+    /// a worker whose connection died at the wrong moment can still
+    /// reconnect and receive it, and its last frames are read. Forced:
     /// everything is closed down without waiting on worker cooperation —
     /// spawned children are killed; in-process worker threads exit on
     /// their own once the listener dies (their reconnect attempts fail
@@ -1482,11 +1484,15 @@ impl Endpoints for Net {
         let workers = std::mem::take(&mut self.workers);
         if clean {
             for link in &self.links {
-                link.send(LinkCtl::Send(WireMsg::Shutdown));
+                link.send(Msg::Release.into());
             }
             for (i, worker) in workers.into_iter().enumerate() {
                 failed.extend(worker.and_then(|w| w.join(i)));
             }
+            // A released worker's last frames (its final flush and
+            // counts) precede its exit: each reader dispatches them
+            // before it reads the end of its connection.
+            failed.extend(join_readers(&self.reader_handles));
         } else {
             for worker in workers {
                 if let Some(WorkerJoin::Process(mut c)) = worker {
@@ -1509,11 +1515,7 @@ impl Endpoints for Net {
         if self.accept_handle.take().is_some_and(|h| h.join().is_err()) {
             failed.push("accept loop panicked".into());
         }
-        for h in std::mem::take(&mut *self.reader_handles.lock()) {
-            if h.join().is_err() {
-                failed.push("reader panicked".into());
-            }
-        }
+        failed.extend(join_readers(&self.reader_handles));
         if let Addr::Unix(p) = &self.addr {
             let _ = std::fs::remove_file(p);
         }
@@ -1522,6 +1524,13 @@ impl Endpoints for Net {
             .store(peak.unwrap_or(0) as u64, Ordering::Relaxed);
         failed
     }
+}
+
+/// Joins the reader threads started so far; returns what failed.
+fn join_readers(handles: &Mutex<Vec<thread::JoinHandle<()>>>) -> Vec<String> {
+    let handles = std::mem::take(&mut *handles.lock());
+    let failed = handles.into_iter().filter_map(|h| h.join().err());
+    failed.map(|_| "reader panicked".to_string()).collect()
 }
 
 /// Executes a single-stage distributed plan over socket-connected
@@ -1600,30 +1609,47 @@ impl SocketExecutor {
 // The worker side.
 // ---------------------------------------------------------------------------
 
-/// The worker's write half, and the protocol consumer's outputs: every
-/// outgoing payload is stamped into the link outbox *unconditionally*
-/// and written best-effort. A failed write flips `io_ok`; the read loop
-/// then reconnects and the handshake retransmits everything the
-/// coordinator has not acknowledged.
-struct WireOut<'a> {
-    link: &'a mut LinkState,
-    conn: &'a mut Stream,
-    io_ok: &'a mut bool,
-    scale: f64,
+/// A worker's end of its link, shared by its frame reader and its
+/// consumer's outlet under one lock: a frame is stamped into the outbox
+/// and written under it, and a reconnect swaps the stream and replays the
+/// outbox under it — so a frame written to a dead connection is always
+/// one the handshake replays.
+struct WorkerWire {
+    link: LinkState,
+    /// The live connection's write half; `None` between connections.
+    conn: Option<Stream>,
 }
 
-impl WireOut<'_> {
-    fn send(&mut self, msg: &WireMsg) {
-        let frame = self.link.stamp(kind::MSG, msg.encode());
-        if *self.io_ok && write_frame(self.conn, &frame).is_err() {
-            *self.io_ok = false;
+impl WorkerWire {
+    /// Writes best-effort: a failed write shuts the connection down, and
+    /// the reader replaces it.
+    fn write(&mut self, frame: &Frame) {
+        let Some(conn) = &mut self.conn else { return };
+        if write_frame(conn, frame).is_err() {
+            let _ = conn.shutdown_both();
+            self.conn = None;
         }
     }
 }
 
-impl ConsumerOut for WireOut<'_> {
+/// A socket worker's outlet: every output is a frame to the coordinator.
+struct FrameOut {
+    pacer: Pacer,
+    wire: Arc<Mutex<WorkerWire>>,
+}
+
+impl FrameOut {
+    fn send(&self, msg: &WireMsg) {
+        let payload = msg.encode();
+        let mut wire = self.wire.lock();
+        let frame = wire.link.stamp(kind::MSG, payload);
+        wire.write(&frame);
+    }
+}
+
+impl ConsumerOut for FrameOut {
     fn pay(&mut self, model_ms: f64) {
-        spin_for(model_ms, self.scale);
+        self.pacer.pay(model_ms);
     }
 
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
@@ -1645,173 +1671,200 @@ impl ConsumerOut for WireOut<'_> {
         None
     }
 
+    /// No live loop runs over sockets yet: the samples are dropped.
     fn m1(&mut self, _samples: Vec<M1Sample>) {}
 }
 
-/// Everything a worker accumulates over the run. Lives *outside* the
-/// per-connection loop so a reconnection resumes mid-query.
-struct WorkerState {
-    consumer: Consumer,
-    cost_scale: f64,
-    read_stall_ms: f64,
+impl Outlet for FrameOut {
+    fn pacer(&mut self) -> &mut Pacer {
+        &mut self.pacer
+    }
+
+    fn reply(&mut self, phase: RecallPhase, token: u64) {
+        self.send(&match phase {
+            RecallPhase::Drain => WireMsg::Drained { token },
+            RecallPhase::Migrate => WireMsg::MigrateDone { token },
+        });
+    }
+
+    fn surrendered(&mut self, entries: Vec<Routed>) {
+        self.send(&WireMsg::StateOut(entries));
+    }
+
+    fn done(&mut self, processed: u64, dedup_peak: u64) {
+        self.send(&WireMsg::Done {
+            processed,
+            dedup_peak,
+        });
+    }
 }
 
-/// Dispatches one fresh application frame from the coordinator. Returns
-/// `false` on `SHUTDOWN`.
-fn handle_msg(
-    state: &mut Option<WorkerState>,
-    wire: &mut WireOut<'_>,
-    payload: &[u8],
-    services: &ServiceResolver,
-    index: usize,
-) -> Result<bool> {
-    let msg = match WireMsg::decode(payload)? {
-        WireMsg::Shutdown => return Ok(false),
-        WireMsg::Config(cfg) => {
-            // A duplicate CONFIG after a mid-handshake reconnect is
-            // harmless; the first one wins.
-            if state.is_none() {
-                if cfg.spec.index != index {
-                    return Err(GridError::Execution(format!(
-                        "socket: worker {index} received config addressed to worker {}",
-                        cfg.spec.index
-                    )));
-                }
-                let evaluator = cfg.stage.build(index as u32, services)?;
-                *state = Some(WorkerState {
-                    consumer: Consumer::new(cfg.spec, evaluator),
-                    cost_scale: cfg.cost_scale,
-                    read_stall_ms: cfg.read_stall_ms,
-                });
-            }
-            return Ok(true);
-        }
-        other => other,
-    };
-    let Some(st) = state.as_mut() else {
-        return Err(GridError::Execution(format!(
-            "socket: worker {index} received message tag {:?} before CONFIG",
-            payload.first()
-        )));
-    };
-    match msg {
-        WireMsg::Data(block) => st.consumer.on_block(block, wire),
-        WireMsg::Eos { stream, .. } => {
-            if st.consumer.on_eos(stream, wire) {
-                wire.send(&WireMsg::Done {
-                    processed: st.consumer.processed(),
-                    dedup_peak: st.consumer.dedup_peak(),
-                });
-                // Keep reading: late recalls and the SHUTDOWN frame
-                // still arrive after DONE.
-            }
-        }
-        // Link FIFO means everything sent before the barrier is already
-        // processed, which is exactly what Drained promises.
-        WireMsg::Drain { token } => wire.send(&WireMsg::Drained { token }),
-        WireMsg::Migrate(cmd) => {
-            // A block per frame, ahead of MigrateDone on the same FIFO.
-            for block in st.consumer.surrender(cmd.bucket_count, &cmd.outgoing) {
-                wire.send(&WireMsg::StateOut(block));
-            }
-            wire.send(&WireMsg::MigrateDone { token: cmd.token });
-        }
-        WireMsg::Migrated(block) => st.consumer.on_migrated(block, wire),
-        _ => {
-            return Err(GridError::Execution(format!(
-                "socket: unexpected coordinator frame tag {:?}",
-                payload.first()
-            )))
-        }
-    }
-    Ok(true)
+/// A worker's consumer thread, once `CONFIG` has started it, and the
+/// reader's ends of its inbox.
+struct Started {
+    ctrl: InboxSender<Msg>,
+    data: RingSender<DataMsg>,
+    handle: thread::JoinHandle<()>,
+    /// The slow-peer seam's stall before each read, in real time.
+    stall: Duration,
 }
+
+/// How long the reader blocks in one read before it checks that its
+/// consumer thread is still alive.
+const READ_SLICE: Duration = Duration::from_millis(50);
 
 /// Runs one evaluator worker to completion: connect (and reconnect) to
-/// the coordinator at `addr`, identify as worker `index`, and process
-/// frames until SHUTDOWN. This is the entry point for both in-process
-/// worker threads and the `gridq-node` binary.
+/// the coordinator at `addr`, identify as worker `index`, and read frames
+/// until SHUTDOWN. The first `CONFIG` starts the consumer thread — the
+/// `ConsumerThread` a threaded run starts per partition — and every
+/// later frame goes to its inbox; SHUTDOWN releases it. This is the entry
+/// point for both in-process worker threads and the `gridq-node` binary.
 pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Result<()> {
-    let mut link = LinkState::new();
-    let mut state: Option<WorkerState> = None;
+    let wire = Arc::new(Mutex::new(WorkerWire {
+        link: LinkState::new(),
+        conn: None,
+    }));
+    let mut started = None;
+    let read = read_frames(addr, index, services, &wire, &mut started);
+    // Whatever ended the reading — SHUTDOWN, an error, a consumer that
+    // died — the consumer is released and joined, and its panic fails
+    // the worker.
+    if let Some(st) = started {
+        st.ctrl.send(Msg::Release);
+        if let Err(panic) = st.handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+    read
+}
+
+/// The frame reader: connections, the handshake and link dedup, then each
+/// fresh frame to the consumer thread — blocks onto its data ring (a full
+/// ring parks the reader), the recall's commands onto its control plane.
+/// Returns at SHUTDOWN, or once the consumer thread has gone.
+fn read_frames(
+    addr: &Addr,
+    index: usize,
+    services: &ServiceResolver,
+    wire: &Arc<Mutex<WorkerWire>>,
+    started: &mut Option<Started>,
+) -> Result<()> {
+    let mut buf = vec![0u8; 64 * 1024];
     'life: loop {
-        let mut conn = {
-            let mut attempt = 0u32;
-            loop {
-                match Stream::connect(addr) {
-                    Ok(c) => break c,
-                    Err(e) => {
-                        attempt += 1;
-                        if attempt >= 100 {
-                            return Err(GridError::Execution(format!(
-                                "socket: worker {index} cannot reach the coordinator: {e}"
-                            )));
-                        }
-                        thread::sleep(Duration::from_millis(3));
-                    }
+        wire.lock().conn = None;
+        let mut tries = 0;
+        let mut conn = loop {
+            match Stream::connect(addr) {
+                Ok(c) => break c,
+                Err(e) if tries == 99 => {
+                    return Err(GridError::Execution(format!(
+                        "socket: worker {index} cannot reach the coordinator: {e}"
+                    )))
                 }
+                Err(_) => tries += 1,
             }
+            thread::sleep(Duration::from_millis(3));
         };
-        let hello = link::hello(index as u64, link.last_received());
+        let hello = link::hello(index as u64, wire.lock().link.last_received());
         if write_frame(&mut conn, &hello).is_err() {
             continue 'life;
         }
-        let mut dec = Decoder::new();
-        let mut io_ok = true;
-        let mut handshook = false;
-        let mut buf = vec![0u8; 64 * 1024];
+        let _ = conn.set_read_timeout(Some(READ_SLICE));
+        let (mut dec, mut handshook) = (Decoder::new(), false);
         loop {
-            if let Some(st) = &state {
+            if let Some(st) = &*started {
+                if st.handle.is_finished() {
+                    return Ok(());
+                }
                 // The slow-peer seam: stall before draining the socket,
                 // so the kernel buffers fill and flow control pushes
                 // back on the coordinator's link thread.
-                if st.read_stall_ms > 0.0 {
-                    spin_for(st.read_stall_ms, st.cost_scale);
+                if !st.stall.is_zero() {
+                    thread::sleep(st.stall);
                 }
             }
-            let n = match conn.read(&mut buf) {
-                Ok(0) => continue 'life,
-                Ok(n) => n,
+            let n = match read_some(&mut conn, &mut buf) {
+                Ok(Some(n)) => n,
+                Ok(None) => continue,
                 Err(_) => continue 'life,
             };
-            let frames = dec.feed(&buf[..n])?;
-            for f in frames {
-                match link.on_receive(&f) {
-                    Receive::Control => {
-                        if !handshook {
-                            if let Some(peer_last) = link::parse_hello_ack(&f) {
-                                handshook = true;
-                                for rf in link.retransmit_after(peer_last) {
-                                    if write_frame(&mut conn, &rf).is_err() {
-                                        io_ok = false;
-                                        break;
-                                    }
-                                }
+            let mut fresh = Vec::new();
+            let mut w = wire.lock();
+            for f in dec.feed(&buf[..n])? {
+                match w.link.on_receive(&f) {
+                    Receive::Fresh => fresh.push(f.payload),
+                    Receive::Control if !handshook => {
+                        if let Some(peer_last) = link::parse_hello_ack(&f) {
+                            handshook = true;
+                            w.conn = conn.try_clone().ok();
+                            for rf in w.link.retransmit_after(peer_last) {
+                                w.write(&rf);
                             }
                         }
                     }
-                    Receive::Duplicate => {}
-                    Receive::Fresh => {
-                        let mut wire = WireOut {
-                            link: &mut link,
-                            conn: &mut conn,
-                            io_ok: &mut io_ok,
-                            scale: state.as_ref().map_or(0.0, |s| s.cost_scale),
-                        };
-                        if !handle_msg(&mut state, &mut wire, &f.payload, services, index)? {
-                            return Ok(());
+                    Receive::Control | Receive::Duplicate => {}
+                }
+            }
+            if w.conn.is_some() && w.link.owes_ack() {
+                let af = w.link.ack_frame();
+                w.write(&af);
+            }
+            // Outside the lock: a full data ring parks the reader, and the
+            // consumer must still be able to write.
+            drop(w);
+            for payload in fresh {
+                let (msg, st) = match (WireMsg::decode(&payload)?, &*started) {
+                    (WireMsg::Shutdown, _) => return Ok(()),
+                    // A duplicate CONFIG after a mid-handshake reconnect
+                    // is harmless; the first one wins.
+                    (WireMsg::Config(_), Some(_)) => continue,
+                    (WireMsg::Config(cfg), None) => {
+                        if cfg.spec.index != index {
+                            return Err(GridError::Execution(format!(
+                                "socket: worker {index} received config addressed to worker {}",
+                                cfg.spec.index
+                            )));
                         }
+                        let evaluator = cfg.stage.build(index as u32, services)?;
+                        let (data, ring_rx) = ring(RING_BLOCKS);
+                        let (ctrl, inbox) = inbox(vec![ring_rx]);
+                        let pacer = Pacer::new(inbox, cfg.cost_scale);
+                        let wire = Arc::clone(wire);
+                        let consumer = Consumer::new(cfg.spec, evaluator);
+                        let handle = ConsumerThread::spawn(consumer, FrameOut { pacer, wire });
+                        let stall = real_time(cfg.read_stall_ms, cfg.cost_scale);
+                        *started = Some(Started {
+                            ctrl,
+                            data,
+                            handle,
+                            stall,
+                        });
+                        continue;
                     }
+                    (msg, Some(st)) => (msg, st),
+                    (_, None) => {
+                        return Err(GridError::Execution(format!(
+                            "socket: worker {index} received message tag {:?} before CONFIG",
+                            payload.first()
+                        )))
+                    }
+                };
+                let delivered = match msg {
+                    WireMsg::Data(block) => st.data.push(DataMsg::Block(block)).is_ok(),
+                    WireMsg::Eos { stream, .. } => st.data.push(DataMsg::Eos(stream)).is_ok(),
+                    WireMsg::Drain { token } => st.ctrl.send(Msg::Drain { token }),
+                    WireMsg::Migrate(cmd) => st.ctrl.send(Msg::Migrate(cmd)),
+                    WireMsg::Migrated(block) => st.ctrl.send(Msg::Migrated(block)),
+                    _ => {
+                        return Err(GridError::Execution(format!(
+                            "socket: unexpected coordinator frame tag {:?}",
+                            payload.first()
+                        )))
+                    }
+                };
+                if !delivered {
+                    return Ok(());
                 }
-            }
-            if io_ok && link.owes_ack() {
-                let af = link.ack_frame();
-                if write_frame(&mut conn, &af).is_err() {
-                    io_ok = false;
-                }
-            }
-            if !io_ok {
-                continue 'life;
             }
         }
     }
@@ -1925,6 +1978,31 @@ mod tests {
         for audit in &report.log_audits {
             assert!(audit.conserved(), "{audit:?}");
         }
+    }
+
+    /// A socket recall takes back the slow worker's queue, as a threaded
+    /// one does: the worker answers `Drain` at once, and its `Migrate`
+    /// surrenders the blocks still on its data ring instead of waiting
+    /// them out. Under weighted routing every queued tuple is
+    /// surrendered and re-routed by the new weights.
+    #[test]
+    fn a_socket_recall_surrenders_the_slow_workers_queue() {
+        let table = int_table("t", 0..600);
+        let mut perturbations = HashMap::new();
+        perturbations.insert(NodeId::new(2), Perturbation::CostFactor(10.0));
+        let report = run_call(&table, |c| {
+            c.cost_scale = 0.05;
+            c.perturbations = perturbations;
+            c.adaptations = vec![ScriptedAdaptation {
+                after_routed: 300,
+                weights: vec![0.9, 0.1],
+                retrospective: true,
+            }];
+        });
+        assert_squares(&report.results, 600);
+        let recalls = (report.recalls_completed, report.recalls_aborted);
+        assert_eq!(recalls, (1, 0));
+        assert!(report.recall_blocks > 0, "the queue was waited out");
     }
 
     /// The socket twin of the threaded executor's
