@@ -13,13 +13,14 @@
 //! - one producer thread per source scan, routing tuples through the
 //!   shared exchange [`gridq_engine::distributed::Router`] and shipping
 //!   blocks over bounded SPSC rings (end-of-stream rides the same ring);
-//! - one *worker endpoint* per stage partition, multiplexing its rings
-//!   and its control messages through one `Inbox` — the substrates'
-//!   difference: here a consumer thread evaluating the same
+//! - one consumer thread per stage partition, multiplexing its rings and
+//!   its control messages through one `Inbox`, evaluating the same
 //!   [`gridq_engine::evaluator::PartitionEvaluator`] clones and *actually
 //!   spending CPU/sleep time* proportional to the cost model (scaled down
-//!   by `cost_scale` to keep tests fast), in `socket.rs` a link thread
-//!   relaying to the same consumer thread behind a socket;
+//!   by `cost_scale` to keep tests fast), and calling its coordinator-side
+//!   outlet (`Port`) in-process — or, in `socket.rs`, behind a link thread
+//!   that encodes what it pops and a reader that decodes the replies into
+//!   the same `Port` calls;
 //! - one adaptation thread driving the query's
 //!   [`gridq_adapt::ControlLoop`] (MonitoringEventDetector, Diagnoser and
 //!   Responder), fed by real M1/M2 notifications (or by scripted
@@ -188,41 +189,13 @@ impl ThreadedConfig {
 /// substrate returns, under the name this crate has always used for it.
 pub type ThreadedReport = RunReport;
 
-/// What travels in a consumer's data ring: a block, or the end of one
-/// source's stream riding behind the blocks it trails (on a socket
-/// worker, decoded from its `DATA` or `EOS` frame).
+/// What travels in every data ring: a block, or the end of one source's
+/// stream riding behind the blocks it trails (on sockets, encoded by the
+/// link thread and decoded by the worker's reader).
 #[derive(Clone)]
 pub(crate) enum DataMsg {
     Block(Block),
     Eos(StreamTag),
-}
-
-/// How a block or an end-of-stream becomes a data ring's payload: itself
-/// on threads, its encoded frame on sockets — so the producer thread, not
-/// the link thread, pays for the encode.
-pub(crate) trait RingPayload: Clone + Send + 'static {
-    fn block(block: Block) -> Self;
-    fn eos(stream: StreamTag, source: usize) -> Self;
-    /// The block a payload made by [`RingPayload::block`] carries: what a
-    /// push that gave way hands back to the producer.
-    fn unblock(self) -> Option<Block>;
-}
-
-impl RingPayload for DataMsg {
-    fn block(block: Block) -> Self {
-        DataMsg::Block(block)
-    }
-
-    fn unblock(self) -> Option<Block> {
-        match self {
-            DataMsg::Block(block) => Some(block),
-            DataMsg::Eos(_) => None,
-        }
-    }
-
-    fn eos(stream: StreamTag, _source: usize) -> Self {
-        DataMsg::Eos(stream)
-    }
 }
 
 /// A coordinator's (or peer's) command to one worker endpoint: the
@@ -299,22 +272,6 @@ pub(crate) enum WorkerEvent {
         processed: u64,
         dedup_peak: u64,
     },
-}
-
-/// A worker's surrendered block is on the reply channel, ahead of that
-/// worker's `MigrateDone` on the same FIFO. The recall it answers may
-/// have given up on its barrier already, so the adaptation thread is
-/// nudged as well: it re-routes the state all the same.
-pub(crate) fn surrendered(
-    x: &Exchange,
-    replies: &Sender<RecallReply>,
-    raw: &Sender<Raw>,
-    worker: usize,
-    entries: Vec<Routed>,
-) {
-    x.tallies.recall_blocks.fetch_add(1, Ordering::Relaxed);
-    let _ = replies.send(RecallReply::Surrendered { worker, entries });
-    let _ = raw.send(Raw::LateState);
 }
 
 /// Model milliseconds as real time; zero below a nanosecond, so a
@@ -417,10 +374,10 @@ struct M2Probe {
 /// worker endpoint (the ring *is* the backpressure). End-of-stream rides
 /// the same ring, so it trails every block in FIFO order. A push waiting
 /// on a full ring gives way to a recall's pause request.
-struct ProducerSink<P: RingPayload> {
+struct ProducerSink {
     source: usize,
     stream: StreamTag,
-    rings: Vec<RingSender<P>>,
+    rings: Vec<RingSender<DataMsg>>,
     gate: Option<Arc<RecallGate>>,
     /// Destinations whose end-of-stream is out.
     ended: Vec<bool>,
@@ -430,15 +387,15 @@ struct ProducerSink<P: RingPayload> {
     m2: Option<M2Probe>,
 }
 
-/// A payload a push handed back, as the block the producer re-stages.
-fn withheld<P: RingPayload>(payload: P) -> Shipped {
-    match payload.unblock() {
-        Some(block) => Shipped::Withheld(block),
-        None => Shipped::Sent(0),
+/// A push handed back, as the block the producer re-stages.
+fn withheld(item: DataMsg) -> Shipped {
+    match item {
+        DataMsg::Block(block) => Shipped::Withheld(block),
+        DataMsg::Eos(_) => Shipped::Sent(0),
     }
 }
 
-impl<P: RingPayload> BlockSink for ProducerSink<P> {
+impl BlockSink for ProducerSink {
     fn pay(&mut self, model_ms: f64) {
         spin_for(model_ms, self.scale);
     }
@@ -450,7 +407,7 @@ impl<P: RingPayload> BlockSink for ProducerSink<P> {
         let (ring, gate) = (&self.rings[dest], self.gate.as_deref());
         let push =
             |payload| ring.push_unless(payload, || gate.is_some_and(RecallGate::pause_requested));
-        let payload = P::block(block);
+        let payload = DataMsg::Block(block);
         let mut failed = 0;
         if duplicate {
             match push(payload.clone()) {
@@ -485,20 +442,20 @@ impl<P: RingPayload> BlockSink for ProducerSink<P> {
         Shipped::Sent(failed)
     }
 
-    fn eos(&mut self, dest: usize, stream: StreamTag, source: usize) {
+    fn eos(&mut self, dest: usize, stream: StreamTag) {
         self.ended[dest] = true;
-        let _ = self.rings[dest].push(P::eos(stream, source));
+        let _ = self.rings[dest].push(DataMsg::Eos(stream));
     }
 }
 
-impl<P: RingPayload> Drop for ProducerSink<P> {
+impl Drop for ProducerSink {
     /// A producer that died mid-scan never ended its stream, and without
     /// the markers its workers would wait forever: the unwinding sink
     /// sends them, by the same route.
     fn drop(&mut self) {
         for dest in 0..self.rings.len() {
             if !self.ended[dest] {
-                self.eos(dest, self.stream, self.source);
+                self.eos(dest, self.stream);
             }
         }
     }
@@ -520,8 +477,8 @@ impl Pacer {
         Pacer { inbox, owed, scale }
     }
 
-    /// [`ConsumerOut::pay`].
-    pub(crate) fn pay(&mut self, model_ms: f64) {
+    /// Sleeps off `model_ms` of debt on top of what is owed.
+    fn pay(&mut self, model_ms: f64) {
         self.owed += real_time(model_ms, self.scale);
         self.pay_owed();
     }
@@ -540,12 +497,9 @@ impl Pacer {
     }
 }
 
-/// A consumer thread's outputs, the one thing a threaded consumer and a
-/// socket worker do differently (DESIGN §15 has the table); `pay` is the
-/// [`Pacer`]'s on both.
+/// A consumer thread's outputs: its [`Port`] on threads; on sockets, frames
+/// the coordinator decodes into the same `Port` calls (DESIGN §15).
 pub(crate) trait Outlet: ConsumerOut {
-    /// The inbox the consumer is fed from, and pays on.
-    fn pacer(&mut self) -> &mut Pacer;
     /// Answers a recall's `Drain` (`Drained`) or `Migrate` (`MigrateDone`).
     fn reply(&mut self, phase: RecallPhase, token: u64);
     /// One block a `Migrate` surrendered, ahead of its `MigrateDone`.
@@ -560,16 +514,16 @@ pub(crate) trait Outlet: ConsumerOut {
     }
 }
 
-/// The threaded consumer's outlet. Threaded consumers share the router
-/// and the recovery logs with the producers, so acks land in the log
-/// directly (and the log's verdict drives dedup eviction) and strays are
-/// re-routed on the spot.
-struct ThreadedOut {
-    pacer: Pacer,
+/// The coordinator's end of one worker on both real substrates, called
+/// in-process or from a decoded frame. It shares the router and the
+/// recovery logs with the producers, so acks land in the log directly
+/// (and the log's verdict drives dedup eviction) and strays are re-routed
+/// on the spot, to a peer's control plane (`C`: `Msg` or `LinkCtl`).
+pub(crate) struct Port<C> {
     index: usize,
     node: NodeId,
     x: Exchange,
-    peers: Vec<InboxSender<Msg>>,
+    peers: Vec<InboxSender<C>>,
     events: Sender<WorkerEvent>,
     raw: Sender<Raw>,
     replies: Sender<RecallReply>,
@@ -577,15 +531,55 @@ struct ThreadedOut {
     query: QueryId,
     stage_id: SubplanId,
     started: Instant,
+    /// Model to real milliseconds: the log's ack cost, the M1 stamps.
+    cost_scale: f64,
 }
 
-impl ConsumerOut for ThreadedOut {
-    fn pay(&mut self, model_ms: f64) {
-        self.pacer.pay(model_ms);
+// Not derived: `derive` would demand `C: Clone`.
+impl<C> Clone for Port<C> {
+    fn clone(&self) -> Self {
+        Port {
+            x: self.x.clone(),
+            peers: self.peers.clone(),
+            events: self.events.clone(),
+            raw: self.raw.clone(),
+            replies: self.replies.clone(),
+            ..*self
+        }
     }
+}
 
+impl<C> Port<C> {
+    /// Worker `index`'s port, whose strays go to `peers`.
+    pub(crate) fn new(
+        w: &Wiring,
+        plan: &DistributedPlan,
+        index: usize,
+        peers: Vec<InboxSender<C>>,
+        cost_scale: f64,
+        failover_on: bool,
+    ) -> Self {
+        let stage = &plan.stages[0];
+        Port {
+            index,
+            node: stage.nodes[index],
+            x: w.x.clone(),
+            peers,
+            events: w.events.clone(),
+            raw: w.raw.clone(),
+            replies: w.replies.clone(),
+            failover_on,
+            query: plan.query,
+            stage_id: stage.id,
+            started: w.started,
+            cost_scale,
+        }
+    }
+}
+
+impl<C: From<Msg>> ConsumerOut for Port<C> {
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
-        let scale = self.pacer.scale;
+        let scale = self.cost_scale;
         let pay = |ms| spin_for(ms, scale);
         // Once the log accepts the ack the window can never be
         // retransmitted again, so its dedup entries are dead weight.
@@ -605,12 +599,12 @@ impl ConsumerOut for ThreadedOut {
         if owner == self.index {
             return Some(tuple);
         }
-        self.peers[owner].send(Msg::Migrated(vec![(stream, source, tuple)]));
+        self.peers[owner].send(Msg::Migrated(vec![(stream, source, tuple)]).into());
         None
     }
 
     fn m1(&mut self, samples: Vec<M1Sample>) {
-        let scale = self.pacer.scale;
+        let scale = self.cost_scale;
         let at = model_now(self.started, scale);
         let mut batch = Vec::with_capacity(samples.len());
         for sample in samples {
@@ -639,11 +633,7 @@ impl ConsumerOut for ThreadedOut {
     }
 }
 
-impl Outlet for ThreadedOut {
-    fn pacer(&mut self) -> &mut Pacer {
-        &mut self.pacer
-    }
-
+impl<C: From<Msg>> Outlet for Port<C> {
     /// Sent unless the chaos seam swallows it.
     fn reply(&mut self, phase: RecallPhase, token: u64) {
         if self.x.reply_survives(phase, self.index) {
@@ -654,8 +644,14 @@ impl Outlet for ThreadedOut {
         }
     }
 
+    /// Ahead of this worker's `MigrateDone` on the same FIFO. The recall
+    /// may have given up on its barrier already, so the adaptation thread
+    /// is nudged as well: it re-routes the state all the same.
     fn surrendered(&mut self, entries: Vec<Routed>) {
-        surrendered(&self.x, &self.replies, &self.raw, self.index, entries);
+        self.x.tallies.recall_blocks.fetch_add(1, Ordering::Relaxed);
+        let (worker, replies) = (self.index, &self.replies);
+        let _ = replies.send(RecallReply::Surrendered { worker, entries });
+        let _ = self.raw.send(Raw::LateState);
     }
 
     fn done(&mut self, processed: u64, dedup_peak: u64) {
@@ -692,11 +688,13 @@ enum Step {
 /// One consumer thread, on threads and behind a socket worker's frame
 /// reader alike: a protocol [`Consumer`] fed from an [`Inbox`] whose
 /// ordering guarantees (control first, control before every data item)
-/// keep migrated state ahead of the tuples that probe it. It reports
+/// keep migrated state ahead of the tuples that probe it, and the
+/// [`Pacer`] that pays the modelled cost the consumer accrues. It reports
 /// completion at its last end-of-stream, then serves control — a late
 /// recall too — until the run releases it.
 pub(crate) struct ConsumerThread<O> {
     consumer: Consumer,
+    pacer: Pacer,
     out: O,
 }
 
@@ -705,9 +703,18 @@ pub(crate) struct ConsumerThread<O> {
 const RECV_SLICE: Duration = Duration::from_millis(50);
 
 impl<O: Outlet + Send + 'static> ConsumerThread<O> {
-    pub(crate) fn spawn(consumer: Consumer, out: O) -> thread::JoinHandle<()> {
-        let worker = ConsumerThread { consumer, out };
+    pub(crate) fn spawn(consumer: Consumer, pacer: Pacer, out: O) -> thread::JoinHandle<()> {
+        let worker = ConsumerThread {
+            consumer,
+            pacer,
+            out,
+        };
         thread::spawn(move || worker.run())
+    }
+
+    /// Pays what the consumer's last call accrued.
+    fn pay(&mut self) {
+        self.pacer.pay(self.consumer.take_due());
     }
 
     fn on_data(&mut self, item: DataMsg) -> Step {
@@ -718,6 +725,7 @@ impl<O: Outlet + Send + 'static> ConsumerThread<O> {
             DataMsg::Block(block) => self.consumer.on_block(block, &mut self.out),
             DataMsg::Eos(stream) => self.consumer.end_stream(stream),
         }
+        self.pay();
         Step::Continue
     }
 
@@ -729,7 +737,7 @@ impl<O: Outlet + Send + 'static> ConsumerThread<O> {
             // the `Migrate`, which takes the queue as it stands.
             Msg::Drain { token } => self.out.reply(RecallPhase::Drain, token),
             Msg::Migrate(cmd) => {
-                while let Some(item) = self.out.pacer().inbox.pop_data() {
+                while let Some(item) = self.pacer.inbox.pop_data() {
                     if self.out.crashed() {
                         return Step::Crashed;
                     }
@@ -745,6 +753,7 @@ impl<O: Outlet + Send + 'static> ConsumerThread<O> {
             }
             Msg::Migrated(block) => self.consumer.on_migrated(block, &mut self.out),
         }
+        self.pay();
         Step::Continue
     }
 
@@ -755,7 +764,7 @@ impl<O: Outlet + Send + 'static> ConsumerThread<O> {
         if self.serve() {
             // The last pay's remainder, should a message have cut it
             // short: the run may not end before its modelled time.
-            thread::sleep(std::mem::take(&mut self.out.pacer().owed));
+            thread::sleep(std::mem::take(&mut self.pacer.owed));
             self.consumer.flush_results(true, &mut self.out);
             self.consumer.hand_over(&mut self.out);
         }
@@ -764,13 +773,16 @@ impl<O: Outlet + Send + 'static> ConsumerThread<O> {
     }
 
     /// The receive loop: the owed time, then the consumer's owed steps,
-    /// then the inbox — which hands over a control message that cut
-    /// either short before any data item. Returns `false` when the crash
-    /// seam fired.
+    /// each paid as it is taken, then the inbox — which hands over a
+    /// control message that cut either short before any data item. The
+    /// finishing step is paid before completion is reported. Returns
+    /// `false` when the crash seam fired.
     fn serve(&mut self) -> bool {
         loop {
-            if self.out.pacer().pay_owed() {
-                match self.consumer.step(&mut self.out) {
+            if self.pacer.pay_owed() {
+                let progress = self.consumer.step(&mut self.out);
+                self.pay();
+                match progress {
                     Progress::Busy => continue,
                     Progress::Finished => {
                         self.out
@@ -779,7 +791,7 @@ impl<O: Outlet + Send + 'static> ConsumerThread<O> {
                     Progress::Idle => {}
                 }
             }
-            let step = match self.out.pacer().inbox.next(RECV_SLICE) {
+            let step = match self.pacer.inbox.next(RECV_SLICE) {
                 Wake::Control(msg) => self.on_ctrl(msg),
                 Wake::Data(item) => self.on_data(item),
                 Wake::Idle(waited) => {
@@ -807,10 +819,10 @@ struct ThreadedWorkers {
 }
 
 impl ThreadedWorkers {
-    fn start(cfg: &ThreadedConfig, plan: &DistributedPlan, w: Wiring<DataMsg>) -> Self {
+    fn start(cfg: &ThreadedConfig, plan: &DistributedPlan, mut w: Wiring) -> Self {
         let stage = &plan.stages[0];
         let monitoring = cfg.adaptivity.monitoring_active();
-        let (senders, inboxes): (Vec<_>, Vec<_>) = w.rings.into_iter().map(inbox).unzip();
+        let (senders, inboxes): (Vec<_>, Vec<_>) = w.rings.drain(..).map(inbox).unzip();
         let mut handles = Vec::with_capacity(inboxes.len());
         for (i, inbox) in inboxes.into_iter().enumerate() {
             let node = stage.nodes[i];
@@ -833,21 +845,8 @@ impl ThreadedWorkers {
                     .as_ref()
                     .map(|o| o.metrics().counter("exec.tuples_processed")),
             ));
-            let out = ThreadedOut {
-                pacer: Pacer::new(inbox, cfg.cost_scale),
-                index: i,
-                node,
-                x: w.x.clone(),
-                peers: senders.clone(),
-                events: w.events.clone(),
-                raw: w.raw.clone(),
-                replies: w.replies.clone(),
-                failover_on: cfg.failover,
-                query: plan.query,
-                stage_id: stage.id,
-                started: w.started,
-            };
-            let handle = ConsumerThread::spawn(consumer, out);
+            let out = Port::new(&w, plan, i, senders.clone(), cfg.cost_scale, cfg.failover);
+            let handle = ConsumerThread::spawn(consumer, Pacer::new(inbox, cfg.cost_scale), out);
             handles.push(Some(handle));
         }
         ThreadedWorkers { senders, handles }
@@ -1309,10 +1308,10 @@ const LIVENESS_SLICE: Duration = Duration::from_millis(50);
 
 /// What `Run::execute` hands a substrate to build its worker endpoints
 /// from.
-pub(crate) struct Wiring<P: RingPayload> {
+pub(crate) struct Wiring {
     pub(crate) x: Exchange,
     /// `rings[worker][source]`: the receiving halves of the data mesh.
-    pub(crate) rings: Vec<Vec<RingReceiver<P>>>,
+    pub(crate) rings: Vec<Vec<RingReceiver<DataMsg>>>,
     pub(crate) events: Sender<WorkerEvent>,
     pub(crate) replies: Sender<RecallReply>,
     pub(crate) raw: Sender<Raw>,
@@ -1382,11 +1381,11 @@ pub(crate) struct Run<'a> {
 }
 
 impl Run<'_> {
-    pub(crate) fn execute<P: RingPayload, E: Endpoints>(
+    pub(crate) fn execute<E: Endpoints>(
         mut self,
         catalog: &Catalog,
         plan: &DistributedPlan,
-        start: impl FnOnce(Wiring<P>) -> Result<E>,
+        start: impl FnOnce(Wiring) -> Result<E>,
     ) -> Result<RunReport> {
         let (who, cfg) = (self.who, self.cfg);
         let live_r1 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R1;
@@ -1426,11 +1425,13 @@ impl Run<'_> {
         let marks: Vec<u64> = self.script.iter().map(|(after, _)| *after).collect();
 
         // One bounded SPSC ring per (producer, worker) edge.
-        let mut ring_txs: Vec<Vec<RingSender<P>>> = (0..sources).map(|_| Vec::new()).collect();
-        let mut ring_rxs: Vec<Vec<RingReceiver<P>>> = (0..partitions).map(|_| Vec::new()).collect();
+        let mut ring_txs: Vec<Vec<RingSender<DataMsg>>> =
+            (0..sources).map(|_| Vec::new()).collect();
+        let mut ring_rxs: Vec<Vec<RingReceiver<DataMsg>>> =
+            (0..partitions).map(|_| Vec::new()).collect();
         for tx_row in ring_txs.iter_mut() {
             for rx_row in ring_rxs.iter_mut() {
-                let (tx, rx) = ring::<P>(RING_BLOCKS);
+                let (tx, rx) = ring(RING_BLOCKS);
                 tx_row.push(tx);
                 rx_row.push(rx);
             }
@@ -2522,8 +2523,8 @@ mod tests {
         });
         let x = Exchange::new(&plan, "test", false, Some(hook), true, 50).unwrap();
         let (raw, raw_rx) = channel();
-        let mut out = ThreadedOut {
-            pacer: Pacer::new(inbox(Vec::new()).1, 0.01),
+        let mut out: Port<Msg> = Port {
+            cost_scale: 0.01,
             index: 1,
             node: plan.stages[0].nodes[1],
             x,

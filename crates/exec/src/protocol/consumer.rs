@@ -10,12 +10,13 @@
 //! block's modelled cost is paid.
 //!
 //! The consumer thread that steps it (the same one on both real
-//! substrates) owns the inbox, the crash seam and the idle wait; it feeds
-//! the consumer messages and implements [`ConsumerOut`] for what comes
-//! back out. Work the consumer owes before its next data item — the
-//! end-of-build replay in slices of [`REPLAY_SLICE`], then the shelf —
-//! runs one [`Consumer::step`] at a time, so a driver can take a control
-//! message between steps.
+//! substrates) owns the inbox, the crash seam, the idle wait and the pay
+//! of what [`Consumer::take_due`] hands it; it feeds the consumer
+//! messages and implements [`ConsumerOut`] for what comes back out. Work
+//! the consumer owes before its next data item — the end-of-build replay
+//! in slices of [`REPLAY_SLICE`], then the shelf — runs one
+//! [`Consumer::step`] at a time, so a driver can take a control message
+//! between steps.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -31,13 +32,11 @@ use super::dedup::DedupFilter;
 use super::{sane_ms, Block, Routed, Staged};
 use crate::service::contention_factor;
 
-/// What a consumer emits. Implemented by the consumer thread's two
-/// outlets — threaded (log acknowledged in place, peers a channel send
-/// away) and socket (everything is a frame to the coordinator) — and the
+/// What a consumer emits. Implemented by the coordinator's port (log
+/// acknowledged in place, peers a channel send away; called in-process or
+/// from a decoded frame), a socket worker's frames to it, and the
 /// protocol tests' recording fake.
 pub(crate) trait ConsumerOut {
-    /// Spends accrued modelled cost (model milliseconds).
-    fn pay(&mut self, model_ms: f64);
     /// Emits a checkpoint acknowledgement. Returns whether the window's
     /// dedup entries may be evicted now: the threaded consumer sees the
     /// log's verdict (accepted or already acked — the window can never
@@ -61,7 +60,7 @@ pub(crate) trait ConsumerOut {
     fn m1(&mut self, samples: Vec<M1Sample>);
 }
 
-/// How many held probes one replay step processes before it pays.
+/// How many held probes one replay step processes before it is paid.
 const REPLAY_SLICE: usize = 16;
 
 /// What one [`Consumer::step`] did.
@@ -71,9 +70,9 @@ pub(crate) enum Progress {
     Idle,
     /// One unit of owed work is done; more may follow.
     Busy,
-    /// The last stream has ended and everything is done: the tail M1 and
-    /// the last of the progress count are handed over, the results are
-    /// all downstream and the debt is paid. Returned exactly once.
+    /// The last stream has ended and everything is done but the pay: the
+    /// tail M1 and the last of the progress count are handed over, the
+    /// results are all downstream. Returned exactly once.
     Finished,
 }
 
@@ -146,9 +145,9 @@ pub(crate) struct Consumer {
     batch_cost: f64,
     batch_wait_ms: f64,
     /// Modelled processing cost accrued but not yet spent in real time;
-    /// paid once per block (or control message) instead of once per
-    /// tuple, which is where batching wins its throughput back from the
-    /// sleep granularity floor.
+    /// the driver takes it once per block (or control message) instead of
+    /// once per tuple, which is where batching wins its throughput back
+    /// from the sleep granularity floor.
     due: f64,
     eos_seen: usize,
     build_eos_seen: usize,
@@ -239,8 +238,8 @@ impl Consumer {
     /// Everything this consumer has to tell another thread about the
     /// tuples processed since the last call, at once: their M1 samples
     /// as one batch, and their count onto the run-wide progress. Runs
-    /// before every pay, so neither ever waits behind a sleep, and when
-    /// the consumer ends.
+    /// wherever cost fell due, ahead of the driver's pay, so neither ever
+    /// waits behind a sleep, and when the consumer ends.
     pub(crate) fn hand_over<O: ConsumerOut>(&mut self, out: &mut O) {
         if !self.m1_pending.is_empty() {
             out.m1(std::mem::take(&mut self.m1_pending));
@@ -257,12 +256,11 @@ impl Consumer {
         }
     }
 
-    fn pay_due<O: ConsumerOut>(&mut self, out: &mut O) {
-        self.hand_over(out);
-        if self.due > 0.0 {
-            out.pay(self.due);
-            self.due = 0.0;
-        }
+    /// The modelled cost (model milliseconds) accrued since the last
+    /// call, for the driver to pay: after each [`Consumer::on_block`],
+    /// [`Consumer::on_migrated`] and [`Consumer::step`].
+    pub(crate) fn take_due(&mut self) -> f64 {
+        std::mem::take(&mut self.due)
     }
 
     /// Evaluates one tuple, accruing the modelled (and perturbed) cost
@@ -361,13 +359,13 @@ impl Consumer {
         }
     }
 
-    /// Consumes one tuple block: admits it past dedup, processes it and
-    /// pays its modelled cost as one sleep instead of one per tuple.
+    /// Consumes one tuple block: admits it past dedup and processes it,
+    /// its modelled cost due as one sleep instead of one per tuple.
     pub(crate) fn on_block<O: ConsumerOut>(&mut self, block: Block, out: &mut O) {
         let source = block.source;
         let defer = self.defers_acks(source);
         self.admit(block, out, |c, item, out| c.take(source, defer, item, out));
-        self.pay_due(out);
+        self.hand_over(out);
     }
 
     /// Admits one queued block to the shelf without processing it: the
@@ -497,9 +495,9 @@ impl Consumer {
 
     /// One unit of the work owed before the next data item, in order:
     /// a replay slice of at most [`REPLAY_SLICE`] held probes (replaying
-    /// a large backlog takes real time, so its cost is paid, and its M1
-    /// samples handed over, a slice at a time), then one shelved entry,
-    /// then — the last stream ended — finishing.
+    /// a large backlog takes real time, so its cost falls due, and its M1
+    /// samples are handed over, a slice at a time), then one shelved
+    /// entry, then — the last stream ended — finishing.
     pub(crate) fn step<O: ConsumerOut>(&mut self, out: &mut O) -> Progress {
         if self.replaying {
             if !self.held_probes.is_empty() {
@@ -509,7 +507,7 @@ impl Consumer {
                     };
                     self.process_one(StreamTag::Probe, &tuple, out);
                 }
-                self.pay_due(out);
+                self.hand_over(out);
                 return Progress::Busy;
             }
             self.replaying = false;
@@ -527,7 +525,7 @@ impl Consumer {
                     for item in items {
                         self.take(source, defer, item, out);
                     }
-                    self.pay_due(out);
+                    self.hand_over(out);
                 }
                 Shelved::Eos(stream) => self.end_stream(stream),
             }
@@ -538,10 +536,10 @@ impl Consumer {
         }
         self.finished = true;
         // Close the partial tail batch before the monitoring record goes
-        // quiet; the last pay hands it over.
+        // quiet; the last hand-over takes it.
         self.emit_m1(true);
         self.flush_results(true, out);
-        self.pay_due(out);
+        self.hand_over(out);
         Progress::Finished
     }
 
@@ -623,7 +621,7 @@ impl Consumer {
     /// operator state, recalled held probes, a forwarded stray, a
     /// failover replay). Recorded but always processed: bucket ping-pong
     /// legitimately re-delivers a seq, and the recall barrier already
-    /// guarantees exactly-once for this path. The modelled cost is paid
+    /// guarantees exactly-once for this path. The modelled cost falls due
     /// once for the block, like a data block's.
     pub(crate) fn on_migrated<O: ConsumerOut>(&mut self, block: Vec<Routed>, out: &mut O) {
         for (stream, source, tuple) in block {
@@ -632,6 +630,6 @@ impl Consumer {
             }
             self.hold_or_process(stream, source, tuple, out);
         }
-        self.pay_due(out);
+        self.hand_over(out);
     }
 }

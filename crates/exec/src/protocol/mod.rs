@@ -406,11 +406,14 @@ mod tests {
         steps(c, out)
     }
 
-    /// Runs steps until none is owed. Returns whether the last one
-    /// finished the consumer.
+    /// Runs steps until none is owed, taking each one's debt as the
+    /// consumer thread does. Returns whether the last one finished the
+    /// consumer.
     fn steps(c: &mut Consumer, out: &mut FakeOut) -> bool {
         loop {
-            match c.step(out) {
+            let progress = c.step(out);
+            out.pay(c);
+            match progress {
                 Progress::Busy => {}
                 Progress::Idle => return false,
                 Progress::Finished => return true,
@@ -443,7 +446,7 @@ mod tests {
             Shipped::Sent(0)
         }
 
-        fn eos(&mut self, dest: usize, _stream: StreamTag, _source: usize) {
+        fn eos(&mut self, dest: usize, _stream: StreamTag) {
             self.eos.push(dest);
         }
     }
@@ -461,7 +464,8 @@ mod tests {
         handovers: Vec<Vec<u64>>,
         /// The run-wide count a test may wire in as `Consumer::progress`.
         progress: Arc<AtomicU64>,
-        /// At each `pay`: the samples handed over so far, and `progress`.
+        /// At each pay of a debt: the samples handed over so far, and
+        /// `progress`.
         pays: Vec<(usize, u64)>,
     }
 
@@ -483,14 +487,18 @@ mod tests {
         fn samples(&self) -> Vec<u64> {
             self.handovers.concat()
         }
+
+        /// Takes `c`'s debt where its driver does, and records the pay
+        /// when there is one to make.
+        fn pay(&mut self, c: &mut Consumer) {
+            if c.take_due() > 0.0 {
+                let progress = self.progress.load(Ordering::Relaxed);
+                self.pays.push((self.samples().len(), progress));
+            }
+        }
     }
 
     impl ConsumerOut for FakeOut {
-        fn pay(&mut self, _model_ms: f64) {
-            let progress = self.progress.load(Ordering::Relaxed);
-            self.pays.push((self.samples().len(), progress));
-        }
-
         fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
             self.acks.push((source, cp.id));
             let acked = || self.x.acknowledge(source, self.index, cp, epoch, |_| {});
@@ -1188,6 +1196,7 @@ mod tests {
                     retransmit: false,
                 };
                 c.on_block(block, &mut out);
+                out.pay(&mut c);
                 assert!(out.handovers.len() <= before + 1, "one hand-over a block");
                 nothing_pending(&c, &out);
             }
@@ -1230,6 +1239,7 @@ mod tests {
             },
             &mut out,
         );
+        out.pay(&mut c);
         assert_eq!((c.processed(), out.pays.len()), (0, 0), "held: no work yet");
         let built = (0..8u64).map(|s| Staged::Tuple(StreamTag::Build, tuple(s as i64, s)));
         c.on_block(
@@ -1240,6 +1250,7 @@ mod tests {
             },
             &mut out,
         );
+        out.pay(&mut c);
         nothing_pending(&c, &out);
         let (handovers, pays) = (out.handovers.len(), out.pays.len());
         assert!(
@@ -1254,6 +1265,7 @@ mod tests {
 
         let handovers = out.handovers.len();
         c.on_migrated(probes(50..75), &mut out);
+        out.pay(&mut c);
         assert_eq!(out.handovers.len(), handovers + 1, "one for the block");
         nothing_pending(&c, &out);
 

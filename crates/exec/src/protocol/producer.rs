@@ -22,9 +22,8 @@ use gridq_recovery::{DeliveryGap, LogMoves, RetryBackoff, RetryPolicy};
 use super::{sane_ms, Block, Exchange, Staged};
 
 /// Where a producer's blocks go. Implemented by the run skeleton's
-/// `ProducerSink` (one SPSC ring per worker endpoint, holding [`Block`]s
-/// on threads and encoded `DATA` payloads on sockets) and by the protocol
-/// tests' recording fake.
+/// `ProducerSink` (one SPSC ring of [`Block`]s per worker endpoint, on
+/// both real substrates) and by the protocol tests' recording fake.
 pub(crate) trait BlockSink {
     /// Spends accrued modelled cost (model milliseconds).
     fn pay(&mut self, model_ms: f64);
@@ -32,7 +31,7 @@ pub(crate) trait BlockSink {
     fn ship(&mut self, dest: usize, block: Block, duplicate: bool) -> Shipped;
     /// This source's stream has ended for `dest`; ordered behind every
     /// block shipped to it.
-    fn eos(&mut self, dest: usize, stream: StreamTag, source: usize);
+    fn eos(&mut self, dest: usize, stream: StreamTag);
 }
 
 /// The static description of one producer.
@@ -299,7 +298,7 @@ impl Producer {
         }
         if shipped && !self.x.resilient {
             for dest in 0..self.spec.dests {
-                sink.eos(dest, self.spec.stream, self.spec.source);
+                sink.eos(dest, self.spec.stream);
             }
         }
         shipped
@@ -350,7 +349,7 @@ impl Producer {
         }
         if self.x.resilient {
             for dest in 0..self.spec.dests {
-                sink.eos(dest, self.spec.stream, self.spec.source);
+                sink.eos(dest, self.spec.stream);
             }
         }
         RetryStep::Done

@@ -13,9 +13,10 @@
 //! executor: set-up, producers over the ring sink, the adaptation
 //! thread that deploys this substrate's `ScriptedAdaptation`s, join
 //! order, report totals) and the protocol is the crate's private
-//! `protocol` module — shared, not ported. What lives here is what a
-//! *worker endpoint* is on sockets: payload codecs, links, link and
-//! reader threads, worker launch and teardown, and the worker itself.
+//! `protocol` module — shared, not ported. What lives here is the codec
+//! the threaded substrate gains at the link: payload codecs, links, link
+//! and reader threads, worker launch and teardown, and the worker's frame
+//! reader.
 //!
 //! Topology is a star: workers connect to the coordinator's listener
 //! and identify themselves with a `Hello` carrying their index and the
@@ -23,13 +24,14 @@
 //! `conn_drop` chaos resumes exactly where the connection died — each
 //! side retransmits the outbox suffix the other missed, and the link
 //! layer's sequence dedup absorbs the overlap. Within the coordinator,
-//! one link thread per worker multiplexes that worker's per-producer
-//! SPSC rings and its control messages through the same `Inbox` a
-//! threaded consumer uses, and relays them onto the socket (the rings
-//! bound producer memory and park producers when a `slow_peer` stops
-//! reading), and one reader thread per connection dispatches worker
-//! frames (acks, results, recall replies, stray forwards) under the link
-//! lock so reconnections can never reorder delivery.
+//! one link thread per worker multiplexes the rings of blocks a threaded
+//! consumer would pop and its control messages through the same `Inbox`,
+//! and encodes what it pops onto the socket (the rings bound producer
+//! memory and park producers when a `slow_peer` stops reading), and one
+//! reader thread per connection decodes each worker frame into the call a
+//! threaded consumer makes in-process on its `Port` (acks, results,
+//! recall replies, stray forwards, completion), under the link lock so
+//! reconnections can never reorder delivery.
 //!
 //! The worker side is a frame reader in front of the threaded executor's
 //! own consumer thread: the reader keeps the connection and feeds the
@@ -73,11 +75,11 @@ use gridq_obs::{ObsConfig, RunReport};
 use gridq_recovery::Checkpoint;
 
 use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
-use crate::protocol::coordinator::{MigrateCmd, RecallReply};
-use crate::protocol::{sane_ms, validate_knobs, Block, Exchange, Routed, Staged};
+use crate::protocol::coordinator::MigrateCmd;
+use crate::protocol::{sane_ms, validate_knobs, Block, Routed, Staged};
 use crate::{
-    real_time, spin_for, surrendered, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Raw,
-    RetryPolicy, RingPayload, Run, ThreadedConfig, Wiring, WorkerEvent, RING_BLOCKS,
+    real_time, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Port, RetryPolicy, Run,
+    ThreadedConfig, Wiring, RING_BLOCKS,
 };
 
 /// Application-level message tags, the first payload byte of every
@@ -209,11 +211,8 @@ fn get_routed_block(r: &mut Reader<'_>) -> Result<Vec<Routed>> {
 /// inverse, arm for arm.
 enum WireMsg {
     Config(Box<WireConfig>),
-    Data(Block),
-    Eos {
-        stream: StreamTag,
-        source: usize,
-    },
+    /// A data ring's item: `DATA` or `EOS`.
+    Data(DataMsg),
     Drain {
         token: u64,
     },
@@ -245,7 +244,7 @@ impl WireMsg {
         let tagged = |t: u8| vec![t];
         match self {
             WireMsg::Config(cfg) => cfg.encode(),
-            WireMsg::Data(block) => {
+            WireMsg::Data(DataMsg::Block(block)) => {
                 let mut out = tagged(tag::DATA);
                 put_varint(&mut out, block.source as u64);
                 out.push(u8::from(block.retransmit));
@@ -267,10 +266,9 @@ impl WireMsg {
                 }
                 out
             }
-            WireMsg::Eos { stream, source } => {
+            WireMsg::Data(DataMsg::Eos(stream)) => {
                 let mut out = tagged(tag::EOS);
                 put_stream(&mut out, *stream);
-                put_varint(&mut out, *source as u64);
                 out
             }
             WireMsg::Drain { token } => enc_token(tag::DRAIN, *token),
@@ -351,16 +349,13 @@ impl WireMsg {
                         }
                     });
                 }
-                WireMsg::Data(Block {
+                WireMsg::Data(DataMsg::Block(Block {
                     source,
                     items,
                     retransmit,
-                })
+                }))
             }
-            tag::EOS => WireMsg::Eos {
-                stream: get_stream(r)?,
-                source: r.varint()? as usize,
-            },
+            tag::EOS => WireMsg::Data(DataMsg::Eos(get_stream(r)?)),
             tag::DRAIN => WireMsg::Drain { token: r.varint()? },
             tag::DRAINED => WireMsg::Drained { token: r.varint()? },
             tag::MIGRATE_DONE => WireMsg::MigrateDone { token: r.varint()? },
@@ -907,28 +902,6 @@ impl From<Msg> for LinkCtl {
     }
 }
 
-/// The socket producer's ring payload: blocks are encoded once, on the
-/// producer thread, as the `DATA` (or `EOS`) frame payload the link
-/// thread stamps and writes.
-impl RingPayload for Vec<u8> {
-    fn block(block: Block) -> Self {
-        WireMsg::Data(block).encode()
-    }
-
-    fn eos(stream: StreamTag, source: usize) -> Self {
-        WireMsg::Eos { stream, source }.encode()
-    }
-
-    /// Decodes the frame again: only a push that gave way to a recall
-    /// pays for it.
-    fn unblock(self) -> Option<Block> {
-        match WireMsg::decode(&self) {
-            Ok(WireMsg::Data(block)) => Some(block),
-            _ => None,
-        }
-    }
-}
-
 /// How long an idle link thread parks; every push and every control
 /// send wakes it, so this only bounds a missed wakeup.
 const LINK_PARK: Duration = Duration::from_millis(50);
@@ -941,18 +914,18 @@ struct Link {
     link: Arc<Mutex<LinkState>>,
     chaos: Option<Arc<dyn ChaosHook>>,
     /// One data ring per producer plus the control plane.
-    inbox: Inbox<LinkCtl, Vec<u8>>,
+    inbox: Inbox<LinkCtl, DataMsg>,
     conn: Option<Stream>,
 }
 
 impl Link {
-    /// Stamps `payload` into the link outbox and writes it if a
+    /// Encodes `msg`, stamps it into the link outbox and writes it if a
     /// connection is live. The stamp happens unconditionally: a failed
     /// or skipped write leaves the frame in the outbox, and the next
     /// reconnection's `retransmit_after` delivers it. `data` gates the
     /// chaos seams — only data frames are dropped/chunked, mirroring
     /// the threaded executor's data-plane-only injection.
-    fn send_seq(&mut self, payload: Vec<u8>, data: bool) {
+    fn send_seq(&mut self, msg: &WireMsg, data: bool) {
         if data
             && self.conn.is_some()
             && self
@@ -968,6 +941,7 @@ impl Link {
             }
             self.conn = None;
         }
+        let payload = msg.encode();
         let frame = self.link.lock().stamp(kind::MSG, payload);
         let Some(conn) = &mut self.conn else { return };
         let bytes = frame.encode();
@@ -1016,11 +990,11 @@ impl Link {
                     // Producers are parked (recall) or finished
                     // (shutdown) when a barrier is issued, so the rings
                     // are quiescent and this drain terminates.
-                    while let Some(payload) = self.inbox.pop_data() {
-                        self.send_seq(payload, true);
+                    while let Some(item) = self.inbox.pop_data() {
+                        self.send_seq(&WireMsg::Data(item), true);
                     }
                 }
-                self.send_seq(msg.encode(), false);
+                self.send_seq(&msg, false);
             }
             LinkCtl::AckNow => {
                 // Only send when a connection is live: the ack frame is
@@ -1048,7 +1022,7 @@ impl Link {
                         return;
                     }
                 }
-                Wake::Data(payload) => self.send_seq(payload, true),
+                Wake::Data(item) => self.send_seq(&WireMsg::Data(item), true),
                 Wake::Idle(_) => {}
                 Wake::Closed => return,
             }
@@ -1067,58 +1041,41 @@ impl Link {
 #[derive(Clone)]
 struct ReaderCtx {
     states: Vec<Arc<Mutex<LinkState>>>,
-    x: Exchange,
     links: Vec<InboxSender<LinkCtl>>,
-    events: Sender<WorkerEvent>,
-    replies: Sender<RecallReply>,
-    raw: Sender<Raw>,
+    /// Each worker's coordinator-side outlet, the one a threaded
+    /// consumer calls in-process.
+    ports: Vec<Port<LinkCtl>>,
     shutdown: Arc<AtomicBool>,
-    scale: f64,
 }
 
-/// Dispatches one fresh application payload from `worker`.
-/// Called with the link lock held, which orders dispatch across
-/// reconnections; the lock order is strictly link -> router/logs, and
-/// no thread takes them in the other order.
-fn dispatch(ctx: &ReaderCtx, worker: usize, payload: &[u8]) -> Result<()> {
+/// Replays one fresh application payload from a worker as the call its
+/// consumer thread would have made on `port` in-process. Called with the
+/// link lock held, which orders dispatch across reconnections; the lock
+/// order is strictly link -> router/logs, and no thread takes them in
+/// the other order.
+fn dispatch(port: &mut Port<LinkCtl>, payload: &[u8]) -> Result<()> {
     match WireMsg::decode(payload)? {
-        WireMsg::Results(tuples) => {
-            let _ = ctx.events.send(WorkerEvent::Results(tuples));
-        }
+        WireMsg::Results(tuples) => port.results(tuples),
+        // The worker has evicted its dedup entries already: the log's
+        // verdict has nobody to tell.
         WireMsg::Ack { source, cp, epoch } => {
-            let pay = |ms| spin_for(ms, ctx.scale);
-            let _ = ctx.x.acknowledge(source, worker, cp, epoch, pay);
+            port.ack(source, cp, epoch);
         }
-        // A swallowed reply models a worker crashed mid-recall: the
-        // coordinator's barrier times out and the recall aborts pre-swap.
-        WireMsg::Drained { token } => {
-            if ctx.x.reply_survives(RecallPhase::Drain, worker) {
-                let _ = ctx.replies.send(RecallReply::Drained { token });
-            }
-        }
-        WireMsg::MigrateDone { token } => {
-            if ctx.x.reply_survives(RecallPhase::Migrate, worker) {
-                let _ = ctx.replies.send(RecallReply::MigrateDone { token });
-            }
-        }
-        WireMsg::StateOut(entries) => surrendered(&ctx.x, &ctx.replies, &ctx.raw, worker, entries),
+        WireMsg::Drained { token } => port.reply(RecallPhase::Drain, token),
+        WireMsg::MigrateDone { token } => port.reply(RecallPhase::Migrate, token),
+        WireMsg::StateOut(entries) => port.surrendered(entries),
+        // A retransmitted tuple the worker cannot verify ownership of (it
+        // has no router): re-routed here, and back to the sender when it
+        // still owns it.
         WireMsg::Stray((stream, source, tuple)) => {
-            // A retransmitted tuple the worker cannot verify ownership
-            // of (it has no router): the shared re-route routine finds
-            // the current owner, the log entry following the tuple.
-            let owner = ctx.x.reroute_stray(worker, stream, source, &tuple);
-            ctx.links[owner].send(Msg::Migrated(vec![(stream, source, tuple)]).into());
+            if let Some(tuple) = port.stray(stream, source, tuple) {
+                port.peers[port.index].send(Msg::Migrated(vec![(stream, source, tuple)]).into());
+            }
         }
         WireMsg::Done {
             processed,
             dedup_peak,
-        } => {
-            let _ = ctx.events.send(WorkerEvent::Done {
-                worker,
-                processed,
-                dedup_peak,
-            });
-        }
+        } => port.done(processed, dedup_peak),
         _ => {
             return Err(GridError::Execution(format!(
                 "socket: unexpected worker frame tag {:?}",
@@ -1140,13 +1097,14 @@ fn reader_loop(
     mut dec: Decoder,
     leftovers: Vec<Frame>,
 ) {
-    let process = |frames: &[Frame]| -> bool {
+    let mut port = ctx.ports[worker].clone();
+    let mut process = |frames: &[Frame]| -> bool {
         if frames.is_empty() {
             return true;
         }
         let mut link = ctx.states[worker].lock();
         for f in frames {
-            if link.on_receive(f) == Receive::Fresh && dispatch(&ctx, worker, &f.payload).is_err() {
+            if link.on_receive(f) == Receive::Fresh && dispatch(&mut port, &f.payload).is_err() {
                 return false;
             }
         }
@@ -1321,7 +1279,7 @@ impl Net {
         plan: &DistributedPlan,
         reconnects: Arc<AtomicU64>,
         largest_frame: Arc<AtomicU64>,
-        w: Wiring<Vec<u8>>,
+        mut w: Wiring,
     ) -> Result<Net> {
         let partitions = w.rings.len();
         let addr_hint = match config.transport {
@@ -1335,7 +1293,7 @@ impl Net {
             .collect();
         let mut links: Vec<InboxSender<LinkCtl>> = Vec::with_capacity(partitions);
         let mut link_handles = Vec::with_capacity(partitions);
-        for (worker, rings) in w.rings.into_iter().enumerate() {
+        for (worker, rings) in w.rings.drain(..).enumerate() {
             let (tx, inbox) = inbox(rings);
             links.push(tx);
             let link = Link {
@@ -1352,15 +1310,14 @@ impl Net {
         let reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
         let accept_handle = {
+            // No failover over sockets: the ports' crash seam is never
+            // consulted here, and no M1 reaches them.
+            let port = |i| Port::new(&w, plan, i, links.clone(), config.cost_scale, false);
             let ctx = ReaderCtx {
                 states: link_states.clone(),
-                x: w.x.clone(),
                 links: links.clone(),
-                events: w.events,
-                replies: w.replies,
-                raw: w.raw,
+                ports: (0..partitions).map(port).collect(),
                 shutdown: Arc::clone(&shutdown),
-                scale: config.cost_scale,
             };
             let readers = Arc::clone(&reader_handles);
             thread::spawn(move || accept_loop(listener, ctx, readers, reconnects, handshake_tx))
@@ -1476,17 +1433,17 @@ impl Endpoints for Net {
     /// a worker whose connection died at the wrong moment can still
     /// reconnect and receive it, and its last frames are read. Forced:
     /// everything is closed down without waiting on worker cooperation —
-    /// spawned children are killed; in-process worker threads exit on
-    /// their own once the listener dies (their reconnect attempts fail
-    /// fast).
+    /// spawned children are killed; in-process worker threads are joined
+    /// once the listener, links and readers are gone (their reconnect
+    /// attempts then fail fast), and each one that panicked is named.
     fn stop(mut self, clean: bool) -> Vec<String> {
         let mut failed = Vec::new();
-        let workers = std::mem::take(&mut self.workers);
+        let mut workers = std::mem::take(&mut self.workers);
         if clean {
             for link in &self.links {
                 link.send(Msg::Release.into());
             }
-            for (i, worker) in workers.into_iter().enumerate() {
+            for (i, worker) in workers.drain(..).enumerate() {
                 failed.extend(worker.and_then(|w| w.join(i)));
             }
             // A released worker's last frames (its final flush and
@@ -1494,8 +1451,8 @@ impl Endpoints for Net {
             // before it reads the end of its connection.
             failed.extend(join_readers(&self.reader_handles));
         } else {
-            for worker in workers {
-                if let Some(WorkerJoin::Process(mut c)) = worker {
+            for worker in &mut workers {
+                if let Some(WorkerJoin::Process(c)) = worker {
                     let _ = c.kill();
                     let _ = c.wait();
                 }
@@ -1518,6 +1475,13 @@ impl Endpoints for Net {
         failed.extend(join_readers(&self.reader_handles));
         if let Addr::Unix(p) = &self.addr {
             let _ = std::fs::remove_file(p);
+        }
+        // A worker that died a moment after the one the run stopped for
+        // is named too, and none outlives the run's error.
+        for (i, worker) in workers.into_iter().enumerate() {
+            if let Some(WorkerJoin::Thread(h)) = worker {
+                failed.extend(h.join().is_err().then(|| format!("worker {i} panicked")));
+            }
         }
         let peak = self.states.iter().map(|l| l.lock().peak_payload()).max();
         self.largest_frame
@@ -1632,26 +1596,20 @@ impl WorkerWire {
     }
 }
 
-/// A socket worker's outlet: every output is a frame to the coordinator.
-struct FrameOut {
-    pacer: Pacer,
-    wire: Arc<Mutex<WorkerWire>>,
-}
+/// A socket worker's outlet: every output is a frame to the coordinator,
+/// decoded there into the same call on the worker's `Port`.
+struct FrameOut(Arc<Mutex<WorkerWire>>);
 
 impl FrameOut {
     fn send(&self, msg: &WireMsg) {
         let payload = msg.encode();
-        let mut wire = self.wire.lock();
+        let mut wire = self.0.lock();
         let frame = wire.link.stamp(kind::MSG, payload);
         wire.write(&frame);
     }
 }
 
 impl ConsumerOut for FrameOut {
-    fn pay(&mut self, model_ms: f64) {
-        self.pacer.pay(model_ms);
-    }
-
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
         self.send(&WireMsg::Ack { source, cp, epoch });
         // The log lives on the coordinator: its verdict is invisible
@@ -1676,10 +1634,6 @@ impl ConsumerOut for FrameOut {
 }
 
 impl Outlet for FrameOut {
-    fn pacer(&mut self) -> &mut Pacer {
-        &mut self.pacer
-    }
-
     fn reply(&mut self, phase: RecallPhase, token: u64) {
         self.send(&match phase {
             RecallPhase::Drain => WireMsg::Drained { token },
@@ -1829,9 +1783,9 @@ fn read_frames(
                         let (data, ring_rx) = ring(RING_BLOCKS);
                         let (ctrl, inbox) = inbox(vec![ring_rx]);
                         let pacer = Pacer::new(inbox, cfg.cost_scale);
-                        let wire = Arc::clone(wire);
+                        let out = FrameOut(Arc::clone(wire));
                         let consumer = Consumer::new(cfg.spec, evaluator);
-                        let handle = ConsumerThread::spawn(consumer, FrameOut { pacer, wire });
+                        let handle = ConsumerThread::spawn(consumer, pacer, out);
                         let stall = real_time(cfg.read_stall_ms, cfg.cost_scale);
                         *started = Some(Started {
                             ctrl,
@@ -1850,8 +1804,7 @@ fn read_frames(
                     }
                 };
                 let delivered = match msg {
-                    WireMsg::Data(block) => st.data.push(DataMsg::Block(block)).is_ok(),
-                    WireMsg::Eos { stream, .. } => st.data.push(DataMsg::Eos(stream)).is_ok(),
+                    WireMsg::Data(item) => st.data.push(item).is_ok(),
                     WireMsg::Drain { token } => st.ctrl.send(Msg::Drain { token }),
                     WireMsg::Migrate(cmd) => st.ctrl.send(Msg::Migrate(cmd)),
                     WireMsg::Migrated(block) => st.ctrl.send(Msg::Migrated(block)),
@@ -1873,6 +1826,9 @@ fn read_frames(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::coordinator::RecallReply;
+    use crate::protocol::Exchange;
+    use crate::{Raw, WorkerEvent};
     use gridq_common::check::{Check, Gen};
     use gridq_common::{DetRng, Value};
     use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan};
@@ -2029,6 +1985,43 @@ mod tests {
         assert!(
             msg.contains("worker 0 panicked") && msg.contains("worker 1 panicked"),
             "the error must name the dead workers: {msg}"
+        );
+    }
+
+    /// Two workers die a moment apart: the run stops for the first, and
+    /// its unclean stop still joins the second and names it, instead of
+    /// leaving it running behind the run's error.
+    #[test]
+    fn a_worker_that_dies_after_the_run_stopped_is_named_too() {
+        let table = int_table("t", 0..50);
+        let built = AtomicU64::new(0);
+        let boom: ServiceResolver = Arc::new(move |name: &str, cost_ms: f64| {
+            let later = built.fetch_add(1, Ordering::SeqCst) > 0;
+            let svc = FnService::new(
+                name,
+                vec![DataType::Int],
+                DataType::Int,
+                cost_ms,
+                move |_| {
+                    if later {
+                        thread::sleep(Duration::from_millis(300));
+                    }
+                    panic!("service crashed")
+                },
+            );
+            Some(Arc::new(svc) as Arc<dyn Service>)
+        });
+        let mut config = SocketConfig::new(call_spec(&table), boom);
+        config.cost_scale = 0.002;
+        let err = SocketExecutor::new(catalog(&[&table]), config)
+            .run(&call_plan(&table, &CallShape::default()))
+            .unwrap_err();
+        let GridError::Execution(msg) = &err else {
+            panic!("expected an execution error, got {err:?}");
+        };
+        assert!(
+            msg.contains("worker 0 panicked") && msg.contains("worker 1 panicked"),
+            "the error must name both dead workers: {msg}"
         );
     }
 
@@ -2196,15 +2189,12 @@ mod tests {
         };
         let messages = vec![
             WireMsg::Config(Box::new(config)),
-            WireMsg::Data(Block {
+            WireMsg::Data(DataMsg::Block(Block {
                 source: rng.usize_in(0, 300),
                 items,
                 retransmit: rng.flip(),
-            }),
-            WireMsg::Eos {
-                stream: StreamTag::Probe,
-                source: rng.usize_in(0, 300),
-            },
+            })),
+            WireMsg::Data(DataMsg::Eos(StreamTag::Probe)),
             WireMsg::Drain { token: r_u64(rng) },
             WireMsg::Migrate(MigrateCmd {
                 token: r_u64(rng),
@@ -2291,6 +2281,138 @@ mod tests {
             payload.extend([0u8; 16]);
             assert!(WireMsg::decode(&payload).is_err(), "tag {t}");
         }
+    }
+
+    /// Swallows every recall reply worker 1 sends.
+    #[derive(Debug)]
+    struct MuteRepliesOf1;
+
+    impl ChaosHook for MuteRepliesOf1 {
+        fn on_recall_ctrl(&self, _phase: RecallPhase, worker: usize) -> bool {
+            worker != 1
+        }
+    }
+
+    /// The reader replays each worker->coordinator frame as the call a
+    /// threaded consumer makes on its port in-process, so each effect
+    /// lands where a threaded consumer's does: recall replies on the
+    /// reply channel (unless the seam swallows them), surrendered state
+    /// there too with the adaptation thread nudged, results and counts
+    /// as worker events, an ack in the log, and a stray at its owner —
+    /// back at the sender as `MIGRATED` when it still owns it.
+    #[test]
+    fn the_reader_replays_each_worker_frame_as_the_threaded_call() {
+        let (build, probe) = (int_table("b", 0..8), int_table("p", 0..8));
+        let plan = join_plan(&build, &probe, &JoinShape::default());
+        let x = Exchange::new(
+            &plan,
+            "test",
+            true,
+            Some(Arc::new(MuteRepliesOf1)),
+            false,
+            1,
+        )
+        .unwrap();
+        let (events_tx, events) = channel();
+        let (replies_tx, replies) = channel();
+        let (raw_tx, raw) = channel();
+        let w = Wiring {
+            x: x.clone(),
+            rings: Vec::new(),
+            events: events_tx,
+            replies: replies_tx,
+            raw: raw_tx,
+            obs: None,
+            processed_total: Arc::new(AtomicU64::new(0)),
+            started: Instant::now(),
+        };
+        let (links, mut links_rx): (Vec<_>, Vec<_>) = (0..2)
+            .map(|_| inbox::<LinkCtl, DataMsg>(Vec::new()))
+            .unzip();
+        let mut ports: Vec<Port<LinkCtl>> = (0..2)
+            .map(|i| Port::new(&w, &plan, i, links.clone(), 0.002, false))
+            .collect();
+        let mut feed = |worker: usize, msg: WireMsg| dispatch(&mut ports[worker], &msg.encode());
+        let probe_tuple = |key: i64| Tuple::with_seq(vec![Value::Int(key)], 100 + key as u64);
+
+        for worker in [0, 1] {
+            feed(worker, WireMsg::Drained { token: 3 }).unwrap();
+            feed(worker, WireMsg::MigrateDone { token: 3 }).unwrap();
+        }
+        let got: Vec<RecallReply> = replies.try_iter().collect();
+        assert!(
+            matches!(
+                got[..],
+                [
+                    RecallReply::Drained { token: 3 },
+                    RecallReply::MigrateDone { token: 3 }
+                ]
+            ),
+            "worker 0's replies arrive, worker 1's are swallowed"
+        );
+
+        let state = vec![(StreamTag::Build, 0, probe_tuple(5))];
+        feed(1, WireMsg::StateOut(state)).unwrap();
+        assert!(matches!(
+            replies.try_recv(),
+            Ok(RecallReply::Surrendered { worker: 1, entries }) if entries.len() == 1
+        ));
+        assert!(matches!(raw.try_recv(), Ok(Raw::LateState)));
+        assert_eq!(x.tallies.recall_blocks.load(Ordering::Relaxed), 1);
+
+        feed(0, WireMsg::Results(vec![probe_tuple(1), probe_tuple(2)])).unwrap();
+        let done = WireMsg::Done {
+            processed: 7,
+            dedup_peak: 2,
+        };
+        feed(1, done).unwrap();
+        assert!(matches!(events.try_recv(), Ok(WorkerEvent::Results(batch)) if batch.len() == 2));
+        assert!(matches!(
+            events.try_recv(),
+            Ok(WorkerEvent::Done {
+                worker: 1,
+                processed: 7,
+                dedup_peak: 2
+            })
+        ));
+
+        let log = x.log(1).unwrap();
+        let cp = log.record(0, (StreamTag::Probe, probe_tuple(3))).unwrap();
+        let cp = cp.expect("an interval of one closes every window");
+        assert_eq!(log.total_unacked(), 1);
+        feed(
+            0,
+            WireMsg::Ack {
+                source: 1,
+                cp,
+                epoch: log.epoch(),
+            },
+        )
+        .unwrap();
+        assert_eq!(log.total_unacked(), 0, "the ack landed in the log");
+
+        let owned_by = |w: u32| {
+            let mut router = x.router.lock();
+            let owned = |t: &Tuple| router.route(StreamTag::Probe, t).ok() == Some(w);
+            (0..64).map(probe_tuple).find(owned).unwrap()
+        };
+        for (owner, tuple) in [(0, owned_by(0)), (1, owned_by(1))] {
+            feed(0, WireMsg::Stray((StreamTag::Probe, 1, tuple.clone()))).unwrap();
+            match links_rx[owner].next(Duration::ZERO) {
+                Wake::Control(LinkCtl::Send(WireMsg::Migrated(block))) => {
+                    assert!(matches!(&block[..], [(_, 1, t)] if t.seq() == tuple.seq()));
+                }
+                _ => panic!("the stray must reach worker {owner} as MIGRATED"),
+            }
+        }
+
+        assert!(
+            feed(0, WireMsg::Drain { token: 1 }).is_err(),
+            "a coordinator->worker tag from a worker is an error"
+        );
+        assert!(replies.try_recv().is_err() && raw.try_recv().is_err());
+        assert!(events.try_recv().is_err());
+        drop(w);
     }
 
     #[test]
