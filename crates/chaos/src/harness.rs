@@ -163,7 +163,8 @@ impl Workload {
 
     /// Runs the workload over sockets. This substrate runs no live
     /// control loop yet: it deploys [`Knobs::script`] and ignores
-    /// `adaptivity`, `failover` and `obs`.
+    /// `adaptivity`, `failover` (a socket run with a chaos hook always
+    /// fails a dead worker over) and `obs`.
     pub fn run_socket(&self, knobs: &Knobs) -> Result<RunReport> {
         SocketExecutor::new(self.catalog.clone(), self.socket_config(knobs)).run(&self.plan)
     }
@@ -254,7 +255,7 @@ pub struct Knobs {
     pub delivery_retry: RetryPolicy,
     /// Failover of a crashed consumer on threads: its exit notice starts
     /// a recall that replays its recovery-log entries. The simulator
-    /// always fails over.
+    /// always fails over, and a socket run whenever it has a chaos hook.
     pub failover: bool,
     /// Observability layer.
     pub obs: ObsConfig,

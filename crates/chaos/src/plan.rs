@@ -15,7 +15,8 @@
 //! matrix families ([`FaultFamily::DataLoss`], [`FaultFamily::DataDup`])
 //! rather than broken fixtures, and [`FaultFamily::NodeCrash`] kills a
 //! worker outright through the `crash_worker` seam, with failover
-//! recovering it. A cell's plan depends on its seed, family and
+//! recovering it; [`FaultFamily::ConnDrop`] is the same death on the
+//! socket substrate, where a worker dies with its connection. A cell's plan depends on its seed, family and
 //! topology only, so the simulator and the threads run the same faults.
 //! The one deliberately unrecoverable shape — enough drops on one edge
 //! to outlast the retry budget, or a crash with no failover — is what
@@ -174,9 +175,10 @@ pub enum FaultEvent {
     /// Tear down the socket connection to worker `worker` immediately
     /// before its `nth` data frame is written (socket substrate only).
     ///
-    /// Survivable: the worker observes EOF, reconnects with a `Hello`
-    /// carrying its last received sequence number, and the link layer
-    /// retransmits the unacknowledged outbox suffix.
+    /// A crash, not a transient: a connection that ends before the run
+    /// releases its worker is the worker's death. The coordinator's
+    /// reader reports it, and the run fails the worker over from the
+    /// recovery logs, as [`FaultEvent::CrashConsumer`] does on threads.
     ConnDrop {
         /// Worker (connection) index.
         worker: usize,
@@ -368,9 +370,9 @@ pub enum FaultFamily {
     /// no partial-block acks) and a duplicate redelivers the full block
     /// (absorbed by `(source, first_seq..last_seq)` range dedup).
     BlockBoundary,
-    /// Sever worker connections mid-stream (socket substrate only):
-    /// healed by reconnect handshakes plus link-level outbox
-    /// retransmission.
+    /// Sever one worker's connection mid-stream (socket substrate only):
+    /// the socket crash family, one death per plan, failed over from the
+    /// recovery logs as [`FaultFamily::NodeCrash`] is on threads.
     ConnDrop,
     /// Fragment data frames into tiny writes (socket substrate only):
     /// absorbed by the incremental frame decoder.
@@ -615,12 +617,11 @@ impl FaultPlan {
                 }
             }
             FaultFamily::ConnDrop => {
-                for _ in 0..rng.usize_in(1, 4) {
-                    events.push(FaultEvent::ConnDrop {
-                        worker: rng.usize_in(0, workers),
-                        nth: rng.i64_in(1, 5) as u64,
-                    });
-                }
+                // One death: two workers survive one, not two.
+                events.push(FaultEvent::ConnDrop {
+                    worker: rng.usize_in(0, workers),
+                    nth: rng.i64_in(1, 10) as u64,
+                });
             }
             FaultFamily::PartialWrite => {
                 for _ in 0..rng.usize_in(2, 6) {
@@ -689,9 +690,15 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Whether the plan kills a worker.
+    /// Whether the plan kills a worker (a crash, or a dropped socket
+    /// connection).
     pub fn kills_a_worker(&self) -> bool {
-        let kill = |e: &FaultEvent| matches!(e, FaultEvent::CrashConsumer { .. });
+        let kill = |e: &FaultEvent| {
+            matches!(
+                e,
+                FaultEvent::CrashConsumer { .. } | FaultEvent::ConnDrop { .. }
+            )
+        };
         self.events.iter().any(kill)
     }
 

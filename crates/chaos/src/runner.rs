@@ -32,7 +32,7 @@ use gridq_obs::RunReport;
 use crate::harness::{run_on, Knobs, Workload};
 use crate::hook::PlanHook;
 use crate::oracle::{judge, judge_tenant, Verdict};
-use crate::plan::{FaultFamily, FaultPlan, Topology};
+use crate::plan::{FaultEvent, FaultFamily, FaultPlan, Topology};
 
 /// Which execution substrate a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -492,10 +492,12 @@ fn knobs(
             }
         }
         Substrate::Socket => {
-            if crashing {
+            let crash_seam = |e: &FaultEvent| matches!(e, FaultEvent::CrashConsumer { .. });
+            if plan.events.iter().any(crash_seam) {
                 return Err(GridError::Config(
-                    "crash faults have no socket analogue; the socket families are \
-                     conn_drop, partial_write, and slow_peer"
+                    "crash_consumer has no socket analogue: a socket worker dies with its \
+                     connection (conn_drop), and every socket run with a chaos hook fails \
+                     it over"
                         .into(),
                 ));
             }
@@ -554,7 +556,6 @@ fn workload(policy: Policy) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultEvent;
     use gridq_obs::Json;
 
     #[test]

@@ -134,8 +134,10 @@ pub trait ChaosHook: fmt::Debug + Send + Sync {
 
     /// Returns `true` to tear the socket connection to worker `worker`
     /// down immediately before the next data frame is written (socket
-    /// substrate only). The worker observes EOF, reconnects, and the
-    /// link layer retransmits the unacknowledged outbox suffix.
+    /// substrate only). A connection that ends before the run releases
+    /// its worker is the worker's death: the coordinator's reader
+    /// reports it, and the run fails the worker over from the recovery
+    /// logs, as it does a consumer killed through `crash_worker`.
     fn conn_drop(&self, worker: usize) -> bool {
         let _ = worker;
         false

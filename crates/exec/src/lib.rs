@@ -247,8 +247,9 @@ pub(crate) enum Raw {
     /// order they were taken.
     M1(Vec<M1>),
     M2(M2),
-    /// A consumer died through the crash seam (failover runs only): its
-    /// exit notice, which starts the failover.
+    /// A worker died (failover runs only): a consumer through the crash
+    /// seam, or a socket worker whose connection ended. Its exit notice,
+    /// which starts the failover.
     Down(usize),
     /// The run-wide routed count reached a scripted threshold.
     Routed,
@@ -1019,11 +1020,12 @@ impl<W: WorkerCommands> Adaptivity<W> {
         }
     }
 
-    /// Whether anything could ever hand this run a command to deploy
-    /// (failover requires live adaptivity). When nothing can, the run
-    /// needs no adaptation thread.
+    /// Whether anything could ever hand this run a command to deploy: the
+    /// live loop, the script, or a death (a failover run always has the
+    /// recall gate failover rides). When nothing can, the run needs no
+    /// adaptation thread.
     fn can_adapt(&self) -> bool {
-        self.enabled || !self.script.is_empty()
+        self.enabled || self.gate.is_some() || !self.script.is_empty()
     }
 
     fn run(mut self) -> RunReport {
@@ -1131,8 +1133,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
         let index = worker as u32;
         let down = self.control.node_down(&[index], self.rec.now_model());
         let down_seq = down.first().copied().unwrap_or(0);
-        // Config validation ties failover to R1 adaptivity, so the gate
-        // always exists here.
+        // A failover run always opens the recall gate, so it exists here.
         let Some(gate) = self.gate.as_deref() else {
             return;
         };
@@ -1368,7 +1369,8 @@ impl Collected {
 /// substrates: set-up, producers over the ring sink, the adaptation
 /// thread, join and teardown order, report totals. `cfg` is the
 /// coordinator's knobs — the socket executor fills one in from its own
-/// configuration (live adaptivity, failover, obs and tenancy off).
+/// configuration (live adaptivity, obs and tenancy off; failover on in a
+/// resilient run).
 pub(crate) struct Run<'a> {
     /// Names the executor in errors.
     pub(crate) who: &'static str,
@@ -1390,7 +1392,7 @@ impl Run<'_> {
         let (who, cfg) = (self.who, self.cfg);
         let live_r1 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R1;
         let live_r2 = cfg.adaptivity.enabled && cfg.adaptivity.response == ResponsePolicy::R2;
-        let recall_on = live_r1 || self.script.iter().any(|(_, c)| c.retrospective);
+        let recall_on = live_r1 || cfg.failover || self.script.iter().any(|(_, c)| c.retrospective);
         let resilient = cfg.chaos.is_some() || cfg.failover;
         let x = Exchange::new(
             plan,
@@ -1627,6 +1629,7 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridq_adapt::COOLDOWN_MS;
     use gridq_common::{DataType, DistributionVector, NetAction};
     use gridq_engine::evaluator::ServiceCallFactory;
     use gridq_engine::fixtures::{
@@ -1634,6 +1637,7 @@ mod tests {
     };
     use gridq_engine::service::{FnService, ServiceRegistry};
     use gridq_engine::Expr;
+    use gridq_obs::TimelineEvent;
 
     #[test]
     fn static_run_produces_all_results() {
@@ -1826,9 +1830,20 @@ mod tests {
             },
         );
         assert!(adaptivity.can_adapt());
-        // The script fires at once (threshold 0); then partition 1
-        // reports ten times partition 0's cost, which the detector,
-        // diagnoser and responder turn into a command of their own.
+        // The script fires at once (threshold 0). Once its recall is
+        // acknowledged, partition 1 reports ten times partition 0's cost,
+        // stamped a cooldown past that acknowledgement however late a
+        // busy host ran it, and the detector, diagnoser and responder
+        // turn that into a command of their own.
+        let adapt = thread::spawn(move || adaptivity.run());
+        let acked_at = (0..10_000)
+            .find_map(|_| {
+                thread::sleep(Duration::from_millis(1));
+                let events = obs.report().events;
+                let ack = |e: &TimelineEvent| matches!(e.kind, TimelineKind::DeployAck { .. });
+                events.iter().find(|e| ack(e)).map(|e| e.at_ms)
+            })
+            .expect("the scripted recall is acknowledged");
         for (partition, cost) in [(0u32, 1.0), (1, 10.0)] {
             raw_tx
                 .send(Raw::M1(vec![M1 {
@@ -1839,12 +1854,12 @@ mod tests {
                     leaf_wait_ms: 0.0,
                     selectivity: 1.0,
                     tuples_produced: 10,
-                    at: SimTime::from_millis(100.0 + f64::from(partition)),
+                    at: SimTime::from_millis(acked_at + COOLDOWN_MS + f64::from(partition + 1)),
                 }]))
                 .unwrap();
         }
         raw_tx.send(Raw::Stop).unwrap();
-        let counted = adaptivity.run();
+        let counted = adapt.join().unwrap();
         scanning.store(false, Ordering::Release);
         producer.join().unwrap();
 

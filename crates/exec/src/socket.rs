@@ -18,26 +18,26 @@
 //! and reader threads, worker launch and teardown, and the worker's frame
 //! reader.
 //!
-//! Topology is a star: workers connect to the coordinator's listener
-//! and identify themselves with a `Hello` carrying their index and the
-//! highest link sequence number they received, so a reconnection after
-//! `conn_drop` chaos resumes exactly where the connection died — each
-//! side retransmits the outbox suffix the other missed, and the link
-//! layer's sequence dedup absorbs the overlap. Within the coordinator,
-//! one link thread per worker multiplexes the rings of blocks a threaded
-//! consumer would pop and its control messages through the same `Inbox`,
-//! and encodes what it pops onto the socket (the rings bound producer
-//! memory and park producers when a `slow_peer` stops reading), and one
-//! reader thread per connection decodes each worker frame into the call a
-//! threaded consumer makes in-process on its `Port` (acks, results,
-//! recall replies, stray forwards, completion), under the link lock so
-//! reconnections can never reorder delivery.
+//! Topology is a star: each worker connects once to the coordinator's
+//! listener and identifies itself with a `HELLO` carrying its index.
+//! Within the coordinator, one link thread per worker multiplexes the
+//! rings of blocks a threaded consumer would pop and its control messages
+//! through the same `Inbox`, and encodes what it pops onto the socket
+//! (the rings bound producer memory and park producers when a
+//! `slow_peer` stops reading), and one reader thread per connection
+//! decodes each worker frame into the call a threaded consumer makes
+//! in-process on its `Port` (acks, results, recall replies, stray
+//! forwards, completion).
+//!
+//! A connection is FIFO until it ends, and an end before the run
+//! releases the worker is the worker's death: the reader reports it as a
+//! crashed threaded consumer reports its own, and a resilient run fails
+//! the worker over from the recovery logs (DESIGN §13). Frames therefore
+//! carry no link-level sequencing, acknowledgement or retransmission.
 //!
 //! The worker side is a frame reader in front of the threaded executor's
 //! own consumer thread: the reader keeps the connection and feeds the
-//! consumer's inbox, whose outlet stamps every output into the link
-//! outbox and writes it best-effort — the outbox retransmits everything
-//! the coordinator has not acknowledged once the worker reconnects.
+//! consumer's inbox, whose outlet writes every output as a frame.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -51,7 +51,6 @@ use std::time::{Duration, Instant};
 
 use gridq_adapt::{AdaptationCommand, AdaptivityConfig};
 use gridq_common::sync::ring::{inbox, ring, Inbox, InboxSender, RingSender, Wake};
-use gridq_common::sync::Mutex;
 use gridq_common::wire::{
     self, get_count, get_f64, get_str, get_u32, put_f64, put_str, put_varint, Reader,
 };
@@ -69,7 +68,7 @@ use gridq_engine::service::{Service, ServiceRegistry};
 use gridq_engine::{Expr, Table};
 use gridq_grid::Perturbation;
 use gridq_net::frame::kind;
-use gridq_net::link::{self, LinkState, Receive};
+use gridq_net::link;
 use gridq_net::{Addr, Decoder, Frame, Listener, Stream};
 use gridq_obs::{ObsConfig, RunReport};
 use gridq_recovery::Checkpoint;
@@ -78,12 +77,12 @@ use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
 use crate::protocol::coordinator::MigrateCmd;
 use crate::protocol::{sane_ms, validate_knobs, Block, Routed, Staged};
 use crate::{
-    real_time, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Port, RetryPolicy, Run,
+    real_time, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Port, Raw, RetryPolicy, Run,
     ThreadedConfig, Wiring, RING_BLOCKS,
 };
 
 /// Application-level message tags, the first payload byte of every
-/// sequenced (`kind::MSG`) frame. Every frame that carries tuples carries
+/// `kind::MSG` frame. Every frame that carries tuples carries
 /// at most one block of them — the exchange's `buffer_tuples` — so no
 /// payload grows with the size of the query.
 mod tag {
@@ -425,8 +424,8 @@ fn enc_routed_block(t: u8, block: &[Routed]) -> Vec<u8> {
 // The CONFIG payload: everything a worker needs before the first block.
 // ---------------------------------------------------------------------------
 
-/// The static per-worker configuration, sent as the first sequenced
-/// frame on every worker's link (command FIFO guarantees it precedes all
+/// The static per-worker configuration, sent as the first frame on
+/// every worker's link (command FIFO guarantees it precedes all
 /// data). Carried by value across the process boundary so a spawned
 /// `gridq-node` needs nothing but its command line and this frame.
 struct WireConfig {
@@ -835,9 +834,10 @@ impl SocketConfig {
 }
 
 /// What a socket-substrate execution measured: the one [`RunReport`]
-/// every substrate returns, with `reconnects` and `largest_frame_bytes`
-/// filled in. The live-loop fields (M1/M2 counts, failover, tenancy,
-/// `obs`) stay at their defaults until this substrate runs that loop.
+/// every substrate returns, with `largest_frame_bytes` filled in and, in
+/// a resilient run, the failover counts. The live-loop fields (M1/M2
+/// counts, tenancy, `obs`) stay at their defaults until this substrate
+/// runs that loop.
 pub type SocketReport = RunReport;
 
 /// Parses an `Addr` from its `Display` form (`tcp:HOST:PORT` or
@@ -854,19 +854,32 @@ pub fn parse_addr(s: &str) -> Result<Addr> {
     )))
 }
 
+/// The frame that carries `msg`. Frames go out unsequenced (seq and ack
+/// 0): a connection is FIFO until it ends, and its end is the worker's
+/// death (DESIGN §13).
+fn msg_frame(msg: &WireMsg) -> Frame {
+    let payload = msg.encode();
+    Frame {
+        kind: kind::MSG,
+        seq: 0,
+        ack: 0,
+        payload,
+    }
+}
+
 fn write_frame(conn: &mut Stream, frame: &Frame) -> std::io::Result<()> {
     conn.write_all(&frame.encode())?;
     conn.flush()
 }
 
-/// One read under a read time-out: `Some(n)` bytes, `None` when the
-/// time-out passed first, `Err` once the connection is over.
+/// One read: `Some(n)` bytes, `None` when a read time-out passed first
+/// or a signal interrupted it, `Err` once the connection is over.
 fn read_some(conn: &mut Stream, buf: &mut [u8]) -> std::io::Result<Option<usize>> {
-    use std::io::ErrorKind::{TimedOut, UnexpectedEof, WouldBlock};
+    use std::io::ErrorKind::{Interrupted, TimedOut, UnexpectedEof, WouldBlock};
     match conn.read(buf) {
         Ok(0) => Err(UnexpectedEof.into()),
         Ok(n) => Ok(Some(n)),
-        Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => Ok(None),
+        Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Ok(None),
         Err(e) => Err(e),
     }
 }
@@ -877,16 +890,10 @@ fn read_some(conn: &mut Stream, buf: &mut [u8]) -> std::io::Result<Option<usize>
 
 /// The control plane of one worker's link thread.
 enum LinkCtl {
-    /// A (re)established connection, plus the worker's advertised
-    /// `last_received` from its hello: retransmit past it and adopt the
-    /// stream.
-    Conn { stream: Stream, peer_last: u64 },
-    /// Send one control message (sequenced, outbox-backed). The recall
-    /// barrier and the final shutdown must trail every data block staged
-    /// before them, so the link drains its rings first.
+    /// Send one control message. The recall barrier and the final
+    /// shutdown must trail every data block staged before them, so the
+    /// link drains its rings first.
     Send(WireMsg),
-    /// The reader owes the worker a pure ack (outbox relief).
-    AckNow,
     /// Stop the link thread.
     Stop,
 }
@@ -908,153 +915,95 @@ const LINK_PARK: Duration = Duration::from_millis(50);
 
 /// One worker's link thread: the socket substrate's worker endpoint on
 /// the coordinator side. It pops the same rings and control messages a
-/// consumer thread would, and relays them as frames.
+/// consumer thread would, and writes them as frames. Once the connection
+/// has ended it keeps popping and discards what it pops: no producer
+/// parks on a dead worker, and the recovery logs keep every entry for
+/// the failover.
 struct Link {
     worker: usize,
-    link: Arc<Mutex<LinkState>>,
     chaos: Option<Arc<dyn ChaosHook>>,
     /// One data ring per producer plus the control plane.
     inbox: Inbox<LinkCtl, DataMsg>,
+    /// The connection's write half; `None` once it has ended.
     conn: Option<Stream>,
+    /// The largest payload written, in bytes.
+    largest: usize,
 }
 
 impl Link {
-    /// Encodes `msg`, stamps it into the link outbox and writes it if a
-    /// connection is live. The stamp happens unconditionally: a failed
-    /// or skipped write leaves the frame in the outbox, and the next
-    /// reconnection's `retransmit_after` delivers it. `data` gates the
-    /// chaos seams — only data frames are dropped/chunked, mirroring
-    /// the threaded executor's data-plane-only injection.
-    fn send_seq(&mut self, msg: &WireMsg, data: bool) {
-        if data
-            && self.conn.is_some()
-            && self
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.conn_drop(self.worker))
-        {
-            // Tear the connection down mid-stream: the worker sees EOF,
-            // reconnects, and the handshake retransmits this frame and
-            // everything unacknowledged before it.
-            if let Some(c) = &self.conn {
-                let _ = c.shutdown_both();
-            }
-            self.conn = None;
-        }
-        let payload = msg.encode();
-        let frame = self.link.lock().stamp(kind::MSG, payload);
+    /// Encodes `msg` and writes it. `data` gates the chaos seams — only
+    /// data frames are dropped or chunked, mirroring the threaded
+    /// executor's data-plane-only injection.
+    fn send(&mut self, msg: &WireMsg, data: bool) {
         let Some(conn) = &mut self.conn else { return };
+        let chaos = self.chaos.as_deref().filter(|_| data);
+        if chaos.is_some_and(|c| c.conn_drop(self.worker)) {
+            // The worker dies here: both ends read the end of the
+            // connection, and the reader reports the death.
+            let _ = conn.shutdown_both();
+            self.conn = None;
+            return;
+        }
+        let frame = msg_frame(msg);
+        self.largest = self.largest.max(frame.payload.len());
         let bytes = frame.encode();
-        let chunked = data
-            && self
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.partial_write(self.worker));
-        let res = if chunked {
+        let written = if chaos.is_some_and(|c| c.partial_write(self.worker)) {
             // Deliberately tiny writes with a flush after each: the
             // worker's incremental decoder must reassemble headers and
             // payloads split at arbitrary byte boundaries.
-            let mut r = Ok(());
-            for chunk in bytes.chunks(7) {
-                r = conn.write_all(chunk).and_then(|()| conn.flush());
-                if r.is_err() {
-                    break;
-                }
-            }
-            r
+            bytes
+                .chunks(7)
+                .try_for_each(|chunk| conn.write_all(chunk).and_then(|()| conn.flush()))
         } else {
             conn.write_all(&bytes).and_then(|()| conn.flush())
         };
-        if res.is_err() {
+        if written.is_err() {
             self.conn = None;
         }
     }
 
-    /// Handles one control command; returns `false` to stop.
+    /// Relays one control message; returns `false` to stop.
     fn handle(&mut self, ctl: LinkCtl) -> bool {
-        match ctl {
-            LinkCtl::Conn { stream, peer_last } => {
-                let frames = self.link.lock().retransmit_after(peer_last);
-                let mut stream = stream;
-                let mut ok = true;
-                for f in &frames {
-                    if write_frame(&mut stream, f).is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-                self.conn = ok.then_some(stream);
+        let LinkCtl::Send(msg) = ctl else {
+            return false;
+        };
+        if matches!(msg, WireMsg::Drain { .. } | WireMsg::Shutdown) {
+            // Producers are parked (recall) or finished (shutdown) when a
+            // barrier is issued, so the rings are quiescent and this
+            // drain terminates.
+            while let Some(item) = self.inbox.pop_data() {
+                self.send(&WireMsg::Data(item), true);
             }
-            LinkCtl::Send(msg) => {
-                if matches!(msg, WireMsg::Drain { .. } | WireMsg::Shutdown) {
-                    // Producers are parked (recall) or finished
-                    // (shutdown) when a barrier is issued, so the rings
-                    // are quiescent and this drain terminates.
-                    while let Some(item) = self.inbox.pop_data() {
-                        self.send_seq(&WireMsg::Data(item), true);
-                    }
-                }
-                self.send_seq(&msg, false);
-            }
-            LinkCtl::AckNow => {
-                // Only send when a connection is live: the ack frame is
-                // unsequenced and would otherwise silently reset the
-                // received-since-ack debt without relieving the peer.
-                if self.conn.is_some() {
-                    let f = self.link.lock().ack_frame();
-                    if let Some(conn) = &mut self.conn {
-                        if write_frame(conn, &f).is_err() {
-                            self.conn = None;
-                        }
-                    }
-                }
-            }
-            LinkCtl::Stop => return false,
         }
+        self.send(&msg, false);
         true
     }
 
-    fn run(mut self) {
+    /// Relays until stopped; returns the largest payload written.
+    fn run(mut self) -> usize {
         loop {
             match self.inbox.next(LINK_PARK) {
                 Wake::Control(ctl) => {
                     if !self.handle(ctl) {
-                        return;
+                        return self.largest;
                     }
                 }
-                Wake::Data(item) => self.send_seq(&WireMsg::Data(item), true),
+                Wake::Data(item) => self.send(&WireMsg::Data(item), true),
                 Wake::Idle(_) => {}
-                Wake::Closed => return,
+                Wake::Closed => return self.largest,
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator: per-connection reader thread.
+// Coordinator: per-worker reader thread.
 // ---------------------------------------------------------------------------
 
-/// Everything a reader thread needs to dispatch worker frames. Cloned
-/// per connection life; each worker's link is shared with its link
-/// thread and with successor readers, so frame processing under its lock
-/// is totally ordered across reconnections.
-#[derive(Clone)]
-struct ReaderCtx {
-    states: Vec<Arc<Mutex<LinkState>>>,
-    links: Vec<InboxSender<LinkCtl>>,
-    /// Each worker's coordinator-side outlet, the one a threaded
-    /// consumer calls in-process.
-    ports: Vec<Port<LinkCtl>>,
-    shutdown: Arc<AtomicBool>,
-}
-
-/// Replays one fresh application payload from a worker as the call its
-/// consumer thread would have made on `port` in-process. Called with the
-/// link lock held, which orders dispatch across reconnections; the lock
-/// order is strictly link -> router/logs, and no thread takes them in
-/// the other order.
-fn dispatch(port: &mut Port<LinkCtl>, payload: &[u8]) -> Result<()> {
-    match WireMsg::decode(payload)? {
+/// Replays one message from a worker as the call its consumer thread
+/// would have made on `port` in-process.
+fn dispatch(port: &mut Port<LinkCtl>, msg: WireMsg) -> Result<()> {
+    match msg {
         WireMsg::Results(tuples) => port.results(tuples),
         // The worker has evicted its dedup entries already: the log's
         // verdict has nobody to tell.
@@ -1077,141 +1026,113 @@ fn dispatch(port: &mut Port<LinkCtl>, payload: &[u8]) -> Result<()> {
             dedup_peak,
         } => port.done(processed, dedup_peak),
         _ => {
-            return Err(GridError::Execution(format!(
-                "socket: unexpected worker frame tag {:?}",
-                payload.first()
-            )))
+            return Err(GridError::Execution(
+                "socket: a worker sent a coordinator-to-worker message".into(),
+            ))
         }
     }
     Ok(())
 }
 
-/// Reads one connection life: feed the decoder, apply link dedup, and
-/// dispatch fresh frames under the link lock. Exits on EOF, a socket
-/// error, a framing error, or the shutdown flag; the worker reconnects
-/// and a successor reader takes over with the same link state.
+/// Reads worker `port.index`'s connection, dispatching each frame in
+/// arrival order, until the connection ends. An end before the run
+/// released the worker — end of file, a read error, lost framing, a
+/// malformed message — is the worker's death. A resilient run's reader
+/// reports it through the port, once and before it ends: `Raw::Down`,
+/// then the worker's completion with the counts of its last `DONE` (0
+/// without one), as a crashed threaded consumer does. A plain run's
+/// reader returns it instead, for `Net::stop` to name. Either way the
+/// connection is shut down on the way out, so a worker still alive reads
+/// its end too.
 fn reader_loop(
-    ctx: ReaderCtx,
-    worker: usize,
+    mut port: Port<LinkCtl>,
     mut conn: Stream,
     mut dec: Decoder,
-    leftovers: Vec<Frame>,
-) {
-    let mut port = ctx.ports[worker].clone();
-    let mut process = |frames: &[Frame]| -> bool {
-        if frames.is_empty() {
-            return true;
-        }
-        let mut link = ctx.states[worker].lock();
-        for f in frames {
-            if link.on_receive(f) == Receive::Fresh && dispatch(&mut port, &f.payload).is_err() {
-                return false;
-            }
-        }
-        if link.owes_ack() {
-            ctx.links[worker].send(LinkCtl::AckNow);
-        }
-        true
-    };
-    if !process(&leftovers) {
-        return;
-    }
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
+    mut frames: Vec<Frame>,
+    released: Arc<AtomicBool>,
+) -> Option<String> {
+    let (mut processed, mut dedup_peak) = (0, 0);
     let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
+    let why = loop {
+        let dispatched = frames.drain(..).try_for_each(|frame| {
+            let msg = WireMsg::decode(&frame.payload)?;
+            if let WireMsg::Done {
+                processed: p,
+                dedup_peak: d,
+            } = &msg
+            {
+                (processed, dedup_peak) = (*p, *d);
+            }
+            dispatch(&mut port, msg)
+        });
+        if let Err(e) = dispatched {
+            break e.to_string();
+        }
+        frames = match read_some(&mut conn, &mut buf) {
+            Ok(Some(n)) => match dec.feed(&buf[..n]) {
+                Ok(frames) => frames,
+                Err(e) => break e.to_string(),
+            },
+            Ok(None) => Vec::new(),
+            Err(e) => break e.to_string(),
+        };
+    };
+    let _ = conn.shutdown_both();
+    let worker = port.index;
+    if released.load(Ordering::SeqCst) {
+        return None;
+    }
+    if !port.failover_on {
+        return Some(format!("worker {worker}: {why}"));
+    }
+    let _ = port.raw.send(Raw::Down(worker));
+    port.done(processed, dedup_peak);
+    None
+}
+
+/// A worker's connection once it has said `HELLO(index)`: the index, the
+/// stream, the decoder's state and the frames that followed the hello.
+type Hello = (usize, Stream, Decoder, Vec<Frame>);
+
+/// Accepts connections until each of the `workers` has said
+/// `HELLO(index)` on one, handing each over as it arrives. Returns early
+/// once `stop` is set (a connection wakes the accept).
+fn accept_hellos(listener: Listener, workers: usize, stop: &AtomicBool, hellos: Sender<Hello>) {
+    let mut seen = vec![false; workers];
+    while seen.contains(&false) {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
             return;
         }
-        let n = match read_some(&mut conn, &mut buf) {
-            Ok(Some(n)) => n,
-            Ok(None) => continue,
-            Err(_) => return,
+        let Some((index, conn, dec, frames)) = accepted.ok().and_then(read_hello) else {
+            continue;
         };
-        let frames = match dec.feed(&buf[..n]) {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        if !process(&frames) {
+        if seen.get(index) != Some(&false) {
+            continue;
+        }
+        seen[index] = true;
+        if hellos.send((index, conn, dec, frames)).is_err() {
             return;
         }
     }
 }
 
-/// The accept loop: handshake each connection, hand the stream's read
-/// half to a fresh reader thread and its write half to the worker's
-/// link thread, which first retransmits whatever the worker missed.
-fn accept_loop(
-    listener: Listener,
-    ctx: ReaderCtx,
-    reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    reconnects: Arc<AtomicU64>,
-    handshakes: Sender<usize>,
-) {
-    let states = &ctx.states;
-    let mut lives = vec![0u64; states.len()];
-    loop {
-        let conn = match listener.accept() {
-            Ok(c) => c,
-            Err(_) => {
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
+/// Reads a connection's first frame, which must be a `HELLO` naming the
+/// worker.
+fn read_hello(mut conn: Stream) -> Option<Hello> {
+    conn.set_read_timeout(Some(Duration::from_millis(250)))
+        .ok()?;
+    let (mut dec, mut frames) = (Decoder::new(), Vec::new());
+    let mut buf = vec![0u8; 64 * 1024];
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while frames.is_empty() && Instant::now() < deadline {
+        if let Some(n) = read_some(&mut conn, &mut buf).ok()? {
+            frames = dec.feed(&buf[..n]).ok()?;
         }
-        // Handshake: the first frame must be a Hello naming the worker
-        // and its link high-water mark.
-        let _ = conn.set_read_timeout(Some(Duration::from_millis(250)));
-        let mut dec = Decoder::new();
-        let mut frames: Vec<Frame> = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut buf = vec![0u8; 64 * 1024];
-        let mut conn = conn;
-        while frames.is_empty() && Instant::now() < deadline {
-            let n = match read_some(&mut conn, &mut buf) {
-                Ok(Some(n)) => n,
-                Ok(None) => continue,
-                Err(_) => break,
-            };
-            match dec.feed(&buf[..n]) {
-                Ok(f) => frames.extend(f),
-                Err(_) => break,
-            }
-        }
-        let Some((index, peer_last)) = frames.first().and_then(link::parse_hello) else {
-            continue;
-        };
-        let index = index as usize;
-        if index >= states.len() {
-            continue;
-        }
-        let leftovers: Vec<Frame> = frames.split_off(1);
-        lives[index] += 1;
-        if lives[index] > 1 {
-            reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        // Tell the worker what we already received so it can retransmit
-        // just the missing suffix.
-        let ack = link::hello_ack(states[index].lock().last_received());
-        if write_frame(&mut conn, &ack).is_err() {
-            continue;
-        }
-        let Ok(read_half) = conn.try_clone() else {
-            continue;
-        };
-        let reader = ctx.clone();
-        reader_handles.lock().push(thread::spawn(move || {
-            reader_loop(reader, index, read_half, dec, leftovers)
-        }));
-        ctx.links[index].send(LinkCtl::Conn {
-            stream: conn,
-            peer_last,
-        });
-        let _ = handshakes.send(index);
     }
+    let index = usize::try_from(link::parse_hello(frames.first()?)?).ok()?;
+    conn.set_read_timeout(None).ok()?;
+    Some((index, conn, dec, frames.split_off(1)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1227,15 +1148,6 @@ enum WorkerJoin {
 }
 
 impl WorkerJoin {
-    /// Whether the worker has exited — reaped (or, for a thread,
-    /// finished and ready to join) without blocking.
-    fn exited(&mut self) -> bool {
-        match self {
-            WorkerJoin::Thread(h) => h.is_finished(),
-            WorkerJoin::Process(c) => !matches!(c.try_wait(), Ok(None)),
-        }
-    }
-
     /// Waits for the worker and describes how it ended, if badly.
     fn join(self, i: usize) -> Option<String> {
         match self {
@@ -1253,117 +1165,129 @@ impl WorkerJoin {
     }
 }
 
-/// The socket substrate's worker endpoints, coordinator side: listener,
-/// per-worker links and link threads, reader threads, and the launched
+/// The socket substrate's worker endpoints, coordinator side: one link
+/// thread and one reader thread per worker connection, and the launched
 /// workers.
 struct Net {
     addr: Addr,
-    shutdown: Arc<AtomicBool>,
-    states: Vec<Arc<Mutex<LinkState>>>,
-    /// Where `stop` leaves the largest sequenced payload any link saw.
+    /// Set once the run releases the workers: from then on the end of a
+    /// connection is the end of the run, not a death.
+    released: Arc<AtomicBool>,
+    /// Where `stop` leaves the largest payload any link wrote.
     largest_frame: Arc<AtomicU64>,
     links: Vec<InboxSender<LinkCtl>>,
-    link_handles: Vec<thread::JoinHandle<()>>,
-    accept_handle: Option<thread::JoinHandle<()>>,
-    reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    link_handles: Vec<thread::JoinHandle<usize>>,
+    /// Each returns an end of its connection it did not report.
+    readers: Vec<thread::JoinHandle<Option<String>>>,
+    /// A handle on each connection, for a forced stop to end it.
+    conns: Vec<Stream>,
     /// `None` once a worker has been joined.
     workers: Vec<Option<WorkerJoin>>,
 }
 
 impl Net {
-    /// Binds the listener, starts one link thread per worker and the
-    /// accept loop, launches the workers, waits for every first
-    /// handshake and ships each worker its configuration.
+    /// Binds the listener and connects the workers; on failure, stops
+    /// whatever was started.
     fn start(
         config: &SocketConfig,
         plan: &DistributedPlan,
-        reconnects: Arc<AtomicU64>,
         largest_frame: Arc<AtomicU64>,
-        mut w: Wiring,
+        w: Wiring,
     ) -> Result<Net> {
-        let partitions = w.rings.len();
-        let addr_hint = match config.transport {
+        let listener = Listener::bind(&match config.transport {
             SocketTransport::Unix => Addr::scratch_unix(),
             SocketTransport::Tcp => Addr::loopback_tcp(),
+        })?;
+        let mut net = Net {
+            addr: listener.local_addr()?,
+            released: Arc::new(AtomicBool::new(false)),
+            largest_frame,
+            links: Vec::new(),
+            link_handles: Vec::new(),
+            readers: Vec::new(),
+            conns: Vec::new(),
+            workers: Vec::new(),
         };
-        let listener = Listener::bind(&addr_hint)?;
-        let addr = listener.local_addr()?;
-        let link_states: Vec<Arc<Mutex<LinkState>>> = (0..partitions)
-            .map(|_| Arc::new(Mutex::new(LinkState::new())))
-            .collect();
-        let mut links: Vec<InboxSender<LinkCtl>> = Vec::with_capacity(partitions);
-        let mut link_handles = Vec::with_capacity(partitions);
-        for (worker, rings) in w.rings.drain(..).enumerate() {
-            let (tx, inbox) = inbox(rings);
-            links.push(tx);
+        match net.connect(config, plan, w, listener) {
+            Ok(()) => Ok(net),
+            Err(e) => {
+                net.stop(false);
+                Err(e)
+            }
+        }
+    }
+
+    /// Launches the workers, accepts each one's `HELLO`, starts its link
+    /// and reader threads and ships it its configuration — the first
+    /// frame on its link, so it precedes every data block.
+    fn connect(
+        &mut self,
+        config: &SocketConfig,
+        plan: &DistributedPlan,
+        mut w: Wiring,
+        listener: Listener,
+    ) -> Result<()> {
+        let partitions = w.rings.len();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (hello_tx, hello_rx) = channel::<Hello>();
+        let accept = {
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || accept_hellos(listener, partitions, &stop, hello_tx))
+        };
+        let mut connected = Ok(());
+        for i in 0..partitions {
+            match self.launch(i, config) {
+                Ok(worker) => self.workers.push(Some(worker)),
+                Err(e) => {
+                    connected = Err(e);
+                    break;
+                }
+            }
+        }
+        let mut hellos: Vec<Option<Hello>> = (0..partitions).map(|_| None).collect();
+        let deadline = Instant::now() + Duration::from_secs(15);
+        while connected.is_ok() && hellos.iter().any(Option::is_none) {
+            match hello_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(hello) => {
+                    let i = hello.0;
+                    hellos[i] = Some(hello);
+                }
+                Err(_) => {
+                    connected = Err(GridError::Execution(
+                        "socket: timed out waiting for workers to connect".into(),
+                    ))
+                }
+            }
+        }
+        if connected.is_err() {
+            stop.store(true, Ordering::SeqCst);
+            let _ = Stream::connect(&self.addr);
+        }
+        let _ = accept.join();
+        connected?;
+        let failover = config.chaos.is_some();
+        let (links, inboxes): (Vec<_>, Vec<_>) = w.rings.drain(..).map(inbox).unzip();
+        self.links = links;
+        for (inbox, (i, conn, dec, frames)) in inboxes.into_iter().zip(hellos.into_iter().flatten())
+        {
             let link = Link {
-                worker,
-                link: Arc::clone(&link_states[worker]),
+                worker: i,
                 chaos: config.chaos.clone(),
                 inbox,
-                conn: None,
+                conn: Some(conn.try_clone()?),
+                largest: 0,
             };
-            link_handles.push(thread::spawn(move || link.run()));
+            self.link_handles.push(thread::spawn(move || link.run()));
+            self.conns.push(conn.try_clone()?);
+            let port = Port::new(&w, plan, i, self.links.clone(), config.cost_scale, failover);
+            let released = Arc::clone(&self.released);
+            self.readers.push(thread::spawn(move || {
+                reader_loop(port, conn, dec, frames, released)
+            }));
         }
-        let (handshake_tx, handshake_rx) = channel::<usize>();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let reader_handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let accept_handle = {
-            // No failover over sockets: the ports' crash seam is never
-            // consulted here, and no M1 reaches them.
-            let port = |i| Port::new(&w, plan, i, links.clone(), config.cost_scale, false);
-            let ctx = ReaderCtx {
-                states: link_states.clone(),
-                links: links.clone(),
-                ports: (0..partitions).map(port).collect(),
-                shutdown: Arc::clone(&shutdown),
-            };
-            let readers = Arc::clone(&reader_handles);
-            thread::spawn(move || accept_loop(listener, ctx, readers, reconnects, handshake_tx))
-        };
-        let mut net = Net {
-            addr,
-            shutdown,
-            states: link_states,
-            largest_frame,
-            links,
-            link_handles,
-            accept_handle: Some(accept_handle),
-            reader_handles,
-            workers: Vec::with_capacity(partitions),
-        };
-        for i in 0..partitions {
-            match net.launch(i, config) {
-                Ok(worker) => net.workers.push(Some(worker)),
-                Err(e) => {
-                    net.stop(false);
-                    return Err(e);
-                }
-            }
-        }
-        // Wait until every worker has completed its first handshake.
-        let mut connected = vec![false; partitions];
-        let deadline = Instant::now() + Duration::from_secs(15);
-        while connected.contains(&false) {
-            let now = Instant::now();
-            if now >= deadline {
-                net.stop(false);
-                return Err(GridError::Execution(
-                    "socket: timed out waiting for workers to connect".into(),
-                ));
-            }
-            if let Ok(i) = handshake_rx.recv_timeout(deadline - now) {
-                if let Some(seen) = connected.get_mut(i) {
-                    *seen = true;
-                }
-            }
-        }
-        // Each worker's configuration is the first sequenced frame on
-        // its link, so it precedes every data block.
         let stage = &plan.stages[0];
         let sources = plan.sources.len();
-        for (i, link) in net.links.iter().enumerate() {
+        for (i, link) in self.links.iter().enumerate() {
             let perturbation = config.perturbations.get(&stage.nodes[i]);
             link.send(LinkCtl::Send(WireMsg::Config(Box::new(WireConfig {
                 spec: w
@@ -1379,7 +1303,7 @@ impl Net {
                 stage: config.stage.clone(),
             }))));
         }
-        Ok(net)
+        Ok(())
     }
 
     fn launch(&self, i: usize, config: &SocketConfig) -> Result<WorkerJoin> {
@@ -1416,27 +1340,28 @@ impl Endpoints for Net {
         self.links.clone()
     }
 
+    /// A reader reports a death before it ends, so a worker counts as
+    /// exited only once its reader has ended, whatever its thread or
+    /// process did; `stop` names how.
     fn exited(&mut self, worker: usize) -> Option<String> {
         if self.link_handles[worker].is_finished() {
             return Some(format!("link thread {worker} exited"));
         }
-        if !self.workers[worker].as_mut()?.exited() {
-            return None;
-        }
-        let how = self.workers[worker].take()?.join(worker);
-        Some(how.unwrap_or_else(|| format!("worker {worker} exited without DONE")))
+        let ended = self.readers[worker].is_finished();
+        ended.then(|| format!("worker {worker} lost its connection"))
     }
 
-    /// Graceful (`clean`): the release, relayed as SHUTDOWN, rides a ring
-    /// barrier so it trails any residual data, and the link threads, the
-    /// accept loop and the readers stay alive while the workers exit, so
-    /// a worker whose connection died at the wrong moment can still
-    /// reconnect and receive it, and its last frames are read. Forced:
-    /// everything is closed down without waiting on worker cooperation —
-    /// spawned children are killed; in-process worker threads are joined
-    /// once the listener, links and readers are gone (their reconnect
-    /// attempts then fail fast), and each one that panicked is named.
+    /// The release comes first either way: from then on the end of a
+    /// connection is no death. Graceful (`clean`): the release, relayed
+    /// as SHUTDOWN, rides a ring barrier so it trails any residual data;
+    /// the workers exit, and each reader dispatches its worker's last
+    /// frames before it reads the end of the connection. Forced: every
+    /// connection is ended at once without waiting on worker cooperation
+    /// — spawned children are killed (one that had already failed is
+    /// named by its status), in-process workers read the end and exit,
+    /// and each one that panicked is named.
     fn stop(mut self, clean: bool) -> Vec<String> {
+        self.released.store(true, Ordering::SeqCst);
         let mut failed = Vec::new();
         let mut workers = std::mem::take(&mut self.workers);
         if clean {
@@ -1446,33 +1371,38 @@ impl Endpoints for Net {
             for (i, worker) in workers.drain(..).enumerate() {
                 failed.extend(worker.and_then(|w| w.join(i)));
             }
-            // A released worker's last frames (its final flush and
-            // counts) precede its exit: each reader dispatches them
-            // before it reads the end of its connection.
-            failed.extend(join_readers(&self.reader_handles));
         } else {
-            for worker in &mut workers {
+            for (i, worker) in workers.iter_mut().enumerate() {
                 if let Some(WorkerJoin::Process(c)) = worker {
+                    if let Ok(Some(status)) = c.try_wait() {
+                        let how = format!("worker process {i}: {status}");
+                        failed.extend((!status.success()).then_some(how));
+                    }
                     let _ = c.kill();
                     let _ = c.wait();
                 }
             }
+            for conn in &self.conns {
+                let _ = conn.shutdown_both();
+            }
         }
-        // Link threads, then the accept loop, then the readers.
+        for reader in self.readers.drain(..) {
+            match reader.join() {
+                Ok(end) => failed.extend(end),
+                Err(_) => failed.push("reader panicked".into()),
+            }
+        }
         for link in self.links.drain(..) {
             link.send(LinkCtl::Stop);
         }
+        let mut largest = 0;
         for h in self.link_handles.drain(..) {
-            if h.join().is_err() {
-                failed.push("link thread panicked".into());
+            match h.join() {
+                Ok(written) => largest = largest.max(written),
+                Err(_) => failed.push("link thread panicked".into()),
             }
         }
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = Stream::connect(&self.addr);
-        if self.accept_handle.take().is_some_and(|h| h.join().is_err()) {
-            failed.push("accept loop panicked".into());
-        }
-        failed.extend(join_readers(&self.reader_handles));
+        self.largest_frame.store(largest as u64, Ordering::Relaxed);
         if let Addr::Unix(p) = &self.addr {
             let _ = std::fs::remove_file(p);
         }
@@ -1483,18 +1413,8 @@ impl Endpoints for Net {
                 failed.extend(h.join().is_err().then(|| format!("worker {i} panicked")));
             }
         }
-        let peak = self.states.iter().map(|l| l.lock().peak_payload()).max();
-        self.largest_frame
-            .store(peak.unwrap_or(0) as u64, Ordering::Relaxed);
         failed
     }
-}
-
-/// Joins the reader threads started so far; returns what failed.
-fn join_readers(handles: &Mutex<Vec<thread::JoinHandle<()>>>) -> Vec<String> {
-    let handles = std::mem::take(&mut *handles.lock());
-    let failed = handles.into_iter().filter_map(|h| h.join().err());
-    failed.map(|_| "reader panicked".to_string()).collect()
 }
 
 /// Executes a single-stage distributed plan over socket-connected
@@ -1539,8 +1459,9 @@ impl SocketExecutor {
             };
             script.push((a.after_routed, command));
         }
-        // This substrate scripts its adaptations and has no failover,
-        // obs or tenancy yet: the coordinator runs with them off.
+        // This substrate scripts its adaptations and has no obs or
+        // tenancy yet: the coordinator runs with them off. A resilient
+        // run fails a dead worker over.
         let coordinator = ThreadedConfig {
             adaptivity: AdaptivityConfig::disabled(),
             cost_scale: cfg.cost_scale,
@@ -1549,6 +1470,7 @@ impl SocketExecutor {
             recall_timeout_ms: cfg.recall_timeout_ms,
             chaos: cfg.chaos.clone(),
             delivery_retry: cfg.delivery_retry.clone(),
+            failover: cfg.chaos.is_some(),
             ..ThreadedConfig::default()
         };
         let run = Run {
@@ -1557,13 +1479,10 @@ impl SocketExecutor {
             script,
             finish_timeout: Some(Duration::from_secs(120)),
         };
-        let reconnects = Arc::new(AtomicU64::new(0));
         let largest_frame = Arc::new(AtomicU64::new(0));
         let mut report = run.execute(&self.catalog, plan, |w| {
-            let (reconnects, largest) = (Arc::clone(&reconnects), Arc::clone(&largest_frame));
-            Net::start(cfg, plan, reconnects, largest, w)
+            Net::start(cfg, plan, Arc::clone(&largest_frame), w)
         })?;
-        report.reconnects = reconnects.load(Ordering::Relaxed);
         report.largest_frame_bytes = largest_frame.load(Ordering::Relaxed);
         Ok(report)
     }
@@ -1573,39 +1492,18 @@ impl SocketExecutor {
 // The worker side.
 // ---------------------------------------------------------------------------
 
-/// A worker's end of its link, shared by its frame reader and its
-/// consumer's outlet under one lock: a frame is stamped into the outbox
-/// and written under it, and a reconnect swaps the stream and replays the
-/// outbox under it — so a frame written to a dead connection is always
-/// one the handshake replays.
-struct WorkerWire {
-    link: LinkState,
-    /// The live connection's write half; `None` between connections.
-    conn: Option<Stream>,
-}
-
-impl WorkerWire {
-    /// Writes best-effort: a failed write shuts the connection down, and
-    /// the reader replaces it.
-    fn write(&mut self, frame: &Frame) {
-        let Some(conn) = &mut self.conn else { return };
-        if write_frame(conn, frame).is_err() {
-            let _ = conn.shutdown_both();
-            self.conn = None;
-        }
-    }
-}
-
 /// A socket worker's outlet: every output is a frame to the coordinator,
-/// decoded there into the same call on the worker's `Port`.
-struct FrameOut(Arc<Mutex<WorkerWire>>);
+/// decoded there into the same call on the worker's `Port`. A failed
+/// write means the connection has ended — the frame reader reads that
+/// end too — and nothing more is written.
+struct FrameOut(Option<Stream>);
 
 impl FrameOut {
-    fn send(&self, msg: &WireMsg) {
-        let payload = msg.encode();
-        let mut wire = self.0.lock();
-        let frame = wire.link.stamp(kind::MSG, payload);
-        wire.write(&frame);
+    fn send(&mut self, msg: &WireMsg) {
+        let Some(conn) = &mut self.0 else { return };
+        if write_frame(conn, &msg_frame(msg)).is_err() {
+            self.0 = None;
+        }
     }
 }
 
@@ -1667,22 +1565,28 @@ struct Started {
 /// consumer thread is still alive.
 const READ_SLICE: Duration = Duration::from_millis(50);
 
-/// Runs one evaluator worker to completion: connect (and reconnect) to
-/// the coordinator at `addr`, identify as worker `index`, and read frames
-/// until SHUTDOWN. The first `CONFIG` starts the consumer thread — the
-/// `ConsumerThread` a threaded run starts per partition — and every
-/// later frame goes to its inbox; SHUTDOWN releases it. This is the entry
+/// Runs one evaluator worker to completion: connect to the coordinator at
+/// `addr`, identify as worker `index`, and read frames until SHUTDOWN or
+/// the end of the connection. The first `CONFIG` starts the consumer
+/// thread — the `ConsumerThread` a threaded run starts per partition —
+/// and every later frame goes to its inbox; SHUTDOWN releases it. An end
+/// of the connection is no error here: the coordinator has stopped, or
+/// has declared this worker dead and failed it over. This is the entry
 /// point for both in-process worker threads and the `gridq-node` binary.
 pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Result<()> {
-    let wire = Arc::new(Mutex::new(WorkerWire {
-        link: LinkState::new(),
-        conn: None,
-    }));
+    let unreachable = |e: String| {
+        GridError::Execution(format!(
+            "socket: worker {index} cannot reach the coordinator: {e}"
+        ))
+    };
+    let mut conn = Stream::connect(addr).map_err(|e| unreachable(e.to_string()))?;
+    let hello = write_frame(&mut conn, &link::hello(index as u64));
+    hello.map_err(|e| unreachable(e.to_string()))?;
     let mut started = None;
-    let read = read_frames(addr, index, services, &wire, &mut started);
-    // Whatever ended the reading — SHUTDOWN, an error, a consumer that
-    // died — the consumer is released and joined, and its panic fails
-    // the worker.
+    let read = read_frames(&mut conn, index, services, &mut started);
+    // Whatever ended the reading — SHUTDOWN, the end of the connection,
+    // an error, a consumer that died — the consumer is released and
+    // joined, and its panic fails the worker.
     if let Some(st) = started {
         st.ctrl.send(Msg::Release);
         if let Err(panic) = st.handle.join() {
@@ -1692,132 +1596,83 @@ pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Res
     read
 }
 
-/// The frame reader: connections, the handshake and link dedup, then each
-/// fresh frame to the consumer thread — blocks onto its data ring (a full
-/// ring parks the reader), the recall's commands onto its control plane.
-/// Returns at SHUTDOWN, or once the consumer thread has gone.
+/// The frame reader: each frame to the consumer thread — blocks onto its
+/// data ring (a full ring parks the reader), the recall's commands onto
+/// its control plane. Returns at SHUTDOWN, at the end of the connection,
+/// or once the consumer thread has gone.
 fn read_frames(
-    addr: &Addr,
+    conn: &mut Stream,
     index: usize,
     services: &ServiceResolver,
-    wire: &Arc<Mutex<WorkerWire>>,
     started: &mut Option<Started>,
 ) -> Result<()> {
-    let mut buf = vec![0u8; 64 * 1024];
-    'life: loop {
-        wire.lock().conn = None;
-        let mut tries = 0;
-        let mut conn = loop {
-            match Stream::connect(addr) {
-                Ok(c) => break c,
-                Err(e) if tries == 99 => {
+    let _ = conn.set_read_timeout(Some(READ_SLICE));
+    let (mut dec, mut buf) = (Decoder::new(), vec![0u8; 64 * 1024]);
+    loop {
+        if let Some(st) = &*started {
+            if st.handle.is_finished() {
+                return Ok(());
+            }
+            // The slow-peer seam: stall before draining the socket, so
+            // the kernel buffers fill and flow control pushes back on the
+            // coordinator's link thread.
+            if !st.stall.is_zero() {
+                thread::sleep(st.stall);
+            }
+        }
+        let n = match read_some(conn, &mut buf) {
+            Ok(Some(n)) => n,
+            Ok(None) => continue,
+            Err(_) => return Ok(()),
+        };
+        for Frame { payload, .. } in dec.feed(&buf[..n])? {
+            let (msg, st) = match (WireMsg::decode(&payload)?, &*started) {
+                (WireMsg::Shutdown, _) => return Ok(()),
+                (WireMsg::Config(cfg), None) => {
+                    if cfg.spec.index != index {
+                        return Err(GridError::Execution(format!(
+                            "socket: worker {index} received config addressed to worker {}",
+                            cfg.spec.index
+                        )));
+                    }
+                    let evaluator = cfg.stage.build(index as u32, services)?;
+                    let (data, ring_rx) = ring(RING_BLOCKS);
+                    let (ctrl, inbox) = inbox(vec![ring_rx]);
+                    let pacer = Pacer::new(inbox, cfg.cost_scale);
+                    let out = FrameOut(conn.try_clone().ok());
+                    let consumer = Consumer::new(cfg.spec, evaluator);
+                    let handle = ConsumerThread::spawn(consumer, pacer, out);
+                    let stall = real_time(cfg.read_stall_ms, cfg.cost_scale);
+                    *started = Some(Started {
+                        ctrl,
+                        data,
+                        handle,
+                        stall,
+                    });
+                    continue;
+                }
+                (msg, Some(st)) => (msg, st),
+                (_, None) => {
                     return Err(GridError::Execution(format!(
-                        "socket: worker {index} cannot reach the coordinator: {e}"
+                        "socket: worker {index} received message tag {:?} before CONFIG",
+                        payload.first()
                     )))
                 }
-                Err(_) => tries += 1,
-            }
-            thread::sleep(Duration::from_millis(3));
-        };
-        let hello = link::hello(index as u64, wire.lock().link.last_received());
-        if write_frame(&mut conn, &hello).is_err() {
-            continue 'life;
-        }
-        let _ = conn.set_read_timeout(Some(READ_SLICE));
-        let (mut dec, mut handshook) = (Decoder::new(), false);
-        loop {
-            if let Some(st) = &*started {
-                if st.handle.is_finished() {
-                    return Ok(());
-                }
-                // The slow-peer seam: stall before draining the socket,
-                // so the kernel buffers fill and flow control pushes
-                // back on the coordinator's link thread.
-                if !st.stall.is_zero() {
-                    thread::sleep(st.stall);
-                }
-            }
-            let n = match read_some(&mut conn, &mut buf) {
-                Ok(Some(n)) => n,
-                Ok(None) => continue,
-                Err(_) => continue 'life,
             };
-            let mut fresh = Vec::new();
-            let mut w = wire.lock();
-            for f in dec.feed(&buf[..n])? {
-                match w.link.on_receive(&f) {
-                    Receive::Fresh => fresh.push(f.payload),
-                    Receive::Control if !handshook => {
-                        if let Some(peer_last) = link::parse_hello_ack(&f) {
-                            handshook = true;
-                            w.conn = conn.try_clone().ok();
-                            for rf in w.link.retransmit_after(peer_last) {
-                                w.write(&rf);
-                            }
-                        }
-                    }
-                    Receive::Control | Receive::Duplicate => {}
+            let delivered = match msg {
+                WireMsg::Data(item) => st.data.push(item).is_ok(),
+                WireMsg::Drain { token } => st.ctrl.send(Msg::Drain { token }),
+                WireMsg::Migrate(cmd) => st.ctrl.send(Msg::Migrate(cmd)),
+                WireMsg::Migrated(block) => st.ctrl.send(Msg::Migrated(block)),
+                _ => {
+                    return Err(GridError::Execution(format!(
+                        "socket: unexpected coordinator frame tag {:?}",
+                        payload.first()
+                    )))
                 }
-            }
-            if w.conn.is_some() && w.link.owes_ack() {
-                let af = w.link.ack_frame();
-                w.write(&af);
-            }
-            // Outside the lock: a full data ring parks the reader, and the
-            // consumer must still be able to write.
-            drop(w);
-            for payload in fresh {
-                let (msg, st) = match (WireMsg::decode(&payload)?, &*started) {
-                    (WireMsg::Shutdown, _) => return Ok(()),
-                    // A duplicate CONFIG after a mid-handshake reconnect
-                    // is harmless; the first one wins.
-                    (WireMsg::Config(_), Some(_)) => continue,
-                    (WireMsg::Config(cfg), None) => {
-                        if cfg.spec.index != index {
-                            return Err(GridError::Execution(format!(
-                                "socket: worker {index} received config addressed to worker {}",
-                                cfg.spec.index
-                            )));
-                        }
-                        let evaluator = cfg.stage.build(index as u32, services)?;
-                        let (data, ring_rx) = ring(RING_BLOCKS);
-                        let (ctrl, inbox) = inbox(vec![ring_rx]);
-                        let pacer = Pacer::new(inbox, cfg.cost_scale);
-                        let out = FrameOut(Arc::clone(wire));
-                        let consumer = Consumer::new(cfg.spec, evaluator);
-                        let handle = ConsumerThread::spawn(consumer, pacer, out);
-                        let stall = real_time(cfg.read_stall_ms, cfg.cost_scale);
-                        *started = Some(Started {
-                            ctrl,
-                            data,
-                            handle,
-                            stall,
-                        });
-                        continue;
-                    }
-                    (msg, Some(st)) => (msg, st),
-                    (_, None) => {
-                        return Err(GridError::Execution(format!(
-                            "socket: worker {index} received message tag {:?} before CONFIG",
-                            payload.first()
-                        )))
-                    }
-                };
-                let delivered = match msg {
-                    WireMsg::Data(item) => st.data.push(item).is_ok(),
-                    WireMsg::Drain { token } => st.ctrl.send(Msg::Drain { token }),
-                    WireMsg::Migrate(cmd) => st.ctrl.send(Msg::Migrate(cmd)),
-                    WireMsg::Migrated(block) => st.ctrl.send(Msg::Migrated(block)),
-                    _ => {
-                        return Err(GridError::Execution(format!(
-                            "socket: unexpected coordinator frame tag {:?}",
-                            payload.first()
-                        )))
-                    }
-                };
-                if !delivered {
-                    return Ok(());
-                }
+            };
+            if !delivered {
+                return Ok(());
             }
         }
     }
@@ -1831,8 +1686,9 @@ mod tests {
     use crate::{Raw, WorkerEvent};
     use gridq_common::check::{Check, Gen};
     use gridq_common::{DetRng, Value};
-    use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan};
+    use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan, multiset};
     use gridq_engine::service::FnService;
+    use gridq_net::frame::HEADER_LEN;
 
     /// Asserts the results are exactly the squares of `0..n`, in any
     /// order (sequence numbers are renumbered by operators).
@@ -1870,7 +1726,7 @@ mod tests {
         let report = run_call(&table, |_| {});
         assert_squares(&report.results, 200);
         assert_eq!(report.per_partition_processed.iter().sum::<u64>(), 200);
-        assert_eq!(report.reconnects, 0);
+        assert_eq!(report.nodes_failed, 0);
         assert_eq!(report.dedup_peak_entries, 0);
         assert!(report.log_audits.is_empty(), "no recovery logs when off");
         assert!(report.delivery_gaps.is_empty());
@@ -2025,31 +1881,82 @@ mod tests {
         );
     }
 
+    /// Drops worker `worker`'s connection before its `nth` data frame.
     #[derive(Debug)]
     struct DropConn {
-        remaining: AtomicU64,
+        worker: usize,
+        nth: u64,
+        seen: AtomicU64,
+    }
+
+    impl DropConn {
+        fn hook(worker: usize, nth: u64) -> Option<Arc<dyn ChaosHook>> {
+            let seen = AtomicU64::new(0);
+            Some(Arc::new(DropConn { worker, nth, seen }))
+        }
     }
 
     impl ChaosHook for DropConn {
         fn conn_drop(&self, worker: usize) -> bool {
-            worker == 0
-                && self
-                    .remaining
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                    .is_ok()
+            worker == self.worker && self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.nth
         }
     }
 
+    /// A dropped connection is the worker's death, failed over from the
+    /// recovery logs. A worker writes a window's results before that
+    /// window's ack on one FIFO stream, so wherever the drop cuts, every
+    /// acknowledged window's results have arrived and every
+    /// unacknowledged window is replayed to the survivor: nothing is
+    /// lost, and what arrives twice is dropped by the result dedup.
     #[test]
-    fn conn_drop_reconnects_and_loses_nothing() {
+    fn a_dropped_connection_fails_over_and_loses_nothing() {
         let table = int_table("t", 0..200);
-        let report = run_call(&table, |c| {
-            c.chaos = Some(Arc::new(DropConn {
-                remaining: AtomicU64::new(3),
-            }));
-        });
-        assert_squares(&report.results, 200);
-        assert!(report.reconnects >= 1, "{report:?}");
+        for nth in [1, 4, 8] {
+            let report = run_call(&table, |c| c.chaos = DropConn::hook(0, nth));
+            assert_squares(&report.results, 200);
+            let failover = (report.nodes_failed, report.failovers_completed);
+            assert_eq!(failover, (1, 1), "drop before frame {nth}: {report:?}");
+            assert!(report.delivery_gaps.is_empty(), "{report:?}");
+            for audit in &report.log_audits {
+                assert!(audit.conserved(), "{audit:?}");
+            }
+        }
+    }
+
+    /// A scripted recall moves hash buckets onto worker 0 while worker 1,
+    /// which the recall does not target, loses its connection. The death
+    /// fails over — worker 1's join state is rebuilt on worker 0 from the
+    /// retained build log — and the result is the static run's multiset.
+    #[test]
+    fn a_drop_beside_a_scripted_recall_keeps_the_static_multiset() {
+        let build = int_table("build", 0..100);
+        let probe = int_table("probe", 0..600);
+        let shape = JoinShape {
+            scan_cost_ms: [0.2, 1.0],
+            ..Default::default()
+        };
+        let plan = join_plan(&build, &probe, &shape);
+        let run = |chaos, adaptations| {
+            let mut config = SocketConfig::new(join_spec(&build, &probe), standard_resolver());
+            config.cost_scale = 0.05;
+            config.checkpoint_interval = 8;
+            config.recall_timeout_ms = 2_000;
+            config.chaos = chaos;
+            config.adaptations = adaptations;
+            SocketExecutor::new(catalog(&[&build, &probe]), config)
+                .run(&plan)
+                .unwrap()
+        };
+        let reference = run(None, Vec::new());
+        let recall = ScriptedAdaptation {
+            after_routed: 150,
+            weights: vec![0.75, 0.25],
+            retrospective: true,
+        };
+        let report = run(DropConn::hook(1, 12), vec![recall]);
+        assert_eq!(multiset(&report.results), multiset(&reference.results));
+        let failover = (report.nodes_failed, report.failovers_completed);
+        assert_eq!(failover, (1, 1), "{report:?}");
         assert!(report.delivery_gaps.is_empty(), "{report:?}");
         for audit in &report.log_audits {
             assert!(audit.conserved(), "{audit:?}");
@@ -2332,7 +2239,10 @@ mod tests {
         let mut ports: Vec<Port<LinkCtl>> = (0..2)
             .map(|i| Port::new(&w, &plan, i, links.clone(), 0.002, false))
             .collect();
-        let mut feed = |worker: usize, msg: WireMsg| dispatch(&mut ports[worker], &msg.encode());
+        let mut feed = |worker: usize, msg: WireMsg| {
+            let decoded = WireMsg::decode(&msg.encode()).unwrap();
+            dispatch(&mut ports[worker], decoded)
+        };
         let probe_tuple = |key: i64| Tuple::with_seq(vec![Value::Int(key)], 100 + key as u64);
 
         for worker in [0, 1] {
@@ -2413,6 +2323,80 @@ mod tests {
         assert!(replies.try_recv().is_err() && raw.try_recv().is_err());
         assert!(events.try_recv().is_err());
         drop(w);
+    }
+
+    /// Lost framing is a death too: a worker frame with bad magic ends
+    /// the reader, which shuts the connection on its way out. A resilient
+    /// run's reader reports the death once — `Raw::Down`, then the
+    /// worker's completion with the counts of its last `DONE`; a plain
+    /// run's returns it, naming the worker, for the run to fail on.
+    #[test]
+    fn a_frame_with_bad_magic_is_a_death() {
+        let table = int_table("t", 0..8);
+        let plan = call_plan(&table, &CallShape::default());
+        for failover in [true, false] {
+            let x = Exchange::new(&plan, "test", true, None, true, 1).unwrap();
+            let (events_tx, events) = channel();
+            let (raw_tx, raw) = channel();
+            let w = Wiring {
+                x,
+                rings: Vec::new(),
+                events: events_tx,
+                replies: channel().0,
+                raw: raw_tx,
+                obs: None,
+                processed_total: Arc::new(AtomicU64::new(0)),
+                started: Instant::now(),
+            };
+            let links = vec![inbox::<LinkCtl, DataMsg>(Vec::new()).0; 2];
+            let port = Port::new(&w, &plan, 1, links, 0.002, failover);
+            let listener = Listener::bind(&Addr::scratch_unix()).unwrap();
+            let mut worker = Stream::connect(&listener.local_addr().unwrap()).unwrap();
+            let done = WireMsg::Done {
+                processed: 7,
+                dedup_peak: 2,
+            };
+            worker.write_all(&msg_frame(&done).encode()).unwrap();
+            let released = Arc::new(AtomicBool::new(false));
+            let conn = listener.accept().unwrap();
+            let reader = thread::spawn(move || {
+                reader_loop(port, conn, Decoder::new(), Vec::new(), released)
+            });
+            // The frame's counts; then lost framing, and in a resilient
+            // run the death's completion with the same counts.
+            let counted = |e| {
+                matches!(
+                    e,
+                    Some(WorkerEvent::Done {
+                        worker: 1,
+                        processed: 7,
+                        ..
+                    })
+                )
+            };
+            assert!(counted(events.recv_timeout(Duration::from_secs(5)).ok()));
+            worker.write_all(&[b'X'; HEADER_LEN]).unwrap();
+            let end = reader.join().unwrap();
+            assert_eq!(
+                worker.read(&mut [0u8; 8]).unwrap(),
+                0,
+                "the worker reads the end"
+            );
+            assert_eq!(counted(events.try_recv().ok()), failover);
+            assert!(events.try_recv().is_err());
+            let downs: Vec<Raw> = raw.try_iter().collect();
+            if failover {
+                assert!(end.is_none());
+                assert!(matches!(downs[..], [Raw::Down(1)]), "reported once");
+            } else {
+                let end = end.expect("a plain run's reader returns the death");
+                assert!(
+                    end.contains("worker 1") && end.contains("bad magic"),
+                    "{end}"
+                );
+                assert!(downs.is_empty());
+            }
+        }
     }
 
     #[test]

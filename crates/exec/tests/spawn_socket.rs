@@ -5,7 +5,10 @@
 //! `CARGO_BIN_EXE_gridq-node` at the freshly built worker binary.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use gridq_common::ChaosHook;
 use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan, CallShape, JoinShape};
 use gridq_exec::socket::{
     standard_resolver, ScriptedAdaptation, SocketConfig, SocketExecutor, WireStageSpec,
@@ -83,6 +86,54 @@ fn spawned_workers_survive_a_retrospective_recall() {
         report.state_tuples_migrated >= 1,
         "recall at these weights moves build state: {report:?}"
     );
+    for audit in &report.log_audits {
+        assert!(audit.conserved(), "log audit must balance: {audit:?}");
+    }
+}
+
+/// Drops worker 1's connection before its fourth data frame.
+#[derive(Debug, Default)]
+struct DropFourth {
+    frames: AtomicU64,
+}
+
+impl ChaosHook for DropFourth {
+    fn conn_drop(&self, worker: usize) -> bool {
+        worker == 1 && self.frames.fetch_add(1, Ordering::SeqCst) == 3
+    }
+}
+
+/// A spawned worker whose connection drops is dead: the `gridq-node`
+/// process reads the end of its connection and exits 0 (the run would
+/// name it otherwise), and the run fails it over from the recovery logs
+/// onto the surviving process.
+#[test]
+fn a_spawned_worker_whose_connection_drops_exits_cleanly_and_fails_over() {
+    let table = int_table("spawn_drop", 0..200);
+    let shape = CallShape::default();
+    let mut config = SocketConfig::new(
+        WireStageSpec::for_call_plan(&table, &shape),
+        standard_resolver(),
+    );
+    config.launch = WorkerLaunch::Spawn {
+        program: node_binary(),
+    };
+    config.cost_scale = 0.002;
+    config.chaos = Some(Arc::new(DropFourth::default()));
+    let report = SocketExecutor::new(catalog(&[&table]), config)
+        .run(&call_plan(&table, &shape))
+        .unwrap();
+    let mut got: Vec<i64> = report
+        .results
+        .iter()
+        .map(|t| t.values()[0].as_int().unwrap())
+        .collect();
+    got.sort_unstable();
+    let want: Vec<i64> = (0..200).map(|i: i64| i * i).collect();
+    assert_eq!(got, want);
+    let failover = (report.nodes_failed, report.failovers_completed);
+    assert_eq!(failover, (1, 1), "{report:?}");
+    assert!(report.delivery_gaps.is_empty(), "{report:?}");
     for audit in &report.log_audits {
         assert!(audit.conserved(), "log audit must balance: {audit:?}");
     }

@@ -35,9 +35,8 @@ pub const CLOCK_SITES: &[&str] = &[
     // ring serves the threaded substrate exclusively (the simulator has
     // no rings — buffers travel through the virtual-time event queue).
     "crates/common/src/sync/ring.rs",
-    // The socket substrate runs over real kernel sockets: reconnect
-    // budgets, recall barriers, and handshake deadlines are wall-clock
-    // timeouts by nature.
+    // The socket substrate runs over real kernel sockets: connection
+    // and handshake deadlines are wall-clock timeouts by nature.
     "crates/exec/src/socket.rs",
 ];
 

@@ -11,6 +11,12 @@
 //! | 19     | 4    | payload length                           |
 //! | 23     | n    | payload                                  |
 //!
+//! The socket executor sends every frame unsequenced, with sequence
+//! number and ack both `0`: a connection is FIFO until it ends, and its
+//! end is a worker's death, failed over from the recovery logs. The two
+//! fields stay in the header only because the `benchmark/` workspace
+//! measures a sequenced link cycle ([`crate::link::LinkState`]).
+//!
 //! A fixed header keeps the incremental decoder trivial: buffer until 23
 //! bytes, read the length, buffer until the payload is complete. The
 //! decoder never assumes a read boundary coincides with a frame boundary
@@ -28,19 +34,17 @@ pub const HEADER_LEN: usize = 23;
 /// treated as stream corruption rather than an allocation request.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
-/// Frame kinds understood by the link layer. Kinds at or above
-/// [`kind::MSG`] are application traffic and always sequenced; the rest
-/// are link control and carry sequence number `0`.
+/// Frame kinds. Kinds at or above [`kind::MSG`] are application traffic;
+/// the rest are link control.
 pub mod kind {
-    /// Pure acknowledgement: no payload, not sequenced.
+    /// Pure acknowledgement: no payload. No product code sends one; kept
+    /// only because the `benchmark/` workspace names it.
     pub const ACK_ONLY: u8 = 0;
-    /// Connection (re)establishment from the connecting side. Payload:
-    /// the connector's node index then its `last_received`, as `u64`
-    /// little-endian pairs.
+    /// Connection establishment from the connecting side. Payload: the
+    /// connector's node index, as a little-endian `u64`.
     pub const HELLO: u8 = 1;
-    /// The accepting side's reply. Payload: its `last_received`.
-    pub const HELLO_ACK: u8 = 2;
-    /// Sequenced application payload.
+    // 2 was the retired reconnect reply and must not be reused.
+    /// Application payload.
     pub const MSG: u8 = 3;
 }
 
@@ -49,10 +53,13 @@ pub mod kind {
 pub struct Frame {
     /// Frame kind (see [`kind`]).
     pub kind: u8,
-    /// Link sequence number; `0` for unsequenced control frames.
+    /// Link sequence number; `0` for unsequenced frames, which is every
+    /// frame the socket executor sends (kept for the benchmark).
     pub seq: u64,
     /// Cumulative acknowledgement: the highest sequence number the
-    /// sender had received on this connection when the frame was built.
+    /// sender had received on this connection when the frame was built;
+    /// `0` on every frame the socket executor sends (kept for the
+    /// benchmark).
     pub ack: u64,
     /// Application bytes.
     pub payload: Vec<u8>,
@@ -224,6 +231,102 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// Feeds `bytes` in the pieces `splits` cuts them into, stopping at
+    /// the first `Err`. An `Ok` must account for every byte: the frames'
+    /// encoded lengths plus what the decoder still holds.
+    fn feed_split(
+        bytes: &[u8],
+        splits: &[usize],
+    ) -> std::result::Result<Result<Vec<Frame>>, String> {
+        let mut d = Decoder::new();
+        let mut got = Vec::new();
+        let mut prev = 0;
+        for s in splits
+            .iter()
+            .map(|&s| s.min(bytes.len()))
+            .chain([bytes.len()])
+        {
+            let s = s.max(prev);
+            match d.feed(&bytes[prev..s]) {
+                Ok(frames) => got.extend(frames),
+                Err(e) => return Ok(Err(e)),
+            }
+            prev = s;
+        }
+        let framed: usize = got.iter().map(|f| HEADER_LEN + f.payload.len()).sum();
+        if framed + d.pending() != bytes.len() {
+            return Err(format!(
+                "{framed} framed + {} pending != {} fed",
+                d.pending(),
+                bytes.len()
+            ));
+        }
+        if got.iter().any(|f| f.payload.len() > MAX_PAYLOAD as usize) {
+            return Err("a frame outgrew MAX_PAYLOAD".into());
+        }
+        Ok(Ok(got))
+    }
+
+    /// Framing loss kills a socket worker, so the decoder is held to what
+    /// a hostile stream can do. A valid multi-frame stream fed at random
+    /// split points decodes to its frames; every truncation of it decodes
+    /// to a prefix of them; every single-byte mutation decodes to `Err`
+    /// or to well-formed frames. Never a panic, which `Check` reports as
+    /// a failure.
+    #[test]
+    fn property_truncations_and_mutations_never_panic() {
+        Check::new("frame_mutations").cases(24).run(
+            |g: &mut DetRng| {
+                let frames: Vec<Frame> = g.vec_of(1, 4, |g| Frame {
+                    kind: kind::MSG + g.usize_in(0, 3) as u8,
+                    seq: g.next_u64() >> g.u32_in(0, 64),
+                    ack: g.next_u64() >> g.u32_in(0, 64),
+                    payload: g.vec_of(0, 24, |g| g.next_u64() as u8),
+                });
+                let cuts = g.vec_of(0, 5, |g| g.usize_in(0, 256));
+                (frames, cuts)
+            },
+            |(frames, cuts): &(Vec<Frame>, Vec<usize>)| {
+                let bytes: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+                let mut splits = cuts.clone();
+                splits.sort_unstable();
+                if feed_split(&bytes, &splits)?.ok().as_ref() != Some(frames) {
+                    return Err("the valid stream did not decode to its frames".into());
+                }
+                for cut in 0..bytes.len() {
+                    let got = feed_split(&bytes[..cut], &splits)?
+                        .map_err(|e| format!("truncation at {cut}: {e}"))?;
+                    if !frames.starts_with(&got) {
+                        return Err(format!("truncation at {cut} decoded foreign frames"));
+                    }
+                }
+                let mut mutated = bytes.clone();
+                for i in 0..bytes.len() {
+                    for flip in [0x01, 0x80, 0xff] {
+                        mutated[i] = bytes[i] ^ flip;
+                        // `Err`, or frames that account for every byte.
+                        let _ = feed_split(&mutated, &splits)?;
+                    }
+                    mutated[i] = bytes[i];
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// A length beyond `MAX_PAYLOAD` is an `Err` as soon as its header is
+    /// in, before a byte of its payload is buffered.
+    #[test]
+    fn an_oversized_length_fails_on_its_header_alone() {
+        for len in [MAX_PAYLOAD + 1, u32::MAX] {
+            let mut header = sample(0).encode();
+            header[19..23].copy_from_slice(&len.to_le_bytes());
+            let mut d = Decoder::new();
+            assert!(d.feed(&header[..HEADER_LEN - 1]).unwrap().is_empty());
+            assert!(d.feed(&header[HEADER_LEN - 1..]).is_err(), "length {len}");
+        }
     }
 
     #[test]

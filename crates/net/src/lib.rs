@@ -11,18 +11,18 @@
 //!   writes and coalesced reads — the normal behaviour of a real socket,
 //!   and the `partial_write` chaos family's weapon — cannot corrupt the
 //!   stream.
-//! - [`link`] — per-connection reliability on top of frames: every
-//!   application frame is sequenced, kept in an outbox until the peer's
-//!   cumulative ack covers it, retransmitted after a reconnect, and
-//!   deduplicated at the receiver by sequence number. This is what turns
-//!   a dropped TCP connection (`conn_drop` chaos) into a retryable event
-//!   instead of lost tuples.
+//! - [`link`] — the `HELLO` that opens a worker connection. A
+//!   connection is FIFO until it ends, and its end is a worker's death
+//!   (`conn_drop` chaos cuts one on purpose), which the executor fails
+//!   over from its recovery logs: there is no link-level retransmission.
+//!   The module's sequencing layer ([`LinkState`]) has no product caller
+//!   and is kept only for the `benchmark/` workspace's link measurement.
 //! - [`endpoint`] — the actual sockets: one enum over `TcpStream` and
 //!   `UnixStream` so the substrate runs identically over loopback TCP
 //!   and Unix domain sockets (CI uses the latter; no ports, no firewall).
 //!
 //! The crate deliberately contains no threads and no clocks: all timing
-//! policy (reconnect backoff, read throttling) lives in the executor
+//! policy (handshake time-outs, read throttling) lives in the executor
 //! that drives it, keeping this layer deterministic and unit-testable.
 
 pub mod endpoint;

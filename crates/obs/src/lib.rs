@@ -237,14 +237,16 @@ pub struct RunReport {
     pub final_distribution: Vec<f64>,
     /// Observability snapshot; `None` with obs off, and on sockets.
     pub obs: Option<ObsReport>,
-    /// Worker connections re-established after a drop (sockets).
+    /// Always 0: a dropped socket connection is its worker's death, and
+    /// nothing reconnects. Kept only because the `benchmark/` workspace
+    /// names it.
     pub reconnects: u64,
     /// Blocks recalls and failovers moved outside the data plane, each
     /// at most `buffer_tuples` long: a recall costs at most
     /// 2·(⌈moved / `buffer_tuples`⌉ + partitions) of them.
     pub recall_blocks: u64,
-    /// The largest sequenced frame payload a worker link carried, bytes
-    /// (sockets): bounded by one block of tuples.
+    /// The largest frame payload a coordinator link thread wrote to a
+    /// worker, bytes (sockets): bounded by one block of tuples.
     pub largest_frame_bytes: u64,
 }
 

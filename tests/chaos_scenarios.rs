@@ -10,8 +10,10 @@
 //! families are live here — dropped blocks heal through whole-block
 //! recovery-log retransmission, duplicated blocks are absorbed by
 //! consumer range dedup, a killed consumer fails over (on threads from
-//! its own exit notice), and a severed socket heals through the reconnect
-//! handshake plus link-level retransmission.
+//! its own exit notice), and a severed socket is its worker's death,
+//! reported by the coordinator's reader and failed over from the
+//! recovery logs. The hard socket cell is `conn_drop` under R1: a death
+//! on a hash join beside a scripted recall.
 
 use gridq::chaos::{
     FaultEvent, FaultFamily, FaultPlan, Policy, Runner, Scenario, ScenarioOutcome, Substrate,
@@ -71,6 +73,9 @@ fn pinned_cells_pass_every_oracle_and_round_trip() {
                     ORACLES.len(),
                     "every oracle judges every run"
                 );
+                if family == FaultFamily::ConnDrop {
+                    assert_eq!(outcome.fired_events, 1, "one worker died: {outcome:?}");
+                }
                 for (verdict, name) in outcome.verdicts.iter().zip(ORACLES) {
                     assert_eq!(verdict.oracle, name, "oracles report in a stable order");
                     assert!(
