@@ -395,8 +395,9 @@ mod tests {
     /// moves leave their worker (the parent's socket workers gave up
     /// every held probe and took most of them back). On sockets that is
     /// also the frame bound at its edge: per-worker results and
-    /// surrendered state are each many blocks, and no sequenced payload
-    /// may outgrow one block of tuples.
+    /// surrendered state are each many blocks, and no payload either way
+    /// — the link threads' writes, the readers' decodes — may outgrow one
+    /// block of tuples.
     #[test]
     fn a_recall_moves_blocks_and_no_frame_outgrows_one() {
         let shape = JoinShape {

@@ -1043,18 +1043,21 @@ fn dispatch(port: &mut Port<LinkCtl>, msg: WireMsg) -> Result<()> {
 /// without one), as a crashed threaded consumer does. A plain run's
 /// reader returns it instead, for `Net::stop` to name. Either way the
 /// connection is shut down on the way out, so a worker still alive reads
-/// its end too.
+/// its end too. Returns the largest payload it decoded, and the death it
+/// did not report.
 fn reader_loop(
     mut port: Port<LinkCtl>,
     mut conn: Stream,
     mut dec: Decoder,
     mut frames: Vec<Frame>,
     released: Arc<AtomicBool>,
-) -> Option<String> {
+) -> (usize, Option<String>) {
     let (mut processed, mut dedup_peak) = (0, 0);
+    let mut largest = 0;
     let mut buf = vec![0u8; 64 * 1024];
     let why = loop {
         let dispatched = frames.drain(..).try_for_each(|frame| {
+            largest = largest.max(frame.payload.len());
             let msg = WireMsg::decode(&frame.payload)?;
             if let WireMsg::Done {
                 processed: p,
@@ -1066,6 +1069,11 @@ fn reader_loop(
             dispatch(&mut port, msg)
         });
         if let Err(e) = dispatched {
+            break e.to_string();
+        }
+        // Lost framing behind whole frames is held for the next feed:
+        // ask before blocking in a read.
+        if let Err(e) = dec.feed(&[]) {
             break e.to_string();
         }
         frames = match read_some(&mut conn, &mut buf) {
@@ -1080,14 +1088,14 @@ fn reader_loop(
     let _ = conn.shutdown_both();
     let worker = port.index;
     if released.load(Ordering::SeqCst) {
-        return None;
+        return (largest, None);
     }
     if !port.failover_on {
-        return Some(format!("worker {worker}: {why}"));
+        return (largest, Some(format!("worker {worker}: {why}")));
     }
     let _ = port.raw.send(Raw::Down(worker));
     port.done(processed, dedup_peak);
-    None
+    (largest, None)
 }
 
 /// A worker's connection once it has said `HELLO(index)`: the index, the
@@ -1173,12 +1181,15 @@ struct Net {
     /// Set once the run releases the workers: from then on the end of a
     /// connection is the end of the run, not a death.
     released: Arc<AtomicBool>,
-    /// Where `stop` leaves the largest payload any link wrote.
+    /// Where `stop` leaves the largest payload any connection carried,
+    /// either way.
     largest_frame: Arc<AtomicU64>,
     links: Vec<InboxSender<LinkCtl>>,
+    /// Each returns the largest payload it wrote.
     link_handles: Vec<thread::JoinHandle<usize>>,
-    /// Each returns an end of its connection it did not report.
-    readers: Vec<thread::JoinHandle<Option<String>>>,
+    /// Each returns the largest payload it decoded, and an end of its
+    /// connection it did not report.
+    readers: Vec<thread::JoinHandle<(usize, Option<String>)>>,
     /// A handle on each connection, for a forced stop to end it.
     conns: Vec<Stream>,
     /// `None` once a worker has been joined.
@@ -1359,7 +1370,7 @@ impl Endpoints for Net {
     /// connection is ended at once without waiting on worker cooperation
     /// — spawned children are killed (one that had already failed is
     /// named by its status), in-process workers read the end and exit,
-    /// and each one that panicked is named.
+    /// and each one that failed is named with its error.
     fn stop(mut self, clean: bool) -> Vec<String> {
         self.released.store(true, Ordering::SeqCst);
         let mut failed = Vec::new();
@@ -1386,16 +1397,19 @@ impl Endpoints for Net {
                 let _ = conn.shutdown_both();
             }
         }
+        let mut largest = 0;
         for reader in self.readers.drain(..) {
             match reader.join() {
-                Ok(end) => failed.extend(end),
+                Ok((read, end)) => {
+                    largest = largest.max(read);
+                    failed.extend(end);
+                }
                 Err(_) => failed.push("reader panicked".into()),
             }
         }
         for link in self.links.drain(..) {
             link.send(LinkCtl::Stop);
         }
-        let mut largest = 0;
         for h in self.link_handles.drain(..) {
             match h.join() {
                 Ok(written) => largest = largest.max(written),
@@ -1406,11 +1420,12 @@ impl Endpoints for Net {
         if let Addr::Unix(p) = &self.addr {
             let _ = std::fs::remove_file(p);
         }
-        // A worker that died a moment after the one the run stopped for
-        // is named too, and none outlives the run's error.
+        // A worker that failed — before the run stopped for it, or a
+        // moment after — is named with its error, and none outlives the
+        // run's error. Spawned children were reaped above.
         for (i, worker) in workers.into_iter().enumerate() {
-            if let Some(WorkerJoin::Thread(h)) = worker {
-                failed.extend(h.join().is_err().then(|| format!("worker {i} panicked")));
+            if let Some(w @ WorkerJoin::Thread(_)) = worker {
+                failed.extend(w.join(i));
             }
         }
         failed
@@ -1625,6 +1640,8 @@ fn read_frames(
             Ok(None) => continue,
             Err(_) => return Ok(()),
         };
+        // Lost framing behind whole frames is held for the next feed,
+        // which the empty one below makes at once.
         for Frame { payload, .. } in dec.feed(&buf[..n])? {
             let (msg, st) = match (WireMsg::decode(&payload)?, &*started) {
                 (WireMsg::Shutdown, _) => return Ok(()),
@@ -1675,6 +1692,7 @@ fn read_frames(
                 return Ok(());
             }
         }
+        dec.feed(&[])?;
     }
 }
 
@@ -1879,6 +1897,31 @@ mod tests {
             msg.contains("worker 0 panicked") && msg.contains("worker 1 panicked"),
             "the error must name both dead workers: {msg}"
         );
+    }
+
+    /// A worker whose stage cannot be built returns its error and ends its
+    /// connection: the run fails, and names the worker with that error
+    /// rather than only the connection it lost.
+    #[test]
+    fn a_worker_that_returns_an_error_is_named_with_it() {
+        let table = int_table("t", 0..50);
+        let nobody: ServiceResolver = Arc::new(|_: &str, _: f64| None);
+        let mut config = SocketConfig::new(call_spec(&table), nobody);
+        config.cost_scale = 0.002;
+        let err = SocketExecutor::new(catalog(&[&table]), config)
+            .run(&call_plan(&table, &CallShape::default()))
+            .unwrap_err();
+        let GridError::Execution(msg) = &err else {
+            panic!("expected an execution error, got {err:?}");
+        };
+        for worker in 0..2 {
+            assert!(
+                msg.contains(&format!(
+                    "worker {worker}: configuration error: socket: worker cannot resolve service"
+                )),
+                "the error must carry worker {worker}'s build error: {msg}"
+            );
+        }
     }
 
     /// Drops worker `worker`'s connection before its `nth` data frame.
@@ -2328,8 +2371,9 @@ mod tests {
     /// Lost framing is a death too: a worker frame with bad magic ends
     /// the reader, which shuts the connection on its way out. A resilient
     /// run's reader reports the death once — `Raw::Down`, then the
-    /// worker's completion with the counts of its last `DONE`; a plain
-    /// run's returns it, naming the worker, for the run to fail on.
+    /// worker's completion with the counts of its last `DONE`, which
+    /// arrived in the same read as the bad header; a plain run's returns
+    /// it, naming the worker, for the run to fail on.
     #[test]
     fn a_frame_with_bad_magic_is_a_death() {
         let table = int_table("t", 0..8);
@@ -2352,11 +2396,14 @@ mod tests {
             let port = Port::new(&w, &plan, 1, links, 0.002, failover);
             let listener = Listener::bind(&Addr::scratch_unix()).unwrap();
             let mut worker = Stream::connect(&listener.local_addr().unwrap()).unwrap();
-            let done = WireMsg::Done {
+            let done = msg_frame(&WireMsg::Done {
                 processed: 7,
                 dedup_peak: 2,
-            };
-            worker.write_all(&msg_frame(&done).encode()).unwrap();
+            });
+            // A whole frame and lost framing behind it, in one write.
+            let mut bytes = done.encode();
+            bytes.extend_from_slice(&[b'X'; HEADER_LEN]);
+            worker.write_all(&bytes).unwrap();
             let released = Arc::new(AtomicBool::new(false));
             let conn = listener.accept().unwrap();
             let reader = thread::spawn(move || {
@@ -2375,8 +2422,12 @@ mod tests {
                 )
             };
             assert!(counted(events.recv_timeout(Duration::from_secs(5)).ok()));
-            worker.write_all(&[b'X'; HEADER_LEN]).unwrap();
-            let end = reader.join().unwrap();
+            let (read, end) = reader.join().unwrap();
+            assert_eq!(
+                read,
+                done.payload.len(),
+                "the reader measures what it decodes"
+            );
             assert_eq!(
                 worker.read(&mut [0u8; 8]).unwrap(),
                 0,

@@ -85,6 +85,8 @@ impl Frame {
 #[derive(Debug, Default)]
 pub struct Decoder {
     buf: Vec<u8>,
+    /// Why framing was lost, once a malformed header has been met.
+    lost: Option<String>,
 }
 
 impl Decoder {
@@ -99,9 +101,17 @@ impl Decoder {
     }
 
     /// Appends `bytes` and returns every frame completed by them, in
-    /// order. A malformed header (bad magic, absurd length) is a hard
-    /// error: framing is lost and the connection must be dropped.
+    /// order. A malformed header (bad magic, absurd length) loses framing
+    /// for good, and its error is reported as `std::io::Read` reports an
+    /// error met after some bytes: the call that meets it returns the
+    /// whole frames ahead of it (the error itself when there are none),
+    /// and every later call returns the error. An empty `bytes` asks
+    /// without feeding, so a reader can learn of a held error before it
+    /// blocks in a read.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Frame>> {
+        if let Some(why) = &self.lost {
+            return Err(GridError::Execution(why.clone()));
+        }
         self.buf.extend_from_slice(bytes);
         let mut frames = Vec::new();
         let mut start = 0usize;
@@ -111,19 +121,19 @@ impl Decoder {
                 break;
             }
             if rest[0..2] != MAGIC {
-                return Err(GridError::Execution(format!(
+                self.lost = Some(format!(
                     "frame: bad magic {:02x}{:02x}, framing lost",
                     rest[0], rest[1]
-                )));
+                ));
+                break;
             }
             let kind = rest[2];
             let seq = u64::from_le_bytes(rest[3..11].try_into().map_err(err_slice)?);
             let ack = u64::from_le_bytes(rest[11..19].try_into().map_err(err_slice)?);
             let len = u32::from_le_bytes(rest[19..23].try_into().map_err(err_slice)?);
             if len > MAX_PAYLOAD {
-                return Err(GridError::Execution(format!(
-                    "frame: payload length {len} exceeds {MAX_PAYLOAD}"
-                )));
+                self.lost = Some(format!("frame: payload length {len} exceeds {MAX_PAYLOAD}"));
+                break;
             }
             let total = HEADER_LEN + len as usize;
             if rest.len() < total {
@@ -140,7 +150,10 @@ impl Decoder {
         if start > 0 {
             self.buf.drain(..start);
         }
-        Ok(frames)
+        match &self.lost {
+            Some(why) if frames.is_empty() => Err(GridError::Execution(why.clone())),
+            _ => Ok(frames),
+        }
     }
 }
 
@@ -255,6 +268,9 @@ mod tests {
             }
             prev = s;
         }
+        if let Err(e) = d.feed(&[]) {
+            return Ok(Err(e));
+        }
         let framed: usize = got.iter().map(|f| HEADER_LEN + f.payload.len()).sum();
         if framed + d.pending() != bytes.len() {
             return Err(format!(
@@ -327,6 +343,19 @@ mod tests {
             assert!(d.feed(&header[..HEADER_LEN - 1]).unwrap().is_empty());
             assert!(d.feed(&header[HEADER_LEN - 1..]).is_err(), "length {len}");
         }
+    }
+
+    /// Whole frames ahead of a bad header are returned, and the error
+    /// is held for every later call, an empty one included.
+    #[test]
+    fn frames_ahead_of_a_bad_header_survive_it() {
+        let frames = vec![sample(5), sample(0)];
+        let mut bytes: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        bytes.extend_from_slice(&[b'X'; HEADER_LEN]);
+        let mut d = Decoder::new();
+        assert_eq!(d.feed(&bytes).unwrap(), frames);
+        assert!(d.feed(&[]).is_err());
+        assert!(d.feed(&sample(1).encode()).is_err(), "framing stays lost");
     }
 
     #[test]

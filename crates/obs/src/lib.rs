@@ -245,8 +245,8 @@ pub struct RunReport {
     /// at most `buffer_tuples` long: a recall costs at most
     /// 2·(⌈moved / `buffer_tuples`⌉ + partitions) of them.
     pub recall_blocks: u64,
-    /// The largest frame payload a coordinator link thread wrote to a
-    /// worker, bytes (sockets): bounded by one block of tuples.
+    /// The largest frame payload a worker connection carried, either way,
+    /// bytes (sockets): bounded by one block of tuples.
     pub largest_frame_bytes: u64,
 }
 
