@@ -7,8 +7,8 @@
 //! ```
 //!
 //! `--socket` swaps the classic sim/threaded matrix for the
-//! socket-substrate matrix (connection drops, partial writes, slow
-//! peers over real sockets) so CI can run the two surfaces as separate
+//! socket-substrate matrix (node crashes, partial writes, slow peers
+//! over real sockets) so CI can run the two surfaces as separate
 //! jobs with separate artifacts.
 //!
 //! `GRIDQ_CHAOS_SEED=<n>` overrides `--seeds` with a single seed — the

@@ -164,7 +164,8 @@ impl Workload {
     /// Runs the workload over sockets. This substrate runs no live
     /// control loop yet: it deploys [`Knobs::script`] and ignores
     /// `adaptivity`, `failover` (a socket run with a chaos hook always
-    /// fails a dead worker over) and `obs`.
+    /// fails a dead worker over — a worker killed through the
+    /// `crash_worker` seam too, under every policy) and `obs`.
     pub fn run_socket(&self, knobs: &Knobs) -> Result<RunReport> {
         SocketExecutor::new(self.catalog.clone(), self.socket_config(knobs)).run(&self.plan)
     }
@@ -255,7 +256,9 @@ pub struct Knobs {
     pub delivery_retry: RetryPolicy,
     /// Failover of a crashed consumer on threads: its exit notice starts
     /// a recall that replays its recovery-log entries. The simulator
-    /// always fails over, and a socket run whenever it has a chaos hook.
+    /// always fails over, and a socket run whenever it has a chaos hook,
+    /// static runs included: there a `crash_worker` death is survivable
+    /// under every policy, on threads only under R1.
     pub failover: bool,
     /// Observability layer.
     pub obs: ObsConfig,

@@ -5,9 +5,9 @@
 //! per-worker received-message count for consumer crashes) and
 //! fires an event exactly when its edge counter reaches the event's
 //! `nth`. Counters live behind the workspace's poison-recovering mutex:
-//! the threaded substrate calls the hook from producer, consumer, and
-//! adaptivity threads concurrently; the simulator calls it at the same
-//! seams in virtual-time order.
+//! the threaded and socket substrates call the hook from producer,
+//! consumer (or link), and adaptivity threads concurrently; the
+//! simulator calls it at the same seams in virtual-time order.
 
 use std::collections::HashMap;
 
@@ -32,11 +32,7 @@ struct HookState {
     /// Received-message count per worker (the `crash_worker` seam).
     crashes: HashMap<usize, u64>,
     /// Data-frame write count per worker connection (the socket
-    /// substrate's `conn_drop` seam).
-    conn_writes: HashMap<usize, u64>,
-    /// Data-frame write count per worker connection (the socket
-    /// substrate's `partial_write` seam; counted separately because the
-    /// two seams are consulted independently per frame).
+    /// substrate's `partial_write` seam).
     partial_writes: HashMap<usize, u64>,
     /// Indices (into the plan's event list) of events that fired.
     fired: Vec<usize>,
@@ -249,24 +245,6 @@ impl ChaosHook for PlanHook {
         };
         for (idx, event) in self.events.iter().enumerate() {
             if let FaultEvent::CrashConsumer { worker: ew, nth } = *event {
-                if ew == worker && nth == n {
-                    s.fired.push(idx);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn conn_drop(&self, worker: usize) -> bool {
-        let mut s = self.state.lock();
-        let n = {
-            let c = s.conn_writes.entry(worker).or_insert(0);
-            *c += 1;
-            *c
-        };
-        for (idx, event) in self.events.iter().enumerate() {
-            if let FaultEvent::ConnDrop { worker: ew, nth } = *event {
                 if ew == worker && nth == n {
                     s.fired.push(idx);
                     return true;

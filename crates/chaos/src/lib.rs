@@ -29,8 +29,8 @@
 //! - [`Runner`] executes `(seed, family, substrate, policy)` matrix
 //!   cells through it; [`shrink_failure`] minimises a failing plan to a small
 //!   reproducer, mirroring `gridq_common::check`'s shrinking.
-//! - [`socket_matrix`] covers the socket substrate's wire-level fault
-//!   families (connection drops, partial writes, slow peers), which
+//! - [`socket_matrix`] covers the socket substrate: the node crash, and
+//!   the wire-level fault families (partial writes, slow peers), which
 //!   have no seam on the in-process substrates.
 //!
 //! Replaying is by seed: `GRIDQ_CHAOS_SEED=<n>` makes the `chaos` binary
@@ -48,8 +48,8 @@
 //! and duplicated buffers are absorbed by consumer-side deduplication,
 //! so [`FaultEvent::DropData`] / [`FaultEvent::DuplicateData`] are live
 //! matrix families, and [`FaultFamily::NodeCrash`] kills a worker
-//! outright through the same `crash_worker` seam on both in-process
-//! substrates. What remains deliberately
+//! outright through the same `crash_worker` seam on every substrate.
+//! What remains deliberately
 //! unrecoverable — and proves the oracles fail loudly — is exhausting
 //! the retry budget (every copy of a window dropped) or crashing a
 //! consumer with failover disabled.

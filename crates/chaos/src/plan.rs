@@ -15,9 +15,9 @@
 //! matrix families ([`FaultFamily::DataLoss`], [`FaultFamily::DataDup`])
 //! rather than broken fixtures, and [`FaultFamily::NodeCrash`] kills a
 //! worker outright through the `crash_worker` seam, with failover
-//! recovering it; [`FaultFamily::ConnDrop`] is the same death on the
-//! socket substrate, where a worker dies with its connection. A cell's plan depends on its seed, family and
-//! topology only, so the simulator and the threads run the same faults.
+//! recovering it, on every substrate (a socket worker dies with its
+//! connection, cut at the link). A cell's plan depends on its seed,
+//! family and topology only, so every substrate runs the same faults.
 //! The one deliberately unrecoverable shape — enough drops on one edge
 //! to outlast the retry budget, or a crash with no failover — is what
 //! proves the oracle layer fails loudly.
@@ -148,7 +148,8 @@ pub enum FaultEvent {
         nth: u64,
     },
     /// Kill consumer `worker` at its `nth` received message (a thread's
-    /// inbox message, a buffer arriving in the simulator), through the
+    /// inbox message, a buffer arriving in the simulator, a message a
+    /// socket link relays), through the
     /// `crash_worker` seam: the worker stops without flushing,
     /// acknowledging, or replying, exactly as if its node died. With
     /// failover (always on in the simulator) the failover recall replays
@@ -171,19 +172,6 @@ pub enum FaultEvent {
         from_ms: f64,
         /// Cost multiplier while active.
         factor: f64,
-    },
-    /// Tear down the socket connection to worker `worker` immediately
-    /// before its `nth` data frame is written (socket substrate only).
-    ///
-    /// A crash, not a transient: a connection that ends before the run
-    /// releases its worker is the worker's death. The coordinator's
-    /// reader reports it, and the run fails the worker over from the
-    /// recovery logs, as [`FaultEvent::CrashConsumer`] does on threads.
-    ConnDrop {
-        /// Worker (connection) index.
-        worker: usize,
-        /// Data frame to sever before (1-based).
-        nth: u64,
     },
     /// Write worker `worker`'s `nth` data frame in deliberately tiny
     /// chunks (socket substrate only), splitting the frame header and
@@ -225,7 +213,6 @@ impl FaultEvent {
             FaultEvent::LoseRecallCtrl { .. } => "lose_recall_ctrl",
             FaultEvent::CrashConsumer { .. } => "crash_consumer",
             FaultEvent::PerturbBurst { .. } => "perturb_burst",
-            FaultEvent::ConnDrop { .. } => "conn_drop",
             FaultEvent::PartialWrite { .. } => "partial_write",
             FaultEvent::SlowPeer { .. } => "slow_peer",
         }
@@ -323,7 +310,7 @@ impl FaultEvent {
                 o.num("from_ms", *from_ms);
                 o.num("factor", *factor);
             }
-            FaultEvent::ConnDrop { worker, nth } | FaultEvent::PartialWrite { worker, nth } => {
+            FaultEvent::PartialWrite { worker, nth } => {
                 o.int("worker", *worker as u64);
                 o.int("nth", *nth);
             }
@@ -358,7 +345,8 @@ pub enum FaultFamily {
     /// swallowed.
     CrashMidRecall,
     /// Kill a worker outright through the `crash_worker` seam, with
-    /// failover recovering it (on threads from its exit notice, R1 only).
+    /// failover recovering it (on threads from its exit notice, R1 only;
+    /// on sockets from its reader's report, whenever a hook is set).
     NodeCrash,
     /// Perturbation bursts arriving mid-query.
     PerturbBurst,
@@ -370,10 +358,6 @@ pub enum FaultFamily {
     /// no partial-block acks) and a duplicate redelivers the full block
     /// (absorbed by `(source, first_seq..last_seq)` range dedup).
     BlockBoundary,
-    /// Sever one worker's connection mid-stream (socket substrate only):
-    /// the socket crash family, one death per plan, failed over from the
-    /// recovery logs as [`FaultFamily::NodeCrash`] is on threads.
-    ConnDrop,
     /// Fragment data frames into tiny writes (socket substrate only):
     /// absorbed by the incremental frame decoder.
     PartialWrite,
@@ -391,7 +375,7 @@ pub enum FaultFamily {
 
 impl FaultFamily {
     /// Every family, in matrix order.
-    pub const ALL: [FaultFamily; 14] = [
+    pub const ALL: [FaultFamily; 13] = [
         FaultFamily::NotifyLoss,
         FaultFamily::AckChaos,
         FaultFamily::DataDelay,
@@ -402,22 +386,16 @@ impl FaultFamily {
         FaultFamily::NodeCrash,
         FaultFamily::PerturbBurst,
         FaultFamily::BlockBoundary,
-        FaultFamily::ConnDrop,
         FaultFamily::PartialWrite,
         FaultFamily::SlowPeer,
         FaultFamily::TenantInterference,
     ];
 
     /// The transport families only the socket substrate's seams realise.
-    pub const SOCKET: [FaultFamily; 3] = [
-        FaultFamily::ConnDrop,
-        FaultFamily::PartialWrite,
-        FaultFamily::SlowPeer,
-    ];
+    pub const SOCKET: [FaultFamily; 2] = [FaultFamily::PartialWrite, FaultFamily::SlowPeer];
 
     /// True for families whose seams exist only on the socket substrate
-    /// (real connections to drop, real writes to fragment, real reads to
-    /// stall). The sim/threaded matrix skips them — their events would
+    /// (real writes to fragment, real reads to stall). The sim/threaded matrix skips them — their events would
     /// never fire there.
     pub fn socket_only(&self) -> bool {
         FaultFamily::SOCKET.contains(self)
@@ -444,7 +422,6 @@ impl FaultFamily {
             FaultFamily::NodeCrash => "node_crash",
             FaultFamily::PerturbBurst => "perturb_burst",
             FaultFamily::BlockBoundary => "block_boundary",
-            FaultFamily::ConnDrop => "conn_drop",
             FaultFamily::PartialWrite => "partial_write",
             FaultFamily::SlowPeer => "slow_peer",
             FaultFamily::TenantInterference => "tenant_interference",
@@ -586,7 +563,7 @@ impl FaultPlan {
             FaultFamily::NodeCrash => {
                 events.push(FaultEvent::CrashConsumer {
                     worker: rng.usize_in(0, workers),
-                    nth: rng.i64_in(5, 25) as u64,
+                    nth: rng.i64_in(1, 10) as u64,
                 });
             }
             FaultFamily::PerturbBurst => {
@@ -615,13 +592,6 @@ impl FaultPlan {
                         nth: nth + 1,
                     });
                 }
-            }
-            FaultFamily::ConnDrop => {
-                // One death: two workers survive one, not two.
-                events.push(FaultEvent::ConnDrop {
-                    worker: rng.usize_in(0, workers),
-                    nth: rng.i64_in(1, 10) as u64,
-                });
             }
             FaultFamily::PartialWrite => {
                 for _ in 0..rng.usize_in(2, 6) {
@@ -690,15 +660,9 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Whether the plan kills a worker (a crash, or a dropped socket
-    /// connection).
+    /// Whether the plan kills a worker.
     pub fn kills_a_worker(&self) -> bool {
-        let kill = |e: &FaultEvent| {
-            matches!(
-                e,
-                FaultEvent::CrashConsumer { .. } | FaultEvent::ConnDrop { .. }
-            )
-        };
+        let kill = |e: &FaultEvent| matches!(e, FaultEvent::CrashConsumer { .. });
         self.events.iter().any(kill)
     }
 

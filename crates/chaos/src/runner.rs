@@ -8,10 +8,11 @@
 //! protocol's home turf) with one node perturbed so the control loop has
 //! a real imbalance to correct; R2 cells run a stateless service-call
 //! plan with the same standing perturbation; static cells run the
-//! service-call plan unperturbed. A cell's plan is the same on the
-//! simulator and the threads: `CrashConsumer` events kill a worker
-//! through the `crash_worker` seam on both (threads fail over under R1,
-//! from the dying worker's exit notice; the simulator always does), and
+//! service-call plan unperturbed. A cell's plan is the same on every
+//! substrate: `CrashConsumer` events kill a worker through the
+//! `crash_worker` seam on each (threads fail over under R1, from the
+//! dying worker's exit notice; sockets whenever a hook is set, from the
+//! reader's report of the ended connection; the simulator always), and
 //! perturbation bursts are installed through each substrate's
 //! perturbation mechanism (the threaded executor applies them for the
 //! whole run, since its perturbations are constant by design).
@@ -32,7 +33,7 @@ use gridq_obs::RunReport;
 use crate::harness::{run_on, Knobs, Workload};
 use crate::hook::PlanHook;
 use crate::oracle::{judge, judge_tenant, Verdict};
-use crate::plan::{FaultEvent, FaultFamily, FaultPlan, Topology};
+use crate::plan::{FaultFamily, FaultPlan, Topology};
 
 /// Which execution substrate a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -206,10 +207,9 @@ pub const ORACLES: [&str; 7] = [
 /// Stage partitions in every chaos workload.
 const WORKERS: usize = 2;
 
-/// The shared-seam substrates the classic matrix runs on; socket-only
-/// fault families get their own matrix ([`socket_matrix`]) because
-/// their seams (connection drops, partial writes, slow peers) do not
-/// exist on the in-process substrates.
+/// The in-process substrates the classic matrix runs on; the socket
+/// substrate gets its own matrix ([`socket_matrix`]), since the seams of
+/// its own families (partial writes, slow peers) do not exist in-process.
 const CLASSIC: [Substrate; 2] = [Substrate::Sim, Substrate::Threaded];
 
 /// The scenario matrix for one seed: every shared-seam fault family on
@@ -263,13 +263,13 @@ pub fn matrix(seed: u64) -> Vec<Scenario> {
     cells
 }
 
-/// The socket-substrate matrix for one seed: every socket-only fault
-/// family (connection drop, partial write, slow peer) under every
-/// policy, so each wire-level fault is exercised against the static,
-/// prospective, and retrospective data planes.
+/// The socket-substrate matrix for one seed: the node crash and every
+/// socket-only fault family (partial write, slow peer) under every
+/// policy, so each death and wire-level fault is exercised against the
+/// static, prospective, and retrospective data planes.
 pub fn socket_matrix(seed: u64) -> Vec<Scenario> {
     let mut cells = Vec::new();
-    for family in FaultFamily::SOCKET {
+    for family in std::iter::once(FaultFamily::NodeCrash).chain(FaultFamily::SOCKET) {
         for policy in Policy::ALL {
             cells.push(Scenario {
                 seed,
@@ -492,15 +492,6 @@ fn knobs(
             }
         }
         Substrate::Socket => {
-            let crash_seam = |e: &FaultEvent| matches!(e, FaultEvent::CrashConsumer { .. });
-            if plan.events.iter().any(crash_seam) {
-                return Err(GridError::Config(
-                    "crash_consumer has no socket analogue: a socket worker dies with its \
-                     connection (conn_drop), and every socket run with a chaos hook fails \
-                     it over"
-                        .into(),
-                ));
-            }
             // The socket substrate scripts its adaptations (the decision
             // stack is exercised by the other substrates): each policy
             // gets the move it would make against the standing node-2
@@ -593,9 +584,10 @@ mod tests {
     }
 
     /// A cell's faults do not depend on the substrate it runs on: the
-    /// simulator and the threads run one plan, crashes included.
+    /// simulator and the threads run one plan, crashes included, and a
+    /// node crash is that same plan over sockets too.
     #[test]
-    fn sim_and_threaded_cells_generate_one_plan() {
+    fn a_cell_generates_one_plan_on_every_substrate() {
         for seed in [1, 7, 1303] {
             for family in FaultFamily::ALL.into_iter().filter(|f| !f.socket_only()) {
                 for policy in Policy::ALL {
@@ -608,13 +600,11 @@ mod tests {
                         };
                         FaultPlan::generate(seed, family, cell.topology())
                     };
-                    assert_eq!(
-                        plan(Substrate::Sim),
-                        plan(Substrate::Threaded),
-                        "{}/{}/seed{seed}",
-                        family.name(),
-                        policy.name()
-                    );
+                    let label = format!("{}/{}/seed{seed}", family.name(), policy.name());
+                    assert_eq!(plan(Substrate::Sim), plan(Substrate::Threaded), "{label}");
+                    if family == FaultFamily::NodeCrash {
+                        assert_eq!(plan(Substrate::Sim), plan(Substrate::Socket), "{label}");
+                    }
                 }
             }
         }
@@ -666,10 +656,13 @@ mod tests {
     }
 
     #[test]
-    fn socket_matrix_covers_every_socket_family_under_every_policy() {
+    fn socket_matrix_covers_the_crash_and_every_socket_family_under_every_policy() {
         let cells = socket_matrix(1);
-        assert_eq!(cells.len(), FaultFamily::SOCKET.len() * Policy::ALL.len());
-        for family in FaultFamily::SOCKET {
+        assert_eq!(
+            cells.len(),
+            (1 + FaultFamily::SOCKET.len()) * Policy::ALL.len()
+        );
+        for family in std::iter::once(FaultFamily::NodeCrash).chain(FaultFamily::SOCKET) {
             for policy in Policy::ALL {
                 assert!(
                     cells.iter().any(|c| c.family == family
@@ -683,42 +676,20 @@ mod tests {
         }
     }
 
+    /// A static socket run with a hook fails over (static threads do
+    /// not): the crash kills one worker and the run loses nothing.
     #[test]
-    fn crash_plans_are_rejected_on_sockets() {
-        let mut runner = Runner::new();
-        let scenario = Scenario {
-            seed: 1,
-            family: FaultFamily::NodeCrash,
-            substrate: Substrate::Socket,
-            policy: Policy::Static,
-        };
-        let plan = FaultPlan {
-            seed: 1,
-            events: vec![FaultEvent::CrashConsumer { worker: 0, nth: 3 }],
-        };
-        let outcome = runner.run_with_plan(scenario, plan);
-        assert!(!outcome.passed());
-        assert!(
-            outcome
-                .error
-                .as_deref()
-                .unwrap_or("")
-                .contains("no socket analogue"),
-            "{outcome:?}"
-        );
-    }
-
-    #[test]
-    fn socket_conn_drop_cell_passes_under_static() {
+    fn socket_node_crash_cell_passes_under_static() {
         let mut runner = Runner::new();
         let outcome = runner.run_scenario(Scenario {
             seed: 1,
-            family: FaultFamily::ConnDrop,
+            family: FaultFamily::NodeCrash,
             substrate: Substrate::Socket,
             policy: Policy::Static,
         });
         assert!(outcome.passed(), "{outcome:?}");
         assert_eq!(outcome.verdicts.len(), ORACLES.len());
+        assert_eq!(outcome.fired_events, 1, "one worker died: {outcome:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`ChaosHook`] trait that every execution substrate consults at its
 //! injection seams (exchange-buffer sends, checkpoint acks, monitoring
 //! notifications, recall control replies, per-tuple work, a worker's
-//! received messages, and on sockets the connections themselves);
+//! received messages, and on sockets the frame writes and reads);
 //! `gridq-chaos` implements it for a seeded fault plan. With no hook
 //! installed every seam takes the `Deliver`/no-stall default, so the
 //! instrumented paths are behaviorally identical to the uninstrumented
@@ -16,9 +16,11 @@
 //! whose acks never arrive, so dropped or duplicated data-plane buffers
 //! are recovered by the at-least-once transport and absorbed by
 //! consumer-side deduplication. Crashing a worker outright
-//! ([`ChaosHook::crash_worker`]) is survivable too when failover is
-//! enabled: the dying worker reports its crash on the way out and its
-//! recovery-log entries replay to the survivors. The one deliberately
+//! ([`ChaosHook::crash_worker`], the one death on every substrate) is
+//! survivable too when failover is enabled: the death is reported (by
+//! the dying consumer on threads, by the coordinator's reader of a
+//! socket worker's ended connection) and the worker's recovery-log
+//! entries replay to the survivors. The one deliberately
 //! unrecoverable combination — a crash with no failover (static policy)
 //! — exists so the oracle layer can prove data loss fails loudly.
 
@@ -126,19 +128,13 @@ pub trait ChaosHook: fmt::Debug + Send + Sync {
     /// once per buffer arriving at live partition `worker` (a block, an
     /// end-of-stream, a recall or failover transfer, a forwarded stray),
     /// and on `true` fails that partition's node at that instant; it
-    /// always fails over.
+    /// always fails over. The socket substrate consults it at the link
+    /// thread, once per message relayed to worker `worker` (a data
+    /// item, a recall command or re-delivery; not the opening `CONFIG`
+    /// nor the release), and on `true` ends the connection before that
+    /// message: the coordinator's reader reports the death, and the
+    /// run fails the worker over from the recovery logs.
     fn crash_worker(&self, worker: usize) -> bool {
-        let _ = worker;
-        false
-    }
-
-    /// Returns `true` to tear the socket connection to worker `worker`
-    /// down immediately before the next data frame is written (socket
-    /// substrate only). A connection that ends before the run releases
-    /// its worker is the worker's death: the coordinator's reader
-    /// reports it, and the run fails the worker over from the recovery
-    /// logs, as it does a consumer killed through `crash_worker`.
-    fn conn_drop(&self, worker: usize) -> bool {
         let _ = worker;
         false
     }
@@ -189,7 +185,6 @@ mod tests {
         assert_eq!(hook.stall_ms(StallSite::Producer, 0), 0.0);
         assert_eq!(hook.stall_ms(StallSite::Consumer, 1), 0.0);
         assert!(!hook.crash_worker(0));
-        assert!(!hook.conn_drop(0));
         assert!(!hook.partial_write(1));
         assert_eq!(hook.slow_peer_stall_ms(2), 0.0);
     }

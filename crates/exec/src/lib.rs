@@ -225,19 +225,19 @@ pub(crate) enum Msg {
 
 /// How the coordinator commands workers on either substrate: a message
 /// on each endpoint's control plane.
-struct Commands<C>(Vec<InboxSender<C>>);
+struct Commands(Vec<InboxSender<Msg>>);
 
-impl<C: From<Msg>> WorkerCommands for Commands<C> {
+impl WorkerCommands for Commands {
     fn drain(&mut self, worker: usize, token: u64) -> bool {
-        self.0[worker].send(Msg::Drain { token }.into())
+        self.0[worker].send(Msg::Drain { token })
     }
 
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
-        self.0[worker].send(Msg::Migrate(cmd).into());
+        self.0[worker].send(Msg::Migrate(cmd));
     }
 
     fn redeliver(&mut self, dest: usize, block: Vec<Routed>) {
-        self.0[dest].send(Msg::Migrated(block).into());
+        self.0[dest].send(Msg::Migrated(block));
     }
 }
 
@@ -519,12 +519,13 @@ pub(crate) trait Outlet: ConsumerOut {
 /// in-process or from a decoded frame. It shares the router and the
 /// recovery logs with the producers, so acks land in the log directly
 /// (and the log's verdict drives dedup eviction) and strays are re-routed
-/// on the spot, to a peer's control plane (`C`: `Msg` or `LinkCtl`).
-pub(crate) struct Port<C> {
+/// on the spot, to a peer's control plane.
+#[derive(Clone)]
+pub(crate) struct Port {
     index: usize,
     node: NodeId,
     x: Exchange,
-    peers: Vec<InboxSender<C>>,
+    peers: Vec<InboxSender<Msg>>,
     events: Sender<WorkerEvent>,
     raw: Sender<Raw>,
     replies: Sender<RecallReply>,
@@ -536,27 +537,13 @@ pub(crate) struct Port<C> {
     cost_scale: f64,
 }
 
-// Not derived: `derive` would demand `C: Clone`.
-impl<C> Clone for Port<C> {
-    fn clone(&self) -> Self {
-        Port {
-            x: self.x.clone(),
-            peers: self.peers.clone(),
-            events: self.events.clone(),
-            raw: self.raw.clone(),
-            replies: self.replies.clone(),
-            ..*self
-        }
-    }
-}
-
-impl<C> Port<C> {
+impl Port {
     /// Worker `index`'s port, whose strays go to `peers`.
     pub(crate) fn new(
         w: &Wiring,
         plan: &DistributedPlan,
         index: usize,
-        peers: Vec<InboxSender<C>>,
+        peers: Vec<InboxSender<Msg>>,
         cost_scale: f64,
         failover_on: bool,
     ) -> Self {
@@ -578,7 +565,7 @@ impl<C> Port<C> {
     }
 }
 
-impl<C: From<Msg>> ConsumerOut for Port<C> {
+impl ConsumerOut for Port {
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
         let scale = self.cost_scale;
         let pay = |ms| spin_for(ms, scale);
@@ -600,7 +587,7 @@ impl<C: From<Msg>> ConsumerOut for Port<C> {
         if owner == self.index {
             return Some(tuple);
         }
-        self.peers[owner].send(Msg::Migrated(vec![(stream, source, tuple)]).into());
+        self.peers[owner].send(Msg::Migrated(vec![(stream, source, tuple)]));
         None
     }
 
@@ -634,7 +621,7 @@ impl<C: From<Msg>> ConsumerOut for Port<C> {
     }
 }
 
-impl<C: From<Msg>> Outlet for Port<C> {
+impl Outlet for Port {
     /// Sent unless the chaos seam swallows it.
     fn reply(&mut self, phase: RecallPhase, token: u64) {
         if self.x.reply_survives(phase, self.index) {
@@ -855,8 +842,6 @@ impl ThreadedWorkers {
 }
 
 impl Endpoints for ThreadedWorkers {
-    type Ctl = Msg;
-
     fn senders(&self) -> Vec<InboxSender<Msg>> {
         self.senders.clone()
     }
@@ -1325,10 +1310,8 @@ pub(crate) struct Wiring {
 /// substrates do differently: in-process consumer threads, or link
 /// threads relaying to socket-connected workers.
 pub(crate) trait Endpoints {
-    /// The endpoints' control vocabulary.
-    type Ctl: From<Msg> + Send + 'static;
     /// Every worker's control-plane address.
-    fn senders(&self) -> Vec<InboxSender<Self::Ctl>>;
+    fn senders(&self) -> Vec<InboxSender<Msg>>;
     /// How `worker` ended, once it has: asked only while its completion
     /// is outstanding, where an exit means it died.
     fn exited(&mut self, worker: usize) -> Option<String>;
@@ -2538,7 +2521,7 @@ mod tests {
         });
         let x = Exchange::new(&plan, "test", false, Some(hook), true, 50).unwrap();
         let (raw, raw_rx) = channel();
-        let mut out: Port<Msg> = Port {
+        let mut out = Port {
             cost_scale: 0.01,
             index: 1,
             node: plan.stages[0].nodes[1],

@@ -118,7 +118,8 @@ mod tag {
     /// worker cannot verify (it has no router); the coordinator routes
     /// it to the current owner.
     pub const STRAY: u8 = 12;
-    /// Coordinator -> worker: the run is over, exit cleanly.
+    /// Coordinator -> worker: the run is over (`Msg::Release`), exit
+    /// cleanly.
     pub const SHUTDOWN: u8 = 13;
     // 14 is retired (it re-inserted state raw at the worker that had
     // surrendered it) and must not be reused.
@@ -205,18 +206,15 @@ fn get_routed_block(r: &mut Reader<'_>) -> Result<Vec<Routed>> {
     Ok(entries)
 }
 
-/// Every application-level message, one variant per [`tag`]. The first
-/// payload byte is the tag; `encode` and `decode` are each other's
-/// inverse, arm for arm.
+/// Every application-level message. The first payload byte is the
+/// [`tag`]; `encode` and `decode` are each other's inverse, arm for arm.
 enum WireMsg {
     Config(Box<WireConfig>),
     /// A data ring's item: `DATA` or `EOS`.
     Data(DataMsg),
-    Drain {
-        token: u64,
-    },
-    Migrate(MigrateCmd),
-    Migrated(Vec<Routed>),
+    /// A control-plane message, as a threaded consumer's inbox carries
+    /// it: `DRAIN`, `MIGRATE`, `MIGRATED` or `SHUTDOWN` (the release).
+    Ctl(Msg),
     Results(Vec<Tuple>),
     Ack {
         source: usize,
@@ -235,7 +233,6 @@ enum WireMsg {
         dedup_peak: u64,
     },
     Stray(Routed),
-    Shutdown,
 }
 
 impl WireMsg {
@@ -270,10 +267,10 @@ impl WireMsg {
                 put_stream(&mut out, *stream);
                 out
             }
-            WireMsg::Drain { token } => enc_token(tag::DRAIN, *token),
+            WireMsg::Ctl(Msg::Drain { token }) => enc_token(tag::DRAIN, *token),
             WireMsg::Drained { token } => enc_token(tag::DRAINED, *token),
             WireMsg::MigrateDone { token } => enc_token(tag::MIGRATE_DONE, *token),
-            WireMsg::Migrate(cmd) => {
+            WireMsg::Ctl(Msg::Migrate(cmd)) => {
                 let mut out = tagged(tag::MIGRATE);
                 put_varint(&mut out, cmd.token);
                 put_varint(&mut out, cmd.bucket_count.map_or(0, |b| u64::from(b) + 1));
@@ -283,7 +280,7 @@ impl WireMsg {
                 }
                 out
             }
-            WireMsg::Migrated(block) => enc_routed_block(tag::MIGRATED, block),
+            WireMsg::Ctl(Msg::Migrated(block)) => enc_routed_block(tag::MIGRATED, block),
             WireMsg::StateOut(block) => enc_routed_block(tag::STATE_OUT, block),
             WireMsg::Stray(entry) => {
                 let mut out = tagged(tag::STRAY);
@@ -312,7 +309,7 @@ impl WireMsg {
                 put_varint(&mut out, *dedup_peak);
                 out
             }
-            WireMsg::Shutdown => tagged(tag::SHUTDOWN),
+            WireMsg::Ctl(Msg::Release) => tagged(tag::SHUTDOWN),
         }
     }
 
@@ -355,7 +352,7 @@ impl WireMsg {
                 }))
             }
             tag::EOS => WireMsg::Data(DataMsg::Eos(get_stream(r)?)),
-            tag::DRAIN => WireMsg::Drain { token: r.varint()? },
+            tag::DRAIN => WireMsg::Ctl(Msg::Drain { token: r.varint()? }),
             tag::DRAINED => WireMsg::Drained { token: r.varint()? },
             tag::MIGRATE_DONE => WireMsg::MigrateDone { token: r.varint()? },
             tag::MIGRATE => {
@@ -371,13 +368,13 @@ impl WireMsg {
                 for _ in 0..n {
                     outgoing.push(get_u32(r, "bucket index")?);
                 }
-                WireMsg::Migrate(MigrateCmd {
+                WireMsg::Ctl(Msg::Migrate(MigrateCmd {
                     token,
                     bucket_count,
                     outgoing,
-                })
+                }))
             }
-            tag::MIGRATED => WireMsg::Migrated(get_routed_block(r)?),
+            tag::MIGRATED => WireMsg::Ctl(Msg::Migrated(get_routed_block(r)?)),
             tag::STATE_OUT => WireMsg::StateOut(get_routed_block(r)?),
             tag::STRAY => WireMsg::Stray(get_routed(r)?),
             tag::RESULTS => WireMsg::Results(wire::get_tuples(r)?),
@@ -395,7 +392,7 @@ impl WireMsg {
                 processed: r.varint()?,
                 dedup_peak: r.varint()?,
             },
-            tag::SHUTDOWN => WireMsg::Shutdown,
+            tag::SHUTDOWN => WireMsg::Ctl(Msg::Release),
             other => {
                 return Err(GridError::Execution(format!(
                     "socket: unknown frame tag {other}"
@@ -424,10 +421,10 @@ fn enc_routed_block(t: u8, block: &[Routed]) -> Vec<u8> {
 // The CONFIG payload: everything a worker needs before the first block.
 // ---------------------------------------------------------------------------
 
-/// The static per-worker configuration, sent as the first frame on
-/// every worker's link (command FIFO guarantees it precedes all
-/// data). Carried by value across the process boundary so a spawned
-/// `gridq-node` needs nothing but its command line and this frame.
+/// The static per-worker configuration, the opening frame of every
+/// worker's link, written before the link pops anything. Carried by
+/// value across the process boundary so a spawned `gridq-node` needs
+/// nothing but its command line and this frame.
 struct WireConfig {
     /// The protocol consumer's description; its perturbation travels in
     /// linear form so the worker needs no `Perturbation` enum.
@@ -888,42 +885,21 @@ fn read_some(conn: &mut Stream, buf: &mut [u8]) -> std::io::Result<Option<usize>
 // Coordinator: per-worker link thread.
 // ---------------------------------------------------------------------------
 
-/// The control plane of one worker's link thread.
-enum LinkCtl {
-    /// Send one control message. The recall barrier and the final
-    /// shutdown must trail every data block staged before them, so the
-    /// link drains its rings first.
-    Send(WireMsg),
-    /// Stop the link thread.
-    Stop,
-}
-
-impl From<Msg> for LinkCtl {
-    fn from(msg: Msg) -> Self {
-        LinkCtl::Send(match msg {
-            Msg::Drain { token } => WireMsg::Drain { token },
-            Msg::Migrate(cmd) => WireMsg::Migrate(cmd),
-            Msg::Migrated(block) => WireMsg::Migrated(block),
-            Msg::Release => WireMsg::Shutdown,
-        })
-    }
-}
-
 /// How long an idle link thread parks; every push and every control
 /// send wakes it, so this only bounds a missed wakeup.
 const LINK_PARK: Duration = Duration::from_millis(50);
 
-/// One worker's link thread: the socket substrate's worker endpoint on
-/// the coordinator side. It pops the same rings and control messages a
-/// consumer thread would, and writes them as frames. Once the connection
-/// has ended it keeps popping and discards what it pops: no producer
-/// parks on a dead worker, and the recovery logs keep every entry for
-/// the failover.
+/// One worker's link thread: the socket substrate's stand-in for a
+/// consumer thread on the coordinator side. It pops the same rings and
+/// control messages a consumer thread would, asks the same crash seam,
+/// and writes what it pops as frames. Once the connection has ended it
+/// keeps popping and discards what it pops: no producer parks on a dead
+/// worker, and the recovery logs keep every entry for the failover.
 struct Link {
     worker: usize,
     chaos: Option<Arc<dyn ChaosHook>>,
     /// One data ring per producer plus the control plane.
-    inbox: Inbox<LinkCtl, DataMsg>,
+    inbox: Inbox<Msg, DataMsg>,
     /// The connection's write half; `None` once it has ended.
     conn: Option<Stream>,
     /// The largest payload written, in bytes.
@@ -931,23 +907,39 @@ struct Link {
 }
 
 impl Link {
-    /// Encodes `msg` and writes it. `data` gates the chaos seams — only
-    /// data frames are dropped or chunked, mirroring the threaded
-    /// executor's data-plane-only injection.
-    fn send(&mut self, msg: &WireMsg, data: bool) {
-        let Some(conn) = &mut self.conn else { return };
-        let chaos = self.chaos.as_deref().filter(|_| data);
-        if chaos.is_some_and(|c| c.conn_drop(self.worker)) {
-            // The worker dies here: both ends read the end of the
-            // connection, and the reader reports the death.
+    /// Relays one message the worker would have taken off its inbox,
+    /// unless the crash seam kills the worker first: as a threaded
+    /// consumer dies on that message, the connection ends before it.
+    /// Both ends read the end of the connection, and the reader reports
+    /// the death.
+    fn relay(&mut self, msg: &WireMsg) {
+        let Some(conn) = &self.conn else { return };
+        if self
+            .chaos
+            .as_ref()
+            .is_some_and(|c| c.crash_worker(self.worker))
+        {
             let _ = conn.shutdown_both();
             self.conn = None;
             return;
         }
+        self.send(msg);
+    }
+
+    /// Encodes `msg` and writes it. Only data frames are chunked by the
+    /// partial-write seam, mirroring the threaded executor's
+    /// data-plane-only injection.
+    fn send(&mut self, msg: &WireMsg) {
+        let Some(conn) = &mut self.conn else { return };
         let frame = msg_frame(msg);
         self.largest = self.largest.max(frame.payload.len());
         let bytes = frame.encode();
-        let written = if chaos.is_some_and(|c| c.partial_write(self.worker)) {
+        let chunked = matches!(msg, WireMsg::Data(_))
+            && self
+                .chaos
+                .as_ref()
+                .is_some_and(|c| c.partial_write(self.worker));
+        let written = if chunked {
             // Deliberately tiny writes with a flush after each: the
             // worker's incremental decoder must reassemble headers and
             // payloads split at arbitrary byte boundaries.
@@ -962,33 +954,31 @@ impl Link {
         }
     }
 
-    /// Relays one control message; returns `false` to stop.
-    fn handle(&mut self, ctl: LinkCtl) -> bool {
-        let LinkCtl::Send(msg) = ctl else {
-            return false;
-        };
-        if matches!(msg, WireMsg::Drain { .. } | WireMsg::Shutdown) {
-            // Producers are parked (recall) or finished (shutdown) when a
-            // barrier is issued, so the rings are quiescent and this
-            // drain terminates.
-            while let Some(item) = self.inbox.pop_data() {
-                self.send(&WireMsg::Data(item), true);
-            }
-        }
-        self.send(&msg, false);
-        true
-    }
-
-    /// Relays until stopped; returns the largest payload written.
-    fn run(mut self) -> usize {
+    /// Opens the link with the worker's `CONFIG`, then relays until it
+    /// has relayed the release as `SHUTDOWN`; returns the largest payload
+    /// written.
+    fn run(mut self, config: WireConfig) -> usize {
+        self.send(&WireMsg::Config(Box::new(config)));
         loop {
             match self.inbox.next(LINK_PARK) {
-                Wake::Control(ctl) => {
-                    if !self.handle(ctl) {
+                Wake::Control(msg) => {
+                    let release = matches!(msg, Msg::Release);
+                    if release || matches!(msg, Msg::Drain { .. }) {
+                        // The barrier and the release must trail every
+                        // block staged before them. Producers are parked
+                        // (recall) or joined (release) by then, so the
+                        // rings are quiescent and this drain terminates.
+                        while let Some(item) = self.inbox.pop_data() {
+                            self.relay(&WireMsg::Data(item));
+                        }
+                    }
+                    if release {
+                        self.send(&WireMsg::Ctl(msg));
                         return self.largest;
                     }
+                    self.relay(&WireMsg::Ctl(msg));
                 }
-                Wake::Data(item) => self.send(&WireMsg::Data(item), true),
+                Wake::Data(item) => self.relay(&WireMsg::Data(item)),
                 Wake::Idle(_) => {}
                 Wake::Closed => return self.largest,
             }
@@ -1002,7 +992,7 @@ impl Link {
 
 /// Replays one message from a worker as the call its consumer thread
 /// would have made on `port` in-process.
-fn dispatch(port: &mut Port<LinkCtl>, msg: WireMsg) -> Result<()> {
+fn dispatch(port: &mut Port, msg: WireMsg) -> Result<()> {
     match msg {
         WireMsg::Results(tuples) => port.results(tuples),
         // The worker has evicted its dedup entries already: the log's
@@ -1018,7 +1008,7 @@ fn dispatch(port: &mut Port<LinkCtl>, msg: WireMsg) -> Result<()> {
         // still owns it.
         WireMsg::Stray((stream, source, tuple)) => {
             if let Some(tuple) = port.stray(stream, source, tuple) {
-                port.peers[port.index].send(Msg::Migrated(vec![(stream, source, tuple)]).into());
+                port.peers[port.index].send(Msg::Migrated(vec![(stream, source, tuple)]));
             }
         }
         WireMsg::Done {
@@ -1046,7 +1036,7 @@ fn dispatch(port: &mut Port<LinkCtl>, msg: WireMsg) -> Result<()> {
 /// its end too. Returns the largest payload it decoded, and the death it
 /// did not report.
 fn reader_loop(
-    mut port: Port<LinkCtl>,
+    mut port: Port,
     mut conn: Stream,
     mut dec: Decoder,
     mut frames: Vec<Frame>,
@@ -1184,7 +1174,7 @@ struct Net {
     /// Where `stop` leaves the largest payload any connection carried,
     /// either way.
     largest_frame: Arc<AtomicU64>,
-    links: Vec<InboxSender<LinkCtl>>,
+    links: Vec<InboxSender<Msg>>,
     /// Each returns the largest payload it wrote.
     link_handles: Vec<thread::JoinHandle<usize>>,
     /// Each returns the largest payload it decoded, and an end of its
@@ -1228,9 +1218,9 @@ impl Net {
         }
     }
 
-    /// Launches the workers, accepts each one's `HELLO`, starts its link
-    /// and reader threads and ships it its configuration — the first
-    /// frame on its link, so it precedes every data block.
+    /// Launches the workers, accepts each one's `HELLO`, and starts its
+    /// link thread, which opens with the worker's configuration, and its
+    /// reader thread.
     fn connect(
         &mut self,
         config: &SocketConfig,
@@ -1277,42 +1267,36 @@ impl Net {
         let _ = accept.join();
         connected?;
         let failover = config.chaos.is_some();
+        let (stage, sources) = (&plan.stages[0], plan.sources.len());
         let (links, inboxes): (Vec<_>, Vec<_>) = w.rings.drain(..).map(inbox).unzip();
         self.links = links;
         for (inbox, (i, conn, dec, frames)) in inboxes.into_iter().zip(hellos.into_iter().flatten())
         {
+            let perturbation = config.perturbations.get(&stage.nodes[i]);
+            let chaos = config.chaos.clone();
+            let opening = WireConfig {
+                spec: w
+                    .x
+                    .consumer_spec(i, sources, config.receive_cost_ms, perturbation),
+                cost_scale: config.cost_scale,
+                read_stall_ms: sane_ms(chaos.as_ref().map_or(0.0, |c| c.slow_peer_stall_ms(i))),
+                stage: config.stage.clone(),
+            };
             let link = Link {
                 worker: i,
-                chaos: config.chaos.clone(),
+                chaos,
                 inbox,
                 conn: Some(conn.try_clone()?),
                 largest: 0,
             };
-            self.link_handles.push(thread::spawn(move || link.run()));
+            self.link_handles
+                .push(thread::spawn(move || link.run(opening)));
             self.conns.push(conn.try_clone()?);
             let port = Port::new(&w, plan, i, self.links.clone(), config.cost_scale, failover);
             let released = Arc::clone(&self.released);
             self.readers.push(thread::spawn(move || {
                 reader_loop(port, conn, dec, frames, released)
             }));
-        }
-        let stage = &plan.stages[0];
-        let sources = plan.sources.len();
-        for (i, link) in self.links.iter().enumerate() {
-            let perturbation = config.perturbations.get(&stage.nodes[i]);
-            link.send(LinkCtl::Send(WireMsg::Config(Box::new(WireConfig {
-                spec: w
-                    .x
-                    .consumer_spec(i, sources, config.receive_cost_ms, perturbation),
-                cost_scale: config.cost_scale,
-                read_stall_ms: sane_ms(
-                    config
-                        .chaos
-                        .as_ref()
-                        .map_or(0.0, |c| c.slow_peer_stall_ms(i)),
-                ),
-                stage: config.stage.clone(),
-            }))));
         }
         Ok(())
     }
@@ -1345,9 +1329,7 @@ impl Net {
 }
 
 impl Endpoints for Net {
-    type Ctl = LinkCtl;
-
-    fn senders(&self) -> Vec<InboxSender<LinkCtl>> {
+    fn senders(&self) -> Vec<InboxSender<Msg>> {
         self.links.clone()
     }
 
@@ -1363,26 +1345,21 @@ impl Endpoints for Net {
     }
 
     /// The release comes first either way: from then on the end of a
-    /// connection is no death. Graceful (`clean`): the release, relayed
-    /// as SHUTDOWN, rides a ring barrier so it trails any residual data;
-    /// the workers exit, and each reader dispatches its worker's last
-    /// frames before it reads the end of the connection. Forced: every
-    /// connection is ended at once without waiting on worker cooperation
-    /// — spawned children are killed (one that had already failed is
-    /// named by its status), in-process workers read the end and exit,
-    /// and each one that failed is named with its error.
+    /// connection is no death. Graceful (`clean`): each link relays the
+    /// release as SHUTDOWN behind any residual data on its rings and
+    /// ends; the workers exit, and each reader dispatches its worker's
+    /// last frames before it reads the end of the connection. Forced:
+    /// every connection is ended at once without waiting on worker
+    /// cooperation — spawned children are killed (one that had already
+    /// failed is named by its status), in-process workers read the end
+    /// and exit, and each one that failed is named with its error — and
+    /// then released all the same, so each link drains its rings (its
+    /// SHUTDOWN write fails harmlessly) and ends.
     fn stop(mut self, clean: bool) -> Vec<String> {
         self.released.store(true, Ordering::SeqCst);
         let mut failed = Vec::new();
         let mut workers = std::mem::take(&mut self.workers);
-        if clean {
-            for link in &self.links {
-                link.send(Msg::Release.into());
-            }
-            for (i, worker) in workers.drain(..).enumerate() {
-                failed.extend(worker.and_then(|w| w.join(i)));
-            }
-        } else {
+        if !clean {
             for (i, worker) in workers.iter_mut().enumerate() {
                 if let Some(WorkerJoin::Process(c)) = worker {
                     if let Ok(Some(status)) = c.try_wait() {
@@ -1397,6 +1374,16 @@ impl Endpoints for Net {
                 let _ = conn.shutdown_both();
             }
         }
+        // No producer runs any more (all are joined, or none started):
+        // every ring is quiescent.
+        for link in &self.links {
+            link.send(Msg::Release);
+        }
+        if clean {
+            for (i, worker) in workers.drain(..).enumerate() {
+                failed.extend(worker.and_then(|w| w.join(i)));
+            }
+        }
         let mut largest = 0;
         for reader in self.readers.drain(..) {
             match reader.join() {
@@ -1406,9 +1393,6 @@ impl Endpoints for Net {
                 }
                 Err(_) => failed.push("reader panicked".into()),
             }
-        }
-        for link in self.links.drain(..) {
-            link.send(LinkCtl::Stop);
         }
         for h in self.link_handles.drain(..) {
             match h.join() {
@@ -1612,9 +1596,10 @@ pub fn worker_main(addr: &Addr, index: usize, services: &ServiceResolver) -> Res
 }
 
 /// The frame reader: each frame to the consumer thread — blocks onto its
-/// data ring (a full ring parks the reader), the recall's commands onto
-/// its control plane. Returns at SHUTDOWN, at the end of the connection,
-/// or once the consumer thread has gone.
+/// data ring (a full ring parks the reader), each control message onto
+/// its control plane as it is. Returns at SHUTDOWN (the release, which
+/// the caller then sends), at the end of the connection, or once the
+/// consumer thread has gone.
 fn read_frames(
     conn: &mut Stream,
     index: usize,
@@ -1644,7 +1629,7 @@ fn read_frames(
         // which the empty one below makes at once.
         for Frame { payload, .. } in dec.feed(&buf[..n])? {
             let (msg, st) = match (WireMsg::decode(&payload)?, &*started) {
-                (WireMsg::Shutdown, _) => return Ok(()),
+                (WireMsg::Ctl(Msg::Release), _) => return Ok(()),
                 (WireMsg::Config(cfg), None) => {
                     if cfg.spec.index != index {
                         return Err(GridError::Execution(format!(
@@ -1678,9 +1663,7 @@ fn read_frames(
             };
             let delivered = match msg {
                 WireMsg::Data(item) => st.data.push(item).is_ok(),
-                WireMsg::Drain { token } => st.ctrl.send(Msg::Drain { token }),
-                WireMsg::Migrate(cmd) => st.ctrl.send(Msg::Migrate(cmd)),
-                WireMsg::Migrated(block) => st.ctrl.send(Msg::Migrated(block)),
+                WireMsg::Ctl(msg) => st.ctrl.send(msg),
                 _ => {
                     return Err(GridError::Execution(format!(
                         "socket: unexpected coordinator frame tag {:?}",
@@ -1924,7 +1907,8 @@ mod tests {
         }
     }
 
-    /// Drops worker `worker`'s connection before its `nth` data frame.
+    /// Kills worker `worker` at the `nth` message its link relays (never,
+    /// for `nth` 0), and counts the messages relayed to it.
     #[derive(Debug)]
     struct DropConn {
         worker: usize,
@@ -1933,14 +1917,18 @@ mod tests {
     }
 
     impl DropConn {
-        fn hook(worker: usize, nth: u64) -> Option<Arc<dyn ChaosHook>> {
+        fn new(worker: usize, nth: u64) -> Arc<DropConn> {
             let seen = AtomicU64::new(0);
-            Some(Arc::new(DropConn { worker, nth, seen }))
+            Arc::new(DropConn { worker, nth, seen })
+        }
+
+        fn hook(worker: usize, nth: u64) -> Option<Arc<dyn ChaosHook>> {
+            Some(DropConn::new(worker, nth))
         }
     }
 
     impl ChaosHook for DropConn {
-        fn conn_drop(&self, worker: usize) -> bool {
+        fn crash_worker(&self, worker: usize) -> bool {
             worker == self.worker && self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.nth
         }
     }
@@ -2003,6 +1991,65 @@ mod tests {
         assert!(report.delivery_gaps.is_empty(), "{report:?}");
         for audit in &report.log_audits {
             assert!(audit.conserved(), "{audit:?}");
+        }
+    }
+
+    /// A socket worker dies through the crash seam on any message its link
+    /// relays — a data block, or the recall's `DRAIN`, `MIGRATE` or
+    /// `MIGRATED` — and every such death fails over to the static run's
+    /// multiset. The sweep kills worker 0 of a scripted-R1 join at its
+    /// first relayed message, then its second, and so on, until a run
+    /// relays fewer messages than the one it aims at: that run's hook
+    /// never fired and counted its whole sequence, a recall included, and
+    /// the sweep has killed the worker at every position in it. (How many
+    /// messages a run relays varies a little with timing: retransmitted
+    /// windows are messages too.)
+    #[test]
+    fn a_death_on_any_relayed_message_fails_over_to_the_static_multiset() {
+        let build = int_table("build", 0..20);
+        let probe = int_table("probe", 0..100);
+        let shape = JoinShape {
+            scan_cost_ms: [0.2, 1.0],
+            ..Default::default()
+        };
+        let plan = join_plan(&build, &probe, &shape);
+        let run = |chaos: Arc<DropConn>, adaptations| {
+            let mut config = SocketConfig::new(join_spec(&build, &probe), standard_resolver());
+            config.cost_scale = 0.01;
+            config.checkpoint_interval = 8;
+            config.recall_timeout_ms = 200;
+            config.chaos = Some(chaos as Arc<dyn ChaosHook>);
+            config.adaptations = adaptations;
+            SocketExecutor::new(catalog(&[&build, &probe]), config)
+                .run(&plan)
+                .unwrap()
+        };
+        let recall = || {
+            vec![ScriptedAdaptation {
+                after_routed: 30,
+                weights: vec![0.75, 0.25],
+                retrospective: true,
+            }]
+        };
+        let reference = multiset(&run(DropConn::new(0, 0), Vec::new()).results);
+        for nth in 1.. {
+            let hook = DropConn::new(0, nth);
+            let report = run(Arc::clone(&hook), recall());
+            assert_eq!(multiset(&report.results), reference, "death at {nth}");
+            let relayed = hook.seen.load(Ordering::SeqCst);
+            if relayed < nth {
+                assert_eq!(report.nodes_failed, 0, "{report:?}");
+                assert_eq!(report.recalls_completed, 1, "{report:?}");
+                assert!(relayed > 0, "the link asks the crash seam");
+                break;
+            }
+            let failover = (report.nodes_failed, report.failovers_completed);
+            assert_eq!(failover, (1, 1), "death at message {nth}: {report:?}");
+            assert!(report.delivery_gaps.is_empty(), "{report:?}");
+            for audit in &report.log_audits {
+                assert!(audit.conserved(), "{audit:?}");
+            }
+            assert!(nth < 200, "a run relays a bounded number of messages");
         }
     }
 
@@ -2145,13 +2192,13 @@ mod tests {
                 retransmit: rng.flip(),
             })),
             WireMsg::Data(DataMsg::Eos(StreamTag::Probe)),
-            WireMsg::Drain { token: r_u64(rng) },
-            WireMsg::Migrate(MigrateCmd {
+            WireMsg::Ctl(Msg::Drain { token: r_u64(rng) }),
+            WireMsg::Ctl(Msg::Migrate(MigrateCmd {
                 token: r_u64(rng),
                 bucket_count: rng.flip().then(|| rng.u32_in(0, 70_000)),
                 outgoing: rng.vec_of(0, 8, |r| r.u32_in(0, 70_000)),
-            }),
-            WireMsg::Migrated(rng.vec_of(0, 4, gen_routed)),
+            })),
+            WireMsg::Ctl(Msg::Migrated(rng.vec_of(0, 4, gen_routed))),
             WireMsg::Results(rng.vec_of(0, 4, gen_tuple)),
             WireMsg::Ack {
                 source: rng.usize_in(0, 300),
@@ -2166,7 +2213,7 @@ mod tests {
                 dedup_peak: r_u64(rng),
             },
             WireMsg::Stray(gen_routed(rng)),
-            WireMsg::Shutdown,
+            WireMsg::Ctl(Msg::Release),
         ];
         messages.iter().map(WireMsg::encode).collect()
     }
@@ -2233,6 +2280,38 @@ mod tests {
         }
     }
 
+    /// The control messages' bytes are pinned literally: a `gridq-node`
+    /// built from another revision of this codec reads them as this one
+    /// does, so changing them is a protocol change, not a refactor.
+    #[test]
+    fn control_messages_encode_to_their_pinned_bytes() {
+        let tuple = Tuple::with_seq(vec![Value::Int(-5), Value::str("ab")], 9);
+        let migrate = |token, bucket_count, outgoing| {
+            Msg::Migrate(MigrateCmd {
+                token,
+                bucket_count,
+                outgoing,
+            })
+        };
+        let pinned: [(Msg, &[u8]); 5] = [
+            (Msg::Drain { token: 300 }, &[3, 172, 2]),
+            (
+                migrate(7, Some(64), vec![3, 200]),
+                &[4, 7, 65, 2, 3, 200, 1],
+            ),
+            (migrate(8, None, Vec::new()), &[4, 8, 0, 0]),
+            (
+                Msg::Migrated(vec![(StreamTag::Probe, 1, tuple)]),
+                &[5, 1, 2, 1, 9, 2, 1, 9, 3, 2, 97, 98],
+            ),
+            (Msg::Release, &[13]),
+        ];
+        for (msg, bytes) in pinned {
+            assert_eq!(WireMsg::Ctl(msg).encode(), bytes);
+            assert_eq!(WireMsg::decode(bytes).unwrap().encode(), bytes);
+        }
+    }
+
     /// Swallows every recall reply worker 1 sends.
     #[derive(Debug)]
     struct MuteRepliesOf1;
@@ -2276,10 +2355,9 @@ mod tests {
             processed_total: Arc::new(AtomicU64::new(0)),
             started: Instant::now(),
         };
-        let (links, mut links_rx): (Vec<_>, Vec<_>) = (0..2)
-            .map(|_| inbox::<LinkCtl, DataMsg>(Vec::new()))
-            .unzip();
-        let mut ports: Vec<Port<LinkCtl>> = (0..2)
+        let (links, mut links_rx): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| inbox::<Msg, DataMsg>(Vec::new())).unzip();
+        let mut ports: Vec<Port> = (0..2)
             .map(|i| Port::new(&w, &plan, i, links.clone(), 0.002, false))
             .collect();
         let mut feed = |worker: usize, msg: WireMsg| {
@@ -2352,7 +2430,7 @@ mod tests {
         for (owner, tuple) in [(0, owned_by(0)), (1, owned_by(1))] {
             feed(0, WireMsg::Stray((StreamTag::Probe, 1, tuple.clone()))).unwrap();
             match links_rx[owner].next(Duration::ZERO) {
-                Wake::Control(LinkCtl::Send(WireMsg::Migrated(block))) => {
+                Wake::Control(Msg::Migrated(block)) => {
                     assert!(matches!(&block[..], [(_, 1, t)] if t.seq() == tuple.seq()));
                 }
                 _ => panic!("the stray must reach worker {owner} as MIGRATED"),
@@ -2360,7 +2438,7 @@ mod tests {
         }
 
         assert!(
-            feed(0, WireMsg::Drain { token: 1 }).is_err(),
+            feed(0, WireMsg::Ctl(Msg::Drain { token: 1 })).is_err(),
             "a coordinator->worker tag from a worker is an error"
         );
         assert!(replies.try_recv().is_err() && raw.try_recv().is_err());
@@ -2392,7 +2470,7 @@ mod tests {
                 processed_total: Arc::new(AtomicU64::new(0)),
                 started: Instant::now(),
             };
-            let links = vec![inbox::<LinkCtl, DataMsg>(Vec::new()).0; 2];
+            let links = vec![inbox::<Msg, DataMsg>(Vec::new()).0; 2];
             let port = Port::new(&w, &plan, 1, links, 0.002, failover);
             let listener = Listener::bind(&Addr::scratch_unix()).unwrap();
             let mut worker = Stream::connect(&listener.local_addr().unwrap()).unwrap();

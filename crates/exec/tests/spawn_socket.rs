@@ -91,14 +91,15 @@ fn spawned_workers_survive_a_retrospective_recall() {
     }
 }
 
-/// Drops worker 1's connection before its fourth data frame.
+/// Kills worker 1 at the fourth message its link relays (in a static
+/// run, its fourth data frame): the link ends the connection before it.
 #[derive(Debug, Default)]
 struct DropFourth {
     frames: AtomicU64,
 }
 
 impl ChaosHook for DropFourth {
-    fn conn_drop(&self, worker: usize) -> bool {
+    fn crash_worker(&self, worker: usize) -> bool {
         worker == 1 && self.frames.fetch_add(1, Ordering::SeqCst) == 3
     }
 }

@@ -156,7 +156,8 @@ impl Stream {
     }
 
     /// Tears the connection down in both directions; blocked reads on
-    /// other clones return EOF. Used by the `conn_drop` chaos family.
+    /// other clones return EOF. A socket worker's death: the link thread
+    /// ends a connection this way when the crash seam fires.
     pub fn shutdown_both(&self) -> Result<()> {
         match self {
             Stream::Tcp(s) => s.shutdown(Shutdown::Both).map_err(err_io),

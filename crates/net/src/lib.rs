@@ -13,8 +13,9 @@
 //!   stream.
 //! - [`link`] — the `HELLO` that opens a worker connection. A
 //!   connection is FIFO until it ends, and its end is a worker's death
-//!   (`conn_drop` chaos cuts one on purpose), which the executor fails
-//!   over from its recovery logs: there is no link-level retransmission.
+//!   (the `crash_worker` chaos seam cuts one on purpose), which the
+//!   executor fails over from its recovery logs: there is no link-level
+//!   retransmission.
 //!   The module's sequencing layer ([`LinkState`]) has no product caller
 //!   and is kept only for the `benchmark/` workspace's link measurement.
 //! - [`endpoint`] — the actual sockets: one enum over `TcpStream` and

@@ -3,17 +3,20 @@
 //! seeded CI matrix does. Three pinned seeds × seven shared fault
 //! families (notification drop, thread stall, crash mid-recall, data
 //! loss, data duplication, node crash, block-boundary drop/dup pairs) on
-//! the sim and threaded substrates, plus the three socket-only families
-//! (conn_drop, partial_write, slow_peer — their seams do not exist
-//! in-process) on the socket substrate; every oracle green, and every
-//! report line what CI uploads: JSON naming its cell, plan and oracles. The data-plane
-//! families are live here — dropped blocks heal through whole-block
-//! recovery-log retransmission, duplicated blocks are absorbed by
-//! consumer range dedup, a killed consumer fails over (on threads from
-//! its own exit notice), and a severed socket is its worker's death,
-//! reported by the coordinator's reader and failed over from the
-//! recovery logs. The hard socket cell is `conn_drop` under R1: a death
-//! on a hash join beside a scripted recall.
+//! the sim and threaded substrates, the node crash on the socket
+//! substrate too, plus the two socket-only families (partial_write,
+//! slow_peer — their seams do not exist in-process) there; every oracle
+//! green, and every report line what CI uploads: JSON naming its cell,
+//! plan and oracles. The data-plane families are live here — dropped
+//! blocks heal through whole-block recovery-log retransmission,
+//! duplicated blocks are absorbed by consumer range dedup, and a node
+//! crash kills one worker through the one `crash_worker` seam on every
+//! substrate and fails it over: on threads from the consumer's own exit
+//! notice, on sockets from the coordinator's reader, which reads the
+//! connection the link ended. Every crash cell fires exactly once: a
+//! crash cell that kills nobody fails. The hard socket cell is
+//! `node_crash` under R1: a death on a hash join beside a scripted
+//! recall.
 
 use gridq::chaos::{
     FaultEvent, FaultFamily, FaultPlan, Policy, Runner, Scenario, ScenarioOutcome, Substrate,
@@ -32,9 +35,10 @@ const FAMILIES: [FaultFamily; 7] = [
     FaultFamily::BlockBoundary,
 ];
 
-/// The pinned (family, substrate) cells: each family runs on exactly the
-/// substrates whose seams it targets — crash/stall/notify faults have no
-/// socket analogue, and the socket families have no in-process one.
+/// The pinned (family, substrate) cells: each family runs on the
+/// substrates whose seams it targets — the node crash on all three,
+/// stall/notify faults not on sockets, and the socket families on no
+/// in-process substrate.
 fn pinned_cells() -> Vec<(FaultFamily, Substrate)> {
     let mut cells = Vec::new();
     for family in FAMILIES {
@@ -42,6 +46,7 @@ fn pinned_cells() -> Vec<(FaultFamily, Substrate)> {
             cells.push((family, substrate));
         }
     }
+    cells.push((FaultFamily::NodeCrash, Substrate::Socket));
     for family in FaultFamily::SOCKET {
         cells.push((family, Substrate::Socket));
     }
@@ -73,7 +78,7 @@ fn pinned_cells_pass_every_oracle_and_round_trip() {
                     ORACLES.len(),
                     "every oracle judges every run"
                 );
-                if family == FaultFamily::ConnDrop {
+                if family == FaultFamily::NodeCrash {
                     assert_eq!(outcome.fired_events, 1, "one worker died: {outcome:?}");
                 }
                 for (verdict, name) in outcome.verdicts.iter().zip(ORACLES) {
