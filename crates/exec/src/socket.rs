@@ -2017,7 +2017,7 @@ mod tests {
             let mut config = SocketConfig::new(join_spec(&build, &probe), standard_resolver());
             config.cost_scale = 0.01;
             config.checkpoint_interval = 8;
-            config.recall_timeout_ms = 200;
+            config.recall_timeout_ms = 500;
             config.chaos = Some(chaos as Arc<dyn ChaosHook>);
             config.adaptations = adaptations;
             SocketExecutor::new(catalog(&[&build, &probe]), config)
