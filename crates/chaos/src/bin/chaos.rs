@@ -7,9 +7,9 @@
 //! ```
 //!
 //! `--socket` swaps the classic sim/threaded matrix for the
-//! socket-substrate matrix (node crashes, partial writes, slow peers
-//! over real sockets) so CI can run the two surfaces as separate
-//! jobs with separate artifacts.
+//! socket-substrate matrix (node crashes, deaths mid-recall, partial
+//! writes, slow peers over real sockets) so CI can run the two surfaces
+//! as separate jobs with separate artifacts.
 //!
 //! `GRIDQ_CHAOS_SEED=<n>` overrides `--seeds` with a single seed — the
 //! replay knob for a failure reported by CI: the same seed regenerates

@@ -208,7 +208,6 @@ impl Workload {
             receive_cost_ms: knobs.receive_cost_ms,
             checkpoint_interval: knobs.checkpoint_interval,
             obs: knobs.obs.clone(),
-            recall_timeout_ms: knobs.recall_timeout_ms,
             chaos: knobs.chaos.clone(),
             delivery_retry: knobs.delivery_retry.clone(),
             failover: knobs.failover,
@@ -221,7 +220,6 @@ impl Workload {
         config.cost_scale = knobs.cost_scale;
         config.receive_cost_ms = knobs.receive_cost_ms;
         config.checkpoint_interval = knobs.checkpoint_interval;
-        config.recall_timeout_ms = knobs.recall_timeout_ms;
         config.delivery_retry = knobs.delivery_retry.clone();
         config.chaos = knobs.chaos.clone();
         config.adaptations = knobs.script.clone();
@@ -248,8 +246,6 @@ pub struct Knobs {
     pub receive_cost_ms: f64,
     /// Tuples per recovery-log checkpoint window.
     pub checkpoint_interval: usize,
-    /// Recall barrier time-out on the real substrates, wall-clock ms.
-    pub recall_timeout_ms: u64,
     /// Fault-injection hook (switches the run into resilient mode).
     pub chaos: Option<Arc<dyn ChaosHook>>,
     /// Delivery retry/backoff on the real substrates.
@@ -277,7 +273,6 @@ impl Default for Knobs {
             cost_scale: exec.cost_scale,
             receive_cost_ms: exec.receive_cost_ms,
             checkpoint_interval: exec.checkpoint_interval,
-            recall_timeout_ms: exec.recall_timeout_ms,
             chaos: None,
             delivery_retry: exec.delivery_retry,
             failover: exec.failover,

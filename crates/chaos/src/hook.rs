@@ -1,8 +1,9 @@
 //! The [`ChaosHook`] implementation driving a [`FaultPlan`].
 //!
 //! A [`PlanHook`] keeps one occurrence counter per seam edge (data edge,
-//! ack edge, notification stream, recall-control phase, stall site,
-//! per-worker received-message count for consumer crashes) and
+//! ack edge, notification stream, stall site, per-worker received-message
+//! count for consumer crashes and per-worker recall-command count of each
+//! phase for deaths mid-recall) and
 //! fires an event exactly when its edge counter reaches the event's
 //! `nth`. Counters live behind the workspace's poison-recovering mutex:
 //! the threaded and socket substrates call the hook from producer,
@@ -24,11 +25,12 @@ struct HookState {
     /// Checkpoint-ack count per `(source, worker)` edge.
     acks: HashMap<(usize, usize), u64>,
     /// Notification count per `(kind, index)` stream.
-    notify: HashMap<(u8, usize), u64>,
-    /// Recall-control reply count per `(phase, worker)`.
-    ctrl: HashMap<(u8, usize), u64>,
+    notify: HashMap<(NotifyKind, usize), u64>,
+    /// Recall-command count per `(phase, worker)` (the `crash_worker`
+    /// seam, asked about a `Drain` or a `Migrate`).
+    recalls: HashMap<(RecallPhase, usize), u64>,
     /// Step count per `(site, index)`.
-    stalls: HashMap<(u8, usize), u64>,
+    stalls: HashMap<(StallSite, usize), u64>,
     /// Received-message count per worker (the `crash_worker` seam).
     crashes: HashMap<usize, u64>,
     /// Data-frame write count per worker connection (the socket
@@ -36,27 +38,6 @@ struct HookState {
     partial_writes: HashMap<usize, u64>,
     /// Indices (into the plan's event list) of events that fired.
     fired: Vec<usize>,
-}
-
-fn kind_key(kind: NotifyKind) -> u8 {
-    match kind {
-        NotifyKind::M1 => 0,
-        NotifyKind::M2 => 1,
-    }
-}
-
-fn phase_key(phase: RecallPhase) -> u8 {
-    match phase {
-        RecallPhase::Drain => 0,
-        RecallPhase::Migrate => 1,
-    }
-}
-
-fn site_key(site: StallSite) -> u8 {
-    match site {
-        StallSite::Producer => 0,
-        StallSite::Consumer => 1,
-    }
 }
 
 /// A [`ChaosHook`] that injects the faults of one [`FaultPlan`].
@@ -159,7 +140,7 @@ impl ChaosHook for PlanHook {
     fn on_notification(&self, kind: NotifyKind, index: usize) -> bool {
         let mut s = self.state.lock();
         let n = {
-            let c = s.notify.entry((kind_key(kind), index)).or_insert(0);
+            let c = s.notify.entry((kind, index)).or_insert(0);
             *c += 1;
             *c
         };
@@ -179,33 +160,10 @@ impl ChaosHook for PlanHook {
         true
     }
 
-    fn on_recall_ctrl(&self, phase: RecallPhase, worker: usize) -> bool {
-        let mut s = self.state.lock();
-        let n = {
-            let c = s.ctrl.entry((phase_key(phase), worker)).or_insert(0);
-            *c += 1;
-            *c
-        };
-        for (idx, event) in self.events.iter().enumerate() {
-            if let FaultEvent::LoseRecallCtrl {
-                phase: ep,
-                worker: ew,
-                nth,
-            } = *event
-            {
-                if ep == phase && ew == worker && nth == n {
-                    s.fired.push(idx);
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     fn stall_ms(&self, site: StallSite, index: usize) -> f64 {
         let mut s = self.state.lock();
         let n = {
-            let c = s.stalls.entry((site_key(site), index)).or_insert(0);
+            let c = s.stalls.entry((site, index)).or_insert(0);
             *c += 1;
             *c
         };
@@ -236,19 +194,33 @@ impl ChaosHook for PlanHook {
         total
     }
 
-    fn crash_worker(&self, worker: usize) -> bool {
+    /// Every message counts towards `CrashConsumer`; a recall's command
+    /// counts towards `CrashOnRecall` of its phase as well.
+    fn crash_worker(&self, worker: usize, recall: Option<RecallPhase>) -> bool {
         let mut s = self.state.lock();
         let n = {
             let c = s.crashes.entry(worker).or_insert(0);
             *c += 1;
             *c
         };
+        let in_phase = recall.map(|phase| {
+            let c = s.recalls.entry((phase, worker)).or_insert(0);
+            *c += 1;
+            (phase, *c)
+        });
         for (idx, event) in self.events.iter().enumerate() {
-            if let FaultEvent::CrashConsumer { worker: ew, nth } = *event {
-                if ew == worker && nth == n {
-                    s.fired.push(idx);
-                    return true;
-                }
+            let fires = match *event {
+                FaultEvent::CrashConsumer { worker: ew, nth } => ew == worker && nth == n,
+                FaultEvent::CrashOnRecall {
+                    phase,
+                    worker: ew,
+                    nth,
+                } => ew == worker && in_phase == Some((phase, nth)),
+                _ => false,
+            };
+            if fires {
+                s.fired.push(idx);
+                return true;
             }
         }
         false
@@ -306,7 +278,7 @@ mod tests {
             assert_eq!(hook.on_data(0, n % 2), NetAction::Deliver);
             assert_eq!(hook.on_ack(0, n % 2), NetAction::Deliver);
             assert!(hook.on_notification(NotifyKind::M1, 0));
-            assert!(hook.on_recall_ctrl(RecallPhase::Drain, 0));
+            assert!(!hook.crash_worker(0, Some(RecallPhase::Drain)));
             assert!(hook.stall_ms(StallSite::Consumer, 0) < 1e-12);
         }
         assert!(hook.fired().is_empty());
@@ -334,35 +306,48 @@ mod tests {
     }
 
     #[test]
-    fn notification_and_ctrl_losses_target_kind_and_phase() {
-        let hook = PlanHook::new(&plan(vec![
-            FaultEvent::DropNotify {
-                kind: NotifyKind::M2,
-                index: 1,
-                nth: 1,
-            },
-            FaultEvent::LoseRecallCtrl {
-                phase: RecallPhase::Migrate,
-                worker: 0,
-                nth: 1,
-            },
-        ]));
+    fn notification_losses_target_kind() {
+        let hook = PlanHook::new(&plan(vec![FaultEvent::DropNotify {
+            kind: NotifyKind::M2,
+            index: 1,
+            nth: 1,
+        }]));
         assert!(hook.on_notification(NotifyKind::M1, 1), "wrong kind");
         assert!(!hook.on_notification(NotifyKind::M2, 1), "fires");
         assert!(hook.on_notification(NotifyKind::M2, 1), "only once");
-        assert!(hook.on_recall_ctrl(RecallPhase::Drain, 0), "wrong phase");
-        assert!(!hook.on_recall_ctrl(RecallPhase::Migrate, 0), "fires");
-        assert_eq!(hook.fired(), vec![0, 1]);
+        assert_eq!(hook.fired(), vec![0]);
     }
 
+    /// A recall command is a received message like any other: it counts
+    /// towards `CrashConsumer` whichever round it opens.
     #[test]
     fn consumer_crash_fires_at_the_nth_message_only() {
         let hook = PlanHook::new(&plan(vec![FaultEvent::CrashConsumer { worker: 1, nth: 3 }]));
-        assert!(!hook.crash_worker(0), "other workers survive");
-        assert!(!hook.crash_worker(1), "first message");
-        assert!(!hook.crash_worker(1), "second message");
-        assert!(hook.crash_worker(1), "third message kills");
-        assert!(!hook.crash_worker(1), "fires only once");
+        assert!(!hook.crash_worker(0, None), "other workers survive");
+        assert!(!hook.crash_worker(1, None), "first message");
+        let drain = Some(RecallPhase::Drain);
+        assert!(!hook.crash_worker(1, drain), "second message");
+        assert!(hook.crash_worker(1, None), "third message kills");
+        assert!(!hook.crash_worker(1, None), "fires only once");
+        assert_eq!(hook.fired(), vec![0]);
+    }
+
+    /// A death mid-recall counts only its worker's commands of its phase.
+    #[test]
+    fn a_crash_on_recall_fires_at_the_nth_command_of_its_phase() {
+        let hook = PlanHook::new(&plan(vec![FaultEvent::CrashOnRecall {
+            phase: RecallPhase::Migrate,
+            worker: 0,
+            nth: 2,
+        }]));
+        let (drain, migrate) = (Some(RecallPhase::Drain), Some(RecallPhase::Migrate));
+        assert!(!hook.crash_worker(0, None), "data");
+        assert!(!hook.crash_worker(0, drain), "wrong phase");
+        assert!(!hook.crash_worker(1, migrate), "wrong worker");
+        assert!(!hook.crash_worker(0, migrate), "first migrate");
+        assert!(!hook.crash_worker(0, drain), "wrong phase");
+        assert!(hook.crash_worker(0, migrate), "second migrate kills");
+        assert!(!hook.crash_worker(0, migrate), "fires only once");
         assert_eq!(hook.fired(), vec![0]);
     }
 

@@ -12,8 +12,9 @@
 //!
 //! - [`FaultPlan`] is a seeded, replayable list of [`FaultEvent`]s, each
 //!   aimed at one occurrence of one seam (the `nth` buffer on one
-//!   exchange edge, the `nth` checkpoint ack, a recall control reply, a
-//!   worker's `nth` received message to die on, a perturbation burst). A
+//!   exchange edge, the `nth` checkpoint ack, a worker's `nth` received
+//!   message — or `nth` recall command of one round — to die on, a
+//!   perturbation burst). A
 //!   cell's plan depends on its seed, family and topology only: the
 //!   simulator and the threads run the same plan.
 //! - [`PlanHook`] injects a plan through the narrow
@@ -29,9 +30,10 @@
 //! - [`Runner`] executes `(seed, family, substrate, policy)` matrix
 //!   cells through it; [`shrink_failure`] minimises a failing plan to a small
 //!   reproducer, mirroring `gridq_common::check`'s shrinking.
-//! - [`socket_matrix`] covers the socket substrate: the node crash, and
-//!   the wire-level fault families (partial writes, slow peers), which
-//!   have no seam on the in-process substrates.
+//! - [`socket_matrix`] covers the socket substrate: the node crash, a
+//!   death mid-recall, and the wire-level fault families (partial
+//!   writes, slow peers), which have no seam on the in-process
+//!   substrates.
 //!
 //! Replaying is by seed: `GRIDQ_CHAOS_SEED=<n>` makes the `chaos` binary
 //! run just that seed's matrix, regenerating the same plans and
@@ -41,14 +43,16 @@
 //! CI and for people, never read back.
 //!
 //! The fault model is honest about what the system can survive (see
-//! [`gridq_common::chaos`]): control-plane traffic (monitoring
-//! notifications, checkpoint acks, recall replies) is best-effort and
-//! may be lost or duplicated; data-plane traffic is at-least-once —
+//! [`gridq_common::chaos`]): monitoring notifications and checkpoint
+//! acks are best-effort and may be lost or duplicated; a recall's
+//! replies are FIFO-or-dead — a worker answers each barrier or dies, and
+//! its death is the answer; data-plane traffic is at-least-once —
 //! dropped buffers are retransmitted from the producers' recovery logs
 //! and duplicated buffers are absorbed by consumer-side deduplication,
 //! so [`FaultEvent::DropData`] / [`FaultEvent::DuplicateData`] are live
-//! matrix families, and [`FaultFamily::NodeCrash`] kills a worker
-//! outright through the same `crash_worker` seam on every substrate.
+//! matrix families, and [`FaultFamily::NodeCrash`] and
+//! [`FaultFamily::CrashMidRecall`] kill a worker outright through the
+//! same `crash_worker` seam on every substrate.
 //! What remains deliberately
 //! unrecoverable — and proves the oracles fail loudly — is exhausting
 //! the retry budget (every copy of a window dropped) or crashing a

@@ -13,10 +13,11 @@
 //! checkpoint-window retransmission and consumer-side deduplication, so
 //! [`FaultEvent::DropData`] and [`FaultEvent::DuplicateData`] are live
 //! matrix families ([`FaultFamily::DataLoss`], [`FaultFamily::DataDup`])
-//! rather than broken fixtures, and [`FaultFamily::NodeCrash`] kills a
-//! worker outright through the `crash_worker` seam, with failover
-//! recovering it, on every substrate (a socket worker dies with its
-//! connection, cut at the link). A cell's plan depends on its seed,
+//! rather than broken fixtures, and [`FaultFamily::NodeCrash`] and
+//! [`FaultFamily::CrashMidRecall`] kill a worker outright through the
+//! `crash_worker` seam — on any message, or on a recall's command — with
+//! failover recovering it, on every substrate (a socket worker dies with
+//! its connection, cut at the link). A cell's plan depends on its seed,
 //! family and topology only, so every substrate runs the same faults.
 //! The one deliberately unrecoverable shape — enough drops on one edge
 //! to outlast the retry budget, or a crash with no failover — is what
@@ -135,21 +136,23 @@ pub enum FaultEvent {
         /// Extra stall in model milliseconds.
         ms: f64,
     },
-    /// Swallow worker `worker`'s `nth` recall control reply of `phase`.
-    /// Models a worker crashing mid-recall: a lost Drain reply aborts the
-    /// recall before the swap, a lost Migrate reply leaves it deployed
-    /// but not completed.
-    LoseRecallCtrl {
-        /// Which protocol phase's reply to lose.
+    /// Kill consumer `worker` as its `nth` recall command of `phase` (a
+    /// `Drain` or a `Migrate`) reaches it, through the `crash_worker`
+    /// seam: a worker dying mid-recall. Its death answers the open
+    /// barrier: a death on the Drain abandons the recall before the swap,
+    /// one on the Migrate leaves it deployed but not completed, and
+    /// either way the failover recall replays the worker's log.
+    CrashOnRecall {
+        /// The recall round whose command kills the worker.
         phase: RecallPhase,
         /// Worker index.
         worker: usize,
-        /// Occurrence to lose (1-based).
+        /// Recall command of `phase` to die at (1-based).
         nth: u64,
     },
     /// Kill consumer `worker` at its `nth` received message (a thread's
-    /// inbox message, a buffer arriving in the simulator, a message a
-    /// socket link relays), through the
+    /// inbox message, a buffer or a recall command arriving in the
+    /// simulator, a message a socket link relays), through the
     /// `crash_worker` seam: the worker stops without flushing,
     /// acknowledging, or replying, exactly as if its node died. With
     /// failover (always on in the simulator) the failover recall replays
@@ -210,7 +213,7 @@ impl FaultEvent {
             FaultEvent::DuplicateData { .. } => "duplicate_data",
             FaultEvent::StallProducer { .. } => "stall_producer",
             FaultEvent::StallConsumer { .. } => "stall_consumer",
-            FaultEvent::LoseRecallCtrl { .. } => "lose_recall_ctrl",
+            FaultEvent::CrashOnRecall { .. } => "crash_on_recall",
             FaultEvent::CrashConsumer { .. } => "crash_consumer",
             FaultEvent::PerturbBurst { .. } => "perturb_burst",
             FaultEvent::PartialWrite { .. } => "partial_write",
@@ -286,7 +289,7 @@ impl FaultEvent {
                 o.int("nth", *nth);
                 o.num("ms", *ms);
             }
-            FaultEvent::LoseRecallCtrl { phase, worker, nth } => {
+            FaultEvent::CrashOnRecall { phase, worker, nth } => {
                 o.str(
                     "phase",
                     match phase {
@@ -341,8 +344,8 @@ pub enum FaultFamily {
     DataDup,
     /// Stall producer and consumer threads mid-stream.
     Stall,
-    /// A worker dies mid-recall: one of its recall control replies is
-    /// swallowed.
+    /// A worker dies mid-recall, on one of the recall commands it
+    /// receives, and fails over.
     CrashMidRecall,
     /// Kill a worker outright through the `crash_worker` seam, with
     /// failover recovering it (on threads from its exit notice, R1 only;
@@ -554,7 +557,7 @@ impl FaultPlan {
                 }
             }
             FaultFamily::CrashMidRecall => {
-                events.push(FaultEvent::LoseRecallCtrl {
+                events.push(FaultEvent::CrashOnRecall {
                     phase: *rng.pick(&[RecallPhase::Drain, RecallPhase::Migrate]),
                     worker: rng.usize_in(0, workers),
                     nth: rng.i64_in(1, 3) as u64,
@@ -662,7 +665,8 @@ impl FaultPlan {
 
     /// Whether the plan kills a worker.
     pub fn kills_a_worker(&self) -> bool {
-        let kill = |e: &FaultEvent| matches!(e, FaultEvent::CrashConsumer { .. });
+        use FaultEvent::{CrashConsumer, CrashOnRecall};
+        let kill = |e: &FaultEvent| matches!(e, CrashConsumer { .. } | CrashOnRecall { .. });
         self.events.iter().any(kill)
     }
 

@@ -9,10 +9,11 @@
 //! a real imbalance to correct; R2 cells run a stateless service-call
 //! plan with the same standing perturbation; static cells run the
 //! service-call plan unperturbed. A cell's plan is the same on every
-//! substrate: `CrashConsumer` events kill a worker through the
-//! `crash_worker` seam on each (threads fail over under R1, from the
-//! dying worker's exit notice; sockets whenever a hook is set, from the
-//! reader's report of the ended connection; the simulator always), and
+//! substrate: `CrashConsumer` and `CrashOnRecall` events kill a worker
+//! through the `crash_worker` seam on each (threads fail over under R1,
+//! from the dying worker's exit notice; sockets whenever a hook is set,
+//! from the reader's report of the ended connection; the simulator
+//! always), and
 //! perturbation bursts are installed through each substrate's
 //! perturbation mechanism (the threaded executor applies them for the
 //! whole run, since its perturbations are constant by design).
@@ -266,19 +267,23 @@ pub fn matrix(seed: u64) -> Vec<Scenario> {
 /// The socket-substrate matrix for one seed: the node crash and every
 /// socket-only fault family (partial write, slow peer) under every
 /// policy, so each death and wire-level fault is exercised against the
-/// static, prospective, and retrospective data planes.
+/// static, prospective, and retrospective data planes, and a death
+/// mid-recall under R1, whose scripted recall relays the `Drain` and
+/// `Migrate` it dies on.
 pub fn socket_matrix(seed: u64) -> Vec<Scenario> {
+    let socket = |family, policy| Scenario {
+        seed,
+        family,
+        substrate: Substrate::Socket,
+        policy,
+    };
     let mut cells = Vec::new();
     for family in std::iter::once(FaultFamily::NodeCrash).chain(FaultFamily::SOCKET) {
         for policy in Policy::ALL {
-            cells.push(Scenario {
-                seed,
-                family,
-                substrate: Substrate::Socket,
-                policy,
-            });
+            cells.push(socket(family, policy));
         }
     }
+    cells.push(socket(FaultFamily::CrashMidRecall, Policy::R1));
     cells
 }
 
@@ -471,7 +476,6 @@ fn knobs(
                 Policy::R1 => 0.01,
                 _ => 0.002,
             };
-            knobs.recall_timeout_ms = 500;
             // A killed consumer is survivable only under R1 (failover
             // rides the recall machinery). Any other policy leaves
             // failover off, so the crash degrades into explicit delivery
@@ -516,7 +520,6 @@ fn knobs(
                 Policy::Static => (Vec::new(), 0.01),
             };
             knobs.receive_cost_ms = 0.5;
-            knobs.recall_timeout_ms = 2_000;
         }
     }
     Ok(knobs)
@@ -602,7 +605,7 @@ mod tests {
                     };
                     let label = format!("{}/{}/seed{seed}", family.name(), policy.name());
                     assert_eq!(plan(Substrate::Sim), plan(Substrate::Threaded), "{label}");
-                    if family == FaultFamily::NodeCrash {
+                    if matches!(family, FaultFamily::NodeCrash | FaultFamily::CrashMidRecall) {
                         assert_eq!(plan(Substrate::Sim), plan(Substrate::Socket), "{label}");
                     }
                 }
@@ -660,8 +663,11 @@ mod tests {
         let cells = socket_matrix(1);
         assert_eq!(
             cells.len(),
-            (1 + FaultFamily::SOCKET.len()) * Policy::ALL.len()
+            (1 + FaultFamily::SOCKET.len()) * Policy::ALL.len() + 1
         );
+        assert!(cells.iter().any(|c| c.family == FaultFamily::CrashMidRecall
+            && c.policy == Policy::R1
+            && c.substrate == Substrate::Socket));
         for family in std::iter::once(FaultFamily::NodeCrash).chain(FaultFamily::SOCKET) {
             for policy in Policy::ALL {
                 assert!(

@@ -4,8 +4,9 @@
 //! the chaos harness in `gridq-chaos`. Instead it defines the narrow
 //! [`ChaosHook`] trait that every execution substrate consults at its
 //! injection seams (exchange-buffer sends, checkpoint acks, monitoring
-//! notifications, recall control replies, per-tuple work, a worker's
-//! received messages, and on sockets the frame writes and reads);
+//! notifications, per-tuple work, a worker's received messages — a
+//! recall's `Drain` and `Migrate` among them — and on sockets the frame
+//! writes and reads);
 //! `gridq-chaos` implements it for a seeded fault plan. With no hook
 //! installed every seam takes the `Deliver`/no-stall default, so the
 //! instrumented paths are behaviorally identical to the uninstrumented
@@ -20,7 +21,10 @@
 //! survivable too when failover is enabled: the death is reported (by
 //! the dying consumer on threads, by the coordinator's reader of a
 //! socket worker's ended connection) and the worker's recovery-log
-//! entries replay to the survivors. The one deliberately
+//! entries replay to the survivors. The same report answers any recall
+//! barrier the worker owed a reply, so a death mid-recall — the seam
+//! firing on a `Drain` or a `Migrate` — ends that barrier at once
+//! instead of leaving it to wait. The one deliberately
 //! unrecoverable combination — a crash with no failover (static policy)
 //! — exists so the oracle layer can prove data loss fails loudly.
 
@@ -41,7 +45,7 @@ pub enum NetAction {
 }
 
 /// Which best-effort monitoring notification is about to be sent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NotifyKind {
     /// An M1 (workload / queue-length style) raw monitoring event.
     M1,
@@ -50,7 +54,7 @@ pub enum NotifyKind {
 }
 
 /// Where a thread stall is about to be injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallSite {
     /// A producer (source scan / staging) step.
     Producer,
@@ -58,12 +62,13 @@ pub enum StallSite {
     Consumer,
 }
 
-/// Which recall-protocol control reply is about to be sent by a worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A round of the recall protocol: which command a worker is receiving,
+/// and which reply it owes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecallPhase {
-    /// The `Drained` reply acknowledging a drain marker.
+    /// The drain barrier, answered `Drained`.
     Drain,
-    /// The `MigrateDone` reply acknowledging state migration.
+    /// The state migration command, answered `MigrateDone`.
     Migrate,
 }
 
@@ -100,17 +105,6 @@ pub trait ChaosHook: fmt::Debug + Send + Sync {
         true
     }
 
-    /// Returns `false` to lose worker `worker`'s control reply for the
-    /// given recall phase. A lost `Drain` reply abandons the recall
-    /// before the swap (router untouched, the data plane continues); a
-    /// lost `Migrate` reply leaves the recall deployed but not completed.
-    /// The threads ask once per reply a worker sends, the simulator once
-    /// per live partition and phase of each retrospective deploy.
-    fn on_recall_ctrl(&self, phase: RecallPhase, worker: usize) -> bool {
-        let _ = (phase, worker);
-        true
-    }
-
     /// Extra per-step stall (ms) to inject at `site` for partition
     /// `index`; `0.0` injects nothing.
     fn stall_ms(&self, site: StallSite, index: usize) -> f64 {
@@ -118,24 +112,30 @@ pub trait ChaosHook: fmt::Debug + Send + Sync {
         0.0
     }
 
-    /// Returns `true` to kill consumer `worker` right now. The threaded
-    /// executor consults this once per received message; on `true` the
-    /// consumer returns immediately — no flush, no acknowledgements, no
-    /// control replies — exactly as if its node died. With failover
-    /// enabled its one exit notice (a crash, not a clean finish) then
-    /// drives recovery; without it the run degrades gracefully and the
-    /// conservation oracle reports the loss. The simulator consults it
-    /// once per buffer arriving at live partition `worker` (a block, an
-    /// end-of-stream, a recall or failover transfer, a forwarded stray),
-    /// and on `true` fails that partition's node at that instant; it
-    /// always fails over. The socket substrate consults it at the link
-    /// thread, once per message relayed to worker `worker` (a data
-    /// item, a recall command or re-delivery; not the opening `CONFIG`
-    /// nor the release), and on `true` ends the connection before that
-    /// message: the coordinator's reader reports the death, and the
-    /// run fails the worker over from the recovery logs.
-    fn crash_worker(&self, worker: usize) -> bool {
-        let _ = worker;
+    /// Returns `true` to kill consumer `worker` right now, as it receives
+    /// a message: `recall` names the round when that message is a
+    /// recall's `Drain` or `Migrate`, and is `None` for data and every
+    /// other control message. The threaded executor consults this once
+    /// per received message; on `true` the consumer returns immediately —
+    /// no flush, no acknowledgements, no control replies — exactly as if
+    /// its node died. Its death is reported as it dies: it answers any
+    /// recall barrier it owed a reply, and with failover enabled it
+    /// drives recovery; without failover the run degrades gracefully and
+    /// the conservation oracle reports the loss. The simulator consults
+    /// it once per buffer arriving at live partition `worker` (a block,
+    /// an end-of-stream, a recall or failover transfer, a forwarded
+    /// stray) and once per live partition and round of each
+    /// retrospective deploy, and on `true` fails that partition's node
+    /// at that instant; it always fails over. The socket substrate
+    /// consults it at the link thread, once per message relayed to
+    /// worker `worker` (a data item, a recall command or re-delivery;
+    /// not the opening `CONFIG` nor the release), and on `true` ends the
+    /// connection before that message: the coordinator's reader reports
+    /// the death. On every substrate a death on a `Drain` abandons the
+    /// recall, and one on a `Migrate` leaves it deployed but not
+    /// completed.
+    fn crash_worker(&self, worker: usize, recall: Option<RecallPhase>) -> bool {
+        let _ = (worker, recall);
         false
     }
 
@@ -180,11 +180,11 @@ mod tests {
         assert_eq!(hook.on_ack(0, 1), NetAction::Deliver);
         assert!(hook.on_notification(NotifyKind::M1, 0));
         assert!(hook.on_notification(NotifyKind::M2, 3));
-        assert!(hook.on_recall_ctrl(RecallPhase::Drain, 2));
-        assert!(hook.on_recall_ctrl(RecallPhase::Migrate, 2));
         assert_eq!(hook.stall_ms(StallSite::Producer, 0), 0.0);
         assert_eq!(hook.stall_ms(StallSite::Consumer, 1), 0.0);
-        assert!(!hook.crash_worker(0));
+        assert!(!hook.crash_worker(0, None));
+        assert!(!hook.crash_worker(2, Some(RecallPhase::Drain)));
+        assert!(!hook.crash_worker(2, Some(RecallPhase::Migrate)));
         assert!(!hook.partial_write(1));
         assert_eq!(hook.slow_peer_stall_ms(2), 0.0);
     }

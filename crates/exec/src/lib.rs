@@ -106,17 +106,10 @@ pub struct ThreadedConfig {
     /// Observability layer configuration (metrics registry and
     /// adaptivity timeline).
     pub obs: ObsConfig,
-    /// How long the recall coordinator waits for producers to park and
-    /// for each round of consumer replies before abandoning a recall, in
-    /// wall-clock milliseconds. The default is generous: on a healthy run
-    /// the barrier fills in microseconds, and an abort here only delays
-    /// (never corrupts) the query. Chaos tests shrink it so an injected
-    /// control-reply loss aborts in milliseconds instead of seconds.
-    pub recall_timeout_ms: u64,
     /// Fault-injection hook consulted at the chaos seams (exchange
-    /// sends, checkpoint acks, monitoring notifications, recall control
-    /// replies, per-tuple work, worker crashes). `None` injects nothing
-    /// and leaves behavior identical to an uninstrumented run.
+    /// sends, checkpoint acks, monitoring notifications, per-tuple work,
+    /// worker crashes, on data or on a recall's commands). `None` injects
+    /// nothing and leaves behavior identical to an uninstrumented run.
     pub chaos: Option<Arc<dyn ChaosHook>>,
     /// Delivery-retry policy: how producers back off and retransmit
     /// unacknowledged recovery-log windows. Consulted only in resilient
@@ -146,7 +139,6 @@ impl Default for ThreadedConfig {
             receive_cost_ms: 1.0,
             checkpoint_interval: 50,
             obs: ObsConfig::default(),
-            recall_timeout_ms: 30_000,
             chaos: None,
             delivery_retry: RetryPolicy::default(),
             failover: false,
@@ -167,7 +159,6 @@ impl ThreadedConfig {
             self.cost_scale,
             self.receive_cost_ms,
             self.checkpoint_interval,
-            self.recall_timeout_ms,
         )?;
         self.delivery_retry.validate()?;
         if self.failover
@@ -223,13 +214,25 @@ pub(crate) enum Msg {
     Release,
 }
 
+impl Msg {
+    /// The recall round a `Drain` or `Migrate` belongs to: what the crash
+    /// seam is told of the message a worker dies on.
+    pub(crate) fn recall_phase(&self) -> Option<RecallPhase> {
+        match self {
+            Msg::Drain { .. } => Some(RecallPhase::Drain),
+            Msg::Migrate(_) => Some(RecallPhase::Migrate),
+            Msg::Migrated(_) | Msg::Release => None,
+        }
+    }
+}
+
 /// How the coordinator commands workers on either substrate: a message
 /// on each endpoint's control plane.
 struct Commands(Vec<InboxSender<Msg>>);
 
 impl WorkerCommands for Commands {
-    fn drain(&mut self, worker: usize, token: u64) -> bool {
-        self.0[worker].send(Msg::Drain { token })
+    fn drain(&mut self, worker: usize, token: u64) {
+        self.0[worker].send(Msg::Drain { token });
     }
 
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
@@ -247,18 +250,17 @@ pub(crate) enum Raw {
     /// order they were taken.
     M1(Vec<M1>),
     M2(M2),
-    /// A worker died (failover runs only): a consumer through the crash
-    /// seam, or a socket worker whose connection ended. Its exit notice,
-    /// which starts the failover.
+    /// A worker died: a consumer through the crash seam, or a socket
+    /// worker whose connection ended. Its exit notice, which starts the
+    /// failover; sent in failover runs only, behind the death reply that
+    /// answers any barrier the worker owed (`RecallReply::Down`, sent in
+    /// every run).
     Down(usize),
     /// The run-wide routed count reached a scripted threshold.
     Routed,
     /// Every producer has finished: what is left of the script fires
     /// now (no later tuple could reach its threshold).
     ProducersDone,
-    /// A worker surrendered state outside any recall's collection (its
-    /// barrier had timed out); the reply channel holds it.
-    LateState,
     /// The run is over.
     Stop,
 }
@@ -508,9 +510,10 @@ pub(crate) trait Outlet: ConsumerOut {
     /// The consumer's counts: at its completion, and again at its exit.
     fn done(&mut self, processed: u64, dedup_peak: u64);
     /// The crash seam, consulted once per control message and once per
-    /// data item. Dying here means no flush, no acks, no control replies
-    /// — exactly a vanished node.
-    fn crashed(&mut self) -> bool {
+    /// data item; `recall` names the round of a `Drain` or `Migrate`.
+    /// Dying here means no flush, no acks, no control replies — exactly
+    /// a vanished node.
+    fn crashed(&mut self, _recall: Option<RecallPhase>) -> bool {
         false
     }
 }
@@ -520,7 +523,6 @@ pub(crate) trait Outlet: ConsumerOut {
 /// recovery logs with the producers, so acks land in the log directly
 /// (and the log's verdict drives dedup eviction) and strays are re-routed
 /// on the spot, to a peer's control plane.
-#[derive(Clone)]
 pub(crate) struct Port {
     index: usize,
     node: NodeId,
@@ -621,25 +623,46 @@ impl ConsumerOut for Port {
     }
 }
 
-impl Outlet for Port {
-    /// Sent unless the chaos seam swallows it.
-    fn reply(&mut self, phase: RecallPhase, token: u64) {
-        if self.x.reply_survives(phase, self.index) {
-            let _ = self.replies.send(match phase {
-                RecallPhase::Drain => RecallReply::Drained { token },
-                RecallPhase::Migrate => RecallReply::MigrateDone { token },
-            });
+impl Port {
+    /// Reports this worker's death, once, where its substrate learns of
+    /// it: the death reply that answers any recall barrier it owed, in
+    /// every run, and in a failover run the exit notice that starts the
+    /// failover.
+    pub(crate) fn died(&self) {
+        let worker = self.index;
+        let _ = self.replies.send(RecallReply::Down { worker });
+        if self.failover_on {
+            let _ = self.raw.send(Raw::Down(worker));
         }
     }
+}
 
-    /// Ahead of this worker's `MigrateDone` on the same FIFO. The recall
-    /// may have given up on its barrier already, so the adaptation thread
-    /// is nudged as well: it re-routes the state all the same.
+impl Drop for Port {
+    /// A consumer thread that panics dies too: the barrier it may owe an
+    /// answer must not wait on it.
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.died();
+        }
+    }
+}
+
+impl Outlet for Port {
+    fn reply(&mut self, phase: RecallPhase, token: u64) {
+        let (worker, replies) = (self.index, &self.replies);
+        let _ = replies.send(RecallReply::Answered {
+            phase,
+            worker,
+            token,
+        });
+    }
+
+    /// Ahead of this worker's `MigrateDone` on the same FIFO, so the
+    /// Migrate round re-routes all of it before it ends.
     fn surrendered(&mut self, entries: Vec<Routed>) {
         self.x.tallies.recall_blocks.fetch_add(1, Ordering::Relaxed);
         let (worker, replies) = (self.index, &self.replies);
         let _ = replies.send(RecallReply::Surrendered { worker, entries });
-        let _ = self.raw.send(Raw::LateState);
     }
 
     fn done(&mut self, processed: u64, dedup_peak: u64) {
@@ -652,13 +675,13 @@ impl Outlet for Port {
         let _ = self.events.send(done);
     }
 
-    /// With failover on, a death is reported as the seam fires, not
-    /// inferred from silence.
-    fn crashed(&mut self) -> bool {
+    /// A death is reported as the seam fires, not inferred from silence.
+    fn crashed(&mut self, recall: Option<RecallPhase>) -> bool {
         let i = self.index;
-        let crashed = self.x.chaos.as_ref().is_some_and(|c| c.crash_worker(i));
-        if crashed && self.failover_on {
-            let _ = self.raw.send(Raw::Down(i));
+        let chaos = self.x.chaos.as_ref();
+        let crashed = chaos.is_some_and(|c| c.crash_worker(i, recall));
+        if crashed {
+            self.died();
         }
         crashed
     }
@@ -706,7 +729,7 @@ impl<O: Outlet + Send + 'static> ConsumerThread<O> {
     }
 
     fn on_data(&mut self, item: DataMsg) -> Step {
-        if self.out.crashed() {
+        if self.out.crashed(None) {
             return Step::Crashed;
         }
         match item {
@@ -720,13 +743,13 @@ impl<O: Outlet + Send + 'static> ConsumerThread<O> {
     fn on_ctrl(&mut self, msg: Msg) -> Step {
         match msg {
             Msg::Release => return Step::Released,
-            _ if self.out.crashed() => return Step::Crashed,
+            _ if self.out.crashed(msg.recall_phase()) => return Step::Crashed,
             // The producers are parked: nothing more can queue up until
             // the `Migrate`, which takes the queue as it stands.
             Msg::Drain { token } => self.out.reply(RecallPhase::Drain, token),
             Msg::Migrate(cmd) => {
                 while let Some(item) = self.pacer.inbox.pop_data() {
-                    if self.out.crashed() {
+                    if self.out.crashed(None) {
                         return Step::Crashed;
                     }
                     match item {
@@ -871,11 +894,6 @@ impl Endpoints for ThreadedWorkers {
     }
 }
 
-/// How many failover recalls a death gets, back to back, before the dead
-/// worker is left to the producers' delivery-gap path. An attempt aborts
-/// on a lost control reply or a barrier timeout.
-const FAILOVER_ATTEMPTS: u32 = 3;
-
 /// Timeline recording with both clocks: `at` is the model time stamped
 /// on the raw event by its producer thread, `wall_ms` is the real
 /// elapsed time at recording.
@@ -916,12 +934,11 @@ struct Adaptivity<W> {
     enabled: bool,
     x: Exchange,
     coordinator: Coordinator,
-    gate: Option<Arc<RecallGate>>,
-    workers: W,
+    /// The recall coordinator's transport; `None` in a run that never
+    /// recalls.
+    transport: Option<GateTransport<W>>,
     partitions: usize,
-    replies: Receiver<RecallReply>,
     raw_rx: Receiver<Raw>,
-    recall_timeout: Duration,
     control: ControlLoop,
     rec: Arc<Recorder>,
     query: QueryId,
@@ -946,9 +963,7 @@ struct Adaptivity<W> {
 /// The channels and counters `run_query` wires into the adaptation
 /// thread.
 struct AdaptWiring<W> {
-    gate: Option<Arc<RecallGate>>,
-    workers: W,
-    replies: Receiver<RecallReply>,
+    transport: Option<GateTransport<W>>,
     raw_rx: Receiver<Raw>,
     total_rows: u64,
     processed_total: Arc<AtomicU64>,
@@ -986,12 +1001,9 @@ impl<W: WorkerCommands> Adaptivity<W> {
             enabled: cfg.adaptivity.enabled,
             x: x.clone(),
             coordinator: Coordinator::new(x.clone()),
-            gate: wiring.gate,
-            workers: wiring.workers,
+            transport: wiring.transport,
             partitions,
-            replies: wiring.replies,
             raw_rx: wiring.raw_rx,
-            recall_timeout: Duration::from_millis(cfg.recall_timeout_ms),
             control,
             rec,
             query: plan.query,
@@ -1010,7 +1022,7 @@ impl<W: WorkerCommands> Adaptivity<W> {
     /// recall gate failover rides). When nothing can, the run needs no
     /// adaptation thread.
     fn can_adapt(&self) -> bool {
-        self.enabled || self.gate.is_some() || !self.script.is_empty()
+        self.enabled || self.transport.is_some() || !self.script.is_empty()
     }
 
     fn run(mut self) -> RunReport {
@@ -1036,7 +1048,6 @@ impl<W: WorkerCommands> Adaptivity<W> {
                 Raw::Down(worker) => self.fail_over(worker),
                 Raw::Routed => self.fire_script(false),
                 Raw::ProducersDone => self.fire_script(true),
-                Raw::LateState => self.reroute_late_state(),
                 Raw::Stop => break,
             }
         }
@@ -1073,42 +1084,21 @@ impl<W: WorkerCommands> Adaptivity<W> {
         }
     }
 
-    /// Re-routes state a worker surrendered after its recall's barrier
-    /// had timed out: dropping it would lose real tuples.
-    fn reroute_late_state(&mut self) {
-        let Some(gate) = self.gate.as_deref() else {
-            return;
-        };
-        let mut transport =
-            GateTransport::new(gate, self.recall_timeout, &self.replies, &mut self.workers);
-        while let Ok(reply) = self.replies.try_recv() {
-            if let RecallReply::Surrendered { worker, entries } = reply {
-                let (moved, recalled) =
-                    self.coordinator
-                        .surrendered(worker, entries, &mut transport);
-                self.report.state_tuples_migrated += moved;
-                self.report.tuples_recalled += recalled;
-            }
-        }
-    }
-
-    /// The workers a recall can address: all but the dead, which can never
-    /// answer the barrier (a finished one serves control until released).
-    fn live_workers(&self) -> Vec<usize> {
+    /// The workers a recall can address — all but those declared dead (a
+    /// finished one serves control until released) — and the dead. The
+    /// coordinator leaves out as well any whose death a barrier has read.
+    fn live_and_dead(&self) -> (Vec<usize>, Vec<usize>) {
         let dead = self.control.dead();
-        (0..self.partitions)
-            .filter(|&p| dead.get(p) != Some(&true))
-            .collect()
+        (0..self.partitions).partition(|&p| dead.get(p) != Some(&true))
     }
 
     /// A worker's exit notice said it crashed: the control loop records
     /// the death and restarts the responder's cooldown, and the failover
     /// recall runs — drain barrier over the survivors, redistribution
-    /// away from the dead partitions, replay of this one's surviving
-    /// recovery-log entries, resume under a bumped epoch. An aborted
-    /// attempt is retried at once, up to [`FAILOVER_ATTEMPTS`] in all;
-    /// after that the producers' retry budget exhausts against the dead
-    /// partition and records an explicit delivery gap instead of hanging.
+    /// away from the dead partitions, replay of their surviving
+    /// recovery-log entries, resume under a bumped epoch. Only a second
+    /// death can abort it, and that death's own exit notice runs the next
+    /// failover, whose replay covers this partition too.
     ///
     /// Deliberately records no `Deploy`/`RecallStart`/`RecallFinish`
     /// timeline events — those carry diagnosis back-references and a
@@ -1118,38 +1108,25 @@ impl<W: WorkerCommands> Adaptivity<W> {
         let index = worker as u32;
         let down = self.control.node_down(&[index], self.rec.now_model());
         let down_seq = down.first().copied().unwrap_or(0);
+        let (live, dead) = self.live_and_dead();
         // A failover run always opens the recall gate, so it exists here.
-        let Some(gate) = self.gate.as_deref() else {
+        let Some(transport) = self.transport.as_mut() else {
             return;
         };
-        let dead: Vec<usize> = (0..self.partitions)
-            .filter(|&p| self.control.dead().get(p) == Some(&true))
-            .collect();
-        let live = self.live_workers();
-        let mut transport =
-            GateTransport::new(gate, self.recall_timeout, &self.replies, &mut self.workers);
-        for _ in 0..FAILOVER_ATTEMPTS {
-            let target = RecallTarget::Failover {
-                replay: worker,
-                dead: dead.clone(),
-            };
-            let RecallOutcome::FailedOver {
-                deployed,
-                state_moved,
-                recalled,
-                replayed,
-            } = self
-                .coordinator
-                .recall(target, &live, &mut transport, |_| {})
-            else {
-                continue;
-            };
+        let target = RecallTarget::Failover { dead };
+        let outcome = self.coordinator.recall(target, &live, transport, |_| {});
+        if let RecallOutcome::FailedOver {
+            deployed,
+            state_moved,
+            recalled,
+            replayed,
+        } = outcome
+        {
             self.report.state_tuples_migrated += state_moved;
             self.report.tuples_recalled += recalled;
             let now = self.rec.now_model();
             self.control
                 .failed_over(index, down_seq, replayed, deployed, now);
-            return;
         }
     }
 
@@ -1198,18 +1175,16 @@ impl<W: WorkerCommands> Adaptivity<W> {
             }
             return;
         }
-        let Some(gate) = self.gate.as_deref() else {
+        let (live, _) = self.live_and_dead();
+        let Some(transport) = self.transport.as_mut() else {
             return;
         };
-        let live = self.live_workers();
-        let mut transport =
-            GateTransport::new(gate, self.recall_timeout, &self.replies, &mut self.workers);
         let (control, rec) = (&mut self.control, &self.rec);
         let (mut deploy_seq, mut start_seq) = (0, 0);
         let outcome = self.coordinator.recall(
             RecallTarget::Deploy(target.clone()),
             &live,
-            &mut transport,
+            transport,
             |epoch| {
                 deploy_seq = control.deployed(&accepted, &target, cmd.at);
                 start_seq = rec.record(
@@ -1487,9 +1462,11 @@ impl Run<'_> {
             plan,
             &x,
             AdaptWiring {
-                gate,
-                workers: Commands(endpoints.senders()),
-                replies: reply_rx,
+                transport: gate.map(|gate| GateTransport {
+                    gate,
+                    replies: reply_rx,
+                    workers: Commands(endpoints.senders()),
+                }),
                 raw_rx,
                 total_rows,
                 processed_total,
@@ -1734,15 +1711,24 @@ mod tests {
     }
 
     impl WorkerCommands for FakeWorkers {
-        fn drain(&mut self, worker: usize, token: u64) -> bool {
+        fn drain(&mut self, worker: usize, token: u64) {
             self.log.lock().push(format!("drain {worker}"));
-            self.replies.send(RecallReply::Drained { token }).is_ok()
+            let phase = RecallPhase::Drain;
+            let _ = (self.replies).send(RecallReply::Answered {
+                phase,
+                worker,
+                token,
+            });
         }
 
         fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
             self.log.lock().push(format!("migrate {worker}"));
-            let done = RecallReply::MigrateDone { token: cmd.token };
-            let _ = self.replies.send(done);
+            let (phase, token) = (RecallPhase::Migrate, cmd.token);
+            let _ = (self.replies).send(RecallReply::Answered {
+                phase,
+                worker,
+                token,
+            });
         }
 
         fn redeliver(&mut self, dest: usize, _block: Vec<Routed>) {
@@ -1795,12 +1781,14 @@ mod tests {
             &plan,
             &x,
             AdaptWiring {
-                gate: Some(Arc::clone(&gate)),
-                workers: FakeWorkers {
-                    replies: reply_tx,
-                    log: Arc::clone(&log),
-                },
-                replies,
+                transport: Some(GateTransport {
+                    gate: Arc::clone(&gate),
+                    replies,
+                    workers: FakeWorkers {
+                        replies: reply_tx,
+                        log: Arc::clone(&log),
+                    },
+                }),
                 raw_rx,
                 total_rows: 100,
                 processed_total: Arc::new(AtomicU64::new(0)),
@@ -2468,6 +2456,104 @@ mod tests {
         );
     }
 
+    /// Runs `plan` on threads under `cfg` with two scripted recalls past
+    /// its last routed tuple: both fire once the producers are done.
+    fn run_with_two_late_recalls(
+        cfg: &ThreadedConfig,
+        catalog: &Catalog,
+        plan: &DistributedPlan,
+    ) -> Result<RunReport> {
+        let recall = |after: u64, weights: &[f64]| {
+            let cmd = AdaptationCommand {
+                stage: plan.stages[0].id,
+                new_distribution: DistributionVector::new(weights).unwrap(),
+                retrospective: true,
+                at: SimTime::ZERO,
+            };
+            (after, cmd)
+        };
+        let run = Run {
+            who: "threaded",
+            cfg,
+            script: vec![recall(1_000, &[0.5, 0.5]), recall(1_001, &[0.2, 0.8])],
+            finish_timeout: None,
+        };
+        run.execute(catalog, plan, |w| Ok(ThreadedWorkers::start(cfg, plan, w)))
+    }
+
+    /// A plain run (no failover) whose worker 0 dies, on its first block,
+    /// before two scripted recalls: the first reads the death as worker
+    /// 0's answer and is abandoned at once, and the second leaves worker 0
+    /// out of its barriers and completes over worker 1. The run ends as a
+    /// plain run does, with worker 0's delivery gaps, and nothing waits on
+    /// the dead worker: a drain it could never answer would hang the run.
+    #[test]
+    fn a_plain_run_never_waits_on_a_worker_whose_death_it_has_read() {
+        let table = int_table("t", 0..200);
+        let plan = call_plan(&table, &CallShape::default());
+        let cfg = ThreadedConfig {
+            adaptivity: AdaptivityConfig::disabled(),
+            cost_scale: 0.002,
+            chaos: Some(Arc::new(CrashOnNth {
+                worker: 0,
+                after: 1,
+                calls: AtomicU64::new(0),
+            })),
+            delivery_retry: RetryPolicy {
+                base_ms: 2.0,
+                max_retries: 3,
+            },
+            ..Default::default()
+        };
+        let report = run_with_two_late_recalls(&cfg, &catalog(&[&table]), &plan).unwrap();
+        assert_eq!(
+            (report.recalls_aborted, report.recalls_completed),
+            (1, 1),
+            "{report:?}"
+        );
+        assert!(!report.delivery_gaps.is_empty(), "{report:?}");
+        assert!(report.delivery_gaps.iter().all(|g| g.dest == 0));
+        assert!(!report.results.is_empty(), "worker 1 still answered");
+    }
+
+    /// A consumer that panics dies too: its port, unwinding, answers the
+    /// barriers it owes with its death, so the recalls after it never
+    /// wait on it, and the run fails naming it. The other consumer lives
+    /// and holds the reply channel open, so without that answer the first
+    /// recall would wait forever.
+    #[test]
+    fn a_consumer_that_panics_answers_the_barrier_with_its_death() {
+        let table = int_table("t", 0..200);
+        let boom = FnService::new("Boom", vec![DataType::Int], DataType::Int, 1.0, |args| {
+            // The first row: it reaches one consumer long before the
+            // producers are done.
+            assert_ne!(args[0].as_int(), Some(0), "service crashed");
+            Ok(args[0].clone())
+        });
+        let factory = ServiceCallFactory::new(
+            table.schema(),
+            Arc::new(boom),
+            vec![Expr::col(0)],
+            "boom",
+            false,
+            ServiceRegistry::new(),
+        );
+        let scans = [(table.name(), StreamTag::Single, 0.1)];
+        let plan = single_stage_plan(3, &scans, factory, 2, None, 10);
+        let cfg = ThreadedConfig {
+            adaptivity: AdaptivityConfig::disabled(),
+            cost_scale: 0.002,
+            ..Default::default()
+        };
+        match run_with_two_late_recalls(&cfg, &catalog(&[&table]), &plan) {
+            Err(GridError::Execution(msg)) => {
+                let named = (0..2).filter(|w| msg.contains(&format!("consumer {w} panicked")));
+                assert_eq!(named.count(), 1, "the error names the dead consumer: {msg}");
+            }
+            other => panic!("expected an execution error, got {other:?}"),
+        }
+    }
+
     /// One conversion for every real-to-model site (`model_now`, M1's
     /// `leaf_wait_ms`, M2's `send_cost_ms`): below the `1e-9` floor the
     /// scale no longer matters, above it the conversion is the plain
@@ -2573,7 +2659,7 @@ mod tests {
     }
 
     impl ChaosHook for CrashOnNth {
-        fn crash_worker(&self, worker: usize) -> bool {
+        fn crash_worker(&self, worker: usize, _recall: Option<RecallPhase>) -> bool {
             worker == self.worker && self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.after
         }
     }

@@ -26,8 +26,11 @@
 //! 5. **Resume.** The gate epoch is bumped; the released producers notice
 //!    and restage their unsent buffers.
 //!
-//! A failure before the swap aborts with router, buffers and logs
-//! untouched and the gate reopened.
+//! No round waits on a clock: a worker that dies while a barrier is open
+//! answers it with its death ([`RecallReply::Down`]). A death in the
+//! Drain round aborts the recall at once, router, buffers and logs
+//! untouched; one in the Migrate round leaves it deployed but not
+//! completed. No later barrier addresses a worker whose death one read.
 
 use gridq_common::{DistributionVector, RecallPhase};
 use gridq_recovery::LogMoves;
@@ -35,19 +38,25 @@ use gridq_recovery::LogMoves;
 use super::reroute::Regroup;
 use super::{Exchange, Routed};
 
-/// A worker's answer to a recall command. `token` identifies the recall
-/// attempt, so replies from an aborted attempt cannot satisfy a later
-/// barrier.
+/// A worker's message to the recall coordinator, on one FIFO channel per
+/// run. `token` identifies the recall attempt, so answers from an
+/// aborted attempt cannot satisfy a later barrier.
 #[derive(Debug, Clone)]
 pub(crate) enum RecallReply {
-    /// The worker has observed the `Drain` marker.
-    Drained { token: u64 },
-    /// The worker finished surrendering.
-    MigrateDone { token: u64 },
+    /// `worker` answered round `phase`: it observed the `Drain` marker,
+    /// or it finished surrendering.
+    Answered {
+        phase: RecallPhase,
+        worker: usize,
+        token: u64,
+    },
     /// One block of the state and held probes a worker surrendered; sent
-    /// ahead of its `MigrateDone` on the same FIFO channel, so barrier
-    /// completion implies all of it was re-routed.
+    /// ahead of its `MigrateDone` on the same FIFO channel, so the end of
+    /// the round implies all of it was re-routed.
     Surrendered { worker: usize, entries: Vec<Routed> },
+    /// `worker` died: its answer to every barrier it still owed. Sent
+    /// once, behind everything else the worker sent.
+    Down { worker: usize },
 }
 
 /// The `Migrate` command: surrender the operator state of the `outgoing`
@@ -61,14 +70,11 @@ pub(crate) struct MigrateCmd {
 }
 
 /// What the coordinator needs from its driver: the recall gate, a way to
-/// command workers, and replies until a deadline only the driver can
-/// read.
+/// command workers, and their replies.
 pub(crate) trait RecallTransport {
-    /// Requests the pause and waits for every active producer to park.
-    /// Returns how many parked — zero once every producer has finished —
-    /// or `None` on time-out (the request is withdrawn, the gate left
-    /// open).
-    fn pause(&mut self) -> Option<usize>;
+    /// Requests the pause and waits for every active producer to park or
+    /// finish.
+    fn pause(&mut self);
     /// Abandons the pause without changing the epoch.
     fn abort_pause(&mut self);
     /// The gate's current epoch.
@@ -76,17 +82,16 @@ pub(crate) trait RecallTransport {
     /// Installs `epoch` and releases the parked producers.
     fn resume(&mut self, epoch: u64);
     /// Sends the drain barrier to `worker`, ordered behind every block
-    /// staged for it. Returns whether the worker is still reachable.
-    fn drain(&mut self, worker: usize, token: u64) -> bool;
+    /// staged for it.
+    fn drain(&mut self, worker: usize, token: u64);
     /// Sends `worker` its `Migrate` command.
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd);
     /// Re-delivers a block of tuples (at most the exchange's
     /// `buffer_tuples`) to `dest` outside the data plane.
     fn redeliver(&mut self, dest: usize, block: Vec<Routed>);
-    /// Starts the time-out for one round of replies.
-    fn arm_deadline(&mut self);
-    /// The next reply, or `None` once the deadline armed last has passed
-    /// (or no worker can reply any more).
+    /// The next reply, waited for as long as it takes: every worker a
+    /// round addresses answers or dies. `None` once no worker can reply
+    /// any more.
     fn next_reply(&mut self) -> Option<RecallReply>;
 }
 
@@ -94,32 +99,31 @@ pub(crate) trait RecallTransport {
 pub(crate) enum RecallTarget {
     /// Deploy a diagnosed (or scripted) distribution `W′`.
     Deploy(DistributionVector),
-    /// Partition `replay` died: zero the weight of every partition in
-    /// `dead` (it, and any previously declared dead peer), renormalize
-    /// over the survivors, and replay its surviving log entries to their
-    /// new owners.
-    Failover { replay: usize, dead: Vec<usize> },
+    /// A partition died: zero the weight of every partition in `dead`,
+    /// renormalize over the survivors, and replay the surviving log
+    /// entries of all of them to their new owners.
+    Failover { dead: Vec<usize> },
 }
 
 /// How a recall ended.
 #[derive(Debug, PartialEq)]
 pub(crate) enum RecallOutcome {
-    /// Abandoned before the swap (the producers did not park in time, a
-    /// barrier timed out, the target was undeployable) or — failover only —
+    /// Abandoned before the swap (a worker died on the drain barrier, no
+    /// worker was live, the target was undeployable) or — failover only —
     /// before the replay. The gate is open again at the old epoch.
     Aborted,
     /// The distribution is deployed and the producers resumed under
-    /// `epoch`. `completed` is false when a `MigrateDone` never arrived:
-    /// the producers are resumed regardless, because leaving them parked
-    /// would deadlock the run instead of surfacing the failure.
+    /// `epoch`. `completed` is false when a worker died in the Migrate
+    /// round: the producers are resumed regardless, because leaving them
+    /// parked would deadlock the run instead of surfacing the failure.
     Deployed {
         epoch: u64,
         state_moved: u64,
         recalled: u64,
         completed: bool,
     },
-    /// The dead partition's weight is zeroed, its log replayed and the
-    /// producers resumed.
+    /// The dead partitions' weights are zeroed, their logs replayed and
+    /// the producers resumed.
     FailedOver {
         deployed: DistributionVector,
         state_moved: u64,
@@ -131,43 +135,31 @@ pub(crate) enum RecallOutcome {
 pub(crate) struct Coordinator {
     x: Exchange,
     token: u64,
+    /// Per partition: a barrier has read its death, so no barrier waits
+    /// on it again.
+    dead: Vec<bool>,
 }
 
-/// What a hand-over has routed but not yet sent or settled: partial
-/// re-delivery blocks per owner and the log bookkeeping.
-struct Handover {
-    blocks: Regroup,
-    moves: LogMoves,
-}
-
-impl Handover {
-    fn new(x: &Exchange) -> Self {
-        Handover {
-            blocks: Regroup::new(x, x.partitions),
-            moves: LogMoves::default(),
-        }
-    }
-
-    /// Settles the log, then sends the partial blocks.
-    fn finish<T: RecallTransport>(mut self, x: &Exchange, t: &mut T) {
-        x.settle(self.moves);
-        for (owner, block) in self.blocks.finish() {
-            t.redeliver(owner, block);
-        }
-    }
+/// One round of replies: the surrendered state it re-routed, and whether
+/// every worker it addressed answered.
+struct Round {
+    state_moved: u64,
+    recalled: u64,
+    complete: bool,
 }
 
 impl Coordinator {
     pub(crate) fn new(exchange: Exchange) -> Self {
         Coordinator {
+            dead: vec![false; exchange.partitions],
             x: exchange,
             token: 0,
         }
     }
 
-    /// Runs one recall over the `live` workers (dead ones can never
-    /// answer a barrier). `on_swap(epoch)` fires between the swap and
-    /// the first `Migrate`, for the driver's timeline.
+    /// Runs one recall over the `live` workers, less any whose death a
+    /// barrier has read. `on_swap(epoch)` fires between the swap and the
+    /// first `Migrate`, for the caller's timeline.
     pub(crate) fn recall<T: RecallTransport>(
         &mut self,
         target: RecallTarget,
@@ -177,22 +169,14 @@ impl Coordinator {
     ) -> RecallOutcome {
         self.token += 1;
         let token = self.token;
-        if t.pause().is_none() {
-            return RecallOutcome::Aborted;
+        let live: Vec<usize> = live.iter().copied().filter(|&p| !self.dead[p]).collect();
+        t.pause();
+        for &p in &live {
+            t.drain(p, token);
         }
-        let drained = !live.is_empty()
-            && live.iter().all(|&p| t.drain(p, token))
-            && self
-                .collect(t, token, live.len(), RecallPhase::Drain)
-                .is_some();
-        let moves = if drained {
-            self.swap(&target)
-        } else {
-            // A swallowed reply models a crashed worker mid-recall: the
-            // barrier times out and the recall aborts pre-swap, leaving
-            // router and state untouched.
-            None
-        };
+        let drained =
+            !live.is_empty() && self.collect(t, token, &live, RecallPhase::Drain).complete;
+        let moves = if drained { self.swap(&target) } else { None };
         let Some((deployed, moves)) = moves else {
             t.abort_pause();
             return RecallOutcome::Aborted;
@@ -200,7 +184,7 @@ impl Coordinator {
         let epoch = t.epoch() + 1;
         on_swap(epoch);
         let bucket_count = self.x.router.lock().bucket_count();
-        for &p in live {
+        for &p in &live {
             let cmd = MigrateCmd {
                 token,
                 bucket_count,
@@ -208,26 +192,27 @@ impl Coordinator {
             };
             t.migrate(p, cmd);
         }
-        let replies = self.collect(t, token, live.len(), RecallPhase::Migrate);
+        let round = self.collect(t, token, &live, RecallPhase::Migrate);
+        let (state_moved, recalled) = (round.state_moved, round.recalled);
         match target {
             RecallTarget::Deploy(_) => {
                 t.resume(epoch);
-                let (state_moved, recalled) = replies.unwrap_or((0, 0));
                 RecallOutcome::Deployed {
                     epoch,
                     state_moved,
                     recalled,
-                    completed: replies.is_some(),
+                    completed: round.complete,
                 }
             }
-            RecallTarget::Failover { replay, .. } => {
-                let Some((state_moved, recalled)) = replies else {
-                    // Retried by the caller; the swap already happened,
-                    // so the retry's own swap moves nothing.
+            RecallTarget::Failover { dead } => {
+                if !round.complete {
+                    // A second death: its own report runs the next
+                    // failover, whose swap finds this one's in force and
+                    // whose replay covers this partition too.
                     t.abort_pause();
                     return RecallOutcome::Aborted;
-                };
-                let replayed = self.replay(replay, live, t);
+                }
+                let replayed = self.replay(&dead, &live, t);
                 t.resume(epoch);
                 RecallOutcome::FailedOver {
                     deployed,
@@ -262,76 +247,77 @@ impl Coordinator {
         Some((dist, moves.outgoing))
     }
 
-    /// Collects one matching reply per worker for attempt `token`,
-    /// dropping stale replies from aborted attempts and re-routing any
-    /// surrendered state on the way: whole blocks leave as they fill,
-    /// the rest (and the log bookkeeping) when the round ends, either
-    /// way. Returns the summed `(state_moved, recalled)`, or `None` on
-    /// time-out.
+    /// Collects round `phase` of attempt `token` from the `live` workers:
+    /// each one's answer or its death. Stale answers from aborted
+    /// attempts are dropped, and surrendered state is re-routed on the
+    /// way — the one place a hand-over is: whole blocks leave as they
+    /// fill, the rest (and the log bookkeeping) when the round ends. A
+    /// death ends the Drain round at once; the Migrate round waits for
+    /// every other live worker.
     fn collect<T: RecallTransport>(
         &mut self,
         t: &mut T,
         token: u64,
-        need: usize,
+        live: &[usize],
         phase: RecallPhase,
-    ) -> Option<(u64, u64)> {
-        t.arm_deadline();
-        let mut handover = Handover::new(&self.x);
-        let (mut got, mut moved_total, mut recalled_total) = (0usize, 0u64, 0u64);
-        while got < need {
-            let Some(reply) = t.next_reply() else { break };
+    ) -> Round {
+        let (mut blocks, mut moves) = (
+            Regroup::new(&self.x, self.x.partitions),
+            LogMoves::default(),
+        );
+        let mut waiting = live.to_vec();
+        let mut round = Round {
+            state_moved: 0,
+            recalled: 0,
+            complete: true,
+        };
+        while !waiting.is_empty() {
+            let Some(reply) = t.next_reply() else {
+                round.complete = false;
+                break;
+            };
             match reply {
-                RecallReply::Drained { token: tk } => {
-                    got += usize::from(phase == RecallPhase::Drain && tk == token);
-                }
-                RecallReply::MigrateDone { token: tk } => {
-                    got += usize::from(phase == RecallPhase::Migrate && tk == token);
+                RecallReply::Answered {
+                    phase: answered,
+                    worker,
+                    token: tk,
+                } => {
+                    if answered == phase && tk == token {
+                        waiting.retain(|&w| w != worker);
+                    }
                 }
                 RecallReply::Surrendered { worker, entries } => {
-                    let (m, r) = self.route_surrendered(worker, entries, &mut handover, t);
-                    moved_total += m;
-                    recalled_total += r;
+                    let (m, r) = self.x.reroute(worker, entries, &mut moves, |owner, entry| {
+                        if let Some(block) = blocks.push(owner, entry) {
+                            t.redeliver(owner, block);
+                        }
+                    });
+                    round.state_moved += m;
+                    round.recalled += r;
+                }
+                RecallReply::Down { worker } => {
+                    self.dead[worker] = true;
+                    if live.contains(&worker) {
+                        round.complete = false;
+                        waiting.retain(|&w| w != worker);
+                        if phase == RecallPhase::Drain {
+                            break;
+                        }
+                    }
                 }
             }
         }
-        handover.finish(&self.x, t);
-        (got == need).then_some((moved_total, recalled_total))
+        self.x.settle(moves);
+        for (owner, block) in blocks.finish() {
+            t.redeliver(owner, block);
+        }
+        round
     }
 
-    fn route_surrendered<T: RecallTransport>(
-        &self,
-        worker: usize,
-        entries: Vec<Routed>,
-        handover: &mut Handover,
-        t: &mut T,
-    ) -> (u64, u64) {
-        let Handover { blocks, moves } = handover;
-        self.x.reroute(worker, entries, moves, |owner, entry| {
-            if let Some(block) = blocks.push(owner, entry) {
-                t.redeliver(owner, block);
-            }
-        })
-    }
-
-    /// Re-routes a block a worker surrendered outside any recall's
-    /// collection: a barrier that timed out may still deliver its state,
-    /// and dropping it would lose real tuples.
-    pub(crate) fn surrendered<T: RecallTransport>(
-        &self,
-        worker: usize,
-        entries: Vec<Routed>,
-        t: &mut T,
-    ) -> (u64, u64) {
-        let mut handover = Handover::new(&self.x);
-        let counts = self.route_surrendered(worker, entries, &mut handover, t);
-        handover.finish(&self.x, t);
-        counts
-    }
-
-    /// Replays the dead partition's surviving log entries to their new
+    /// Replays the `dead` partitions' surviving log entries to their new
     /// owners, build stream first so reconstructed operator state is in
     /// place before any replayed probe tuple can reach it.
-    fn replay<T: RecallTransport>(&self, dead: usize, live: &[usize], t: &mut T) -> u64 {
+    fn replay<T: RecallTransport>(&self, dead: &[usize], live: &[usize], t: &mut T) -> u64 {
         let Some(logs) = &self.x.logs else { return 0 };
         let mut order: Vec<usize> = (0..logs.len()).collect();
         order.sort_by_key(|&s| usize::from(Some(s) != self.x.build_source));
@@ -341,7 +327,9 @@ impl Coordinator {
         // entries still precede its probe entries.
         let mut blocks = Regroup::new(&self.x, self.x.partitions);
         for s in order {
-            for (stream, tuple) in logs[s].drain_dest(dead as u32).unwrap_or_default() {
+            let drained = dead.iter().flat_map(|&d| logs[s].drain_dest(d as u32));
+            let entries: Vec<_> = drained.flatten().collect();
+            for (stream, tuple) in entries {
                 let routed = self.x.router.lock().route(stream, &tuple);
                 let dest = match routed {
                     Ok(d) if live.contains(&(d as usize)) => d as usize,

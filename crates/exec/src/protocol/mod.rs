@@ -2,7 +2,7 @@
 //!
 //! Plain structs with methods: no threads, sockets, clocks or sleeps.
 //! Modelled cost is *accrued* as model-ms debt and handed to the driver
-//! to pay, time-outs are decided by the driver, and bytes never appear.
+//! to pay, no barrier waits on a time-out, and bytes never appear.
 //! The run skeleton and the threaded endpoints (`lib.rs`) and the socket
 //! endpoints (`socket.rs`) are drivers: they own threads, rings, inboxes,
 //! frames, links, exit notices and the wall clock, and implement the output
@@ -22,7 +22,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use gridq_common::sync::Mutex;
-use gridq_common::{cast, ChaosHook, GridError, NetAction, RecallPhase, Result, Tuple};
+use gridq_common::{cast, ChaosHook, GridError, NetAction, Result, Tuple};
 use gridq_engine::distributed::{DistributedPlan, Router};
 use gridq_engine::evaluator::StreamTag;
 use gridq_grid::Perturbation;
@@ -235,14 +235,6 @@ impl Exchange {
         Some(log.acknowledge(cp.dest, cp.id, epoch))
     }
 
-    /// The chaos seam on `worker`'s recall replies: `false` swallows the
-    /// reply, modelling a worker that crashed mid-recall — the
-    /// coordinator's barrier then times out.
-    pub(crate) fn reply_survives(&self, phase: RecallPhase, worker: usize) -> bool {
-        let chaos = self.chaos.as_deref();
-        chaos.is_none_or(|c| c.on_recall_ctrl(phase, worker))
-    }
-
     /// The description of consumer `index` of `sources` streams, on a
     /// node with the given perturbation.
     pub(crate) fn consumer_spec(
@@ -269,16 +261,15 @@ impl Exchange {
     }
 }
 
-/// Rejects the cost and time-out knobs both executor configurations
-/// carry: non-positive or non-finite cost scales (which would turn every
+/// Rejects the cost knobs both executor configurations carry:
+/// non-positive or non-finite cost scales (which would turn every
 /// modelled cost into zero or infinite sleeps), negative or non-finite
 /// receive costs, a zero checkpoint interval (no window could ever
-/// close), a zero recall time-out.
+/// close).
 pub(crate) fn validate_knobs(
     cost_scale: f64,
     receive_cost_ms: f64,
     checkpoint_interval: usize,
-    recall_timeout_ms: u64,
 ) -> Result<()> {
     if !cost_scale.is_finite() || cost_scale <= 0.0 {
         return Err(GridError::Config(format!(
@@ -293,11 +284,6 @@ pub(crate) fn validate_knobs(
     if checkpoint_interval == 0 {
         return Err(GridError::Config(
             "checkpoint_interval must be positive".into(),
-        ));
-    }
-    if recall_timeout_ms == 0 {
-        return Err(GridError::Config(
-            "recall_timeout_ms must be positive".into(),
         ));
     }
     Ok(())
@@ -341,7 +327,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    use gridq_common::{DataType, DistributionVector, Field, Schema, Tuple, Value};
+    use gridq_common::{DataType, DistributionVector, Field, RecallPhase, Schema, Tuple, Value};
     use gridq_engine::evaluator::{EvaluatorFactory, HashJoinFactory, StreamTag};
     use gridq_engine::fixtures::{call_plan, int_table, single_stage_plan, CallShape};
     use gridq_recovery::Checkpoint;
@@ -525,11 +511,10 @@ mod tests {
         }
     }
 
-    /// A scripted recall transport: `parked` producers, a queue of replies
-    /// (an empty queue is a time-out), and a record of everything asked.
+    /// A scripted recall transport: a queue of replies (an empty queue is
+    /// every worker gone), and a record of everything asked.
     #[derive(Default)]
     struct FakeTransport {
-        parked: Option<usize>,
         epoch: u64,
         replies: VecDeque<RecallReply>,
         drains: Vec<usize>,
@@ -541,12 +526,33 @@ mod tests {
         /// Workers that answer `Migrate` themselves, by index: what they
         /// surrender is queued ahead of their `MigrateDone`.
         consumers: Vec<Consumer>,
+        /// A worker that dies on its `Migrate` instead: its death is
+        /// queued in place of its answer.
+        dies_on_migrate: Option<usize>,
+    }
+
+    /// Worker `worker`'s answer to round `phase` of attempt `token`.
+    fn answer(phase: RecallPhase, worker: usize, token: u64) -> RecallReply {
+        RecallReply::Answered {
+            phase,
+            worker,
+            token,
+        }
+    }
+
+    /// Worker `worker`'s answer to the first recall's drain barrier.
+    fn drained(worker: usize) -> RecallReply {
+        answer(RecallPhase::Drain, worker, 1)
+    }
+
+    /// Worker `worker`'s answer to the first recall's `Migrate`.
+    fn migrated(worker: usize) -> RecallReply {
+        answer(RecallPhase::Migrate, worker, 1)
     }
 
     impl RecallTransport for FakeTransport {
-        fn pause(&mut self) -> Option<usize> {
-            self.pause_open = self.parked.is_some();
-            self.parked
+        fn pause(&mut self) {
+            self.pause_open = true;
         }
 
         fn abort_pause(&mut self) {
@@ -563,18 +569,19 @@ mod tests {
             self.pause_open = false;
         }
 
-        fn drain(&mut self, worker: usize, _token: u64) -> bool {
+        fn drain(&mut self, worker: usize, _token: u64) {
             self.drains.push(worker);
-            true
         }
 
         fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
-            if let Some(c) = self.consumers.get_mut(worker) {
+            if self.dies_on_migrate == Some(worker) {
+                self.replies.push_back(RecallReply::Down { worker });
+            } else if let Some(c) = self.consumers.get_mut(worker) {
                 for entries in c.surrender(cmd.bucket_count, &cmd.outgoing) {
                     let block = RecallReply::Surrendered { worker, entries };
                     self.replies.push_back(block);
                 }
-                let done = RecallReply::MigrateDone { token: cmd.token };
+                let done = answer(RecallPhase::Migrate, worker, cmd.token);
                 self.replies.push_back(done);
             }
             self.migrates.push((worker, cmd.outgoing));
@@ -584,8 +591,6 @@ mod tests {
             self.redelivered.push((dest, block));
         }
 
-        fn arm_deadline(&mut self) {}
-
         fn next_reply(&mut self) -> Option<RecallReply> {
             self.replies.pop_front()
         }
@@ -594,11 +599,8 @@ mod tests {
     /// A completed recall that moves every bucket to partition 1 (the
     /// workers' side of it is the individual test's business).
     fn recall_everything_to_partition_1(x: &Exchange) {
-        let done = RecallReply::MigrateDone { token: 1 };
-        let drained = RecallReply::Drained { token: 1 };
         let mut t = FakeTransport {
-            parked: Some(1),
-            replies: VecDeque::from([drained.clone(), drained, done.clone(), done]),
+            replies: VecDeque::from([drained(0), drained(1), migrated(0), migrated(1)]),
             ..FakeTransport::default()
         };
         let target = RecallTarget::Deploy(DistributionVector::new(&[0.0, 1.0]).unwrap());
@@ -817,27 +819,29 @@ mod tests {
         );
     }
 
-    /// A recall whose drain reply never arrives aborts before the swap:
-    /// router and staged buffers untouched, gate reopened at the old epoch.
+    /// A death in the Drain round abandons the recall at once — the
+    /// answer queued behind the death is never waited for — and before
+    /// the swap: router and staged buffers untouched, gate reopened at
+    /// the old epoch. The next recall leaves the dead worker out of its
+    /// barriers.
     #[test]
-    fn a_lost_drain_reply_aborts_the_recall_before_the_swap() {
+    fn a_death_in_the_drain_round_aborts_the_recall_before_the_swap() {
         let (x, _) = join_exchange(false);
         let mut p = producer(&x, PROBE, StreamTag::Probe);
         let mut sink = FakeSink::default();
         p.stage(&tuple(1, 1), &mut sink);
         let before = weights(&x);
         let mut t = FakeTransport {
-            parked: Some(1),
-            // Worker 0 answers; worker 1's reply is lost.
-            replies: VecDeque::from([RecallReply::Drained { token: 1 }]),
+            replies: VecDeque::from([RecallReply::Down { worker: 1 }, drained(0)]),
             ..FakeTransport::default()
         };
+        let mut coordinator = Coordinator::new(x.clone());
         let target = RecallTarget::Deploy(DistributionVector::new(&[0.1, 0.9]).unwrap());
         let mut swapped = false;
-        let outcome =
-            Coordinator::new(x.clone()).recall(target, &[0, 1], &mut t, |_| swapped = true);
+        let outcome = coordinator.recall(target, &[0, 1], &mut t, |_| swapped = true);
         assert_eq!(outcome, RecallOutcome::Aborted);
         assert_eq!(t.drains, vec![0, 1]);
+        assert_eq!(t.replies.len(), 1, "worker 0's answer was not waited for");
         assert!(t.migrates.is_empty() && !swapped, "never reached the swap");
         assert_eq!(weights(&x), before, "router untouched");
         assert_eq!(
@@ -847,6 +851,88 @@ mod tests {
         );
         assert!(!p.observe_epoch(t.epoch), "buffers stay as staged");
         assert_eq!(x.tallies.restaged.load(Ordering::Relaxed), 0);
+
+        // Worker 0's stale answer is dropped; worker 1 is never asked
+        // again, nor waited on.
+        t.replies.extend([
+            answer(RecallPhase::Drain, 0, 2),
+            answer(RecallPhase::Migrate, 0, 2),
+        ]);
+        let target = RecallTarget::Deploy(DistributionVector::new(&[0.1, 0.9]).unwrap());
+        let outcome = coordinator.recall(target, &[0, 1], &mut t, |_| {});
+        assert!(matches!(
+            outcome,
+            RecallOutcome::Deployed {
+                completed: true,
+                ..
+            }
+        ));
+        assert_eq!(t.drains, vec![0, 1, 0]);
+        assert_eq!(t.migrates.len(), 1);
+        assert!(t.replies.is_empty());
+    }
+
+    /// A death in the Migrate round ends the round only once every other
+    /// live worker has answered: the survivor's surrendered state, queued
+    /// behind the death, is re-routed in full before the round ends, and
+    /// the recall is deployed but not completed.
+    #[test]
+    fn a_death_in_the_migrate_round_still_collects_every_survivors_surrender() {
+        let (x, factory) = join_exchange(false);
+        let owner = |k: i64| {
+            x.router
+                .lock()
+                .route(StreamTag::Build, &tuple(k, 0))
+                .unwrap()
+        };
+        let keys: Vec<i64> = (0..64).filter(|&k| owner(k) == 1).collect();
+        let log = x.log(BUILD).unwrap();
+        let items = keys.iter().map(|&k| {
+            let _ = log.record(1, (StreamTag::Build, tuple(k, k as u64)));
+            Staged::Tuple(StreamTag::Build, tuple(k, k as u64))
+        });
+        let block = Block {
+            source: BUILD,
+            items: items.collect(),
+            retransmit: false,
+        };
+        let mut c1 = consumer(&x, &factory, 1);
+        c1.on_block(block, &mut FakeOut::new(&x, 1));
+        let mut t = FakeTransport {
+            replies: VecDeque::from([drained(0), drained(1)]),
+            consumers: vec![consumer(&x, &factory, 0), c1],
+            dies_on_migrate: Some(0),
+            ..FakeTransport::default()
+        };
+        let target = RecallTarget::Deploy(DistributionVector::new(&[0.75, 0.25]).unwrap());
+        let outcome = Coordinator::new(x.clone()).recall(target, &[0, 1], &mut t, |_| {});
+        let moved: Vec<u64> = keys
+            .iter()
+            .filter(|&&k| owner(k) == 0)
+            .map(|&k| k as u64)
+            .collect();
+        assert!(!moved.is_empty() && moved.len() < keys.len());
+        assert_eq!(
+            outcome,
+            RecallOutcome::Deployed {
+                epoch: 1,
+                state_moved: moved.len() as u64,
+                recalled: 0,
+                completed: false,
+            }
+        );
+        assert!(t.replies.is_empty(), "every survivor's reply was read");
+        assert!(t.redelivered.iter().all(|(dest, _)| *dest == 0));
+        let mut sent: Vec<u64> = t
+            .redelivered
+            .iter()
+            .flat_map(|(_, b)| b)
+            .map(|e| e.2.seq())
+            .collect();
+        sent.sort_unstable();
+        assert_eq!(sent, moved, "all of it, before the round ended");
+        assert_eq!((t.epoch, t.pause_open), (1, false), "resumed");
+        assert!(log.audit().conserved(), "{:?}", log.audit());
     }
 
     /// A consumer mid-build surrenders exactly what `W′` moves — the
@@ -893,10 +979,8 @@ mod tests {
             consumers.push(c);
         }
         let logged_at_0 = x.log(BUILD).unwrap().unacked_len(0);
-        let drained = RecallReply::Drained { token: 1 };
         let mut t = FakeTransport {
-            parked: Some(1),
-            replies: VecDeque::from([drained.clone(), drained]),
+            replies: VecDeque::from([drained(0), drained(1)]),
             consumers,
             ..FakeTransport::default()
         };
@@ -990,16 +1074,6 @@ mod tests {
         }
         joined.sort_unstable();
         assert_eq!(joined, (100..146).collect::<Vec<u64>>());
-
-        // A hand-over that arrives after its barrier gave up may find a
-        // later recall has routed a bucket back: the entry returns to the
-        // worker it came from as an ordinary re-delivered block.
-        let mut late = FakeTransport::default();
-        let back = state(moved_state[0]);
-        let counts = Coordinator::new(x.clone()).surrendered(1, vec![back], &mut late);
-        assert_eq!(counts, (1, 0));
-        assert_eq!(late.redelivered.len(), 1);
-        assert_eq!(late.redelivered[0].0, 1, "partition 1 owns that bucket now");
     }
 
     /// In a resilient run every moved entry's log record follows it to
@@ -1055,17 +1129,10 @@ mod tests {
             }
         }
         let mut t = FakeTransport {
-            parked: Some(2),
-            replies: VecDeque::from([
-                RecallReply::Drained { token: 1 },
-                RecallReply::MigrateDone { token: 1 },
-            ]),
+            replies: VecDeque::from([drained(0), migrated(0)]),
             ..FakeTransport::default()
         };
-        let target = RecallTarget::Failover {
-            replay: 1,
-            dead: vec![1],
-        };
+        let target = RecallTarget::Failover { dead: vec![1] };
         let outcome = Coordinator::new(x.clone()).recall(target, &[0], &mut t, |_| {});
         let RecallOutcome::FailedOver {
             deployed, replayed, ..
@@ -1111,17 +1178,10 @@ mod tests {
             let _ = log.record(1, (StreamTag::Probe, tuple(seq as i64, seq)));
         }
         let mut t = FakeTransport {
-            parked: Some(2),
-            replies: VecDeque::from([
-                RecallReply::Drained { token: 1 },
-                RecallReply::MigrateDone { token: 1 },
-            ]),
+            replies: VecDeque::from([drained(0), migrated(0)]),
             ..FakeTransport::default()
         };
-        let target = RecallTarget::Failover {
-            replay: 1,
-            dead: vec![1],
-        };
+        let target = RecallTarget::Failover { dead: vec![1] };
         let outcome = Coordinator::new(x.clone()).recall(target, &[0], &mut t, |_| {});
         assert!(
             matches!(outcome, RecallOutcome::FailedOver { replayed, .. } if replayed == REPLAYED)
@@ -1141,6 +1201,79 @@ mod tests {
             gridq_recovery::AckOutcome::Accepted(REPLAYED as usize)
         );
         assert!(log.audit().conserved(), "{:?}", log.audit());
+    }
+
+    /// A failover can abort only on a second death, in its Migrate round
+    /// here: nothing is replayed and the gate reopens at the old epoch.
+    /// The second death's own failover zeroes both partitions and replays
+    /// the surviving log entries of both, build before probe.
+    #[test]
+    fn a_failover_aborted_by_a_second_death_leaves_its_replay_to_the_next() {
+        let scans = [
+            ("build", StreamTag::Build, 0.0),
+            ("probe", StreamTag::Probe, 0.0),
+        ];
+        let factory = HashJoinFactory::new(&schema(), &schema(), 0, 0, 0.1, 0.5);
+        let plan = single_stage_plan(1, &scans, factory, 3, Some(16), 4);
+        let x = Exchange::new(&plan, "test", true, None, true, 4).unwrap();
+        for dead in [1, 2] {
+            for (source, stream) in [(PROBE, StreamTag::Probe), (BUILD, StreamTag::Build)] {
+                let log = x.log(source).unwrap();
+                let _ = log.record(dead, (stream, tuple(dead as i64, u64::from(dead))));
+            }
+        }
+        let mut coordinator = Coordinator::new(x.clone());
+        let mut t = FakeTransport {
+            replies: VecDeque::from([drained(0), drained(2), migrated(0)]),
+            dies_on_migrate: Some(2),
+            ..FakeTransport::default()
+        };
+        let first = RecallTarget::Failover { dead: vec![1] };
+        let outcome = coordinator.recall(first, &[0, 2], &mut t, |_| {});
+        assert_eq!(outcome, RecallOutcome::Aborted);
+        assert_eq!((t.aborts, t.epoch), (1, 0), "gate reopened");
+        assert!(t.redelivered.is_empty(), "nothing replayed");
+        assert!(t.replies.is_empty());
+
+        t.replies.extend([
+            answer(RecallPhase::Drain, 0, 2),
+            answer(RecallPhase::Migrate, 0, 2),
+        ]);
+        let next = RecallTarget::Failover { dead: vec![1, 2] };
+        let outcome = coordinator.recall(next, &[0, 2], &mut t, |_| {});
+        let RecallOutcome::FailedOver {
+            deployed, replayed, ..
+        } = outcome
+        else {
+            panic!("the next failover completes: {outcome:?}");
+        };
+        assert_eq!((deployed.weights(), replayed), (&[1.0, 0.0, 0.0][..], 4));
+        assert_eq!(
+            t.drains,
+            vec![0, 2, 0],
+            "the second death is not asked again"
+        );
+        let streams: Vec<StreamTag> = t
+            .redelivered
+            .iter()
+            .flat_map(|(_, b)| b)
+            .map(|e| e.0)
+            .collect();
+        let expected = [
+            StreamTag::Build,
+            StreamTag::Build,
+            StreamTag::Probe,
+            StreamTag::Probe,
+        ];
+        assert_eq!(streams, expected);
+        assert!(t.redelivered.iter().all(|(dest, _)| *dest == 0));
+        for source in [BUILD, PROBE] {
+            let log = x.log(source).unwrap();
+            let unacked = [0, 1, 2].map(|p| log.unacked_len(p));
+            assert_eq!(unacked, [2, 0, 0]);
+            assert!(log.audit().conserved(), "{:?}", log.audit());
+        }
+        assert_eq!(t.epoch, 1, "resumed");
     }
 
     const STRIDE: u64 = 10;
@@ -1324,10 +1457,8 @@ mod tests {
     /// Runs the `[0.25, 0.75]` recall over the two consumers; returns them
     /// and the transport that recorded the re-deliveries.
     fn recall_quarter(x: &Exchange, consumers: Vec<Consumer>) -> (Vec<Consumer>, FakeTransport) {
-        let drained = RecallReply::Drained { token: 1 };
         let mut t = FakeTransport {
-            parked: Some(1),
-            replies: VecDeque::from([drained.clone(), drained]),
+            replies: VecDeque::from([drained(0), drained(1)]),
             consumers,
             ..FakeTransport::default()
         };
@@ -1451,10 +1582,8 @@ mod tests {
         assert!(!on_eos(&mut c1, StreamTag::Build, &mut out1));
         assert!(on_eos(&mut c1, StreamTag::Probe, &mut out1));
 
-        let drained = RecallReply::Drained { token: 1 };
         let mut t = FakeTransport {
-            parked: Some(0),
-            replies: VecDeque::from([drained.clone(), drained]),
+            replies: VecDeque::from([drained(0), drained(1)]),
             consumers: vec![c, c1],
             ..FakeTransport::default()
         };
@@ -1572,7 +1701,7 @@ mod tests {
         while x.tallies.routed.load(Ordering::Relaxed) < 8 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(gate.begin_pause(Duration::from_secs(10)), Some(1));
+        assert_eq!(gate.begin_pause(), 1);
         assert!(
             !rx0.is_empty() && rx1.is_empty(),
             "nothing popped, nothing else sent"

@@ -1,7 +1,7 @@
 //! The real-thread half of the recall protocol: the gate producers park
-//! behind, and the wall-clock transport the adaptation thread hands to the
-//! protocol core's coordinator (`protocol/coordinator.rs`, which owns
-//! the pause → drain → swap → migrate → resume sequence itself).
+//! behind, and the transport the adaptation thread hands to the protocol
+//! core's coordinator (`protocol/coordinator.rs`, which owns the pause →
+//! drain → swap → migrate → resume sequence itself).
 //!
 //! The simulator realises R1 by editing its virtual-time event queue; on
 //! real threads the pause is [`RecallGate::begin_pause`] — every
@@ -14,15 +14,19 @@
 //! its block goes back to the producer's buffer, to be restaged with the
 //! rest.
 //!
+//! Nothing here reads a clock: every producer parks, gives way, finishes
+//! or unwinds through [`ProducerGuard`], and every worker a barrier
+//! addresses answers it or dies, its death being its answer. A worker
+//! alive but silent forever is outside the fault model (DESIGN §11).
+//!
 //! The gate uses a plain `std` mutex/condvar pair (not the workspace's
 //! poison-recovering wrapper) because the coordinator must keep working
 //! even if a producer panics while parked; every acquisition recovers
 //! from poisoning explicitly.
 
 use std::sync::mpsc::Receiver;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, Thread};
-use std::time::{Duration, Instant};
 
 use crate::protocol::coordinator::{MigrateCmd, RecallReply, RecallTransport};
 use crate::protocol::Routed;
@@ -102,11 +106,9 @@ impl RecallGate {
     }
 
     /// Coordinator side: requests a pause and waits until every active
-    /// producer is parked. Returns the number of parked producers, or
-    /// `None` on timeout (the pause request is withdrawn first, so a
-    /// `None` leaves the gate open).
-    pub(crate) fn begin_pause(&self, timeout: Duration) -> Option<usize> {
-        let deadline = Instant::now() + timeout;
+    /// producer is parked. Returns the number of parked producers — zero
+    /// once every producer has finished.
+    pub(crate) fn begin_pause(&self) -> usize {
         let mut s = self.lock();
         s.pause_requested = true;
         self.cv.notify_all();
@@ -114,19 +116,9 @@ impl RecallGate {
             t.unpark();
         }
         while s.parked < s.active {
-            let now = Instant::now();
-            if now >= deadline {
-                s.pause_requested = false;
-                self.cv.notify_all();
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(s, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            s = guard;
+            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
-        Some(s.parked)
+        s.parked
     }
 
     /// Coordinator side: abandons a pause without changing the epoch.
@@ -156,11 +148,11 @@ impl RecallGate {
 /// panics mid-stream cannot leave the coordinator waiting on a barrier
 /// that can never fill.
 pub(crate) struct ProducerGuard {
-    gate: std::sync::Arc<RecallGate>,
+    gate: Arc<RecallGate>,
 }
 
 impl ProducerGuard {
-    pub(crate) fn new(gate: std::sync::Arc<RecallGate>) -> Self {
+    pub(crate) fn new(gate: Arc<RecallGate>) -> Self {
         gate.lock().threads.push(thread::current());
         ProducerGuard { gate }
     }
@@ -176,47 +168,25 @@ impl Drop for ProducerGuard {
 /// each endpoint's control plane, or a test's recording fake.
 pub(crate) trait WorkerCommands {
     /// Sends the drain barrier, ordered behind every block staged for
-    /// `worker`. Returns whether the worker is still reachable.
-    fn drain(&mut self, worker: usize, token: u64) -> bool;
+    /// `worker`.
+    fn drain(&mut self, worker: usize, token: u64);
     /// Sends `worker` its `Migrate` command.
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd);
     /// Re-delivers a block of tuples to `dest` outside the data plane.
     fn redeliver(&mut self, dest: usize, block: Vec<Routed>);
 }
 
-/// The coordinator's transport on real threads: the gate, a reply
-/// channel read against a wall-clock deadline, and the way of commanding
-/// workers.
-pub(crate) struct GateTransport<'a, W> {
-    gate: &'a RecallGate,
-    /// How long to wait for the producers to park and for each round of
-    /// replies.
-    timeout: Duration,
-    replies: &'a Receiver<RecallReply>,
-    deadline: Instant,
-    workers: &'a mut W,
+/// The coordinator's transport on real threads: the gate, the reply
+/// channel, and the way of commanding workers.
+pub(crate) struct GateTransport<W> {
+    pub(crate) gate: Arc<RecallGate>,
+    pub(crate) replies: Receiver<RecallReply>,
+    pub(crate) workers: W,
 }
 
-impl<'a, W> GateTransport<'a, W> {
-    pub(crate) fn new(
-        gate: &'a RecallGate,
-        timeout: Duration,
-        replies: &'a Receiver<RecallReply>,
-        workers: &'a mut W,
-    ) -> Self {
-        GateTransport {
-            gate,
-            timeout,
-            replies,
-            deadline: Instant::now(),
-            workers,
-        }
-    }
-}
-
-impl<W: WorkerCommands> RecallTransport for GateTransport<'_, W> {
-    fn pause(&mut self) -> Option<usize> {
-        self.gate.begin_pause(self.timeout)
+impl<W: WorkerCommands> RecallTransport for GateTransport<W> {
+    fn pause(&mut self) {
+        self.gate.begin_pause();
     }
 
     fn abort_pause(&mut self) {
@@ -231,8 +201,8 @@ impl<W: WorkerCommands> RecallTransport for GateTransport<'_, W> {
         self.gate.resume(epoch);
     }
 
-    fn drain(&mut self, worker: usize, token: u64) -> bool {
-        self.workers.drain(worker, token)
+    fn drain(&mut self, worker: usize, token: u64) {
+        self.workers.drain(worker, token);
     }
 
     fn migrate(&mut self, worker: usize, cmd: MigrateCmd) {
@@ -243,24 +213,16 @@ impl<W: WorkerCommands> RecallTransport for GateTransport<'_, W> {
         self.workers.redeliver(dest, block);
     }
 
-    fn arm_deadline(&mut self) {
-        self.deadline = Instant::now() + self.timeout;
-    }
-
     fn next_reply(&mut self) -> Option<RecallReply> {
-        let now = Instant::now();
-        if now >= self.deadline {
-            return None;
-        }
-        self.replies.recv_timeout(self.deadline - now).ok()
+        self.replies.recv().ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::thread;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn pause_parks_all_active_producers_and_resume_bumps_epoch() {
@@ -279,10 +241,7 @@ mod tests {
                 last_epoch
             }));
         }
-        let parked = gate
-            .begin_pause(Duration::from_secs(10))
-            .expect("both producers must park");
-        assert_eq!(parked, 2);
+        assert_eq!(gate.begin_pause(), 2, "both producers park");
         gate.resume(1);
         for w in workers {
             assert_eq!(w.join().unwrap(), 1, "producers observe the new epoch");
@@ -305,8 +264,7 @@ mod tests {
             gate2.producer_done();
             epoch
         });
-        let parked = gate.begin_pause(Duration::from_secs(10)).unwrap();
-        assert_eq!(parked, 1, "only the live producer parks");
+        assert_eq!(gate.begin_pause(), 1, "only the live producer parks");
         gate.resume(7);
         assert_eq!(worker.join().unwrap(), 7);
     }
@@ -325,21 +283,11 @@ mod tests {
             gate2.producer_done();
         });
         // Wait for the producer to park, then abort instead of resuming.
-        assert_eq!(gate.begin_pause(Duration::from_secs(10)), Some(1));
+        assert_eq!(gate.begin_pause(), 1);
         gate.abort_pause();
         released.store(true, Ordering::Release);
         worker.join().unwrap();
         assert_eq!(gate.epoch(), 0, "epoch unchanged after abort");
-    }
-
-    #[test]
-    fn begin_pause_times_out_and_withdraws_the_request() {
-        // One producer is registered but never reaches a pause point.
-        let gate = RecallGate::new(1);
-        assert_eq!(gate.begin_pause(Duration::from_millis(20)), None);
-        // The request was withdrawn: a producer arriving later passes
-        // straight through.
-        assert_eq!(gate.pause_point(), 0);
     }
 
     /// Forced spurious wakeups: notifying the condvar without changing
@@ -361,7 +309,7 @@ mod tests {
             }
             epoch
         });
-        assert_eq!(gate.begin_pause(Duration::from_secs(10)), Some(1));
+        assert_eq!(gate.begin_pause(), 1);
         for _ in 0..1_000 {
             gate.cv.notify_all();
             let s = gate.lock();
@@ -404,8 +352,8 @@ mod tests {
                 epoch
             }));
         }
-        let parked = gate.begin_pause(Duration::from_secs(10));
-        assert_eq!(parked, Some(2), "barrier must fill exactly, never early");
+        let parked = gate.begin_pause();
+        assert_eq!(parked, 2, "barrier must fill exactly, never early");
         gate.resume(1);
         stop.store(true, Ordering::Release);
         chaos.join().unwrap();
@@ -424,7 +372,7 @@ mod tests {
         });
         assert!(worker.join().is_err());
         // The barrier fills trivially: no active producers remain.
-        assert_eq!(gate.begin_pause(Duration::from_secs(10)), Some(0));
+        assert_eq!(gate.begin_pause(), 0);
         gate.abort_pause();
     }
 }

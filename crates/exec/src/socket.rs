@@ -77,7 +77,7 @@ use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
 use crate::protocol::coordinator::MigrateCmd;
 use crate::protocol::{sane_ms, validate_knobs, Block, Routed, Staged};
 use crate::{
-    real_time, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Port, Raw, RetryPolicy, Run,
+    real_time, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Port, RetryPolicy, Run,
     ThreadedConfig, Wiring, RING_BLOCKS,
 };
 
@@ -775,8 +775,6 @@ pub struct SocketConfig {
     /// Producers emit a recovery-log checkpoint marker after this many
     /// tuples per destination (logging runs only).
     pub checkpoint_interval: usize,
-    /// Recall barrier/reply timeout in wall-clock milliseconds.
-    pub recall_timeout_ms: u64,
     /// Delivery retry/backoff policy for unacknowledged windows.
     pub delivery_retry: RetryPolicy,
     /// Fault-injection hook. Installing one switches the run into
@@ -805,7 +803,6 @@ impl SocketConfig {
             cost_scale: 0.02,
             receive_cost_ms: 1.0,
             checkpoint_interval: 50,
-            recall_timeout_ms: 30_000,
             delivery_retry: RetryPolicy::default(),
             chaos: None,
             adaptations: Vec::new(),
@@ -819,7 +816,6 @@ impl SocketConfig {
             self.cost_scale,
             self.receive_cost_ms,
             self.checkpoint_interval,
-            self.recall_timeout_ms,
         )?;
         self.delivery_retry.validate()?;
         for a in &self.adaptations {
@@ -914,11 +910,12 @@ impl Link {
     /// the death.
     fn relay(&mut self, msg: &WireMsg) {
         let Some(conn) = &self.conn else { return };
-        if self
-            .chaos
-            .as_ref()
-            .is_some_and(|c| c.crash_worker(self.worker))
-        {
+        let recall = match msg {
+            WireMsg::Ctl(ctl) => ctl.recall_phase(),
+            _ => None,
+        };
+        let chaos = self.chaos.as_ref();
+        if chaos.is_some_and(|c| c.crash_worker(self.worker, recall)) {
             let _ = conn.shutdown_both();
             self.conn = None;
             return;
@@ -1027,14 +1024,15 @@ fn dispatch(port: &mut Port, msg: WireMsg) -> Result<()> {
 /// Reads worker `port.index`'s connection, dispatching each frame in
 /// arrival order, until the connection ends. An end before the run
 /// released the worker — end of file, a read error, lost framing, a
-/// malformed message — is the worker's death. A resilient run's reader
-/// reports it through the port, once and before it ends: `Raw::Down`,
-/// then the worker's completion with the counts of its last `DONE` (0
-/// without one), as a crashed threaded consumer does. A plain run's
-/// reader returns it instead, for `Net::stop` to name. Either way the
+/// malformed message — is the worker's death, which the reader reports
+/// through the port once, before it ends, as a crashed threaded consumer
+/// does: the death reply that answers any barrier the worker owed and,
+/// in a resilient run, `Raw::Down`, then the worker's completion with
+/// the counts of its last `DONE` (0 without one). A plain run's reader
+/// also returns the death, for `Net::stop` to name. Either way the
 /// connection is shut down on the way out, so a worker still alive reads
-/// its end too. Returns the largest payload it decoded, and the death it
-/// did not report.
+/// its end too. Returns the largest payload it decoded, and the death a
+/// plain run fails on.
 fn reader_loop(
     mut port: Port,
     mut conn: Stream,
@@ -1080,10 +1078,10 @@ fn reader_loop(
     if released.load(Ordering::SeqCst) {
         return (largest, None);
     }
+    port.died();
     if !port.failover_on {
         return (largest, Some(format!("worker {worker}: {why}")));
     }
-    let _ = port.raw.send(Raw::Down(worker));
     port.done(processed, dedup_peak);
     (largest, None)
 }
@@ -1178,7 +1176,7 @@ struct Net {
     /// Each returns the largest payload it wrote.
     link_handles: Vec<thread::JoinHandle<usize>>,
     /// Each returns the largest payload it decoded, and an end of its
-    /// connection it did not report.
+    /// connection a plain run fails on.
     readers: Vec<thread::JoinHandle<(usize, Option<String>)>>,
     /// A handle on each connection, for a forced stop to end it.
     conns: Vec<Stream>,
@@ -1466,7 +1464,6 @@ impl SocketExecutor {
             cost_scale: cfg.cost_scale,
             checkpoint_interval: cfg.checkpoint_interval,
             obs: ObsConfig::disabled(),
-            recall_timeout_ms: cfg.recall_timeout_ms,
             chaos: cfg.chaos.clone(),
             delivery_retry: cfg.delivery_retry.clone(),
             failover: cfg.chaos.is_some(),
@@ -1845,6 +1842,48 @@ mod tests {
         );
     }
 
+    /// A plain run (no failover) whose worker dies before two scripted
+    /// recalls: the first reads the death as that worker's answer and is
+    /// abandoned at once, the second leaves the dead worker out of its
+    /// barriers, and the run fails naming it. The link keeps a dead
+    /// worker's inbox open, so a drain sent there is never refused:
+    /// only the death it has read keeps the coordinator from waiting on
+    /// it.
+    #[test]
+    fn a_plain_run_never_waits_on_a_worker_whose_death_it_has_read() {
+        let table = int_table("t", 0..50);
+        let built = AtomicU64::new(0);
+        // The first worker to build its service dies on its first tuple.
+        let boom: ServiceResolver = Arc::new(move |name: &str, cost_ms: f64| {
+            if built.fetch_add(1, Ordering::SeqCst) > 0 {
+                return Some(fixtures::square(cost_ms));
+            }
+            let svc = FnService::new(name, vec![DataType::Int], DataType::Int, cost_ms, |_| {
+                panic!("service crashed")
+            });
+            Some(Arc::new(svc) as Arc<dyn Service>)
+        });
+        let mut config = SocketConfig::new(call_spec(&table), boom);
+        config.cost_scale = 0.002;
+        // Past the last routed tuple: both fire once the producers are
+        // done, behind the dying worker's first block.
+        config.adaptations = [(1_000, [0.5, 0.5]), (1_001, [0.2, 0.8])]
+            .map(|(after_routed, weights)| ScriptedAdaptation {
+                after_routed,
+                weights: weights.to_vec(),
+                retrospective: true,
+            })
+            .to_vec();
+        let err = SocketExecutor::new(catalog(&[&table]), config)
+            .run(&call_plan(&table, &CallShape::default()))
+            .unwrap_err();
+        let GridError::Execution(msg) = &err else {
+            panic!("expected an execution error, got {err:?}");
+        };
+        let named = (0..2).filter(|w| msg.contains(&format!("worker {w} panicked")));
+        assert_eq!(named.count(), 1, "the error names the dead worker: {msg}");
+    }
+
     /// Two workers die a moment apart: the run stops for the first, and
     /// its unclean stop still joins the second and names it, instead of
     /// leaving it running behind the run's error.
@@ -1928,7 +1967,7 @@ mod tests {
     }
 
     impl ChaosHook for DropConn {
-        fn crash_worker(&self, worker: usize) -> bool {
+        fn crash_worker(&self, worker: usize, _recall: Option<RecallPhase>) -> bool {
             worker == self.worker && self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.nth
         }
     }
@@ -1971,7 +2010,6 @@ mod tests {
             let mut config = SocketConfig::new(join_spec(&build, &probe), standard_resolver());
             config.cost_scale = 0.05;
             config.checkpoint_interval = 8;
-            config.recall_timeout_ms = 2_000;
             config.chaos = chaos;
             config.adaptations = adaptations;
             SocketExecutor::new(catalog(&[&build, &probe]), config)
@@ -2017,7 +2055,6 @@ mod tests {
             let mut config = SocketConfig::new(join_spec(&build, &probe), standard_resolver());
             config.cost_scale = 0.01;
             config.checkpoint_interval = 8;
-            config.recall_timeout_ms = 500;
             config.chaos = Some(chaos as Arc<dyn ChaosHook>);
             config.adaptations = adaptations;
             SocketExecutor::new(catalog(&[&build, &probe]), config)
@@ -2312,36 +2349,18 @@ mod tests {
         }
     }
 
-    /// Swallows every recall reply worker 1 sends.
-    #[derive(Debug)]
-    struct MuteRepliesOf1;
-
-    impl ChaosHook for MuteRepliesOf1 {
-        fn on_recall_ctrl(&self, _phase: RecallPhase, worker: usize) -> bool {
-            worker != 1
-        }
-    }
-
     /// The reader replays each worker->coordinator frame as the call a
     /// threaded consumer makes on its port in-process, so each effect
     /// lands where a threaded consumer's does: recall replies on the
-    /// reply channel (unless the seam swallows them), surrendered state
-    /// there too with the adaptation thread nudged, results and counts
-    /// as worker events, an ack in the log, and a stray at its owner —
-    /// back at the sender as `MIGRATED` when it still owns it.
+    /// reply channel, named by the port's worker, surrendered state there
+    /// too, results and counts as worker events, an ack in the log, and a
+    /// stray at its owner — back at the sender as `MIGRATED` when it
+    /// still owns it.
     #[test]
     fn the_reader_replays_each_worker_frame_as_the_threaded_call() {
         let (build, probe) = (int_table("b", 0..8), int_table("p", 0..8));
         let plan = join_plan(&build, &probe, &JoinShape::default());
-        let x = Exchange::new(
-            &plan,
-            "test",
-            true,
-            Some(Arc::new(MuteRepliesOf1)),
-            false,
-            1,
-        )
-        .unwrap();
+        let x = Exchange::new(&plan, "test", true, None, false, 1).unwrap();
         let (events_tx, events) = channel();
         let (replies_tx, replies) = channel();
         let (raw_tx, raw) = channel();
@@ -2370,17 +2389,19 @@ mod tests {
             feed(worker, WireMsg::Drained { token: 3 }).unwrap();
             feed(worker, WireMsg::MigrateDone { token: 3 }).unwrap();
         }
-        let got: Vec<RecallReply> = replies.try_iter().collect();
-        assert!(
-            matches!(
-                got[..],
-                [
-                    RecallReply::Drained { token: 3 },
-                    RecallReply::MigrateDone { token: 3 }
-                ]
-            ),
-            "worker 0's replies arrive, worker 1's are swallowed"
-        );
+        let got: Vec<(RecallPhase, usize)> = replies
+            .try_iter()
+            .map(|reply| match reply {
+                RecallReply::Answered {
+                    phase,
+                    worker,
+                    token: 3,
+                } => (phase, worker),
+                other => panic!("only the answers were sent: {other:?}"),
+            })
+            .collect();
+        let (drain, migrate) = (RecallPhase::Drain, RecallPhase::Migrate);
+        assert_eq!(got, [(drain, 0), (migrate, 0), (drain, 1), (migrate, 1)]);
 
         let state = vec![(StreamTag::Build, 0, probe_tuple(5))];
         feed(1, WireMsg::StateOut(state)).unwrap();
@@ -2388,7 +2409,6 @@ mod tests {
             replies.try_recv(),
             Ok(RecallReply::Surrendered { worker: 1, entries }) if entries.len() == 1
         ));
-        assert!(matches!(raw.try_recv(), Ok(Raw::LateState)));
         assert_eq!(x.tallies.recall_blocks.load(Ordering::Relaxed), 1);
 
         feed(0, WireMsg::Results(vec![probe_tuple(1), probe_tuple(2)])).unwrap();
@@ -2447,9 +2467,10 @@ mod tests {
     }
 
     /// Lost framing is a death too: a worker frame with bad magic ends
-    /// the reader, which shuts the connection on its way out. A resilient
-    /// run's reader reports the death once — `Raw::Down`, then the
-    /// worker's completion with the counts of its last `DONE`, which
+    /// the reader, which shuts the connection on its way out. Every
+    /// run's reader answers the barriers with the death, once. A
+    /// resilient run's reader reports it once more — `Raw::Down`, then
+    /// the worker's completion with the counts of its last `DONE`, which
     /// arrived in the same read as the bad header; a plain run's returns
     /// it, naming the worker, for the run to fail on.
     #[test]
@@ -2460,11 +2481,12 @@ mod tests {
             let x = Exchange::new(&plan, "test", true, None, true, 1).unwrap();
             let (events_tx, events) = channel();
             let (raw_tx, raw) = channel();
+            let (replies_tx, replies) = channel();
             let w = Wiring {
                 x,
                 rings: Vec::new(),
                 events: events_tx,
-                replies: channel().0,
+                replies: replies_tx,
                 raw: raw_tx,
                 obs: None,
                 processed_total: Arc::new(AtomicU64::new(0)),
@@ -2513,6 +2535,8 @@ mod tests {
             );
             assert_eq!(counted(events.try_recv().ok()), failover);
             assert!(events.try_recv().is_err());
+            let answers: Vec<RecallReply> = replies.try_iter().collect();
+            assert!(matches!(answers[..], [RecallReply::Down { worker: 1 }]));
             let downs: Vec<Raw> = raw.try_iter().collect();
             if failover {
                 assert!(end.is_none());

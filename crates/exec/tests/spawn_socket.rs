@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gridq_common::ChaosHook;
+use gridq_common::{ChaosHook, RecallPhase};
 use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan, CallShape, JoinShape};
 use gridq_exec::socket::{
     standard_resolver, ScriptedAdaptation, SocketConfig, SocketExecutor, WireStageSpec,
@@ -99,7 +99,7 @@ struct DropFourth {
 }
 
 impl ChaosHook for DropFourth {
-    fn crash_worker(&self, worker: usize) -> bool {
+    fn crash_worker(&self, worker: usize, _recall: Option<RecallPhase>) -> bool {
         worker == 1 && self.frames.fetch_add(1, Ordering::SeqCst) == 3
     }
 }

@@ -26,7 +26,6 @@ pub const RULE_IDS: &[&str] = &[
 /// virtual time (`SimTime`) or receive timings from these sites.
 pub const CLOCK_SITES: &[&str] = &[
     "crates/exec/src/lib.rs",
-    "crates/exec/src/recall.rs",
     // The chaos runner stamps scenario outcomes with wall-clock duration
     // for its reports; fault injection itself is deterministic.
     "crates/chaos/src/runner.rs",

@@ -1,5 +1,5 @@
 // Positive fixture for the `wall-clock` rule (negative when presented
-// at an allowlisted clock site such as crates/exec/src/recall.rs).
+// at an allowlisted clock site such as crates/common/src/sync/ring.rs).
 use std::time::{Instant, SystemTime};
 
 pub fn elapsed_ms(start: Instant) -> f64 {

@@ -41,7 +41,7 @@ pub struct SimulationConfig {
     pub obs: ObsConfig,
     /// Fault-injection hook consulted at the chaos seams (exchange
     /// sends, checkpoint acks, monitoring notifications, per-tuple
-    /// work, recall replies, and each buffer a partition receives, on
+    /// work, and each buffer or recall command a partition receives, on
     /// which it may die). `None` injects nothing and leaves behavior
     /// identical to an uninstrumented run. Installing a hook switches
     /// the run into resilient mode: producers retransmit unacknowledged

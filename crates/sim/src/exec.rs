@@ -500,18 +500,19 @@ impl<'a> Run<'a> {
         self.config
             .chaos
             .as_ref()
-            .is_some_and(|h| h.crash_worker(worker as usize))
+            .is_some_and(|h| h.crash_worker(worker as usize, None))
     }
 
-    /// Whether every live partition's recall reply of `phase` arrives.
-    /// Each one is asked, lost or not, as each worker of a real
-    /// substrate sends its own.
-    fn chaos_replies(&self, phase: RecallPhase) -> bool {
+    /// The nodes of the live partitions that die on a recall's `phase`
+    /// command. Each one is asked, as each worker of a real substrate
+    /// receives its own.
+    fn chaos_recall_deaths(&self, phase: RecallPhase) -> Vec<NodeId> {
         let Some(h) = &self.config.chaos else {
-            return true;
+            return Vec::new();
         };
         let live = self.consumers.iter().enumerate().filter(|(_, c)| !c.dead);
-        live.fold(true, |all, (i, _)| h.on_recall_ctrl(phase, i) && all)
+        let dying = live.filter(|&(i, _)| h.crash_worker(i, Some(phase)));
+        dying.map(|(_, c)| c.node).collect()
     }
 
     /// Extra virtual-time stall injected at `site`; guarded so a hook
@@ -1170,26 +1171,32 @@ impl<'a> Run<'a> {
 
     // -- adaptation deployment ---------------------------------------------
 
-    /// Deploys an accepted proposal. A retrospective one waits, as the
-    /// protocol core's recall does, on one Drain reply per live partition
-    /// before the swap and one Migrate reply after it: a lost Drain reply
-    /// abandons the recall with the router untouched, and a lost Migrate
-    /// reply leaves it deployed but not completed.
+    /// Deploys an accepted proposal. A retrospective one sends, as the
+    /// protocol core's recall does, a Drain to every live partition
+    /// before the swap and a Migrate after it, and a partition may die on
+    /// either: a death on the Drain abandons the recall with the router
+    /// untouched, and one on the Migrate leaves it deployed but not
+    /// completed. Either way the dead node then fails over.
     fn apply_adaptation(&mut self, accepted: Accepted) -> Result<()> {
         let target = self
             .control
             .target(&accepted)
             .ok_or_else(|| GridError::Execution("every evaluator node has failed".into()))?;
         let retrospective = accepted.command.retrospective;
-        if retrospective && !self.chaos_replies(RecallPhase::Drain) {
-            self.report.recalls_aborted += 1;
-            return Ok(());
+        if retrospective {
+            let dying = self.chaos_recall_deaths(RecallPhase::Drain);
+            if !dying.is_empty() {
+                self.report.recalls_aborted += 1;
+                return dying.into_iter().try_for_each(|node| self.node_fail(node));
+            }
         }
         let moves = self.router.apply_distribution(&target)?;
         let deploy_seq = self.control.deployed(&accepted, &target, self.now);
+        let mut dying = Vec::new();
         if retrospective {
             self.redistribute(&moves, Some(deploy_seq))?;
-            if self.chaos_replies(RecallPhase::Migrate) {
+            dying = self.chaos_recall_deaths(RecallPhase::Migrate);
+            if dying.is_empty() {
                 self.report.recalls_completed += 1;
             } else {
                 self.report.recalls_aborted += 1;
@@ -1198,7 +1205,7 @@ impl<'a> Run<'a> {
         // The deployment is fully applied (including any recall) at this
         // point of virtual time: the cooldown runs from here.
         self.control.acknowledged(deploy_seq, self.now);
-        Ok(())
+        dying.into_iter().try_for_each(|node| self.node_fail(node))
     }
 
     /// Retrospective redistribution: recall unprocessed tuples from

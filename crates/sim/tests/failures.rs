@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gridq_adapt::{AdaptivityConfig, AssessmentPolicy, ResponsePolicy, COOLDOWN_MS};
-use gridq_common::{ChaosHook, NodeId, SimTime, Tuple};
+use gridq_common::{ChaosHook, NodeId, RecallPhase, SimTime, Tuple};
 use gridq_engine::fixtures::{call_plan, catalog, int_table, join_plan, CallShape, JoinShape};
 use gridq_engine::table::Table;
 use gridq_engine::DistributedPlan;
@@ -64,7 +64,7 @@ impl Crashes {
 }
 
 impl ChaosHook for Crashes {
-    fn crash_worker(&self, worker: usize) -> bool {
+    fn crash_worker(&self, worker: usize, _recall: Option<RecallPhase>) -> bool {
         let n = self.received[worker].fetch_add(1, Ordering::Relaxed) + 1;
         self.at.contains(&(worker, n))
     }

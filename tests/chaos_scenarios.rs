@@ -3,20 +3,22 @@
 //! seeded CI matrix does. Three pinned seeds × seven shared fault
 //! families (notification drop, thread stall, crash mid-recall, data
 //! loss, data duplication, node crash, block-boundary drop/dup pairs) on
-//! the sim and threaded substrates, the node crash on the socket
-//! substrate too, plus the two socket-only families (partial_write,
-//! slow_peer — their seams do not exist in-process) there; every oracle
-//! green, and every report line what CI uploads: JSON naming its cell,
-//! plan and oracles. The data-plane families are live here — dropped
-//! blocks heal through whole-block recovery-log retransmission,
-//! duplicated blocks are absorbed by consumer range dedup, and a node
-//! crash kills one worker through the one `crash_worker` seam on every
-//! substrate and fails it over: on threads from the consumer's own exit
-//! notice, on sockets from the coordinator's reader, which reads the
-//! connection the link ended. Every crash cell fires exactly once: a
-//! crash cell that kills nobody fails. The hard socket cell is
-//! `node_crash` under R1: a death on a hash join beside a scripted
-//! recall.
+//! the sim and threaded substrates, the node crash and the crash
+//! mid-recall on the socket substrate too, plus the two socket-only
+//! families (partial_write, slow_peer — their seams do not exist
+//! in-process) there; every oracle green, and every report line what CI
+//! uploads: JSON naming its cell, plan and oracles. The data-plane
+//! families are live here — dropped blocks heal through whole-block
+//! recovery-log retransmission, duplicated blocks are absorbed by
+//! consumer range dedup, and a node crash kills one worker through the
+//! one `crash_worker` seam on every substrate and fails it over: on
+//! threads from the consumer's own exit notice, on sockets from the
+//! coordinator's reader, which reads the connection the link ended. A
+//! crash mid-recall is the same death on a recall's `Drain` or
+//! `Migrate`, and answers that recall's barrier. Every node-crash cell
+//! fires exactly once: a crash cell that kills nobody fails. The hard
+//! socket cell is `node_crash` under R1: a death on a hash join beside a
+//! scripted recall.
 
 use gridq::chaos::{
     FaultEvent, FaultFamily, FaultPlan, Policy, Runner, Scenario, ScenarioOutcome, Substrate,
@@ -36,9 +38,9 @@ const FAMILIES: [FaultFamily; 7] = [
 ];
 
 /// The pinned (family, substrate) cells: each family runs on the
-/// substrates whose seams it targets — the node crash on all three,
-/// stall/notify faults not on sockets, and the socket families on no
-/// in-process substrate.
+/// substrates whose seams it targets — the node crash and the crash
+/// mid-recall on all three, stall/notify faults not on sockets, and the
+/// socket families on no in-process substrate.
 fn pinned_cells() -> Vec<(FaultFamily, Substrate)> {
     let mut cells = Vec::new();
     for family in FAMILIES {
@@ -47,6 +49,7 @@ fn pinned_cells() -> Vec<(FaultFamily, Substrate)> {
         }
     }
     cells.push((FaultFamily::NodeCrash, Substrate::Socket));
+    cells.push((FaultFamily::CrashMidRecall, Substrate::Socket));
     for family in FaultFamily::SOCKET {
         cells.push((family, Substrate::Socket));
     }

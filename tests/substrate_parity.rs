@@ -192,54 +192,68 @@ fn node_failure_runs_match_the_unfaulted_reference() {
     }
 }
 
-/// A simulated recall that loses worker 0's Drain reply is abandoned
-/// before the swap, as on threads: no deploy for that decision, the
-/// router untouched, and the results whole.
+/// A worker that dies on a recall's command answers the barrier with its
+/// death, on the simulator as on threads, and nothing waits out a
+/// time-out. A death on the Drain abandons the recall before the swap —
+/// no deploy for that decision — and one on the Migrate leaves it
+/// deployed but not completed. Either way the death fails over like any
+/// other, the results whole.
 #[test]
-fn a_simulated_recall_that_loses_a_drain_reply_is_abandoned() {
+fn a_death_mid_recall_answers_the_barrier_and_fails_over() {
     let w = q2_r1();
-    let knobs = r1_knobs(Substrate::Sim);
-    let reference = run_on(Substrate::Sim, &w, &knobs).unwrap();
-    let lose = plan_hook(vec![FaultEvent::LoseRecallCtrl {
-        phase: RecallPhase::Drain,
-        worker: 0,
-        nth: 1,
-    }]);
-    let run = run_on(
-        Substrate::Sim,
-        &w,
-        &Knobs {
-            chaos: Some(Arc::clone(&lose) as _),
-            ..knobs
-        },
-    )
-    .unwrap();
-    assert!(run.recalls_aborted >= 1, "{run:?}");
-    assert_eq!(lose.fired(), [0], "the reply was lost");
-    let obs = run.obs.as_ref().expect("obs on by default");
-    let first_accepted = obs.events.iter().find_map(|e| match &e.kind {
-        TimelineKind::ResponderDecision {
-            decision,
-            diagnosis_seq,
-            ..
-        } if decision == "accepted" => Some(*diagnosis_seq),
-        _ => None,
-    });
-    let first_accepted = first_accepted.expect("the loop accepted a proposal");
-    assert!(
-        !obs.events.iter().any(|e| matches!(
-            e.kind,
-            TimelineKind::Deploy { diagnosis_seq, .. } if diagnosis_seq == first_accepted
-        )),
-        "the abandoned recall deployed nothing"
-    );
-    for verdict in [
-        conservation(&reference, &run),
-        log_conservation(&run),
-        recall_safety(&run),
-        replay(&run),
-    ] {
-        assert!(verdict.passed, "{}: {}", verdict.oracle, verdict.detail);
+    let reference = run_on(Substrate::Threaded, &q2(), &static_knobs()).unwrap();
+    for (substrate, phase) in IN_PROCESS
+        .into_iter()
+        .flat_map(|s| [RecallPhase::Drain, RecallPhase::Migrate].map(|phase| (s, phase)))
+    {
+        let name = format!("{}/{phase:?}", substrate.name());
+        let crash = plan_hook(vec![FaultEvent::CrashOnRecall {
+            phase,
+            worker: 0,
+            nth: 1,
+        }]);
+        let run = run_on(substrate, &w, &failover(&crash, r1_knobs(substrate))).unwrap();
+        assert_eq!(crash.fired(), [0], "{name}: the worker died mid-recall");
+        assert!(run.recalls_aborted >= 1, "{name}: {run:?}");
+        assert_eq!(
+            (run.nodes_failed, run.failovers_completed),
+            (1, 1),
+            "{name}: one death, one failover: {run:?}"
+        );
+        assert!(run.delivery_gaps.is_empty(), "{name}: {run:?}");
+        let obs = run.obs.as_ref().expect("obs on by default");
+        let first_accepted = obs.events.iter().find_map(|e| match &e.kind {
+            TimelineKind::ResponderDecision {
+                decision,
+                diagnosis_seq,
+                ..
+            } if decision == "accepted" => Some(*diagnosis_seq),
+            _ => None,
+        });
+        let first_accepted = first_accepted.expect("the loop accepted a proposal");
+        let deployed = obs.events.iter().any(|e| {
+            matches!(
+                e.kind,
+                TimelineKind::Deploy { diagnosis_seq, .. } if diagnosis_seq == first_accepted
+            )
+        });
+        assert_eq!(
+            deployed,
+            phase == RecallPhase::Migrate,
+            "{name}: only a death after the swap leaves the recall deployed"
+        );
+        for verdict in [
+            conservation(&reference, &run),
+            log_conservation(&run),
+            recall_safety(&run),
+            replay(&run),
+        ] {
+            assert!(
+                verdict.passed,
+                "{name}: {}: {}",
+                verdict.oracle, verdict.detail
+            );
+        }
     }
 }
 
@@ -254,17 +268,26 @@ fn plan_hook(events: Vec<FaultEvent>) -> Arc<PlanHook> {
 /// retry budget that outlasts the failover recall, and `hook`'s faults
 /// injected through the chaos seams.
 fn failover_knobs(hook: &Arc<PlanHook>) -> Knobs {
-    Knobs {
+    let knobs = Knobs {
         adaptivity: Policy::R1.adaptivity(),
         cost_scale: FAILOVER_COST_SCALE,
         checkpoint_interval: 8,
+        ..Knobs::default()
+    };
+    failover(hook, knobs)
+}
+
+/// `knobs` with `hook`'s faults injected and a dead worker failed over,
+/// on a retry budget that outlasts the failover recall.
+fn failover(hook: &Arc<PlanHook>, knobs: Knobs) -> Knobs {
+    Knobs {
         chaos: Some(Arc::clone(hook) as _),
         delivery_retry: RetryPolicy {
             base_ms: 20.0,
             max_retries: 8,
         },
         failover: true,
-        ..Knobs::default()
+        ..knobs
     }
 }
 
@@ -289,35 +312,6 @@ fn a_slow_consumer_is_not_a_dead_one() {
     assert_eq!(slow.failovers_completed, 0, "{slow:?}");
     assert!(slow.delivery_gaps.is_empty(), "{slow:?}");
     assert_eq!(rows(&reference), rows(&slow));
-}
-
-/// A failover whose first attempt loses worker 0's drain reply times out
-/// and is retried at once, and the retry completes. The join is
-/// unperturbed, so the failover is the run's first recall and the lost
-/// reply is its.
-#[test]
-fn a_failover_that_loses_a_drain_reply_is_retried_and_completes() {
-    let w = q2();
-    let reference = run_on(Substrate::Threaded, &w, &static_knobs()).unwrap();
-    let faults = plan_hook(vec![
-        FaultEvent::CrashConsumer { worker: 1, nth: 10 },
-        FaultEvent::LoseRecallCtrl {
-            phase: RecallPhase::Drain,
-            worker: 0,
-            nth: 1,
-        },
-    ]);
-    let run = w
-        .run_threaded(&Knobs {
-            recall_timeout_ms: 200,
-            ..failover_knobs(&faults)
-        })
-        .unwrap();
-    assert_eq!(faults.fired(), [0, 1], "the crash, then the lost reply");
-    assert_eq!(run.nodes_failed, 1, "{run:?}");
-    assert_eq!(run.failovers_completed, 1, "{run:?}");
-    assert!(run.delivery_gaps.is_empty(), "{run:?}");
-    assert_eq!(rows(&reference), rows(&run));
 }
 
 /// Static three-way parity: the same Q1 plan over the simulator, the
