@@ -27,7 +27,7 @@ use gridq_exec::socket::{
     standard_resolver, ScriptedAdaptation, ServiceResolver, SocketConfig, SocketExecutor,
     WireStageSpec,
 };
-use gridq_exec::{QueryRun, QuerySubmission, RetryPolicy, ThreadedConfig, ThreadedExecutor};
+use gridq_exec::{QueryRun, QuerySubmission, ThreadedConfig, ThreadedExecutor};
 use gridq_grid::{GridEnvironment, Perturbation, PerturbationSchedule};
 use gridq_obs::{ObsConfig, RunReport};
 use gridq_sim::{Simulation, SimulationConfig};
@@ -209,7 +209,6 @@ impl Workload {
             checkpoint_interval: knobs.checkpoint_interval,
             obs: knobs.obs.clone(),
             chaos: knobs.chaos.clone(),
-            delivery_retry: knobs.delivery_retry.clone(),
             failover: knobs.failover,
             tenancy: None,
         }
@@ -220,7 +219,6 @@ impl Workload {
         config.cost_scale = knobs.cost_scale;
         config.receive_cost_ms = knobs.receive_cost_ms;
         config.checkpoint_interval = knobs.checkpoint_interval;
-        config.delivery_retry = knobs.delivery_retry.clone();
         config.chaos = knobs.chaos.clone();
         config.adaptations = knobs.script.clone();
         config.perturbations = self.constant_perturbations(knobs);
@@ -246,10 +244,10 @@ pub struct Knobs {
     pub receive_cost_ms: f64,
     /// Tuples per recovery-log checkpoint window.
     pub checkpoint_interval: usize,
-    /// Fault-injection hook (switches the run into resilient mode).
+    /// Fault-injection hook (switches the run into resilient mode: a
+    /// producer ends its stream once every window is acknowledged or its
+    /// destination dead).
     pub chaos: Option<Arc<dyn ChaosHook>>,
-    /// Delivery retry/backoff on the real substrates.
-    pub delivery_retry: RetryPolicy,
     /// Failover of a crashed consumer on threads: its exit notice starts
     /// a recall that replays its recovery-log entries. The simulator
     /// always fails over, and a socket run whenever it has a chaos hook,
@@ -274,7 +272,6 @@ impl Default for Knobs {
             receive_cost_ms: exec.receive_cost_ms,
             checkpoint_interval: exec.checkpoint_interval,
             chaos: None,
-            delivery_retry: exec.delivery_retry,
             failover: exec.failover,
             obs: exec.obs,
             bursts: Vec::new(),

@@ -76,11 +76,6 @@ impl ChaosHook for PlanHook {
         };
         for (idx, event) in self.events.iter().enumerate() {
             let action = match *event {
-                FaultEvent::DropData {
-                    source: es,
-                    dest: ed,
-                    nth,
-                } if es == source && ed == dest && nth == n => Some(NetAction::Drop),
                 FaultEvent::DuplicateData {
                     source: es,
                     dest: ed,
@@ -111,11 +106,6 @@ impl ChaosHook for PlanHook {
         };
         for (idx, event) in self.events.iter().enumerate() {
             let action = match *event {
-                FaultEvent::DropAck {
-                    source: es,
-                    worker: ew,
-                    nth,
-                } if es == source && ew == worker && nth == n => Some(NetAction::Drop),
                 FaultEvent::DuplicateAck {
                     source: es,
                     worker: ew,

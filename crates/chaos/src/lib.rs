@@ -44,19 +44,16 @@
 //!
 //! The fault model is honest about what the system can survive (see
 //! [`gridq_common::chaos`]): monitoring notifications and checkpoint
-//! acks are best-effort and may be lost or duplicated; a recall's
-//! replies are FIFO-or-dead — a worker answers each barrier or dies, and
-//! its death is the answer; data-plane traffic is at-least-once —
-//! dropped buffers are retransmitted from the producers' recovery logs
-//! and duplicated buffers are absorbed by consumer-side deduplication,
-//! so [`FaultEvent::DropData`] / [`FaultEvent::DuplicateData`] are live
-//! matrix families, and [`FaultFamily::NodeCrash`] and
+//! notifications are best-effort and may be lost; checkpoint acks may be
+//! delayed or duplicated; every channel — a recall's replies, the data
+//! plane — is FIFO-or-dead: a worker answers each barrier or dies, and
+//! its death is the answer. Duplicated data buffers are absorbed by
+//! consumer-side deduplication, so [`FaultEvent::DuplicateData`] is a
+//! live matrix family, and [`FaultFamily::NodeCrash`] and
 //! [`FaultFamily::CrashMidRecall`] kill a worker outright through the
-//! same `crash_worker` seam on every substrate.
-//! What remains deliberately
-//! unrecoverable — and proves the oracles fail loudly — is exhausting
-//! the retry budget (every copy of a window dropped) or crashing a
-//! consumer with failover disabled.
+//! same `crash_worker` seam on every substrate. What remains
+//! deliberately unrecoverable — and proves the oracles fail loudly — is
+//! crashing a consumer with failover disabled.
 
 pub mod harness;
 pub mod hook;
@@ -91,76 +88,44 @@ mod tests {
         );
     }
 
-    /// Transient data-plane loss and duplication now heal: a single
-    /// dropped or duplicated buffer leaves the result multiset identical
-    /// to the reference on both substrates.
+    /// A duplicated buffer leaves the result multiset identical to the
+    /// reference on every substrate.
     #[test]
     fn single_data_faults_heal_on_both_substrates() {
         let mut runner = Runner::new();
         for substrate in Substrate::ALL {
-            for event in [
-                FaultEvent::DropData {
-                    source: 0,
-                    dest: 0,
-                    nth: 1,
-                },
-                FaultEvent::DuplicateData {
-                    source: 0,
-                    dest: 1,
-                    nth: 1,
-                },
-            ] {
-                let scenario = Scenario {
-                    seed: 0,
-                    family: FaultFamily::DataLoss,
-                    substrate,
-                    policy: Policy::Static,
-                };
-                let plan = FaultPlan {
-                    seed: 0,
-                    events: vec![event.clone()],
-                };
-                let outcome = runner.run_with_plan(scenario, plan);
-                assert!(
-                    outcome.passed(),
-                    "{}/{:?} must heal: {outcome:?}",
-                    substrate.name(),
-                    event
-                );
-            }
+            let event = FaultEvent::DuplicateData {
+                source: 0,
+                dest: 1,
+                nth: 1,
+            };
+            let scenario = Scenario {
+                seed: 0,
+                family: FaultFamily::DataDup,
+                substrate,
+                policy: Policy::Static,
+            };
+            let plan = FaultPlan {
+                seed: 0,
+                events: vec![event.clone()],
+            };
+            let outcome = runner.run_with_plan(scenario, plan);
+            assert!(
+                outcome.passed(),
+                "{}/{:?} must heal: {outcome:?}",
+                substrate.name(),
+                event
+            );
         }
     }
 
-    /// The loud-failure proof on the simulator: dropping *every* copy of
-    /// an edge's traffic — initial delivery and all retransmission
-    /// rounds — exhausts the retry budget, degrades into explicit
-    /// delivery gaps, and MUST fail the conservation oracle. A green
-    /// chaos report means something because this plan demonstrably turns
-    /// it red.
-    #[test]
-    fn severed_edge_fails_the_conservation_oracle_on_sim() {
-        let mut runner = Runner::new();
-        let scenario = Scenario {
-            seed: 0,
-            family: FaultFamily::DataLoss,
-            substrate: Substrate::Sim,
-            policy: Policy::Static,
-        };
-        let events = (1..=25)
-            .map(|nth| FaultEvent::DropData {
-                source: 0,
-                dest: 1,
-                nth,
-            })
-            .collect();
-        let outcome = runner.run_with_plan(scenario, FaultPlan { seed: 0, events });
-        conservation_fails(&outcome);
-    }
-
-    /// The loud-failure proof on real threads: a consumer killed through
-    /// the `crash_worker` seam with failover disabled (static policy)
-    /// loses its share of the result for good once the retry budget is
-    /// spent.
+    /// The loud-failure proof: a consumer killed through the
+    /// `crash_worker` seam with failover disabled (static policy, on
+    /// threads) loses its share of the result for good — written off as
+    /// a delivery gap as soon as its death is reported — and MUST fail
+    /// the conservation oracle, harmless delays around it or not. A
+    /// green chaos report means something because this plan demonstrably
+    /// turns it red.
     #[test]
     fn unfailedover_consumer_crash_fails_the_conservation_oracle() {
         let mut runner = Runner::new();
@@ -170,11 +135,16 @@ mod tests {
             substrate: Substrate::Threaded,
             policy: Policy::Static,
         };
-        let plan = FaultPlan {
-            seed: 0,
-            events: vec![FaultEvent::CrashConsumer { worker: 1, nth: 5 }],
-        };
-        let outcome = runner.run_with_plan(scenario, plan);
-        conservation_fails(&outcome);
+        let crash = FaultEvent::CrashConsumer { worker: 1, nth: 5 };
+        let delays = (1..=6).map(|nth| FaultEvent::DelayData {
+            source: 0,
+            dest: 0,
+            nth,
+            delay_ms: 4.0,
+        });
+        for events in [vec![crash.clone()], delays.chain([crash]).collect()] {
+            let outcome = runner.run_with_plan(scenario, FaultPlan { seed: 0, events });
+            conservation_fails(&outcome);
+        }
     }
 }

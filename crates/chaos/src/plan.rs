@@ -9,19 +9,19 @@
 //! for people, not an input: nothing parses a plan back.
 //!
 //! The generator matches the fault model documented on
-//! [`gridq_common::chaos`]: data-plane loss and duplication heal through
-//! checkpoint-window retransmission and consumer-side deduplication, so
-//! [`FaultEvent::DropData`] and [`FaultEvent::DuplicateData`] are live
-//! matrix families ([`FaultFamily::DataLoss`], [`FaultFamily::DataDup`])
-//! rather than broken fixtures, and [`FaultFamily::NodeCrash`] and
-//! [`FaultFamily::CrashMidRecall`] kill a worker outright through the
-//! `crash_worker` seam — on any message, or on a recall's command — with
-//! failover recovering it, on every substrate (a socket worker dies with
-//! its connection, cut at the link). A cell's plan depends on its seed,
-//! family and topology only, so every substrate runs the same faults.
-//! The one deliberately unrecoverable shape — enough drops on one edge
-//! to outlast the retry budget, or a crash with no failover — is what
-//! proves the oracle layer fails loudly.
+//! [`gridq_common::chaos`]: every channel is FIFO until it dies, so a
+//! data buffer or an ack is delayed or duplicated, never silently lost.
+//! Duplication heals through consumer-side deduplication, so
+//! [`FaultEvent::DuplicateData`] is a live matrix family
+//! ([`FaultFamily::DataDup`]) rather than a broken fixture, and
+//! [`FaultFamily::NodeCrash`] and [`FaultFamily::CrashMidRecall`] kill a
+//! worker outright through the `crash_worker` seam — on any message, or
+//! on a recall's command — with failover recovering it, on every
+//! substrate (a socket worker dies with its connection, cut at the
+//! link). A cell's plan depends on its seed, family and topology only,
+//! so every substrate runs the same faults. The one deliberately
+//! unrecoverable shape — a crash with no failover — is what proves the
+//! oracle layer fails loudly.
 
 use gridq_common::check::Gen;
 use gridq_common::{DetRng, NotifyKind, RecallPhase};
@@ -42,16 +42,6 @@ pub enum FaultEvent {
         kind: NotifyKind,
         /// Originating partition index.
         index: usize,
-        /// Occurrence to lose (1-based).
-        nth: u64,
-    },
-    /// Lose the `nth` checkpoint acknowledgment of source `source`
-    /// observed at worker `worker`.
-    DropAck {
-        /// Source stream index.
-        source: usize,
-        /// Acknowledging worker index.
-        worker: usize,
         /// Occurrence to lose (1-based).
         nth: u64,
     },
@@ -87,21 +77,6 @@ pub enum FaultEvent {
         nth: u64,
         /// Extra delay in model milliseconds.
         delay_ms: f64,
-    },
-    /// Drop the `nth` data buffer on edge `source -> dest`.
-    ///
-    /// Survivable: the covered checkpoint windows stay unacknowledged in
-    /// the producer's recovery log and are retransmitted with jittered
-    /// exponential backoff until delivered or the retry budget is spent
-    /// (the latter degrades into an explicit delivery gap, which the
-    /// conservation oracle flags).
-    DropData {
-        /// Producing source index.
-        source: usize,
-        /// Destination worker index.
-        dest: usize,
-        /// Occurrence to drop (1-based).
-        nth: u64,
     },
     /// Duplicate the `nth` data buffer on edge `source -> dest`.
     ///
@@ -205,11 +180,9 @@ impl FaultEvent {
     pub fn tag(&self) -> &'static str {
         match self {
             FaultEvent::DropNotify { .. } => "drop_notify",
-            FaultEvent::DropAck { .. } => "drop_ack",
             FaultEvent::DuplicateAck { .. } => "duplicate_ack",
             FaultEvent::DelayAck { .. } => "delay_ack",
             FaultEvent::DelayData { .. } => "delay_data",
-            FaultEvent::DropData { .. } => "drop_data",
             FaultEvent::DuplicateData { .. } => "duplicate_data",
             FaultEvent::StallProducer { .. } => "stall_producer",
             FaultEvent::StallConsumer { .. } => "stall_consumer",
@@ -237,12 +210,7 @@ impl FaultEvent {
                 o.int("index", *index as u64);
                 o.int("nth", *nth);
             }
-            FaultEvent::DropAck {
-                source,
-                worker,
-                nth,
-            }
-            | FaultEvent::DuplicateAck {
+            FaultEvent::DuplicateAck {
                 source,
                 worker,
                 nth,
@@ -273,8 +241,7 @@ impl FaultEvent {
                 o.int("nth", *nth);
                 o.num("delay_ms", *delay_ms);
             }
-            FaultEvent::DropData { source, dest, nth }
-            | FaultEvent::DuplicateData { source, dest, nth } => {
+            FaultEvent::DuplicateData { source, dest, nth } => {
                 o.int("source", *source as u64);
                 o.int("dest", *dest as u64);
                 o.int("nth", *nth);
@@ -332,13 +299,10 @@ impl FaultEvent {
 pub enum FaultFamily {
     /// Lose M1/M2 monitoring notifications (best-effort by contract).
     NotifyLoss,
-    /// Drop, duplicate, and delay checkpoint acknowledgments.
+    /// Duplicate and delay checkpoint acknowledgments.
     AckChaos,
     /// Delay data-plane exchange buffers.
     DataDelay,
-    /// Drop data-plane exchange buffers (healed by checkpoint-window
-    /// retransmission from the recovery log).
-    DataLoss,
     /// Duplicate data-plane exchange buffers (absorbed by consumer-side
     /// `(source, seq)` deduplication).
     DataDup,
@@ -353,14 +317,6 @@ pub enum FaultFamily {
     NodeCrash,
     /// Perturbation bursts arriving mid-query.
     PerturbBurst,
-    /// Whole-block faults at the batched data plane's block boundary:
-    /// adjacent drop + duplicate of entire tuple blocks on one edge.
-    /// Since the `on_data` seam fires once per flushed block, a drop
-    /// loses every tuple and checkpoint marker the block carried (healed
-    /// by whole-block retransmission from the recovery log — there are
-    /// no partial-block acks) and a duplicate redelivers the full block
-    /// (absorbed by `(source, first_seq..last_seq)` range dedup).
-    BlockBoundary,
     /// Fragment data frames into tiny writes (socket substrate only):
     /// absorbed by the incremental frame decoder.
     PartialWrite,
@@ -378,17 +334,15 @@ pub enum FaultFamily {
 
 impl FaultFamily {
     /// Every family, in matrix order.
-    pub const ALL: [FaultFamily; 13] = [
+    pub const ALL: [FaultFamily; 11] = [
         FaultFamily::NotifyLoss,
         FaultFamily::AckChaos,
         FaultFamily::DataDelay,
-        FaultFamily::DataLoss,
         FaultFamily::DataDup,
         FaultFamily::Stall,
         FaultFamily::CrashMidRecall,
         FaultFamily::NodeCrash,
         FaultFamily::PerturbBurst,
-        FaultFamily::BlockBoundary,
         FaultFamily::PartialWrite,
         FaultFamily::SlowPeer,
         FaultFamily::TenantInterference,
@@ -418,13 +372,11 @@ impl FaultFamily {
             FaultFamily::NotifyLoss => "notify_loss",
             FaultFamily::AckChaos => "ack_chaos",
             FaultFamily::DataDelay => "data_delay",
-            FaultFamily::DataLoss => "data_loss",
             FaultFamily::DataDup => "data_dup",
             FaultFamily::Stall => "stall",
             FaultFamily::CrashMidRecall => "crash_mid_recall",
             FaultFamily::NodeCrash => "node_crash",
             FaultFamily::PerturbBurst => "perturb_burst",
-            FaultFamily::BlockBoundary => "block_boundary",
             FaultFamily::PartialWrite => "partial_write",
             FaultFamily::SlowPeer => "slow_peer",
             FaultFamily::TenantInterference => "tenant_interference",
@@ -491,24 +443,22 @@ impl FaultPlan {
                     let source = rng.usize_in(0, sources);
                     let worker = rng.usize_in(0, workers);
                     let nth = rng.i64_in(1, 9) as u64;
-                    events.push(match rng.usize_in(0, 3) {
-                        0 => FaultEvent::DropAck {
+                    // The third of the draws that once lost an ack adds no
+                    // event, so every other event keeps its values.
+                    match rng.usize_in(0, 3) {
+                        0 => {}
+                        1 => events.push(FaultEvent::DuplicateAck {
                             source,
                             worker,
                             nth,
-                        },
-                        1 => FaultEvent::DuplicateAck {
-                            source,
-                            worker,
-                            nth,
-                        },
-                        _ => FaultEvent::DelayAck {
+                        }),
+                        _ => events.push(FaultEvent::DelayAck {
                             source,
                             worker,
                             nth,
                             delay_ms: rng.f64_in(1.0, 40.0),
-                        },
-                    });
+                        }),
+                    }
                 }
             }
             FaultFamily::DataDelay => {
@@ -518,15 +468,6 @@ impl FaultPlan {
                         dest: rng.usize_in(0, workers),
                         nth: rng.i64_in(1, 6) as u64,
                         delay_ms: rng.f64_in(5.0, 80.0),
-                    });
-                }
-            }
-            FaultFamily::DataLoss => {
-                for _ in 0..rng.usize_in(1, 4) {
-                    events.push(FaultEvent::DropData {
-                        source: rng.usize_in(0, sources),
-                        dest: rng.usize_in(0, workers),
-                        nth: rng.i64_in(1, 5) as u64,
                     });
                 }
             }
@@ -575,24 +516,6 @@ impl FaultPlan {
                         evaluator: rng.usize_in(0, workers),
                         from_ms: rng.f64_in(0.0, 1200.0),
                         factor: rng.f64_in(4.0, 12.0),
-                    });
-                }
-            }
-            FaultFamily::BlockBoundary => {
-                // Adjacent whole-block drop + duplicate on the same edge:
-                // the block at `nth` is lost (and must be retransmitted
-                // in full) while the very next block is redelivered (and
-                // must dedup in full). Pairing them on one edge stresses
-                // block-atomicity on both sides of the boundary at once.
-                for _ in 0..rng.usize_in(1, 3) {
-                    let source = rng.usize_in(0, sources);
-                    let dest = rng.usize_in(0, workers);
-                    let nth = rng.i64_in(1, 4) as u64;
-                    events.push(FaultEvent::DropData { source, dest, nth });
-                    events.push(FaultEvent::DuplicateData {
-                        source,
-                        dest,
-                        nth: nth + 1,
                     });
                 }
             }
@@ -701,43 +624,14 @@ mod tests {
     }
 
     #[test]
-    fn data_families_generate_live_data_faults() {
+    fn data_dup_generates_live_duplicates() {
         for seed in [1_u64, 7, 42, 1303, 99991] {
-            let loss = FaultPlan::generate(seed, FaultFamily::DataLoss, TOPO);
-            assert!(!loss.events.is_empty());
-            assert!(loss
-                .events
-                .iter()
-                .all(|e| matches!(e, FaultEvent::DropData { .. })));
             let dup = FaultPlan::generate(seed, FaultFamily::DataDup, TOPO);
             assert!(!dup.events.is_empty());
             assert!(dup
                 .events
                 .iter()
                 .all(|e| matches!(e, FaultEvent::DuplicateData { .. })));
-        }
-    }
-
-    #[test]
-    fn block_boundary_pairs_drop_and_dup_on_one_edge() {
-        for seed in [1_u64, 7, 42, 1303, 99991] {
-            let plan = FaultPlan::generate(seed, FaultFamily::BlockBoundary, TOPO);
-            assert!(!plan.events.is_empty());
-            assert_eq!(plan.events.len() % 2, 0, "events come in drop/dup pairs");
-            for pair in plan.events.chunks(2) {
-                let FaultEvent::DropData { source, dest, nth } = pair[0] else {
-                    panic!("pair must lead with a drop: {pair:?}");
-                };
-                assert_eq!(
-                    pair[1],
-                    FaultEvent::DuplicateData {
-                        source,
-                        dest,
-                        nth: nth + 1
-                    },
-                    "the adjacent block on the same edge must duplicate"
-                );
-            }
         }
     }
 
@@ -769,7 +663,7 @@ mod tests {
         let plan = FaultPlan {
             seed: 0,
             events: vec![
-                FaultEvent::DropData {
+                FaultEvent::DuplicateData {
                     source: 0,
                     dest: 1,
                     nth: 2,

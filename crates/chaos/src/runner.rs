@@ -26,7 +26,6 @@ use gridq_adapt::{AdaptivityConfig, ResponsePolicy};
 use gridq_common::{ChaosHook, GridError, NodeId, Result};
 use gridq_engine::fixtures::{CallShape, JoinShape};
 use gridq_exec::socket::ScriptedAdaptation;
-use gridq_exec::RetryPolicy;
 use gridq_grid::Perturbation;
 use gridq_obs::json::JsonObj;
 use gridq_obs::RunReport;
@@ -480,20 +479,8 @@ fn knobs(
             // rides the recall machinery). Any other policy leaves
             // failover off, so the crash degrades into explicit delivery
             // gaps that the conservation oracle flags — the deliberately
-            // unrecoverable cell; a short retry budget keeps that
-            // degradation quick.
-            if crashing && policy == Policy::R1 {
-                knobs.failover = true;
-                knobs.delivery_retry = RetryPolicy {
-                    base_ms: 20.0,
-                    max_retries: 8,
-                };
-            } else if crashing {
-                knobs.delivery_retry = RetryPolicy {
-                    base_ms: 5.0,
-                    max_retries: 4,
-                };
-            }
+            // unrecoverable cell.
+            knobs.failover = crashing && policy == Policy::R1;
         }
         Substrate::Socket => {
             // The socket substrate scripts its adaptations (the decision

@@ -56,39 +56,32 @@ mod tests {
     use crate::plan::{FaultEvent, FaultFamily};
     use crate::runner::{Policy, Substrate};
 
-    /// A severed-edge plan (every delivery and retransmission on one
-    /// edge dropped) padded with harmless delays must shrink to a
-    /// smaller all-drop reproducer that still exhausts the retry budget
-    /// and breaks conservation.
+    /// An unrecoverable death (a consumer crash with failover off, on
+    /// threads) padded with harmless delays must shrink to a smaller
+    /// reproducer that still breaks conservation: the crash alone.
     #[test]
     fn shrinks_to_a_smaller_breaking_reproducer() {
         let mut runner = Runner::new();
         let scenario = Scenario {
             seed: 0,
-            family: FaultFamily::DataLoss,
-            substrate: Substrate::Sim,
+            family: FaultFamily::NodeCrash,
+            substrate: Substrate::Threaded,
             policy: Policy::Static,
         };
-        let mut events: Vec<FaultEvent> = (1..=25)
-            .map(|nth| FaultEvent::DropData {
-                source: 0,
-                dest: 1,
-                nth,
-            })
-            .collect();
-        for nth in 1..=6 {
-            events.push(FaultEvent::DelayData {
+        let mut events: Vec<FaultEvent> = (1..=6)
+            .map(|nth| FaultEvent::DelayData {
                 source: 0,
                 dest: 0,
                 nth,
                 delay_ms: 4.0,
-            });
-        }
+            })
+            .collect();
+        events.insert(3, FaultEvent::CrashConsumer { worker: 1, nth: 5 });
         let original_len = events.len();
         let failing = runner.run_with_plan(scenario, FaultPlan { seed: 0, events });
         assert!(
             !failing.passed(),
-            "a severed edge must break an oracle: {failing:?}"
+            "an unrecoverable death must break an oracle: {failing:?}"
         );
         let minimal = shrink_failure(&mut runner, scenario, failing);
         assert!(!minimal.passed(), "shrinking must preserve the failure");
@@ -102,7 +95,7 @@ mod tests {
                 .plan
                 .events
                 .iter()
-                .all(|e| matches!(e, FaultEvent::DropData { .. })),
+                .all(|e| matches!(e, FaultEvent::CrashConsumer { .. })),
             "the harmless delays must shrink away: {:?}",
             minimal.plan
         );

@@ -12,11 +12,13 @@
 //! instrumented paths are behaviorally identical to the uninstrumented
 //! ones.
 //!
-//! The fault model matches what the architecture survives: checkpoint
-//! acknowledgements are per-window and producers *retransmit* windows
-//! whose acks never arrive, so dropped or duplicated data-plane buffers
-//! are recovered by the at-least-once transport and absorbed by
-//! consumer-side deduplication. Crashing a worker outright
+//! The fault model matches what the architecture survives: every
+//! channel is FIFO until it dies, so the data plane is delayed or
+//! duplicated but never silently lossy — a duplicated buffer is absorbed
+//! by consumer-side deduplication, and a checkpoint acknowledgement may
+//! be delayed or duplicated. A producer ends its stream once every
+//! window is acknowledged or its destination is dead; nothing is
+//! retransmitted on a timer. Crashing a worker outright
 //! ([`ChaosHook::crash_worker`], the one death on every substrate) is
 //! survivable too when failover is enabled: the death is reported (by
 //! the dying consumer on threads, by the coordinator's reader of a
@@ -35,8 +37,6 @@ use std::fmt;
 pub enum NetAction {
     /// Deliver normally (the default everywhere).
     Deliver,
-    /// Silently discard the message.
-    Drop,
     /// Deliver after an extra delay (virtual ms in the simulator,
     /// wall-clock ms scaled like other costs in the threaded executor).
     DelayMs(f64),
@@ -123,8 +123,7 @@ pub trait ChaosHook: fmt::Debug + Send + Sync {
     /// drives recovery; without failover the run degrades gracefully and
     /// the conservation oracle reports the loss. The simulator consults
     /// it once per buffer arriving at live partition `worker` (a block,
-    /// an end-of-stream, a recall or failover transfer, a forwarded
-    /// stray) and once per live partition and round of each
+    /// an end-of-stream, a recall or failover transfer) and once per live partition and round of each
     /// retrospective deploy, and on `true` fails that partition's node
     /// at that instant; it always fails over. The socket substrate
     /// consults it at the link thread, once per message relayed to

@@ -1,6 +1,6 @@
 //! The plain facts a run report carries that more than one crate
 //! produces: recovery-log audits and delivery gaps (written by
-//! `gridq-recovery`'s log and every driver's retry loop) and the control
+//! `gridq-recovery`'s log and the producers' end of stream) and the control
 //! loop's counts (kept by `gridq-adapt`'s `ControlLoop`). They live here,
 //! below both, so that `gridq_obs::RunReport` can hold them.
 
@@ -24,9 +24,9 @@ pub struct LogAudit {
     pub unacked: u64,
     /// Acknowledgements accepted.
     pub acks_accepted: u64,
-    /// Duplicate acknowledgements absorbed (retransmitted markers; never
-    /// part of the conservation equation, but a retransmission-health
-    /// signal).
+    /// Duplicate acknowledgements absorbed (a duplicated block's or
+    /// ack's second copy; never part of the conservation equation, and 0
+    /// in a run without faults: each window is acknowledged once).
     pub acks_duplicate: u64,
     /// Acknowledgements dropped as stale or malformed.
     pub acks_dropped: u64,
@@ -40,9 +40,9 @@ impl LogAudit {
 }
 
 /// A per-(source, destination) record of recovery-log windows a producer
-/// could not deliver within its retry budget. The query still completes;
-/// the gap is the explicit, queryable record of what is missing. Every
-/// substrate reports these from its retry loop.
+/// wrote off because their destination died and no failover will replay
+/// them. The query still completes; the gap is the explicit, queryable
+/// record of what is missing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryGap {
     /// Producer (source) index that gave up.

@@ -7,8 +7,8 @@
 //! floats, and length-prefixed UTF-8 for strings. Everything is
 //! deterministic (no per-process hashing, no pointer identity) so the
 //! same tuple always encodes to the same bytes — which is what lets the
-//! parity oracles compare runs across substrates and lets retransmitted
-//! frames be byte-identical to the originals.
+//! parity oracles compare runs across substrates and lets a duplicated
+//! frame be byte-identical to the original.
 //!
 //! Decoding is defensive: every read checks remaining length, string
 //! payloads are validated as UTF-8, and unknown tags are loud

@@ -68,12 +68,12 @@ use gridq_grid::Perturbation;
 use gridq_obs::{Counter, Obs, ObsConfig, RunReport, TimelineKind};
 use gridq_recovery::{AckOutcome, Checkpoint, ResultDedup, SharedRecoveryLog};
 
-// The retry policy and the gap record live in `gridq-recovery`, so every
-// substrate backs off and reports the same way.
-pub use gridq_recovery::{DeliveryGap, RetryPolicy};
+// The gap record lives in `gridq-recovery`, so every substrate reports a
+// write-off the same way.
+pub use gridq_recovery::DeliveryGap;
 use protocol::consumer::{Consumer, ConsumerOut, M1Sample, Progress};
 use protocol::coordinator::{Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget};
-use protocol::producer::{BlockSink, Producer, ProducerSpec, RetryStep, Shipped};
+use protocol::producer::{BlockSink, Producer, ProducerSpec, Shipped};
 use protocol::{validate_knobs, Block, Exchange, Routed};
 use recall::{GateTransport, ProducerGuard, RecallGate, WorkerCommands};
 pub use service::{
@@ -111,10 +111,6 @@ pub struct ThreadedConfig {
     /// worker crashes, on data or on a recall's commands). `None` injects
     /// nothing and leaves behavior identical to an uninstrumented run.
     pub chaos: Option<Arc<dyn ChaosHook>>,
-    /// Delivery-retry policy: how producers back off and retransmit
-    /// unacknowledged recovery-log windows. Consulted only in resilient
-    /// mode (a chaos hook installed, or failover enabled).
-    pub delivery_retry: RetryPolicy,
     /// Failover: a consumer that dies reports its death on the way out,
     /// and the adaptation thread replays its recovery-log entries onto
     /// the survivors. Requires R1 adaptivity: failover rides the recall
@@ -140,7 +136,6 @@ impl Default for ThreadedConfig {
             checkpoint_interval: 50,
             obs: ObsConfig::default(),
             chaos: None,
-            delivery_retry: RetryPolicy::default(),
             failover: false,
             tenancy: None,
         }
@@ -160,7 +155,6 @@ impl ThreadedConfig {
             self.receive_cost_ms,
             self.checkpoint_interval,
         )?;
-        self.delivery_retry.validate()?;
         if self.failover
             && !(self.adaptivity.enabled && self.adaptivity.response == ResponsePolicy::R1)
         {
@@ -203,10 +197,9 @@ pub(crate) enum Msg {
     /// `MigrateDone`.
     Migrate(MigrateCmd),
     /// A block of tuples re-delivered by the recall protocol (migrated
-    /// operator state, recalled held tuples, a failover replay; a
-    /// forwarded stray is a block of one), at most the exchange's
-    /// `buffer_tuples` long. Not logged again: the barrier plus direct
-    /// channel carry the exactly-once guarantee.
+    /// operator state, recalled held tuples, a failover replay), at most
+    /// the exchange's `buffer_tuples` long. Not logged again: the barrier
+    /// plus direct channel carry the exactly-once guarantee.
     Migrated(Vec<Routed>),
     /// The run is over: flush, report the final counts and exit. A
     /// message, not the inbox closing: consumers hold each other's
@@ -314,9 +307,14 @@ struct ScriptWatch {
     raw: Sender<Raw>,
 }
 
+/// How long a producer waiting to end its stream parks between looks at
+/// its acknowledgements. A recall's pause request unparks it at once.
+const ACK_WAIT: Duration = Duration::from_millis(1);
+
 /// Drives one producer to completion on the calling thread: the scan
-/// with a pause point before each row, the end-of-scan flush, and the
-/// retry epilogue's sliced sleeps.
+/// with a pause point before each row, then the end of the stream, asked
+/// for again — behind a pause point each time — until every destination
+/// is acknowledged or dead.
 fn run_producer<S: BlockSink>(
     mut producer: Producer,
     rows: &[Tuple],
@@ -339,29 +337,18 @@ fn run_producer<S: BlockSink>(
         }
     }
     // A recall in flight must complete (and the buffers restage) before
-    // the final flush: finishing mid-pause would send tuples routed
-    // under the old distribution after the consumers already drained.
-    // A flush that gave way to a later recall parks here again.
+    // each look: finishing mid-pause would send tuples routed under the
+    // old distribution after the consumers already drained. A flush that
+    // gave way to a later recall parks here again, and so does a wait
+    // for acks.
     loop {
         if let Some(g) = &gate {
             producer.observe_epoch(g.pause_point());
         }
-        if producer.finish_scan(sink) {
+        if producer.finish(sink) {
             break;
         }
-    }
-    while let RetryStep::Wait(ms) = producer.retry_step(sink) {
-        let mut remaining = ms;
-        while remaining > 0.0 {
-            if let Some(g) = &gate {
-                if producer.observe_epoch(g.pause_point()) {
-                    producer.flush_all(sink);
-                }
-            }
-            let slice = remaining.min(5.0);
-            thread::sleep(Duration::from_secs_f64(slice / 1000.0));
-            remaining -= slice;
-        }
+        thread::park_timeout(ACK_WAIT);
     }
 }
 
@@ -519,15 +506,14 @@ pub(crate) trait Outlet: ConsumerOut {
 }
 
 /// The coordinator's end of one worker on both real substrates, called
-/// in-process or from a decoded frame. It shares the router and the
-/// recovery logs with the producers, so acks land in the log directly
-/// (and the log's verdict drives dedup eviction) and strays are re-routed
-/// on the spot, to a peer's control plane.
+/// in-process or from a decoded frame. It shares the recovery logs and
+/// the death flags with the producers, so acks land in the log directly
+/// (and the log's verdict drives dedup eviction) and a death is seen by
+/// every producer waiting on the worker.
 pub(crate) struct Port {
     index: usize,
     node: NodeId,
     x: Exchange,
-    peers: Vec<InboxSender<Msg>>,
     events: Sender<WorkerEvent>,
     raw: Sender<Raw>,
     replies: Sender<RecallReply>,
@@ -540,12 +526,11 @@ pub(crate) struct Port {
 }
 
 impl Port {
-    /// Worker `index`'s port, whose strays go to `peers`.
+    /// Worker `index`'s port.
     pub(crate) fn new(
         w: &Wiring,
         plan: &DistributedPlan,
         index: usize,
-        peers: Vec<InboxSender<Msg>>,
         cost_scale: f64,
         failover_on: bool,
     ) -> Self {
@@ -554,7 +539,6 @@ impl Port {
             index,
             node: stage.nodes[index],
             x: w.x.clone(),
-            peers,
             events: w.events.clone(),
             raw: w.raw.clone(),
             replies: w.replies.clone(),
@@ -571,9 +555,9 @@ impl ConsumerOut for Port {
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool {
         let scale = self.cost_scale;
         let pay = |ms| spin_for(ms, scale);
-        // Once the log accepts the ack the window can never be
-        // retransmitted again, so its dedup entries are dead weight.
-        // (`Duplicate` means somebody already acked it, same conclusion.)
+        // Once the log accepts the ack no further copy of the window can
+        // be fresh, so its dedup entries are dead weight. (`Duplicate`
+        // means somebody already acked it, same conclusion.)
         matches!(
             self.x.acknowledge(source, self.index, cp, epoch, pay),
             Some(AckOutcome::Accepted(_) | AckOutcome::Duplicate)
@@ -582,15 +566,6 @@ impl ConsumerOut for Port {
 
     fn results(&mut self, batch: Vec<Tuple>) {
         let _ = self.events.send(WorkerEvent::Results(batch));
-    }
-
-    fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple> {
-        let owner = self.x.reroute_stray(self.index, stream, source, &tuple);
-        if owner == self.index {
-            return Some(tuple);
-        }
-        self.peers[owner].send(Msg::Migrated(vec![(stream, source, tuple)]));
-        None
     }
 
     fn m1(&mut self, samples: Vec<M1Sample>) {
@@ -625,11 +600,12 @@ impl ConsumerOut for Port {
 
 impl Port {
     /// Reports this worker's death, once, where its substrate learns of
-    /// it: the death reply that answers any recall barrier it owed, in
-    /// every run, and in a failover run the exit notice that starts the
-    /// failover.
+    /// it: the flag its producers wait on, the death reply that answers
+    /// any recall barrier it owed, in every run, and in a failover run
+    /// the exit notice that starts the failover.
     pub(crate) fn died(&self) {
         let worker = self.index;
+        self.x.tallies.dead[worker].store(true, Ordering::Relaxed);
         let _ = self.replies.send(RecallReply::Down { worker });
         if self.failover_on {
             let _ = self.raw.send(Raw::Down(worker));
@@ -856,7 +832,7 @@ impl ThreadedWorkers {
                     .as_ref()
                     .map(|o| o.metrics().counter("exec.tuples_processed")),
             ));
-            let out = Port::new(&w, plan, i, senders.clone(), cfg.cost_scale, cfg.failover);
+            let out = Port::new(&w, plan, i, cfg.cost_scale, cfg.failover);
             let handle = ConsumerThread::spawn(consumer, Pacer::new(inbox, cfg.cost_scale), out);
             handles.push(Some(handle));
         }
@@ -1423,8 +1399,7 @@ impl Run<'_> {
                     scan_cost_ms: source.scan_cost_ms,
                     buffer_tuples: stage.exchange.buffer_tuples,
                     dests: partitions,
-                    fast_gap: !cfg.failover,
-                    retry: cfg.delivery_retry.clone(),
+                    failover: cfg.failover,
                 },
                 x.clone(),
                 gate.as_ref().map_or(0, |g| g.epoch()),
@@ -1570,7 +1545,6 @@ impl Run<'_> {
         report.results = results;
         report.per_partition_processed = got.per_partition;
         report.tuples_recalled += tallies.restaged.load(Ordering::Relaxed);
-        report.tuples_retransmitted = tallies.retransmitted.load(Ordering::Relaxed);
         report.send_failures = tallies.send_failures.load(Ordering::Relaxed);
         report.delivery_gaps = std::mem::take(&mut *tallies.gaps.lock());
         report.log_audits = x
@@ -2195,100 +2169,6 @@ mod tests {
         );
     }
 
-    /// Drops the first `drops` data batches and duplicates the next
-    /// `dups`, then delivers faithfully — a lossy start with a clean
-    /// tail, so the retry budget always converges.
-    #[derive(Debug)]
-    struct FlakyStart {
-        drops: u64,
-        dups: u64,
-        data_calls: AtomicU64,
-        ack_calls: AtomicU64,
-    }
-
-    impl FlakyStart {
-        fn new(drops: u64, dups: u64) -> Self {
-            FlakyStart {
-                drops,
-                dups,
-                data_calls: AtomicU64::new(0),
-                ack_calls: AtomicU64::new(0),
-            }
-        }
-    }
-
-    impl ChaosHook for FlakyStart {
-        fn on_data(&self, _source: usize, _dest: usize) -> NetAction {
-            let n = self.data_calls.fetch_add(1, Ordering::Relaxed);
-            if n < self.drops {
-                NetAction::Drop
-            } else if n < self.drops + self.dups {
-                NetAction::Duplicate
-            } else {
-                NetAction::Deliver
-            }
-        }
-
-        fn on_ack(&self, _source: usize, _worker: usize) -> NetAction {
-            // Duplicate the first ack too: the log must absorb it.
-            if self.ack_calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                NetAction::Duplicate
-            } else {
-                NetAction::Deliver
-            }
-        }
-    }
-
-    #[test]
-    fn dropped_and_duplicated_batches_are_healed_by_retransmission() {
-        let table = int_table("t", 0..200);
-        let plan = call_plan(&table, &CallShape::default());
-        let clean = ThreadedExecutor::new(
-            catalog(&[&table]),
-            ThreadedConfig {
-                adaptivity: AdaptivityConfig::disabled(),
-                cost_scale: 0.002,
-                ..Default::default()
-            },
-        )
-        .run(&plan)
-        .unwrap();
-        let report = ThreadedExecutor::new(
-            catalog(&[&table]),
-            ThreadedConfig {
-                adaptivity: AdaptivityConfig::disabled(),
-                cost_scale: 0.002,
-                chaos: Some(Arc::new(FlakyStart::new(4, 4))),
-                delivery_retry: RetryPolicy {
-                    base_ms: 5.0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .run(&plan)
-        .unwrap();
-        assert_eq!(
-            multiset(&clean.results),
-            multiset(&report.results),
-            "retransmission and dedup must restore the clean multiset"
-        );
-        assert!(
-            report.tuples_retransmitted > 0,
-            "dropped windows must be retransmitted: {report:?}"
-        );
-        assert!(report.delivery_gaps.is_empty(), "nothing was undeliverable");
-        for audit in &report.log_audits {
-            assert!(audit.conserved(), "log audit must balance: {audit:?}");
-            assert_eq!(audit.unacked, 0, "all windows eventually acked: {audit:?}");
-        }
-        assert!(
-            report.log_audits.iter().any(|a| a.acks_duplicate > 0),
-            "the duplicated ack must be counted: {:?}",
-            report.log_audits
-        );
-    }
-
     /// Duplicates every data batch, forever: sustained at-least-once
     /// pressure on the consumer dedup filter.
     #[derive(Debug)]
@@ -2353,67 +2233,11 @@ mod tests {
         }
     }
 
-    /// Drops every data batch to one destination, forever: a dead link.
-    #[derive(Debug)]
-    struct DeadLinkTo(usize);
-
-    impl ChaosHook for DeadLinkTo {
-        fn on_data(&self, _source: usize, dest: usize) -> NetAction {
-            if dest == self.0 {
-                NetAction::Drop
-            } else {
-                NetAction::Deliver
-            }
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_record_delivery_gaps_instead_of_hanging() {
-        let table = int_table("t", 0..100);
-        let plan = call_plan(&table, &CallShape::default());
-        let report = ThreadedExecutor::new(
-            catalog(&[&table]),
-            ThreadedConfig {
-                adaptivity: AdaptivityConfig::disabled(),
-                cost_scale: 0.002,
-                chaos: Some(Arc::new(DeadLinkTo(1))),
-                delivery_retry: RetryPolicy {
-                    base_ms: 2.0,
-                    max_retries: 3,
-                },
-                ..Default::default()
-            },
-        )
-        .run(&plan)
-        .unwrap();
-        // The query completed — degraded, not hung — and says exactly
-        // what is missing.
-        assert!(
-            !report.delivery_gaps.is_empty(),
-            "a dead link must surface as a gap: {report:?}"
-        );
-        assert!(report.delivery_gaps.iter().all(|g| g.dest == 1));
-        let gapped: u64 = report.delivery_gaps.iter().map(|g| g.tuples).sum();
-        assert!(gapped > 0);
-        assert!(report.results.len() < 100, "partition 1's share is missing");
-        assert!(!report.results.is_empty(), "partition 0 still answered");
-        for audit in &report.log_audits {
-            assert!(audit.conserved(), "log audit must balance: {audit:?}");
-        }
-        assert!(
-            report.log_audits.iter().any(|a| a.unacked > 0),
-            "the gapped windows stay visibly unacknowledged"
-        );
-    }
-
     #[test]
     fn dead_consumer_surfaces_gaps_before_failover_would_fire() {
-        // A consumer that dies with failover disabled used to have its
-        // push errors silently discarded (`let _ = send(...)`) and the
-        // producer then slept out the entire retry/backoff budget against
-        // the closed channel before any gap surfaced. Closed-ring pushes
-        // are now counted into `send_failures` and the retry loop gaps
-        // the destination out immediately.
+        // A consumer that dies with failover disabled: pushes into its
+        // closed ring are counted into `send_failures`, and the producer
+        // writes the destination off as soon as its death is reported.
         let table = int_table("t", 0..200);
         let plan = call_plan(&table, &CallShape::default());
         let started = Instant::now();
@@ -2427,10 +2251,6 @@ mod tests {
                     after: 2,
                     calls: AtomicU64::new(0),
                 })),
-                delivery_retry: RetryPolicy {
-                    base_ms: 500.0,
-                    max_retries: 6,
-                },
                 ..Default::default()
             },
         )
@@ -2448,11 +2268,11 @@ mod tests {
         assert!(report.delivery_gaps.iter().all(|g| g.dest == 1));
         assert!(report.results.len() < 200, "partition 1's share is missing");
         assert!(!report.results.is_empty(), "partition 0 still answered");
-        // The full budget would be ~30s of backoff (500ms doubling over
-        // 6 retries); the fast path must settle in roughly one attempt.
+        // Nothing waits on the dead consumer: a wait for its acks would
+        // never end.
         assert!(
             wall < Duration::from_secs(10),
-            "the gap fast path must not sleep out the backoff budget: {wall:?}"
+            "the write-off must not wait on the dead consumer: {wall:?}"
         );
     }
 
@@ -2499,10 +2319,6 @@ mod tests {
                 after: 1,
                 calls: AtomicU64::new(0),
             })),
-            delivery_retry: RetryPolicy {
-                base_ms: 2.0,
-                max_retries: 3,
-            },
             ..Default::default()
         };
         let report = run_with_two_late_recalls(&cfg, &catalog(&[&table]), &plan).unwrap();
@@ -2612,7 +2428,6 @@ mod tests {
             index: 1,
             node: plan.stages[0].nodes[1],
             x,
-            peers: Vec::new(),
             events: channel().0,
             raw,
             replies: channel().0,
@@ -2702,10 +2517,6 @@ mod tests {
                     after: 10,
                     calls: AtomicU64::new(0),
                 })),
-                delivery_retry: RetryPolicy {
-                    base_ms: 20.0,
-                    max_retries: 8,
-                },
                 failover: true,
                 ..Default::default()
             },
@@ -2720,7 +2531,7 @@ mod tests {
         );
         assert!(
             report.delivery_gaps.is_empty(),
-            "replay + retransmission means nothing is lost: {report:?}"
+            "the failover replay means nothing is lost: {report:?}"
         );
         assert_eq!(
             multiset(&static_report.results),

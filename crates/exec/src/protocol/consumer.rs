@@ -39,21 +39,14 @@ use crate::service::contention_factor;
 pub(crate) trait ConsumerOut {
     /// Emits a checkpoint acknowledgement. Returns whether the window's
     /// dedup entries may be evicted now: the threaded consumer sees the
-    /// log's verdict (accepted or already acked — the window can never
-    /// be retransmitted again), the socket worker cannot and evicts
-    /// optimistically (if the ack is lost the window retransmits and the
-    /// already-acked marker id shadows its tuples; the filter converges
-    /// either way).
+    /// log's verdict (accepted or already acked — no further copy of the
+    /// window can be fresh), the socket worker cannot and evicts
+    /// optimistically (its connection is FIFO until it ends, and an ack
+    /// sent on it arrives).
     fn ack(&mut self, source: usize, cp: Checkpoint, epoch: u64) -> bool;
     /// Hands a batch of result tuples downstream: never empty, at most
     /// [`ConsumerSpec::block_tuples`] long.
     fn results(&mut self, batch: Vec<Tuple>);
-    /// A fresh tuple from a retransmitted block under hash routing: its
-    /// bucket may have moved since the window closed. Returns the tuple
-    /// back when this consumer still owns it; `None` once it has been
-    /// forwarded toward the current owner (directly, or via the
-    /// coordinator when this consumer has no router).
-    fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple>;
     /// One hand-over of M1 monitoring samples, in emission order: never
     /// empty, never called with monitoring off. Sampling is per
     /// [`Consumer::m1_stride`] tuples; only the transport is per block.
@@ -107,7 +100,6 @@ pub(crate) struct ConsumerSpec {
     pub(crate) index: usize,
     pub(crate) resilient: bool,
     pub(crate) logging: bool,
-    pub(crate) hash_routing: bool,
     pub(crate) receive_cost_ms: f64,
     /// The node's perturbation in linear form (`base * factor + extra`).
     pub(crate) cost_factor: f64,
@@ -385,13 +377,11 @@ impl Consumer {
 
     /// Resilient-mode dedup, at two granularities: a whole-block range
     /// hit skips every tuple in one set probe (markers still apply —
-    /// acks are idempotent, and the duplicate may be the only copy whose
-    /// ack survives the chaos plan), and the per-tuple `seen` filter
-    /// catches redelivery that is not block-identical (a window
-    /// retransmitted into a differently-packed block). A retransmitted
-    /// tuple this consumer no longer owns is forwarded. Hands `keep` the
-    /// fresh tuples and every marker, in block order, each marker once
-    /// it has closed its dedup window.
+    /// acks are idempotent), and the per-tuple `seen` filter catches
+    /// redelivery that is not block-identical (a tuple a recall or a
+    /// failover already re-delivered). Hands `keep` the fresh tuples and
+    /// every marker, in block order, each marker once it has closed its
+    /// dedup window.
     fn admit<O: ConsumerOut>(
         &mut self,
         block: Block,
@@ -404,12 +394,10 @@ impl Consumer {
             && block
                 .range_key()
                 .is_some_and(|key| self.dedup.block_is_dup(source, key));
-        let check_owner = block.retransmit && self.spec.hash_routing;
         // The covering marker for each tuple is the next one at a higher
-        // index in the block: retransmissions always repack a window's
-        // tuples with its marker, so an already-acked marker id shadows
-        // every tuple ahead of it even after their per-tuple keys were
-        // evicted.
+        // index in the block: a window always travels with its marker,
+        // so an already-acked marker id shadows every tuple ahead of it
+        // even after their per-tuple keys were evicted.
         let marker_ids: Vec<(usize, u64)> = block
             .items
             .iter()
@@ -437,14 +425,6 @@ impl Consumer {
                     {
                         continue;
                     }
-                    let tuple = if check_owner {
-                        match out.stray(stream, source, tuple) {
-                            Some(t) => t,
-                            None => continue,
-                        }
-                    } else {
-                        tuple
-                    };
                     keep(self, Staged::Tuple(stream, tuple), out);
                 }
                 Staged::Marker(cp, epoch) => {
@@ -618,8 +598,7 @@ impl Consumer {
     }
 
     /// A block of tuples re-delivered by the recall protocol (migrated
-    /// operator state, recalled held probes, a forwarded stray, a
-    /// failover replay). Recorded but always processed: bucket ping-pong
+    /// operator state, recalled held probes, a failover replay). Recorded but always processed: bucket ping-pong
     /// legitimately re-delivers a seq, and the recall barrier already
     /// guarantees exactly-once for this path. The modelled cost falls due
     /// once for the block, like a data block's.

@@ -1,9 +1,9 @@
 //! Bounded consumer-side deduplication for the at-least-once data plane.
 //!
 //! Resilient runs (chaos installed, or failover enabled) deliver tuple
-//! blocks at-least-once: chaos duplicates blocks outright, and producers
-//! retransmit recovery-log windows whose acknowledgements never arrived.
-//! Consumers must therefore process effectively-once, which previously
+//! blocks at-least-once: chaos duplicates blocks outright, and a recall
+//! or a failover re-delivers tuples a consumer may have seen. Consumers
+//! must therefore process effectively-once, which previously
 //! meant two `HashSet`s — per-tuple `(source, seq)` keys and whole-block
 //! range keys — that grew *per delivered tuple for the lifetime of the
 //! run*. Under sustained duplication chaos that is an O(input) memory
@@ -14,13 +14,11 @@
 //! Every tuple and block key is associated with the checkpoint window
 //! that will cover it (the next marker from its source observed at this
 //! consumer). When that window's acknowledgement is accepted by the log,
-//! no retransmission of it can ever be issued again — the producer's
-//! retry epilogue only retransmits *unacknowledged* windows — so the
-//! entries are evicted. The only duplicates that can outlive eviction are
-//! stragglers of a block that carried the window's own marker (chaos
-//! duplication is adjacent on a FIFO ring, retransmissions always repack
-//! tuples with their marker), and those are rejected by the acked-window
-//! skip mask: a marker id that was already acknowledged marks every tuple
+//! the entries are evicted. The only duplicates that can outlive eviction
+//! are stragglers of a block that carried the window's own marker (chaos
+//! duplication is adjacent on a FIFO ring, and a window always travels
+//! with its marker), and those are rejected by the acked-window skip
+//! mask: a marker id that was already acknowledged marks every tuple
 //! ahead of it in the block as covered.
 //!
 //! Live size is O(unacked windows × window size), not O(tuples ever
@@ -98,8 +96,9 @@ impl DedupFilter {
 
     /// Registers a block's range key. Returns `true` when an identical
     /// block from this source was already delivered (and its window is
-    /// still live): closed windows only shrink on retransmission, so an
-    /// equal `(first, last, count)` means an equal tuple set.
+    /// still live): closed windows only shrink (entries move out to other
+    /// destinations, never in), so an equal `(first, last, count)` means
+    /// an equal tuple set.
     pub(crate) fn block_is_dup(&mut self, source: usize, key: BlockKey) -> bool {
         if !self.seen_blocks.insert((source, key)) {
             return true;
@@ -122,7 +121,7 @@ impl DedupFilter {
 
     /// Records a recall/failover re-delivery (`Migrated` traffic), which
     /// is always processed — the barrier carries exactly-once for that
-    /// path — but must still shadow later retransmissions of the same
+    /// path — but must still shadow a later duplicate of the same
     /// sequence number.
     pub(crate) fn note_delivered(&mut self, source: usize, seq: u64) {
         if self.seen.insert((source, seq)) {
@@ -134,7 +133,7 @@ impl DedupFilter {
     /// A marker for window `(source, id)` arrived: everything delivered
     /// from that source since the previous marker is covered by it.
     /// Rolls the open entries into the window (evicting immediately when
-    /// the window was already acknowledged — a late retransmission).
+    /// the window was already acknowledged — a late duplicate).
     pub(crate) fn close_window(&mut self, source: usize, id: u64) {
         let entries = self.open.remove(&source).unwrap_or_default();
         if self.is_acked(source, id) {
@@ -148,14 +147,14 @@ impl DedupFilter {
 
     /// True when window `(source, id)` has already been acknowledged at
     /// this consumer — the skip mask consulted before processing tuples
-    /// that ride ahead of a marker in a late-retransmitted block.
+    /// that ride ahead of a marker in a late duplicate block.
     pub(crate) fn is_acked(&self, source: usize, id: u64) -> bool {
         self.acked.get(&source).is_some_and(|a| a.contains(id))
     }
 
-    /// The log accepted window `(source, id)`'s acknowledgement: no
-    /// retransmission of it can be issued anymore, so its entries leave
-    /// the live sets and the id joins the skip mask.
+    /// The log accepted window `(source, id)`'s acknowledgement: no fresh
+    /// copy of it can arrive anymore, so its entries leave the live sets
+    /// and the id joins the skip mask.
     pub(crate) fn window_acked(&mut self, source: usize, id: u64) {
         self.acked.entry(source).or_default().insert(id);
         if let Some(entries) = self.windows.remove(&(source, id)) {
@@ -222,7 +221,7 @@ mod tests {
         let mut d = DedupFilter::new();
         d.close_window(0, 1);
         d.window_acked(0, 1);
-        // A retransmitted copy of window 1 arrives after eviction: its
+        // A duplicate copy of window 1 arrives after eviction: its
         // entries must not take up residence again once its (already
         // acked) marker closes it.
         assert!(!d.tuple_is_dup(0, 5));

@@ -1,4 +1,4 @@
-//! The substrate-independent recall / retry / dedup protocol.
+//! The substrate-independent recall / end-of-stream / dedup protocol.
 //!
 //! Plain structs with methods: no threads, sockets, clocks or sleeps.
 //! Modelled cost is *accrued* as model-ms debt and handed to the driver
@@ -18,7 +18,7 @@ pub(crate) mod dedup;
 pub(crate) mod producer;
 pub(crate) mod reroute;
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gridq_common::sync::Mutex;
@@ -34,7 +34,7 @@ pub(crate) type LogItem = (StreamTag, Tuple);
 pub(crate) type SharedLogs = Arc<Vec<SharedRecoveryLog<LogItem>>>;
 
 /// A tuple travelling outside the data plane — surrendered operator
-/// state, a recalled held probe, a retransmit stray, a failover replay —
+/// state, a recalled held probe, a failover replay —
 /// with its stream and the source whose recovery log recorded it.
 pub(crate) type Routed = (StreamTag, usize, Tuple);
 
@@ -57,13 +57,6 @@ pub(crate) struct Block {
     /// tuples and markers to the right recovery log.
     pub(crate) source: usize,
     pub(crate) items: Vec<Staged>,
-    /// Set on retry-epilogue retransmissions. A retransmitted window
-    /// targets its *original* destination, and a recall may have moved a
-    /// tuple's bucket elsewhere in the meantime — the consumer hands
-    /// fresh tuples from such blocks to the ownership check. Ordinary
-    /// blocks skip it: their routing was computed against the live
-    /// distribution when they were staged.
-    pub(crate) retransmit: bool,
 }
 
 impl Block {
@@ -105,7 +98,6 @@ pub(crate) struct Tallies {
     pub(crate) routed: AtomicU64,
     /// Staged tuples re-routed by producers after a recall.
     pub(crate) restaged: AtomicU64,
-    pub(crate) retransmitted: AtomicU64,
     /// Block pushes that failed because the destination was gone,
     /// counted in tuples.
     pub(crate) send_failures: AtomicU64,
@@ -114,6 +106,18 @@ pub(crate) struct Tallies {
     /// their owners.
     pub(crate) recall_blocks: AtomicU64,
     pub(crate) gaps: Mutex<Vec<DeliveryGap>>,
+    /// One flag per partition, raised where its worker's death is
+    /// reported (`Port::died`): what a resilient producer waits on
+    /// besides acks.
+    pub(crate) dead: Vec<AtomicBool>,
+}
+
+impl Tallies {
+    pub(crate) fn is_dead(&self, partition: usize) -> bool {
+        self.dead
+            .get(partition)
+            .is_some_and(|d| d.load(Ordering::Relaxed))
+    }
 }
 
 /// The set-up both executors share: the exchange router, one recovery
@@ -127,8 +131,9 @@ pub(crate) struct Exchange {
     pub(crate) logs: Option<SharedLogs>,
     pub(crate) chaos: Option<Arc<dyn ChaosHook>>,
     /// Resilient mode hardens the data plane: recovery logs always on,
-    /// whole windows flushed atomically, producers retransmitting
-    /// unacknowledged windows, consumers deduplicating.
+    /// whole windows flushed atomically, producers ending their streams
+    /// only once every window is acknowledged or its destination dead,
+    /// consumers deduplicating.
     pub(crate) resilient: bool,
     pub(crate) build_source: Option<usize>,
     /// How many sources feed the build stream.
@@ -195,7 +200,10 @@ impl Exchange {
             build_sources,
             partitions,
             block_tuples: stage.exchange.buffer_tuples.max(1),
-            tallies: Arc::new(Tallies::default()),
+            tallies: Arc::new(Tallies {
+                dead: (0..partitions).map(|_| AtomicBool::new(false)).collect(),
+                ..Tallies::default()
+            }),
         })
     }
 
@@ -208,10 +216,7 @@ impl Exchange {
     /// Applies `worker`'s acknowledgement of checkpoint `cp` to
     /// `source`'s recovery log, through the chaos ack seam (`pay` spends
     /// an injected delay). Returns the log's verdict, or `None` when the
-    /// ack was lost (or the run does not log). Acks are best-effort
-    /// control traffic: a lost one keeps the window in the log until a
-    /// retransmission's ack supersedes it, a duplicate is absorbed by the
-    /// log itself.
+    /// run does not log. A duplicated ack is absorbed by the log itself.
     pub(crate) fn acknowledge(
         &self,
         source: usize,
@@ -223,7 +228,6 @@ impl Exchange {
         let log = self.log(source)?;
         let chaos = self.chaos.as_deref();
         match chaos.map_or(NetAction::Deliver, |c| c.on_ack(source, worker)) {
-            NetAction::Drop => return None,
             NetAction::Duplicate => {
                 let first = log.acknowledge(cp.dest, cp.id, epoch);
                 let _ = log.acknowledge(cp.dest, cp.id, epoch);
@@ -249,7 +253,6 @@ impl Exchange {
             index,
             resilient: self.resilient,
             logging: self.logs.is_some(),
-            hash_routing: self.router.lock().bucket_count().is_some(),
             receive_cost_ms,
             cost_factor,
             cost_extra_ms,
@@ -336,9 +339,8 @@ mod tests {
     use super::coordinator::{
         Coordinator, MigrateCmd, RecallOutcome, RecallReply, RecallTarget, RecallTransport,
     };
-    use super::producer::{BlockSink, Producer, ProducerSpec, RetryStep, Shipped};
+    use super::producer::{BlockSink, Producer, ProducerSpec, Shipped};
     use super::{Block, Exchange, Routed, Staged};
-    use crate::RetryPolicy;
 
     const BUILD: usize = 0;
     const PROBE: usize = 1;
@@ -372,8 +374,7 @@ mod tests {
             scan_cost_ms: 0.0,
             buffer_tuples: 4,
             dests: 2,
-            fast_gap: true,
-            retry: RetryPolicy::default(),
+            failover: false,
         };
         Producer::new(spec, x.clone(), 0)
     }
@@ -411,11 +412,9 @@ mod tests {
         x.router.lock().current_distribution().weights().to_vec()
     }
 
-    /// Records every block; `lose` drops that many leading blocks on the
-    /// floor, like a chaos `Drop`.
+    /// Records every block and end-of-stream.
     #[derive(Default)]
     struct FakeSink {
-        lose: usize,
         blocks: Vec<(usize, Block)>,
         eos: Vec<usize>,
     }
@@ -424,11 +423,7 @@ mod tests {
         fn pay(&mut self, _model_ms: f64) {}
 
         fn ship(&mut self, dest: usize, block: Block, _duplicate: bool) -> Shipped {
-            if self.lose > 0 {
-                self.lose -= 1;
-            } else {
-                self.blocks.push((dest, block));
-            }
+            self.blocks.push((dest, block));
             Shipped::Sent(0)
         }
 
@@ -445,7 +440,6 @@ mod tests {
         lose_acks: bool,
         acks: Vec<(usize, u64)>,
         results: Vec<Tuple>,
-        forwarded: Vec<(usize, Routed)>,
         /// Every M1 hand-over, each sample as its `tuples_produced`.
         handovers: Vec<Vec<u64>>,
         /// The run-wide count a test may wire in as `Consumer::progress`.
@@ -463,7 +457,6 @@ mod tests {
                 lose_acks: false,
                 acks: Vec::new(),
                 results: Vec::new(),
-                forwarded: Vec::new(),
                 handovers: Vec::new(),
                 progress: Arc::new(AtomicU64::new(0)),
                 pays: Vec::new(),
@@ -493,15 +486,6 @@ mod tests {
 
         fn results(&mut self, batch: Vec<Tuple>) {
             self.results.extend(batch);
-        }
-
-        fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple> {
-            let owner = self.x.reroute_stray(self.index, stream, source, &tuple);
-            if owner == self.index {
-                return Some(tuple);
-            }
-            self.forwarded.push((owner, (stream, source, tuple)));
-            None
         }
 
         fn m1(&mut self, samples: Vec<M1Sample>) {
@@ -616,7 +600,7 @@ mod tests {
 
     /// The drift the merge exposed: a threaded producer did not store the
     /// epoch it observed at the post-scan pause point, so one recall made it
-    /// restage (and re-flush) a second time at its first retry slice.
+    /// restage (and re-flush) a second time at its next look.
     #[test]
     fn one_recall_causes_exactly_one_restage() {
         let (x, _) = join_exchange(false);
@@ -631,10 +615,10 @@ mod tests {
         // The post-scan pause point reports the recall's epoch...
         assert!(p.observe_epoch(1), "the epoch changed: restage");
         let restaged = x.tallies.restaged.load(Ordering::Relaxed);
-        // ...and the first retry slice reports the same one.
+        // ...and the next look reports the same one.
         assert!(!p.observe_epoch(1), "same epoch: nothing to restage");
         assert_eq!(x.tallies.restaged.load(Ordering::Relaxed), restaged);
-        p.finish_scan(&mut sink);
+        assert!(p.finish(&mut sink), "a plain run ends its stream at once");
         let tuples_at = |d: usize| -> usize {
             let to_d = sink.blocks.iter().filter(|(dest, _)| *dest == d);
             to_d.map(|(_, b)| b.tuples()).sum()
@@ -649,87 +633,83 @@ mod tests {
         }
     }
 
-    /// PR 7's bug, once: a window closes, its block is lost, a recall moves
-    /// the bucket, and the retry epilogue retransmits the window to its
-    /// *original* destination. The old owner must forward each fresh tuple
-    /// to the current owner exactly once, the log entry must follow, and the
-    /// audit must stay conserved.
+    /// Acknowledges, in the log, every window whose marker went to `dest`.
+    fn ack_markers_to(x: &Exchange, source: usize, sink: &FakeSink, dest: usize) {
+        let log = x.log(source).unwrap();
+        let to_dest = sink.blocks.iter().filter(|(d, _)| *d == dest);
+        for item in to_dest.flat_map(|(_, b)| &b.items) {
+            if let Staged::Marker(cp, epoch) = item {
+                let _ = log.acknowledge(cp.dest, cp.id, *epoch);
+            }
+        }
+    }
+
+    /// A resilient producer ends its stream on evidence, never on a
+    /// timer, and sends nothing twice: not while a live destination owes
+    /// an ack, at the ack that leaves none owed, and past a dead
+    /// destination only once nothing will replay it — at once without
+    /// failover; with failover, once the replay has drained its windows
+    /// and the window the replay re-recorded into is acknowledged.
     #[test]
-    fn retransmit_after_migration_is_forwarded_once_and_the_log_follows() {
-        let (x, factory) = join_exchange(true);
-        let mut p = producer(&x, BUILD, StreamTag::Build);
-        let mut sink = FakeSink {
-            lose: usize::MAX,
-            ..FakeSink::default()
-        };
-        for k in 0..8 {
-            p.stage(&tuple(k, k as u64), &mut sink);
-        }
-        p.finish_scan(&mut sink);
-        let stranded = x.log(BUILD).unwrap().undelivered_windows(0);
-        let stranded: usize = stranded.iter().map(|(_, w)| w.len()).sum();
-        assert!(stranded > 0, "partition 0 owns some of eight keys");
-        // The recall: every bucket moves to partition 1.
-        recall_everything_to_partition_1(&x);
-        // The retry epilogue: wait, then retransmit to the original dests.
-        sink.lose = 0;
-        assert!(matches!(p.retry_step(&mut sink), RetryStep::Wait(_)));
-        assert!(matches!(p.retry_step(&mut sink), RetryStep::Wait(_)));
-        let to_old_owner: Vec<Block> = sink
-            .blocks
-            .iter()
-            .filter(|(dest, b)| *dest == 0 && b.retransmit)
-            .map(|(_, b)| b.clone())
-            .collect();
-        assert!(!to_old_owner.is_empty());
+    fn a_resilient_producer_ends_its_stream_on_acks_and_deaths_alone() {
+        for failover in [false, true] {
+            let (x, _) = join_exchange(true);
+            let spec = ProducerSpec {
+                source: PROBE,
+                stream: StreamTag::Probe,
+                scan_cost_ms: 0.0,
+                buffer_tuples: 4,
+                dests: 2,
+                failover,
+            };
+            let mut p = Producer::new(spec, x.clone(), 0);
+            let mut sink = FakeSink::default();
+            for k in 0..10 {
+                p.stage(&tuple(k, k as u64), &mut sink);
+            }
+            assert!(!p.finish(&mut sink), "no window is acknowledged yet");
+            ack_markers_to(&x, PROBE, &sink, 0);
+            assert!(!p.finish(&mut sink), "partition 1 still owes its acks");
+            let sent = sink.blocks.len();
+            assert!(
+                !p.finish(&mut sink) && sink.blocks.len() == sent,
+                "nothing resent"
+            );
+            assert!(sink.eos.is_empty());
 
-        let mut old = consumer(&x, &factory, 0);
-        let mut out = FakeOut::new(&x, 0);
-        for block in &to_old_owner {
-            old.on_block(block.clone(), &mut out);
-            // At-least-once: the same retransmission arrives twice.
-            old.on_block(block.clone(), &mut out);
+            x.tallies.dead[1].store(true, Ordering::Relaxed);
+            let log = x.log(PROBE).unwrap();
+            if failover {
+                assert!(!p.finish(&mut sink), "the failover's to replay");
+                for entry in log.drain_dest(1).unwrap() {
+                    log.record_migrated(0, entry).unwrap();
+                }
+                assert!(!p.finish(&mut sink), "the replayed entries' window is out");
+                let (dest, last) = sink.blocks.last().unwrap();
+                let [Staged::Marker(cp, epoch)] = last.items[..] else {
+                    panic!("its marker alone");
+                };
+                assert_eq!(*dest, 0);
+                assert!(matches!(
+                    log.acknowledge(cp.dest, cp.id, epoch),
+                    gridq_recovery::AckOutcome::Accepted(2)
+                ));
+            }
+            assert!(p.finish(&mut sink), "{failover}");
+            assert_eq!(sink.eos, vec![0, 1]);
+            let gaps = x.tallies.gaps.lock().clone();
+            assert_eq!(gaps.len(), usize::from(!failover), "{gaps:?}");
+            assert!(gaps.iter().all(|g| g.dest == 1 && g.tuples > 0));
+            let audit = log.audit();
+            assert!(audit.conserved(), "{audit:?}");
+            assert_eq!(audit.acks_duplicate, 0, "{audit:?}");
         }
-        assert_eq!(old.processed(), 0, "the old owner processes none of them");
-        assert_eq!(out.forwarded.len(), stranded, "each forwarded exactly once");
-        assert!(out.forwarded.iter().all(|(owner, _)| *owner == 1));
-        let log = x.log(BUILD).unwrap();
-        assert!(
-            !log.has_undelivered(0),
-            "the entries left the old owner's slice"
-        );
-        assert!(log.audit().conserved(), "{:?}", log.audit());
-
-        // The new owner takes them as re-deliveries; the next attempt closes
-        // the window they joined, and its ack settles the log.
-        let mut new = consumer(&x, &factory, 1);
-        let mut new_out = FakeOut::new(&x, 1);
-        for (_, entry) in out.forwarded {
-            // A forwarded stray is a block of one.
-            new.on_migrated(vec![entry], &mut new_out);
-        }
-        assert_eq!(new.processed(), stranded as u64);
-        sink.blocks.clear();
-        let _ = p.retry_step(&mut sink);
-        for (dest, block) in std::mem::take(&mut sink.blocks) {
-            assert_eq!(dest, 1);
-            new.on_block(block, &mut new_out);
-        }
-        assert_eq!(
-            new.processed(),
-            8,
-            "the new owner ends up with all the state"
-        );
-        while p.retry_step(&mut sink) != RetryStep::Done {}
-        assert!(!log.has_undelivered(0) && !log.has_undelivered(1));
-        assert!(log.audit().conserved(), "{:?}", log.audit());
-        assert!(x.tallies.gaps.lock().is_empty());
     }
 
     /// A duplicated block whose first ack was lost: the range key skips the
     /// duplicate's tuples wholesale, its marker still acks, and once that
-    /// ack lands the acked marker id shadows a differently packed
-    /// retransmission even though the per-tuple keys were evicted.
+    /// ack lands the acked marker id shadows a differently packed copy
+    /// even though the per-tuple keys were evicted.
     #[test]
     fn duplicate_block_with_a_dropped_ack_is_absorbed() {
         let (x, factory) = join_exchange(true);
@@ -751,7 +731,6 @@ mod tests {
         let block = |n: u64| Block {
             source: BUILD,
             items: items(n),
-            retransmit: false,
         };
         let mut c = consumer(&x, &factory, 0);
         let mut out = FakeOut::new(&x, 0);
@@ -789,11 +768,7 @@ mod tests {
                     items.push(Staged::Marker(cp, log.epoch()));
                 }
             }
-            Block {
-                source,
-                items,
-                retransmit: false,
-            }
+            Block { source, items }
         };
         c.on_block(window(PROBE, StreamTag::Probe), &mut out);
         assert_eq!((c.processed(), out.acks.len()), (0, 0), "held, unacked");
@@ -894,7 +869,6 @@ mod tests {
         let block = Block {
             source: BUILD,
             items: items.collect(),
-            retransmit: false,
         };
         let mut c1 = consumer(&x, &factory, 1);
         c1.on_block(block, &mut FakeOut::new(&x, 1));
@@ -965,7 +939,6 @@ mod tests {
                 let block = Block {
                     source,
                     items: items.collect(),
-                    retransmit: false,
                 };
                 if stream == StreamTag::Build {
                     for item in &block.items {
@@ -1326,7 +1299,6 @@ mod tests {
                 let block = Block {
                     source: 0,
                     items: chunk.iter().map(staged).collect(),
-                    retransmit: false,
                 };
                 c.on_block(block, &mut out);
                 out.pay(&mut c);
@@ -1368,7 +1340,6 @@ mod tests {
             Block {
                 source: PROBE,
                 items: held.map(|(s, _, t)| Staged::Tuple(s, t)).collect(),
-                retransmit: false,
             },
             &mut out,
         );
@@ -1379,7 +1350,6 @@ mod tests {
             Block {
                 source: BUILD,
                 items: built.collect(),
-                retransmit: false,
             },
             &mut out,
         );
@@ -1447,11 +1417,7 @@ mod tests {
                 items.push(Staged::Marker(cp, log.epoch()));
             }
         }
-        Block {
-            source,
-            items,
-            retransmit: false,
-        }
+        Block { source, items }
     }
 
     /// Runs the `[0.25, 0.75]` recall over the two consumers; returns them
@@ -1742,8 +1708,8 @@ mod tests {
 
     /// Resilient mode: a queued block that is partly surrendered is
     /// deduplicated tuple by tuple. Its adjacent duplicate surrenders
-    /// nothing twice, and a later retransmission of its window, packed
-    /// differently and with the first ack lost, finds every tuple —
+    /// nothing twice, and a later copy of its window, packed differently
+    /// and with the first ack lost, finds every tuple —
     /// kept and surrendered alike — already seen.
     #[test]
     fn a_partly_surrendered_block_is_deduplicated_per_tuple() {

@@ -1,15 +1,21 @@
 //! The producer half of the protocol: route → stage → log → marker →
 //! window/size flush, post-recall restage, end-of-scan forced
-//! checkpoints, and the delivery-retry epilogue as a step function.
+//! checkpoints, and the end of the stream.
 //!
 //! The driver owns the scan loop, the recall gate's `pause_point` and
-//! every sleep; it tells the producer what epoch it woke under
-//! ([`Producer::observe_epoch`]) and sleeps out what
-//! [`Producer::retry_step`] asks for. A block the sink withholds
-//! ([`Shipped::Withheld`]: a recall wants this producer parked while the
-//! destination's ring is full) goes back to the front of its buffer,
-//! where the restage after the recall re-routes it like any unsent
-//! tuple.
+//! every wait; it tells the producer what epoch it woke under
+//! ([`Producer::observe_epoch`]) and asks [`Producer::finish`] again until
+//! the stream has ended. A block the sink withholds ([`Shipped::Withheld`]:
+//! a recall wants this producer parked while the destination's ring is
+//! full) goes back to the front of its buffer, where the restage after the
+//! recall re-routes it like any unsent tuple.
+//!
+//! A resilient producer ends its stream on evidence, not on a timer: once
+//! every window to each destination is acknowledged, or the destination
+//! is dead. Nothing is ever retransmitted — every channel is FIFO until
+//! it dies, and a death is reported. End-of-stream therefore trails the
+//! receipt of every logged entry, so a late failover replay still lands
+//! before its consumer completes.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -17,7 +23,7 @@ use std::sync::Arc;
 use gridq_common::{NetAction, StallSite, Tuple};
 use gridq_engine::evaluator::StreamTag;
 use gridq_obs::Counter;
-use gridq_recovery::{DeliveryGap, LogMoves, RetryBackoff, RetryPolicy};
+use gridq_recovery::{DeliveryGap, LogMoves};
 
 use super::{sane_ms, Block, Exchange, Staged};
 
@@ -43,13 +49,10 @@ pub(crate) struct ProducerSpec {
     pub(crate) buffer_tuples: usize,
     /// Number of destinations (stage partitions).
     pub(crate) dests: usize,
-    /// Record a gap for a destination whose ring closed straight away
-    /// instead of sleeping out the backoff budget against it. Off when
-    /// failover is enabled: there the budget is what keeps the producer
-    /// alive until the dead worker's exit notice reaches the coordinator
-    /// and it replays the dead partition's log onto the survivors.
-    pub(crate) fast_gap: bool,
-    pub(crate) retry: RetryPolicy,
+    /// A dead destination's windows are the failover replay's to drain:
+    /// the producer waits for it. Without failover a dead destination is
+    /// written off as a [`DeliveryGap`] as soon as its death is reported.
+    pub(crate) failover: bool,
 }
 
 /// What became of a block handed to [`BlockSink::ship`].
@@ -62,53 +65,28 @@ pub(crate) enum Shipped {
     Withheld(Block),
 }
 
-/// What the driver does next in the delivery-retry epilogue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum RetryStep {
-    /// Sleep this many real milliseconds — in short slices with a
-    /// `pause_point` in each, so a concurrent recall can still park this
-    /// producer — then step again.
-    Wait(f64),
-    /// Every window is acknowledged or written off as a gap, and the
-    /// end-of-stream markers are out.
-    Done,
-}
-
 pub(crate) struct Producer {
     spec: ProducerSpec,
     x: Exchange,
     /// The threaded executor's `exec.tuples_routed` metric.
     pub(crate) routed_ctr: Option<Arc<Counter>>,
     buffers: Vec<Vec<Staged>>,
-    /// Destinations whose ring rejected a block.
-    disconnected: Vec<bool>,
-    /// Destinations whose buffer holds a withheld retransmission: the
-    /// next block to them is flagged `retransmit` too.
-    withheld_retransmit: Vec<bool>,
     /// Modelled scan milliseconds owed but not yet spent; paid in one
     /// batch at the next flush.
     due: f64,
     /// The recall epoch the buffers were staged under.
     epoch: u64,
-    backoff: RetryBackoff,
+    /// Destinations written off as a [`DeliveryGap`].
     gapped: Vec<bool>,
-    attempt: u32,
-    /// The driver is sleeping out `attempt`'s backoff.
-    waiting: bool,
 }
 
 impl Producer {
     pub(crate) fn new(spec: ProducerSpec, exchange: Exchange, epoch: u64) -> Self {
         Producer {
             buffers: (0..spec.dests).map(|_| Vec::new()).collect(),
-            disconnected: vec![false; spec.dests],
-            withheld_retransmit: vec![false; spec.dests],
             due: 0.0,
             epoch,
-            backoff: RetryBackoff::new(&spec.retry, spec.source as u64),
             gapped: vec![false; spec.dests],
-            attempt: 0,
-            waiting: false,
             routed_ctr: None,
             x: exchange,
             spec,
@@ -188,15 +166,15 @@ impl Producer {
         }
         // Resilient runs flush at window boundaries only: the interval
         // is clamped to the buffer size, so a whole window (tuples plus
-        // marker) always travels in one block and a chaos drop or
-        // duplicate hits it atomically.
+        // marker) always travels in one block and a chaos duplicate
+        // repeats it atomically.
         let full = if self.x.resilient {
             window_closed
         } else {
             self.buffers[dest].len() >= self.spec.buffer_tuples
         };
         if full {
-            self.flush(dest, false, sink);
+            self.flush(dest, sink);
         }
         routed
     }
@@ -206,7 +184,7 @@ impl Producer {
     /// per-row sleeps at block boundaries is what lifts the data plane
     /// above the OS timer granularity. Returns `false` when the sink
     /// withheld the block, which is back in the buffer.
-    fn flush<S: BlockSink>(&mut self, dest: usize, retransmit: bool, sink: &mut S) -> bool {
+    fn flush<S: BlockSink>(&mut self, dest: usize, sink: &mut S) -> bool {
         if self.due > 0.0 {
             sink.pay(self.due);
             self.due = 0.0;
@@ -218,21 +196,14 @@ impl Producer {
         let block = Block {
             source: self.spec.source,
             items,
-            retransmit: retransmit || std::mem::take(&mut self.withheld_retransmit[dest]),
         };
         let fate = self
             .x
             .chaos
             .as_ref()
             .map_or(NetAction::Deliver, |c| c.on_data(self.spec.source, dest));
-        match fate {
-            // The whole block vanishes — tuples and the markers that
-            // would acknowledge them, together. In resilient mode the
-            // windows' acks never arrive, so the retry epilogue
-            // retransmits them from the recovery log.
-            NetAction::Drop => return true,
-            NetAction::DelayMs(extra) => sink.pay(sane_ms(extra)),
-            NetAction::Deliver | NetAction::Duplicate => {}
+        if let NetAction::DelayMs(extra) = fate {
+            sink.pay(sane_ms(extra));
         }
         let tuples = block.tuples();
         // At-least-once transport: a duplicated block is absorbed by the
@@ -240,7 +211,6 @@ impl Producer {
         let failed = match sink.ship(dest, block, fate == NetAction::Duplicate) {
             Shipped::Sent(failed) => failed,
             Shipped::Withheld(block) => {
-                self.withheld_retransmit[dest] |= block.retransmit;
                 let staged_since = std::mem::replace(&mut self.buffers[dest], block.items);
                 self.buffers[dest].extend(staged_since);
                 return false;
@@ -249,7 +219,6 @@ impl Producer {
         if failed > 0 {
             // The consumer is gone. Count the loss *now*, whether or not
             // a failover follows.
-            self.disconnected[dest] = true;
             self.x
                 .tallies
                 .send_failures
@@ -258,58 +227,79 @@ impl Producer {
         true
     }
 
-    /// Flushes every destination (after a restage during the retry
-    /// epilogue, when nothing else would push the re-routed tuples out).
-    pub(crate) fn flush_all<S: BlockSink>(&mut self, sink: &mut S) {
-        for dest in 0..self.spec.dests {
-            self.flush(dest, false, sink);
-        }
-    }
-
-    /// Closes the open window on `dest`, staging its marker. Returns
-    /// whether there was one.
-    fn force_checkpoint(&mut self, dest: usize) -> bool {
-        let Some(log) = self.x.log(self.spec.source) else {
-            return false;
-        };
-        let Ok(Some(cp)) = log.force_checkpoint(dest as u32) else {
-            return false;
-        };
-        self.buffers[dest].push(Staged::Marker(cp, log.epoch()));
-        true
-    }
-
-    /// The scan is over (and any recall in flight has completed — the
-    /// driver passed a pause point and reported the epoch): close the
-    /// open windows, flush, and — unless the retry epilogue still has to
-    /// run — end the stream. Returns `false`, with no stream ended, when
-    /// a block was withheld: the driver parks, reports the epoch and
-    /// calls again (a restage may have moved tuples to any destination).
-    pub(crate) fn finish_scan<S: BlockSink>(&mut self, sink: &mut S) -> bool {
-        let mut shipped = true;
-        for dest in 0..self.spec.dests {
-            // Resilient runs checkpoint build streams too: the markers
-            // are delivery receipts, and retained build logs keep the
-            // entries replayable regardless.
-            if self.spec.stream != StreamTag::Build || self.x.resilient {
-                self.force_checkpoint(dest);
-            }
-            shipped &= self.flush(dest, false, sink);
-        }
-        if shipped && !self.x.resilient {
-            for dest in 0..self.spec.dests {
-                sink.eos(dest, self.spec.stream);
-            }
-        }
-        shipped
-    }
-
-    /// Records `dest`'s closed-but-unacknowledged windows as an explicit
-    /// delivery gap.
-    fn record_gap(&self, dest: usize) {
+    /// Closes the open window on `dest`, if there is one, staging its
+    /// marker.
+    fn force_checkpoint(&mut self, dest: usize) {
         let Some(log) = self.x.log(self.spec.source) else {
             return;
         };
+        if let Ok(Some(cp)) = log.force_checkpoint(dest as u32) {
+            self.buffers[dest].push(Staged::Marker(cp, log.epoch()));
+        }
+    }
+
+    /// The scan is over (and any recall in flight has completed — the
+    /// driver passed a pause point and reported the epoch): closes the
+    /// open windows, flushes, and ends the stream once nothing is left to
+    /// wait for. Returns `false`, with no stream ended, when the driver
+    /// must wait and ask again: a block was withheld (the driver parks,
+    /// reports the epoch and calls again — a restage may have moved
+    /// tuples to any destination), or, in a resilient run, a live
+    /// destination still owes an ack.
+    ///
+    /// A resilient producer calls this until every destination is
+    /// acknowledged or dead, so each call also closes and flushes the
+    /// windows a recall or a failover re-recorded into since the last
+    /// one. A dead destination is written off as a [`DeliveryGap`] at
+    /// once without failover, and with failover once every destination
+    /// is dead (nothing is left to replay onto); otherwise the failover
+    /// replay drains its windows.
+    pub(crate) fn finish<S: BlockSink>(&mut self, sink: &mut S) -> bool {
+        let resilient = self.x.resilient;
+        let dead: Vec<bool> = (0..self.spec.dests)
+            .map(|d| resilient && self.x.tallies.is_dead(d))
+            .collect();
+        let unreplayed = !self.spec.failover || dead.iter().all(|&d| d);
+        let mut waiting = false;
+        for (dest, dead) in dead.into_iter().enumerate() {
+            if dead && unreplayed && !self.gapped[dest] {
+                self.write_off(dest);
+            }
+            if self.gapped[dest] {
+                continue;
+            }
+            // Resilient runs checkpoint build streams too: the markers
+            // are delivery receipts, and retained build logs keep the
+            // entries replayable regardless.
+            if self.spec.stream != StreamTag::Build || resilient {
+                self.force_checkpoint(dest);
+            }
+            waiting |= !self.flush(dest, sink);
+            waiting |= resilient
+                && self
+                    .x
+                    .log(self.spec.source)
+                    .is_some_and(|log| log.has_undelivered(dest as u32));
+        }
+        if waiting {
+            return false;
+        }
+        for dest in 0..self.spec.dests {
+            sink.eos(dest, self.spec.stream);
+        }
+        true
+    }
+
+    /// Writes off a dead destination nothing will replay: its staged
+    /// items go, its open window closes, and its unacknowledged windows
+    /// become an explicit [`DeliveryGap`].
+    fn write_off(&mut self, dest: usize) {
+        self.gapped[dest] = true;
+        self.buffers[dest].clear();
+        let Some(log) = self.x.log(self.spec.source) else {
+            return;
+        };
+        let _ = log.force_checkpoint(dest as u32);
         let windows = log.undelivered_windows(dest as u32);
         if windows.is_empty() {
             return;
@@ -320,111 +310,5 @@ impl Producer {
             windows: windows.len() as u64,
             tuples: windows.iter().map(|(_, w)| w.len() as u64).sum(),
         });
-    }
-
-    /// One step of the delivery-retry epilogue (resilient runs): wait
-    /// out a deterministic jittered backoff for in-flight acks,
-    /// retransmit any window still unacknowledged, and repeat within the
-    /// retry budget. A destination that never acks becomes an explicit
-    /// [`DeliveryGap`] — the query completes with a loud record of what
-    /// is missing instead of hanging. Only then does end-of-stream go
-    /// out, so consumers cannot exit while redelivery is still possible.
-    /// Non-resilient runs are `Done` at once. Not to be stepped again
-    /// after `Done`.
-    pub(crate) fn retry_step<S: BlockSink>(&mut self, sink: &mut S) -> RetryStep {
-        let logging = self.x.log(self.spec.source).is_some();
-        while self.x.resilient && logging && self.attempt <= self.spec.retry.max_retries {
-            if !self.waiting {
-                if self.spec.fast_gap && self.write_off_closed_rings() {
-                    break;
-                }
-                self.waiting = true;
-                return RetryStep::Wait(self.backoff.delay_ms(self.attempt));
-            }
-            self.waiting = false;
-            if !self.retransmit_unacked(sink) {
-                break;
-            }
-            self.attempt += 1;
-        }
-        if self.x.resilient {
-            for dest in 0..self.spec.dests {
-                sink.eos(dest, self.spec.stream);
-            }
-        }
-        RetryStep::Done
-    }
-
-    /// A destination whose ring closed can never ack again: record its
-    /// gap immediately. Returns whether nothing is pending at any live
-    /// destination, i.e. the remaining backoff can be skipped outright.
-    fn write_off_closed_rings(&mut self) -> bool {
-        for dest in 0..self.spec.dests {
-            if !self.disconnected[dest] || self.gapped[dest] {
-                continue;
-            }
-            self.gapped[dest] = true;
-            self.buffers[dest].clear();
-            if let Some(log) = self.x.log(self.spec.source) {
-                let _ = log.force_checkpoint(dest as u32);
-            }
-            self.record_gap(dest);
-        }
-        (0..self.spec.dests).all(|d| {
-            self.gapped[d]
-                || self
-                    .x
-                    .log(self.spec.source)
-                    .is_none_or(|log| !log.has_undelivered(d as u32))
-        })
-    }
-
-    /// The post-backoff half of an attempt. Closes any window the run
-    /// left open since the final scan flush (recalls and failover replay
-    /// append to open windows) and pushes its marker out with whatever
-    /// the buffer holds — one block, so marker delivery still implies
-    /// content delivery — then retransmits every unacknowledged window,
-    /// or writes it off once the budget is spent. Returns whether
-    /// anything was still undelivered.
-    fn retransmit_unacked<S: BlockSink>(&mut self, sink: &mut S) -> bool {
-        for dest in 0..self.spec.dests {
-            // What a withheld flush left in the buffer goes out here too.
-            if !self.gapped[dest] {
-                self.force_checkpoint(dest);
-                self.flush(dest, false, sink);
-            }
-        }
-        let Some(logs) = self.x.logs.clone() else {
-            return false;
-        };
-        let log = &logs[self.spec.source];
-        let mut undelivered_any = false;
-        for dest in 0..self.spec.dests {
-            if self.gapped[dest] {
-                continue;
-            }
-            let windows = log.undelivered_windows(dest as u32);
-            if windows.is_empty() {
-                continue;
-            }
-            undelivered_any = true;
-            if self.attempt == self.spec.retry.max_retries {
-                self.record_gap(dest);
-                continue;
-            }
-            let epoch_now = log.epoch();
-            for (cp, items) in windows {
-                self.x
-                    .tallies
-                    .retransmitted
-                    .fetch_add(items.len() as u64, Ordering::Relaxed);
-                for (tag, t) in items {
-                    self.buffers[dest].push(Staged::Tuple(tag, t));
-                }
-                self.buffers[dest].push(Staged::Marker(cp, epoch_now));
-                self.flush(dest, true, sink);
-            }
-        }
-        undelivered_any
     }
 }

@@ -1,15 +1,12 @@
 //! The one re-route routine: where a tuple that left the data plane goes
 //! under the *current* distribution, and what happens to its
 //! recovery-log entry. Serves surrendered operator state and recalled
-//! held and queued tuples (a `Migrate` hand-over), retransmit strays (a
-//! retransmitted window whose bucket moved since it closed) and the
-//! producers' post-recall restage.
+//! held and queued tuples (a `Migrate` hand-over) and the producers'
+//! post-recall restage.
 //!
 //! A hand-over is re-routed in one place on both substrates — every
 //! worker surrenders to the coordinator, the only caller of
-//! [`Exchange::reroute`]. A stray is placed where a router is in reach:
-//! by the threaded consumer itself, by the reader thread for a socket
-//! worker's `STRAY`.
+//! [`Exchange::reroute`].
 //!
 //! A hand-over costs what it moves: re-delivery leaves in blocks of the
 //! exchange's `buffer_tuples` ([`Regroup`]), and the log bookkeeping of a
@@ -19,7 +16,6 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use gridq_common::Tuple;
 use gridq_engine::evaluator::StreamTag;
 use gridq_recovery::LogMoves;
 
@@ -69,36 +65,6 @@ impl Regroup {
 }
 
 impl Exchange {
-    /// The current owner of a tuple delivered to `at`; `at` itself when
-    /// the router cannot place it.
-    fn owner(&self, at: usize, stream: StreamTag, tuple: &Tuple) -> usize {
-        self.router.lock().route(stream, tuple).unwrap_or(at as u32) as usize
-    }
-
-    /// Re-routes a fresh tuple from a retransmitted block delivered to
-    /// `at`, under hash routing. Returns its current owner; when that is
-    /// another partition the log entry has followed the tuple there, so a
-    /// later crash at the new owner still finds it replayable and the
-    /// audit stays conserved. Forwarding consumer-side — behind the dedup
-    /// filter, log entry riding along — is the sound direction:
-    /// re-routing at the producer would let an ack-loss redelivery reach
-    /// a partition that never saw the original and duplicate its output.
-    pub(crate) fn reroute_stray(
-        &self,
-        at: usize,
-        stream: StreamTag,
-        source: usize,
-        tuple: &Tuple,
-    ) -> usize {
-        let owner = self.owner(at, stream, tuple);
-        if owner != at {
-            let mut moves = LogMoves::default();
-            moves.note(source, at, Some(owner), tuple.seq());
-            self.settle(moves);
-        }
-        owner
-    }
-
     /// Re-routes what partition `from` surrendered to a recall — the
     /// operator state and the held and queued tuples of its outgoing
     /// buckets — under the already swapped router, calling
@@ -122,7 +88,11 @@ impl Exchange {
     ) -> (u64, u64) {
         let (mut state_moved, mut recalled) = (0u64, 0u64);
         for (stream, source, tuple) in entries {
-            let owner = self.owner(from, stream, &tuple);
+            let owner = self
+                .router
+                .lock()
+                .route(stream, &tuple)
+                .unwrap_or(from as u32) as usize;
             let build = stream == StreamTag::Build;
             state_moved += u64::from(build);
             recalled += u64::from(!build && owner != from);

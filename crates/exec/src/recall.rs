@@ -6,7 +6,8 @@
 //! The simulator realises R1 by editing its virtual-time event queue; on
 //! real threads the pause is [`RecallGate::begin_pause`] — every
 //! producer parks at its next [`RecallGate::pause_point`] (between
-//! tuples, in each retry-backoff slice, or just before its final flush)
+//! tuples, just before its final flush, or in each slice of its wait for
+//! acknowledgements)
 //! — and the resume bumps the gate epoch, which the producers notice and
 //! answer by restaging their unsent buffers. A producer waiting on a
 //! full ring does not wait the slow consumer out: the pause request

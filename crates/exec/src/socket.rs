@@ -26,8 +26,7 @@
 //! (the rings bound producer memory and park producers when a
 //! `slow_peer` stops reading), and one reader thread per connection
 //! decodes each worker frame into the call a threaded consumer makes
-//! in-process on its `Port` (acks, results, recall replies, stray
-//! forwards, completion).
+//! in-process on its `Port` (acks, results, recall replies, completion).
 //!
 //! A connection is FIFO until it ends, and an end before the run
 //! releases the worker is the worker's death: the reader reports it as a
@@ -77,8 +76,8 @@ use crate::protocol::consumer::{Consumer, ConsumerOut, ConsumerSpec, M1Sample};
 use crate::protocol::coordinator::MigrateCmd;
 use crate::protocol::{sane_ms, validate_knobs, Block, Routed, Staged};
 use crate::{
-    real_time, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Port, RetryPolicy, Run,
-    ThreadedConfig, Wiring, RING_BLOCKS,
+    real_time, ConsumerThread, DataMsg, Endpoints, Msg, Outlet, Pacer, Port, Run, ThreadedConfig,
+    Wiring, RING_BLOCKS,
 };
 
 /// Application-level message tags, the first payload byte of every
@@ -97,8 +96,8 @@ mod tag {
     /// Coordinator -> worker: recall migration command.
     pub const MIGRATE: u8 = 4;
     /// Coordinator -> worker: a block of tuples re-delivered by the
-    /// recall protocol (migrated state, recalled held probes; a forwarded
-    /// stray is a block of one).
+    /// recall protocol (migrated state, recalled held probes, a failover
+    /// replay).
     pub const MIGRATED: u8 = 5;
     /// Worker -> coordinator: a block of result tuples.
     pub const RESULTS: u8 = 6;
@@ -114,15 +113,11 @@ mod tag {
     /// Worker -> coordinator: all streams exhausted; carries the final
     /// processed count and dedup peak.
     pub const DONE: u8 = 11;
-    /// Worker -> coordinator: a retransmitted tuple whose ownership the
-    /// worker cannot verify (it has no router); the coordinator routes
-    /// it to the current owner.
-    pub const STRAY: u8 = 12;
     /// Coordinator -> worker: the run is over (`Msg::Release`), exit
     /// cleanly.
     pub const SHUTDOWN: u8 = 13;
-    // 14 is retired (it re-inserted state raw at the worker that had
-    // surrendered it) and must not be reused.
+    // 12 and 14 are retired (a tuple sent back for re-routing, and state
+    // re-inserted raw where it was surrendered) and must not be reused.
 }
 
 // ---------------------------------------------------------------------------
@@ -232,7 +227,6 @@ enum WireMsg {
         processed: u64,
         dedup_peak: u64,
     },
-    Stray(Routed),
 }
 
 impl WireMsg {
@@ -243,7 +237,6 @@ impl WireMsg {
             WireMsg::Data(DataMsg::Block(block)) => {
                 let mut out = tagged(tag::DATA);
                 put_varint(&mut out, block.source as u64);
-                out.push(u8::from(block.retransmit));
                 put_varint(&mut out, block.items.len() as u64);
                 for item in &block.items {
                     match item {
@@ -282,11 +275,6 @@ impl WireMsg {
             }
             WireMsg::Ctl(Msg::Migrated(block)) => enc_routed_block(tag::MIGRATED, block),
             WireMsg::StateOut(block) => enc_routed_block(tag::STATE_OUT, block),
-            WireMsg::Stray(entry) => {
-                let mut out = tagged(tag::STRAY);
-                put_routed(&mut out, entry);
-                out
-            }
             WireMsg::Results(tuples) => {
                 let mut out = tagged(tag::RESULTS);
                 wire::put_tuples(&mut out, tuples);
@@ -324,7 +312,6 @@ impl WireMsg {
             tag::CONFIG => WireMsg::Config(Box::new(WireConfig::decode(r)?)),
             tag::DATA => {
                 let source = r.varint()? as usize;
-                let retransmit = r.u8()? != 0;
                 let count = get_count(r, "block item count")?;
                 let mut items: Vec<Staged> = Vec::with_capacity(count);
                 for _ in 0..count {
@@ -345,11 +332,7 @@ impl WireMsg {
                         }
                     });
                 }
-                WireMsg::Data(DataMsg::Block(Block {
-                    source,
-                    items,
-                    retransmit,
-                }))
+                WireMsg::Data(DataMsg::Block(Block { source, items }))
             }
             tag::EOS => WireMsg::Data(DataMsg::Eos(get_stream(r)?)),
             tag::DRAIN => WireMsg::Ctl(Msg::Drain { token: r.varint()? }),
@@ -376,7 +359,6 @@ impl WireMsg {
             }
             tag::MIGRATED => WireMsg::Ctl(Msg::Migrated(get_routed_block(r)?)),
             tag::STATE_OUT => WireMsg::StateOut(get_routed_block(r)?),
-            tag::STRAY => WireMsg::Stray(get_routed(r)?),
             tag::RESULTS => WireMsg::Results(wire::get_tuples(r)?),
             tag::ACK => {
                 let source = r.varint()? as usize;
@@ -443,7 +425,6 @@ impl WireConfig {
         put_varint(&mut out, s.index as u64);
         out.push(u8::from(s.resilient));
         out.push(u8::from(s.logging));
-        out.push(u8::from(s.hash_routing));
         put_f64(&mut out, self.cost_scale);
         put_f64(&mut out, s.receive_cost_ms);
         put_f64(&mut out, self.read_stall_ms);
@@ -461,7 +442,6 @@ impl WireConfig {
         let index = r.varint()? as usize;
         let resilient = r.u8()? != 0;
         let logging = r.u8()? != 0;
-        let hash_routing = r.u8()? != 0;
         let cost_scale = get_f64(r)?;
         let receive_cost_ms = get_f64(r)?;
         let read_stall_ms = get_f64(r)?;
@@ -479,7 +459,6 @@ impl WireConfig {
                 index,
                 resilient,
                 logging,
-                hash_routing,
                 receive_cost_ms,
                 cost_factor,
                 cost_extra_ms,
@@ -775,8 +754,6 @@ pub struct SocketConfig {
     /// Producers emit a recovery-log checkpoint marker after this many
     /// tuples per destination (logging runs only).
     pub checkpoint_interval: usize,
-    /// Delivery retry/backoff policy for unacknowledged windows.
-    pub delivery_retry: RetryPolicy,
     /// Fault-injection hook. Installing one switches the run into
     /// resilient mode (recovery logs, window-atomic flushes, dedup).
     pub chaos: Option<Arc<dyn ChaosHook>>,
@@ -803,7 +780,6 @@ impl SocketConfig {
             cost_scale: 0.02,
             receive_cost_ms: 1.0,
             checkpoint_interval: 50,
-            delivery_retry: RetryPolicy::default(),
             chaos: None,
             adaptations: Vec::new(),
             perturbations: HashMap::new(),
@@ -817,7 +793,6 @@ impl SocketConfig {
             self.receive_cost_ms,
             self.checkpoint_interval,
         )?;
-        self.delivery_retry.validate()?;
         for a in &self.adaptations {
             DistributionVector::new(&a.weights)
                 .map_err(|e| GridError::Config(format!("scripted adaptation: {e}")))?;
@@ -1000,14 +975,6 @@ fn dispatch(port: &mut Port, msg: WireMsg) -> Result<()> {
         WireMsg::Drained { token } => port.reply(RecallPhase::Drain, token),
         WireMsg::MigrateDone { token } => port.reply(RecallPhase::Migrate, token),
         WireMsg::StateOut(entries) => port.surrendered(entries),
-        // A retransmitted tuple the worker cannot verify ownership of (it
-        // has no router): re-routed here, and back to the sender when it
-        // still owns it.
-        WireMsg::Stray((stream, source, tuple)) => {
-            if let Some(tuple) = port.stray(stream, source, tuple) {
-                port.peers[port.index].send(Msg::Migrated(vec![(stream, source, tuple)]));
-            }
-        }
         WireMsg::Done {
             processed,
             dedup_peak,
@@ -1290,7 +1257,7 @@ impl Net {
             self.link_handles
                 .push(thread::spawn(move || link.run(opening)));
             self.conns.push(conn.try_clone()?);
-            let port = Port::new(&w, plan, i, self.links.clone(), config.cost_scale, failover);
+            let port = Port::new(&w, plan, i, config.cost_scale, failover);
             let released = Arc::clone(&self.released);
             self.readers.push(thread::spawn(move || {
                 reader_loop(port, conn, dec, frames, released)
@@ -1465,7 +1432,6 @@ impl SocketExecutor {
             checkpoint_interval: cfg.checkpoint_interval,
             obs: ObsConfig::disabled(),
             chaos: cfg.chaos.clone(),
-            delivery_retry: cfg.delivery_retry.clone(),
             failover: cfg.chaos.is_some(),
             ..ThreadedConfig::default()
         };
@@ -1513,14 +1479,6 @@ impl ConsumerOut for FrameOut {
 
     fn results(&mut self, batch: Vec<Tuple>) {
         self.send(&WireMsg::Results(batch));
-    }
-
-    fn stray(&mut self, stream: StreamTag, source: usize, tuple: Tuple) -> Option<Tuple> {
-        // No router here: ship the tuple back and let the coordinator
-        // route it to the current owner (the dedup record already made
-        // makes the forward single-shot).
-        self.send(&WireMsg::Stray((stream, source, tuple)));
-        None
     }
 
     /// No live loop runs over sockets yet: the samples are dropped.
@@ -2039,9 +1997,7 @@ mod tests {
     /// first relayed message, then its second, and so on, until a run
     /// relays fewer messages than the one it aims at: that run's hook
     /// never fired and counted its whole sequence, a recall included, and
-    /// the sweep has killed the worker at every position in it. (How many
-    /// messages a run relays varies a little with timing: retransmitted
-    /// windows are messages too.)
+    /// the sweep has killed the worker at every position in it.
     #[test]
     fn a_death_on_any_relayed_message_fails_over_to_the_static_multiset() {
         let build = int_table("build", 0..20);
@@ -2183,7 +2139,10 @@ mod tests {
         (stream, rng.usize_in(0, 300), gen_tuple(rng))
     }
 
-    /// One message of every tag, in tag order.
+    /// The tags in use, in order: 12 and 14 are retired.
+    const LIVE_TAGS: [u8; 13] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13];
+
+    /// One message of every live tag, in tag order.
     fn gen_every_message(rng: &mut DetRng) -> Vec<Vec<u8>> {
         let table = int_table("t", 0..1);
         let stage = if rng.flip() {
@@ -2208,7 +2167,6 @@ mod tests {
                 index: rng.usize_in(0, 300),
                 resilient: rng.flip(),
                 logging: rng.flip(),
-                hash_routing: rng.flip(),
                 receive_cost_ms: rng.f64_in(0.0, 5.0),
                 cost_factor: rng.f64_in(0.0, 20.0),
                 cost_extra_ms: rng.f64_in(0.0, 20.0),
@@ -2226,7 +2184,6 @@ mod tests {
             WireMsg::Data(DataMsg::Block(Block {
                 source: rng.usize_in(0, 300),
                 items,
-                retransmit: rng.flip(),
             })),
             WireMsg::Data(DataMsg::Eos(StreamTag::Probe)),
             WireMsg::Ctl(Msg::Drain { token: r_u64(rng) }),
@@ -2249,7 +2206,6 @@ mod tests {
                 processed: r_u64(rng),
                 dedup_peak: r_u64(rng),
             },
-            WireMsg::Stray(gen_routed(rng)),
             WireMsg::Ctl(Msg::Release),
         ];
         messages.iter().map(WireMsg::encode).collect()
@@ -2261,7 +2217,8 @@ mod tests {
     /// and single-byte mutation decodes to `Err` or to some valid
     /// message (one that itself round-trips) — never a panic (which
     /// `Check` reports as a failure), never an allocation sized by an
-    /// unchecked length. The retired tag 14 is as unknown as any other.
+    /// unchecked length. The retired tags 12 and 14 are as unknown as any
+    /// other.
     #[test]
     fn every_tag_round_trips_and_survives_truncation_and_mutation() {
         let survives = |bytes: &[u8]| -> std::result::Result<(), String> {
@@ -2279,8 +2236,8 @@ mod tests {
         Check::new("socket wire messages")
             .cases(64)
             .run(gen_every_message, |payloads| {
-                for (t, payload) in payloads.iter().enumerate() {
-                    if payload[0] as usize != t {
+                for (payload, t) in payloads.iter().zip(LIVE_TAGS) {
+                    if payload[0] != t {
                         return Err(format!("tag {t} missing from the generator"));
                     }
                     let decoded = WireMsg::decode(payload).map_err(|e| format!("tag {t}: {e}"))?;
@@ -2301,12 +2258,17 @@ mod tests {
                 }
                 Ok(())
             });
-        assert_eq!(gen_every_message(&mut DetRng::seeded(1)).len(), 14);
-        let retired = WireMsg::decode(&[14, 0]).err().map(|e| e.to_string());
-        assert!(
-            retired.is_some_and(|e| e.contains("unknown frame tag 14")),
-            "tag 14 is retired, not reused"
+        assert_eq!(
+            gen_every_message(&mut DetRng::seeded(1)).len(),
+            LIVE_TAGS.len()
         );
+        for t in [12u8, 14] {
+            let retired = WireMsg::decode(&[t, 0]).err().map(|e| e.to_string());
+            assert!(
+                retired.is_some_and(|e| e.contains(&format!("unknown frame tag {t}"))),
+                "tag {t} is retired, not reused"
+            );
+        }
         // The block payloads: a count beyond the bytes that remain is
         // rejected before anything is allocated for it.
         for t in [tag::MIGRATED, tag::RESULTS, tag::STATE_OUT] {
@@ -2353,9 +2315,7 @@ mod tests {
     /// threaded consumer makes on its port in-process, so each effect
     /// lands where a threaded consumer's does: recall replies on the
     /// reply channel, named by the port's worker, surrendered state there
-    /// too, results and counts as worker events, an ack in the log, and a
-    /// stray at its owner — back at the sender as `MIGRATED` when it
-    /// still owns it.
+    /// too, results and counts as worker events, and an ack in the log.
     #[test]
     fn the_reader_replays_each_worker_frame_as_the_threaded_call() {
         let (build, probe) = (int_table("b", 0..8), int_table("p", 0..8));
@@ -2374,10 +2334,8 @@ mod tests {
             processed_total: Arc::new(AtomicU64::new(0)),
             started: Instant::now(),
         };
-        let (links, mut links_rx): (Vec<_>, Vec<_>) =
-            (0..2).map(|_| inbox::<Msg, DataMsg>(Vec::new())).unzip();
         let mut ports: Vec<Port> = (0..2)
-            .map(|i| Port::new(&w, &plan, i, links.clone(), 0.002, false))
+            .map(|i| Port::new(&w, &plan, i, 0.002, false))
             .collect();
         let mut feed = |worker: usize, msg: WireMsg| {
             let decoded = WireMsg::decode(&msg.encode()).unwrap();
@@ -2442,21 +2400,6 @@ mod tests {
         .unwrap();
         assert_eq!(log.total_unacked(), 0, "the ack landed in the log");
 
-        let owned_by = |w: u32| {
-            let mut router = x.router.lock();
-            let owned = |t: &Tuple| router.route(StreamTag::Probe, t).ok() == Some(w);
-            (0..64).map(probe_tuple).find(owned).unwrap()
-        };
-        for (owner, tuple) in [(0, owned_by(0)), (1, owned_by(1))] {
-            feed(0, WireMsg::Stray((StreamTag::Probe, 1, tuple.clone()))).unwrap();
-            match links_rx[owner].next(Duration::ZERO) {
-                Wake::Control(Msg::Migrated(block)) => {
-                    assert!(matches!(&block[..], [(_, 1, t)] if t.seq() == tuple.seq()));
-                }
-                _ => panic!("the stray must reach worker {owner} as MIGRATED"),
-            }
-        }
-
         assert!(
             feed(0, WireMsg::Ctl(Msg::Drain { token: 1 })).is_err(),
             "a coordinator->worker tag from a worker is an error"
@@ -2492,8 +2435,7 @@ mod tests {
                 processed_total: Arc::new(AtomicU64::new(0)),
                 started: Instant::now(),
             };
-            let links = vec![inbox::<Msg, DataMsg>(Vec::new()).0; 2];
-            let port = Port::new(&w, &plan, 1, links, 0.002, failover);
+            let port = Port::new(&w, &plan, 1, 0.002, failover);
             let listener = Listener::bind(&Addr::scratch_unix()).unwrap();
             let mut worker = Stream::connect(&listener.local_addr().unwrap()).unwrap();
             let done = msg_frame(&WireMsg::Done {

@@ -219,10 +219,12 @@ pub struct RunReport {
     pub state_tuples_migrated: u64,
     /// In-flight tuples re-routed by recalls and redistributions.
     pub tuples_recalled: u64,
-    /// Tuples the delivery-retry path retransmitted (resilient runs).
+    /// Always 0: a producer ends its stream on acknowledgements and
+    /// deaths, and never retransmits a window. Kept because the engine
+    /// benchmark names it.
     pub tuples_retransmitted: u64,
-    /// Windows left undelivered once the retry budget ran out, one per
-    /// (source, dest) edge that gave up; the query completes anyway.
+    /// Windows written off because their destination died with failover
+    /// off, one per (source, dest) edge; the query completes anyway.
     pub delivery_gaps: Vec<DeliveryGap>,
     /// Tuples whose block push failed because the consumer was gone.
     pub send_failures: u64,

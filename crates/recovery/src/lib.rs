@@ -24,17 +24,18 @@
 //! recorded in by exactly one of:
 //!
 //! - **ack** — [`SharedRecoveryLog::acknowledge`] confirms exactly the
-//!   entries of one window, never earlier windows whose markers (and
-//!   possibly tuples) may still be in flight or lost. A window whose
-//!   marker never comes back stays in the log, and
-//!   [`SharedRecoveryLog::undelivered_windows`] hands it back — tuples
-//!   plus a reconstructed marker — for retransmission.
+//!   entries of one window, never earlier windows whose markers may
+//!   still be in flight. A window whose ack has not come back stays in
+//!   the log: [`SharedRecoveryLog::has_undelivered`] is what a producer
+//!   waits on before it ends its stream, and
+//!   [`SharedRecoveryLog::undelivered_windows`] is what it writes off as
+//!   a [`DeliveryGap`] when the destination died with no failover.
 //! - **retire** — [`SharedRecoveryLog::retire_matching`] and
 //!   [`SharedRecoveryLog::drain_dest`] take entries out for good, because
 //!   something other than the ack protocol re-delivers them (migrated
 //!   operator state, a failover replay).
 //! - **move** — [`SharedRecoveryLog::migrate_matching`] (a recall, a
-//!   forwarded stray) and [`SharedRecoveryLog::record_migrated`] (a
+//!   producer's restage) and [`SharedRecoveryLog::record_migrated`] (a
 //!   failover replay) put an entry into its new owner's *open* window. A
 //!   move never closes a window, so it never uses up a marker id: the
 //!   producer's next real or forced checkpoint on that destination
@@ -65,9 +66,9 @@
 //!
 //! Beside the log live the other rules both drivers apply the same way:
 //! which log a stream keeps ([`SharedRecoveryLog::for_stream`]), the log
-//! bookkeeping of a hand-over ([`LogMoves`]), the delivery-retry schedule
-//! ([`RetryPolicy`], [`RetryBackoff`]), the record of what it gave up on
-//! ([`DeliveryGap`]) and result de-duplication ([`ResultDedup`]).
+//! bookkeeping of a hand-over ([`LogMoves`]), the record of what a
+//! producer wrote off ([`DeliveryGap`]) and result de-duplication
+//! ([`ResultDedup`]).
 //!
 //! The log is generic over the logged item so it can be tested in
 //! isolation; the execution substrates instantiate it with
@@ -76,7 +77,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use gridq_common::sync::Mutex;
-use gridq_common::{DetRng, GridError, Result, Tuple};
+use gridq_common::{GridError, Result, Tuple};
 
 pub use gridq_common::{DeliveryGap, LogAudit};
 
@@ -96,11 +97,12 @@ pub enum AckOutcome {
     /// were popped from the window; a retained log always reports 0.
     Accepted(usize),
     /// The acknowledgement carried a stale epoch (it was issued before a
-    /// window-voiding drain) and was dropped.
+    /// window-voiding drain of its destination, or under an epoch the log
+    /// has not reached) and was dropped.
     Stale,
     /// The window was already acknowledged. Benign under an
-    /// at-least-once transport: retransmitted markers are processed (and
-    /// acknowledged) again by design.
+    /// at-least-once transport: a duplicated block's marker is processed
+    /// (and acknowledged) again by design.
     Duplicate,
     /// The acknowledgement was malformed (unemitted checkpoint, unknown
     /// destination) and was ignored.
@@ -136,6 +138,9 @@ struct DestLog<T> {
     since_last: usize,
     /// Every checkpoint id below this is acknowledged.
     acked_floor: u64,
+    /// Acks stamped with an earlier epoch are stale: this destination was
+    /// drained since they were issued.
+    voided_below: u64,
     /// Acknowledged ids at or above the floor (out-of-order acks whose
     /// predecessors are still outstanding). Compacted into the floor as
     /// soon as the sequence becomes contiguous, so it stays small.
@@ -149,6 +154,7 @@ impl<T> DestLog<T> {
             next_cp: 0,
             since_last: 0,
             acked_floor: 0,
+            voided_below: 0,
             acked_above: BTreeSet::new(),
         }
     }
@@ -258,10 +264,12 @@ impl<T> Inner<T> {
 /// threads share one log; the simulator's single event loop pays an
 /// uncontended lock. An **epoch** guards acknowledgements: checkpoints
 /// are stamped with the epoch under which their window was opened, and
-/// an ack whose epoch predates a window-voiding drain
-/// ([`SharedRecoveryLog::drain_dest`]) is dropped instead of pruning
-/// entries it no longer covers. A recall *preserves* windows, so it does
-/// not bump the epoch.
+/// an ack whose epoch predates a window-voiding drain of its own
+/// destination ([`SharedRecoveryLog::drain_dest`]) is dropped instead of
+/// pruning entries it no longer covers. Another destination's windows
+/// are untouched by that drain, so their acks stay good: nothing would
+/// ever acknowledge those windows again. A recall *preserves* windows,
+/// so it does not bump the epoch.
 #[derive(Debug)]
 pub struct SharedRecoveryLog<T> {
     inner: Mutex<Inner<T>>,
@@ -278,8 +286,8 @@ impl<T> SharedRecoveryLog<T> {
     /// The log a producer keeps for one stream over `dest_count`
     /// destinations — the one choice every driver makes.
     ///
-    /// - A build stream in a `resilient` run (one that retransmits and
-    ///   fails over) is checkpointed into a *retained* log: an ack marks
+    /// - A build stream in a `resilient` run (one that waits for every
+    ///   ack and fails over) is checkpointed into a *retained* log: an ack marks
     ///   its window delivered (see
     ///   [`SharedRecoveryLog::undelivered_windows`]) but removes nothing,
     ///   so the entries stay replayable for failure recovery.
@@ -289,9 +297,9 @@ impl<T> SharedRecoveryLog<T> {
     /// - Every other stream prunes on ack.
     ///
     /// A resilient run clamps the interval to the exchange's
-    /// `buffer_tuples`, so a whole window fits one block and a dropped or
-    /// duplicated block hits tuples and marker together: marker delivery
-    /// implies content delivery.
+    /// `buffer_tuples`, so a whole window fits one block and a duplicated
+    /// block repeats tuples and marker together: marker delivery implies
+    /// content delivery.
     pub fn for_stream(
         dest_count: usize,
         build: bool,
@@ -373,13 +381,14 @@ impl<T> SharedRecoveryLog<T> {
     /// are popped; a retained log only advances the delivery watermark.
     /// Stale epochs, repeated acks (expected under an at-least-once
     /// transport) and malformed acks are absorbed and counted, not
-    /// errors: an ack can always cross a redistribution or a
-    /// retransmission in flight.
+    /// errors: an ack can always cross a redistribution or a failover in
+    /// flight.
     pub fn acknowledge(&self, dest: u32, id: u64, epoch: u64) -> AckOutcome {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let outcome = match inner.dests.get_mut(dest as usize) {
-            _ if epoch != inner.epoch => AckOutcome::Stale,
+            _ if epoch > inner.epoch => AckOutcome::Stale,
+            Some(log) if epoch < log.voided_below => AckOutcome::Stale,
             Some(log) if id < log.next_cp => {
                 if log.is_acked(id) {
                     AckOutcome::Duplicate
@@ -410,7 +419,7 @@ impl<T> SharedRecoveryLog<T> {
     }
 
     /// Moves the entries on `from` matching `pred` into `to`'s open
-    /// window (a recall's migration, a forwarded stray). Checkpoint
+    /// window (a recall's migration, a producer's restage). Checkpoint
     /// windows on `from` stay valid for the entries left behind, and the
     /// move never consumes a marker id. Neutral for the audit: the
     /// entries are still logged. Returns how many entries moved.
@@ -446,27 +455,27 @@ impl<T> SharedRecoveryLog<T> {
     /// Drains every logged entry for `dest` — the node-failure recovery
     /// path; in a retained log this includes delivered entries. The open
     /// window restarts empty. When anything was drained the dest's
-    /// windows are void, so the epoch is bumped: in-flight acks from
-    /// before the failure can no longer touch the log. An empty drain
-    /// bumps nothing — there were no windows to void, and invalidating
-    /// unrelated in-flight acks would force pointless retransmission
-    /// churn. Returns the entries, oldest first, for
+    /// windows are void, so the epoch is bumped: acks to `dest` in flight
+    /// from before the failure can no longer touch the log. An empty
+    /// drain bumps nothing — there were no windows to void. Returns the entries, oldest first, for
     /// [`SharedRecoveryLog::record_migrated`] under their new owners.
     pub fn drain_dest(&self, dest: u32) -> Result<Vec<T>> {
         let mut inner = self.inner.lock();
+        let epoch = inner.epoch + 1;
         let log = inner.dest_mut(dest)?;
         log.since_last = 0;
         let drained: Vec<T> = log.entries.drain(..).map(|e| e.item).collect();
         if !drained.is_empty() {
+            log.voided_below = epoch;
             inner.audit.retired += drained.len() as u64;
-            inner.epoch += 1;
+            inner.epoch = epoch;
         }
         Ok(drained)
     }
 
     /// The closed-but-unacknowledged windows on `dest`, oldest first:
     /// each is the reconstructed marker plus clones of the entries it
-    /// covers, ready for retransmission. Windows whose entries have all
+    /// covers, for the record of a write-off. Windows whose entries have all
     /// been drained or moved elsewhere are omitted (there is nothing left
     /// here to lose). The open window is not included — its marker has
     /// not been sent yet, so nothing can acknowledge it.
@@ -494,8 +503,8 @@ impl<T> SharedRecoveryLog<T> {
     }
 
     /// True when `dest` has at least one closed window that still awaits
-    /// acknowledgement and still holds entries (the retry-loop
-    /// termination condition).
+    /// acknowledgement and still holds entries: what a resilient producer
+    /// waits out before it ends its stream.
     pub fn has_undelivered(&self, dest: u32) -> bool {
         let inner = self.inner.lock();
         inner.dests.get(dest as usize).is_some_and(|log| {
@@ -542,7 +551,7 @@ impl<T> SharedRecoveryLog<T> {
 }
 
 /// The recovery-log bookkeeping a hand-over owes — a recall's moved
-/// state and tuples, a forwarded stray, a producer's restage — grouped
+/// state and tuples, a producer's restage — grouped
 /// so that [`LogMoves::settle`] visits each source's log once per
 /// (source, old owner → new owner) group however many entries moved. A
 /// source logs exactly one stream, so a tuple's sequence number
@@ -581,9 +590,9 @@ impl LogMoves {
 }
 
 /// The one result de-duplication rule. At-least-once transport can
-/// deliver a result twice across a crash, recall or reconnect seam (a
-/// worker flushed results and died before acking, and its successor
-/// processed the retransmission). Two results are the same result
+/// deliver a result twice across a crash or recall seam (a worker
+/// flushed results and died before acking, and its successor processed
+/// the failover replay). Two results are the same result
 /// exactly when their sequence numbers and every value match, so
 /// distinct results are never merged.
 #[derive(Debug, Default)]
@@ -597,88 +606,6 @@ impl ResultDedup {
         let key = (result.seq(), format!("{:?}", result.values()));
         // lint: bounded-by one key per distinct result, which the collector keeps anyway
         self.seen.insert(key)
-    }
-}
-
-/// Seed of the delivery-retry jitter stream; each producer forks its own
-/// stream from it by source index.
-const JITTER_SEED: u64 = 0x6661_696c_6f76_6572; // "failover"
-
-/// Delivery-retry policy for unacknowledged recovery-log windows.
-///
-/// Active whenever a run is resilient: after flushing its final windows
-/// a producer waits out a backoff delay, retransmits any window whose ack
-/// has not arrived, and repeats up to `max_retries` times before
-/// recording an explicit [`DeliveryGap`] and completing anyway.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Base backoff delay before the first retransmission check, in the
-    /// driver's milliseconds (wall-clock on threads and sockets, virtual
-    /// on the simulator). This is protocol pacing, not modelled query
-    /// cost, so it is *not* scaled by a cost scale.
-    pub base_ms: f64,
-    /// Retransmission rounds per destination before giving up and
-    /// recording a [`DeliveryGap`].
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base_ms: 25.0,
-            max_retries: 6,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Validates the policy.
-    pub fn validate(&self) -> Result<()> {
-        if !self.base_ms.is_finite() || self.base_ms <= 0.0 {
-            return Err(GridError::Config(format!(
-                "retry base_ms must be positive and finite, got {}",
-                self.base_ms
-            )));
-        }
-        if self.max_retries == 0 {
-            return Err(GridError::Config(
-                "max_retries must be at least 1; use an all-drop chaos plan, \
-                 not a zero retry budget, to model a dead link"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Deterministic jittered exponential backoff.
-///
-/// Attempt `k` (0-based) waits `base_ms * 2^min(k, 10)`, jittered
-/// uniformly into `[0.5, 1.0)` of that nominal value. The jitter stream
-/// is forked from one fixed seed by stream index, so concurrent
-/// producers decorrelate without sharing state and a given source index
-/// always yields the same schedule — chaos runs stay reproducible down to
-/// retransmission timing.
-#[derive(Debug)]
-pub struct RetryBackoff {
-    rng: DetRng,
-    base_ms: f64,
-}
-
-impl RetryBackoff {
-    /// The schedule of `policy` for producer `stream`.
-    pub fn new(policy: &RetryPolicy, stream: u64) -> Self {
-        let mut root = DetRng::seeded(JITTER_SEED);
-        RetryBackoff {
-            rng: root.fork(stream),
-            base_ms: policy.base_ms,
-        }
-    }
-
-    /// The delay in milliseconds before retry `attempt`.
-    pub fn delay_ms(&mut self, attempt: u32) -> f64 {
-        let nominal = self.base_ms * f64::from(1u32 << attempt.min(10));
-        nominal * (0.5 + 0.5 * self.rng.uniform())
     }
 }
 
@@ -766,7 +693,7 @@ mod tests {
         assert_eq!(ack(&l, 0, 0), AckOutcome::Ignored); // not yet emitted
         l.record(0, 2).unwrap(); // emits cp 0
         assert_eq!(accepted(ack(&l, 0, 0)), 2);
-        // A retransmitted marker produces a repeat ack: absorbed.
+        // A duplicated marker produces a repeat ack: absorbed.
         assert_eq!(ack(&l, 0, 0), AckOutcome::Duplicate);
     }
 
@@ -859,9 +786,9 @@ mod tests {
             l.record(0, i).unwrap();
         }
         // Checkpoints 0, 1, 2 are all emitted; cp 2's ack arrives first
-        // (acks 0 and 1 lost in transit). Only window 2 is pruned — the
-        // earlier windows stay replayable until their own acks (or
-        // retransmissions) come back.
+        // (acks 0 and 1 still in transit). Only window 2 is pruned — the
+        // earlier windows stay replayable until their own acks come
+        // back.
         assert_eq!(accepted(ack(&l, 0, 2)), 2);
         assert_eq!(l.unacked_len(0), 4);
         let undelivered: Vec<u64> = l
@@ -924,23 +851,21 @@ mod tests {
         assert!(audit.conserved(), "not conserved: {audit:?}");
     }
 
-    /// A retransmitted window produces a duplicate ack, and the audit
-    /// must stay conserved — the duplicate is counted on its own channel,
+    /// A duplicated window produces a duplicate ack, and the audit must
+    /// stay conserved — the duplicate is counted on its own channel,
     /// never as an accepted prune or a protocol error.
     #[test]
-    fn duplicate_ack_under_retransmission_conserves_audit() {
+    fn duplicate_ack_conserves_audit() {
         let l = log(1, 2);
         for i in 0..4 {
             l.record(0, i).unwrap();
         }
-        // Window 0's first ack is lost; the producer retransmits the
-        // window from the log...
+        // Window 0's ack is late; the window is still in the log...
         let windows = l.undelivered_windows(0);
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].0, Checkpoint { dest: 0, id: 0 });
         assert_eq!(windows[0].1, vec![0, 1]);
-        // ...and then BOTH acks arrive: the original (delayed, not lost
-        // after all) and the retransmission's.
+        // ...and then BOTH acks arrive: the block's and its duplicate's.
         assert_eq!(accepted(ack(&l, 0, 0)), 2);
         assert_eq!(ack(&l, 0, 0), AckOutcome::Duplicate);
         assert_eq!(accepted(ack(&l, 0, 1)), 2);
@@ -977,8 +902,8 @@ mod tests {
             l.record(0, i).unwrap();
         }
         assert_eq!(ack(&l, 0, 0), AckOutcome::Accepted(0));
-        // Delivery is confirmed (the window leaves the retransmission
-        // set) but the entries stay replayable.
+        // Delivery is confirmed (the window leaves the undelivered set)
+        // but the entries stay replayable.
         assert_eq!(l.unacked_len(0), 4);
         let undelivered: Vec<u64> = l
             .undelivered_windows(0)
@@ -1069,17 +994,20 @@ mod tests {
         let log = SharedRecoveryLog::<u64>::new(2, 2).unwrap();
         log.record(0, 1).unwrap();
         let cp = log.record(0, 2).unwrap().unwrap();
-        // Destination 1's node fails: draining it voids its windows and
-        // bumps the epoch for the whole log.
         log.record(1, 3).unwrap();
-        assert_eq!(log.drain_dest(1).unwrap(), vec![3]);
+        let dead = log.record(1, 4).unwrap().unwrap();
+        // Destination 1's node fails: draining it voids its windows and
+        // bumps the epoch.
+        assert_eq!(log.drain_dest(1).unwrap(), vec![3, 4]);
         assert_eq!(log.epoch(), 1);
-        // The ack was issued under epoch 0; after the bump it must not
-        // prune anything.
-        assert_eq!(log.acknowledge(cp.dest, cp.id, 0), AckOutcome::Stale);
+        // Its ack was issued under epoch 0; after the bump it must not
+        // touch the log, and nor may an ack from an epoch to come.
+        assert_eq!(log.acknowledge(dead.dest, dead.id, 0), AckOutcome::Stale);
+        assert_eq!(log.acknowledge(cp.dest, cp.id, 2), AckOutcome::Stale);
         assert_eq!(log.total_unacked(), 2);
-        // A current-epoch ack still works: the window itself survives.
-        assert_eq!(log.acknowledge(cp.dest, cp.id, 1), AckOutcome::Accepted(2));
+        // Destination 0 was not drained: its window survives, and the ack
+        // issued under epoch 0 — the only one that will ever come — lands.
+        assert_eq!(log.acknowledge(cp.dest, cp.id, 0), AckOutcome::Accepted(2));
         assert!(log.audit().conserved());
     }
 
@@ -1226,77 +1154,6 @@ mod tests {
         assert!(dedup.first(&t(3, vec![Value::Float(0.0)])));
         assert!(dedup.first(&t(3, vec![Value::Float(-0.0)])));
     }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_per_stream() {
-        use gridq_common::check::Check;
-        // Property: for any base, rebuilding the backoff from the same
-        // policy and stream reproduces the schedule bit-for-bit, and
-        // every delay stays inside the jittered exponential envelope.
-        // Under a fixed GRIDQ_CHECK_SEED the generated policies — and
-        // therefore the asserted schedules — are identical across runs.
-        Check::new("backoff_schedule_is_deterministic")
-            .cases(32)
-            .run(
-                |rng| 1.0 + rng.uniform() * 50.0,
-                |&base_ms| {
-                    let policy = RetryPolicy {
-                        base_ms,
-                        max_retries: 6,
-                    };
-                    let schedule = |stream: u64| -> Vec<f64> {
-                        let mut b = RetryBackoff::new(&policy, stream);
-                        (0..6).map(|k| b.delay_ms(k)).collect()
-                    };
-                    if schedule(0) != schedule(0) || schedule(3) != schedule(3) {
-                        return Err("same stream diverged".into());
-                    }
-                    if schedule(0) == schedule(1) {
-                        return Err("distinct streams share a jitter fork".into());
-                    }
-                    for (k, d) in schedule(2).into_iter().enumerate() {
-                        let nominal = base_ms * f64::from(1u32 << k.min(10));
-                        if !(d >= nominal * 0.5 && d < nominal) {
-                            return Err(format!("attempt {k} delay {d} escapes envelope"));
-                        }
-                    }
-                    Ok(())
-                },
-            );
-    }
-
-    #[test]
-    fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            base_ms: 10.0,
-            max_retries: 20,
-        };
-        let mut b = RetryBackoff::new(&policy, 0);
-        let d0 = b.delay_ms(0);
-        let d5 = b.delay_ms(5);
-        assert!(d5 > d0 * 8.0, "5 doublings outrun worst-case jitter");
-        // Exponent caps at 2^10: attempt 10 and attempt 40 share a nominal.
-        let d10 = b.delay_ms(10);
-        let d40 = b.delay_ms(40);
-        let nominal = 10.0 * 1024.0;
-        assert!(d10 >= nominal * 0.5 && d10 < nominal);
-        assert!(d40 >= nominal * 0.5 && d40 < nominal);
-    }
-
-    #[test]
-    fn retry_policy_validates_its_bounds() {
-        assert!(RetryPolicy::default().validate().is_ok());
-        let bad = RetryPolicy {
-            base_ms: 0.0,
-            ..RetryPolicy::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        };
-        assert!(bad.validate().is_err());
-    }
 }
 
 #[cfg(test)]
@@ -1417,10 +1274,12 @@ mod model_tests {
         /// A checkpoint acknowledged before: always a duplicate.
         AckAgain(u32, u64),
         AckUnemitted(u32, u64),
-        /// An ack stamped before the last window-voiding drain.
+        /// An ack stamped before the last window-voiding drain — stale
+        /// only if that drain took its destination's windows — or, before
+        /// any drain, under an epoch to come.
         AckStale(u32),
         /// Entries on `from` divisible by `m` move to `to`'s open window
-        /// (`migrate_matching`: a recall, a forwarded stray).
+        /// (`migrate_matching`: a recall, a producer's restage).
         Migrate(u32, u32, u64),
         /// Entries divisible by `m` leave for good (`retire_matching`).
         Retire(u32, u64),
@@ -1456,6 +1315,7 @@ mod model_tests {
         next_cp: u64,
         since_last: usize,
         acked: BTreeSet<u64>,
+        voided_below: u64,
     }
 
     impl ModelDest {
@@ -1489,7 +1349,7 @@ mod model_tests {
         /// The old `acknowledge`: a filter over everything logged.
         fn acknowledge(&mut self, dest: u32, id: u64, epoch: u64) -> AckOutcome {
             let d = &mut self.dests[dest as usize];
-            if epoch != self.epoch {
+            if epoch > self.epoch || epoch < d.voided_below {
                 self.audit.acks_dropped += 1;
                 AckOutcome::Stale
             } else if id >= d.next_cp {
@@ -1584,8 +1444,9 @@ mod model_tests {
                     check_ack(log.acknowledge(d, id, model.epoch), want)?;
                 }
                 Op::AckStale(d) => {
-                    let want = model.acknowledge(d, 0, model.epoch + 1);
-                    check_ack(log.acknowledge(d, 0, model.epoch + 1), want)?;
+                    let epoch = model.epoch.checked_sub(1).unwrap_or(1);
+                    let want = model.acknowledge(d, 0, epoch);
+                    check_ack(log.acknowledge(d, 0, epoch), want)?;
                 }
                 Op::Migrate(from, to, m) => {
                     let moved = model.dests[from as usize].take_matching(m);
@@ -1616,6 +1477,7 @@ mod model_tests {
                     if !want.is_empty() {
                         model.audit.retired += want.len() as u64;
                         model.epoch += 1;
+                        m.voided_below = model.epoch;
                     }
                     let real = log.drain_dest(d).unwrap();
                     if real != want {

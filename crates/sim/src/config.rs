@@ -44,10 +44,10 @@ pub struct SimulationConfig {
     /// work, and each buffer or recall command a partition receives, on
     /// which it may die). `None` injects nothing and leaves behavior
     /// identical to an uninstrumented run. Installing a hook switches
-    /// the run into resilient mode: producers retransmit unacknowledged
-    /// checkpoint windows (six rounds at most), consumers deduplicate
-    /// redelivered tuples and the collector redelivered results, so
-    /// data-plane loss, duplication and node deaths heal instead of
+    /// the run into resilient mode: a finished source ends its stream
+    /// once every checkpoint window is acknowledged, consumers
+    /// deduplicate redelivered tuples and the collector redelivered
+    /// results, so duplication and node deaths heal instead of
     /// corrupting the result.
     pub chaos: Option<Arc<dyn ChaosHook>>,
 }

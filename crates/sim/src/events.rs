@@ -9,7 +9,8 @@ use gridq_common::SimTime;
 /// A scheduled simulation event.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// A source is ready to produce its next tuple.
+    /// A source is ready to produce its next tuple, or — its scan over —
+    /// to look again whether it may end its stream.
     SourceStep {
         /// Source index.
         source: usize,
@@ -51,17 +52,6 @@ pub enum Event {
     CollectArrive {
         /// Result-buffer slab id.
         buffer: u64,
-    },
-    /// A finished source checks for unacknowledged checkpoint windows
-    /// (resilient runs only): undelivered windows are retransmitted with
-    /// jittered exponential backoff until acknowledged or the retry
-    /// budget is spent, and end-of-stream is released only once the
-    /// retry loop resolves.
-    RetryCheck {
-        /// Source index.
-        source: usize,
-        /// Retry round, 0-based.
-        attempt: u32,
     },
 }
 

@@ -28,9 +28,7 @@ use gridq_engine::table::Table;
 use gridq_engine::DistributedPlan;
 use gridq_grid::GridEnvironment;
 use gridq_obs::{Counter, Obs, RunReport, TimelineKind};
-use gridq_recovery::{
-    Checkpoint, DeliveryGap, LogMoves, ResultDedup, RetryBackoff, RetryPolicy, SharedRecoveryLog,
-};
+use gridq_recovery::{LogMoves, ResultDedup, SharedRecoveryLog};
 
 use crate::config::SimulationConfig;
 use crate::events::{Event, EventQueue};
@@ -49,11 +47,6 @@ const CONTROL_EXTRA_MS: f64 = 1.0;
 /// What a source's recovery log holds.
 type LogItem = (StreamTag, Tuple);
 
-/// One destination's undelivered windows, as returned by
-/// [`SharedRecoveryLog::undelivered_windows`]: each entry pairs the
-/// window's checkpoint marker with the logged tuples it covers.
-type UndeliveredWindows = Vec<(Checkpoint, Vec<LogItem>)>;
-
 /// An item travelling through an exchange into a consumer queue.
 #[derive(Debug, Clone)]
 enum Item {
@@ -65,11 +58,11 @@ enum Item {
         tuple: Tuple,
         source: usize,
         /// Carried by recall transfers and failure replay rather than
-        /// first-time (or retransmitted) producer delivery. Migrated
-        /// items bypass the consumer's duplicate filter: a hash bucket
-        /// that ping-pongs between partitions legitimately re-delivers
-        /// the same `(source, seq)` to a consumer that processed it
-        /// under an earlier distribution.
+        /// producer delivery. Migrated items bypass the consumer's
+        /// duplicate filter: a hash bucket that ping-pongs between
+        /// partitions legitimately re-delivers the same `(source, seq)`
+        /// to a consumer that processed it under an earlier
+        /// distribution.
         migrated: bool,
     },
     /// A checkpoint marker: when it reaches the head of the queue, all
@@ -98,9 +91,9 @@ struct SourceRun {
     staged: Vec<Vec<Item>>,
     resume_at: SimTime,
     routed: u64,
-    done: bool,
-    /// The delivery-retry schedule (resilient runs only).
-    backoff: RetryBackoff,
+    /// End-of-stream is out: as the scan ends, or in a resilient run once
+    /// every window to a live destination is acknowledged.
+    ended: bool,
 }
 
 struct ConsumerRun {
@@ -119,7 +112,7 @@ struct ConsumerRun {
     /// The node hosting this partition failed; the partition is gone.
     dead: bool,
     /// `(source, seq)` pairs this consumer has processed (resilient runs
-    /// only): retransmitted windows redeliver tuples that already
+    /// only): a duplicated buffer redelivers tuples that already
     /// arrived, and at-least-once transport must not become
     /// more-than-once processing.
     seen: HashSet<(usize, u64)>,
@@ -148,8 +141,7 @@ impl ConsumerRun {
             // tuples. Resilient runs withhold build end-of-stream until
             // these markers are acknowledged, and probes are held until
             // build end-of-stream — parking the marker behind the
-            // probes would deadlock that cycle into a retry-budget
-            // timeout.
+            // probes would deadlock that cycle.
             Item::Checkpoint { source, .. } if build_sources.contains(source) => {
                 self.build_queue.push_back(item);
             }
@@ -272,7 +264,6 @@ struct Run<'a> {
     sources: Vec<SourceRun>,
     /// One recovery log per source, indexed like `sources`.
     logs: Vec<SharedRecoveryLog<LogItem>>,
-    retry: RetryPolicy,
     build_sources: HashSet<usize>,
     consumers: Vec<ConsumerRun>,
     buffers: HashMap<u64, (u32, Vec<Item>)>,
@@ -283,10 +274,10 @@ struct Run<'a> {
     control: ControlLoop,
     diag_node: NodeId,
     total_rows: u64,
-    /// A chaos hook is installed: producers retransmit unacknowledged
-    /// windows, consumers deduplicate redelivered tuples, the collector
-    /// deduplicates redelivered results, and end-of-stream is withheld
-    /// until each source's retry loop resolves.
+    /// A chaos hook is installed: consumers deduplicate redelivered
+    /// tuples, the collector deduplicates redelivered results, and a
+    /// source withholds end-of-stream until every window to a live
+    /// destination is acknowledged.
     resilient: bool,
     results_seen: ResultDedup,
     last_result_at: SimTime,
@@ -332,7 +323,6 @@ impl<'a> Run<'a> {
             ));
         }
         let resilient = sim.config.chaos.is_some();
-        let retry = RetryPolicy::default();
         let mut sources = Vec::with_capacity(plan.sources.len());
         let mut logs = Vec::with_capacity(plan.sources.len());
         let mut build_sources = HashSet::new();
@@ -360,8 +350,7 @@ impl<'a> Run<'a> {
                 staged: (0..partitions).map(|_| Vec::new()).collect(),
                 resume_at: SimTime::ZERO,
                 routed: 0,
-                done: false,
-                backoff: RetryBackoff::new(&retry, idx as u64),
+                ended: false,
             });
         }
         let all_sources: HashSet<usize> = (0..sources.len()).collect();
@@ -446,7 +435,6 @@ impl<'a> Run<'a> {
             router,
             sources,
             logs,
-            retry,
             build_sources,
             consumers,
             buffers: HashMap::new(),
@@ -564,7 +552,6 @@ impl<'a> Run<'a> {
                 Event::Notice { notice } => self.deliver(notice),
                 Event::ApplyAdaptation { accepted } => self.apply_adaptation(accepted)?,
                 Event::CollectArrive { buffer } => self.collect_arrive(buffer),
-                Event::RetryCheck { source, attempt } => self.retry_check(source, attempt)?,
             }
         }
         Ok(())
@@ -580,8 +567,7 @@ impl<'a> Run<'a> {
             return Ok(());
         }
         if self.sources[s].pos >= self.sources[s].table.len() {
-            self.finish_source(s)?;
-            return Ok(());
+            return self.finish_source(s);
         }
         let node = self.sources[s].node;
         let stream = self.sources[s].stream;
@@ -675,13 +661,6 @@ impl<'a> Run<'a> {
                 self.queue
                     .schedule(done, Event::BufferArrive { buffer: id });
             }
-            NetAction::Drop => {
-                // Lost data: the covered windows stay unacknowledged in
-                // the recovery log, and the producer's retry loop
-                // retransmits them after backoff (only an installed
-                // chaos hook can return `Drop`, and a hook always puts
-                // the run in resilient mode).
-            }
         }
         if self.monitoring_on && tuples > 0 {
             done = done.offset(MONITOR_COST_MS);
@@ -704,21 +683,30 @@ impl<'a> Run<'a> {
         Ok(done)
     }
 
+    /// The scan is over: closes the open windows, sends what is staged,
+    /// and ends the stream — a resilient run only once every window to a
+    /// live destination is acknowledged. Until then each ack, failover
+    /// replay and recall (whose moved entries join open windows) asks
+    /// again ([`Run::wake`]), and each look closes and sends the windows
+    /// they re-recorded into. Nothing is retransmitted.
     fn finish_source(&mut self, s: usize) -> Result<()> {
-        if self.sources[s].done {
+        if self.sources[s].ended {
             return Ok(());
         }
-        self.sources[s].done = true;
         // Build streams are never checkpointed in non-resilient runs:
         // their tuples form downstream operator state and the pruning
         // log would discard the only copy failure recovery and
         // retrospective state migration rely on. Resilient runs use a
         // retaining log for build streams (acks mark delivery without
-        // pruning), so every stream can be checkpointed and covered by
-        // the delivery-retry loop.
+        // pruning), so every stream can be checkpointed and its end of
+        // stream can wait for the acks.
         let checkpointed = self.resilient || self.sources[s].stream != StreamTag::Build;
         let mut t = self.now;
+        let mut waiting = false;
         for dest in 0..self.consumers.len() as u32 {
+            if self.consumers[dest as usize].dead {
+                continue; // node-failure recovery owns those windows
+            }
             if checkpointed {
                 if let Some(cp) = self.logs[s].force_checkpoint(dest)? {
                     let epoch = self.logs[s].epoch();
@@ -729,110 +717,35 @@ impl<'a> Run<'a> {
                     });
                 }
             }
-            // Resilient runs withhold end-of-stream: a dropped Eos would
-            // strand the consumer, so it is released chaos-exempt only
-            // once the retry loop resolves (all windows acknowledged,
-            // or the retry budget is spent and gaps are recorded).
             if !self.resilient {
                 self.sources[s].staged[dest as usize].push(Item::Eos { source: s });
             }
             t = self.send_staged(s, dest, t)?;
+            waiting |= self.resilient && self.logs[s].has_undelivered(dest);
         }
-        if self.resilient {
-            let delay = self.sources[s].backoff.delay_ms(0);
-            self.queue.schedule(
-                t.offset(delay),
-                Event::RetryCheck {
-                    source: s,
-                    attempt: 0,
-                },
-            );
+        if !waiting {
+            self.sources[s].ended = true;
+            if self.resilient {
+                self.release_eos(s);
+            }
         }
         Ok(())
     }
 
-    /// Resilient-mode delivery retry: retransmits any checkpoint window
-    /// that has not been acknowledged, then either schedules the next
-    /// round, or — once everything is acknowledged or the retry budget
-    /// is spent — releases end-of-stream.
-    fn retry_check(&mut self, s: usize, attempt: u32) -> Result<()> {
-        // A retrospective recall pauses producers; retrying mid-recall
-        // would race the redistribution's own log replay.
-        let resume_at = self.sources[s].resume_at;
-        if self.now < resume_at {
+    /// Has source `s`, if its scan is over and its stream is not, look
+    /// again whether it may end the stream, once any recall or failover
+    /// transfer in flight has landed (its `resume_at`).
+    fn wake(&mut self, s: usize) {
+        let src = &self.sources[s];
+        if src.pos >= src.table.len() && !src.ended {
             self.queue
-                .schedule(resume_at, Event::RetryCheck { source: s, attempt });
-            return Ok(());
+                .schedule(self.now, Event::SourceStep { source: s });
         }
-        let mut pending: Vec<(u32, UndeliveredWindows)> = Vec::new();
-        for dest in 0..self.consumers.len() as u32 {
-            if self.consumers[dest as usize].dead {
-                continue; // node-failure recovery owns those windows
-            }
-            let windows = self.logs[s].undelivered_windows(dest);
-            if !windows.is_empty() {
-                pending.push((dest, windows));
-            }
-        }
-        if pending.is_empty() {
-            self.release_eos(s);
-            return Ok(());
-        }
-        if attempt >= self.retry.max_retries {
-            for (dest, windows) in pending {
-                let tuples: u64 = windows.iter().map(|(_, w)| w.len() as u64).sum();
-                let gap = DeliveryGap {
-                    source: s,
-                    dest: dest as usize,
-                    windows: windows.len() as u64,
-                    tuples,
-                };
-                self.report.delivery_gaps.push(gap);
-            }
-            self.release_eos(s);
-            return Ok(());
-        }
-        let epoch = self.logs[s].epoch();
-        let mut t = self.now;
-        for (dest, windows) in pending {
-            for (cp, tuples) in windows {
-                for (stream, tuple) in tuples {
-                    self.report.tuples_retransmitted += 1;
-                    self.sources[s].staged[dest as usize].push(Item::Tuple {
-                        stream,
-                        tuple,
-                        source: s,
-                        // Retransmissions are first-class deliveries: the
-                        // consumer's dedup filter decides whether the
-                        // original copy already arrived.
-                        migrated: false,
-                    });
-                }
-                self.sources[s].staged[dest as usize].push(Item::Checkpoint {
-                    source: s,
-                    cp: cp.id,
-                    epoch,
-                });
-            }
-            // Chaos-exposed on purpose: a retransmission can be dropped
-            // again, which is what the escalating backoff is for.
-            t = self.send_staged(s, dest, t)?;
-        }
-        let delay = self.sources[s].backoff.delay_ms(attempt + 1);
-        self.queue.schedule(
-            t.offset(delay),
-            Event::RetryCheck {
-                source: s,
-                attempt: attempt + 1,
-            },
-        );
-        Ok(())
     }
 
     /// Delivers end-of-stream for source `s` to every live consumer,
-    /// bypassing the chaos seam: the retry loop has already resolved
-    /// every window, and a dropped Eos would hang the run rather than
-    /// corrupt it — there is nothing left for the fault model to probe.
+    /// bypassing the chaos seam: every window is acknowledged already,
+    /// so there is nothing left for the fault model to probe.
     fn release_eos(&mut self, s: usize) {
         let node = self.sources[s].node;
         for dest in 0..self.consumers.len() as u32 {
@@ -929,10 +842,8 @@ impl<'a> Run<'a> {
                     cp,
                     epoch,
                 };
-                // Acks are best-effort control traffic: the log keeps
-                // the covered entries until a later ack supersedes a
-                // lost one, so losing/duplicating them must be safe, and
-                // the log itself drops one stamped before a failover.
+                // Acks may be delayed or duplicated: the log absorbs a
+                // repeat, and drops one stamped before a failover.
                 match self.chaos_ack(source, i) {
                     NetAction::Deliver => self.queue.schedule(t.offset(lat), ack),
                     NetAction::DelayMs(extra) => {
@@ -947,7 +858,6 @@ impl<'a> Run<'a> {
                         self.queue.schedule(t.offset(lat), ack.clone());
                         self.queue.schedule(t.offset(lat), ack);
                     }
-                    NetAction::Drop => {}
                 }
                 self.reschedule_step(ci, t);
                 Ok(())
@@ -960,9 +870,8 @@ impl<'a> Run<'a> {
             }) => {
                 if self.resilient {
                     // Effectively-once processing over at-least-once
-                    // transport: a redelivered copy (chaos duplication or
-                    // retransmission racing the original) is recognised
-                    // by (source, seq) and skipped, paying only the
+                    // transport: a redelivered copy (a chaos duplicate) is
+                    // recognised by (source, seq) and skipped, paying only the
                     // receive cost. Migrated tuples are recorded but
                     // never skipped: a recall or failure replay moves a
                     // tuple to a partition that must genuinely process
@@ -972,46 +881,6 @@ impl<'a> Run<'a> {
                     if !fresh && !migrated {
                         self.reschedule_step(ci, self.now.offset(self.config.receive_cost_ms));
                         return Ok(());
-                    }
-                    // A retransmission targets the window's *original*
-                    // destination — by the time it lands, a recall may
-                    // have moved the tuple's bucket elsewhere. Producer-
-                    // side re-routing would be unsound (a processed-but-
-                    // unacknowledged tuple re-routed to the new owner
-                    // bypasses the old owner's dedup and duplicates
-                    // output), so the stale copy is forwarded here, past
-                    // the dedup filter: fresh means the original never
-                    // arrived, and the current owner must process it.
-                    // The recovery-log entry follows the tuple so the
-                    // log invariant (every unacknowledged tuple logged
-                    // under its current owner) keeps holding.
-                    if !migrated && fresh && self.router.bucket_count().is_some() {
-                        let owner = self.router.route(stream, &tuple)?;
-                        if owner != ci {
-                            let seq = tuple.seq();
-                            self.logs[source]
-                                .migrate_matching(ci, owner, |(_, t)| t.seq() == seq)?;
-                            self.report.tuples_recalled += 1;
-                            let from_node = self.consumers[i].node;
-                            let to_node = self.consumers[owner as usize].node;
-                            let bytes = tuple.byte_size();
-                            let cost = self.env.buffer_cost_ms(from_node, to_node, 1, bytes);
-                            let id = self.alloc_buffer(
-                                owner,
-                                vec![Item::Tuple {
-                                    stream,
-                                    tuple,
-                                    source,
-                                    migrated: true,
-                                }],
-                            );
-                            self.queue.schedule(
-                                self.now.offset(self.config.receive_cost_ms + cost),
-                                Event::BufferArrive { buffer: id },
-                            );
-                            self.reschedule_step(ci, self.now.offset(self.config.receive_cost_ms));
-                            return Ok(());
-                        }
                     }
                 }
                 self.process_tuple(ci, stream, tuple)
@@ -1167,6 +1036,7 @@ impl<'a> Run<'a> {
     fn ack_arrive(&mut self, source: usize, dest: u32, cp: u64, epoch: u64) {
         // The log's audit counts the outcome.
         let _ = self.logs[source].acknowledge(dest, cp, epoch);
+        self.wake(source);
     }
 
     // -- adaptation deployment ---------------------------------------------
@@ -1471,6 +1341,7 @@ impl<'a> Run<'a> {
                 },
             );
         }
+        (0..self.sources.len()).for_each(|s| self.wake(s));
         Ok(())
     }
 
@@ -1644,6 +1515,7 @@ impl<'a> Run<'a> {
             self.control
                 .failed_over(ci as u32, down_seq, replayed, target.clone(), t);
         }
+        (0..self.sources.len()).for_each(|s| self.wake(s));
         Ok(())
     }
 
@@ -1790,8 +1662,8 @@ mod tests {
     fn build_source_checkpoints_ride_the_build_queue() {
         // A build-source marker must not park behind held probe tuples:
         // resilient runs withhold build EOS until the marker is acked,
-        // and probes are held until build EOS — a cycle that would only
-        // resolve through a retry-budget timeout.
+        // and probes are held until build EOS — a cycle that would never
+        // resolve.
         let mut c = consumer();
         let build_sources = HashSet::from([0usize]);
         c.enqueue(tuple_item(StreamTag::Probe, 1, 1), &build_sources);

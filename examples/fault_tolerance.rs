@@ -22,7 +22,6 @@ use gridq::chaos::{
     Substrate, Workload,
 };
 use gridq::engine::fixtures::multiset;
-use gridq::exec::RetryPolicy;
 use gridq::obs::TimelineKind;
 use gridq::workload::experiments::Q2Experiment;
 
@@ -67,10 +66,6 @@ fn main() {
                 cost_scale: 0.002,
                 checkpoint_interval: 8,
                 chaos: Some(Arc::new(PlanHook::new(&crash_plan))),
-                delivery_retry: RetryPolicy {
-                    base_ms: 20.0,
-                    max_retries: 8,
-                },
                 failover: true,
                 ..Knobs::default()
             },
@@ -88,7 +83,7 @@ fn main() {
              consumer 1 killed on its 10th message:\n\
              \x20  {:.0} ms ({:.2}x), {} results (identical multiset to healthy run)\n\
              \x20  {} death(s) reported, {} failover recall(s) completed\n\
-             \x20  {} tuples replayed, {} retransmitted, {} delivery gaps\n\
+             \x20  {} tuples replayed, {} delivery gaps\n\
              \x20  final routing weights {:?} (dead partition pinned to zero)",
             substrate.name(),
             healthy.wall_ms,
@@ -99,7 +94,6 @@ fn main() {
             faulted.nodes_failed,
             faulted.failovers_completed,
             faulted.tuples_replayed,
-            faulted.tuples_retransmitted,
             faulted.delivery_gaps.len(),
             faulted.final_distribution,
         );

@@ -1,21 +1,20 @@
 //! Tier-1 chaos smoke: a pinned corner of the full chaos matrix runs on
 //! every `cargo test`, so fault-injection regressions surface before the
-//! seeded CI matrix does. Three pinned seeds × seven shared fault
+//! seeded CI matrix does. Three pinned seeds × five shared fault
 //! families (notification drop, thread stall, crash mid-recall, data
-//! loss, data duplication, node crash, block-boundary drop/dup pairs) on
-//! the sim and threaded substrates, the node crash and the crash
-//! mid-recall on the socket substrate too, plus the two socket-only
-//! families (partial_write, slow_peer — their seams do not exist
-//! in-process) there; every oracle green, and every report line what CI
-//! uploads: JSON naming its cell, plan and oracles. The data-plane
-//! families are live here — dropped blocks heal through whole-block
-//! recovery-log retransmission, duplicated blocks are absorbed by
+//! duplication, node crash) on the sim and threaded substrates, the node
+//! crash and the crash mid-recall on the socket substrate too, plus the
+//! two socket-only families (partial_write, slow_peer — their seams do
+//! not exist in-process) there; every oracle green, and every report
+//! line what CI uploads: JSON naming its cell, plan and oracles. The
+//! data-plane families are live here — duplicated blocks are absorbed by
 //! consumer range dedup, and a node crash kills one worker through the
 //! one `crash_worker` seam on every substrate and fails it over: on
 //! threads from the consumer's own exit notice, on sockets from the
 //! coordinator's reader, which reads the connection the link ended. A
 //! crash mid-recall is the same death on a recall's `Drain` or
-//! `Migrate`, and answers that recall's barrier. Every node-crash cell
+//! `Migrate`, and answers that recall's barrier; pinned cells die on each
+//! round's first command on all three substrates. Every node-crash cell
 //! fires exactly once: a crash cell that kills nobody fails. The hard
 //! socket cell is `node_crash` under R1: a death on a hash join beside a
 //! scripted recall.
@@ -24,17 +23,16 @@ use gridq::chaos::{
     FaultEvent, FaultFamily, FaultPlan, Policy, Runner, Scenario, ScenarioOutcome, Substrate,
     ORACLES,
 };
+use gridq::common::RecallPhase;
 use gridq::obs::Json;
 
 const SEEDS: [u64; 3] = [1, 7, 1303];
-const FAMILIES: [FaultFamily; 7] = [
+const FAMILIES: [FaultFamily; 5] = [
     FaultFamily::NotifyLoss,
     FaultFamily::Stall,
     FaultFamily::CrashMidRecall,
-    FaultFamily::DataLoss,
     FaultFamily::DataDup,
     FaultFamily::NodeCrash,
-    FaultFamily::BlockBoundary,
 ];
 
 /// The pinned (family, substrate) cells: each family runs on the
@@ -170,37 +168,66 @@ fn chaos_killed_node_retires_every_tracked_stream() {
     }
 }
 
-/// The acceptance fixture: a deliberately unrecoverable data-plane fault
-/// — every copy of one edge's traffic dropped until the retry budget is
-/// spent — must fail the conservation oracle, and shrinking must keep
-/// the failure while cutting the plan down to an all-drop reproducer.
+/// A death on a recall's first `Migrate` — the round where recall-moved
+/// and failover-replayed entries sit in open windows the producers must
+/// still close — and, beside it, on its first `Drain`: worker 0 dies,
+/// fails over, and every oracle stays green on all three substrates.
+#[test]
+fn a_death_on_each_recall_round_passes_every_oracle_on_every_substrate() {
+    let mut runner = Runner::new();
+    for phase in [RecallPhase::Migrate, RecallPhase::Drain] {
+        for substrate in Substrate::ALL {
+            let scenario = Scenario {
+                seed: 0,
+                family: FaultFamily::CrashMidRecall,
+                substrate,
+                policy: Policy::R1,
+            };
+            let events = vec![FaultEvent::CrashOnRecall {
+                phase,
+                worker: 0,
+                nth: 1,
+            }];
+            let outcome = runner.run_with_plan(scenario, FaultPlan { seed: 0, events });
+            let label = format!("{phase:?}/{}", substrate.name());
+            assert!(outcome.passed(), "{label} must pass: {outcome:?}");
+            assert_eq!(outcome.verdicts.len(), ORACLES.len(), "{label}");
+            assert!(
+                outcome.fired_events > 0,
+                "{label}: nobody died: {outcome:?}"
+            );
+        }
+    }
+}
+
+/// The acceptance fixture: a deliberately unrecoverable death — a
+/// consumer crash with failover off, on threads, padded with harmless
+/// delays — must fail the conservation oracle, and shrinking must keep
+/// the failure while cutting the plan down to the crash alone.
 #[test]
 fn broken_oracle_fixture_fails_loudly_and_shrinks_small() {
     let mut runner = Runner::new();
     let scenario = Scenario {
         seed: 0,
-        family: FaultFamily::DataLoss,
-        substrate: Substrate::Sim,
+        family: FaultFamily::NodeCrash,
+        substrate: Substrate::Threaded,
         policy: Policy::Static,
     };
-    let mut events: Vec<FaultEvent> = (1..=25)
-        .map(|nth| FaultEvent::DropData {
-            source: 0,
-            dest: 1,
-            nth,
-        })
-        .collect();
-    for nth in 1..=7 {
-        events.push(FaultEvent::DelayData {
+    let mut events: Vec<FaultEvent> = (1..=7)
+        .map(|nth| FaultEvent::DelayData {
             source: 0,
             dest: 0,
             nth,
             delay_ms: 3.0,
-        });
-    }
+        })
+        .collect();
+    events.insert(4, FaultEvent::CrashConsumer { worker: 1, nth: 5 });
     let original_len = events.len();
     let failing = runner.run_with_plan(scenario, FaultPlan { seed: 0, events });
-    assert!(!failing.passed(), "permanent data loss must fail an oracle");
+    assert!(
+        !failing.passed(),
+        "an unrecoverable death must fail an oracle"
+    );
     assert!(failing
         .verdicts
         .iter()
@@ -217,7 +244,7 @@ fn broken_oracle_fixture_fails_loudly_and_shrinks_small() {
             .plan
             .events
             .iter()
-            .all(|e| matches!(e, FaultEvent::DropData { .. })),
+            .all(|e| matches!(e, FaultEvent::CrashConsumer { .. })),
         "the harmless delays must shrink away: {:?}",
         minimal.plan
     );

@@ -90,12 +90,12 @@ fn a_threaded_run_replays_to_the_same_deploys() {
 
 /// A node that dies mid-run adds a failover to the inputs, beside the
 /// M2 notices every monitored run carries. Worker 2 (node 3) dies on the
-/// 20th buffer it receives, long after the first deploy.
+/// 12th buffer it receives, long after the first deploy.
 #[test]
 fn a_simulated_run_with_a_node_death_replays_exactly() {
     let crash = FaultPlan {
         seed: 0,
-        events: vec![FaultEvent::CrashConsumer { worker: 2, nth: 20 }],
+        events: vec![FaultEvent::CrashConsumer { worker: 2, nth: 12 }],
     };
     let report = q2_perturbed(3)
         .simulate(&Knobs {

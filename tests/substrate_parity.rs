@@ -16,13 +16,13 @@
 //! — real frames over real connections — routes, recalls, and collects
 //! the same tuples as the in-process substrates.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gridq::chaos::oracle::{conservation, log_conservation, recall_safety, replay};
 use gridq::chaos::{run_on, FaultEvent, FaultPlan, Knobs, PlanHook, Policy, Substrate, Workload};
-use gridq::common::RecallPhase;
-use gridq::engine::fixtures::multiset;
-use gridq::exec::RetryPolicy;
+use gridq::common::{ChaosHook, RecallPhase};
+use gridq::engine::fixtures::{multiset, CallShape, JoinShape};
 use gridq::obs::{RunReport, TimelineKind};
 
 mod common;
@@ -165,7 +165,7 @@ fn node_failure_runs_match_the_unfaulted_reference() {
         );
         assert!(
             run.delivery_gaps.is_empty(),
-            "{name}: replay + retransmission loses nothing: {run:?}"
+            "{name}: the failover replay loses nothing: {run:?}"
         );
         for audit in &run.log_audits {
             assert!(
@@ -264,9 +264,8 @@ fn plan_hook(events: Vec<FaultEvent>) -> Arc<PlanHook> {
     Arc::new(PlanHook::new(&FaultPlan { seed: 0, events }))
 }
 
-/// A threaded failover cell: live R1 on short checkpoint windows, a
-/// retry budget that outlasts the failover recall, and `hook`'s faults
-/// injected through the chaos seams.
+/// A threaded failover cell: live R1 on short checkpoint windows, and
+/// `hook`'s faults injected through the chaos seams.
 fn failover_knobs(hook: &Arc<PlanHook>) -> Knobs {
     let knobs = Knobs {
         adaptivity: Policy::R1.adaptivity(),
@@ -277,15 +276,12 @@ fn failover_knobs(hook: &Arc<PlanHook>) -> Knobs {
     failover(hook, knobs)
 }
 
-/// `knobs` with `hook`'s faults injected and a dead worker failed over,
-/// on a retry budget that outlasts the failover recall.
+/// `knobs` with `hook`'s faults injected and a dead worker failed over:
+/// its producers end their streams only once the failover replay has
+/// drained its windows.
 fn failover(hook: &Arc<PlanHook>, knobs: Knobs) -> Knobs {
     Knobs {
         chaos: Some(Arc::clone(hook) as _),
-        delivery_retry: RetryPolicy {
-            base_ms: 20.0,
-            max_retries: 8,
-        },
         failover: true,
         ..knobs
     }
@@ -415,4 +411,77 @@ fn every_substrate_agrees_on_the_static_r2_and_r1_workloads() {
         socket.state_tuples_migrated >= 1,
         "a recall at these weights moves build state: {socket:?}"
     );
+}
+
+/// A hook that never fires: the run is resilient, and the hook counts
+/// how often each worker is asked whether it dies — once per message it
+/// receives.
+#[derive(Debug, Default)]
+struct CountingHook {
+    asked: [AtomicU64; 2],
+}
+
+impl ChaosHook for CountingHook {
+    fn crash_worker(&self, worker: usize, _recall: Option<RecallPhase>) -> bool {
+        self.asked[worker].fetch_add(1, Ordering::Relaxed);
+        false
+    }
+}
+
+/// No fault, no second send. A resilient run with nothing injected sends
+/// each window once and has it acknowledged once, on every substrate, at
+/// a short and at the default checkpoint interval: a producer ends its
+/// stream on the acks, not on a timer that fires before they come. With
+/// nothing sent twice, what a worker receives is the same from run to
+/// run, so an nth-message fault is the same fault every time.
+#[test]
+fn a_run_without_faults_sends_each_window_once() {
+    let workloads = [
+        (
+            "call 100",
+            Workload::call("t", 100, &CallShape::default()),
+            100,
+        ),
+        (
+            "join 20/100",
+            Workload::join(("b", 20), ("p", 100), &JoinShape::default()),
+            20,
+        ),
+        (
+            "join 200/1000",
+            Workload::join(("b", 200), ("p", 1000), &JoinShape::default()),
+            200,
+        ),
+    ];
+    for (name, w, rows) in &workloads {
+        for checkpoint_interval in [8, 50] {
+            for substrate in Substrate::ALL {
+                let runs = if substrate == Substrate::Sim { 1 } else { 3 };
+                let asked: Vec<[u64; 2]> = (0..runs)
+                    .map(|_| {
+                        let hook = Arc::new(CountingHook::default());
+                        let knobs = Knobs {
+                            cost_scale: 0.002,
+                            checkpoint_interval,
+                            chaos: Some(Arc::clone(&hook) as _),
+                            ..Knobs::default()
+                        };
+                        let label = format!("{name}/{checkpoint_interval}/{}", substrate.name());
+                        let run = run_on(substrate, w, &knobs).expect(&label);
+                        assert_eq!(run.results.len(), *rows, "{label}");
+                        for audit in &run.log_audits {
+                            assert!(audit.conserved(), "{label}: {audit:?}");
+                            assert_eq!(audit.acks_duplicate, 0, "{label}: {audit:?}");
+                        }
+                        hook.asked.each_ref().map(|a| a.load(Ordering::Relaxed))
+                    })
+                    .collect();
+                assert!(
+                    asked.windows(2).all(|pair| pair[0] == pair[1]),
+                    "{name}/{checkpoint_interval}/{}: {asked:?}",
+                    substrate.name()
+                );
+            }
+        }
+    }
 }
