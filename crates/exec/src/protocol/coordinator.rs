@@ -340,9 +340,7 @@ impl Coordinator {
                 // producer's next forced checkpoint closes; a marker sent
                 // from here could close a window whose tail is still
                 // staged unsent at the producer, acknowledging tuples
-                // that were never delivered. Retransmissions of
-                // already-replayed tuples collapse in the consumers'
-                // dedup filter.
+                // that were never delivered.
                 let _ = logs[s].record_migrated(dest as u32, (stream, tuple.clone()));
                 if let Some(block) = blocks.push(dest, (stream, s, tuple)) {
                     t.redeliver(dest, block);

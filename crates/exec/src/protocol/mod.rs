@@ -1160,14 +1160,13 @@ mod tests {
             matches!(outcome, RecallOutcome::FailedOver { replayed, .. } if replayed == REPLAYED)
         );
         assert_eq!(log.unacked_len(0), REPLAYED as usize);
-        assert!(
-            log.undelivered_windows(0).is_empty(),
+        assert_eq!(
+            log.undelivered(0),
+            (0, 0),
             "the replay closed a window whose marker is never sent"
         );
         let cp = log.force_checkpoint(0).unwrap().expect("the open window");
-        let windows = log.undelivered_windows(0);
-        assert_eq!(windows.len(), 1);
-        assert_eq!((windows[0].0, windows[0].1.len()), (cp, REPLAYED as usize));
+        assert_eq!(log.undelivered(0), (1, REPLAYED));
         let acked = log.acknowledge(0, cp.id, log.epoch());
         assert_eq!(
             acked,

@@ -300,15 +300,15 @@ impl Producer {
             return;
         };
         let _ = log.force_checkpoint(dest as u32);
-        let windows = log.undelivered_windows(dest as u32);
-        if windows.is_empty() {
+        let (windows, tuples) = log.undelivered(dest as u32);
+        if windows == 0 {
             return;
         }
         self.x.tallies.gaps.lock().push(DeliveryGap {
             source: self.spec.source,
             dest,
-            windows: windows.len() as u64,
-            tuples: windows.iter().map(|(_, w)| w.len() as u64).sum(),
+            windows,
+            tuples,
         });
     }
 }

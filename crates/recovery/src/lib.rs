@@ -28,7 +28,7 @@
 //!   still be in flight. A window whose ack has not come back stays in
 //!   the log: [`SharedRecoveryLog::has_undelivered`] is what a producer
 //!   waits on before it ends its stream, and
-//!   [`SharedRecoveryLog::undelivered_windows`] is what it writes off as
+//!   [`SharedRecoveryLog::undelivered`] counts what it writes off as
 //!   a [`DeliveryGap`] when the destination died with no failover.
 //! - **retire** — [`SharedRecoveryLog::retire_matching`] and
 //!   [`SharedRecoveryLog::drain_dest`] take entries out for good, because
@@ -289,7 +289,7 @@ impl<T> SharedRecoveryLog<T> {
     /// - A build stream in a `resilient` run (one that waits for every
     ///   ack and fails over) is checkpointed into a *retained* log: an ack marks
     ///   its window delivered (see
-    ///   [`SharedRecoveryLog::undelivered_windows`]) but removes nothing,
+    ///   [`SharedRecoveryLog::undelivered`]) but removes nothing,
     ///   so the entries stay replayable for failure recovery.
     /// - Otherwise a build stream's windows never close (an unreachable
     ///   interval): its entries are downstream operator state and stay
@@ -473,45 +473,38 @@ impl<T> SharedRecoveryLog<T> {
         Ok(drained)
     }
 
-    /// The closed-but-unacknowledged windows on `dest`, oldest first:
-    /// each is the reconstructed marker plus clones of the entries it
-    /// covers, for the record of a write-off. Windows whose entries have all
-    /// been drained or moved elsewhere are omitted (there is nothing left
-    /// here to lose). The open window is not included — its marker has
-    /// not been sent yet, so nothing can acknowledge it.
-    pub fn undelivered_windows(&self, dest: u32) -> Vec<(Checkpoint, Vec<T>)>
-    where
-        T: Clone,
-    {
+    /// What `dest` still owes acknowledgements for: the number of closed,
+    /// unacknowledged windows that still hold entries, and the entries
+    /// they hold. Windows whose entries have all been drained or moved
+    /// elsewhere do not count (there is nothing left here to lose), nor
+    /// does the open window — its marker has not been sent yet, so
+    /// nothing can acknowledge it. A resilient producer waits while the
+    /// count is non-zero, and writes it off as a [`DeliveryGap`] when
+    /// `dest` died with no failover.
+    pub fn undelivered(&self, dest: u32) -> (u64, u64) {
         let inner = self.inner.lock();
         let Some(log) = inner.dests.get(dest as usize) else {
-            return Vec::new();
+            return (0, 0);
         };
-        let mut windows: BTreeMap<u64, Vec<T>> = BTreeMap::new();
+        let (mut windows, mut tuples, mut last) = (0, 0, None);
+        // Entries are in non-decreasing `cp` order, so a window's entries
+        // are contiguous.
         for entry in &log.entries {
             if entry.cp < log.next_cp && !log.is_acked(entry.cp) {
-                windows
-                    .entry(entry.cp)
-                    .or_default()
-                    .push(entry.item.clone());
+                tuples += 1;
+                if last != Some(entry.cp) {
+                    windows += 1;
+                    last = Some(entry.cp);
+                }
             }
         }
-        windows
-            .into_iter()
-            .map(|(id, items)| (Checkpoint { dest, id }, items))
-            .collect()
+        (windows, tuples)
     }
 
-    /// True when `dest` has at least one closed window that still awaits
-    /// acknowledgement and still holds entries: what a resilient producer
-    /// waits out before it ends its stream.
+    /// True when [`SharedRecoveryLog::undelivered`] counts a window: what
+    /// a resilient producer waits out before it ends its stream.
     pub fn has_undelivered(&self, dest: u32) -> bool {
-        let inner = self.inner.lock();
-        inner.dests.get(dest as usize).is_some_and(|log| {
-            log.entries
-                .iter()
-                .any(|e| e.cp < log.next_cp && !log.is_acked(e.cp))
-        })
+        self.undelivered(dest).0 > 0
     }
 
     /// Number of items still logged for `dest` (in a retained log this
@@ -791,12 +784,7 @@ mod tests {
         // back.
         assert_eq!(accepted(ack(&l, 0, 2)), 2);
         assert_eq!(l.unacked_len(0), 4);
-        let undelivered: Vec<u64> = l
-            .undelivered_windows(0)
-            .iter()
-            .map(|(cp, _)| cp.id)
-            .collect();
-        assert_eq!(undelivered, vec![0, 1]);
+        assert_eq!(l.undelivered(0), (2, 4), "windows 0 and 1");
         // The late ack for window 1 applies normally.
         assert_eq!(accepted(ack(&l, 0, 1)), 2);
         assert_eq!(accepted(ack(&l, 0, 0)), 2);
@@ -861,10 +849,7 @@ mod tests {
             l.record(0, i).unwrap();
         }
         // Window 0's ack is late; the window is still in the log...
-        let windows = l.undelivered_windows(0);
-        assert_eq!(windows.len(), 2);
-        assert_eq!(windows[0].0, Checkpoint { dest: 0, id: 0 });
-        assert_eq!(windows[0].1, vec![0, 1]);
+        assert_eq!(l.undelivered(0), (2, 4));
         // ...and then BOTH acks arrive: the block's and its duplicate's.
         assert_eq!(accepted(ack(&l, 0, 0)), 2);
         assert_eq!(ack(&l, 0, 0), AckOutcome::Duplicate);
@@ -885,14 +870,15 @@ mod tests {
             l.record(0, i).unwrap(); // windows 0 and 1 close; item 4 open
         }
         ack(&l, 0, 0);
-        let windows = l.undelivered_windows(0);
-        assert_eq!(windows.len(), 1, "only window 1 is closed and unacked");
-        assert_eq!(windows[0].0, Checkpoint { dest: 0, id: 1 });
-        assert_eq!(windows[0].1, vec![2, 3]);
+        assert_eq!(
+            l.undelivered(0),
+            (1, 2),
+            "only window 1 is closed and unacked"
+        );
         assert!(l.has_undelivered(0));
         ack(&l, 0, 1);
         assert!(!l.has_undelivered(0), "open window never counts");
-        assert!(l.undelivered_windows(0).is_empty());
+        assert_eq!(l.undelivered(0), (0, 0));
     }
 
     #[test]
@@ -905,12 +891,7 @@ mod tests {
         // Delivery is confirmed (the window leaves the undelivered set)
         // but the entries stay replayable.
         assert_eq!(l.unacked_len(0), 4);
-        let undelivered: Vec<u64> = l
-            .undelivered_windows(0)
-            .iter()
-            .map(|(cp, _)| cp.id)
-            .collect();
-        assert_eq!(undelivered, vec![1]);
+        assert_eq!(l.undelivered(0), (1, 2), "window 1");
         ack(&l, 0, 1);
         assert!(!l.has_undelivered(0));
         // Node-failure recovery still gets the full state back.
